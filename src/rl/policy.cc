@@ -1,83 +1,13 @@
 #include "src/rl/policy.h"
 
-#include <cstdio>
-#include <cstring>
+#include <string_view>
 
 #include "src/common/check.h"
 
 namespace lyra::rl {
 namespace {
 
-std::uint64_t Fnv1a(const std::string& data) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutF64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-// Bounds-checked cursor over the payload; a truncated or corrupted payload
-// surfaces as DataLoss, never as out-of-bounds access.
-class Reader {
- public:
-  explicit Reader(const std::string& data) : data_(data) {}
-
-  Status U32(std::uint32_t* v) {
-    if (pos_ + 4 > data_.size()) {
-      return Status::DataLoss("LYRAPOL payload truncated");
-    }
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_++]))
-            << (8 * i);
-    }
-    return Status::Ok();
-  }
-
-  Status U64(std::uint64_t* v) {
-    if (pos_ + 8 > data_.size()) {
-      return Status::DataLoss("LYRAPOL payload truncated");
-    }
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_++]))
-            << (8 * i);
-    }
-    return Status::Ok();
-  }
-
-  Status F64(double* v) {
-    std::uint64_t bits = 0;
-    const Status status = U64(&bits);
-    std::memcpy(v, &bits, sizeof(*v));
-    return status;
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  const std::string& data_;
-  std::size_t pos_ = 0;
-};
+constexpr char kOrigin[] = "LYRAPOL weights";
 
 LstmOptions HeadOptions(const PolicyOptions& options, std::uint64_t seed) {
   LstmOptions head;
@@ -89,34 +19,30 @@ LstmOptions HeadOptions(const PolicyOptions& options, std::uint64_t seed) {
   return head;
 }
 
-Status ReadParameters(Reader& in, LstmNetwork* net, const char* head) {
-  std::uint32_t count = 0;
-  Status status = in.U32(&count);
-  if (!status.ok()) {
-    return status;
+void ReadParameters(ByteReader& in, LstmNetwork* net, const char* head) {
+  const std::uint32_t count = in.U32();
+  if (in.ok() && static_cast<std::int64_t>(count) != net->num_parameters()) {
+    in.Fail(std::string(head) + " parameter count mismatch: file has " +
+            std::to_string(count) + ", architecture needs " +
+            std::to_string(net->num_parameters()));
   }
-  if (static_cast<int>(count) != net->num_parameters()) {
-    return Status::DataLoss(std::string("LYRAPOL ") + head +
-                            " parameter count mismatch: file has " +
-                            std::to_string(count) + ", architecture needs " +
-                            std::to_string(net->num_parameters()));
+  if (!in.ok()) {
+    return;
   }
   std::vector<double> params(count);
   for (double& p : params) {
-    status = in.F64(&p);
-    if (!status.ok()) {
-      return status;
-    }
+    p = in.F64();
   }
-  net->ImportParameters(params);
-  return Status::Ok();
+  if (in.ok()) {
+    net->ImportParameters(params);
+  }
 }
 
-void WriteParameters(std::string& out, const LstmNetwork& net) {
+void WriteParameters(ByteWriter& out, const LstmNetwork& net) {
   const std::vector<double> params = net.ExportParameters();
-  PutU32(out, static_cast<std::uint32_t>(params.size()));
+  out.U32(static_cast<std::uint32_t>(params.size()));
   for (double p : params) {
-    PutF64(out, p);
+    out.F64(p);
   }
 }
 
@@ -164,94 +90,50 @@ int PolicyNet::num_parameters() const {
 }
 
 std::string PolicyNet::Encode() const {
-  std::string payload;
-  PutU32(payload, static_cast<std::uint32_t>(options_.feature_count));
-  PutU32(payload, static_cast<std::uint32_t>(options_.hidden));
-  PutU32(payload, static_cast<std::uint32_t>(options_.layers));
-  PutU64(payload, options_.seed);
-  PutF64(payload, options_.learning_rate);
+  ByteWriter payload;
+  payload.U32(static_cast<std::uint32_t>(options_.feature_count));
+  payload.U32(static_cast<std::uint32_t>(options_.hidden));
+  payload.U32(static_cast<std::uint32_t>(options_.layers));
+  payload.U64(options_.seed);
+  payload.F64(options_.learning_rate);
   WriteParameters(payload, priority_);
   WriteParameters(payload, workers_);
-
-  std::string file(kPolicyMagic, 8);
-  PutU32(file, kPolicyVersion);
-  PutU64(file, static_cast<std::uint64_t>(payload.size()));
-  file += payload;
-  PutU64(file, Fnv1a(payload));
-  return file;
+  return Seal(kPolicyFormat, payload.bytes());
 }
 
 StatusOr<PolicyNet> PolicyNet::Decode(const std::string& bytes) {
-  if (bytes.size() < 8 + 4 + 8 || std::memcmp(bytes.data(), kPolicyMagic, 8) != 0) {
-    return Status::InvalidArgument("not a LYRAPOL policy file");
+  StatusOr<std::string_view> payload = Open(kPolicyFormat, bytes, kOrigin);
+  if (!payload.ok()) {
+    return payload.status();
   }
-  std::size_t pos = 8;
-  auto read_u32 = [&](std::uint32_t* v) {
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[pos++]))
-            << (8 * i);
-    }
-  };
-  auto read_u64 = [&](std::uint64_t* v) {
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[pos++]))
-            << (8 * i);
-    }
-  };
-  std::uint32_t version = 0;
-  read_u32(&version);
-  if (version != kPolicyVersion) {
-    return Status::InvalidArgument("unsupported LYRAPOL version " +
-                                   std::to_string(version) + " (expected " +
-                                   std::to_string(kPolicyVersion) + ")");
-  }
-  std::uint64_t payload_size = 0;
-  read_u64(&payload_size);
-  if (bytes.size() < pos + payload_size + 8) {
-    return Status::DataLoss("LYRAPOL file truncated");
-  }
-  const std::string payload = bytes.substr(pos, payload_size);
-  pos += payload_size;
-  std::uint64_t stored_hash = 0;
-  read_u64(&stored_hash);
-  if (pos != bytes.size()) {
-    return Status::DataLoss("LYRAPOL file has trailing bytes");
-  }
-  if (Fnv1a(payload) != stored_hash) {
-    return Status::DataLoss("LYRAPOL checksum mismatch");
-  }
-
-  Reader in(payload);
-  std::uint32_t feature_count = 0;
-  std::uint32_t hidden = 0;
-  std::uint32_t layers = 0;
+  ByteReader in(payload.value(), kOrigin);
   PolicyOptions options;
-  Status status = in.U32(&feature_count);
-  if (status.ok()) status = in.U32(&hidden);
-  if (status.ok()) status = in.U32(&layers);
-  if (status.ok()) status = in.U64(&options.seed);
-  if (status.ok()) status = in.F64(&options.learning_rate);
-  if (!status.ok()) {
-    return status;
+  const std::uint32_t feature_count = in.U32();
+  const std::uint32_t hidden = in.U32();
+  const std::uint32_t layers = in.U32();
+  options.seed = in.U64();
+  options.learning_rate = in.F64();
+  if (in.ok() && (feature_count == 0 || feature_count > 4096 || hidden == 0 ||
+                  hidden > 4096 || layers == 0 || layers > 64)) {
+    in.Fail("architecture out of range");
   }
-  if (feature_count == 0 || feature_count > 4096 || hidden == 0 ||
-      hidden > 4096 || layers == 0 || layers > 64) {
-    return Status::DataLoss("LYRAPOL architecture out of range");
+  // Each head holds at least `layers` recurrent matrices of 4*hidden x
+  // hidden doubles; refuse an architecture the payload cannot hold before
+  // it sizes the network.
+  in.Fits(2ull * layers * 4 * hidden * hidden, sizeof(double));
+  if (!in.ok()) {
+    return in.Finish();
   }
   options.feature_count = static_cast<int>(feature_count);
   options.hidden = static_cast<int>(hidden);
   options.layers = static_cast<int>(layers);
 
   PolicyNet policy(options);
-  status = ReadParameters(in, &policy.priority_, "priority");
-  if (status.ok()) status = ReadParameters(in, &policy.workers_, "worker");
+  ReadParameters(in, &policy.priority_, "priority");
+  ReadParameters(in, &policy.workers_, "worker");
+  const Status status = in.Finish();
   if (!status.ok()) {
     return status;
-  }
-  if (!in.AtEnd()) {
-    return Status::DataLoss("LYRAPOL payload has trailing bytes");
   }
   return policy;
 }
@@ -259,42 +141,15 @@ StatusOr<PolicyNet> PolicyNet::Decode(const std::string& bytes) {
 std::uint64_t PolicyNet::WeightsHash() const { return Fnv1a(Encode()); }
 
 Status PolicyNet::Save(const std::string& path) const {
-  const std::string file = Encode();
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::InvalidArgument("cannot open for writing: " + tmp);
-  }
-  const std::size_t written = std::fwrite(file.data(), 1, file.size(), out);
-  const bool closed = std::fclose(out) == 0;
-  if (written != file.size() || !closed) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("rename failed: " + path);
-  }
-  return Status::Ok();
+  return WriteFileAtomic(path, Encode());
 }
 
 StatusOr<PolicyNet> PolicyNet::Load(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    return Status::NotFound("cannot open policy weights: " + path);
+  StatusOr<std::string> file = ReadFile(path);
+  if (!file.ok()) {
+    return file.status();
   }
-  std::string file;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-    file.append(buf, n);
-  }
-  const bool read_error = std::ferror(in) != 0;
-  std::fclose(in);
-  if (read_error) {
-    return Status::DataLoss("read error: " + path);
-  }
-  return Decode(file);
+  return Decode(file.value());
 }
 
 }  // namespace lyra::rl

@@ -7,10 +7,9 @@
 // (cluster + queue + per-job features, see env.h), treated as a length-F
 // scalar sequence so the LSTM cells are reused unchanged.
 //
-// Weights persist in the checksummed `LYRAPOL` container: 8-byte magic, u32
-// version, u64 payload size, payload, u64 FNV-1a of the payload — the same
-// envelope as the service snapshots, so corruption and truncation are
-// detected rather than silently loaded.
+// Weights persist in the shared checksummed envelope (src/common/codec.h)
+// with magic `LYRAPOL_`, the same envelope as the service snapshots, so
+// corruption and truncation are detected rather than silently loaded.
 #ifndef SRC_RL_POLICY_H_
 #define SRC_RL_POLICY_H_
 
@@ -18,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/codec.h"
 #include "src/common/status.h"
 #include "src/predict/lstm.h"
 
@@ -27,8 +27,7 @@ namespace lyra::rl {
 // learned_scheduler.h for the feature list).
 inline constexpr int kFeatureCount = 14;
 
-inline constexpr char kPolicyMagic[] = "LYRAPOL_";  // 8 bytes on disk
-inline constexpr std::uint32_t kPolicyVersion = 1;
+inline constexpr EnvelopeFormat kPolicyFormat{"LYRAPOL_", 1};
 
 struct PolicyOptions {
   int feature_count = kFeatureCount;
@@ -67,7 +66,7 @@ class PolicyNet {
   // FNV-1a over Encode(); equal seeds + equal training ⇒ equal hash.
   std::uint64_t WeightsHash() const;
 
-  // Atomic (tmp + rename) write / checksum-verified read of a LYRAPOL file.
+  // Durable atomic write / checksum-verified read of a LYRAPOL file.
   Status Save(const std::string& path) const;
   static StatusOr<PolicyNet> Load(const std::string& path);
 

@@ -8,14 +8,12 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/codec.h"
 #include "src/svc/registry.h"
 #include "src/svc/replies.h"
 
 namespace lyra::svc {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 // Deterministic time/cost rendering for ledger event lines: the lines feed
 // the rolling ledger hash, so the format must be stable across platforms.
@@ -93,33 +91,6 @@ std::string DescribeTarget(const JsonValue& target) {
 // floating point, so the reserve is identical across platforms.
 std::int64_t ReserveOf(std::int64_t total_gpus) {
   return (total_gpus + 9) / 10;
-}
-
-std::uint64_t HashSeq(std::uint64_t seq) {
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<unsigned char>((seq >> (8 * i)) & 0xff);
-  }
-  return ShardRouter::Hash(bytes, sizeof(bytes));
-}
-
-StatusOr<std::string> ReadFileBytes(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    return Status::NotFound("cannot open: " + path);
-  }
-  std::string bytes;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-    bytes.append(buf, n);
-  }
-  const bool read_error = std::ferror(in) != 0;
-  std::fclose(in);
-  if (read_error) {
-    return Status::DataLoss("read error: " + path);
-  }
-  return bytes;
 }
 
 const char* JobStateLabel(int state) {
@@ -237,15 +208,10 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
 // --- LoanBroker -----------------------------------------------------------
 
 void LoanBroker::Emit(const std::string& event) {
-  std::uint64_t hash =
-      ledger_.ledger_hash == 0 ? kFnvOffset : ledger_.ledger_hash;
-  for (const char c : event) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= kFnvPrime;
-  }
-  hash ^= static_cast<unsigned char>('\n');
-  hash *= kFnvPrime;
-  ledger_.ledger_hash = hash;
+  // Each event line, newline included, extends the rolling FNV-1a.
+  const std::uint64_t hash = Fnv1a(
+      event, ledger_.ledger_hash == 0 ? kFnv1aOffset : ledger_.ledger_hash);
+  ledger_.ledger_hash = Fnv1a("\n", hash);
   events_.push_back(event);
   if (events_.size() > kMaxEvents) {
     events_.erase(events_.begin());
@@ -660,11 +626,10 @@ ShardRouter::Plan FederationRouter::RouteEngine(TelemetryCmd cmd,
     const JsonValue* key = request.Find("key");
     std::uint64_t hash = 0;
     if (key != nullptr && key->is_string()) {
-      const std::string& k = key->AsString();
-      hash = Hash(k.data(), k.size());
+      hash = Fnv1a(key->AsString());
     } else {
       // Peek only; BeginEngine's fetch_add is authoritative.
-      hash = HashSeq(submit_seq());
+      hash = Fnv1aU64(submit_seq());
     }
     plan.shard = (*targets)[hash % targets->size()];
     plan.shed = shard(static_cast<int>(plan.shard))->EngineSaturated();
@@ -688,7 +653,7 @@ std::uint32_t FederationRouter::BeginEngine(TelemetryCmd cmd,
     // here is the authoritative in-cluster pick.
     const std::vector<std::uint32_t>* targets = TargetEngines(request);
     const std::uint64_t seq = NextSubmitSeq();
-    return (*targets)[HashSeq(seq) % targets->size()];
+    return (*targets)[Fnv1aU64(seq) % targets->size()];
   }
   return ShardRouter::BeginEngine(cmd, request, plan);
 }
@@ -826,7 +791,7 @@ void FederationRouter::StartMigration(
   const std::vector<std::uint32_t>& dests =
       cluster_engines_[static_cast<std::size_t>(dest)];
   const std::uint32_t dest_engine =
-      dests[Hash(route_key.data(), route_key.size()) % dests.size()];
+      dests[Fnv1a(route_key) % dests.size()];
 
   JsonValue submit = JsonValue::MakeObject();
   submit.Set("cmd", JsonValue::MakeString("submit"));
@@ -934,12 +899,16 @@ JsonValue FederationRouter::MergeFederationSnapshot(
     if (!replies[k].GetBool("ok", false)) {
       JsonValue failed = replies[k];
       failed.Set("shard", JsonValue::MakeNumber(static_cast<double>(k)));
-      for (std::size_t p = 0; p < replies.size(); ++p) {
-        std::remove(PartPath(snapshot_path, static_cast<int>(p)).c_str());
-      }
+      TakeParts(snapshot_path);
       EchoSeq(request, failed);
       return failed;
     }
+  }
+  StatusOr<std::vector<std::string>> parts = TakeParts(snapshot_path);
+  if (!parts.ok()) {
+    JsonValue failed = StatusReply(parts.status());
+    EchoSeq(request, failed);
+    return failed;
   }
 
   FedSnapshot fed;
@@ -952,14 +921,7 @@ JsonValue FederationRouter::MergeFederationSnapshot(
     MultiSnapshot multi;
     for (const std::uint32_t e :
          cluster_engines_[static_cast<std::size_t>(c)]) {
-      StatusOr<std::string> image =
-          ReadFileBytes(PartPath(snapshot_path, static_cast<int>(e)));
-      if (!image.ok()) {
-        JsonValue failed = StatusReply(image.status());
-        EchoSeq(request, failed);
-        return failed;
-      }
-      multi.shard_images.push_back(std::move(image).value());
+      multi.shard_images.push_back(std::move(parts.value()[e]));
       time = std::max(time, replies[e].GetDouble("time", 0.0));
       commands += replies[e].GetDouble("commands", 0.0);
     }
@@ -976,9 +938,6 @@ JsonValue FederationRouter::MergeFederationSnapshot(
     fed.ledger = broker_.ledger();
   }
   const Status saved = SaveFedSnapshot(fed, snapshot_path);
-  for (std::size_t k = 0; k < replies.size(); ++k) {
-    std::remove(PartPath(snapshot_path, static_cast<int>(k)).c_str());
-  }
   if (!saved.ok()) {
     JsonValue failed = StatusReply(saved);
     EchoSeq(request, failed);
@@ -1401,7 +1360,7 @@ bool IsFedSnapshotFile(const std::string& path) {
   char magic[8] = {};
   const std::size_t n = std::fread(magic, 1, sizeof(magic), in);
   std::fclose(in);
-  return n == sizeof(magic) && std::memcmp(magic, "LYRAFED_", 8) == 0;
+  return HasMagic(kFedSnapshotFormat, std::string_view(magic, n));
 }
 
 }  // namespace lyra::svc

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/codec.h"
 #include "src/svc/prom.h"
 #include "src/svc/replies.h"
 #include "src/svc/snapshot.h"
@@ -47,25 +48,6 @@ void MergeNumeric(JsonValue& into, const JsonValue& from) {
 
 std::string ShardSuffixPath(const std::string& path, int shard) {
   return path + ".shard" + std::to_string(shard);
-}
-
-StatusOr<std::string> ReadFileBytes(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    return Status::NotFound("cannot open: " + path);
-  }
-  std::string bytes;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-    bytes.append(buf, n);
-  }
-  const bool read_error = std::ferror(in) != 0;
-  std::fclose(in);
-  if (read_error) {
-    return Status::DataLoss("read error: " + path);
-  }
-  return bytes;
 }
 
 }  // namespace
@@ -152,23 +134,29 @@ std::string ShardRouter::PartPath(const std::string& path, int shard) {
   return path + ".part" + std::to_string(shard);
 }
 
-std::uint64_t ShardRouter::Hash(const void* data, std::size_t size) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = 14695981039346656037ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ull;
+StatusOr<std::vector<std::string>> ShardRouter::TakeParts(
+    const std::string& path) const {
+  std::vector<std::string> parts;
+  Status status;
+  for (int k = 0; k < shard_count(); ++k) {
+    const std::string part = PartPath(path, k);
+    StatusOr<std::string> image = ReadFile(part);
+    if (image.ok()) {
+      parts.push_back(std::move(image.value()));
+    } else if (status.ok()) {
+      status = image.status();
+    }
+    std::remove(part.c_str());
   }
-  return hash;
+  if (!status.ok()) {
+    return status;
+  }
+  return parts;
 }
 
 std::uint32_t ShardRouter::ShardForKeylessSubmit(std::uint64_t seq) const {
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<unsigned char>((seq >> (8 * i)) & 0xff);
-  }
   return static_cast<std::uint32_t>(
-      Hash(bytes, sizeof(bytes)) % static_cast<std::uint64_t>(shard_count()));
+      Fnv1aU64(seq) % static_cast<std::uint64_t>(shard_count()));
 }
 
 ShardRouter::Plan ShardRouter::RouteEngine(TelemetryCmd cmd,
@@ -183,10 +171,8 @@ ShardRouter::Plan ShardRouter::RouteEngine(TelemetryCmd cmd,
       plan.rewrite_job = true;
       const JsonValue* key = request.Find("key");
       if (key != nullptr && key->is_string()) {
-        const std::string& k = key->AsString();
         plan.shard = static_cast<std::uint32_t>(
-            Hash(k.data(), k.size()) %
-            static_cast<std::uint64_t>(shard_count()));
+            Fnv1a(key->AsString()) % static_cast<std::uint64_t>(shard_count()));
       } else {
         // Peek only: a shed submit must not consume a routing sequence
         // number, or a restore would route later submits differently than
@@ -314,9 +300,7 @@ JsonValue ShardRouter::MergeFanout(TelemetryCmd cmd, const JsonValue& request,
       JsonValue failed = replies[k];
       failed.Set("shard", JsonValue::MakeNumber(static_cast<double>(k)));
       if (cmd == TelemetryCmd::kSnapshot && !snapshot_path.empty()) {
-        for (std::size_t p = 0; p < replies.size(); ++p) {
-          std::remove(PartPath(snapshot_path, static_cast<int>(p)).c_str());
-        }
+        TakeParts(snapshot_path);
       }
       EchoSeq(request, failed);
       return failed;
@@ -354,29 +338,21 @@ JsonValue ShardRouter::MergeFanout(TelemetryCmd cmd, const JsonValue& request,
       // Gather the per-shard LYRASNAP part files into the LYRASHRD
       // container, then drop the parts. Runs on the last engine thread to
       // finish its part — snapshot writes are engine-thread file I/O anyway.
-      MultiSnapshot multi;
-      multi.submit_seq = snapshot_submit_seq;
-      double time = 0.0, commands = 0.0;
-      for (std::size_t k = 0; k < replies.size(); ++k) {
-        StatusOr<std::string> image =
-            ReadFileBytes(PartPath(snapshot_path, static_cast<int>(k)));
-        if (!image.ok()) {
-          JsonValue failed = StatusReply(image.status());
-          EchoSeq(request, failed);
-          return failed;
-        }
-        multi.shard_images.push_back(std::move(image).value());
-        time = std::max(time, replies[k].GetDouble("time", 0.0));
-        commands += replies[k].GetDouble("commands", 0.0);
-      }
-      const Status saved = SaveMultiSnapshot(multi, snapshot_path);
-      for (std::size_t k = 0; k < replies.size(); ++k) {
-        std::remove(PartPath(snapshot_path, static_cast<int>(k)).c_str());
+      StatusOr<std::vector<std::string>> parts = TakeParts(snapshot_path);
+      Status saved = parts.status();
+      if (saved.ok()) {
+        saved = SaveMultiSnapshot({snapshot_submit_seq, std::move(parts.value())},
+                                  snapshot_path);
       }
       if (!saved.ok()) {
         JsonValue failed = StatusReply(saved);
         EchoSeq(request, failed);
         return failed;
+      }
+      double time = 0.0, commands = 0.0;
+      for (const JsonValue& reply : replies) {
+        time = std::max(time, reply.GetDouble("time", 0.0));
+        commands += reply.GetDouble("commands", 0.0);
       }
       merged.Set("path", JsonValue::MakeString(snapshot_path));
       merged.Set("commands", JsonValue::MakeNumber(commands));

@@ -153,9 +153,6 @@ class ShardRouter {
     submit_seq_.store(seq, std::memory_order_relaxed);
   }
 
-  // FNV-1a over `data` (the routing hash; exposed for tests).
-  static std::uint64_t Hash(const void* data, std::size_t size);
-
   // Per-shard scratch file a fanout snapshot writes before the merge gathers
   // the parts into the container ("<path>.part<k>").
   static std::string PartPath(const std::string& path, int shard);
@@ -181,6 +178,10 @@ class ShardRouter {
                                 const std::string& snapshot_path,
                                 std::uint64_t snapshot_submit_seq,
                                 std::vector<JsonValue>& replies) const;
+
+  // Reads every engine's part file of a fanout snapshot to `path`, in
+  // engine order, and deletes them all whatever the outcome.
+  StatusOr<std::vector<std::string>> TakeParts(const std::string& path) const;
 
   // Consumes one submit-routing sequence number (BeginEngine's counter
   // discipline, exposed for subclasses that route within a cluster's range).

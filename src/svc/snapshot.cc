@@ -1,198 +1,65 @@
 #include "src/svc/snapshot.h"
 
-#include <cstdio>
-#include <cstring>
+#include <string_view>
+#include <utility>
 
 namespace lyra::svc {
 namespace {
 
-constexpr char kMagic[8] = {'L', 'Y', 'R', 'A', 'S', 'N', 'A', 'P'};
-constexpr char kShardMagic[8] = {'L', 'Y', 'R', 'A', 'S', 'H', 'R', 'D'};
-constexpr char kFedMagic[8] = {'L', 'Y', 'R', 'A', 'F', 'E', 'D', '_'};
+// Smallest encodings, used to bound counts read from a payload.
+constexpr std::size_t kMinCommandBytes = 1 + 8;  // kind + stamp
+constexpr std::size_t kMinLoanBytes = 8 + 4 + 4 + 8 + 8;
 
-std::uint64_t Fnv1a(const std::string& data) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
+void PutConfig(ByteWriter& out, const EngineConfig& config) {
+  out.Str(config.scheduler);
+  out.Str(config.reclaim);
+  out.Str(config.policy_weights);
+  out.Bool(config.info_agnostic);
+  out.Bool(config.tuned);
+  out.Bool(config.loaning);
+  out.Bool(config.lstm);
+  out.Bool(config.faults);
+  out.F64(config.scale);
+  out.F64(config.horizon_days);
+  out.U64(config.seed);
 }
 
-// --- Little-endian field writers/readers ------------------------------------
-
-void PutU8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+EngineConfig ReadConfig(ByteReader& in) {
+  EngineConfig config;
+  config.scheduler = in.Str();
+  config.reclaim = in.Str();
+  config.policy_weights = in.Str();
+  config.info_agnostic = in.Bool();
+  config.tuned = in.Bool();
+  config.loaning = in.Bool();
+  config.lstm = in.Bool();
+  config.faults = in.Bool();
+  config.scale = in.F64();
+  config.horizon_days = in.F64();
+  config.seed = in.U64();
+  return config;
 }
 
-void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutI64(std::string& out, std::int64_t v) {
-  PutU64(out, static_cast<std::uint64_t>(v));
-}
-
-void PutF64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutString(std::string& out, const std::string& s) {
-  PutU32(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
-
-// Cursor over the payload; every read is bounds-checked so a truncated or
-// corrupted payload surfaces as DataLoss, never as out-of-bounds access.
-class Reader {
- public:
-  explicit Reader(const std::string& data) : data_(data) {}
-
-  Status U8(std::uint8_t* v) {
-    if (!Have(1)) {
-      return Truncated();
-    }
-    *v = static_cast<std::uint8_t>(data_[pos_++]);
-    return Status::Ok();
-  }
-
-  Status U32(std::uint32_t* v) {
-    if (!Have(4)) {
-      return Truncated();
-    }
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_++]))
-            << (8 * i);
-    }
-    return Status::Ok();
-  }
-
-  Status U64(std::uint64_t* v) {
-    if (!Have(8)) {
-      return Truncated();
-    }
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_++]))
-            << (8 * i);
-    }
-    return Status::Ok();
-  }
-
-  Status I64(std::int64_t* v) {
-    std::uint64_t u = 0;
-    const Status status = U64(&u);
-    *v = static_cast<std::int64_t>(u);
-    return status;
-  }
-
-  Status F64(double* v) {
-    std::uint64_t bits = 0;
-    const Status status = U64(&bits);
-    std::memcpy(v, &bits, sizeof(*v));
-    return status;
-  }
-
-  Status Str(std::string* v) {
-    std::uint32_t length = 0;
-    Status status = U32(&length);
-    if (!status.ok()) {
-      return status;
-    }
-    if (!Have(length)) {
-      return Truncated();
-    }
-    v->assign(data_, pos_, length);
-    pos_ += length;
-    return Status::Ok();
-  }
-
-  Status Bool(bool* v) {
-    std::uint8_t byte = 0;
-    const Status status = U8(&byte);
-    *v = byte != 0;
-    return status;
-  }
-
-  // Raw byte blob with an externally-read u64 length (shard images can
-  // exceed the u32-length Str framing).
-  Status Str64(std::string* v, std::uint64_t length) {
-    if (!Have(length)) {
-      return Truncated();
-    }
-    v->assign(data_, pos_, length);
-    pos_ += static_cast<std::size_t>(length);
-    return Status::Ok();
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  bool Have(std::size_t n) const { return data_.size() - pos_ >= n; }
-  static Status Truncated() { return Status::DataLoss("snapshot payload truncated"); }
-
-  const std::string& data_;
-  std::size_t pos_ = 0;
-};
-
-void PutConfig(std::string& out, const EngineConfig& config) {
-  PutString(out, config.scheduler);
-  PutString(out, config.reclaim);
-  PutString(out, config.policy_weights);
-  PutU8(out, config.info_agnostic ? 1 : 0);
-  PutU8(out, config.tuned ? 1 : 0);
-  PutU8(out, config.loaning ? 1 : 0);
-  PutU8(out, config.lstm ? 1 : 0);
-  PutU8(out, config.faults ? 1 : 0);
-  PutF64(out, config.scale);
-  PutF64(out, config.horizon_days);
-  PutU64(out, config.seed);
-}
-
-Status ReadConfig(Reader& in, EngineConfig* config) {
-  Status status = in.Str(&config->scheduler);
-  if (status.ok()) status = in.Str(&config->reclaim);
-  if (status.ok()) status = in.Str(&config->policy_weights);
-  if (status.ok()) status = in.Bool(&config->info_agnostic);
-  if (status.ok()) status = in.Bool(&config->tuned);
-  if (status.ok()) status = in.Bool(&config->loaning);
-  if (status.ok()) status = in.Bool(&config->lstm);
-  if (status.ok()) status = in.Bool(&config->faults);
-  if (status.ok()) status = in.F64(&config->scale);
-  if (status.ok()) status = in.F64(&config->horizon_days);
-  if (status.ok()) status = in.U64(&config->seed);
-  return status;
-}
-
-void PutCommand(std::string& out, const LoggedCommand& cmd) {
-  PutU8(out, static_cast<std::uint8_t>(cmd.kind));
-  PutF64(out, cmd.stamp);
+void PutCommand(ByteWriter& out, const LoggedCommand& cmd) {
+  out.U8(static_cast<std::uint8_t>(cmd.kind));
+  out.F64(cmd.stamp);
   switch (cmd.kind) {
     case CommandKind::kSubmit: {
       const JobSpec& spec = cmd.spec;
-      PutF64(out, spec.submit_time);
-      PutU32(out, static_cast<std::uint32_t>(spec.gpus_per_worker));
-      PutU32(out, static_cast<std::uint32_t>(spec.min_workers));
-      PutU32(out, static_cast<std::uint32_t>(spec.max_workers));
-      PutU32(out, static_cast<std::uint32_t>(spec.requested_workers));
-      PutU8(out, spec.fungible ? 1 : 0);
-      PutU8(out, spec.heterogeneous ? 1 : 0);
-      PutU8(out, spec.checkpointing ? 1 : 0);
-      PutU8(out, static_cast<std::uint8_t>(spec.model));
-      PutF64(out, spec.total_work);
+      out.F64(spec.submit_time);
+      out.U32(static_cast<std::uint32_t>(spec.gpus_per_worker));
+      out.U32(static_cast<std::uint32_t>(spec.min_workers));
+      out.U32(static_cast<std::uint32_t>(spec.max_workers));
+      out.U32(static_cast<std::uint32_t>(spec.requested_workers));
+      out.Bool(spec.fungible);
+      out.Bool(spec.heterogeneous);
+      out.Bool(spec.checkpointing);
+      out.U8(static_cast<std::uint8_t>(spec.model));
+      out.F64(spec.total_work);
       break;
     }
     case CommandKind::kCancel:
-      PutI64(out, cmd.job);
+      out.I64(cmd.job);
       break;
     case CommandKind::kAdvance:
     case CommandKind::kDrain:
@@ -200,152 +67,38 @@ void PutCommand(std::string& out, const LoggedCommand& cmd) {
   }
 }
 
-Status ReadCommand(Reader& in, LoggedCommand* cmd) {
-  std::uint8_t kind = 0;
-  Status status = in.U8(&kind);
-  if (!status.ok()) {
-    return status;
+LoggedCommand ReadCommand(ByteReader& in) {
+  LoggedCommand cmd;
+  const std::uint8_t kind = in.U8();
+  cmd.stamp = in.F64();
+  if (!in.ok()) {
+    return cmd;
   }
   if (kind < 1 || kind > 4) {
-    return Status::DataLoss("unknown command kind in snapshot: " +
-                            std::to_string(kind));
+    in.Fail("unknown command kind " + std::to_string(kind));
+    return cmd;
   }
-  cmd->kind = static_cast<CommandKind>(kind);
-  status = in.F64(&cmd->stamp);
-  if (!status.ok()) {
-    return status;
-  }
-  switch (cmd->kind) {
-    case CommandKind::kSubmit: {
-      JobSpec& spec = cmd->spec;
-      std::uint32_t u = 0;
-      std::uint8_t model = 0;
-      status = in.F64(&spec.submit_time);
-      if (status.ok()) {
-        status = in.U32(&u);
-        spec.gpus_per_worker = static_cast<int>(u);
-      }
-      if (status.ok()) {
-        status = in.U32(&u);
-        spec.min_workers = static_cast<int>(u);
-      }
-      if (status.ok()) {
-        status = in.U32(&u);
-        spec.max_workers = static_cast<int>(u);
-      }
-      if (status.ok()) {
-        status = in.U32(&u);
-        spec.requested_workers = static_cast<int>(u);
-      }
-      if (status.ok()) status = in.Bool(&spec.fungible);
-      if (status.ok()) status = in.Bool(&spec.heterogeneous);
-      if (status.ok()) status = in.Bool(&spec.checkpointing);
-      if (status.ok()) {
-        status = in.U8(&model);
-        if (model > static_cast<std::uint8_t>(ModelFamily::kOther)) {
-          return Status::DataLoss("unknown model family in snapshot");
-        }
-        spec.model = static_cast<ModelFamily>(model);
-      }
-      if (status.ok()) status = in.F64(&spec.total_work);
-      return status;
+  cmd.kind = static_cast<CommandKind>(kind);
+  if (cmd.kind == CommandKind::kSubmit) {
+    JobSpec& spec = cmd.spec;
+    spec.submit_time = in.F64();
+    spec.gpus_per_worker = static_cast<int>(in.U32());
+    spec.min_workers = static_cast<int>(in.U32());
+    spec.max_workers = static_cast<int>(in.U32());
+    spec.requested_workers = static_cast<int>(in.U32());
+    spec.fungible = in.Bool();
+    spec.heterogeneous = in.Bool();
+    spec.checkpointing = in.Bool();
+    const std::uint8_t model = in.U8();
+    if (model > static_cast<std::uint8_t>(ModelFamily::kOther)) {
+      in.Fail("unknown model family " + std::to_string(model));
     }
-    case CommandKind::kCancel:
-      return in.I64(&cmd->job);
-    case CommandKind::kAdvance:
-    case CommandKind::kDrain:
-      return Status::Ok();
+    spec.model = static_cast<ModelFamily>(model);
+    spec.total_work = in.F64();
+  } else if (cmd.kind == CommandKind::kCancel) {
+    cmd.job = in.I64();
   }
-  return Status::Ok();
-}
-
-// Write-then-rename so a crash mid-write never leaves a torn snapshot at
-// the target path.
-Status WriteFileAtomic(const std::string& file, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::InvalidArgument("cannot open for writing: " + tmp);
-  }
-  const std::size_t written = std::fwrite(file.data(), 1, file.size(), out);
-  const bool closed = std::fclose(out) == 0;
-  if (written != file.size() || !closed) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("rename failed: " + path);
-  }
-  return Status::Ok();
-}
-
-StatusOr<std::string> ReadWholeFile(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    return Status::NotFound("cannot open snapshot: " + path);
-  }
-  std::string file;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-    file.append(buf, n);
-  }
-  const bool read_error = std::ferror(in) != 0;
-  std::fclose(in);
-  if (read_error) {
-    return Status::DataLoss("read error: " + path);
-  }
-  return file;
-}
-
-// Splits a container file into (version, payload) after verifying the given
-// magic, the length framing, and the payload checksum. Shared by both the
-// single- and multi-shard envelopes, which differ only in magic and payload
-// grammar.
-StatusOr<std::string> OpenEnvelope(const std::string& file,
-                                   const char (&magic)[8],
-                                   std::uint32_t expected_version,
-                                   const std::string& origin) {
-  if (file.size() < sizeof(magic) + 4 + 8 ||
-      std::memcmp(file.data(), magic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("not a Lyra snapshot: " + origin);
-  }
-  std::size_t pos = sizeof(magic);
-  auto read_u32 = [&](std::uint32_t* v) {
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(static_cast<unsigned char>(file[pos++]))
-            << (8 * i);
-    }
-  };
-  auto read_u64 = [&](std::uint64_t* v) {
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(static_cast<unsigned char>(file[pos++]))
-            << (8 * i);
-    }
-  };
-  std::uint32_t version = 0;
-  read_u32(&version);
-  if (version != expected_version) {
-    return Status::InvalidArgument("unsupported snapshot version " +
-                                   std::to_string(version) + " (expected " +
-                                   std::to_string(expected_version) + ")");
-  }
-  std::uint64_t payload_size = 0;
-  read_u64(&payload_size);
-  if (file.size() < pos + payload_size + 8) {
-    return Status::DataLoss("snapshot truncated: " + origin);
-  }
-  std::string payload = file.substr(pos, payload_size);
-  pos += payload_size;
-  std::uint64_t stored_hash = 0;
-  read_u64(&stored_hash);
-  if (Fnv1a(payload) != stored_hash) {
-    return Status::DataLoss("snapshot checksum mismatch: " + origin);
-  }
-  return payload;
+  return cmd;
 }
 
 }  // namespace
@@ -365,29 +118,22 @@ const char* CommandKindName(CommandKind kind) {
 }
 
 std::string EncodeSnapshot(const ServiceSnapshot& snapshot) {
-  std::string payload;
+  ByteWriter payload;
   PutConfig(payload, snapshot.config);
-  PutU64(payload, snapshot.commands.size());
+  payload.U64(snapshot.commands.size());
   for (const LoggedCommand& cmd : snapshot.commands) {
     PutCommand(payload, cmd);
   }
-  PutF64(payload, snapshot.horizon);
-
-  std::string file;
-  file.append(kMagic, sizeof(kMagic));
-  PutU32(file, kSnapshotVersion);
-  PutU64(file, payload.size());
-  file += payload;
-  PutU64(file, Fnv1a(payload));
-  return file;
+  payload.F64(snapshot.horizon);
+  return Seal(kSnapshotFormat, payload.bytes());
 }
 
 Status SaveSnapshot(const ServiceSnapshot& snapshot, const std::string& path) {
-  return WriteFileAtomic(EncodeSnapshot(snapshot), path);
+  return WriteFileAtomic(path, EncodeSnapshot(snapshot));
 }
 
 StatusOr<ServiceSnapshot> LoadSnapshot(const std::string& path) {
-  StatusOr<std::string> file = ReadWholeFile(path);
+  StatusOr<std::string> file = ReadFile(path);
   if (!file.ok()) {
     return file.status();
   }
@@ -396,39 +142,24 @@ StatusOr<ServiceSnapshot> LoadSnapshot(const std::string& path) {
 
 StatusOr<ServiceSnapshot> DecodeSnapshot(const std::string& image,
                                          const std::string& origin) {
-  StatusOr<std::string> opened =
-      OpenEnvelope(image, kMagic, kSnapshotVersion, origin);
-  if (!opened.ok()) {
-    return opened.status();
+  StatusOr<std::string_view> payload = Open(kSnapshotFormat, image, origin);
+  if (!payload.ok()) {
+    return payload.status();
   }
-  const std::string payload = std::move(opened).value();
-
+  ByteReader in(payload.value(), origin);
   ServiceSnapshot snapshot;
-  Reader reader(payload);
-  Status status = ReadConfig(reader, &snapshot.config);
+  snapshot.config = ReadConfig(in);
+  const std::uint64_t count = in.U64();
+  if (in.Fits(count, kMinCommandBytes)) {
+    snapshot.commands.reserve(count);
+  }
+  for (std::uint64_t i = 0; i < count && in.ok(); ++i) {
+    snapshot.commands.push_back(ReadCommand(in));
+  }
+  snapshot.horizon = in.F64();
+  const Status status = in.Finish();
   if (!status.ok()) {
     return status;
-  }
-  std::uint64_t count = 0;
-  status = reader.U64(&count);
-  if (!status.ok()) {
-    return status;
-  }
-  snapshot.commands.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    LoggedCommand cmd;
-    status = ReadCommand(reader, &cmd);
-    if (!status.ok()) {
-      return status;
-    }
-    snapshot.commands.push_back(cmd);
-  }
-  status = reader.F64(&snapshot.horizon);
-  if (!status.ok()) {
-    return status;
-  }
-  if (!reader.AtEnd()) {
-    return Status::DataLoss("trailing bytes in snapshot payload: " + origin);
   }
   return snapshot;
 }
@@ -439,21 +170,13 @@ std::string EncodeMultiSnapshot(const MultiSnapshot& snapshot) {
     // LYRASNAP image, so existing tooling keeps working on shards=1 files.
     return snapshot.shard_images.front();
   }
-  std::string payload;
-  PutU32(payload, static_cast<std::uint32_t>(snapshot.shard_images.size()));
-  PutU64(payload, snapshot.submit_seq);
+  ByteWriter payload;
+  payload.U32(static_cast<std::uint32_t>(snapshot.shard_images.size()));
+  payload.U64(snapshot.submit_seq);
   for (const std::string& image : snapshot.shard_images) {
-    PutU64(payload, image.size());
-    payload += image;
+    payload.Blob(image);
   }
-
-  std::string file;
-  file.append(kShardMagic, sizeof(kShardMagic));
-  PutU32(file, kMultiSnapshotVersion);
-  PutU64(file, payload.size());
-  file += payload;
-  PutU64(file, Fnv1a(payload));
-  return file;
+  return Seal(kMultiSnapshotFormat, payload.bytes());
 }
 
 Status SaveMultiSnapshot(const MultiSnapshot& snapshot,
@@ -461,190 +184,134 @@ Status SaveMultiSnapshot(const MultiSnapshot& snapshot,
   if (snapshot.shard_images.empty()) {
     return Status::InvalidArgument("multi-snapshot has no shards");
   }
-  return WriteFileAtomic(EncodeMultiSnapshot(snapshot), path);
+  return WriteFileAtomic(path, EncodeMultiSnapshot(snapshot));
 }
 
 StatusOr<MultiSnapshot> DecodeMultiSnapshot(const std::string& image,
                                             const std::string& origin) {
   // A plain LYRASNAP image is a valid one-shard snapshot: the sequence number
   // never influenced routing at one shard, so 0 is exact, not a guess.
-  if (image.size() >= sizeof(kMagic) &&
-      std::memcmp(image.data(), kMagic, sizeof(kMagic)) == 0) {
+  if (HasMagic(kSnapshotFormat, image)) {
     MultiSnapshot snapshot;
     snapshot.shard_images.push_back(image);
     return snapshot;
   }
-
-  StatusOr<std::string> opened =
-      OpenEnvelope(image, kShardMagic, kMultiSnapshotVersion, origin);
-  if (!opened.ok()) {
-    return opened.status();
+  StatusOr<std::string_view> payload = Open(kMultiSnapshotFormat, image, origin);
+  if (!payload.ok()) {
+    return payload.status();
   }
-  const std::string payload = std::move(opened).value();
-
+  ByteReader in(payload.value(), origin);
   MultiSnapshot snapshot;
-  Reader reader(payload);
-  std::uint32_t shard_count = 0;
-  Status status = reader.U32(&shard_count);
+  const std::uint32_t shard_count = in.U32();
+  if (in.ok() && (shard_count == 0 || shard_count > 4096)) {
+    in.Fail("implausible shard count " + std::to_string(shard_count));
+  }
+  snapshot.submit_seq = in.U64();
+  for (std::uint32_t i = 0; i < shard_count && in.ok(); ++i) {
+    snapshot.shard_images.push_back(in.Blob());
+  }
+  const Status status = in.Finish();
   if (!status.ok()) {
     return status;
-  }
-  if (shard_count == 0 || shard_count > 4096) {
-    return Status::DataLoss("implausible shard count in snapshot: " +
-                            std::to_string(shard_count));
-  }
-  status = reader.U64(&snapshot.submit_seq);
-  if (!status.ok()) {
-    return status;
-  }
-  snapshot.shard_images.reserve(shard_count);
-  for (std::uint32_t i = 0; i < shard_count; ++i) {
-    std::uint64_t image_size = 0;
-    status = reader.U64(&image_size);
-    if (!status.ok()) {
-      return status;
-    }
-    std::string shard_image;
-    status = reader.Str64(&shard_image, image_size);
-    if (!status.ok()) {
-      return status;
-    }
-    snapshot.shard_images.push_back(std::move(shard_image));
-  }
-  if (!reader.AtEnd()) {
-    return Status::DataLoss("trailing bytes in snapshot payload: " + origin);
   }
   return snapshot;
 }
 
 StatusOr<MultiSnapshot> LoadMultiSnapshot(const std::string& path) {
-  StatusOr<std::string> read = ReadWholeFile(path);
-  if (!read.ok()) {
-    return read.status();
+  StatusOr<std::string> file = ReadFile(path);
+  if (!file.ok()) {
+    return file.status();
   }
-  return DecodeMultiSnapshot(read.value(), path);
+  return DecodeMultiSnapshot(file.value(), path);
 }
 
 std::string EncodeFedSnapshot(const FedSnapshot& snapshot) {
-  std::string payload;
-  PutU64(payload, snapshot.submit_seq);
-  PutU64(payload, snapshot.ledger.next_loan_id);
-  PutU64(payload, snapshot.ledger.total_granted);
-  PutU64(payload, snapshot.ledger.total_reclaimed);
-  PutU64(payload, snapshot.ledger.total_returned);
-  PutU64(payload, snapshot.ledger.ledger_hash);
-  PutU32(payload, static_cast<std::uint32_t>(snapshot.ledger.loans.size()));
+  ByteWriter payload;
+  payload.U64(snapshot.submit_seq);
+  payload.U64(snapshot.ledger.next_loan_id);
+  payload.U64(snapshot.ledger.total_granted);
+  payload.U64(snapshot.ledger.total_reclaimed);
+  payload.U64(snapshot.ledger.total_returned);
+  payload.U64(snapshot.ledger.ledger_hash);
+  payload.U32(static_cast<std::uint32_t>(snapshot.ledger.loans.size()));
   for (const FedLoan& loan : snapshot.ledger.loans) {
-    PutU64(payload, loan.id);
-    PutU32(payload, loan.lender);
-    PutU32(payload, loan.borrower);
-    PutI64(payload, loan.gpus);
-    PutF64(payload, loan.granted_at);
+    payload.U64(loan.id);
+    payload.U32(loan.lender);
+    payload.U32(loan.borrower);
+    payload.I64(loan.gpus);
+    payload.F64(loan.granted_at);
   }
-  PutU32(payload, static_cast<std::uint32_t>(snapshot.clusters.size()));
+  payload.U32(static_cast<std::uint32_t>(snapshot.clusters.size()));
   for (const FedClusterImage& cluster : snapshot.clusters) {
-    PutString(payload, cluster.name);
-    PutU8(payload, cluster.kind);
-    PutI64(payload, cluster.loan_priority);
-    PutU32(payload, cluster.shards);
-    PutU64(payload, cluster.image.size());
-    payload += cluster.image;
+    payload.Str(cluster.name);
+    payload.U8(cluster.kind);
+    payload.I64(cluster.loan_priority);
+    payload.U32(cluster.shards);
+    payload.Blob(cluster.image);
   }
-
-  std::string file;
-  file.append(kFedMagic, sizeof(kFedMagic));
-  PutU32(file, kFedSnapshotVersion);
-  PutU64(file, payload.size());
-  file += payload;
-  PutU64(file, Fnv1a(payload));
-  return file;
+  return Seal(kFedSnapshotFormat, payload.bytes());
 }
 
 Status SaveFedSnapshot(const FedSnapshot& snapshot, const std::string& path) {
   if (snapshot.clusters.empty()) {
     return Status::InvalidArgument("federation snapshot has no clusters");
   }
-  return WriteFileAtomic(EncodeFedSnapshot(snapshot), path);
+  return WriteFileAtomic(path, EncodeFedSnapshot(snapshot));
 }
 
 StatusOr<FedSnapshot> DecodeFedSnapshot(const std::string& image,
                                         const std::string& origin) {
-  StatusOr<std::string> opened =
-      OpenEnvelope(image, kFedMagic, kFedSnapshotVersion, origin);
-  if (!opened.ok()) {
-    return opened.status();
+  StatusOr<std::string_view> payload = Open(kFedSnapshotFormat, image, origin);
+  if (!payload.ok()) {
+    return payload.status();
   }
-  const std::string payload = std::move(opened).value();
-
+  ByteReader in(payload.value(), origin);
   FedSnapshot snapshot;
-  Reader reader(payload);
-  Status status = reader.U64(&snapshot.submit_seq);
-  if (status.ok()) status = reader.U64(&snapshot.ledger.next_loan_id);
-  if (status.ok()) status = reader.U64(&snapshot.ledger.total_granted);
-  if (status.ok()) status = reader.U64(&snapshot.ledger.total_reclaimed);
-  if (status.ok()) status = reader.U64(&snapshot.ledger.total_returned);
-  if (status.ok()) status = reader.U64(&snapshot.ledger.ledger_hash);
-  if (!status.ok()) {
-    return status;
+  snapshot.submit_seq = in.U64();
+  snapshot.ledger.next_loan_id = in.U64();
+  snapshot.ledger.total_granted = in.U64();
+  snapshot.ledger.total_reclaimed = in.U64();
+  snapshot.ledger.total_returned = in.U64();
+  snapshot.ledger.ledger_hash = in.U64();
+  const std::uint32_t loan_count = in.U32();
+  if (in.Fits(loan_count, kMinLoanBytes)) {
+    snapshot.ledger.loans.reserve(loan_count);
   }
-  std::uint32_t loan_count = 0;
-  status = reader.U32(&loan_count);
-  if (!status.ok()) {
-    return status;
-  }
-  if (loan_count > 1 << 20) {
-    return Status::DataLoss("implausible loan count in snapshot: " +
-                            std::to_string(loan_count));
-  }
-  snapshot.ledger.loans.reserve(loan_count);
-  for (std::uint32_t i = 0; i < loan_count; ++i) {
+  for (std::uint32_t i = 0; i < loan_count && in.ok(); ++i) {
     FedLoan loan;
-    status = reader.U64(&loan.id);
-    if (status.ok()) status = reader.U32(&loan.lender);
-    if (status.ok()) status = reader.U32(&loan.borrower);
-    if (status.ok()) status = reader.I64(&loan.gpus);
-    if (status.ok()) status = reader.F64(&loan.granted_at);
-    if (!status.ok()) {
-      return status;
-    }
+    loan.id = in.U64();
+    loan.lender = in.U32();
+    loan.borrower = in.U32();
+    loan.gpus = in.I64();
+    loan.granted_at = in.F64();
     snapshot.ledger.loans.push_back(loan);
   }
-  std::uint32_t cluster_count = 0;
-  status = reader.U32(&cluster_count);
-  if (!status.ok()) {
-    return status;
+  const std::uint32_t cluster_count = in.U32();
+  if (in.ok() && (cluster_count == 0 || cluster_count > 256)) {
+    in.Fail("implausible cluster count " + std::to_string(cluster_count));
   }
-  if (cluster_count == 0 || cluster_count > 256) {
-    return Status::DataLoss("implausible cluster count in snapshot: " +
-                            std::to_string(cluster_count));
-  }
-  snapshot.clusters.reserve(cluster_count);
-  for (std::uint32_t i = 0; i < cluster_count; ++i) {
+  for (std::uint32_t i = 0; i < cluster_count && in.ok(); ++i) {
     FedClusterImage cluster;
-    status = reader.Str(&cluster.name);
-    if (status.ok()) status = reader.U8(&cluster.kind);
-    if (status.ok()) status = reader.I64(&cluster.loan_priority);
-    if (status.ok()) status = reader.U32(&cluster.shards);
-    std::uint64_t image_size = 0;
-    if (status.ok()) status = reader.U64(&image_size);
-    if (status.ok()) status = reader.Str64(&cluster.image, image_size);
-    if (!status.ok()) {
-      return status;
-    }
+    cluster.name = in.Str();
+    cluster.kind = in.U8();
+    cluster.loan_priority = in.I64();
+    cluster.shards = in.U32();
+    cluster.image = in.Blob();
     snapshot.clusters.push_back(std::move(cluster));
   }
-  if (!reader.AtEnd()) {
-    return Status::DataLoss("trailing bytes in snapshot payload: " + origin);
+  const Status status = in.Finish();
+  if (!status.ok()) {
+    return status;
   }
   return snapshot;
 }
 
 StatusOr<FedSnapshot> LoadFedSnapshot(const std::string& path) {
-  StatusOr<std::string> read = ReadWholeFile(path);
-  if (!read.ok()) {
-    return read.status();
+  StatusOr<std::string> file = ReadFile(path);
+  if (!file.ok()) {
+    return file.status();
   }
-  return DecodeFedSnapshot(read.value(), path);
+  return DecodeFedSnapshot(file.value(), path);
 }
 
 }  // namespace lyra::svc

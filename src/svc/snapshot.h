@@ -10,12 +10,9 @@
 // behaviour, the restored service's decision log and fault-log hash are
 // byte-identical to an uninterrupted run's (ctest-enforced).
 //
-// File layout (all integers little-endian, doubles as IEEE-754 bit patterns):
-//   magic  "LYRASNAP" (8 bytes)
-//   u32    version (currently 1; any other value is rejected)
-//   u64    payload size
-//   bytes  payload: EngineConfig, command count, commands, horizon
-//   u64    FNV-1a hash of the payload (integrity gate)
+// File layout: the shared checksummed envelope (src/common/codec.h) with
+// magic "LYRASNAP"; the payload is the EngineConfig, the command count, the
+// commands, and the horizon.
 #ifndef SRC_SVC_SNAPSHOT_H_
 #define SRC_SVC_SNAPSHOT_H_
 
@@ -23,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/codec.h"
 #include "src/common/status.h"
 #include "src/svc/registry.h"
 #include "src/workload/job.h"
@@ -31,7 +29,7 @@ namespace lyra::svc {
 
 // v2 added EngineConfig::policy_weights (the learned scheduler's LYRAPOL
 // path). Decoding is strict: any other version is rejected, not migrated.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr EnvelopeFormat kSnapshotFormat{"LYRASNAP", 2};
 
 enum class CommandKind : std::uint8_t {
   kSubmit = 1,
@@ -82,14 +80,10 @@ StatusOr<ServiceSnapshot> DecodeSnapshot(const std::string& image,
 // end's submit-routing sequence number, so a warm restart resumes routing
 // keyless submits to the same shards an uninterrupted run would have.
 //
-// File layout mirrors LYRASNAP:
-//   magic  "LYRASHRD" (8 bytes)
-//   u32    version (currently 1)
-//   u64    payload size
-//   bytes  payload: u32 shard count, u64 submit_seq,
-//                   then per shard: u64 image size + LYRASNAP image bytes
-//   u64    FNV-1a hash of the payload
-inline constexpr std::uint32_t kMultiSnapshotVersion = 1;
+// File layout: the shared envelope with magic "LYRASHRD"; the payload is
+// u32 shard count, u64 submit_seq, then per shard a u64-framed LYRASNAP
+// image.
+inline constexpr EnvelopeFormat kMultiSnapshotFormat{"LYRASHRD", 1};
 
 struct MultiSnapshot {
   std::uint64_t submit_seq = 0;
@@ -120,15 +114,10 @@ StatusOr<MultiSnapshot> DecodeMultiSnapshot(const std::string& image,
 // broker's ledger (active loans + rolling event hash), so a restart resumes
 // routing, granting, and reclaiming exactly where the killed process was.
 //
-// File layout mirrors LYRASNAP/LYRASHRD:
-//   magic  "LYRAFED_" (8 bytes)
-//   u32    version (currently 1)
-//   u64    payload size
-//   bytes  payload: u64 submit_seq, broker ledger, u32 cluster count,
-//                   then per cluster: name, u8 kind, i64 loan_priority,
-//                   u32 shards, u64 image size + image bytes
-//   u64    FNV-1a hash of the payload
-inline constexpr std::uint32_t kFedSnapshotVersion = 1;
+// File layout: the shared envelope with magic "LYRAFED_"; the payload is
+// u64 submit_seq, the broker ledger, u32 cluster count, then per cluster
+// its name, u8 kind, i64 loan_priority, u32 shards and u64-framed image.
+inline constexpr EnvelopeFormat kFedSnapshotFormat{"LYRAFED_", 1};
 
 // One outstanding cross-cluster loan, as carried in the broker ledger.
 struct FedLoan {

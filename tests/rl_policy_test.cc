@@ -1,11 +1,9 @@
 // PolicyNet persistence and the scheduling gym's determinism contract:
-// LYRAPOL files mirror the service snapshots' corruption defenses (magic,
-// version, checksum, truncation, trailing bytes), policy construction is a
-// pure function of PolicyOptions::seed, and an episode is a pure function of
+// LYRAPOL files round-trip byte for byte (their corruption defenses are the
+// shared envelope's, covered in codec_test), policy construction is a pure
+// function of PolicyOptions::seed, and an episode is a pure function of
 // (policy, env seed, sample seed).
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,62 +47,6 @@ TEST(Policy, SaveLoadRoundTripIsByteExact) {
   EXPECT_EQ(loaded.value().Encode(), policy.Encode());
   EXPECT_EQ(loaded.value().WeightsHash(), policy.WeightsHash());
   std::remove(path.c_str());
-}
-
-TEST(Policy, CorruptionIsDetected) {
-  PolicyNet policy;
-  const std::string path = TempPath("corrupt");
-  ASSERT_TRUE(policy.Save(path).ok());
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    bytes = buffer.str();
-  }
-  ASSERT_GT(bytes.size(), 28u);
-
-  auto write_bytes = [&](const std::string& data) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << data;
-  };
-
-  // Flipped payload byte: checksum mismatch.
-  std::string flipped = bytes;
-  flipped[bytes.size() / 2] = static_cast<char>(flipped[bytes.size() / 2] ^ 0x5a);
-  write_bytes(flipped);
-  EXPECT_FALSE(PolicyNet::Load(path).ok());
-
-  // Truncation mid-payload.
-  write_bytes(bytes.substr(0, bytes.size() / 2));
-  EXPECT_FALSE(PolicyNet::Load(path).ok());
-
-  // Wrong magic.
-  std::string bad_magic = bytes;
-  bad_magic[0] = 'X';
-  write_bytes(bad_magic);
-  EXPECT_FALSE(PolicyNet::Load(path).ok());
-
-  // Future version: refused by the version gate, not misparsed.
-  std::string bad_version = bytes;
-  bad_version[8] = 0x7f;
-  write_bytes(bad_version);
-  StatusOr<PolicyNet> future = PolicyNet::Load(path);
-  EXPECT_FALSE(future.ok());
-  EXPECT_NE(future.status().message().find("version"), std::string::npos);
-
-  // Trailing garbage after the checksum: rejected, not ignored.
-  write_bytes(bytes + "junk");
-  EXPECT_FALSE(PolicyNet::Load(path).ok());
-
-  // Intact bytes still load (the helpers above did not wreck the fixture).
-  write_bytes(bytes);
-  EXPECT_TRUE(PolicyNet::Load(path).ok());
-
-  std::remove(path.c_str());
-
-  // Missing file.
-  EXPECT_FALSE(PolicyNet::Load(TempPath("missing")).ok());
 }
 
 TEST(Policy, DecodeRejectsShortStrings) {

@@ -76,14 +76,6 @@ void StopFed(FederationSet& fed) {
   }
 }
 
-std::uint64_t HashSeqMirror(std::uint64_t seq) {
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<unsigned char>((seq >> (8 * i)) & 0xff);
-  }
-  return ShardRouter::Hash(bytes, sizeof(bytes));
-}
-
 // The pre-generated op stream plus, for submits and migrates, the global job
 // id the router must hand back — mirrored from the routing discipline so the
 // baseline run, every killed run, and every resumed run are all checked
@@ -115,10 +107,9 @@ ChaosScript MakeChaosScript(int ops) {
     std::uint32_t engine;
     if (key != nullptr) {
       command.Set("key", JsonValue::MakeString(key));
-      engine = targets[ShardRouter::Hash(key, std::string(key).size()) %
-                       targets.size()];
+      engine = targets[Fnv1a(key) % targets.size()];
     } else {
-      engine = targets[HashSeqMirror(seq++) % targets.size()];
+      engine = targets[Fnv1aU64(seq++) % targets.size()];
     }
     const std::int64_t id = local[engine]++ * kEngines + engine;
     if (engine >= kTrain0) {

