@@ -65,6 +65,32 @@ void BM_MckpByCapacity(benchmark::State& state) {
 }
 BENCHMARK(BM_MckpByCapacity)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
+// The instance phase two solves every round of the paper-scale Lyra run
+// (lyrabench sim_lyra averages 80 groups, ~380 items, capacity ~190): one
+// group per elastic job, item k = "grow by k workers" weighing k * gpus per
+// worker (1, 2, 4 or 8), valued by the concave JCT reduction. The solver is
+// reused across iterations as the scheduler reuses it across rounds.
+void BM_MckpSchedulerShaped(benchmark::State& state) {
+  const int capacity = static_cast<int>(state.range(0));
+  lyra::Rng rng(13);
+  lyra::MckpSolver solver;
+  for (int g = 0; g < 80; ++g) {
+    static constexpr int kGpusPerWorker[] = {1, 2, 4, 8};
+    const int gpw = kGpusPerWorker[rng.UniformInt(0, 3)];
+    const int min_workers = static_cast<int>(rng.UniformInt(1, 8));
+    const int extra = static_cast<int>(rng.UniformInt(1, 8));
+    const double work = rng.Uniform(100.0, 1e6);
+    solver.AddGroup();
+    for (int k = 1; k <= extra && k * gpw <= capacity; ++k) {
+      solver.AddItem(k * gpw, work / min_workers - work / (min_workers + k));
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solver.Solve(capacity).total_value);
+  }
+}
+BENCHMARK(BM_MckpSchedulerShaped)->Arg(193)->Arg(1013);
+
 lyra::ClusterState ReclaimInstance(int servers, std::uint64_t seed) {
   lyra::Rng rng(seed);
   lyra::ClusterState cluster;

@@ -36,6 +36,8 @@ ClusterState ClusterState::Clone() const {
   copy.used_gpus_ = used_gpus_;
   copy.free_gpus_by_type_ = free_gpus_by_type_;
   copy.pool_servers_ = pool_servers_;
+  copy.free_servers_ = free_servers_;
+  copy.placement_stamp_ = placement_stamp_;
   copy.servers_down_ = servers_down_;
   return copy;
 }
@@ -46,7 +48,7 @@ ServerId ClusterState::AddServer(GpuType gpu_type, int num_gpus, ServerPool pool
   servers_.emplace_back(id, gpu_type, num_gpus, pool);
   total_gpus_[PoolIndex(pool)] += num_gpus;
   free_gpus_by_type_[PoolIndex(pool)][TypeIndex(gpu_type)] += num_gpus;
-  PoolInsert(pool, id);
+  PoolInsert(pool, id, num_gpus > 0);
   return id;
 }
 
@@ -60,10 +62,11 @@ Server& ClusterState::mutable_server(ServerId id) {
   return const_cast<Server&>(static_cast<const ClusterState*>(this)->server(id));
 }
 
-void ClusterState::PoolInsert(ServerPool pool, ServerId id) {
-  std::vector<ServerId>& members = pool_servers_[PoolIndex(pool)];
+namespace {
+
+void SortedInsert(std::vector<ServerId>& members, ServerId id) {
   // Ids are almost always appended in order; fall back to a sorted insert for
-  // servers re-entering a pool (loan/return).
+  // servers re-entering a list (loan/return, freed capacity).
   if (members.empty() || members.back() < id) {
     members.push_back(id);
     return;
@@ -71,11 +74,26 @@ void ClusterState::PoolInsert(ServerPool pool, ServerId id) {
   members.insert(std::lower_bound(members.begin(), members.end(), id), id);
 }
 
-void ClusterState::PoolErase(ServerPool pool, ServerId id) {
-  std::vector<ServerId>& members = pool_servers_[PoolIndex(pool)];
+void SortedErase(std::vector<ServerId>& members, ServerId id) {
   auto it = std::lower_bound(members.begin(), members.end(), id);
   LYRA_CHECK(it != members.end() && *it == id);
   members.erase(it);
+}
+
+}  // namespace
+
+void ClusterState::PoolInsert(ServerPool pool, ServerId id, bool has_free) {
+  SortedInsert(pool_servers_[PoolIndex(pool)], id);
+  if (has_free) {
+    SortedInsert(free_servers_[PoolIndex(pool)], id);
+  }
+}
+
+void ClusterState::PoolErase(ServerPool pool, ServerId id, bool has_free) {
+  SortedErase(pool_servers_[PoolIndex(pool)], id);
+  if (has_free) {
+    SortedErase(free_servers_[PoolIndex(pool)], id);
+  }
 }
 
 void ClusterState::MoveServerCounters(const Server& srv, ServerPool from,
@@ -87,13 +105,23 @@ void ClusterState::MoveServerCounters(const Server& srv, ServerPool from,
   used_gpus_[PoolIndex(to)] += srv.used_gpus();
   free_gpus_by_type_[PoolIndex(from)][type] -= srv.free_gpus();
   free_gpus_by_type_[PoolIndex(to)][type] += srv.free_gpus();
-  PoolErase(from, srv.id());
-  PoolInsert(to, srv.id());
+  PoolErase(from, srv.id(), srv.free_gpus() > 0);
+  PoolInsert(to, srv.id(), srv.free_gpus() > 0);
 }
 
 void ClusterState::AccountUsage(const Server& srv, int gpus) {
-  used_gpus_[PoolIndex(srv.pool())] += gpus;
-  free_gpus_by_type_[PoolIndex(srv.pool())][TypeIndex(srv.gpu_type())] -= gpus;
+  const int pool = PoolIndex(srv.pool());
+  used_gpus_[pool] += gpus;
+  free_gpus_by_type_[pool][TypeIndex(srv.gpu_type())] -= gpus;
+  const bool had_free = srv.free_gpus() + gpus > 0;
+  const bool has_free = srv.free_gpus() > 0;
+  if (had_free != has_free) {
+    if (has_free) {
+      SortedInsert(free_servers_[pool], srv.id());
+    } else {
+      SortedErase(free_servers_[pool], srv.id());
+    }
+  }
 }
 
 std::vector<ServerId> ClusterState::TrainingVisibleServers() const {
@@ -110,7 +138,9 @@ void ClusterState::Place(JobId job, ServerId server_id, int gpus, bool flexible)
   LYRA_CHECK(srv.up());  // down servers are invisible to placement
   srv.Place(job, gpus, flexible);
   AccountUsage(srv, gpus);
-  GpuShare& share = placements_[job].shares[server_id];
+  JobPlacement& placement = placements_[job];
+  placement.stamp = ++placement_stamp_;
+  GpuShare& share = placement.shares[server_id];
   if (flexible) {
     share.flexible_gpus += gpus;
   } else {
@@ -156,6 +186,8 @@ int ClusterState::RemoveFlexible(JobId job, ServerId server_id, int gpus) {
   }
   if (it->second.shares.empty()) {
     placements_.erase(it);
+  } else if (removed > 0) {
+    it->second.stamp = ++placement_stamp_;
   }
   if (txn_depth_ > 0 && removed > 0) {
     RecordShareDelta(job, server_id, 0, removed);
@@ -246,7 +278,7 @@ Status ClusterState::MarkServerDown(ServerId id) {
   const int pool = PoolIndex(srv.pool());
   total_gpus_[pool] -= srv.num_gpus();
   free_gpus_by_type_[pool][TypeIndex(srv.gpu_type())] -= srv.num_gpus();
-  PoolErase(srv.pool(), id);
+  PoolErase(srv.pool(), id, srv.free_gpus() > 0);
   srv.set_up(false);
   ++servers_down_;
   return Status::Ok();
@@ -262,7 +294,7 @@ Status ClusterState::MarkServerUp(ServerId id) {
   const int pool = PoolIndex(srv.pool());
   total_gpus_[pool] += srv.num_gpus();
   free_gpus_by_type_[pool][TypeIndex(srv.gpu_type())] += srv.num_gpus();
-  PoolInsert(srv.pool(), id);
+  PoolInsert(srv.pool(), id, srv.free_gpus() > 0);
   srv.set_up(true);
   --servers_down_;
   return Status::Ok();
@@ -309,6 +341,7 @@ void ClusterState::AuditInvariants() const {
   std::array<int, kNumPools> used{};
   std::array<std::array<int, kNumGpuTypes>, kNumPools> free_by_type{};
   std::array<std::vector<ServerId>, kNumPools> members;
+  std::array<std::vector<ServerId>, kNumPools> free_members;
 
   int down = 0;
   for (const Server& srv : servers_) {
@@ -325,6 +358,9 @@ void ClusterState::AuditInvariants() const {
     used[pool] += srv.used_gpus();
     free_by_type[pool][TypeIndex(srv.gpu_type())] += srv.free_gpus();
     members[pool].push_back(srv.id());
+    if (srv.free_gpus() > 0) {
+      free_members[pool].push_back(srv.id());
+    }
 
     // Server-side per-job shares must sum to the server's used count and be
     // mirrored exactly in the job-side placement map.
@@ -366,6 +402,7 @@ void ClusterState::AuditInvariants() const {
     }
     LYRA_CHECK(members[pool] == pool_servers_[pool]);
     LYRA_CHECK(std::is_sorted(pool_servers_[pool].begin(), pool_servers_[pool].end()));
+    LYRA_CHECK(free_members[pool] == free_servers_[pool]);
   }
   LYRA_CHECK_EQ(down, servers_down_);
 }
@@ -396,7 +433,9 @@ void ClusterState::ApplyShareDelta(JobId job, ServerId server_id, int base_delta
   Server& srv = mutable_server(server_id);
   srv.ApplyShareDelta(job, base_delta, flexible_delta);
   AccountUsage(srv, base_delta + flexible_delta);
-  GpuShare& share = placements_[job].shares[server_id];
+  JobPlacement& placement = placements_[job];
+  placement.stamp = ++placement_stamp_;
+  GpuShare& share = placement.shares[server_id];
   share.base_gpus += base_delta;
   share.flexible_gpus += flexible_delta;
   LYRA_CHECK_GE(share.base_gpus, 0);

@@ -8,8 +8,9 @@
 // training scheduler), returning moves it back once it is idle.
 //
 // Capacity accounting is incremental: per-pool GPU totals, usage, and
-// per-GPU-type free counts, plus sorted per-pool server-id membership lists,
-// are maintained in O(1) (amortized) at every mutation point. All capacity
+// per-GPU-type free counts, plus sorted per-pool server-id lists (all up
+// servers, and the up servers with a free GPU), are maintained in O(1)
+// (amortized) at every mutation point. All capacity
 // queries are counter reads and pool listings return the maintained index —
 // nothing on the query path scans the server vector. AuditInvariants()
 // recomputes everything from scratch and is wired into the tests.
@@ -23,6 +24,7 @@
 #define SRC_CLUSTER_CLUSTER_STATE_H_
 
 #include <array>
+#include <cstdint>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -38,6 +40,10 @@ class ClusterTransaction;
 // Job-side view: which servers host this job and how many GPUs on each.
 struct JobPlacement {
   std::map<ServerId, GpuShare> shares;
+  // Mutation stamp: drawn from a cluster-wide counter at every change of
+  // `shares` (rollbacks included). Stamps never repeat, so a job whose stamp
+  // is unchanged holds exactly the shares it held when the stamp was read.
+  std::uint64_t stamp = 0;
 
   int total_gpus() const;
   int base_gpus() const;
@@ -79,6 +85,14 @@ class ClusterState {
 
   int NumServersInPool(ServerPool pool) const {
     return static_cast<int>(pool_servers_[PoolIndex(pool)].size());
+  }
+
+  // Ids of the pool's servers with at least one free GPU, ascending: the only
+  // servers placement can still use (a subsequence of ServersInPool). O(1),
+  // no allocation. Invalidated like ServersInPool and, additionally, by Place
+  // and every removal.
+  const std::vector<ServerId>& ServersWithFreeGpus(ServerPool pool) const {
+    return free_servers_[PoolIndex(pool)];
   }
 
   // Servers visible to the training scheduler: the training pool plus the
@@ -193,15 +207,18 @@ class ClusterState {
 
   Server& mutable_server(ServerId id);
 
-  // Membership index maintenance: ids are kept ascending per pool.
-  void PoolInsert(ServerPool pool, ServerId id);
-  void PoolErase(ServerPool pool, ServerId id);
+  // Membership index maintenance: ids are kept ascending per pool, in both
+  // the all-servers and the free-servers index. A server is in its pool's
+  // free index iff it is up and has a free GPU.
+  void PoolInsert(ServerPool pool, ServerId id, bool has_free);
+  void PoolErase(ServerPool pool, ServerId id, bool has_free);
 
   // Moves the counter contribution of a server between pools (loan/return).
   void MoveServerCounters(const Server& srv, ServerPool from, ServerPool to);
 
-  // Adjusts used/free counters for `gpus` placed (positive) or removed
-  // (negative) on the server.
+  // Adjusts used/free counters and the free-server index for `gpus` placed
+  // (positive) or removed (negative) on the server, after the server-side
+  // mutation.
   void AccountUsage(const Server& srv, int gpus);
 
   // One recorded inverse operation. kShareDelta re-applies a (base, flexible)
@@ -240,6 +257,9 @@ class ClusterState {
   std::array<int, kNumPools> used_gpus_{};
   std::array<std::array<int, kNumGpuTypes>, kNumPools> free_gpus_by_type_{};
   std::array<std::vector<ServerId>, kNumPools> pool_servers_;
+  std::array<std::vector<ServerId>, kNumPools> free_servers_;
+  // Last JobPlacement::stamp handed out.
+  std::uint64_t placement_stamp_ = 0;
 
   // Number of servers currently down (health, DESIGN.md §7).
   int servers_down_ = 0;

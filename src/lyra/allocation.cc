@@ -74,7 +74,8 @@ CapacityLedger BuildLedger(const SchedulerContext& ctx) {
 }  // namespace
 
 AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
-                                    const AllocationOptions& options) {
+                                    const AllocationOptions& options,
+                                    MckpSolver* solver) {
   AllocationDecision decision;
   CapacityLedger ledger = BuildLedger(ctx);
 
@@ -128,44 +129,47 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
     return decision;
   }
 
-  std::vector<MckpGroup> groups;
-  groups.reserve(elastic.size());
+  // One group per elastic job, item k = "grow by k workers". Items that
+  // outweigh this round's capacity can never be chosen (the solver skips
+  // them and the greedy loop never reaches them), so they are not built: a
+  // job's item count is bounded by the capacity, not by max_workers.
+  const int capacity = static_cast<int>(ledger.total());
+  MckpSolver local_solver;
+  MckpSolver& mckp = solver != nullptr ? *solver : local_solver;
+  mckp.Clear();
   for (Job* job : elastic) {
     const JobSpec& spec = job->spec();
-    MckpGroup group;
+    mckp.AddGroup();
     const TimeSec base_time = job->EstimatedRemainingTime(spec.min_workers);
-    for (int k = 1; k <= spec.max_workers - spec.min_workers; ++k) {
-      MckpItem item;
-      item.weight = k * spec.gpus_per_worker;
-      if (options.information_agnostic) {
-        // Without running-time estimates, value a grant by the compute it
-        // adds so the remaining GPUs are simply kept busy.
-        item.value = static_cast<double>(k);
-      } else {
-        item.value = base_time - job->EstimatedRemainingTime(spec.min_workers + k);
-      }
-      group.items.push_back(item);
+    for (int k = 1; k <= spec.max_workers - spec.min_workers &&
+                    k * spec.gpus_per_worker <= capacity;
+         ++k) {
+      // Without running-time estimates, value a grant by the compute it adds
+      // so the remaining GPUs are simply kept busy.
+      const double value =
+          options.information_agnostic
+              ? static_cast<double>(k)
+              : base_time - job->EstimatedRemainingTime(spec.min_workers + k);
+      mckp.AddItem(k * spec.gpus_per_worker, value);
     }
-    groups.push_back(std::move(group));
   }
 
-  const int capacity = static_cast<int>(ledger.total());
   if (options.greedy_phase2) {
     // AFS-style local heuristic: one worker at a time to the job with the
     // best marginal value per GPU.
     std::vector<int> granted(elastic.size(), 0);
     int remaining = capacity;
     while (true) {
-      std::size_t best = groups.size();
+      std::size_t best = elastic.size();
       double best_ratio = 0.0;
-      for (std::size_t g = 0; g < groups.size(); ++g) {
+      for (std::size_t g = 0; g < elastic.size(); ++g) {
         const int next = granted[g];
-        if (next >= static_cast<int>(groups[g].items.size())) {
+        if (next >= static_cast<int>(mckp.group_size(g))) {
           continue;
         }
-        const MckpItem& item = groups[g].items[static_cast<std::size_t>(next)];
+        const MckpItem& item = mckp.item(g, static_cast<std::size_t>(next));
         const double prev_value =
-            next == 0 ? 0.0 : groups[g].items[static_cast<std::size_t>(next - 1)].value;
+            next == 0 ? 0.0 : mckp.item(g, static_cast<std::size_t>(next - 1)).value;
         const int step_weight = elastic[g]->spec().gpus_per_worker;
         if (step_weight > remaining) {
           continue;
@@ -176,7 +180,7 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
           best = g;
         }
       }
-      if (best == groups.size()) {
+      if (best == elastic.size()) {
         break;
       }
       ++granted[best];
@@ -188,7 +192,7 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
     return decision;
   }
 
-  const MckpSolution solution = SolveMckp(groups, capacity);
+  const MckpSolution& solution = mckp.Solve(capacity);
   for (std::size_t g = 0; g < elastic.size(); ++g) {
     const int chosen = solution.chosen[g];
     decision.flexible_targets.emplace_back(elastic[g], chosen < 0 ? 0 : chosen + 1);

@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "src/lyra/mckp.h"
 #include "src/sched/scheduler.h"
 
 namespace lyra {
@@ -39,9 +40,12 @@ struct AllocationDecision {
 
 // Computes the epoch's allocation against the capacity visible in ctx:
 // idle training-side GPUs plus GPUs currently held by flexible workers
-// (which are available for resizing, §5.2).
+// (which are available for resizing, §5.2). `solver` holds reusable
+// knapsack buffers (the scheduler keeps one so a round allocates no DP
+// tables); null uses a temporary one.
 AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
-                                    const AllocationOptions& options = {});
+                                    const AllocationOptions& options = {},
+                                    MckpSolver* solver = nullptr);
 
 }  // namespace lyra
 

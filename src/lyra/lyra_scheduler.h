@@ -2,6 +2,7 @@
 #ifndef SRC_LYRA_LYRA_SCHEDULER_H_
 #define SRC_LYRA_LYRA_SCHEDULER_H_
 
+#include "src/lyra/mckp.h"
 #include "src/lyra/placement.h"
 #include "src/sched/scheduler.h"
 
@@ -38,6 +39,8 @@ class LyraScheduler : public JobScheduler {
  private:
   LyraSchedulerOptions options_;
   PlacementStats last_stats_;
+  // Phase-two knapsack buffers, reused across rounds.
+  MckpSolver mckp_;
 };
 
 }  // namespace lyra

@@ -93,10 +93,13 @@ bool ServerHasBaseGpus(const Server& server) {
 
 // Candidate sets for one GPU type. `grouped` separates the base group (no
 // flexible workers) from the flexible group (no base workers) per §5.3.
+// Only servers with a free GPU are candidates: a full one adds +0.0 to
+// TierCapacityWorkers and never enters PlaceBestFit's heap, and the free
+// index keeps pool order, so the heap's first-seen tie-breaks are unchanged.
 std::vector<Candidate> PoolCandidates(const ClusterState& cluster, ServerPool pool,
                                       bool for_flexible, bool grouped) {
   std::vector<Candidate> out;
-  for (ServerId id : cluster.ServersInPool(pool)) {
+  for (ServerId id : cluster.ServersWithFreeGpus(pool)) {
     const Server& server = cluster.server(id);
     int tier = 0;
     if (grouped) {

@@ -29,13 +29,16 @@ double ServerWorkerCredit(const Server& server) {
 
 // Server-id groups the request may use, in preference order. Each group is
 // internally GPU-type-uniform for non-heterogeneous jobs; heterogeneous jobs
-// get a single mixed group ordered by pool preference.
+// get a single mixed group ordered by pool preference. Groups hold only
+// servers with a free GPU: a full server adds +0.0 to GroupCapacityCredit and
+// never enters PlaceIntoGroup's heap, and the free index keeps pool order, so
+// dropping full servers changes no decision.
 std::vector<std::vector<ServerId>> EligibleGroups(const ClusterState& cluster,
                                                   const PlaceRequest& request) {
-  std::vector<ServerId> training = cluster.ServersInPool(ServerPool::kTraining);
+  std::vector<ServerId> training = cluster.ServersWithFreeGpus(ServerPool::kTraining);
   std::vector<ServerId> loaned;
   if (LoanEligible(request)) {
-    loaned = cluster.ServersInPool(ServerPool::kOnLoan);
+    loaned = cluster.ServersWithFreeGpus(ServerPool::kOnLoan);
   }
 
   // A non-heterogeneous job that already holds GPUs must stay on that type.

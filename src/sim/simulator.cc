@@ -66,6 +66,7 @@ Simulator::Simulator(SimulatorOptions options, const Trace& trace,
     jobs_.push_back(std::move(job));
   }
   finish_generation_.assign(jobs_.size(), 0);
+  refreshed_stamp_.assign(jobs_.size(), 0);
 
   if (options_.max_time <= 0.0) {
     options_.max_time = trace.duration + 7 * kDay;
@@ -196,9 +197,26 @@ void Simulator::SyncAfterScheduling(TimeSec now) {
   }
   pending_.swap(still_pending);
 
-  // Rate refresh for running jobs whose placement changed.
+  // Rate refresh for running jobs whose placement changed. A job's rate is a
+  // function of its placement profile, its straggler factor and its tuned
+  // flag, and every write of it goes through EffectiveRate(profile) (the
+  // Start above, RefreshScaledIn, the straggler handlers), which keeps it in
+  // step with the factor and the flag. So a job whose placement stamp still
+  // equals the one seen at its last refresh would recompute the rate it
+  // already has and change nothing: skip it. Any new rate write must also go
+  // through EffectiveRate, or this skip stops being exact. The on-loan scan
+  // can be skipped too: a server changes pool or health only while idle, so
+  // an unchanged placement sits on the same pools.
   const ThroughputModel model(options_.throughput);
   for (Job* job : running_) {
+    const JobPlacement* placement = cluster_.FindPlacement(job->id());
+    if (placement != nullptr) {
+      std::uint64_t& seen = refreshed_stamp_[static_cast<std::size_t>(job->id().value)];
+      if (placement->stamp == seen) {
+        continue;
+      }
+      seen = placement->stamp;
+    }
     const PlacementProfile profile = ProfileFor(cluster_, *job);
     const double rate = EffectiveRate(*job, profile, model);
     if (std::fabs(rate - job->rate()) > kRateEpsilon ||
@@ -215,7 +233,6 @@ void Simulator::SyncAfterScheduling(TimeSec now) {
       ScheduleFinish(*job, now);
     }
     // On-loan attribution for Table 7.
-    const JobPlacement* placement = cluster_.FindPlacement(job->id());
     if (placement != nullptr) {
       for (const auto& [server_id, share] : placement->shares) {
         if (cluster_.server(server_id).pool() == ServerPool::kOnLoan) {
@@ -782,6 +799,7 @@ StatusOr<JobId> Simulator::SubmitJob(JobSpec spec) {
     jobs_.back()->ArmDirtySink(job_dirty_sink_);
   }
   finish_generation_.push_back(0);
+  refreshed_stamp_.push_back(0);
   if (faults_ != nullptr) {
     straggler_generation_.push_back(0);
   }

@@ -308,6 +308,8 @@ class Simulator {
   ClusterState cluster_;
   std::vector<std::unique_ptr<Job>> jobs_;
   std::vector<std::uint64_t> finish_generation_;
+  // Per-job JobPlacement::stamp at the last rate refresh (0 = never).
+  std::vector<std::uint64_t> refreshed_stamp_;
   std::unique_ptr<FaultInjector> faults_;
   // Per-job straggler generation: invalidates queued kStragglerEnd events
   // when a newer straggler (or a preemption) superseded them.

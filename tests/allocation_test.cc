@@ -291,5 +291,21 @@ TEST_F(AllocationTest, RespectsDisallowedLoanedPlacement) {
   EXPECT_TRUE(decision.launches.empty());
 }
 
+TEST_F(AllocationTest, HugeMaxWorkersIsBoundedByCapacity) {
+  // The daemon accepts any max_workers. Phase two builds only the items that
+  // fit this round's 16 GPUs, so the knapsack and the greedy loop both see a
+  // 15-item group and grant all 15 free GPUs, with the reused solver too.
+  AddTrainingServers(2);
+  pending_.push_back(MakeJob(0, 1e6, 1, 1000000, 1));
+  SchedulerContext ctx = Context();
+  MckpSolver solver;
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(FlexTargetOf(TwoPhaseAllocate(ctx, {}, &solver), JobId(0)), 15);
+  }
+  AllocationOptions greedy;
+  greedy.greedy_phase2 = true;
+  EXPECT_EQ(FlexTargetOf(TwoPhaseAllocate(ctx, greedy), JobId(0)), 15);
+}
+
 }  // namespace
 }  // namespace lyra

@@ -1,9 +1,11 @@
 // Randomized churn over every ClusterState mutation point, cross-checking
-// the incremental counters and pool membership indices against brute-force
-// recomputation and AuditInvariants() after each operation. This is the
+// the incremental counters, pool membership and free-server indices, and the
+// placement stamps against brute-force recomputation and AuditInvariants()
+// after each operation. This is the
 // safety net for the O(1) accounting: any drift between a counter and the
 // server vector fails here long before it would skew a simulation.
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,10 +20,11 @@
 namespace lyra {
 namespace {
 
+// Down servers leave every counter and index (DESIGN.md §7).
 int BruteTotalGpus(const ClusterState& cluster, ServerPool pool) {
   int total = 0;
   for (const Server& s : cluster.servers()) {
-    if (s.pool() == pool) {
+    if (s.up() && s.pool() == pool) {
       total += s.num_gpus();
     }
   }
@@ -31,7 +34,7 @@ int BruteTotalGpus(const ClusterState& cluster, ServerPool pool) {
 int BruteUsedGpus(const ClusterState& cluster, ServerPool pool) {
   int total = 0;
   for (const Server& s : cluster.servers()) {
-    if (s.pool() == pool) {
+    if (s.up() && s.pool() == pool) {
       total += s.used_gpus();
     }
   }
@@ -41,7 +44,18 @@ int BruteUsedGpus(const ClusterState& cluster, ServerPool pool) {
 std::vector<ServerId> BruteServersInPool(const ClusterState& cluster, ServerPool pool) {
   std::vector<ServerId> out;
   for (const Server& s : cluster.servers()) {
-    if (s.pool() == pool) {
+    if (s.up() && s.pool() == pool) {
+      out.push_back(s.id());
+    }
+  }
+  return out;
+}
+
+std::vector<ServerId> BruteServersWithFreeGpus(const ClusterState& cluster,
+                                               ServerPool pool) {
+  std::vector<ServerId> out;
+  for (const Server& s : cluster.servers()) {
+    if (s.up() && s.pool() == pool && s.free_gpus() > 0) {
       out.push_back(s.id());
     }
   }
@@ -51,7 +65,7 @@ std::vector<ServerId> BruteServersInPool(const ClusterState& cluster, ServerPool
 double BruteTrainingSideFreeNormalized(const ClusterState& cluster) {
   double total = 0.0;
   for (const Server& s : cluster.servers()) {
-    if (s.pool() == ServerPool::kTraining || s.pool() == ServerPool::kOnLoan) {
+    if (s.up() && (s.pool() == ServerPool::kTraining || s.pool() == ServerPool::kOnLoan)) {
       total += s.free_gpus() * GpuComputeFactor(s.gpu_type());
     }
   }
@@ -66,6 +80,7 @@ void ExpectMatchesBruteForce(const ClusterState& cluster) {
     EXPECT_EQ(cluster.FreeGpus(pool),
               BruteTotalGpus(cluster, pool) - BruteUsedGpus(cluster, pool));
     EXPECT_EQ(cluster.ServersInPool(pool), BruteServersInPool(cluster, pool));
+    EXPECT_EQ(cluster.ServersWithFreeGpus(pool), BruteServersWithFreeGpus(cluster, pool));
     EXPECT_EQ(cluster.NumServersInPool(pool),
               static_cast<int>(BruteServersInPool(cluster, pool).size()));
   }
@@ -97,6 +112,28 @@ JobId RandomPlacedJob(const ClusterState& cluster, Rng& rng) {
       rng.UniformInt(0, static_cast<std::int64_t>(jobs.size()) - 1))];
 }
 
+// Placement stamps: a job whose stamp did not move across an operation must
+// hold exactly the shares it held before it.
+using StampedShares = std::map<JobId, std::pair<std::uint64_t, std::map<ServerId, GpuShare>>>;
+
+StampedShares CaptureStamps(const ClusterState& cluster) {
+  StampedShares out;
+  for (const auto& [job, placement] : cluster.placements()) {
+    out[job] = {placement.stamp, placement.shares};
+  }
+  return out;
+}
+
+void ExpectStampsTrackShares(const StampedShares& before, const ClusterState& cluster) {
+  for (const auto& [job, placement] : cluster.placements()) {
+    EXPECT_GT(placement.stamp, 0u);
+    const auto it = before.find(job);
+    if (it != before.end() && it->second.first == placement.stamp) {
+      EXPECT_EQ(it->second.second, placement.shares) << "job " << job.value;
+    }
+  }
+}
+
 class ClusterChurnTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ClusterChurnTest, RandomizedChurnKeepsCountersExact) {
@@ -113,7 +150,8 @@ TEST_P(ClusterChurnTest, RandomizedChurnKeepsCountersExact) {
 
   int next_job = 0;
   for (int step = 0; step < 1500; ++step) {
-    const int op = static_cast<int>(rng.UniformInt(0, 9));
+    const StampedShares stamps = CaptureStamps(cluster);
+    const int op = static_cast<int>(rng.UniformInt(0, 10));
     switch (op) {
       case 0:
       case 1:
@@ -122,8 +160,8 @@ TEST_P(ClusterChurnTest, RandomizedChurnKeepsCountersExact) {
         const ServerId id = all[static_cast<std::size_t>(
             rng.UniformInt(0, static_cast<std::int64_t>(all.size()) - 1))];
         const Server& srv = cluster.server(id);
-        if (srv.pool() == ServerPool::kInference || srv.free_gpus() == 0) {
-          break;  // inference servers host no training workers
+        if (srv.pool() == ServerPool::kInference || srv.free_gpus() == 0 || !srv.up()) {
+          break;  // inference and down servers host no training workers
         }
         const int gpus =
             static_cast<int>(rng.UniformInt(1, srv.free_gpus()));
@@ -199,7 +237,20 @@ TEST_P(ClusterChurnTest, RandomizedChurnKeepsCountersExact) {
         }
         break;
       }
+      case 10: {  // Crash an idle server or recover a down one.
+        const ServerId id = all[static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<std::int64_t>(all.size()) - 1))];
+        if (!cluster.IsServerUp(id)) {
+          EXPECT_TRUE(cluster.MarkServerUp(id).ok());
+        } else if (cluster.server(id).idle()) {
+          EXPECT_TRUE(cluster.MarkServerDown(id).ok());
+        } else {
+          EXPECT_FALSE(cluster.MarkServerDown(id).ok());
+        }
+        break;
+      }
     }
+    ExpectStampsTrackShares(stamps, cluster);
     if (step % 10 == 0) {
       ExpectMatchesBruteForce(cluster);
     } else {

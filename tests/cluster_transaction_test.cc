@@ -44,6 +44,7 @@ void ExpectStatesEqual(const ClusterState& actual, const ClusterState& expected)
     EXPECT_EQ(actual.UsedGpus(pool), expected.UsedGpus(pool));
     EXPECT_EQ(actual.FreeGpus(pool), expected.FreeGpus(pool));
     EXPECT_EQ(actual.ServersInPool(pool), expected.ServersInPool(pool));
+    EXPECT_EQ(actual.ServersWithFreeGpus(pool), expected.ServersWithFreeGpus(pool));
   }
   EXPECT_EQ(actual.TrainingSideFreeGpus(), expected.TrainingSideFreeGpus());
   EXPECT_NEAR(actual.TrainingSideFreeNormalized(),
@@ -160,6 +161,14 @@ ClusterState SeedCluster(Rng& rng, int& next_job) {
   }
   for (int i = 0; i < 60; ++i) {
     RandomMutation(cluster, rng, next_job);
+  }
+  // Crashes are never transactional, so take a few idle servers down here:
+  // transactions then run over a fleet with down servers in it.
+  for (int i = 0; i < 3; ++i) {
+    const ServerId id(rng.UniformInt(0, cluster.num_servers() - 1));
+    if (cluster.IsServerUp(id) && cluster.server(id).idle()) {
+      EXPECT_TRUE(cluster.MarkServerDown(id).ok());
+    }
   }
   cluster.AuditInvariants();
   return cluster;

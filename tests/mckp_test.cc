@@ -1,6 +1,10 @@
 // Unit + property tests for the multiple-choice knapsack solver (§5.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -149,6 +153,198 @@ TEST(Mckp, LargeInstanceStaysFast) {
   const MckpSolution s = SolveMckp(groups, 245);
   EXPECT_GT(s.total_value, 0.0);
   EXPECT_LE(s.total_weight, 245);
+}
+
+// --- Reference identity --------------------------------------------------------
+//
+// The full-width DP the solver replaced, kept as the oracle: every
+// group gets columns 0..min(capacity, sum of largest weights), and the choice
+// table is one int16 row per group. The bounded solver must reproduce its
+// choices, value bits and weight exactly, not just an equally good optimum.
+MckpSolution ReferenceSolveMckp(const std::vector<MckpGroup>& groups, int capacity) {
+  MckpSolution solution;
+  solution.chosen.assign(groups.size(), -1);
+  if (groups.empty() || capacity == 0) {
+    return solution;
+  }
+
+  int useful_capacity = 0;
+  for (const MckpGroup& group : groups) {
+    int max_weight = 0;
+    for (const MckpItem& item : group.items) {
+      max_weight = std::max(max_weight, item.weight);
+    }
+    useful_capacity += max_weight;
+  }
+  const int cap = std::min(capacity, useful_capacity);
+  if (cap == 0) {
+    return solution;
+  }
+
+  const auto width = static_cast<std::size_t>(cap) + 1;
+  std::vector<double> dp(width, 0.0);
+  std::vector<double> next(width, 0.0);
+  std::vector<std::vector<std::int16_t>> choice(
+      groups.size(), std::vector<std::int16_t>(width, -1));
+
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const MckpGroup& group = groups[g];
+    next = dp;
+    for (std::size_t i = 0; i < group.items.size(); ++i) {
+      const MckpItem& item = group.items[i];
+      if (item.weight > cap || item.value <= 0.0) {
+        continue;
+      }
+      for (std::size_t c = static_cast<std::size_t>(item.weight); c < width; ++c) {
+        const double candidate = dp[c - static_cast<std::size_t>(item.weight)] + item.value;
+        if (candidate > next[c]) {
+          next[c] = candidate;
+          choice[g][c] = static_cast<std::int16_t>(i);
+        }
+      }
+    }
+    dp.swap(next);
+  }
+
+  std::size_t c = static_cast<std::size_t>(
+      std::max_element(dp.begin(), dp.end()) - dp.begin());
+  solution.total_value = dp[c];
+  for (std::size_t g = groups.size(); g-- > 0;) {
+    const int taken = choice[g][c];
+    solution.chosen[g] = taken;
+    if (taken >= 0) {
+      const int weight = groups[g].items[static_cast<std::size_t>(taken)].weight;
+      solution.total_weight += weight;
+      c -= static_cast<std::size_t>(weight);
+    }
+  }
+  return solution;
+}
+
+// Solves through one reused solver (the scheduler's steady state) and checks
+// the result against the oracle bit for bit.
+void ExpectIdentical(MckpSolver& solver, const std::vector<MckpGroup>& groups,
+                     int capacity, const std::string& label) {
+  solver.Clear();
+  for (const MckpGroup& group : groups) {
+    solver.AddGroup();
+    for (const MckpItem& item : group.items) {
+      solver.AddItem(item.weight, item.value);
+    }
+  }
+  const MckpSolution& got = solver.Solve(capacity);
+  const MckpSolution want = ReferenceSolveMckp(groups, capacity);
+  ASSERT_EQ(got.chosen, want.chosen) << label;
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(got.total_value),
+            std::bit_cast<std::uint64_t>(want.total_value))
+      << label << " value " << got.total_value << " vs " << want.total_value;
+  ASSERT_EQ(got.total_weight, want.total_weight) << label;
+}
+
+// Random instances aimed at the bounded table's edges: ties in value and
+// weight, zero weights, non-positive values, weights above the capacity,
+// capacity 0, and groups that are empty or have no usable item.
+std::vector<MckpGroup> RandomEdgeInstance(Rng& rng, int* capacity) {
+  const int num_groups = static_cast<int>(rng.UniformInt(0, 8));
+  const int max_weight = static_cast<int>(rng.UniformInt(1, 24));
+  const bool coarse_values = rng.NextBernoulli(0.5);  // many exact ties
+  std::vector<MckpGroup> groups;
+  for (int g = 0; g < num_groups; ++g) {
+    MckpGroup group;
+    const int items = static_cast<int>(rng.UniformInt(0, 7));
+    const bool unusable = rng.NextBernoulli(0.15);
+    for (int i = 0; i < items; ++i) {
+      MckpItem item;
+      item.weight = rng.NextBernoulli(0.1) ? 0 : static_cast<int>(rng.UniformInt(1, max_weight));
+      if (unusable) {
+        item.value = -static_cast<double>(rng.UniformInt(0, 3));
+      } else if (coarse_values) {
+        item.value = static_cast<double>(rng.UniformInt(-2, 6));
+      } else {
+        item.value = rng.Uniform(-1.0, 10.0);
+      }
+      group.items.push_back(item);
+    }
+    groups.push_back(std::move(group));
+  }
+  *capacity = rng.NextBernoulli(0.1) ? 0 : static_cast<int>(rng.UniformInt(1, 3 * max_weight));
+  return groups;
+}
+
+TEST(MckpReference, MatchesOracleOnRandomEdgeInstances) {
+  Rng rng(20230521);
+  MckpSolver solver;
+  for (int instance = 0; instance < 12000; ++instance) {
+    int capacity = 0;
+    const std::vector<MckpGroup> groups = RandomEdgeInstance(rng, &capacity);
+    ExpectIdentical(solver, groups, capacity, "instance " + std::to_string(instance));
+  }
+}
+
+// The instance phase two builds on paper-scale runs: ~80 elastic jobs, items
+// "grow by k workers" with weight k * gpus_per_worker and a concave JCT
+// reduction as value.
+std::vector<MckpGroup> SchedulerShapedInstance(Rng& rng) {
+  std::vector<MckpGroup> groups;
+  for (int g = 0; g < 80; ++g) {
+    static constexpr int kGpusPerWorker[] = {1, 2, 4, 8};
+    const int gpw = kGpusPerWorker[rng.UniformInt(0, 3)];
+    const int min_workers = static_cast<int>(rng.UniformInt(1, 8));
+    const int extra = static_cast<int>(rng.UniformInt(0, 24));
+    const double work = rng.Uniform(100.0, 1e6);
+    const double base_time = work / min_workers;
+    MckpGroup group;
+    for (int k = 1; k <= extra; ++k) {
+      group.items.push_back({k * gpw, base_time - work / (min_workers + k)});
+    }
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+TEST(MckpReference, MatchesOracleOnSchedulerShapedInstances) {
+  Rng rng(11);
+  MckpSolver solver;
+  for (int instance = 0; instance < 40; ++instance) {
+    const std::vector<MckpGroup> groups = SchedulerShapedInstance(rng);
+    for (int capacity : {193, 1013}) {
+      ExpectIdentical(solver, groups, capacity,
+                      "instance " + std::to_string(instance) + " capacity " +
+                          std::to_string(capacity));
+    }
+  }
+}
+
+TEST(MckpReference, ReusedSolverMatchesFreshSolve) {
+  // Shrinking and growing instances through one solver leave no stale rows.
+  Rng rng(5);
+  MckpSolver solver;
+  for (int instance = 0; instance < 200; ++instance) {
+    int capacity = 0;
+    const std::vector<MckpGroup> groups =
+        instance % 2 == 0 ? SchedulerShapedInstance(rng) : RandomEdgeInstance(rng, &capacity);
+    if (instance % 2 == 0) {
+      capacity = static_cast<int>(rng.UniformInt(0, 600));
+    }
+    const MckpSolution fresh = SolveMckp(groups, capacity);
+    ExpectIdentical(solver, groups, capacity, "instance " + std::to_string(instance));
+    EXPECT_EQ(fresh.chosen, solver.Solve(capacity).chosen);
+  }
+}
+
+TEST(Mckp, ChoiceIndexHoldsMoreThanInt16Items) {
+  // One job that may grow by up to 40,000 one-GPU workers, 35,000 GPUs free:
+  // the best item is "grow by 35,000", index 34,999, past the int16 range.
+  MckpSolver solver;
+  solver.AddGroup();
+  for (int k = 1; k <= 40000; ++k) {
+    solver.AddItem(k, static_cast<double>(k));
+  }
+  const MckpSolution& s = solver.Solve(35000);
+  ASSERT_EQ(s.chosen.size(), 1u);
+  EXPECT_EQ(s.chosen[0], 34999);
+  EXPECT_EQ(s.total_weight, 35000);
+  EXPECT_EQ(s.total_value, 35000.0);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/lyra/placement.h"
 #include "src/sched/elastic_util.h"
 #include "src/sched/placement_util.h"
@@ -287,6 +290,176 @@ TEST(PlacementUtil, ProfileForComputesMixAndFactor) {
   EXPECT_EQ(profile.workers, 2);
   EXPECT_NEAR(profile.mean_gpu_factor, (1.0 + 1.0 / 3.0) / 2.0, 1e-12);
   EXPECT_TRUE(profile.spans_heterogeneous);
+}
+
+
+// --- Free-server index -------------------------------------------------------
+//
+// Placement builds its candidates from ClusterState::ServersWithFreeGpus. The
+// reference below is the rule it implements, run over the whole pool with a
+// per-worker rescan: each worker goes to the server with the smallest
+// (tier, empty, free GPUs, pool position) among those with room for it. On a
+// cluster where most servers are full, both must place the same workers on
+// the same servers.
+
+// Training pool, 8 GPUs per server: ~80% full (base and flexible fillers,
+// and some servers shared by a base and a flexible filler), the rest
+// partially used or empty.
+ClusterState MostlyFullCluster(Rng& rng) {
+  ClusterState cluster;
+  std::int64_t filler = 1000;
+  for (int s = 0; s < 60; ++s) {
+    const ServerId id = cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);
+    const int used = rng.NextBernoulli(0.8) ? 8 : static_cast<int>(rng.UniformInt(0, 7));
+    const int flexible = static_cast<int>(rng.UniformInt(0, used));
+    if (used - flexible > 0) {
+      cluster.Place(JobId(filler++), id, used - flexible, /*flexible=*/false);
+    }
+    if (flexible > 0) {
+      cluster.Place(JobId(filler++), id, flexible, /*flexible=*/true);
+    }
+  }
+  return cluster;
+}
+
+// Places `workers` workers of `gpw` GPUs for `job` on the training pool by
+// full-pool rescan. `tier` is evaluated once per server before the first
+// worker, as the candidate sets are. With `all_or_nothing`, nothing is placed
+// unless every worker fits.
+void ReferencePlace(ClusterState& cluster, JobId job, int gpw, int workers, bool flexible,
+                    int (*tier)(const Server&), bool empty_last, bool all_or_nothing) {
+  const std::vector<ServerId> pool = cluster.ServersInPool(ServerPool::kTraining);
+  std::vector<int> tiers;
+  int room = 0;
+  for (ServerId id : pool) {
+    tiers.push_back(tier(cluster.server(id)));
+    room += cluster.server(id).free_gpus() / gpw;
+  }
+  if (all_or_nothing && room < workers) {
+    return;
+  }
+  for (int w = 0; w < workers; ++w) {
+    std::size_t best = pool.size();
+    std::tuple<int, bool, int, std::size_t> best_key;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      const Server& server = cluster.server(pool[i]);
+      if (server.free_gpus() < gpw) {
+        continue;
+      }
+      const std::tuple<int, bool, int, std::size_t> key{
+          tiers[i], empty_last && server.idle(), server.free_gpus(), i};
+      if (best == pool.size() || key < best_key) {
+        best = i;
+        best_key = key;
+      }
+    }
+    if (best == pool.size()) {
+      return;
+    }
+    cluster.Place(job, pool[best], gpw, flexible);
+  }
+}
+
+void ExpectSamePlacement(const ClusterState& actual, const ClusterState& expected,
+                         JobId job) {
+  const JobPlacement* a = actual.FindPlacement(job);
+  const JobPlacement* e = expected.FindPlacement(job);
+  ASSERT_EQ(a == nullptr, e == nullptr) << "job " << job.value;
+  if (a != nullptr) {
+    EXPECT_EQ(a->shares, e->shares) << "job " << job.value;
+  }
+  actual.AuditInvariants();
+}
+
+int NoTier(const Server&) { return 0; }
+int BaseDemandTier(const Server& server) { return server.HasFlexibleGpus() ? 1 : 0; }
+int FlexibleDemandTier(const Server& server) {
+  for (const auto& [job, share] : server.jobs()) {
+    if (share.base_gpus > 0) {
+      return 1;
+    }
+  }
+  return 0;
+}
+
+TEST(FreeServerIndex, PlaceBaseMatchesFullPoolScan) {
+  int launched = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    ClusterState cluster = MostlyFullCluster(rng);
+    ASSERT_LT(cluster.ServersWithFreeGpus(ServerPool::kTraining).size(),
+              cluster.ServersInPool(ServerPool::kTraining).size());
+    const int gpw = static_cast<int>(rng.UniformInt(1, 4));
+    const int workers = static_cast<int>(rng.UniformInt(1, 12));
+    // Elastic, so grouped placement puts base demand on flexible-free
+    // servers first; non-fungible, so the training pool is its only pool.
+    const std::unique_ptr<Job> job = MakeJob(1, workers, workers + 2, gpw);
+    ClusterState expected = cluster.Clone();
+
+    AllocationDecision decision;
+    decision.launches.push_back(job.get());
+    ApplyAllocation(cluster, decision, PlacementOptions{});
+    ReferencePlace(expected, job->id(), gpw, workers, false, BaseDemandTier,
+                   /*empty_last=*/true, /*all_or_nothing=*/true);
+    ExpectSamePlacement(cluster, expected, job->id());
+    launched += cluster.FindPlacement(job->id()) != nullptr ? 1 : 0;
+  }
+  EXPECT_GT(launched, 10);  // both outcomes are exercised
+  EXPECT_LT(launched, 40);
+}
+
+TEST(FreeServerIndex, PlaceFlexibleMatchesFullPoolScan) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    ClusterState cluster = MostlyFullCluster(rng);
+    const int gpw = static_cast<int>(rng.UniformInt(1, 3));
+    const std::unique_ptr<Job> job = MakeJob(1, 1, 20, gpw);
+    // The job's base worker runs on the first server with room for it, which
+    // pins its growth to training GPUs.
+    for (ServerId id : cluster.ServersInPool(ServerPool::kTraining)) {
+      if (cluster.server(id).free_gpus() >= gpw) {
+        cluster.Place(job->id(), id, gpw, /*flexible=*/false);
+        break;
+      }
+    }
+    if (cluster.FindPlacement(job->id()) == nullptr) {
+      continue;
+    }
+    const int target = static_cast<int>(rng.UniformInt(1, 19));
+    ClusterState expected = cluster.Clone();
+
+    AllocationDecision decision;
+    decision.flexible_targets.emplace_back(job.get(), target);
+    ApplyAllocation(cluster, decision, PlacementOptions{});
+    ReferencePlace(expected, job->id(), gpw, target, true, FlexibleDemandTier,
+                   /*empty_last=*/true, /*all_or_nothing=*/false);
+    ExpectSamePlacement(cluster, expected, job->id());
+  }
+}
+
+TEST(FreeServerIndex, TryPlaceWorkersMatchesFullPoolScan) {
+  int successes = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    ClusterState cluster = MostlyFullCluster(rng);
+    PlaceRequest request;
+    request.job = JobId(1);
+    request.gpus_per_worker = static_cast<int>(rng.UniformInt(1, 4));
+    request.workers = static_cast<int>(rng.UniformInt(1, 12));
+    request.flexible = rng.NextBernoulli(0.5);
+    request.preference = PoolPreference::kTrainingOnly;
+    ClusterState expected = cluster.Clone();
+
+    const bool placed = TryPlaceWorkers(cluster, request);
+    ReferencePlace(expected, request.job, request.gpus_per_worker, request.workers,
+                   request.flexible, NoTier, /*empty_last=*/false,
+                   /*all_or_nothing=*/true);
+    EXPECT_EQ(placed, expected.FindPlacement(request.job) != nullptr);
+    ExpectSamePlacement(cluster, expected, request.job);
+    successes += placed ? 1 : 0;
+  }
+  EXPECT_GT(successes, 10);
+  EXPECT_LT(successes, 40);
 }
 
 }  // namespace
