@@ -18,11 +18,13 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <unordered_map>
 
 #include "bench/harness.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
+#include "src/lyra/allocation.h"
 #include "src/lyra/mckp.h"
 #include "src/lyra/reclaim.h"
 #include "src/predict/lstm.h"
@@ -90,6 +92,54 @@ void BM_MckpSchedulerShaped(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MckpSchedulerShaped)->Arg(193)->Arg(1013);
+
+// One warm Lyra allocation round (both phases) with range(0) pending jobs.
+// 110 servers are full of elastic jobs, each holding one flexible worker, so
+// phase one launches a few jobs from the freed capacity and phase two runs
+// the knapsack. The persistent pending index keeps the queue's order across
+// rounds, so the queue costs one membership pass, not a sort.
+void BM_TwoPhaseAllocate(benchmark::State& state) {
+  const int pending = static_cast<int>(state.range(0));
+  lyra::Rng rng(17);
+  lyra::ClusterState cluster;
+  std::vector<std::unique_ptr<lyra::Job>> jobs;
+  lyra::SchedulerContext ctx;
+  ctx.cluster = &cluster;
+  const auto make_job = [&](int gpus_per_worker, int min_workers, int max_workers) {
+    lyra::JobSpec spec;
+    spec.id = lyra::JobId(static_cast<std::int64_t>(jobs.size()));
+    spec.gpus_per_worker = gpus_per_worker;
+    spec.min_workers = min_workers;
+    spec.max_workers = max_workers;
+    spec.fungible = rng.NextBernoulli(0.3);
+    spec.total_work = rng.Uniform(100.0, 1e6);
+    jobs.push_back(std::make_unique<lyra::Job>(spec));
+    return jobs.back().get();
+  };
+  for (int s = 0; s < 110; ++s) {
+    const lyra::ServerId server =
+        cluster.AddServer(lyra::GpuType::kTrainingV100, 8, lyra::ServerPool::kTraining);
+    lyra::Job* job = make_job(2, 3, 6);
+    cluster.Place(job->id(), server, 6, /*flexible=*/false);
+    cluster.Place(job->id(), server, 2, /*flexible=*/true);
+    ctx.running.push_back(job);
+  }
+  static constexpr int kGpusPerWorker[] = {1, 2, 4, 8};
+  for (int p = 0; p < pending; ++p) {
+    const int min_workers = static_cast<int>(rng.UniformInt(1, 4));
+    lyra::Job* job = make_job(kGpusPerWorker[rng.UniformInt(0, 3)], min_workers,
+                              min_workers + static_cast<int>(rng.UniformInt(0, 4)));
+    job->StampQueueSeq();
+    ctx.pending.push_back(job);
+  }
+  lyra::MckpSolver solver;
+  lyra::PendingIndex index;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        lyra::TwoPhaseAllocate(ctx, {}, &solver, &index).launches.size());
+  }
+}
+BENCHMARK(BM_TwoPhaseAllocate)->Arg(64)->Arg(8192);
 
 lyra::ClusterState ReclaimInstance(int servers, std::uint64_t seed) {
   lyra::Rng rng(seed);

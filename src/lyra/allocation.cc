@@ -75,40 +75,31 @@ CapacityLedger BuildLedger(const SchedulerContext& ctx) {
 
 AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
                                     const AllocationOptions& options,
-                                    MckpSolver* solver) {
+                                    MckpSolver* solver, PendingIndex* pending) {
   AllocationDecision decision;
   CapacityLedger ledger = BuildLedger(ctx);
 
   // --- Phase 1: SJF over the inelastic workload ------------------------------
   // Heterogeneous-capable jobs are considered with the lowest priority, after
   // everything else is scheduled (§6).
-  std::vector<Job*> order = ctx.pending;
-  std::stable_sort(order.begin(), order.end(), [&](const Job* a, const Job* b) {
-    const bool ha = a->spec().heterogeneous;
-    const bool hb = b->spec().heterogeneous;
-    if (ha != hb) {
-      return hb;  // non-heterogeneous first
+  PendingIndex local_index;
+  PendingIndex& index = pending != nullptr ? *pending : local_index;
+  const std::vector<PendingIndex::Entry>& order =
+      index.Refresh(ctx, options.information_agnostic);
+  // Debit only ever subtracts, and each of its branches fails once neither
+  // the training pool nor the whole ledger covers the demand. So when both
+  // are below the smallest pending demand, no later job can launch.
+  const double min_need = index.min_base_gpus();
+  for (const PendingIndex::Entry& entry : order) {
+    if (std::max(ledger.training, ledger.total()) < min_need) {
+      break;
     }
-    if (options.information_agnostic) {
-      // Least attained service: favor jobs that have made the least progress
-      // so far (all unstarted jobs tie and keep arrival order).
-      return (a->spec().total_work - a->work_remaining()) <
-             (b->spec().total_work - b->work_remaining());
-    }
-    return a->EstimatedRemainingTime(a->spec().max_workers) <
-           b->EstimatedRemainingTime(b->spec().max_workers);
-  });
-
-  for (Job* job : order) {
-    const JobSpec& spec = job->spec();
-    const double need = static_cast<double>(spec.min_workers * spec.gpus_per_worker);
-    const bool can_use_loaned =
-        ctx.allow_loaned_placement && (spec.fungible || spec.heterogeneous);
+    const double need = static_cast<double>(entry.base_gpus);
+    const bool can_use_loaned = ctx.allow_loaned_placement && entry.loan_eligible;
     // Elastic jobs prefer on-loan servers so reclaiming can scale them in
     // rather than preempt; heterogeneous base demand stays on training (§6).
-    const bool prefer_loaned = spec.elastic() && !spec.heterogeneous;
-    if (ledger.Debit(need, can_use_loaned, prefer_loaned)) {
-      decision.launches.push_back(job);
+    if (ledger.Debit(need, can_use_loaned, entry.prefer_loaned)) {
+      decision.launches.push_back(entry.job);
     }
     // Jobs that do not fit are simply removed from the pool this epoch (§5.2).
   }

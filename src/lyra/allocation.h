@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/lyra/mckp.h"
+#include "src/lyra/pending_index.h"
 #include "src/sched/scheduler.h"
 
 namespace lyra {
@@ -41,11 +42,13 @@ struct AllocationDecision {
 // Computes the epoch's allocation against the capacity visible in ctx:
 // idle training-side GPUs plus GPUs currently held by flexible workers
 // (which are available for resizing, §5.2). `solver` holds reusable
-// knapsack buffers (the scheduler keeps one so a round allocates no DP
-// tables); null uses a temporary one.
+// knapsack buffers and `pending` the phase-one order of the queue (the
+// scheduler keeps one of each, so a round allocates no DP tables and does
+// not re-sort the queue); null uses a temporary one.
 AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
                                     const AllocationOptions& options = {},
-                                    MckpSolver* solver = nullptr);
+                                    MckpSolver* solver = nullptr,
+                                    PendingIndex* pending = nullptr);
 
 }  // namespace lyra
 

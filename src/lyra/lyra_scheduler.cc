@@ -11,7 +11,7 @@ void LyraScheduler::Schedule(SchedulerContext& ctx) {
     AllocationOptions allocation;
     allocation.information_agnostic = options_.information_agnostic;
     allocation.greedy_phase2 = options_.greedy_phase2;
-    decision = TwoPhaseAllocate(ctx, allocation, &mckp_);
+    decision = TwoPhaseAllocate(ctx, allocation, &mckp_, &pending_);
   }
   if (options_.disable_elastic_scaling) {
     // Base demands only: every flexible target collapses to zero, so any

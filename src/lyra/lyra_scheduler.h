@@ -3,6 +3,7 @@
 #define SRC_LYRA_LYRA_SCHEDULER_H_
 
 #include "src/lyra/mckp.h"
+#include "src/lyra/pending_index.h"
 #include "src/lyra/placement.h"
 #include "src/sched/scheduler.h"
 
@@ -41,6 +42,8 @@ class LyraScheduler : public JobScheduler {
   PlacementStats last_stats_;
   // Phase-two knapsack buffers, reused across rounds.
   MckpSolver mckp_;
+  // Phase-one order of the pending queue, carried across rounds.
+  PendingIndex pending_;
 };
 
 }  // namespace lyra

@@ -21,7 +21,8 @@ namespace lyra {
 struct SchedulerContext {
   TimeSec now = 0.0;
   ClusterState* cluster = nullptr;
-  // Pending jobs in submission order (includes preempted jobs re-queued).
+  // Pending jobs in ascending Job::queue_seq(), i.e. in enqueue order
+  // (includes preempted jobs re-queued, stamped again at the requeue).
   std::vector<Job*> pending;
   // All currently running jobs.
   std::vector<Job*> running;

@@ -170,32 +170,38 @@ void Simulator::ScheduleFinish(Job& job, TimeSec now) {
 void Simulator::SyncAfterScheduling(TimeSec now) {
   const bool tuner = scheduler_->tunes_hyperparameters();
 
-  // Newly placed pending jobs start now.
-  std::vector<Job*> still_pending;
-  still_pending.reserve(pending_.size());
-  for (Job* job : pending_) {
-    const JobPlacement* placement = cluster_.FindPlacement(job->id());
-    if (placement == nullptr) {
-      still_pending.push_back(job);
-      continue;
-    }
-    job->set_tuned(tuner && job->spec().elastic());
-    const PlacementProfile profile = ProfileFor(cluster_, *job);
+  // Newly placed pending jobs start now, in queue order. Every running job
+  // holds a placement and nothing else does except the jobs just launched,
+  // so the walk stops once it has found that many.
+  std::size_t to_start = cluster_.placements().size() - running_.size();
+  if (to_start > 0) {
     const ThroughputModel model(options_.throughput);
-    job->Start(now, EffectiveRate(*job, profile, model), profile.workers);
-    if (trace_ != nullptr) {
-      trace_->AsyncBegin(obs::TraceTrack::kJobs, JobTrackName(job->id().value), now,
-                         job->id().value, JobArgs(job->id().value, profile.workers));
+    auto kept = pending_.begin();
+    auto it = pending_.begin();
+    for (; it != pending_.end() && to_start > 0; ++it) {
+      Job* job = *it;
+      if (cluster_.FindPlacement(job->id()) == nullptr) {
+        *kept++ = job;
+        continue;
+      }
+      --to_start;
+      job->set_tuned(tuner && job->spec().elastic());
+      const PlacementProfile profile = ProfileFor(cluster_, *job);
+      job->Start(now, EffectiveRate(*job, profile, model), profile.workers);
+      if (trace_ != nullptr) {
+        trace_->AsyncBegin(obs::TraceTrack::kJobs, JobTrackName(job->id().value), now,
+                           job->id().value, JobArgs(job->id().value, profile.workers));
+      }
+      if (options_.record_decisions) {
+        decision_log_.Append(now, DecisionKind::kJobStart, job->id().value,
+                             profile.workers);
+      }
+      running_.push_back(job);
+      ScheduleFinish(*job, now);
+      dirty_ = true;
     }
-    if (options_.record_decisions) {
-      decision_log_.Append(now, DecisionKind::kJobStart, job->id().value,
-                           profile.workers);
-    }
-    running_.push_back(job);
-    ScheduleFinish(*job, now);
-    dirty_ = true;
+    pending_.erase(std::copy(it, pending_.end(), kept), pending_.end());
   }
-  pending_.swap(still_pending);
 
   // Rate refresh for running jobs whose placement changed. A job's rate is a
   // function of its placement profile, its straggler factor and its tuned
@@ -297,11 +303,16 @@ void Simulator::HandleOrchestratorTick(TimeSec now) {
       ++occupied_loaned;
     }
   }
-  double eligible_pending_gpus = 0.0;  // physical T4 GPUs needed
+  // Loan-eligible pending demand in physical T4 GPUs, and the rest in
+  // training GPUs.
+  double eligible_pending_gpus = 0.0;
+  double noneligible_pending = 0.0;
   for (const Job* job : pending_) {
     const JobSpec& spec = job->spec();
     if (spec.fungible || spec.heterogeneous) {
       eligible_pending_gpus += spec.base_gpus() / kInferenceGpuFactor;
+    } else {
+      noneligible_pending += spec.base_gpus();
     }
   }
   const int gpus_per_server =
@@ -310,13 +321,6 @@ void Simulator::HandleOrchestratorTick(TimeSec now) {
   // Borrow only for pending demand that free training capacity cannot absorb:
   // pending jobs take training GPUs first, so loans sized to the raw pending
   // demand would sit idle (and be reclaimed under future jobs for nothing).
-  double noneligible_pending = 0.0;
-  for (const Job* job : pending_) {
-    const JobSpec& spec = job->spec();
-    if (!(spec.fungible || spec.heterogeneous)) {
-      noneligible_pending += spec.base_gpus();
-    }
-  }
   const double training_free_for_eligible =
       std::max(0.0, cluster_.FreeGpus(ServerPool::kTraining) - noneligible_pending);
   const double unmet_normalized =
@@ -401,6 +405,7 @@ void Simulator::PreemptAndRequeue(TimeSec now, const std::vector<JobId>& preempt
     }
     ++result_.preemptions;
     running_.erase(std::find(running_.begin(), running_.end(), job));
+    job->StampQueueSeq();
     pending_.push_back(job);
     ++finish_generation_[static_cast<std::size_t>(id.value)];  // invalidate finish
   }
@@ -725,6 +730,7 @@ bool Simulator::StepUntil(TimeSec horizon, std::uint64_t max_events) {
         if (options_.use_profiler) {
           job->set_estimated_total_work(profiler_.EstimateTotalWork(job->spec()));
         }
+        job->StampQueueSeq();
         pending_.push_back(job);
         dirty_ = true;
         break;
@@ -786,6 +792,11 @@ StatusOr<JobId> Simulator::SubmitJob(JobSpec spec) {
       spec.max_workers < spec.min_workers) {
     return Status::InvalidArgument("bad worker spec (need gpus_per_worker >= 1, "
                                    "1 <= min_workers <= max_workers)");
+  }
+  if (static_cast<std::int64_t>(spec.max_workers) * spec.gpus_per_worker >
+      std::numeric_limits<int>::max()) {
+    // Demands are computed in int (base_gpus, max_gpus, phase one).
+    return Status::InvalidArgument("max_workers * gpus_per_worker overflows int");
   }
   if (spec.requested_workers < 0 || spec.requested_workers > spec.max_workers) {
     return Status::InvalidArgument("requested_workers out of range");

@@ -213,6 +213,8 @@ class Simulator {
   // Read-only access for tests and examples (valid after Run()).
   const ClusterState& cluster() const { return cluster_; }
   const std::vector<std::unique_ptr<Job>>& jobs() const { return jobs_; }
+  // The pending queue: enqueue order, so ascending in Job::queue_seq().
+  const std::vector<Job*>& pending_jobs() const { return pending_; }
   const DecisionLog& decision_log() const { return decision_log_; }
   const ResourceManager& resource_manager() const { return rm_; }
   // This run's metrics registry (counters/gauges/histograms); disjoint per

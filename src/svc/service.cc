@@ -659,18 +659,29 @@ JsonValue SchedulerService::ApplySubmit(const JsonValue& request) {
   const auto num = [](const JsonValue& v, double fb) {
     return v.is_number() ? v.AsDouble() : fb;
   };
+  // Converting a double outside int's range to int is undefined: such a
+  // field is named here and the submit rejected.
+  const char* out_of_range = nullptr;
+  const auto integer = [&out_of_range](const char* name, double v, int* out) {
+    if (v > static_cast<double>(std::numeric_limits<int>::min()) - 1.0 &&
+        v < static_cast<double>(std::numeric_limits<int>::max()) + 1.0) {
+      *out = static_cast<int>(v);
+    } else if (out_of_range == nullptr) {
+      out_of_range = name;
+    }
+  };
   for (const auto& [key, value] : request.AsObject()) {
     if (key == "gpus_per_worker") {
-      if (first(0)) spec.gpus_per_worker = static_cast<int>(num(value, 1));
+      if (first(0)) integer("gpus_per_worker", num(value, 1), &spec.gpus_per_worker);
     } else if (key == "min_workers") {
-      if (first(1)) spec.min_workers = static_cast<int>(num(value, 1));
+      if (first(1)) integer("min_workers", num(value, 1), &spec.min_workers);
     } else if (key == "max_workers") {
       if (first(2) && value.is_number()) {
-        spec.max_workers = static_cast<int>(value.AsDouble());
+        integer("max_workers", value.AsDouble(), &spec.max_workers);
         have_max_workers = true;
       }
     } else if (key == "requested_workers") {
-      if (first(3)) spec.requested_workers = static_cast<int>(num(value, 0));
+      if (first(3)) integer("requested_workers", num(value, 0), &spec.requested_workers);
     } else if (key == "fungible") {
       if (first(4)) spec.fungible = value.is_bool() && value.AsBool();
     } else if (key == "heterogeneous") {
@@ -682,6 +693,11 @@ JsonValue SchedulerService::ApplySubmit(const JsonValue& request) {
     } else if (key == "model") {
       if (first(8)) model_field = &value;
     }
+  }
+  if (out_of_range != nullptr) {
+    command_errors_.fetch_add(1, std::memory_order_relaxed);
+    return ErrorReply("invalid_argument",
+                      std::string(out_of_range) + " is outside the int range");
   }
   if (!have_max_workers) {
     spec.max_workers = spec.min_workers;

@@ -8,6 +8,7 @@
 #ifndef SRC_WORKLOAD_JOB_H_
 #define SRC_WORKLOAD_JOB_H_
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -90,6 +91,9 @@ class Job {
     LYRA_CHECK_GE(spec_.min_workers, 1);
     LYRA_CHECK_GE(spec_.max_workers, spec_.min_workers);
     LYRA_CHECK_GE(spec_.gpus_per_worker, 1);
+    // Demands are computed in int (base_gpus, max_gpus).
+    LYRA_CHECK_LE(static_cast<std::int64_t>(spec_.max_workers) * spec_.gpus_per_worker,
+                  std::numeric_limits<int>::max());
   }
 
   const JobSpec& spec() const { return spec_; }
@@ -147,6 +151,18 @@ class Job {
     LYRA_CHECK_GT(workers, 0);
     const double frac = work_remaining_ / spec_.total_work;
     return estimated_total_work_ * frac / workers;
+  }
+
+  // Enqueue stamp: drawn by StampQueueSeq() each time the job enters a
+  // pending queue (arrival, and requeue after a preemption); 0 until then.
+  // Stamps come from one process-wide counter, so they never repeat — not
+  // even across simulators that share a scheduler — and a queue that only
+  // appends stamped jobs is ascending in queue_seq. Schedulers use it as the
+  // arrival-order tie-break of a persistent ordering (DESIGN.md §4).
+  std::uint64_t queue_seq() const { return queue_seq_; }
+  void StampQueueSeq() {
+    static std::atomic<std::uint64_t> last{0};
+    queue_seq_ = ++last;
   }
 
   // --- Snapshot dirty tracking (svc read fast path) ------------------------
@@ -296,10 +312,10 @@ class Job {
 
   JobSpec spec_;
   JobState state_ = JobState::kPending;
+  int current_workers_ = 0;
   double work_remaining_;
   double estimated_total_work_;
   double rate_ = 0.0;
-  int current_workers_ = 0;
   TimeSec last_update_ = 0.0;
   TimeSec first_start_time_ = -1.0;
   TimeSec finish_time_ = -1.0;
@@ -308,6 +324,7 @@ class Job {
   bool ever_on_loaned_server_ = false;
   bool tuned_ = false;
   double perf_factor_ = 1.0;
+  std::uint64_t queue_seq_ = 0;
   DirtySink* dirty_sink_ = nullptr;  // not owned; null in batch simulation
   bool dirty_ = false;               // once-per-publish-cycle latch
 };

@@ -12,7 +12,9 @@
 
 #include "src/cluster/cluster_state.h"
 #include "src/common/rng.h"
+#include "src/lyra/lyra_scheduler.h"
 #include "src/lyra/reclaim.h"
+#include "src/predict/predictor.h"
 #include "src/sched/fifo.h"
 #include "src/sim/simulator.h"
 #include "src/workload/synthetic.h"
@@ -331,6 +333,65 @@ TEST(ClusterChurnTest, EndToEndSimulationPreservesInvariants) {
   const SimulationResult result = simulator.Run();
   EXPECT_GT(result.finished_jobs, 0u);
   EXPECT_GT(result.events_processed, 0u);
+  simulator.cluster().AuditInvariants();
+}
+
+// The simulator's start scan stops after placements().size() - running
+// newly placed jobs, and Lyra's pending index relies on the queue being in
+// stamp order. Both rest on invariants checked here between chunks of a
+// contended Lyra run with loaning (reclaim requeues), server crashes and
+// online cancels: every running job, and nothing else, holds a placement,
+// and the pending queue is strictly ascending in queue_seq.
+TEST(ClusterChurnTest, SteppedLyraRunKeepsQueueAndPlacementInvariants) {
+  SyntheticTraceOptions trace_options;
+  trace_options.duration = 1 * kDay;
+  trace_options.training_gpus = 12 * 8;
+  trace_options.target_utilization = 2.0;
+  trace_options.seed = 5;
+  const Trace trace = SyntheticTraceGenerator(trace_options).Generate();
+
+  DiurnalTrafficOptions traffic;
+  traffic.duration = 6 * kDay;
+  InferenceClusterOptions inference;
+  inference.num_servers = 14;
+  SimulatorOptions options;
+  options.training_servers = 6;  // the trace is sized for 12
+  options.faults.enabled = true;
+  options.faults.server_mtbf = 3 * kHour;
+  LyraScheduler scheduler;
+  LyraReclaimPolicy reclaim;
+  Simulator simulator(options, trace, &scheduler, &reclaim,
+                      std::make_unique<InferenceCluster>(
+                          inference, DiurnalTrafficModel(traffic),
+                          std::make_unique<SeasonalNaivePredictor>()));
+  Rng rng(17);
+  std::size_t max_pending = 0;
+  for (TimeSec t = 0.0; t < 2 * kDay; t += 10 * kMinute) {
+    simulator.StepUntil(t);
+    const std::vector<Job*>& pending = simulator.pending_jobs();
+    max_pending = std::max(max_pending, pending.size());
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      EXPECT_EQ(pending[i]->state(), JobState::kPending);
+      if (i > 0) {
+        ASSERT_LT(pending[i - 1]->queue_seq(), pending[i]->queue_seq());
+      }
+    }
+    std::size_t running = 0;
+    for (const auto& job : simulator.jobs()) {
+      const bool placed = simulator.cluster().FindPlacement(job->id()) != nullptr;
+      ASSERT_EQ(placed, job->state() == JobState::kRunning) << "job " << job->id().value;
+      running += placed ? 1 : 0;
+    }
+    ASSERT_EQ(simulator.cluster().placements().size(), running);
+    if (!pending.empty() && rng.NextBernoulli(0.3)) {
+      const Job* victim = pending[static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(pending.size()) - 1))];
+      ASSERT_TRUE(simulator.CancelJob(victim->id()).ok());
+    }
+  }
+  const SimulationResult result = simulator.Finalize();
+  EXPECT_GT(result.preemptions, 0);
+  EXPECT_GT(max_pending, 5u);
   simulator.cluster().AuditInvariants();
 }
 

@@ -214,7 +214,28 @@ TEST(Service, ErrorRepliesCarryWireCodes) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().GetString("code"), "invalid_argument");
 
-  EXPECT_GE(service.stats().command_errors, 4u);
+  // Demands are computed in int: a spec whose max_workers * gpus_per_worker
+  // overflows it is refused, and so is a field outside int itself.
+  JsonValue overflow = SubmitCmd(/*at=*/0.0);
+  overflow.Replace("min_workers", JsonValue::MakeNumber(65536));
+  overflow.Replace("max_workers", JsonValue::MakeNumber(65536));
+  overflow.Replace("gpus_per_worker", JsonValue::MakeNumber(65536));
+  reply = service.Execute(overflow);
+  EXPECT_FALSE(reply.GetBool("ok", true));
+  EXPECT_EQ(reply.GetString("code"), "invalid_argument");
+  for (const char* field : {"gpus_per_worker", "min_workers", "max_workers",
+                            "requested_workers"}) {
+    for (double value : {1e12, -1e12}) {
+      JsonValue huge = SubmitCmd(/*at=*/0.0);
+      huge.Replace(field, JsonValue::MakeNumber(value));
+      reply = service.Execute(huge);
+      EXPECT_EQ(reply.GetString("code"), "invalid_argument") << field << "=" << value;
+    }
+  }
+  reply = service.Execute(Cmd("cluster_stats"));
+  EXPECT_DOUBLE_EQ(reply.Find("jobs")->GetDouble("total"), 0.0);
+
+  EXPECT_GE(service.stats().command_errors, 13u);
   service.Stop();
 }
 
