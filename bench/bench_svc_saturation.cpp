@@ -2,7 +2,7 @@
 // accepted-throughput and latency percentiles for the epoll front end +
 // batched single-writer engine.
 //
-// Each rate point gets a fresh in-process SchedulerService + EventLoop on a
+// Each rate point gets a fresh in-process engine fleet + EventLoop on a
 // private Unix socket, driven by the open-loop client from
 // src/svc/loadclient.h. A fresh daemon per point keeps the curve a function
 // of offered load alone — a long-lived engine accumulates jobs across points
@@ -42,7 +42,6 @@
 #include "src/svc/federation.h"
 #include "src/svc/loadclient.h"
 #include "src/svc/service.h"
-#include "src/svc/shard_router.h"
 #include "src/svc/time_driver.h"
 
 namespace {
@@ -72,25 +71,27 @@ void MergeReport(const std::string& path, const lyra::JsonValue& section) {
   out << report.Dump() << "\n";
 }
 
-// One offered-rate point against a brand-new daemon (a fresh shard fleet
-// behind a fresh event loop; shards == 1 is the classic single-engine path).
-lyra::StatusOr<lyra::svc::LoadPoint> RunPoint(double rate, double duration,
-                                              int connections, int io_threads,
-                                              int shards,
-                                              const std::string& payload) {
+// One offered-rate point against a brand-new daemon: a fresh fleet of
+// `clusters` behind a fresh event loop. One training cluster of one engine
+// is the classic single-engine path; untargeted submits land on the
+// training side, so a federation point measures cluster routing end to end.
+lyra::StatusOr<lyra::svc::LoadPoint> RunPoint(
+    double rate, double duration, int connections, int io_threads,
+    const std::vector<lyra::svc::ClusterSpec>& clusters,
+    const std::string& payload) {
   lyra::svc::ServiceOptions service_options;
   service_options.engine.scale = 0.05;
   service_options.auto_advance = false;
   service_options.queue_capacity = 8192;
 
-  lyra::StatusOr<lyra::svc::ShardSet> built = lyra::svc::BuildShardSet(
-      service_options, shards, [](int) {
+  lyra::StatusOr<lyra::svc::FederationSet> built = lyra::svc::BuildFederation(
+      service_options, clusters, [](int) {
         return std::make_unique<lyra::svc::VirtualTimeDriver>();
       });
   if (!built.ok()) {
     return built.status();
   }
-  lyra::svc::ShardSet fleet = std::move(built.value());
+  lyra::svc::FederationSet fleet = std::move(built.value());
 
   lyra::svc::EventLoopOptions loop_options;
   loop_options.unix_path =
@@ -113,62 +114,6 @@ lyra::StatusOr<lyra::svc::LoadPoint> RunPoint(double rate, double duration,
   client.payload = payload;
   // Server-side histogram scrape per point: the client-vs-server p99
   // cross-check lands in the sweep artifact next to the client percentiles.
-  client.scrape_server = true;
-  lyra::StatusOr<lyra::svc::LoadPoint> point = lyra::svc::RunOpenLoop(client);
-
-  for (auto& service : fleet.services) {
-    service->Stop();
-  }
-  loop.Stop();
-  return point;
-}
-
-// One offered-rate point against a fresh federation (--federation-sweep):
-// same open-loop client, but the daemon behind the socket is a
-// FederationRouter over one engine per (cluster, shard). Untargeted submits
-// default to the training side, so the point measures the federated routing
-// path end to end.
-lyra::StatusOr<lyra::svc::LoadPoint> RunFederationPoint(
-    double rate, double duration, int connections, int io_threads,
-    const std::string& spec, const std::string& payload) {
-  lyra::StatusOr<std::vector<lyra::svc::ClusterSpec>> clusters =
-      lyra::svc::ParseFederationSpec(spec);
-  if (!clusters.ok()) {
-    return clusters.status();
-  }
-  lyra::svc::ServiceOptions service_options;
-  service_options.engine.scale = 0.05;
-  service_options.auto_advance = false;
-  service_options.queue_capacity = 8192;
-
-  lyra::StatusOr<lyra::svc::FederationSet> built = lyra::svc::BuildFederation(
-      service_options, clusters.value(), [](int) {
-        return std::make_unique<lyra::svc::VirtualTimeDriver>();
-      });
-  if (!built.ok()) {
-    return built.status();
-  }
-  lyra::svc::FederationSet fleet = std::move(built.value());
-
-  lyra::svc::EventLoopOptions loop_options;
-  loop_options.unix_path =
-      "/tmp/lyra_bench_fed_" + std::to_string(::getpid()) + ".sock";
-  loop_options.io_threads = io_threads;
-  lyra::svc::EventLoop loop(fleet.router.get(), loop_options);
-  const lyra::Status started = loop.Start();
-  if (!started.ok()) {
-    for (auto& service : fleet.services) {
-      service->Stop();
-    }
-    return started;
-  }
-
-  lyra::svc::LoadClientOptions client;
-  client.unix_path = loop_options.unix_path;
-  client.connections = connections;
-  client.rate = rate;
-  client.duration_s = duration;
-  client.payload = payload;
   client.scrape_server = true;
   lyra::StatusOr<lyra::svc::LoadPoint> point = lyra::svc::RunOpenLoop(client);
 
@@ -250,7 +195,8 @@ int main(int argc, char** argv) {
   std::uint64_t errors = 0;
   for (const double rate : rates) {
     lyra::StatusOr<lyra::svc::LoadPoint> run =
-        RunPoint(rate, duration, connections, io_threads, shards, payload);
+        RunPoint(rate, duration, connections, io_threads,
+                 lyra::svc::SingleCluster(shards), payload);
     if (!run.ok()) {
       std::fprintf(stderr, "bench_svc_saturation: %s\n",
                    run.status().message().c_str());
@@ -302,8 +248,9 @@ int main(int argc, char** argv) {
   if (!shard_counts.empty()) {
     std::printf("shard scaling sweep at offered %.0f/s:\n", shard_rate);
     for (const int count : shard_counts) {
-      lyra::StatusOr<lyra::svc::LoadPoint> run = RunPoint(
-          shard_rate, duration, connections, io_threads, count, payload);
+      lyra::StatusOr<lyra::svc::LoadPoint> run =
+          RunPoint(shard_rate, duration, connections, io_threads,
+                   lyra::svc::SingleCluster(count), payload);
       if (!run.ok()) {
         std::fprintf(stderr, "bench_svc_saturation: %s\n",
                      run.status().message().c_str());
@@ -337,8 +284,12 @@ int main(int argc, char** argv) {
     std::printf("federation scaling sweep at offered %.0f/s:\n",
                 federation_rate);
     for (const std::string& spec : federation_specs) {
-      lyra::StatusOr<lyra::svc::LoadPoint> run = RunFederationPoint(
-          federation_rate, duration, connections, io_threads, spec, payload);
+      lyra::StatusOr<std::vector<lyra::svc::ClusterSpec>> clusters =
+          lyra::svc::ParseFederationSpec(spec);
+      lyra::StatusOr<lyra::svc::LoadPoint> run =
+          clusters.ok() ? RunPoint(federation_rate, duration, connections,
+                                   io_threads, clusters.value(), payload)
+                        : lyra::StatusOr<lyra::svc::LoadPoint>(clusters.status());
       if (!run.ok()) {
         std::fprintf(stderr, "bench_svc_saturation: federation %s: %s\n",
                      spec.c_str(), run.status().message().c_str());

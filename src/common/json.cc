@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "src/common/check.h"
 
@@ -98,6 +99,16 @@ double JsonValue::AsDouble() const {
 
 std::int64_t JsonValue::AsInt() const {
   LYRA_CHECK(is_number());
+  // Saturates instead of the undefined out-of-range cast; NaN reads as 0.
+  if (std::isnan(number_)) {
+    return 0;
+  }
+  if (number_ >= 0x1p63) {
+    return std::numeric_limits<std::int64_t>::max();
+  }
+  if (number_ < -0x1p63) {
+    return std::numeric_limits<std::int64_t>::min();
+  }
   return static_cast<std::int64_t>(number_);
 }
 

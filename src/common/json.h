@@ -76,7 +76,8 @@ class JsonValue {
   bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
-  // Typed accessors; LYRA_CHECK on type mismatch.
+  // Typed accessors; LYRA_CHECK on type mismatch. AsInt truncates toward
+  // zero and saturates outside the int64 range.
   bool AsBool() const;
   double AsDouble() const;
   std::int64_t AsInt() const;

@@ -22,8 +22,8 @@
 #include "src/common/log.h"
 #include "src/svc/prom.h"
 #include "src/svc/replies.h"
+#include "src/svc/federation.h"
 #include "src/svc/service.h"
-#include "src/svc/shard_router.h"
 #include "src/svc/wire.h"
 
 namespace lyra::svc {
@@ -126,7 +126,7 @@ class EventLoop::IoThread {
     }
   };
 
-  IoThread(EventLoop* loop, ShardRouter* router, std::size_t max_outbuf,
+  IoThread(EventLoop* loop, FederationRouter* router, std::size_t max_outbuf,
            int index, std::uint64_t slow_ns)
       : loop_(loop),
         router_(router),
@@ -549,7 +549,7 @@ class EventLoop::IoThread {
     const TelemetryCmd tcmd = TelemetryCmdFromName(request.GetString("cmd"));
     const SchedulerService::CmdClass cls = SchedulerService::Classify(tcmd);
     if (cls == SchedulerService::CmdClass::kEngine) {
-      const ShardRouter::Plan plan = router_->RouteEngine(tcmd, request);
+      const FederationRouter::Plan plan = router_->RouteEngine(tcmd, request);
       if (plan.shed) {
         // Shed on the saturation hint: at heavy overload most engine frames
         // are doomed to rejection, and building + serializing a fresh reply
@@ -574,7 +574,7 @@ class EventLoop::IoThread {
       // BeginEngine consumes the routing counter and rewrites cancel's job
       // id in place; it must precede the slot so the slot records the
       // authoritative shard.
-      const std::uint32_t shard = router_->BeginEngine(tcmd, request, plan);
+      const std::uint32_t shard = router_->BeginEngine(request, plan);
       const std::uint64_t seq = conn->base_seq + conn->slots.size();
       conn->slots.emplace_back();
       Slot& slot = conn->slots.back();
@@ -885,7 +885,7 @@ class EventLoop::IoThread {
   }
 
   EventLoop* loop_;
-  ShardRouter* router_;
+  FederationRouter* router_;
   // router_->front(): telemetry registry, protocol-error counter, identity.
   SchedulerService* service_;
   std::size_t max_outbuf_;
@@ -913,14 +913,14 @@ class EventLoop::IoThread {
 };
 
 EventLoop::EventLoop(SchedulerService* service, EventLoopOptions options)
-    : owned_router_(std::make_unique<ShardRouter>(
-          std::vector<SchedulerService*>{service})),
+    : owned_router_(std::make_unique<FederationRouter>(
+          std::vector<SchedulerService*>{service}, SingleCluster(1))),
       router_(owned_router_.get()),
       options_(std::move(options)) {
   LYRA_CHECK(service != nullptr);
 }
 
-EventLoop::EventLoop(ShardRouter* router, EventLoopOptions options)
+EventLoop::EventLoop(FederationRouter* router, EventLoopOptions options)
     : router_(router), options_(std::move(options)) {
   LYRA_CHECK(router_ != nullptr);
 }

@@ -36,7 +36,7 @@
 namespace lyra::svc {
 
 class SchedulerService;
-class ShardRouter;
+class FederationRouter;
 
 struct EventLoopOptions {
   // Unix socket path to listen on; empty disables the Unix listener.
@@ -58,13 +58,13 @@ struct EventLoopOptions {
 
 class EventLoop {
  public:
-  // `service` must outlive the loop. Wraps the service in an owned one-shard
-  // router; every frame behaves exactly as before sharding existed.
+  // `service` must outlive the loop. Wraps the service in an owned
+  // one-engine router, which hands every frame straight to the service.
   EventLoop(SchedulerService* service, EventLoopOptions options);
-  // Sharded front end: frames route through `router` (which must outlive the
+  // Fleet front end: frames route through `router` (which must outlive the
   // loop). I/O-thread telemetry and protocol-error counts home on
   // router->front().
-  EventLoop(ShardRouter* router, EventLoopOptions options);
+  EventLoop(FederationRouter* router, EventLoopOptions options);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -87,8 +87,8 @@ class EventLoop {
   friend class IoThread;
 
   // Wraps the single-service ctor's argument so both ctors meet at router_.
-  std::unique_ptr<ShardRouter> owned_router_;
-  ShardRouter* router_;
+  std::unique_ptr<FederationRouter> owned_router_;
+  FederationRouter* router_;
   EventLoopOptions options_;
   int unix_listen_fd_ = -1;
   int tcp_listen_fd_ = -1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,6 +10,7 @@
 
 #include "src/common/check.h"
 #include "src/common/codec.h"
+#include "src/svc/prom.h"
 #include "src/svc/registry.h"
 #include "src/svc/replies.h"
 
@@ -93,6 +95,31 @@ std::int64_t ReserveOf(std::int64_t total_gpus) {
   return (total_gpus + 9) / 10;
 }
 
+// GPUs on outstanding loans whose `side` (lender or borrower) is `cluster`.
+std::int64_t LoanGpus(const FedLedger& ledger, std::uint32_t FedLoan::*side,
+                      std::uint32_t cluster) {
+  std::int64_t total = 0;
+  for (const FedLoan& loan : ledger.loans) {
+    if (loan.*side == cluster) {
+      total += loan.gpus;
+    }
+  }
+  return total;
+}
+
+// Engine k's scratch file for a fanout snapshot, gathered into the
+// container by the barrier merge.
+std::string PartPath(const std::string& path, int engine) {
+  return path + ".part" + std::to_string(engine);
+}
+
+// The same reply for every read that finds an engine stopped.
+JsonValue StoppedReply(const JsonValue& request) {
+  JsonValue reply = ErrorReply("unavailable", "service is stopped");
+  EchoSeq(request, reply);
+  return reply;
+}
+
 const char* JobStateLabel(int state) {
   switch (state) {
     case 0:
@@ -103,6 +130,36 @@ const char* JobStateLabel(int state) {
       return "finished";
     default:
       return "cancelled";
+  }
+}
+
+// Reply fields where "merged" means the furthest engine, not the sum:
+// virtual times, high-watermarks, and version counters.
+bool MergeByMax(const std::string& key) {
+  return key == "time" || key == "metrics_time" || key == "virtual_time" ||
+         key == "queue_peak" || key == "snapshot_version";
+}
+
+// Structural merge of per-engine reply documents: numbers sum (or max, see
+// above), objects recurse, everything else keeps the first engine's value.
+// Used for cluster_stats and the engine metrics export, whose members are
+// all per-engine tallies.
+void MergeNumeric(JsonValue& into, const JsonValue& from) {
+  if (!into.is_object() || !from.is_object()) {
+    return;
+  }
+  for (const auto& [key, value] : from.AsObject()) {
+    JsonValue* existing = into.FindMutable(key);
+    if (existing == nullptr) {
+      into.Set(key, value);
+    } else if (existing->is_number() && value.is_number()) {
+      const double merged = MergeByMax(key)
+                                ? std::max(existing->AsDouble(), value.AsDouble())
+                                : existing->AsDouble() + value.AsDouble();
+      *existing = JsonValue::MakeNumber(merged);
+    } else if (existing->is_object() && value.is_object()) {
+      MergeNumeric(*existing, value);
+    }
   }
 }
 
@@ -250,23 +307,11 @@ void LoanBroker::EndLoan(double now, const char* verb, std::size_t index) {
 }
 
 std::int64_t LoanBroker::LoanedBy(std::uint32_t cluster) const {
-  std::int64_t total = 0;
-  for (const FedLoan& loan : ledger_.loans) {
-    if (loan.lender == cluster) {
-      total += loan.gpus;
-    }
-  }
-  return total;
+  return LoanGpus(ledger_, &FedLoan::lender, cluster);
 }
 
 std::int64_t LoanBroker::BorrowedBy(std::uint32_t cluster) const {
-  std::int64_t total = 0;
-  for (const FedLoan& loan : ledger_.loans) {
-    if (loan.borrower == cluster) {
-      total += loan.gpus;
-    }
-  }
-  return total;
+  return LoanGpus(ledger_, &FedLoan::borrower, cluster);
 }
 
 Status LoanBroker::ConfigurePredictor(const std::string& name) {
@@ -413,6 +458,77 @@ void LoanBroker::RecordMigration(double now, std::int64_t from_job,
 
 // --- FederationRouter -----------------------------------------------------
 
+// Barrier aggregator for fanout commands: each engine's reply lands in its
+// own slot (no lock — distinct indices), and the last engine to complete
+// merges and delivers to the client's sink. The acq_rel countdown makes
+// every slot write visible to the merging thread.
+class FederationRouter::FanoutSink : public SchedulerService::CompletionSink {
+ public:
+  FanoutSink(const FederationRouter* router, TelemetryCmd cmd,
+             JsonValue request, std::string snapshot_path,
+             std::uint64_t snapshot_submit_seq,
+             std::shared_ptr<SchedulerService::CompletionSink> parent,
+             std::uint64_t a, std::uint64_t b, int engines)
+      : router_(router),
+        cmd_(cmd),
+        request_(std::move(request)),
+        snapshot_path_(std::move(snapshot_path)),
+        snapshot_submit_seq_(snapshot_submit_seq),
+        parent_(std::move(parent)),
+        a_(a),
+        b_(b),
+        replies_(static_cast<std::size_t>(engines)),
+        remaining_(engines) {}
+
+  void OnReply(std::uint64_t engine, std::uint64_t /*unused*/,
+               JsonValue reply) override {
+    replies_[static_cast<std::size_t>(engine)] = std::move(reply);
+    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      JsonValue merged = router_->MergeFanout(cmd_, request_, snapshot_path_,
+                                              snapshot_submit_seq_, replies_);
+      parent_->OnReply(a_, b_, std::move(merged));
+    }
+  }
+
+ private:
+  const FederationRouter* router_;
+  const TelemetryCmd cmd_;
+  const JsonValue request_;
+  const std::string snapshot_path_;
+  const std::uint64_t snapshot_submit_seq_;
+  const std::shared_ptr<SchedulerService::CompletionSink> parent_;
+  const std::uint64_t a_;
+  const std::uint64_t b_;
+  std::vector<JsonValue> replies_;
+  std::atomic<int> remaining_;
+};
+
+// Synchronous bridge for FederationRouter::Execute.
+class FederationRouter::WaitSink : public SchedulerService::CompletionSink {
+ public:
+  void OnReply(std::uint64_t /*a*/, std::uint64_t /*b*/,
+               JsonValue reply) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      reply_ = std::move(reply);
+      done_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  JsonValue Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return done_; });
+    return std::move(reply_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  JsonValue reply_;
+};
+
 // Two-hop migration chain: cancel on the source engine, then resubmit on the
 // destination engine with the remaining work plus the checkpoint cost. Each
 // hop's reply arrives on that engine's thread; `a` carries the phase.
@@ -500,7 +616,11 @@ class FederationRouter::MigrationSink
 
 FederationRouter::FederationRouter(std::vector<SchedulerService*> engines,
                                    std::vector<ClusterSpec> clusters)
-    : ShardRouter(std::move(engines)), clusters_(std::move(clusters)) {
+    : shards_(std::move(engines)), clusters_(std::move(clusters)) {
+  LYRA_CHECK(!shards_.empty());
+  for (SchedulerService* engine : shards_) {
+    LYRA_CHECK(engine != nullptr);
+  }
   LYRA_CHECK(!clusters_.empty());
   int next = 0;
   for (std::size_t c = 0; c < clusters_.size(); ++c) {
@@ -564,6 +684,26 @@ double FederationRouter::MaxEngineTime() const {
   return time;
 }
 
+StatusOr<std::vector<std::string>> FederationRouter::TakeParts(
+    const std::string& path) const {
+  std::vector<std::string> parts;
+  Status status;
+  for (int k = 0; k < shard_count(); ++k) {
+    const std::string part = PartPath(path, k);
+    StatusOr<std::string> image = ReadFile(part);
+    if (image.ok()) {
+      parts.push_back(std::move(image.value()));
+    } else if (status.ok()) {
+      status = image.status();
+    }
+    std::remove(part.c_str());
+  }
+  if (!status.ok()) {
+    return status;
+  }
+  return parts;
+}
+
 const std::vector<std::uint32_t>* FederationRouter::TargetEngines(
     const JsonValue& request) const {
   const JsonValue* cluster = request.Find("cluster");
@@ -581,8 +721,8 @@ const std::vector<std::uint32_t>* FederationRouter::TargetEngines(
   }
   const JsonValue* kind_field = request.Find("kind");
   if (kind_field == nullptr && cluster_count() == 1) {
-    // Untargeted submit to a single-cluster federation goes to that cluster
-    // whatever its kind — the plain-service compatibility path.
+    // Untargeted submit to a single-cluster fleet goes to that cluster
+    // whatever its kind.
     return &cluster_engines_[0];
   }
   ClusterKind kind = ClusterKind::kTraining;
@@ -596,66 +736,79 @@ const std::vector<std::uint32_t>* FederationRouter::TargetEngines(
   return engines.empty() ? nullptr : &engines;
 }
 
-ShardRouter::Plan FederationRouter::RouteEngine(TelemetryCmd cmd,
-                                                const JsonValue& request) const {
+FederationRouter::Plan FederationRouter::RouteEngine(
+    TelemetryCmd cmd, const JsonValue& request) const {
+  Plan plan;
+  plan.cmd = cmd;
   if (cmd == TelemetryCmd::kMigrate) {
-    Plan plan;
-    const JsonValue* job = request.Find("job");
-    if (cluster_count() < 2 || job == nullptr || !job->is_number()) {
-      plan.reject = true;
-      return plan;
+    const StatusOr<std::int64_t> job = JobIdField(request, "migrate");
+    plan.reject = cluster_count() < 2 || !job.ok();
+    if (!plan.reject) {
+      plan.shard = ShardOfJob(job.value());
+      plan.shed = shard(static_cast<int>(plan.shard))->EngineSaturated();
     }
-    plan.shard = ShardOfJob(job->AsInt());
-    plan.shed = shard(static_cast<int>(plan.shard))->EngineSaturated();
     return plan;
   }
-  if (cmd == TelemetryCmd::kSubmit) {
-    const std::vector<std::uint32_t>* targets = TargetEngines(request);
-    if (targets == nullptr) {
-      Plan plan;
-      plan.reject = true;
-      return plan;
-    }
-    if (shard_count() == 1) {
-      Plan plan;
-      plan.shed = front()->EngineSaturated();
-      return plan;
-    }
-    Plan plan;
-    plan.rewrite_job = true;
-    const JsonValue* key = request.Find("key");
-    std::uint64_t hash = 0;
-    if (key != nullptr && key->is_string()) {
-      hash = Fnv1a(key->AsString());
-    } else {
-      // Peek only; BeginEngine's fetch_add is authoritative.
-      hash = Fnv1aU64(submit_seq());
-    }
-    plan.shard = (*targets)[hash % targets->size()];
-    plan.shed = shard(static_cast<int>(plan.shard))->EngineSaturated();
+  if (shard_count() == 1) {
+    // The plain daemon's hot path: no JSON lookups, engine 0 answers.
+    plan.shed = front()->EngineSaturated();
     return plan;
   }
-  return ShardRouter::RouteEngine(cmd, request);
+  switch (cmd) {
+    case TelemetryCmd::kSubmit: {
+      const std::vector<std::uint32_t>* targets = TargetEngines(request);
+      if (targets == nullptr) {
+        plan.reject = true;
+        return plan;
+      }
+      plan.rewrite_job = true;
+      const JsonValue* key = request.Find("key");
+      if (key != nullptr && key->is_string()) {
+        plan.shard = (*targets)[Fnv1a(key->AsString()) % targets->size()];
+      } else {
+        // Peek only: a shed submit must not consume a routing sequence
+        // number, or a restore would route later submits differently than
+        // the uninterrupted run (the counter is snapshotted). BeginEngine's
+        // fetch_add is authoritative.
+        plan.counter_targets = targets;
+        plan.shard = (*targets)[Fnv1aU64(submit_seq()) % targets->size()];
+      }
+      break;
+    }
+    case TelemetryCmd::kCancel: {
+      // An invalid "job" goes to engine 0, which answers invalid_argument.
+      const StatusOr<std::int64_t> job = JobIdField(request, "cancel");
+      if (job.ok()) {
+        plan.shard = ShardOfJob(job.value());
+        plan.rewrite_job = true;
+      }
+      break;
+    }
+    default:
+      plan.fanout = true;
+      plan.shed = AnySaturated();
+      return plan;
+  }
+  plan.shed = shard(static_cast<int>(plan.shard))->EngineSaturated();
+  return plan;
 }
 
-std::uint32_t FederationRouter::BeginEngine(TelemetryCmd cmd,
-                                            JsonValue& request,
+std::uint32_t FederationRouter::BeginEngine(JsonValue& request,
                                             const Plan& plan) {
-  if (plan.reject || cmd == TelemetryCmd::kMigrate) {
-    return plan.shard;
+  if (plan.counter_targets != nullptr) {
+    // The fetch_add is the authoritative routing decision: two I/O threads
+    // that both planned from the same peeked value still dispatch to
+    // distinct, deterministic engines.
+    const std::uint64_t seq =
+        submit_seq_.fetch_add(1, std::memory_order_relaxed);
+    return (*plan.counter_targets)[Fnv1aU64(seq) % plan.counter_targets->size()];
   }
-  if (cmd == TelemetryCmd::kSubmit && shard_count() > 1) {
-    const JsonValue* key = request.Find("key");
-    if (key != nullptr && key->is_string()) {
-      return plan.shard;
-    }
-    // RouteEngine already validated the target set; the counter consumed
-    // here is the authoritative in-cluster pick.
-    const std::vector<std::uint32_t>* targets = TargetEngines(request);
-    const std::uint64_t seq = NextSubmitSeq();
-    return (*targets)[Fnv1aU64(seq) % targets->size()];
+  if (plan.cmd == TelemetryCmd::kCancel && plan.rewrite_job) {
+    // RouteEngine validated the id.
+    request.Replace("job", JsonValue::MakeNumber(static_cast<double>(
+                               ToLocal(request.Find("job")->AsInt()))));
   }
-  return ShardRouter::BeginEngine(cmd, request, plan);
+  return plan.shard;
 }
 
 JsonValue FederationRouter::RejectReply(TelemetryCmd cmd,
@@ -666,8 +819,7 @@ JsonValue FederationRouter::RejectReply(TelemetryCmd cmd,
       reply = ErrorReply("failed_precondition",
                          "migration requires at least two clusters");
     } else {
-      reply =
-          ErrorReply("invalid_argument", "migrate requires a numeric \"job\"");
+      reply = StatusReply(JobIdField(request, "migrate").status());
     }
   } else {
     const JsonValue* cluster = request.Find("cluster");
@@ -695,18 +847,67 @@ void FederationRouter::DispatchEngine(
     const Plan& plan, std::uint32_t shard_index, JsonValue request,
     std::shared_ptr<SchedulerService::CompletionSink> sink, std::uint64_t a,
     std::uint64_t b) {
-  const TelemetryCmd cmd = TelemetryCmdFromName(request.GetString("cmd"));
   if (plan.reject) {
     front()->CountProtocolError();
-    sink->OnReply(a, b, RejectReply(cmd, request));
+    sink->OnReply(a, b, RejectReply(plan.cmd, request));
     return;
   }
-  if (cmd == TelemetryCmd::kMigrate) {
+  if (plan.cmd == TelemetryCmd::kMigrate) {
     StartMigration(std::move(request), std::move(sink), a, b);
     return;
   }
-  ShardRouter::DispatchEngine(plan, shard_index, std::move(request),
-                              std::move(sink), a, b);
+  if (!plan.fanout) {
+    shards_[shard_index]->ExecuteAsync(std::move(request), std::move(sink), a,
+                                       b, SchedulerService::CmdClass::kEngine);
+    return;
+  }
+  std::string snapshot_path;
+  std::uint64_t snapshot_seq = 0;
+  if (plan.cmd == TelemetryCmd::kSnapshot) {
+    snapshot_path = request.GetString("path");
+    // Sampled at dispatch: every engine's queue is FIFO, so the commands an
+    // engine applies before its part of this snapshot are exactly the ones
+    // dispatched before this point — the counter value here matches the
+    // command set the container captures.
+    snapshot_seq = submit_seq();
+  }
+  auto fan = std::make_shared<FanoutSink>(this, plan.cmd, request,
+                                          snapshot_path, snapshot_seq,
+                                          std::move(sink), a, b, shard_count());
+  for (int k = 0; k < shard_count(); ++k) {
+    JsonValue copy = request;
+    if (!snapshot_path.empty()) {
+      copy.Replace("path", JsonValue::MakeString(PartPath(snapshot_path, k)));
+    }
+    shards_[static_cast<std::size_t>(k)]->ExecuteAsync(
+        std::move(copy), fan, static_cast<std::uint64_t>(k), 0,
+        SchedulerService::CmdClass::kEngine);
+  }
+}
+
+void FederationRouter::RewriteReplyJob(std::uint32_t shard,
+                                       JsonValue& reply) const {
+  const JsonValue* job = reply.Find("job");
+  if (job != nullptr && job->is_number()) {
+    reply.Replace("job", JsonValue::MakeNumber(static_cast<double>(
+                             ToGlobal(job->AsInt(), shard))));
+  }
+  // A not_found from cancel/query_job names the engine-local id; clients
+  // only ever saw the global one.
+  if (!reply.GetBool("ok", false) && reply.GetString("code") == "not_found") {
+    static constexpr char kPrefix[] = "no such job: ";
+    const std::string message = reply.GetString("error");
+    if (message.rfind(kPrefix, 0) == 0) {
+      char* end = nullptr;
+      const long long local =
+          std::strtoll(message.c_str() + sizeof(kPrefix) - 1, &end, 10);
+      if (end != nullptr && *end == '\0') {
+        reply.Replace("error",
+                      JsonValue::MakeString(
+                          kPrefix + std::to_string(ToGlobal(local, shard))));
+      }
+    }
+  }
 }
 
 void FederationRouter::StartMigration(
@@ -718,7 +919,7 @@ void FederationRouter::StartMigration(
     sink->OnReply(a, b, std::move(reply));
   };
 
-  const std::int64_t global = request.Find("job")->AsInt();  // RouteEngine-checked
+  const std::int64_t global = JobIdField(request, "migrate").value();  // RouteEngine-checked
   const std::uint32_t source_engine = ShardOfJob(global);
   const std::uint32_t source_cluster = ClusterOfEngine(source_engine);
 
@@ -831,26 +1032,38 @@ void FederationRouter::StartMigration(
                      SchedulerService::CmdClass::kEngine);
 }
 
-LoanBroker::ClusterSignal FederationRouter::SignalFor(int c) const {
-  const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
-  LoanBroker::ClusterSignal signal;
-  signal.kind = spec.kind;
-  signal.loan_priority = spec.loan_priority;
+FederationRouter::ClusterTotals FederationRouter::Totals(int c) const {
+  const ClusterKind kind = clusters_[static_cast<std::size_t>(c)].kind;
+  ClusterTotals totals;
   for (const std::uint32_t e : cluster_engines_[static_cast<std::size_t>(c)]) {
     const std::shared_ptr<const StateSnapshot> snap =
         shard(static_cast<int>(e))->snapshot();
     if (snap == nullptr) {
       continue;
     }
-    if (spec.kind == ClusterKind::kInference) {
-      signal.total_gpus += snap->inference.total_gpus;
-      signal.free_gpus += snap->inference.free_gpus;
-    } else {
-      signal.total_gpus += snap->training.total_gpus;
-      signal.free_gpus += snap->training.free_gpus;
-      signal.pending_jobs +=
-          static_cast<std::int64_t>(snap->state_counts[0]);
+    for (std::size_t s = 0; s < totals.states.size(); ++s) {
+      totals.states[s] += snap->state_counts[s];
     }
+    const PoolCounters& from =
+        kind == ClusterKind::kInference ? snap->inference : snap->training;
+    totals.pool.servers += from.servers;
+    totals.pool.total_gpus += from.total_gpus;
+    totals.pool.used_gpus += from.used_gpus;
+    totals.pool.free_gpus += from.free_gpus;
+  }
+  return totals;
+}
+
+LoanBroker::ClusterSignal FederationRouter::SignalFor(int c) const {
+  const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
+  const ClusterTotals totals = Totals(c);
+  LoanBroker::ClusterSignal signal;
+  signal.kind = spec.kind;
+  signal.loan_priority = spec.loan_priority;
+  signal.total_gpus = totals.pool.total_gpus;
+  signal.free_gpus = totals.pool.free_gpus;
+  if (spec.kind == ClusterKind::kTraining) {
+    signal.pending_jobs = static_cast<std::int64_t>(totals.states[0]);
   }
   return signal;
 }
@@ -870,21 +1083,85 @@ JsonValue FederationRouter::MergeFanout(TelemetryCmd cmd,
                                         const std::string& snapshot_path,
                                         std::uint64_t snapshot_submit_seq,
                                         std::vector<JsonValue>& replies) const {
-  if (cmd == TelemetryCmd::kSnapshot && !snapshot_path.empty()) {
-    return MergeFederationSnapshot(request, snapshot_path,
-                                   snapshot_submit_seq, replies);
+  // Any failed engine fails the whole command; the merged reply is that
+  // engine's error annotated with its index. Engines that did apply keep the
+  // command in their logs (per-engine replay-exactness is untouched); the
+  // client sees the failure and can retry the idempotent fanout commands.
+  for (std::size_t k = 0; k < replies.size(); ++k) {
+    if (!replies[k].GetBool("ok", false)) {
+      JsonValue failed = replies[k];
+      failed.Set("shard", JsonValue::MakeNumber(static_cast<double>(k)));
+      if (!snapshot_path.empty()) {
+        TakeParts(snapshot_path);
+      }
+      EchoSeq(request, failed);
+      return failed;
+    }
   }
-  JsonValue merged = ShardRouter::MergeFanout(cmd, request, snapshot_path,
-                                              snapshot_submit_seq, replies);
-  if ((cmd == TelemetryCmd::kAdvance || cmd == TelemetryCmd::kDrain) &&
-      merged.GetBool("ok", false)) {
+
+  JsonValue merged = OkReply();
+  double time = 0.0;
+  for (const JsonValue& reply : replies) {
+    time = std::max(time, reply.GetDouble("time", 0.0));
+  }
+  switch (cmd) {
+    case TelemetryCmd::kAdvance: {
+      double virtual_time = 0.0;
+      for (const JsonValue& reply : replies) {
+        virtual_time = std::max(virtual_time, reply.GetDouble("virtual_time", 0.0));
+      }
+      merged.Set("time", JsonValue::MakeNumber(time));
+      merged.Set("virtual_time", JsonValue::MakeNumber(virtual_time));
+      break;
+    }
+    case TelemetryCmd::kDrain: {
+      double jobs = 0.0, terminal = 0.0;
+      for (const JsonValue& reply : replies) {
+        jobs += reply.GetDouble("jobs", 0.0);
+        terminal += reply.GetDouble("terminal", 0.0);
+      }
+      merged.Set("time", JsonValue::MakeNumber(time));
+      merged.Set("jobs", JsonValue::MakeNumber(jobs));
+      merged.Set("terminal", JsonValue::MakeNumber(terminal));
+      break;
+    }
+    case TelemetryCmd::kShutdown:
+      merged.Set("stopping", JsonValue::MakeBool(true));
+      break;
+    case TelemetryCmd::kSnapshot: {
+      // Runs on the last engine thread to finish its part — snapshot writes
+      // are engine-thread file I/O anyway.
+      const Status saved = SaveFleetSnapshot(snapshot_path, snapshot_submit_seq);
+      if (!saved.ok()) {
+        JsonValue failed = StatusReply(saved);
+        EchoSeq(request, failed);
+        return failed;
+      }
+      double commands = 0.0;
+      for (const JsonValue& reply : replies) {
+        commands += reply.GetDouble("commands", 0.0);
+      }
+      merged.Set("path", JsonValue::MakeString(snapshot_path));
+      merged.Set("commands", JsonValue::MakeNumber(commands));
+      merged.Set("time", JsonValue::MakeNumber(time));
+      merged.Set("shards",
+                 JsonValue::MakeNumber(static_cast<double>(shard_count())));
+      merged.Set("clusters",
+                 JsonValue::MakeNumber(static_cast<double>(cluster_count())));
+      break;
+    }
+    default:
+      break;
+  }
+  EchoSeq(request, merged);
+  if (cmd == TelemetryCmd::kAdvance || cmd == TelemetryCmd::kDrain) {
     // Broker round at the barrier: every engine has stepped to the merged
     // time and published its snapshot (publish-before-completion), so the
     // signals are post-barrier. Barrier merges are serialized by the fanout
     // countdown, making the grant/reclaim trace deterministic; the lock only
     // fences concurrent migration completions.
     std::lock_guard<std::mutex> lock(broker_mu_);
-    broker_.Evaluate(merged.GetDouble("time", 0.0), CollectSignals());
+    broker_.Evaluate(time, CollectSignals());
     merged.Set("loans",
                JsonValue::MakeNumber(
                    static_cast<double>(broker_.ledger().loans.size())));
@@ -892,38 +1169,22 @@ JsonValue FederationRouter::MergeFanout(TelemetryCmd cmd,
   return merged;
 }
 
-JsonValue FederationRouter::MergeFederationSnapshot(
-    const JsonValue& request, const std::string& snapshot_path,
-    std::uint64_t snapshot_submit_seq, std::vector<JsonValue>& replies) const {
-  for (std::size_t k = 0; k < replies.size(); ++k) {
-    if (!replies[k].GetBool("ok", false)) {
-      JsonValue failed = replies[k];
-      failed.Set("shard", JsonValue::MakeNumber(static_cast<double>(k)));
-      TakeParts(snapshot_path);
-      EchoSeq(request, failed);
-      return failed;
-    }
-  }
-  StatusOr<std::vector<std::string>> parts = TakeParts(snapshot_path);
+Status FederationRouter::SaveFleetSnapshot(const std::string& path,
+                                           std::uint64_t submit_seq) const {
+  StatusOr<std::vector<std::string>> parts = TakeParts(path);
   if (!parts.ok()) {
-    JsonValue failed = StatusReply(parts.status());
-    EchoSeq(request, failed);
-    return failed;
+    return parts.status();
   }
-
   FedSnapshot fed;
-  fed.submit_seq = snapshot_submit_seq;
-  double time = 0.0, commands = 0.0;
+  fed.submit_seq = submit_seq;
   for (int c = 0; c < cluster_count(); ++c) {
     const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
-    // Per-cluster images carry no routing counter of their own; the
-    // federation counter above covers every cluster.
+    // Per-cluster images carry no routing counter of their own; the fleet
+    // counter above covers every cluster.
     MultiSnapshot multi;
     for (const std::uint32_t e :
          cluster_engines_[static_cast<std::size_t>(c)]) {
       multi.shard_images.push_back(std::move(parts.value()[e]));
-      time = std::max(time, replies[e].GetDouble("time", 0.0));
-      commands += replies[e].GetDouble("commands", 0.0);
     }
     FedClusterImage cluster;
     cluster.name = spec.name;
@@ -933,82 +1194,222 @@ JsonValue FederationRouter::MergeFederationSnapshot(
     cluster.image = EncodeMultiSnapshot(multi);
     fed.clusters.push_back(std::move(cluster));
   }
-  {
-    std::lock_guard<std::mutex> lock(broker_mu_);
-    fed.ledger = broker_.ledger();
-  }
-  const Status saved = SaveFedSnapshot(fed, snapshot_path);
-  if (!saved.ok()) {
-    JsonValue failed = StatusReply(saved);
-    EchoSeq(request, failed);
-    return failed;
-  }
-  JsonValue merged = OkReply();
-  merged.Set("path", JsonValue::MakeString(snapshot_path));
-  merged.Set("commands", JsonValue::MakeNumber(commands));
-  merged.Set("time", JsonValue::MakeNumber(time));
-  merged.Set("shards",
-             JsonValue::MakeNumber(static_cast<double>(shard_count())));
-  merged.Set("clusters",
-             JsonValue::MakeNumber(static_cast<double>(cluster_count())));
-  EchoSeq(request, merged);
-  return merged;
+  fed.ledger = LedgerCopy();
+  return SaveFedSnapshot(fed, path);
 }
 
 JsonValue FederationRouter::ReadReply(const JsonValue& request) const {
   const std::string cmd = request.GetString("cmd");
-  // Intercepted before any base/single-engine delegation: the plain
-  // service's ReadReply answers federation_stats with failed_precondition.
+  // Intercepted before the single-engine delegation: the plain service's
+  // ReadReply answers federation_stats with failed_precondition.
   if (cmd == "federation_stats") {
     return FederationStats(request);
   }
-  JsonValue reply = ShardRouter::ReadReply(request);
-  if (shard_count() > 1 && cmd == "cluster_stats" &&
-      reply.GetBool("ok", false)) {
-    JsonValue clusters = JsonValue::MakeArray();
-    FedLedger ledger;
-    {
-      std::lock_guard<std::mutex> lock(broker_mu_);
-      ledger = broker_.ledger();
-    }
-    for (int c = 0; c < cluster_count(); ++c) {
-      clusters.Append(ClusterInfo(c, ledger));
-    }
-    reply.Set("federation", std::move(clusters));
+  if (shard_count() == 1) {
+    return front()->ReadReply(request);
   }
+  if (cmd == "query_job") {
+    return QueryJob(request);
+  }
+  if (cmd == "cluster_stats") {
+    return MergedClusterStats(request);
+  }
+  if (cmd == "metrics") {
+    return MergedMetrics(request);
+  }
+  if (cmd == "ping") {
+    return MergedPing(request);
+  }
+  if (cmd == "stats_prom") {
+    return MergedStatsProm(request);
+  }
+  if (cmd == "trace_dump") {
+    return MergedTraceDump(request);
+  }
+  // Unknown commands: the front engine produces the standard error reply
+  // (and counts it).
+  return front()->ReadReply(request);
+}
+
+JsonValue FederationRouter::QueryJob(const JsonValue& request) const {
+  const StatusOr<std::int64_t> global = JobIdField(request, "query_job");
+  if (!global.ok()) {
+    return front()->ReadReply(request);  // standard invalid_argument reply
+  }
+  const std::uint32_t engine = ShardOfJob(global.value());
+  JsonValue local_request = request;  // keeps "seq" for the engine's EchoSeq
+  local_request.Replace("job", JsonValue::MakeNumber(static_cast<double>(
+                                   ToLocal(global.value()))));
+  JsonValue reply = shards_[engine]->ReadReply(local_request);
+  RewriteReplyJob(engine, reply);  // also rewrites a not_found's message
+  return reply;
+}
+
+JsonValue FederationRouter::MergedClusterStats(const JsonValue& request) const {
+  JsonValue merged;
+  for (int k = 0; k < shard_count(); ++k) {
+    const std::shared_ptr<const StateSnapshot> snap = shards_[k]->snapshot();
+    if (snap == nullptr || shards_[k]->stopped()) {
+      return StoppedReply(request);
+    }
+    JsonValue piece = SnapshotClusterStatsReply(*snap);
+    if (k == 0) {
+      merged = std::move(piece);
+    } else {
+      MergeNumeric(merged, piece);
+    }
+  }
+  front()->CountRead();
+  EchoSeq(request, merged);
+  JsonValue clusters = JsonValue::MakeArray();
+  const FedLedger ledger = LedgerCopy();
+  for (int c = 0; c < cluster_count(); ++c) {
+    clusters.Append(ClusterInfo(c, ledger));
+  }
+  merged.Set("federation", std::move(clusters));
+  return merged;
+}
+
+JsonValue FederationRouter::MergedMetrics(const JsonValue& request) const {
+  JsonValue engine;
+  double time = 0.0, metrics_time = 0.0, command_log = 0.0;
+  for (int k = 0; k < shard_count(); ++k) {
+    const std::shared_ptr<const StateSnapshot> snap = shards_[k]->snapshot();
+    if (snap == nullptr || shards_[k]->stopped()) {
+      return StoppedReply(request);
+    }
+    time = std::max(time, snap->time);
+    metrics_time = std::max(metrics_time, snap->metrics_time);
+    command_log += static_cast<double>(snap->command_log_size);
+    const JsonValue piece = snap->engine_metrics != nullptr
+                                ? *snap->engine_metrics
+                                : JsonValue::MakeNull();
+    if (k == 0) {
+      engine = piece;
+    } else {
+      MergeNumeric(engine, piece);
+    }
+  }
+  const SchedulerService::Stats stats = AggregateStats();
+  JsonValue reply = OkReply();
+  reply.Set("time", JsonValue::MakeNumber(time));
+  reply.Set("engine", std::move(engine));
+  JsonValue service = JsonValue::MakeObject();
+  service.Set("commands_applied", JsonValue::MakeNumber(
+                                      static_cast<double>(stats.commands_applied)));
+  service.Set("jobs_submitted",
+              JsonValue::MakeNumber(static_cast<double>(stats.jobs_submitted)));
+  service.Set("jobs_cancelled",
+              JsonValue::MakeNumber(static_cast<double>(stats.jobs_cancelled)));
+  service.Set("rejected_overload",
+              JsonValue::MakeNumber(static_cast<double>(stats.rejected_overload)));
+  service.Set("command_errors",
+              JsonValue::MakeNumber(static_cast<double>(stats.command_errors)));
+  service.Set("reads_served",
+              JsonValue::MakeNumber(static_cast<double>(stats.reads_served)));
+  service.Set("snapshots_published",
+              JsonValue::MakeNumber(
+                  static_cast<double>(stats.snapshots_published)));
+  service.Set("queue_depth",
+              JsonValue::MakeNumber(static_cast<double>(stats.queue_depth)));
+  service.Set("queue_peak",
+              JsonValue::MakeNumber(static_cast<double>(stats.queue_peak)));
+  service.Set("command_log", JsonValue::MakeNumber(command_log));
+  service.Set("driver", JsonValue::MakeString(front()->driver_name()));
+  service.Set("shards",
+              JsonValue::MakeNumber(static_cast<double>(shard_count())));
+  reply.Set("service", std::move(service));
+  reply.Set("metrics_time", JsonValue::MakeNumber(metrics_time));
+  front()->CountRead();
+  EchoSeq(request, reply);
+  return reply;
+}
+
+JsonValue FederationRouter::MergedPing(const JsonValue& request) const {
+  JsonValue shards = JsonValue::MakeArray();
+  double time = 0.0, virtual_time = 0.0, snapshot_seq = 0.0;
+  double commands_applied = 0.0;
+  for (int k = 0; k < shard_count(); ++k) {
+    const std::shared_ptr<const StateSnapshot> snap = shards_[k]->snapshot();
+    if (snap == nullptr || shards_[k]->stopped()) {
+      return StoppedReply(request);
+    }
+    const SchedulerService::Stats stats = shards_[k]->stats();
+    const double shard_virtual = shards_[k]->driver()->Now();
+    time = std::max(time, snap->time);
+    virtual_time = std::max(virtual_time, shard_virtual);
+    snapshot_seq = std::max(snapshot_seq, static_cast<double>(snap->version));
+    commands_applied += static_cast<double>(stats.commands_applied);
+    JsonValue entry = JsonValue::MakeObject();
+    entry.Set("shard", JsonValue::MakeNumber(static_cast<double>(k)));
+    entry.Set("commands_applied",
+              JsonValue::MakeNumber(static_cast<double>(stats.commands_applied)));
+    entry.Set("snapshot_seq",
+              JsonValue::MakeNumber(static_cast<double>(snap->version)));
+    entry.Set("virtual_time", JsonValue::MakeNumber(shard_virtual));
+    shards.Append(std::move(entry));
+  }
+  JsonValue reply = OkReply();
+  reply.Set("time", JsonValue::MakeNumber(time));
+  reply.Set("virtual_time", JsonValue::MakeNumber(virtual_time));
+  reply.Set("driver", JsonValue::MakeString(front()->driver_name()));
+  reply.Set("uptime_s", JsonValue::MakeNumber(front()->UptimeSeconds()));
+  reply.Set("commands_applied", JsonValue::MakeNumber(commands_applied));
+  reply.Set("snapshot_seq", JsonValue::MakeNumber(snapshot_seq));
+  reply.Set("scheduler",
+            JsonValue::MakeString(front()->options().engine.scheduler));
+  reply.Set("reclaim", JsonValue::MakeString(front()->options().engine.reclaim));
+  reply.Set("shard_count",
+            JsonValue::MakeNumber(static_cast<double>(shard_count())));
+  reply.Set("shards", std::move(shards));
+  front()->CountRead();
+  EchoSeq(request, reply);
+  return reply;
+}
+
+JsonValue FederationRouter::MergedStatsProm(const JsonValue& request) const {
+  if (front()->snapshot() == nullptr || front()->stopped()) {
+    return StoppedReply(request);
+  }
+  JsonValue reply = OkReply();
+  reply.Set("text", JsonValue::MakeString(RenderPromText()));
+  front()->CountRead();
+  EchoSeq(request, reply);
+  return reply;
+}
+
+JsonValue FederationRouter::MergedTraceDump(const JsonValue& request) const {
+  const std::string path = request.GetString("path");
+  if (path.empty()) {
+    return front()->ReadReply(request);  // standard invalid_argument reply
+  }
+  double spans = 0.0;
+  for (int k = 0; k < shard_count(); ++k) {
+    const StatusOr<std::size_t> dumped =
+        shards_[k]->DumpFlightRecorder(EnginePath(path, k));
+    if (!dumped.ok()) {
+      front()->CountProtocolError();
+      JsonValue reply = StatusReply(dumped.status());
+      EchoSeq(request, reply);
+      return reply;
+    }
+    spans += static_cast<double>(dumped.value());
+  }
+  JsonValue reply = OkReply();
+  reply.Set("path", JsonValue::MakeString(path));
+  reply.Set("spans", JsonValue::MakeNumber(spans));
+  reply.Set("shards", JsonValue::MakeNumber(static_cast<double>(shard_count())));
+  front()->CountRead();
+  EchoSeq(request, reply);
   return reply;
 }
 
 JsonValue FederationRouter::ClusterInfo(int c, const FedLedger& ledger) const {
   const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
-  std::array<std::uint64_t, 4> states{};
-  PoolCounters pool;
-  for (const std::uint32_t e : cluster_engines_[static_cast<std::size_t>(c)]) {
-    const std::shared_ptr<const StateSnapshot> snap =
-        shard(static_cast<int>(e))->snapshot();
-    if (snap == nullptr) {
-      continue;
-    }
-    for (std::size_t s = 0; s < states.size(); ++s) {
-      states[s] += snap->state_counts[s];
-    }
-    const PoolCounters& from = spec.kind == ClusterKind::kInference
-                                   ? snap->inference
-                                   : snap->training;
-    pool.servers += from.servers;
-    pool.total_gpus += from.total_gpus;
-    pool.used_gpus += from.used_gpus;
-    pool.free_gpus += from.free_gpus;
-  }
-  std::int64_t loaned = 0, borrowed = 0;
-  for (const FedLoan& loan : ledger.loans) {
-    if (loan.lender == static_cast<std::uint32_t>(c)) {
-      loaned += loan.gpus;
-    }
-    if (loan.borrower == static_cast<std::uint32_t>(c)) {
-      borrowed += loan.gpus;
-    }
-  }
+  const ClusterTotals totals = Totals(c);
+  const std::array<std::uint64_t, 4>& states = totals.states;
+  const PoolCounters& pool = totals.pool;
+  const auto cluster = static_cast<std::uint32_t>(c);
 
   JsonValue info = JsonValue::MakeObject();
   info.Set("cluster", JsonValue::MakeNumber(static_cast<double>(c)));
@@ -1031,17 +1432,17 @@ JsonValue FederationRouter::ClusterInfo(int c, const FedLedger& ledger) const {
   gpus.Set("used", JsonValue::MakeNumber(static_cast<double>(pool.used_gpus)));
   gpus.Set("free", JsonValue::MakeNumber(static_cast<double>(pool.free_gpus)));
   info.Set("gpus", std::move(gpus));
-  info.Set("loaned", JsonValue::MakeNumber(static_cast<double>(loaned)));
-  info.Set("borrowed", JsonValue::MakeNumber(static_cast<double>(borrowed)));
+  info.Set("loaned", JsonValue::MakeNumber(static_cast<double>(
+                         LoanGpus(ledger, &FedLoan::lender, cluster))));
+  info.Set("borrowed", JsonValue::MakeNumber(static_cast<double>(
+                           LoanGpus(ledger, &FedLoan::borrower, cluster))));
   return info;
 }
 
 JsonValue FederationRouter::FederationStats(const JsonValue& request) const {
   for (int k = 0; k < shard_count(); ++k) {
     if (shard(k)->snapshot() == nullptr || shard(k)->stopped()) {
-      JsonValue reply = ErrorReply("unavailable", "service is stopped");
-      EchoSeq(request, reply);
-      return reply;
+      return StoppedReply(request);
     }
   }
   FedLedger ledger;
@@ -1106,16 +1507,24 @@ JsonValue FederationRouter::FederationStats(const JsonValue& request) const {
 }
 
 std::string FederationRouter::RenderPromText() const {
-  std::string text = ShardRouter::RenderPromText();
-  FedLedger ledger;
-  {
-    std::lock_guard<std::mutex> lock(broker_mu_);
-    ledger = broker_.ledger();
+  if (shard_count() == 1) {
+    return RenderPrometheus(*front());
+  }
+  std::string text = RenderPrometheus(*this);
+  const FedLedger ledger = LedgerCopy();
+  std::vector<ClusterTotals> totals;
+  for (int c = 0; c < cluster_count(); ++c) {
+    totals.push_back(Totals(c));
   }
   char buf[64];
   const auto num = [&buf](double v) {
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return std::string(buf);
+  };
+  // Opens a per-cluster sample: `family{cluster="<name>"` plus `labels`.
+  const auto sample = [this](const char* family, int c, const std::string& labels) {
+    return std::string(family) + "{cluster=\"" +
+           clusters_[static_cast<std::size_t>(c)].name + "\"" + labels + "} ";
   };
 
   text += "# HELP lyra_fed_clusters Clusters in the federation.\n";
@@ -1124,41 +1533,27 @@ std::string FederationRouter::RenderPromText() const {
   text += "# HELP lyra_fed_cluster_info Cluster identity (value is always 1).\n";
   text += "# TYPE lyra_fed_cluster_info gauge\n";
   for (int c = 0; c < cluster_count(); ++c) {
-    const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
-    text += "lyra_fed_cluster_info{cluster=\"" + spec.name + "\",kind=\"" +
-            ClusterKindName(spec.kind) + "\"} 1\n";
+    const char* kind = ClusterKindName(clusters_[static_cast<std::size_t>(c)].kind);
+    text += sample("lyra_fed_cluster_info", c, ",kind=\"" + std::string(kind) + "\"") +
+            "1\n";
   }
   text += "# HELP lyra_fed_jobs Jobs by cluster and state.\n";
   text += "# TYPE lyra_fed_jobs gauge\n";
   for (int c = 0; c < cluster_count(); ++c) {
-    const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
-    std::array<std::uint64_t, 4> states{};
-    for (const std::uint32_t e :
-         cluster_engines_[static_cast<std::size_t>(c)]) {
-      const std::shared_ptr<const StateSnapshot> snap =
-          shard(static_cast<int>(e))->snapshot();
-      if (snap == nullptr) {
-        continue;
-      }
-      for (std::size_t s = 0; s < states.size(); ++s) {
-        states[s] += snap->state_counts[s];
-      }
-    }
-    for (std::size_t s = 0; s < states.size(); ++s) {
-      text += "lyra_fed_jobs{cluster=\"" + spec.name + "\",state=\"" +
-              JobStateLabel(static_cast<int>(s)) + "\"} " +
-              num(static_cast<double>(states[s])) + "\n";
+    for (std::size_t s = 0; s < totals[c].states.size(); ++s) {
+      text += sample("lyra_fed_jobs", c,
+                     ",state=\"" + std::string(JobStateLabel(static_cast<int>(s))) +
+                         "\"") +
+              num(static_cast<double>(totals[c].states[s])) + "\n";
     }
   }
   text += "# HELP lyra_fed_gpus GPUs by cluster and pool counter.\n";
   text += "# TYPE lyra_fed_gpus gauge\n";
   for (int c = 0; c < cluster_count(); ++c) {
-    const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
-    const LoanBroker::ClusterSignal signal = SignalFor(c);
-    text += "lyra_fed_gpus{cluster=\"" + spec.name + "\",pool=\"total\"} " +
-            num(static_cast<double>(signal.total_gpus)) + "\n";
-    text += "lyra_fed_gpus{cluster=\"" + spec.name + "\",pool=\"free\"} " +
-            num(static_cast<double>(signal.free_gpus)) + "\n";
+    text += sample("lyra_fed_gpus", c, ",pool=\"total\"") +
+            num(totals[c].pool.total_gpus) + "\n";
+    text += sample("lyra_fed_gpus", c, ",pool=\"free\"") +
+            num(totals[c].pool.free_gpus) + "\n";
   }
   text += "# HELP lyra_fed_gpus_loaned GPUs currently lent out, by lender.\n";
   text += "# TYPE lyra_fed_gpus_loaned gauge\n";
@@ -1166,20 +1561,14 @@ std::string FederationRouter::RenderPromText() const {
       "# HELP lyra_fed_gpus_borrowed GPUs currently borrowed, by borrower.\n";
   text += "# TYPE lyra_fed_gpus_borrowed gauge\n";
   for (int c = 0; c < cluster_count(); ++c) {
-    const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
-    std::int64_t loaned = 0, borrowed = 0;
-    for (const FedLoan& loan : ledger.loans) {
-      if (loan.lender == static_cast<std::uint32_t>(c)) {
-        loaned += loan.gpus;
-      }
-      if (loan.borrower == static_cast<std::uint32_t>(c)) {
-        borrowed += loan.gpus;
-      }
-    }
-    text += "lyra_fed_gpus_loaned{cluster=\"" + spec.name + "\"} " +
-            num(static_cast<double>(loaned)) + "\n";
-    text += "lyra_fed_gpus_borrowed{cluster=\"" + spec.name + "\"} " +
-            num(static_cast<double>(borrowed)) + "\n";
+    const auto cluster = static_cast<std::uint32_t>(c);
+    text += sample("lyra_fed_gpus_loaned", c, "") +
+            num(static_cast<double>(LoanGpus(ledger, &FedLoan::lender, cluster))) +
+            "\n";
+    text += sample("lyra_fed_gpus_borrowed", c, "") +
+            num(static_cast<double>(
+                LoanGpus(ledger, &FedLoan::borrower, cluster))) +
+            "\n";
   }
   text += "# HELP lyra_fed_loans_active Outstanding cross-cluster loans.\n";
   text += "# TYPE lyra_fed_loans_active gauge\n";
@@ -1200,7 +1589,122 @@ std::string FederationRouter::RenderPromText() const {
   return text;
 }
 
+JsonValue FederationRouter::Execute(const JsonValue& request) {
+  const TelemetryCmd tcmd = TelemetryCmdFromName(request.GetString("cmd"));
+  if (SchedulerService::Classify(tcmd) != SchedulerService::CmdClass::kEngine) {
+    return ReadReply(request);
+  }
+  Plan plan = RouteEngine(tcmd, request);
+  // Synchronous callers take the authoritative per-engine rejection rather
+  // than the advisory shed (there is no canned-reply fast path to protect).
+  plan.shed = false;
+  JsonValue mutable_request = request;
+  const std::uint32_t shard = BeginEngine(mutable_request, plan);
+  auto waiter = std::make_shared<WaitSink>();
+  DispatchEngine(plan, shard, std::move(mutable_request), waiter, 0, 0);
+  JsonValue reply = waiter->Wait();
+  if (plan.rewrite_job) {
+    RewriteReplyJob(shard, reply);
+  }
+  return reply;
+}
+
+bool FederationRouter::AnySaturated() const {
+  for (const SchedulerService* engine : shards_) {
+    if (engine->EngineSaturated()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::size_t FederationRouter::QueueDepthHint() const {
+  std::size_t depth = 0;
+  for (const SchedulerService* engine : shards_) {
+    depth += engine->QueueDepthHint();
+  }
+  return depth;
+}
+
+SchedulerService::Stats FederationRouter::AggregateStats() const {
+  SchedulerService::Stats total;
+  for (const SchedulerService* engine : shards_) {
+    const SchedulerService::Stats stats = engine->stats();
+    total.commands_applied += stats.commands_applied;
+    total.jobs_submitted += stats.jobs_submitted;
+    total.jobs_cancelled += stats.jobs_cancelled;
+    total.rejected_overload += stats.rejected_overload;
+    total.command_errors += stats.command_errors;
+    total.reads_served += stats.reads_served;
+    total.snapshots_published += stats.snapshots_published;
+    total.queue_depth += stats.queue_depth;
+    total.queue_peak = std::max(total.queue_peak, stats.queue_peak);
+  }
+  return total;
+}
+
 // --- Build / restore ------------------------------------------------------
+
+std::vector<ClusterSpec> SingleCluster(int shards) {
+  ClusterSpec cluster;
+  cluster.name = "train0";
+  cluster.shards = shards;
+  return {cluster};
+}
+
+std::string EnginePath(const std::string& path, int engine) {
+  return engine == 0 || path.empty() ? path
+                                     : path + ".shard" + std::to_string(engine);
+}
+
+namespace {
+
+// Reads any fleet snapshot file as a LYRAFED container: a LYRAFED file as
+// is, and a plain LYRASNAP image or a LYRASHRD file (what sharded daemons
+// wrote before LYRAFED covered them) as SingleCluster of its engines, with
+// the file's routing counter.
+StatusOr<FedSnapshot> LoadFleetSnapshot(const std::string& path) {
+  StatusOr<std::string> file = ReadFile(path);
+  if (!file.ok()) {
+    return file.status();
+  }
+  if (HasMagic(kFedSnapshotFormat, file.value())) {
+    return DecodeFedSnapshot(file.value(), path);
+  }
+  StatusOr<MultiSnapshot> multi = DecodeMultiSnapshot(file.value(), path);
+  if (!multi.ok()) {
+    return multi.status();
+  }
+  const ClusterSpec spec =
+      SingleCluster(static_cast<int>(multi.value().shard_images.size()))[0];
+  FedSnapshot fed;
+  fed.submit_seq = multi.value().submit_seq;
+  FedClusterImage cluster;
+  cluster.name = spec.name;
+  cluster.kind = static_cast<std::uint8_t>(spec.kind);
+  cluster.shards = static_cast<std::uint32_t>(spec.shards);
+  cluster.image = std::move(file.value());
+  fed.clusters.push_back(std::move(cluster));
+  return fed;
+}
+
+// Wraps the fleet's engines in a router over `clusters` and configures the
+// loan predictor `base` names.
+Status AttachRouter(FederationSet& set, std::vector<ClusterSpec> clusters,
+                    const ServiceOptions& base) {
+  std::vector<SchedulerService*> pointers;
+  pointers.reserve(set.services.size());
+  for (const auto& service : set.services) {
+    pointers.push_back(service.get());
+  }
+  set.router =
+      std::make_unique<FederationRouter>(std::move(pointers), std::move(clusters));
+  return base.loan_predictor.empty()
+             ? Status::Ok()
+             : set.router->ConfigureLoanPredictor(base.loan_predictor);
+}
+
+}  // namespace
 
 StatusOr<FederationSet> BuildFederation(
     const ServiceOptions& base, const std::vector<ClusterSpec>& clusters,
@@ -1234,39 +1738,23 @@ StatusOr<FederationSet> BuildFederation(
   }
 
   FederationSet set;
-  int k = 0;
-  for (const ClusterSpec& cluster : clusters) {
-    for (int s = 0; s < cluster.shards; ++s) {
-      ServiceOptions options = base;
-      // Flat-index seed discipline, matching BuildShardSet: engine 0 keeps
-      // the base seed, so a one-engine federation is the unsharded service.
-      options.engine.seed = base.engine.seed + static_cast<std::uint64_t>(k);
-      if (!base.trace_path.empty() && k > 0) {
-        options.trace_path = base.trace_path + ".fed" + std::to_string(k);
-      }
-      auto service = std::make_unique<SchedulerService>(std::move(options),
-                                                        make_driver(k));
-      const Status started = service->Start();
-      if (!started.ok()) {
-        return started;
-      }
-      set.services.push_back(std::move(service));
-      ++k;
+  for (int k = 0; k < total; ++k) {
+    ServiceOptions options = base;
+    // Independent deterministic streams per engine; engine 0 keeps the base
+    // seed so a one-engine fleet is the plain service exactly.
+    options.engine.seed = base.engine.seed + static_cast<std::uint64_t>(k);
+    options.trace_path = EnginePath(base.trace_path, k);
+    auto service =
+        std::make_unique<SchedulerService>(std::move(options), make_driver(k));
+    const Status started = service->Start();
+    if (!started.ok()) {
+      return started;  // ~FederationSet stops the engines already started
     }
+    set.services.push_back(std::move(service));
   }
-  std::vector<SchedulerService*> pointers;
-  pointers.reserve(set.services.size());
-  for (const auto& service : set.services) {
-    pointers.push_back(service.get());
-  }
-  set.router =
-      std::make_unique<FederationRouter>(std::move(pointers), clusters);
-  if (!base.loan_predictor.empty()) {
-    const Status configured =
-        set.router->ConfigureLoanPredictor(base.loan_predictor);
-    if (!configured.ok()) {
-      return configured;
-    }
+  const Status attached = AttachRouter(set, clusters, base);
+  if (!attached.ok()) {
+    return attached;
   }
   return set;
 }
@@ -1274,11 +1762,14 @@ StatusOr<FederationSet> BuildFederation(
 StatusOr<FederationSet> RestoreFederation(
     const ServiceOptions& base, const std::string& snapshot_path,
     const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver) {
-  StatusOr<FedSnapshot> loaded = LoadFedSnapshot(snapshot_path);
+  StatusOr<FedSnapshot> loaded = LoadFleetSnapshot(snapshot_path);
   if (!loaded.ok()) {
     return loaded.status();
   }
   const FedSnapshot& fed = loaded.value();
+  // A one-engine fleet names errors after the file alone, as the plain
+  // service's restore does.
+  const bool single = fed.clusters.size() == 1 && fed.clusters[0].shards == 1;
 
   std::vector<ClusterSpec> clusters;
   FederationSet set;
@@ -1307,15 +1798,14 @@ StatusOr<FederationSet> RestoreFederation(
     }
     for (std::size_t s = 0; s < multi.value().shard_images.size(); ++s) {
       ServiceOptions options = base;
-      if (!base.trace_path.empty() && k > 0) {
-        options.trace_path = base.trace_path + ".fed" + std::to_string(k);
-      }
-      auto service = std::make_unique<SchedulerService>(std::move(options),
-                                                        make_driver(k));
+      options.trace_path = EnginePath(base.trace_path, k);
+      auto service =
+          std::make_unique<SchedulerService>(std::move(options), make_driver(k));
       const Status restored = service->RestoreBytes(
           multi.value().shard_images[s],
-          snapshot_path + " (cluster " + cluster.name + " shard " +
-              std::to_string(s) + ")");
+          single ? snapshot_path
+                 : snapshot_path + " (cluster " + cluster.name + " shard " +
+                       std::to_string(s) + ")");
       if (!restored.ok()) {
         return restored;
       }
@@ -1329,38 +1819,16 @@ StatusOr<FederationSet> RestoreFederation(
                             std::to_string(k));
   }
 
-  std::vector<SchedulerService*> pointers;
-  pointers.reserve(set.services.size());
-  for (const auto& service : set.services) {
-    pointers.push_back(service.get());
+  const Status attached = AttachRouter(set, std::move(clusters), base);
+  if (!attached.ok()) {
+    return attached;
   }
-  auto router = std::make_unique<FederationRouter>(std::move(pointers),
-                                                   std::move(clusters));
-  router->set_submit_seq(fed.submit_seq);
-  if (!base.loan_predictor.empty()) {
-    const Status configured =
-        router->ConfigureLoanPredictor(base.loan_predictor);
-    if (!configured.ok()) {
-      return configured;
-    }
-  }
-  router->RestoreLedger(fed.ledger);
+  set.router->set_submit_seq(fed.submit_seq);
+  set.router->RestoreLedger(fed.ledger);
   // A crash between a snapshot and a cluster-set change can persist loans
   // against clusters that no longer exist; drop them before serving.
-  router->ReconcileBroker();
-  set.router = std::move(router);
+  set.router->ReconcileBroker();
   return set;
-}
-
-bool IsFedSnapshotFile(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    return false;
-  }
-  char magic[8] = {};
-  const std::size_t n = std::fread(magic, 1, sizeof(magic), in);
-  std::fclose(in);
-  return HasMagic(kFedSnapshotFormat, std::string_view(magic, n));
 }
 
 }  // namespace lyra::svc

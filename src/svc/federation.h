@@ -1,21 +1,16 @@
-// Multi-cluster federation for the online scheduler service (DESIGN.md §11).
+// Engine fleets for the online scheduler service (DESIGN.md §10): one
+// router for the plain daemon, `--shards=N`, and `--federation=<spec>`.
 //
 // Lyra loans capacity from one inference cluster to one training cluster;
-// Aryl (PAPERS.md) generalizes the pattern to a fleet. A FederationRouter
-// runs N inference + M training clusters — each cluster its own group of
-// single-writer SchedulerService engines, reusing the ShardRouter's
-// engine-pool plumbing — behind the one epoll front end:
+// Aryl (PAPERS.md) generalizes the pattern to a fleet, of which a single
+// cluster is the smallest case. Every daemon is a list of ClusterSpecs —
+// each cluster its own group of single-writer SchedulerService engines —
+// behind the one epoll front end:
 //
 //   - Submits route by explicit "cluster" field (name or index) or by job
 //     kind ("kind": "inference" | "training", default training); within the
-//     chosen engine set the key hash / submit counter picks the engine with
-//     the same FNV-1a discipline engine sharding uses, so routing stays a
-//     pure function of (cluster, key | sequence).
-//   - Global job ids keep PR 8's arithmetic over the *flat* engine pool
-//     (G = L * E + e); the engine index e now carries the cluster dimension,
-//     since each cluster owns a contiguous engine range. At E == 1 the
-//     scheme degrades to the plain service's raw ids, and every reply byte
-//     matches an unsharded SchedulerService run (conformance-tested).
+//     chosen engine set the key hash / submit counter picks the engine, so
+//     routing stays a pure function of (cluster, key | sequence).
 //   - A LoanBroker matches training demand (pending jobs) against inference
 //     clusters' idle capacity under per-cluster loan priorities, reclaims
 //     loans when an inference cluster's free pool dips into its reserve
@@ -27,13 +22,15 @@
 //     cancel on the source engine, resubmit on the destination with the
 //     remaining work plus a checkpoint cost (cheap when the job
 //     checkpoints, expensive when it must recompute).
-//   - `snapshot` gathers per-engine images into per-cluster LYRASHRD
-//     containers nested in one LYRAFED file together with the broker ledger
-//     and routing counter; a warm restart rebuilds every cluster
+//   - `snapshot` writes one container: a plain LYRASNAP image at one
+//     engine, a LYRAFED file otherwise (per-cluster images, broker ledger
+//     and routing counter), so a warm restart rebuilds every engine
 //     byte-identically and resumes loans mid-flight.
 #ifndef SRC_SVC_FEDERATION_H_
 #define SRC_SVC_FEDERATION_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -44,8 +41,9 @@
 #include "src/common/json.h"
 #include "src/common/status.h"
 #include "src/predict/predictor.h"
-#include "src/svc/shard_router.h"
+#include "src/svc/service.h"
 #include "src/svc/snapshot.h"
+#include "src/svc/telemetry.h"
 
 namespace lyra::svc {
 
@@ -160,15 +158,53 @@ class LoanBroker {
   std::vector<std::unique_ptr<UsagePredictor>> predictors_;
 };
 
-// The federation front end: a ShardRouter over the flat engine pool whose
-// routing, barriers, reads, and snapshots are cluster-aware. Drop-in for
-// the EventLoop (which only sees the ShardRouter interface).
-class FederationRouter : public ShardRouter {
+// The one front end for every daemon: a router over a flat pool of
+// single-writer SchedulerService engines, grouped into clusters that own
+// contiguous engine ranges in spec order. A plain daemon is one training
+// cluster "train0" of one engine, and `--shards=N` is one training cluster
+// of N engines (`--federation=0x1@N`).
+//
+//   - Job ids returned to clients are global: G = L * E + e over the flat
+//     pool of E engines, so e = G mod E and the id carries its own route.
+//     At E == 1 global and local coincide.
+//   - submit routes to its target cluster's engines (see TargetEngines) by
+//     an FNV-1a hash of the client's "key" string when present, of the
+//     router's monotone submit counter otherwise; cancel and query_job route
+//     by the engine encoded in the job id.
+//   - cluster_stats / metrics / ping / stats_prom merge the per-engine
+//     snapshots and telemetry registries at read time, off the engine
+//     threads; trace_dump writes one file per engine.
+//   - advance / drain / snapshot / shutdown fan out to every engine behind a
+//     completion barrier. The broker evaluates at advance/drain barriers;
+//     `snapshot` gathers the per-engine images into one LYRAFED container
+//     together with the submit counter and the broker ledger.
+//   - At one engine every engine command except migrate goes straight to
+//     engine 0 and every read except federation_stats is delegated to it,
+//     so the reply bytes, the LYRASNAP snapshot file and the /metrics
+//     exposition are the plain service's.
+//
+// Dispatch is two-phase so the submit counter can never desynchronize from
+// the engine a command actually ran on: RouteEngine is side-effect-free (the
+// shed check peeks the counter), BeginEngine consumes it and returns the
+// authoritative engine, and only then is the command enqueued. The caller
+// must finish initializing its per-request state (the event loop's reply
+// slot) between BeginEngine and DispatchEngine, because a saturated engine
+// delivers its rejection inline, before DispatchEngine returns.
+class FederationRouter {
  public:
-  // `engines` is the flat pool; clusters own contiguous ranges in spec
-  // order (sum of spec shards must equal engines.size()).
+  // `engines` is the flat pool and must outlive the router; the clusters'
+  // shard counts must sum to engines.size().
   FederationRouter(std::vector<SchedulerService*> engines,
                    std::vector<ClusterSpec> clusters);
+
+  FederationRouter(const FederationRouter&) = delete;
+  FederationRouter& operator=(const FederationRouter&) = delete;
+
+  int shard_count() const { return static_cast<int>(shards_.size()); }
+  SchedulerService* shard(int i) const { return shards_[static_cast<std::size_t>(i)]; }
+  // Engine 0 doubles as the front end's home service: I/O-thread telemetry,
+  // protocol-error counts, and identity fields all live there.
+  SchedulerService* front() const { return shards_.front(); }
 
   int cluster_count() const { return static_cast<int>(clusters_.size()); }
   const ClusterSpec& cluster_spec(int c) const {
@@ -182,6 +218,94 @@ class FederationRouter : public ShardRouter {
   }
   int FindCluster(const std::string& name) const;  // -1 when unknown
 
+  // --- Job-id arithmetic (ids are validated by JobIdField first) --------
+
+  std::int64_t ToGlobal(std::int64_t local, std::uint32_t engine) const {
+    return local * shard_count() + static_cast<std::int64_t>(engine);
+  }
+  std::int64_t ToLocal(std::int64_t global) const {
+    return global / shard_count();
+  }
+  std::uint32_t ShardOfJob(std::int64_t global) const {
+    return static_cast<std::uint32_t>(global % shard_count());
+  }
+
+  // --- Engine-command dispatch (two-phase) ------------------------------
+
+  struct Plan {
+    TelemetryCmd cmd = TelemetryCmd::kOther;
+    bool shed = false;         // target saturated: answer canned, enqueue nothing
+    bool fanout = false;       // barrier command (advance/drain/snapshot/shutdown)
+    bool rewrite_job = false;  // reply "job" needs the local->global rewrite
+    bool reject = false;       // invalid target: DispatchEngine answers inline
+    std::uint32_t shard = 0;   // advisory target (authoritative after Begin)
+    // Keyless submit at E > 1: the target cluster's engines, one of which
+    // BeginEngine picks by the submit counter.
+    const std::vector<std::uint32_t>* counter_targets = nullptr;
+  };
+
+  // Phase 1: pure routing decision, no side effects. For keyless submits the
+  // counter is peeked, not consumed — a shed frame must not burn a sequence
+  // number or replay-after-restore would route differently than the
+  // uninterrupted run.
+  Plan RouteEngine(TelemetryCmd cmd, const JsonValue& request) const;
+
+  // Phase 2: consumes the submit counter where routing is counter-based and
+  // rewrites the request's "job" from global to local in place (cancel).
+  // Returns the authoritative engine (0 for fanout commands).
+  std::uint32_t BeginEngine(JsonValue& request, const Plan& plan);
+
+  // Phase 3: enqueue. Single-engine commands go to that engine's
+  // ExecuteAsync, migrate starts its cancel/resubmit chain, and fanout
+  // commands are copied to every engine behind a barrier sink that merges
+  // the replies and delivers once to `sink` with (a, b). Inline rejections
+  // can invoke the sink before this returns.
+  void DispatchEngine(const Plan& plan, std::uint32_t shard, JsonValue request,
+                      std::shared_ptr<SchedulerService::CompletionSink> sink,
+                      std::uint64_t a, std::uint64_t b);
+
+  // Reply-side id rewrite (local -> global) for replies from `shard`.
+  // No-op when the reply has no numeric "job" (error replies) or E == 1.
+  void RewriteReplyJob(std::uint32_t shard, JsonValue& reply) const;
+
+  // --- Reads ------------------------------------------------------------
+
+  // Read-only answer: federation_stats here, everything else delegated to
+  // engine 0 at E == 1 and merged across engines otherwise.
+  JsonValue ReadReply(const JsonValue& request) const;
+
+  // The Prometheus exposition /metrics and stats_prom serve: the plain
+  // service's at E == 1, the shard-merged one plus the lyra_fed_* families
+  // otherwise.
+  std::string RenderPromText() const;
+
+  // Synchronous convenience for tools and tests (mirrors
+  // SchedulerService::Execute, including reply-id rewrites and barriers).
+  JsonValue Execute(const JsonValue& request);
+
+  // --- Front-end hints and aggregates -----------------------------------
+
+  // True when any engine's queue is at capacity: the event loop gates reads
+  // on this, deliberately conservative — with per-frame routing unknown at
+  // gate time, one saturated engine stalls intake rather than letting its
+  // frames pile up as rejections.
+  bool AnySaturated() const;
+
+  // Sum of the per-engine racy queue depths (telemetry annotations).
+  std::size_t QueueDepthHint() const;
+
+  // Per-engine stats summed (queue_peak is a max).
+  SchedulerService::Stats AggregateStats() const;
+
+  // Routing sequence for keyless submits; persisted in the snapshot
+  // container and restored by RestoreFederation.
+  std::uint64_t submit_seq() const {
+    return submit_seq_.load(std::memory_order_relaxed);
+  }
+  void set_submit_seq(std::uint64_t seq) {
+    submit_seq_.store(seq, std::memory_order_relaxed);
+  }
+
   // Thread-safe pass-through to LoanBroker::ConfigurePredictor.
   Status ConfigureLoanPredictor(const std::string& name);
 
@@ -192,22 +316,9 @@ class FederationRouter : public ShardRouter {
   // Post-restore loan reconciliation at the engines' current frontier.
   void ReconcileBroker();
 
-  Plan RouteEngine(TelemetryCmd cmd, const JsonValue& request) const override;
-  std::uint32_t BeginEngine(TelemetryCmd cmd, JsonValue& request,
-                            const Plan& plan) override;
-  void DispatchEngine(const Plan& plan, std::uint32_t shard, JsonValue request,
-                      std::shared_ptr<SchedulerService::CompletionSink> sink,
-                      std::uint64_t a, std::uint64_t b) override;
-  JsonValue ReadReply(const JsonValue& request) const override;
-  std::string RenderPromText() const override;
-
- protected:
-  JsonValue MergeFanout(TelemetryCmd cmd, const JsonValue& request,
-                        const std::string& snapshot_path,
-                        std::uint64_t snapshot_submit_seq,
-                        std::vector<JsonValue>& replies) const override;
-
  private:
+  class FanoutSink;
+  class WaitSink;
   class MigrationSink;
 
   // Candidate engines for a submit: the explicit cluster's range, or every
@@ -218,18 +329,46 @@ class FederationRouter : public ShardRouter {
   void StartMigration(JsonValue request,
                       std::shared_ptr<SchedulerService::CompletionSink> sink,
                       std::uint64_t a, std::uint64_t b);
+
+  // Merges the fanout replies into the client's one (called by the last
+  // engine to complete, on its engine thread). Barrier merges are strictly
+  // sequential across fanout commands — the merging thread only delivers
+  // the next barrier after finishing this one — so the broker's rounds run
+  // in a deterministic order.
+  JsonValue MergeFanout(TelemetryCmd cmd, const JsonValue& request,
+                        const std::string& snapshot_path,
+                        std::uint64_t snapshot_submit_seq,
+                        std::vector<JsonValue>& replies) const;
+  // Gathers the per-engine part files into the LYRAFED container.
+  Status SaveFleetSnapshot(const std::string& path, std::uint64_t submit_seq) const;
+  // Reads every engine's part file of a fanout snapshot to `path`, in
+  // engine order, and deletes them all whatever the outcome.
+  StatusOr<std::vector<std::string>> TakeParts(const std::string& path) const;
+
+  JsonValue QueryJob(const JsonValue& request) const;
+  JsonValue MergedClusterStats(const JsonValue& request) const;
+  JsonValue MergedMetrics(const JsonValue& request) const;
+  JsonValue MergedPing(const JsonValue& request) const;
+  JsonValue MergedStatsProm(const JsonValue& request) const;
+  JsonValue MergedTraceDump(const JsonValue& request) const;
   JsonValue FederationStats(const JsonValue& request) const;
   // Per-cluster stats object (jobs by state, pools, loan balance) shared by
   // federation_stats and the cluster_stats read augmentation.
   JsonValue ClusterInfo(int c, const FedLedger& ledger) const;
-  JsonValue MergeFederationSnapshot(const JsonValue& request,
-                                    const std::string& snapshot_path,
-                                    std::uint64_t snapshot_submit_seq,
-                                    std::vector<JsonValue>& replies) const;
+  // One cluster's job counts by state and its own pool (the inference pool
+  // of an inference cluster, the training pool otherwise), summed over its
+  // engines' published snapshots.
+  struct ClusterTotals {
+    std::array<std::uint64_t, 4> states{};
+    PoolCounters pool;
+  };
+  ClusterTotals Totals(int c) const;
   LoanBroker::ClusterSignal SignalFor(int c) const;
   std::vector<LoanBroker::ClusterSignal> CollectSignals() const;
   double MaxEngineTime() const;
 
+  std::vector<SchedulerService*> shards_;
+  std::atomic<std::uint64_t> submit_seq_{0};
   std::vector<ClusterSpec> clusters_;
   std::vector<int> first_engine_;                        // per cluster
   std::vector<std::uint32_t> engine_cluster_;            // per engine
@@ -241,30 +380,38 @@ class FederationRouter : public ShardRouter {
   mutable LoanBroker broker_;
 };
 
-// A federation fleet plus its router, built together — the federation
-// counterpart of ShardSet.
+// A fleet of engines plus its router, built together: the one construction
+// path for lyra_schedd, the saturation bench, and tests.
 struct FederationSet {
   std::vector<std::unique_ptr<SchedulerService>> services;
   std::unique_ptr<FederationRouter> router;
 };
 
+// The plain daemon's topology: one training cluster "train0" of `shards`
+// engines, the fleet `--federation=0x1@<shards>` describes.
+std::vector<ClusterSpec> SingleCluster(int shards);
+
+// Engine k's file for a per-engine output such as a trace stream or a
+// flight-recorder dump: engine 0 keeps `path`, engine k > 0 writes
+// "<path>.shard<k>", and an empty path (output off) stays empty.
+std::string EnginePath(const std::string& path, int engine);
+
 // Builds and Start()s one engine per (cluster, shard), flat engine index k
-// getting seed base.engine.seed + k (the engine-shard discipline, so a
-// one-engine federation is the unsharded service exactly) and trace_path
-// + ".fed<k>" for k > 0 when tracing.
+// getting seed base.engine.seed + k (so a one-engine fleet is the plain
+// service exactly) and trace path EnginePath(base.trace_path, k).
 StatusOr<FederationSet> BuildFederation(
     const ServiceOptions& base, const std::vector<ClusterSpec>& clusters,
     const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver);
 
-// Restores a federation from a LYRAFED container: cluster layout, per-engine
-// images, routing counter, and broker ledger all come from the file;
-// runtime knobs come from `base`. Loans are reconciled after the restore.
+// Restores a fleet from a snapshot file: cluster layout, per-engine images,
+// routing counter, and broker ledger all come from the file; runtime knobs
+// come from `base`. A LYRAFED file restores as written; a plain LYRASNAP
+// image or a LYRASHRD file (read-only: what sharded daemons wrote before
+// LYRAFED covered them) restores as SingleCluster of its engines with the
+// file's routing counter. Loans are reconciled after the restore.
 StatusOr<FederationSet> RestoreFederation(
     const ServiceOptions& base, const std::string& snapshot_path,
     const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver);
-
-// True when `path` starts with the LYRAFED magic (daemon restore sniffing).
-bool IsFedSnapshotFile(const std::string& path);
 
 }  // namespace lyra::svc
 

@@ -9,8 +9,8 @@
 #include <limits>
 #include <utility>
 
+#include "src/svc/federation.h"
 #include "src/svc/service.h"
-#include "src/svc/shard_router.h"
 #include "src/svc/state_snapshot.h"
 #include "src/svc/telemetry.h"
 
@@ -313,7 +313,7 @@ std::string RenderPrometheus(const SchedulerService& service) {
   return out;
 }
 
-std::string RenderPrometheus(const ShardRouter& router) {
+std::string RenderPrometheus(const FederationRouter& router) {
   if (router.shard_count() == 1) {
     // Byte-for-byte the unsharded exposition: no shard labels, no extra
     // families, so dashboards built against a one-shard daemon never change.

@@ -23,21 +23,22 @@
 namespace lyra::svc {
 
 class SchedulerService;
-class ShardRouter;
+class FederationRouter;
 
 // Renders the full exposition document. Callable from any thread (scrape
 // cost lands entirely on the caller; writers are never touched beyond
 // relaxed loads).
 std::string RenderPrometheus(const SchedulerService& service);
 
-// Sharded variant. One shard delegates to the service renderer byte-for-byte.
+// Multi-engine variant. One engine delegates to the service renderer
+// byte-for-byte.
 // With N > 1 every engine family carries per-shard samples labeled
 // `shard="k"` plus an unlabeled merged total (histograms merged bucketwise,
 // counters and gauges summed) emitted first, so single-series consumers that
 // take the first match keep working unchanged; I/O-thread families come from
 // the front shard's registry, where the event loop homes them. Adds a
 // `lyra_svc_shards` gauge.
-std::string RenderPrometheus(const ShardRouter& router);
+std::string RenderPrometheus(const FederationRouter& router);
 
 struct PromSample {
   std::string name;  // full sample name, including _bucket/_sum/_count

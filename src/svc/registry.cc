@@ -129,18 +129,6 @@ StatusOr<std::unique_ptr<UsagePredictor>> MakePredictor(const std::string& name)
   return UnknownComponent("usage predictor", name, KnownPredictorNames());
 }
 
-std::unique_ptr<JobScheduler> MakeSchedulerByName(const std::string& name,
-                                                  bool info_agnostic, bool tuned) {
-  StatusOr<std::unique_ptr<JobScheduler>> made =
-      MakeScheduler(name, info_agnostic, tuned);
-  return made.ok() ? std::move(made.value()) : nullptr;
-}
-
-std::unique_ptr<ReclaimPolicy> MakeReclaimByName(const std::string& name) {
-  StatusOr<std::unique_ptr<ReclaimPolicy>> made = MakeReclaim(name);
-  return made.ok() ? std::move(made.value()) : nullptr;
-}
-
 std::unique_ptr<UsagePredictor> MakeUsagePredictor(bool lstm) {
   if (lstm) {
     return std::make_unique<LstmPredictor>();

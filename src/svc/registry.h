@@ -39,11 +39,8 @@ StatusOr<std::unique_ptr<JobScheduler>> MakeScheduler(
 StatusOr<std::unique_ptr<ReclaimPolicy>> MakeReclaim(const std::string& name);
 StatusOr<std::unique_ptr<UsagePredictor>> MakePredictor(const std::string& name);
 
-// Legacy nullptr-on-error variants (no room for a reason; prefer the
-// StatusOr factories above). Names match lyra_sim's --scheduler/--reclaim.
-std::unique_ptr<JobScheduler> MakeSchedulerByName(const std::string& name,
-                                                  bool info_agnostic, bool tuned);
-std::unique_ptr<ReclaimPolicy> MakeReclaimByName(const std::string& name);
+// The engine's usage predictor: the LSTM when `lstm`, seasonal-naive
+// otherwise.
 std::unique_ptr<UsagePredictor> MakeUsagePredictor(bool lstm);
 
 struct EngineConfig {

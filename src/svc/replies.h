@@ -4,6 +4,8 @@
 #ifndef SRC_SVC_REPLIES_H_
 #define SRC_SVC_REPLIES_H_
 
+#include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "src/common/json.h"
@@ -59,6 +61,25 @@ inline void EchoSeq(const JsonValue& request, JsonValue& reply) {
   if (seq != nullptr && seq->is_number()) {
     reply.Set("seq", JsonValue::MakeNumber(seq->AsDouble()));
   }
+}
+
+// Reads a request's wire "job" id for `cmd`: an integer in [0, 2^53], the
+// range a double carries exactly. Anything else is InvalidArgument, checked
+// before any id arithmetic so no id can alias another job.
+inline StatusOr<std::int64_t> JobIdField(const JsonValue& request,
+                                         const char* cmd) {
+  const JsonValue* job = request.Find("job");
+  if (job == nullptr || !job->is_number()) {
+    return Status::InvalidArgument(std::string(cmd) +
+                                   " requires a numeric \"job\"");
+  }
+  const double id = job->AsDouble();
+  if (!(id >= 0.0 && id <= 9007199254740992.0) || id != std::floor(id)) {
+    return Status::InvalidArgument(std::string(cmd) +
+                                   ": \"job\" must be an integer in [0, 2^53], "
+                                   "got " + job->Dump());
+  }
+  return static_cast<std::int64_t>(id);
 }
 
 }  // namespace lyra::svc

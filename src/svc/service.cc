@@ -375,12 +375,12 @@ JsonValue SchedulerService::ReadReply(const JsonValue& request) const {
     return reply;
   }
   if (cmd == "query_job") {
-    const JsonValue* job_field = request.Find("job");
-    if (job_field == nullptr || !job_field->is_number()) {
+    const StatusOr<std::int64_t> job = JobIdField(request, "query_job");
+    if (!job.ok()) {
       command_errors_.fetch_add(1, std::memory_order_relaxed);
-      reply = ErrorReply("invalid_argument", "query_job requires a numeric \"job\"");
+      reply = StatusReply(job.status());
     } else {
-      reply = SnapshotJobReply(*snap, job_field->AsInt());
+      reply = SnapshotJobReply(*snap, job.value());
       if (!reply.GetBool("ok", false)) {
         command_errors_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -734,12 +734,12 @@ JsonValue SchedulerService::ApplySubmit(const JsonValue& request) {
 }
 
 JsonValue SchedulerService::ApplyCancel(const JsonValue& request) {
-  const JsonValue* job = request.Find("job");
-  if (job == nullptr || !job->is_number()) {
+  const StatusOr<std::int64_t> job = JobIdField(request, "cancel");
+  if (!job.ok()) {
     command_errors_.fetch_add(1, std::memory_order_relaxed);
-    return ErrorReply("invalid_argument", "cancel requires a numeric \"job\"");
+    return StatusReply(job.status());
   }
-  const std::int64_t id = job->AsInt();
+  const std::int64_t id = job.value();
   const TimeSec stamp = StampFor(request);
   engine_.sim->StepUntil(stamp);
   const Status status = engine_.sim->CancelJob(JobId(id));

@@ -179,8 +179,8 @@ class SchedulerService {
   }
 
   // Counts one served read in Stats::reads_served. For front ends that
-  // answer a read by merging several shards' snapshots themselves (the
-  // ShardRouter) rather than going through this service's ReadReply.
+  // answer a read by merging several engines' snapshots themselves (the
+  // FederationRouter) rather than going through this service's ReadReply.
   void CountRead() const {
     reads_served_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -179,14 +179,6 @@ std::string EncodeMultiSnapshot(const MultiSnapshot& snapshot) {
   return Seal(kMultiSnapshotFormat, payload.bytes());
 }
 
-Status SaveMultiSnapshot(const MultiSnapshot& snapshot,
-                         const std::string& path) {
-  if (snapshot.shard_images.empty()) {
-    return Status::InvalidArgument("multi-snapshot has no shards");
-  }
-  return WriteFileAtomic(path, EncodeMultiSnapshot(snapshot));
-}
-
 StatusOr<MultiSnapshot> DecodeMultiSnapshot(const std::string& image,
                                             const std::string& origin) {
   // A plain LYRASNAP image is a valid one-shard snapshot: the sequence number
@@ -215,14 +207,6 @@ StatusOr<MultiSnapshot> DecodeMultiSnapshot(const std::string& image,
     return status;
   }
   return snapshot;
-}
-
-StatusOr<MultiSnapshot> LoadMultiSnapshot(const std::string& path) {
-  StatusOr<std::string> file = ReadFile(path);
-  if (!file.ok()) {
-    return file.status();
-  }
-  return DecodeMultiSnapshot(file.value(), path);
 }
 
 std::string EncodeFedSnapshot(const FedSnapshot& snapshot) {

@@ -67,22 +67,21 @@ StatusOr<ServiceSnapshot> LoadSnapshot(const std::string& path);
 
 // String-level codec for the exact LYRASNAP file image (magic + version +
 // payload + checksum). SaveSnapshot == EncodeSnapshot + atomic file write;
-// LoadSnapshot == file read + DecodeSnapshot. Exposed so the multi-shard
-// container below can carry each shard's image byte-for-byte, and so tests
+// LoadSnapshot == file read + DecodeSnapshot. Exposed so the fleet
+// containers below can carry each engine's image byte-for-byte, and so tests
 // can round-trip snapshots without touching the filesystem. `origin` only
 // flavors error messages (a path or a "shard k" tag).
 std::string EncodeSnapshot(const ServiceSnapshot& snapshot);
 StatusOr<ServiceSnapshot> DecodeSnapshot(const std::string& image,
                                          const std::string& origin);
 
-// Multi-shard snapshot container (DESIGN.md §10). Wraps N complete LYRASNAP
-// images — one per engine shard, stored byte-identically — plus the front
-// end's submit-routing sequence number, so a warm restart resumes routing
-// keyless submits to the same shards an uninterrupted run would have.
+// One cluster's engine images (DESIGN.md §10): N complete LYRASNAP images
+// stored byte-identically, plus a submit-routing sequence number. It is the
+// per-cluster image nested in LYRAFED; as a top-level file it is the
+// read-only format older sharded daemons wrote.
 //
-// File layout: the shared envelope with magic "LYRASHRD"; the payload is
-// u32 shard count, u64 submit_seq, then per shard a u64-framed LYRASNAP
-// image.
+// Layout: the shared envelope with magic "LYRASHRD"; the payload is u32
+// shard count, u64 submit_seq, then per shard a u64-framed LYRASNAP image.
 inline constexpr EnvelopeFormat kMultiSnapshotFormat{"LYRASHRD", 1};
 
 struct MultiSnapshot {
@@ -90,28 +89,18 @@ struct MultiSnapshot {
   std::vector<std::string> shard_images;  // one LYRASNAP file image per shard
 };
 
-// One shard degrades to a plain LYRASNAP file (bit-identical with what the
-// unsharded service writes); two or more get the LYRASHRD envelope.
-Status SaveMultiSnapshot(const MultiSnapshot& snapshot, const std::string& path);
-
-// Accepts both formats: a plain LYRASNAP file loads as a one-shard
-// MultiSnapshot with submit_seq 0. Error classes match LoadSnapshot.
-StatusOr<MultiSnapshot> LoadMultiSnapshot(const std::string& path);
-
-// String-level codec for the multi-shard container, mirroring
-// EncodeSnapshot/DecodeSnapshot: EncodeMultiSnapshot returns the exact bytes
-// SaveMultiSnapshot would write (a plain LYRASNAP image at one shard, the
-// LYRASHRD envelope otherwise); DecodeMultiSnapshot accepts both. Exposed so
-// the federation container below can nest per-cluster images byte-for-byte.
+// EncodeMultiSnapshot returns a plain LYRASNAP image at one shard and the
+// LYRASHRD envelope otherwise; DecodeMultiSnapshot accepts both (a plain
+// image decodes as one shard with submit_seq 0).
 std::string EncodeMultiSnapshot(const MultiSnapshot& snapshot);
 StatusOr<MultiSnapshot> DecodeMultiSnapshot(const std::string& image,
                                             const std::string& origin);
 
-// Federation snapshot container (DESIGN.md §11). Wraps one complete
-// LYRASHRD/LYRASNAP image per cluster — stored byte-identically, so each
-// cluster warm-restarts exactly as a standalone fleet would — plus the
-// federation front end's submit-routing sequence number and the loan
-// broker's ledger (active loans + rolling event hash), so a restart resumes
+// Fleet snapshot container (DESIGN.md §10), written by every fleet of more
+// than one engine. Wraps one complete LYRASHRD/LYRASNAP image per cluster —
+// stored byte-identically, so each cluster warm-restarts exactly as a
+// standalone fleet would — plus the front end's submit-routing sequence
+// number and the loan broker's ledger (active loans + rolling event hash), so a restart resumes
 // routing, granting, and reclaiming exactly where the killed process was.
 //
 // File layout: the shared envelope with magic "LYRAFED_"; the payload is

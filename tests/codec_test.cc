@@ -1,8 +1,8 @@
 // The shared byte codec (src/common/codec.h) and the one checksummed
 // envelope all four persisted formats use. The corruption matrix and the
 // seeded mutation fuzzer run once per format: LYRASNAP (one engine),
-// LYRASHRD (sharded fleet), LYRAFED_ (federation) and LYRAPOL_ (policy
-// weights). Under the ASan build the fuzzer doubles as the memory-safety
+// LYRASHRD (one cluster's engines, read-only as a file), LYRAFED_ (fleet)
+// and LYRAPOL_ (policy weights). Under the ASan build the fuzzer doubles as the memory-safety
 // check of every payload decoder.
 #include <gtest/gtest.h>
 
@@ -201,12 +201,16 @@ const FormatCase kFormats[] = {
     {"LYRASHRD", svc::kMultiSnapshotFormat,
      [] { return svc::EncodeMultiSnapshot(SampleMultiSnapshot()); },
      [](const std::string& path) {
-       return svc::SaveMultiSnapshot(SampleMultiSnapshot(), path);
+       return WriteFileAtomic(path, svc::EncodeMultiSnapshot(SampleMultiSnapshot()));
      },
      [](const std::string& bytes) {
        return svc::DecodeMultiSnapshot(bytes, "test").status();
      },
-     [](const std::string& path) { return svc::LoadMultiSnapshot(path).status(); }},
+     [](const std::string& path) {
+       StatusOr<std::string> file = ReadFile(path);
+       return file.ok() ? svc::DecodeMultiSnapshot(file.value(), path).status()
+                        : file.status();
+     }},
     {"LYRAFED", svc::kFedSnapshotFormat,
      [] { return svc::EncodeFedSnapshot(SampleFedSnapshot()); },
      [](const std::string& path) { return svc::SaveFedSnapshot(SampleFedSnapshot(), path); },

@@ -1,7 +1,10 @@
 // Hardening tests for common::JsonValue::Parse on untrusted wire input:
 // randomized Dump->Parse round-trips (the wire protocol's invariant) plus an
 // adversarial corpus — depth bombs, oversized documents, duplicate keys,
-// truncations, and malformed literals must fail cleanly, never crash or hang.
+// truncations, and malformed literals must fail cleanly, never crash or hang
+// — and out-of-range numbers read through AsInt saturate.
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -192,6 +195,23 @@ TEST(JsonHardening, LoneSurrogateAndNulBytes) {
   EXPECT_EQ(escaped.value().AsString().size(), 3u);
   const std::string raw_nul = std::string("\"a") + '\0' + "b\"";
   EXPECT_FALSE(JsonValue::Parse(raw_nul).ok());
+}
+
+TEST(JsonHardening, AsIntSaturatesOutOfRangeNumbers) {
+  // Wire numbers outside the int64 range saturate instead of hitting the
+  // undefined out-of-range float-to-integer cast.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(JsonValue::MakeNumber(1e30).AsInt(), kMax);
+  EXPECT_EQ(JsonValue::MakeNumber(0x1p63).AsInt(), kMax);
+  EXPECT_EQ(JsonValue::MakeNumber(-1e30).AsInt(), kMin);
+  EXPECT_EQ(JsonValue::MakeNumber(-0x1p63).AsInt(), kMin);
+  EXPECT_EQ(JsonValue::MakeNumber(-2.9).AsInt(), -2);
+  EXPECT_EQ(JsonValue::MakeNumber(9007199254740992.0).AsInt(),
+            9007199254740992);
+  StatusOr<JsonValue> parsed = JsonValue::Parse("{\"job\":1e300}");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().Find("job")->AsInt(), kMax);
 }
 
 }  // namespace

@@ -26,7 +26,6 @@
 #include "src/sim/simulator.h"
 #include "src/svc/federation.h"
 #include "src/svc/service.h"
-#include "src/svc/shard_router.h"
 #include "src/svc/snapshot.h"
 #include "src/svc/time_driver.h"
 

@@ -29,7 +29,6 @@
 #include "src/svc/event_loop.h"
 #include "src/svc/federation.h"
 #include "src/svc/service.h"
-#include "src/svc/shard_router.h"
 #include "src/svc/snapshot.h"
 #include "src/svc/time_driver.h"
 #include "src/svc/wire.h"
@@ -672,7 +671,7 @@ TEST(Federation, FedSnapshotRestoresLayoutLedgerAndCounter) {
   const JsonValue written = router.Execute(snap);
   ASSERT_TRUE(written.GetBool("ok")) << written.Dump();
   EXPECT_EQ(written.GetDouble("clusters", 0.0), 3.0);
-  EXPECT_TRUE(IsFedSnapshotFile(path));
+  EXPECT_EQ(ReadFile(path).value().substr(0, 8), "LYRAFED_");
   StopFed(fed);
 
   // Base options are deliberately wrong — the container's layout must win.

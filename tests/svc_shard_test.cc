@@ -1,11 +1,13 @@
-// Engine-sharding tests (DESIGN.md §10): deterministic routing (same key /
-// same job id always lands on the same shard, global↔local id arithmetic
+// Engine-sharding tests (DESIGN.md §10) on one training cluster of N
+// engines, the `--shards=N` fleet: deterministic routing (same key / same
+// job id always lands on the same shard, global↔local id arithmetic
 // round-trips), merged reads (cluster_stats across shards equals the sum of
-// the per-shard snapshots), the LYRASHRD multi-snapshot container (round
-// trip, one-shard degradation to plain LYRASNAP), a
-// randomized kill-and-warm-restart at --shards=4 that must reproduce every
-// shard's decision log byte-for-byte, and pipelined reply ordering over the
-// sharded event loop.
+// the per-shard snapshots), wire job ids outside [0, 2^53] rejected before
+// any routing, the snapshot containers (LYRAFED at four engines, plain
+// LYRASNAP at one, legacy LYRASHRD files still restoring), a randomized
+// kill-and-warm-restart at --shards=4 that must reproduce every shard's
+// decision log byte-for-byte, and pipelined reply ordering over the sharded
+// event loop.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,8 +22,8 @@
 #include "src/common/rng.h"
 #include "src/sim/simulator.h"
 #include "src/svc/event_loop.h"
+#include "src/svc/federation.h"
 #include "src/svc/service.h"
-#include "src/svc/shard_router.h"
 #include "src/svc/snapshot.h"
 #include "src/svc/state_snapshot.h"
 #include "src/svc/time_driver.h"
@@ -83,14 +85,15 @@ std::unique_ptr<TimeDriver> MakeVirtualDriver(int /*shard*/) {
   return std::make_unique<VirtualTimeDriver>();
 }
 
-ShardSet BuildFleet(int shards) {
-  StatusOr<ShardSet> built = BuildShardSet(FleetOptions(), shards,
-                                           MakeVirtualDriver);
+FederationSet BuildFleet(int shards,
+                         const ServiceOptions& options = FleetOptions()) {
+  StatusOr<FederationSet> built =
+      BuildFederation(options, SingleCluster(shards), MakeVirtualDriver);
   EXPECT_TRUE(built.ok()) << built.status().message();
   return std::move(built.value());
 }
 
-void StopFleet(ShardSet& fleet) {
+void StopFleet(FederationSet& fleet) {
   for (auto& service : fleet.services) {
     service->Stop();
   }
@@ -165,7 +168,7 @@ struct FleetOutcome {
   std::vector<double> final_times;
 };
 
-FleetOutcome CollectOutcome(const ShardSet& fleet) {
+FleetOutcome CollectOutcome(const FederationSet& fleet) {
   FleetOutcome outcome;
   for (const auto& service : fleet.services) {
     outcome.decisions.push_back(service->simulator().decision_log().records());
@@ -182,8 +185,8 @@ FleetOutcome CollectOutcome(const ShardSet& fleet) {
 // predicted global ids along the way.
 FleetOutcome RunFleetScript(const FleetScript& script, int cut,
                             const std::string& snapshot_path) {
-  ShardSet fleet = BuildFleet(kShards);
-  ShardRouter& router = *fleet.router;
+  FederationSet fleet = BuildFleet(kShards);
+  FederationRouter& router = *fleet.router;
   for (std::size_t i = 0; i < script.commands.size(); ++i) {
     if (cut >= 0 && static_cast<std::size_t>(cut) == i) {
       JsonValue snap = Cmd("snapshot");
@@ -216,11 +219,11 @@ FleetOutcome ResumeFleetScript(const FleetScript& script, int cut,
   options.engine.scheduler = "fifo";
   options.engine.seed = 1;
   options.engine.faults = false;
-  StatusOr<ShardSet> restored =
-      RestoreShardSet(options, snapshot_path, MakeVirtualDriver);
+  StatusOr<FederationSet> restored =
+      RestoreFederation(options, snapshot_path, MakeVirtualDriver);
   EXPECT_TRUE(restored.ok()) << restored.status().message();
-  ShardSet fleet = std::move(restored.value());
-  ShardRouter& router = *fleet.router;
+  FederationSet fleet = std::move(restored.value());
+  FederationRouter& router = *fleet.router;
   EXPECT_EQ(router.shard_count(), kShards);
   for (int k = 0; k < kShards; ++k) {
     EXPECT_EQ(router.shard(k)->options().engine.scheduler, "lyra");
@@ -242,8 +245,8 @@ FleetOutcome ResumeFleetScript(const FleetScript& script, int cut,
 }
 
 TEST(Shard, JobIdArithmeticRoundTripsAndEncodesTheShard) {
-  ShardSet fleet = BuildFleet(kShards);
-  const ShardRouter& router = *fleet.router;
+  FederationSet fleet = BuildFleet(kShards);
+  const FederationRouter& router = *fleet.router;
   for (std::int64_t local = 0; local < 100; ++local) {
     for (std::uint32_t shard = 0; shard < kShards; ++shard) {
       const std::int64_t global = router.ToGlobal(local, shard);
@@ -254,9 +257,18 @@ TEST(Shard, JobIdArithmeticRoundTripsAndEncodesTheShard) {
   StopFleet(fleet);
 }
 
+// One naming rule for per-engine files (trace streams, flight dumps,
+// trace_dump); an empty path means the output is off on every engine.
+TEST(Shard, EnginePathNamesOneFilePerEngine) {
+  EXPECT_EQ(EnginePath("/tmp/t.json", 0), "/tmp/t.json");
+  EXPECT_EQ(EnginePath("/tmp/t.json", 3), "/tmp/t.json.shard3");
+  EXPECT_EQ(EnginePath("", 0), "");
+  EXPECT_EQ(EnginePath("", 2), "");
+}
+
 TEST(Shard, SameKeyAlwaysLandsOnTheSameShard) {
-  ShardSet fleet = BuildFleet(kShards);
-  ShardRouter& router = *fleet.router;
+  FederationSet fleet = BuildFleet(kShards);
+  FederationRouter& router = *fleet.router;
   const std::uint32_t expected = PredictKeyShard("tenant-a", kShards);
   std::vector<std::int64_t> ids;
   for (int i = 0; i < 6; ++i) {
@@ -296,8 +308,8 @@ TEST(Shard, SameKeyAlwaysLandsOnTheSameShard) {
 }
 
 TEST(Shard, KeylessSubmitsFollowTheRoutingCounter) {
-  ShardSet fleet = BuildFleet(kShards);
-  ShardRouter& router = *fleet.router;
+  FederationSet fleet = BuildFleet(kShards);
+  FederationRouter& router = *fleet.router;
   std::vector<std::int64_t> local(kShards, 0);
   std::set<std::int64_t> seen;
   for (std::uint64_t seq = 0; seq < 24; ++seq) {
@@ -314,8 +326,8 @@ TEST(Shard, KeylessSubmitsFollowTheRoutingCounter) {
 }
 
 TEST(Shard, ClusterStatsMergeEqualsSumOfPerShardSnapshots) {
-  ShardSet fleet = BuildFleet(kShards);
-  ShardRouter& router = *fleet.router;
+  FederationSet fleet = BuildFleet(kShards);
+  FederationRouter& router = *fleet.router;
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(router.Execute(Submit(0.0, 90000.0, 2)).GetBool("ok"));
   }
@@ -415,50 +427,171 @@ TEST(Shard, WarmRestartReplaysEveryShardByteForByte) {
   }
 }
 
-TEST(Shard, MultiSnapshotRoundTripsAndDegradesToPlainImage) {
-  // A real one-engine LYRASNAP image to wrap: the container stores images
-  // byte-for-byte, so equality below is byte equality.
-  ServiceSnapshot inner;
-  LoggedCommand advance;
-  advance.kind = CommandKind::kAdvance;
-  advance.stamp = 100.0;
-  inner.commands.push_back(advance);
-  inner.horizon = 100.0;
-  const std::string image = EncodeSnapshot(inner);
-  ASSERT_EQ(image.substr(0, 8), "LYRASNAP");
+// A fleet of four engines writes one LYRAFED container: one training
+// cluster "train0" holding the four engine images plus the routing counter.
+TEST(Shard, FourEngineSnapshotIsOneLyrafedContainer) {
+  FederationSet fleet = BuildFleet(kShards);
+  FederationRouter& router = *fleet.router;
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(router.Execute(Submit(0.0, 36000.0)).GetBool("ok"));
+  }
+  const std::string path = TempPath("lyrafed");
+  JsonValue snap = Cmd("snapshot");
+  snap.Set("path", JsonValue::MakeString(path));
+  const JsonValue reply = router.Execute(snap);
+  ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
+  EXPECT_EQ(reply.GetDouble("shards", 0.0), kShards);
+  EXPECT_EQ(reply.GetDouble("clusters", 0.0), 1.0);
+  StopFleet(fleet);
 
-  // Multi-shard: LYRASHRD envelope carrying each image plus the counter.
-  MultiSnapshot multi;
-  multi.submit_seq = 777;
-  multi.shard_images = {image, image, image};
-  const std::string path = TempPath("multi");
-  ASSERT_TRUE(SaveMultiSnapshot(multi, path).ok());
-  const std::string bytes = ReadFile(path).value();
-  ASSERT_EQ(bytes.substr(0, 8), "LYRASHRD");
-  StatusOr<MultiSnapshot> loaded = LoadMultiSnapshot(path);
+  EXPECT_EQ(ReadFile(path).value().substr(0, 8), "LYRAFED_");
+  StatusOr<FedSnapshot> loaded = LoadFedSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  EXPECT_EQ(loaded.value().submit_seq, 777u);
-  ASSERT_EQ(loaded.value().shard_images.size(), 3u);
-  for (const std::string& shard_image : loaded.value().shard_images) {
-    EXPECT_EQ(shard_image, image);
+  EXPECT_EQ(loaded.value().submit_seq, 6u);
+  ASSERT_EQ(loaded.value().clusters.size(), 1u);
+  EXPECT_EQ(loaded.value().clusters[0].name, "train0");
+  EXPECT_EQ(loaded.value().clusters[0].shards, static_cast<std::uint32_t>(kShards));
+  std::remove(path.c_str());
+}
+
+// Sharded daemons used to write a LYRASHRD file: the per-engine LYRASNAP
+// images plus the routing counter. Such a file still restores, as cluster
+// "train0" with its counter kept, and the restored fleet finishes the
+// script exactly as an uninterrupted run does.
+TEST(Shard, LegacyLyrashrdFileRestoresEveryShard) {
+  const FleetScript script = MakeFleetScript(kShards);
+  const FleetOutcome baseline = RunFleetScript(script, /*cut=*/-1, "");
+  const int cut = static_cast<int>(script.commands.size()) / 2;
+
+  FederationSet fleet = BuildFleet(kShards);
+  for (int i = 0; i < cut; ++i) {
+    fleet.router->Execute(script.commands[static_cast<std::size_t>(i)]);
+  }
+  MultiSnapshot legacy;
+  legacy.submit_seq = fleet.router->submit_seq();
+  ASSERT_GT(legacy.submit_seq, 0u);
+  for (int k = 0; k < kShards; ++k) {
+    const std::string part = TempPath(("part" + std::to_string(k)).c_str());
+    JsonValue snap = Cmd("snapshot");
+    snap.Set("path", JsonValue::MakeString(part));
+    ASSERT_TRUE(fleet.services[k]->Execute(snap).GetBool("ok"));
+    legacy.shard_images.push_back(ReadFile(part).value());
+    std::remove(part.c_str());
+  }
+  StopFleet(fleet);
+  const FleetOutcome at_cut = CollectOutcome(fleet);
+  const std::string bytes = EncodeMultiSnapshot(legacy);
+  ASSERT_EQ(bytes.substr(0, 8), "LYRASHRD");
+  const std::string path = TempPath("lyrashrd");
+  ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+
+  StatusOr<FederationSet> restored =
+      RestoreFederation(FleetOptions(), path, MakeVirtualDriver);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  const FederationRouter& router = *restored.value().router;
+  ASSERT_EQ(router.shard_count(), kShards);
+  ASSERT_EQ(router.cluster_count(), 1);
+  EXPECT_EQ(router.cluster_spec(0).name, "train0");
+  EXPECT_EQ(router.cluster_spec(0).kind, ClusterKind::kTraining);
+  EXPECT_EQ(router.submit_seq(), legacy.submit_seq);
+  StopFleet(restored.value());
+  const FleetOutcome at_restore = CollectOutcome(restored.value());
+  for (int k = 0; k < kShards; ++k) {
+    EXPECT_TRUE(at_restore.decisions[k] == at_cut.decisions[k]) << "shard " << k;
+  }
+
+  const FleetOutcome resumed = ResumeFleetScript(script, cut, path);
+  for (int k = 0; k < kShards; ++k) {
+    EXPECT_TRUE(resumed.decisions[k] == baseline.decisions[k]) << "shard " << k;
+    EXPECT_EQ(resumed.fault_hashes[k], baseline.fault_hashes[k]) << "shard " << k;
   }
   std::remove(path.c_str());
+}
 
-  // One shard degrades to a plain LYRASNAP file, bit-identical with the
-  // unsharded service's output; loading a plain file yields a one-shard
-  // MultiSnapshot (with no routing counter to restore).
-  MultiSnapshot single;
-  single.submit_seq = 5;  // deliberately dropped by the plain format
-  single.shard_images = {image};
-  const std::string single_path = TempPath("single");
-  ASSERT_TRUE(SaveMultiSnapshot(single, single_path).ok());
-  EXPECT_EQ(ReadFile(single_path).value(), image);
-  StatusOr<MultiSnapshot> plain = LoadMultiSnapshot(single_path);
-  ASSERT_TRUE(plain.ok()) << plain.status().message();
-  EXPECT_EQ(plain.value().submit_seq, 0u);
-  ASSERT_EQ(plain.value().shard_images.size(), 1u);
-  EXPECT_EQ(plain.value().shard_images[0], image);
-  std::remove(single_path.c_str());
+// One engine still writes the plain LYRASNAP image, byte-identical with the
+// engine's own snapshot, and restores as a one-engine fleet.
+TEST(Shard, OneEngineStillWritesPlainLyrasnap) {
+  FederationSet fleet = BuildFleet(1);
+  FederationRouter& router = *fleet.router;
+  ASSERT_TRUE(router.Execute(Submit(0.0, 36000.0)).GetBool("ok"));
+  ASSERT_TRUE(router.Execute(Advance(600.0)).GetBool("ok"));
+  const std::string routed = TempPath("routed");
+  const std::string direct = TempPath("direct");
+  JsonValue snap = Cmd("snapshot");
+  snap.Set("path", JsonValue::MakeString(routed));
+  const JsonValue reply = router.Execute(snap);
+  ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
+  EXPECT_EQ(reply.Find("clusters"), nullptr) << reply.Dump();
+  snap.Replace("path", JsonValue::MakeString(direct));
+  ASSERT_TRUE(fleet.services[0]->Execute(snap).GetBool("ok"));
+  StopFleet(fleet);
+
+  const std::string bytes = ReadFile(routed).value();
+  EXPECT_EQ(bytes.substr(0, 8), "LYRASNAP");
+  EXPECT_EQ(bytes, ReadFile(direct).value());
+  StatusOr<FederationSet> restored =
+      RestoreFederation(FleetOptions(), routed, MakeVirtualDriver);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  EXPECT_EQ(restored.value().router->shard_count(), 1);
+  EXPECT_EQ(restored.value().router->cluster_spec(0).name, "train0");
+  StopFleet(restored.value());
+  std::remove(routed.c_str());
+  std::remove(direct.c_str());
+}
+
+// `--shards=N` is one cluster, and migration needs two: migrate answers
+// failed_precondition instead of fanning out to every engine.
+TEST(Shard, MigrateOnOneClusterIsAFailedPrecondition) {
+  for (const int shards : {1, kShards}) {
+    FederationSet fleet = BuildFleet(shards);
+    ASSERT_TRUE(fleet.router->Execute(Submit(0.0, 36000.0)).GetBool("ok"));
+    JsonValue migrate = Cmd("migrate");
+    migrate.Set("job", JsonValue::MakeNumber(0));
+    migrate.Set("to", JsonValue::MakeString("train0"));
+    const JsonValue reply = fleet.router->Execute(migrate);
+    EXPECT_FALSE(reply.GetBool("ok", true)) << reply.Dump();
+    EXPECT_EQ(reply.GetString("code"), "failed_precondition") << reply.Dump();
+    EXPECT_EQ(reply.GetString("error"),
+              "migration requires at least two clusters");
+    const JsonValue stats = fleet.router->Execute(Cmd("cluster_stats"));
+    EXPECT_EQ(stats.Find("jobs")->GetDouble("cancelled"), 0.0) << shards;
+    StopFleet(fleet);
+  }
+}
+
+// Wire job ids outside [0, 2^53] name no job. A negative id used to alias a
+// real job on a sharded fleet (-1 reached local job 0 of engine N-1), and an
+// id like 1e30 was an undefined integer cast; both are invalid_argument
+// before any id arithmetic, on the plain service and the router alike.
+TEST(Shard, JobIdsOutsideTheWireRangeAreRejected) {
+  FederationSet fleet = BuildFleet(kShards);
+  FederationRouter& router = *fleet.router;
+  for (int i = 0; i < 8; ++i) {
+    const std::string key = "tenant-" + std::to_string(i);
+    ASSERT_TRUE(router.Execute(Submit(0.0, 36000.0, 1, key.c_str())).GetBool("ok"));
+  }
+  SchedulerService& plain = *fleet.services[0];
+  for (const double bad : {-1.0, -3.0, 2.5, 1e30, -1e30, 9007199254740994.0}) {
+    JsonValue cancel = Cancel(0.0, 0);
+    cancel.Replace("job", JsonValue::MakeNumber(bad));
+    JsonValue query = Cmd("query_job");
+    query.Set("job", JsonValue::MakeNumber(bad));
+    for (const JsonValue& reply :
+         {router.Execute(cancel), router.Execute(query), plain.Execute(cancel),
+          plain.Execute(query)}) {
+      EXPECT_FALSE(reply.GetBool("ok", true)) << bad << ": " << reply.Dump();
+      EXPECT_EQ(reply.GetString("code"), "invalid_argument")
+          << bad << ": " << reply.Dump();
+    }
+  }
+  const JsonValue stats = router.Execute(Cmd("cluster_stats"));
+  ASSERT_TRUE(stats.GetBool("ok")) << stats.Dump();
+  EXPECT_EQ(stats.Find("jobs")->GetDouble("cancelled"), 0.0) << stats.Dump();
+  // The largest valid id is routed, and simply names no job.
+  JsonValue query = Cmd("query_job");
+  query.Set("job", JsonValue::MakeNumber(9007199254740992.0));
+  EXPECT_EQ(router.Execute(query).GetString("code"), "not_found");
+  StopFleet(fleet);
 }
 
 // Pipelined submits and reads over the sharded event loop: replies come back
@@ -473,10 +606,7 @@ TEST(Shard, PipelinedRepliesStayInOrderAcrossShards) {
 
   ServiceOptions options = FleetOptions();
   options.engine.faults = false;
-  StatusOr<ShardSet> built =
-      BuildShardSet(options, kShards, MakeVirtualDriver);
-  ASSERT_TRUE(built.ok()) << built.status().message();
-  ShardSet fleet = std::move(built.value());
+  FederationSet fleet = BuildFleet(kShards, options);
   EventLoop server(fleet.router.get(), loop_options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -558,9 +688,7 @@ TEST(Shard, PipelinedCancelImmediatelyAfterSubmitSameFrameBurst) {
       "/tmp/lyra_shard_cancel_" + std::to_string(::getpid()) + ".sock";
   ServiceOptions options = FleetOptions();
   options.engine.faults = false;
-  StatusOr<ShardSet> built = BuildShardSet(options, kShards, MakeVirtualDriver);
-  ASSERT_TRUE(built.ok()) << built.status().message();
-  ShardSet fleet = std::move(built.value());
+  FederationSet fleet = BuildFleet(kShards, options);
   EventLoop server(fleet.router.get(), loop_options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -626,9 +754,7 @@ TEST(Shard, SnapshotPipelinedBehindDrainWhileSubmitsRace) {
   loop_options.io_threads = 2;
   ServiceOptions options = FleetOptions();
   options.engine.faults = false;
-  StatusOr<ShardSet> built = BuildShardSet(options, kShards, MakeVirtualDriver);
-  ASSERT_TRUE(built.ok()) << built.status().message();
-  ShardSet fleet = std::move(built.value());
+  FederationSet fleet = BuildFleet(kShards, options);
   EventLoop server(fleet.router.get(), loop_options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -699,12 +825,16 @@ TEST(Shard, SnapshotPipelinedBehindDrainWhileSubmitsRace) {
   // The snapshot is a loadable kShards container whose routing counter has
   // advanced at least past connection A's submits (B's may land either side
   // of the barrier — that's the race — but the container must be coherent).
-  StatusOr<MultiSnapshot> loaded = LoadMultiSnapshot(path);
+  StatusOr<FedSnapshot> fed = LoadFedSnapshot(path);
+  ASSERT_TRUE(fed.ok()) << fed.status().message();
+  ASSERT_EQ(fed.value().clusters.size(), 1u);
+  StatusOr<MultiSnapshot> loaded =
+      DecodeMultiSnapshot(fed.value().clusters[0].image, path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ(loaded.value().shard_images.size(),
             static_cast<std::size_t>(kShards));
-  EXPECT_GE(loaded.value().submit_seq, static_cast<std::uint64_t>(kBefore));
-  EXPECT_LE(loaded.value().submit_seq,
+  EXPECT_GE(fed.value().submit_seq, static_cast<std::uint64_t>(kBefore));
+  EXPECT_LE(fed.value().submit_seq,
             static_cast<std::uint64_t>(kBefore + kRacers));
   for (const std::string& image : loaded.value().shard_images) {
     EXPECT_EQ(image.substr(0, 8), "LYRASNAP");
