@@ -24,17 +24,10 @@ lyra::SimulationResult RunVariant(const lyra::ExperimentConfig& config,
                                   bool use_predictor, bool use_profiler = false,
                                   const lyra::ThroughputOptions& throughput = {}) {
   const lyra::Trace trace = MakeTrace(config);
-  lyra::DiurnalTrafficOptions traffic;
-  traffic.duration = (config.days + 8) * lyra::kDay;
-  traffic.seed = config.seed ^ 0x7aff1c;
-  lyra::InferenceClusterOptions inference_options;
-  inference_options.num_servers = config.inference_servers();
   std::unique_ptr<lyra::UsagePredictor> predictor;
   if (use_predictor) {
     predictor = std::make_unique<lyra::SeasonalNaivePredictor>();
   }
-  auto inference = std::make_unique<lyra::InferenceCluster>(
-      inference_options, lyra::DiurnalTrafficModel(traffic), std::move(predictor));
 
   lyra::SimulatorOptions options;
   options.training_servers = config.training_servers();
@@ -43,7 +36,9 @@ lyra::SimulationResult RunVariant(const lyra::ExperimentConfig& config,
   options.throughput = throughput;
   lyra::LyraScheduler scheduler(scheduler_options);
   lyra::LyraReclaimPolicy reclaim;
-  lyra::Simulator sim(options, trace, &scheduler, &reclaim, std::move(inference));
+  lyra::Simulator sim(options, trace, &scheduler, &reclaim,
+                      lyra::MakeInferenceCluster(config.inference_servers(), trace.duration,
+                                                 config.seed, std::move(predictor)));
   return sim.Run();
 }
 

@@ -34,20 +34,23 @@ int main() {
       {"6 hours", 6 * lyra::kHour},
       {"1 hour", lyra::kHour},
   };
-  const std::vector<lyra::SchedulerKind> schedulers = {
-      lyra::SchedulerKind::kFifo,
-      lyra::SchedulerKind::kAfs,
-      lyra::SchedulerKind::kLyra,
+  struct Scheduler {
+    const char* label;
+    const char* name;
+  };
+  const std::vector<Scheduler> schedulers = {
+      {"FIFO", "fifo"},
+      {"AFS", "afs"},
+      {"Lyra", "lyra"},
   };
 
   std::vector<lyra::ExperimentRun> runs;
-  for (const lyra::SchedulerKind scheduler : schedulers) {
+  for (const Scheduler& scheduler : schedulers) {
     for (const MtbfPoint& point : points) {
       lyra::ExperimentRun run;
-      run.label = std::string(lyra::SchedulerKindName(scheduler)) + "/mtbf=" +
-                  point.label;
+      run.label = std::string(scheduler.label) + "/mtbf=" + point.label;
       run.config = config;
-      run.spec.scheduler = scheduler;
+      run.spec.scheduler = scheduler.name;
       run.spec.loaning = true;
       if (point.mtbf > 0.0) {
         run.spec.faults.enabled = true;
@@ -61,8 +64,8 @@ int main() {
   const std::vector<lyra::SimulationResult> results = lyra::RunExperiments(runs);
 
   std::size_t index = 0;
-  for (const lyra::SchedulerKind scheduler : schedulers) {
-    std::printf("\n--- %s ---\n", lyra::SchedulerKindName(scheduler));
+  for (const Scheduler& scheduler : schedulers) {
+    std::printf("\n--- %s ---\n", scheduler.label);
     lyra::TextTable table({"server MTBF", "queue mean", "JCT mean", "usage",
                            "preempt", "crashes", "jobs killed", "JCT vs none"});
     double jct_fault_free = 0.0;

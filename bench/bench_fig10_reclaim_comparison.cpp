@@ -46,17 +46,19 @@ int main() {
 
   // The 2x3 scheme grid is embarrassingly parallel: declare all six runs and
   // fan them out over the harness thread pool.
+  struct Reclaim {
+    const char* label;
+    const char* name;
+  };
+  const Reclaim reclaims[] = {{"Random", "random"}, {"SCF", "scf"}, {"Lyra", "lyra"}};
   std::vector<lyra::ExperimentRun> runs;
   for (bool scaling : {false, true}) {
-    for (lyra::ReclaimKind reclaim :
-         {lyra::ReclaimKind::kRandom, lyra::ReclaimKind::kScf, lyra::ReclaimKind::kLyra}) {
+    for (const Reclaim& reclaim : reclaims) {
       lyra::RunSpec spec;
-      spec.scheduler = scaling ? lyra::SchedulerKind::kLyra
-                               : lyra::SchedulerKind::kLyraNoElastic;
-      spec.reclaim = reclaim;
+      spec.scheduler = scaling ? "lyra" : "lyra-no-elastic";
+      spec.reclaim = reclaim.name;
       spec.loaning = true;
-      runs.push_back({std::string(scaling ? "scaling/" : "no-scaling/") +
-                          ReclaimKindName(reclaim),
+      runs.push_back({std::string(scaling ? "scaling/" : "no-scaling/") + reclaim.label,
                       config, spec});
     }
   }
@@ -66,7 +68,7 @@ int main() {
                          "queue mean", "JCT mean"});
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const lyra::SimulationResult& r = results[i];
-    table.AddRow({i < 3 ? "disabled" : "enabled", ReclaimKindName(runs[i].spec.reclaim),
+    table.AddRow({i < 3 ? "disabled" : "enabled", reclaims[i % 3].label,
                   lyra::FormatPercent(r.preemption_ratio, 2),
                   lyra::FormatPercent(r.collateral_damage, 1),
                   lyra::Secs(r.queuing.mean), lyra::Secs(r.jct.mean)});

@@ -15,7 +15,7 @@ int main() {
   lyra::PrintBanner("Fig 11: sweep over %% of heterogeneous-capable jobs", config);
 
   lyra::RunSpec baseline;
-  baseline.scheduler = lyra::SchedulerKind::kFifo;
+  baseline.scheduler = "fifo";
   baseline.loaning = false;
   lyra::ExperimentConfig base_config = config;
   base_config.clear_fungible = false;  // the Baseline uses the raw trace
@@ -27,7 +27,7 @@ int main() {
     lyra::ExperimentConfig cfg = config;
     cfg.heterogeneous_fraction = fraction;
     lyra::RunSpec spec;
-    spec.scheduler = lyra::SchedulerKind::kLyra;
+    spec.scheduler = "lyra";
     spec.loaning = true;
     const lyra::SimulationResult r = RunExperiment(cfg, spec);
     table.AddRow({lyra::FormatPercent(fraction, 0),

@@ -2,41 +2,35 @@
 // resamples whole days (with replacement) from the full trace; Lyra's gains
 // in Basic and Ideal must be consistent across the resamples.
 #include <cstdio>
+#include <memory>
+#include <utility>
 
 #include "bench/harness.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
-#include "src/lyra/lyra_scheduler.h"
 #include "src/predict/predictor.h"
-#include "src/sched/fifo.h"
 #include "src/sim/simulator.h"
+#include "src/svc/registry.h"
 #include "src/workload/bootstrap.h"
 
 namespace {
 
 lyra::SimulationResult RunTrace(const lyra::ExperimentConfig& config,
                                 const lyra::Trace& trace, bool use_lyra, bool ideal) {
-  lyra::DiurnalTrafficOptions traffic;
-  traffic.duration = trace.duration + 8 * lyra::kDay;
-  traffic.seed = config.seed ^ 0x7aff1c;
-  lyra::InferenceClusterOptions inference_options;
-  inference_options.num_servers = config.inference_servers();
-  auto inference = std::make_unique<lyra::InferenceCluster>(
-      inference_options, lyra::DiurnalTrafficModel(traffic),
-      std::make_unique<lyra::SeasonalNaivePredictor>());
-
   lyra::SimulatorOptions options;
   options.training_servers = config.training_servers();
   options.enable_loaning = use_lyra;
   if (ideal) {
     options.throughput.heterogeneous_efficiency = 1.0;
   }
-  lyra::FifoScheduler fifo;
-  lyra::LyraScheduler lyra_scheduler;
+  auto made = lyra::svc::MakeScheduler(use_lyra ? "lyra" : "fifo", /*info_agnostic=*/false,
+                                       /*tuned=*/false);
+  const std::unique_ptr<lyra::JobScheduler> scheduler = std::move(made.value());
   lyra::LyraReclaimPolicy reclaim;
-  lyra::JobScheduler* scheduler =
-      use_lyra ? static_cast<lyra::JobScheduler*>(&lyra_scheduler) : &fifo;
-  lyra::Simulator sim(options, trace, scheduler, &reclaim, std::move(inference));
+  lyra::Simulator sim(options, trace, scheduler.get(), &reclaim,
+                      lyra::MakeInferenceCluster(
+                          config.inference_servers(), trace.duration, config.seed,
+                          std::make_unique<lyra::SeasonalNaivePredictor>()));
   return sim.Run();
 }
 

@@ -21,7 +21,7 @@ int main() {
     lyra::ExperimentConfig cfg = config;
     cfg.checkpointing_fraction = fraction;
     lyra::RunSpec spec;
-    spec.scheduler = lyra::SchedulerKind::kLyra;
+    spec.scheduler = "lyra";
     spec.loaning = true;
     spec.throughput.heterogeneous_efficiency = 1.0;
     const lyra::SimulationResult r = RunExperiment(cfg, spec);
@@ -43,7 +43,7 @@ int main() {
     lyra::ExperimentConfig cfg = config;
     cfg.checkpointing_fraction = 1.0;
     lyra::RunSpec spec;
-    spec.scheduler = lyra::SchedulerKind::kLyra;
+    spec.scheduler = "lyra";
     spec.loaning = true;
     spec.throughput.heterogeneous_efficiency = 1.0;
     spec.checkpoint_interval = interval;

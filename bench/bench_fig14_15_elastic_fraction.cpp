@@ -13,10 +13,16 @@ int main() {
   config = lyra::WithEnvOverrides(config);
   lyra::PrintBanner("Figs 14-15: sweep over %% of elastic jobs", config);
 
-  const lyra::SchedulerKind schemes[] = {
-      lyra::SchedulerKind::kGandiva, lyra::SchedulerKind::kAfs,
-      lyra::SchedulerKind::kPollux, lyra::SchedulerKind::kLyra,
-      lyra::SchedulerKind::kLyraTuned};
+  struct Scheme {
+    const char* label;
+    const char* scheduler;
+    bool tuned;
+  };
+  const Scheme schemes[] = {{"Gandiva", "gandiva", false},
+                            {"AFS", "afs", false},
+                            {"Pollux", "pollux", false},
+                            {"Lyra", "lyra", false},
+                            {"Lyra+TunedJobs", "lyra", true}};
 
   lyra::TextTable queue_table({"% elastic", "Gandiva", "AFS", "Pollux", "Lyra",
                                "Lyra+Tuned"});
@@ -31,17 +37,17 @@ int main() {
     cfg.elastic_job_population = fraction;
 
     lyra::RunSpec baseline;
-    baseline.scheduler = lyra::SchedulerKind::kFifo;
+    baseline.scheduler = "fifo";
     baseline.loaning = false;
     runs.push_back({"baseline@" + lyra::FormatPercent(fraction, 0), cfg, baseline});
 
-    for (lyra::SchedulerKind kind : schemes) {
+    for (const Scheme& scheme : schemes) {
       lyra::RunSpec spec;
-      spec.scheduler = kind;
+      spec.scheduler = scheme.scheduler;
+      spec.tuned = scheme.tuned;
       spec.loaning = false;
-      runs.push_back({std::string(lyra::SchedulerKindName(kind)) + "@" +
-                          lyra::FormatPercent(fraction, 0),
-                      cfg, spec});
+      runs.push_back(
+          {std::string(scheme.label) + "@" + lyra::FormatPercent(fraction, 0), cfg, spec});
     }
   }
   const std::vector<lyra::SimulationResult> results = lyra::RunExperiments(runs);

@@ -20,12 +20,12 @@ int main() {
     cfg.elastic_job_population = fraction;
 
     lyra::RunSpec baseline;
-    baseline.scheduler = lyra::SchedulerKind::kFifo;
+    baseline.scheduler = "fifo";
     baseline.loaning = false;
     const lyra::SimulationResult base = RunExperiment(cfg, baseline);
 
     lyra::RunSpec linear;
-    linear.scheduler = lyra::SchedulerKind::kLyra;
+    linear.scheduler = "lyra";
     linear.loaning = false;
     const lyra::SimulationResult a = RunExperiment(cfg, linear);
 

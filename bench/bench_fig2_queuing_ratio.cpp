@@ -15,7 +15,7 @@ int main() {
   lyra::PrintBanner("Fig 2: hourly queuing-job ratio under FIFO", config);
 
   lyra::RunSpec spec;
-  spec.scheduler = lyra::SchedulerKind::kFifo;
+  spec.scheduler = "fifo";
   spec.loaning = false;
   const lyra::SimulationResult r = RunExperiment(config, spec);
 

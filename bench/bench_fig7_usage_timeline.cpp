@@ -37,12 +37,12 @@ int main() {
   lyra::PrintBanner("Fig 7: hourly combined cluster usage over 48 hours", config);
 
   lyra::RunSpec baseline;
-  baseline.scheduler = lyra::SchedulerKind::kFifo;
+  baseline.scheduler = "fifo";
   baseline.loaning = false;
   baseline.record_series = true;
 
   lyra::RunSpec basic;
-  basic.scheduler = lyra::SchedulerKind::kLyra;
+  basic.scheduler = "lyra";
   basic.loaning = true;
   basic.record_series = true;
 

@@ -14,7 +14,7 @@ int main() {
   lyra::PrintBanner("Fig 8: gains under imperfect (non-linear) scaling", config);
 
   lyra::RunSpec baseline;
-  baseline.scheduler = lyra::SchedulerKind::kFifo;
+  baseline.scheduler = "fifo";
   baseline.loaning = false;
   const lyra::SimulationResult base = RunExperiment(config, baseline);
 
@@ -28,7 +28,7 @@ int main() {
                                                                    {"Ideal", ideal}}) {
     for (double eff : {1.0, 0.8}) {
       lyra::RunSpec spec;
-      spec.scheduler = lyra::SchedulerKind::kLyra;
+      spec.scheduler = "lyra";
       spec.loaning = true;
       spec.throughput.marginal_efficiency = eff;
       if (cfg.ideal) {

@@ -15,8 +15,8 @@ int main() {
   lyra::PrintBanner("Fig 9: daily average usage of on-loan servers", config);
 
   lyra::RunSpec spec;
-  spec.scheduler = lyra::SchedulerKind::kLyraNoElastic;  // loaning only (§7.3)
-  spec.reclaim = lyra::ReclaimKind::kLyra;
+  spec.scheduler = "lyra-no-elastic";  // loaning only (§7.3)
+  spec.reclaim = "lyra";
   spec.loaning = true;
   spec.record_series = true;
   const lyra::SimulationResult r = RunExperiment(config, spec);

@@ -133,22 +133,22 @@ int main(int argc, char** argv) {
   // the comparison isolates the queue-ordering + elastic-sizing policy.
   struct Scheme {
     const char* name;
-    lyra::SchedulerKind kind;
+    const char* scheduler;
   };
   const std::vector<Scheme> schemes = {
-      {"Learned", lyra::SchedulerKind::kLearned},
-      {"Lyra", lyra::SchedulerKind::kLyra},
-      {"Pollux", lyra::SchedulerKind::kPollux},
-      {"AFS", lyra::SchedulerKind::kAfs},
-      {"FIFO", lyra::SchedulerKind::kFifo},
+      {"Learned", "learned"},
+      {"Lyra", "lyra"},
+      {"Pollux", "pollux"},
+      {"AFS", "afs"},
+      {"FIFO", "fifo"},
   };
   std::vector<lyra::ExperimentRun> runs;
   for (const Scheme& scheme : schemes) {
     lyra::RunSpec spec;
-    spec.scheduler = scheme.kind;
-    spec.reclaim = lyra::ReclaimKind::kLyra;
+    spec.scheduler = scheme.scheduler;
+    spec.reclaim = "lyra";
     spec.loaning = true;
-    if (scheme.kind == lyra::SchedulerKind::kLearned) {
+    if (spec.scheduler == "learned") {
       spec.policy = policy;
     }
     runs.push_back({std::string("rl_policy/") + scheme.name, config, spec});

@@ -15,9 +15,7 @@ namespace {
 using lyra::ExperimentConfig;
 using lyra::FormatDouble;
 using lyra::FormatPercent;
-using lyra::ReclaimKind;
 using lyra::RunSpec;
-using lyra::SchedulerKind;
 using lyra::Secs;
 using lyra::SimulationResult;
 
@@ -54,15 +52,15 @@ int main() {
   // Row 1: Baseline — FIFO, no loaning, no scaling.
   {
     RunSpec spec;
-    spec.scheduler = SchedulerKind::kFifo;
+    spec.scheduler = "fifo";
     spec.loaning = false;
     add("-", "Baseline", false, config, spec);
   }
   // Rows 2-5: Lyra across scenarios.
   {
     RunSpec spec;
-    spec.scheduler = SchedulerKind::kLyra;
-    spec.reclaim = ReclaimKind::kLyra;
+    spec.scheduler = "lyra";
+    spec.reclaim = "lyra";
     spec.loaning = true;
     add("Basic", "Lyra", false, config, spec);
 
@@ -82,32 +80,32 @@ int main() {
   // Rows 6-9: capacity loaning only (no elastic scaling).
   {
     RunSpec spec;
-    spec.scheduler = SchedulerKind::kOpportunistic;
-    spec.reclaim = ReclaimKind::kRandom;
+    spec.scheduler = "opportunistic";
+    spec.reclaim = "random";
     spec.loaning = true;
     add("Loaning", "Opportunity", false, config, spec);
 
-    spec.scheduler = SchedulerKind::kLyraNoElastic;
-    spec.reclaim = ReclaimKind::kRandom;
+    spec.scheduler = "lyra-no-elastic";
+    spec.reclaim = "random";
     add("Loaning", "Random", false, config, spec);
-    spec.reclaim = ReclaimKind::kScf;
+    spec.reclaim = "scf";
     add("Loaning", "SCF", false, config, spec);
-    spec.reclaim = ReclaimKind::kLyra;
+    spec.reclaim = "lyra";
     add("Loaning", "Lyra", false, config, spec);
   }
   // Rows 10-14: elastic scaling only (no capacity loaning).
   {
     RunSpec spec;
     spec.loaning = false;
-    spec.scheduler = SchedulerKind::kGandiva;
+    spec.scheduler = "gandiva";
     add("Scaling", "Gandiva", true, config, spec);
-    spec.scheduler = SchedulerKind::kAfs;
+    spec.scheduler = "afs";
     add("Scaling", "AFS", true, config, spec);
-    spec.scheduler = SchedulerKind::kPollux;
+    spec.scheduler = "pollux";
     add("Scaling", "Pollux", true, config, spec);
-    spec.scheduler = SchedulerKind::kLyra;
+    spec.scheduler = "lyra";
     add("Scaling", "Lyra", true, config, spec);
-    spec.scheduler = SchedulerKind::kLyraTuned;
+    spec.tuned = true;
     add("Scaling", "Lyra+TunedJobs", true, config, spec);
   }
 

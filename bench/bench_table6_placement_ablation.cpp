@@ -20,11 +20,9 @@ int main() {
   auto row = [&](const char* scenario, const lyra::ExperimentConfig& cfg,
                  lyra::RunSpec spec) {
     spec.loaning = true;
-    spec.reclaim = lyra::ReclaimKind::kLyra;
+    spec.reclaim = "lyra";
     const lyra::SimulationResult r = RunExperiment(cfg, spec);
-    table.AddRow({scenario,
-                  spec.scheduler == lyra::SchedulerKind::kLyra ? "grouped (Lyra)"
-                                                               : "naive BFD",
+    table.AddRow({scenario, spec.scheduler == "lyra" ? "grouped (Lyra)" : "naive BFD",
                   lyra::Secs(r.queuing.mean), lyra::Secs(r.jct.mean),
                   lyra::FormatPercent(r.preemption_ratio, 2)});
   };
@@ -38,12 +36,12 @@ int main() {
        std::vector<std::pair<const char*, lyra::ExperimentConfig>>{
            {"Basic", config}, {"Advanced", advanced}, {"Ideal", ideal}}) {
     lyra::RunSpec grouped;
-    grouped.scheduler = lyra::SchedulerKind::kLyra;
+    grouped.scheduler = "lyra";
     if (cfg.ideal) {
       grouped.throughput.heterogeneous_efficiency = 1.0;
     }
     lyra::RunSpec naive = grouped;
-    naive.scheduler = lyra::SchedulerKind::kLyraNaivePlacement;
+    naive.scheduler = "lyra-naive-placement";
     row(name, cfg, grouped);
     row(name, cfg, naive);
   }

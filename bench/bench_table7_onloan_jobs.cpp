@@ -13,13 +13,13 @@ int main() {
   lyra::PrintBanner("Table 7: jobs that ran on on-loan servers", config);
 
   lyra::RunSpec baseline;
-  baseline.scheduler = lyra::SchedulerKind::kFifo;
+  baseline.scheduler = "fifo";
   baseline.loaning = false;
   const lyra::SimulationResult base = RunExperiment(config, baseline);
 
   lyra::RunSpec loaning;
-  loaning.scheduler = lyra::SchedulerKind::kLyraNoElastic;
-  loaning.reclaim = lyra::ReclaimKind::kLyra;
+  loaning.scheduler = "lyra-no-elastic";
+  loaning.reclaim = "lyra";
   loaning.loaning = true;
   const lyra::SimulationResult with_loans = RunExperiment(config, loaning);
 

@@ -15,19 +15,23 @@ int main() {
   lyra::TextTable table({"scheme", "q p50", "q p75", "q p95", "q p99", "JCT p50",
                          "JCT p75", "JCT p95", "JCT p99"});
 
-  const lyra::SchedulerKind schemes[] = {
-      lyra::SchedulerKind::kFifo,    lyra::SchedulerKind::kGandiva,
-      lyra::SchedulerKind::kAfs,     lyra::SchedulerKind::kPollux,
-      lyra::SchedulerKind::kLyra,    lyra::SchedulerKind::kLyraTuned,
+  struct Scheme {
+    const char* label;
+    const char* scheduler;
+    bool tuned;
   };
-  for (lyra::SchedulerKind kind : schemes) {
+  const Scheme schemes[] = {
+      {"Baseline", "fifo", false}, {"Gandiva", "gandiva", false},
+      {"AFS", "afs", false},       {"Pollux", "pollux", false},
+      {"Lyra", "lyra", false},     {"Lyra+TunedJobs", "lyra", true},
+  };
+  for (const Scheme& scheme : schemes) {
     lyra::RunSpec spec;
-    spec.scheduler = kind;
+    spec.scheduler = scheme.scheduler;
+    spec.tuned = scheme.tuned;
     spec.loaning = false;
     const lyra::SimulationResult r = RunExperiment(config, spec);
-    const char* name =
-        kind == lyra::SchedulerKind::kFifo ? "Baseline" : SchedulerKindName(kind);
-    table.AddRow({name, lyra::Secs(r.queuing.p50), lyra::Secs(r.queuing.p75),
+    table.AddRow({scheme.label, lyra::Secs(r.queuing.p50), lyra::Secs(r.queuing.p75),
                   lyra::Secs(r.queuing.p95), lyra::Secs(r.queuing.p99),
                   lyra::Secs(r.jct.p50), lyra::Secs(r.jct.p75), lyra::Secs(r.jct.p95),
                   lyra::Secs(r.jct.p99)});

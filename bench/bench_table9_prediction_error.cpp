@@ -14,7 +14,7 @@ int main() {
   lyra::PrintBanner("Table 9: sensitivity to running-time misprediction", config);
 
   lyra::RunSpec baseline;
-  baseline.scheduler = lyra::SchedulerKind::kFifo;
+  baseline.scheduler = "fifo";
   baseline.loaning = false;
   const lyra::SimulationResult base = RunExperiment(config, baseline);
 
@@ -22,7 +22,7 @@ int main() {
                          "queue mean", "JCT mean"});
   for (double wrong : {0.0, 0.2, 0.4, 0.6}) {
     lyra::RunSpec spec;
-    spec.scheduler = lyra::SchedulerKind::kLyra;
+    spec.scheduler = "lyra";
     spec.loaning = true;
     spec.misprediction_fraction = wrong;
     const lyra::SimulationResult r = RunExperiment(config, spec);

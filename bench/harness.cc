@@ -10,14 +10,7 @@
 #include <thread>
 
 #include "src/common/check.h"
-#include "src/lyra/lyra_scheduler.h"
-#include "src/lyra/reclaim.h"
-#include "src/predict/lstm.h"
-#include "src/sched/afs.h"
-#include "src/sched/fifo.h"
-#include "src/sched/gandiva.h"
-#include "src/sched/opportunistic.h"
-#include "src/sched/pollux.h"
+#include "src/svc/registry.h"
 
 namespace lyra {
 namespace {
@@ -57,12 +50,12 @@ std::vector<MicroEntry>& MicroEntries() {
   return entries;
 }
 
-void RecordPerf(const std::string& label, const RunSpec& spec,
-                const SimulationResult& result) {
+void RecordPerf(const std::string& label, const JobScheduler& scheduler,
+                const ReclaimPolicy& reclaim, const SimulationResult& result) {
   PerfEntry entry;
   entry.label = label;
-  entry.scheduler = SchedulerKindName(spec.scheduler);
-  entry.reclaim = ReclaimKindName(spec.reclaim);
+  entry.scheduler = scheduler.name();
+  entry.reclaim = reclaim.name();
   entry.total_jobs = result.total_jobs;
   entry.finished_jobs = result.finished_jobs;
   entry.events = result.events_processed;
@@ -123,140 +116,43 @@ Trace MakeTrace(const ExperimentConfig& config) {
   return trace;
 }
 
-const char* SchedulerKindName(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kFifo:
-      return "FIFO";
-    case SchedulerKind::kSjf:
-      return "SJF";
-    case SchedulerKind::kGandiva:
-      return "Gandiva";
-    case SchedulerKind::kAfs:
-      return "AFS";
-    case SchedulerKind::kPollux:
-      return "Pollux";
-    case SchedulerKind::kLyra:
-      return "Lyra";
-    case SchedulerKind::kLyraTuned:
-      return "Lyra+TunedJobs";
-    case SchedulerKind::kLyraNaivePlacement:
-      return "Lyra (naive placement)";
-    case SchedulerKind::kLyraNoElastic:
-      return "Lyra (no scaling)";
-    case SchedulerKind::kOpportunistic:
-      return "Opportunistic";
-    case SchedulerKind::kLearned:
-      return "Learned";
-  }
-  return "?";
-}
-
-const char* ReclaimKindName(ReclaimKind kind) {
-  switch (kind) {
-    case ReclaimKind::kLyra:
-      return "Lyra";
-    case ReclaimKind::kRandom:
-      return "Random";
-    case ReclaimKind::kScf:
-      return "SCF";
-    case ReclaimKind::kOptimal:
-      return "Optimal";
-  }
-  return "?";
-}
-
 namespace {
+
+// A spec naming an unregistered component is a bench bug: fail loudly with
+// the registry's message (it lists the known names).
+template <typename T>
+std::unique_ptr<T> Built(StatusOr<std::unique_ptr<T>> made) {
+  if (!made.ok()) {
+    std::fprintf(stderr, "RunSpec: %s\n", made.status().message().c_str());
+    std::abort();
+  }
+  return std::move(made.value());
+}
+
+std::unique_ptr<JobScheduler> MakeScheduler(const RunSpec& spec) {
+  if (spec.scheduler != "learned") {
+    return Built(svc::MakeScheduler(spec.scheduler, /*info_agnostic=*/false, spec.tuned));
+  }
+  // The one component built outside the table: a rollout drives an
+  // in-memory policy with its own mode, sample seed, sigma and trajectory
+  // sink, none of which a LYRAPOL file carries.
+  LYRA_CHECK(spec.policy != nullptr);
+  rl::LearnedSchedulerOptions options;
+  options.mode = spec.policy_mode;
+  options.sample_seed = spec.policy_sample_seed;
+  options.worker_sigma = spec.policy_worker_sigma;
+  auto learned = std::make_unique<rl::LearnedScheduler>(*spec.policy, options);
+  if (spec.trajectory != nullptr) {
+    learned->set_trajectory_sink(spec.trajectory);
+  }
+  return learned;
+}
 
 SimulationResult RunOne(const ExperimentConfig& config, const RunSpec& spec,
                         const std::string& label) {
   const Trace trace = MakeTrace(config);
-
-  std::unique_ptr<JobScheduler> scheduler;
-  switch (spec.scheduler) {
-    case SchedulerKind::kFifo:
-      scheduler = std::make_unique<FifoScheduler>();
-      break;
-    case SchedulerKind::kSjf:
-      scheduler = std::make_unique<SjfScheduler>();
-      break;
-    case SchedulerKind::kGandiva:
-      scheduler = std::make_unique<GandivaScheduler>();
-      break;
-    case SchedulerKind::kAfs:
-      scheduler = std::make_unique<AfsScheduler>();
-      break;
-    case SchedulerKind::kPollux:
-      scheduler = std::make_unique<PolluxScheduler>();
-      break;
-    case SchedulerKind::kLyra:
-      scheduler = std::make_unique<LyraScheduler>();
-      break;
-    case SchedulerKind::kLyraTuned: {
-      LyraSchedulerOptions options;
-      options.tuned_jobs = true;
-      scheduler = std::make_unique<LyraScheduler>(options);
-      break;
-    }
-    case SchedulerKind::kLyraNaivePlacement: {
-      LyraSchedulerOptions options;
-      options.naive_placement = true;
-      scheduler = std::make_unique<LyraScheduler>(options);
-      break;
-    }
-    case SchedulerKind::kLyraNoElastic: {
-      LyraSchedulerOptions options;
-      options.disable_elastic_scaling = true;
-      scheduler = std::make_unique<LyraScheduler>(options);
-      break;
-    }
-    case SchedulerKind::kOpportunistic:
-      scheduler = std::make_unique<OpportunisticScheduler>();
-      break;
-    case SchedulerKind::kLearned: {
-      LYRA_CHECK(spec.policy != nullptr);
-      rl::LearnedSchedulerOptions learned_options;
-      learned_options.mode = spec.policy_mode;
-      learned_options.sample_seed = spec.policy_sample_seed;
-      learned_options.worker_sigma = spec.policy_worker_sigma;
-      auto learned =
-          std::make_unique<rl::LearnedScheduler>(*spec.policy, learned_options);
-      if (spec.trajectory != nullptr) {
-        learned->set_trajectory_sink(spec.trajectory);
-      }
-      scheduler = std::move(learned);
-      break;
-    }
-  }
-
-  std::unique_ptr<ReclaimPolicy> reclaim;
-  switch (spec.reclaim) {
-    case ReclaimKind::kLyra:
-      reclaim = std::make_unique<LyraReclaimPolicy>();
-      break;
-    case ReclaimKind::kRandom:
-      reclaim = std::make_unique<RandomReclaimPolicy>();
-      break;
-    case ReclaimKind::kScf:
-      reclaim = std::make_unique<ScfReclaimPolicy>();
-      break;
-    case ReclaimKind::kOptimal:
-      reclaim = std::make_unique<OptimalReclaimPolicy>();
-      break;
-  }
-
-  DiurnalTrafficOptions traffic;
-  traffic.duration = (config.days + 8) * kDay;
-  traffic.seed = config.seed ^ 0x7aff1c;
-  InferenceClusterOptions inference_options;
-  inference_options.num_servers = config.inference_servers();
-  std::unique_ptr<UsagePredictor> predictor;
-  if (spec.lstm_predictor) {
-    predictor = std::make_unique<LstmPredictor>();
-  } else {
-    predictor = std::make_unique<SeasonalNaivePredictor>();
-  }
-  auto inference = std::make_unique<InferenceCluster>(
-      inference_options, DiurnalTrafficModel(traffic), std::move(predictor));
+  const std::unique_ptr<JobScheduler> scheduler = MakeScheduler(spec);
+  const std::unique_ptr<ReclaimPolicy> reclaim = Built(svc::MakeReclaim(spec.reclaim));
 
   SimulatorOptions options;
   options.training_servers = config.training_servers();
@@ -279,16 +175,19 @@ SimulationResult RunOne(const ExperimentConfig& config, const RunSpec& spec,
     }
     options.trace_path = std::string(prefix) + name + ".trace.json";
   }
-  Simulator simulator(options, trace, scheduler.get(), reclaim.get(), std::move(inference));
+  Simulator simulator(options, trace, scheduler.get(), reclaim.get(),
+                      MakeInferenceCluster(config.inference_servers(), trace.duration,
+                                           config.seed,
+                                           svc::MakeUsagePredictor(spec.lstm_predictor)));
   SimulationResult result = simulator.Run();
-  RecordPerf(label, spec, result);
+  RecordPerf(label, *scheduler, *reclaim, result);
   return result;
 }
 
 }  // namespace
 
 SimulationResult RunExperiment(const ExperimentConfig& config, const RunSpec& spec) {
-  return RunOne(config, spec, SchedulerKindName(spec.scheduler));
+  return RunOne(config, spec, spec.scheduler);
 }
 
 int BenchJobs() {
@@ -342,7 +241,7 @@ std::vector<SimulationResult> RunExperiments(const ExperimentConfig& config,
   std::vector<ExperimentRun> runs;
   runs.reserve(specs.size());
   for (const RunSpec& spec : specs) {
-    runs.push_back({SchedulerKindName(spec.scheduler), config, spec});
+    runs.push_back({spec.scheduler, config, spec});
   }
   return RunExperiments(runs);
 }
@@ -354,8 +253,7 @@ std::vector<SimulationResult> RunSeedSweep(const ExperimentConfig& config,
   runs.reserve(seeds.size());
   for (std::uint64_t seed : seeds) {
     ExperimentRun run;
-    run.label = std::string(SchedulerKindName(spec.scheduler)) + "/seed=" +
-                std::to_string(seed);
+    run.label = spec.scheduler + "/seed=" + std::to_string(seed);
     run.config = config;
     run.config.seed = seed;
     run.spec = spec;

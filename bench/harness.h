@@ -1,10 +1,11 @@
 // Shared experiment harness for the bench binaries.
 //
 // Each bench reproduces one table or figure from the paper. The harness
-// provides the scenario vocabulary of §7.1 (trace scenarios, scheduler and
-// reclaiming schemes) and a single RunExperiment entry point so benches stay
-// declarative. Cluster scale and trace length default to the paper's values
-// and can be reduced via LYRA_BENCH_SCALE / LYRA_BENCH_DAYS for quick runs.
+// provides the scenario vocabulary of §7.1 (trace scenarios; schedulers and
+// reclaiming schemes by component-registry name) and a single RunExperiment
+// entry point so benches stay declarative. Cluster scale and trace length
+// default to the paper's values and can be reduced via LYRA_BENCH_SCALE /
+// LYRA_BENCH_DAYS for quick runs.
 //
 // Independent runs fan out over a thread pool via RunExperiments /
 // RunSeedSweep (simulations are seed-deterministic and share no mutable
@@ -54,34 +55,13 @@ ExperimentConfig WithEnvOverrides(ExperimentConfig config);
 
 Trace MakeTrace(const ExperimentConfig& config);
 
-enum class SchedulerKind {
-  kFifo,
-  kSjf,
-  kGandiva,
-  kAfs,
-  kPollux,
-  kLyra,
-  kLyraTuned,
-  kLyraNaivePlacement,  // Table 6 ablation
-  kLyraNoElastic,       // capacity-loaning-only studies (§7.3)
-  kOpportunistic,
-  kLearned,  // RL policy (requires RunSpec::policy)
-};
-
-const char* SchedulerKindName(SchedulerKind kind);
-
-enum class ReclaimKind {
-  kLyra,
-  kRandom,
-  kScf,
-  kOptimal,
-};
-
-const char* ReclaimKindName(ReclaimKind kind);
-
 struct RunSpec {
-  SchedulerKind scheduler = SchedulerKind::kFifo;
-  ReclaimKind reclaim = ReclaimKind::kLyra;
+  // Component names from the registry (src/svc/registry.h): a
+  // KnownSchedulerNames() entry and a KnownReclaimNames() entry. `tuned` is
+  // the registry's Lyra+TunedJobs parameter.
+  std::string scheduler = "fifo";
+  std::string reclaim = "lyra";
+  bool tuned = false;
   bool loaning = false;
   ThroughputOptions throughput;
   double misprediction_fraction = 0.0;
@@ -91,11 +71,11 @@ struct RunSpec {
   bool lstm_predictor = false;
   // Deterministic fault injection (off by default; see src/sim/faults.h).
   FaultOptions faults;
-  // kLearned only: the policy to drive (shared read-only across pool
-  // threads; each run copies it into its own LearnedScheduler), the rollout
-  // mode, the action-sampling seed, the worker-head exploration stddev, and
-  // an optional per-run trajectory sink (must outlive the run; the RL
-  // trainer points each rollout at its own slot).
+  // scheduler == "learned" only: the policy to drive (shared read-only
+  // across pool threads; each run copies it into its own LearnedScheduler),
+  // the rollout mode, the action-sampling seed, the worker-head exploration
+  // stddev, and an optional per-run trajectory sink (must outlive the run;
+  // the RL trainer points each rollout at its own slot).
   std::shared_ptr<const rl::PolicyNet> policy;
   rl::PolicyMode policy_mode = rl::PolicyMode::kEval;
   std::uint64_t policy_sample_seed = 1;

@@ -3,60 +3,29 @@
 // to evaluate Lyra on their own trace file.
 //
 //   ./build/examples/trace_replay [scheduler] [trace.csv]
-//     scheduler: fifo | sjf | gandiva | afs | pollux | lyra   (default: lyra)
+//     scheduler: any registered name but learned (default: lyra)
 //     trace.csv: optional path; generated + saved when absent
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 
-#include "src/lyra/lyra_scheduler.h"
-#include "src/lyra/reclaim.h"
 #include "src/predict/lstm.h"
-#include "src/sched/afs.h"
-#include "src/sched/fifo.h"
-#include "src/sched/gandiva.h"
-#include "src/sched/pollux.h"
 #include "src/sim/simulator.h"
+#include "src/svc/registry.h"
 #include "src/workload/synthetic.h"
-
-namespace {
-
-std::unique_ptr<lyra::JobScheduler> MakeScheduler(const std::string& name) {
-  if (name == "fifo") {
-    return std::make_unique<lyra::FifoScheduler>();
-  }
-  if (name == "sjf") {
-    return std::make_unique<lyra::SjfScheduler>();
-  }
-  if (name == "gandiva") {
-    return std::make_unique<lyra::GandivaScheduler>();
-  }
-  if (name == "afs") {
-    return std::make_unique<lyra::AfsScheduler>();
-  }
-  if (name == "pollux") {
-    return std::make_unique<lyra::PolluxScheduler>();
-  }
-  if (name == "lyra") {
-    return std::make_unique<lyra::LyraScheduler>();
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::string scheduler_name = argc > 1 ? argv[1] : "lyra";
   const std::string trace_path = argc > 2 ? argv[2] : "/tmp/lyra_example_trace.csv";
 
-  std::unique_ptr<lyra::JobScheduler> scheduler = MakeScheduler(scheduler_name);
-  if (scheduler == nullptr) {
-    std::fprintf(stderr,
-                 "unknown scheduler '%s' (use fifo|sjf|gandiva|afs|pollux|lyra)\n",
-                 scheduler_name.c_str());
+  lyra::StatusOr<std::unique_ptr<lyra::JobScheduler>> made =
+      lyra::svc::MakeScheduler(scheduler_name, /*info_agnostic=*/false, /*tuned=*/false);
+  if (!made.ok()) {
+    std::fprintf(stderr, "%s\n", made.status().message().c_str());
     return 1;
   }
+  const std::unique_ptr<lyra::JobScheduler> scheduler = std::move(made.value());
 
   // Load the trace if it exists; otherwise synthesize and save one.
   lyra::Trace trace;
@@ -74,20 +43,14 @@ int main(int argc, char** argv) {
                 trace_path.c_str(), saved.ok() ? "ok" : saved.message().c_str());
   }
 
-  lyra::DiurnalTrafficOptions traffic;
-  traffic.duration = trace.duration + 8 * lyra::kDay;
-  lyra::InferenceClusterOptions inference_options;
-  inference_options.num_servers = 38;
-  auto inference = std::make_unique<lyra::InferenceCluster>(
-      inference_options, lyra::DiurnalTrafficModel(traffic),
-      std::make_unique<lyra::LstmPredictor>());
-
   lyra::SimulatorOptions options;
   options.training_servers = 32;
   options.enable_loaning = true;
   lyra::LyraReclaimPolicy reclaim;
-  lyra::Simulator simulator(options, trace, scheduler.get(), &reclaim,
-                            std::move(inference));
+  lyra::Simulator simulator(
+      options, trace, scheduler.get(), &reclaim,
+      lyra::MakeInferenceCluster(38, trace.duration, /*seed=*/42,
+                                 std::make_unique<lyra::LstmPredictor>()));
   const lyra::SimulationResult result = simulator.Run();
 
   std::printf("\nscheduler: %s\n", scheduler->name());

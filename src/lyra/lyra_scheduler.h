@@ -30,6 +30,12 @@ class LyraScheduler : public JobScheduler {
   explicit LyraScheduler(LyraSchedulerOptions options = {}) : options_(options) {}
 
   const char* name() const override {
+    if (options_.naive_placement) {
+      return "Lyra (naive placement)";
+    }
+    if (options_.disable_elastic_scaling) {
+      return "Lyra (no scaling)";
+    }
     return options_.tuned_jobs ? "Lyra+TunedJobs" : "Lyra";
   }
   bool tunes_hyperparameters() const override { return options_.tuned_jobs; }

@@ -4,8 +4,8 @@
 // a priority head scoring each pending job (higher = launch earlier) and a
 // worker head emitting the mean of a Gaussian over each elastic job's
 // scale-out fraction. Both consume the same fixed-width observation vector
-// (cluster + queue + per-job features, see env.h), treated as a length-F
-// scalar sequence so the LSTM cells are reused unchanged.
+// (cluster + queue + per-job features, see learned_scheduler.h), treated as a
+// length-F scalar sequence so the LSTM cells are reused unchanged.
 //
 // Weights persist in the shared checksummed envelope (src/common/codec.h)
 // with magic `LYRAPOL_`, the same envelope as the service snapshots, so

@@ -6,6 +6,11 @@
 
 namespace lyra::rl {
 
+double ComputeReward(const SimulationResult& result, const RewardOptions& options) {
+  return -(result.jct.mean / options.jct_scale) +
+         options.utilization_weight * result.training_usage;
+}
+
 StatusOr<TrainReport> TrainPolicy(const TrainOptions& options, PolicyNet* policy) {
   if (options.episodes < 1 || options.batch < 1) {
     return Status::InvalidArgument("episodes and batch must be >= 1");
@@ -32,7 +37,7 @@ StatusOr<TrainReport> TrainPolicy(const TrainOptions& options, PolicyNet* policy
                   "/episode=" + std::to_string(done + e);
       run.config = options.env;
       run.spec = options.base;
-      run.spec.scheduler = SchedulerKind::kLearned;
+      run.spec.scheduler = "learned";
       run.spec.policy = frozen;
       run.spec.policy_mode = PolicyMode::kSample;
       run.spec.policy_sample_seed =

@@ -15,10 +15,23 @@
 
 #include "bench/harness.h"
 #include "src/common/status.h"
-#include "src/rl/env.h"
 #include "src/rl/policy.h"
+#include "src/sim/simulator.h"
 
 namespace lyra::rl {
+
+// Episode reward: -(mean JCT / jct_scale) + utilization_weight *
+// training_usage. Minimizing JCT is the paper's headline metric; the
+// utilization term shapes early training, when most orderings time out into
+// similar JCTs.
+struct RewardOptions {
+  double jct_scale = 4.0 * 3600.0;  // mean-JCT normalizer (seconds)
+  double utilization_weight = 0.5;
+
+  friend bool operator==(const RewardOptions&, const RewardOptions&) = default;
+};
+
+double ComputeReward(const SimulationResult& result, const RewardOptions& options);
 
 struct TrainOptions {
   int episodes = 16;  // total sampled episodes

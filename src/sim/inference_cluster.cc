@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/obs/obs.h"
@@ -92,6 +93,18 @@ int InferenceCluster::TargetLoanedServers(TimeSec now) {
   obs::SetGauge("inference.predicted_usage", usage);
   obs::SetGauge("inference.target_loaned", target);
   return target;
+}
+
+std::unique_ptr<InferenceCluster> MakeInferenceCluster(
+    int servers, TimeSec trace_duration, std::uint64_t seed,
+    std::unique_ptr<UsagePredictor> predictor) {
+  DiurnalTrafficOptions traffic;
+  traffic.duration = trace_duration + 8 * kDay;
+  traffic.seed = seed ^ 0x7aff1c;
+  InferenceClusterOptions options;
+  options.num_servers = servers;
+  return std::make_unique<InferenceCluster>(options, DiurnalTrafficModel(traffic),
+                                            std::move(predictor));
 }
 
 }  // namespace lyra

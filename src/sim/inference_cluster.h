@@ -11,6 +11,7 @@
 #ifndef SRC_SIM_INFERENCE_CLUSTER_H_
 #define SRC_SIM_INFERENCE_CLUSTER_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -100,6 +101,20 @@ class InferenceCluster {
   DiurnalTrafficModel traffic_;
   std::unique_ptr<UsagePredictor> predictor_;
 };
+
+// The inference side of one simulation, wired the same way for every driver
+// (bench harness, lyra_sim, the daemon's engines): `servers` default-option
+// servers whose diurnal traffic spans the trace plus eight days (one past the
+// simulator's 7-day drain) and is seeded from the simulation seed with a
+// fixed salt. `predictor` may be null (purely reactive loaning).
+//
+// Server counts stay the caller's. The bench harness rounds `443 * scale` to
+// the nearest integer; BuildEngine and lyra_sim truncate, because persisted
+// EngineConfig snapshots and replayed daemon runs rebuild their engines that
+// way. At scale 0.25 that is 111 vs 110 training servers.
+std::unique_ptr<InferenceCluster> MakeInferenceCluster(
+    int servers, TimeSec trace_duration, std::uint64_t seed,
+    std::unique_ptr<UsagePredictor> predictor);
 
 }  // namespace lyra
 

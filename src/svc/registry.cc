@@ -20,6 +20,14 @@
 namespace lyra::svc {
 namespace {
 
+Status UnknownComponent(const std::string& kind, const std::string& name,
+                        const std::vector<std::string>& known) {
+  return Status::InvalidArgument("unknown " + kind + ": \"" + name +
+                                 "\" (known: " + JoinNames(known) + ")");
+}
+
+}  // namespace
+
 std::string JoinNames(const std::vector<std::string>& names) {
   std::string out;
   for (const std::string& name : names) {
@@ -31,18 +39,10 @@ std::string JoinNames(const std::vector<std::string>& names) {
   return out;
 }
 
-Status UnknownComponent(const std::string& kind, const std::string& name,
-                        const std::vector<std::string>& known) {
-  return Status::InvalidArgument("unknown " + kind + ": \"" + name +
-                                 "\" (known: " + JoinNames(known) + ")");
-}
-
-}  // namespace
-
 const std::vector<std::string>& KnownSchedulerNames() {
   static const std::vector<std::string> names = {
-      "afs",   "fifo",          "gandiva", "learned",
-      "lyra",  "opportunistic", "pollux",  "sjf"};
+      "afs", "fifo", "gandiva", "learned", "lyra", "lyra-naive-placement",
+      "lyra-no-elastic", "opportunistic", "pollux", "sjf"};
   return names;
 }
 
@@ -78,10 +78,12 @@ StatusOr<std::unique_ptr<JobScheduler>> MakeScheduler(
   if (name == "opportunistic") {
     return std::unique_ptr<JobScheduler>(std::make_unique<OpportunisticScheduler>());
   }
-  if (name == "lyra") {
+  if (name == "lyra" || name == "lyra-naive-placement" || name == "lyra-no-elastic") {
     LyraSchedulerOptions options;
     options.information_agnostic = info_agnostic;
     options.tuned_jobs = tuned;
+    options.naive_placement = name == "lyra-naive-placement";
+    options.disable_elastic_scaling = name == "lyra-no-elastic";
     return std::unique_ptr<JobScheduler>(std::make_unique<LyraScheduler>(options));
   }
   if (name == "learned") {
@@ -157,6 +159,7 @@ StatusOr<Engine> BuildEngine(const EngineConfig& config,
   }
   engine.reclaim = std::move(reclaim.value());
 
+  // Truncating, unlike the bench harness: see MakeInferenceCluster.
   const int training_servers = std::max(1, static_cast<int>(443 * config.scale));
   const int inference_servers = std::max(1, static_cast<int>(520 * config.scale));
 
@@ -165,15 +168,6 @@ StatusOr<Engine> BuildEngine(const EngineConfig& config,
   // standard 7-day drain) the engine's max_time.
   Trace trace;
   trace.duration = config.horizon_days * kDay;
-
-  DiurnalTrafficOptions traffic;
-  traffic.duration = trace.duration + 8 * kDay;
-  traffic.seed = config.seed ^ 0x7aff1c;
-  InferenceClusterOptions inference_options;
-  inference_options.num_servers = inference_servers;
-  auto inference = std::make_unique<InferenceCluster>(
-      inference_options, DiurnalTrafficModel(traffic),
-      MakeUsagePredictor(config.lstm));
 
   SimulatorOptions options;
   options.training_servers = training_servers;
@@ -191,8 +185,10 @@ StatusOr<Engine> BuildEngine(const EngineConfig& config,
     options.faults.storm_mtbf = 2 * kDay;
     options.faults.straggler_mtbf = 8 * kHour;
   }
-  engine.sim = std::make_unique<Simulator>(options, trace, engine.scheduler.get(),
-                                           engine.reclaim.get(), std::move(inference));
+  engine.sim = std::make_unique<Simulator>(
+      options, trace, engine.scheduler.get(), engine.reclaim.get(),
+      MakeInferenceCluster(inference_servers, trace.duration, config.seed,
+                           MakeUsagePredictor(config.lstm)));
   return engine;
 }
 

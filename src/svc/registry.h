@@ -1,9 +1,11 @@
-// Component registry + engine builder for the online scheduler service.
+// The component table: the only name -> scheduler / reclaim policy / usage
+// predictor map in the repo, plus the online engine builder.
 //
-// The by-name factories used to live in tools/lyra_sim.cc; they are hoisted
-// here so the batch CLI, the daemon, and the in-process service all build
-// schedulers, reclaim policies, and usage predictors from the same table —
-// the engine a `lyra_schedd` serves is the one `lyra_sim` simulates.
+// Every driver builds its components here — lyra_sim, the daemon and the
+// in-process service, the bench harness and the examples — so the engine a
+// `lyra_schedd` serves is the one `lyra_sim` simulates and the one a bench
+// table reports. It is its own library (lyra_registry, no sockets or
+// threads) so the harness can link it without the service layer.
 //
 // EngineConfig is the decision-relevant subset of the service configuration:
 // everything that shapes scheduling outcomes, and nothing else. It is what a
@@ -30,9 +32,15 @@ const std::vector<std::string>& KnownSchedulerNames();
 const std::vector<std::string>& KnownReclaimNames();
 const std::vector<std::string>& KnownPredictorNames();
 
+// Registered names joined with ", ", for --help text.
+std::string JoinNames(const std::vector<std::string>& names);
+
 // Status-reporting factories. Unknown names fail with InvalidArgument listing
 // the registered alternatives; `learned` additionally needs `policy_weights`
 // (a LYRAPOL file, see src/rl/policy.h) and propagates load errors.
+// `info_agnostic` and `tuned` apply to the three Lyra names: `lyra`, and the
+// ablations `lyra-naive-placement` (Table 6) and `lyra-no-elastic` (capacity
+// loaning only, §7.3).
 StatusOr<std::unique_ptr<JobScheduler>> MakeScheduler(
     const std::string& name, bool info_agnostic, bool tuned,
     const std::string& policy_weights = "");

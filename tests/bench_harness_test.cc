@@ -1,12 +1,18 @@
 // Determinism contract of the parallel experiment runner: RunExperiments /
 // RunSeedSweep must produce results bit-identical to sequential
 // RunExperiment calls per spec, in input order, regardless of thread count.
+#include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bench/harness.h"
+#include "src/lyra/lyra_scheduler.h"
+#include "src/lyra/reclaim.h"
+#include "src/predict/predictor.h"
 
 namespace lyra {
 namespace {
@@ -61,21 +67,21 @@ std::vector<RunSpec> MixedSpecs() {
   std::vector<RunSpec> specs;
   {
     RunSpec spec;
-    spec.scheduler = SchedulerKind::kFifo;
+    spec.scheduler = "fifo";
     spec.loaning = false;
     specs.push_back(spec);
   }
   {
     RunSpec spec;
-    spec.scheduler = SchedulerKind::kLyra;
-    spec.reclaim = ReclaimKind::kLyra;
+    spec.scheduler = "lyra";
+    spec.reclaim = "lyra";
     spec.loaning = true;
     specs.push_back(spec);
   }
   {
     RunSpec spec;
-    spec.scheduler = SchedulerKind::kLyraNoElastic;
-    spec.reclaim = ReclaimKind::kScf;
+    spec.scheduler = "lyra-no-elastic";
+    spec.reclaim = "scf";
     spec.loaning = true;
     specs.push_back(spec);
   }
@@ -108,7 +114,7 @@ TEST_F(BenchHarnessTest, ParallelMatchesSequential) {
 
   ASSERT_EQ(parallel.size(), sequential.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    SCOPED_TRACE(SchedulerKindName(specs[i].scheduler));
+    SCOPED_TRACE(specs[i].scheduler);
     ExpectIdentical(parallel[i], sequential[i]);
   }
 }
@@ -127,8 +133,8 @@ TEST_F(BenchHarnessTest, ParallelIsRepeatable) {
 TEST_F(BenchHarnessTest, SeedSweepMatchesSequentialSeeds) {
   const ExperimentConfig config = SmallConfig();
   RunSpec spec;
-  spec.scheduler = SchedulerKind::kLyra;
-  spec.reclaim = ReclaimKind::kLyra;
+  spec.scheduler = "lyra";
+  spec.reclaim = "lyra";
   spec.loaning = true;
 
   const std::vector<std::uint64_t> seeds = {42, 7, 1234};
@@ -147,7 +153,7 @@ TEST_F(BenchHarnessTest, SeedSweepMatchesSequentialSeeds) {
 
 TEST_F(BenchHarnessTest, MixedConfigBatchKeepsInputOrder) {
   RunSpec fifo;
-  fifo.scheduler = SchedulerKind::kFifo;
+  fifo.scheduler = "fifo";
   fifo.loaning = false;
 
   std::vector<ExperimentRun> runs;
@@ -167,6 +173,67 @@ TEST_F(BenchHarnessTest, MixedConfigBatchKeepsInputOrder) {
   // The three configs genuinely differ, so a slot swap could not go unnoticed.
   EXPECT_NE(results[0].total_jobs, results[1].total_jobs);
   EXPECT_NE(results[1].total_jobs, results[2].total_jobs);
+}
+
+// Full-precision summary: equal strings iff the decision-relevant outputs
+// are bit-identical.
+std::string Summary(const SimulationResult& r) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "jobs=%zu/%zu queue=%.17g,%.17g jct=%.17g,%.17g usage=%.17g,%.17g,%.17g "
+                "preempt=%d scale_ops=%d loans=%d,%d",
+                r.total_jobs, r.finished_jobs, r.queuing.mean, r.queuing.p95, r.jct.mean,
+                r.jct.p95, r.training_usage, r.overall_usage, r.onloan_usage, r.preemptions,
+                r.scaling_operations, r.orchestrator.servers_loaned,
+                r.orchestrator.servers_returned);
+  return buf;
+}
+
+// The same run as the harness, wired by hand around an explicit
+// LyraSchedulerOptions instead of a registry name.
+SimulationResult RunLyraByHand(const ExperimentConfig& config,
+                               const LyraSchedulerOptions& scheduler_options) {
+  const Trace trace = MakeTrace(config);
+  LyraScheduler scheduler(scheduler_options);
+  LyraReclaimPolicy reclaim;
+  SimulatorOptions options;
+  options.training_servers = config.training_servers();
+  options.enable_loaning = true;
+  Simulator simulator(options, trace, &scheduler, &reclaim,
+                      MakeInferenceCluster(config.inference_servers(), trace.duration,
+                                           config.seed,
+                                           std::make_unique<SeasonalNaivePredictor>()));
+  return simulator.Run();
+}
+
+// The two ablation names map to exactly their LyraSchedulerOptions flag. The
+// three hand-built variants differ pairwise, so a name mapped to the wrong
+// option (or to plain Lyra) cannot match.
+TEST_F(BenchHarnessTest, AblationNamesMatchHandBuiltLyraVariants) {
+  ExperimentConfig config;
+  config.scale = 0.05;
+  config.days = 2.0;
+
+  LyraSchedulerOptions naive;
+  naive.naive_placement = true;
+  LyraSchedulerOptions no_elastic;
+  no_elastic.disable_elastic_scaling = true;
+  const std::string plain_by_hand = Summary(RunLyraByHand(config, {}));
+  const std::string naive_by_hand = Summary(RunLyraByHand(config, naive));
+  const std::string no_elastic_by_hand = Summary(RunLyraByHand(config, no_elastic));
+  ASSERT_NE(naive_by_hand, plain_by_hand);
+  ASSERT_NE(no_elastic_by_hand, plain_by_hand);
+  ASSERT_NE(naive_by_hand, no_elastic_by_hand);
+
+  RunSpec spec;
+  spec.reclaim = "lyra";
+  spec.loaning = true;
+  spec.scheduler = "lyra";
+  EXPECT_EQ(Summary(RunExperiment(config, spec)), plain_by_hand);
+  spec.scheduler = "lyra-naive-placement";
+  EXPECT_EQ(Summary(RunExperiment(config, spec)), naive_by_hand);
+  spec.scheduler = "lyra-no-elastic";
+  EXPECT_EQ(Summary(RunExperiment(config, spec)), no_elastic_by_hand);
 }
 
 TEST(BenchJobsTest, EnvOverrideWins) {

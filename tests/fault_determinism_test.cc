@@ -134,8 +134,8 @@ TEST(FaultDeterminism, ParallelHarnessPreservesFaultDeterminism) {
   config.days = 0.6;
 
   RunSpec spec;
-  spec.scheduler = SchedulerKind::kLyra;
-  spec.reclaim = ReclaimKind::kLyra;
+  spec.scheduler = "lyra";
+  spec.reclaim = "lyra";
   spec.loaning = true;
   spec.faults.enabled = true;
   spec.faults.seed = 43;

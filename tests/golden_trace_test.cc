@@ -63,7 +63,7 @@ std::string GoldenReport() {
   config.days = 2.0;
 
   std::vector<ExperimentRun> runs;
-  auto add = [&](const char* label, SchedulerKind scheduler, ReclaimKind reclaim,
+  auto add = [&](const char* label, const char* scheduler, const char* reclaim,
                  bool loaning) {
     RunSpec spec;
     spec.scheduler = scheduler;
@@ -71,12 +71,11 @@ std::string GoldenReport() {
     spec.loaning = loaning;
     runs.push_back({label, config, spec});
   };
-  add("baseline/FIFO", SchedulerKind::kFifo, ReclaimKind::kLyra, false);
-  add("basic/Lyra", SchedulerKind::kLyra, ReclaimKind::kLyra, true);
-  add("loaning/LyraNoElastic", SchedulerKind::kLyraNoElastic, ReclaimKind::kLyra,
-      true);
-  add("loaning/Random", SchedulerKind::kLyraNoElastic, ReclaimKind::kRandom, true);
-  add("scaling/AFS", SchedulerKind::kAfs, ReclaimKind::kLyra, false);
+  add("baseline/FIFO", "fifo", "lyra", false);
+  add("basic/Lyra", "lyra", "lyra", true);
+  add("loaning/LyraNoElastic", "lyra-no-elastic", "lyra", true);
+  add("loaning/Random", "lyra-no-elastic", "random", true);
+  add("scaling/AFS", "afs", "lyra", false);
 
   const std::vector<SimulationResult> results = RunExperiments(runs);
 

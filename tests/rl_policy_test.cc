@@ -1,16 +1,19 @@
-// PolicyNet persistence and the scheduling gym's determinism contract:
+// PolicyNet persistence and the learned scheduler's determinism contract:
 // LYRAPOL files round-trip byte for byte (their corruption defenses are the
 // shared envelope's, covered in codec_test), policy construction is a pure
-// function of PolicyOptions::seed, and an episode is a pure function of
-// (policy, env seed, sample seed).
+// function of PolicyOptions::seed, and an episode — a "learned" run through
+// the bench harness, as the trainer rolls it out — is a pure function of
+// (policy, experiment seed, sample seed).
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "gtest/gtest.h"
-#include "src/rl/env.h"
 #include "src/rl/learned_scheduler.h"
 #include "src/rl/policy.h"
+#include "src/rl/trainer.h"
 
 namespace lyra::rl {
 namespace {
@@ -62,23 +65,46 @@ TEST(Env, RewardCombinesJctAndUtilization) {
   EXPECT_DOUBLE_EQ(ComputeReward(result, reward), -0.5 + 0.5 * 0.8);
 }
 
+struct Episode {
+  SimulationResult result;
+  double reward = 0.0;
+  Trajectory trajectory;  // empty in kEval mode
+};
+
+// One episode at test scale (6 training + 6 inference servers, a quarter
+// day, loaning on), rolled out through the harness like the trainer's.
+Episode RunEpisode(const PolicyNet& policy, PolicyMode mode, std::uint64_t sample_seed) {
+  ExperimentConfig config;
+  config.scale = 0.01245;
+  config.days = 0.25;
+  Episode episode;
+  RunSpec spec;
+  spec.scheduler = "learned";
+  spec.reclaim = "lyra";
+  spec.loaning = true;
+  spec.policy = std::make_shared<const PolicyNet>(policy);
+  spec.policy_mode = mode;
+  spec.policy_sample_seed = sample_seed;
+  if (mode == PolicyMode::kSample) {
+    spec.trajectory = &episode.trajectory;
+  }
+  episode.result = RunExperiment(config, spec);
+  episode.reward = ComputeReward(episode.result, RewardOptions{});
+  return episode;
+}
+
 TEST(Env, EpisodesAreDeterministicPerSeed) {
-  EnvOptions options;
-  options.training_servers = 6;
-  options.inference_servers = 6;
-  options.days = 0.25;
-  SchedulingEnv env(options);
   PolicyNet policy;
 
-  const EpisodeResult eval_a = env.RunEpisode(policy, PolicyMode::kEval, 1);
-  const EpisodeResult eval_b = env.RunEpisode(policy, PolicyMode::kEval, 99);
+  const Episode eval_a = RunEpisode(policy, PolicyMode::kEval, 1);
+  const Episode eval_b = RunEpisode(policy, PolicyMode::kEval, 99);
   // kEval ignores the sample seed entirely.
   EXPECT_DOUBLE_EQ(eval_a.result.jct.mean, eval_b.result.jct.mean);
   EXPECT_DOUBLE_EQ(eval_a.reward, eval_b.reward);
   EXPECT_TRUE(eval_a.trajectory.steps.empty());
 
-  const EpisodeResult sample_a = env.RunEpisode(policy, PolicyMode::kSample, 5);
-  const EpisodeResult sample_b = env.RunEpisode(policy, PolicyMode::kSample, 5);
+  const Episode sample_a = RunEpisode(policy, PolicyMode::kSample, 5);
+  const Episode sample_b = RunEpisode(policy, PolicyMode::kSample, 5);
   ASSERT_FALSE(sample_a.trajectory.steps.empty());
   ASSERT_EQ(sample_a.trajectory.steps.size(), sample_b.trajectory.steps.size());
   EXPECT_DOUBLE_EQ(sample_a.reward, sample_b.reward);
@@ -92,13 +118,8 @@ TEST(Env, EpisodesAreDeterministicPerSeed) {
 }
 
 TEST(Env, ObservationsStayInUnitRange) {
-  EnvOptions options;
-  options.training_servers = 6;
-  options.inference_servers = 6;
-  options.days = 0.25;
-  SchedulingEnv env(options);
   PolicyNet policy;
-  const EpisodeResult episode = env.RunEpisode(policy, PolicyMode::kSample, 3);
+  const Episode episode = RunEpisode(policy, PolicyMode::kSample, 3);
   ASSERT_FALSE(episode.trajectory.steps.empty());
   for (const TrajectoryStep& step : episode.trajectory.steps) {
     ASSERT_EQ(step.obs.size(), static_cast<std::size_t>(kFeatureCount));

@@ -41,6 +41,7 @@
 #include "src/common/log.h"
 #include "src/svc/event_loop.h"
 #include "src/svc/federation.h"
+#include "src/svc/registry.h"
 #include "src/svc/service.h"
 #include "src/svc/time_driver.h"
 
@@ -82,9 +83,9 @@ int main(int argc, char** argv) {
   flags.AddInt("tcp-port", &loop_options.tcp_port,
                "TCP port to listen on (-1 disables, 0 = ephemeral)");
   flags.AddString("scheduler", &options.engine.scheduler,
-                  "fifo | sjf | gandiva | afs | pollux | opportunistic | lyra | "
-                  "learned");
-  flags.AddString("reclaim", &options.engine.reclaim, "lyra | random | scf | optimal");
+                  lyra::svc::JoinNames(lyra::svc::KnownSchedulerNames()));
+  flags.AddString("reclaim", &options.engine.reclaim,
+                  lyra::svc::JoinNames(lyra::svc::KnownReclaimNames()));
   flags.AddString("policy-weights", &options.engine.policy_weights,
                   "LYRAPOL weights file for --scheduler=learned (see lyra_train)");
   flags.AddString("loan-predictor", &options.loan_predictor,

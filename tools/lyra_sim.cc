@@ -20,8 +20,9 @@
 
 #include "src/common/flags.h"
 #include "src/common/json.h"
-#include "src/svc/registry.h"
+#include "src/sim/inference_cluster.h"
 #include "src/sim/simulator.h"
+#include "src/svc/registry.h"
 #include "src/workload/synthetic.h"
 
 namespace {
@@ -56,9 +57,9 @@ int main(int argc, char** argv) {
   lyra::FlagSet flags(
       "lyra_sim: run one cluster-scheduling experiment and print its metrics");
   flags.AddString("scheduler", &scheduler_name,
-                  "fifo | sjf | gandiva | afs | pollux | opportunistic | lyra | "
-                  "learned");
-  flags.AddString("reclaim", &reclaim_name, "lyra | random | scf | optimal");
+                  lyra::svc::JoinNames(lyra::svc::KnownSchedulerNames()));
+  flags.AddString("reclaim", &reclaim_name,
+                  lyra::svc::JoinNames(lyra::svc::KnownReclaimNames()));
   flags.AddString("policy-weights", &policy_weights,
                   "LYRAPOL weights file for --scheduler=learned (see lyra_train)");
   flags.AddString("trace", &trace_path,
@@ -112,6 +113,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<lyra::JobScheduler> scheduler = std::move(made_scheduler.value());
   std::unique_ptr<lyra::ReclaimPolicy> reclaim = std::move(made_reclaim.value());
 
+  // Truncating, like BuildEngine: see MakeInferenceCluster.
   const int training_servers = std::max(1, static_cast<int>(443 * scale));
   const int inference_servers = std::max(1, static_cast<int>(520 * scale));
 
@@ -139,15 +141,6 @@ int main(int argc, char** argv) {
     lyra::ApplyElasticFraction(trace, elastic_population, transform_rng);
   }
 
-  lyra::DiurnalTrafficOptions traffic;
-  traffic.duration = trace.duration + 8 * lyra::kDay;
-  traffic.seed = static_cast<std::uint64_t>(seed) ^ 0x7aff1c;
-  lyra::InferenceClusterOptions inference_options;
-  inference_options.num_servers = inference_servers;
-  auto inference = std::make_unique<lyra::InferenceCluster>(
-      inference_options, lyra::DiurnalTrafficModel(traffic),
-      lyra::svc::MakeUsagePredictor(lstm));
-
   lyra::SimulatorOptions options;
   options.training_servers = training_servers;
   options.enable_loaning = loaning;
@@ -156,8 +149,11 @@ int main(int argc, char** argv) {
   options.record_decisions = !decisions_csv.empty();
   options.trace_path = trace_json;
   options.seed = static_cast<std::uint64_t>(seed);
-  lyra::Simulator simulator(options, trace, scheduler.get(), reclaim.get(),
-                            std::move(inference));
+  lyra::Simulator simulator(
+      options, trace, scheduler.get(), reclaim.get(),
+      lyra::MakeInferenceCluster(inference_servers, trace.duration,
+                                 static_cast<std::uint64_t>(seed),
+                                 lyra::svc::MakeUsagePredictor(lstm)));
 
   // Chunked event drain so SIGINT/SIGTERM can stop the run at an event
   // boundary while still flushing every requested output below.
