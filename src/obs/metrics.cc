@@ -2,28 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/common/check.h"
+#include "src/common/json.h"
 
 namespace lyra::obs {
-namespace {
-
-void AppendDouble(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-}
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> upper_bounds) : bounds_(std::move(upper_bounds)) {
   LYRA_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()));
@@ -189,81 +173,76 @@ std::vector<double> MetricsRegistry::DefaultBuckets() {
   return bounds;
 }
 
-std::string MetricsRegistry::ExportJson() const {
-  std::string json = "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    json += first ? "\n" : ",\n";
-    first = false;
-    json += "    \"";
-    AppendEscaped(json, name);
-    json += "\": " + std::to_string(c->value());
+void MetricsValues::Merge(const MetricsValues& other) {
+  for (const auto& [name, value] : other.counters) {
+    counters[name] += value;
   }
-  json += first ? "},\n" : "\n  },\n";
-  json += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    json += first ? "\n" : ",\n";
-    first = false;
-    json += "    \"";
-    AppendEscaped(json, name);
-    json += "\": ";
-    AppendDouble(json, g->value());
+  for (const auto& [name, value] : other.gauges) {
+    gauges[name] += value;
   }
-  json += first ? "},\n" : "\n  },\n";
-  json += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    json += first ? "\n" : ",\n";
-    first = false;
-    json += "    \"";
-    AppendEscaped(json, name);
-    json += "\": {\"count\": " + std::to_string(h->count()) + ", \"sum\": ";
-    AppendDouble(json, h->sum());
-    json += ", \"min\": ";
-    AppendDouble(json, h->min());
-    json += ", \"max\": ";
-    AppendDouble(json, h->max());
-    json += ", \"bounds\": [";
-    for (std::size_t i = 0; i < h->upper_bounds().size(); ++i) {
-      if (i > 0) {
-        json += ", ";
-      }
-      AppendDouble(json, h->upper_bounds()[i]);
+  for (const auto& [name, histogram] : other.histograms) {
+    const auto [it, inserted] = histograms.emplace(name, histogram);
+    if (!inserted) {
+      it->second.Merge(histogram);
     }
-    json += "], \"buckets\": [";
-    for (std::size_t i = 0; i < h->bucket_counts().size(); ++i) {
-      if (i > 0) {
-        json += ", ";
-      }
-      json += std::to_string(h->bucket_counts()[i]);
-    }
-    json += "]}";
   }
-  json += first ? "}\n}\n" : "\n  }\n}\n";
+}
+
+JsonValue MetricsValues::ToJson() const {
+  const auto number = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.9g", v);
+    return JsonValue::MakeNumber(std::strtod(buf, nullptr));
+  };
+  const auto count = [](std::uint64_t v) {
+    return JsonValue::MakeNumber(static_cast<double>(v));
+  };
+  JsonValue counter_json = JsonValue::MakeObject();
+  for (const auto& [name, value] : counters) {
+    counter_json.Set(name, count(value));
+  }
+  JsonValue gauge_json = JsonValue::MakeObject();
+  for (const auto& [name, value] : gauges) {
+    gauge_json.Set(name, number(value));
+  }
+  JsonValue histogram_json = JsonValue::MakeObject();
+  for (const auto& [name, h] : histograms) {
+    JsonValue bounds = JsonValue::MakeArray();
+    for (const double bound : h.upper_bounds()) {
+      bounds.Append(number(bound));
+    }
+    JsonValue buckets = JsonValue::MakeArray();
+    for (const std::uint64_t bucket : h.bucket_counts()) {
+      buckets.Append(count(bucket));
+    }
+    JsonValue entry = JsonValue::MakeObject();
+    entry.Set("count", count(h.count()));
+    entry.Set("sum", number(h.sum()));
+    entry.Set("min", number(h.min()));
+    entry.Set("max", number(h.max()));
+    entry.Set("bounds", std::move(bounds));
+    entry.Set("buckets", std::move(buckets));
+    histogram_json.Set(name, std::move(entry));
+  }
+  JsonValue json = JsonValue::MakeObject();
+  json.Set("counters", std::move(counter_json));
+  json.Set("gauges", std::move(gauge_json));
+  json.Set("histograms", std::move(histogram_json));
   return json;
 }
 
-std::string MetricsRegistry::ExportCsv() const {
-  std::string csv = "kind,name,count,sum,min,max,value\n";
+MetricsValues MetricsRegistry::Values() const {
+  MetricsValues values;
   for (const auto& [name, c] : counters_) {
-    csv += "counter," + name + ",,,,," + std::to_string(c->value()) + "\n";
+    values.counters.emplace_hint(values.counters.end(), name, c->value());
   }
   for (const auto& [name, g] : gauges_) {
-    csv += "gauge," + name + ",,,,,";
-    AppendDouble(csv, g->value());
-    csv += "\n";
+    values.gauges.emplace_hint(values.gauges.end(), name, g->value());
   }
   for (const auto& [name, h] : histograms_) {
-    csv += "histogram," + name + "," + std::to_string(h->count()) + ",";
-    AppendDouble(csv, h->sum());
-    csv += ",";
-    AppendDouble(csv, h->min());
-    csv += ",";
-    AppendDouble(csv, h->max());
-    csv += ",\n";
+    values.histograms.emplace_hint(values.histograms.end(), name, *h);
   }
-  return csv;
+  return values;
 }
 
 }  // namespace lyra::obs

@@ -15,6 +15,10 @@
 #include <string>
 #include <vector>
 
+namespace lyra {
+class JsonValue;  // src/common/json.h
+}
+
 namespace lyra::obs {
 
 class Counter {
@@ -88,6 +92,25 @@ class Histogram {
   double max_ = 0.0;
 };
 
+// A copy of a registry's values at one moment, detached from the live
+// metrics: what the daemon's read snapshot carries, what a fleet merges and
+// what the Prometheus renderer writes. Name-sorted.
+struct MetricsValues {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, double> gauges;
+  std::map<std::string, Histogram> histograms;
+
+  // Adds `other` in: counters and gauges sum, histograms merge bucketwise,
+  // and a metric only `other` has is copied.
+  void Merge(const MetricsValues& other);
+
+  // {"counters": {...}, "gauges": {...}, "histograms": {name: {"count",
+  // "sum", "min", "max", "bounds", "buckets"}}}, name-sorted, doubles
+  // rounded to nine significant digits (the precision the export has
+  // always had, so documents compare across versions).
+  JsonValue ToJson() const;
+};
+
 class MetricsRegistry {
  public:
   // Get-or-create; returned pointers stay valid for the registry's lifetime.
@@ -117,10 +140,8 @@ class MetricsRegistry {
     return histograms_;
   }
 
-  // {"counters": {...}, "gauges": {...}, "histograms": {...}}, name-sorted.
-  std::string ExportJson() const;
-  // One metric per row: kind,name,count,sum,min,max,value.
-  std::string ExportCsv() const;
+  // Every metric's current value, copied.
+  MetricsValues Values() const;
 
  private:
   std::map<std::string, std::unique_ptr<Counter>> counters_;

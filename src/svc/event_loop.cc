@@ -491,7 +491,7 @@ class EventLoop::IoThread {
     const char* status_line;
     const char* content_type;
     if (is_metrics) {
-      body = router_->RenderPromText();
+      body = RenderPrometheus(*router_);
       status_line = "HTTP/1.1 200 OK";
       content_type = "text/plain; version=0.0.4; charset=utf-8";
     } else {

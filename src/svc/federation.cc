@@ -95,18 +95,6 @@ std::int64_t ReserveOf(std::int64_t total_gpus) {
   return (total_gpus + 9) / 10;
 }
 
-// GPUs on outstanding loans whose `side` (lender or borrower) is `cluster`.
-std::int64_t LoanGpus(const FedLedger& ledger, std::uint32_t FedLoan::*side,
-                      std::uint32_t cluster) {
-  std::int64_t total = 0;
-  for (const FedLoan& loan : ledger.loans) {
-    if (loan.*side == cluster) {
-      total += loan.gpus;
-    }
-  }
-  return total;
-}
-
 // Engine k's scratch file for a fanout snapshot, gathered into the
 // container by the barrier merge.
 std::string PartPath(const std::string& path, int engine) {
@@ -120,53 +108,21 @@ JsonValue StoppedReply(const JsonValue& request) {
   return reply;
 }
 
-const char* JobStateLabel(int state) {
-  switch (state) {
-    case 0:
-      return "pending";
-    case 1:
-      return "running";
-    case 2:
-      return "finished";
-    default:
-      return "cancelled";
-  }
-}
-
-// Reply fields where "merged" means the furthest engine, not the sum:
-// virtual times, high-watermarks, and version counters.
-bool MergeByMax(const std::string& key) {
-  return key == "time" || key == "metrics_time" || key == "virtual_time" ||
-         key == "queue_peak" || key == "snapshot_version";
-}
-
-// Structural merge of per-engine reply documents: numbers sum (or max, see
-// above), objects recurse, everything else keeps the first engine's value.
-// Used for cluster_stats and the engine metrics export, whose members are
-// all per-engine tallies.
-void MergeNumeric(JsonValue& into, const JsonValue& from) {
-  if (!into.is_object() || !from.is_object()) {
-    return;
-  }
-  for (const auto& [key, value] : from.AsObject()) {
-    JsonValue* existing = into.FindMutable(key);
-    if (existing == nullptr) {
-      into.Set(key, value);
-    } else if (existing->is_number() && value.is_number()) {
-      const double merged = MergeByMax(key)
-                                ? std::max(existing->AsDouble(), value.AsDouble())
-                                : existing->AsDouble() + value.AsDouble();
-      *existing = JsonValue::MakeNumber(merged);
-    } else if (existing->is_object() && value.is_object()) {
-      MergeNumeric(*existing, value);
-    }
-  }
-}
-
 }  // namespace
 
 const char* ClusterKindName(ClusterKind kind) {
   return kind == ClusterKind::kInference ? "inference" : "training";
+}
+
+std::int64_t LoanGpus(const FedLedger& ledger, std::uint32_t FedLoan::*side,
+                      std::uint32_t cluster) {
+  std::int64_t total = 0;
+  for (const FedLoan& loan : ledger.loans) {
+    if (loan.*side == cluster) {
+      total += loan.gpus;
+    }
+  }
+  return total;
 }
 
 StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
@@ -1044,12 +1000,8 @@ FederationRouter::ClusterTotals FederationRouter::Totals(int c) const {
     for (std::size_t s = 0; s < totals.states.size(); ++s) {
       totals.states[s] += snap->state_counts[s];
     }
-    const PoolCounters& from =
-        kind == ClusterKind::kInference ? snap->inference : snap->training;
-    totals.pool.servers += from.servers;
-    totals.pool.total_gpus += from.total_gpus;
-    totals.pool.used_gpus += from.used_gpus;
-    totals.pool.free_gpus += from.free_gpus;
+    totals.pool.Add(kind == ClusterKind::kInference ? snap->inference
+                                                    : snap->training);
   }
   return totals;
 }
@@ -1246,19 +1198,14 @@ JsonValue FederationRouter::QueryJob(const JsonValue& request) const {
 }
 
 JsonValue FederationRouter::MergedClusterStats(const JsonValue& request) const {
-  JsonValue merged;
-  for (int k = 0; k < shard_count(); ++k) {
-    const std::shared_ptr<const StateSnapshot> snap = shards_[k]->snapshot();
-    if (snap == nullptr || shards_[k]->stopped()) {
+  std::vector<std::shared_ptr<const StateSnapshot>> snaps;
+  for (const SchedulerService* engine : shards_) {
+    snaps.push_back(engine->snapshot());
+    if (snaps.back() == nullptr || engine->stopped()) {
       return StoppedReply(request);
     }
-    JsonValue piece = SnapshotClusterStatsReply(*snap);
-    if (k == 0) {
-      merged = std::move(piece);
-    } else {
-      MergeNumeric(merged, piece);
-    }
   }
+  JsonValue merged = SnapshotClusterStatsReply(MergeSnapshots(snaps));
   front()->CountRead();
   EchoSeq(request, merged);
   JsonValue clusters = JsonValue::MakeArray();
@@ -1271,55 +1218,12 @@ JsonValue FederationRouter::MergedClusterStats(const JsonValue& request) const {
 }
 
 JsonValue FederationRouter::MergedMetrics(const JsonValue& request) const {
-  JsonValue engine;
-  double time = 0.0, metrics_time = 0.0, command_log = 0.0;
-  for (int k = 0; k < shard_count(); ++k) {
-    const std::shared_ptr<const StateSnapshot> snap = shards_[k]->snapshot();
-    if (snap == nullptr || shards_[k]->stopped()) {
+  for (const SchedulerService* engine : shards_) {
+    if (engine->snapshot() == nullptr || engine->stopped()) {
       return StoppedReply(request);
     }
-    time = std::max(time, snap->time);
-    metrics_time = std::max(metrics_time, snap->metrics_time);
-    command_log += static_cast<double>(snap->command_log_size);
-    const JsonValue piece = snap->engine_metrics != nullptr
-                                ? *snap->engine_metrics
-                                : JsonValue::MakeNull();
-    if (k == 0) {
-      engine = piece;
-    } else {
-      MergeNumeric(engine, piece);
-    }
   }
-  const SchedulerService::Stats stats = AggregateStats();
-  JsonValue reply = OkReply();
-  reply.Set("time", JsonValue::MakeNumber(time));
-  reply.Set("engine", std::move(engine));
-  JsonValue service = JsonValue::MakeObject();
-  service.Set("commands_applied", JsonValue::MakeNumber(
-                                      static_cast<double>(stats.commands_applied)));
-  service.Set("jobs_submitted",
-              JsonValue::MakeNumber(static_cast<double>(stats.jobs_submitted)));
-  service.Set("jobs_cancelled",
-              JsonValue::MakeNumber(static_cast<double>(stats.jobs_cancelled)));
-  service.Set("rejected_overload",
-              JsonValue::MakeNumber(static_cast<double>(stats.rejected_overload)));
-  service.Set("command_errors",
-              JsonValue::MakeNumber(static_cast<double>(stats.command_errors)));
-  service.Set("reads_served",
-              JsonValue::MakeNumber(static_cast<double>(stats.reads_served)));
-  service.Set("snapshots_published",
-              JsonValue::MakeNumber(
-                  static_cast<double>(stats.snapshots_published)));
-  service.Set("queue_depth",
-              JsonValue::MakeNumber(static_cast<double>(stats.queue_depth)));
-  service.Set("queue_peak",
-              JsonValue::MakeNumber(static_cast<double>(stats.queue_peak)));
-  service.Set("command_log", JsonValue::MakeNumber(command_log));
-  service.Set("driver", JsonValue::MakeString(front()->driver_name()));
-  service.Set("shards",
-              JsonValue::MakeNumber(static_cast<double>(shard_count())));
-  reply.Set("service", std::move(service));
-  reply.Set("metrics_time", JsonValue::MakeNumber(metrics_time));
+  JsonValue reply = MetricsReply(engines());
   front()->CountRead();
   EchoSeq(request, reply);
   return reply;
@@ -1372,7 +1276,7 @@ JsonValue FederationRouter::MergedStatsProm(const JsonValue& request) const {
     return StoppedReply(request);
   }
   JsonValue reply = OkReply();
-  reply.Set("text", JsonValue::MakeString(RenderPromText()));
+  reply.Set("text", JsonValue::MakeString(RenderPrometheus(*this)));
   front()->CountRead();
   EchoSeq(request, reply);
   return reply;
@@ -1423,7 +1327,7 @@ JsonValue FederationRouter::ClusterInfo(int c, const FedLedger& ledger) const {
                first_engine_[static_cast<std::size_t>(c)])));
   JsonValue jobs = JsonValue::MakeObject();
   for (std::size_t s = 0; s < states.size(); ++s) {
-    jobs.Set(JobStateLabel(static_cast<int>(s)),
+    jobs.Set(JobStateName(static_cast<JobState>(s)),
              JsonValue::MakeNumber(static_cast<double>(states[s])));
   }
   info.Set("jobs", std::move(jobs));
@@ -1506,89 +1410,6 @@ JsonValue FederationRouter::FederationStats(const JsonValue& request) const {
   return reply;
 }
 
-std::string FederationRouter::RenderPromText() const {
-  if (shard_count() == 1) {
-    return RenderPrometheus(*front());
-  }
-  std::string text = RenderPrometheus(*this);
-  const FedLedger ledger = LedgerCopy();
-  std::vector<ClusterTotals> totals;
-  for (int c = 0; c < cluster_count(); ++c) {
-    totals.push_back(Totals(c));
-  }
-  char buf[64];
-  const auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
-  // Opens a per-cluster sample: `family{cluster="<name>"` plus `labels`.
-  const auto sample = [this](const char* family, int c, const std::string& labels) {
-    return std::string(family) + "{cluster=\"" +
-           clusters_[static_cast<std::size_t>(c)].name + "\"" + labels + "} ";
-  };
-
-  text += "# HELP lyra_fed_clusters Clusters in the federation.\n";
-  text += "# TYPE lyra_fed_clusters gauge\n";
-  text += "lyra_fed_clusters " + num(cluster_count()) + "\n";
-  text += "# HELP lyra_fed_cluster_info Cluster identity (value is always 1).\n";
-  text += "# TYPE lyra_fed_cluster_info gauge\n";
-  for (int c = 0; c < cluster_count(); ++c) {
-    const char* kind = ClusterKindName(clusters_[static_cast<std::size_t>(c)].kind);
-    text += sample("lyra_fed_cluster_info", c, ",kind=\"" + std::string(kind) + "\"") +
-            "1\n";
-  }
-  text += "# HELP lyra_fed_jobs Jobs by cluster and state.\n";
-  text += "# TYPE lyra_fed_jobs gauge\n";
-  for (int c = 0; c < cluster_count(); ++c) {
-    for (std::size_t s = 0; s < totals[c].states.size(); ++s) {
-      text += sample("lyra_fed_jobs", c,
-                     ",state=\"" + std::string(JobStateLabel(static_cast<int>(s))) +
-                         "\"") +
-              num(static_cast<double>(totals[c].states[s])) + "\n";
-    }
-  }
-  text += "# HELP lyra_fed_gpus GPUs by cluster and pool counter.\n";
-  text += "# TYPE lyra_fed_gpus gauge\n";
-  for (int c = 0; c < cluster_count(); ++c) {
-    text += sample("lyra_fed_gpus", c, ",pool=\"total\"") +
-            num(totals[c].pool.total_gpus) + "\n";
-    text += sample("lyra_fed_gpus", c, ",pool=\"free\"") +
-            num(totals[c].pool.free_gpus) + "\n";
-  }
-  text += "# HELP lyra_fed_gpus_loaned GPUs currently lent out, by lender.\n";
-  text += "# TYPE lyra_fed_gpus_loaned gauge\n";
-  text +=
-      "# HELP lyra_fed_gpus_borrowed GPUs currently borrowed, by borrower.\n";
-  text += "# TYPE lyra_fed_gpus_borrowed gauge\n";
-  for (int c = 0; c < cluster_count(); ++c) {
-    const auto cluster = static_cast<std::uint32_t>(c);
-    text += sample("lyra_fed_gpus_loaned", c, "") +
-            num(static_cast<double>(LoanGpus(ledger, &FedLoan::lender, cluster))) +
-            "\n";
-    text += sample("lyra_fed_gpus_borrowed", c, "") +
-            num(static_cast<double>(
-                LoanGpus(ledger, &FedLoan::borrower, cluster))) +
-            "\n";
-  }
-  text += "# HELP lyra_fed_loans_active Outstanding cross-cluster loans.\n";
-  text += "# TYPE lyra_fed_loans_active gauge\n";
-  text += "lyra_fed_loans_active " +
-          num(static_cast<double>(ledger.loans.size())) + "\n";
-  text += "# HELP lyra_fed_loans_granted_total GPUs ever granted.\n";
-  text += "# TYPE lyra_fed_loans_granted_total counter\n";
-  text += "lyra_fed_loans_granted_total " +
-          num(static_cast<double>(ledger.total_granted)) + "\n";
-  text += "# HELP lyra_fed_loans_reclaimed_total GPUs ever reclaimed.\n";
-  text += "# TYPE lyra_fed_loans_reclaimed_total counter\n";
-  text += "lyra_fed_loans_reclaimed_total " +
-          num(static_cast<double>(ledger.total_reclaimed)) + "\n";
-  text += "# HELP lyra_fed_loans_returned_total GPUs ever returned.\n";
-  text += "# TYPE lyra_fed_loans_returned_total counter\n";
-  text += "lyra_fed_loans_returned_total " +
-          num(static_cast<double>(ledger.total_returned)) + "\n";
-  return text;
-}
-
 JsonValue FederationRouter::Execute(const JsonValue& request) {
   const TelemetryCmd tcmd = TelemetryCmdFromName(request.GetString("cmd"));
   if (SchedulerService::Classify(tcmd) != SchedulerService::CmdClass::kEngine) {
@@ -1629,16 +1450,7 @@ std::size_t FederationRouter::QueueDepthHint() const {
 SchedulerService::Stats FederationRouter::AggregateStats() const {
   SchedulerService::Stats total;
   for (const SchedulerService* engine : shards_) {
-    const SchedulerService::Stats stats = engine->stats();
-    total.commands_applied += stats.commands_applied;
-    total.jobs_submitted += stats.jobs_submitted;
-    total.jobs_cancelled += stats.jobs_cancelled;
-    total.rejected_overload += stats.rejected_overload;
-    total.command_errors += stats.command_errors;
-    total.reads_served += stats.reads_served;
-    total.snapshots_published += stats.snapshots_published;
-    total.queue_depth += stats.queue_depth;
-    total.queue_peak = std::max(total.queue_peak, stats.queue_peak);
+    total.Add(engine->stats());
   }
   return total;
 }

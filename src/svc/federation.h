@@ -51,6 +51,11 @@ enum class ClusterKind : std::uint8_t { kInference = 0, kTraining = 1 };
 
 const char* ClusterKindName(ClusterKind kind);
 
+// GPUs on `ledger`'s outstanding loans whose `side` (&FedLoan::lender or
+// &FedLoan::borrower) is `cluster`.
+std::int64_t LoanGpus(const FedLedger& ledger, std::uint32_t FedLoan::*side,
+                      std::uint32_t cluster);
+
 struct ClusterSpec {
   std::string name;  // [A-Za-z0-9_.-]+, unique within the federation
   ClusterKind kind = ClusterKind::kTraining;
@@ -171,9 +176,10 @@ class LoanBroker {
 //     an FNV-1a hash of the client's "key" string when present, of the
 //     router's monotone submit counter otherwise; cancel and query_job route
 //     by the engine encoded in the job id.
-//   - cluster_stats / metrics / ping / stats_prom merge the per-engine
-//     snapshots and telemetry registries at read time, off the engine
-//     threads; trace_dump writes one file per engine.
+//   - cluster_stats / metrics / ping merge the per-engine snapshots at read
+//     time, off the engine threads; stats_prom and /metrics serve
+//     RenderPrometheus(router) (prom.h), the engines' families plus the
+//     lyra_fed_* ones; trace_dump writes one file per engine.
 //   - advance / drain / snapshot / shutdown fan out to every engine behind a
 //     completion barrier. The broker evaluates at advance/drain barriers;
 //     `snapshot` gathers the per-engine images into one LYRAFED container
@@ -205,6 +211,11 @@ class FederationRouter {
   // Engine 0 doubles as the front end's home service: I/O-thread telemetry,
   // protocol-error counts, and identity fields all live there.
   SchedulerService* front() const { return shards_.front(); }
+  // The engines in flat order, for the readers that merge them (the
+  // `metrics` reply and the Prometheus renderer).
+  std::vector<const SchedulerService*> engines() const {
+    return {shards_.begin(), shards_.end()};
+  }
 
   int cluster_count() const { return static_cast<int>(clusters_.size()); }
   const ClusterSpec& cluster_spec(int c) const {
@@ -274,11 +285,6 @@ class FederationRouter {
   // engine 0 at E == 1 and merged across engines otherwise.
   JsonValue ReadReply(const JsonValue& request) const;
 
-  // The Prometheus exposition /metrics and stats_prom serve: the plain
-  // service's at E == 1, the shard-merged one plus the lyra_fed_* families
-  // otherwise.
-  std::string RenderPromText() const;
-
   // Synchronous convenience for tools and tests (mirrors
   // SchedulerService::Execute, including reply-id rewrites and barriers).
   JsonValue Execute(const JsonValue& request);
@@ -296,6 +302,15 @@ class FederationRouter {
 
   // Per-engine stats summed (queue_peak is a max).
   SchedulerService::Stats AggregateStats() const;
+
+  // One cluster's job counts by state and its own pool (the inference pool
+  // of an inference cluster, the training pool otherwise), summed over its
+  // engines' published snapshots.
+  struct ClusterTotals {
+    std::array<std::uint64_t, 4> states{};
+    PoolCounters pool;
+  };
+  ClusterTotals Totals(int c) const;
 
   // Routing sequence for keyless submits; persisted in the snapshot
   // container and restored by RestoreFederation.
@@ -355,14 +370,6 @@ class FederationRouter {
   // Per-cluster stats object (jobs by state, pools, loan balance) shared by
   // federation_stats and the cluster_stats read augmentation.
   JsonValue ClusterInfo(int c, const FedLedger& ledger) const;
-  // One cluster's job counts by state and its own pool (the inference pool
-  // of an inference cluster, the training pool otherwise), summed over its
-  // engines' published snapshots.
-  struct ClusterTotals {
-    std::array<std::uint64_t, 4> states{};
-    PoolCounters pool;
-  };
-  ClusterTotals Totals(int c) const;
   LoanBroker::ClusterSignal SignalFor(int c) const;
   std::vector<LoanBroker::ClusterSignal> CollectSignals() const;
   double MaxEngineTime() const;

@@ -258,7 +258,7 @@ StatusOr<obs::Histogram> ScrapeServerHistogram(const LoadClientOptions& options,
   if (!scrape.ok()) {
     return scrape.status();
   }
-  return ExtractHistogram(scrape.value(), "lyra_svc_request_duration_seconds",
+  return ExtractHistogram(scrape.value(), kRequestDurationFamily,
                           {{"cmd", cmd}});
 }
 

@@ -1,5 +1,6 @@
 #include "src/svc/prom.h"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cinttypes>
@@ -7,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <tuple>
 #include <utility>
 
 #include "src/svc/federation.h"
@@ -33,603 +35,510 @@ void AppendCount(std::string& out, std::uint64_t v) {
   out += buf;
 }
 
-void AppendHeader(std::string& out, const char* family, const char* type,
-                  const char* help) {
-  out += "# HELP ";
-  out += family;
-  out += ' ';
-  out += help;
-  out += "\n# TYPE ";
-  out += family;
-  out += ' ';
-  out += type;
-  out += '\n';
-}
-
-// `labels` is pre-rendered inner label text, e.g. "cmd=\"submit\"" (may be
-// empty). All label values here are identifier-like, so no escaping needed.
-void AppendSample(std::string& out, const char* family, const char* suffix,
-                  const std::string& labels, double value) {
-  out += family;
-  out += suffix;
-  if (!labels.empty()) {
-    out += '{';
-    out += labels;
-    out += '}';
+// Joins two pre-rendered label lists, e.g. `thread="io0"` and `shard="1"`.
+// Every label value here is identifier-like, so nothing needs escaping.
+std::string Labels(const std::string& a, const std::string& b) {
+  if (a.empty() || b.empty()) {
+    return a + b;
   }
-  out += ' ';
-  AppendNumber(out, value);
-  out += '\n';
+  return a + ',' + b;
 }
 
-void AppendCountSample(std::string& out, const char* family,
-                       const char* suffix, const std::string& labels,
-                       std::uint64_t value) {
-  out += family;
-  out += suffix;
-  if (!labels.empty()) {
-    out += '{';
-    out += labels;
-    out += '}';
+std::string Label(const char* key, const std::string& value) {
+  return std::string(key) + "=\"" + value + '"';
+}
+
+// The samples of one family. Only WriteFamily makes one, so a family's
+// samples always follow its own HELP and TYPE as one group.
+class Family {
+ public:
+  Family(std::string& out, const std::string& name) : out_(out), name_(name) {}
+
+  void Value(const std::string& labels, double value) {
+    Open("", labels);
+    AppendNumber(out_, value);
+    out_ += '\n';
   }
-  out += ' ';
-  AppendCount(out, value);
-  out += '\n';
-}
 
-// Emits the cumulative _bucket/_sum/_count triplet for one labeled series.
-// `labels` must not contain `le` (it is appended here).
-void AppendHistogramSeries(std::string& out, const char* family,
-                           const std::string& labels,
-                           const obs::Histogram& histogram) {
-  std::uint64_t cumulative = 0;
-  const auto& bounds = histogram.upper_bounds();
-  const auto& counts = histogram.bucket_counts();
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    cumulative += counts[i];
-    std::string bucket_labels = labels;
-    if (!bucket_labels.empty()) {
-      bucket_labels += ',';
+  void Count(const std::string& labels, std::uint64_t value,
+             const char* suffix = "") {
+    Open(suffix, labels);
+    AppendCount(out_, value);
+    out_ += '\n';
+  }
+
+  // The cumulative _bucket series, then _sum and _count, for one label set
+  // (which must not carry `le`).
+  void Histogram(const std::string& labels, const obs::Histogram& histogram) {
+    const auto& bounds = histogram.upper_bounds();
+    const auto& counts = histogram.bucket_counts();
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i <= bounds.size(); ++i) {
+      cumulative += counts[i];
+      std::string le = "+Inf";
+      if (i < bounds.size()) {
+        le.clear();
+        AppendNumber(le, bounds[i]);
+      }
+      Count(Labels(labels, Label("le", le)), cumulative, "_bucket");
     }
-    bucket_labels += "le=\"";
-    AppendNumber(bucket_labels, bounds[i]);
-    bucket_labels += '"';
-    AppendCountSample(out, family, "_bucket", bucket_labels, cumulative);
+    Open("_sum", labels);
+    AppendNumber(out_, histogram.sum());
+    out_ += '\n';
+    Count(labels, histogram.count(), "_count");
   }
-  cumulative += counts.back();
-  std::string inf_labels = labels;
-  if (!inf_labels.empty()) {
-    inf_labels += ',';
+
+ private:
+  void Open(const char* suffix, const std::string& labels) {
+    out_ += name_;
+    out_ += suffix;
+    if (!labels.empty()) {
+      out_ += '{';
+      out_ += labels;
+      out_ += '}';
+    }
+    out_ += ' ';
   }
-  inf_labels += "le=\"+Inf\"";
-  AppendCountSample(out, family, "_bucket", inf_labels, cumulative);
-  AppendSample(out, family, "_sum", labels, histogram.sum());
-  AppendCountSample(out, family, "_count", labels, histogram.count());
+
+  std::string& out_;
+  const std::string& name_;
+};
+
+template <typename Body>
+void WriteFamily(std::string& out, const std::string& name, const char* type,
+                 const std::string& help, Body&& body) {
+  out += "# HELP " + name + ' ' + help + "\n# TYPE " + name + ' ' + type +
+         '\n';
+  Family family(out, name);
+  body(family);
 }
 
-void AppendSingleHistogram(std::string& out, const char* family,
-                           const char* help, const obs::Histogram& histogram) {
-  AppendHeader(out, family, "histogram", help);
-  AppendHistogramSeries(out, family, "", histogram);
-}
+// What the engine families read from one engine, or from a fleet's merged
+// total.
+struct EngineValues {
+  TelemetrySummary telemetry;
+  SchedulerService::Stats stats;
+  std::shared_ptr<const StateSnapshot> snap;  // null until published
+};
 
-constexpr const char* kJobStateNames[] = {"pending", "running", "finished",
-                                          "cancelled"};
+using TelemetryHistograms = std::vector<obs::Histogram> TelemetrySummary::*;
 
-void AppendPool(std::string& out, const char* pool, const PoolCounters& c) {
-  const std::string base = std::string("pool=\"") + pool + "\"";
-  AppendSample(out, "lyra_engine_pool_servers", "", base,
-               static_cast<double>(c.servers));
-}
+// Engine families fed by the engine thread's telemetry shard.
+constexpr struct {
+  const char* name;
+  const char* help;
+  TelemetryHistograms member;
+} kEngineHistograms[] = {
+    {"lyra_svc_engine_batch_apply_seconds",
+     "Engine time applying one command batch.",
+     &TelemetrySummary::engine_batch_apply},
+    {"lyra_svc_engine_snapshot_publish_seconds",
+     "Engine time publishing one read snapshot.",
+     &TelemetrySummary::engine_snapshot_publish},
+    {"lyra_svc_engine_batch_commands", "Commands applied per engine batch.",
+     &TelemetrySummary::engine_batch_commands},
+};
 
-void AppendPoolGpus(std::string& out, const char* pool,
-                    const PoolCounters& c) {
-  const std::string base = std::string("pool=\"") + pool + "\",kind=\"";
-  AppendSample(out, "lyra_engine_pool_gpus", "", base + "total\"",
-               static_cast<double>(c.total_gpus));
-  AppendSample(out, "lyra_engine_pool_gpus", "", base + "used\"",
-               static_cast<double>(c.used_gpus));
-  AppendSample(out, "lyra_engine_pool_gpus", "", base + "free\"",
-               static_cast<double>(c.free_gpus));
+// Engine families fed by SchedulerService::Stats.
+constexpr struct {
+  const char* name;
+  const char* type;
+  const char* help;
+  std::uint64_t SchedulerService::Stats::*member;
+} kStatFamilies[] = {
+    {"lyra_svc_commands_applied_total", "counter", "Engine commands applied.",
+     &SchedulerService::Stats::commands_applied},
+    {"lyra_svc_jobs_submitted_total", "counter", "Jobs accepted via submit.",
+     &SchedulerService::Stats::jobs_submitted},
+    {"lyra_svc_jobs_cancelled_total", "counter", "Jobs cancelled via cancel.",
+     &SchedulerService::Stats::jobs_cancelled},
+    {"lyra_svc_rejected_overload_total", "counter",
+     "Commands rejected or shed under backpressure.",
+     &SchedulerService::Stats::rejected_overload},
+    {"lyra_svc_command_errors_total", "counter",
+     "Malformed or failed commands.", &SchedulerService::Stats::command_errors},
+    {"lyra_svc_reads_served_total", "counter",
+     "Read-only commands answered from the snapshot.",
+     &SchedulerService::Stats::reads_served},
+    {"lyra_svc_snapshots_published_total", "counter",
+     "Read snapshots published by the engine.",
+     &SchedulerService::Stats::snapshots_published},
+    {"lyra_svc_queue_depth", "gauge", "Engine command queue depth.",
+     &SchedulerService::Stats::queue_depth},
+    {"lyra_svc_queue_peak", "gauge", "Engine command queue high-watermark.",
+     &SchedulerService::Stats::queue_peak},
+};
+
+// The engine and service families for `services` (engine 0 first, which
+// homes the I/O threads). Service families (request latency, transport,
+// uptime, identity) are engine 0's. Every engine family follows one
+// labelling rule: one engine writes unlabelled rows; N engines write the
+// merged total first, then one shard="k" row per engine.
+std::string RenderEngines(
+    const std::vector<const SchedulerService*>& services) {
+  const std::size_t n = services.size();
+  std::vector<EngineValues> engines;
+  std::vector<std::shared_ptr<const StateSnapshot>> snaps;
+  for (const SchedulerService* service : services) {
+    engines.push_back({service->telemetry().Collect(), service->stats(),
+                       service->snapshot()});
+    snaps.push_back(engines.back().snap);
+  }
+  const bool published =
+      std::all_of(snaps.begin(), snaps.end(),
+                  [](const auto& snap) { return snap != nullptr; });
+
+  // The merged total: histograms merge bucketwise, Stats fold by
+  // Stats::Add, snapshots by MergeSnapshots.
+  EngineValues total{engines.front().telemetry, engines.front().stats,
+                     nullptr};
+  for (std::size_t k = 1; k < n; ++k) {
+    for (const auto& family : kEngineHistograms) {
+      (total.telemetry.*family.member)[0].Merge(
+          (engines[k].telemetry.*family.member)[0]);
+    }
+    total.stats.Add(engines[k].stats);
+  }
+  if (published && n > 1) {
+    total.snap = std::make_shared<const StateSnapshot>(MergeSnapshots(snaps));
+  }
+  struct Row {
+    std::string shard;
+    const EngineValues* values;
+  };
+  std::vector<Row> rows;
+  if (n > 1) {
+    rows.push_back({"", &total});
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    rows.push_back(
+        {n > 1 ? Label("shard", std::to_string(k)) : "", &engines[k]});
+  }
+  const EngineValues& front = engines.front();
+  const SchedulerService& front_service = *services.front();
+
+  std::string out;
+  out.reserve(32768 * n);
+  const auto per_row = [&](const std::string& name, const char* type,
+                           const std::string& help, auto write) {
+    WriteFamily(out, name, type, help, [&](Family& f) {
+      for (const Row& row : rows) {
+        write(f, row.shard, *row.values);
+      }
+    });
+  };
+
+  WriteFamily(out, kRequestDurationFamily, "histogram",
+              "Request latency from frame decode to reply queued, per "
+              "command.",
+              [&](Family& f) {
+                for (int c = 0; c < kTelemetryWireCmdCount; ++c) {
+                  const obs::Histogram& h =
+                      front.telemetry.cmd_latency[static_cast<std::size_t>(c)];
+                  if (h.count() > 0) {  // skip never-seen commands
+                    f.Histogram(Label("cmd", TelemetryCmdName(
+                                                 static_cast<TelemetryCmd>(c))),
+                                h);
+                  }
+                }
+              });
+  for (const auto& [name, help, member] :
+       {std::tuple{"lyra_svc_epoll_dispatch_lag_seconds",
+                   "Delay from epoll_wait return to event dispatch.",
+                   &TelemetrySummary::dispatch_lag},
+        std::tuple{"lyra_svc_wake_batch_events",
+                   "Ready epoll events handled per wakeup.",
+                   &TelemetrySummary::wake_events},
+        std::tuple{"lyra_svc_completion_batch",
+                   "Engine completions delivered per mailbox drain.",
+                   &TelemetrySummary::completion_batch}}) {
+    WriteFamily(out, name, "histogram", help, [&](Family& f) {
+      f.Histogram("", (front.telemetry.*member)[0]);
+    });
+  }
+  for (const auto& family : kEngineHistograms) {
+    per_row(family.name, "histogram", family.help,
+            [&](Family& f, const auto& shard, const EngineValues& e) {
+              f.Histogram(shard, (e.telemetry.*family.member)[0]);
+            });
+  }
+
+  // Per-thread transport counters. The io threads live in engine 0's
+  // telemetry; an engine thread never touches a socket, so only its span
+  // count is exported, once per engine and with no merged row (a sum over
+  // threads is no thread).
+  using Thread = TelemetrySummary::ShardCounters;
+  const auto is_io = [](const Thread& thread) {
+    return thread.role.rfind("io", 0) == 0;
+  };
+  const auto io_family = [&](const char* name, const char* type,
+                             const char* help, auto write) {
+    WriteFamily(out, name, type, help, [&](Family& f) {
+      for (const Thread& thread : front.telemetry.shards) {
+        if (is_io(thread)) {
+          write(f, Label("thread", thread.role), thread);
+        }
+      }
+    });
+  };
+  io_family("lyra_svc_io_bytes_total", "counter",
+            "Bytes moved by each io thread, by direction.",
+            [](Family& f, const std::string& labels, const Thread& thread) {
+              f.Count(Labels(labels, Label("dir", "in")), thread.bytes_in);
+              f.Count(Labels(labels, Label("dir", "out")), thread.bytes_out);
+            });
+  io_family("lyra_svc_io_frames_total", "counter",
+            "Frames moved by each io thread, by direction.",
+            [](Family& f, const std::string& labels, const Thread& thread) {
+              f.Count(Labels(labels, Label("dir", "in")), thread.frames_in);
+              f.Count(Labels(labels, Label("dir", "out")), thread.frames_out);
+            });
+  io_family("lyra_svc_write_queue_bytes_peak", "gauge",
+            "High-watermark of queued reply bytes per io thread.",
+            [](Family& f, const std::string& labels, const Thread& thread) {
+              f.Count(labels, thread.write_queue_peak);
+            });
+  WriteFamily(out, "lyra_svc_flight_spans_total", "counter",
+              "Flight-recorder spans recorded per telemetry shard.",
+              [&](Family& f) {
+                for (const Row& row : rows) {
+                  if (row.values == &total) {
+                    continue;
+                  }
+                  for (const Thread& thread : row.values->telemetry.shards) {
+                    f.Count(Labels(Label("thread", thread.role),
+                                   is_io(thread) ? "" : row.shard),
+                            thread.spans_recorded);
+                  }
+                }
+              });
+
+  for (const auto& family : kStatFamilies) {
+    per_row(family.name, family.type, family.help,
+            [&](Family& f, const auto& shard, const EngineValues& e) {
+              f.Count(shard, e.stats.*family.member);
+            });
+  }
+  WriteFamily(out, "lyra_svc_uptime_seconds", "gauge",
+              "Seconds since the service started.", [&](Family& f) {
+                f.Value("", front_service.UptimeSeconds());
+              });
+  WriteFamily(
+      out, "lyra_svc_info", "gauge", "Service identity; value is always 1.",
+      [&](Family& f) {
+        const EngineConfig& engine = front_service.options().engine;
+        f.Value(Labels(Labels(Label("scheduler", engine.scheduler),
+                              Label("reclaim", engine.reclaim)),
+                       Label("driver", front_service.driver_name())),
+                1.0);
+      });
+  if (!published) {
+    return out;
+  }
+
+  // Engine families from the read snapshots.
+  per_row("lyra_engine_virtual_time_seconds", "gauge",
+          "Engine virtual-time frontier.",
+          [](Family& f, const auto& shard, const EngineValues& e) {
+            f.Value(shard, e.snap->time);
+          });
+  per_row("lyra_engine_events_processed_total", "counter",
+          "Discrete events processed by the engine.",
+          [](Family& f, const auto& shard, const EngineValues& e) {
+            f.Count(shard, e.snap->events_processed);
+          });
+  per_row("lyra_engine_snapshot_version", "gauge",
+          "Monotone version of the published read snapshot.",
+          [](Family& f, const auto& shard, const EngineValues& e) {
+            f.Count(shard, e.snap->version);
+          });
+  per_row("lyra_engine_jobs", "gauge", "Jobs known to the engine, by state.",
+          [](Family& f, const auto& shard, const EngineValues& e) {
+            for (std::size_t s = 0; s < e.snap->state_counts.size(); ++s) {
+              const char* state = JobStateName(static_cast<JobState>(s));
+              f.Count(Labels(Label("state", state), shard),
+                      e.snap->state_counts[s]);
+            }
+          });
+  const auto pools = [](const StateSnapshot& snap) {
+    return std::array<std::pair<const char*, const PoolCounters*>, 3>{
+        {{"training", &snap.training},
+         {"on_loan", &snap.on_loan},
+         {"inference", &snap.inference}}};
+  };
+  per_row("lyra_engine_pool_servers", "gauge", "Servers per cluster pool.",
+          [&](Family& f, const auto& shard, const EngineValues& e) {
+            for (const auto& [pool, c] : pools(*e.snap)) {
+              f.Value(Labels(Label("pool", pool), shard), c->servers);
+            }
+          });
+  per_row("lyra_engine_pool_gpus", "gauge",
+          "GPUs per cluster pool, by kind (total/used/free).",
+          [&](Family& f, const auto& shard, const EngineValues& e) {
+            for (const auto& [pool, c] : pools(*e.snap)) {
+              for (const auto& [kind, gpus] :
+                   {std::pair{"total", c->total_gpus},
+                    std::pair{"used", c->used_gpus},
+                    std::pair{"free", c->free_gpus}}) {
+                f.Value(Labels(Labels(Label("pool", pool), Label("kind", kind)),
+                               shard),
+                        gpus);
+              }
+            }
+          });
+
+  // One family per metric of the engines' registries, named
+  // lyra_engine_<name> with each character a Prometheus name cannot hold
+  // (the registry's dots) written as '_'; an engine without the metric
+  // writes no row. The first row's registry (the merged or the only one)
+  // names every metric.
+  const obs::MetricsValues* all =
+      rows.front().values->snap->engine_metrics.get();
+  if (all == nullptr) {
+    return out;
+  }
+  const auto registry_families = [&](auto member, const char* type,
+                                     const char* suffix, auto write) {
+    for (const auto& entry : all->*member) {
+      const std::string& metric = entry.first;
+      std::string name = "lyra_engine_";
+      for (const char c : metric) {
+        name += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
+      }
+      const std::string help =
+          std::string("Engine metrics registry ") + type + ' ' + metric + '.';
+      per_row(name + suffix, type, help,
+              [&](Family& f, const auto& shard, const EngineValues& e) {
+                const obs::MetricsValues* values = e.snap->engine_metrics.get();
+                if (values != nullptr) {
+                  const auto it = (values->*member).find(metric);
+                  if (it != (values->*member).end()) {
+                    write(f, shard, it->second);
+                  }
+                }
+              });
+    }
+  };
+  registry_families(&obs::MetricsValues::counters, "counter", "_total",
+                    [](Family& f, const auto& shard, std::uint64_t v) {
+                      f.Count(shard, v);
+                    });
+  registry_families(&obs::MetricsValues::gauges, "gauge", "",
+                    [](Family& f, const auto& shard, double v) {
+                      f.Value(shard, v);
+                    });
+  registry_families(&obs::MetricsValues::histograms, "histogram", "",
+                    [](Family& f, const auto& shard, const obs::Histogram& h) {
+                      f.Histogram(shard, h);
+                    });
+  return out;
 }
 
 }  // namespace
 
 std::string RenderPrometheus(const SchedulerService& service) {
-  const TelemetrySummary telemetry = service.telemetry().Collect();
-  const SchedulerService::Stats stats = service.stats();
-  const std::shared_ptr<const StateSnapshot> snap = service.snapshot();
-
-  std::string out;
-  out.reserve(32768);
-
-  // --- request latency, per command (skip never-seen commands) ---
-  AppendHeader(out, "lyra_svc_request_duration_seconds", "histogram",
-               "Request latency from frame decode to reply queued, per "
-               "command.");
-  for (int c = 0; c < kTelemetryWireCmdCount; ++c) {
-    const obs::Histogram& h = telemetry.cmd_latency[static_cast<std::size_t>(c)];
-    if (h.count() == 0) {
-      continue;
-    }
-    const std::string labels =
-        std::string("cmd=\"") +
-        TelemetryCmdName(static_cast<TelemetryCmd>(c)) + "\"";
-    AppendHistogramSeries(out, "lyra_svc_request_duration_seconds", labels, h);
-  }
-
-  AppendSingleHistogram(out, "lyra_svc_epoll_dispatch_lag_seconds",
-                        "Delay from epoll_wait return to event dispatch.",
-                        telemetry.dispatch_lag[0]);
-  AppendSingleHistogram(out, "lyra_svc_wake_batch_events",
-                        "Ready epoll events handled per wakeup.",
-                        telemetry.wake_events[0]);
-  AppendSingleHistogram(out, "lyra_svc_completion_batch",
-                        "Engine completions delivered per mailbox drain.",
-                        telemetry.completion_batch[0]);
-  AppendSingleHistogram(out, "lyra_svc_engine_batch_apply_seconds",
-                        "Engine time applying one command batch.",
-                        telemetry.engine_batch_apply[0]);
-  AppendSingleHistogram(out, "lyra_svc_engine_snapshot_publish_seconds",
-                        "Engine time publishing one read snapshot.",
-                        telemetry.engine_snapshot_publish[0]);
-  AppendSingleHistogram(out, "lyra_svc_engine_batch_commands",
-                        "Commands applied per engine batch.",
-                        telemetry.engine_batch_commands[0]);
-
-  // --- per-io-thread transport counters ---
-  // The engine shard never touches a socket; exporting its always-zero
-  // transport counters would only skew per-thread balance views.
-  const auto is_io = [](const TelemetrySummary::ShardCounters& shard) {
-    return shard.role.rfind("io", 0) == 0;
-  };
-  AppendHeader(out, "lyra_svc_io_bytes_total", "counter",
-               "Bytes moved by each io thread, by direction.");
-  for (const auto& shard : telemetry.shards) {
-    if (!is_io(shard)) {
-      continue;
-    }
-    AppendCountSample(out, "lyra_svc_io_bytes_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"in\"",
-                      shard.bytes_in);
-    AppendCountSample(out, "lyra_svc_io_bytes_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"out\"",
-                      shard.bytes_out);
-  }
-  AppendHeader(out, "lyra_svc_io_frames_total", "counter",
-               "Frames moved by each io thread, by direction.");
-  for (const auto& shard : telemetry.shards) {
-    if (!is_io(shard)) {
-      continue;
-    }
-    AppendCountSample(out, "lyra_svc_io_frames_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"in\"",
-                      shard.frames_in);
-    AppendCountSample(out, "lyra_svc_io_frames_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"out\"",
-                      shard.frames_out);
-  }
-  AppendHeader(out, "lyra_svc_write_queue_bytes_peak", "gauge",
-               "High-watermark of queued reply bytes per io thread.");
-  for (const auto& shard : telemetry.shards) {
-    if (!is_io(shard)) {
-      continue;
-    }
-    AppendCountSample(out, "lyra_svc_write_queue_bytes_peak", "",
-                      "thread=\"" + shard.role + "\"",
-                      shard.write_queue_peak);
-  }
-  AppendHeader(out, "lyra_svc_flight_spans_total", "counter",
-               "Flight-recorder spans recorded per telemetry shard.");
-  for (const auto& shard : telemetry.shards) {
-    AppendCountSample(out, "lyra_svc_flight_spans_total", "",
-                      "thread=\"" + shard.role + "\"", shard.spans_recorded);
-  }
-
-  // --- service counters / gauges (Stats) ---
-  AppendHeader(out, "lyra_svc_commands_applied_total", "counter",
-               "Engine commands applied.");
-  AppendCountSample(out, "lyra_svc_commands_applied_total", "", "",
-                    stats.commands_applied);
-  AppendHeader(out, "lyra_svc_jobs_submitted_total", "counter",
-               "Jobs accepted via submit.");
-  AppendCountSample(out, "lyra_svc_jobs_submitted_total", "", "",
-                    stats.jobs_submitted);
-  AppendHeader(out, "lyra_svc_jobs_cancelled_total", "counter",
-               "Jobs cancelled via cancel.");
-  AppendCountSample(out, "lyra_svc_jobs_cancelled_total", "", "",
-                    stats.jobs_cancelled);
-  AppendHeader(out, "lyra_svc_rejected_overload_total", "counter",
-               "Commands rejected or shed under backpressure.");
-  AppendCountSample(out, "lyra_svc_rejected_overload_total", "", "",
-                    stats.rejected_overload);
-  AppendHeader(out, "lyra_svc_command_errors_total", "counter",
-               "Malformed or failed commands.");
-  AppendCountSample(out, "lyra_svc_command_errors_total", "", "",
-                    stats.command_errors);
-  AppendHeader(out, "lyra_svc_reads_served_total", "counter",
-               "Read-only commands answered from the snapshot.");
-  AppendCountSample(out, "lyra_svc_reads_served_total", "", "",
-                    stats.reads_served);
-  AppendHeader(out, "lyra_svc_snapshots_published_total", "counter",
-               "Read snapshots published by the engine.");
-  AppendCountSample(out, "lyra_svc_snapshots_published_total", "", "",
-                    stats.snapshots_published);
-  AppendHeader(out, "lyra_svc_queue_depth", "gauge",
-               "Engine command queue depth.");
-  AppendCountSample(out, "lyra_svc_queue_depth", "", "", stats.queue_depth);
-  AppendHeader(out, "lyra_svc_queue_peak", "gauge",
-               "Engine command queue high-watermark.");
-  AppendCountSample(out, "lyra_svc_queue_peak", "", "", stats.queue_peak);
-
-  AppendHeader(out, "lyra_svc_uptime_seconds", "gauge",
-               "Seconds since the service started.");
-  AppendSample(out, "lyra_svc_uptime_seconds", "", "", service.UptimeSeconds());
-
-  AppendHeader(out, "lyra_svc_info", "gauge",
-               "Service identity; value is always 1.");
-  {
-    std::string labels = "scheduler=\"";
-    labels += service.options().engine.scheduler;
-    labels += "\",reclaim=\"";
-    labels += service.options().engine.reclaim;
-    labels += "\",driver=\"";
-    labels += service.driver_name();
-    labels += '"';
-    AppendSample(out, "lyra_svc_info", "", labels, 1.0);
-  }
-
-  // --- engine gauges from the read snapshot ---
-  if (snap != nullptr) {
-    AppendHeader(out, "lyra_engine_virtual_time_seconds", "gauge",
-                 "Engine virtual-time frontier.");
-    AppendSample(out, "lyra_engine_virtual_time_seconds", "", "", snap->time);
-    AppendHeader(out, "lyra_engine_events_processed_total", "counter",
-                 "Discrete events processed by the engine.");
-    AppendCountSample(out, "lyra_engine_events_processed_total", "", "",
-                      snap->events_processed);
-    AppendHeader(out, "lyra_engine_snapshot_version", "gauge",
-                 "Monotone version of the published read snapshot.");
-    AppendCountSample(out, "lyra_engine_snapshot_version", "", "",
-                      snap->version);
-    AppendHeader(out, "lyra_engine_jobs", "gauge",
-                 "Jobs known to the engine, by state.");
-    for (std::size_t s = 0; s < snap->state_counts.size(); ++s) {
-      AppendCountSample(out, "lyra_engine_jobs", "",
-                        std::string("state=\"") + kJobStateNames[s] + "\"",
-                        snap->state_counts[s]);
-    }
-    AppendHeader(out, "lyra_engine_pool_servers", "gauge",
-                 "Servers per cluster pool.");
-    AppendPool(out, "training", snap->training);
-    AppendPool(out, "on_loan", snap->on_loan);
-    AppendPool(out, "inference", snap->inference);
-    AppendHeader(out, "lyra_engine_pool_gpus", "gauge",
-                 "GPUs per cluster pool, by kind (total/used/free).");
-    AppendPoolGpus(out, "training", snap->training);
-    AppendPoolGpus(out, "on_loan", snap->on_loan);
-    AppendPoolGpus(out, "inference", snap->inference);
-  }
-  return out;
+  return RenderEngines({&service});
 }
 
 std::string RenderPrometheus(const FederationRouter& router) {
-  if (router.shard_count() == 1) {
-    // Byte-for-byte the unsharded exposition: no shard labels, no extra
-    // families, so dashboards built against a one-shard daemon never change.
-    return RenderPrometheus(*router.front());
+  const std::vector<const SchedulerService*> engines = router.engines();
+  std::string out = RenderEngines(engines);
+  if (engines.size() == 1) {
+    return out;
   }
-  const int n = router.shard_count();
-  std::vector<TelemetrySummary> shard_telemetry;
-  std::vector<SchedulerService::Stats> shard_stats;
-  std::vector<std::shared_ptr<const StateSnapshot>> shard_snaps;
-  shard_telemetry.reserve(static_cast<std::size_t>(n));
-  shard_stats.reserve(static_cast<std::size_t>(n));
-  shard_snaps.reserve(static_cast<std::size_t>(n));
-  for (int k = 0; k < n; ++k) {
-    shard_telemetry.push_back(router.shard(k)->telemetry().Collect());
-    shard_stats.push_back(router.shard(k)->stats());
-    shard_snaps.push_back(router.shard(k)->snapshot());
-  }
-  // The front shard's registry is where the I/O threads live; every other
-  // registry holds only that shard's engine thread.
-  const TelemetrySummary& front = shard_telemetry.front();
-  const SchedulerService::Stats total = router.AggregateStats();
-  const SchedulerService& front_service = *router.front();
-
-  std::string out;
-  out.reserve(65536);
-
-  const auto shard_label = [](int k) {
-    return "shard=\"" + std::to_string(k) + "\"";
+  const auto gauge = [&out](const char* name, const char* help,
+                            std::uint64_t value) {
+    WriteFamily(out, name, "gauge", help,
+                [&](Family& f) { f.Count("", value); });
   };
+  gauge("lyra_svc_shards", "Engine shards behind this front end.",
+        engines.size());
 
-  // --- request latency (recorded by the I/O threads; front registry) ---
-  AppendHeader(out, "lyra_svc_request_duration_seconds", "histogram",
-               "Request latency from frame decode to reply queued, per "
-               "command.");
-  for (int c = 0; c < kTelemetryWireCmdCount; ++c) {
-    const obs::Histogram& h = front.cmd_latency[static_cast<std::size_t>(c)];
-    if (h.count() == 0) {
-      continue;
-    }
-    const std::string labels =
-        std::string("cmd=\"") +
-        TelemetryCmdName(static_cast<TelemetryCmd>(c)) + "\"";
-    AppendHistogramSeries(out, "lyra_svc_request_duration_seconds", labels, h);
+  // Per-cluster families, then the broker ledger's.
+  const int clusters = router.cluster_count();
+  const FedLedger ledger = router.LedgerCopy();
+  std::vector<std::string> cluster_labels;
+  std::vector<FederationRouter::ClusterTotals> totals;
+  for (int c = 0; c < clusters; ++c) {
+    cluster_labels.push_back(Label("cluster", router.cluster_spec(c).name));
+    totals.push_back(router.Totals(c));
   }
-
-  AppendSingleHistogram(out, "lyra_svc_epoll_dispatch_lag_seconds",
-                        "Delay from epoll_wait return to event dispatch.",
-                        front.dispatch_lag[0]);
-  AppendSingleHistogram(out, "lyra_svc_wake_batch_events",
-                        "Ready epoll events handled per wakeup.",
-                        front.wake_events[0]);
-  AppendSingleHistogram(out, "lyra_svc_completion_batch",
-                        "Engine completions delivered per mailbox drain.",
-                        front.completion_batch[0]);
-
-  // --- engine histograms: merged total first (first-match consumers see
-  // the fleet), then one series per shard ---
-  const auto engine_histogram = [&](const char* family, const char* help,
-                                    auto member) {
-    AppendHeader(out, family, "histogram", help);
-    obs::Histogram merged = (shard_telemetry[0].*member)[0];
-    for (int k = 1; k < n; ++k) {
-      merged.Merge((shard_telemetry[static_cast<std::size_t>(k)].*member)[0]);
-    }
-    AppendHistogramSeries(out, family, "", merged);
-    for (int k = 0; k < n; ++k) {
-      AppendHistogramSeries(
-          out, family, shard_label(k),
-          (shard_telemetry[static_cast<std::size_t>(k)].*member)[0]);
-    }
-  };
-  engine_histogram("lyra_svc_engine_batch_apply_seconds",
-                   "Engine time applying one command batch.",
-                   &TelemetrySummary::engine_batch_apply);
-  engine_histogram("lyra_svc_engine_snapshot_publish_seconds",
-                   "Engine time publishing one read snapshot.",
-                   &TelemetrySummary::engine_snapshot_publish);
-  engine_histogram("lyra_svc_engine_batch_commands",
-                   "Commands applied per engine batch.",
-                   &TelemetrySummary::engine_batch_commands);
-
-  // --- per-io-thread transport counters (front registry only) ---
-  const auto is_io = [](const TelemetrySummary::ShardCounters& shard) {
-    return shard.role.rfind("io", 0) == 0;
-  };
-  AppendHeader(out, "lyra_svc_io_bytes_total", "counter",
-               "Bytes moved by each io thread, by direction.");
-  for (const auto& shard : front.shards) {
-    if (!is_io(shard)) {
-      continue;
-    }
-    AppendCountSample(out, "lyra_svc_io_bytes_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"in\"",
-                      shard.bytes_in);
-    AppendCountSample(out, "lyra_svc_io_bytes_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"out\"",
-                      shard.bytes_out);
-  }
-  AppendHeader(out, "lyra_svc_io_frames_total", "counter",
-               "Frames moved by each io thread, by direction.");
-  for (const auto& shard : front.shards) {
-    if (!is_io(shard)) {
-      continue;
-    }
-    AppendCountSample(out, "lyra_svc_io_frames_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"in\"",
-                      shard.frames_in);
-    AppendCountSample(out, "lyra_svc_io_frames_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"out\"",
-                      shard.frames_out);
-  }
-  AppendHeader(out, "lyra_svc_write_queue_bytes_peak", "gauge",
-               "High-watermark of queued reply bytes per io thread.");
-  for (const auto& shard : front.shards) {
-    if (!is_io(shard)) {
-      continue;
-    }
-    AppendCountSample(out, "lyra_svc_write_queue_bytes_peak", "",
-                      "thread=\"" + shard.role + "\"",
-                      shard.write_queue_peak);
-  }
-  AppendHeader(out, "lyra_svc_flight_spans_total", "counter",
-               "Flight-recorder spans recorded per telemetry shard.");
-  for (const auto& shard : front.shards) {
-    if (!is_io(shard)) {
-      continue;
-    }
-    AppendCountSample(out, "lyra_svc_flight_spans_total", "",
-                      "thread=\"" + shard.role + "\"", shard.spans_recorded);
-  }
-  for (int k = 0; k < n; ++k) {
-    for (const auto& shard : shard_telemetry[static_cast<std::size_t>(k)].shards) {
-      if (is_io(shard)) {
-        continue;
+  const auto per_cluster = [&](const char* name, const char* help, auto write) {
+    WriteFamily(out, name, "gauge", help, [&](Family& f) {
+      for (int c = 0; c < clusters; ++c) {
+        write(f, cluster_labels[c], c);
       }
-      AppendCountSample(out, "lyra_svc_flight_spans_total", "",
-                        "thread=\"" + shard.role + "\"," + shard_label(k),
-                        shard.spans_recorded);
-    }
-  }
-
-  // --- service counters / gauges: fleet total first, then per shard ---
-  const auto stat_family = [&](const char* family, const char* type,
-                               const char* help, std::uint64_t total_value,
-                               auto per_shard) {
-    AppendHeader(out, family, type, help);
-    AppendCountSample(out, family, "", "", total_value);
-    for (int k = 0; k < n; ++k) {
-      AppendCountSample(out, family, "", shard_label(k),
-                        per_shard(shard_stats[static_cast<std::size_t>(k)]));
-    }
+    });
   };
-  stat_family("lyra_svc_commands_applied_total", "counter",
-              "Engine commands applied.", total.commands_applied,
-              [](const SchedulerService::Stats& s) { return s.commands_applied; });
-  stat_family("lyra_svc_jobs_submitted_total", "counter",
-              "Jobs accepted via submit.", total.jobs_submitted,
-              [](const SchedulerService::Stats& s) { return s.jobs_submitted; });
-  stat_family("lyra_svc_jobs_cancelled_total", "counter",
-              "Jobs cancelled via cancel.", total.jobs_cancelled,
-              [](const SchedulerService::Stats& s) { return s.jobs_cancelled; });
-  stat_family("lyra_svc_rejected_overload_total", "counter",
-              "Commands rejected or shed under backpressure.",
-              total.rejected_overload,
-              [](const SchedulerService::Stats& s) { return s.rejected_overload; });
-  stat_family("lyra_svc_command_errors_total", "counter",
-              "Malformed or failed commands.", total.command_errors,
-              [](const SchedulerService::Stats& s) { return s.command_errors; });
-  stat_family("lyra_svc_reads_served_total", "counter",
-              "Read-only commands answered from the snapshot.",
-              total.reads_served,
-              [](const SchedulerService::Stats& s) { return s.reads_served; });
-  stat_family("lyra_svc_snapshots_published_total", "counter",
-              "Read snapshots published by the engine.",
-              total.snapshots_published,
-              [](const SchedulerService::Stats& s) {
-                return s.snapshots_published;
+  gauge("lyra_fed_clusters", "Clusters in the federation.",
+        static_cast<std::uint64_t>(clusters));
+  per_cluster("lyra_fed_cluster_info", "Cluster identity (value is always 1).",
+              [&](Family& f, const std::string& cluster, int c) {
+                const char* kind = ClusterKindName(router.cluster_spec(c).kind);
+                f.Value(Labels(cluster, Label("kind", kind)), 1.0);
               });
-  stat_family("lyra_svc_queue_depth", "gauge",
-              "Engine command queue depth.", total.queue_depth,
-              [](const SchedulerService::Stats& s) { return s.queue_depth; });
-  stat_family("lyra_svc_queue_peak", "gauge",
-              "Engine command queue high-watermark.", total.queue_peak,
-              [](const SchedulerService::Stats& s) { return s.queue_peak; });
-
-  AppendHeader(out, "lyra_svc_uptime_seconds", "gauge",
-               "Seconds since the service started.");
-  AppendSample(out, "lyra_svc_uptime_seconds", "", "",
-               front_service.UptimeSeconds());
-
-  AppendHeader(out, "lyra_svc_shards", "gauge",
-               "Engine shards behind this front end.");
-  AppendCountSample(out, "lyra_svc_shards", "", "",
-                    static_cast<std::uint64_t>(n));
-
-  AppendHeader(out, "lyra_svc_info", "gauge",
-               "Service identity; value is always 1.");
-  {
-    std::string labels = "scheduler=\"";
-    labels += front_service.options().engine.scheduler;
-    labels += "\",reclaim=\"";
-    labels += front_service.options().engine.reclaim;
-    labels += "\",driver=\"";
-    labels += front_service.driver_name();
-    labels += '"';
-    AppendSample(out, "lyra_svc_info", "", labels, 1.0);
+  per_cluster("lyra_fed_jobs", "Jobs by cluster and state.",
+              [&](Family& f, const std::string& cluster, int c) {
+                for (std::size_t s = 0; s < totals[c].states.size(); ++s) {
+                  const char* state = JobStateName(static_cast<JobState>(s));
+                  f.Count(Labels(cluster, Label("state", state)),
+                          totals[c].states[s]);
+                }
+              });
+  per_cluster("lyra_fed_gpus", "GPUs by cluster and pool counter.",
+              [&](Family& f, const std::string& cluster, int c) {
+                f.Value(Labels(cluster, Label("pool", "total")),
+                        totals[c].pool.total_gpus);
+                f.Value(Labels(cluster, Label("pool", "free")),
+                        totals[c].pool.free_gpus);
+              });
+  for (const auto& [name, help, side] :
+       {std::tuple{"lyra_fed_gpus_loaned",
+                   "GPUs currently lent out, by lender.", &FedLoan::lender},
+        std::tuple{"lyra_fed_gpus_borrowed",
+                   "GPUs currently borrowed, by borrower.",
+                   &FedLoan::borrower}}) {
+    per_cluster(name, help, [&](Family& f, const std::string& cluster, int c) {
+      f.Value(cluster, static_cast<double>(LoanGpus(
+                           ledger, side, static_cast<std::uint32_t>(c))));
+    });
   }
-
-  // --- engine gauges from the per-shard read snapshots ---
-  double virtual_time = 0.0;
-  std::uint64_t events = 0, version = 0;
-  std::array<std::uint64_t, 4> states{};
-  PoolCounters training, on_loan, inference;
-  bool any_snap = false;
-  const auto add_pool = [](PoolCounters& into, const PoolCounters& from) {
-    into.servers += from.servers;
-    into.total_gpus += from.total_gpus;
-    into.used_gpus += from.used_gpus;
-    into.free_gpus += from.free_gpus;
-  };
-  for (const auto& snap : shard_snaps) {
-    if (snap == nullptr) {
-      continue;
-    }
-    any_snap = true;
-    virtual_time = std::max(virtual_time, snap->time);
-    events += snap->events_processed;
-    version = std::max(version, snap->version);
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      states[i] += snap->state_counts[i];
-    }
-    add_pool(training, snap->training);
-    add_pool(on_loan, snap->on_loan);
-    add_pool(inference, snap->inference);
-  }
-  if (any_snap) {
-    AppendHeader(out, "lyra_engine_virtual_time_seconds", "gauge",
-                 "Engine virtual-time frontier.");
-    AppendSample(out, "lyra_engine_virtual_time_seconds", "", "", virtual_time);
-    for (int k = 0; k < n; ++k) {
-      if (shard_snaps[static_cast<std::size_t>(k)] != nullptr) {
-        AppendSample(out, "lyra_engine_virtual_time_seconds", "",
-                     shard_label(k),
-                     shard_snaps[static_cast<std::size_t>(k)]->time);
-      }
-    }
-    AppendHeader(out, "lyra_engine_events_processed_total", "counter",
-                 "Discrete events processed by the engine.");
-    AppendCountSample(out, "lyra_engine_events_processed_total", "", "",
-                      events);
-    for (int k = 0; k < n; ++k) {
-      if (shard_snaps[static_cast<std::size_t>(k)] != nullptr) {
-        AppendCountSample(
-            out, "lyra_engine_events_processed_total", "", shard_label(k),
-            shard_snaps[static_cast<std::size_t>(k)]->events_processed);
-      }
-    }
-    AppendHeader(out, "lyra_engine_snapshot_version", "gauge",
-                 "Monotone version of the published read snapshot.");
-    AppendCountSample(out, "lyra_engine_snapshot_version", "", "", version);
-    for (int k = 0; k < n; ++k) {
-      if (shard_snaps[static_cast<std::size_t>(k)] != nullptr) {
-        AppendCountSample(out, "lyra_engine_snapshot_version", "",
-                          shard_label(k),
-                          shard_snaps[static_cast<std::size_t>(k)]->version);
-      }
-    }
-    AppendHeader(out, "lyra_engine_jobs", "gauge",
-                 "Jobs known to the engine, by state.");
-    for (std::size_t st = 0; st < states.size(); ++st) {
-      AppendCountSample(out, "lyra_engine_jobs", "",
-                        std::string("state=\"") + kJobStateNames[st] + "\"",
-                        states[st]);
-    }
-    for (int k = 0; k < n; ++k) {
-      const auto& snap = shard_snaps[static_cast<std::size_t>(k)];
-      if (snap == nullptr) {
-        continue;
-      }
-      for (std::size_t st = 0; st < states.size(); ++st) {
-        AppendCountSample(out, "lyra_engine_jobs", "",
-                          std::string("state=\"") + kJobStateNames[st] +
-                              "\"," + shard_label(k),
-                          snap->state_counts[st]);
-      }
-    }
-    AppendHeader(out, "lyra_engine_pool_servers", "gauge",
-                 "Servers per cluster pool.");
-    AppendPool(out, "training", training);
-    AppendPool(out, "on_loan", on_loan);
-    AppendPool(out, "inference", inference);
-    AppendHeader(out, "lyra_engine_pool_gpus", "gauge",
-                 "GPUs per cluster pool, by kind (total/used/free).");
-    AppendPoolGpus(out, "training", training);
-    AppendPoolGpus(out, "on_loan", on_loan);
-    AppendPoolGpus(out, "inference", inference);
+  gauge("lyra_fed_loans_active", "Outstanding cross-cluster loans.",
+        ledger.loans.size());
+  for (const auto& [name, help, value] :
+       {std::tuple{"lyra_fed_loans_granted_total", "GPUs ever granted.",
+                   ledger.total_granted},
+        std::tuple{"lyra_fed_loans_reclaimed_total", "GPUs ever reclaimed.",
+                   ledger.total_reclaimed},
+        std::tuple{"lyra_fed_loans_returned_total", "GPUs ever returned.",
+                   ledger.total_returned}}) {
+    WriteFamily(out, name, "counter", help,
+                [&](Family& f) { f.Count("", value); });
   }
   return out;
 }
+
+namespace {
+
+// Whether `sample` carries every label in `labels` (a subset match).
+bool HasLabels(const PromSample& sample,
+               const std::map<std::string, std::string>& labels) {
+  for (const auto& [key, value] : labels) {
+    const auto it = sample.labels.find(key);
+    if (it == sample.labels.end() || it->second != value) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 const PromSample* PromScrape::Find(
     const std::string& name,
     const std::map<std::string, std::string>& labels) const {
   for (const PromSample& sample : samples) {
-    if (sample.name != name) {
-      continue;
-    }
-    bool match = true;
-    for (const auto& [key, value] : labels) {
-      const auto it = sample.labels.find(key);
-      if (it == sample.labels.end() || it->second != value) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
+    if (sample.name == name && HasLabels(sample, labels)) {
       return &sample;
     }
   }
@@ -778,18 +687,7 @@ StatusOr<obs::Histogram> ExtractHistogram(
   std::uint64_t inf_count = 0;
   const std::string bucket_name = family + "_bucket";
   for (const PromSample& sample : scrape.samples) {
-    if (sample.name != bucket_name) {
-      continue;
-    }
-    bool match = true;
-    for (const auto& [key, value] : labels) {
-      const auto it = sample.labels.find(key);
-      if (it == sample.labels.end() || it->second != value) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) {
+    if (sample.name != bucket_name || !HasLabels(sample, labels)) {
       continue;
     }
     const auto le = sample.labels.find("le");

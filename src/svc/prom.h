@@ -1,10 +1,11 @@
 // Prometheus text exposition (v0.0.4) for the service telemetry plane.
 //
-// RenderPrometheus is the server side: it merges the telemetry shards,
-// service Stats, and the current StateSnapshot's engine gauges into one
-// text document with conventional names (`lyra_svc_request_duration_seconds`
-// et al), every family HELP'd and TYPE'd. It backs both the `GET /metrics`
-// HTTP path sniffed off the TCP listener and the `stats_prom` wire command.
+// RenderPrometheus is the server side, and one renderer serves every daemon
+// shape: it writes the telemetry, service Stats, read-snapshot and
+// engine-registry families of a list of engines under one labelling rule
+// (DESIGN.md §9), every family HELP'd and TYPE'd with its samples in one
+// group. It backs both the `GET /metrics` HTTP path sniffed off the TCP
+// listener and the `stats_prom` wire command.
 //
 // ParsePrometheus/ExtractHistogram are the client side, shared by lyra_top,
 // lyra_loadgen's server-scrape cross-check, and the exposition tests — the
@@ -25,19 +26,29 @@ namespace lyra::svc {
 class SchedulerService;
 class FederationRouter;
 
-// Renders the full exposition document. Callable from any thread (scrape
-// cost lands entirely on the caller; writers are never touched beyond
-// relaxed loads).
+// The per-command request latency family, which lyra_loadgen reads back.
+inline constexpr char kRequestDurationFamily[] =
+    "lyra_svc_request_duration_seconds";
+
+// Renders one engine's exposition: every family with unlabelled rows.
+// Callable from any thread (scrape cost lands entirely on the caller;
+// writers are never touched beyond relaxed loads).
+//
+// Families: lyra_svc_* (request latency and transport from the I/O threads,
+// engine batch histograms, the Stats counters, uptime and identity),
+// lyra_engine_* from the read snapshot (virtual time, events, jobs by state,
+// pools), and one lyra_engine_<name> family per metric in the engine's
+// metrics registry, the name's '.' written as '_' and counters ending in
+// `_total`.
 std::string RenderPrometheus(const SchedulerService& service);
 
-// Multi-engine variant. One engine delegates to the service renderer
-// byte-for-byte.
-// With N > 1 every engine family carries per-shard samples labeled
-// `shard="k"` plus an unlabeled merged total (histograms merged bucketwise,
-// counters and gauges summed) emitted first, so single-series consumers that
-// take the first match keep working unchanged; I/O-thread families come from
-// the front shard's registry, where the event loop homes them. Adds a
-// `lyra_svc_shards` gauge.
+// The router's exposition. One engine renders exactly as above. With N > 1
+// engines every engine family carries the merged total first (histograms
+// merged bucketwise, counters and gauges summed, the virtual time and the
+// snapshot version the furthest engine's), so consumers that take the first
+// match see the fleet, then one `shard="k"` row per engine; I/O-thread
+// families are engine 0's, where the event loop homes them. A fleet adds
+// the `lyra_svc_shards` gauge and the per-cluster `lyra_fed_*` families.
 std::string RenderPrometheus(const FederationRouter& router);
 
 struct PromSample {

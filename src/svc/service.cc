@@ -21,6 +21,10 @@ constexpr std::uint64_t kAutoStepChunk = 4096;
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
+// Minimum wall-clock interval between registry copies into the read
+// snapshot; bounds how stale a `metrics` reply's engine section can be.
+constexpr double kMetricsRefreshMs = 10.0;
+
 bool ModelFamilyFromName(const std::string& name, ModelFamily* family) {
   for (ModelFamily candidate :
        {ModelFamily::kResNet, ModelFamily::kVgg, ModelFamily::kBert,
@@ -221,6 +225,18 @@ void SchedulerService::Stop() {
   }
 }
 
+void SchedulerService::Stats::Add(const Stats& other) {
+  commands_applied += other.commands_applied;
+  jobs_submitted += other.jobs_submitted;
+  jobs_cancelled += other.jobs_cancelled;
+  rejected_overload += other.rejected_overload;
+  command_errors += other.command_errors;
+  reads_served += other.reads_served;
+  snapshots_published += other.snapshots_published;
+  queue_depth += other.queue_depth;
+  queue_peak = std::max(queue_peak, other.queue_peak);
+}
+
 SchedulerService::Stats SchedulerService::stats() const {
   Stats stats;
   stats.command_errors = command_errors_.load(std::memory_order_relaxed);
@@ -388,36 +404,7 @@ JsonValue SchedulerService::ReadReply(const JsonValue& request) const {
   } else if (cmd == "cluster_stats") {
     reply = SnapshotClusterStatsReply(*snap);
   } else if (cmd == "metrics") {
-    reply = OkReply();
-    reply.Set("time", JsonValue::MakeNumber(snap->time));
-    reply.Set("engine", snap->engine_metrics != nullptr ? *snap->engine_metrics
-                                                        : JsonValue::MakeNull());
-    const Stats stats = this->stats();
-    JsonValue service = JsonValue::MakeObject();
-    service.Set("commands_applied", JsonValue::MakeNumber(
-                                        static_cast<double>(stats.commands_applied)));
-    service.Set("jobs_submitted",
-                JsonValue::MakeNumber(static_cast<double>(stats.jobs_submitted)));
-    service.Set("jobs_cancelled",
-                JsonValue::MakeNumber(static_cast<double>(stats.jobs_cancelled)));
-    service.Set("rejected_overload",
-                JsonValue::MakeNumber(static_cast<double>(stats.rejected_overload)));
-    service.Set("command_errors",
-                JsonValue::MakeNumber(static_cast<double>(stats.command_errors)));
-    service.Set("reads_served",
-                JsonValue::MakeNumber(static_cast<double>(stats.reads_served)));
-    service.Set("snapshots_published",
-                JsonValue::MakeNumber(
-                    static_cast<double>(stats.snapshots_published)));
-    service.Set("queue_depth",
-                JsonValue::MakeNumber(static_cast<double>(stats.queue_depth)));
-    service.Set("queue_peak",
-                JsonValue::MakeNumber(static_cast<double>(stats.queue_peak)));
-    service.Set("command_log", JsonValue::MakeNumber(
-                                   static_cast<double>(snap->command_log_size)));
-    service.Set("driver", JsonValue::MakeString(driver_->name()));
-    reply.Set("service", std::move(service));
-    reply.Set("metrics_time", JsonValue::MakeNumber(snap->metrics_time));
+    reply = MetricsReply({this});
   } else if (cmd == "stats_prom") {
     // Unix-socket counterpart of `GET /metrics`: the full exposition
     // document as a reply field, for clients without an HTTP path.
@@ -501,14 +488,11 @@ SchedulerService::NextAction SchedulerService::Next(
   }
 }
 
-void SchedulerService::PublishSnapshot(bool force_metrics) {
+void SchedulerService::PublishSnapshot() {
   const auto wall = std::chrono::steady_clock::now();
-  bool refresh = force_metrics;
-  if (!refresh &&
+  const bool refresh =
       std::chrono::duration<double, std::milli>(wall - last_metrics_refresh_)
-              .count() >= options_.metrics_refresh_ms) {
-    refresh = true;
-  }
+          .count() >= kMetricsRefreshMs;
   if (refresh) {
     last_metrics_refresh_ = wall;
   }
@@ -550,7 +534,7 @@ void SchedulerService::EngineLoop() {
         }
         // Publish before delivering replies: a client that saw its write
         // acknowledged reads a snapshot at or past that write.
-        PublishSnapshot(false);
+        PublishSnapshot();
         {
           std::lock_guard<std::mutex> lock(mu_);
           commands_applied_ += batch_applied_;
@@ -573,7 +557,7 @@ void SchedulerService::EngineLoop() {
         if (!more) {
           auto_quiescent_ = true;
         }
-        PublishSnapshot(false);
+        PublishSnapshot();
         break;
       }
       case NextAction::kWaitRealTime: {
@@ -581,7 +565,7 @@ void SchedulerService::EngineLoop() {
         // event, then catch the engine up to the driver's time.
         if (driver_->WaitUntil(engine_.sim->NextEventTime())) {
           engine_.sim->StepUntil(driver_->Now());
-          PublishSnapshot(false);
+          PublishSnapshot();
         }
         break;
       }
@@ -859,6 +843,40 @@ JsonValue SchedulerService::ApplySnapshot(const JsonValue& request) {
   reply.Set("path", JsonValue::MakeString(path));
   reply.Set("commands", JsonValue::MakeNumber(static_cast<double>(log_.size())));
   reply.Set("time", JsonValue::MakeNumber(snapshot.horizon));
+  return reply;
+}
+
+JsonValue MetricsReply(const std::vector<const SchedulerService*>& engines) {
+  std::vector<std::shared_ptr<const StateSnapshot>> snaps;
+  SchedulerService::Stats stats;
+  for (const SchedulerService* engine : engines) {
+    snaps.push_back(engine->snapshot());
+    stats.Add(engine->stats());
+  }
+  const StateSnapshot merged = MergeSnapshots(snaps);
+  const auto number = [](double v) { return JsonValue::MakeNumber(v); };
+  JsonValue service = JsonValue::MakeObject();
+  service.Set("commands_applied", number(stats.commands_applied));
+  service.Set("jobs_submitted", number(stats.jobs_submitted));
+  service.Set("jobs_cancelled", number(stats.jobs_cancelled));
+  service.Set("rejected_overload", number(stats.rejected_overload));
+  service.Set("command_errors", number(stats.command_errors));
+  service.Set("reads_served", number(stats.reads_served));
+  service.Set("snapshots_published", number(stats.snapshots_published));
+  service.Set("queue_depth", number(stats.queue_depth));
+  service.Set("queue_peak", number(stats.queue_peak));
+  service.Set("command_log", number(merged.command_log_size));
+  service.Set("driver", JsonValue::MakeString(engines.front()->driver_name()));
+  if (engines.size() > 1) {
+    service.Set("shards", number(engines.size()));
+  }
+  JsonValue reply = OkReply();
+  reply.Set("time", number(merged.time));
+  reply.Set("engine", merged.engine_metrics != nullptr
+                          ? merged.engine_metrics->ToJson()
+                          : JsonValue::MakeNull());
+  reply.Set("service", std::move(service));
+  reply.Set("metrics_time", number(merged.metrics_time));
   return reply;
 }
 

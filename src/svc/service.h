@@ -64,9 +64,6 @@ struct ServiceOptions {
   bool auto_advance = false;
   // Hint clients receive with an `overloaded` rejection.
   double retry_after_ms = 50.0;
-  // Minimum wall-clock interval between metrics re-exports into the read
-  // snapshot; bounds how stale a `metrics` reply's engine section can be.
-  double metrics_refresh_ms = 10.0;
   // When non-empty, the engine streams a Perfetto trace here (including the
   // service's own command instants on the svc track), written on Stop().
   std::string trace_path;
@@ -90,6 +87,10 @@ class SchedulerService {
     std::uint64_t snapshots_published = 0;
     std::size_t queue_depth = 0;
     std::size_t queue_peak = 0;
+
+    // Folds another engine's stats in: counts and depths sum, the peak is
+    // the highest.
+    void Add(const Stats& other);
   };
 
   // How a command is routed. Reads are answered from the snapshot on the
@@ -255,7 +256,7 @@ class SchedulerService {
 
   void EngineLoop();
   NextAction Next(std::vector<PendingCommand>* batch);
-  void PublishSnapshot(bool force_metrics);
+  void PublishSnapshot();
   void EnqueueEngine(PendingCommand cmd);
   static void Deliver(PendingCommand& cmd, JsonValue reply);
 
@@ -327,6 +328,13 @@ class SchedulerService {
   mutable std::atomic<std::uint64_t> command_errors_{0};
   mutable std::atomic<std::uint64_t> reads_served_{0};
 };
+
+// The `metrics` reply for one engine or a fleet of them (engine 0 first;
+// every engine has published a snapshot): the MergeSnapshots summary's
+// times and registry ("engine"), and a "service" object of the engines'
+// Stats folded by Stats::Add, the command-log length and engine 0's driver.
+// A fleet's "service" also carries `shards`.
+JsonValue MetricsReply(const std::vector<const SchedulerService*>& engines);
 
 }  // namespace lyra::svc
 

@@ -9,20 +9,6 @@
 namespace lyra::svc {
 namespace {
 
-const char* JobStateName(JobState state) {
-  switch (state) {
-    case JobState::kPending:
-      return "pending";
-    case JobState::kRunning:
-      return "running";
-    case JobState::kFinished:
-      return "finished";
-    case JobState::kCancelled:
-      return "cancelled";
-  }
-  return "?";
-}
-
 JobRecord RecordOf(const Job& job) {
   JobRecord record;
   record.spec = job.spec();
@@ -102,9 +88,8 @@ std::shared_ptr<const StateSnapshot> SnapshotBuilder::Publish(
   sink_.ids.clear();
 
   if (refresh_metrics) {
-    StatusOr<JsonValue> parsed = JsonValue::Parse(sim.metrics().ExportJson());
-    engine_metrics_ = std::make_shared<const JsonValue>(
-        parsed.ok() ? std::move(parsed.value()) : JsonValue::MakeNull());
+    engine_metrics_ =
+        std::make_shared<const obs::MetricsValues>(sim.metrics().Values());
     metrics_time_ = sim.now();
   }
 
@@ -122,6 +107,20 @@ std::shared_ptr<const StateSnapshot> SnapshotBuilder::Publish(
   snapshot->engine_metrics = engine_metrics_;
   snapshot->metrics_time = metrics_time_;
   return snapshot;
+}
+
+const char* JobStateName(JobState state) {
+  switch (state) {
+    case JobState::kPending:
+      return "pending";
+    case JobState::kRunning:
+      return "running";
+    case JobState::kFinished:
+      return "finished";
+    case JobState::kCancelled:
+      return "cancelled";
+  }
+  return "?";
 }
 
 JsonValue SnapshotJobReply(const StateSnapshot& snap, std::int64_t id) {
@@ -177,6 +176,34 @@ JsonValue SnapshotClusterStatsReply(const StateSnapshot& snap) {
   reply.Set("jobs", std::move(jobs));
   reply.Set("cluster", std::move(pools));
   return reply;
+}
+
+StateSnapshot MergeSnapshots(
+    const std::vector<std::shared_ptr<const StateSnapshot>>& snaps) {
+  StateSnapshot merged;
+  std::shared_ptr<obs::MetricsValues> registry;
+  for (const std::shared_ptr<const StateSnapshot>& snap : snaps) {
+    merged.version = std::max(merged.version, snap->version);
+    merged.time = std::max(merged.time, snap->time);
+    merged.metrics_time = std::max(merged.metrics_time, snap->metrics_time);
+    merged.events_processed += snap->events_processed;
+    merged.job_count += snap->job_count;
+    merged.command_log_size += snap->command_log_size;
+    for (std::size_t s = 0; s < merged.state_counts.size(); ++s) {
+      merged.state_counts[s] += snap->state_counts[s];
+    }
+    merged.training.Add(snap->training);
+    merged.on_loan.Add(snap->on_loan);
+    merged.inference.Add(snap->inference);
+    if (snap->engine_metrics != nullptr) {
+      if (registry == nullptr) {
+        registry = std::make_shared<obs::MetricsValues>();
+      }
+      registry->Merge(*snap->engine_metrics);
+    }
+  }
+  merged.engine_metrics = std::move(registry);
+  return merged;
 }
 
 }  // namespace lyra::svc

@@ -25,6 +25,7 @@
 
 #include "src/common/json.h"
 #include "src/common/types.h"
+#include "src/obs/metrics.h"
 #include "src/workload/job.h"
 
 namespace lyra {
@@ -62,6 +63,13 @@ struct PoolCounters {
   int total_gpus = 0;
   int used_gpus = 0;
   int free_gpus = 0;
+
+  void Add(const PoolCounters& other) {
+    servers += other.servers;
+    total_gpus += other.total_gpus;
+    used_gpus += other.used_gpus;
+    free_gpus += other.free_gpus;
+  }
 };
 
 struct StateSnapshot {
@@ -78,12 +86,12 @@ struct StateSnapshot {
   PoolCounters on_loan;
   PoolCounters inference;
   std::vector<std::shared_ptr<const JobChunk>> chunks;
-  // Parsed engine-metrics export, refreshed on a wall-clock throttle rather
-  // than every publish (exporting the registry is orders of magnitude more
-  // expensive than a batch). metrics_time is the frontier it was taken at;
-  // it may lag `time` by up to the throttle interval. Null until the first
+  // A copy of the engine's metrics registry, refreshed on a wall-clock
+  // throttle rather than every publish (copying the registry costs more
+  // than a small batch). metrics_time is the frontier it was taken at; it
+  // may lag `time` by up to the throttle interval. Null until the first
   // refresh (Start/Restore force one).
-  std::shared_ptr<const JsonValue> engine_metrics;
+  std::shared_ptr<const obs::MetricsValues> engine_metrics;
   TimeSec metrics_time = 0.0;
 
   // Record for `id`, or nullptr when out of range.
@@ -106,8 +114,8 @@ class SnapshotBuilder {
 
   // Rebuilds the chunks containing jobs dirtied since the last publish and
   // returns a new snapshot sharing every untouched chunk. `refresh_metrics`
-  // re-exports the metrics registry (callers throttle this). The previous
-  // metrics document is carried forward otherwise.
+  // re-copies the metrics registry (callers throttle this). The previous
+  // copy is carried forward otherwise.
   std::shared_ptr<const StateSnapshot> Publish(const Simulator& sim,
                                                std::size_t command_log_size,
                                                bool refresh_metrics);
@@ -117,16 +125,27 @@ class SnapshotBuilder {
   std::vector<std::shared_ptr<const JobChunk>> chunks_;
   std::array<std::uint64_t, 4> state_counts_{};
   std::uint64_t version_ = 0;
-  std::shared_ptr<const JsonValue> engine_metrics_;
+  std::shared_ptr<const obs::MetricsValues> engine_metrics_;
   TimeSec metrics_time_ = 0.0;
   std::vector<std::size_t> dirty_chunks_;  // scratch, reused across publishes
 };
+
+// "pending", "running", "finished" or "cancelled": the wire and exposition
+// name of a job state.
+const char* JobStateName(JobState state);
 
 // Read-only reply builders: pure functions of the snapshot, callable from any
 // thread. Field names and order match the historical engine-side handlers
 // byte-for-byte.
 JsonValue SnapshotJobReply(const StateSnapshot& snap, std::int64_t id);
 JsonValue SnapshotClusterStatsReply(const StateSnapshot& snap);
+
+// A fleet's summary snapshot, what its merged reads report: job, event and
+// command-log counts and the pools summed, the registry copies merged by
+// obs::MetricsValues::Merge (null when no engine has one yet), and the
+// times and the version the furthest engine's. It holds no job records.
+StateSnapshot MergeSnapshots(
+    const std::vector<std::shared_ptr<const StateSnapshot>>& snaps);
 
 }  // namespace lyra::svc
 

@@ -51,7 +51,7 @@ TEST(Metrics, ExportJsonParsesBackAndIsDeterministic) {
   registry.gauge("g")->Set(1.5);
   registry.histogram("h", {10.0})->Record(3.0);
 
-  const std::string json = registry.ExportJson();
+  const std::string json = registry.Values().ToJson().Dump();
   const StatusOr<JsonValue> parsed = JsonValue::Parse(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   const JsonValue& root = parsed.value();
@@ -60,13 +60,44 @@ TEST(Metrics, ExportJsonParsesBackAndIsDeterministic) {
   EXPECT_DOUBLE_EQ(counters->GetDouble("a.count"), 1.0);
   EXPECT_DOUBLE_EQ(counters->GetDouble("b.count"), 2.0);
   // Name-sorted export: identical registries serialize identically.
-  EXPECT_EQ(json, registry.ExportJson());
+  EXPECT_EQ(json, registry.Values().ToJson().Dump());
   // std::map iteration is name-sorted, so "a.count" precedes "b.count".
   EXPECT_EQ(counters->AsObject()[0].first, "a.count");
 
-  const std::string csv = registry.ExportCsv();
-  EXPECT_NE(csv.find("counter,a.count"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,h"), std::string::npos);
+  const JsonValue* h = root.Find("histograms")->Find("h");
+  ASSERT_NE(h, nullptr);
+  EXPECT_DOUBLE_EQ(h->GetDouble("count"), 1.0);
+  EXPECT_DOUBLE_EQ(h->GetDouble("sum"), 3.0);
+  EXPECT_DOUBLE_EQ(root.Find("gauges")->GetDouble("g"), 1.5);
+}
+
+// A fleet merges engine registry copies: counters and gauges sum,
+// histograms merge bucketwise, and a metric only one engine has is copied.
+TEST(Metrics, ValuesMergeSumsAndMergesBucketwise) {
+  MetricsRegistry a;
+  a.counter("c")->Add(2);
+  a.gauge("g")->Set(0.5);
+  a.histogram("h", {1.0, 10.0})->Record(0.5);
+  MetricsRegistry b;
+  b.counter("c")->Add(3);
+  b.counter("only_b")->Add(7);
+  b.gauge("g")->Set(0.25);
+  b.histogram("h", {1.0, 10.0})->Record(20.0);
+  b.histogram("h", {1.0, 10.0})->Record(5.0);
+
+  MetricsValues merged = a.Values();
+  merged.Merge(b.Values());
+  EXPECT_EQ(merged.counters.at("c"), 5u);
+  EXPECT_EQ(merged.counters.at("only_b"), 7u);
+  EXPECT_DOUBLE_EQ(merged.gauges.at("g"), 0.75);
+  const Histogram& h = merged.histograms.at("h");
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.bucket_counts(), (std::vector<std::uint64_t>{1, 1, 1}));
+  EXPECT_DOUBLE_EQ(h.min(), 0.5);
+  EXPECT_DOUBLE_EQ(h.max(), 20.0);
+  // The copy is detached: later recording leaves it unchanged.
+  a.counter("c")->Add(100);
+  EXPECT_EQ(merged.counters.at("c"), 5u);
 }
 
 // Merging per-shard histograms must reproduce the single-histogram counts

@@ -18,6 +18,7 @@
 #include "src/sim/simulator.h"
 #include "src/svc/event_loop.h"
 #include "src/svc/service.h"
+#include "src/svc/state_snapshot.h"
 #include "src/svc/time_driver.h"
 #include "src/svc/wire.h"
 #include "src/workload/synthetic.h"
@@ -183,6 +184,34 @@ TEST(Service, SubmitAdvanceQueryDrainLifecycle) {
   EXPECT_EQ(stats.jobs_submitted, 2u);
   EXPECT_EQ(stats.command_errors, 0u);
   service.Stop();
+}
+
+// The `metrics` reply's engine section is the registry copy's JSON. Its
+// bytes are pinned to what the daemon has always replied (the registry's
+// JSON export read back): nine-digit doubles, name order, empty histograms.
+TEST(Service, MetricsEngineSectionKeepsItsBytes) {
+  obs::MetricsRegistry registry;
+  registry.counter("sim.events.arrival")->Add(12);
+  registry.gauge("inference.serving_fraction")->Set(1.0 / 3.0);
+  registry.gauge("inference.target_loaned")->Set(42.0);
+  obs::Histogram* h = registry.histogram("sim.pending_jobs_per_tick");
+  h->Record(0.1);
+  h->Record(2.0 / 7.0);
+  h->Record(5000.5);
+  registry.histogram("empty");
+  const std::string bounds =
+      "[1,4,16,64,256,1024,4096,16384,65536,262144,1048576,4194304]";
+  EXPECT_EQ(registry.Values().ToJson().Dump(),
+            "{\"counters\":{\"sim.events.arrival\":12},\"gauges\":{"
+            "\"inference.serving_fraction\":0.33333333300000001,"
+            "\"inference.target_loaned\":42},\"histograms\":{\"empty\":{"
+            "\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"bounds\":" +
+                bounds +
+                ",\"buckets\":[0,0,0,0,0,0,0,0,0,0,0,0,0]},"
+                "\"sim.pending_jobs_per_tick\":{\"count\":3,"
+                "\"sum\":5000.8857099999996,\"min\":0.10000000000000001,"
+                "\"max\":5000.5,\"bounds\":" +
+                bounds + ",\"buckets\":[2,0,0,0,0,0,0,1,0,0,0,0,0]}}}");
 }
 
 TEST(Service, ErrorRepliesCarryWireCodes) {

@@ -2,7 +2,8 @@
 // engines, the `--shards=N` fleet: deterministic routing (same key / same
 // job id always lands on the same shard, global↔local id arithmetic
 // round-trips), merged reads (cluster_stats across shards equals the sum of
-// the per-shard snapshots), wire job ids outside [0, 2^53] rejected before
+// the per-shard snapshots, and `metrics` folds registry histograms
+// bucketwise), wire job ids outside [0, 2^53] rejected before
 // any routing, the snapshot containers (LYRAFED at four engines, plain
 // LYRASNAP at one, legacy LYRASHRD files still restoring), a randomized
 // kill-and-warm-restart at --shards=4 that must reproduce every shard's
@@ -10,11 +11,14 @@
 // event loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -389,6 +393,58 @@ TEST(Shard, ClusterStatsMergeEqualsSumOfPerShardSnapshots) {
     events += part.GetDouble("events_processed");
   }
   EXPECT_DOUBLE_EQ(merged.GetDouble("events_processed"), events);
+  StopFleet(fleet);
+}
+
+// The fleet `metrics` reply folds each registry histogram bucketwise: the
+// merged count is both the sum of the merged buckets and the sum of the
+// per-engine counts, and min/max are the extremes, not sums.
+TEST(Shard, MetricsMergeFoldsRegistryHistogramsBucketwise) {
+  FederationSet fleet = BuildFleet(2);
+  FederationRouter& router = *fleet.router;
+  for (int i = 0; i < 12; ++i) {
+    const std::string key = "tenant-" + std::to_string(i);
+    ASSERT_TRUE(
+        router.Execute(Submit(0.0, 7200.0, 1, key.c_str())).GetBool("ok"));
+  }
+  // Past the registry refresh interval, so the advance's publish copies
+  // both registries after the submits.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(router.Execute(Advance(7200.0)).GetBool("ok"));
+
+  const auto histogram = [](const JsonValue& reply) {
+    EXPECT_TRUE(reply.GetBool("ok")) << reply.Dump();
+    const JsonValue* engine = reply.Find("engine");
+    const JsonValue* histograms =
+        engine != nullptr ? engine->Find("histograms") : nullptr;
+    const JsonValue* h = histograms != nullptr
+                             ? histograms->Find("sim.pending_jobs_per_tick")
+                             : nullptr;
+    EXPECT_NE(h, nullptr) << reply.Dump();
+    return h != nullptr ? *h : JsonValue::MakeObject();
+  };
+  const JsonValue merged = histogram(router.Execute(Cmd("metrics")));
+  double counts = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  for (int k = 0; k < 2; ++k) {
+    const JsonValue part =
+        histogram(router.shard(k)->ReadReply(Cmd("metrics")));
+    ASSERT_GT(part.GetDouble("count"), 0.0) << "engine " << k;
+    counts += part.GetDouble("count");
+    min = k == 0 ? part.GetDouble("min") : std::min(min, part.GetDouble("min"));
+    max = k == 0 ? part.GetDouble("max") : std::max(max, part.GetDouble("max"));
+  }
+  double buckets = 0.0;
+  const JsonValue* merged_buckets = merged.Find("buckets");
+  ASSERT_NE(merged_buckets, nullptr);
+  for (const JsonValue& bucket : merged_buckets->AsArray()) {
+    buckets += bucket.AsDouble();
+  }
+  EXPECT_EQ(merged.GetDouble("count"), buckets);
+  EXPECT_EQ(merged.GetDouble("count"), counts);
+  EXPECT_EQ(merged.GetDouble("min"), min);
+  EXPECT_EQ(merged.GetDouble("max"), max);
   StopFleet(fleet);
 }
 

@@ -1,16 +1,20 @@
 // Tests for the service telemetry plane (DESIGN.md §9): the Prometheus
 // exposition served over `GET /metrics` (HTTP sniffed off the framed
-// listener) and the `stats_prom` wire command, histogram reassembly from a
+// listener) and the `stats_prom` wire command, its lint and registry rows
+// for the plain, sharded and federated routers, histogram reassembly from a
 // scrape, the flight-recorder trace dump, the enriched ping reply, and
 // scrape thread-safety under write load (the TSan leg runs this binary).
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,6 +24,7 @@
 
 #include "src/common/json.h"
 #include "src/svc/event_loop.h"
+#include "src/svc/federation.h"
 #include "src/svc/prom.h"
 #include "src/svc/service.h"
 #include "src/svc/telemetry.h"
@@ -166,31 +171,15 @@ std::string FamilyOf(const std::string& sample_name) {
   return sample_name;
 }
 
-TEST_F(TelemetryEndToEnd, HttpMetricsServesLintCleanTypedExposition) {
-  DriveTraffic(/*count=*/64);
-
-  std::string status_line;
-  std::string headers;
-  StatusOr<std::string> body = HttpGet("/metrics", &status_line, &headers);
-  ASSERT_TRUE(body.ok()) << body.status().message();
-  EXPECT_NE(status_line.find(" 200 "), std::string::npos) << status_line;
-  EXPECT_NE(headers.find("text/plain; version=0.0.4"), std::string::npos);
-
-  StatusOr<PromScrape> parsed = ParsePrometheus(body.value());
+// The lint every exposition must pass, whatever the daemon's topology:
+// lint-clean sample names, every sample in a HELP'd and TYPE'd family,
+// counters ending in _total, at most one HELP and one TYPE per family, and
+// each family's lines (headers and samples) forming one contiguous group.
+void ExpectLintClean(const std::string& text, const std::string& topology) {
+  SCOPED_TRACE(topology);
+  StatusOr<PromScrape> parsed = ParsePrometheus(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   const PromScrape& scrape = parsed.value();
-
-  // The families the scrape contract promises (CI greps the same list).
-  for (const char* family :
-       {"lyra_svc_request_duration_seconds", "lyra_svc_commands_applied_total",
-        "lyra_svc_jobs_submitted_total", "lyra_svc_queue_depth",
-        "lyra_svc_io_frames_total", "lyra_svc_uptime_seconds",
-        "lyra_svc_info", "lyra_engine_jobs", "lyra_engine_pool_gpus"}) {
-    EXPECT_TRUE(scrape.types.count(family)) << "missing family " << family;
-  }
-
-  // Every sample belongs to a HELP'd + TYPE'd family, every name is
-  // lint-clean, and counter families end in _total.
   ASSERT_FALSE(scrape.samples.empty());
   for (const PromSample& sample : scrape.samples) {
     EXPECT_TRUE(NameLintClean(sample.name)) << sample.name;
@@ -204,6 +193,61 @@ TEST_F(TelemetryEndToEnd, HttpMetricsServesLintCleanTypedExposition) {
                   family.compare(family.size() - 6, 6, "_total") == 0)
           << "counter " << family << " must end in _total";
     }
+  }
+
+  std::map<std::string, int> helps;
+  std::map<std::string, int> types;
+  std::set<std::string> finished;
+  std::string current;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    std::string family;
+    if (line.rfind("# HELP ", 0) == 0 || line.rfind("# TYPE ", 0) == 0) {
+      family = line.substr(7, line.find(' ', 7) - 7);
+      ++(line[2] == 'H' ? helps : types)[family];
+    } else if (!line.empty() && line[0] != '#') {
+      family = FamilyOf(line.substr(0, line.find_first_of("{ ")));
+    } else {
+      continue;
+    }
+    if (family != current) {
+      EXPECT_FALSE(finished.count(family))
+          << "family " << family << " is split around " << current;
+      finished.insert(current);
+      current = family;
+    }
+  }
+  for (const auto& [family, count] : helps) {
+    EXPECT_EQ(count, 1) << "HELP lines for " << family;
+  }
+  for (const auto& [family, count] : types) {
+    EXPECT_EQ(count, 1) << "TYPE lines for " << family;
+  }
+}
+
+TEST_F(TelemetryEndToEnd, HttpMetricsServesLintCleanTypedExposition) {
+  DriveTraffic(/*count=*/64);
+
+  std::string status_line;
+  std::string headers;
+  StatusOr<std::string> body = HttpGet("/metrics", &status_line, &headers);
+  ASSERT_TRUE(body.ok()) << body.status().message();
+  EXPECT_NE(status_line.find(" 200 "), std::string::npos) << status_line;
+  EXPECT_NE(headers.find("text/plain; version=0.0.4"), std::string::npos);
+
+  ExpectLintClean(body.value(), "GET /metrics");
+  StatusOr<PromScrape> parsed = ParsePrometheus(body.value());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  const PromScrape& scrape = parsed.value();
+
+  // The families the scrape contract promises (CI greps the same list).
+  for (const char* family :
+       {"lyra_svc_request_duration_seconds", "lyra_svc_commands_applied_total",
+        "lyra_svc_jobs_submitted_total", "lyra_svc_queue_depth",
+        "lyra_svc_io_frames_total", "lyra_svc_uptime_seconds",
+        "lyra_svc_info", "lyra_engine_jobs", "lyra_engine_pool_gpus",
+        "lyra_engine_sim_events_scheduler_tick_total"}) {
+    EXPECT_TRUE(scrape.types.count(family)) << "missing family " << family;
   }
 
   // The traffic we just drove is visible: 64 accepted submits and a submit
@@ -222,6 +266,92 @@ TEST_F(TelemetryEndToEnd, HttpMetricsServesLintCleanTypedExposition) {
       HttpGet("/not-a-page", &not_found_status, &ignored);
   ASSERT_TRUE(missing.ok()) << missing.status().message();
   EXPECT_NE(not_found_status.find(" 404 "), std::string::npos);
+}
+
+// The exposition family of registry metric `name`.
+std::string RegistryFamily(const std::string& name, const char* suffix) {
+  std::string family = "lyra_engine_" + name + suffix;
+  for (char& c : family) {
+    c = c == '.' ? '_' : c;
+  }
+  return family;
+}
+
+// Every registry counter and histogram count in a `metrics` reply's engine
+// section equals the exposition row under `labels`.
+void ExpectRegistryRowsMatch(const PromScrape& scrape, const JsonValue& reply,
+                             const std::map<std::string, std::string>& labels) {
+  ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
+  const JsonValue* engine = reply.Find("engine");
+  ASSERT_NE(engine, nullptr);
+  const JsonValue* counters = engine->Find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_FALSE(counters->AsObject().empty());
+  for (const auto& [name, value] : counters->AsObject()) {
+    const PromSample* row = scrape.Find(RegistryFamily(name, "_total"), labels);
+    ASSERT_NE(row, nullptr) << name;
+    EXPECT_EQ(row->value, value.AsDouble()) << name;
+  }
+  const JsonValue* histograms = engine->Find("histograms");
+  ASSERT_NE(histograms, nullptr);
+  for (const auto& [name, value] : histograms->AsObject()) {
+    const PromSample* row = scrape.Find(RegistryFamily(name, "_count"), labels);
+    ASSERT_NE(row, nullptr) << name;
+    EXPECT_EQ(row->value, value.GetDouble("count")) << name;
+  }
+}
+
+// stats_prom over the router, for the plain, --shards=4 and --federation=2x2
+// fleets: the document passes the exposition lint, and its registry
+// families carry the `metrics` reply's values, merged (the unlabelled first
+// row) and per engine (shard="k").
+TEST(TelemetryTopologies, EveryRouterExpositionIsLintCleanAndMatchesMetrics) {
+  const StatusOr<std::vector<ClusterSpec>> federation =
+      ParseFederationSpec("2x2");
+  ASSERT_TRUE(federation.ok()) << federation.status().message();
+  const std::pair<const char*, std::vector<ClusterSpec>> topologies[] = {
+      {"plain", SingleCluster(1)},
+      {"--shards=4", SingleCluster(4)},
+      {"--federation=2x2", federation.value()}};
+  for (const auto& [topology, clusters] : topologies) {
+    SCOPED_TRACE(topology);
+    StatusOr<FederationSet> built =
+        BuildFederation(SmallServiceOptions(), clusters, [](int) {
+          return std::make_unique<VirtualTimeDriver>();
+        });
+    ASSERT_TRUE(built.ok()) << built.status().message();
+    FederationRouter& router = *built.value().router;
+    for (int i = 0; i < 12; ++i) {
+      JsonValue submit = SubmitCmd();
+      submit.Set("key", JsonValue::MakeString("tenant-" + std::to_string(i)));
+      ASSERT_TRUE(router.Execute(submit).GetBool("ok"));
+    }
+    // Past the registry refresh interval, so the advance's publish copies
+    // every engine's registry after the submits.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    JsonValue advance = Cmd("advance");
+    advance.Set("to", JsonValue::MakeNumber(3600.0));
+    ASSERT_TRUE(router.Execute(advance).GetBool("ok"));
+
+    const JsonValue prom = router.ReadReply(Cmd("stats_prom"));
+    ASSERT_TRUE(prom.GetBool("ok")) << prom.Dump();
+    const std::string text = prom.GetString("text", "");
+    ExpectLintClean(text, topology);
+    StatusOr<PromScrape> scrape = ParsePrometheus(text);
+    ASSERT_TRUE(scrape.ok()) << scrape.status().message();
+    ExpectRegistryRowsMatch(scrape.value(), router.ReadReply(Cmd("metrics")),
+                            {});
+    if (router.shard_count() > 1) {
+      for (int k = 0; k < router.shard_count(); ++k) {
+        ExpectRegistryRowsMatch(scrape.value(),
+                                router.shard(k)->ReadReply(Cmd("metrics")),
+                                {{"shard", std::to_string(k)}});
+      }
+    }
+    for (auto& service : built.value().services) {
+      service->Stop();
+    }
+  }
 }
 
 TEST_F(TelemetryEndToEnd, StatsPromWireCommandCarriesTheSameDocument) {

@@ -219,18 +219,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.trace_events_dropped));
   }
   if (!metrics_json.empty()) {
-    std::string exported = simulator.metrics().ExportJson();
+    lyra::JsonValue doc = simulator.metrics().Values().ToJson();
     if (partial) {
       // Mark interrupted runs so downstream consumers never mistake a
       // truncated metrics file for a completed experiment.
-      lyra::StatusOr<lyra::JsonValue> doc = lyra::JsonValue::Parse(exported);
-      if (doc.ok()) {
-        doc.value().Set("partial_run", lyra::JsonValue::MakeBool(true));
-        exported = doc.value().Dump() + "\n";
-      }
+      doc.Set("partial_run", lyra::JsonValue::MakeBool(true));
     }
     std::ofstream out(metrics_json);
-    out << exported;
+    out << doc.Dump() << "\n";
     std::printf("metrics  wrote %s%s\n", metrics_json.c_str(),
                 partial ? " (partial run)" : "");
   }
