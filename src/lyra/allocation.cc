@@ -4,6 +4,7 @@
 
 #include "src/common/check.h"
 #include "src/lyra/mckp.h"
+#include "src/obs/obs.h"
 #include "src/sched/elastic_util.h"
 
 namespace lyra {
@@ -184,6 +185,10 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
   }
 
   const MckpSolution& solution = mckp.Solve(capacity);
+  // The solve's cost in DP cell updates, not in time: a restored daemon
+  // replays the same counts.
+  obs::AddCounter("mckp.solves");
+  obs::AddCounter("mckp.cells", mckp.cell_updates());
   for (std::size_t g = 0; g < elastic.size(); ++g) {
     const int chosen = solution.chosen[g];
     decision.flexible_targets.emplace_back(elastic[g], chosen < 0 ? 0 : chosen + 1);

@@ -27,6 +27,7 @@ const MckpSolution& MckpSolver::Solve(int capacity) {
   solution_.total_value = 0.0;
   solution_.total_weight = 0;
   solution_.chosen.assign(groups, -1);
+  cell_updates_ = 0;
   if (groups == 0 || capacity == 0) {
     return solution_;
   }
@@ -37,9 +38,8 @@ const MckpSolution& MckpSolver::Solve(int capacity) {
   std::int64_t useful_capacity = 0;
   width_.resize(groups);
   for (std::size_t g = 0; g < groups; ++g) {
-    // Choice indices are int32: a group must not hold more items.
-    LYRA_CHECK_LE(group_size(g),
-                  static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()));
+    // Chosen indices are int: a group must not hold more items.
+    LYRA_CHECK_LE(group_size(g), static_cast<std::size_t>(std::numeric_limits<int>::max()));
     int max_weight = 0;
     int max_usable = 0;
     for (std::size_t i = group_begin(g); i < group_end_[g]; ++i) {
@@ -68,60 +68,78 @@ const MckpSolution& MckpSolver::Solve(int capacity) {
     row_[g] = cells;
     cells += static_cast<std::size_t>(width_[g]) + 1;
   }
-  choice_.resize(cells);
+  table_.resize(cells);
   const auto full = static_cast<std::size_t>(cap) + 1;
   if (dp_.size() < full) {
     dp_.resize(full);
-    next_.resize(full);
   }
 
+  // Forward pass over values only. dp_ holds the previous row, extended past
+  // its last column with that column's value; row g of table_ starts as a copy
+  // of it ("take nothing") and each usable item raises it to the running max.
+  // The select has no branch and stores no choice, so it vectorizes.
   dp_[0] = 0.0;
   std::size_t prev_width = 0;
   for (std::size_t g = 0; g < groups; ++g) {
     const auto width = static_cast<std::size_t>(width_[g]);
-    // The previous row is constant beyond its last column: extend it.
     std::fill(dp_.begin() + static_cast<std::ptrdiff_t>(prev_width) + 1,
               dp_.begin() + static_cast<std::ptrdiff_t>(width) + 1, dp_[prev_width]);
-    // Default: take nothing from this group.
-    std::copy(dp_.begin(), dp_.begin() + static_cast<std::ptrdiff_t>(width) + 1,
-              next_.begin());
-    std::int32_t* row = choice_.data() + row_[g];
-    std::fill(row, row + width + 1, -1);
-    const std::size_t begin = group_begin(g);
-    for (std::size_t i = begin; i < group_end_[g]; ++i) {
+    const double* prev = dp_.data();
+    double* out = table_.data() + row_[g];
+    std::copy(prev, prev + width + 1, out);
+    for (std::size_t i = group_begin(g); i < group_end_[g]; ++i) {
       const MckpItem& entry = items_[i];
       if (entry.weight > cap || entry.value <= 0.0) {
         continue;
       }
       const auto w = static_cast<std::size_t>(entry.weight);
-      const auto index = static_cast<std::int32_t>(i - begin);
-      for (std::size_t c = w; c <= width; ++c) {
-        const double candidate = dp_[c - w] + entry.value;
-        if (candidate > next_[c]) {
-          next_[c] = candidate;
-          row[c] = index;
-        }
+      if (w > width) {
+        continue;
       }
+      const double value = entry.value;
+      for (std::size_t c = w; c <= width; ++c) {
+        const double candidate = prev[c - w] + value;
+        out[c] = out[c] < candidate ? candidate : out[c];
+      }
+      cell_updates_ += width - w + 1;
     }
-    dp_.swap(next_);
+    std::copy(out, out + width + 1, dp_.begin());
     prev_width = width;
   }
 
-  // Backtrack from the best capacity. Columns above a row's last one repeat
-  // it, so each row is read at min(c, last column).
-  auto c = static_cast<std::size_t>(
-      std::max_element(dp_.begin(), dp_.begin() + static_cast<std::ptrdiff_t>(prev_width) + 1) -
-      dp_.begin());
-  solution_.total_value = dp_[c];
+  // Backtrack from the best capacity, re-deriving each choice by the
+  // first-equal rule (class comment). Columns above a row's last one repeat
+  // it, so every row is read at min(column, last column).
+  const double* last = table_.data() + row_[groups - 1];
+  auto c = static_cast<std::size_t>(std::max_element(last, last + prev_width + 1) - last);
+  solution_.total_value = last[c];
   for (std::size_t g = groups; g-- > 0;) {
     const std::size_t column = std::min(c, static_cast<std::size_t>(width_[g]));
-    const int taken = choice_[row_[g] + column];
-    solution_.chosen[g] = taken;
-    if (taken >= 0) {
-      const int weight = item(g, static_cast<std::size_t>(taken)).weight;
-      solution_.total_weight += weight;
-      c -= static_cast<std::size_t>(weight);
+    const double best = table_[row_[g] + column];
+    const auto before = [&](std::size_t col) {
+      return g == 0 ? 0.0
+                    : table_[row_[g - 1] + std::min(col, static_cast<std::size_t>(width_[g - 1]))];
+    };
+    c = column;
+    if (before(column) == best) {
+      continue;
     }
+    const std::size_t begin = group_begin(g);
+    std::size_t i = begin;
+    for (; i < group_end_[g]; ++i) {
+      const MckpItem& entry = items_[i];
+      if (entry.weight > cap || entry.value <= 0.0) {
+        continue;
+      }
+      const auto w = static_cast<std::size_t>(entry.weight);
+      if (w <= column && before(column - w) + entry.value == best) {
+        break;
+      }
+    }
+    LYRA_CHECK_LT(i, group_end_[g]);
+    solution_.chosen[g] = static_cast<int>(i - begin);
+    solution_.total_weight += items_[i].weight;
+    c = column - static_cast<std::size_t>(items_[i].weight);
   }
   return solution_;
 }

@@ -33,7 +33,7 @@ struct MckpSolution {
 
 // Exact DP solver over a flat, reusable instance. The scheduler keeps one and
 // rebuilds the instance every round, so in steady state a solve allocates
-// nothing: items, the choice table and the DP rows all keep their capacity.
+// nothing: items, the value table and the DP row all keep their capacity.
 //
 //   solver.Clear();
 //   solver.AddGroup(); solver.AddItem(2, 6.67);
@@ -44,9 +44,14 @@ struct MckpSolution {
 // weight fits the capacity and its value is positive. Group g only gets DP
 // columns up to min(capacity, P_g), where P_g sums the largest usable weight
 // of groups 0..g: no combination of those groups weighs more, so every
-// column above P_g repeats column P_g's value and choice (DESIGN.md "Cost of
-// a Lyra scheduling round"). The choice table therefore holds
-// sum_g (min(capacity, P_g) + 1) cells and a solve takes
+// column above P_g repeats column P_g's value (DESIGN.md "Cost of a Lyra
+// scheduling round"). The solver keeps a value table of
+// sum_g (min(capacity, P_g) + 1) doubles and no choice table: the forward
+// pass is a branch-free running max, and the backtrack re-derives each
+// group's choice from two value rows. A strict running max keeps the first
+// candidate that reaches a cell's final value, so the backtrack takes
+// nothing when the previous row already holds that value, and otherwise the
+// first usable item whose candidate equals it. A solve takes
 // O(sum_g min(capacity, P_g) * |items of g|) time.
 class MckpSolver {
  public:
@@ -69,6 +74,10 @@ class MckpSolver {
   // Clear or Solve.
   const MckpSolution& Solve(int capacity);
 
+  // DP cell updates of the last Solve: sum over usable items of the columns
+  // they were tried at. A deterministic measure of its cost.
+  std::uint64_t cell_updates() const { return cell_updates_; }
+
  private:
   std::size_t group_begin(std::size_t g) const {
     return g == 0 ? 0 : group_end_[g - 1];
@@ -77,10 +86,10 @@ class MckpSolver {
   std::vector<MckpItem> items_;
   std::vector<std::size_t> group_end_;  // items of group g end here
   std::vector<int> width_;              // last DP column of group g
-  std::vector<std::size_t> row_;        // start of group g's row in choice_
-  std::vector<std::int32_t> choice_;    // item index taken, -1 = none
-  std::vector<double> dp_;
-  std::vector<double> next_;
+  std::vector<std::size_t> row_;        // start of group g's row in table_
+  std::vector<double> table_;           // every group's finished value row
+  std::vector<double> dp_;              // previous row, extended to cap
+  std::uint64_t cell_updates_ = 0;
   MckpSolution solution_;
 };
 

@@ -1,0 +1,209 @@
+// Seeded byte-mutation fuzzers for the two decoders that read untrusted wire
+// bytes: FrameDecoder (length-prefixed frames, fed in arbitrary chunks) and
+// JsonValue::Parse under JsonParseLimits::Untrusted(). They are
+// self-contained: a fixed corpus of valid documents, a seeded mutator and a
+// fixed iteration budget, so every ctest leg (ASan/UBSan included) runs them
+// the same way. LYRA_FUZZ_ITERATIONS=<n> raises the budget for a long run.
+//
+// They assert only that the decoders fail cleanly: a rejected input is an
+// InvalidArgument Status, never a crash, a hang or an allocation past the
+// limits; an accepted input is well formed (a frame within the payload cap,
+// a document that survives Dump/Parse unchanged).
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <string>
+#include <vector>
+
+#include "src/common/json.h"
+#include "src/common/rng.h"
+#include "src/svc/wire.h"
+
+namespace lyra::svc {
+namespace {
+
+int Iterations(int fallback) {
+  if (const char* env = std::getenv("LYRA_FUZZ_ITERATIONS")) {
+    const int n = std::atoi(env);
+    if (n > 0) {
+      return n;
+    }
+  }
+  return fallback;
+}
+
+// Valid wire commands: the corpus every mutation starts from.
+std::vector<std::string> CommandCorpus() {
+  std::vector<std::string> corpus;
+  JsonValue submit = JsonValue::MakeObject();
+  submit.Set("cmd", JsonValue::MakeString("submit"))
+      .Set("at", JsonValue::MakeNumber(12.5))
+      .Set("gpus_per_worker", JsonValue::MakeNumber(2))
+      .Set("min_workers", JsonValue::MakeNumber(1))
+      .Set("max_workers", JsonValue::MakeNumber(4))
+      .Set("total_work", JsonValue::MakeNumber(36000.0))
+      .Set("fungible", JsonValue::MakeBool(true))
+      .Set("model", JsonValue::MakeString("resnet\t\"50\"\\u"))
+      .Set("key", JsonValue::MakeString("tenant-\x01\x7f"));
+  corpus.push_back(submit.Dump());
+
+  JsonValue batch = JsonValue::MakeArray();
+  JsonValue nested = JsonValue::MakeObject();
+  nested.Set("ids", JsonValue::MakeArray()
+                        .Append(JsonValue::MakeNumber(-1))
+                        .Append(JsonValue::MakeNumber(1e300))
+                        .Append(JsonValue::MakeNumber(-2.5e-300))
+                        .Append(JsonValue::MakeNull()));
+  nested.Set("deep", JsonValue::MakeObject().Set(
+                         "a", JsonValue::MakeArray().Append(
+                                  JsonValue::MakeObject().Set("b", JsonValue::MakeBool(false)))));
+  batch.Append(nested).Append(JsonValue::MakeString(""));
+  corpus.push_back(batch.Dump());
+
+  corpus.push_back(R"({"cmd":"advance","to":3600})");
+  corpus.push_back(R"({"cmd":"query_job","job":9007199254740993})");
+  corpus.push_back(R"(  [ true , false , null , "é😀" ]  )");
+  return corpus;
+}
+
+// Applies 1-4 random edits: bit flips, truncation, insertion of random or
+// structural bytes, overwriting a word with 0x00/0xff, or duplicating a slice
+// (repeats keys, nests brackets, repeats frames).
+std::string Mutate(Rng& rng, std::string data) {
+  static constexpr char kStructural[] = "{}[]\",:\\0-.eE+ \x80\xff";
+  const int edits = static_cast<int>(rng.UniformInt(1, 4));
+  for (int e = 0; e < edits; ++e) {
+    const auto at =
+        static_cast<std::size_t>(rng.UniformInt(0, static_cast<std::int64_t>(data.size())));
+    switch (rng.UniformInt(0, 5)) {
+      case 0:
+        if (at < data.size()) {
+          data[at] = static_cast<char>(data[at] ^ (1 << rng.UniformInt(0, 7)));
+        }
+        break;
+      case 1:
+        data.resize(at);
+        break;
+      case 2:
+        for (std::int64_t n = rng.UniformInt(1, 8); n > 0; --n) {
+          data.insert(data.begin() + static_cast<std::ptrdiff_t>(at),
+                      static_cast<char>(rng.UniformInt(0, 255)));
+        }
+        break;
+      case 3:
+        data.insert(data.begin() + static_cast<std::ptrdiff_t>(at),
+                    kStructural[rng.UniformInt(0, sizeof(kStructural) - 2)]);
+        break;
+      case 4: {
+        const char fill = rng.NextBernoulli(0.5) ? '\xff' : '\0';
+        for (std::size_t i = at; i < data.size() && i < at + 4; ++i) {
+          data[i] = fill;
+        }
+        break;
+      }
+      default: {
+        const auto length = static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<std::int64_t>(data.size() - at)));
+        data.insert(at, data.substr(at, length));
+        break;
+      }
+    }
+  }
+  return data;
+}
+
+// Accepted documents are well formed; rejected ones fail with
+// InvalidArgument and a message.
+void ExpectCleanParse(const std::string& text, int iteration) {
+  const StatusOr<JsonValue> parsed = JsonValue::Parse(text, JsonParseLimits::Untrusted());
+  if (!parsed.ok()) {
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << "iteration " << iteration;
+    EXPECT_FALSE(parsed.status().message().empty()) << "iteration " << iteration;
+    return;
+  }
+  const std::string dumped = parsed.value().Dump();
+  const StatusOr<JsonValue> again = JsonValue::Parse(dumped, JsonParseLimits::Untrusted());
+  ASSERT_TRUE(again.ok()) << "iteration " << iteration << ": " << dumped;
+  EXPECT_EQ(again.value().Dump(), dumped) << "iteration " << iteration;
+}
+
+TEST(Fuzz, UntrustedJsonParseFailsCleanly) {
+  const std::vector<std::string> corpus = CommandCorpus();
+  for (const std::string& text : corpus) {
+    ASSERT_TRUE(JsonValue::Parse(text, JsonParseLimits::Untrusted()).ok()) << text;
+  }
+  Rng rng(0x150f);
+  const int iterations = Iterations(20000);
+  for (int iter = 0; iter < iterations; ++iter) {
+    const std::string& seed = corpus[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(corpus.size()) - 1))];
+    ExpectCleanParse(Mutate(rng, seed), iter);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(Fuzz, FrameDecoderFailsCleanly) {
+  const std::vector<std::string> corpus = CommandCorpus();
+  Rng rng(0xf4a3e);
+  const int iterations = Iterations(5000);
+  for (int iter = 0; iter < iterations; ++iter) {
+    // A stream of a few valid frames, mutated as a whole, then fed in random
+    // chunk sizes as a socket would deliver it.
+    std::string stream;
+    for (std::int64_t n = rng.UniformInt(1, 4); n > 0; --n) {
+      AppendFrame(corpus[static_cast<std::size_t>(rng.UniformInt(
+                      0, static_cast<std::int64_t>(corpus.size()) - 1))],
+                  stream);
+    }
+    const bool intact = rng.NextBernoulli(0.1);
+    if (!intact) {
+      stream = Mutate(rng, stream);
+    }
+    FrameDecoder decoder;
+    std::size_t fed = 0;
+    std::size_t decoded = 0;  // frame bytes taken out, headers included
+    std::vector<std::string> payloads;
+    bool failed = false;
+    while (fed < stream.size() && !failed) {
+      const auto chunk = std::min<std::size_t>(
+          stream.size() - fed, static_cast<std::size_t>(rng.UniformInt(1, 64)));
+      decoder.Append(stream.data() + fed, chunk);
+      fed += chunk;
+      for (;;) {
+        std::string payload;
+        const StatusOr<bool> next = decoder.Next(&payload);
+        if (!next.ok()) {
+          EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument) << "iteration " << iter;
+          failed = true;  // the stream is unrecoverable after a bad length
+          break;
+        }
+        if (!next.value()) {
+          break;
+        }
+        ASSERT_LE(payload.size(), kMaxFramePayload) << "iteration " << iter;
+        decoded += 4 + payload.size();
+        ExpectCleanParse(payload, iter);
+        payloads.push_back(std::move(payload));
+      }
+      ASSERT_EQ(decoded + decoder.buffered(), fed) << "iteration " << iter;
+    }
+    if (intact) {
+      // Chunking never changes what a valid stream decodes to.
+      std::string reframed;
+      for (const std::string& payload : payloads) {
+        AppendFrame(payload, reframed);
+      }
+      EXPECT_EQ(reframed, stream) << "iteration " << iter;
+      EXPECT_EQ(decoder.buffered(), 0u) << "iteration " << iter;
+    }
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace lyra::svc

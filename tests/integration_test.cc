@@ -165,6 +165,30 @@ TEST(Integration, FullPipelineIsDeterministic) {
   EXPECT_EQ(a.scaling_operations, b.scaling_operations);
 }
 
+TEST(Integration, MckpCountersAreDeterministic) {
+  // The engine counts phase two's knapsack work in solves and DP cell
+  // updates, never in time, so a same-seed rerun reports the same counts.
+  const Trace trace = ContendedTrace(88);
+  const auto run = [&]() {
+    LyraScheduler lyra;
+    LyraReclaimPolicy reclaim;
+    SimulatorOptions options;
+    options.training_servers = 40;
+    options.enable_loaning = true;
+    Simulator sim(options, trace, &lyra, &reclaim, MakeInference());
+    sim.Run();
+    const auto& counters = sim.metrics().counters();
+    EXPECT_TRUE(counters.count("mckp.solves"));
+    EXPECT_TRUE(counters.count("mckp.cells"));
+    return std::make_pair(counters.at("mckp.solves")->value(),
+                          counters.at("mckp.cells")->value());
+  };
+  const auto first = run();
+  EXPECT_GT(first.first, 0u);
+  EXPECT_GT(first.second, first.first);
+  EXPECT_EQ(first, run());
+}
+
 TEST(Integration, AllJobsFinishAcrossSchedulers) {
   const Trace trace = ContendedTrace(99);
   LyraReclaimPolicy reclaim;

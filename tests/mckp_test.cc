@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -329,6 +331,204 @@ TEST(MckpReference, ReusedSolverMatchesFreshSolve) {
     const MckpSolution fresh = SolveMckp(groups, capacity);
     ExpectIdentical(solver, groups, capacity, "instance " + std::to_string(instance));
     EXPECT_EQ(fresh.chosen, solver.Solve(capacity).chosen);
+  }
+}
+
+// --- Backtrack re-derivation ----------------------------------------------------
+//
+// The solver stores no choices: it re-derives each group's item from two value
+// rows, taking nothing when the previous row already holds the cell's value
+// and otherwise the first usable item whose candidate equals it. The tests
+// below aim at the cases where that rule could pick differently from the
+// oracle's strict running max.
+
+std::vector<MckpGroup> LoadedInstance(double big, std::vector<MckpGroup> rest) {
+  std::vector<MckpGroup> groups = {Group({{1, big}})};
+  for (MckpGroup& group : rest) {
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+TEST(MckpBacktrack, TiesThatAppearOnlyAfterRounding) {
+  // Above 2^56 one ulp is 16, so adding 9, 10 or 12 to 1e17 rounds to the
+  // same double: three different items tie at every column past the first.
+  // The first of them must be taken, and "none" must win where an item's sum
+  // rounds back to the previous row's value (+3 rounds down). At capacity 3
+  // group 1 ties items 0 and 2 at column 2, group 2's +3 rounds away, and
+  // group 3's +12 rounds up to a new value.
+  MckpSolver solver;
+  const double big = 1e17;
+  ASSERT_EQ(big + 9.0, big + 12.0);
+  ASSERT_EQ(big + 3.0, big);
+  const auto groups = LoadedInstance(
+      big, {Group({{1, 9.0}, {2, 10.0}, {1, 12.0}}), Group({{1, 3.0}}),
+            Group({{1, 3.0}, {1, 12.0}, {2, 9.0}})});
+  for (int capacity : {1, 2, 3, 4, 5, 6}) {
+    ExpectIdentical(solver, groups, capacity, "capacity " + std::to_string(capacity));
+  }
+  solver.Clear();
+  for (const MckpGroup& group : groups) {
+    solver.AddGroup();
+    for (const MckpItem& item : group.items) {
+      solver.AddItem(item.weight, item.value);
+    }
+  }
+  EXPECT_EQ(solver.Solve(3).chosen, (std::vector<int>{0, 0, -1, 1}));
+}
+
+TEST(MckpBacktrack, MatchesOracleOnRandomRoundingTies) {
+  // A large running sum from group 0, then small integer values whose sums
+  // collide after rounding, in groups with repeated weights.
+  Rng rng(1717);
+  MckpSolver solver;
+  for (int instance = 0; instance < 3000; ++instance) {
+    const double big = std::ldexp(1.0, static_cast<int>(rng.UniformInt(52, 58)));
+    std::vector<MckpGroup> rest;
+    const int num_groups = static_cast<int>(rng.UniformInt(1, 6));
+    for (int g = 0; g < num_groups; ++g) {
+      MckpGroup group;
+      for (int i = static_cast<int>(rng.UniformInt(1, 6)); i > 0; --i) {
+        group.items.push_back({static_cast<int>(rng.UniformInt(0, 4)),
+                               static_cast<double>(rng.UniformInt(1, 40))});
+      }
+      rest.push_back(std::move(group));
+    }
+    const int capacity = static_cast<int>(rng.UniformInt(1, 16));
+    ExpectIdentical(solver, LoadedInstance(big, std::move(rest)), capacity,
+                    "instance " + std::to_string(instance));
+  }
+}
+
+TEST(MckpBacktrack, MatchesOracleWithNanAndInfiniteValues) {
+  // NaN never beats a cell (every comparison with it is false) and never
+  // equals one; +inf saturates, so later +inf candidates tie with it; -inf is
+  // not positive and is skipped.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  MckpSolver solver;
+  const std::vector<std::vector<MckpGroup>> fixed = {
+      {Group({{1, nan}, {2, 5.0}}), Group({{1, 4.0}, {1, nan}})},
+      {Group({{1, inf}}), Group({{1, inf}, {2, inf}}), Group({{1, 7.0}})},
+      {Group({{2, -inf}, {1, 3.0}}), Group({{1, inf}, {0, inf}})},
+      {Group({{0, nan}, {0, inf}, {0, 1.0}}), Group({{3, nan}, {1, -inf}})},
+  };
+  for (std::size_t k = 0; k < fixed.size(); ++k) {
+    for (int capacity : {1, 2, 3, 5}) {
+      ExpectIdentical(solver, fixed[k], capacity,
+                      "fixed " + std::to_string(k) + " capacity " + std::to_string(capacity));
+    }
+  }
+  Rng rng(4242);
+  for (int instance = 0; instance < 3000; ++instance) {
+    std::vector<MckpGroup> groups;
+    for (int g = static_cast<int>(rng.UniformInt(1, 5)); g > 0; --g) {
+      MckpGroup group;
+      for (int i = static_cast<int>(rng.UniformInt(1, 5)); i > 0; --i) {
+        double value = static_cast<double>(rng.UniformInt(-1, 6));
+        switch (rng.UniformInt(0, 7)) {
+          case 0:
+            value = nan;
+            break;
+          case 1:
+            value = inf;
+            break;
+          case 2:
+            value = -inf;
+            break;
+          default:
+            break;
+        }
+        group.items.push_back({static_cast<int>(rng.UniformInt(0, 5)), value});
+      }
+      groups.push_back(std::move(group));
+    }
+    const int capacity = static_cast<int>(rng.UniformInt(0, 12));
+    ExpectIdentical(solver, groups, capacity, "instance " + std::to_string(instance));
+  }
+}
+
+TEST(MckpBacktrack, TiedWeightZeroItems) {
+  // Weight-0 items apply at every column, including column 0, and tie with
+  // each other and with heavier items.
+  MckpSolver solver;
+  const std::vector<MckpGroup> groups = {
+      Group({{0, 2.0}, {0, 2.0}, {1, 2.0}}), Group({{0, 1.0}, {1, 3.0}, {0, 3.0}}),
+      Group({{1, 1.0}, {0, 1.0}})};
+  for (int capacity : {1, 2, 3}) {
+    ExpectIdentical(solver, groups, capacity, "capacity " + std::to_string(capacity));
+  }
+  Rng rng(99);
+  for (int instance = 0; instance < 3000; ++instance) {
+    std::vector<MckpGroup> random;
+    for (int g = static_cast<int>(rng.UniformInt(1, 6)); g > 0; --g) {
+      MckpGroup group;
+      for (int i = static_cast<int>(rng.UniformInt(1, 5)); i > 0; --i) {
+        group.items.push_back({static_cast<int>(rng.UniformInt(0, 1)) * 2,
+                               static_cast<double>(rng.UniformInt(1, 3))});
+      }
+      random.push_back(std::move(group));
+    }
+    ExpectIdentical(solver, random, static_cast<int>(rng.UniformInt(1, 6)),
+                    "instance " + std::to_string(instance));
+  }
+}
+
+// The instance phase two builds in the paper-scale Lyra run, as measured:
+// 75 elastic jobs, gpus per worker in {1, 2, 4}, max_workers = 2 * min_workers,
+// and item k = "grow by k workers" only while k * gpw fits the capacity.
+std::vector<MckpGroup> PaperShapedInstance(Rng& rng, int capacity) {
+  std::vector<MckpGroup> groups;
+  for (int g = 0; g < 75; ++g) {
+    static constexpr int kGpusPerWorker[] = {1, 2, 4};
+    const int gpw = kGpusPerWorker[rng.UniformInt(0, 2)];
+    const int min_workers = static_cast<int>(rng.UniformInt(1, 10));
+    const double work = rng.Uniform(100.0, 1e6);
+    MckpGroup group;
+    for (int k = 1; k <= min_workers && k * gpw <= capacity; ++k) {
+      group.items.push_back({k * gpw, work / min_workers - work / (min_workers + k)});
+    }
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+TEST(MckpBacktrack, MatchesOracleAtPaperShape) {
+  Rng rng(403);
+  MckpSolver solver;
+  for (int instance = 0; instance < 30; ++instance) {
+    for (int capacity : {1, 64, 403, 2000}) {
+      ExpectIdentical(solver, PaperShapedInstance(rng, capacity), capacity,
+                      "instance " + std::to_string(instance) + " capacity " +
+                          std::to_string(capacity));
+    }
+  }
+}
+
+TEST(MckpBacktrack, ReusedSolverShrinksFromHugeCapacity) {
+  // A 35,000-column solve leaves a large table and DP row behind; the
+  // capacity-3 solves that follow through the same solver must not read them.
+  Rng rng(35000);
+  std::vector<MckpGroup> huge;
+  for (int g = 0; g < 40; ++g) {
+    const int gpw = static_cast<int>(rng.UniformInt(60, 125));
+    const double work = rng.Uniform(1e3, 1e7);
+    MckpGroup group;
+    for (int k = 1; k <= 8; ++k) {
+      group.items.push_back({k * gpw, work - work / (1 + k)});
+    }
+    huge.push_back(std::move(group));
+  }
+  MckpSolver solver;
+  ExpectIdentical(solver, huge, 35000, "capacity 35000");
+  ExpectIdentical(solver, huge, 3, "huge instance, capacity 3");
+  ExpectIdentical(solver, {Group({{1, 2.0}, {2, 3.0}}), Group({{1, 2.0}, {3, 4.5}})}, 3,
+                  "small instance, capacity 3");
+  for (int instance = 0; instance < 200; ++instance) {
+    int capacity = 0;
+    const std::vector<MckpGroup> groups = RandomEdgeInstance(rng, &capacity);
+    ExpectIdentical(solver, groups, std::min(capacity, 3),
+                    "edge instance " + std::to_string(instance));
   }
 }
 

@@ -354,6 +354,38 @@ TEST(TelemetryTopologies, EveryRouterExpositionIsLintCleanAndMatchesMetrics) {
   }
 }
 
+// Phase two's knapsack work, counted inside the engine in solves and DP cell
+// updates (no clock), reaches /metrics as lyra_engine_mckp_*.
+TEST(TelemetryTopologies, MckpCountersReachExposition) {
+  StatusOr<FederationSet> built =
+      BuildFederation(SmallServiceOptions(), SingleCluster(1), [](int) {
+        return std::make_unique<VirtualTimeDriver>();
+      });
+  ASSERT_TRUE(built.ok()) << built.status().message();
+  FederationRouter& router = *built.value().router;
+  for (int i = 0; i < 12; ++i) {
+    JsonValue submit = SubmitCmd();
+    submit.Replace("at", JsonValue::MakeNumber(60.0 * i));
+    submit.Replace("max_workers", JsonValue::MakeNumber(1 + i % 4));
+    ASSERT_TRUE(router.Execute(submit).GetBool("ok"));
+  }
+  // Past the registry refresh interval, so the advance's publish copies the
+  // registry after the scheduling rounds.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  JsonValue advance = Cmd("advance");
+  advance.Set("to", JsonValue::MakeNumber(7200.0));
+  ASSERT_TRUE(router.Execute(advance).GetBool("ok"));
+  StatusOr<PromScrape> scrape =
+      ParsePrometheus(router.ReadReply(Cmd("stats_prom")).GetString("text", ""));
+  ASSERT_TRUE(scrape.ok()) << scrape.status().message();
+  const double solves = scrape.value().Value("lyra_engine_mckp_solves_total");
+  EXPECT_GT(solves, 0.0);
+  EXPECT_GT(scrape.value().Value("lyra_engine_mckp_cells_total"), solves);
+  for (auto& service : built.value().services) {
+    service->Stop();
+  }
+}
+
 TEST_F(TelemetryEndToEnd, StatsPromWireCommandCarriesTheSameDocument) {
   DriveTraffic(/*count=*/8);
 
