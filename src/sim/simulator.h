@@ -208,6 +208,11 @@ class Simulator {
   }
   // True while any submitted job is pending or running.
   bool HasUnfinishedJobs() const { return finished_count_ < jobs_.size(); }
+  // The hard stop: options.max_time, or the trace duration plus 7 days.
+  TimeSec max_time() const { return options_.max_time; }
+  // True once stepping reached an event past max_time: the simulation has
+  // stopped, and every later StepUntil returns at once.
+  bool ended() const { return hit_max_time_; }
   std::uint64_t events_processed() const { return result_.events_processed; }
 
   // Read-only access for tests and examples (valid after Run()).

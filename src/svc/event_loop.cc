@@ -453,7 +453,7 @@ class EventLoop::IoThread {
         if (!next.ok()) {
           // Oversized length prefix: the stream is unrecoverable. One error
           // frame, then close after it flushes.
-          service_->CountProtocolError();
+          service_->CountError();
           PushReady(conn, StatusReply(next.status()));
           conn->read_closed = true;
           break;
@@ -531,24 +531,24 @@ class EventLoop::IoThread {
     StatusOr<JsonValue> parsed =
         JsonValue::Parse(payload, JsonParseLimits::Untrusted());
     if (!parsed.ok()) {
-      service_->CountProtocolError();
+      service_->CountError();
       PushReady(conn, ErrorReply("invalid_argument",
                                  "bad request: " + parsed.status().message()));
       return;
     }
     if (!parsed.value().is_object()) {
-      service_->CountProtocolError();
+      service_->CountError();
       PushReady(conn,
                 ErrorReply("invalid_argument", "request must be a JSON object"));
       return;
     }
     JsonValue request = std::move(parsed.value());
-    // One scan over the command name resolves both the telemetry bucket and
-    // the routing class (unknown names land on kOther -> kUnknown, which
-    // ReadReply answers with the usual error reply).
+    // The one scan over the command name: the decoded command picks the
+    // telemetry bucket and the route, and rides along to the router's read
+    // dispatcher or the engine queue (unknown names decode to kOther, which
+    // the read dispatcher answers with the usual error reply).
     const TelemetryCmd tcmd = TelemetryCmdFromName(request.GetString("cmd"));
-    const SchedulerService::CmdClass cls = SchedulerService::Classify(tcmd);
-    if (cls == SchedulerService::CmdClass::kEngine) {
+    if (IsEngineCmd(tcmd)) {
       const FederationRouter::Plan plan = router_->RouteEngine(tcmd, request);
       if (plan.shed) {
         // Shed on the saturation hint: at heavy overload most engine frames
@@ -609,7 +609,7 @@ class EventLoop::IoThread {
       slot.start_ns = start_ns;
       slot.seq = conn->base_seq + conn->slots.size() - 1;
       slot.cmd = tcmd;
-      MakeReady(slot, router_->ReadReply(request), conn);
+      MakeReady(slot, router_->Read(tcmd, request), conn);
     }
   }
 
@@ -717,7 +717,7 @@ class EventLoop::IoThread {
         break;
       }
       if (slot.state == Slot::State::kDeferredRead) {
-        MakeReady(slot, router_->ReadReply(slot.request), conn);
+        MakeReady(slot, router_->Read(slot.cmd, slot.request), conn);
       }
       ++idx;
     }
@@ -886,7 +886,7 @@ class EventLoop::IoThread {
 
   EventLoop* loop_;
   FederationRouter* router_;
-  // router_->front(): telemetry registry, protocol-error counter, identity.
+  // router_->front(): telemetry registry, error counter, identity.
   SchedulerService* service_;
   std::size_t max_outbuf_;
   int index_;

@@ -8,15 +8,17 @@
 // shared between threads.
 //
 // Each connection keeps an incremental frame decoder on the read side and an
-// ordered slot queue on the write side. Clients may pipeline frames freely:
-//   - engine commands (submit/cancel/...) are forwarded to
-//     SchedulerService::ExecuteAsync and their slot completes when the
-//     engine's batch reply arrives;
-//   - read-only commands are answered inline from the service's state
-//     snapshot — they never touch the engine queue — unless an earlier
-//     engine command on the same connection is still in flight, in which
-//     case the read is deferred until that command completes (preserving
-//     read-your-writes and strict per-connection reply order);
+// ordered slot queue on the write side. Every frame's command is decoded
+// once, and the FederationRouter takes it from there at every fleet size.
+// Clients may pipeline frames freely:
+//   - engine commands (submit/cancel/...) are routed to an engine queue and
+//     their slot completes when the engine's batch reply arrives;
+//   - read-only and unknown commands are answered inline by the router's
+//     read dispatcher from the engines' snapshots — they never touch an
+//     engine queue — unless an earlier engine command on the same
+//     connection is still in flight, in which case the read is deferred
+//     until that command completes (preserving read-your-writes and strict
+//     per-connection reply order);
 //   - malformed frames complete immediately with an error reply.
 // Completed replies are flushed as a batch with one sendmsg(2) of
 // [len][payload][len][payload]... iovecs (MSG_NOSIGNAL; a dead peer is an
@@ -59,7 +61,7 @@ struct EventLoopOptions {
 class EventLoop {
  public:
   // `service` must outlive the loop. Wraps the service in an owned
-  // one-engine router, which hands every frame straight to the service.
+  // one-engine router, the plain daemon's front end.
   EventLoop(SchedulerService* service, EventLoopOptions options);
   // Fleet front end: frames route through `router` (which must outlive the
   // loop). I/O-thread telemetry and protocol-error counts home on

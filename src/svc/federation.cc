@@ -101,11 +101,15 @@ std::string PartPath(const std::string& path, int engine) {
   return path + ".part" + std::to_string(engine);
 }
 
-// The same reply for every read that finds an engine stopped.
-JsonValue StoppedReply(const JsonValue& request) {
-  JsonValue reply = ErrorReply("unavailable", "service is stopped");
-  EchoSeq(request, reply);
-  return reply;
+JsonValue Number(double v) { return JsonValue::MakeNumber(v); }
+
+JsonValue PoolJson(const PoolCounters& counters) {
+  JsonValue stats = JsonValue::MakeObject();
+  stats.Set("servers", Number(counters.servers));
+  stats.Set("total_gpus", Number(counters.total_gpus));
+  stats.Set("used_gpus", Number(counters.used_gpus));
+  stats.Set("free_gpus", Number(counters.free_gpus));
+  return stats;
 }
 
 }  // namespace
@@ -459,7 +463,7 @@ class FederationRouter::FanoutSink : public SchedulerService::CompletionSink {
   std::atomic<int> remaining_;
 };
 
-// Synchronous bridge for FederationRouter::Execute.
+// Synchronous bridge for FederationRouter::Execute, the one waiter.
 class FederationRouter::WaitSink : public SchedulerService::CompletionSink {
  public:
   void OnReply(std::uint64_t /*a*/, std::uint64_t /*b*/,
@@ -529,8 +533,8 @@ class FederationRouter::MigrationSink
       submit_.Replace("at",
                       JsonValue::MakeNumber(reply.GetDouble("time", 0.0)));
       router_->shard(static_cast<int>(dest_engine_))
-          ->ExecuteAsync(std::move(submit_), shared_from_this(), 1, 0,
-                         SchedulerService::CmdClass::kEngine);
+          ->Enqueue(TelemetryCmd::kSubmit, std::move(submit_),
+                    shared_from_this(), 1, 0);
       return;
     }
     const std::int64_t local =
@@ -804,7 +808,7 @@ void FederationRouter::DispatchEngine(
     std::shared_ptr<SchedulerService::CompletionSink> sink, std::uint64_t a,
     std::uint64_t b) {
   if (plan.reject) {
-    front()->CountProtocolError();
+    front()->CountError();
     sink->OnReply(a, b, RejectReply(plan.cmd, request));
     return;
   }
@@ -813,8 +817,8 @@ void FederationRouter::DispatchEngine(
     return;
   }
   if (!plan.fanout) {
-    shards_[shard_index]->ExecuteAsync(std::move(request), std::move(sink), a,
-                                       b, SchedulerService::CmdClass::kEngine);
+    shards_[shard_index]->Enqueue(plan.cmd, std::move(request),
+                                  std::move(sink), a, b);
     return;
   }
   std::string snapshot_path;
@@ -835,9 +839,8 @@ void FederationRouter::DispatchEngine(
     if (!snapshot_path.empty()) {
       copy.Replace("path", JsonValue::MakeString(PartPath(snapshot_path, k)));
     }
-    shards_[static_cast<std::size_t>(k)]->ExecuteAsync(
-        std::move(copy), fan, static_cast<std::uint64_t>(k), 0,
-        SchedulerService::CmdClass::kEngine);
+    shards_[static_cast<std::size_t>(k)]->Enqueue(
+        plan.cmd, std::move(copy), fan, static_cast<std::uint64_t>(k), 0);
   }
 }
 
@@ -870,7 +873,7 @@ void FederationRouter::StartMigration(
     JsonValue request, std::shared_ptr<SchedulerService::CompletionSink> sink,
     std::uint64_t a, std::uint64_t b) {
   const auto fail = [&](JsonValue reply) {
-    front()->CountProtocolError();
+    front()->CountError();
     EchoSeq(request, reply);
     sink->OnReply(a, b, std::move(reply));
   };
@@ -917,12 +920,11 @@ void FederationRouter::StartMigration(
             clusters_[source_cluster].name + "\""));
   }
 
-  const std::shared_ptr<const StateSnapshot> snap =
-      shard(static_cast<int>(source_engine))->snapshot();
-  if (snap == nullptr ||
-      shard(static_cast<int>(source_engine))->stopped()) {
+  if (shard(static_cast<int>(source_engine))->stopped()) {
     return fail(ErrorReply("unavailable", "service is stopped"));
   }
+  const std::shared_ptr<const StateSnapshot> snap =
+      shard(static_cast<int>(source_engine))->snapshot();
   // RCU read: the record can be stale, but the cancel below is the
   // authoritative gate — a job that finished in between fails there and the
   // engine error is forwarded verbatim.
@@ -984,8 +986,8 @@ void FederationRouter::StartMigration(
       dest_engine, static_cast<std::uint32_t>(dest), source_cluster,
       std::move(submit), cost);
   shard(static_cast<int>(source_engine))
-      ->ExecuteAsync(std::move(cancel), std::move(chain), 0, 0,
-                     SchedulerService::CmdClass::kEngine);
+      ->Enqueue(TelemetryCmd::kCancel, std::move(cancel), std::move(chain), 0,
+                0);
 }
 
 FederationRouter::ClusterTotals FederationRouter::Totals(int c) const {
@@ -1150,161 +1152,237 @@ Status FederationRouter::SaveFleetSnapshot(const std::string& path,
   return SaveFedSnapshot(fed, path);
 }
 
-JsonValue FederationRouter::ReadReply(const JsonValue& request) const {
-  const std::string cmd = request.GetString("cmd");
-  // Intercepted before the single-engine delegation: the plain service's
-  // ReadReply answers federation_stats with failed_precondition.
-  if (cmd == "federation_stats") {
-    return FederationStats(request);
+JsonValue FederationRouter::Read(TelemetryCmd cmd,
+                                 const JsonValue& request) const {
+  using Reader = JsonValue (FederationRouter::*)(const JsonValue&) const;
+  Reader reader = nullptr;
+  switch (cmd) {
+    case TelemetryCmd::kQueryJob:
+      reader = &FederationRouter::QueryJob;
+      break;
+    case TelemetryCmd::kClusterStats:
+      reader = &FederationRouter::ClusterStats;
+      break;
+    case TelemetryCmd::kMetrics:
+      reader = &FederationRouter::Metrics;
+      break;
+    case TelemetryCmd::kPing:
+      reader = &FederationRouter::Ping;
+      break;
+    case TelemetryCmd::kStatsProm:
+      reader = &FederationRouter::StatsProm;
+      break;
+    case TelemetryCmd::kTraceDump:
+      reader = &FederationRouter::TraceDump;
+      break;
+    case TelemetryCmd::kFederationStats:
+      reader = &FederationRouter::FederationStats;
+      break;
+    default:
+      break;
   }
-  if (shard_count() == 1) {
-    return front()->ReadReply(request);
+  JsonValue reply;
+  if (reader == nullptr) {
+    front()->CountError();
+    reply = ErrorReply("invalid_argument",
+                       "unknown cmd: \"" + request.GetString("cmd") + "\"");
+  } else if (std::any_of(shards_.begin(), shards_.end(),
+                         [](const SchedulerService* engine) {
+                           return engine->stopped();
+                         })) {
+    reply = ErrorReply("unavailable", "service is stopped");
+  } else {
+    reply = (this->*reader)(request);
+    front()->CountRead();
   }
-  if (cmd == "query_job") {
-    return QueryJob(request);
-  }
-  if (cmd == "cluster_stats") {
-    return MergedClusterStats(request);
-  }
-  if (cmd == "metrics") {
-    return MergedMetrics(request);
-  }
-  if (cmd == "ping") {
-    return MergedPing(request);
-  }
-  if (cmd == "stats_prom") {
-    return MergedStatsProm(request);
-  }
-  if (cmd == "trace_dump") {
-    return MergedTraceDump(request);
-  }
-  // Unknown commands: the front engine produces the standard error reply
-  // (and counts it).
-  return front()->ReadReply(request);
-}
-
-JsonValue FederationRouter::QueryJob(const JsonValue& request) const {
-  const StatusOr<std::int64_t> global = JobIdField(request, "query_job");
-  if (!global.ok()) {
-    return front()->ReadReply(request);  // standard invalid_argument reply
-  }
-  const std::uint32_t engine = ShardOfJob(global.value());
-  JsonValue local_request = request;  // keeps "seq" for the engine's EchoSeq
-  local_request.Replace("job", JsonValue::MakeNumber(static_cast<double>(
-                                   ToLocal(global.value()))));
-  JsonValue reply = shards_[engine]->ReadReply(local_request);
-  RewriteReplyJob(engine, reply);  // also rewrites a not_found's message
-  return reply;
-}
-
-JsonValue FederationRouter::MergedClusterStats(const JsonValue& request) const {
-  std::vector<std::shared_ptr<const StateSnapshot>> snaps;
-  for (const SchedulerService* engine : shards_) {
-    snaps.push_back(engine->snapshot());
-    if (snaps.back() == nullptr || engine->stopped()) {
-      return StoppedReply(request);
-    }
-  }
-  JsonValue merged = SnapshotClusterStatsReply(MergeSnapshots(snaps));
-  front()->CountRead();
-  EchoSeq(request, merged);
-  JsonValue clusters = JsonValue::MakeArray();
-  const FedLedger ledger = LedgerCopy();
-  for (int c = 0; c < cluster_count(); ++c) {
-    clusters.Append(ClusterInfo(c, ledger));
-  }
-  merged.Set("federation", std::move(clusters));
-  return merged;
-}
-
-JsonValue FederationRouter::MergedMetrics(const JsonValue& request) const {
-  for (const SchedulerService* engine : shards_) {
-    if (engine->snapshot() == nullptr || engine->stopped()) {
-      return StoppedReply(request);
-    }
-  }
-  JsonValue reply = MetricsReply(engines());
-  front()->CountRead();
   EchoSeq(request, reply);
   return reply;
 }
 
-JsonValue FederationRouter::MergedPing(const JsonValue& request) const {
+std::shared_ptr<const StateSnapshot> FederationRouter::FleetSnapshot(
+    SnapshotFold fold) const {
+  if (shard_count() == 1) {
+    return front()->snapshot();
+  }
+  std::vector<std::shared_ptr<const StateSnapshot>> snaps;
+  snaps.reserve(shards_.size());
+  for (const SchedulerService* engine : shards_) {
+    snaps.push_back(engine->snapshot());
+  }
+  return std::make_shared<const StateSnapshot>(fold(snaps));
+}
+
+JsonValue FederationRouter::QueryJob(const JsonValue& request) const {
+  const StatusOr<std::int64_t> job = JobIdField(request, "query_job");
+  if (!job.ok()) {
+    front()->CountError();
+    return StatusReply(job.status());
+  }
+  // The global id names its engine and the engine's own id.
+  const std::int64_t id = job.value();
+  const std::shared_ptr<const StateSnapshot> snap =
+      shards_[ShardOfJob(id)]->snapshot();
+  const JobRecord* record = snap->FindJob(ToLocal(id));
+  if (record == nullptr) {
+    front()->CountError();
+    return ErrorReply("not_found", "no such job: " + std::to_string(id));
+  }
+  JsonValue reply = OkReply();
+  reply.Set("job", Number(static_cast<double>(id)));
+  reply.Set("state", JsonValue::MakeString(JobStateName(record->state)));
+  reply.Set("submit_time", Number(record->spec.submit_time));
+  reply.Set("gpus_per_worker", Number(record->spec.gpus_per_worker));
+  reply.Set("min_workers", Number(record->spec.min_workers));
+  reply.Set("max_workers", Number(record->spec.max_workers));
+  reply.Set("workers", Number(record->current_workers));
+  reply.Set("work_remaining", Number(record->work_remaining));
+  reply.Set("preemptions", Number(record->preemptions));
+  reply.Set("scaling_operations", Number(record->scaling_operations));
+  if (record->first_start_time >= 0.0) {
+    reply.Set("first_start_time", Number(record->first_start_time));
+  }
+  if (record->finish_time >= 0.0) {
+    reply.Set("finish_time", Number(record->finish_time));
+  }
+  return reply;
+}
+
+JsonValue FederationRouter::ClusterStats(const JsonValue& /*request*/) const {
+  const std::shared_ptr<const StateSnapshot> snap =
+      FleetSnapshot(&SumSnapshots);
+  JsonValue jobs = JsonValue::MakeObject();
+  jobs.Set("total", Number(static_cast<double>(snap->job_count)));
+  for (std::size_t s = 0; s < snap->state_counts.size(); ++s) {
+    jobs.Set(JobStateName(static_cast<JobState>(s)),
+             Number(static_cast<double>(snap->state_counts[s])));
+  }
+  JsonValue pools = JsonValue::MakeObject();
+  pools.Set("training", PoolJson(snap->training));
+  pools.Set("on_loan", PoolJson(snap->on_loan));
+  pools.Set("inference", PoolJson(snap->inference));
+
+  JsonValue reply = OkReply();
+  reply.Set("time", Number(snap->time));
+  reply.Set("events_processed",
+            Number(static_cast<double>(snap->events_processed)));
+  reply.Set("jobs", std::move(jobs));
+  reply.Set("cluster", std::move(pools));
+  reply.Set("ended", JsonValue::MakeBool(snap->ended));
+  if (shard_count() > 1) {
+    JsonValue clusters = JsonValue::MakeArray();
+    const FedLedger ledger = LedgerCopy();
+    for (int c = 0; c < cluster_count(); ++c) {
+      clusters.Append(ClusterInfo(c, ledger));
+    }
+    reply.Set("federation", std::move(clusters));
+  }
+  return reply;
+}
+
+JsonValue FederationRouter::Metrics(const JsonValue& /*request*/) const {
+  const std::shared_ptr<const StateSnapshot> snap =
+      FleetSnapshot(&MergeSnapshots);
+  const SchedulerService::Stats stats = AggregateStats();
+  JsonValue service = JsonValue::MakeObject();
+  service.Set("commands_applied", Number(stats.commands_applied));
+  service.Set("jobs_submitted", Number(stats.jobs_submitted));
+  service.Set("jobs_cancelled", Number(stats.jobs_cancelled));
+  service.Set("rejected_overload", Number(stats.rejected_overload));
+  service.Set("command_errors", Number(stats.command_errors));
+  service.Set("reads_served", Number(stats.reads_served));
+  service.Set("snapshots_published", Number(stats.snapshots_published));
+  service.Set("queue_depth", Number(stats.queue_depth));
+  service.Set("queue_peak", Number(stats.queue_peak));
+  service.Set("command_log", Number(snap->command_log_size));
+  service.Set("driver", JsonValue::MakeString(front()->driver_name()));
+  if (shard_count() > 1) {
+    service.Set("shards", Number(shard_count()));
+  }
+  JsonValue reply = OkReply();
+  reply.Set("time", Number(snap->time));
+  reply.Set("engine", snap->engine_metrics != nullptr
+                          ? snap->engine_metrics->ToJson()
+                          : JsonValue::MakeNull());
+  reply.Set("service", std::move(service));
+  reply.Set("metrics_time", Number(snap->metrics_time));
+  return reply;
+}
+
+JsonValue FederationRouter::Ping(const JsonValue& /*request*/) const {
+  // Liveness and identity: enough to tell which fleet answered and how far
+  // it has gotten, without the cost of a metrics export.
+  const bool fleet = shard_count() > 1;
   JsonValue shards = JsonValue::MakeArray();
   double time = 0.0, virtual_time = 0.0, snapshot_seq = 0.0;
   double commands_applied = 0.0;
+  bool ended = false;
   for (int k = 0; k < shard_count(); ++k) {
     const std::shared_ptr<const StateSnapshot> snap = shards_[k]->snapshot();
-    if (snap == nullptr || shards_[k]->stopped()) {
-      return StoppedReply(request);
-    }
-    const SchedulerService::Stats stats = shards_[k]->stats();
+    const double applied =
+        static_cast<double>(shards_[k]->stats().commands_applied);
     const double shard_virtual = shards_[k]->driver()->Now();
     time = std::max(time, snap->time);
     virtual_time = std::max(virtual_time, shard_virtual);
     snapshot_seq = std::max(snapshot_seq, static_cast<double>(snap->version));
-    commands_applied += static_cast<double>(stats.commands_applied);
-    JsonValue entry = JsonValue::MakeObject();
-    entry.Set("shard", JsonValue::MakeNumber(static_cast<double>(k)));
-    entry.Set("commands_applied",
-              JsonValue::MakeNumber(static_cast<double>(stats.commands_applied)));
-    entry.Set("snapshot_seq",
-              JsonValue::MakeNumber(static_cast<double>(snap->version)));
-    entry.Set("virtual_time", JsonValue::MakeNumber(shard_virtual));
-    shards.Append(std::move(entry));
+    commands_applied += applied;
+    ended = ended || snap->ended;
+    if (fleet) {
+      JsonValue entry = JsonValue::MakeObject();
+      entry.Set("shard", Number(k));
+      entry.Set("commands_applied", Number(applied));
+      entry.Set("snapshot_seq", Number(static_cast<double>(snap->version)));
+      entry.Set("virtual_time", Number(shard_virtual));
+      shards.Append(std::move(entry));
+    }
   }
   JsonValue reply = OkReply();
-  reply.Set("time", JsonValue::MakeNumber(time));
-  reply.Set("virtual_time", JsonValue::MakeNumber(virtual_time));
+  reply.Set("time", Number(time));
+  reply.Set("virtual_time", Number(virtual_time));
   reply.Set("driver", JsonValue::MakeString(front()->driver_name()));
-  reply.Set("uptime_s", JsonValue::MakeNumber(front()->UptimeSeconds()));
-  reply.Set("commands_applied", JsonValue::MakeNumber(commands_applied));
-  reply.Set("snapshot_seq", JsonValue::MakeNumber(snapshot_seq));
+  reply.Set("uptime_s", Number(front()->UptimeSeconds()));
+  reply.Set("commands_applied", Number(commands_applied));
+  reply.Set("snapshot_seq", Number(snapshot_seq));
   reply.Set("scheduler",
             JsonValue::MakeString(front()->options().engine.scheduler));
   reply.Set("reclaim", JsonValue::MakeString(front()->options().engine.reclaim));
-  reply.Set("shard_count",
-            JsonValue::MakeNumber(static_cast<double>(shard_count())));
-  reply.Set("shards", std::move(shards));
-  front()->CountRead();
-  EchoSeq(request, reply);
+  reply.Set("ended", JsonValue::MakeBool(ended));
+  if (fleet) {
+    reply.Set("shard_count", Number(shard_count()));
+    reply.Set("shards", std::move(shards));
+  }
   return reply;
 }
 
-JsonValue FederationRouter::MergedStatsProm(const JsonValue& request) const {
-  if (front()->snapshot() == nullptr || front()->stopped()) {
-    return StoppedReply(request);
-  }
+JsonValue FederationRouter::StatsProm(const JsonValue& /*request*/) const {
+  // Wire counterpart of `GET /metrics`: the exposition document as a reply
+  // field, for clients without an HTTP path.
   JsonValue reply = OkReply();
   reply.Set("text", JsonValue::MakeString(RenderPrometheus(*this)));
-  front()->CountRead();
-  EchoSeq(request, reply);
   return reply;
 }
 
-JsonValue FederationRouter::MergedTraceDump(const JsonValue& request) const {
+JsonValue FederationRouter::TraceDump(const JsonValue& request) const {
   const std::string path = request.GetString("path");
   if (path.empty()) {
-    return front()->ReadReply(request);  // standard invalid_argument reply
+    front()->CountError();
+    return ErrorReply("invalid_argument", "trace_dump requires a \"path\"");
   }
   double spans = 0.0;
   for (int k = 0; k < shard_count(); ++k) {
     const StatusOr<std::size_t> dumped =
         shards_[k]->DumpFlightRecorder(EnginePath(path, k));
     if (!dumped.ok()) {
-      front()->CountProtocolError();
-      JsonValue reply = StatusReply(dumped.status());
-      EchoSeq(request, reply);
-      return reply;
+      front()->CountError();
+      return StatusReply(dumped.status());
     }
     spans += static_cast<double>(dumped.value());
   }
   JsonValue reply = OkReply();
   reply.Set("path", JsonValue::MakeString(path));
-  reply.Set("spans", JsonValue::MakeNumber(spans));
-  reply.Set("shards", JsonValue::MakeNumber(static_cast<double>(shard_count())));
-  front()->CountRead();
-  EchoSeq(request, reply);
+  reply.Set("spans", Number(spans));
+  if (shard_count() > 1) {
+    reply.Set("shards", Number(shard_count()));
+  }
   return reply;
 }
 
@@ -1343,12 +1421,8 @@ JsonValue FederationRouter::ClusterInfo(int c, const FedLedger& ledger) const {
   return info;
 }
 
-JsonValue FederationRouter::FederationStats(const JsonValue& request) const {
-  for (int k = 0; k < shard_count(); ++k) {
-    if (shard(k)->snapshot() == nullptr || shard(k)->stopped()) {
-      return StoppedReply(request);
-    }
-  }
+JsonValue FederationRouter::FederationStats(
+    const JsonValue& /*request*/) const {
   FedLedger ledger;
   std::vector<std::string> events;
   {
@@ -1404,18 +1478,15 @@ JsonValue FederationRouter::FederationStats(const JsonValue& request) const {
   }
   broker.Set("events", std::move(recent));
   reply.Set("broker", std::move(broker));
-
-  front()->CountRead();
-  EchoSeq(request, reply);
   return reply;
 }
 
 JsonValue FederationRouter::Execute(const JsonValue& request) {
-  const TelemetryCmd tcmd = TelemetryCmdFromName(request.GetString("cmd"));
-  if (SchedulerService::Classify(tcmd) != SchedulerService::CmdClass::kEngine) {
-    return ReadReply(request);
+  const TelemetryCmd cmd = TelemetryCmdFromName(request.GetString("cmd"));
+  if (!IsEngineCmd(cmd)) {
+    return Read(cmd, request);
   }
-  Plan plan = RouteEngine(tcmd, request);
+  Plan plan = RouteEngine(cmd, request);
   // Synchronous callers take the authoritative per-engine rejection rather
   // than the advisory shed (there is no canned-reply fast path to protect).
   plan.shed = false;

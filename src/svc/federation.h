@@ -176,18 +176,22 @@ class LoanBroker {
 //     an FNV-1a hash of the client's "key" string when present, of the
 //     router's monotone submit counter otherwise; cancel and query_job route
 //     by the engine encoded in the job id.
-//   - cluster_stats / metrics / ping merge the per-engine snapshots at read
-//     time, off the engine threads; stats_prom and /metrics serve
-//     RenderPrometheus(router) (prom.h), the engines' families plus the
-//     lyra_fed_* ones; trace_dump writes one file per engine.
+//   - Every read (query_job, cluster_stats, metrics, ping, stats_prom,
+//     trace_dump, federation_stats) and every unknown command is answered
+//     here, by one dispatcher (Read) and one function per read, from the
+//     engines' published snapshots off the engine threads, at every fleet
+//     size. Fleet-only fields (ping's shard_count/shards, cluster_stats'
+//     federation array, trace_dump's shards) appear only at E > 1, so a
+//     one-engine reply is the plain daemon's. stats_prom and /metrics serve
+//     RenderPrometheus(router) (prom.h); trace_dump writes one file per
+//     engine.
 //   - advance / drain / snapshot / shutdown fan out to every engine behind a
 //     completion barrier. The broker evaluates at advance/drain barriers;
 //     `snapshot` gathers the per-engine images into one LYRAFED container
 //     together with the submit counter and the broker ledger.
 //   - At one engine every engine command except migrate goes straight to
-//     engine 0 and every read except federation_stats is delegated to it,
-//     so the reply bytes, the LYRASNAP snapshot file and the /metrics
-//     exposition are the plain service's.
+//     engine 0, so the engine replies and the LYRASNAP snapshot file are
+//     the plain service's.
 //
 // Dispatch is two-phase so the submit counter can never desynchronize from
 // the engine a command actually ran on: RouteEngine is side-effect-free (the
@@ -209,10 +213,9 @@ class FederationRouter {
   int shard_count() const { return static_cast<int>(shards_.size()); }
   SchedulerService* shard(int i) const { return shards_[static_cast<std::size_t>(i)]; }
   // Engine 0 doubles as the front end's home service: I/O-thread telemetry,
-  // protocol-error counts, and identity fields all live there.
+  // read and error counts, and identity fields all live there.
   SchedulerService* front() const { return shards_.front(); }
-  // The engines in flat order, for the readers that merge them (the
-  // `metrics` reply and the Prometheus renderer).
+  // The engines in flat order, for the Prometheus renderer.
   std::vector<const SchedulerService*> engines() const {
     return {shards_.begin(), shards_.end()};
   }
@@ -266,11 +269,11 @@ class FederationRouter {
   // Returns the authoritative engine (0 for fanout commands).
   std::uint32_t BeginEngine(JsonValue& request, const Plan& plan);
 
-  // Phase 3: enqueue. Single-engine commands go to that engine's
-  // ExecuteAsync, migrate starts its cancel/resubmit chain, and fanout
-  // commands are copied to every engine behind a barrier sink that merges
-  // the replies and delivers once to `sink` with (a, b). Inline rejections
-  // can invoke the sink before this returns.
+  // Phase 3: enqueue. Single-engine commands go to that engine's queue,
+  // migrate starts its cancel/resubmit chain, and fanout commands are
+  // copied to every engine behind a barrier sink that merges the replies
+  // and delivers once to `sink` with (a, b). Inline rejections can invoke
+  // the sink before this returns.
   void DispatchEngine(const Plan& plan, std::uint32_t shard, JsonValue request,
                       std::shared_ptr<SchedulerService::CompletionSink> sink,
                       std::uint64_t a, std::uint64_t b);
@@ -281,12 +284,16 @@ class FederationRouter {
 
   // --- Reads ------------------------------------------------------------
 
-  // Read-only answer: federation_stats here, everything else delegated to
-  // engine 0 at E == 1 and merged across engines otherwise.
-  JsonValue ReadReply(const JsonValue& request) const;
+  // Answers a read-only or unknown command `cmd` (as TelemetryCmdFromName
+  // decoded request's "cmd") on the caller's thread, from the engines'
+  // snapshots. An unknown command is invalid_argument and a stopped engine
+  // makes every read unavailable; a served read counts in engine 0's
+  // reads_served. The reply echoes the request's "seq".
+  JsonValue Read(TelemetryCmd cmd, const JsonValue& request) const;
 
-  // Synchronous convenience for tools and tests (mirrors
-  // SchedulerService::Execute, including reply-id rewrites and barriers).
+  // Synchronous convenience for tools and tests: decodes the command once
+  // and answers it as the event loop would, reads by Read and engine
+  // commands routed, waited for and id-rewritten.
   JsonValue Execute(const JsonValue& request);
 
   // --- Front-end hints and aggregates -----------------------------------
@@ -360,12 +367,20 @@ class FederationRouter {
   // engine order, and deletes them all whatever the outcome.
   StatusOr<std::vector<std::string>> TakeParts(const std::string& path) const;
 
+  // The fleet's snapshot for a read: engine 0's own at one engine (no
+  // copy), else `fold` (SumSnapshots or MergeSnapshots) over every engine's.
+  using SnapshotFold = StateSnapshot (*)(
+      const std::vector<std::shared_ptr<const StateSnapshot>>&);
+  std::shared_ptr<const StateSnapshot> FleetSnapshot(SnapshotFold fold) const;
+
+  // One function per read, called by Read once the engines are known to
+  // serve.
   JsonValue QueryJob(const JsonValue& request) const;
-  JsonValue MergedClusterStats(const JsonValue& request) const;
-  JsonValue MergedMetrics(const JsonValue& request) const;
-  JsonValue MergedPing(const JsonValue& request) const;
-  JsonValue MergedStatsProm(const JsonValue& request) const;
-  JsonValue MergedTraceDump(const JsonValue& request) const;
+  JsonValue ClusterStats(const JsonValue& request) const;
+  JsonValue Metrics(const JsonValue& request) const;
+  JsonValue Ping(const JsonValue& request) const;
+  JsonValue StatsProm(const JsonValue& request) const;
+  JsonValue TraceDump(const JsonValue& request) const;
   JsonValue FederationStats(const JsonValue& request) const;
   // Per-cluster stats object (jobs by state, pools, loan balance) shared by
   // federation_stats and the cluster_stats read augmentation.

@@ -342,6 +342,12 @@ std::string RenderEngines(
           [](Family& f, const auto& shard, const EngineValues& e) {
             f.Value(shard, e.snap->time);
           });
+  per_row("lyra_engine_ended", "gauge",
+          "1 once the engine passed its end of time and schedules nothing "
+          "more.",
+          [](Family& f, const auto& shard, const EngineValues& e) {
+            f.Count(shard, e.snap->ended ? 1 : 0);
+          });
   per_row("lyra_engine_events_processed_total", "counter",
           "Discrete events processed by the engine.",
           [](Family& f, const auto& shard, const EngineValues& e) {

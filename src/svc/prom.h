@@ -36,8 +36,8 @@ inline constexpr char kRequestDurationFamily[] =
 //
 // Families: lyra_svc_* (request latency and transport from the I/O threads,
 // engine batch histograms, the Stats counters, uptime and identity),
-// lyra_engine_* from the read snapshot (virtual time, events, jobs by state,
-// pools), and one lyra_engine_<name> family per metric in the engine's
+// lyra_engine_* from the read snapshot (virtual time, the end-of-time flag,
+// events, jobs by state, pools), and one lyra_engine_<name> family per metric in the engine's
 // metrics registry, the name's '.' written as '_' and counters ending in
 // `_total`.
 std::string RenderPrometheus(const SchedulerService& service);
@@ -45,7 +45,7 @@ std::string RenderPrometheus(const SchedulerService& service);
 // The router's exposition. One engine renders exactly as above. With N > 1
 // engines every engine family carries the merged total first (histograms
 // merged bucketwise, counters and gauges summed, the virtual time and the
-// snapshot version the furthest engine's), so consumers that take the first
+// snapshot version the furthest engine's, `ended` when any engine ended), so consumers that take the first
 // match see the fleet, then one `shard="k"` row per engine; I/O-thread
 // families are engine 0's, where the event loop homes them. A fleet adds
 // the `lyra_svc_shards` gauge and the per-cluster `lyra_fed_*` families.

@@ -9,7 +9,6 @@
 
 #include "src/common/check.h"
 #include "src/obs/trace_exporter.h"
-#include "src/svc/prom.h"
 #include "src/svc/replies.h"
 
 namespace lyra::svc {
@@ -53,45 +52,6 @@ bool ModelFamilyFromName(const std::string& name, ModelFamily* family) {
 
 }  // namespace
 
-SchedulerService::CmdClass SchedulerService::Classify(const std::string& cmd) {
-  if (cmd == "query_job" || cmd == "cluster_stats" || cmd == "metrics" ||
-      cmd == "ping" || cmd == "stats_prom" || cmd == "trace_dump" ||
-      cmd == "federation_stats") {
-    return CmdClass::kRead;
-  }
-  if (cmd == "submit" || cmd == "cancel" || cmd == "advance" || cmd == "drain" ||
-      cmd == "snapshot" || cmd == "shutdown" || cmd == "migrate") {
-    return CmdClass::kEngine;
-  }
-  return CmdClass::kUnknown;
-}
-
-SchedulerService::CmdClass SchedulerService::Classify(TelemetryCmd cmd) {
-  switch (cmd) {
-    case TelemetryCmd::kSubmit:
-    case TelemetryCmd::kCancel:
-    case TelemetryCmd::kAdvance:
-    case TelemetryCmd::kDrain:
-    case TelemetryCmd::kSnapshot:
-    case TelemetryCmd::kShutdown:
-    case TelemetryCmd::kMigrate:
-      return CmdClass::kEngine;
-    case TelemetryCmd::kQueryJob:
-    case TelemetryCmd::kClusterStats:
-    case TelemetryCmd::kMetrics:
-    case TelemetryCmd::kPing:
-    case TelemetryCmd::kStatsProm:
-    case TelemetryCmd::kTraceDump:
-    case TelemetryCmd::kFederationStats:
-      return CmdClass::kRead;
-    case TelemetryCmd::kOther:
-    case TelemetryCmd::kBatchApply:
-    case TelemetryCmd::kSnapshotPublish:
-      break;
-  }
-  return CmdClass::kUnknown;
-}
-
 SchedulerService::SchedulerService(ServiceOptions options,
                                    std::unique_ptr<TimeDriver> driver)
     : options_(std::move(options)), driver_(std::move(driver)) {
@@ -108,6 +68,11 @@ Status SchedulerService::Start() {
   }
   engine_ = std::move(built.value());
   engine_.sim->Begin();
+  Serve();
+  return Status::Ok();
+}
+
+void SchedulerService::Serve() {
   engine_.sim->set_job_dirty_sink(builder_.sink());
   snapshot_.store(builder_.Publish(*engine_.sim, log_.size(), true),
                   std::memory_order_release);
@@ -118,8 +83,8 @@ Status SchedulerService::Start() {
     started_ = true;
     snapshots_published_ = 1;
   }
+  serving_.store(true, std::memory_order_release);
   engine_thread_ = std::thread(&SchedulerService::EngineLoop, this);
-  return Status::Ok();
 }
 
 Status SchedulerService::Restore(const std::string& snapshot_path) {
@@ -156,23 +121,18 @@ Status SchedulerService::RestoreSnapshot(ServiceSnapshot snapshot) {
       return replayed;
     }
   }
+  // An ended engine persisted an infinite horizon: stepping to it passes
+  // the end again, whether a logged command or an unlogged free-run did.
   engine_.sim->StepUntil(snapshot.horizon);
   driver_->AdvanceTo(engine_.sim->now());
   log_ = std::move(snapshot.commands);
-  engine_.sim->set_job_dirty_sink(builder_.sink());
-  snapshot_.store(builder_.Publish(*engine_.sim, log_.size(), true),
-                  std::memory_order_release);
-  last_metrics_refresh_ = std::chrono::steady_clock::now();
-  engine_shard_ = telemetry_.AcquireShard("engine");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    started_ = true;
-    snapshots_published_ = 1;
-  }
-  engine_thread_ = std::thread(&SchedulerService::EngineLoop, this);
+  Serve();
   return Status::Ok();
 }
 
+// Applies no end-of-time check: the log holds exactly what the live engine
+// accepted, and logs written before the check existed must replay as they
+// ran.
 Status SchedulerService::ReplayCommand(const LoggedCommand& cmd) {
   Simulator& sim = *engine_.sim;
   switch (cmd.kind) {
@@ -208,12 +168,11 @@ void SchedulerService::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!started_) {
-      stopped_.store(true, std::memory_order_release);
       return;
     }
     stop_requested_ = true;
   }
-  stopped_.store(true, std::memory_order_release);
+  serving_.store(false, std::memory_order_release);
   cv_.notify_all();
   driver_->Interrupt();
   if (engine_thread_.joinable()) {
@@ -256,113 +215,32 @@ SchedulerService::Stats SchedulerService::stats() const {
   return stats;
 }
 
-JsonValue SchedulerService::Execute(const JsonValue& request) {
-  if (Classify(request.GetString("cmd")) != CmdClass::kEngine) {
-    return ReadReply(request);
-  }
-  struct Waiter {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    JsonValue reply;
-  };
-  auto waiter = std::make_shared<Waiter>();
-  ExecuteAsync(request, [waiter](JsonValue reply) {
-    {
-      std::lock_guard<std::mutex> lock(waiter->mu);
-      waiter->reply = std::move(reply);
-      waiter->done = true;
-    }
-    waiter->cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(waiter->mu);
-  waiter->cv.wait(lock, [&] { return waiter->done; });
-  return std::move(waiter->reply);
-}
-
-std::string SchedulerService::ExecuteText(const std::string& request_text) {
-  const StatusOr<JsonValue> parsed =
-      JsonValue::Parse(request_text, JsonParseLimits::Untrusted());
-  if (!parsed.ok()) {
-    command_errors_.fetch_add(1, std::memory_order_relaxed);
-    return ErrorReply("invalid_argument", "bad request: " + parsed.status().message())
-        .Dump();
-  }
-  if (!parsed.value().is_object()) {
-    command_errors_.fetch_add(1, std::memory_order_relaxed);
-    return ErrorReply("invalid_argument", "request must be a JSON object").Dump();
-  }
-  return Execute(parsed.value()).Dump();
-}
-
-void SchedulerService::ExecuteAsync(JsonValue request, Completion done) {
-  const CmdClass cls = Classify(request.GetString("cmd"));
-  ExecuteAsync(std::move(request), std::move(done), cls);
-}
-
-void SchedulerService::ExecuteAsync(JsonValue request, Completion done,
-                                    CmdClass cls) {
-  if (cls != CmdClass::kEngine) {
-    done(ReadReply(request));
-    return;
-  }
-  PendingCommand cmd;
-  cmd.request = std::move(request);
-  cmd.done = std::move(done);
-  EnqueueEngine(std::move(cmd));
-}
-
-void SchedulerService::ExecuteAsync(JsonValue request,
-                                    std::shared_ptr<CompletionSink> sink,
-                                    std::uint64_t a, std::uint64_t b,
-                                    CmdClass cls) {
-  if (cls != CmdClass::kEngine) {
-    sink->OnReply(a, b, ReadReply(request));
-    return;
-  }
-  PendingCommand cmd;
-  cmd.request = std::move(request);
-  cmd.sink = std::move(sink);
-  cmd.sink_a = a;
-  cmd.sink_b = b;
-  EnqueueEngine(std::move(cmd));
-}
-
-void SchedulerService::Deliver(PendingCommand& cmd, JsonValue reply) {
-  if (cmd.sink != nullptr) {
-    cmd.sink->OnReply(cmd.sink_a, cmd.sink_b, std::move(reply));
-  } else {
-    cmd.done(std::move(reply));
-  }
-}
-
-void SchedulerService::EnqueueEngine(PendingCommand cmd) {
+void SchedulerService::Enqueue(TelemetryCmd cmd, JsonValue request,
+                               std::shared_ptr<CompletionSink> sink,
+                               std::uint64_t a, std::uint64_t b) {
   JsonValue rejection;
-  bool rejected = false;
   bool was_empty = false;
   if (stopped()) {
     rejection = ErrorReply("unavailable", "service is stopped");
-    rejected = true;
   } else {
     std::lock_guard<std::mutex> lock(mu_);
     if (!started_ || stop_requested_) {
       rejection = ErrorReply("unavailable", "service is stopped");
-      rejected = true;
     } else if (queue_.size() >= static_cast<std::size_t>(options_.queue_capacity)) {
       ++rejected_overload_;
       rejection = ErrorReply("overloaded", "command queue full");
       rejection.Set("retry_after_ms", JsonValue::MakeNumber(options_.retry_after_ms));
-      rejected = true;
     } else {
       was_empty = queue_.empty();
-      queue_.push_back(std::move(cmd));
+      queue_.push_back(
+          PendingCommand{cmd, std::move(request), std::move(sink), a, b});
       queue_len_.store(queue_.size(), std::memory_order_relaxed);
       queue_peak_ = std::max(queue_peak_, queue_.size());
     }
   }
-  if (rejected) {
-    EchoSeq(cmd.request, rejection);
-    Deliver(cmd, std::move(rejection));
+  if (rejection.is_object()) {
+    EchoSeq(request, rejection);
+    sink->OnReply(a, b, std::move(rejection));
     return;
   }
   // Only the push that makes the queue non-empty can find the engine asleep:
@@ -373,88 +251,6 @@ void SchedulerService::EnqueueEngine(PendingCommand cmd) {
     cv_.notify_one();
     driver_->Interrupt();
   }
-}
-
-JsonValue SchedulerService::ReadReply(const JsonValue& request) const {
-  const std::string cmd = request.GetString("cmd");
-  JsonValue reply;
-  if (Classify(cmd) == CmdClass::kUnknown) {
-    command_errors_.fetch_add(1, std::memory_order_relaxed);
-    reply = ErrorReply("invalid_argument", "unknown cmd: \"" + cmd + "\"");
-    EchoSeq(request, reply);
-    return reply;
-  }
-  const std::shared_ptr<const StateSnapshot> snap = snapshot();
-  if (snap == nullptr || stopped()) {
-    reply = ErrorReply("unavailable", "service is stopped");
-    EchoSeq(request, reply);
-    return reply;
-  }
-  if (cmd == "query_job") {
-    const StatusOr<std::int64_t> job = JobIdField(request, "query_job");
-    if (!job.ok()) {
-      command_errors_.fetch_add(1, std::memory_order_relaxed);
-      reply = StatusReply(job.status());
-    } else {
-      reply = SnapshotJobReply(*snap, job.value());
-      if (!reply.GetBool("ok", false)) {
-        command_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  } else if (cmd == "cluster_stats") {
-    reply = SnapshotClusterStatsReply(*snap);
-  } else if (cmd == "metrics") {
-    reply = MetricsReply({this});
-  } else if (cmd == "stats_prom") {
-    // Unix-socket counterpart of `GET /metrics`: the full exposition
-    // document as a reply field, for clients without an HTTP path.
-    reply = OkReply();
-    reply.Set("text", JsonValue::MakeString(RenderPrometheus(*this)));
-  } else if (cmd == "federation_stats") {
-    // Classified as a read so the federation front end can intercept it; a
-    // plain engine has no clusters or broker to report on.
-    command_errors_.fetch_add(1, std::memory_order_relaxed);
-    reply = ErrorReply("failed_precondition", "not a federation");
-  } else if (cmd == "trace_dump") {
-    const std::string path = request.GetString("path");
-    if (path.empty()) {
-      command_errors_.fetch_add(1, std::memory_order_relaxed);
-      reply = ErrorReply("invalid_argument", "trace_dump requires a \"path\"");
-    } else {
-      const StatusOr<std::size_t> dumped = DumpFlightRecorder(path);
-      if (!dumped.ok()) {
-        command_errors_.fetch_add(1, std::memory_order_relaxed);
-        reply = StatusReply(dumped.status());
-      } else {
-        reply = OkReply();
-        reply.Set("path", JsonValue::MakeString(path));
-        reply.Set("spans", JsonValue::MakeNumber(
-                               static_cast<double>(dumped.value())));
-      }
-    }
-  } else {  // ping
-    // Liveness + identity probe: enough to tell which engine answered and
-    // how far it has gotten, without the cost of a metrics export.
-    reply = OkReply();
-    reply.Set("time", JsonValue::MakeNumber(snap->time));
-    reply.Set("virtual_time", JsonValue::MakeNumber(driver_->Now()));
-    reply.Set("driver", JsonValue::MakeString(driver_->name()));
-    reply.Set("uptime_s", JsonValue::MakeNumber(UptimeSeconds()));
-    std::uint64_t applied = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      applied = commands_applied_;
-    }
-    reply.Set("commands_applied",
-              JsonValue::MakeNumber(static_cast<double>(applied)));
-    reply.Set("snapshot_seq",
-              JsonValue::MakeNumber(static_cast<double>(snap->version)));
-    reply.Set("scheduler", JsonValue::MakeString(options_.engine.scheduler));
-    reply.Set("reclaim", JsonValue::MakeString(options_.engine.reclaim));
-  }
-  reads_served_.fetch_add(1, std::memory_order_relaxed);
-  EchoSeq(request, reply);
-  return reply;
 }
 
 SchedulerService::NextAction SchedulerService::Next(
@@ -519,7 +315,7 @@ void SchedulerService::EngineLoop() {
         replies.clear();
         replies.reserve(batch.size());
         for (const PendingCommand& cmd : batch) {
-          replies.push_back(Apply(cmd.request));
+          replies.push_back(Apply(cmd.cmd, cmd.request));
           EchoSeq(cmd.request, replies.back());
         }
         if (engine_shard_ != nullptr) {
@@ -545,7 +341,8 @@ void SchedulerService::EngineLoop() {
         batch_submitted_ = 0;
         batch_cancelled_ = 0;
         for (std::size_t i = 0; i < batch.size(); ++i) {
-          Deliver(batch[i], std::move(replies[i]));
+          PendingCommand& cmd = batch[i];
+          cmd.sink->OnReply(cmd.sink_a, cmd.sink_b, std::move(replies[i]));
         }
         break;
       }
@@ -590,37 +387,44 @@ void SchedulerService::TraceCommand(const char* name, TimeSec stamp) {
   }
 }
 
-JsonValue SchedulerService::Apply(const JsonValue& request) {
+JsonValue SchedulerService::Apply(TelemetryCmd cmd, const JsonValue& request) {
   ++batch_applied_;
-  const std::string cmd = request.GetString("cmd");
-  if (cmd == "submit") {
-    return ApplySubmit(request);
-  }
-  if (cmd == "cancel") {
-    return ApplyCancel(request);
-  }
-  if (cmd == "advance") {
-    return ApplyAdvance(request);
-  }
-  if (cmd == "drain") {
-    return ApplyDrain();
-  }
-  if (cmd == "snapshot") {
-    return ApplySnapshot(request);
-  }
-  if (cmd == "shutdown") {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_requested_ = true;
+  switch (cmd) {
+    case TelemetryCmd::kSubmit:
+      return ApplySubmit(request);
+    case TelemetryCmd::kCancel:
+      return ApplyCancel(request);
+    case TelemetryCmd::kAdvance:
+      return ApplyAdvance(request);
+    case TelemetryCmd::kDrain:
+      return ApplyDrain();
+    case TelemetryCmd::kSnapshot:
+      return ApplySnapshot(request);
+    case TelemetryCmd::kShutdown: {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        stop_requested_ = true;
+      }
+      serving_.store(false, std::memory_order_release);
+      cv_.notify_all();
+      JsonValue reply = OkReply();
+      reply.Set("stopping", JsonValue::MakeBool(true));
+      return reply;
     }
-    stopped_.store(true, std::memory_order_release);
-    cv_.notify_all();
-    JsonValue reply = OkReply();
-    reply.Set("stopping", JsonValue::MakeBool(true));
-    return reply;
+    default:
+      break;
   }
-  command_errors_.fetch_add(1, std::memory_order_relaxed);
-  return ErrorReply("invalid_argument", "unknown cmd: \"" + cmd + "\"");
+  CountError();
+  return ErrorReply("invalid_argument", std::string("not an engine command: ") +
+                                            TelemetryCmdName(cmd));
+}
+
+JsonValue SchedulerService::EndedReply(const std::string& what) {
+  CountError();
+  char end[32];
+  std::snprintf(end, sizeof(end), "%.9g", engine_.sim->max_time());
+  return ErrorReply("failed_precondition",
+                    what + " end of time (t=" + end + ")");
 }
 
 JsonValue SchedulerService::ApplySubmit(const JsonValue& request) {
@@ -679,7 +483,7 @@ JsonValue SchedulerService::ApplySubmit(const JsonValue& request) {
     }
   }
   if (out_of_range != nullptr) {
-    command_errors_.fetch_add(1, std::memory_order_relaxed);
+    CountError();
     return ErrorReply("invalid_argument",
                       std::string(out_of_range) + " is outside the int range");
   }
@@ -690,16 +494,25 @@ JsonValue SchedulerService::ApplySubmit(const JsonValue& request) {
       model_field != nullptr && model_field->is_string() ? model_field->AsString()
                                                          : "other";
   if (!ModelFamilyFromName(model, &spec.model)) {
-    command_errors_.fetch_add(1, std::memory_order_relaxed);
+    CountError();
     return ErrorReply("invalid_argument", "unknown model family: " + model);
   }
 
   const TimeSec stamp = StampFor(request);
+  if (engine_.sim->ended()) {
+    return EndedReply("submit refused: the engine passed its");
+  }
+  if (stamp > engine_.sim->max_time()) {
+    char at[32];
+    std::snprintf(at, sizeof(at), "%.9g", stamp);
+    return EndedReply(std::string("submit at t=") + at +
+                      " is past the engine's");
+  }
   spec.submit_time = stamp;
   engine_.sim->StepUntil(stamp);
   const StatusOr<JobId> id = engine_.sim->SubmitJob(spec);
   if (!id.ok()) {
-    command_errors_.fetch_add(1, std::memory_order_relaxed);
+    CountError();
     return StatusReply(id.status());
   }
   LoggedCommand logged;
@@ -720,7 +533,7 @@ JsonValue SchedulerService::ApplySubmit(const JsonValue& request) {
 JsonValue SchedulerService::ApplyCancel(const JsonValue& request) {
   const StatusOr<std::int64_t> job = JobIdField(request, "cancel");
   if (!job.ok()) {
-    command_errors_.fetch_add(1, std::memory_order_relaxed);
+    CountError();
     return StatusReply(job.status());
   }
   const std::int64_t id = job.value();
@@ -728,7 +541,7 @@ JsonValue SchedulerService::ApplyCancel(const JsonValue& request) {
   engine_.sim->StepUntil(stamp);
   const Status status = engine_.sim->CancelJob(JobId(id));
   if (!status.ok()) {
-    command_errors_.fetch_add(1, std::memory_order_relaxed);
+    CountError();
     return StatusReply(status);
   }
   LoggedCommand logged;
@@ -749,9 +562,12 @@ JsonValue SchedulerService::ApplyCancel(const JsonValue& request) {
 JsonValue SchedulerService::ApplyAdvance(const JsonValue& request) {
   const double to = request.GetDouble("to", -1.0);
   if (to < 0.0 || !std::isfinite(to)) {
-    command_errors_.fetch_add(1, std::memory_order_relaxed);
+    CountError();
     return ErrorReply("invalid_argument",
                       "advance requires a finite non-negative \"to\"");
+  }
+  if (engine_.sim->ended()) {
+    return EndedReply("advance refused: the engine passed its");
   }
   const TimeSec stamp = std::max(to, engine_.sim->now());
   engine_.sim->StepUntil(stamp);
@@ -770,6 +586,9 @@ JsonValue SchedulerService::ApplyAdvance(const JsonValue& request) {
 }
 
 JsonValue SchedulerService::ApplyDrain() {
+  if (engine_.sim->ended()) {
+    return EndedReply("drain refused: the engine passed its");
+  }
   engine_.sim->StepUntil(kInfinity);
   driver_->AdvanceTo(engine_.sim->now());
   LoggedCommand logged;
@@ -826,57 +645,26 @@ StatusOr<std::size_t> SchedulerService::DumpFlightRecorder(
 JsonValue SchedulerService::ApplySnapshot(const JsonValue& request) {
   const std::string path = request.GetString("path");
   if (path.empty()) {
-    command_errors_.fetch_add(1, std::memory_order_relaxed);
+    CountError();
     return ErrorReply("invalid_argument", "snapshot requires a \"path\"");
   }
   ServiceSnapshot snapshot;
   snapshot.config = options_.engine;
   snapshot.commands = log_;
-  snapshot.horizon = engine_.sim->now();
+  // An ended engine may have passed its end in an unlogged free-run step;
+  // an infinite horizon makes the restore pass it too.
+  const TimeSec now = engine_.sim->now();
+  snapshot.horizon = engine_.sim->ended() ? kInfinity : now;
   const Status saved = SaveSnapshot(snapshot, path);
   if (!saved.ok()) {
-    command_errors_.fetch_add(1, std::memory_order_relaxed);
+    CountError();
     return StatusReply(saved);
   }
-  TraceCommand("snapshot", snapshot.horizon);
+  TraceCommand("snapshot", now);
   JsonValue reply = OkReply();
   reply.Set("path", JsonValue::MakeString(path));
   reply.Set("commands", JsonValue::MakeNumber(static_cast<double>(log_.size())));
-  reply.Set("time", JsonValue::MakeNumber(snapshot.horizon));
-  return reply;
-}
-
-JsonValue MetricsReply(const std::vector<const SchedulerService*>& engines) {
-  std::vector<std::shared_ptr<const StateSnapshot>> snaps;
-  SchedulerService::Stats stats;
-  for (const SchedulerService* engine : engines) {
-    snaps.push_back(engine->snapshot());
-    stats.Add(engine->stats());
-  }
-  const StateSnapshot merged = MergeSnapshots(snaps);
-  const auto number = [](double v) { return JsonValue::MakeNumber(v); };
-  JsonValue service = JsonValue::MakeObject();
-  service.Set("commands_applied", number(stats.commands_applied));
-  service.Set("jobs_submitted", number(stats.jobs_submitted));
-  service.Set("jobs_cancelled", number(stats.jobs_cancelled));
-  service.Set("rejected_overload", number(stats.rejected_overload));
-  service.Set("command_errors", number(stats.command_errors));
-  service.Set("reads_served", number(stats.reads_served));
-  service.Set("snapshots_published", number(stats.snapshots_published));
-  service.Set("queue_depth", number(stats.queue_depth));
-  service.Set("queue_peak", number(stats.queue_peak));
-  service.Set("command_log", number(merged.command_log_size));
-  service.Set("driver", JsonValue::MakeString(engines.front()->driver_name()));
-  if (engines.size() > 1) {
-    service.Set("shards", number(engines.size()));
-  }
-  JsonValue reply = OkReply();
-  reply.Set("time", number(merged.time));
-  reply.Set("engine", merged.engine_metrics != nullptr
-                          ? merged.engine_metrics->ToJson()
-                          : JsonValue::MakeNull());
-  reply.Set("service", std::move(service));
-  reply.Set("metrics_time", number(merged.metrics_time));
+  reply.Set("time", JsonValue::MakeNumber(now));
   return reply;
 }
 

@@ -1,32 +1,38 @@
-// SchedulerService: the online scheduler daemon core (DESIGN.md §8).
+// SchedulerService: one engine of the online scheduler daemon (DESIGN.md §8).
 //
 // Wraps the Simulator/ClusterState/Lyra orchestrator stack behind a
 // single-writer command queue: one engine thread owns the simulation and
 // drains the queue in batches — one lock acquisition and one snapshot
 // publication per batch — so pipelining clients amortize mutex/condvar
 // traffic across many commands. Backpressure is explicit: when the queue is
-// full, submission completes immediately with an `overloaded` reply carrying
-// a retry-after hint, so socket workers never wedge behind a slow engine.
+// full, Enqueue completes immediately with an `overloaded` reply carrying a
+// retry-after hint, so socket workers never wedge behind a slow engine.
 //
-// Read-only commands (query_job, cluster_stats, metrics, ping) never touch
-// the queue. After every applied batch the engine publishes an immutable
-// StateSnapshot through an atomic shared_ptr swap; ReadReply answers from
-// the latest snapshot on the caller's thread, RCU-style, with no locks.
-// Because the publish happens before batch completions are delivered, a
-// client that pipelines a write and then a read on one connection always
-// reads its own write.
+// The service is the engine only: queue, apply, snapshot publication and
+// stats. It answers no read and parses no frame. The FederationRouter
+// (federation.h) is the one protocol surface at every fleet size: it
+// decodes each command once, enqueues engine commands here, and answers
+// read-only commands itself from the StateSnapshot the engine publishes
+// after every applied batch (an atomic shared_ptr swap, RCU-style, no
+// locks). Because the publish happens before batch completions are
+// delivered, a client that pipelines a write and then a read on one
+// connection always reads its own write.
 //
-// Commands are JSON objects with a "cmd" field: submit, cancel, query_job,
-// cluster_stats, metrics, advance, drain, snapshot, ping, shutdown. Mutating
-// commands are stamped with virtual time (max of the engine frontier, the
-// time driver's clock, and an optional explicit "at" parameter) and recorded
-// in an in-memory command log; the engine always steps to the stamp before
-// applying, which makes its event sequence a pure function of the logged
-// command sequence. That is the warm-restart invariant: a snapshot persists
-// the EngineConfig plus the command log, and Restore replays it into a
-// bit-identical engine (same decision log, same fault-log hash). Batching
-// changes when commands are applied, never their stamps, so the invariant is
-// unaffected by pipelining.
+// Engine commands are submit, cancel, advance, drain, snapshot and
+// shutdown. Mutating commands are stamped with virtual time (max of the
+// engine frontier, the time driver's clock, and an optional explicit "at"
+// parameter) and recorded in an in-memory command log; the engine always
+// steps to the stamp before applying, which makes its event sequence a pure
+// function of the logged command sequence. That is the warm-restart
+// invariant: a snapshot persists the EngineConfig plus the command log, and
+// Restore replays it into a bit-identical engine (same decision log, same
+// fault-log hash). Batching changes when commands are applied, never their
+// stamps, so the invariant is unaffected by pipelining.
+//
+// An online engine has an end of time, its simulator's max_time. Once
+// stepping passes it the engine schedules nothing more, so submit, advance
+// and drain answer failed_precondition naming the end (as does a submit
+// stamped past it), and the snapshot reports `ended`.
 #ifndef SRC_SVC_SERVICE_H_
 #define SRC_SVC_SERVICE_H_
 
@@ -35,7 +41,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -93,25 +98,11 @@ class SchedulerService {
     void Add(const Stats& other);
   };
 
-  // How a command is routed. Reads are answered from the snapshot on the
-  // caller's thread; engine commands are queued to the single writer;
-  // unknown commands fail inline without touching the queue.
-  enum class CmdClass { kRead, kEngine, kUnknown };
-  static CmdClass Classify(const std::string& cmd);
-  // Table-mapped overload for front ends that already resolved the command
-  // name to a TelemetryCmd (one string scan instead of two).
-  static CmdClass Classify(TelemetryCmd cmd);
-
-  // Invoked exactly once with the reply, on the engine thread for queued
-  // commands or inline on the caller's thread for immediate rejections
-  // (overload, stopped service). Never invoked under a service lock.
-  using Completion = std::function<void(JsonValue reply)>;
-
-  // Allocation-free alternative to Completion for high-rate front ends: the
-  // queue holds {sink, two caller-chosen words} instead of a type-erased
-  // closure, so enqueuing a command costs a shared_ptr bump rather than a
-  // heap-allocated std::function whose capture outgrows the small-buffer
-  // slot. Same delivery contract as Completion.
+  // Receives each reply, on the engine thread for queued commands or
+  // inline on the caller's thread for immediate rejections (overload,
+  // stopped service), never under a service lock. The queue holds {sink,
+  // two caller-chosen words} rather than a type-erased closure, so
+  // enqueuing costs a shared_ptr bump and no allocation.
   class CompletionSink {
    public:
     virtual ~CompletionSink() = default;
@@ -142,46 +133,28 @@ class SchedulerService {
   // the engine (flushing the trace file). Idempotent.
   void Stop();
 
-  // True once a shutdown command or Stop() landed.
-  bool stopped() const { return stopped_.load(std::memory_order_acquire); }
+  // True unless the engine is serving: before Start/Restore, and once a
+  // shutdown command or Stop() landed. A serving engine has published a
+  // snapshot.
+  bool stopped() const { return !serving_.load(std::memory_order_acquire); }
 
-  // Thread-safe command entry point. Read-only commands return from the
-  // snapshot without blocking; engine commands block until the engine thread
-  // replies, except when the queue is full (immediate `overloaded` reply) or
-  // the service is stopped (immediate `stopped` reply).
-  JsonValue Execute(const JsonValue& request);
-  // Wire entry point: parses with JsonParseLimits::Untrusted() and returns
-  // the serialized reply.
-  std::string ExecuteText(const std::string& request_text);
+  // Thread-safe and non-blocking: queues engine command `cmd` (submit,
+  // cancel, advance, drain, snapshot or shutdown, as the front end decoded
+  // it from `request`). sink->OnReply(a, b, reply) fires once the batch
+  // holding the command is applied and its snapshot published; rejections
+  // (overload, stopped) fire it before Enqueue returns.
+  void Enqueue(TelemetryCmd cmd, JsonValue request,
+               std::shared_ptr<CompletionSink> sink, std::uint64_t a,
+               std::uint64_t b);
 
-  // Non-blocking engine-command entry point for the event loop: enqueues and
-  // returns; `done` fires with the reply after the batch containing the
-  // command is applied and its snapshot published. Rejections (overload,
-  // stopped) invoke `done` before returning. Routes read-only commands
-  // through ReadReply inline.
-  void ExecuteAsync(JsonValue request, Completion done);
-  // Variant for front ends that already classified the command (the event
-  // loop routes on the class before enqueuing), skipping a re-classify.
-  void ExecuteAsync(JsonValue request, Completion done, CmdClass cls);
-  // Sink variant: replies (including inline rejections) arrive as
-  // sink->OnReply(a, b, reply). No per-command allocation.
-  void ExecuteAsync(JsonValue request, std::shared_ptr<CompletionSink> sink,
-                    std::uint64_t a, std::uint64_t b, CmdClass cls);
-
-  // Answers a read-only (or unknown) command from the current snapshot.
-  // Never touches the engine queue. Callable from any thread.
-  JsonValue ReadReply(const JsonValue& request) const;
-
-  // Counts a wire-level protocol error (unparseable or malformed frame) in
-  // Stats::command_errors. For transport front ends that parse frames
-  // themselves instead of going through ExecuteText.
-  void CountProtocolError() const {
+  // Counts a failed command the front end answered itself (a malformed
+  // frame, a bad read) in Stats::command_errors.
+  void CountError() const {
     command_errors_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Counts one served read in Stats::reads_served. For front ends that
-  // answer a read by merging several engines' snapshots themselves (the
-  // FederationRouter) rather than going through this service's ReadReply.
+  // Counts one read the front end answered from the snapshot in
+  // Stats::reads_served.
   void CountRead() const {
     reads_served_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -189,10 +162,10 @@ class SchedulerService {
   // Advisory saturation hint for front ends: true when the engine queue was
   // at capacity at the last push/drain. Reading it races with the engine's
   // drain by design — a front end may shed a command the queue could just
-  // have taken (or vice versa); the authoritative check in ExecuteAsync
-  // still rejects when the queue really is full. Shedding on the hint lets
-  // an overloaded front end answer with a canned rejection instead of
-  // paying the reply-build + completion round trip per rejected frame.
+  // have taken (or vice versa); the authoritative check in Enqueue still
+  // rejects when the queue really is full. Shedding on the hint lets an
+  // overloaded front end answer with a canned rejection instead of paying
+  // the reply-build + completion round trip per rejected frame.
   bool EngineSaturated() const {
     return queue_len_.load(std::memory_order_relaxed) >=
            static_cast<std::size_t>(options_.queue_capacity);
@@ -245,8 +218,8 @@ class SchedulerService {
 
  private:
   struct PendingCommand {
+    TelemetryCmd cmd = TelemetryCmd::kOther;
     JsonValue request;
-    Completion done;  // null when the sink form is used
     std::shared_ptr<CompletionSink> sink;
     std::uint64_t sink_a = 0;
     std::uint64_t sink_b = 0;
@@ -257,18 +230,22 @@ class SchedulerService {
   void EngineLoop();
   NextAction Next(std::vector<PendingCommand>* batch);
   void PublishSnapshot();
-  void EnqueueEngine(PendingCommand cmd);
-  static void Deliver(PendingCommand& cmd, JsonValue reply);
 
-  JsonValue Apply(const JsonValue& request);
+  JsonValue Apply(TelemetryCmd cmd, const JsonValue& request);
   JsonValue ApplySubmit(const JsonValue& request);
   JsonValue ApplyCancel(const JsonValue& request);
   JsonValue ApplyAdvance(const JsonValue& request);
   JsonValue ApplyDrain();
   JsonValue ApplySnapshot(const JsonValue& request);
+  // failed_precondition "<what> end of time (t=<max_time>)", counted as a
+  // command error.
+  JsonValue EndedReply(const std::string& what);
 
   // Shared tail of Restore/RestoreBytes: rebuild the engine and replay.
   Status RestoreSnapshot(ServiceSnapshot snapshot);
+  // Shared tail of Start/RestoreSnapshot, once engine_ is built and stepped:
+  // publish the first snapshot, acquire the engine shard, start serving.
+  void Serve();
 
   // Virtual-time stamp for a mutating command: max(engine frontier, driver
   // clock, explicit "at"). Monotone by construction.
@@ -301,7 +278,7 @@ class SchedulerService {
   mutable std::atomic<std::uint64_t> rejected_shed_{0};
   bool stop_requested_ = false;
   bool started_ = false;
-  std::atomic<bool> stopped_{false};
+  std::atomic<bool> serving_{false};
   // Engine-thread-only: true once auto-advance reached quiescence (reset by
   // the next mutating command), so the loop blocks instead of spinning.
   bool auto_quiescent_ = false;
@@ -328,13 +305,6 @@ class SchedulerService {
   mutable std::atomic<std::uint64_t> command_errors_{0};
   mutable std::atomic<std::uint64_t> reads_served_{0};
 };
-
-// The `metrics` reply for one engine or a fleet of them (engine 0 first;
-// every engine has published a snapshot): the MergeSnapshots summary's
-// times and registry ("engine"), and a "service" object of the engines'
-// Stats folded by Stats::Add, the command-log length and engine 0's driver.
-// A fleet's "service" also carries `shards`.
-JsonValue MetricsReply(const std::vector<const SchedulerService*>& engines);
 
 }  // namespace lyra::svc
 

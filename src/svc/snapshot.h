@@ -55,7 +55,8 @@ struct ServiceSnapshot {
   EngineConfig config;
   std::vector<LoggedCommand> commands;
   // Engine position when the snapshot was taken; restore steps here after
-  // the replay so the service resumes exactly where it left off.
+  // the replay so the service resumes exactly where it left off. +inf for
+  // an engine past its end of time, so the restore passes the end too.
   TimeSec horizon = 0.0;
 };
 

@@ -4,7 +4,6 @@
 
 #include "src/common/check.h"
 #include "src/sim/simulator.h"
-#include "src/svc/replies.h"
 
 namespace lyra::svc {
 namespace {
@@ -29,15 +28,6 @@ PoolCounters CountersOf(const ClusterState& cluster, ServerPool pool) {
   counters.used_gpus = cluster.UsedGpus(pool);
   counters.free_gpus = cluster.FreeGpus(pool);
   return counters;
-}
-
-JsonValue PoolJson(const PoolCounters& counters) {
-  JsonValue stats = JsonValue::MakeObject();
-  stats.Set("servers", JsonValue::MakeNumber(counters.servers));
-  stats.Set("total_gpus", JsonValue::MakeNumber(counters.total_gpus));
-  stats.Set("used_gpus", JsonValue::MakeNumber(counters.used_gpus));
-  stats.Set("free_gpus", JsonValue::MakeNumber(counters.free_gpus));
-  return stats;
 }
 
 }  // namespace
@@ -96,6 +86,7 @@ std::shared_ptr<const StateSnapshot> SnapshotBuilder::Publish(
   auto snapshot = std::make_shared<StateSnapshot>();
   snapshot->version = ++version_;
   snapshot->time = sim.now();
+  snapshot->ended = sim.ended();
   snapshot->events_processed = sim.events_processed();
   snapshot->job_count = jobs.size();
   snapshot->command_log_size = command_log_size;
@@ -123,78 +114,32 @@ const char* JobStateName(JobState state) {
   return "?";
 }
 
-JsonValue SnapshotJobReply(const StateSnapshot& snap, std::int64_t id) {
-  const JobRecord* job = snap.FindJob(id);
-  if (job == nullptr) {
-    return ErrorReply("not_found", "no such job: " + std::to_string(id));
+StateSnapshot SumSnapshots(
+    const std::vector<std::shared_ptr<const StateSnapshot>>& snaps) {
+  StateSnapshot sum;
+  for (const std::shared_ptr<const StateSnapshot>& snap : snaps) {
+    sum.version = std::max(sum.version, snap->version);
+    sum.time = std::max(sum.time, snap->time);
+    sum.ended = sum.ended || snap->ended;
+    sum.metrics_time = std::max(sum.metrics_time, snap->metrics_time);
+    sum.events_processed += snap->events_processed;
+    sum.job_count += snap->job_count;
+    sum.command_log_size += snap->command_log_size;
+    for (std::size_t s = 0; s < sum.state_counts.size(); ++s) {
+      sum.state_counts[s] += snap->state_counts[s];
+    }
+    sum.training.Add(snap->training);
+    sum.on_loan.Add(snap->on_loan);
+    sum.inference.Add(snap->inference);
   }
-  JsonValue reply = OkReply();
-  reply.Set("job", JsonValue::MakeNumber(static_cast<double>(id)));
-  reply.Set("state", JsonValue::MakeString(JobStateName(job->state)));
-  reply.Set("submit_time", JsonValue::MakeNumber(job->spec.submit_time));
-  reply.Set("gpus_per_worker", JsonValue::MakeNumber(job->spec.gpus_per_worker));
-  reply.Set("min_workers", JsonValue::MakeNumber(job->spec.min_workers));
-  reply.Set("max_workers", JsonValue::MakeNumber(job->spec.max_workers));
-  reply.Set("workers", JsonValue::MakeNumber(job->current_workers));
-  reply.Set("work_remaining", JsonValue::MakeNumber(job->work_remaining));
-  reply.Set("preemptions", JsonValue::MakeNumber(job->preemptions));
-  reply.Set("scaling_operations", JsonValue::MakeNumber(job->scaling_operations));
-  if (job->first_start_time >= 0.0) {
-    reply.Set("first_start_time", JsonValue::MakeNumber(job->first_start_time));
-  }
-  if (job->finish_time >= 0.0) {
-    reply.Set("finish_time", JsonValue::MakeNumber(job->finish_time));
-  }
-  return reply;
-}
-
-JsonValue SnapshotClusterStatsReply(const StateSnapshot& snap) {
-  JsonValue jobs = JsonValue::MakeObject();
-  jobs.Set("total", JsonValue::MakeNumber(static_cast<double>(snap.job_count)));
-  jobs.Set("pending",
-           JsonValue::MakeNumber(static_cast<double>(
-               snap.state_counts[static_cast<std::size_t>(JobState::kPending)])));
-  jobs.Set("running",
-           JsonValue::MakeNumber(static_cast<double>(
-               snap.state_counts[static_cast<std::size_t>(JobState::kRunning)])));
-  jobs.Set("finished",
-           JsonValue::MakeNumber(static_cast<double>(
-               snap.state_counts[static_cast<std::size_t>(JobState::kFinished)])));
-  jobs.Set("cancelled",
-           JsonValue::MakeNumber(static_cast<double>(
-               snap.state_counts[static_cast<std::size_t>(JobState::kCancelled)])));
-
-  JsonValue pools = JsonValue::MakeObject();
-  pools.Set("training", PoolJson(snap.training));
-  pools.Set("on_loan", PoolJson(snap.on_loan));
-  pools.Set("inference", PoolJson(snap.inference));
-
-  JsonValue reply = OkReply();
-  reply.Set("time", JsonValue::MakeNumber(snap.time));
-  reply.Set("events_processed",
-            JsonValue::MakeNumber(static_cast<double>(snap.events_processed)));
-  reply.Set("jobs", std::move(jobs));
-  reply.Set("cluster", std::move(pools));
-  return reply;
+  return sum;
 }
 
 StateSnapshot MergeSnapshots(
     const std::vector<std::shared_ptr<const StateSnapshot>>& snaps) {
-  StateSnapshot merged;
+  StateSnapshot merged = SumSnapshots(snaps);
   std::shared_ptr<obs::MetricsValues> registry;
   for (const std::shared_ptr<const StateSnapshot>& snap : snaps) {
-    merged.version = std::max(merged.version, snap->version);
-    merged.time = std::max(merged.time, snap->time);
-    merged.metrics_time = std::max(merged.metrics_time, snap->metrics_time);
-    merged.events_processed += snap->events_processed;
-    merged.job_count += snap->job_count;
-    merged.command_log_size += snap->command_log_size;
-    for (std::size_t s = 0; s < merged.state_counts.size(); ++s) {
-      merged.state_counts[s] += snap->state_counts[s];
-    }
-    merged.training.Add(snap->training);
-    merged.on_loan.Add(snap->on_loan);
-    merged.inference.Add(snap->inference);
     if (snap->engine_metrics != nullptr) {
       if (registry == nullptr) {
         registry = std::make_shared<obs::MetricsValues>();

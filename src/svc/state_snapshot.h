@@ -23,7 +23,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/common/json.h"
 #include "src/common/types.h"
 #include "src/obs/metrics.h"
 #include "src/workload/job.h"
@@ -78,6 +77,9 @@ struct StateSnapshot {
   std::uint64_t version = 0;
   // Engine frontier (virtual time) at publication. Monotone across versions.
   TimeSec time = 0.0;
+  // The engine passed its end of time (Simulator::ended) and schedules
+  // nothing more.
+  bool ended = false;
   std::uint64_t events_processed = 0;
   std::size_t job_count = 0;
   std::size_t command_log_size = 0;
@@ -134,16 +136,15 @@ class SnapshotBuilder {
 // name of a job state.
 const char* JobStateName(JobState state);
 
-// Read-only reply builders: pure functions of the snapshot, callable from any
-// thread. Field names and order match the historical engine-side handlers
-// byte-for-byte.
-JsonValue SnapshotJobReply(const StateSnapshot& snap, std::int64_t id);
-JsonValue SnapshotClusterStatsReply(const StateSnapshot& snap);
-
 // A fleet's summary snapshot, what its merged reads report: job, event and
-// command-log counts and the pools summed, the registry copies merged by
-// obs::MetricsValues::Merge (null when no engine has one yet), and the
-// times and the version the furthest engine's. It holds no job records.
+// command-log counts and the pools summed, the times and the version the
+// furthest engine's, and `ended` when any engine ended. It holds no job
+// records and no registry.
+StateSnapshot SumSnapshots(
+    const std::vector<std::shared_ptr<const StateSnapshot>>& snaps);
+
+// SumSnapshots plus the registry copies merged by obs::MetricsValues::Merge
+// (null when no engine has one yet).
 StateSnapshot MergeSnapshots(
     const std::vector<std::shared_ptr<const StateSnapshot>>& snaps);
 

@@ -65,6 +65,13 @@ inline constexpr int kTelemetryWireCmdCount = 15;
 const char* TelemetryCmdName(TelemetryCmd cmd);
 TelemetryCmd TelemetryCmdFromName(const std::string& name);
 
+// The one command classifier: engine commands go through an engine queue
+// (migrate as a cancel/resubmit chain across two); every other command is
+// a read the router answers from the snapshots, or unknown.
+inline bool IsEngineCmd(TelemetryCmd cmd) {
+  return cmd <= TelemetryCmd::kShutdown || cmd == TelemetryCmd::kMigrate;
+}
+
 // Monotonic nanoseconds used for all telemetry stamps.
 inline std::uint64_t TelemetryNowNs() {
   return static_cast<std::uint64_t>(

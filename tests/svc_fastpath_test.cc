@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include "src/svc/event_loop.h"
+#include "src/svc/federation.h"
 #include "src/svc/service.h"
 #include "src/svc/time_driver.h"
 #include "src/svc/wire.h"
@@ -51,9 +52,13 @@ ServiceOptions SmallServiceOptions() {
 // internally consistent (no torn reads), versions and virtual time are
 // monotone per reader, and reads never touch the engine queue.
 TEST(Fastpath, ReadersNeverTearOrBlockUnderWriteLoad) {
-  SchedulerService service(SmallServiceOptions(),
-                           std::make_unique<VirtualTimeDriver>());
-  ASSERT_TRUE(service.Start().ok());
+  StatusOr<FederationSet> fleet =
+      BuildFederation(SmallServiceOptions(), SingleCluster(1), [](int) {
+        return std::make_unique<VirtualTimeDriver>();
+      });
+  ASSERT_TRUE(fleet.ok()) << fleet.status().message();
+  FederationRouter& router = *fleet.value().router;
+  SchedulerService& service = *fleet.value().services[0];
 
   constexpr int kWrites = 1500;
   std::atomic<bool> done{false};
@@ -61,7 +66,7 @@ TEST(Fastpath, ReadersNeverTearOrBlockUnderWriteLoad) {
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&service, &done, &reads, t] {
+    readers.emplace_back([&service, &router, &done, &reads, t] {
       std::uint64_t last_version = 0;
       double last_time = -1.0;
       std::int64_t probe = t;  // stagger the job ids readers chase
@@ -88,12 +93,12 @@ TEST(Fastpath, ReadersNeverTearOrBlockUnderWriteLoad) {
           query.Set("job", JsonValue::MakeNumber(static_cast<double>(
                                probe % static_cast<std::int64_t>(
                                            snap->job_count))));
-          const JsonValue reply = service.ReadReply(query);
+          const JsonValue reply = router.Execute(query);
           ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
           probe += 3;
           ++local_reads;
         }
-        const JsonValue stats_reply = service.ReadReply(Cmd("cluster_stats"));
+        const JsonValue stats_reply = router.Execute(Cmd("cluster_stats"));
         ASSERT_TRUE(stats_reply.GetBool("ok"));
         ++local_reads;
       }
@@ -103,12 +108,12 @@ TEST(Fastpath, ReadersNeverTearOrBlockUnderWriteLoad) {
 
   std::uint64_t engine_cmds = 0;
   for (int i = 0; i < kWrites; ++i) {
-    ASSERT_TRUE(service.Execute(SubmitCmd()).GetBool("ok"));
+    ASSERT_TRUE(router.Execute(SubmitCmd()).GetBool("ok"));
     ++engine_cmds;
     if (i % 5 == 4) {
       JsonValue cancel = Cmd("cancel");
       cancel.Set("job", JsonValue::MakeNumber(i));
-      ASSERT_TRUE(service.Execute(cancel).GetBool("ok"));
+      ASSERT_TRUE(router.Execute(cancel).GetBool("ok"));
       ++engine_cmds;
     }
   }

@@ -533,8 +533,9 @@ TEST(Federation, SingleClusterFederationMatchesPlainServiceByteForByte) {
     return commands;
   };
 
-  SchedulerService plain(BaseOptions(), MakeVirtualDriver(0));
-  ASSERT_TRUE(plain.Start().ok());
+  SchedulerService engine(BaseOptions(), MakeVirtualDriver(0));
+  ASSERT_TRUE(engine.Start().ok());
+  FederationRouter plain({&engine}, SingleCluster(1));
   FederationSet fed = BuildFed("solo:train");
   ASSERT_EQ(fed.router->shard_count(), 1);
 
@@ -560,7 +561,7 @@ TEST(Federation, SingleClusterFederationMatchesPlainServiceByteForByte) {
   EXPECT_EQ(plain_bytes, fed_bytes);
   std::remove(plain_snap.c_str());
   std::remove(fed_snap.c_str());
-  plain.Stop();
+  engine.Stop();
   StopFed(fed);
 }
 

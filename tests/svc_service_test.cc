@@ -5,18 +5,25 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "src/lyra/lyra_scheduler.h"
 #include "src/lyra/reclaim.h"
+#include "src/common/codec.h"
 #include "src/sim/simulator.h"
 #include "src/svc/event_loop.h"
+#include "src/svc/federation.h"
+#include "src/svc/prom.h"
 #include "src/svc/service.h"
 #include "src/svc/state_snapshot.h"
 #include "src/svc/time_driver.h"
@@ -137,44 +144,54 @@ ServiceOptions SmallServiceOptions() {
   return options;
 }
 
-TEST(Service, SubmitAdvanceQueryDrainLifecycle) {
-  SchedulerService service(SmallServiceOptions(),
-                           std::make_unique<VirtualTimeDriver>());
-  ASSERT_TRUE(service.Start().ok());
+// A one-engine fleet, the plain daemon's shape, driven through its router.
+FederationSet OneEngineFleet(const ServiceOptions& options) {
+  StatusOr<FederationSet> fleet =
+      BuildFederation(options, SingleCluster(1), [](int) {
+        return std::make_unique<VirtualTimeDriver>();
+      });
+  EXPECT_TRUE(fleet.ok()) << fleet.status().message();
+  return std::move(fleet.value());
+}
 
-  JsonValue reply = service.Execute(Cmd("ping"));
+TEST(Service, SubmitAdvanceQueryDrainLifecycle) {
+  FederationSet fleet = OneEngineFleet(SmallServiceOptions());
+  FederationRouter& router = *fleet.router;
+  SchedulerService& service = *fleet.services[0];
+
+  JsonValue reply = router.Execute(Cmd("ping"));
   EXPECT_TRUE(reply.GetBool("ok"));
   EXPECT_EQ(reply.GetString("driver"), "virtual");
 
-  reply = service.Execute(SubmitCmd(/*at=*/0.0));
+  reply = router.Execute(SubmitCmd(/*at=*/0.0));
   ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
   EXPECT_DOUBLE_EQ(reply.GetDouble("job", -1.0), 0.0);
 
-  reply = service.Execute(Cmd("cluster_stats"));
+  reply = router.Execute(Cmd("cluster_stats"));
   ASSERT_TRUE(reply.GetBool("ok"));
   EXPECT_DOUBLE_EQ(reply.Find("jobs")->GetDouble("total"), 1.0);
 
   JsonValue advance = Cmd("advance");
   advance.Set("to", JsonValue::MakeNumber(4 * 3600.0));
-  reply = service.Execute(advance);
+  reply = router.Execute(advance);
   ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
 
   JsonValue query = Cmd("query_job");
   query.Set("job", JsonValue::MakeNumber(0));
-  reply = service.Execute(query);
+  reply = router.Execute(query);
   ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
   // One worker, 7200 GPU-seconds: finished well before the 4 h advance.
   EXPECT_EQ(reply.GetString("state"), "finished");
   EXPECT_GT(reply.GetDouble("finish_time", -1.0), 0.0);
 
-  reply = service.Execute(SubmitCmd(/*at=*/5 * 3600.0));
+  reply = router.Execute(SubmitCmd(/*at=*/5 * 3600.0));
   ASSERT_TRUE(reply.GetBool("ok"));
-  reply = service.Execute(Cmd("drain"));
+  reply = router.Execute(Cmd("drain"));
   ASSERT_TRUE(reply.GetBool("ok"));
   EXPECT_DOUBLE_EQ(reply.GetDouble("jobs"), 2.0);
   EXPECT_DOUBLE_EQ(reply.GetDouble("terminal"), 2.0);
 
-  reply = service.Execute(Cmd("metrics"));
+  reply = router.Execute(Cmd("metrics"));
   ASSERT_TRUE(reply.GetBool("ok"));
   ASSERT_NE(reply.Find("engine"), nullptr);
   ASSERT_NE(reply.Find("service"), nullptr);
@@ -215,33 +232,25 @@ TEST(Service, MetricsEngineSectionKeepsItsBytes) {
 }
 
 TEST(Service, ErrorRepliesCarryWireCodes) {
-  SchedulerService service(SmallServiceOptions(),
-                           std::make_unique<VirtualTimeDriver>());
-  ASSERT_TRUE(service.Start().ok());
+  FederationSet fleet = OneEngineFleet(SmallServiceOptions());
+  FederationRouter& router = *fleet.router;
+  SchedulerService& service = *fleet.services[0];
 
-  JsonValue reply = service.Execute(Cmd("no_such_command"));
+  JsonValue reply = router.Execute(Cmd("no_such_command"));
   EXPECT_FALSE(reply.GetBool("ok", true));
   EXPECT_EQ(reply.GetString("code"), "invalid_argument");
 
   JsonValue query = Cmd("query_job");
   query.Set("job", JsonValue::MakeNumber(99));
-  reply = service.Execute(query);
+  reply = router.Execute(query);
   EXPECT_EQ(reply.GetString("code"), "not_found");
 
-  reply = service.Execute(Cmd("cancel"));  // missing "job"
+  reply = router.Execute(Cmd("cancel"));  // missing "job"
   EXPECT_EQ(reply.GetString("code"), "invalid_argument");
 
   JsonValue advance = Cmd("advance");  // missing "to"
-  reply = service.Execute(advance);
+  reply = router.Execute(advance);
   EXPECT_EQ(reply.GetString("code"), "invalid_argument");
-
-  // Wire-layer parse errors.
-  StatusOr<JsonValue> parsed = JsonValue::Parse(service.ExecuteText("{nope"));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().GetString("code"), "invalid_argument");
-  parsed = JsonValue::Parse(service.ExecuteText("[1,2,3]"));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().GetString("code"), "invalid_argument");
 
   // Demands are computed in int: a spec whose max_workers * gpus_per_worker
   // overflows it is refused, and so is a field outside int itself.
@@ -249,7 +258,7 @@ TEST(Service, ErrorRepliesCarryWireCodes) {
   overflow.Replace("min_workers", JsonValue::MakeNumber(65536));
   overflow.Replace("max_workers", JsonValue::MakeNumber(65536));
   overflow.Replace("gpus_per_worker", JsonValue::MakeNumber(65536));
-  reply = service.Execute(overflow);
+  reply = router.Execute(overflow);
   EXPECT_FALSE(reply.GetBool("ok", true));
   EXPECT_EQ(reply.GetString("code"), "invalid_argument");
   for (const char* field : {"gpus_per_worker", "min_workers", "max_workers",
@@ -257,11 +266,11 @@ TEST(Service, ErrorRepliesCarryWireCodes) {
     for (double value : {1e12, -1e12}) {
       JsonValue huge = SubmitCmd(/*at=*/0.0);
       huge.Replace(field, JsonValue::MakeNumber(value));
-      reply = service.Execute(huge);
+      reply = router.Execute(huge);
       EXPECT_EQ(reply.GetString("code"), "invalid_argument") << field << "=" << value;
     }
   }
-  reply = service.Execute(Cmd("cluster_stats"));
+  reply = router.Execute(Cmd("cluster_stats"));
   EXPECT_DOUBLE_EQ(reply.Find("jobs")->GetDouble("total"), 0.0);
 
   EXPECT_GE(service.stats().command_errors, 13u);
@@ -269,31 +278,31 @@ TEST(Service, ErrorRepliesCarryWireCodes) {
 }
 
 TEST(Service, CancelPendingAndRunningJobs) {
-  SchedulerService service(SmallServiceOptions(),
-                           std::make_unique<VirtualTimeDriver>());
-  ASSERT_TRUE(service.Start().ok());
+  FederationSet fleet = OneEngineFleet(SmallServiceOptions());
+  FederationRouter& router = *fleet.router;
+  SchedulerService& service = *fleet.services[0];
 
   // Job 0 runs (cancelled mid-flight); job 1 is cancelled at its submit
   // instant, before any scheduler tick sees it.
-  ASSERT_TRUE(service.Execute(SubmitCmd(0.0, /*total_work=*/36000.0)).GetBool("ok"));
-  ASSERT_TRUE(service.Execute(SubmitCmd(0.0, /*total_work=*/36000.0)).GetBool("ok"));
+  ASSERT_TRUE(router.Execute(SubmitCmd(0.0, /*total_work=*/36000.0)).GetBool("ok"));
+  ASSERT_TRUE(router.Execute(SubmitCmd(0.0, /*total_work=*/36000.0)).GetBool("ok"));
 
   JsonValue cancel1 = Cmd("cancel");
   cancel1.Set("job", JsonValue::MakeNumber(1));
   cancel1.Set("at", JsonValue::MakeNumber(0.0));
-  ASSERT_TRUE(service.Execute(cancel1).GetBool("ok"));
+  ASSERT_TRUE(router.Execute(cancel1).GetBool("ok"));
 
   JsonValue cancel0 = Cmd("cancel");
   cancel0.Set("job", JsonValue::MakeNumber(0));
   cancel0.Set("at", JsonValue::MakeNumber(3600.0));
-  ASSERT_TRUE(service.Execute(cancel0).GetBool("ok"));
+  ASSERT_TRUE(router.Execute(cancel0).GetBool("ok"));
 
   // Cancelling a terminal job is a FailedPrecondition, not a crash.
   JsonValue again = Cmd("cancel");
   again.Set("job", JsonValue::MakeNumber(0));
-  EXPECT_EQ(service.Execute(again).GetString("code"), "failed_precondition");
+  EXPECT_EQ(router.Execute(again).GetString("code"), "failed_precondition");
 
-  JsonValue reply = service.Execute(Cmd("cluster_stats"));
+  JsonValue reply = router.Execute(Cmd("cluster_stats"));
   EXPECT_DOUBLE_EQ(reply.Find("jobs")->GetDouble("cancelled"), 2.0);
   // Cancellation released every GPU.
   EXPECT_DOUBLE_EQ(reply.Find("cluster")->Find("training")->GetDouble("used_gpus"),
@@ -303,15 +312,15 @@ TEST(Service, CancelPendingAndRunningJobs) {
 }
 
 TEST(Service, ShutdownCommandStopsService) {
-  SchedulerService service(SmallServiceOptions(),
-                           std::make_unique<VirtualTimeDriver>());
-  ASSERT_TRUE(service.Start().ok());
-  const JsonValue reply = service.Execute(Cmd("shutdown"));
+  FederationSet fleet = OneEngineFleet(SmallServiceOptions());
+  FederationRouter& router = *fleet.router;
+  SchedulerService& service = *fleet.services[0];
+  const JsonValue reply = router.Execute(Cmd("shutdown"));
   EXPECT_TRUE(reply.GetBool("ok"));
   EXPECT_TRUE(reply.GetBool("stopping"));
   EXPECT_TRUE(service.stopped());
   // Post-shutdown commands are refused immediately.
-  EXPECT_EQ(service.Execute(Cmd("ping")).GetString("code"), "unavailable");
+  EXPECT_EQ(router.Execute(Cmd("ping")).GetString("code"), "unavailable");
   service.Stop();
   service.Stop();  // idempotent
 }
@@ -320,8 +329,9 @@ TEST(Service, BackpressureRejectsWhenQueueFull) {
   ServiceOptions options = SmallServiceOptions();
   options.queue_capacity = 1;
   options.retry_after_ms = 7.0;
-  SchedulerService service(options, std::make_unique<VirtualTimeDriver>());
-  ASSERT_TRUE(service.Start().ok());
+  FederationSet fleet = OneEngineFleet(options);
+  FederationRouter& router = *fleet.router;
+  SchedulerService& service = *fleet.services[0];
 
   // Hammer the capacity-1 queue from many threads until a rejection is
   // observed; with 16 concurrent submitters this lands in the first round.
@@ -335,7 +345,7 @@ TEST(Service, BackpressureRejectsWhenQueueFull) {
       threads.emplace_back([&] {
         for (int i = 0; i < 8; ++i) {
           attempts.fetch_add(1);
-          const JsonValue reply = service.Execute(SubmitCmd(0.0));
+          const JsonValue reply = router.Execute(SubmitCmd(0.0));
           if (reply.GetBool("ok")) {
             ok_count.fetch_add(1);
           } else if (reply.GetString("code") == "overloaded") {
@@ -432,6 +442,228 @@ TEST(Service, EventLoopEndToEnd) {
   EXPECT_GE(stats.command_errors, 2u);
   service.Stop();
   server.Stop();
+}
+
+// Malformed frames are answered by the event loop itself: an unparseable
+// payload and a payload that is not an object each get invalid_argument,
+// and each counts as a command error.
+TEST(Service, MalformedFramesAreCountedErrors) {
+  FederationSet fleet = OneEngineFleet(SmallServiceOptions());
+  EventLoopOptions loop_options;
+  loop_options.unix_path =
+      "/tmp/lyra_svc_frames_" + std::to_string(::getpid()) + ".sock";
+  loop_options.io_threads = 1;
+  EventLoop server(fleet.router.get(), loop_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  StatusOr<int> fd = ConnectUnix(loop_options.unix_path);
+  ASSERT_TRUE(fd.ok()) << fd.status().message();
+  ASSERT_TRUE(WriteFrame(fd.value(), "{nope").ok());
+  StatusOr<JsonValue> parsed = JsonValue::Parse(ReadFrame(fd.value()).value());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().GetString("code"), "invalid_argument");
+  EXPECT_EQ(parsed.value().GetString("error").rfind("bad request: ", 0), 0u)
+      << parsed.value().Dump();
+  ASSERT_TRUE(WriteFrame(fd.value(), "[1,2,3]").ok());
+  parsed = JsonValue::Parse(ReadFrame(fd.value()).value());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().GetString("code"), "invalid_argument");
+  EXPECT_EQ(parsed.value().GetString("error"), "request must be a JSON object");
+  ::close(fd.value());
+  server.Stop();
+  EXPECT_EQ(fleet.services[0]->stats().command_errors, 2u);
+}
+
+// One transcript entry: the request, then the reply with what varies
+// between runs masked (uptime, the scratch directory `dir`), and a
+// stats_prom document as its own "| "-prefixed lines with every sample
+// value masked.
+std::string TranscriptEntry(const std::string& request, JsonValue reply,
+                            const std::string& dir) {
+  if (reply.Find("uptime_s") != nullptr) {
+    reply.Replace("uptime_s", JsonValue::MakeNumber(0));
+  }
+  std::string document;
+  if (reply.Find("text") != nullptr) {
+    std::istringstream lines(reply.GetString("text"));
+    for (std::string line; std::getline(lines, line);) {
+      if (!line.empty() && line[0] != '#') {
+        line = line.substr(0, line.rfind(' ')) + " _";
+      }
+      document += "| " + line + '\n';
+    }
+    reply.Replace("text", JsonValue::MakeString("<document>"));
+  }
+  std::string entry =
+      ">> " + request + "\n<< " + reply.Dump() + "\n" + document;
+  for (std::size_t at = entry.find(dir); at != std::string::npos;
+       at = entry.find(dir, at)) {
+    entry.replace(at, dir.size(), "<dir>");
+  }
+  return entry;
+}
+
+std::vector<std::string> PinnedScript(const std::string& dir) {
+  return {
+      R"({"cmd":"ping","seq":1})",
+      R"({"cmd":"submit","at":0,"gpus_per_worker":1,"min_workers":1,"max_workers":4,"total_work":7200,"fungible":true,"seq":2})",
+      R"({"cmd":"submit","at":60,"gpus_per_worker":1,"min_workers":1,"max_workers":1,"total_work":36000000})",
+      R"({"cmd":"cluster_stats","seq":3})",
+      R"({"cmd":"advance","to":3600})",
+      R"({"cmd":"query_job","job":0})",
+      R"({"cmd":"query_job","job":99,"seq":4})",
+      R"({"cmd":"query_job","job":-1})",
+      R"({"cmd":"cancel","job":1,"seq":5})",
+      R"({"cmd":"cancel","job":1})",
+      R"({"cmd":"no_such_command","seq":6})",
+      R"({"cmd":"federation_stats"})",
+      R"({"cmd":"advance","to":3600})",
+      R"({"cmd":"metrics","seq":7})",
+      R"({"cmd":"stats_prom"})",
+      R"({"cmd":"trace_dump","path":")" + dir + R"(/flight.json"})",
+      R"({"cmd":"trace_dump","path":"/nonexistent-dir/flight.json"})",
+      R"({"cmd":"trace_dump"})",
+      R"({"cmd":"drain"})",
+      R"({"cmd":"snapshot","path":")" + dir + R"(/engine.snap"})",
+      R"({"cmd":"snapshot"})",
+      R"({"cmd":"advance"})",
+      R"({"cmd":"shutdown","seq":8})",
+      R"({"cmd":"ping"})",
+      R"({"cmd":"submit","at":0,"total_work":7200})",
+  };
+}
+
+// Every read and engine command of a one-engine daemon, error replies
+// included, keeps the bytes it had when a plain SchedulerService answered
+// it: tests/golden/one_engine_replies.golden is that transcript with the
+// end-of-time additions only (`"ended":false` on ping and cluster_stats,
+// the lyra_engine_ended family in stats_prom).
+TEST(Service, OneEngineRepliesKeepTheirBytes) {
+  const std::string dir = "/tmp/lyra_svc_pin_" + std::to_string(::getpid());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
+  FederationSet fleet = OneEngineFleet(SmallServiceOptions());
+  std::string transcript;
+  for (const std::string& text : PinnedScript(dir)) {
+    if (text == R"({"cmd":"advance","to":3600})") {
+      // Past the registry refresh interval: the advance's publish copies
+      // the registry, so the metrics reply reads it at a fixed state.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    transcript += TranscriptEntry(
+        text, fleet.router->Execute(JsonValue::Parse(text).value()), dir);
+  }
+  std::remove((dir + "/flight.json").c_str());
+  std::remove((dir + "/engine.snap").c_str());
+  ::rmdir(dir.c_str());
+  const StatusOr<std::string> golden =
+      ReadFile(LYRA_GOLDEN_DIR "/one_engine_replies.golden");
+  ASSERT_TRUE(golden.ok()) << golden.status().message();
+  EXPECT_EQ(transcript, golden.value());
+}
+
+// An online engine with a one-day horizon ends at day 8 (the simulator's
+// 7-day drain past the metering window).
+ServiceOptions ShortHorizonOptions() {
+  ServiceOptions options = SmallServiceOptions();
+  options.engine.horizon_days = 1.0;
+  return options;
+}
+constexpr double kShortHorizonEnd = 8 * kDay;
+
+JsonValue AdvanceTo(double to) {
+  JsonValue advance = Cmd("advance");
+  advance.Set("to", JsonValue::MakeNumber(to));
+  return advance;
+}
+
+// Ends the engine: a job that outlives the end keeps events flowing, and an
+// advance past the end steps into it.
+void EndEngine(FederationRouter& router) {
+  ASSERT_TRUE(router.Execute(SubmitCmd(0.0, /*total_work=*/1e12)).GetBool("ok"));
+  const JsonValue advanced = router.Execute(AdvanceTo(kShortHorizonEnd + kDay));
+  ASSERT_TRUE(advanced.GetBool("ok")) << advanced.Dump();
+}
+
+// Once an engine passes its end of time it schedules nothing more, so it
+// must say so instead of accepting work it will never run: submit, advance
+// and drain fail naming the end, and ping, cluster_stats and /metrics
+// report it.
+TEST(Service, EndedEngineRefusesWorkAndSaysSo) {
+  FederationSet fleet = OneEngineFleet(ShortHorizonOptions());
+  FederationRouter& router = *fleet.router;
+  EXPECT_FALSE(router.Execute(Cmd("ping")).GetBool("ended", true));
+  // A submit stamped past the end fails even before the engine gets there.
+  JsonValue late = router.Execute(SubmitCmd(kShortHorizonEnd + 1.0));
+  EXPECT_EQ(late.GetString("code"), "failed_precondition") << late.Dump();
+  EXPECT_EQ(late.GetString("error"),
+            "submit at t=691201 is past the engine's end of time (t=691200)");
+
+  EndEngine(router);
+  for (const JsonValue& command :
+       {SubmitCmd(0.0), AdvanceTo(kShortHorizonEnd + 2 * kDay), Cmd("drain")}) {
+    const JsonValue reply = router.Execute(command);
+    EXPECT_FALSE(reply.GetBool("ok", true)) << reply.Dump();
+    EXPECT_EQ(reply.GetString("code"), "failed_precondition") << reply.Dump();
+    EXPECT_EQ(reply.GetString("error"),
+              command.GetString("cmd") +
+                  " refused: the engine passed its end of time (t=691200)");
+  }
+  EXPECT_TRUE(router.Execute(Cmd("ping")).GetBool("ended", false));
+  const JsonValue stats = router.Execute(Cmd("cluster_stats"));
+  EXPECT_TRUE(stats.GetBool("ended", false)) << stats.Dump();
+  EXPECT_DOUBLE_EQ(stats.Find("jobs")->GetDouble("total"), 1.0);
+  StatusOr<PromScrape> scrape = ParsePrometheus(
+      router.Execute(Cmd("stats_prom")).GetString("text", ""));
+  ASSERT_TRUE(scrape.ok()) << scrape.status().message();
+  EXPECT_EQ(scrape.value().Value("lyra_engine_ended", {}, -1.0), 1.0);
+  // Cancel still works: it frees what the ended engine holds.
+  JsonValue cancel = Cmd("cancel");
+  cancel.Set("job", JsonValue::MakeNumber(0));
+  EXPECT_TRUE(router.Execute(cancel).GetBool("ok")) << router.Execute(cancel).Dump();
+}
+
+// `ended` is replayed state: a snapshot of an ended engine restores ended,
+// whether a logged advance or an unlogged auto-advance free run passed the
+// end, and the restored engine answers cluster_stats byte for byte.
+TEST(Service, EndedEngineStaysEndedAcrossRestore) {
+  for (const bool auto_advance : {false, true}) {
+    SCOPED_TRACE(auto_advance ? "auto-advance" : "advance");
+    ServiceOptions options = ShortHorizonOptions();
+    options.auto_advance = auto_advance;
+    FederationSet fleet = OneEngineFleet(options);
+    FederationRouter& router = *fleet.router;
+    if (auto_advance) {
+      ASSERT_TRUE(router.Execute(SubmitCmd(0.0, 1e12)).GetBool("ok"));
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!router.Execute(Cmd("ping")).GetBool("ended", false)) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+    } else {
+      EndEngine(router);
+    }
+    const std::string before = router.Execute(Cmd("cluster_stats")).Dump();
+    const std::string path = "/tmp/lyra_svc_ended_" +
+                             std::to_string(::getpid()) + ".snap";
+    JsonValue snap = Cmd("snapshot");
+    snap.Set("path", JsonValue::MakeString(path));
+    ASSERT_TRUE(router.Execute(snap).GetBool("ok"));
+    fleet.services[0]->Stop();
+
+    // Restored without auto-advance: only the replay may pass the end.
+    StatusOr<FederationSet> restored =
+        RestoreFederation(ShortHorizonOptions(), path, [](int) {
+          return std::make_unique<VirtualTimeDriver>();
+        });
+    std::remove(path.c_str());
+    ASSERT_TRUE(restored.ok()) << restored.status().message();
+    FederationRouter& again = *restored.value().router;
+    EXPECT_TRUE(again.Execute(Cmd("ping")).GetBool("ended", false));
+    EXPECT_EQ(again.Execute(Cmd("cluster_stats")).Dump(), before);
+    EXPECT_EQ(again.Execute(SubmitCmd(0.0)).GetString("code"),
+              "failed_precondition");
+  }
 }
 
 // The contract the whole service rests on: Run() and incremental StepUntil

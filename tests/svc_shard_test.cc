@@ -97,6 +97,12 @@ FederationSet BuildFleet(int shards,
   return std::move(built.value());
 }
 
+// What one engine alone answers: the reply of a one-engine router over it.
+JsonValue EngineExecute(SchedulerService* engine, const JsonValue& request) {
+  FederationRouter solo({engine}, SingleCluster(1));
+  return solo.Execute(request);
+}
+
 void StopFleet(FederationSet& fleet) {
   for (auto& service : fleet.services) {
     service->Stop();
@@ -349,7 +355,7 @@ TEST(Shard, ClusterStatsMergeEqualsSumOfPerShardSnapshots) {
     const std::shared_ptr<const StateSnapshot> snap =
         router.shard(k)->snapshot();
     ASSERT_NE(snap, nullptr);
-    parts.push_back(SnapshotClusterStatsReply(*snap));
+    parts.push_back(EngineExecute(router.shard(k), Cmd("cluster_stats")));
     max_time = std::max(max_time, snap->time);
   }
   const auto sum_of = [&parts](const char* section, const std::string& key) {
@@ -429,7 +435,7 @@ TEST(Shard, MetricsMergeFoldsRegistryHistogramsBucketwise) {
   double max = 0.0;
   for (int k = 0; k < 2; ++k) {
     const JsonValue part =
-        histogram(router.shard(k)->ReadReply(Cmd("metrics")));
+        histogram(EngineExecute(router.shard(k), Cmd("metrics")));
     ASSERT_GT(part.GetDouble("count"), 0.0) << "engine " << k;
     counts += part.GetDouble("count");
     min = k == 0 ? part.GetDouble("min") : std::min(min, part.GetDouble("min"));
@@ -530,7 +536,7 @@ TEST(Shard, LegacyLyrashrdFileRestoresEveryShard) {
     const std::string part = TempPath(("part" + std::to_string(k)).c_str());
     JsonValue snap = Cmd("snapshot");
     snap.Set("path", JsonValue::MakeString(part));
-    ASSERT_TRUE(fleet.services[k]->Execute(snap).GetBool("ok"));
+    ASSERT_TRUE(EngineExecute(fleet.services[k].get(), snap).GetBool("ok"));
     legacy.shard_images.push_back(ReadFile(part).value());
     std::remove(part.c_str());
   }
@@ -579,7 +585,7 @@ TEST(Shard, OneEngineStillWritesPlainLyrasnap) {
   ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
   EXPECT_EQ(reply.Find("clusters"), nullptr) << reply.Dump();
   snap.Replace("path", JsonValue::MakeString(direct));
-  ASSERT_TRUE(fleet.services[0]->Execute(snap).GetBool("ok"));
+  ASSERT_TRUE(EngineExecute(fleet.services[0].get(), snap).GetBool("ok"));
   StopFleet(fleet);
 
   const std::string bytes = ReadFile(routed).value();
@@ -633,8 +639,8 @@ TEST(Shard, JobIdsOutsideTheWireRangeAreRejected) {
     JsonValue query = Cmd("query_job");
     query.Set("job", JsonValue::MakeNumber(bad));
     for (const JsonValue& reply :
-         {router.Execute(cancel), router.Execute(query), plain.Execute(cancel),
-          plain.Execute(query)}) {
+         {router.Execute(cancel), router.Execute(query),
+          EngineExecute(&plain, cancel), EngineExecute(&plain, query)}) {
       EXPECT_FALSE(reply.GetBool("ok", true)) << bad << ": " << reply.Dump();
       EXPECT_EQ(reply.GetString("code"), "invalid_argument")
           << bad << ": " << reply.Dump();

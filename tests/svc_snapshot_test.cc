@@ -14,6 +14,7 @@
 
 #include "src/common/rng.h"
 #include "src/sim/simulator.h"
+#include "src/svc/federation.h"
 #include "src/svc/service.h"
 #include "src/svc/snapshot.h"
 #include "src/svc/time_driver.h"
@@ -101,19 +102,20 @@ RunOutcome RunScript(const std::vector<JsonValue>& script, int cut,
   SchedulerService service(SnapshotServiceOptions(),
                            std::make_unique<VirtualTimeDriver>());
   EXPECT_TRUE(service.Start().ok());
+  FederationRouter router({&service}, SingleCluster(1));
   for (std::size_t i = 0; i < script.size(); ++i) {
     if (cut >= 0 && static_cast<std::size_t>(cut) == i) {
       JsonValue snap = JsonValue::MakeObject();
       snap.Set("cmd", JsonValue::MakeString("snapshot"));
       snap.Set("path", JsonValue::MakeString(snapshot_path));
-      EXPECT_TRUE(service.Execute(snap).GetBool("ok"));
+      EXPECT_TRUE(router.Execute(snap).GetBool("ok"));
       service.Stop();  // the "kill": nothing after the cut reaches this run
 
       RunOutcome outcome;
       outcome.final_time = service.simulator().now();
       return outcome;
     }
-    const JsonValue reply = service.Execute(script[i]);
+    const JsonValue reply = router.Execute(script[i]);
     EXPECT_TRUE(reply.GetBool("ok")) << "cmd " << i << ": " << reply.Dump();
   }
   service.Stop();
@@ -138,8 +140,9 @@ RunOutcome ResumeScript(const std::vector<JsonValue>& script, int cut,
   EXPECT_TRUE(service.Restore(snapshot_path).ok());
   EXPECT_EQ(service.options().engine.scheduler, "lyra");
   EXPECT_EQ(service.options().engine.seed, 1234u);
+  FederationRouter router({&service}, SingleCluster(1));
   for (std::size_t i = static_cast<std::size_t>(cut); i < script.size(); ++i) {
-    const JsonValue reply = service.Execute(script[i]);
+    const JsonValue reply = router.Execute(script[i]);
     EXPECT_TRUE(reply.GetBool("ok")) << "cmd " << i << ": " << reply.Dump();
   }
   service.Stop();

@@ -71,6 +71,8 @@ class TelemetryEndToEnd : public ::testing::Test {
     service_ = std::make_unique<SchedulerService>(
         SmallServiceOptions(), std::make_unique<VirtualTimeDriver>());
     ASSERT_TRUE(service_->Start().ok());
+    router_ = std::make_unique<FederationRouter>(
+        std::vector<SchedulerService*>{service_.get()}, SingleCluster(1));
     loop_ = std::make_unique<EventLoop>(service_.get(), loop_options_);
     ASSERT_TRUE(loop_->Start().ok());
     ASSERT_GT(loop_->tcp_port(), 0);
@@ -139,6 +141,7 @@ class TelemetryEndToEnd : public ::testing::Test {
 
   EventLoopOptions loop_options_;
   std::unique_ptr<SchedulerService> service_;
+  std::unique_ptr<FederationRouter> router_;  // the tests' own front end
   std::unique_ptr<EventLoop> loop_;
   static int counter_;
 };
@@ -333,18 +336,19 @@ TEST(TelemetryTopologies, EveryRouterExpositionIsLintCleanAndMatchesMetrics) {
     advance.Set("to", JsonValue::MakeNumber(3600.0));
     ASSERT_TRUE(router.Execute(advance).GetBool("ok"));
 
-    const JsonValue prom = router.ReadReply(Cmd("stats_prom"));
+    const JsonValue prom = router.Execute(Cmd("stats_prom"));
     ASSERT_TRUE(prom.GetBool("ok")) << prom.Dump();
     const std::string text = prom.GetString("text", "");
     ExpectLintClean(text, topology);
     StatusOr<PromScrape> scrape = ParsePrometheus(text);
     ASSERT_TRUE(scrape.ok()) << scrape.status().message();
-    ExpectRegistryRowsMatch(scrape.value(), router.ReadReply(Cmd("metrics")),
+    ExpectRegistryRowsMatch(scrape.value(), router.Execute(Cmd("metrics")),
                             {});
     if (router.shard_count() > 1) {
       for (int k = 0; k < router.shard_count(); ++k) {
         ExpectRegistryRowsMatch(scrape.value(),
-                                router.shard(k)->ReadReply(Cmd("metrics")),
+                                FederationRouter({router.shard(k)}, SingleCluster(1))
+                                    .Execute(Cmd("metrics")),
                                 {{"shard", std::to_string(k)}});
       }
     }
@@ -376,7 +380,7 @@ TEST(TelemetryTopologies, MckpCountersReachExposition) {
   advance.Set("to", JsonValue::MakeNumber(7200.0));
   ASSERT_TRUE(router.Execute(advance).GetBool("ok"));
   StatusOr<PromScrape> scrape =
-      ParsePrometheus(router.ReadReply(Cmd("stats_prom")).GetString("text", ""));
+      ParsePrometheus(router.Execute(Cmd("stats_prom")).GetString("text", ""));
   ASSERT_TRUE(scrape.ok()) << scrape.status().message();
   const double solves = scrape.value().Value("lyra_engine_mckp_solves_total");
   EXPECT_GT(solves, 0.0);
@@ -414,7 +418,7 @@ TEST_F(TelemetryEndToEnd, TraceDumpWritesLoadableChromeTrace) {
                            std::to_string(::getpid()) + ".json";
   JsonValue request = Cmd("trace_dump");
   request.Set("path", JsonValue::MakeString(path));
-  const JsonValue reply = service_->ReadReply(request);
+  const JsonValue reply = router_->Execute(request);
   ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
   EXPECT_GE(reply.GetDouble("spans"), 17.0);  // 16 submits + ping
 
@@ -442,12 +446,12 @@ TEST_F(TelemetryEndToEnd, TraceDumpWritesLoadableChromeTrace) {
   // A path the service cannot open is a clean error reply, not a crash.
   JsonValue bad = Cmd("trace_dump");
   bad.Set("path", JsonValue::MakeString("/nonexistent-dir/x.json"));
-  EXPECT_FALSE(service_->ReadReply(bad).GetBool("ok"));
+  EXPECT_FALSE(router_->Execute(bad).GetBool("ok"));
 }
 
 TEST_F(TelemetryEndToEnd, PingCarriesUptimeAppliedCountAndIdentity) {
   DriveTraffic(/*count=*/4);
-  const JsonValue reply = service_->ReadReply(Cmd("ping"));
+  const JsonValue reply = router_->Execute(Cmd("ping"));
   ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
   EXPECT_GE(reply.GetDouble("uptime_s", -1.0), 0.0);
   EXPECT_GE(reply.GetDouble("commands_applied", -1.0), 4.0);
@@ -470,7 +474,7 @@ TEST_F(TelemetryEndToEnd, ConcurrentScrapesUnderWriteLoadStayParseable) {
   for (int t = 0; t < 3; ++t) {
     scrapers.emplace_back([this] {
       for (int i = 0; i < 20; ++i) {
-        const JsonValue reply = service_->ReadReply(Cmd("stats_prom"));
+        const JsonValue reply = router_->Execute(Cmd("stats_prom"));
         ASSERT_TRUE(reply.GetBool("ok"));
         const StatusOr<PromScrape> scrape =
             ParsePrometheus(reply.GetString("text", ""));
@@ -483,7 +487,7 @@ TEST_F(TelemetryEndToEnd, ConcurrentScrapesUnderWriteLoadStayParseable) {
     scraper.join();
   }
   // After the dust settles the totals agree with the traffic driven.
-  const JsonValue reply = service_->ReadReply(Cmd("stats_prom"));
+  const JsonValue reply = router_->Execute(Cmd("stats_prom"));
   const StatusOr<PromScrape> scrape =
       ParsePrometheus(reply.GetString("text", ""));
   ASSERT_TRUE(scrape.ok());
