@@ -1,17 +1,15 @@
 #include "src/svc/federation.h"
 
 #include <algorithm>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/codec.h"
+#include "src/common/log.h"
 #include "src/svc/prom.h"
-#include "src/svc/registry.h"
 #include "src/svc/replies.h"
 
 namespace lyra::svc {
@@ -89,12 +87,6 @@ std::string DescribeTarget(const JsonValue& target) {
   return "?";
 }
 
-// Same integer arithmetic everywhere: ceil(kReserveFraction * total) without
-// floating point, so the reserve is identical across platforms.
-std::int64_t ReserveOf(std::int64_t total_gpus) {
-  return (total_gpus + 9) / 10;
-}
-
 // Engine k's scratch file for a fanout snapshot, gathered into the
 // container by the barrier merge.
 std::string PartPath(const std::string& path, int engine) {
@@ -116,17 +108,6 @@ JsonValue PoolJson(const PoolCounters& counters) {
 
 const char* ClusterKindName(ClusterKind kind) {
   return kind == ClusterKind::kInference ? "inference" : "training";
-}
-
-std::int64_t LoanGpus(const FedLedger& ledger, std::uint32_t FedLoan::*side,
-                      std::uint32_t cluster) {
-  std::int64_t total = 0;
-  for (const FedLoan& loan : ledger.loans) {
-    if (loan.*side == cluster) {
-      total += loan.gpus;
-    }
-  }
-  return total;
 }
 
 StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
@@ -176,11 +157,11 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
     return clusters;
   }
 
-  // Explicit list: "name:kind[:shards[:prio]],...".
+  // Explicit list: "name:kind[:shards],...".
   std::vector<ClusterSpec> clusters;
   for (const std::string& entry : SplitOn(spec, ',')) {
     const std::vector<std::string> fields = SplitOn(entry, ':');
-    if (fields.size() < 2 || fields.size() > 4) {
+    if (fields.size() < 2 || fields.size() > 3) {
       return Status::InvalidArgument("bad federation cluster: \"" + entry +
                                      "\"");
     }
@@ -202,15 +183,6 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
       }
       cluster.shards = static_cast<int>(shards);
     }
-    if (fields.size() == 4) {
-      char* end = nullptr;
-      const long long priority = std::strtoll(fields[3].c_str(), &end, 10);
-      if (fields[3].empty() || end == nullptr || *end != '\0') {
-        return Status::InvalidArgument("bad cluster loan priority: \"" +
-                                       fields[3] + "\"");
-      }
-      cluster.loan_priority = static_cast<int>(priority);
-    }
     for (const ClusterSpec& existing : clusters) {
       if (existing.name == cluster.name) {
         return Status::InvalidArgument("duplicate cluster name: \"" +
@@ -220,200 +192,6 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
     clusters.push_back(std::move(cluster));
   }
   return clusters;
-}
-
-// --- LoanBroker -----------------------------------------------------------
-
-void LoanBroker::Emit(const std::string& event) {
-  // Each event line, newline included, extends the rolling FNV-1a.
-  const std::uint64_t hash = Fnv1a(
-      event, ledger_.ledger_hash == 0 ? kFnv1aOffset : ledger_.ledger_hash);
-  ledger_.ledger_hash = Fnv1a("\n", hash);
-  events_.push_back(event);
-  if (events_.size() > kMaxEvents) {
-    events_.erase(events_.begin());
-  }
-}
-
-void LoanBroker::Grant(double now, std::uint32_t lender,
-                       std::uint32_t borrower, std::int64_t gpus) {
-  FedLoan loan;
-  loan.id = ledger_.next_loan_id++;
-  loan.lender = lender;
-  loan.borrower = borrower;
-  loan.gpus = gpus;
-  loan.granted_at = now;
-  ledger_.loans.push_back(loan);
-  ledger_.total_granted += static_cast<std::uint64_t>(gpus);
-  Emit("t=" + FormatTime(now) + " grant id=" + std::to_string(loan.id) +
-       " lender=" + std::to_string(lender) +
-       " borrower=" + std::to_string(borrower) +
-       " gpus=" + std::to_string(gpus));
-}
-
-void LoanBroker::EndLoan(double now, const char* verb, std::size_t index) {
-  const FedLoan loan = ledger_.loans[index];
-  ledger_.loans.erase(ledger_.loans.begin() +
-                      static_cast<std::ptrdiff_t>(index));
-  if (std::strcmp(verb, "reclaim") == 0) {
-    ledger_.total_reclaimed += static_cast<std::uint64_t>(loan.gpus);
-  } else {
-    ledger_.total_returned += static_cast<std::uint64_t>(loan.gpus);
-  }
-  Emit("t=" + FormatTime(now) + " " + verb + " id=" + std::to_string(loan.id) +
-       " lender=" + std::to_string(loan.lender) +
-       " borrower=" + std::to_string(loan.borrower) +
-       " gpus=" + std::to_string(loan.gpus));
-}
-
-std::int64_t LoanBroker::LoanedBy(std::uint32_t cluster) const {
-  return LoanGpus(ledger_, &FedLoan::lender, cluster);
-}
-
-std::int64_t LoanBroker::BorrowedBy(std::uint32_t cluster) const {
-  return LoanGpus(ledger_, &FedLoan::borrower, cluster);
-}
-
-Status LoanBroker::ConfigurePredictor(const std::string& name) {
-  if (name.empty()) {
-    predictor_name_.clear();
-    predictors_.clear();
-    return Status::Ok();
-  }
-  // Validate eagerly so a typo fails at configure time, not at the first
-  // barrier evaluation.
-  StatusOr<std::unique_ptr<UsagePredictor>> probe = MakePredictor(name);
-  if (!probe.ok()) {
-    return probe.status();
-  }
-  predictor_name_ = name;
-  predictors_.clear();
-  return Status::Ok();
-}
-
-std::int64_t LoanBroker::PredictedDemand(std::uint32_t cluster,
-                                         std::int64_t pending) {
-  if (predictor_name_.empty()) {
-    return pending;
-  }
-  if (predictors_.size() <= cluster) {
-    predictors_.resize(cluster + 1);
-  }
-  if (predictors_[cluster] == nullptr) {
-    StatusOr<std::unique_ptr<UsagePredictor>> made =
-        MakePredictor(predictor_name_);
-    predictors_[cluster] = std::move(made.value());
-  }
-  UsagePredictor& predictor = *predictors_[cluster];
-  predictor.Observe(
-      std::min(1.0, static_cast<double>(pending) / kDemandScale));
-  const double predicted = predictor.PredictNext();
-  return std::max<std::int64_t>(
-      0, static_cast<std::int64_t>(std::ceil(predicted * kDemandScale)));
-}
-
-void LoanBroker::Evaluate(double now,
-                          const std::vector<ClusterSignal>& signals) {
-  // Training demand is approximated as one GPU per pending job (the engine's
-  // min_workers/gpus_per_worker default); the signal is already a sum over
-  // the cluster's engines.
-
-  // 1. Returns: a borrower gives back its newest loans that are entirely
-  // surplus — even without the loan, what it still borrows covers demand.
-  for (std::uint32_t b = 0; b < signals.size(); ++b) {
-    if (signals[b].kind != ClusterKind::kTraining) {
-      continue;
-    }
-    for (std::size_t i = ledger_.loans.size(); i-- > 0;) {
-      const FedLoan& loan = ledger_.loans[i];
-      if (loan.borrower != b) {
-        continue;
-      }
-      if (BorrowedBy(b) - loan.gpus >= signals[b].pending_jobs) {
-        EndLoan(now, "return", i);
-      }
-    }
-  }
-
-  // 2. Reclaims: a lender whose idle pool no longer covers its reserve plus
-  // what it has pledged pulls loans back, newest first (LIFO keeps the
-  // longest-running borrowed jobs undisturbed).
-  for (std::uint32_t l = 0; l < signals.size(); ++l) {
-    if (signals[l].kind != ClusterKind::kInference) {
-      continue;
-    }
-    const std::int64_t reserve = ReserveOf(signals[l].total_gpus);
-    while (signals[l].free_gpus - LoanedBy(l) < reserve) {
-      std::size_t newest = ledger_.loans.size();
-      for (std::size_t i = ledger_.loans.size(); i-- > 0;) {
-        if (ledger_.loans[i].lender == l) {
-          newest = i;
-          break;
-        }
-      }
-      if (newest == ledger_.loans.size()) {
-        break;
-      }
-      EndLoan(now, "reclaim", newest);
-    }
-  }
-
-  // 3. Grants: leftover demand against lendable capacity, both sides in
-  // descending loan priority (ties broken by cluster index).
-  std::vector<std::uint32_t> borrowers, lenders;
-  for (std::uint32_t c = 0; c < signals.size(); ++c) {
-    if (signals[c].kind == ClusterKind::kTraining) {
-      borrowers.push_back(c);
-    } else {
-      lenders.push_back(c);
-    }
-  }
-  const auto by_priority = [&signals](std::uint32_t x, std::uint32_t y) {
-    if (signals[x].loan_priority != signals[y].loan_priority) {
-      return signals[x].loan_priority > signals[y].loan_priority;
-    }
-    return x < y;
-  };
-  std::sort(borrowers.begin(), borrowers.end(), by_priority);
-  std::sort(lenders.begin(), lenders.end(), by_priority);
-  for (const std::uint32_t b : borrowers) {
-    std::int64_t demand =
-        PredictedDemand(b, signals[b].pending_jobs) - BorrowedBy(b);
-    for (const std::uint32_t l : lenders) {
-      if (demand <= 0) {
-        break;
-      }
-      const std::int64_t lendable = signals[l].free_gpus -
-                                    ReserveOf(signals[l].total_gpus) -
-                                    LoanedBy(l);
-      const std::int64_t gpus = std::min(demand, lendable);
-      if (gpus > 0) {
-        Grant(now, l, b, gpus);
-        demand -= gpus;
-      }
-    }
-  }
-}
-
-void LoanBroker::Reconcile(double now, std::size_t clusters) {
-  for (std::size_t i = ledger_.loans.size(); i-- > 0;) {
-    const FedLoan& loan = ledger_.loans[i];
-    if (loan.lender >= clusters || loan.borrower >= clusters) {
-      EndLoan(now, "drop", i);
-    }
-  }
-}
-
-void LoanBroker::RecordMigration(double now, std::int64_t from_job,
-                                 std::int64_t to_job,
-                                 std::uint32_t from_cluster,
-                                 std::uint32_t to_cluster,
-                                 double checkpoint_cost) {
-  Emit("t=" + FormatTime(now) + " migrate job=" + std::to_string(from_job) +
-       " to_job=" + std::to_string(to_job) +
-       " from=" + std::to_string(from_cluster) +
-       " to=" + std::to_string(to_cluster) +
-       " cost=" + FormatTime(checkpoint_cost));
 }
 
 // --- FederationRouter -----------------------------------------------------
@@ -542,10 +320,9 @@ class FederationRouter::MigrationSink
     const std::int64_t to_global = router_->ToGlobal(local, dest_engine_);
     const double time = reply.GetDouble("time", 0.0);
     {
-      std::lock_guard<std::mutex> lock(router_->broker_mu_);
-      router_->broker_.RecordMigration(time, from_global_, to_global,
-                                       source_cluster_, dest_cluster_,
-                                       checkpoint_cost_);
+      std::lock_guard<std::mutex> lock(router_->ledger_mu_);
+      router_->RecordMigration(time, from_global_, to_global, source_cluster_,
+                               dest_cluster_, checkpoint_cost_);
     }
     JsonValue done = OkReply();
     done.Set("job", JsonValue::MakeNumber(static_cast<double>(to_global)));
@@ -608,29 +385,39 @@ int FederationRouter::FindCluster(const std::string& name) const {
   return -1;
 }
 
-Status FederationRouter::ConfigureLoanPredictor(const std::string& name) {
-  std::lock_guard<std::mutex> lock(broker_mu_);
-  return broker_.ConfigurePredictor(name);
-}
-
-FedLedger FederationRouter::LedgerCopy() const {
-  std::lock_guard<std::mutex> lock(broker_mu_);
-  return broker_.ledger();
+std::uint64_t FederationRouter::ledger_hash() const {
+  std::lock_guard<std::mutex> lock(ledger_mu_);
+  return ledger_hash_;
 }
 
 std::vector<std::string> FederationRouter::RecentEvents() const {
-  std::lock_guard<std::mutex> lock(broker_mu_);
-  return broker_.events();
+  std::lock_guard<std::mutex> lock(ledger_mu_);
+  return events_;
 }
 
-void FederationRouter::RestoreLedger(const FedLedger& ledger) {
-  std::lock_guard<std::mutex> lock(broker_mu_);
-  broker_.RestoreLedger(ledger);
+void FederationRouter::RestoreLedger(std::uint64_t ledger_hash) {
+  std::lock_guard<std::mutex> lock(ledger_mu_);
+  ledger_hash_ = ledger_hash;
 }
 
-void FederationRouter::ReconcileBroker() {
-  std::lock_guard<std::mutex> lock(broker_mu_);
-  broker_.Reconcile(MaxEngineTime(), clusters_.size());
+void FederationRouter::RecordMigration(double now, std::int64_t from_job,
+                                       std::int64_t to_job,
+                                       std::uint32_t from_cluster,
+                                       std::uint32_t to_cluster,
+                                       double checkpoint_cost) {
+  const std::string event =
+      "t=" + FormatTime(now) + " migrate job=" + std::to_string(from_job) +
+      " to_job=" + std::to_string(to_job) +
+      " from=" + std::to_string(from_cluster) +
+      " to=" + std::to_string(to_cluster) +
+      " cost=" + FormatTime(checkpoint_cost);
+  // Each event line, newline included, extends the rolling FNV-1a.
+  ledger_hash_ = Fnv1a(
+      "\n", Fnv1a(event, ledger_hash_ == 0 ? kFnv1aOffset : ledger_hash_));
+  events_.push_back(event);
+  if (events_.size() > kMaxEvents) {
+    events_.erase(events_.begin());
+  }
 }
 
 double FederationRouter::MaxEngineTime() const {
@@ -1008,30 +795,6 @@ FederationRouter::ClusterTotals FederationRouter::Totals(int c) const {
   return totals;
 }
 
-LoanBroker::ClusterSignal FederationRouter::SignalFor(int c) const {
-  const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
-  const ClusterTotals totals = Totals(c);
-  LoanBroker::ClusterSignal signal;
-  signal.kind = spec.kind;
-  signal.loan_priority = spec.loan_priority;
-  signal.total_gpus = totals.pool.total_gpus;
-  signal.free_gpus = totals.pool.free_gpus;
-  if (spec.kind == ClusterKind::kTraining) {
-    signal.pending_jobs = static_cast<std::int64_t>(totals.states[0]);
-  }
-  return signal;
-}
-
-std::vector<LoanBroker::ClusterSignal> FederationRouter::CollectSignals()
-    const {
-  std::vector<LoanBroker::ClusterSignal> signals;
-  signals.reserve(clusters_.size());
-  for (int c = 0; c < cluster_count(); ++c) {
-    signals.push_back(SignalFor(c));
-  }
-  return signals;
-}
-
 JsonValue FederationRouter::MergeFanout(TelemetryCmd cmd,
                                         const JsonValue& request,
                                         const std::string& snapshot_path,
@@ -1108,18 +871,6 @@ JsonValue FederationRouter::MergeFanout(TelemetryCmd cmd,
       break;
   }
   EchoSeq(request, merged);
-  if (cmd == TelemetryCmd::kAdvance || cmd == TelemetryCmd::kDrain) {
-    // Broker round at the barrier: every engine has stepped to the merged
-    // time and published its snapshot (publish-before-completion), so the
-    // signals are post-barrier. Barrier merges are serialized by the fanout
-    // countdown, making the grant/reclaim trace deterministic; the lock only
-    // fences concurrent migration completions.
-    std::lock_guard<std::mutex> lock(broker_mu_);
-    broker_.Evaluate(time, CollectSignals());
-    merged.Set("loans",
-               JsonValue::MakeNumber(
-                   static_cast<double>(broker_.ledger().loans.size())));
-  }
   return merged;
 }
 
@@ -1143,12 +894,11 @@ Status FederationRouter::SaveFleetSnapshot(const std::string& path,
     FedClusterImage cluster;
     cluster.name = spec.name;
     cluster.kind = static_cast<std::uint8_t>(spec.kind);
-    cluster.loan_priority = spec.loan_priority;
     cluster.shards = static_cast<std::uint32_t>(spec.shards);
     cluster.image = EncodeMultiSnapshot(multi);
     fed.clusters.push_back(std::move(cluster));
   }
-  fed.ledger = LedgerCopy();
+  fed.ledger_hash = ledger_hash();
   return SaveFedSnapshot(fed, path);
 }
 
@@ -1270,9 +1020,8 @@ JsonValue FederationRouter::ClusterStats(const JsonValue& /*request*/) const {
   reply.Set("ended", JsonValue::MakeBool(snap->ended));
   if (shard_count() > 1) {
     JsonValue clusters = JsonValue::MakeArray();
-    const FedLedger ledger = LedgerCopy();
     for (int c = 0; c < cluster_count(); ++c) {
-      clusters.Append(ClusterInfo(c, ledger));
+      clusters.Append(ClusterInfo(c));
     }
     reply.Set("federation", std::move(clusters));
   }
@@ -1386,19 +1135,16 @@ JsonValue FederationRouter::TraceDump(const JsonValue& request) const {
   return reply;
 }
 
-JsonValue FederationRouter::ClusterInfo(int c, const FedLedger& ledger) const {
+JsonValue FederationRouter::ClusterInfo(int c) const {
   const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
   const ClusterTotals totals = Totals(c);
   const std::array<std::uint64_t, 4>& states = totals.states;
   const PoolCounters& pool = totals.pool;
-  const auto cluster = static_cast<std::uint32_t>(c);
 
   JsonValue info = JsonValue::MakeObject();
   info.Set("cluster", JsonValue::MakeNumber(static_cast<double>(c)));
   info.Set("name", JsonValue::MakeString(spec.name));
   info.Set("kind", JsonValue::MakeString(ClusterKindName(spec.kind)));
-  info.Set("loan_priority",
-           JsonValue::MakeNumber(static_cast<double>(spec.loan_priority)));
   info.Set("shards", JsonValue::MakeNumber(static_cast<double>(spec.shards)));
   info.Set("first_engine",
            JsonValue::MakeNumber(static_cast<double>(
@@ -1414,21 +1160,17 @@ JsonValue FederationRouter::ClusterInfo(int c, const FedLedger& ledger) const {
   gpus.Set("used", JsonValue::MakeNumber(static_cast<double>(pool.used_gpus)));
   gpus.Set("free", JsonValue::MakeNumber(static_cast<double>(pool.free_gpus)));
   info.Set("gpus", std::move(gpus));
-  info.Set("loaned", JsonValue::MakeNumber(static_cast<double>(
-                         LoanGpus(ledger, &FedLoan::lender, cluster))));
-  info.Set("borrowed", JsonValue::MakeNumber(static_cast<double>(
-                           LoanGpus(ledger, &FedLoan::borrower, cluster))));
   return info;
 }
 
 JsonValue FederationRouter::FederationStats(
     const JsonValue& /*request*/) const {
-  FedLedger ledger;
+  std::uint64_t hash = 0;
   std::vector<std::string> events;
   {
-    std::lock_guard<std::mutex> lock(broker_mu_);
-    ledger = broker_.ledger();
-    events = broker_.events();
+    std::lock_guard<std::mutex> lock(ledger_mu_);
+    hash = ledger_hash_;
+    events = events_;
   }
 
   JsonValue reply = OkReply();
@@ -1439,39 +1181,16 @@ JsonValue FederationRouter::FederationStats(
             JsonValue::MakeNumber(static_cast<double>(shard_count())));
   JsonValue clusters = JsonValue::MakeArray();
   for (int c = 0; c < cluster_count(); ++c) {
-    clusters.Append(ClusterInfo(c, ledger));
+    clusters.Append(ClusterInfo(c));
   }
   reply.Set("clusters", std::move(clusters));
 
-  JsonValue broker = JsonValue::MakeObject();
-  broker.Set("active",
-             JsonValue::MakeNumber(static_cast<double>(ledger.loans.size())));
-  broker.Set("next_loan_id",
-             JsonValue::MakeNumber(static_cast<double>(ledger.next_loan_id)));
-  broker.Set("granted",
-             JsonValue::MakeNumber(static_cast<double>(ledger.total_granted)));
-  broker.Set("reclaimed", JsonValue::MakeNumber(
-                              static_cast<double>(ledger.total_reclaimed)));
-  broker.Set("returned", JsonValue::MakeNumber(
-                             static_cast<double>(ledger.total_returned)));
-  // Hex string: the hash is a full u64 and would lose bits as a double.
+  // The migration ledger. Hex string: the hash is a full u64 and would lose bits as a double.
   char hex[24];
   std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(ledger.ledger_hash));
+                static_cast<unsigned long long>(hash));
+  JsonValue broker = JsonValue::MakeObject();
   broker.Set("ledger_hash", JsonValue::MakeString(hex));
-  JsonValue loans = JsonValue::MakeArray();
-  for (const FedLoan& loan : ledger.loans) {
-    JsonValue entry = JsonValue::MakeObject();
-    entry.Set("id", JsonValue::MakeNumber(static_cast<double>(loan.id)));
-    entry.Set("lender",
-              JsonValue::MakeNumber(static_cast<double>(loan.lender)));
-    entry.Set("borrower",
-              JsonValue::MakeNumber(static_cast<double>(loan.borrower)));
-    entry.Set("gpus", JsonValue::MakeNumber(static_cast<double>(loan.gpus)));
-    entry.Set("granted_at", JsonValue::MakeNumber(loan.granted_at));
-    loans.Append(std::move(entry));
-  }
-  broker.Set("loans", std::move(loans));
   JsonValue recent = JsonValue::MakeArray();
   for (const std::string& event : events) {
     recent.Append(JsonValue::MakeString(event));
@@ -1571,10 +1290,8 @@ StatusOr<FedSnapshot> LoadFleetSnapshot(const std::string& path) {
   return fed;
 }
 
-// Wraps the fleet's engines in a router over `clusters` and configures the
-// loan predictor `base` names.
-Status AttachRouter(FederationSet& set, std::vector<ClusterSpec> clusters,
-                    const ServiceOptions& base) {
+// Wraps the fleet's engines in a router over `clusters`.
+void AttachRouter(FederationSet& set, std::vector<ClusterSpec> clusters) {
   std::vector<SchedulerService*> pointers;
   pointers.reserve(set.services.size());
   for (const auto& service : set.services) {
@@ -1582,9 +1299,6 @@ Status AttachRouter(FederationSet& set, std::vector<ClusterSpec> clusters,
   }
   set.router =
       std::make_unique<FederationRouter>(std::move(pointers), std::move(clusters));
-  return base.loan_predictor.empty()
-             ? Status::Ok()
-             : set.router->ConfigureLoanPredictor(base.loan_predictor);
 }
 
 }  // namespace
@@ -1635,10 +1349,7 @@ StatusOr<FederationSet> BuildFederation(
     }
     set.services.push_back(std::move(service));
   }
-  const Status attached = AttachRouter(set, clusters, base);
-  if (!attached.ok()) {
-    return attached;
-  }
+  AttachRouter(set, clusters);
   return set;
 }
 
@@ -1665,7 +1376,6 @@ StatusOr<FederationSet> RestoreFederation(
     spec.name = cluster.name;
     spec.kind = static_cast<ClusterKind>(cluster.kind);
     spec.shards = static_cast<int>(cluster.shards);
-    spec.loan_priority = static_cast<int>(cluster.loan_priority);
 
     StatusOr<MultiSnapshot> multi = DecodeMultiSnapshot(
         cluster.image, snapshot_path + " (cluster " + cluster.name + ")");
@@ -1702,15 +1412,14 @@ StatusOr<FederationSet> RestoreFederation(
                             std::to_string(k));
   }
 
-  const Status attached = AttachRouter(set, std::move(clusters), base);
-  if (!attached.ok()) {
-    return attached;
+  if (fed.ignored_loans > 0) {
+    LYRA_LOG_WARNING("%s: ignoring %u loan(s) of a version-1 LYRAFED file; "
+                     "the router moves no capacity between clusters",
+                     snapshot_path.c_str(), fed.ignored_loans);
   }
+  AttachRouter(set, std::move(clusters));
   set.router->set_submit_seq(fed.submit_seq);
-  set.router->RestoreLedger(fed.ledger);
-  // A crash between a snapshot and a cluster-set change can persist loans
-  // against clusters that no longer exist; drop them before serving.
-  set.router->ReconcileBroker();
+  set.router->RestoreLedger(fed.ledger_hash);
   return set;
 }
 

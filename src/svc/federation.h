@@ -1,31 +1,28 @@
 // Engine fleets for the online scheduler service (DESIGN.md §10): one
 // router for the plain daemon, `--shards=N`, and `--federation=<spec>`.
 //
-// Lyra loans capacity from one inference cluster to one training cluster;
-// Aryl (PAPERS.md) generalizes the pattern to a fleet, of which a single
-// cluster is the smallest case. Every daemon is a list of ClusterSpecs —
-// each cluster its own group of single-writer SchedulerService engines —
-// behind the one epoll front end:
+// Every daemon is a list of ClusterSpecs — each cluster its own group of
+// single-writer SchedulerService engines — behind the one epoll front end;
+// a single cluster is the smallest case:
 //
 //   - Submits route by explicit "cluster" field (name or index) or by job
 //     kind ("kind": "inference" | "training", default training); within the
 //     chosen engine set the key hash / submit counter picks the engine, so
 //     routing stays a pure function of (cluster, key | sequence).
-//   - A LoanBroker matches training demand (pending jobs) against inference
-//     clusters' idle capacity under per-cluster loan priorities, reclaims
-//     loans when an inference cluster's free pool dips into its reserve
-//     (load spike), and returns loans the borrower no longer needs. The
-//     broker evaluates at advance/drain barriers — barrier merges are
-//     strictly serialized by the fanout countdown, so the decision trace is
-//     deterministic and golden-diffable.
 //   - `migrate` moves a job between training clusters for defragmentation:
 //     cancel on the source engine, resubmit on the destination with the
 //     remaining work plus a checkpoint cost (cheap when the job
-//     checkpoints, expensive when it must recompute).
+//     checkpoints, expensive when it must recompute). Each completed move
+//     appends a line to the router's migration ledger.
 //   - `snapshot` writes one container: a plain LYRASNAP image at one
-//     engine, a LYRAFED file otherwise (per-cluster images, broker ledger
-//     and routing counter), so a warm restart rebuilds every engine
-//     byte-identically and resumes loans mid-flight.
+//     engine, a LYRAFED file otherwise (per-cluster images, migration ledger
+//     hash and routing counter), so a warm restart rebuilds every engine
+//     byte-identically.
+//
+// Capacity loaning (Lyra §4) happens inside each engine: its Orchestrator
+// moves real servers between the inference and training whitelists. The
+// router moves no capacity between clusters; loans across engines (Aryl,
+// PAPERS.md) would need logged engine commands of their own.
 #ifndef SRC_SVC_FEDERATION_H_
 #define SRC_SVC_FEDERATION_H_
 
@@ -40,7 +37,6 @@
 
 #include "src/common/json.h"
 #include "src/common/status.h"
-#include "src/predict/predictor.h"
 #include "src/svc/service.h"
 #include "src/svc/snapshot.h"
 #include "src/svc/telemetry.h"
@@ -51,22 +47,16 @@ enum class ClusterKind : std::uint8_t { kInference = 0, kTraining = 1 };
 
 const char* ClusterKindName(ClusterKind kind);
 
-// GPUs on `ledger`'s outstanding loans whose `side` (&FedLoan::lender or
-// &FedLoan::borrower) is `cluster`.
-std::int64_t LoanGpus(const FedLedger& ledger, std::uint32_t FedLoan::*side,
-                      std::uint32_t cluster);
-
 struct ClusterSpec {
   std::string name;  // [A-Za-z0-9_.-]+, unique within the federation
   ClusterKind kind = ClusterKind::kTraining;
-  int shards = 1;         // engines in this cluster
-  int loan_priority = 0;  // higher lends/borrows first (ties: cluster index)
+  int shards = 1;  // engines in this cluster
 };
 
 // Parses a `--federation=` spec:
 //   "NxM"      N inference + M training clusters, one engine each
 //   "NxM@S"    same, S engine shards per cluster
-//   "name:kind[:shards[:prio]],..."  explicit comma-separated list
+//   "name:kind[:shards],..."  explicit comma-separated list
 //             (kind: "inference"/"inf" or "training"/"train")
 // Default names are inf0..infN-1 / train0..trainM-1.
 StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(const std::string& spec);
@@ -76,92 +66,6 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(const std::string& spec);
 // job pays the cold restart (Lyra §4: checkpoint/restore vs recompute).
 inline constexpr double kMigrationCheckpointCost = 60.0;
 inline constexpr double kMigrationColdCost = 300.0;
-
-// The cross-cluster loan ledger and its policy. NOT thread-safe: the
-// FederationRouter serializes access (barrier merges + migration
-// completions) behind one mutex. Every decision appends a formatted event
-// line and folds it into a rolling FNV-1a `ledger_hash` — the byte-identity
-// witness for golden-trace and warm-restart tests.
-class LoanBroker {
- public:
-  // Fraction of an inference cluster's GPUs never lent out; dipping below
-  // the reserve is the "load spike" that triggers reclaims.
-  static constexpr double kReserveFraction = 0.1;
-  // Event lines retained for federation_stats (the hash covers all).
-  static constexpr std::size_t kMaxEvents = 256;
-  // Pending-demand normalization for the optional loan predictor: predictors
-  // model usage in [0, 1], so pending jobs are observed as pending / scale
-  // and predictions are mapped back with ceil(prediction * scale).
-  static constexpr double kDemandScale = 1024.0;
-
-  // One cluster's broker-relevant state at a barrier.
-  struct ClusterSignal {
-    ClusterKind kind = ClusterKind::kTraining;
-    int loan_priority = 0;
-    std::int64_t total_gpus = 0;    // inference pool capacity (lenders)
-    std::int64_t free_gpus = 0;     // inference pool idle (lenders)
-    std::int64_t pending_jobs = 0;  // training demand (borrowers)
-  };
-
-  // One evaluation round at time `now`, deterministic in (ledger, signals):
-  //   1. return: a borrower whose demand dropped returns newest loans that
-  //      are entirely surplus (no flapping on partially-needed loans);
-  //   2. reclaim: a lender whose free pool (net of what it has pledged)
-  //      dipped below its reserve pulls back its newest loans (LIFO) until
-  //      the reserve is whole again;
-  //   3. grant: remaining training demand is matched against lendable
-  //      inference capacity (free - reserve - outstanding), borrowers and
-  //      lenders each in descending loan priority (ties by cluster index).
-  void Evaluate(double now, const std::vector<ClusterSignal>& signals);
-
-  // Post-restore reconciliation: drops loans whose endpoints fall outside
-  // [0, clusters) — a crash mid-reshape can persist a loan against a
-  // cluster that no longer exists. Emits a "drop" event per casualty.
-  void Reconcile(double now, std::size_t clusters);
-
-  // Sizes loan grants from a per-borrower UsagePredictor instead of the raw
-  // pending-job count (`--loan-predictor`): every Evaluate observes each
-  // training cluster's normalized pending demand and the grant phase uses
-  // ceil(PredictNext() * kDemandScale) as that cluster's demand. `name` is a
-  // registry predictor name ("seasonal-naive" | "lstm" | "last-value"); an
-  // empty name switches the feature off. When off (the default) Evaluate is
-  // byte-identical to the unpredicted broker — same events, same ledger
-  // hash. InvalidArgument on an unknown name.
-  Status ConfigurePredictor(const std::string& name);
-  const std::string& predictor_name() const { return predictor_name_; }
-
-  // Ledger entry for a completed job migration (the router performs the
-  // cancel/resubmit chain; the broker only records it).
-  void RecordMigration(double now, std::int64_t from_job, std::int64_t to_job,
-                       std::uint32_t from_cluster, std::uint32_t to_cluster,
-                       double checkpoint_cost);
-
-  // Outstanding GPUs lent by / borrowed by a cluster.
-  std::int64_t LoanedBy(std::uint32_t cluster) const;
-  std::int64_t BorrowedBy(std::uint32_t cluster) const;
-
-  const FedLedger& ledger() const { return ledger_; }
-  void RestoreLedger(const FedLedger& ledger) { ledger_ = ledger; }
-  std::uint64_t ledger_hash() const { return ledger_.ledger_hash; }
-  const std::vector<std::string>& events() const { return events_; }
-
- private:
-  void Emit(const std::string& event);
-  void Grant(double now, std::uint32_t lender, std::uint32_t borrower,
-             std::int64_t gpus);
-  // Removes loans_[index], emitting `verb` ("reclaim" / "return" / "drop").
-  void EndLoan(double now, const char* verb, std::size_t index);
-  // Observes `pending` into cluster's predictor and returns the predicted
-  // demand in jobs; the raw `pending` when no predictor is configured.
-  std::int64_t PredictedDemand(std::uint32_t cluster, std::int64_t pending);
-
-  FedLedger ledger_;
-  std::vector<std::string> events_;
-  std::string predictor_name_;
-  // Lazily grown, indexed by borrower cluster; each training cluster gets
-  // its own predictor so one cluster's history never leaks into another's.
-  std::vector<std::unique_ptr<UsagePredictor>> predictors_;
-};
 
 // The one front end for every daemon: a router over a flat pool of
 // single-writer SchedulerService engines, grouped into clusters that own
@@ -186,9 +90,9 @@ class LoanBroker {
 //     RenderPrometheus(router) (prom.h); trace_dump writes one file per
 //     engine.
 //   - advance / drain / snapshot / shutdown fan out to every engine behind a
-//     completion barrier. The broker evaluates at advance/drain barriers;
-//     `snapshot` gathers the per-engine images into one LYRAFED container
-//     together with the submit counter and the broker ledger.
+//     completion barrier; `snapshot` gathers the per-engine images into one
+//     LYRAFED container together with the submit counter and the migration
+//     ledger hash.
 //   - At one engine every engine command except migrate goes straight to
 //     engine 0, so the engine replies and the LYRASNAP snapshot file are
 //     the plain service's.
@@ -328,15 +232,13 @@ class FederationRouter {
     submit_seq_.store(seq, std::memory_order_relaxed);
   }
 
-  // Thread-safe pass-through to LoanBroker::ConfigurePredictor.
-  Status ConfigureLoanPredictor(const std::string& name);
-
-  // Thread-safe copies of the broker state (tools, tests, stats).
-  FedLedger LedgerCopy() const;
+  // The migration ledger: every completed migration appends one event line
+  // and folds it into a rolling FNV-1a hash, the byte-identity witness for
+  // warm-restart tests. Thread-safe; RestoreLedger seeds the hash after a
+  // restore (the recent-events ring starts empty).
+  std::uint64_t ledger_hash() const;
   std::vector<std::string> RecentEvents() const;
-  void RestoreLedger(const FedLedger& ledger);
-  // Post-restore loan reconciliation at the engines' current frontier.
-  void ReconcileBroker();
+  void RestoreLedger(std::uint64_t ledger_hash);
 
  private:
   class FanoutSink;
@@ -353,10 +255,7 @@ class FederationRouter {
                       std::uint64_t a, std::uint64_t b);
 
   // Merges the fanout replies into the client's one (called by the last
-  // engine to complete, on its engine thread). Barrier merges are strictly
-  // sequential across fanout commands — the merging thread only delivers
-  // the next barrier after finishing this one — so the broker's rounds run
-  // in a deterministic order.
+  // engine to complete, on its engine thread).
   JsonValue MergeFanout(TelemetryCmd cmd, const JsonValue& request,
                         const std::string& snapshot_path,
                         std::uint64_t snapshot_submit_seq,
@@ -382,12 +281,14 @@ class FederationRouter {
   JsonValue StatsProm(const JsonValue& request) const;
   JsonValue TraceDump(const JsonValue& request) const;
   JsonValue FederationStats(const JsonValue& request) const;
-  // Per-cluster stats object (jobs by state, pools, loan balance) shared by
+  // Per-cluster stats object (jobs by state, pool) shared by
   // federation_stats and the cluster_stats read augmentation.
-  JsonValue ClusterInfo(int c, const FedLedger& ledger) const;
-  LoanBroker::ClusterSignal SignalFor(int c) const;
-  std::vector<LoanBroker::ClusterSignal> CollectSignals() const;
+  JsonValue ClusterInfo(int c) const;
   double MaxEngineTime() const;
+  // Appends one migration event line to the ledger; called under ledger_mu_.
+  void RecordMigration(double now, std::int64_t from_job, std::int64_t to_job,
+                       std::uint32_t from_cluster, std::uint32_t to_cluster,
+                       double checkpoint_cost);
 
   std::vector<SchedulerService*> shards_;
   std::atomic<std::uint64_t> submit_seq_{0};
@@ -396,10 +297,13 @@ class FederationRouter {
   std::vector<std::uint32_t> engine_cluster_;            // per engine
   std::vector<std::vector<std::uint32_t>> cluster_engines_;  // per cluster
   std::vector<std::uint32_t> kind_engines_[2];           // per ClusterKind
-  // Guards the broker: barrier merges run serialized on engine threads, but
-  // migration completions land on arbitrary engine threads concurrently.
-  mutable std::mutex broker_mu_;
-  mutable LoanBroker broker_;
+  // Event lines retained for federation_stats (the hash covers all).
+  static constexpr std::size_t kMaxEvents = 256;
+  // Guards the migration ledger: migration completions land on arbitrary
+  // engine threads concurrently.
+  mutable std::mutex ledger_mu_;
+  std::uint64_t ledger_hash_ = 0;
+  std::vector<std::string> events_;
 };
 
 // A fleet of engines plus its router, built together: the one construction
@@ -426,11 +330,11 @@ StatusOr<FederationSet> BuildFederation(
     const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver);
 
 // Restores a fleet from a snapshot file: cluster layout, per-engine images,
-// routing counter, and broker ledger all come from the file; runtime knobs
-// come from `base`. A LYRAFED file restores as written; a plain LYRASNAP
-// image or a LYRASHRD file (read-only: what sharded daemons wrote before
-// LYRAFED covered them) restores as SingleCluster of its engines with the
-// file's routing counter. Loans are reconciled after the restore.
+// routing counter, and migration ledger hash all come from the file; runtime
+// knobs come from `base`. A LYRAFED file restores as written (a version-1
+// file's loan list is ignored); a plain LYRASNAP image or a LYRASHRD file
+// (read-only: what sharded daemons wrote before LYRAFED covered them)
+// restores as SingleCluster of its engines with the file's routing counter.
 StatusOr<FederationSet> RestoreFederation(
     const ServiceOptions& base, const std::string& snapshot_path,
     const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver);

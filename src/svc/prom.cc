@@ -460,9 +460,8 @@ std::string RenderPrometheus(const FederationRouter& router) {
   gauge("lyra_svc_shards", "Engine shards behind this front end.",
         engines.size());
 
-  // Per-cluster families, then the broker ledger's.
+  // Per-cluster families.
   const int clusters = router.cluster_count();
-  const FedLedger ledger = router.LedgerCopy();
   std::vector<std::string> cluster_labels;
   std::vector<FederationRouter::ClusterTotals> totals;
   for (int c = 0; c < clusters; ++c) {
@@ -498,29 +497,6 @@ std::string RenderPrometheus(const FederationRouter& router) {
                 f.Value(Labels(cluster, Label("pool", "free")),
                         totals[c].pool.free_gpus);
               });
-  for (const auto& [name, help, side] :
-       {std::tuple{"lyra_fed_gpus_loaned",
-                   "GPUs currently lent out, by lender.", &FedLoan::lender},
-        std::tuple{"lyra_fed_gpus_borrowed",
-                   "GPUs currently borrowed, by borrower.",
-                   &FedLoan::borrower}}) {
-    per_cluster(name, help, [&](Family& f, const std::string& cluster, int c) {
-      f.Value(cluster, static_cast<double>(LoanGpus(
-                           ledger, side, static_cast<std::uint32_t>(c))));
-    });
-  }
-  gauge("lyra_fed_loans_active", "Outstanding cross-cluster loans.",
-        ledger.loans.size());
-  for (const auto& [name, help, value] :
-       {std::tuple{"lyra_fed_loans_granted_total", "GPUs ever granted.",
-                   ledger.total_granted},
-        std::tuple{"lyra_fed_loans_reclaimed_total", "GPUs ever reclaimed.",
-                   ledger.total_reclaimed},
-        std::tuple{"lyra_fed_loans_returned_total", "GPUs ever returned.",
-                   ledger.total_returned}}) {
-    WriteFamily(out, name, "counter", help,
-                [&](Family& f) { f.Count("", value); });
-  }
   return out;
 }
 

@@ -72,11 +72,6 @@ struct ServiceOptions {
   // When non-empty, the engine streams a Perfetto trace here (including the
   // service's own command instants on the svc track), written on Stop().
   std::string trace_path;
-  // Federation only: size loan grants from a UsagePredictor over each
-  // training cluster's pending demand instead of the raw pending-job count
-  // ("seasonal-naive" | "lstm" | "last-value"; empty = off). Predictor
-  // state is not snapshotted — a restored federation starts it cold.
-  std::string loan_predictor;
 };
 
 class SchedulerService {

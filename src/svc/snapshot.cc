@@ -8,7 +8,10 @@ namespace {
 
 // Smallest encodings, used to bound counts read from a payload.
 constexpr std::size_t kMinCommandBytes = 1 + 8;  // kind + stamp
-constexpr std::size_t kMinLoanBytes = 8 + 4 + 4 + 8 + 8;
+
+// The read-only first LYRAFED version and the size of one loan entry in it.
+constexpr EnvelopeFormat kFedSnapshotFormatV1{"LYRAFED_", 1};
+constexpr std::size_t kV1LoanBytes = 8 + 4 + 4 + 8 + 8;
 
 void PutConfig(ByteWriter& out, const EngineConfig& config) {
   out.Str(config.scheduler);
@@ -212,24 +215,11 @@ StatusOr<MultiSnapshot> DecodeMultiSnapshot(const std::string& image,
 std::string EncodeFedSnapshot(const FedSnapshot& snapshot) {
   ByteWriter payload;
   payload.U64(snapshot.submit_seq);
-  payload.U64(snapshot.ledger.next_loan_id);
-  payload.U64(snapshot.ledger.total_granted);
-  payload.U64(snapshot.ledger.total_reclaimed);
-  payload.U64(snapshot.ledger.total_returned);
-  payload.U64(snapshot.ledger.ledger_hash);
-  payload.U32(static_cast<std::uint32_t>(snapshot.ledger.loans.size()));
-  for (const FedLoan& loan : snapshot.ledger.loans) {
-    payload.U64(loan.id);
-    payload.U32(loan.lender);
-    payload.U32(loan.borrower);
-    payload.I64(loan.gpus);
-    payload.F64(loan.granted_at);
-  }
+  payload.U64(snapshot.ledger_hash);
   payload.U32(static_cast<std::uint32_t>(snapshot.clusters.size()));
   for (const FedClusterImage& cluster : snapshot.clusters) {
     payload.Str(cluster.name);
     payload.U8(cluster.kind);
-    payload.I64(cluster.loan_priority);
     payload.U32(cluster.shards);
     payload.Blob(cluster.image);
   }
@@ -245,30 +235,37 @@ Status SaveFedSnapshot(const FedSnapshot& snapshot, const std::string& path) {
 
 StatusOr<FedSnapshot> DecodeFedSnapshot(const std::string& image,
                                         const std::string& origin) {
-  StatusOr<std::string_view> payload = Open(kFedSnapshotFormat, image, origin);
+  // The version word follows the 8-byte magic; a short or foreign file falls
+  // through to Open, which names the problem.
+  const bool v1 = HasMagic(kFedSnapshotFormat, image) &&
+                  ByteReader(std::string_view(image).substr(8, 4), origin)
+                          .U32() == kFedSnapshotFormatV1.version;
+  StatusOr<std::string_view> payload =
+      Open(v1 ? kFedSnapshotFormatV1 : kFedSnapshotFormat, image, origin);
   if (!payload.ok()) {
     return payload.status();
   }
   ByteReader in(payload.value(), origin);
   FedSnapshot snapshot;
   snapshot.submit_seq = in.U64();
-  snapshot.ledger.next_loan_id = in.U64();
-  snapshot.ledger.total_granted = in.U64();
-  snapshot.ledger.total_reclaimed = in.U64();
-  snapshot.ledger.total_returned = in.U64();
-  snapshot.ledger.ledger_hash = in.U64();
-  const std::uint32_t loan_count = in.U32();
-  if (in.Fits(loan_count, kMinLoanBytes)) {
-    snapshot.ledger.loans.reserve(loan_count);
+  if (v1) {
+    // Loan id counter and granted/reclaimed/returned totals.
+    for (int i = 0; i < 4; ++i) {
+      in.U64();
+    }
   }
-  for (std::uint32_t i = 0; i < loan_count && in.ok(); ++i) {
-    FedLoan loan;
-    loan.id = in.U64();
-    loan.lender = in.U32();
-    loan.borrower = in.U32();
-    loan.gpus = in.I64();
-    loan.granted_at = in.F64();
-    snapshot.ledger.loans.push_back(loan);
+  snapshot.ledger_hash = in.U64();
+  if (v1) {
+    // Active loans: u64 id, u32 lender, u32 borrower, i64 gpus, f64 time.
+    snapshot.ignored_loans = in.U32();
+    in.Fits(snapshot.ignored_loans, kV1LoanBytes);
+    for (std::uint32_t i = 0; i < snapshot.ignored_loans && in.ok(); ++i) {
+      in.U64();
+      in.U32();
+      in.U32();
+      in.I64();
+      in.F64();
+    }
   }
   const std::uint32_t cluster_count = in.U32();
   if (in.ok() && (cluster_count == 0 || cluster_count > 256)) {
@@ -278,7 +275,9 @@ StatusOr<FedSnapshot> DecodeFedSnapshot(const std::string& image,
     FedClusterImage cluster;
     cluster.name = in.Str();
     cluster.kind = in.U8();
-    cluster.loan_priority = in.I64();
+    if (v1) {
+      in.I64();  // loan priority
+    }
     cluster.shards = in.U32();
     cluster.image = in.Blob();
     snapshot.clusters.push_back(std::move(cluster));

@@ -101,52 +101,34 @@ StatusOr<MultiSnapshot> DecodeMultiSnapshot(const std::string& image,
 // than one engine. Wraps one complete LYRASHRD/LYRASNAP image per cluster —
 // stored byte-identically, so each cluster warm-restarts exactly as a
 // standalone fleet would — plus the front end's submit-routing sequence
-// number and the loan broker's ledger (active loans + rolling event hash), so a restart resumes
-// routing, granting, and reclaiming exactly where the killed process was.
+// number and the migration ledger's rolling hash, so a restart resumes
+// routing and the ledger's hash chain exactly where the killed process was.
 //
-// File layout: the shared envelope with magic "LYRAFED_"; the payload is
-// u64 submit_seq, the broker ledger, u32 cluster count, then per cluster
-// its name, u8 kind, i64 loan_priority, u32 shards and u64-framed image.
-inline constexpr EnvelopeFormat kFedSnapshotFormat{"LYRAFED_", 1};
-
-// One outstanding cross-cluster loan, as carried in the broker ledger.
-struct FedLoan {
-  std::uint64_t id = 0;
-  std::uint32_t lender = 0;    // inference cluster index
-  std::uint32_t borrower = 0;  // training cluster index
-  std::int64_t gpus = 0;
-  double granted_at = 0.0;
-
-  friend bool operator==(const FedLoan&, const FedLoan&) = default;
-};
-
-// Broker ledger totals + active loans; ledger_hash is the rolling FNV-1a of
-// every event line the broker ever emitted (the byte-identity witness).
-struct FedLedger {
-  std::uint64_t next_loan_id = 0;
-  std::uint64_t total_granted = 0;
-  std::uint64_t total_reclaimed = 0;
-  std::uint64_t total_returned = 0;
-  std::uint64_t ledger_hash = 0;
-  std::vector<FedLoan> loans;
-
-  friend bool operator==(const FedLedger&, const FedLedger&) = default;
-};
+// File layout (version 2): the shared envelope with magic "LYRAFED_"; the
+// payload is u64 submit_seq, u64 ledger_hash, u32 cluster count, then per
+// cluster its name, u8 kind, u32 shards and u64-framed image. Version 1
+// files (read-only) also carry the cross-cluster loan ledger of an older
+// router and an i64 loan priority per cluster; the decoder skips both.
+inline constexpr EnvelopeFormat kFedSnapshotFormat{"LYRAFED_", 2};
 
 struct FedClusterImage {
   std::string name;
   std::uint8_t kind = 0;  // ClusterKind as a byte (0 inference, 1 training)
-  std::int64_t loan_priority = 0;
   std::uint32_t shards = 1;
   std::string image;  // complete LYRASHRD/LYRASNAP file image
 };
 
 struct FedSnapshot {
   std::uint64_t submit_seq = 0;
-  FedLedger ledger;
+  std::uint64_t ledger_hash = 0;  // rolling FNV-1a of the migration ledger
   std::vector<FedClusterImage> clusters;
+  // Active loans a version-1 file carried: decoded only to be skipped, and
+  // logged once on restore. Never written.
+  std::uint32_t ignored_loans = 0;
 };
 
+// EncodeFedSnapshot writes version 2; DecodeFedSnapshot accepts versions 1
+// and 2 and rejects any other as InvalidArgument.
 Status SaveFedSnapshot(const FedSnapshot& snapshot, const std::string& path);
 StatusOr<FedSnapshot> LoadFedSnapshot(const std::string& path);
 std::string EncodeFedSnapshot(const FedSnapshot& snapshot);

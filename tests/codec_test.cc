@@ -1,8 +1,9 @@
 // The shared byte codec (src/common/codec.h) and the one checksummed
 // envelope all four persisted formats use. The corruption matrix and the
 // seeded mutation fuzzer run once per format: LYRASNAP (one engine),
-// LYRASHRD (one cluster's engines, read-only as a file), LYRAFED_ (fleet)
-// and LYRAPOL_ (policy weights). Under the ASan build the fuzzer doubles as the memory-safety
+// LYRASHRD (one cluster's engines, read-only as a file), LYRAFED_ (fleet;
+// version 1 is read-only, written here by a reference writer) and LYRAPOL_
+// (policy weights). Under the ASan build the fuzzer doubles as the memory-safety
 // check of every payload decoder.
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "src/common/rng.h"
 #include "src/rl/policy.h"
 #include "src/svc/snapshot.h"
+#include "tests/fed_test_support.h"
 
 namespace lyra {
 namespace {
@@ -157,10 +159,7 @@ svc::MultiSnapshot SampleMultiSnapshot() {
 svc::FedSnapshot SampleFedSnapshot() {
   svc::FedSnapshot fed;
   fed.submit_seq = 5;
-  fed.ledger.next_loan_id = 3;
-  fed.ledger.total_granted = 12;
-  fed.ledger.ledger_hash = 0x1234;
-  fed.ledger.loans = {{1, 0, 1, 8, 100.0}, {2, 0, 1, 4, 200.0}};
+  fed.ledger_hash = 0x1234;
   svc::FedClusterImage inference;
   inference.name = "infer0";
   inference.image = svc::EncodeSnapshot(SampleSnapshot());
@@ -171,6 +170,11 @@ svc::FedSnapshot SampleFedSnapshot() {
   training.image = svc::EncodeMultiSnapshot(SampleMultiSnapshot());
   fed.clusters = {inference, training};
   return fed;
+}
+
+std::string SampleFedSnapshotV1() {
+  return svc::EncodeFedSnapshotV1(SampleFedSnapshot(),
+                                  {{1, 0, 1, 8, 100.0}, {2, 0, 1, 4, 200.0}});
 }
 
 rl::PolicyNet SamplePolicy() {
@@ -220,6 +224,10 @@ const FormatCase kFormats[] = {
      [](const std::string& path) { return SamplePolicy().Save(path); },
      [](const std::string& bytes) { return rl::PolicyNet::Decode(bytes).status(); },
      [](const std::string& path) { return rl::PolicyNet::Load(path).status(); }},
+    {"LYRAFED_v1", svc::kFedSnapshotFormatV1, SampleFedSnapshotV1,
+     [](const std::string& path) { return WriteFileAtomic(path, SampleFedSnapshotV1()); },
+     [](const std::string& bytes) { return svc::DecodeFedSnapshot(bytes, "test").status(); },
+     [](const std::string& path) { return svc::LoadFedSnapshot(path).status(); }},
 };
 
 class EnvelopeTest : public testing::TestWithParam<FormatCase> {};

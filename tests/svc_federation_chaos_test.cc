@@ -4,11 +4,11 @@
 // repeatedly killed at random points and warm-restarted from the LYRAFED
 // snapshot. Every restart must reproduce the uninterrupted run byte-for-byte:
 // per-engine decision logs, fault-injector log hashes, final engine times,
-// and the broker's loan ledger (rolling hash included). One cut is pinned
-// mid-loan so crash/restore reconciliation of an active loan is always
-// exercised; the sanitized build variant (svc_federation_chaos_sanitized_test)
-// runs the same stream with the router/broker translation unit under
-// ASan+UBSan.
+// and the router's migration ledger hash. One cut is pinned just after the
+// first migration so a restore always resumes a non-empty ledger; the
+// sanitized build variant (svc_federation_chaos_sanitized_test) runs the
+// same stream with the router translation unit under ASan+UBSan. The
+// baseline prints each engine's decision-log digest and fault hash.
 //
 // LYRA_CHAOS_OPS=<n> scales the random op count (default 80).
 #include <gtest/gtest.h>
@@ -26,8 +26,8 @@
 #include "src/sim/simulator.h"
 #include "src/svc/federation.h"
 #include "src/svc/service.h"
-#include "src/svc/snapshot.h"
 #include "src/svc/time_driver.h"
+#include "tests/fed_test_support.h"
 
 namespace lyra::svc {
 namespace {
@@ -82,7 +82,7 @@ void StopFed(FederationSet& fed) {
 struct ChaosScript {
   std::vector<JsonValue> commands;
   std::vector<std::int64_t> expected_job;  // -1 for non-submit/migrate ops
-  int first_barrier = -1;                  // index of the loan-forcing advance
+  int first_migration = -1;                // index of the first migrate op
 };
 
 ChaosScript MakeChaosScript(int ops) {
@@ -131,15 +131,14 @@ ChaosScript MakeChaosScript(int ops) {
     return command;
   };
 
-  // Preamble: unplaceable training demand so the first advance grants loans
-  // (and stays granted across the pinned mid-loan cut).
+  // Preamble: unplaceable training demand that stays pending on train0
+  // across every cut.
   for (int i = 0; i < 25; ++i) {
     JsonValue command = make_submit(999999.0, 64, 100, 100, false);
     command.Set("cluster", JsonValue::MakeString("train0"));
     submit({kTrain0}, std::move(command), nullptr);
   }
   now = 50.0;
-  script.first_barrier = static_cast<int>(script.commands.size());
   {
     JsonValue advance = Cmd("advance");
     advance.Set("to", JsonValue::MakeNumber(now));
@@ -195,8 +194,11 @@ ChaosScript MakeChaosScript(int ops) {
       // the federated submit counter.
       const std::int64_t moved = local[dest_engine]++ * kEngines + dest_engine;
       live[pick] = moved;
+      if (script.first_migration < 0) {
+        script.first_migration = static_cast<int>(script.commands.size());
+      }
       push(std::move(command), moved);
-    } else {  // advance the barrier (broker round)
+    } else {  // advance the barrier
       now += rng.Uniform(200.0, 4000.0);
       JsonValue advance = Cmd("advance");
       advance.Set("to", JsonValue::MakeNumber(now));
@@ -211,8 +213,8 @@ struct ChaosOutcome {
   std::vector<std::vector<DecisionRecord>> decisions;
   std::vector<std::uint64_t> fault_hashes;
   std::vector<double> final_times;
-  FedLedger ledger;
-  std::size_t loans_at_cut = 0;
+  std::uint64_t ledger_hash = 0;
+  std::uint64_t ledger_hash_at_cut = 0;
 };
 
 void Collect(const FederationSet& fed, ChaosOutcome& outcome) {
@@ -222,7 +224,7 @@ void Collect(const FederationSet& fed, ChaosOutcome& outcome) {
     outcome.fault_hashes.push_back(faults != nullptr ? faults->log_hash() : 0);
     outcome.final_times.push_back(service->simulator().now());
   }
-  outcome.ledger = fed.router->LedgerCopy();
+  outcome.ledger_hash = fed.router->ledger_hash();
 }
 
 void ApplySlice(FederationRouter& router, const ChaosScript& script,
@@ -241,13 +243,13 @@ void ApplySlice(FederationRouter& router, const ChaosScript& script,
 }
 
 // Runs script[0..cut), snapshots into `path`, and stops the fleet cold —
-// the "kill". Returns the broker state observed at the cut.
+// the "kill". Returns the ledger hash observed at the cut.
 ChaosOutcome RunUntilKill(const ChaosScript& script, int cut,
                           const std::string& path) {
   FederationSet fed = BuildChaosFed();
   ChaosOutcome outcome;
   ApplySlice(*fed.router, script, 0, static_cast<std::size_t>(cut), "prefix");
-  outcome.loans_at_cut = fed.router->LedgerCopy().loans.size();
+  outcome.ledger_hash_at_cut = fed.router->ledger_hash();
   JsonValue snap = Cmd("snapshot");
   snap.Set("path", JsonValue::MakeString(path));
   const JsonValue reply = fed.router->Execute(snap);
@@ -303,13 +305,22 @@ TEST(FederationChaos, RandomKillAndWarmRestartReplaysByteForByte) {
     EXPECT_FALSE(baseline.decisions[k].empty())
         << "engine " << k << " saw no work — the stream is too thin";
   }
-  EXPECT_GT(baseline.ledger.total_granted, 0u)
-      << "the stream never exercised the loan broker";
+  ASSERT_GE(script.first_migration, 0)
+      << "the stream never migrated a job";
+  EXPECT_NE(baseline.ledger_hash, 0u) << "no migration reached the ledger";
+  for (int k = 0; k < kEngines; ++k) {
+    std::printf(
+        "baseline engine %d decisions=%zu digest=%016llx faults=%016llx\n", k,
+        baseline.decisions[k].size(),
+        static_cast<unsigned long long>(DecisionDigest(baseline.decisions[k])),
+        static_cast<unsigned long long>(baseline.fault_hashes[k]));
+  }
 
-  // Cut positions: pinned right after the loan-forcing barrier (mid-loan
-  // crash), the very start, just before the drain, and random interior ones.
+  // Cut positions: pinned right after the first migration (a restore that
+  // resumes a non-empty ledger), the very start, just before the drain, and
+  // random interior ones.
   Rng rng(4242);
-  std::vector<int> cuts = {script.first_barrier + 1, 0, n - 1};
+  std::vector<int> cuts = {script.first_migration + 1, 0, n - 1};
   for (int i = 0; i < 3; ++i) {
     cuts.push_back(static_cast<int>(rng.UniformInt(1, n - 2)));
   }
@@ -318,9 +329,9 @@ TEST(FederationChaos, RandomKillAndWarmRestartReplaysByteForByte) {
     const std::string path =
         TempPath(("cut" + std::to_string(cut)).c_str());
     const ChaosOutcome killed = RunUntilKill(script, cut, path);
-    if (cut == script.first_barrier + 1) {
-      EXPECT_GT(killed.loans_at_cut, 0u)
-          << "the pinned cut must land while loans are active";
+    if (cut == script.first_migration + 1) {
+      EXPECT_NE(killed.ledger_hash_at_cut, 0u)
+          << "the pinned cut must land after a recorded migration";
     }
     const ChaosOutcome resumed = ResumeAfterKill(script, cut, path);
     ASSERT_EQ(resumed.decisions.size(), static_cast<std::size_t>(kEngines))
@@ -336,43 +347,10 @@ TEST(FederationChaos, RandomKillAndWarmRestartReplaysByteForByte) {
       EXPECT_DOUBLE_EQ(resumed.final_times[k], baseline.final_times[k])
           << "cut=" << cut << " engine=" << k;
     }
-    EXPECT_TRUE(resumed.ledger == baseline.ledger)
-        << "loan ledger diverged after restore at cut=" << cut
-        << " (baseline hash " << baseline.ledger.ledger_hash
-        << ", resumed " << resumed.ledger.ledger_hash << ")";
+    EXPECT_EQ(resumed.ledger_hash, baseline.ledger_hash)
+        << "migration ledger diverged after restore at cut=" << cut;
     std::remove(path.c_str());
   }
-}
-
-// A crash can persist a loan whose endpoints no longer exist after the
-// snapshot is restored into a reshaped federation; restore-time
-// reconciliation must drop exactly those loans and keep the rest.
-TEST(FederationChaos, RestoreReconciliationDropsOrphanedLoans) {
-  FederationSet fed = BuildChaosFed();
-  FedLedger forged = fed.router->LedgerCopy();
-  FedLoan good;
-  good.id = 1;
-  good.lender = 0;
-  good.borrower = 2;
-  good.gpus = 8;
-  good.granted_at = 10.0;
-  FedLoan orphan = good;
-  orphan.id = 2;
-  orphan.borrower = 9;  // no such cluster
-  forged.next_loan_id = 3;
-  forged.total_granted = 16;
-  forged.loans = {good, orphan};
-  fed.router->RestoreLedger(forged);
-  fed.router->ReconcileBroker();
-  const FedLedger after = fed.router->LedgerCopy();
-  ASSERT_EQ(after.loans.size(), 1u);
-  EXPECT_TRUE(after.loans[0] == good);
-  bool saw_drop = false;
-  for (const std::string& event : fed.router->RecentEvents()) {
-    saw_drop = saw_drop || event.find(" drop ") != std::string::npos;
-  }
-  EXPECT_TRUE(saw_drop) << "orphaned loan must be dropped with a ledger event";
-  StopFed(fed);
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 // Multi-cluster federation conformance tests (DESIGN.md §11): spec parsing,
 // deterministic cluster routing (explicit cluster / kind targets, keyed and
 // keyless, pipelined over the event loop), global-id arithmetic across
-// federation × shards, loan-broker ledger invariants (grants never dip into
-// the lender's reserve, GPU accounting balances, every event folds into the
-// rolling hash), checkpoint-cost-charged migration between training
-// clusters, the plain-service compatibility contract (a one-cluster
-// federation answers byte-for-byte like an unsharded SchedulerService and
-// writes the identical LYRASNAP file), and a golden-trace regression pinning
-// Lyra's single inference + single training loan semantics.
+// federation × shards, checkpoint-cost-charged migration between training
+// clusters and its ledger, the plain-service compatibility contract (a
+// one-cluster federation answers byte-for-byte like an unsharded
+// SchedulerService and writes the identical LYRASNAP file), LYRAFED restores
+// (version 2 as written, version 1 without its loans), and a golden
+// regression pinning the engine outcomes of a Lyra pair script.
 //
 // To regenerate the golden fixture after an *intentional* behaviour change:
 //   LYRA_UPDATE_GOLDEN=1 ./svc_federation_test
@@ -26,12 +25,14 @@
 
 #include <unistd.h>
 
+#include "src/sim/simulator.h"
 #include "src/svc/event_loop.h"
 #include "src/svc/federation.h"
 #include "src/svc/service.h"
 #include "src/svc/snapshot.h"
 #include "src/svc/time_driver.h"
 #include "src/svc/wire.h"
+#include "tests/fed_test_support.h"
 
 namespace lyra::svc {
 namespace {
@@ -130,7 +131,6 @@ TEST(Federation, SpecParsingCompactAndExplicitForms) {
   EXPECT_EQ(compact.value()[2].kind, ClusterKind::kTraining);
   for (const ClusterSpec& spec : compact.value()) {
     EXPECT_EQ(spec.shards, 1);
-    EXPECT_EQ(spec.loan_priority, 0);
   }
 
   StatusOr<std::vector<ClusterSpec>> sharded = ParseFederationSpec("1x1@4");
@@ -140,13 +140,12 @@ TEST(Federation, SpecParsingCompactAndExplicitForms) {
   EXPECT_EQ(sharded.value()[1].shards, 4);
 
   StatusOr<std::vector<ClusterSpec>> verbose =
-      ParseFederationSpec("edge:inf:2:7,bulk:train:3,spill:training");
+      ParseFederationSpec("edge:inf:2,bulk:train:3,spill:training");
   ASSERT_TRUE(verbose.ok()) << verbose.status().message();
   ASSERT_EQ(verbose.value().size(), 3u);
   EXPECT_EQ(verbose.value()[0].name, "edge");
   EXPECT_EQ(verbose.value()[0].kind, ClusterKind::kInference);
   EXPECT_EQ(verbose.value()[0].shards, 2);
-  EXPECT_EQ(verbose.value()[0].loan_priority, 7);
   EXPECT_EQ(verbose.value()[1].shards, 3);
   EXPECT_EQ(verbose.value()[2].kind, ClusterKind::kTraining);
   EXPECT_EQ(verbose.value()[2].shards, 1);
@@ -158,6 +157,9 @@ TEST(Federation, SpecParsingCompactAndExplicitForms) {
   EXPECT_FALSE(ParseFederationSpec("a:bogus").ok());
   EXPECT_FALSE(ParseFederationSpec("a:inf,a:train").ok());
   EXPECT_FALSE(ParseFederationSpec("bad name:inf").ok());
+  // A fourth field (the retired loan priority) is a bad cluster entry.
+  EXPECT_FALSE(ParseFederationSpec("edge:inf:2:7").ok());
+  EXPECT_FALSE(ParseFederationSpec("edge:inf:1:99999999999").ok());
 }
 
 TEST(Federation, GlobalIdRoundTripAcrossFederationTimesShards) {
@@ -312,144 +314,10 @@ TEST(Federation, InvalidTargetsAreRejectedInline) {
   StopFed(fed);
 }
 
-// Loan-broker accounting over a scripted imbalance: grants never dip into
-// the lender's reserve, the GPU totals balance exactly
-// (granted == outstanding + reclaimed + returned), loans only flow from
-// inference clusters to training clusters, and every decision moves the
-// rolling ledger hash.
-TEST(Federation, LoanLedgerInvariantsUnderGrantAndReturn) {
-  FederationSet fed = BuildFed("2x2");
-  FederationRouter& router = *fed.router;
-  ASSERT_EQ(router.cluster_count(), 4);
-
-  // 30 unplaceable training jobs on train0 -> demand 30 at the barrier.
-  std::vector<std::int64_t> pending_ids;
-  for (int i = 0; i < 30; ++i) {
-    const JsonValue reply =
-        router.Execute(SubmitTo("train0", 0.0, 999999.0, 64, 100, 100));
-    ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
-    pending_ids.push_back(
-        static_cast<std::int64_t>(reply.GetDouble("job", -1.0)));
-  }
-  const std::uint64_t hash_before = router.LedgerCopy().ledger_hash;
-  JsonValue advanced = router.Execute(Advance(100.0));
-  ASSERT_TRUE(advanced.GetBool("ok")) << advanced.Dump();
-  EXPECT_GT(advanced.GetDouble("loans", 0.0), 0.0)
-      << "imbalance produced no loan: " << advanced.Dump();
-
-  FedLedger ledger = router.LedgerCopy();
-  EXPECT_NE(ledger.ledger_hash, hash_before) << "grants must move the hash";
-  ASSERT_FALSE(ledger.loans.empty());
-  std::int64_t outstanding = 0;
-  for (const FedLoan& loan : ledger.loans) {
-    EXPECT_NE(loan.lender, loan.borrower);
-    EXPECT_EQ(router.cluster_spec(static_cast<int>(loan.lender)).kind,
-              ClusterKind::kInference);
-    EXPECT_EQ(router.cluster_spec(static_cast<int>(loan.borrower)).kind,
-              ClusterKind::kTraining);
-    EXPECT_GT(loan.gpus, 0);
-    outstanding += loan.gpus;
-  }
-  EXPECT_EQ(ledger.total_granted,
-            static_cast<std::uint64_t>(outstanding) + ledger.total_reclaimed +
-                ledger.total_returned);
-  // The lender never pledges into its reserve: loaned <= total - ceil(10%).
-  for (int c = 0; c < router.cluster_count(); ++c) {
-    if (router.cluster_spec(c).kind != ClusterKind::kInference) {
-      continue;
-    }
-    const JsonValue stats = router.Execute(Cmd("federation_stats"));
-    const JsonValue* clusters = stats.Find("clusters");
-    ASSERT_NE(clusters, nullptr);
-    const JsonValue& info = clusters->AsArray()[static_cast<std::size_t>(c)];
-    const JsonValue* gpus = info.Find("gpus");
-    ASSERT_NE(gpus, nullptr);
-    const std::int64_t total =
-        static_cast<std::int64_t>(gpus->GetDouble("total"));
-    const std::int64_t reserve = (total + 9) / 10;
-    EXPECT_LE(static_cast<std::int64_t>(info.GetDouble("loaned")),
-              total - reserve)
-        << "cluster " << c << " lent into its reserve";
-  }
-
-  // Demand collapses -> surplus loans come back as "return" events and the
-  // accounting still balances with zero outstanding.
-  for (const std::int64_t id : pending_ids) {
-    ASSERT_TRUE(router.Execute(Cancel(150.0, id)).GetBool("ok"));
-  }
-  ASSERT_TRUE(router.Execute(Advance(200.0)).GetBool("ok"));
-  ledger = router.LedgerCopy();
-  EXPECT_TRUE(ledger.loans.empty())
-      << "surplus loans must be returned once demand drops";
-  EXPECT_EQ(ledger.total_granted,
-            ledger.total_reclaimed + ledger.total_returned);
-  bool saw_return = false;
-  for (const std::string& event : router.RecentEvents()) {
-    saw_return = saw_return || event.find(" return ") != std::string::npos;
-  }
-  EXPECT_TRUE(saw_return) << "no return event in the ledger";
-  StopFed(fed);
-}
-
-// The optional loan predictor (--loan-predictor): off by default with
-// byte-identical broker behaviour, grant sizing follows the per-borrower
-// prediction when on, and unknown names are rejected with the registered
-// alternatives listed.
-TEST(Federation, LoanPredictorSizesGrantsAndOffIsByteIdentical) {
-  std::vector<LoanBroker::ClusterSignal> signals(2);
-  signals[0].kind = ClusterKind::kInference;
-  signals[0].total_gpus = 4096;
-  signals[0].free_gpus = 4096;
-  signals[1].kind = ClusterKind::kTraining;
-  signals[1].pending_jobs = 2000;
-
-  // Configured then switched back off: byte-identical to a broker that
-  // never had a predictor (same events, same ledger hash).
-  LoanBroker plain, off;
-  ASSERT_TRUE(off.ConfigurePredictor("last-value").ok());
-  ASSERT_TRUE(off.ConfigurePredictor("").ok());
-  EXPECT_TRUE(off.predictor_name().empty());
-  plain.Evaluate(100.0, signals);
-  off.Evaluate(100.0, signals);
-  ASSERT_FALSE(plain.ledger().loans.empty());
-  EXPECT_EQ(plain.ledger_hash(), off.ledger_hash());
-  EXPECT_EQ(plain.BorrowedBy(1), 2000);
-
-  // With a predictor, demand comes from the prediction over the normalized
-  // pending series: 2000 pending observes as min(1, 2000/1024) = 1, so the
-  // last-value prediction maps back to ceil(1 * 1024) = 1024 GPUs — smaller
-  // than the raw demand, and a different ledger.
-  LoanBroker predicted;
-  ASSERT_TRUE(predicted.ConfigurePredictor("last-value").ok());
-  EXPECT_EQ(predicted.predictor_name(), "last-value");
-  predicted.Evaluate(100.0, signals);
-  EXPECT_EQ(predicted.BorrowedBy(1),
-            static_cast<std::int64_t>(LoanBroker::kDemandScale));
-  EXPECT_NE(predicted.ledger_hash(), plain.ledger_hash());
-
-  // Below the normalization cap the last-value prediction equals the raw
-  // demand, so the grant sizes match the unpredicted broker's.
-  signals[1].pending_jobs = 300;
-  LoanBroker raw_small, predicted_small;
-  ASSERT_TRUE(predicted_small.ConfigurePredictor("last-value").ok());
-  raw_small.Evaluate(100.0, signals);
-  predicted_small.Evaluate(100.0, signals);
-  EXPECT_EQ(predicted_small.BorrowedBy(1), raw_small.BorrowedBy(1));
-
-  // Unknown names are rejected up front, listing the alternatives.
-  LoanBroker bad;
-  const Status status = bad.ConfigurePredictor("bogus");
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("unknown usage predictor"),
-            std::string::npos);
-  EXPECT_NE(status.message().find("seasonal-naive"), std::string::npos);
-  EXPECT_TRUE(bad.predictor_name().empty());
-}
-
 // Migration between training clusters: the job is cancelled on the source,
 // resubmitted on the destination with the remaining work plus the checkpoint
 // cost (60s GPU-time when checkpointing, 300s cold otherwise), and the move
-// is recorded in the broker ledger. Invalid moves answer inline.
+// is recorded in the migration ledger. Invalid moves answer inline.
 TEST(Federation, MigrationChargesCheckpointCostAndMovesTheJob) {
   FederationSet fed = BuildFed("1x2");  // inf0, train0, train1
   FederationRouter& router = *fed.router;
@@ -482,6 +350,7 @@ TEST(Federation, MigrationChargesCheckpointCostAndMovesTheJob) {
   EXPECT_EQ(old_state.GetString("state"), "cancelled") << old_state.Dump();
 
   // The ledger recorded the move.
+  EXPECT_NE(router.ledger_hash(), 0u);
   bool saw_migrate = false;
   for (const std::string& event : router.RecentEvents()) {
     saw_migrate = saw_migrate || event.find("migrate") != std::string::npos;
@@ -565,12 +434,14 @@ TEST(Federation, SingleClusterFederationMatchesPlainServiceByteForByte) {
   StopFed(fed);
 }
 
-// Golden-trace regression for the Lyra pair (1 inference + 1 training
-// cluster): a scripted demand spike grants a loan, the lender's own diurnal
-// load spike reclaims it, fresh capacity is re-granted, and cancelled demand
-// returns it. Every reply and every ledger event is diffed byte-for-byte
-// against tests/golden/federation_pair.golden.
-TEST(Federation, PairLoanSemanticsMatchGoldenTrace) {
+// Golden regression for the Lyra pair (1 inference + 1 training cluster):
+// 190 unplaceable training jobs, 6 fungible spike jobs on inf0 (its engine
+// loans its own servers inward over the diurnal valley), cancels, and three
+// advances. Every reply plus each engine's decision-log digest, fault-log
+// hash and final time is diffed byte-for-byte against
+// tests/golden/federation_pair.golden. The router moves no capacity between
+// clusters, so these outcomes are the engines' alone.
+TEST(Federation, PairScriptEngineOutcomesMatchGolden) {
   FederationSet fed = BuildFed("1x1");
   FederationRouter& router = *fed.router;
 
@@ -581,8 +452,6 @@ TEST(Federation, PairLoanSemanticsMatchGoldenTrace) {
     return reply;
   };
 
-  // Phase 1: 190 unplaceable training jobs saturate the lendable pool
-  // (208 total - 21 reserve = 187 grantable).
   std::vector<std::int64_t> demand_ids;
   for (int i = 0; i < 190; ++i) {
     const JsonValue reply =
@@ -593,9 +462,6 @@ TEST(Federation, PairLoanSemanticsMatchGoldenTrace) {
   }
   trace << "## submitted 190 pending training jobs\n";
   run(Advance(100.0));
-  // Phase 2: fungible pending work on the inference cluster makes its engine
-  // loan its own T4 servers inward over the diurnal valley — the lender's
-  // free pool dips and the federation loan is reclaimed.
   for (int i = 0; i < 6; ++i) {
     JsonValue spike = SubmitTo("inf0", 100.0, 999999.0, 8, 40, 40);
     spike.Set("fungible", JsonValue::MakeBool(true));
@@ -605,32 +471,30 @@ TEST(Federation, PairLoanSemanticsMatchGoldenTrace) {
   }
   trace << "## submitted 6 fungible spike jobs on inf0\n";
   run(Advance(14400.0));
-  // Phase 3: demand collapses; surviving loans are returned.
   for (const std::int64_t id : demand_ids) {
     ASSERT_TRUE(router.Execute(Cancel(14500.0, id)).GetBool("ok"));
   }
   trace << "## cancelled all pending training demand\n";
   run(Advance(15000.0));
-
-  trace << "## ledger\n";
-  for (const std::string& event : router.RecentEvents()) {
-    trace << event << "\n";
-  }
-  const FedLedger ledger = router.LedgerCopy();
-  char hash[24];
-  std::snprintf(hash, sizeof(hash), "%016llx",
-                static_cast<unsigned long long>(ledger.ledger_hash));
-  trace << "granted=" << ledger.total_granted
-        << " reclaimed=" << ledger.total_reclaimed
-        << " returned=" << ledger.total_returned << " active="
-        << ledger.loans.size() << " hash=" << hash << "\n";
   StopFed(fed);
 
-  // The trace must show all three broker verbs.
+  trace << "## engines\n";
+  for (std::size_t k = 0; k < fed.services.size(); ++k) {
+    const Simulator& sim = fed.services[k]->simulator();
+    const std::vector<DecisionRecord>& records = sim.decision_log().records();
+    const FaultInjector* faults = sim.fault_injector();
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "engine %zu decisions=%zu digest=%016llx faults=%016llx "
+                  "time=%.17g\n",
+                  k, records.size(),
+                  static_cast<unsigned long long>(DecisionDigest(records)),
+                  static_cast<unsigned long long>(
+                      faults != nullptr ? faults->log_hash() : 0),
+                  sim.now());
+    trace << line;
+  }
   const std::string text = trace.str();
-  EXPECT_NE(text.find(" grant "), std::string::npos);
-  EXPECT_NE(text.find(" reclaim "), std::string::npos);
-  EXPECT_NE(text.find(" return "), std::string::npos);
 
   if (std::getenv("LYRA_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(kPairFixture, std::ios::trunc | std::ios::binary);
@@ -645,25 +509,32 @@ TEST(Federation, PairLoanSemanticsMatchGoldenTrace) {
   std::ostringstream want;
   want << fixture.rdbuf();
   EXPECT_EQ(text, want.str())
-      << "federation pair semantics diverged from the golden trace; if "
+      << "federation pair outcomes diverged from the golden trace; if "
          "intentional, regenerate with LYRA_UPDATE_GOLDEN=1";
 }
 
 // The LYRAFED container round-trips the whole federation: cluster layout,
-// per-engine images, broker ledger, and routing counter all come back, and a
-// restored federation continues byte-identically (ledger hash chain intact).
+// per-engine images, migration ledger hash, and routing counter all come
+// back, and the restored ledger's hash chain continues from the file's.
 TEST(Federation, FedSnapshotRestoresLayoutLedgerAndCounter) {
-  FederationSet fed = BuildFed("edge:inf:1:5,bulk:train:2:1,spill:train");
+  FederationSet fed = BuildFed("edge:inf:1,bulk:train:2,spill:train");
   FederationRouter& router = *fed.router;
   ASSERT_EQ(router.shard_count(), 4);
 
+  std::vector<std::int64_t> ids;
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(router.Execute(SubmitTo("bulk", 0.0, 999999.0, 64, 100, 100))
-                    .GetBool("ok"));
+    const JsonValue reply =
+        router.Execute(SubmitTo("bulk", 0.0, 999999.0, 64, 100, 100));
+    ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
+    ids.push_back(static_cast<std::int64_t>(reply.GetDouble("job", -1.0)));
   }
   ASSERT_TRUE(router.Execute(Advance(100.0)).GetBool("ok"));
-  const FedLedger before = router.LedgerCopy();
-  ASSERT_FALSE(before.loans.empty()) << "script must snapshot mid-loan";
+  for (int i = 0; i < 2; ++i) {
+    const JsonValue moved = router.Execute(Migrate(ids[i], "spill"));
+    ASSERT_TRUE(moved.GetBool("ok")) << moved.Dump();
+  }
+  const std::uint64_t hash_before = router.ledger_hash();
+  ASSERT_NE(hash_before, 0u) << "script must snapshot with migrations logged";
   const std::uint64_t seq_before = router.submit_seq();
 
   const std::string path = TempPath("layout");
@@ -685,18 +556,84 @@ TEST(Federation, FedSnapshotRestoresLayoutLedgerAndCounter) {
   ASSERT_EQ(resumed.cluster_count(), 3);
   EXPECT_EQ(resumed.cluster_spec(0).name, "edge");
   EXPECT_EQ(resumed.cluster_spec(0).kind, ClusterKind::kInference);
-  EXPECT_EQ(resumed.cluster_spec(0).loan_priority, 5);
   EXPECT_EQ(resumed.cluster_spec(1).name, "bulk");
   EXPECT_EQ(resumed.cluster_spec(1).shards, 2);
   EXPECT_EQ(resumed.cluster_spec(2).name, "spill");
   EXPECT_EQ(resumed.shard_count(), 4);
   EXPECT_EQ(resumed.submit_seq(), seq_before);
-  EXPECT_TRUE(resumed.LedgerCopy() == before)
-      << "broker ledger must survive the restart bit-for-bit";
+  EXPECT_EQ(resumed.ledger_hash(), hash_before)
+      << "migration ledger hash must survive the restart bit-for-bit";
+
+  // The next migration extends the restored chain by its own line.
+  const JsonValue moved = resumed.Execute(Migrate(ids[2], "spill"));
+  ASSERT_TRUE(moved.GetBool("ok")) << moved.Dump();
+  const std::vector<std::string> events = resumed.RecentEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(resumed.ledger_hash(), Fnv1a("\n", Fnv1a(events[0], hash_before)));
   for (auto& service : restored.value().services) {
     service->Stop();
   }
   std::remove(path.c_str());
+}
+
+// A version-1 LYRAFED file, which also carried an older router's
+// cross-cluster loan ledger, still restores: the same clusters, engines and
+// routing counter come back, its hash seeds the migration ledger, its
+// loans are ignored (one names a cluster the file no longer has), and the
+// restored fleet serves.
+TEST(Federation, FedSnapshotV1RestoresWithoutItsLoans) {
+  FederationSet fed = BuildFed("1x2");  // inf0, train0, train1
+  FederationRouter& router = *fed.router;
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(router.Execute(Submit(0.0, 36000.0, 1, 1, 2)).GetBool("ok"));
+  }
+  ASSERT_TRUE(router.Execute(SubmitTo("inf0", 0.0, 36000.0)).GetBool("ok"));
+  ASSERT_TRUE(router.Execute(Advance(500.0)).GetBool("ok"));
+  const std::string stats_before = router.Execute(Cmd("cluster_stats")).Dump();
+  const std::uint64_t seq_before = router.submit_seq();
+
+  const std::string path = TempPath("v2");
+  JsonValue snap = Cmd("snapshot");
+  snap.Set("path", JsonValue::MakeString(path));
+  ASSERT_TRUE(router.Execute(snap).GetBool("ok"));
+  StopFed(fed);
+
+  StatusOr<FedSnapshot> written = LoadFedSnapshot(path);
+  ASSERT_TRUE(written.ok()) << written.status().message();
+  FedSnapshot fed_image = written.value();
+  fed_image.ledger_hash = 0x5eed;
+  // Loan 1's borrower, cluster 9, does not exist.
+  const std::string v1_image = EncodeFedSnapshotV1(
+      fed_image, {{0, 0, 1, 16, 100.0}, {1, 0, 9, 8, 200.0}});
+  const std::string v1_path = TempPath("v1");
+  ASSERT_TRUE(WriteFileAtomic(v1_path, v1_image).ok());
+
+  StatusOr<FederationSet> restored =
+      RestoreFederation(BaseOptions(), v1_path, MakeVirtualDriver);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  FederationRouter& resumed = *restored.value().router;
+  ASSERT_EQ(resumed.cluster_count(), 3);
+  EXPECT_EQ(resumed.cluster_spec(0).name, "inf0");
+  EXPECT_EQ(resumed.cluster_spec(0).kind, ClusterKind::kInference);
+  EXPECT_EQ(resumed.cluster_spec(1).name, "train0");
+  EXPECT_EQ(resumed.cluster_spec(2).name, "train1");
+  EXPECT_EQ(resumed.shard_count(), 3);
+  EXPECT_EQ(resumed.submit_seq(), seq_before);
+  EXPECT_EQ(resumed.ledger_hash(), 0x5eedu);
+  EXPECT_TRUE(resumed.RecentEvents().empty());
+  EXPECT_EQ(resumed.Execute(Cmd("cluster_stats")).Dump(), stats_before);
+
+  // It serves: a keyless submit, an advance, and the stats read.
+  const JsonValue submitted = resumed.Execute(Submit(600.0, 3600.0));
+  EXPECT_TRUE(submitted.GetBool("ok")) << submitted.Dump();
+  EXPECT_TRUE(resumed.Execute(Advance(1000.0)).GetBool("ok"));
+  const JsonValue stats = resumed.Execute(Cmd("federation_stats"));
+  EXPECT_TRUE(stats.GetBool("ok")) << stats.Dump();
+  for (auto& service : restored.value().services) {
+    service->Stop();
+  }
+  std::remove(path.c_str());
+  std::remove(v1_path.c_str());
 }
 
 }  // namespace

@@ -201,8 +201,8 @@ int main(int argc, char** argv) {
   } else {
     std::printf("%s\n", reply.value().c_str());
   }
-  // federation_stats carries per-cluster rows plus the broker ledger;
-  // render them as a table so loan imbalance is visible at a glance.
+  // federation_stats carries per-cluster rows plus the migration ledger;
+  // render them as a table so cluster imbalance is visible at a glance.
   if (cmd == "federation_stats" && ok) {
     const lyra::JsonValue* fed = parsed_reply.value().Find("clusters");
     if (fed != nullptr && fed->is_array()) {
@@ -210,24 +210,19 @@ int main(int argc, char** argv) {
         const lyra::JsonValue* jobs = entry.Find("jobs");
         const lyra::JsonValue* gpus = entry.Find("gpus");
         std::printf(
-            "  cluster %2.0f %-12s %-9s gpus=%.0f/%.0f loaned=%.0f "
-            "borrowed=%.0f pending=%.0f running=%.0f\n",
+            "  cluster %2.0f %-12s %-9s gpus=%.0f/%.0f pending=%.0f "
+            "running=%.0f\n",
             entry.GetDouble("cluster"), entry.GetString("name", "?").c_str(),
             entry.GetString("kind", "?").c_str(),
             gpus != nullptr ? gpus->GetDouble("used") : 0.0,
             gpus != nullptr ? gpus->GetDouble("total") : 0.0,
-            entry.GetDouble("loaned"), entry.GetDouble("borrowed"),
             jobs != nullptr ? jobs->GetDouble("pending") : 0.0,
             jobs != nullptr ? jobs->GetDouble("running") : 0.0);
       }
     }
     const lyra::JsonValue* broker = parsed_reply.value().Find("broker");
     if (broker != nullptr) {
-      std::printf("  broker: loans=%.0f granted=%.0f reclaimed=%.0f "
-                  "returned=%.0f hash=%s\n",
-                  broker->GetDouble("active"), broker->GetDouble("granted"),
-                  broker->GetDouble("reclaimed"),
-                  broker->GetDouble("returned"),
+      std::printf("  migrations: hash=%s\n",
                   broker->GetString("ledger_hash", "?").c_str());
     }
   }

@@ -15,10 +15,10 @@
 // independent single-writer engines (submits spread by key hash, job ids
 // carry their owning engine). --federation=<spec> runs a multi-cluster
 // fleet: "2x2" is 2 inference + 2 training clusters, "2x2@4" gives each 4
-// engine shards, and "name:kind[:shards[:prio]],..." spells the clusters
-// out. Submits route by "cluster"/"kind", and a loan broker moves idle
-// inference capacity to pending training demand at every advance/drain
-// barrier. One engine snapshots to a plain LYRASNAP file, more engines to
+// engine shards, and "name:kind[:shards],..." spells the clusters out.
+// Submits route by "cluster"/"kind", and `migrate` moves a training job
+// between training clusters; capacity loaning stays inside each engine.
+// One engine snapshots to a plain LYRASNAP file, more engines to
 // one LYRAFED container; --restore takes the topology from the file,
 // whatever the flags say (older LYRASHRD files restore as "train0").
 //
@@ -88,9 +88,6 @@ int main(int argc, char** argv) {
                   lyra::svc::JoinNames(lyra::svc::KnownReclaimNames()));
   flags.AddString("policy-weights", &options.engine.policy_weights,
                   "LYRAPOL weights file for --scheduler=learned (see lyra_train)");
-  flags.AddString("loan-predictor", &options.loan_predictor,
-                  "size federation loans from predicted demand: "
-                  "seasonal-naive | lstm | last-value (default: off)");
   flags.AddString("restore", &restore_path, "warm-restart from this snapshot");
   flags.AddString("snapshot-on-exit", &snapshot_on_exit,
                   "write a snapshot here on SIGINT/SIGTERM");
@@ -113,7 +110,7 @@ int main(int argc, char** argv) {
                "(sugar for --federation=0x1@N)");
   flags.AddString("federation", &federation_spec,
                   "multi-cluster federation: \"NxM[@S]\" or "
-                  "\"name:kind[:shards[:prio]],...\" (excludes --shards)");
+                  "\"name:kind[:shards],...\" (excludes --shards)");
   flags.AddString("log-level", &log_level,
                   "debug | info | warning | error | off "
                   "(default from LYRA_LOG_LEVEL)");

@@ -247,7 +247,7 @@ void Render(const Frame& cur, const Frame* prev, double dt, bool plain) {
     std::printf("\n");
   }
 
-  // Per-cluster loan balance, from the lyra_fed_* families a federated
+  // Per-cluster pools and jobs, from the lyra_fed_* families a federated
   // daemon exposes. Non-federated daemons have none and skip the block.
   std::map<std::string, std::string> cluster_kind;
   for (const PromSample& sample : s.samples) {
@@ -261,25 +261,16 @@ void Render(const Frame& cur, const Frame* prev, double dt, bool plain) {
     }
   }
   if (!cluster_kind.empty()) {
-    std::printf("\n%-14s %-10s %8s %8s %8s %8s %8s %8s\n", "cluster", "kind",
-                "total", "free", "loaned", "borrowed", "pending", "running");
+    std::printf("\n%-14s %-10s %8s %8s %8s %8s\n", "cluster", "kind",
+                "total", "free", "pending", "running");
     for (const auto& [name, kind] : cluster_kind) {
       std::printf(
-          "%-14s %-10s %8.0f %8.0f %8.0f %8.0f %8.0f %8.0f\n", name.c_str(),
-          kind.c_str(),
+          "%-14s %-10s %8.0f %8.0f %8.0f %8.0f\n", name.c_str(), kind.c_str(),
           s.Value("lyra_fed_gpus", {{"cluster", name}, {"pool", "total"}}),
           s.Value("lyra_fed_gpus", {{"cluster", name}, {"pool", "free"}}),
-          s.Value("lyra_fed_gpus_loaned", {{"cluster", name}}),
-          s.Value("lyra_fed_gpus_borrowed", {{"cluster", name}}),
           s.Value("lyra_fed_jobs", {{"cluster", name}, {"state", "pending"}}),
           s.Value("lyra_fed_jobs", {{"cluster", name}, {"state", "running"}}));
     }
-    std::printf(
-        "loans: active %.0f  granted %.0f/s  reclaimed %.0f/s  "
-        "returned %.0f/s\n",
-        s.Value("lyra_fed_loans_active"), rate("lyra_fed_loans_granted_total"),
-        rate("lyra_fed_loans_reclaimed_total"),
-        rate("lyra_fed_loans_returned_total"));
   }
   std::fflush(stdout);
 }
