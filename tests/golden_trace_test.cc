@@ -11,14 +11,18 @@
 // explanation of why the numbers moved.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
+#include "src/sim/inference_cluster.h"
+#include "src/svc/registry.h"
 
 namespace lyra {
 namespace {
@@ -115,6 +119,99 @@ TEST(GoldenTrace, Table5SmallSliceMatchesFixture) {
 // over threads: the golden fixture pins sequential == parallel too.
 TEST(GoldenTrace, ReportStableAcrossRepeatRuns) {
   EXPECT_EQ(GoldenReport(), GoldenReport());
+}
+
+// --- Long-queue decisions ----------------------------------------------------
+//
+// The slice above never queues more than a few hundred jobs, so it cannot
+// tell a scheduler that reads the whole queue from one that only reads what
+// changed. This run overloads a small cluster six times over: the queue
+// peaks near 2.9k jobs. It is wired like `lyra_sim --scale=0.1 --days=5
+// --load=6.0` (seed 42, Lyra with Lyra reclaiming, loaning on), so
+//   lyra_sim --scale=0.1 --days=5 --load=6.0 --decisions-csv=<file>
+// writes the same decision log. The pins below are an FNV-1a digest of every
+// decision record and the run's outcome counters.
+
+class Fnv1a {
+ public:
+  void U64(std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((value >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  }
+  void Double(double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    U64(bits);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+// Pinned from the last full-queue implementation of the Lyra round; a
+// deliberate change of Lyra's decisions re-pins them from the failure
+// messages.
+constexpr std::size_t kPinnedRecords = 33178;
+constexpr std::uint64_t kPinnedDigest = 0x01081cf44b8f62dcull;
+constexpr double kPinnedPendingPeak = 2871;
+constexpr std::size_t kPinnedTotalJobs = 11612;
+constexpr std::size_t kPinnedFinishedJobs = 10662;
+constexpr int kPinnedPreemptions = 376;
+constexpr int kPinnedScalingOperations = 9374;
+constexpr int kPinnedServersLoaned = 1940;
+constexpr int kPinnedServersReturned = 1940;
+constexpr int kPinnedCollateralGpus = 447;
+
+TEST(GoldenTrace, LongQueueDecisionsMatchPin) {
+  constexpr double kScale = 0.1;
+  constexpr std::uint64_t kSeed = 42;
+  const int training_servers = static_cast<int>(443 * kScale);
+  const int inference_servers = static_cast<int>(520 * kScale);
+
+  SyntheticTraceOptions trace_options;
+  trace_options.duration = 5 * kDay;
+  trace_options.training_gpus = training_servers * 8;
+  trace_options.target_utilization = 6.0;
+  trace_options.seed = kSeed;
+  const Trace trace = SyntheticTraceGenerator(trace_options).Generate();
+
+  StatusOr<std::unique_ptr<JobScheduler>> scheduler = svc::MakeScheduler("lyra", false, false);
+  StatusOr<std::unique_ptr<ReclaimPolicy>> reclaim = svc::MakeReclaim("lyra");
+  ASSERT_TRUE(scheduler.ok());
+  ASSERT_TRUE(reclaim.ok());
+  SimulatorOptions options;
+  options.training_servers = training_servers;
+  options.record_decisions = true;
+  options.seed = kSeed;
+  Simulator simulator(options, trace, scheduler.value().get(), reclaim.value().get(),
+                      MakeInferenceCluster(inference_servers, trace.duration, kSeed,
+                                           svc::MakeUsagePredictor(false)));
+  const SimulationResult result = simulator.Run();
+
+  Fnv1a digest;
+  for (const DecisionRecord& record : simulator.decision_log().records()) {
+    digest.Double(record.time);
+    digest.U64(static_cast<std::uint64_t>(record.kind));
+    digest.U64(static_cast<std::uint64_t>(record.subject));
+    digest.U64(static_cast<std::uint64_t>(static_cast<std::int64_t>(record.detail)));
+  }
+  const obs::MetricsValues metrics = simulator.metrics().Values();
+  const auto pending = metrics.histograms.find("sim.pending_jobs_per_tick");
+  ASSERT_NE(pending, metrics.histograms.end());
+
+  EXPECT_EQ(simulator.decision_log().size(), kPinnedRecords);
+  EXPECT_EQ(digest.value(), kPinnedDigest)
+      << "decision log digest 0x" << std::hex << digest.value();
+  EXPECT_EQ(pending->second.max(), kPinnedPendingPeak);
+  EXPECT_EQ(result.total_jobs, kPinnedTotalJobs);
+  EXPECT_EQ(result.finished_jobs, kPinnedFinishedJobs);
+  EXPECT_EQ(result.preemptions, kPinnedPreemptions);
+  EXPECT_EQ(result.scaling_operations, kPinnedScalingOperations);
+  EXPECT_EQ(result.orchestrator.servers_loaned, kPinnedServersLoaned);
+  EXPECT_EQ(result.orchestrator.servers_returned, kPinnedServersReturned);
+  EXPECT_EQ(result.orchestrator.collateral_gpus, kPinnedCollateralGpus);
 }
 
 }  // namespace
