@@ -50,14 +50,16 @@ int main() {
     cluster.AddServer(lyra::GpuType::kTrainingV100, 8, lyra::ServerPool::kTraining);
   }
   std::vector<std::unique_ptr<lyra::Job>> jobs;
+  std::vector<lyra::Job*> pending;
   lyra::SchedulerContext ctx;
   ctx.cluster = &cluster;
   lyra::ThroughputModel model;
   ctx.throughput = &model;
   for (const lyra::JobSpec& spec : specs) {
     jobs.push_back(std::make_unique<lyra::Job>(spec));
-    ctx.pending.push_back(jobs.back().get());
+    pending.push_back(jobs.back().get());
   }
+  ctx.pending = pending;
 
   const lyra::AllocationDecision decision = lyra::TwoPhaseAllocate(ctx);
   std::printf("phase 1 (SJF over base demands) admits, in order:\n");

@@ -138,7 +138,7 @@ void ClusterState::Place(JobId job, ServerId server_id, int gpus, bool flexible)
   LYRA_CHECK(srv.up());  // down servers are invisible to placement
   srv.Place(job, gpus, flexible);
   AccountUsage(srv, gpus);
-  JobPlacement& placement = placements_[job];
+  JobPlacement& placement = PlacementOf(job);
   placement.stamp = ++placement_stamp_;
   GpuShare& share = placement.shares[server_id];
   if (flexible) {
@@ -428,12 +428,20 @@ void ClusterState::RecordSetPool(ServerId server, ServerPool pool) {
   undo_log_.push_back(entry);
 }
 
+JobPlacement& ClusterState::PlacementOf(JobId job) {
+  const auto [entry, inserted] = placements_.try_emplace(job);
+  if (inserted && log_new_placements_) {
+    new_placements_.push_back(job);
+  }
+  return entry->second;
+}
+
 void ClusterState::ApplyShareDelta(JobId job, ServerId server_id, int base_delta,
                                    int flexible_delta) {
   Server& srv = mutable_server(server_id);
   srv.ApplyShareDelta(job, base_delta, flexible_delta);
   AccountUsage(srv, base_delta + flexible_delta);
-  JobPlacement& placement = placements_[job];
+  JobPlacement& placement = PlacementOf(job);
   placement.stamp = ++placement_stamp_;
   GpuShare& share = placement.shares[server_id];
   share.base_gpus += base_delta;

@@ -126,6 +126,16 @@ class ClusterState {
     return placements_;
   }
 
+  // New-placement log, so a caller can find what a scheduler launched in
+  // O(launches) instead of walking every placement. While armed, each job
+  // that goes from no placement to one is appended. The log is a superset:
+  // a job whose placement is gone again (removed, rolled back) stays listed,
+  // and one placed twice is listed twice, so readers re-check FindPlacement.
+  // Unarmed (the default, and in clones), nothing is kept.
+  void ArmNewPlacementLog() { log_new_placements_ = true; }
+  const std::vector<JobId>& new_placements() const { return new_placements_; }
+  void ClearNewPlacements() { new_placements_.clear(); }
+
   // --- Capacity loaning -----------------------------------------------------
 
   // Moves an inference server into the training whitelist.
@@ -240,6 +250,10 @@ class ClusterState {
                         int flexible_delta);
   void RecordSetPool(ServerId server, ServerPool pool);
 
+  // The job's placement, created empty (and logged when the new-placement
+  // log is armed) if it has none.
+  JobPlacement& PlacementOf(JobId job);
+
   // Applies a share delta to the server-side and job-side views plus the
   // usage counters, creating/erasing map entries as shares cross zero. The
   // non-logging primitive behind rollback.
@@ -251,6 +265,8 @@ class ClusterState {
 
   std::vector<Server> servers_;
   std::unordered_map<JobId, JobPlacement> placements_;
+  bool log_new_placements_ = false;
+  std::vector<JobId> new_placements_;
 
   // Incremental accounting (see class comment).
   std::array<int, kNumPools> total_gpus_{};

@@ -85,22 +85,22 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
   // everything else is scheduled (§6).
   PendingIndex local_index;
   PendingIndex& index = pending != nullptr ? *pending : local_index;
-  const std::vector<PendingIndex::Entry>& order =
-      index.Refresh(ctx, options.information_agnostic);
+  index.Refresh(ctx, options.information_agnostic);
   // Debit only ever subtracts, and each of its branches fails once neither
   // the training pool nor the whole ledger covers the demand. So when both
   // are below the smallest pending demand, no later job can launch.
   const double min_need = index.min_base_gpus();
-  for (const PendingIndex::Entry& entry : order) {
+  PendingIndex::Cursor order = index.Order();
+  while (const PendingIndex::Entry* entry = order.Next()) {
     if (std::max(ledger.training, ledger.total()) < min_need) {
       break;
     }
-    const double need = static_cast<double>(entry.base_gpus);
-    const bool can_use_loaned = ctx.allow_loaned_placement && entry.loan_eligible;
+    const double need = static_cast<double>(entry->base_gpus);
+    const bool can_use_loaned = ctx.allow_loaned_placement && entry->loan_eligible;
     // Elastic jobs prefer on-loan servers so reclaiming can scale them in
     // rather than preempt; heterogeneous base demand stays on training (§6).
-    if (ledger.Debit(need, can_use_loaned, entry.prefer_loaned)) {
-      decision.launches.push_back(entry.job);
+    if (ledger.Debit(need, can_use_loaned, entry->prefer_loaned)) {
+      decision.launches.push_back(entry->job);
     }
     // Jobs that do not fit are simply removed from the pool this epoch (§5.2).
   }

@@ -44,7 +44,7 @@ struct AllocationDecision {
 // (which are available for resizing, §5.2). `solver` holds reusable
 // knapsack buffers and `pending` the phase-one order of the queue (the
 // scheduler keeps one of each, so a round allocates no DP tables and does
-// not re-sort the queue); null uses a temporary one.
+// not re-sort or re-read the queue); null uses a temporary one.
 AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
                                     const AllocationOptions& options = {},
                                     MckpSolver* solver = nullptr,

@@ -98,7 +98,7 @@ void LearnedScheduler::Schedule(SchedulerContext& ctx) {
   if (ctx.pending.empty()) {
     return;
   }
-  std::vector<Job*> queue = ctx.pending;
+  std::vector<Job*> queue(ctx.pending.begin(), ctx.pending.end());
   std::stable_sort(queue.begin(), queue.end(), [](const Job* a, const Job* b) {
     return a->spec().submit_time < b->spec().submit_time;
   });

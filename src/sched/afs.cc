@@ -31,7 +31,7 @@ void AfsScheduler::Schedule(SchedulerContext& ctx) {
 
   // Base demand first, in arrival order, shrinking flexible workers to make
   // room (AFS continuously re-balances the elastic share).
-  std::vector<Job*> order = ctx.pending;
+  std::vector<Job*> order(ctx.pending.begin(), ctx.pending.end());
   std::stable_sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
     return a->spec().submit_time < b->spec().submit_time;
   });

@@ -23,7 +23,7 @@ void LaunchInOrder(SchedulerContext& ctx, std::vector<Job*> order) {
 }  // namespace
 
 void FifoScheduler::Schedule(SchedulerContext& ctx) {
-  std::vector<Job*> order = ctx.pending;
+  std::vector<Job*> order(ctx.pending.begin(), ctx.pending.end());
   std::stable_sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
     return a->spec().submit_time < b->spec().submit_time;
   });
@@ -31,7 +31,7 @@ void FifoScheduler::Schedule(SchedulerContext& ctx) {
 }
 
 void SjfScheduler::Schedule(SchedulerContext& ctx) {
-  std::vector<Job*> order = ctx.pending;
+  std::vector<Job*> order(ctx.pending.begin(), ctx.pending.end());
   std::stable_sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
     return a->EstimatedRemainingTime(a->spec().max_workers) <
            b->EstimatedRemainingTime(b->spec().max_workers);

@@ -15,7 +15,7 @@ void GandivaScheduler::Schedule(SchedulerContext& ctx) {
                                   ? PoolPreference::kTrainingFirst
                                   : PoolPreference::kTrainingOnly;
 
-  std::vector<Job*> order = ctx.pending;
+  std::vector<Job*> order(ctx.pending.begin(), ctx.pending.end());
   std::stable_sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
     return a->spec().submit_time < b->spec().submit_time;
   });

@@ -9,7 +9,7 @@ namespace lyra {
 
 void OpportunisticScheduler::Schedule(SchedulerContext& ctx) {
   obs::PhaseSpan placement_span(obs::Phase::kPlacement);
-  std::vector<Job*> order = ctx.pending;
+  std::vector<Job*> order(ctx.pending.begin(), ctx.pending.end());
   std::stable_sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
     return a->spec().submit_time < b->spec().submit_time;
   });

@@ -81,7 +81,7 @@ void PolluxScheduler::Schedule(SchedulerContext& ctx) {
   // Inelastic jobs are not part of the goodput optimization; launch them in
   // arrival order when they fit.
   std::vector<Job*> pending_elastic;
-  std::vector<Job*> order = ctx.pending;
+  std::vector<Job*> order(ctx.pending.begin(), ctx.pending.end());
   std::stable_sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
     return a->spec().submit_time < b->spec().submit_time;
   });

@@ -26,6 +26,8 @@ std::string JobTrackName(std::int64_t job) {
   return "job " + std::to_string(job);
 }
 
+bool SeqBefore(const Job* job, std::uint64_t seq) { return job->queue_seq() < seq; }
+
 }  // namespace
 
 Simulator::Simulator(SimulatorOptions options, const Trace& trace,
@@ -34,8 +36,10 @@ Simulator::Simulator(SimulatorOptions options, const Trace& trace,
     : options_(options),
       scheduler_(scheduler),
       reclaim_policy_(reclaim_policy),
-      inference_(std::move(inference)) {
+      inference_(std::move(inference)),
+      queue_id_(NewQueueId()) {
   LYRA_CHECK(scheduler_ != nullptr);
+  cluster_.ArmNewPlacementLog();
 
   for (int s = 0; s < options_.training_servers; ++s) {
     cluster_.AddServer(GpuType::kTrainingV100, options_.gpus_per_server,
@@ -109,6 +113,21 @@ void Simulator::PushEvent(TimeSec time, EventType type, std::int64_t job,
   events_.push(Event{time, next_seq_++, type, job, generation});
 }
 
+void Simulator::Enqueue(Job* job) {
+  job->StampQueueSeq();
+  pending_.push_back(job);
+  const JobSpec& spec = job->spec();
+  (spec.fungible || spec.heterogeneous ? eligible_pending_base_ : other_pending_base_) +=
+      spec.base_gpus();
+}
+
+void Simulator::Dequeued(Job* job) {
+  dequeued_.push_back(job);
+  const JobSpec& spec = job->spec();
+  (spec.fungible || spec.heterogeneous ? eligible_pending_base_ : other_pending_base_) -=
+      spec.base_gpus();
+}
+
 void Simulator::PushFaultEvent(TimeSec time, EventType type) {
   // Disabled fault classes schedule at +inf; drop instead of queueing.
   if (std::isfinite(time)) {
@@ -172,19 +191,36 @@ void Simulator::SyncAfterScheduling(TimeSec now) {
 
   // Newly placed pending jobs start now, in queue order. Every running job
   // holds a placement and nothing else does except the jobs just launched,
-  // so the walk stops once it has found that many.
-  std::size_t to_start = cluster_.placements().size() - running_.size();
+  // and those gained their placement this round, so the cluster's
+  // new-placement log names them: the start set costs O(launches), not
+  // O(queue) or O(running).
+  const std::size_t to_start = cluster_.placements().size() - running_.size();
   if (to_start > 0) {
-    const ThroughputModel model(options_.throughput);
-    auto kept = pending_.begin();
-    auto it = pending_.begin();
-    for (; it != pending_.end() && to_start > 0; ++it) {
-      Job* job = *it;
-      if (cluster_.FindPlacement(job->id()) == nullptr) {
-        *kept++ = job;
-        continue;
+    starting_.clear();
+    for (JobId id : cluster_.new_placements()) {
+      Job* job = jobs_[static_cast<std::size_t>(id.value)].get();
+      if (job->state() == JobState::kPending && cluster_.FindPlacement(id) != nullptr) {
+        starting_.push_back(job);
       }
-      --to_start;
+    }
+    std::sort(starting_.begin(), starting_.end(), [](const Job* a, const Job* b) {
+      return a->queue_seq() < b->queue_seq();
+    });
+    starting_.erase(std::unique(starting_.begin(), starting_.end()), starting_.end());
+    LYRA_CHECK_EQ(starting_.size(), to_start);
+    const ThroughputModel model(options_.throughput);
+    // Each start leaves a hole in pending_; the next search starts past it,
+    // so no search meets a hole, and one compaction closes them all.
+    auto search_from = pending_.begin();
+    auto first_hole = pending_.end();
+    for (Job* job : starting_) {
+      const auto it =
+          std::lower_bound(search_from, pending_.end(), job->queue_seq(), SeqBefore);
+      LYRA_CHECK(it != pending_.end() && *it == job);
+      *it = nullptr;
+      first_hole = std::min(first_hole, it);
+      search_from = it + 1;
+      Dequeued(job);
       job->set_tuned(tuner && job->spec().elastic());
       const PlacementProfile profile = ProfileFor(cluster_, *job);
       job->Start(now, EffectiveRate(*job, profile, model), profile.workers);
@@ -200,7 +236,7 @@ void Simulator::SyncAfterScheduling(TimeSec now) {
       ScheduleFinish(*job, now);
       dirty_ = true;
     }
-    pending_.erase(std::copy(it, pending_.end(), kept), pending_.end());
+    pending_.erase(std::remove(first_hole, pending_.end(), nullptr), pending_.end());
   }
 
   // Rate refresh for running jobs whose placement changed. A job's rate is a
@@ -261,21 +297,31 @@ void Simulator::MirrorIntoResourceManager(TimeSec now) {
 
 void Simulator::HandleSchedulerTick(TimeSec now) {
   if (!dirty_ && pending_.empty()) {
-    obs_.metrics.counter("sim.scheduler_ticks_skipped")->Add();
+    if (ticks_skipped_counter_ == nullptr) {
+      ticks_skipped_counter_ = obs_.metrics.counter("sim.scheduler_ticks_skipped");
+    }
+    ticks_skipped_counter_->Add();
     return;
   }
   obs::PhaseSpan tick_span(obs::Phase::kSchedulerTick);
-  obs_.metrics.histogram("sim.pending_jobs_per_tick")
-      ->Record(static_cast<double>(pending_.size()));
+  if (pending_per_tick_ == nullptr) {
+    pending_per_tick_ = obs_.metrics.histogram("sim.pending_jobs_per_tick");
+  }
+  pending_per_tick_->Record(static_cast<double>(pending_.size()));
   SchedulerContext ctx;
   ctx.now = now;
   ctx.cluster = &cluster_;
   ctx.pending = pending_;
+  ctx.dequeued = dequeued_;
+  ctx.queue_id = queue_id_;
+  ctx.round = ++rounds_;
   ctx.running = running_;
   const ThroughputModel model(options_.throughput);
   ctx.throughput = &model;
   ctx.allow_loaned_placement = options_.enable_loaning;
+  cluster_.ClearNewPlacements();
   scheduler_->Schedule(ctx);
+  dequeued_.clear();
   dirty_ = false;
   SyncAfterScheduling(now);
   MirrorIntoResourceManager(now);
@@ -304,17 +350,12 @@ void Simulator::HandleOrchestratorTick(TimeSec now) {
     }
   }
   // Loan-eligible pending demand in physical T4 GPUs, and the rest in
-  // training GPUs.
-  double eligible_pending_gpus = 0.0;
-  double noneligible_pending = 0.0;
-  for (const Job* job : pending_) {
-    const JobSpec& spec = job->spec();
-    if (spec.fungible || spec.heterogeneous) {
-      eligible_pending_gpus += spec.base_gpus() / kInferenceGpuFactor;
-    } else {
-      noneligible_pending += spec.base_gpus();
-    }
-  }
+  // training GPUs. Each job's term is an integer (b / kInferenceGpuFactor is
+  // exactly 3b below 2^51, see simulator_test), so the running integer sums
+  // equal the per-job double sums in any order (DESIGN.md).
+  const double eligible_pending_gpus =
+      static_cast<double>(eligible_pending_base_) / kInferenceGpuFactor;
+  const double noneligible_pending = static_cast<double>(other_pending_base_);
   const int gpus_per_server =
       inference_ != nullptr ? inference_->options().gpus_per_server : 8;
   const int current_loaned = cluster_.NumServersInPool(ServerPool::kOnLoan);
@@ -405,8 +446,7 @@ void Simulator::PreemptAndRequeue(TimeSec now, const std::vector<JobId>& preempt
     }
     ++result_.preemptions;
     running_.erase(std::find(running_.begin(), running_.end(), job));
-    job->StampQueueSeq();
-    pending_.push_back(job);
+    Enqueue(job);
     ++finish_generation_[static_cast<std::size_t>(id.value)];  // invalidate finish
   }
 }
@@ -730,8 +770,7 @@ bool Simulator::StepUntil(TimeSec horizon, std::uint64_t max_events) {
         if (options_.use_profiler) {
           job->set_estimated_total_work(profiler_.EstimateTotalWork(job->spec()));
         }
-        job->StampQueueSeq();
-        pending_.push_back(job);
+        Enqueue(job);
         dirty_ = true;
         break;
       }
@@ -842,9 +881,12 @@ Status Simulator::CancelJob(JobId id) {
   } else {
     // Pending: may or may not have arrived yet (the arrival event skips
     // cancelled jobs, so a pre-arrival cancel needs no queue surgery).
-    const auto it = std::find(pending_.begin(), pending_.end(), job);
-    if (it != pending_.end()) {
+    // pending_ is ascending in queue_seq.
+    const auto it =
+        std::lower_bound(pending_.begin(), pending_.end(), job->queue_seq(), SeqBefore);
+    if (it != pending_.end() && *it == job) {
       pending_.erase(it);
+      Dequeued(job);
     }
   }
   job->Cancel(now_);

@@ -278,6 +278,11 @@ class Simulator {
 
   void PushEvent(TimeSec time, EventType type, std::int64_t job = -1,
                  std::uint64_t generation = 0);
+  // Every change of pending_ goes through these two, so the queue deltas and
+  // the pending demand sums stay in step with it. Enqueue stamps and appends;
+  // Dequeued accounts for a job the caller removed (launch, cancel).
+  void Enqueue(Job* job);
+  void Dequeued(Job* job);
   void AdvanceMeters(TimeSec now);
   void ScheduleFinish(Job& job, TimeSec now);
   void SyncAfterScheduling(TimeSec now);
@@ -323,6 +328,17 @@ class Simulator {
   std::vector<std::uint64_t> straggler_generation_;
   std::vector<Job*> pending_;
   std::vector<Job*> running_;
+  // Departures since the scheduler's last round (SchedulerContext), the
+  // queue's process-unique identity, and the rounds it has been scheduled.
+  std::vector<Job*> dequeued_;
+  std::uint64_t queue_id_ = 0;
+  std::uint64_t rounds_ = 0;
+  // Jobs placed this round and not yet started; reused buffer.
+  std::vector<Job*> starting_;
+  // Base demand of the pending queue, loan-eligible (fungible or
+  // heterogeneous) and not: exact integer running sums for the orchestrator.
+  std::int64_t eligible_pending_base_ = 0;
+  std::int64_t other_pending_base_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
   std::uint64_t next_seq_ = 0;
   std::size_t finished_count_ = 0;  // jobs in any terminal state
@@ -350,6 +366,10 @@ class Simulator {
   obs::Counter* orchestrator_tick_counter_ = nullptr;
   obs::Counter* fault_counter_ = nullptr;
   obs::Counter* ticks_coalesced_counter_ = nullptr;
+  // The per-tick metrics, cached at their first use so that a registry
+  // without ticks stays without them.
+  obs::Counter* ticks_skipped_counter_ = nullptr;
+  obs::Histogram* pending_per_tick_ = nullptr;
   std::unique_ptr<obs::TraceExporter> trace_;
   JobProfiler profiler_;
   DecisionLog decision_log_;

@@ -34,9 +34,11 @@ class AllocationTest : public ::testing::Test {
     SchedulerContext ctx;
     ctx.cluster = &cluster_;
     ctx.throughput = &model_;
+    pending_view_.clear();
     for (auto& job : pending_) {
-      ctx.pending.push_back(job.get());
+      pending_view_.push_back(job.get());
     }
+    ctx.pending = pending_view_;
     for (auto& job : running_) {
       ctx.running.push_back(job.get());
     }
@@ -64,6 +66,7 @@ class AllocationTest : public ::testing::Test {
   ClusterState cluster_;
   ThroughputModel model_;
   std::vector<std::unique_ptr<Job>> pending_;
+  std::vector<Job*> pending_view_;  // what ctx.pending views
   std::vector<std::unique_ptr<Job>> running_;
 };
 

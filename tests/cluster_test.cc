@@ -241,5 +241,31 @@ TEST(ClusterStateFuzz, ViewsStayConsistentUnderRandomOperations) {
   }
 }
 
+TEST(NewPlacementLog, ListsJobsThatGainedAPlacement) {
+  ClusterState cluster;
+  const ServerId a = cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);
+  const ServerId b = cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);
+  cluster.Place(JobId(1), a, 2, false);
+  EXPECT_TRUE(cluster.new_placements().empty());  // unarmed: nothing kept
+
+  cluster.ArmNewPlacementLog();
+  cluster.Place(JobId(2), a, 2, false);
+  cluster.Place(JobId(2), b, 2, true);   // already placed: not listed again
+  cluster.Place(JobId(1), b, 1, true);   // placed before: not new
+  {
+    ClusterTransaction txn(cluster);
+    cluster.RemoveJob(JobId(1));
+    cluster.Place(JobId(3), b, 1, false);
+    txn.Rollback();  // job 1 regains its placement, job 3 loses its own
+  }
+  cluster.RemoveJob(JobId(2));
+  cluster.Place(JobId(2), a, 1, false);
+  EXPECT_EQ(cluster.new_placements(),
+            (std::vector<JobId>{JobId(2), JobId(3), JobId(1), JobId(2)}));
+  EXPECT_EQ(cluster.FindPlacement(JobId(3)), nullptr);
+  cluster.ClearNewPlacements();
+  EXPECT_TRUE(cluster.new_placements().empty());
+}
+
 }  // namespace
 }  // namespace lyra

@@ -180,6 +180,7 @@ TEST_P(LyraEpochProperty, InvariantsHoldOnRandomInstances) {
   }
 
   std::vector<std::unique_ptr<Job>> jobs;
+  std::vector<Job*> pending;
   SchedulerContext ctx;
   ctx.cluster = &cluster;
   ThroughputModel model;
@@ -195,8 +196,9 @@ TEST_P(LyraEpochProperty, InvariantsHoldOnRandomInstances) {
     spec.fungible = rng.NextBernoulli(0.5);
     spec.heterogeneous = rng.NextBernoulli(0.1);
     jobs.push_back(std::make_unique<Job>(spec));
-    ctx.pending.push_back(jobs.back().get());
+    pending.push_back(jobs.back().get());
   }
+  ctx.pending = pending;
 
   LyraScheduler scheduler;
   scheduler.Schedule(ctx);

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/cluster/gpu.h"
@@ -21,8 +23,8 @@
 namespace lyra {
 namespace {
 
-std::vector<Job*> OracleOrder(const std::vector<Job*>& pending, bool information_agnostic) {
-  std::vector<Job*> order = pending;
+std::vector<Job*> OracleOrder(std::span<Job* const> pending, bool information_agnostic) {
+  std::vector<Job*> order(pending.begin(), pending.end());
   std::stable_sort(order.begin(), order.end(), [&](const Job* a, const Job* b) {
     const bool ha = a->spec().heterogeneous;
     const bool hb = b->spec().heterogeneous;
@@ -39,17 +41,28 @@ std::vector<Job*> OracleOrder(const std::vector<Job*>& pending, bool information
   return order;
 }
 
-std::vector<Job*> JobsOf(const std::vector<PendingIndex::Entry>& entries) {
+std::vector<Job*> JobsOf(const PendingIndex& index) {
   std::vector<Job*> out;
-  for (const PendingIndex::Entry& entry : entries) {
-    out.push_back(entry.job);
+  PendingIndex::Cursor cursor = index.Order();
+  while (const PendingIndex::Entry* entry = cursor.Next()) {
+    out.push_back(entry->job);
   }
   return out;
 }
 
-// A queue driven through the job lifecycle the simulator applies: arrivals
-// and requeues are stamped and appended; launches and cancels leave from
-// anywhere. Specs come from a few values, so equal keys are common.
+double MinBaseGpus(std::span<Job* const> pending) {
+  double min_need = std::numeric_limits<double>::infinity();
+  for (const Job* job : pending) {
+    min_need = std::min(min_need, static_cast<double>(job->spec().base_gpus()));
+  }
+  return min_need;
+}
+
+// A queue driven through the job lifecycle the simulator applies, with the
+// deltas the simulator hands its scheduler: arrivals and requeues are
+// stamped and appended; launches and cancels leave from anywhere and are
+// recorded as dequeued. Specs come from a few values, so equal keys are
+// common.
 class QueueWorld {
  public:
   explicit QueueWorld(std::uint64_t seed) : rng_(seed) {}
@@ -58,44 +71,25 @@ class QueueWorld {
     now_ += rng_.Uniform(1.0, 50.0);
     const int arrivals = static_cast<int>(rng_.UniformInt(0, 5));
     for (int i = 0; i < arrivals; ++i) {
-      Enqueue(NewJob());
+      Arrive();
     }
-    std::vector<Job*> still;
-    for (Job* job : pending_) {
+    for (Job* job : std::vector<Job*>(pending_)) {
       const double roll = rng_.NextDouble();
       if (roll < 0.1) {
-        job->Start(now_, rng_.Uniform(0.5, 2.0), job->spec().min_workers);
-        running_.push_back(job);
+        Launch(job);
       } else if (roll < 0.13) {
-        job->Cancel(now_);
-      } else {
-        still.push_back(job);
+        Cancel(job);
       }
     }
-    pending_.swap(still);
-    std::vector<Job*> still_running;
-    for (Job* job : running_) {
+    // Includes jobs launched above: launched and requeued in one interval.
+    for (Job* job : std::vector<Job*>(running_)) {
       if (rng_.NextBernoulli(0.25)) {
-        job->Preempt(now_, rng_.NextBernoulli(0.5) ? 0.0 : 10.0);
-        Enqueue(job);
-      } else {
-        still_running.push_back(job);
+        Requeue(job);
       }
     }
-    running_.swap(still_running);
   }
 
-  SchedulerContext Context() {
-    SchedulerContext ctx;
-    ctx.now = now_;
-    ctx.cluster = &cluster_;
-    ctx.pending = pending_;
-    ctx.running = running_;
-    return ctx;
-  }
-
- private:
-  Job* NewJob() {
+  Job* Arrive() {
     static constexpr double kWork[] = {100.0, 200.0, 400.0};
     JobSpec spec;
     spec.id = JobId(static_cast<std::int64_t>(jobs_.size()));
@@ -107,12 +101,65 @@ class QueueWorld {
     spec.fungible = rng_.NextBernoulli(0.3);
     spec.checkpointing = rng_.NextBernoulli(0.5);
     jobs_.push_back(std::make_unique<Job>(spec));
+    Enqueue(jobs_.back().get());
     return jobs_.back().get();
   }
 
+  void Launch(Job* job) {
+    Leave(job);
+    job->Start(now_, rng_.Uniform(0.5, 2.0), job->spec().min_workers);
+    running_.push_back(job);
+  }
+
+  void Cancel(Job* job) {
+    Leave(job);
+    job->Cancel(now_);
+  }
+
+  void Requeue(Job* job) {
+    running_.erase(std::find(running_.begin(), running_.end(), job));
+    job->Preempt(now_, rng_.NextBernoulli(0.5) ? 0.0 : 10.0);
+    Enqueue(job);
+  }
+
+  // The context of the next round, carrying the deltas since the last one.
+  // Calling it without scheduling skips a round: its deltas are gone.
+  SchedulerContext Context() {
+    DropHandedOut();
+    handed_out_ = true;
+    SchedulerContext ctx;
+    ctx.now = now_;
+    ctx.cluster = &cluster_;
+    ctx.pending = pending_;
+    ctx.dequeued = dequeued_;
+    ctx.queue_id = queue_id_;
+    ctx.round = ++round_;
+    ctx.running = running_;
+    return ctx;
+  }
+
+  const std::vector<Job*>& pending() const { return pending_; }
+
+ private:
   void Enqueue(Job* job) {
+    DropHandedOut();
     job->StampQueueSeq();
     pending_.push_back(job);
+  }
+
+  void Leave(Job* job) {
+    DropHandedOut();
+    pending_.erase(std::find(pending_.begin(), pending_.end(), job));
+    dequeued_.push_back(job);
+  }
+
+  // The first change (or context) after a round starts the next round's
+  // deltas.
+  void DropHandedOut() {
+    if (handed_out_) {
+      dequeued_.clear();
+      handed_out_ = false;
+    }
   }
 
   Rng rng_;
@@ -121,7 +168,20 @@ class QueueWorld {
   std::vector<std::unique_ptr<Job>> jobs_;
   std::vector<Job*> pending_;
   std::vector<Job*> running_;
+  std::vector<Job*> dequeued_;
+  bool handed_out_ = false;
+  const std::uint64_t queue_id_ = NewQueueId();
+  std::uint64_t round_ = 0;
 };
+
+// Refreshes `index` from `ctx` and checks it against the stable_sort oracle.
+void ExpectMatchesOracle(PendingIndex& index, const SchedulerContext& ctx,
+                         bool information_agnostic) {
+  index.Refresh(ctx, information_agnostic);
+  ASSERT_EQ(JobsOf(index), OracleOrder(ctx.pending, information_agnostic));
+  ASSERT_EQ(index.size(), ctx.pending.size());
+  EXPECT_EQ(index.min_base_gpus(), MinBaseGpus(ctx.pending));
+}
 
 class PendingIndexOracleTest : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
@@ -131,32 +191,32 @@ TEST_P(PendingIndexOracleTest, OrderMatchesStableSortEveryRound) {
   PendingIndex index;
   for (int round = 0; round < 300; ++round) {
     world.Round();
-    const SchedulerContext ctx = world.Context();
-    const std::vector<Job*> order = JobsOf(index.Refresh(ctx, information_agnostic));
-    ASSERT_EQ(order, OracleOrder(ctx.pending, information_agnostic)) << "round " << round;
-    double min_need = std::numeric_limits<double>::infinity();
-    for (const Job* job : ctx.pending) {
-      min_need = std::min(min_need, static_cast<double>(job->spec().base_gpus()));
-    }
-    EXPECT_EQ(index.min_base_gpus(), min_need);
+    SCOPED_TRACE(round);
+    ExpectMatchesOracle(index, world.Context(), information_agnostic);
   }
+  // Only the first round read the whole queue.
+  EXPECT_EQ(index.rebuilds(), 1u);
 }
 
 TEST_P(PendingIndexOracleTest, OneIndexStaysExactAcrossTwoQueues) {
   // Two queues (two clusters) refreshed in turn through one index, as when
-  // one scheduler drives two simulators.
+  // one scheduler drives two simulators: every switch rebuilds, and a queue
+  // that keeps the index continues from its deltas.
   const auto [seed, information_agnostic] = GetParam();
   QueueWorld a(static_cast<std::uint64_t>(seed));
   QueueWorld b(static_cast<std::uint64_t>(seed) + 100);
   PendingIndex index;
   Rng pick(static_cast<std::uint64_t>(seed) + 7);
+  const QueueWorld* last = nullptr;
+  std::uint64_t switches = 0;
   for (int round = 0; round < 200; ++round) {
     QueueWorld& world = pick.NextBernoulli(0.5) ? a : b;
+    switches += &world != last ? 1 : 0;
+    last = &world;
     world.Round();
-    const SchedulerContext ctx = world.Context();
-    ASSERT_EQ(JobsOf(index.Refresh(ctx, information_agnostic)),
-              OracleOrder(ctx.pending, information_agnostic))
-        << "round " << round;
+    SCOPED_TRACE(round);
+    ExpectMatchesOracle(index, world.Context(), information_agnostic);
+    ASSERT_EQ(index.rebuilds(), switches);
   }
 }
 
@@ -164,16 +224,140 @@ INSTANTIATE_TEST_SUITE_P(SeedsAndKeys, PendingIndexOracleTest,
                          ::testing::Combine(::testing::Values(1, 2, 3, 4),
                                             ::testing::Bool()));
 
+TEST(PendingIndex, EnqueuedAndCancelledBeforeTheRound) {
+  QueueWorld world(11);
+  PendingIndex index;
+  for (int round = 0; round < 20; ++round) {
+    world.Round();
+    ExpectMatchesOracle(index, world.Context(), false);
+  }
+  Job* gone = world.Arrive();
+  world.Arrive();
+  world.Cancel(gone);
+  const SchedulerContext ctx = world.Context();
+  ASSERT_EQ(std::count(ctx.pending.begin(), ctx.pending.end(), gone), 0);
+  ASSERT_EQ(std::count(ctx.dequeued.begin(), ctx.dequeued.end(), gone), 1);
+  ExpectMatchesOracle(index, ctx, false);
+  EXPECT_EQ(index.rebuilds(), 1u);
+}
+
+TEST(PendingIndex, LaunchedAndRequeuedWithinOneInterval) {
+  QueueWorld world(12);
+  PendingIndex index;
+  while (world.pending().size() < 8) {
+    world.Arrive();
+  }
+  ExpectMatchesOracle(index, world.Context(), false);
+  // Launched and requeued before the next round: the job leaves its old
+  // place and rejoins its key's ties behind every job enqueued before it.
+  Job* bounced = world.pending().front();
+  world.Launch(bounced);
+  world.Requeue(bounced);
+  world.Arrive();
+  const SchedulerContext ctx = world.Context();
+  ASSERT_EQ(ctx.pending[ctx.pending.size() - 2], bounced);
+  ASSERT_EQ(std::count(ctx.dequeued.begin(), ctx.dequeued.end(), bounced), 1);
+  ExpectMatchesOracle(index, ctx, false);
+  // Twice in one interval, then cancelled.
+  world.Launch(bounced);
+  world.Requeue(bounced);
+  world.Launch(bounced);
+  world.Requeue(bounced);
+  world.Cancel(bounced);
+  ExpectMatchesOracle(index, world.Context(), false);
+  EXPECT_EQ(index.rebuilds(), 1u);
+}
+
+TEST(PendingIndex, SkippedRoundRebuilds) {
+  QueueWorld world(13);
+  PendingIndex index;
+  for (int round = 0; round < 60; ++round) {
+    world.Round();
+    SchedulerContext ctx = world.Context();
+    if (round % 7 == 3) {
+      continue;  // this round's deltas never reach the index
+    }
+    SCOPED_TRACE(round);
+    const std::uint64_t before = index.rebuilds();
+    ExpectMatchesOracle(index, ctx, false);
+    EXPECT_EQ(index.rebuilds(), before + (round % 7 == 4 || round == 0 ? 1 : 0));
+  }
+}
+
 TEST(PendingIndex, SwitchingTheKeyRebuilds) {
   QueueWorld world(9);
   PendingIndex index;
+  bool last = false;
   for (int round = 0; round < 100; ++round) {
     world.Round();
     const bool information_agnostic = round % 3 == 0;
-    const SchedulerContext ctx = world.Context();
-    ASSERT_EQ(JobsOf(index.Refresh(ctx, information_agnostic)),
-              OracleOrder(ctx.pending, information_agnostic));
+    SCOPED_TRACE(round);
+    const std::uint64_t before = index.rebuilds();
+    ExpectMatchesOracle(index, world.Context(), information_agnostic);
+    EXPECT_EQ(index.rebuilds(), before + (round == 0 || information_agnostic != last ? 1 : 0));
+    last = information_agnostic;
   }
+}
+
+TEST(PendingIndex, DeltasThatDoNotAddUpRebuild) {
+  // A requeue whose launch never reached the index: the deltas disagree with
+  // the queue, and the index falls back to a full rebuild.
+  QueueWorld world(14);
+  PendingIndex index;
+  while (world.pending().size() < 6) {
+    world.Arrive();
+  }
+  ExpectMatchesOracle(index, world.Context(), false);
+  Job* bounced = world.pending().back();
+  world.Launch(bounced);
+  world.Requeue(bounced);
+  SchedulerContext ctx = world.Context();
+  ASSERT_EQ(ctx.dequeued.size(), 1u);
+  ctx.dequeued = {};
+  ExpectMatchesOracle(index, ctx, false);
+  EXPECT_EQ(index.rebuilds(), 2u);
+}
+
+TEST(PendingIndex, DrainWithoutArrivalsSkipsFewTombstones) {
+  // Launches in phase-one order leave their tombstones at the head of the
+  // long run, and with no arrivals nothing else folds the runs. The index
+  // still folds before a reader has to skip more than sqrt(d P) of them.
+  constexpr std::size_t kQueue = 10000;
+  constexpr std::size_t kLaunches = 4;
+  QueueWorld world(15);
+  while (world.pending().size() < kQueue) {
+    world.Arrive();
+  }
+  PendingIndex index;
+  ExpectMatchesOracle(index, world.Context(), false);
+  std::size_t most_visited = 0;
+  for (int round = 0; !world.pending().empty(); ++round) {
+    std::vector<Job*> head;
+    PendingIndex::Cursor cursor = index.Order();
+    while (head.size() < kLaunches) {
+      const PendingIndex::Entry* entry = cursor.Next();
+      if (entry == nullptr) {
+        break;
+      }
+      head.push_back(entry->job);
+    }
+    for (Job* job : head) {
+      world.Launch(job);
+    }
+    const SchedulerContext ctx = world.Context();
+    if (round % 250 == 0) {
+      SCOPED_TRACE(round);
+      ExpectMatchesOracle(index, ctx, false);
+    } else {
+      index.Refresh(ctx, false);
+    }
+    PendingIndex::Cursor first = index.Order();
+    if (first.Next() != nullptr) {
+      most_visited = std::max(most_visited, first.visited());
+    }
+  }
+  EXPECT_LE(most_visited, static_cast<std::size_t>(std::sqrt(kQueue * kLaunches)) + 1);
+  EXPECT_EQ(index.rebuilds(), 1u);
 }
 
 TEST(PendingIndex, UnstampedOrUnorderedListsSortByPosition) {
@@ -181,6 +365,7 @@ TEST(PendingIndex, UnstampedOrUnorderedListsSortByPosition) {
   // stable sort did.
   ClusterState cluster;
   std::vector<std::unique_ptr<Job>> jobs;
+  std::vector<Job*> pending;
   SchedulerContext ctx;
   ctx.cluster = &cluster;
   for (int i = 0; i < 12; ++i) {
@@ -189,19 +374,24 @@ TEST(PendingIndex, UnstampedOrUnorderedListsSortByPosition) {
     spec.total_work = 100.0 * (1 + i % 3);
     spec.heterogeneous = i % 5 == 0;
     jobs.push_back(std::make_unique<Job>(spec));
-    ctx.pending.push_back(jobs.back().get());
+    pending.push_back(jobs.back().get());
   }
+  ctx.pending = pending;
   PendingIndex index;
-  EXPECT_EQ(JobsOf(index.Refresh(ctx, false)), OracleOrder(ctx.pending, false));
+  index.Refresh(ctx, false);
+  EXPECT_EQ(JobsOf(index), OracleOrder(ctx.pending, false));
   // Stamped, then presented out of stamp order.
   for (auto& job : jobs) {
     job->StampQueueSeq();
   }
-  std::reverse(ctx.pending.begin(), ctx.pending.end());
-  EXPECT_EQ(JobsOf(index.Refresh(ctx, false)), OracleOrder(ctx.pending, false));
-  std::reverse(ctx.pending.begin(), ctx.pending.end());
-  EXPECT_EQ(JobsOf(index.Refresh(ctx, false)), OracleOrder(ctx.pending, false));
-  EXPECT_EQ(JobsOf(index.Refresh(ctx, true)), OracleOrder(ctx.pending, true));
+  std::reverse(pending.begin(), pending.end());
+  index.Refresh(ctx, false);
+  EXPECT_EQ(JobsOf(index), OracleOrder(ctx.pending, false));
+  std::reverse(pending.begin(), pending.end());
+  index.Refresh(ctx, false);
+  EXPECT_EQ(JobsOf(index), OracleOrder(ctx.pending, false));
+  index.Refresh(ctx, true);
+  EXPECT_EQ(JobsOf(index), OracleOrder(ctx.pending, true));
 }
 
 // --- Phase one against a full walk -----------------------------------------
@@ -300,12 +490,14 @@ TEST(PendingIndex, PhaseOneExitMatchesFullWalkOnRandomLedgers) {
         free -= gpus;
       }
     }
-    const int pending = static_cast<int>(rng.UniformInt(0, 40));
-    for (int p = 0; p < pending; ++p) {
+    std::vector<Job*> pending;
+    const int queued = static_cast<int>(rng.UniformInt(0, 40));
+    for (int p = 0; p < queued; ++p) {
       Job* job = make_job(rng.NextBernoulli(0.15));
       job->StampQueueSeq();
-      ctx.pending.push_back(job);
+      pending.push_back(job);
     }
+    ctx.pending = pending;
     const std::vector<Job*> expected = FullWalkLaunches(ctx);
     AllocationOptions options;
     const AllocationDecision decision = TwoPhaseAllocate(ctx, options, nullptr, &index);

@@ -72,6 +72,7 @@ TEST_P(SchedulerConformance, PlacementContractsHold) {
 
   // A mix of running and pending jobs.
   std::vector<std::unique_ptr<Job>> jobs;
+  std::vector<Job*> pending;
   SchedulerContext ctx;
   ctx.now = 600.0;
   ctx.cluster = &cluster;
@@ -98,9 +99,10 @@ TEST_P(SchedulerConformance, PlacementContractsHold) {
       ctx.running.push_back(job);
     } else {
       cluster.RemoveJob(job->id());  // in case of partial placement
-      ctx.pending.push_back(job);
+      pending.push_back(job);
     }
   }
+  ctx.pending = pending;
 
   // Snapshot running jobs' base GPUs: schedulers must never reduce them.
   std::vector<std::pair<JobId, int>> base_before;

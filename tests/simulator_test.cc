@@ -2,11 +2,17 @@
 // scenarios, loaning and preemption lifecycles, metric accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/lyra/lyra_scheduler.h"
 #include "src/sched/fifo.h"
 #include "src/sim/simulator.h"
+#include "src/workload/synthetic.h"
 
 namespace lyra {
 namespace {
@@ -376,6 +382,145 @@ TEST(Simulator, SeriesRecordingProducesSamples) {
   for (const SeriesPoint& point : result.series) {
     EXPECT_GE(point.training_usage, 0.0);
     EXPECT_LE(point.training_usage, 1.0);
+  }
+}
+
+// --- Queue deltas and the orchestrator's pending sums --------------------------
+
+// Wraps Lyra and checks, every round, what the simulator hands it: one
+// queue identity, consecutive rounds, and deltas that turn the last round's
+// queue into this one's.
+class DeltaCheckingScheduler : public JobScheduler {
+ public:
+  const char* name() const override { return "delta-check"; }
+  void Schedule(SchedulerContext& ctx) override {
+    EXPECT_NE(ctx.queue_id, 0u);
+    if (rounds_ > 0) {
+      EXPECT_EQ(ctx.queue_id, queue_id_);
+      EXPECT_EQ(ctx.round, round_ + 1);
+    }
+    queue_id_ = ctx.queue_id;
+    round_ = ctx.round;
+    ++rounds_;
+    // Replay the deltas on last round's queue: the leavers go, and what
+    // follows the survivors is stamped after all of them.
+    std::vector<Job*> survivors;
+    for (Job* job : last_) {
+      if (std::find(ctx.dequeued.begin(), ctx.dequeued.end(), job) == ctx.dequeued.end()) {
+        survivors.push_back(job);
+      }
+    }
+    ASSERT_LE(survivors.size(), ctx.pending.size());
+    EXPECT_TRUE(std::equal(survivors.begin(), survivors.end(), ctx.pending.begin()))
+        << "round " << ctx.round;
+    for (Job* job : ctx.pending.subspan(survivors.size())) {
+      EXPECT_GT(job->queue_seq(), newest_) << "round " << ctx.round;
+    }
+    if (!ctx.pending.empty()) {
+      newest_ = ctx.pending.back()->queue_seq();
+    }
+    inner_.Schedule(ctx);
+    // This round's launches leave through the next round's deltas.
+    last_.assign(ctx.pending.begin(), ctx.pending.end());
+  }
+  int rounds() const { return rounds_; }
+
+ private:
+  LyraScheduler inner_;
+  std::vector<Job*> last_;
+  std::uint64_t newest_ = 0;
+  std::uint64_t queue_id_ = 0;
+  std::uint64_t round_ = 0;
+  int rounds_ = 0;
+};
+
+TEST(Simulator, QueueDeltasTurnEachRoundsQueueIntoTheNext) {
+  SyntheticTraceOptions trace_options;
+  trace_options.duration = 1 * kDay;
+  trace_options.training_gpus = 8 * 8;
+  trace_options.target_utilization = 2.0;
+  trace_options.seed = 3;
+  const Trace trace = SyntheticTraceGenerator(trace_options).Generate();
+  SimulatorOptions options;
+  options.training_servers = 8;
+  options.faults.enabled = true;  // crashes requeue running jobs
+  options.faults.server_mtbf = 2 * kHour;
+  DeltaCheckingScheduler scheduler;
+  LyraReclaimPolicy reclaim;
+  Simulator sim(options, trace, &scheduler, &reclaim, FlatInference(10, 0.5));
+  // Online cancels of queued jobs, and of jobs that have not arrived yet.
+  for (TimeSec t = 600.0; t < 1 * kDay; t += 600.0) {
+    sim.StepUntil(t);
+    const std::vector<Job*>& pending = sim.pending_jobs();
+    if (!pending.empty()) {
+      ASSERT_TRUE(sim.CancelJob(pending[pending.size() / 2]->id()).ok());
+    }
+    const auto future = static_cast<std::int64_t>(trace.jobs.size()) - 1 -
+                        static_cast<std::int64_t>(t / 600.0);
+    if (sim.jobs()[static_cast<std::size_t>(future)]->state() == JobState::kPending) {
+      ASSERT_TRUE(sim.CancelJob(JobId(future)).ok());
+    }
+  }
+  const SimulationResult result = sim.Run();
+  EXPECT_GT(scheduler.rounds(), 100);
+  EXPECT_GT(result.preemptions, 0);
+  EXPECT_TRUE(sim.pending_jobs().empty() || sim.ended());
+}
+
+// The orchestrator keeps the pending demand as integer running sums
+// (simulator.cc). They equal the per-job double sums it used to take over
+// the queue because each T4-normalized term b / kInferenceGpuFactor is
+// exactly 3b: 1/3.0 rounds down by less than half an ulp, so b / (1/3.0)
+// lies within half an ulp of 3b whenever 3b needs at most 53 bits.
+TEST(Simulator, PendingDemandTermsAreExactIntegers) {
+  const auto exact = [](std::int64_t b) {
+    const double x = static_cast<double>(b);
+    return x / kInferenceGpuFactor == 3.0 * x;
+  };
+  for (std::int64_t b = 0; b <= (std::int64_t{1} << 20); ++b) {
+    ASSERT_TRUE(exact(b)) << b;
+  }
+  // SubmitJob bounds one job's demand by INT_MAX; a queue's sum can pass it,
+  // and stays exact below 2^51.
+  for (int bit = 20; bit <= 51; ++bit) {
+    const std::int64_t p = std::int64_t{1} << bit;
+    for (std::int64_t b : {p - 2, p - 1, p, p + 1}) {
+      if (b < (std::int64_t{1} << 51)) {
+        ASSERT_TRUE(exact(b)) << b;
+      }
+    }
+  }
+  ASSERT_TRUE(exact(INT_MAX));
+  ASSERT_TRUE(exact(std::int64_t{INT_MAX} - 1));
+  Rng rng(17);
+  for (int i = 0; i < 1000000; ++i) {
+    ASSERT_TRUE(exact(static_cast<std::int64_t>(rng.UniformInt(0, INT_MAX))));
+    ASSERT_TRUE(exact(static_cast<std::int64_t>(rng.NextDouble() * 0x1p51)));
+  }
+}
+
+TEST(Simulator, PendingDemandRunningSumsMatchSequentialDoubleSums) {
+  Rng rng(23);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int jobs = static_cast<int>(rng.UniformInt(0, 20000));
+    // Small demands most of the time, the INT_MAX bound now and then.
+    const std::int64_t max_demand = trial % 4 == 0 ? INT_MAX : 64;
+    double eligible_double = 0.0;
+    double other_double = 0.0;
+    std::int64_t eligible = 0;
+    std::int64_t other = 0;
+    for (int j = 0; j < jobs; ++j) {
+      const auto b = static_cast<int>(rng.UniformInt(1, max_demand));
+      if (rng.NextBernoulli(0.3)) {
+        eligible_double += b / kInferenceGpuFactor;
+        eligible += b;
+      } else {
+        other_double += b;
+        other += b;
+      }
+    }
+    ASSERT_EQ(static_cast<double>(eligible) / kInferenceGpuFactor, eligible_double);
+    ASSERT_EQ(static_cast<double>(other), other_double);
   }
 }
 
