@@ -11,6 +11,7 @@
 // explanation of why the numbers moved.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -150,6 +151,17 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
+std::uint64_t DecisionDigest(const DecisionLog& log) {
+  Fnv1a digest;
+  for (const DecisionRecord& record : log.records()) {
+    digest.Double(record.time);
+    digest.U64(static_cast<std::uint64_t>(record.kind));
+    digest.U64(static_cast<std::uint64_t>(record.subject));
+    digest.U64(static_cast<std::uint64_t>(static_cast<std::int64_t>(record.detail)));
+  }
+  return digest.value();
+}
+
 // Pinned from the last full-queue implementation of the Lyra round; a
 // deliberate change of Lyra's decisions re-pins them from the failure
 // messages.
@@ -190,20 +202,13 @@ TEST(GoldenTrace, LongQueueDecisionsMatchPin) {
                                            svc::MakeUsagePredictor(false)));
   const SimulationResult result = simulator.Run();
 
-  Fnv1a digest;
-  for (const DecisionRecord& record : simulator.decision_log().records()) {
-    digest.Double(record.time);
-    digest.U64(static_cast<std::uint64_t>(record.kind));
-    digest.U64(static_cast<std::uint64_t>(record.subject));
-    digest.U64(static_cast<std::uint64_t>(static_cast<std::int64_t>(record.detail)));
-  }
+  const std::uint64_t digest = DecisionDigest(simulator.decision_log());
   const obs::MetricsValues metrics = simulator.metrics().Values();
   const auto pending = metrics.histograms.find("sim.pending_jobs_per_tick");
   ASSERT_NE(pending, metrics.histograms.end());
 
   EXPECT_EQ(simulator.decision_log().size(), kPinnedRecords);
-  EXPECT_EQ(digest.value(), kPinnedDigest)
-      << "decision log digest 0x" << std::hex << digest.value();
+  EXPECT_EQ(digest, kPinnedDigest) << "decision log digest 0x" << std::hex << digest;
   EXPECT_EQ(pending->second.max(), kPinnedPendingPeak);
   EXPECT_EQ(result.total_jobs, kPinnedTotalJobs);
   EXPECT_EQ(result.finished_jobs, kPinnedFinishedJobs);
@@ -212,6 +217,84 @@ TEST(GoldenTrace, LongQueueDecisionsMatchPin) {
   EXPECT_EQ(result.orchestrator.servers_loaned, kPinnedServersLoaned);
   EXPECT_EQ(result.orchestrator.servers_returned, kPinnedServersReturned);
   EXPECT_EQ(result.orchestrator.collateral_gpus, kPinnedCollateralGpus);
+}
+
+// --- Every scheduler's decisions -------------------------------------------
+//
+// The slice above pins outcome summaries of four schedulers; this pins the
+// decision log of every registry scheduler but `learned` (which needs trained
+// weights). Each run is wired like
+//   lyra_sim --scheduler=<name> --scale=0.05 --days=2 --load=1.5 --elastic=0.5
+// (seed 42, Lyra reclaiming, loaning on), so `--decisions-csv=<file>` writes
+// the same log. Half the jobs elastic and the cluster overloaded keep every
+// placement path busy: launches on both pools, harvests, flexible growth.
+
+struct SchedulerPin {
+  const char* name;
+  std::size_t records;
+  std::uint64_t digest;
+};
+
+// Pinned before the baselines and Lyra shared one placer; a deliberate
+// change of a scheduler's decisions re-pins its row from the failure message.
+constexpr SchedulerPin kSchedulerPins[] = {
+    {"afs", 2563, 0x1f89fdb41d4e8999ull},
+    {"fifo", 1797, 0x647436eab33cbd96ull},
+    {"gandiva", 1974, 0x78976c1e44f127b4ull},
+    {"lyra", 3957, 0x6a333a7bd112e5b6ull},
+    {"lyra-naive-placement", 3768, 0xd4b5ec3ee5cf91b4ull},
+    {"lyra-no-elastic", 1812, 0x2d91e468482e2495ull},
+    {"opportunistic", 1948, 0x190846f6577cb089ull},
+    {"pollux", 2921, 0x22cb569e9c450c14ull},
+    {"sjf", 1766, 0x11baf33680999fe4ull},
+};
+
+TEST(GoldenTrace, EverySchedulerDecisionsMatchPin) {
+  constexpr double kScale = 0.05;
+  constexpr std::uint64_t kSeed = 42;
+  const int training_servers = static_cast<int>(443 * kScale);
+  const int inference_servers = static_cast<int>(520 * kScale);
+
+  SyntheticTraceOptions trace_options;
+  trace_options.duration = 2 * kDay;
+  trace_options.training_gpus = training_servers * 8;
+  trace_options.target_utilization = 1.5;
+  trace_options.seed = kSeed;
+  Trace trace = SyntheticTraceGenerator(trace_options).Generate();
+  Rng transform_rng(kSeed ^ 0x5eed);
+  ApplyElasticFraction(trace, 0.5, transform_rng);
+
+  std::vector<std::string> pinned;
+  for (const SchedulerPin& pin : kSchedulerPins) {
+    pinned.push_back(pin.name);
+    SCOPED_TRACE(pin.name);
+    StatusOr<std::unique_ptr<JobScheduler>> scheduler =
+        svc::MakeScheduler(pin.name, false, false);
+    StatusOr<std::unique_ptr<ReclaimPolicy>> reclaim = svc::MakeReclaim("lyra");
+    ASSERT_TRUE(scheduler.ok());
+    ASSERT_TRUE(reclaim.ok());
+    SimulatorOptions options;
+    options.training_servers = training_servers;
+    options.enable_loaning = true;
+    options.record_decisions = true;
+    options.seed = kSeed;
+    Simulator simulator(options, trace, scheduler.value().get(), reclaim.value().get(),
+                        MakeInferenceCluster(inference_servers, trace.duration, kSeed,
+                                             svc::MakeUsagePredictor(false)));
+    simulator.Run();
+
+    const std::uint64_t digest = DecisionDigest(simulator.decision_log());
+    EXPECT_EQ(simulator.decision_log().size(), pin.records);
+    EXPECT_EQ(digest, pin.digest) << "decision log digest 0x" << std::hex << digest;
+  }
+
+  // A scheduler added to the registry gets a pin too.
+  for (const std::string& name : svc::KnownSchedulerNames()) {
+    if (name != "learned") {
+      EXPECT_NE(std::find(pinned.begin(), pinned.end(), name), pinned.end())
+          << name << " has no pin";
+    }
+  }
 }
 
 }  // namespace
