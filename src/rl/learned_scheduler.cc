@@ -6,7 +6,6 @@
 
 #include "src/common/types.h"
 #include "src/obs/obs.h"
-#include "src/sched/elastic_util.h"
 #include "src/sched/placement_util.h"
 
 namespace lyra::rl {
@@ -68,16 +67,11 @@ void LearnedScheduler::PlaceOne(SchedulerContext& ctx, Job* job,
                                 double worker_action) {
   const JobSpec& spec = job->spec();
   const int base = spec.RequestedWorkers();
-  PlaceRequest request = BaseRequest(*job, base, PoolPreference::kTrainingFirst);
-  if (!ctx.allow_loaned_placement) {
-    request.preference = PoolPreference::kTrainingOnly;
-  }
-  if (!TryPlaceWorkers(*ctx.cluster, request)) {
-    // Make room by shrinking running elastic jobs back toward base demand.
-    HarvestFlexibleGpus(*ctx.cluster, ctx.running, base * spec.gpus_per_worker);
-    if (!TryPlaceWorkers(*ctx.cluster, request)) {
-      return;
-    }
+  const PlaceRequest request = BaseRequest(*job, base, BaselinePreference(ctx));
+  // If it does not fit, make room by shrinking running elastic jobs back
+  // toward base demand.
+  if (!PlaceOrHarvest(ctx, request)) {
+    return;
   }
   const int headroom = spec.max_workers - base;
   if (!spec.elastic() || headroom <= 0) {
@@ -98,10 +92,7 @@ void LearnedScheduler::Schedule(SchedulerContext& ctx) {
   if (ctx.pending.empty()) {
     return;
   }
-  std::vector<Job*> queue(ctx.pending.begin(), ctx.pending.end());
-  std::stable_sort(queue.begin(), queue.end(), [](const Job* a, const Job* b) {
-    return a->spec().submit_time < b->spec().submit_time;
-  });
+  const std::vector<Job*> queue = ArrivalOrder(ctx.pending);
   const int scored =
       std::min<int>(static_cast<int>(queue.size()), options_.max_scored_jobs);
 

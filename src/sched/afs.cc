@@ -1,7 +1,5 @@
 #include "src/sched/afs.h"
 
-#include <algorithm>
-
 #include "src/obs/obs.h"
 #include "src/sched/elastic_util.h"
 #include "src/sched/placement_util.h"
@@ -25,24 +23,13 @@ double MarginalGainPerGpu(const Job& job, int current_workers) {
 void AfsScheduler::Schedule(SchedulerContext& ctx) {
   obs::PhaseSpan placement_span(obs::Phase::kPlacement);
   ClusterState& cluster = *ctx.cluster;
-  const PoolPreference pref = ctx.allow_loaned_placement
-                                  ? PoolPreference::kTrainingFirst
-                                  : PoolPreference::kTrainingOnly;
+  const PoolPreference pref = BaselinePreference(ctx);
 
   // Base demand first, in arrival order, shrinking flexible workers to make
   // room (AFS continuously re-balances the elastic share).
-  std::vector<Job*> order(ctx.pending.begin(), ctx.pending.end());
-  std::stable_sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
-    return a->spec().submit_time < b->spec().submit_time;
-  });
+  const std::vector<Job*> order = ArrivalOrder(ctx.pending);
   for (Job* job : order) {
-    PlaceRequest request = BaseRequest(*job, job->spec().min_workers, pref);
-    if (TryPlaceWorkers(cluster, request)) {
-      continue;
-    }
-    HarvestFlexibleGpus(cluster, ctx.running,
-                        job->spec().min_workers * job->spec().gpus_per_worker);
-    TryPlaceWorkers(cluster, request);
+    PlaceOrHarvest(ctx, BaseRequest(*job, job->spec().min_workers, pref));
   }
 
   // Greedy marginal allocation: repeatedly add one worker to the elastic job

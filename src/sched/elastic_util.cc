@@ -3,11 +3,10 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/sched/placement_util.h"
 
 namespace lyra {
 namespace {
-
-constexpr double kCreditEpsilon = 1e-9;
 
 // Nominal (training-GPU-equivalent) worker credit of a share on a server: a
 // worker on inference GPUs counts its compute factor, matching the capacity
@@ -18,32 +17,30 @@ double ShareWorkerCredit(const ClusterState& cluster, ServerId server_id, int gp
          GpuComputeFactor(cluster.server(server_id).gpu_type());
 }
 
-}  // namespace
-
-int PlacedWorkers(const ClusterState& cluster, const Job& job) {
+// The job's worker credit, rounded to whole workers: all its GPUs, or only
+// the flexible ones.
+int PlacedCredit(const ClusterState& cluster, const Job& job, bool flexible_only) {
   const JobPlacement* placement = cluster.FindPlacement(job.id());
   if (placement == nullptr) {
     return 0;
   }
   double credit = 0.0;
   for (const auto& [server_id, share] : placement->shares) {
-    credit += ShareWorkerCredit(cluster, server_id, share.total(),
+    credit += ShareWorkerCredit(cluster, server_id,
+                                flexible_only ? share.flexible_gpus : share.total(),
                                 job.spec().gpus_per_worker);
   }
   return static_cast<int>(std::floor(credit + 0.5));
 }
 
+}  // namespace
+
+int PlacedWorkers(const ClusterState& cluster, const Job& job) {
+  return PlacedCredit(cluster, job, /*flexible_only=*/false);
+}
+
 int PlacedFlexibleWorkers(const ClusterState& cluster, const Job& job) {
-  const JobPlacement* placement = cluster.FindPlacement(job.id());
-  if (placement == nullptr) {
-    return 0;
-  }
-  double credit = 0.0;
-  for (const auto& [server_id, share] : placement->shares) {
-    credit += ShareWorkerCredit(cluster, server_id, share.flexible_gpus,
-                                job.spec().gpus_per_worker);
-  }
-  return static_cast<int>(std::floor(credit + 0.5));
+  return PlacedCredit(cluster, job, /*flexible_only=*/true);
 }
 
 int ShrinkFlexibleTo(ClusterState& cluster, const Job& job, int target_flex_workers) {

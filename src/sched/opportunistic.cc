@@ -1,7 +1,5 @@
 #include "src/sched/opportunistic.h"
 
-#include <algorithm>
-
 #include "src/obs/obs.h"
 #include "src/sched/placement_util.h"
 
@@ -9,11 +7,7 @@ namespace lyra {
 
 void OpportunisticScheduler::Schedule(SchedulerContext& ctx) {
   obs::PhaseSpan placement_span(obs::Phase::kPlacement);
-  std::vector<Job*> order(ctx.pending.begin(), ctx.pending.end());
-  std::stable_sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
-    return a->spec().submit_time < b->spec().submit_time;
-  });
-  for (Job* job : order) {
+  for (Job* job : ArrivalOrder(ctx.pending)) {
     const bool waiting_for_loan =
         job->spec().fungible && ctx.now - job->spec().submit_time < patience_;
     PlaceRequest request = BaseRequest(

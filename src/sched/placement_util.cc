@@ -1,204 +1,152 @@
 #include "src/sched/placement_util.h"
 
 #include <algorithm>
-#include <limits>
+#include <functional>
 #include <queue>
+#include <tuple>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/obs/obs.h"
+#include "src/sched/elastic_util.h"
 
 namespace lyra {
 namespace {
 
-constexpr double kCreditEpsilon = 1e-9;
-
-bool LoanEligible(const PlaceRequest& request) {
-  return request.fungible || request.heterogeneous;
+bool ServerHasBaseGpus(const Server& server) {
+  for (const auto& [job, share] : server.jobs()) {
+    if (share.base_gpus > 0) {
+      return true;
+    }
+  }
+  return false;
 }
 
-// Placement works in *nominal* worker units: one worker on a training GPU
-// counts 1.0; a worker on an inference GPU counts its compute factor (1/3).
-// A fungible job moved to weaker GPUs keeps its global batch size by running
-// proportionally more, smaller workers (§2.1), so it occupies 1/factor times
-// the GPUs for the same nominal throughput — which is exactly what the
-// paper's capacity normalization (§5.2) encodes.
-double ServerWorkerCredit(const Server& server) {
-  return GpuComputeFactor(server.gpu_type());
+// Nominal-worker capacity of the candidates, in PlaceBestFit's credit.
+double CandidateCapacity(const ClusterState& cluster,
+                         const std::vector<PlacementCandidate>& candidates,
+                         int gpus_per_worker) {
+  double total = 0.0;
+  for (const PlacementCandidate& c : candidates) {
+    const Server& server = cluster.server(c.id);
+    total += (server.free_gpus() / gpus_per_worker) * GpuComputeFactor(server.gpu_type());
+  }
+  return total;
 }
 
-// Server-id groups the request may use, in preference order. Each group is
-// internally GPU-type-uniform for non-heterogeneous jobs; heterogeneous jobs
-// get a single mixed group ordered by pool preference. Groups hold only
-// servers with a free GPU: a full server adds +0.0 to GroupCapacityCredit and
-// never enters PlaceIntoGroup's heap, and the free index keeps pool order, so
-// dropping full servers changes no decision.
-std::vector<std::vector<ServerId>> EligibleGroups(const ClusterState& cluster,
-                                                  const PlaceRequest& request) {
-  std::vector<ServerId> training = cluster.ServersWithFreeGpus(ServerPool::kTraining);
-  std::vector<ServerId> loaned;
-  if (LoanEligible(request)) {
-    loaned = cluster.ServersWithFreeGpus(ServerPool::kOnLoan);
+// Candidate groups the request may use, in preference order. A non-
+// heterogeneous job gets one group per GPU type, only the type it already
+// holds if it holds any; a heterogeneous job gets one group of both pools in
+// preference order. Every candidate is tier 0, so best fit keys on free GPUs
+// and position alone, across a merged group too.
+std::vector<std::vector<PlacementCandidate>> EligibleGroups(const ClusterState& cluster,
+                                                            const PlaceRequest& request) {
+  std::vector<PlacementCandidate> training;
+  std::vector<PlacementCandidate> loaned;
+  if (request.preference != PoolPreference::kLoanedOnly) {
+    training = PoolCandidates(cluster, ServerPool::kTraining, /*for_flexible=*/false,
+                              /*grouped=*/false);
+  }
+  if ((request.fungible || request.heterogeneous) &&
+      request.preference != PoolPreference::kTrainingOnly) {
+    loaned = PoolCandidates(cluster, ServerPool::kOnLoan, /*for_flexible=*/false,
+                            /*grouped=*/false);
   }
 
-  // A non-heterogeneous job that already holds GPUs must stay on that type.
-  GpuType current;
-  const bool pinned = !request.heterogeneous &&
-                      CurrentGpuType(cluster, request.job, &current);
-
-  std::vector<std::vector<ServerId>> groups;
-  auto push_group = [&](std::vector<ServerId> group, GpuType type) {
-    if (group.empty()) {
-      return;
-    }
-    if (pinned && type != current) {
-      return;
-    }
-    groups.push_back(std::move(group));
-  };
-
+  std::vector<std::vector<PlacementCandidate>> groups;
   if (request.heterogeneous) {
-    std::vector<ServerId> merged;
-    if (request.preference == PoolPreference::kLoanedFirst ||
-        request.preference == PoolPreference::kLoanedOnly) {
-      merged = loaned;
-      if (request.preference != PoolPreference::kLoanedOnly) {
-        merged.insert(merged.end(), training.begin(), training.end());
-      }
-    } else {
-      merged = training;
-      if (request.preference != PoolPreference::kTrainingOnly) {
-        merged.insert(merged.end(), loaned.begin(), loaned.end());
-      }
-    }
-    if (!merged.empty()) {
-      groups.push_back(std::move(merged));
-    }
+    training.insert(training.end(), loaned.begin(), loaned.end());
+    groups.push_back(std::move(training));
     return groups;
   }
-
-  switch (request.preference) {
-    case PoolPreference::kTrainingFirst:
-      push_group(std::move(training), GpuType::kTrainingV100);
-      push_group(std::move(loaned), GpuType::kInferenceT4);
-      break;
-    case PoolPreference::kLoanedFirst:
-      push_group(std::move(loaned), GpuType::kInferenceT4);
-      push_group(std::move(training), GpuType::kTrainingV100);
-      break;
-    case PoolPreference::kTrainingOnly:
-      push_group(std::move(training), GpuType::kTrainingV100);
-      break;
-    case PoolPreference::kLoanedOnly:
-      push_group(std::move(loaned), GpuType::kInferenceT4);
-      break;
+  GpuType current;
+  const bool pinned = CurrentGpuType(cluster, request.job, &current);
+  if (!pinned || current == GpuType::kTrainingV100) {
+    groups.push_back(std::move(training));
+  }
+  if (!pinned || current == GpuType::kInferenceT4) {
+    groups.push_back(std::move(loaned));
   }
   return groups;
 }
 
-double GroupCapacityCredit(const ClusterState& cluster, const std::vector<ServerId>& group,
-                           int gpus_per_worker) {
-  double capacity = 0.0;
-  for (ServerId id : group) {
-    const Server& server = cluster.server(id);
-    capacity += (server.free_gpus() / gpus_per_worker) * ServerWorkerCredit(server);
+}  // namespace
+
+std::vector<PlacementCandidate> PoolCandidates(const ClusterState& cluster, ServerPool pool,
+                                               bool for_flexible, bool grouped) {
+  std::vector<PlacementCandidate> out;
+  for (ServerId id : cluster.ServersWithFreeGpus(pool)) {
+    int tier = 0;
+    if (grouped) {
+      const Server& server = cluster.server(id);
+      tier = (for_flexible ? ServerHasBaseGpus(server) : server.HasFlexibleGpus()) ? 1 : 0;
+    }
+    out.push_back({id, tier});
   }
-  return capacity;
+  return out;
 }
 
-// Places physical workers into the group until `nominal_workers` of credit is
-// accumulated; returns false — leaving a partial placement for the caller's
-// transaction to roll back — if the group runs out of placeable servers
-// first. Within the group best-fit prefers the earlier (preferred) pool
-// position only implicitly through equal tie handling; the primary key is the
-// tightest fit. A min-heap on (free GPUs, group position) replaces the
-// per-worker rescan: only the chosen server's free count changes between
-// picks, so pop + push keeps the heap exact and servers that drop below one
-// worker's demand leave the heap for good.
-bool PlaceIntoGroup(ClusterState& cluster, const PlaceRequest& request,
-                    const std::vector<ServerId>& group, int nominal_workers) {
-  // (free GPUs, position in group, server id); tuple order reproduces the
-  // rescan's first-seen tie-break.
-  using Entry = std::tuple<int, std::size_t, ServerId>;
-  auto worse = [](const Entry& a, const Entry& b) {
-    return std::tie(std::get<0>(a), std::get<1>(a)) >
-           std::tie(std::get<0>(b), std::get<1>(b));
-  };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(worse)> heap(worse);
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    const int free = cluster.server(group[i]).free_gpus();
-    if (free >= request.gpus_per_worker) {
-      heap.push({free, i, group[i]});
+// The candidates live in a min-heap on (tier, free GPUs, position) instead of
+// being rescanned per worker: only the chosen server's free count changes
+// between picks, so one pop + one push per placed worker keeps the heap
+// exact, and a server too small for one more worker leaves it for good.
+// Within a tier every candidate comes from one pool, whose servers all have
+// the same GPU count, so an empty server has the most free GPUs and opens
+// only when no partly used one fits.
+double PlaceBestFit(ClusterState& cluster, JobId job, int gpus_per_worker, int workers,
+                    bool flexible, const std::vector<PlacementCandidate>& candidates) {
+  // (tier, free GPUs, position in `candidates`).
+  using Entry = std::tuple<int, int, std::size_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const int free = cluster.server(candidates[i].id).free_gpus();
+    if (free >= gpus_per_worker) {
+      heap.emplace(candidates[i].tier, free, i);
     }
   }
 
-  double credit = 0.0;
-  while (credit + kCreditEpsilon < static_cast<double>(nominal_workers)) {
-    if (heap.empty()) {
-      return false;
-    }
-    auto [free, index, best] = heap.top();
+  double placed = 0.0;
+  while (placed + kCreditEpsilon < static_cast<double>(workers) && !heap.empty()) {
+    auto [tier, free, index] = heap.top();
     heap.pop();
-    cluster.Place(request.job, best, request.gpus_per_worker, request.flexible);
-    credit += ServerWorkerCredit(cluster.server(best));
-    free -= request.gpus_per_worker;
-    if (free >= request.gpus_per_worker) {
-      heap.push({free, index, best});
+    const ServerId id = candidates[index].id;
+    cluster.Place(job, id, gpus_per_worker, flexible);
+    placed += GpuComputeFactor(cluster.server(id).gpu_type());
+    free -= gpus_per_worker;
+    if (free >= gpus_per_worker) {
+      heap.emplace(tier, free, index);
     }
   }
+  return placed;
+}
+
+// The capacity check counts exactly the worker slots the heap fills, so once
+// it passes the placement cannot stop short and needs no rollback.
+bool PlaceAllOrNothing(ClusterState& cluster, JobId job, int gpus_per_worker, int workers,
+                       bool flexible, const std::vector<PlacementCandidate>& candidates) {
+  if (CandidateCapacity(cluster, candidates, gpus_per_worker) + kCreditEpsilon <
+      static_cast<double>(workers)) {
+    return false;
+  }
+  const double placed =
+      PlaceBestFit(cluster, job, gpus_per_worker, workers, flexible, candidates);
+  LYRA_CHECK_GE(placed + kCreditEpsilon, static_cast<double>(workers));
   return true;
 }
 
-// Shared all-or-nothing attempt, without the attempt/failure counters (the
-// speculative path must not skew them). Each candidate group is tried under
-// a ClusterTransaction: success commits, exhaustion rolls the partial
-// placement back and moves on to the next group — the aggregate credit check
-// stays as a cheap pre-filter, it no longer has to be exact for safety.
-bool TryPlaceWorkersImpl(ClusterState& cluster, const PlaceRequest& request) {
+bool TryPlaceWorkers(ClusterState& cluster, const PlaceRequest& request) {
   LYRA_CHECK_GT(request.workers, 0);
-  const auto groups = EligibleGroups(cluster, request);
-  for (const auto& group : groups) {
-    if (GroupCapacityCredit(cluster, group, request.gpus_per_worker) + kCreditEpsilon <
-        static_cast<double>(request.workers)) {
-      continue;
-    }
-    ClusterTransaction txn(cluster);
-    if (PlaceIntoGroup(cluster, request, group, request.workers)) {
-      txn.Commit();
+  obs::AddCounter("placement.attempts");
+  for (const auto& group : EligibleGroups(cluster, request)) {
+    if (PlaceAllOrNothing(cluster, request.job, request.gpus_per_worker, request.workers,
+                          request.flexible, group)) {
+      obs::AddCounter("placement.workers_placed",
+                      static_cast<std::uint64_t>(request.workers));
       return true;
     }
-    txn.Rollback();
-  }
-  return false;
-}
-
-}  // namespace
-
-bool TryPlaceWorkers(ClusterState& cluster, const PlaceRequest& request) {
-  obs::AddCounter("placement.attempts");
-  if (TryPlaceWorkersImpl(cluster, request)) {
-    obs::AddCounter("placement.workers_placed", static_cast<std::uint64_t>(request.workers));
-    return true;
   }
   obs::AddCounter("placement.failures");
   return false;
-}
-
-bool WouldPlaceWorkers(ClusterState& cluster, const PlaceRequest& request) {
-  obs::AddCounter("placement.speculative_checks");
-  ClusterTransaction txn(cluster);
-  const bool ok = TryPlaceWorkersImpl(cluster, request);
-  txn.Rollback();
-  return ok;
-}
-
-int CountPlaceableWorkers(const ClusterState& cluster, const PlaceRequest& request) {
-  const auto groups = EligibleGroups(cluster, request);
-  double best = 0.0;
-  for (const auto& group : groups) {
-    best = std::max(best, GroupCapacityCredit(cluster, group, request.gpus_per_worker));
-  }
-  return static_cast<int>(best + kCreditEpsilon);
 }
 
 bool CurrentGpuType(const ClusterState& cluster, JobId job, GpuType* type) {
@@ -265,6 +213,27 @@ PlaceRequest FlexibleRequest(const Job& job, int workers, PoolPreference prefere
   PlaceRequest request = BaseRequest(job, workers, preference);
   request.flexible = true;
   return request;
+}
+
+std::vector<Job*> ArrivalOrder(std::span<Job* const> pending) {
+  std::vector<Job*> order(pending.begin(), pending.end());
+  std::stable_sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
+    return a->spec().submit_time < b->spec().submit_time;
+  });
+  return order;
+}
+
+PoolPreference BaselinePreference(const SchedulerContext& ctx) {
+  return ctx.allow_loaned_placement ? PoolPreference::kTrainingFirst
+                                    : PoolPreference::kTrainingOnly;
+}
+
+bool PlaceOrHarvest(SchedulerContext& ctx, const PlaceRequest& request) {
+  if (TryPlaceWorkers(*ctx.cluster, request)) {
+    return true;
+  }
+  HarvestFlexibleGpus(*ctx.cluster, ctx.running, request.workers * request.gpus_per_worker);
+  return TryPlaceWorkers(*ctx.cluster, request);
 }
 
 }  // namespace lyra

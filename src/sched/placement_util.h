@@ -4,21 +4,29 @@
 // server (workers never span servers). Jobs that are not heterogeneous-
 // capable must keep all workers on a single GPU type per run (§2.1), so a
 // placement attempt picks one eligible pool group; heterogeneous jobs may mix.
+//
+// One best-fit placer (PlaceBestFit) serves Lyra (§5.3) and every baseline:
+// Lyra builds tiered candidate sets, the baselines build tier-0 groups.
 #ifndef SRC_SCHED_PLACEMENT_UTIL_H_
 #define SRC_SCHED_PLACEMENT_UTIL_H_
 
+#include <span>
 #include <vector>
 
 #include "src/cluster/cluster_state.h"
+#include "src/sched/scheduler.h"
 #include "src/workload/job.h"
 #include "src/workload/throughput.h"
 
 namespace lyra {
 
+// Slack for comparing sums of nominal worker credit (multiples of 1/3 for
+// inference GPUs) against whole worker counts.
+inline constexpr double kCreditEpsilon = 1e-9;
+
 // Where a job's new workers may go, in preference order.
 enum class PoolPreference {
   kTrainingFirst,  // training servers, then on-loan if the job is fungible
-  kLoanedFirst,    // on-loan servers (if fungible), then training
   kTrainingOnly,
   kLoanedOnly,
 };
@@ -33,23 +41,43 @@ struct PlaceRequest {
   PoolPreference preference = PoolPreference::kTrainingFirst;
 };
 
-// Attempts to place all requested workers using best-fit-decreasing within
-// the eligible servers; all-or-nothing. Returns true on success.
+// --- The best-fit placer ------------------------------------------------------
+
+// A server the placer may use. Lower tiers fill first; within a tier the
+// server with the fewest (but sufficient) free GPUs wins, ties to the earlier
+// candidate.
+struct PlacementCandidate {
+  ServerId id;
+  int tier = 0;
+};
+
+// The servers of `pool` with a free GPU, in pool order. With `grouped`, base
+// and flexible demand keep to separate servers (§5.3): a server holding the
+// other kind of demand (flexible GPUs for base demand, base GPUs for flexible
+// demand) is tier 1, the rest tier 0. Without it every candidate is tier 0.
+std::vector<PlacementCandidate> PoolCandidates(const ClusterState& cluster, ServerPool pool,
+                                               bool for_flexible, bool grouped);
+
+// Places physical workers on the candidates until `workers` nominal worker
+// credit is reached or no candidate has room; returns the credit placed. A
+// worker on an inference GPU counts its compute factor (1/3): a fungible job
+// on weaker GPUs keeps its global batch size by running proportionally more,
+// smaller workers (§2.1), which is the capacity normalization of §5.2.
+double PlaceBestFit(ClusterState& cluster, JobId job, int gpus_per_worker, int workers,
+                    bool flexible, const std::vector<PlacementCandidate>& candidates);
+
+// All-or-nothing PlaceBestFit: places nothing and returns false unless the
+// candidates have room for all `workers` nominal workers.
+bool PlaceAllOrNothing(ClusterState& cluster, JobId job, int gpus_per_worker, int workers,
+                       bool flexible, const std::vector<PlacementCandidate>& candidates);
+
+// Attempts to place all requested workers within the first eligible pool
+// group that has room for them; all-or-nothing. Returns true on success.
 //
 // For non-heterogeneous jobs the placement keeps GPU types uniform *per
-// request*; callers that grow a job must keep follow-up requests on the same
-// GPU type the job already occupies (see CurrentGpuType).
+// request*; a job that already holds GPUs only grows on the type it holds
+// (see CurrentGpuType).
 bool TryPlaceWorkers(ClusterState& cluster, const PlaceRequest& request);
-
-// Exact speculative feasibility check: would TryPlaceWorkers succeed right
-// now? Runs the real placement inside a ClusterTransaction and rolls it
-// back, so the answer accounts for fragmentation and type pinning — unlike
-// CountPlaceableWorkers, which is an aggregate-capacity estimate. The
-// cluster is unchanged on return.
-bool WouldPlaceWorkers(ClusterState& cluster, const PlaceRequest& request);
-
-// Counts how many additional workers of the given shape could be placed.
-int CountPlaceableWorkers(const ClusterState& cluster, const PlaceRequest& request);
 
 // The GPU type a placed job currently runs on, if it is uniform; returns
 // true and sets *type, or returns false if unplaced or mixed.
@@ -65,6 +93,18 @@ PlaceRequest BaseRequest(const Job& job, int workers,
 // Convenience: a PlaceRequest for growing `job` by `workers` flexible workers.
 PlaceRequest FlexibleRequest(const Job& job, int workers,
                              PoolPreference preference = PoolPreference::kTrainingFirst);
+
+// --- Baseline policy helpers --------------------------------------------------
+
+// The pending jobs by submit time, ties in queue order.
+std::vector<Job*> ArrivalOrder(std::span<Job* const> pending);
+
+// Training servers, then on-loan ones if the scenario allows loaned placement.
+PoolPreference BaselinePreference(const SchedulerContext& ctx);
+
+// Places `request`; if it does not fit, shrinks the running jobs' flexible
+// workers to free the request's GPUs and tries once more.
+bool PlaceOrHarvest(SchedulerContext& ctx, const PlaceRequest& request);
 
 }  // namespace lyra
 

@@ -74,18 +74,12 @@ PolluxScheduler::PolluxScheduler(PolluxOptions options)
 void PolluxScheduler::Schedule(SchedulerContext& ctx) {
   obs::PhaseSpan placement_span(obs::Phase::kPlacement);
   ClusterState& cluster = *ctx.cluster;
-  const PoolPreference pref = ctx.allow_loaned_placement
-                                  ? PoolPreference::kTrainingFirst
-                                  : PoolPreference::kTrainingOnly;
+  const PoolPreference pref = BaselinePreference(ctx);
 
   // Inelastic jobs are not part of the goodput optimization; launch them in
   // arrival order when they fit.
   std::vector<Job*> pending_elastic;
-  std::vector<Job*> order(ctx.pending.begin(), ctx.pending.end());
-  std::stable_sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
-    return a->spec().submit_time < b->spec().submit_time;
-  });
-  for (Job* job : order) {
+  for (Job* job : ArrivalOrder(ctx.pending)) {
     if (job->spec().elastic()) {
       pending_elastic.push_back(job);
       continue;
@@ -118,9 +112,7 @@ void PolluxScheduler::Schedule(SchedulerContext& ctx) {
 void PolluxScheduler::RunGeneticAllocation(SchedulerContext& ctx,
                                            const std::vector<Job*>& elastic) {
   ClusterState& cluster = *ctx.cluster;
-  const PoolPreference pref = ctx.allow_loaned_placement
-                                  ? PoolPreference::kTrainingFirst
-                                  : PoolPreference::kTrainingOnly;
+  const PoolPreference pref = BaselinePreference(ctx);
 
   std::vector<Candidate> candidates;
   int capacity = cluster.TrainingSideFreeGpus();

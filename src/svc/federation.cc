@@ -1,6 +1,7 @@
 #include "src/svc/federation.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -54,8 +55,9 @@ bool ParseUint(const std::string& text, long long* out) {
     return false;
   }
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || value < 0) {
+  if (end == nullptr || *end != '\0' || value < 0 || errno == ERANGE) {
     return false;
   }
   *out = value;
@@ -131,13 +133,22 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
          !ParseUint(spec.substr(at + 1), &shards))) {
       return Status::InvalidArgument("bad federation spec: \"" + spec + "\"");
     }
-    if (inference + training < 1) {
-      return Status::InvalidArgument("federation needs at least one cluster");
-    }
     if (shards < 1 || shards > 64) {
       return Status::InvalidArgument(
           "cluster shard count must be in [1, 64], got " +
           std::to_string(shards));
+    }
+    // Bound the fleet before building it. Each count is bounded alone first,
+    // so the total cannot overflow.
+    if (inference > 64 || training > 64 || (inference + training) * shards > 64) {
+      return Status::InvalidArgument(
+          "federation engine count must be in [1, 64], got " +
+          (inference > 64 || training > 64
+               ? std::string("more than 64")
+               : std::to_string((inference + training) * shards)));
+    }
+    if (inference + training < 1) {
+      return Status::InvalidArgument("federation needs at least one cluster");
     }
     std::vector<ClusterSpec> clusters;
     for (long long i = 0; i < inference; ++i) {

@@ -11,7 +11,6 @@
 
 #include "src/cluster/cluster_state.h"
 #include "src/common/rng.h"
-#include "src/sched/placement_util.h"
 
 namespace lyra {
 namespace {
@@ -372,38 +371,6 @@ TEST(ClusterHealthTest, DownServerLeavesCountersAndComesBack) {
   EXPECT_EQ(cluster.TotalGpus(ServerPool::kTraining), 16);
   EXPECT_EQ(cluster.TrainingSideFreeGpus(), 12);
   cluster.AuditInvariants();
-}
-
-TEST(ClusterTransactionTest, WouldPlaceWorkersMatchesRealPlacementWithoutMutating) {
-  ClusterState cluster;
-  std::vector<ServerId> training;
-  for (int s = 0; s < 4; ++s) {
-    training.push_back(
-        cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining));
-  }
-  // Fragment the cluster: 6 GPUs free per server, 24 total.
-  for (int s = 0; s < 4; ++s) {
-    cluster.Place(JobId(100 + s), training[static_cast<std::size_t>(s)], 2, false);
-  }
-  const ClusterState reference = cluster.Clone();
-
-  PlaceRequest fits;
-  fits.job = JobId(0);
-  fits.gpus_per_worker = 4;
-  fits.workers = 4;  // 16 GPUs, 4 per server: fits
-  EXPECT_TRUE(WouldPlaceWorkers(cluster, fits));
-  ExpectStatesEqual(cluster, reference);  // the check left no trace
-
-  PlaceRequest too_big = fits;
-  too_big.gpus_per_worker = 8;  // no server has 8 free despite 24 total
-  too_big.workers = 2;
-  EXPECT_FALSE(WouldPlaceWorkers(cluster, too_big));
-  ExpectStatesEqual(cluster, reference);
-
-  // The verdicts match what TryPlaceWorkers actually does.
-  EXPECT_FALSE(TryPlaceWorkers(cluster, too_big));
-  EXPECT_TRUE(TryPlaceWorkers(cluster, fits));
-  EXPECT_NE(cluster.FindPlacement(JobId(0)), nullptr);
 }
 
 }  // namespace

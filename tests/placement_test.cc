@@ -224,19 +224,6 @@ TEST_F(PlacementTest, NonHeterogeneousJobNeverMixesGpuTypes) {
 
 // --- placement_util coverage -----------------------------------------------
 
-TEST(PlacementUtil, CountPlaceableWorkersNormalizesT4) {
-  ClusterState cluster;
-  cluster.AddServer(GpuType::kInferenceT4, 8, ServerPool::kOnLoan);
-  PlaceRequest request;
-  request.job = JobId(0);
-  request.gpus_per_worker = 1;
-  request.workers = 1;
-  request.fungible = true;
-  request.preference = PoolPreference::kLoanedOnly;
-  // 8 physical 1-GPU workers at 1/3 credit each = 2 nominal workers.
-  EXPECT_EQ(CountPlaceableWorkers(cluster, request), 2);
-}
-
 TEST(PlacementUtil, TryPlaceAllOrNothing) {
   ClusterState cluster;
   cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);
@@ -296,20 +283,19 @@ TEST(PlacementUtil, ProfileForComputesMixAndFactor) {
 // --- Free-server index -------------------------------------------------------
 //
 // Placement builds its candidates from ClusterState::ServersWithFreeGpus. The
-// reference below is the rule it implements, run over the whole pool with a
+// reference below is the rule it implements, run over whole pools with a
 // per-worker rescan: each worker goes to the server with the smallest
-// (tier, empty, free GPUs, pool position) among those with room for it. On a
+// (tier, empty, free GPUs, position) among those with room for it. On a
 // cluster where most servers are full, both must place the same workers on
 // the same servers.
 
-// Training pool, 8 GPUs per server: ~80% full (base and flexible fillers,
-// and some servers shared by a base and a flexible filler), the rest
+// Adds `count` servers of one pool, 8 GPUs each: ~80% full (base and flexible
+// fillers, and some servers shared by a base and a flexible filler), the rest
 // partially used or empty.
-ClusterState MostlyFullCluster(Rng& rng) {
-  ClusterState cluster;
-  std::int64_t filler = 1000;
-  for (int s = 0; s < 60; ++s) {
-    const ServerId id = cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);
+void AddMostlyFullServers(ClusterState& cluster, Rng& rng, int count, GpuType type,
+                          ServerPool pool, std::int64_t& filler) {
+  for (int s = 0; s < count; ++s) {
+    const ServerId id = cluster.AddServer(type, 8, pool);
     const int used = rng.NextBernoulli(0.8) ? 8 : static_cast<int>(rng.UniformInt(0, 7));
     const int flexible = static_cast<int>(rng.UniformInt(0, used));
     if (used - flexible > 0) {
@@ -319,45 +305,75 @@ ClusterState MostlyFullCluster(Rng& rng) {
       cluster.Place(JobId(filler++), id, flexible, /*flexible=*/true);
     }
   }
+}
+
+// 60 mostly full training servers, plus 60 on-loan ones with `with_loaned`.
+ClusterState MostlyFullCluster(Rng& rng, bool with_loaned = false) {
+  ClusterState cluster;
+  std::int64_t filler = 1000;
+  AddMostlyFullServers(cluster, rng, 60, GpuType::kTrainingV100, ServerPool::kTraining,
+                       filler);
+  if (with_loaned) {
+    AddMostlyFullServers(cluster, rng, 60, GpuType::kInferenceT4, ServerPool::kOnLoan,
+                         filler);
+  }
   return cluster;
 }
 
-// Places `workers` workers of `gpw` GPUs for `job` on the training pool by
-// full-pool rescan. `tier` is evaluated once per server before the first
-// worker, as the candidate sets are. With `all_or_nothing`, nothing is placed
-// unless every worker fits.
-void ReferencePlace(ClusterState& cluster, JobId job, int gpw, int workers, bool flexible,
-                    int (*tier)(const Server&), bool empty_last, bool all_or_nothing) {
-  const std::vector<ServerId> pool = cluster.ServersInPool(ServerPool::kTraining);
+// How the reference ranks servers: `tier` is evaluated once per server before
+// the first worker, as the candidate sets are, and the k-th pool's tiers are
+// raised by k * pool_tier_step.
+struct ReferenceRule {
+  std::vector<ServerPool> pools;
+  int (*tier)(const Server&) = nullptr;
+  int pool_tier_step = 0;
+  bool empty_last = false;
+  bool all_or_nothing = false;
+};
+
+// Places workers of `gpw` GPUs for `job` by full-pool rescan until `workers`
+// nominal worker credit is placed (a worker on an inference GPU counts 1/3)
+// or no server has room. With `all_or_nothing`, nothing is placed unless the
+// pools have room for all of it. Returns whether the credit was reached.
+bool ReferencePlace(ClusterState& cluster, JobId job, int gpw, int workers, bool flexible,
+                    const ReferenceRule& rule) {
+  std::vector<ServerId> servers;
   std::vector<int> tiers;
-  int room = 0;
-  for (ServerId id : pool) {
-    tiers.push_back(tier(cluster.server(id)));
-    room += cluster.server(id).free_gpus() / gpw;
+  double room = 0.0;
+  for (std::size_t p = 0; p < rule.pools.size(); ++p) {
+    for (ServerId id : cluster.ServersInPool(rule.pools[p])) {
+      const Server& server = cluster.server(id);
+      servers.push_back(id);
+      tiers.push_back(rule.tier(server) + static_cast<int>(p) * rule.pool_tier_step);
+      room += (server.free_gpus() / gpw) * GpuComputeFactor(server.gpu_type());
+    }
   }
-  if (all_or_nothing && room < workers) {
-    return;
+  if (rule.all_or_nothing && room + kCreditEpsilon < workers) {
+    return false;
   }
-  for (int w = 0; w < workers; ++w) {
-    std::size_t best = pool.size();
+  double credit = 0.0;
+  while (credit + kCreditEpsilon < workers) {
+    std::size_t best = servers.size();
     std::tuple<int, bool, int, std::size_t> best_key;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      const Server& server = cluster.server(pool[i]);
+    for (std::size_t i = 0; i < servers.size(); ++i) {
+      const Server& server = cluster.server(servers[i]);
       if (server.free_gpus() < gpw) {
         continue;
       }
       const std::tuple<int, bool, int, std::size_t> key{
-          tiers[i], empty_last && server.idle(), server.free_gpus(), i};
-      if (best == pool.size() || key < best_key) {
+          tiers[i], rule.empty_last && server.idle(), server.free_gpus(), i};
+      if (best == servers.size() || key < best_key) {
         best = i;
         best_key = key;
       }
     }
-    if (best == pool.size()) {
-      return;
+    if (best == servers.size()) {
+      return false;
     }
-    cluster.Place(job, pool[best], gpw, flexible);
+    cluster.Place(job, servers[best], gpw, flexible);
+    credit += GpuComputeFactor(cluster.server(servers[best]).gpu_type());
   }
+  return true;
 }
 
 void ExpectSamePlacement(const ClusterState& actual, const ClusterState& expected,
@@ -399,8 +415,11 @@ TEST(FreeServerIndex, PlaceBaseMatchesFullPoolScan) {
     AllocationDecision decision;
     decision.launches.push_back(job.get());
     ApplyAllocation(cluster, decision, PlacementOptions{});
-    ReferencePlace(expected, job->id(), gpw, workers, false, BaseDemandTier,
-                   /*empty_last=*/true, /*all_or_nothing=*/true);
+    ReferencePlace(expected, job->id(), gpw, workers, false,
+                   {.pools = {ServerPool::kTraining},
+                    .tier = BaseDemandTier,
+                    .empty_last = true,
+                    .all_or_nothing = true});
     ExpectSamePlacement(cluster, expected, job->id());
     launched += cluster.FindPlacement(job->id()) != nullptr ? 1 : 0;
   }
@@ -431,8 +450,10 @@ TEST(FreeServerIndex, PlaceFlexibleMatchesFullPoolScan) {
     AllocationDecision decision;
     decision.flexible_targets.emplace_back(job.get(), target);
     ApplyAllocation(cluster, decision, PlacementOptions{});
-    ReferencePlace(expected, job->id(), gpw, target, true, FlexibleDemandTier,
-                   /*empty_last=*/true, /*all_or_nothing=*/false);
+    ReferencePlace(expected, job->id(), gpw, target, true,
+                   {.pools = {ServerPool::kTraining},
+                    .tier = FlexibleDemandTier,
+                    .empty_last = true});
     ExpectSamePlacement(cluster, expected, job->id());
   }
 }
@@ -452,14 +473,121 @@ TEST(FreeServerIndex, TryPlaceWorkersMatchesFullPoolScan) {
 
     const bool placed = TryPlaceWorkers(cluster, request);
     ReferencePlace(expected, request.job, request.gpus_per_worker, request.workers,
-                   request.flexible, NoTier, /*empty_last=*/false,
-                   /*all_or_nothing=*/true);
+                   request.flexible,
+                   {.pools = {ServerPool::kTraining}, .tier = NoTier, .all_or_nothing = true});
     EXPECT_EQ(placed, expected.FindPlacement(request.job) != nullptr);
     ExpectSamePlacement(cluster, expected, request.job);
     successes += placed ? 1 : 0;
   }
   EXPECT_GT(successes, 10);
   EXPECT_LT(successes, 40);
+}
+
+// Training and on-loan pools together: the paths that merge two pools into
+// one candidate set, and the fungible job that may use either.
+TEST(FreeServerIndex, TwoPoolPlacementMatchesFullPoolScan) {
+  int spanning = 0;
+  int on_loan = 0;
+  int merged_successes = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const ClusterState cluster = MostlyFullCluster(rng, /*with_loaned=*/true);
+    const int gpw = static_cast<int>(rng.UniformInt(1, 4));
+    const int workers = static_cast<int>(rng.UniformInt(1, 16));
+    const int target = static_cast<int>(rng.UniformInt(1, 12));
+
+    // A heterogeneous elastic job: base demand on training servers, else
+    // spanning both pools; flexible demand on-loan first.
+    {
+      const std::unique_ptr<Job> job =
+          MakeJob(1, workers, workers + target, gpw, false, /*heterogeneous=*/true);
+      ClusterState actual = cluster.Clone();
+      ClusterState expected = cluster.Clone();
+      AllocationDecision decision;
+      decision.launches.push_back(job.get());
+      decision.flexible_targets.emplace_back(job.get(), target);
+      ApplyAllocation(actual, decision, PlacementOptions{});
+
+      const ReferenceRule base{.pools = {ServerPool::kTraining},
+                               .tier = BaseDemandTier,
+                               .empty_last = true,
+                               .all_or_nothing = true};
+      ReferenceRule spanning_base = base;
+      spanning_base.pools = {ServerPool::kTraining, ServerPool::kOnLoan};
+      spanning_base.pool_tier_step = 2;
+      bool launched = ReferencePlace(expected, job->id(), gpw, workers, false, base);
+      if (!launched) {
+        launched = ReferencePlace(expected, job->id(), gpw, workers, false, spanning_base);
+        spanning += launched ? 1 : 0;
+      }
+      if (launched) {
+        ReferencePlace(expected, job->id(), gpw, target, true,
+                       {.pools = {ServerPool::kOnLoan, ServerPool::kTraining},
+                        .tier = FlexibleDemandTier,
+                        .pool_tier_step = 2,
+                        .empty_last = true});
+      }
+      ExpectSamePlacement(actual, expected, job->id());
+    }
+
+    // A fungible elastic job: base demand on-loan first, else training; its
+    // flexible demand stays on the GPU type its base landed on.
+    {
+      const std::unique_ptr<Job> job =
+          MakeJob(1, workers, workers + target, gpw, /*fungible=*/true);
+      ClusterState actual = cluster.Clone();
+      ClusterState expected = cluster.Clone();
+      AllocationDecision decision;
+      decision.launches.push_back(job.get());
+      decision.flexible_targets.emplace_back(job.get(), target);
+      ApplyAllocation(actual, decision, PlacementOptions{});
+
+      ReferenceRule base{.pools = {ServerPool::kOnLoan},
+                         .tier = BaseDemandTier,
+                         .empty_last = true,
+                         .all_or_nothing = true};
+      bool launched = ReferencePlace(expected, job->id(), gpw, workers, false, base);
+      if (!launched) {
+        base.pools = {ServerPool::kTraining};
+        launched = ReferencePlace(expected, job->id(), gpw, workers, false, base);
+      }
+      GpuType type;
+      if (launched && CurrentGpuType(expected, job->id(), &type)) {
+        const ServerPool pool =
+            type == GpuType::kInferenceT4 ? ServerPool::kOnLoan : ServerPool::kTraining;
+        ReferencePlace(expected, job->id(), gpw, target, true,
+                       {.pools = {pool}, .tier = FlexibleDemandTier, .empty_last = true});
+        on_loan += pool == ServerPool::kOnLoan ? 1 : 0;
+      }
+      ExpectSamePlacement(actual, expected, job->id());
+    }
+
+    // A heterogeneous baseline request: one tier-0 group of both pools.
+    {
+      PlaceRequest request;
+      request.job = JobId(1);
+      request.gpus_per_worker = gpw;
+      request.workers = workers + target;
+      request.flexible = rng.NextBernoulli(0.5);
+      request.heterogeneous = true;
+      ClusterState actual = cluster.Clone();
+      ClusterState expected = cluster.Clone();
+      const bool placed = TryPlaceWorkers(actual, request);
+      EXPECT_EQ(placed, ReferencePlace(expected, request.job, gpw, request.workers,
+                                       request.flexible,
+                                       {.pools = {ServerPool::kTraining, ServerPool::kOnLoan},
+                                        .tier = NoTier,
+                                        .all_or_nothing = true}));
+      ExpectSamePlacement(actual, expected, request.job);
+      merged_successes += placed ? 1 : 0;
+    }
+  }
+  // Every path is exercised, both ways where it can fail.
+  EXPECT_GT(spanning, 0);
+  EXPECT_GT(on_loan, 0);
+  EXPECT_LT(on_loan, 40);
+  EXPECT_GT(merged_successes, 0);
+  EXPECT_LT(merged_successes, 40);
 }
 
 }  // namespace

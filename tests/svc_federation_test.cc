@@ -162,6 +162,32 @@ TEST(Federation, SpecParsingCompactAndExplicitForms) {
   EXPECT_FALSE(ParseFederationSpec("edge:inf:1:99999999999").ok());
 }
 
+// The compact form bounds its counts before it builds a cluster list: a
+// count of a hundred million is refused at once instead of allocating its
+// clusters, and one past strtoll's range is refused instead of saturated.
+TEST(Federation, SpecBoundsEngineCountBeforeBuilding) {
+  for (const char* spec : {"65x0", "0x65", "33x32", "1x2@32", "100000000x1",
+                           "9223372036854775807x9223372036854775807"}) {
+    const StatusOr<std::vector<ClusterSpec>> parsed = ParseFederationSpec(spec);
+    ASSERT_FALSE(parsed.ok()) << spec;
+    EXPECT_EQ(parsed.status().message().rfind(
+                  "federation engine count must be in [1, 64], got ", 0),
+              0u)
+        << spec << ": " << parsed.status().message();
+  }
+  EXPECT_EQ(ParseFederationSpec("1x2@32").status().message(),
+            "federation engine count must be in [1, 64], got 96");
+
+  const StatusOr<std::vector<ClusterSpec>> saturated =
+      ParseFederationSpec("99999999999999999999x1");
+  ASSERT_FALSE(saturated.ok());
+  EXPECT_EQ(saturated.status().message(), "bad federation spec: \"99999999999999999999x1\"");
+
+  // The limit itself still parses.
+  EXPECT_TRUE(ParseFederationSpec("32x32").ok());
+  EXPECT_TRUE(ParseFederationSpec("1x1@32").ok());
+}
+
 TEST(Federation, GlobalIdRoundTripAcrossFederationTimesShards) {
   for (const char* spec : {"1x1", "2x1@2", "1x2@3", "2x2@2"}) {
     FederationSet fed = BuildFed(spec);
