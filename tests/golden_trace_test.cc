@@ -297,5 +297,84 @@ TEST(GoldenTrace, EverySchedulerDecisionsMatchPin) {
   }
 }
 
+// --- Every reclaim policy under revocation storms ---------------------------
+//
+// A revocation storm first estimates its damage by running the reclaim policy
+// on the cluster without keeping the result, then revokes for real. The
+// estimate leaves the cluster as it was, yet it is not free of effects:
+// `random` draws from its RNG there, so an estimate dropped or run twice
+// moves every later random reclaim. This pins, for every registry reclaim
+// policy, the decision log and the fault-log hash of a faults-on run with a
+// storm every two hours (the scheduler-pin wiring otherwise: Lyra scheduling,
+// scale 0.05, 2 days, load 1.5, half the jobs elastic, seed 42).
+
+struct ReclaimPin {
+  const char* name;
+  std::size_t records;
+  std::uint64_t digest;
+  std::uint64_t fault_log_hash;
+};
+
+// Pinned while the storm estimate still ran inside an undo-log transaction on
+// the live cluster; a deliberate change of a policy's decisions re-pins its
+// row from the failure messages.
+constexpr ReclaimPin kReclaimPins[] = {
+    {"lyra", 4134, 0xb1846e16dfc875c6ull, 0xef1b9d8f7c1263ceull},
+    {"optimal", 4136, 0xa0fdb5e5896a301full, 0xe5973f438b215cd3ull},
+    {"random", 4179, 0x127e61b10ebcb6abull, 0xf08705400dbbbcc9ull},
+    {"scf", 4206, 0x04ee61c7692f8b02ull, 0xe00d00f23d213bb7ull},
+};
+
+TEST(GoldenTrace, EveryReclaimUnderStormsDecisionsMatchPin) {
+  constexpr double kScale = 0.05;
+  constexpr std::uint64_t kSeed = 42;
+  const int training_servers = static_cast<int>(443 * kScale);
+  const int inference_servers = static_cast<int>(520 * kScale);
+
+  SyntheticTraceOptions trace_options;
+  trace_options.duration = 2 * kDay;
+  trace_options.training_gpus = training_servers * 8;
+  trace_options.target_utilization = 1.5;
+  trace_options.seed = kSeed;
+  Trace trace = SyntheticTraceGenerator(trace_options).Generate();
+  Rng transform_rng(kSeed ^ 0x5eed);
+  ApplyElasticFraction(trace, 0.5, transform_rng);
+
+  std::vector<std::string> pinned;
+  for (const ReclaimPin& pin : kReclaimPins) {
+    pinned.push_back(pin.name);
+    SCOPED_TRACE(pin.name);
+    StatusOr<std::unique_ptr<JobScheduler>> scheduler =
+        svc::MakeScheduler("lyra", false, false);
+    StatusOr<std::unique_ptr<ReclaimPolicy>> reclaim = svc::MakeReclaim(pin.name);
+    ASSERT_TRUE(scheduler.ok());
+    ASSERT_TRUE(reclaim.ok());
+    SimulatorOptions options;
+    options.training_servers = training_servers;
+    options.enable_loaning = true;
+    options.record_decisions = true;
+    options.seed = kSeed;
+    options.faults.enabled = true;
+    options.faults.storm_mtbf = 2 * kHour;
+    Simulator simulator(options, trace, scheduler.value().get(), reclaim.value().get(),
+                        MakeInferenceCluster(inference_servers, trace.duration, kSeed,
+                                             svc::MakeUsagePredictor(false)));
+    const SimulationResult result = simulator.Run();
+
+    const std::uint64_t digest = DecisionDigest(simulator.decision_log());
+    EXPECT_GT(result.faults.revocation_storms, 0);
+    EXPECT_EQ(simulator.decision_log().size(), pin.records);
+    EXPECT_EQ(digest, pin.digest) << "decision log digest 0x" << std::hex << digest;
+    EXPECT_EQ(result.fault_log_hash, pin.fault_log_hash)
+        << "fault log hash 0x" << std::hex << result.fault_log_hash;
+  }
+
+  // A reclaim policy added to the registry gets a pin too.
+  for (const std::string& name : svc::KnownReclaimNames()) {
+    EXPECT_NE(std::find(pinned.begin(), pinned.end(), name), pinned.end())
+        << name << " has no pin";
+  }
+}
+
 }  // namespace
 }  // namespace lyra
