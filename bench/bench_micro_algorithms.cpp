@@ -7,19 +7,17 @@
 //   - ClusterState hot operations at 1000-server scale: the incremental
 //     counters / pool indices vs brute-force recomputation over the server
 //     vector (the pre-optimization behavior, kept here as the baseline),
-//   - speculative what-if evaluation: ClusterTransaction rollback vs a full
-//     Clone() per candidate, and the reclaim policy's lazy cost heap vs the
-//     pre-rewrite rescan-per-vacate greedy loop.
+//   - the reclaim policy's lazy cost heap vs the pre-rewrite
+//     rescan-per-vacate greedy loop.
 //
-// The main() also runs the what-if and reclaim-tick comparisons under manual
-// timing and surfaces them in the "micro" section of BENCH_perf.json
-// (disable with LYRA_BENCH_PERF_JSON=0).
+// The main() also runs the reclaim-tick comparison under manual timing and
+// surfaces it in the "micro" section of BENCH_perf.json (disable with
+// LYRA_BENCH_PERF_JSON=0).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <unordered_map>
 
 #include "bench/harness.h"
 #include "src/common/json.h"
@@ -449,63 +447,11 @@ void BM_BatchPlaceLinearScan(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchPlaceLinearScan);
 
-// --- Speculative what-if: transaction rollback vs Clone() -------------------
-//
-// A single-server vacation what-if the reclaim policy asks per candidate:
-// apply the vacate, look at the damage, forget it. The transaction pays
-// O(shares touched); the pre-rewrite approach paid a full cluster copy.
-
-void BM_WhatIfClone(benchmark::State& state) {
-  const lyra::ClusterState cluster = ReclaimInstance(static_cast<int>(state.range(0)), 11);
-  const lyra::ServerId target = cluster.ServersInPool(lyra::ServerPool::kOnLoan).front();
-  for (auto _ : state) {
-    lyra::ClusterState copy = cluster.Clone();
-    lyra::ReclaimResult result;
-    lyra::VacateServer(copy, target, result);
-    benchmark::DoNotOptimize(result.collateral_gpus);
-  }
-}
-BENCHMARK(BM_WhatIfClone)->Arg(100)->Arg(1000)->Arg(4000);
-
-void BM_WhatIfTransaction(benchmark::State& state) {
-  lyra::ClusterState cluster = ReclaimInstance(static_cast<int>(state.range(0)), 11);
-  const lyra::ServerId target = cluster.ServersInPool(lyra::ServerPool::kOnLoan).front();
-  for (auto _ : state) {
-    lyra::ClusterTransaction txn(cluster);
-    lyra::ReclaimResult result;
-    lyra::VacateServer(cluster, target, result);
-    txn.Rollback();
-    benchmark::DoNotOptimize(result.collateral_gpus);
-  }
-}
-BENCHMARK(BM_WhatIfTransaction)->Arg(100)->Arg(1000)->Arg(4000);
-
 // --- Reclaim tick: lazy cost heap vs the pre-rewrite full rescan ------------
 
 // The greedy loop as it was before the heap rewrite: recompute the
-// preemption cost and a read-only collateral estimate for every occupied
-// on-loan server on every iteration. Kept as the microbench baseline.
-int RescanCollateralEstimate(const lyra::ClusterState& cluster, lyra::ServerId server_id) {
-  std::unordered_map<std::int64_t, int> freed_elsewhere;
-  for (const auto& [job, share] : cluster.server(server_id).jobs()) {
-    if (share.base_gpus == 0) continue;
-    for (const auto& [other_id, other_share] : cluster.FindPlacement(job)->shares) {
-      if (other_id != server_id) {
-        freed_elsewhere[other_id.value] += other_share.total();
-      }
-    }
-  }
-  int collateral = 0;
-  for (const auto& [other_value, gpus] : freed_elsewhere) {
-    const lyra::Server& other = cluster.server(lyra::ServerId(other_value));
-    if (gpus == other.used_gpus() && other.pool() == lyra::ServerPool::kOnLoan) {
-      continue;
-    }
-    collateral += gpus;
-  }
-  return collateral;
-}
-
+// preemption cost and the collateral estimate of every occupied on-loan
+// server on every iteration. Kept as the microbench baseline.
 int RescanGreedyReclaim(lyra::ClusterState& cluster, int num_servers) {
   auto idle_on_loan = [&] {
     int count = 0;
@@ -523,7 +469,7 @@ int RescanGreedyReclaim(lyra::ClusterState& cluster, int num_servers) {
     for (lyra::ServerId id : cluster.ServersInPool(lyra::ServerPool::kOnLoan)) {
       if (cluster.server(id).idle()) continue;
       const double cost = lyra::ServerPreemptionCost(cluster, id);
-      const int collateral = RescanCollateralEstimate(cluster, id);
+      const int collateral = lyra::CollateralEstimate(cluster, id);
       if (cost < best_cost || (cost == best_cost && collateral < best_collateral)) {
         best = id;
         best_cost = cost;
@@ -651,35 +597,10 @@ double TimeNsPerOp(Fn&& body) {
   return elapsed_ns / static_cast<double>(iters);
 }
 
-// Times the what-if and reclaim-tick comparisons and records them via the
-// bench harness so the repo's perf trajectory (the >= 10x rollback-vs-clone
-// claim in particular) is machine-checkable from BENCH_perf.json.
+// Times the reclaim-tick comparison and the JSON reply encoders and records
+// them via the bench harness so the repo's perf trajectory is
+// machine-checkable from BENCH_perf.json.
 void RecordMicroReport() {
-  for (int servers : {100, 1000, 4000}) {
-    const lyra::ClusterState base = ReclaimInstance(servers, 11);
-    const lyra::ServerId target = base.ServersInPool(lyra::ServerPool::kOnLoan).front();
-
-    const double clone_ns = TimeNsPerOp([&] {
-      lyra::ClusterState copy = base.Clone();
-      lyra::ReclaimResult result;
-      lyra::VacateServer(copy, target, result);
-      benchmark::DoNotOptimize(result.collateral_gpus);
-    });
-    lyra::ClusterState live = base.Clone();
-    const double txn_ns = TimeNsPerOp([&] {
-      lyra::ClusterTransaction txn(live);
-      lyra::ReclaimResult result;
-      lyra::VacateServer(live, target, result);
-      txn.Rollback();
-      benchmark::DoNotOptimize(result.collateral_gpus);
-    });
-    const std::string suffix = "_" + std::to_string(servers);
-    lyra::RecordMicroBench("whatif_clone" + suffix, clone_ns);
-    lyra::RecordMicroBench("whatif_transaction" + suffix, txn_ns);
-    std::printf("whatif %d servers: clone %.0f ns/op, transaction %.0f ns/op (%.1fx)\n",
-                servers, clone_ns, txn_ns, clone_ns / txn_ns);
-  }
-
   for (int servers : {64, 256}) {
     const double heap_ns = TimeNsPerOp([&] {
       lyra::ClusterState cluster = ReclaimInstance(servers, 11);

@@ -43,7 +43,6 @@ ClusterState ClusterState::Clone() const {
 }
 
 ServerId ClusterState::AddServer(GpuType gpu_type, int num_gpus, ServerPool pool) {
-  LYRA_CHECK(txn_depth_ == 0);  // topology growth is not transactional
   const ServerId id(static_cast<std::int64_t>(servers_.size()));
   servers_.emplace_back(id, gpu_type, num_gpus, pool);
   total_gpus_[PoolIndex(pool)] += num_gpus;
@@ -138,16 +137,17 @@ void ClusterState::Place(JobId job, ServerId server_id, int gpus, bool flexible)
   LYRA_CHECK(srv.up());  // down servers are invisible to placement
   srv.Place(job, gpus, flexible);
   AccountUsage(srv, gpus);
-  JobPlacement& placement = PlacementOf(job);
+  const auto [entry, inserted] = placements_.try_emplace(job);
+  if (inserted && log_new_placements_) {
+    new_placements_.push_back(job);
+  }
+  JobPlacement& placement = entry->second;
   placement.stamp = ++placement_stamp_;
   GpuShare& share = placement.shares[server_id];
   if (flexible) {
     share.flexible_gpus += gpus;
   } else {
     share.base_gpus += gpus;
-  }
-  if (txn_depth_ > 0) {
-    RecordShareDelta(job, server_id, flexible ? 0 : -gpus, flexible ? -gpus : 0);
   }
 }
 
@@ -160,9 +160,6 @@ void ClusterState::RemoveJob(JobId job) {
     Server& srv = mutable_server(server_id);
     srv.RemoveJob(job);
     AccountUsage(srv, -share.total());
-    if (txn_depth_ > 0) {
-      RecordShareDelta(job, server_id, share.base_gpus, share.flexible_gpus);
-    }
   }
   placements_.erase(it);
 }
@@ -188,9 +185,6 @@ int ClusterState::RemoveFlexible(JobId job, ServerId server_id, int gpus) {
     placements_.erase(it);
   } else if (removed > 0) {
     it->second.stamp = ++placement_stamp_;
-  }
-  if (txn_depth_ > 0 && removed > 0) {
-    RecordShareDelta(job, server_id, 0, removed);
   }
   return removed;
 }
@@ -234,9 +228,6 @@ Status ClusterState::LoanServer(ServerId id) {
   }
   srv.set_pool(ServerPool::kOnLoan);
   MoveServerCounters(srv, ServerPool::kInference, ServerPool::kOnLoan);
-  if (txn_depth_ > 0) {
-    RecordSetPool(id, ServerPool::kInference);
-  }
   return Status::Ok();
 }
 
@@ -251,23 +242,12 @@ Status ClusterState::ReturnServer(ServerId id) {
   if (!srv.idle()) {
     return Status::FailedPrecondition("server still has running workers");
   }
-  if (txn_depth_ > 0 && !CommittedIdle(id)) {
-    // The server looks idle only because an open transaction speculatively
-    // removed its workers. A return based on that would be silently reverted
-    // by the rollback while the caller keeps believing it succeeded.
-    return Status::FailedPrecondition(
-        "server idleness is speculative under an open transaction");
-  }
   srv.set_pool(ServerPool::kInference);
   MoveServerCounters(srv, ServerPool::kOnLoan, ServerPool::kInference);
-  if (txn_depth_ > 0) {
-    RecordSetPool(id, ServerPool::kOnLoan);
-  }
   return Status::Ok();
 }
 
 Status ClusterState::MarkServerDown(ServerId id) {
-  LYRA_CHECK(txn_depth_ == 0);  // crashes are real, never speculative
   Server& srv = mutable_server(id);
   if (!srv.up()) {
     return Status::FailedPrecondition("server is already down");
@@ -285,7 +265,6 @@ Status ClusterState::MarkServerDown(ServerId id) {
 }
 
 Status ClusterState::MarkServerUp(ServerId id) {
-  LYRA_CHECK(txn_depth_ == 0);
   Server& srv = mutable_server(id);
   if (srv.up()) {
     return Status::FailedPrecondition("server is already up");
@@ -298,19 +277,6 @@ Status ClusterState::MarkServerUp(ServerId id) {
   srv.set_up(true);
   --servers_down_;
   return Status::Ok();
-}
-
-bool ClusterState::CommittedIdle(ServerId id) const {
-  // Undo entries hold the inverse delta of each applied mutation; summing
-  // them onto the current usage reconstructs the committed usage without
-  // replaying the log.
-  int used = server(id).used_gpus();
-  for (const UndoEntry& entry : undo_log_) {
-    if (entry.kind == UndoEntry::Kind::kShareDelta && entry.server == id) {
-      used += entry.base_delta + entry.flexible_delta;
-    }
-  }
-  return used == 0;
 }
 
 int ClusterState::TrainingSideFreeGpus() const {
@@ -405,112 +371,6 @@ void ClusterState::AuditInvariants() const {
     LYRA_CHECK(free_members[pool] == free_servers_[pool]);
   }
   LYRA_CHECK_EQ(down, servers_down_);
-}
-
-// --- Transactions -----------------------------------------------------------
-
-void ClusterState::RecordShareDelta(JobId job, ServerId server, int base_delta,
-                                    int flexible_delta) {
-  UndoEntry entry;
-  entry.kind = UndoEntry::Kind::kShareDelta;
-  entry.job = job;
-  entry.server = server;
-  entry.base_delta = base_delta;
-  entry.flexible_delta = flexible_delta;
-  undo_log_.push_back(entry);
-}
-
-void ClusterState::RecordSetPool(ServerId server, ServerPool pool) {
-  UndoEntry entry;
-  entry.kind = UndoEntry::Kind::kSetPool;
-  entry.server = server;
-  entry.pool = pool;
-  undo_log_.push_back(entry);
-}
-
-JobPlacement& ClusterState::PlacementOf(JobId job) {
-  const auto [entry, inserted] = placements_.try_emplace(job);
-  if (inserted && log_new_placements_) {
-    new_placements_.push_back(job);
-  }
-  return entry->second;
-}
-
-void ClusterState::ApplyShareDelta(JobId job, ServerId server_id, int base_delta,
-                                   int flexible_delta) {
-  Server& srv = mutable_server(server_id);
-  srv.ApplyShareDelta(job, base_delta, flexible_delta);
-  AccountUsage(srv, base_delta + flexible_delta);
-  JobPlacement& placement = PlacementOf(job);
-  placement.stamp = ++placement_stamp_;
-  GpuShare& share = placement.shares[server_id];
-  share.base_gpus += base_delta;
-  share.flexible_gpus += flexible_delta;
-  LYRA_CHECK_GE(share.base_gpus, 0);
-  LYRA_CHECK_GE(share.flexible_gpus, 0);
-  if (share.total() == 0) {
-    auto it = placements_.find(job);
-    it->second.shares.erase(server_id);
-    if (it->second.shares.empty()) {
-      placements_.erase(it);
-    }
-  }
-}
-
-void ClusterState::RollbackTo(std::size_t mark) {
-  while (undo_log_.size() > mark) {
-    const UndoEntry entry = undo_log_.back();
-    undo_log_.pop_back();
-    switch (entry.kind) {
-      case UndoEntry::Kind::kShareDelta:
-        ApplyShareDelta(entry.job, entry.server, entry.base_delta,
-                        entry.flexible_delta);
-        break;
-      case UndoEntry::Kind::kSetPool: {
-        Server& srv = mutable_server(entry.server);
-        const ServerPool current = srv.pool();
-        LYRA_CHECK(current != entry.pool);
-        srv.set_pool(entry.pool);
-        MoveServerCounters(srv, current, entry.pool);
-        break;
-      }
-    }
-  }
-}
-
-ClusterTransaction::ClusterTransaction(ClusterState& cluster)
-    : cluster_(&cluster),
-      mark_(cluster.undo_log_.size()),
-      depth_(++cluster.txn_depth_) {}
-
-ClusterTransaction::~ClusterTransaction() {
-  if (open_) {
-    Rollback();
-  }
-}
-
-void ClusterTransaction::Rollback() {
-  LYRA_CHECK(open_);
-  LYRA_CHECK_EQ(cluster_->txn_depth_, depth_);  // LIFO close order
-  cluster_->RollbackTo(mark_);
-  --cluster_->txn_depth_;
-  open_ = false;
-}
-
-void ClusterTransaction::Commit() {
-  LYRA_CHECK(open_);
-  LYRA_CHECK_EQ(cluster_->txn_depth_, depth_);  // LIFO close order
-  if (depth_ == 1) {
-    cluster_->undo_log_.clear();
-  }
-  // Nested commit: entries stay in the log so the outer transaction can
-  // still roll the whole suffix back.
-  --cluster_->txn_depth_;
-  open_ = false;
-}
-
-std::size_t ClusterTransaction::ops() const {
-  return open_ ? cluster_->undo_log_.size() - mark_ : 0;
 }
 
 }  // namespace lyra

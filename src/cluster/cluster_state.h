@@ -15,11 +15,10 @@
 // nothing on the query path scans the server vector. AuditInvariants()
 // recomputes everything from scratch and is wired into the tests.
 //
-// Speculative what-if evaluation goes through ClusterTransaction: an RAII
-// undo log that records the inverse of every placement/loan mutation and can
-// Rollback() in O(ops applied) — per-pool counters and membership indices
-// included — where Clone() would pay O(cluster size). See DESIGN.md
-// "Speculative evaluation".
+// What-if questions never mutate the live state: a read-only answer is a
+// function of the placements (reclaim's collateral estimate), and anything
+// that must run a mutating policy runs it on a Clone(). See DESIGN.md
+// "What-if questions".
 #ifndef SRC_CLUSTER_CLUSTER_STATE_H_
 #define SRC_CLUSTER_CLUSTER_STATE_H_
 
@@ -35,13 +34,11 @@
 
 namespace lyra {
 
-class ClusterTransaction;
-
 // Job-side view: which servers host this job and how many GPUs on each.
 struct JobPlacement {
   std::map<ServerId, GpuShare> shares;
   // Mutation stamp: drawn from a cluster-wide counter at every change of
-  // `shares` (rollbacks included). Stamps never repeat, so a job whose stamp
+  // `shares`. Stamps never repeat, so a job whose stamp
   // is unchanged holds exactly the shares it held when the stamp was read.
   std::uint64_t stamp = 0;
 
@@ -66,9 +63,7 @@ class ClusterState {
 
   // --- Topology -------------------------------------------------------------
 
-  // Adds a server to the fleet. Topology growth is not transactional: calling
-  // this with an open ClusterTransaction is a programming error (what-if
-  // evaluation speculates over placements and loans, never over hardware).
+  // Adds a server to the fleet.
   ServerId AddServer(GpuType gpu_type, int num_gpus, ServerPool pool);
 
   const Server& server(ServerId id) const;
@@ -129,7 +124,7 @@ class ClusterState {
   // New-placement log, so a caller can find what a scheduler launched in
   // O(launches) instead of walking every placement. While armed, each job
   // that goes from no placement to one is appended. The log is a superset:
-  // a job whose placement is gone again (removed, rolled back) stays listed,
+  // a job whose placement is removed again stays listed,
   // and one placed twice is listed twice, so readers re-check FindPlacement.
   // Unarmed (the default, and in clones), nothing is kept.
   void ArmNewPlacementLog() { log_new_placements_ = true; }
@@ -143,10 +138,6 @@ class ClusterState {
 
   // Returns an on-loan server to the inference cluster. The server must be
   // idle: the orchestrator confirms no running workers before returning (§6).
-  // While a transaction is open the idleness must also hold in the committed
-  // state: a server emptied only by uncommitted (speculative) removals is
-  // rejected, because the pending rollback would silently revert the return
-  // after the caller already acted on its success.
   Status ReturnServer(ServerId id);
 
   // --- Health (fault model, DESIGN.md §7) -----------------------------------
@@ -154,8 +145,6 @@ class ClusterState {
   // Marks an idle server down (a crash): its capacity leaves the pool
   // counters and the membership index, so schedulers, the orchestrator, and
   // every capacity query stop seeing it. Callers vacate hosted jobs first.
-  // Crashes are real events, never speculative: calling this with an open
-  // transaction is a programming error.
   Status MarkServerDown(ServerId id);
 
   // Brings a down server back up; its capacity re-enters its pool.
@@ -163,11 +152,6 @@ class ClusterState {
 
   bool IsServerUp(ServerId id) const { return server(id).up(); }
   int NumServersDown() const { return servers_down_; }
-
-  // Idleness judged against the committed state: share removals recorded in
-  // the open transaction's undo log do not count. Equals Server::idle() when
-  // no transaction is open.
-  bool CommittedIdle(ServerId id) const;
 
   // --- Capacity queries -------------------------------------------------------
   //
@@ -188,14 +172,6 @@ class ClusterState {
   // inference GPUs count at their normalization factor (§5.2).
   double TrainingSideFreeNormalized() const;
 
-  // --- Transactions ---------------------------------------------------------
-
-  // True while at least one ClusterTransaction is open on this state.
-  bool InTransaction() const { return txn_depth_ > 0; }
-
-  // Undo entries recorded since the outermost open transaction began.
-  std::size_t UndoLogSize() const { return undo_log_.size(); }
-
   // --- Debug ----------------------------------------------------------------
 
   // Recomputes every maintained counter and index from the server vector and
@@ -205,8 +181,6 @@ class ClusterState {
   void AuditInvariants() const;
 
  private:
-  friend class ClusterTransaction;
-
   static constexpr int kNumPools = 3;
   static constexpr int kNumGpuTypes = 2;
 
@@ -231,38 +205,6 @@ class ClusterState {
   // mutation.
   void AccountUsage(const Server& srv, int gpus);
 
-  // One recorded inverse operation. kShareDelta re-applies a (base, flexible)
-  // GPU delta of a job on a server; kSetPool moves a server back to `pool`.
-  // Applying the log in reverse order restores the pre-transaction state,
-  // counters and pool indices included.
-  struct UndoEntry {
-    enum class Kind : unsigned char { kShareDelta, kSetPool };
-    Kind kind = Kind::kShareDelta;
-    ServerPool pool = ServerPool::kTraining;  // kSetPool: pool to restore
-    JobId job;
-    ServerId server;
-    int base_delta = 0;
-    int flexible_delta = 0;
-  };
-
-  // Logging hooks called by the mutators while a transaction is open.
-  void RecordShareDelta(JobId job, ServerId server, int base_delta,
-                        int flexible_delta);
-  void RecordSetPool(ServerId server, ServerPool pool);
-
-  // The job's placement, created empty (and logged when the new-placement
-  // log is armed) if it has none.
-  JobPlacement& PlacementOf(JobId job);
-
-  // Applies a share delta to the server-side and job-side views plus the
-  // usage counters, creating/erasing map entries as shares cross zero. The
-  // non-logging primitive behind rollback.
-  void ApplyShareDelta(JobId job, ServerId server, int base_delta,
-                       int flexible_delta);
-
-  // Replays (and pops) the undo log down to `mark`, newest entry first.
-  void RollbackTo(std::size_t mark);
-
   std::vector<Server> servers_;
   std::unordered_map<JobId, JobPlacement> placements_;
   bool log_new_placements_ = false;
@@ -279,53 +221,6 @@ class ClusterState {
 
   // Number of servers currently down (health, DESIGN.md §7).
   int servers_down_ = 0;
-
-  // Transaction support. The log holds inverse ops for every mutation since
-  // the outermost transaction opened; nested transactions mark positions in
-  // it. Never cloned: a Clone() starts with a clean (committed) state.
-  std::vector<UndoEntry> undo_log_;
-  int txn_depth_ = 0;
-};
-
-// RAII undo-log transaction over a ClusterState (the cheap alternative to
-// Clone() for what-if evaluation, §4/§5 speculative searches).
-//
-//   ClusterTransaction txn(cluster);
-//   ... Place / RemoveJob / RemoveFlexible / LoanServer / ReturnServer ...
-//   txn.Rollback();   // or txn.Commit(); destructor rolls back if neither ran
-//
-// Rollback restores the exact pre-transaction state — placements, per-pool
-// counters, membership indices — in O(operations applied). Transactions nest
-// LIFO: an inner transaction may roll back its own suffix of the log while
-// the outer one can still roll back everything (an inner Commit only
-// surrenders the inner rollback point). The ClusterState must outlive the
-// transaction and must not be moved while one is open.
-class ClusterTransaction {
- public:
-  explicit ClusterTransaction(ClusterState& cluster);
-  ~ClusterTransaction();
-
-  ClusterTransaction(const ClusterTransaction&) = delete;
-  ClusterTransaction& operator=(const ClusterTransaction&) = delete;
-
-  // Undoes every mutation applied since this transaction opened and closes
-  // it. O(ops). Must be the innermost open transaction.
-  void Rollback();
-
-  // Keeps the mutations and closes this transaction. O(ops) for the
-  // outermost transaction (the log is discarded), O(1) for nested ones.
-  void Commit();
-
-  bool open() const { return open_; }
-
-  // Mutations recorded since this transaction opened (still rollback-able).
-  std::size_t ops() const;
-
- private:
-  ClusterState* cluster_;
-  std::size_t mark_;  // undo-log size when this transaction opened
-  int depth_;         // nesting depth, 1 = outermost; enforces LIFO close
-  bool open_ = true;
 };
 
 }  // namespace lyra

@@ -51,18 +51,4 @@ int Server::RemoveFlexible(JobId job, int gpus) {
   return removed;
 }
 
-void Server::ApplyShareDelta(JobId job, int base_delta, int flexible_delta) {
-  GpuShare& share = jobs_[job];
-  share.base_gpus += base_delta;
-  share.flexible_gpus += flexible_delta;
-  LYRA_CHECK_GE(share.base_gpus, 0);
-  LYRA_CHECK_GE(share.flexible_gpus, 0);
-  used_gpus_ += base_delta + flexible_delta;
-  LYRA_CHECK_GE(used_gpus_, 0);
-  LYRA_CHECK_LE(used_gpus_, num_gpus_);
-  if (share.total() == 0) {
-    jobs_.erase(job);
-  }
-}
-
 }  // namespace lyra

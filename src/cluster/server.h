@@ -90,12 +90,6 @@ class Server {
   // actually removed. Erases the job entry when its share reaches zero.
   int RemoveFlexible(JobId job, int gpus);
 
-  // Applies an exact (base, flexible) GPU delta of the job, creating or
-  // erasing its entry as the share crosses zero. Requires the result to stay
-  // within [0, capacity]. Transaction-rollback primitive: ClusterState uses
-  // it to replay inverse operations.
-  void ApplyShareDelta(JobId job, int base_delta, int flexible_delta);
-
  private:
   ServerId id_;
   GpuType gpu_type_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <queue>
 #include <tuple>
 #include <unordered_map>
@@ -161,50 +162,6 @@ ReclaimResult VacateInOrder(ClusterState& cluster, const std::vector<ServerId>& 
   return Finalize(cluster, std::move(ctx), idle_before);
 }
 
-// Collateral damage of vacating the server now, measured speculatively: the
-// preemptions are applied inside a ClusterTransaction, the damage is read
-// off the resulting state, and the transaction is rolled back — O(size of
-// the vacated neighborhood), no cluster-wide copy. GPUs the preempted jobs
-// hold on other servers count as damage except where the preemption empties
-// an on-loan server entirely — those GPUs serve the reclaiming demand
-// rather than being wasted (the server-1/server-2 situation of Fig 5). Used
-// as the greedy tie-breaker (§4).
-int CollateralEstimate(ClusterState& cluster, ServerId server_id) {
-  const Server& server = cluster.server(server_id);
-  // Snapshot the placements of the jobs the vacate would preempt. Jobs with
-  // only flexible GPUs here scale in on this server alone, which cannot
-  // change any other server's occupancy — no need to speculate about them.
-  std::vector<std::pair<JobId, JobPlacement>> preempted;
-  for (const auto& [job, share] : server.jobs()) {
-    if (share.base_gpus > 0) {
-      preempted.emplace_back(job, *cluster.FindPlacement(job));
-    }
-  }
-  if (preempted.empty()) {
-    return 0;
-  }
-  obs::AddCounter("reclaim.speculative_vacates");
-  ClusterTransaction txn(cluster);
-  for (const auto& [job, snapshot] : preempted) {
-    cluster.RemoveJob(job);
-  }
-  int collateral = 0;
-  for (const auto& [job, snapshot] : preempted) {
-    for (const auto& [other_id, other_share] : snapshot.shares) {
-      if (other_id == server_id) {
-        continue;  // GPUs on the vacated server are the demand itself
-      }
-      const Server& other = cluster.server(other_id);
-      if (other.idle() && other.pool() == ServerPool::kOnLoan) {
-        continue;  // collaterally emptied: contributes to the demand, not damage
-      }
-      collateral += other_share.total();
-    }
-  }
-  txn.Rollback();
-  return collateral;
-}
-
 }  // namespace
 
 double ServerPreemptionCost(const ClusterState& cluster, ServerId server_id) {
@@ -219,6 +176,48 @@ double ServerPreemptionCost(const ClusterState& cluster, ServerId server_id) {
     cost += 1.0 / static_cast<double>(servers);
   }
   return cost;
+}
+
+int CollateralEstimate(const ClusterState& cluster, ServerId server_id) {
+  const std::map<JobId, GpuShare>& hosted = cluster.server(server_id).jobs();
+  // The vacate preempts the jobs with base GPUs here. Jobs with only
+  // flexible GPUs here scale in on this server alone, which changes no other
+  // server's occupancy.
+  auto preempted = [&](JobId job) {
+    const auto it = hosted.find(job);
+    return it != hosted.end() && it->second.base_gpus > 0;
+  };
+  // An on-loan server every job of which is preempted ends up empty.
+  auto emptied = [&](const Server& other) {
+    if (other.pool() != ServerPool::kOnLoan) {
+      return false;
+    }
+    for (const auto& [job, share] : other.jobs()) {
+      if (!preempted(job)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  int collateral = 0;
+  bool preempts = false;
+  for (const auto& [job, share] : hosted) {
+    if (share.base_gpus == 0) {
+      continue;
+    }
+    preempts = true;
+    for (const auto& [other_id, other_share] : cluster.FindPlacement(job)->shares) {
+      // GPUs on this server are the demand itself, and GPUs on a collaterally
+      // emptied server contribute to the demand: neither is damage.
+      if (other_id != server_id && !emptied(cluster.server(other_id))) {
+        collateral += other_share.total();
+      }
+    }
+  }
+  if (preempts) {
+    obs::AddCounter("reclaim.speculative_vacates");
+  }
+  return collateral;
 }
 
 double ServerJobCountCost(const ClusterState& cluster, ServerId server_id) {

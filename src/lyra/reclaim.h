@@ -54,6 +54,14 @@ class ReclaimPolicy {
 // flexible GPUs on the server cost nothing — they scale in, not preempt.
 double ServerPreemptionCost(const ClusterState& cluster, ServerId server);
 
+// Collateral damage of vacating `server` now, the greedy tie-breaker (§4):
+// the GPUs that the jobs the vacate would preempt hold on other servers.
+// GPUs on an on-loan server that the preemptions empty entirely do not count:
+// they serve the reclaiming demand rather than being wasted (the
+// server-1/server-2 situation of Fig 5). Read-only; equals the
+// `collateral_gpus` of VacateServer run on a Clone() of an on-loan server.
+int CollateralEstimate(const ClusterState& cluster, ServerId server);
+
 // Alternative cost definitions from Table 1, for the worked example and the
 // ablation bench: number of running jobs, and summed GPU fractions.
 double ServerJobCountCost(const ClusterState& cluster, ServerId server);

@@ -548,17 +548,12 @@ void Simulator::HandleRevocationStorm(TimeSec now) {
   }
   const int revoke = faults_->StormSize(loaned);
 
-  // Speculative damage estimate on the live state: run the reclaim inside a
-  // transaction and roll it back. This is the crash-mid-what-if path the
-  // transaction substrate must keep safe (ReturnServer refuses speculatively
-  // idle servers, so the rollback cannot strand a pool move).
-  std::size_t estimated_preemptions = 0;
-  {
-    ClusterTransaction txn(cluster_);
-    const ReclaimResult whatif = reclaim_policy_->Reclaim(cluster_, revoke);
-    estimated_preemptions = whatif.preempted.size();
-    txn.Rollback();
-  }
+  // Damage estimate: run the reclaim on a copy. The policy must run (random
+  // reclaiming draws from its RNG), but the live state must not change.
+  // Storms are rare, so the O(cluster) copy stays off the hot path.
+  ClusterState whatif = cluster_.Clone();
+  const std::size_t estimated_preemptions =
+      reclaim_policy_->Reclaim(whatif, revoke).preempted.size();
 
   // The real revocation: drive the loaned count down by `revoke` through the
   // regular orchestrator path (reclaim, then return of the emptied servers).

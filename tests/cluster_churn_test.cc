@@ -288,6 +288,41 @@ TEST(ClusterChurnTest, CloneCarriesCountersAndIndependence) {
   EXPECT_EQ(copy.UsedGpus(ServerPool::kTraining), 0);
 }
 
+// Health-state accounting: a down server's capacity leaves the counters and
+// membership index, placement and loaning refuse it, and recovery restores
+// everything — with AuditInvariants holding at every step.
+TEST(ClusterHealthTest, DownServerLeavesCountersAndComesBack) {
+  ClusterState cluster;
+  const ServerId t0 = cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);
+  const ServerId t1 = cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);
+  const ServerId i0 = cluster.AddServer(GpuType::kInferenceT4, 8, ServerPool::kInference);
+  cluster.Place(JobId(1), t1, 4, false);
+
+  EXPECT_FALSE(cluster.MarkServerDown(t1).ok());  // occupied: vacate first
+  ASSERT_TRUE(cluster.MarkServerDown(t0).ok());
+  EXPECT_FALSE(cluster.IsServerUp(t0));
+  EXPECT_EQ(cluster.NumServersDown(), 1);
+  EXPECT_EQ(cluster.TotalGpus(ServerPool::kTraining), 8);
+  EXPECT_EQ(cluster.TrainingSideFreeGpus(), 4);
+  EXPECT_EQ(cluster.ServersInPool(ServerPool::kTraining),
+            std::vector<ServerId>{t1});
+  EXPECT_FALSE(cluster.MarkServerDown(t0).ok());  // already down
+  cluster.AuditInvariants();
+
+  // Down inference servers can be neither loaned nor returned.
+  ASSERT_TRUE(cluster.MarkServerDown(i0).ok());
+  EXPECT_FALSE(cluster.LoanServer(i0).ok());
+  EXPECT_FALSE(cluster.ReturnServer(i0).ok());
+  ASSERT_TRUE(cluster.MarkServerUp(i0).ok());
+
+  ASSERT_TRUE(cluster.MarkServerUp(t0).ok());
+  EXPECT_FALSE(cluster.MarkServerUp(t0).ok());  // already up
+  EXPECT_EQ(cluster.NumServersDown(), 0);
+  EXPECT_EQ(cluster.TotalGpus(ServerPool::kTraining), 16);
+  EXPECT_EQ(cluster.TrainingSideFreeGpus(), 12);
+  cluster.AuditInvariants();
+}
+
 TEST(ClusterChurnTest, ReclaimPoliciesPreserveInvariants) {
   // Drive the reclaim policies (which vacate via RemoveJob/RemoveFlexible)
   // and audit afterwards: reclaiming is the most mutation-heavy path.

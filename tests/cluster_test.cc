@@ -252,12 +252,10 @@ TEST(NewPlacementLog, ListsJobsThatGainedAPlacement) {
   cluster.Place(JobId(2), a, 2, false);
   cluster.Place(JobId(2), b, 2, true);   // already placed: not listed again
   cluster.Place(JobId(1), b, 1, true);   // placed before: not new
-  {
-    ClusterTransaction txn(cluster);
-    cluster.RemoveJob(JobId(1));
-    cluster.Place(JobId(3), b, 1, false);
-    txn.Rollback();  // job 1 regains its placement, job 3 loses its own
-  }
+  cluster.Place(JobId(3), b, 1, false);
+  cluster.RemoveJob(JobId(3));           // gone again, but stays listed
+  cluster.RemoveJob(JobId(1));
+  cluster.Place(JobId(1), a, 1, false);  // placed again: listed now
   cluster.RemoveJob(JobId(2));
   cluster.Place(JobId(2), a, 1, false);
   EXPECT_EQ(cluster.new_placements(),

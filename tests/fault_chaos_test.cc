@@ -1,11 +1,9 @@
 // Chaos property test: a long random interleaving of placement, scaling,
-// loan/return, reclaim, speculative transactions, server crashes (vacate +
-// mark-down) and repairs, cross-checked after every step against a
-// health-aware brute-force recount of every counter and membership index.
-// This extends tests/cluster_churn_test.cc with the fault surface: down
-// servers must vanish from capacity and pool membership exactly, and
-// transactions opened over a faulty cluster must roll back to the brute
-// snapshot bit-for-bit.
+// loan/return, reclaim, server crashes (vacate + mark-down) and repairs,
+// cross-checked after every step against a health-aware brute-force recount
+// of every counter and membership index. This extends
+// tests/cluster_churn_test.cc with the fault surface: down servers must
+// vanish from capacity and pool membership exactly.
 //
 // The op count defaults to 10000 and can be raised for the weekly long-chaos
 // CI leg via LYRA_CHAOS_OPS. The whole file also runs under ASan/UBSan as
@@ -132,7 +130,7 @@ TEST_P(FaultChaosTest, RandomFaultChurnKeepsCountersExact) {
   const int ops = ChaosOps() / 2;  // two seeds share the budget
   int next_job = 0;
   for (int step = 0; step < ops; ++step) {
-    const int op = static_cast<int>(rng.UniformInt(0, 11));
+    const int op = static_cast<int>(rng.UniformInt(0, 10));
     switch (op) {
       case 0:
       case 1:
@@ -180,7 +178,7 @@ TEST_P(FaultChaosTest, RandomFaultChurnKeepsCountersExact) {
         EXPECT_TRUE(cluster.LoanServer(RandomServer(inference, rng)).ok());
         break;
       }
-      case 6: {  // Return an on-loan server; committed-idle is the contract.
+      case 6: {  // Return an on-loan server; only an idle one goes back.
         const auto& loaned = cluster.ServersInPool(ServerPool::kOnLoan);
         if (loaned.empty()) {
           break;
@@ -224,41 +222,7 @@ TEST_P(FaultChaosTest, RandomFaultChurnKeepsCountersExact) {
                        static_cast<int>(rng.UniformInt(1, 4)));
         break;
       }
-      case 10: {  // Speculative transaction: mutate, then roll back.
-        const int before_used = cluster.TrainingSideUsedGpus();
-        const int before_down = cluster.NumServersDown();
-        {
-          ClusterTransaction txn(cluster);
-          for (int k = 0; k < 4; ++k) {
-            const ServerId id = RandomServer(all, rng);
-            const Server& srv = cluster.server(id);
-            if (srv.up() && srv.pool() != ServerPool::kInference &&
-                srv.free_gpus() > 0) {
-              cluster.Place(JobId(next_job + 100000 + k), id,
-                            static_cast<int>(rng.UniformInt(1, srv.free_gpus())),
-                            true);
-            }
-            const JobId victim = RandomPlacedJob(cluster, rng);
-            if (victim.valid() && rng.NextBernoulli(0.5)) {
-              cluster.RemoveJob(victim);
-            }
-          }
-          // A what-if must not be able to return a server whose idleness it
-          // manufactured itself.
-          const std::vector<ServerId> loaned =
-              cluster.ServersInPool(ServerPool::kOnLoan);
-          for (const ServerId id : loaned) {
-            if (cluster.server(id).idle() && !cluster.CommittedIdle(id)) {
-              EXPECT_FALSE(cluster.ReturnServer(id).ok());
-            }
-          }
-          txn.Rollback();
-        }
-        EXPECT_EQ(cluster.TrainingSideUsedGpus(), before_used);
-        EXPECT_EQ(cluster.NumServersDown(), before_down);
-        break;
-      }
-      case 11: {  // Vacate without a crash (pure reclaim-path mutation).
+      case 10: {  // Vacate without a crash (pure reclaim-path mutation).
         const ServerId id = RandomServer(all, rng);
         if (!cluster.IsServerUp(id)) {
           break;

@@ -244,5 +244,54 @@ TEST_P(ReclaimComparisonProperty, LyraNeverBeatsOptimalAndBeatsRandomOnAverage) 
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReclaimComparisonProperty, ::testing::Range(1, 9));
 
+// The collateral estimate reads the placements; VacateServer on a Clone()
+// applies the vacate and measures. On random clusters (training and loaned
+// servers, multi-server jobs, base and flexible shares mixed, some on one
+// server) the two must agree for every occupied on-loan server.
+TEST(CollateralEstimate, MatchesVacateOnAClone) {
+  int checks = 0;
+  int emptied_neighbours = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    ClusterState cluster;
+    for (int i = 0; i < 4; ++i) {
+      cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);
+    }
+    for (int i = 0; i < 8; ++i) {
+      const ServerId id = cluster.AddServer(GpuType::kInferenceT4, 8, ServerPool::kInference);
+      if (rng.NextBernoulli(0.75)) {
+        ASSERT_TRUE(cluster.LoanServer(id).ok());
+      }
+    }
+    const std::vector<ServerId> visible = cluster.TrainingVisibleServers();
+    for (int j = 0; j < 16; ++j) {
+      const int spans = static_cast<int>(rng.UniformInt(1, 4));
+      for (int k = 0; k < spans; ++k) {
+        const ServerId id = visible[static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<std::int64_t>(visible.size()) - 1))];
+        const int free = cluster.server(id).free_gpus();
+        if (free > 0) {
+          cluster.Place(JobId(j), id, static_cast<int>(rng.UniformInt(1, std::min(free, 4))),
+                        k > 0 && rng.NextBernoulli(0.5));
+        }
+      }
+    }
+    for (ServerId id : cluster.ServersInPool(ServerPool::kOnLoan)) {
+      if (cluster.server(id).idle()) {
+        continue;
+      }
+      ClusterState copy = cluster.Clone();
+      ReclaimResult vacated;
+      VacateServer(copy, id, vacated);
+      EXPECT_EQ(CollateralEstimate(cluster, id), vacated.collateral_gpus)
+          << "seed " << seed << " server " << id.value;
+      ++checks;
+      emptied_neighbours += vacated.vacated.size() > 1 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(checks, 1000);
+  EXPECT_GT(emptied_neighbours, 0);
+}
+
 }  // namespace
 }  // namespace lyra
