@@ -24,8 +24,10 @@
 #include "src/common/rng.h"
 #include "src/lyra/allocation.h"
 #include "src/lyra/mckp.h"
+#include "src/lyra/placement.h"
 #include "src/lyra/reclaim.h"
 #include "src/predict/lstm.h"
+#include "src/sched/elastic_util.h"
 #include "src/sched/placement_util.h"
 
 namespace {
@@ -146,6 +148,55 @@ void BM_TwoPhaseAllocate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TwoPhaseAllocate)->Arg(64)->Arg(8192);
+
+// One warm Lyra placement round over range(0) running elastic jobs whose
+// knapsack targets equal their current flexible workers, so nothing moves:
+// it measures only the reads of ApplyAllocation's scale-in and scale-out
+// passes. Each job holds base and flexible GPUs on its own training server
+// and flexible GPUs on the next one; a quarter of them also hold a T4
+// on-loan server's worth of flexible workers, so credits are fractional.
+void BM_ApplyAllocationSteady(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  lyra::ClusterState cluster;
+  std::vector<lyra::ServerId> training;
+  std::vector<lyra::ServerId> loaned;
+  for (int s = 0; s < n; ++s) {
+    training.push_back(
+        cluster.AddServer(lyra::GpuType::kTrainingV100, 8, lyra::ServerPool::kTraining));
+  }
+  for (int s = 0; s < n / 4; ++s) {
+    loaned.push_back(
+        cluster.AddServer(lyra::GpuType::kInferenceT4, 8, lyra::ServerPool::kOnLoan));
+  }
+  std::vector<std::unique_ptr<lyra::Job>> jobs;
+  for (int j = 0; j < n; ++j) {
+    lyra::JobSpec spec;
+    spec.id = lyra::JobId(j);
+    spec.gpus_per_worker = 2;
+    spec.min_workers = 2;
+    spec.max_workers = 8;
+    spec.fungible = true;
+    spec.total_work = 1e5;
+    jobs.push_back(std::make_unique<lyra::Job>(spec));
+    const auto u = static_cast<std::size_t>(j);
+    cluster.Place(spec.id, training[u], 4, /*flexible=*/false);
+    cluster.Place(spec.id, training[u], 2, /*flexible=*/true);
+    cluster.Place(spec.id, training[(u + 1) % training.size()], 2, /*flexible=*/true);
+    if (u < loaned.size()) {
+      cluster.Place(spec.id, loaned[u], 6, /*flexible=*/true);
+    }
+  }
+  lyra::AllocationDecision decision;
+  for (const auto& job : jobs) {
+    decision.flexible_targets.emplace_back(job.get(),
+                                           lyra::PlacedFlexibleWorkers(cluster, *job));
+  }
+  for (auto _ : state) {
+    const lyra::PlacementStats stats = lyra::ApplyAllocation(cluster, decision, {});
+    benchmark::DoNotOptimize(stats.scale_ins + stats.scale_outs);
+  }
+}
+BENCHMARK(BM_ApplyAllocationSteady)->Arg(256)->Arg(1024);
 
 lyra::ClusterState ReclaimInstance(int servers, std::uint64_t seed) {
   lyra::Rng rng(seed);

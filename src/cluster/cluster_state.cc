@@ -20,14 +20,6 @@ int JobPlacement::base_gpus() const {
   return total;
 }
 
-int JobPlacement::flexible_gpus() const {
-  int total = 0;
-  for (const auto& [server, share] : shares) {
-    total += share.flexible_gpus;
-  }
-  return total;
-}
-
 ClusterState ClusterState::Clone() const {
   ClusterState copy;
   copy.servers_ = servers_;
@@ -146,6 +138,7 @@ void ClusterState::Place(JobId job, ServerId server_id, int gpus, bool flexible)
   GpuShare& share = placement.shares[server_id];
   if (flexible) {
     share.flexible_gpus += gpus;
+    placement.flexible_total += gpus;
   } else {
     share.base_gpus += gpus;
   }
@@ -177,6 +170,7 @@ int ClusterState::RemoveFlexible(JobId job, ServerId server_id, int gpus) {
   const int removed = srv.RemoveFlexible(job, gpus);
   AccountUsage(srv, -removed);
   share_it->second.flexible_gpus -= removed;
+  it->second.flexible_total -= removed;
   LYRA_CHECK_GE(share_it->second.flexible_gpus, 0);
   if (share_it->second.total() == 0) {
     it->second.shares.erase(share_it);
@@ -328,14 +322,16 @@ void ClusterState::AuditInvariants() const {
       free_members[pool].push_back(srv.id());
     }
 
-    // Server-side per-job shares must sum to the server's used count and be
-    // mirrored exactly in the job-side placement map.
+    // Server-side per-job shares must sum to the server's used and flexible
+    // counts and be mirrored exactly in the job-side placement map.
     int server_used = 0;
+    int server_flexible = 0;
     for (const auto& [job, share] : srv.jobs()) {
       LYRA_CHECK_GE(share.base_gpus, 0);
       LYRA_CHECK_GE(share.flexible_gpus, 0);
       LYRA_CHECK_GT(share.total(), 0);
       server_used += share.total();
+      server_flexible += share.flexible_gpus;
       auto it = placements_.find(job);
       LYRA_CHECK(it != placements_.end());
       auto share_it = it->second.shares.find(srv.id());
@@ -344,6 +340,7 @@ void ClusterState::AuditInvariants() const {
       LYRA_CHECK_EQ(share_it->second.flexible_gpus, share.flexible_gpus);
     }
     LYRA_CHECK_EQ(server_used, srv.used_gpus());
+    LYRA_CHECK_EQ(server_flexible, srv.flexible_gpus());
     LYRA_CHECK_LE(srv.used_gpus(), srv.num_gpus());
   }
 
@@ -351,13 +348,16 @@ void ClusterState::AuditInvariants() const {
   // above, the two views are then identical).
   for (const auto& [job, placement] : placements_) {
     LYRA_CHECK(!placement.shares.empty());
+    int flexible = 0;
     for (const auto& [server_id, share] : placement.shares) {
       const Server& srv = server(server_id);
       auto it = srv.jobs().find(job);
       LYRA_CHECK(it != srv.jobs().end());
       LYRA_CHECK_EQ(it->second.base_gpus, share.base_gpus);
       LYRA_CHECK_EQ(it->second.flexible_gpus, share.flexible_gpus);
+      flexible += share.flexible_gpus;
     }
+    LYRA_CHECK_EQ(flexible, placement.flexible_total);
   }
 
   for (int pool = 0; pool < kNumPools; ++pool) {

@@ -41,10 +41,22 @@ struct JobPlacement {
   // `shares`. Stamps never repeat, so a job whose stamp
   // is unchanged holds exactly the shares it held when the stamp was read.
   std::uint64_t stamp = 0;
+  // Sum of the shares' flexible GPUs, kept by ClusterState at every change.
+  int flexible_total = 0;
+
+  // Worker-credit cache, owned by PlacedWorkers/PlacedFlexibleWorkers
+  // (src/sched/elastic_util.cc): the rounded credits of these shares at
+  // `credit_gpus_per_worker`, valid while `credit_stamp == stamp`. Stamps
+  // start at 1, so a fresh placement's cache is never valid. A const read
+  // may fill the cache, so one ClusterState is read from one thread at a time.
+  mutable std::uint64_t credit_stamp = 0;
+  mutable int credit_gpus_per_worker = 0;
+  mutable int credit_workers = 0;
+  mutable int credit_flexible_workers = 0;
 
   int total_gpus() const;
   int base_gpus() const;
-  int flexible_gpus() const;
+  int flexible_gpus() const { return flexible_total; }
   int num_servers() const { return static_cast<int>(shares.size()); }
 };
 

@@ -77,8 +77,14 @@ class Server {
   // Number of GPUs the given job occupies on this server (0 if absent).
   int JobGpus(JobId job) const;
 
-  // True if this server hosts any flexible (elastic beyond-base) GPUs.
-  bool HasFlexibleGpus() const;
+  // GPUs of this server held as flexible (elastic beyond-base) demand.
+  int flexible_gpus() const { return flexible_gpus_; }
+
+  // True if this server hosts any flexible GPUs.
+  bool HasFlexibleGpus() const { return flexible_gpus_ > 0; }
+
+  // True if this server hosts any base GPUs: the rest of its used GPUs.
+  bool HasBaseGpus() const { return used_gpus_ > flexible_gpus_; }
 
   // Adds `gpus` GPUs of the job to this server. Requires capacity.
   void Place(JobId job, int gpus, bool flexible);
@@ -97,6 +103,7 @@ class Server {
   ServerPool pool_;
   bool up_ = true;
   int used_gpus_ = 0;
+  int flexible_gpus_ = 0;
   std::map<JobId, GpuShare> jobs_;
 };
 

@@ -52,8 +52,10 @@ CapacityLedger BuildLedger(const SchedulerContext& ctx) {
   }
   // Flexible workers are resizable: add their GPUs back as capacity.
   for (const Job* job : ctx.running) {
+    // A placement without flexible GPUs adds nothing; skipping it leaves the
+    // remaining terms in the same order.
     const JobPlacement* placement = cluster.FindPlacement(job->id());
-    if (placement == nullptr) {
+    if (placement == nullptr || placement->flexible_gpus() == 0) {
       continue;
     }
     for (const auto& [server_id, share] : placement->shares) {
@@ -132,16 +134,19 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
   for (Job* job : elastic) {
     const JobSpec& spec = job->spec();
     mckp.AddGroup();
-    const TimeSec base_time = job->EstimatedRemainingTime(spec.min_workers);
+    // EstimatedRemainingTime(w) is work / w: one product per job, one
+    // division per item, the same doubles.
+    LYRA_CHECK_GT(spec.min_workers, 0);
+    const double work = job->EstimatedRemainingWork();
+    const TimeSec base_time = work / spec.min_workers;
     for (int k = 1; k <= spec.max_workers - spec.min_workers &&
                     k * spec.gpus_per_worker <= capacity;
          ++k) {
       // Without running-time estimates, value a grant by the compute it adds
       // so the remaining GPUs are simply kept busy.
-      const double value =
-          options.information_agnostic
-              ? static_cast<double>(k)
-              : base_time - job->EstimatedRemainingTime(spec.min_workers + k);
+      const double value = options.information_agnostic
+                               ? static_cast<double>(k)
+                               : base_time - work / (spec.min_workers + k);
       mckp.AddItem(k * spec.gpus_per_worker, value);
     }
   }

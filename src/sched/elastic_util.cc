@@ -17,20 +17,35 @@ double ShareWorkerCredit(const ClusterState& cluster, ServerId server_id, int gp
          GpuComputeFactor(cluster.server(server_id).gpu_type());
 }
 
+int RoundCredit(double credit) { return static_cast<int>(std::floor(credit + 0.5)); }
+
 // The job's worker credit, rounded to whole workers: all its GPUs, or only
-// the flexible ones.
+// the flexible ones. Both are cached on the placement. Credit depends only on
+// the shares, each server's GPU type (fixed) and gpus_per_worker, and every
+// change of the shares draws a new stamp, so the cache is refilled only when
+// the stamp or gpus_per_worker moved. One pass fills both: each sum adds the
+// same terms in the same server order as a walk of its own, so the doubles
+// are bit-identical to an uncached recount.
 int PlacedCredit(const ClusterState& cluster, const Job& job, bool flexible_only) {
   const JobPlacement* placement = cluster.FindPlacement(job.id());
   if (placement == nullptr) {
     return 0;
   }
-  double credit = 0.0;
-  for (const auto& [server_id, share] : placement->shares) {
-    credit += ShareWorkerCredit(cluster, server_id,
-                                flexible_only ? share.flexible_gpus : share.total(),
-                                job.spec().gpus_per_worker);
+  const int gpw = job.spec().gpus_per_worker;
+  if (placement->credit_stamp != placement->stamp ||
+      placement->credit_gpus_per_worker != gpw) {
+    double total = 0.0;
+    double flexible = 0.0;
+    for (const auto& [server_id, share] : placement->shares) {
+      total += ShareWorkerCredit(cluster, server_id, share.total(), gpw);
+      flexible += ShareWorkerCredit(cluster, server_id, share.flexible_gpus, gpw);
+    }
+    placement->credit_stamp = placement->stamp;
+    placement->credit_gpus_per_worker = gpw;
+    placement->credit_workers = RoundCredit(total);
+    placement->credit_flexible_workers = RoundCredit(flexible);
   }
-  return static_cast<int>(std::floor(credit + 0.5));
+  return flexible_only ? placement->credit_flexible_workers : placement->credit_workers;
 }
 
 }  // namespace

@@ -13,15 +13,6 @@
 namespace lyra {
 namespace {
 
-bool ServerHasBaseGpus(const Server& server) {
-  for (const auto& [job, share] : server.jobs()) {
-    if (share.base_gpus > 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 // Nominal-worker capacity of the candidates, in PlaceBestFit's credit.
 double CandidateCapacity(const ClusterState& cluster,
                          const std::vector<PlacementCandidate>& candidates,
@@ -79,7 +70,7 @@ std::vector<PlacementCandidate> PoolCandidates(const ClusterState& cluster, Serv
     int tier = 0;
     if (grouped) {
       const Server& server = cluster.server(id);
-      tier = (for_flexible ? ServerHasBaseGpus(server) : server.HasFlexibleGpus()) ? 1 : 0;
+      tier = (for_flexible ? server.HasBaseGpus() : server.HasFlexibleGpus()) ? 1 : 0;
     }
     out.push_back({id, tier});
   }

@@ -144,13 +144,18 @@ class Job {
   double estimated_total_work() const { return estimated_total_work_; }
   void set_estimated_total_work(double work) { estimated_total_work_ = work; }
 
-  // Estimated remaining running time at `workers` workers, as the scheduler
-  // would compute it. Uses the (possibly wrong) estimate scaled by actual
-  // progress fraction.
+  // Estimated remaining work in worker-seconds, as the scheduler would
+  // compute it: the (possibly wrong) estimate scaled by the actual progress
+  // fraction.
+  double EstimatedRemainingWork() const {
+    const double frac = work_remaining_ / spec_.total_work;
+    return estimated_total_work_ * frac;
+  }
+
+  // Estimated remaining running time at `workers` workers.
   TimeSec EstimatedRemainingTime(int workers) const {
     LYRA_CHECK_GT(workers, 0);
-    const double frac = work_remaining_ / spec_.total_work;
-    return estimated_total_work_ * frac / workers;
+    return EstimatedRemainingWork() / workers;
   }
 
   // Enqueue stamp: drawn by StampQueueSeq() each time the job enters a

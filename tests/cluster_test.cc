@@ -19,14 +19,23 @@ TEST(Server, PlaceAndRemoveTracksUsage) {
   EXPECT_EQ(s.used_gpus(), 4);
   EXPECT_EQ(s.free_gpus(), 4);
   EXPECT_EQ(s.num_jobs(), 1);
+  EXPECT_TRUE(s.HasBaseGpus());
+  EXPECT_FALSE(s.HasFlexibleGpus());
   s.Place(JobId(2), 2, /*flexible=*/true);
   EXPECT_EQ(s.used_gpus(), 6);
+  EXPECT_EQ(s.flexible_gpus(), 2);
   EXPECT_TRUE(s.HasFlexibleGpus());
   s.RemoveJob(JobId(1));
   EXPECT_EQ(s.used_gpus(), 2);
+  EXPECT_FALSE(s.HasBaseGpus());
+  EXPECT_TRUE(s.HasFlexibleGpus());
+  EXPECT_EQ(s.RemoveFlexible(JobId(2), 1), 1);
+  EXPECT_EQ(s.flexible_gpus(), 1);
   s.RemoveJob(JobId(2));
   EXPECT_TRUE(s.idle());
+  EXPECT_EQ(s.flexible_gpus(), 0);
   EXPECT_FALSE(s.HasFlexibleGpus());
+  EXPECT_FALSE(s.HasBaseGpus());
 }
 
 TEST(Server, JobGpusSumsBaseAndFlexible) {

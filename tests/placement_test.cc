@@ -387,8 +387,17 @@ void ExpectSamePlacement(const ClusterState& actual, const ClusterState& expecte
   actual.AuditInvariants();
 }
 
+// The tiers walk the server's shares rather than read its counters, so the
+// oracle does not share the placer's bookkeeping.
 int NoTier(const Server&) { return 0; }
-int BaseDemandTier(const Server& server) { return server.HasFlexibleGpus() ? 1 : 0; }
+int BaseDemandTier(const Server& server) {
+  for (const auto& [job, share] : server.jobs()) {
+    if (share.flexible_gpus > 0) {
+      return 1;
+    }
+  }
+  return 0;
+}
 int FlexibleDemandTier(const Server& server) {
   for (const auto& [job, share] : server.jobs()) {
     if (share.base_gpus > 0) {
