@@ -19,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
@@ -371,6 +372,78 @@ TEST(GoldenTrace, EveryReclaimUnderStormsDecisionsMatchPin) {
 
   // A reclaim policy added to the registry gets a pin too.
   for (const std::string& name : svc::KnownReclaimNames()) {
+    EXPECT_NE(std::find(pinned.begin(), pinned.end(), name), pinned.end())
+        << name << " has no pin";
+  }
+}
+
+// --- Every usage predictor under loaning ------------------------------------
+//
+// The runs above all size loans with the seasonal-naive predictor. Loaning
+// moves servers between the pools, and with them the capacity of Lyra's
+// phase-two knapsack, so a predictor change moves decisions. This pins, for
+// every registry usage predictor, the decision log of a Lyra run with
+// loaning on (the scheduler-pin wiring otherwise: Lyra reclaiming, scale
+// 0.05, 2 days, load 1.5, half the jobs elastic, seed 42).
+
+struct PredictorPin {
+  const char* name;
+  std::size_t records;
+  std::uint64_t digest;
+};
+
+// Pinned before the knapsack solved only its reachable region; a deliberate
+// change of Lyra's decisions re-pins its rows from the failure messages.
+constexpr PredictorPin kPredictorPins[] = {
+    {"last-value", 4198, 0x42d525202ff1dfc6ull},
+    {"lstm", 3990, 0xd81b29faaca70e99ull},
+    {"seasonal-naive", 3957, 0x6a333a7bd112e5b6ull},
+};
+
+TEST(GoldenTrace, EveryPredictorDecisionsMatchPin) {
+  constexpr double kScale = 0.05;
+  constexpr std::uint64_t kSeed = 42;
+  const int training_servers = static_cast<int>(443 * kScale);
+  const int inference_servers = static_cast<int>(520 * kScale);
+
+  SyntheticTraceOptions trace_options;
+  trace_options.duration = 2 * kDay;
+  trace_options.training_gpus = training_servers * 8;
+  trace_options.target_utilization = 1.5;
+  trace_options.seed = kSeed;
+  Trace trace = SyntheticTraceGenerator(trace_options).Generate();
+  Rng transform_rng(kSeed ^ 0x5eed);
+  ApplyElasticFraction(trace, 0.5, transform_rng);
+
+  std::vector<std::string> pinned;
+  for (const PredictorPin& pin : kPredictorPins) {
+    pinned.push_back(pin.name);
+    SCOPED_TRACE(pin.name);
+    StatusOr<std::unique_ptr<JobScheduler>> scheduler =
+        svc::MakeScheduler("lyra", false, false);
+    StatusOr<std::unique_ptr<ReclaimPolicy>> reclaim = svc::MakeReclaim("lyra");
+    StatusOr<std::unique_ptr<UsagePredictor>> predictor = svc::MakePredictor(pin.name);
+    ASSERT_TRUE(scheduler.ok());
+    ASSERT_TRUE(reclaim.ok());
+    ASSERT_TRUE(predictor.ok());
+    SimulatorOptions options;
+    options.training_servers = training_servers;
+    options.enable_loaning = true;
+    options.record_decisions = true;
+    options.seed = kSeed;
+    Simulator simulator(options, trace, scheduler.value().get(), reclaim.value().get(),
+                        MakeInferenceCluster(inference_servers, trace.duration, kSeed,
+                                             std::move(predictor.value())));
+    const SimulationResult result = simulator.Run();
+
+    const std::uint64_t digest = DecisionDigest(simulator.decision_log());
+    EXPECT_GT(result.orchestrator.servers_loaned, 0);
+    EXPECT_EQ(simulator.decision_log().size(), pin.records);
+    EXPECT_EQ(digest, pin.digest) << "decision log digest 0x" << std::hex << digest;
+  }
+
+  // A usage predictor added to the registry gets a pin too.
+  for (const std::string& name : svc::KnownPredictorNames()) {
     EXPECT_NE(std::find(pinned.begin(), pinned.end(), name), pinned.end())
         << name << " has no pin";
   }
