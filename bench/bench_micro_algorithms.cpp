@@ -71,14 +71,15 @@ BENCHMARK(BM_MckpByCapacity)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 // k = "grow by k workers" weighing k * gpus per worker, valued by the concave
 // JCT reduction. The paper-scale Lyra run (scale 1.0, 15 days) measures 75
 // groups, 393 items and capacity 403 per solve on average, with gpus per
-// worker in {1, 2, 4}; Arg(403) is that capacity. The instance itself keeps
-// its original draw (80 groups, 1-8 extra workers, gpus per worker up to 8)
-// so its numbers compare across commits. The solver is reused across
+// worker in {1, 2, 4}; Arg(403) is that capacity, and Arg(4096) covers every
+// group's largest item, so the solver's region is a band. The instance itself
+// keeps its original draw (80 groups, 1-8 extra workers, gpus per worker up
+// to 8) so its numbers compare across commits. The solver is reused across
 // iterations as the scheduler reuses it across rounds.
-void BM_MckpSchedulerShaped(benchmark::State& state) {
-  const int capacity = static_cast<int>(state.range(0));
+constexpr int kSchedulerShapedCapacities[] = {193, 403, 1013, 4096};
+
+void LoadSchedulerShaped(lyra::MckpSolver& solver, int capacity) {
   lyra::Rng rng(13);
-  lyra::MckpSolver solver;
   for (int g = 0; g < 80; ++g) {
     static constexpr int kGpusPerWorker[] = {1, 2, 4, 8};
     const int gpw = kGpusPerWorker[rng.UniformInt(0, 3)];
@@ -90,11 +91,21 @@ void BM_MckpSchedulerShaped(benchmark::State& state) {
       solver.AddItem(k * gpw, work / min_workers - work / (min_workers + k));
     }
   }
+}
+
+void BM_MckpSchedulerShaped(benchmark::State& state) {
+  const int capacity = static_cast<int>(state.range(0));
+  lyra::MckpSolver solver;
+  LoadSchedulerShaped(solver, capacity);
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.Solve(capacity).total_value);
   }
 }
-BENCHMARK(BM_MckpSchedulerShaped)->Arg(193)->Arg(403)->Arg(1013);
+BENCHMARK(BM_MckpSchedulerShaped)->Apply([](benchmark::internal::Benchmark* bench) {
+  for (int capacity : kSchedulerShapedCapacities) {
+    bench->Arg(capacity);
+  }
+});
 
 // One warm Lyra allocation round (both phases) with range(0) pending jobs.
 // 110 servers are full of elastic jobs, each holding one flexible worker, so
@@ -648,8 +659,8 @@ double TimeNsPerOp(Fn&& body) {
   return elapsed_ns / static_cast<double>(iters);
 }
 
-// Times the reclaim-tick comparison and the JSON reply encoders and records
-// them via the bench harness so the repo's perf trajectory is
+// Times the reclaim-tick comparison, the scheduler-shaped knapsack and the
+// JSON reply encoders and records them via the bench harness so the repo's perf trajectory is
 // machine-checkable from BENCH_perf.json.
 void RecordMicroReport() {
   for (int servers : {64, 256}) {
@@ -670,6 +681,15 @@ void RecordMicroReport() {
   }
   // Note: both reclaim timings include rebuilding the instance per iteration;
   // the ratio understates the policy-only speedup.
+
+  for (int capacity : kSchedulerShapedCapacities) {
+    lyra::MckpSolver solver;
+    LoadSchedulerShaped(solver, capacity);
+    const double solve_ns =
+        TimeNsPerOp([&] { benchmark::DoNotOptimize(solver.Solve(capacity).total_value); });
+    lyra::RecordMicroBench("mckp_scheduler_shaped_" + std::to_string(capacity), solve_ns);
+    std::printf("mckp scheduler-shaped capacity %d: %.0f ns/op\n", capacity, solve_ns);
+  }
 
   {
     const lyra::JsonValue reply = ServiceReplyDoc();

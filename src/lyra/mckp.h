@@ -33,7 +33,7 @@ struct MckpSolution {
 
 // Exact DP solver over a flat, reusable instance. The scheduler keeps one and
 // rebuilds the instance every round, so in steady state a solve allocates
-// nothing: items, the value table and the DP row all keep their capacity.
+// nothing: the items and the value table keep their capacity.
 //
 //   solver.Clear();
 //   solver.AddGroup(); solver.AddItem(2, 6.67);
@@ -41,18 +41,28 @@ struct MckpSolution {
 //   const MckpSolution& s = solver.Solve(/*capacity=*/4);
 //
 // Capacity and weights must be non-negative. An item is usable when its
-// weight fits the capacity and its value is positive. Group g only gets DP
-// columns up to min(capacity, P_g), where P_g sums the largest usable weight
-// of groups 0..g: no combination of those groups weighs more, so every
-// column above P_g repeats column P_g's value (DESIGN.md "Cost of a Lyra
-// scheduling round"). The solver keeps a value table of
-// sum_g (min(capacity, P_g) + 1) doubles and no choice table: the forward
-// pass is a branch-free running max, and the backtrack re-derives each
-// group's choice from two value rows. A strict running max keeps the first
-// candidate that reaches a cell's final value, so the backtrack takes
-// nothing when the previous row already holds that value, and otherwise the
-// first usable item whose candidate equals it. A solve takes
-// O(sum_g min(capacity, P_g) * |items of g|) time.
+// weight fits the capacity and its value is positive. Group g's row ends at
+// column width_g = min(capacity, P_g), where P_g sums the largest usable
+// weight of groups 0..g: no combination of those groups weighs more, so every
+// column above P_g repeats column P_g's value. The solver keeps no choice
+// table: the forward pass is a branch-free running max, and the backtrack
+// re-derives each group's choice from two value rows. A strict running max
+// keeps the first candidate that reaches a cell's final value, so the
+// backtrack takes nothing when the previous row already holds that value, and
+// otherwise the first usable item whose candidate equals it.
+//
+// The backtrack reads only a region near the top of each row, so only that
+// region is filled (DESIGN.md "Cost of a Lyra scheduling round"). With top
+// the last row's last column, D the largest smallest usable weight of any
+// group and S_g the sum of the largest usable weights of the groups after g,
+// row g spans columns [max(0, top - D - S_g), width_g]; each of its cells
+// reads only region cells of the row before. Rows never fall with the
+// column, so when the last row's first region cell is below its maximum, the
+// backtrack's start and every cell it reads lie in the region. Otherwise the
+// solver fills the full table and backtracks there. A solve takes
+// O(items + top + sum_g (r_g + 1) * (|items of g| + 1)) time, where
+// r_g <= min(width_g, D + S_g) is row g's region width, or width_g after a
+// fallback (whose first pass counts too). With ample capacity, r_g <= D.
 class MckpSolver {
  public:
   // Starts a new instance; every buffer keeps its capacity.
@@ -75,20 +85,24 @@ class MckpSolver {
   const MckpSolution& Solve(int capacity);
 
   // DP cell updates of the last Solve: sum over usable items of the columns
-  // they were tried at. A deterministic measure of its cost.
+  // they were tried at, both passes when the region fell back to the full
+  // table. A deterministic measure of its cost; it no longer equals the
+  // table's size, since an item is tried only inside its row's region.
   std::uint64_t cell_updates() const { return cell_updates_; }
 
  private:
   std::size_t group_begin(std::size_t g) const {
     return g == 0 ? 0 : group_end_[g - 1];
   }
+  // Runs the forward pass over columns [lo_[g], width_[g]] of every row.
+  void Fill(int cap);
 
   std::vector<MckpItem> items_;
   std::vector<std::size_t> group_end_;  // items of group g end here
   std::vector<int> width_;              // last DP column of group g
+  std::vector<int> lo_;                 // first DP column of group g
   std::vector<std::size_t> row_;        // start of group g's row in table_
-  std::vector<double> table_;           // every group's finished value row
-  std::vector<double> dp_;              // previous row, extended to cap
+  std::vector<double> table_;           // every group's rows, from lo_ on
   std::uint64_t cell_updates_ = 0;
   MckpSolution solution_;
 };

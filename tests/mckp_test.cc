@@ -6,11 +6,18 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/lyra/allocation.h"
 #include "src/lyra/mckp.h"
+#include "src/lyra/placement.h"
+#include "src/lyra/reclaim.h"
+#include "src/sim/inference_cluster.h"
+#include "src/sim/simulator.h"
+#include "src/workload/synthetic.h"
 
 namespace lyra {
 namespace {
@@ -163,7 +170,10 @@ TEST(Mckp, LargeInstanceStaysFast) {
 // group gets columns 0..min(capacity, sum of largest weights), and the choice
 // table is one int16 row per group. The bounded solver must reproduce its
 // choices, value bits and weight exactly, not just an equally good optimum.
-MckpSolution ReferenceSolveMckp(const std::vector<MckpGroup>& groups, int capacity) {
+// `first_argmax`, when given, receives the last row's first maximum column,
+// where the backtrack starts.
+MckpSolution ReferenceSolveMckp(const std::vector<MckpGroup>& groups, int capacity,
+                                std::size_t* first_argmax = nullptr) {
   MckpSolution solution;
   solution.chosen.assign(groups.size(), -1);
   if (groups.empty() || capacity == 0) {
@@ -210,6 +220,9 @@ MckpSolution ReferenceSolveMckp(const std::vector<MckpGroup>& groups, int capaci
 
   std::size_t c = static_cast<std::size_t>(
       std::max_element(dp.begin(), dp.end()) - dp.begin());
+  if (first_argmax != nullptr) {
+    *first_argmax = c;
+  }
   solution.total_value = dp[c];
   for (std::size_t g = groups.size(); g-- > 0;) {
     const int taken = choice[g][c];
@@ -225,8 +238,7 @@ MckpSolution ReferenceSolveMckp(const std::vector<MckpGroup>& groups, int capaci
 
 // Solves through one reused solver (the scheduler's steady state) and checks
 // the result against the oracle bit for bit.
-void ExpectIdentical(MckpSolver& solver, const std::vector<MckpGroup>& groups,
-                     int capacity, const std::string& label) {
+void Load(MckpSolver& solver, const std::vector<MckpGroup>& groups) {
   solver.Clear();
   for (const MckpGroup& group : groups) {
     solver.AddGroup();
@@ -234,6 +246,11 @@ void ExpectIdentical(MckpSolver& solver, const std::vector<MckpGroup>& groups,
       solver.AddItem(item.weight, item.value);
     }
   }
+}
+
+void ExpectIdentical(MckpSolver& solver, const std::vector<MckpGroup>& groups,
+                     int capacity, const std::string& label) {
+  Load(solver, groups);
   const MckpSolution& got = solver.Solve(capacity);
   const MckpSolution want = ReferenceSolveMckp(groups, capacity);
   ASSERT_EQ(got.chosen, want.chosen) << label;
@@ -367,13 +384,7 @@ TEST(MckpBacktrack, TiesThatAppearOnlyAfterRounding) {
   for (int capacity : {1, 2, 3, 4, 5, 6}) {
     ExpectIdentical(solver, groups, capacity, "capacity " + std::to_string(capacity));
   }
-  solver.Clear();
-  for (const MckpGroup& group : groups) {
-    solver.AddGroup();
-    for (const MckpItem& item : group.items) {
-      solver.AddItem(item.weight, item.value);
-    }
-  }
+  Load(solver, groups);
   EXPECT_EQ(solver.Solve(3).chosen, (std::vector<int>{0, 0, -1, 1}));
 }
 
@@ -545,6 +556,233 @@ TEST(Mckp, ChoiceIndexHoldsMoreThanInt16Items) {
   EXPECT_EQ(s.chosen[0], 34999);
   EXPECT_EQ(s.total_weight, 35000);
   EXPECT_EQ(s.total_value, 35000.0);
+}
+
+// --- Reachable region ------------------------------------------------------------
+//
+// The solver fills each row only from top - D - S_g up (mckp.h class comment)
+// and falls back to the full table when the last row's first argmax may lie
+// below that. The helpers restate the documented shape from the instance, so
+// the tests can aim at it: flat tops that force the fallback, ample capacity
+// where the region is a band, and instances recorded from a Lyra run.
+
+bool Usable(const MckpItem& item, int capacity) {
+  return item.weight <= capacity && item.value > 0.0;
+}
+
+// D, the largest smallest usable weight, and top, the last row's last column.
+struct RegionShape {
+  int depth = 0;
+  int top = 0;
+  std::uint64_t usable_items = 0;
+};
+
+RegionShape Shape(const std::vector<MckpGroup>& groups, int capacity) {
+  RegionShape shape;
+  std::int64_t usable_total = 0;
+  for (const MckpGroup& group : groups) {
+    int lightest = std::numeric_limits<int>::max();
+    int heaviest = 0;
+    for (const MckpItem& item : group.items) {
+      if (Usable(item, capacity)) {
+        lightest = std::min(lightest, item.weight);
+        heaviest = std::max(heaviest, item.weight);
+        ++shape.usable_items;
+      }
+    }
+    if (heaviest > 0 || lightest == 0) {
+      shape.depth = std::max(shape.depth, lightest);
+    }
+    usable_total += heaviest;
+  }
+  shape.top = static_cast<int>(std::min<std::int64_t>(capacity, usable_total));
+  return shape;
+}
+
+// Cell updates of one pass over the full table: every usable item tried at
+// every column from its weight to its row's last column.
+std::uint64_t FullTableCells(const std::vector<MckpGroup>& groups, int capacity) {
+  std::uint64_t cells = 0;
+  std::int64_t prefix = 0;
+  for (const MckpGroup& group : groups) {
+    int heaviest = 0;
+    for (const MckpItem& item : group.items) {
+      if (Usable(item, capacity)) {
+        heaviest = std::max(heaviest, item.weight);
+      }
+    }
+    prefix += heaviest;
+    const std::int64_t width = std::min<std::int64_t>(capacity, prefix);
+    for (const MckpItem& item : group.items) {
+      if (Usable(item, capacity) && item.weight <= width) {
+        cells += static_cast<std::uint64_t>(width - item.weight + 1);
+      }
+    }
+  }
+  return cells;
+}
+
+// Checks an instance whose answer lies more than D below top: the solver must
+// match the oracle, and its cell count must include the full second pass.
+void ExpectFallback(MckpSolver& solver, const std::vector<MckpGroup>& groups, int capacity,
+                    const std::string& label) {
+  std::size_t first_argmax = 0;
+  ReferenceSolveMckp(groups, capacity, &first_argmax);
+  const RegionShape shape = Shape(groups, capacity);
+  ASSERT_LT(first_argmax + static_cast<std::size_t>(shape.depth),
+            static_cast<std::size_t>(shape.top))
+      << label << ": not a flat top";
+  ExpectIdentical(solver, groups, capacity, label);
+  EXPECT_GT(solver.cell_updates(), FullTableCells(groups, capacity)) << label;
+}
+
+TEST(MckpRegion, FlatTopFallsBackToTheFullTable) {
+  MckpSolver solver;
+  // Heavier items worth less: every group takes its light item, so the best
+  // value is reached at column 6 and stays flat up to top = 36.
+  std::vector<MckpGroup> lighter_is_better(6, Group({{1, 10.0}, {6, 1.0}}));
+  ExpectFallback(solver, lighter_is_better, 100, "lighter is better");
+  ExpectFallback(solver, lighter_is_better, 30, "lighter is better, capacity 30");
+  // Absorbed sums: above 2^56 adding 3 rounds back, so nothing after the
+  // first group raises the row past column 1.
+  ExpectFallback(solver,
+                 LoadedInstance(1e17, {Group({{1, 3.0}}), Group({{2, 3.0}, {1, 2.0}}),
+                                       Group({{1, 3.0}})}),
+                 10, "absorbed sums");
+  // Saturation: +inf in the first group ties every later cell with it.
+  const double inf = std::numeric_limits<double>::infinity();
+  ExpectFallback(solver, {Group({{1, inf}}), Group({{3, 4.0}}), Group({{2, 1.0}})}, 9,
+                 "+inf saturates");
+
+  // Random instances with falling values per group; the flat ones must fall
+  // back, the others must not need to.
+  Rng rng(2026);
+  int flat = 0;
+  for (int instance = 0; instance < 4000; ++instance) {
+    std::vector<MckpGroup> groups;
+    for (int g = static_cast<int>(rng.UniformInt(1, 6)); g > 0; --g) {
+      MckpGroup group;
+      double value = static_cast<double>(rng.UniformInt(10, 40));
+      int weight = 0;
+      for (int i = static_cast<int>(rng.UniformInt(1, 4)); i > 0; --i) {
+        weight += static_cast<int>(rng.UniformInt(0, 5));
+        value -= static_cast<double>(rng.UniformInt(0, 8));
+        group.items.push_back({weight, value});
+      }
+      groups.push_back(std::move(group));
+    }
+    const int capacity = static_cast<int>(rng.UniformInt(1, 40));
+    const std::string label = "instance " + std::to_string(instance);
+    std::size_t first_argmax = 0;
+    ReferenceSolveMckp(groups, capacity, &first_argmax);
+    const RegionShape shape = Shape(groups, capacity);
+    if (first_argmax + static_cast<std::size_t>(shape.depth) <
+        static_cast<std::size_t>(shape.top)) {
+      ++flat;
+      ExpectFallback(solver, groups, capacity, label);
+    } else {
+      ExpectIdentical(solver, groups, capacity, label);
+    }
+  }
+  EXPECT_GT(flat, 400);
+}
+
+TEST(MckpRegion, AmpleCapacitySolvesABand) {
+  // When the capacity covers every group's largest item, row g's region is
+  // [P_g - D, P_g]: each usable item is tried at no more than D + 1 columns.
+  constexpr int kAmple = 1 << 16;
+  Rng rng(4096);
+  MckpSolver solver;
+  for (int instance = 0; instance < 40; ++instance) {
+    const std::vector<MckpGroup> groups =
+        instance % 2 == 0 ? SchedulerShapedInstance(rng) : PaperShapedInstance(rng, kAmple);
+    const std::string label = "instance " + std::to_string(instance);
+    ExpectIdentical(solver, groups, kAmple, label);
+    const RegionShape shape = Shape(groups, kAmple);
+    ASSERT_LT(shape.top, kAmple) << label;
+    EXPECT_LE(solver.cell_updates(),
+              static_cast<std::uint64_t>(shape.depth + 1) * shape.usable_items)
+        << label;
+    EXPECT_LT(solver.cell_updates(), FullTableCells(groups, kAmple) / 4) << label;
+  }
+}
+
+// Lyra's round with the test's own knapsack solver: after every phase-two
+// solve, the instance is read back from the solver.
+class RecordingLyraScheduler : public JobScheduler {
+ public:
+  const char* name() const override { return "lyra-recording"; }
+  void Schedule(SchedulerContext& ctx) override {
+    const AllocationDecision decision = TwoPhaseAllocate(ctx, {}, &solver_, &pending_);
+    // Phase two returns before building an instance when no job is elastic.
+    if (!decision.flexible_targets.empty()) {
+      std::vector<MckpGroup> groups(solver_.num_groups());
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        for (std::size_t i = 0; i < solver_.group_size(g); ++i) {
+          groups[g].items.push_back(solver_.item(g, i));
+        }
+      }
+      instances_.push_back(std::move(groups));
+    }
+    PlacementOptions placement;
+    placement.allow_loaned = ctx.allow_loaned_placement;
+    ApplyAllocation(*ctx.cluster, decision, placement);
+  }
+  const std::vector<std::vector<MckpGroup>>& instances() const { return instances_; }
+
+ private:
+  MckpSolver solver_;
+  PendingIndex pending_;
+  std::vector<std::vector<MckpGroup>> instances_;
+};
+
+TEST(MckpRegion, MatchesOracleOnRecordedLyraInstances) {
+  // A small overloaded Lyra run with loaning on and half the jobs elastic.
+  constexpr std::uint64_t kSeed = 7;
+  SyntheticTraceOptions trace_options;
+  trace_options.duration = 1 * kDay;
+  trace_options.training_gpus = 16 * 8;
+  trace_options.target_utilization = 1.5;
+  trace_options.seed = kSeed;
+  Trace trace = SyntheticTraceGenerator(trace_options).Generate();
+  Rng transform_rng(kSeed);
+  ApplyElasticFraction(trace, 0.5, transform_rng);
+  SimulatorOptions options;
+  options.training_servers = 16;
+  options.enable_loaning = true;
+  options.seed = kSeed;
+  RecordingLyraScheduler scheduler;
+  LyraReclaimPolicy reclaim;
+  Simulator simulator(options, trace, &scheduler, &reclaim,
+                      MakeInferenceCluster(20, trace.duration, kSeed, nullptr));
+  simulator.Run();
+  ASSERT_GT(scheduler.instances().size(), 200u);
+
+  // The round's capacity is not part of the instance, but every item was
+  // built to fit it, so replay each instance from its heaviest item (the
+  // least such capacity) up to ample capacity.
+  Rng rng(kSeed);
+  MckpSolver solver;
+  std::size_t recorded = 0;
+  for (const std::vector<MckpGroup>& groups : scheduler.instances()) {
+    int heaviest = 1;
+    int sum_heaviest = 0;
+    for (const MckpGroup& group : groups) {
+      int group_heaviest = 0;
+      for (const MckpItem& item : group.items) {
+        group_heaviest = std::max(group_heaviest, item.weight);
+      }
+      heaviest = std::max(heaviest, group_heaviest);
+      sum_heaviest += group_heaviest;
+    }
+    const int depth = Shape(groups, heaviest).depth;
+    const std::string label = "recorded " + std::to_string(recorded++);
+    for (int capacity :
+         {heaviest, heaviest + depth, std::max(heaviest, sum_heaviest - 1), sum_heaviest,
+          static_cast<int>(rng.UniformInt(heaviest, std::max(heaviest, sum_heaviest))), 4096}) {
+      ExpectIdentical(solver, groups, capacity, label + " capacity " + std::to_string(capacity));
+    }
+  }
 }
 
 }  // namespace
