@@ -660,8 +660,8 @@ double TimeNsPerOp(Fn&& body) {
 }
 
 // Times the reclaim-tick comparison, the scheduler-shaped knapsack and the
-// JSON reply encoders and records them via the bench harness so the repo's perf trajectory is
-// machine-checkable from BENCH_perf.json.
+// JSON reply encoders and records them via the bench harness so the repo's
+// perf trajectory is machine-checkable from BENCH_perf.json.
 void RecordMicroReport() {
   for (int servers : {64, 256}) {
     const double heap_ns = TimeNsPerOp([&] {

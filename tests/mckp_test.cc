@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -236,8 +235,6 @@ MckpSolution ReferenceSolveMckp(const std::vector<MckpGroup>& groups, int capaci
   return solution;
 }
 
-// Solves through one reused solver (the scheduler's steady state) and checks
-// the result against the oracle bit for bit.
 void Load(MckpSolver& solver, const std::vector<MckpGroup>& groups) {
   solver.Clear();
   for (const MckpGroup& group : groups) {
@@ -248,6 +245,8 @@ void Load(MckpSolver& solver, const std::vector<MckpGroup>& groups) {
   }
 }
 
+// Solves through one reused solver (the scheduler's steady state) and checks
+// the result against the oracle bit for bit.
 void ExpectIdentical(MckpSolver& solver, const std::vector<MckpGroup>& groups,
                      int capacity, const std::string& label) {
   Load(solver, groups);
@@ -590,7 +589,7 @@ RegionShape Shape(const std::vector<MckpGroup>& groups, int capacity) {
         ++shape.usable_items;
       }
     }
-    if (heaviest > 0 || lightest == 0) {
+    if (lightest != std::numeric_limits<int>::max()) {
       shape.depth = std::max(shape.depth, lightest);
     }
     usable_total += heaviest;
@@ -654,8 +653,8 @@ TEST(MckpRegion, FlatTopFallsBackToTheFullTable) {
   ExpectFallback(solver, {Group({{1, inf}}), Group({{3, 4.0}}), Group({{2, 1.0}})}, 9,
                  "+inf saturates");
 
-  // Random instances with falling values per group; the flat ones must fall
-  // back, the others must not need to.
+  // Random instances with falling values per group: the flat ones must fall
+  // back, and every one must match the oracle.
   Rng rng(2026);
   int flat = 0;
   for (int instance = 0; instance < 4000; ++instance) {
