@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "src/rl/learned_scheduler.h"
 #include "src/sim/inference_cluster.h"
 #include "src/svc/registry.h"
 
@@ -223,11 +224,12 @@ TEST(GoldenTrace, LongQueueDecisionsMatchPin) {
 // --- Every scheduler's decisions -------------------------------------------
 //
 // The slice above pins outcome summaries of four schedulers; this pins the
-// decision log of every registry scheduler but `learned` (which needs trained
-// weights). Each run is wired like
+// decision log of every registry scheduler. Each run is wired like
 //   lyra_sim --scheduler=<name> --scale=0.05 --days=2 --load=1.5 --elastic=0.5
 // (seed 42, Lyra reclaiming, loaning on), so `--decisions-csv=<file>` writes
-// the same log. Half the jobs elastic and the cluster overloaded keep every
+// the same log. `learned` runs an untrained policy built in-test from seed 42
+// instead of a weights file, so its row pins the scheduler's mechanics, not
+// a training run. Half the jobs elastic and the cluster overloaded keep every
 // placement path busy: launches on both pools, harvests, flexible growth.
 
 struct SchedulerPin {
@@ -242,6 +244,7 @@ constexpr SchedulerPin kSchedulerPins[] = {
     {"afs", 2563, 0x1f89fdb41d4e8999ull},
     {"fifo", 1797, 0x647436eab33cbd96ull},
     {"gandiva", 1974, 0x78976c1e44f127b4ull},
+    {"learned", 1945, 0xfaff304053b3983full},
     {"lyra", 3957, 0x6a333a7bd112e5b6ull},
     {"lyra-naive-placement", 3768, 0xd4b5ec3ee5cf91b4ull},
     {"lyra-no-elastic", 1812, 0x2d91e468482e2495ull},
@@ -270,7 +273,11 @@ TEST(GoldenTrace, EverySchedulerDecisionsMatchPin) {
     pinned.push_back(pin.name);
     SCOPED_TRACE(pin.name);
     StatusOr<std::unique_ptr<JobScheduler>> scheduler =
-        svc::MakeScheduler(pin.name, false, false);
+        std::string(pin.name) == "learned"
+            ? StatusOr<std::unique_ptr<JobScheduler>>(
+                  std::make_unique<rl::LearnedScheduler>(
+                      rl::PolicyNet(rl::PolicyOptions{.seed = kSeed})))
+            : svc::MakeScheduler(pin.name, false, false);
     StatusOr<std::unique_ptr<ReclaimPolicy>> reclaim = svc::MakeReclaim("lyra");
     ASSERT_TRUE(scheduler.ok());
     ASSERT_TRUE(reclaim.ok());
@@ -291,10 +298,8 @@ TEST(GoldenTrace, EverySchedulerDecisionsMatchPin) {
 
   // A scheduler added to the registry gets a pin too.
   for (const std::string& name : svc::KnownSchedulerNames()) {
-    if (name != "learned") {
-      EXPECT_NE(std::find(pinned.begin(), pinned.end(), name), pinned.end())
-          << name << " has no pin";
-    }
+    EXPECT_NE(std::find(pinned.begin(), pinned.end(), name), pinned.end())
+        << name << " has no pin";
   }
 }
 

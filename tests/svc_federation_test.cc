@@ -348,13 +348,17 @@ TEST(Federation, MigrationChargesCheckpointCostAndMovesTheJob) {
   FederationSet fed = BuildFed("1x2");  // inf0, train0, train1
   FederationRouter& router = *fed.router;
 
-  JsonValue submit = SubmitTo("train0", 0.0, 7200.0, 1, 1, 1);
+  JsonValue submit = SubmitTo("train0", 0.0, 7200.0, 2, 1, 3);
   submit.Set("checkpointing", JsonValue::MakeBool(true));
   const JsonValue submitted = router.Execute(submit);
   ASSERT_TRUE(submitted.GetBool("ok")) << submitted.Dump();
   const std::int64_t job =
       static_cast<std::int64_t>(submitted.GetDouble("job", -1.0));
   ASSERT_TRUE(router.Execute(Advance(600.0)).GetBool("ok"));
+  JsonValue query = Cmd("query_job");
+  query.Set("job", JsonValue::MakeNumber(static_cast<double>(job)));
+  const JsonValue source = router.Execute(query);
+  ASSERT_TRUE(source.GetBool("ok")) << source.Dump();
 
   const JsonValue moved = router.Execute(Migrate(job, "train1"));
   ASSERT_TRUE(moved.GetBool("ok")) << moved.Dump();
@@ -368,12 +372,26 @@ TEST(Federation, MigrationChargesCheckpointCostAndMovesTheJob) {
   EXPECT_EQ(router.ClusterOfEngine(router.ShardOfJob(new_job)), 2u)
       << "migrated job must live on train1's engine";
 
-  // Source side: the original job ended cancelled.
-  JsonValue query = Cmd("query_job");
-  query.Set("job", JsonValue::MakeNumber(static_cast<double>(job)));
+  // Source side: the original job ended cancelled, at the advance's time.
   const JsonValue old_state = router.Execute(query);
   ASSERT_TRUE(old_state.GetBool("ok")) << old_state.Dump();
   EXPECT_EQ(old_state.GetString("state"), "cancelled") << old_state.Dump();
+
+  // The destination runs the source's spec with the checkpoint cost added to
+  // its remaining work, submitted at the cancel's time.
+  JsonValue query_new = Cmd("query_job");
+  query_new.Set("job", JsonValue::MakeNumber(static_cast<double>(new_job)));
+  const JsonValue migrated = router.Execute(query_new);
+  ASSERT_TRUE(migrated.GetBool("ok")) << migrated.Dump();
+  for (const char* field : {"gpus_per_worker", "min_workers", "max_workers"}) {
+    EXPECT_EQ(migrated.GetDouble(field, -1.0), source.GetDouble(field, -2.0))
+        << field;
+  }
+  EXPECT_EQ(migrated.GetDouble("work_remaining", -1.0),
+            source.GetDouble("work_remaining") + kMigrationCheckpointCost)
+      << migrated.Dump();
+  EXPECT_EQ(migrated.GetDouble("submit_time", -1.0), 600.0) << migrated.Dump();
+  EXPECT_EQ(migrated.GetDouble("submit_time", -1.0), moved.GetDouble("time"));
 
   // The ledger recorded the move.
   EXPECT_NE(router.ledger_hash(), 0u);

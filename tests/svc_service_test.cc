@@ -277,6 +277,74 @@ TEST(Service, ErrorRepliesCarryWireCodes) {
   service.Stop();
 }
 
+// How the engine-command decoder reads a submit or cancel: the exact reply,
+// the command_errors it adds, and for an accepted submit the spec fields
+// query_job reads back. Accepted submits' reply bytes name the job id, which
+// only a one-engine fleet predicts.
+struct DecodeCase {
+  const char* request;
+  const char* reply;  // exact bytes at one engine; errors at every size
+  std::uint64_t errors;
+  int gpus_per_worker = 0;  // accepted submits: the spec read back
+  int min_workers = 0;
+  int max_workers = 0;
+};
+
+const DecodeCase kDecodeCases[] = {
+    {R"({"cmd":"submit","at":0,"min_workers":3e9,"total_work":7200})",
+     R"({"ok":false,"code":"invalid_argument","error":"min_workers is outside the int range"})",
+     1},
+    {R"({"cmd":"submit","at":0,"model":"alexnet","total_work":7200,"seq":3})",
+     R"({"ok":false,"code":"invalid_argument","error":"unknown model family: alexnet","seq":3})",
+     1},
+    {R"({"cmd":"submit","at":0,"gpus_per_worker":"two","total_work":7200})",
+     R"({"ok":true,"job":0,"time":0})", 0, 1, 1, 1},
+    {R"({"cmd":"submit","at":0,"min_workers":2,"max_workers":4,"min_workers":3,"max_workers":1,"total_work":7200})",
+     R"({"ok":true,"job":1,"time":0})", 0, 1, 2, 4},
+    {R"({"cmd":"submit","at":0,"min_workers":3,"total_work":7200})",
+     R"({"ok":true,"job":2,"time":0})", 0, 1, 3, 3},
+    {R"({"cmd":"cancel","job":1.5})",
+     R"({"ok":false,"code":"invalid_argument","error":"cancel: \"job\" must be an integer in [0, 2^53], got 1.5"})",
+     1},
+    {R"({"cmd":"cancel","job":"0","seq":4})",
+     R"({"ok":false,"code":"invalid_argument","error":"cancel requires a numeric \"job\"","seq":4})",
+     1},
+};
+
+TEST(Service, EngineCommandDecoderRepliesKeepTheirBytes) {
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    StatusOr<FederationSet> built =
+        BuildFederation(SmallServiceOptions(), SingleCluster(shards),
+                        [](int) { return std::make_unique<VirtualTimeDriver>(); });
+    ASSERT_TRUE(built.ok()) << built.status().message();
+    FederationRouter& router = *built.value().router;
+    for (const DecodeCase& row : kDecodeCases) {
+      SCOPED_TRACE(row.request);
+      const std::uint64_t errors = router.AggregateStats().command_errors;
+      const JsonValue reply =
+          router.Execute(JsonValue::Parse(row.request).value());
+      if (shards == 1 || !reply.GetBool("ok", false)) {
+        EXPECT_EQ(reply.Dump(), row.reply);
+      }
+      EXPECT_EQ(router.AggregateStats().command_errors - errors, row.errors);
+      if (row.gpus_per_worker == 0) {
+        continue;
+      }
+      ASSERT_TRUE(reply.GetBool("ok", false)) << reply.Dump();
+      JsonValue query = Cmd("query_job");
+      query.Set("job", JsonValue::MakeNumber(reply.GetDouble("job")));
+      const JsonValue job = router.Execute(query);
+      EXPECT_EQ(job.GetDouble("gpus_per_worker"), row.gpus_per_worker);
+      EXPECT_EQ(job.GetDouble("min_workers"), row.min_workers);
+      EXPECT_EQ(job.GetDouble("max_workers"), row.max_workers);
+    }
+    for (auto& service : built.value().services) {
+      service->Stop();
+    }
+  }
+}
+
 TEST(Service, CancelPendingAndRunningJobs) {
   FederationSet fleet = OneEngineFleet(SmallServiceOptions());
   FederationRouter& router = *fleet.router;
