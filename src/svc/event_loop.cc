@@ -566,15 +566,14 @@ class EventLoop::IoThread {
           rejection.Set("retry_after_ms",
                         JsonValue::MakeNumber(
                             service_->options().retry_after_ms));
-          EchoSeq(request, rejection);
+          EchoSeq(SeqOf(request), rejection);
           PushReady(conn, rejection);
         }
         return;
       }
-      // BeginEngine consumes the routing counter and rewrites cancel's job
-      // id in place; it must precede the slot so the slot records the
-      // authoritative shard.
-      const std::uint32_t shard = router_->BeginEngine(request, plan);
+      // BeginEngine consumes the routing counter; it must precede the slot
+      // so the slot records the authoritative shard.
+      const std::uint32_t shard = router_->BeginEngine(plan);
       const std::uint64_t seq = conn->base_seq + conn->slots.size();
       conn->slots.emplace_back();
       Slot& slot = conn->slots.back();
@@ -587,10 +586,10 @@ class EventLoop::IoThread {
       // Engine thread (or inline on overload) bounces the reply onto the
       // owning I/O thread via the mailbox sink as a typed record;
       // serialization happens there, off the engine. The slot is fully
-      // initialized first: a saturated shard rejects inline, re-entering
-      // OnCompletion before DispatchEngine returns.
-      router_->DispatchEngine(plan, shard, std::move(request), mailbox_,
-                              conn->id, seq);
+      // initialized first: a malformed command or a saturated shard is
+      // answered inline, re-entering OnCompletion before DispatchEngine
+      // returns.
+      router_->DispatchEngine(plan, shard, request, mailbox_, conn->id, seq);
     } else if (conn->engine_inflight > 0) {
       // An engine command ahead of this read is still in flight: defer, so
       // the reply order matches the request order and the read observes the

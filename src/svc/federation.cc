@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "src/common/check.h"
@@ -214,13 +215,13 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
 class FederationRouter::FanoutSink : public SchedulerService::CompletionSink {
  public:
   FanoutSink(const FederationRouter* router, TelemetryCmd cmd,
-             JsonValue request, std::string snapshot_path,
+             std::optional<double> seq, std::string snapshot_path,
              std::uint64_t snapshot_submit_seq,
              std::shared_ptr<SchedulerService::CompletionSink> parent,
              std::uint64_t a, std::uint64_t b, int engines)
       : router_(router),
         cmd_(cmd),
-        request_(std::move(request)),
+        seq_(seq),
         snapshot_path_(std::move(snapshot_path)),
         snapshot_submit_seq_(snapshot_submit_seq),
         parent_(std::move(parent)),
@@ -233,7 +234,7 @@ class FederationRouter::FanoutSink : public SchedulerService::CompletionSink {
                JsonValue reply) override {
     replies_[static_cast<std::size_t>(engine)] = std::move(reply);
     if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      JsonValue merged = router_->MergeFanout(cmd_, request_, snapshot_path_,
+      JsonValue merged = router_->MergeFanout(cmd_, seq_, snapshot_path_,
                                               snapshot_submit_seq_, replies_);
       parent_->OnReply(a_, b_, std::move(merged));
     }
@@ -242,7 +243,7 @@ class FederationRouter::FanoutSink : public SchedulerService::CompletionSink {
  private:
   const FederationRouter* router_;
   const TelemetryCmd cmd_;
-  const JsonValue request_;
+  const std::optional<double> seq_;
   const std::string snapshot_path_;
   const std::uint64_t snapshot_submit_seq_;
   const std::shared_ptr<SchedulerService::CompletionSink> parent_;
@@ -285,14 +286,14 @@ class FederationRouter::MigrationSink
     : public SchedulerService::CompletionSink,
       public std::enable_shared_from_this<MigrationSink> {
  public:
-  MigrationSink(FederationRouter* router, JsonValue original,
+  MigrationSink(FederationRouter* router, std::optional<double> seq,
                 std::shared_ptr<SchedulerService::CompletionSink> parent,
                 std::uint64_t a, std::uint64_t b, std::int64_t from_global,
                 std::uint32_t source_engine, std::uint32_t dest_engine,
                 std::uint32_t dest_cluster, std::uint32_t source_cluster,
-                JsonValue submit, double checkpoint_cost)
+                EngineCommand submit, double checkpoint_cost)
       : router_(router),
-        original_(std::move(original)),
+        seq_(seq),
         parent_(std::move(parent)),
         a_(a),
         b_(b),
@@ -311,19 +312,17 @@ class FederationRouter::MigrationSink
         // The cancel's not_found names the shard-local id.
         router_->RewriteReplyJob(source_engine_, reply);
       }
-      EchoSeq(original_, reply);
+      EchoSeq(seq_, reply);
       parent_->OnReply(a_, b_, std::move(reply));
       return;
     }
     if (phase == 0) {
       // The job left the source at the cancel's engine time; it arrives at
-      // the destination no earlier (dest StampFor still maxes with its own
-      // frontier).
-      submit_.Replace("at",
-                      JsonValue::MakeNumber(reply.GetDouble("time", 0.0)));
+      // the destination no earlier (the destination still maxes the stamp
+      // with its own frontier).
+      submit_.at = reply.GetDouble("time", 0.0);
       router_->shard(static_cast<int>(dest_engine_))
-          ->Enqueue(TelemetryCmd::kSubmit, std::move(submit_),
-                    shared_from_this(), 1, 0);
+          ->Enqueue(std::move(submit_), shared_from_this(), 1, 0);
       return;
     }
     const std::int64_t local =
@@ -343,13 +342,13 @@ class FederationRouter::MigrationSink
                             router_->clusters_[dest_cluster_].name));
     done.Set("checkpoint_cost", JsonValue::MakeNumber(checkpoint_cost_));
     done.Set("time", JsonValue::MakeNumber(time));
-    EchoSeq(original_, done);
+    EchoSeq(seq_, done);
     parent_->OnReply(a_, b_, std::move(done));
   }
 
  private:
   FederationRouter* const router_;
-  const JsonValue original_;
+  const std::optional<double> seq_;
   const std::shared_ptr<SchedulerService::CompletionSink> parent_;
   const std::uint64_t a_;
   const std::uint64_t b_;
@@ -358,7 +357,7 @@ class FederationRouter::MigrationSink
   const std::uint32_t dest_engine_;
   const std::uint32_t dest_cluster_;
   const std::uint32_t source_cluster_;
-  JsonValue submit_;
+  EngineCommand submit_;
   const double checkpoint_cost_;
 };
 
@@ -551,8 +550,7 @@ FederationRouter::Plan FederationRouter::RouteEngine(
   return plan;
 }
 
-std::uint32_t FederationRouter::BeginEngine(JsonValue& request,
-                                            const Plan& plan) {
+std::uint32_t FederationRouter::BeginEngine(const Plan& plan) {
   if (plan.counter_targets != nullptr) {
     // The fetch_add is the authoritative routing decision: two I/O threads
     // that both planned from the same peeked value still dispatch to
@@ -560,11 +558,6 @@ std::uint32_t FederationRouter::BeginEngine(JsonValue& request,
     const std::uint64_t seq =
         submit_seq_.fetch_add(1, std::memory_order_relaxed);
     return (*plan.counter_targets)[Fnv1aU64(seq) % plan.counter_targets->size()];
-  }
-  if (plan.cmd == TelemetryCmd::kCancel && plan.rewrite_job) {
-    // RouteEngine validated the id.
-    request.Replace("job", JsonValue::MakeNumber(static_cast<double>(
-                               ToLocal(request.Find("job")->AsInt()))));
   }
   return plan.shard;
 }
@@ -597,12 +590,12 @@ JsonValue FederationRouter::RejectReply(TelemetryCmd cmd,
       }
     }
   }
-  EchoSeq(request, reply);
+  EchoSeq(SeqOf(request), reply);
   return reply;
 }
 
 void FederationRouter::DispatchEngine(
-    const Plan& plan, std::uint32_t shard_index, JsonValue request,
+    const Plan& plan, std::uint32_t shard_index, const JsonValue& request,
     std::shared_ptr<SchedulerService::CompletionSink> sink, std::uint64_t a,
     std::uint64_t b) {
   if (plan.reject) {
@@ -611,34 +604,42 @@ void FederationRouter::DispatchEngine(
     return;
   }
   if (plan.cmd == TelemetryCmd::kMigrate) {
-    StartMigration(std::move(request), std::move(sink), a, b);
+    StartMigration(request, std::move(sink), a, b);
     return;
   }
+  StatusOr<EngineCommand> decoded = DecodeEngineCommand(plan.cmd, request);
+  if (!decoded.ok()) {
+    // Answered once here, whatever the fanout: no engine sees it.
+    front()->CountError();
+    JsonValue reply = StatusReply(decoded.status());
+    EchoSeq(SeqOf(request), reply);
+    sink->OnReply(a, b, std::move(reply));
+    return;
+  }
+  EngineCommand& command = decoded.value();
   if (!plan.fanout) {
-    shards_[shard_index]->Enqueue(plan.cmd, std::move(request),
-                                  std::move(sink), a, b);
+    if (plan.rewrite_job && plan.cmd == TelemetryCmd::kCancel) {
+      command.command.job = ToLocal(command.command.job);
+    }
+    shards_[shard_index]->Enqueue(std::move(command), std::move(sink), a, b);
     return;
   }
-  std::string snapshot_path;
-  std::uint64_t snapshot_seq = 0;
-  if (plan.cmd == TelemetryCmd::kSnapshot) {
-    snapshot_path = request.GetString("path");
-    // Sampled at dispatch: every engine's queue is FIFO, so the commands an
-    // engine applies before its part of this snapshot are exactly the ones
-    // dispatched before this point — the counter value here matches the
-    // command set the container captures.
-    snapshot_seq = submit_seq();
-  }
-  auto fan = std::make_shared<FanoutSink>(this, plan.cmd, request,
-                                          snapshot_path, snapshot_seq,
+  // Sampled at dispatch: every engine's queue is FIFO, so the commands an
+  // engine applies before its part of a snapshot are exactly the ones
+  // dispatched before this point — the counter value here matches the
+  // command set the container captures.
+  const std::uint64_t snapshot_seq =
+      plan.cmd == TelemetryCmd::kSnapshot ? submit_seq() : 0;
+  auto fan = std::make_shared<FanoutSink>(this, plan.cmd, command.seq,
+                                          command.path, snapshot_seq,
                                           std::move(sink), a, b, shard_count());
   for (int k = 0; k < shard_count(); ++k) {
-    JsonValue copy = request;
-    if (!snapshot_path.empty()) {
-      copy.Replace("path", JsonValue::MakeString(PartPath(snapshot_path, k)));
+    EngineCommand copy = command;
+    if (plan.cmd == TelemetryCmd::kSnapshot) {
+      copy.path = PartPath(command.path, k);
     }
     shards_[static_cast<std::size_t>(k)]->Enqueue(
-        plan.cmd, std::move(copy), fan, static_cast<std::uint64_t>(k), 0);
+        std::move(copy), fan, static_cast<std::uint64_t>(k), 0);
   }
 }
 
@@ -668,11 +669,12 @@ void FederationRouter::RewriteReplyJob(std::uint32_t shard,
 }
 
 void FederationRouter::StartMigration(
-    JsonValue request, std::shared_ptr<SchedulerService::CompletionSink> sink,
-    std::uint64_t a, std::uint64_t b) {
+    const JsonValue& request,
+    std::shared_ptr<SchedulerService::CompletionSink> sink, std::uint64_t a,
+    std::uint64_t b) {
   const auto fail = [&](JsonValue reply) {
     front()->CountError();
-    EchoSeq(request, reply);
+    EchoSeq(SeqOf(request), reply);
     sink->OnReply(a, b, std::move(reply));
   };
 
@@ -750,42 +752,27 @@ void FederationRouter::StartMigration(
   const std::uint32_t dest_engine =
       dests[Fnv1a(route_key) % dests.size()];
 
-  JsonValue submit = JsonValue::MakeObject();
-  submit.Set("cmd", JsonValue::MakeString("submit"));
-  submit.Set("at", JsonValue::MakeNumber(0.0));  // patched to the cancel time
-  submit.Set("gpus_per_worker", JsonValue::MakeNumber(
-                                    static_cast<double>(record->spec.gpus_per_worker)));
-  submit.Set("min_workers", JsonValue::MakeNumber(
-                                static_cast<double>(record->spec.min_workers)));
-  submit.Set("max_workers", JsonValue::MakeNumber(
-                                static_cast<double>(record->spec.max_workers)));
-  submit.Set("requested_workers",
-             JsonValue::MakeNumber(
-                 static_cast<double>(record->spec.requested_workers)));
-  submit.Set("fungible", JsonValue::MakeBool(record->spec.fungible));
-  submit.Set("heterogeneous", JsonValue::MakeBool(record->spec.heterogeneous));
-  submit.Set("checkpointing", JsonValue::MakeBool(record->spec.checkpointing));
-  submit.Set("model",
-             JsonValue::MakeString(ModelFamilyName(record->spec.model)));
-  submit.Set("total_work",
-             JsonValue::MakeNumber(record->work_remaining + cost));
+  // The destination runs the source's spec (its own id to assign) with the
+  // remaining work plus the cost, stamped once the cancel has answered.
+  EngineCommand submit;
+  submit.cmd = TelemetryCmd::kSubmit;
+  submit.command.kind = CommandKind::kSubmit;
+  submit.command.spec = record->spec;
+  submit.command.spec.id = JobId();
+  submit.command.spec.total_work = record->work_remaining + cost;
 
-  JsonValue cancel = JsonValue::MakeObject();
-  cancel.Set("cmd", JsonValue::MakeString("cancel"));
-  cancel.Set("job",
-             JsonValue::MakeNumber(static_cast<double>(ToLocal(global))));
-  const JsonValue* at = request.Find("at");
-  if (at != nullptr && at->is_number()) {
-    cancel.Set("at", *at);
-  }
+  EngineCommand cancel;
+  cancel.cmd = TelemetryCmd::kCancel;
+  cancel.command.kind = CommandKind::kCancel;
+  cancel.command.job = ToLocal(global);
+  cancel.at = request.GetDouble("at", -1.0);
 
   auto chain = std::make_shared<MigrationSink>(
-      this, std::move(request), std::move(sink), a, b, global, source_engine,
+      this, SeqOf(request), std::move(sink), a, b, global, source_engine,
       dest_engine, static_cast<std::uint32_t>(dest), source_cluster,
       std::move(submit), cost);
   shard(static_cast<int>(source_engine))
-      ->Enqueue(TelemetryCmd::kCancel, std::move(cancel), std::move(chain), 0,
-                0);
+      ->Enqueue(std::move(cancel), std::move(chain), 0, 0);
 }
 
 FederationRouter::ClusterTotals FederationRouter::Totals(int c) const {
@@ -807,7 +794,7 @@ FederationRouter::ClusterTotals FederationRouter::Totals(int c) const {
 }
 
 JsonValue FederationRouter::MergeFanout(TelemetryCmd cmd,
-                                        const JsonValue& request,
+                                        std::optional<double> seq,
                                         const std::string& snapshot_path,
                                         std::uint64_t snapshot_submit_seq,
                                         std::vector<JsonValue>& replies) const {
@@ -822,7 +809,7 @@ JsonValue FederationRouter::MergeFanout(TelemetryCmd cmd,
       if (!snapshot_path.empty()) {
         TakeParts(snapshot_path);
       }
-      EchoSeq(request, failed);
+      EchoSeq(seq, failed);
       return failed;
     }
   }
@@ -862,7 +849,7 @@ JsonValue FederationRouter::MergeFanout(TelemetryCmd cmd,
       const Status saved = SaveFleetSnapshot(snapshot_path, snapshot_submit_seq);
       if (!saved.ok()) {
         JsonValue failed = StatusReply(saved);
-        EchoSeq(request, failed);
+        EchoSeq(seq, failed);
         return failed;
       }
       double commands = 0.0;
@@ -881,7 +868,7 @@ JsonValue FederationRouter::MergeFanout(TelemetryCmd cmd,
     default:
       break;
   }
-  EchoSeq(request, merged);
+  EchoSeq(seq, merged);
   return merged;
 }
 
@@ -956,7 +943,7 @@ JsonValue FederationRouter::Read(TelemetryCmd cmd,
     reply = (this->*reader)(request);
     front()->CountRead();
   }
-  EchoSeq(request, reply);
+  EchoSeq(SeqOf(request), reply);
   return reply;
 }
 
@@ -1220,10 +1207,9 @@ JsonValue FederationRouter::Execute(const JsonValue& request) {
   // Synchronous callers take the authoritative per-engine rejection rather
   // than the advisory shed (there is no canned-reply fast path to protect).
   plan.shed = false;
-  JsonValue mutable_request = request;
-  const std::uint32_t shard = BeginEngine(mutable_request, plan);
+  const std::uint32_t shard = BeginEngine(plan);
   auto waiter = std::make_shared<WaitSink>();
-  DispatchEngine(plan, shard, std::move(mutable_request), waiter, 0, 0);
+  DispatchEngine(plan, shard, request, waiter, 0, 0);
   JsonValue reply = waiter->Wait();
   if (plan.rewrite_job) {
     RewriteReplyJob(shard, reply);

@@ -32,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,10 +101,12 @@ inline constexpr double kMigrationColdCost = 300.0;
 // Dispatch is two-phase so the submit counter can never desynchronize from
 // the engine a command actually ran on: RouteEngine is side-effect-free (the
 // shed check peeks the counter), BeginEngine consumes it and returns the
-// authoritative engine, and only then is the command enqueued. The caller
-// must finish initializing its per-request state (the event loop's reply
-// slot) between BeginEngine and DispatchEngine, because a saturated engine
-// delivers its rejection inline, before DispatchEngine returns.
+// authoritative engine, and only then is the command decoded and enqueued —
+// so a malformed keyless submit consumes its sequence number like any
+// other. The caller must finish initializing its per-request state (the
+// event loop's reply slot) between BeginEngine and DispatchEngine, because
+// a malformed command or a saturated engine is answered inline, before
+// DispatchEngine returns.
 class FederationRouter {
  public:
   // `engines` is the flat pool and must outlive the router; the clusters'
@@ -168,17 +171,19 @@ class FederationRouter {
   // uninterrupted run.
   Plan RouteEngine(TelemetryCmd cmd, const JsonValue& request) const;
 
-  // Phase 2: consumes the submit counter where routing is counter-based and
-  // rewrites the request's "job" from global to local in place (cancel).
+  // Phase 2: consumes the submit counter where routing is counter-based.
   // Returns the authoritative engine (0 for fanout commands).
-  std::uint32_t BeginEngine(JsonValue& request, const Plan& plan);
+  std::uint32_t BeginEngine(const Plan& plan);
 
-  // Phase 3: enqueue. Single-engine commands go to that engine's queue,
-  // migrate starts its cancel/resubmit chain, and fanout commands are
-  // copied to every engine behind a barrier sink that merges the replies
-  // and delivers once to `sink` with (a, b). Inline rejections can invoke
-  // the sink before this returns.
-  void DispatchEngine(const Plan& plan, std::uint32_t shard, JsonValue request,
+  // Phase 3: decode and enqueue. A rejected plan or a malformed command
+  // (DecodeEngineCommand) is answered inline, once, and counted as a
+  // command error; migrate starts its cancel/resubmit chain. The decoded
+  // command goes to its engine's queue — a cancel with its job id made
+  // engine-local — or, for a fanout command, a copy to every engine behind
+  // a barrier sink that merges the replies and delivers once to `sink` with
+  // (a, b). Inline rejections can invoke the sink before this returns.
+  void DispatchEngine(const Plan& plan, std::uint32_t shard,
+                      const JsonValue& request,
                       std::shared_ptr<SchedulerService::CompletionSink> sink,
                       std::uint64_t a, std::uint64_t b);
 
@@ -250,13 +255,13 @@ class FederationRouter {
   const std::vector<std::uint32_t>* TargetEngines(
       const JsonValue& request) const;
   JsonValue RejectReply(TelemetryCmd cmd, const JsonValue& request) const;
-  void StartMigration(JsonValue request,
+  void StartMigration(const JsonValue& request,
                       std::shared_ptr<SchedulerService::CompletionSink> sink,
                       std::uint64_t a, std::uint64_t b);
 
   // Merges the fanout replies into the client's one (called by the last
   // engine to complete, on its engine thread).
-  JsonValue MergeFanout(TelemetryCmd cmd, const JsonValue& request,
+  JsonValue MergeFanout(TelemetryCmd cmd, std::optional<double> seq,
                         const std::string& snapshot_path,
                         std::uint64_t snapshot_submit_seq,
                         std::vector<JsonValue>& replies) const;

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "src/common/json.h"
@@ -53,13 +54,18 @@ inline JsonValue OkReply() {
   return reply;
 }
 
-// Copies a numeric "seq" field from `request` into `reply`, so pipelining
-// clients can assert per-connection reply order without parsing result
-// fields. Replies without a requesting "seq" are unchanged.
-inline void EchoSeq(const JsonValue& request, JsonValue& reply) {
+// A request's numeric "seq" field. Every reply echoes it (EchoSeq), so
+// pipelining clients can assert per-connection reply order without parsing
+// result fields.
+inline std::optional<double> SeqOf(const JsonValue& request) {
   const JsonValue* seq = request.Find("seq");
-  if (seq != nullptr && seq->is_number()) {
-    reply.Set("seq", JsonValue::MakeNumber(seq->AsDouble()));
+  return seq != nullptr && seq->is_number() ? std::optional(seq->AsDouble())
+                                            : std::nullopt;
+}
+
+inline void EchoSeq(std::optional<double> seq, JsonValue& reply) {
+  if (seq.has_value()) {
+    reply.Set("seq", JsonValue::MakeNumber(*seq));
   }
 }
 

@@ -50,7 +50,129 @@ bool ModelFamilyFromName(const std::string& name, ModelFamily* family) {
   return true;
 }
 
+// A submit's spec from one walk over the request's members instead of a
+// Find() scan per field: submit dominates saturation traffic and the scans
+// were measurable there.
+Status DecodeSpec(const JsonValue& request, JobSpec* out) {
+  JobSpec& spec = *out;
+  spec.gpus_per_worker = 1;
+  spec.min_workers = 1;
+  spec.max_workers = 0;  // defaults to min_workers when absent
+  bool have_max_workers = false;
+  const JsonValue* model_field = nullptr;
+  unsigned seen = 0;  // first occurrence wins, matching Find()'s semantics
+  const auto first = [&seen](int bit) {
+    if ((seen & (1u << bit)) != 0) {
+      return false;
+    }
+    seen |= 1u << bit;
+    return true;
+  };
+  const auto num = [](const JsonValue& v, double fb) {
+    return v.is_number() ? v.AsDouble() : fb;
+  };
+  // Converting a double outside int's range to int is undefined: such a
+  // field is named here and the submit rejected.
+  const char* out_of_range = nullptr;
+  const auto integer = [&out_of_range](const char* name, double v, int* out) {
+    if (v > static_cast<double>(std::numeric_limits<int>::min()) - 1.0 &&
+        v < static_cast<double>(std::numeric_limits<int>::max()) + 1.0) {
+      *out = static_cast<int>(v);
+    } else if (out_of_range == nullptr) {
+      out_of_range = name;
+    }
+  };
+  for (const auto& [key, value] : request.AsObject()) {
+    if (key == "gpus_per_worker") {
+      if (first(0)) integer("gpus_per_worker", num(value, 1), &spec.gpus_per_worker);
+    } else if (key == "min_workers") {
+      if (first(1)) integer("min_workers", num(value, 1), &spec.min_workers);
+    } else if (key == "max_workers") {
+      if (first(2) && value.is_number()) {
+        integer("max_workers", value.AsDouble(), &spec.max_workers);
+        have_max_workers = true;
+      }
+    } else if (key == "requested_workers") {
+      if (first(3)) integer("requested_workers", num(value, 0), &spec.requested_workers);
+    } else if (key == "fungible") {
+      if (first(4)) spec.fungible = value.is_bool() && value.AsBool();
+    } else if (key == "heterogeneous") {
+      if (first(5)) spec.heterogeneous = value.is_bool() && value.AsBool();
+    } else if (key == "checkpointing") {
+      if (first(6)) spec.checkpointing = value.is_bool() && value.AsBool();
+    } else if (key == "total_work") {
+      if (first(7)) spec.total_work = num(value, 0.0);
+    } else if (key == "model") {
+      if (first(8)) model_field = &value;
+    }
+  }
+  if (out_of_range != nullptr) {
+    return Status::InvalidArgument(std::string(out_of_range) +
+                                   " is outside the int range");
+  }
+  if (!have_max_workers) {
+    spec.max_workers = spec.min_workers;
+  }
+  const std::string model =
+      model_field != nullptr && model_field->is_string() ? model_field->AsString()
+                                                         : "other";
+  if (!ModelFamilyFromName(model, &spec.model)) {
+    return Status::InvalidArgument("unknown model family: " + model);
+  }
+  return Status::Ok();
+}
+
 }  // namespace
+
+StatusOr<EngineCommand> DecodeEngineCommand(TelemetryCmd cmd,
+                                            const JsonValue& request) {
+  EngineCommand decoded;
+  decoded.cmd = cmd;
+  decoded.seq = SeqOf(request);
+  switch (cmd) {
+    case TelemetryCmd::kSubmit: {
+      const Status status = DecodeSpec(request, &decoded.command.spec);
+      if (!status.ok()) {
+        return status;
+      }
+      decoded.command.kind = CommandKind::kSubmit;
+      decoded.at = request.GetDouble("at", -1.0);
+      return decoded;
+    }
+    case TelemetryCmd::kCancel: {
+      const StatusOr<std::int64_t> job = JobIdField(request, "cancel");
+      if (!job.ok()) {
+        return job.status();
+      }
+      decoded.command.kind = CommandKind::kCancel;
+      decoded.command.job = job.value();
+      decoded.at = request.GetDouble("at", -1.0);
+      return decoded;
+    }
+    case TelemetryCmd::kAdvance:
+      decoded.command.kind = CommandKind::kAdvance;
+      decoded.at = request.GetDouble("to", -1.0);
+      if (decoded.at < 0.0 || !std::isfinite(decoded.at)) {
+        return Status::InvalidArgument(
+            "advance requires a finite non-negative \"to\"");
+      }
+      return decoded;
+    case TelemetryCmd::kDrain:
+      decoded.command.kind = CommandKind::kDrain;
+      return decoded;
+    case TelemetryCmd::kSnapshot:
+      decoded.path = request.GetString("path");
+      if (decoded.path.empty()) {
+        return Status::InvalidArgument("snapshot requires a \"path\"");
+      }
+      return decoded;
+    case TelemetryCmd::kShutdown:
+      return decoded;
+    default:
+      return Status::InvalidArgument(std::string("not an engine command: ") +
+                                     TelemetryCmdName(cmd));
+  }
+}
 
 SchedulerService::SchedulerService(ServiceOptions options,
                                    std::unique_ptr<TimeDriver> driver)
@@ -112,13 +234,16 @@ Status SchedulerService::RestoreSnapshot(ServiceSnapshot snapshot) {
   }
   engine_ = std::move(built.value());
   engine_.sim->Begin();
-  // Replay: the exact discipline the live service used — step to the stamp,
-  // re-apply. Event sequencing is a pure function of this command list, so
-  // the rebuilt engine's decision log matches the original's byte-for-byte.
+  // Replay: the step-and-mutate live apply ran, minus its end-of-time
+  // checks (logs written before they existed must replay as they ran).
+  // Event sequencing is a pure function of this command list, so the
+  // rebuilt engine's decision log matches the original's byte-for-byte.
   for (const LoggedCommand& cmd : snapshot.commands) {
-    const Status replayed = ReplayCommand(cmd);
+    const StatusOr<JobId> replayed = StepAndMutate(cmd);
     if (!replayed.ok()) {
-      return replayed;
+      return Status::DataLoss(std::string("snapshot replay: ") +
+                              CommandKindName(cmd.kind) + " failed: " +
+                              replayed.status().message());
     }
   }
   // An ended engine persisted an infinite horizon: stepping to it passes
@@ -130,38 +255,19 @@ Status SchedulerService::RestoreSnapshot(ServiceSnapshot snapshot) {
   return Status::Ok();
 }
 
-// Applies no end-of-time check: the log holds exactly what the live engine
-// accepted, and logs written before the check existed must replay as they
-// ran.
-Status SchedulerService::ReplayCommand(const LoggedCommand& cmd) {
+StatusOr<JobId> SchedulerService::StepAndMutate(const LoggedCommand& cmd) {
   Simulator& sim = *engine_.sim;
-  switch (cmd.kind) {
-    case CommandKind::kSubmit: {
-      sim.StepUntil(cmd.stamp);
-      const StatusOr<JobId> id = sim.SubmitJob(cmd.spec);
-      if (!id.ok()) {
-        return Status::DataLoss("snapshot replay: submit failed: " +
-                                id.status().message());
-      }
-      return Status::Ok();
-    }
-    case CommandKind::kCancel: {
-      sim.StepUntil(cmd.stamp);
-      const Status status = sim.CancelJob(JobId(cmd.job));
-      if (!status.ok()) {
-        return Status::DataLoss("snapshot replay: cancel failed: " +
-                                status.message());
-      }
-      return Status::Ok();
-    }
-    case CommandKind::kAdvance:
-      sim.StepUntil(cmd.stamp);
-      return Status::Ok();
-    case CommandKind::kDrain:
-      sim.StepUntil(kInfinity);
-      return Status::Ok();
+  sim.StepUntil(cmd.kind == CommandKind::kDrain ? kInfinity : cmd.stamp);
+  if (cmd.kind == CommandKind::kSubmit) {
+    return sim.SubmitJob(cmd.spec);
   }
-  return Status::DataLoss("snapshot replay: unknown command kind");
+  if (cmd.kind == CommandKind::kCancel) {
+    const Status cancelled = sim.CancelJob(JobId(cmd.job));
+    if (!cancelled.ok()) {
+      return cancelled;
+    }
+  }
+  return JobId(cmd.job);
 }
 
 void SchedulerService::Stop() {
@@ -215,7 +321,7 @@ SchedulerService::Stats SchedulerService::stats() const {
   return stats;
 }
 
-void SchedulerService::Enqueue(TelemetryCmd cmd, JsonValue request,
+void SchedulerService::Enqueue(EngineCommand command,
                                std::shared_ptr<CompletionSink> sink,
                                std::uint64_t a, std::uint64_t b) {
   JsonValue rejection;
@@ -232,14 +338,13 @@ void SchedulerService::Enqueue(TelemetryCmd cmd, JsonValue request,
       rejection.Set("retry_after_ms", JsonValue::MakeNumber(options_.retry_after_ms));
     } else {
       was_empty = queue_.empty();
-      queue_.push_back(
-          PendingCommand{cmd, std::move(request), std::move(sink), a, b});
+      queue_.push_back(PendingCommand{std::move(command), std::move(sink), a, b});
       queue_len_.store(queue_.size(), std::memory_order_relaxed);
       queue_peak_ = std::max(queue_peak_, queue_.size());
     }
   }
   if (rejection.is_object()) {
-    EchoSeq(request, rejection);
+    EchoSeq(command.seq, rejection);
     sink->OnReply(a, b, std::move(rejection));
     return;
   }
@@ -314,9 +419,9 @@ void SchedulerService::EngineLoop() {
         const std::uint64_t apply_start = TelemetryNowNs();
         replies.clear();
         replies.reserve(batch.size());
-        for (const PendingCommand& cmd : batch) {
-          replies.push_back(Apply(cmd.cmd, cmd.request));
-          EchoSeq(cmd.request, replies.back());
+        for (PendingCommand& cmd : batch) {
+          replies.push_back(Apply(cmd.command));
+          EchoSeq(cmd.command.seq, replies.back());
         }
         if (engine_shard_ != nullptr) {
           const std::uint64_t apply_end = TelemetryNowNs();
@@ -372,12 +477,6 @@ void SchedulerService::EngineLoop() {
   }
 }
 
-TimeSec SchedulerService::StampFor(const JsonValue& request) const {
-  const double at = request.GetDouble("at", -1.0);
-  const double base = at >= 0.0 ? at : driver_->Now();
-  return std::max(base, engine_.sim->now());
-}
-
 void SchedulerService::TraceCommand(const char* name, TimeSec stamp) {
   obs::TraceExporter* trace = engine_.sim->mutable_trace_exporter();
   if (trace != nullptr) {
@@ -387,36 +486,88 @@ void SchedulerService::TraceCommand(const char* name, TimeSec stamp) {
   }
 }
 
-JsonValue SchedulerService::Apply(TelemetryCmd cmd, const JsonValue& request) {
+JsonValue SchedulerService::Apply(EngineCommand& command) {
   ++batch_applied_;
-  switch (cmd) {
-    case TelemetryCmd::kSubmit:
-      return ApplySubmit(request);
-    case TelemetryCmd::kCancel:
-      return ApplyCancel(request);
-    case TelemetryCmd::kAdvance:
-      return ApplyAdvance(request);
-    case TelemetryCmd::kDrain:
-      return ApplyDrain();
-    case TelemetryCmd::kSnapshot:
-      return ApplySnapshot(request);
-    case TelemetryCmd::kShutdown: {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_requested_ = true;
-      }
-      serving_.store(false, std::memory_order_release);
-      cv_.notify_all();
-      JsonValue reply = OkReply();
-      reply.Set("stopping", JsonValue::MakeBool(true));
-      return reply;
-    }
-    default:
-      break;
+  if (command.cmd == TelemetryCmd::kSnapshot) {
+    return ApplySnapshot(command.path);
   }
-  CountError();
-  return ErrorReply("invalid_argument", std::string("not an engine command: ") +
-                                            TelemetryCmdName(cmd));
+  if (command.cmd == TelemetryCmd::kShutdown) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_requested_ = true;
+    }
+    serving_.store(false, std::memory_order_release);
+    cv_.notify_all();
+    JsonValue reply = OkReply();
+    reply.Set("stopping", JsonValue::MakeBool(true));
+    return reply;
+  }
+
+  Simulator& sim = *engine_.sim;
+  LoggedCommand& cmd = command.command;
+  const char* name = CommandKindName(cmd.kind);
+  // Monotone by construction: never behind the engine's frontier.
+  cmd.stamp = std::max(command.at >= 0.0 ? command.at : driver_->Now(),
+                       sim.now());
+  // A cancel still works on an ended engine: it schedules nothing.
+  if (cmd.kind != CommandKind::kCancel && sim.ended()) {
+    return EndedReply(std::string(name) + " refused: the engine passed its");
+  }
+  if (cmd.kind == CommandKind::kSubmit) {
+    if (cmd.stamp > sim.max_time()) {
+      char at[32];
+      std::snprintf(at, sizeof(at), "%.9g", cmd.stamp);
+      return EndedReply(std::string("submit at t=") + at +
+                        " is past the engine's");
+    }
+    cmd.spec.submit_time = cmd.stamp;
+  }
+  const StatusOr<JobId> job = StepAndMutate(cmd);
+  if (!job.ok()) {
+    CountError();
+    return StatusReply(job.status());
+  }
+  if (cmd.kind == CommandKind::kDrain) {
+    cmd.stamp = sim.now();
+  }
+  TraceCommand(name, cmd.stamp);
+  log_.push_back(cmd);
+  auto_quiescent_ = cmd.kind == CommandKind::kDrain;
+
+  JsonValue reply = OkReply();
+  switch (cmd.kind) {
+    case CommandKind::kSubmit:
+      ++batch_submitted_;
+      reply.Set("job", JsonValue::MakeNumber(static_cast<double>(job.value().value)));
+      reply.Set("time", JsonValue::MakeNumber(cmd.stamp));
+      break;
+    case CommandKind::kCancel:
+      ++batch_cancelled_;
+      reply.Set("job", JsonValue::MakeNumber(static_cast<double>(cmd.job)));
+      reply.Set("time", JsonValue::MakeNumber(sim.now()));
+      break;
+    case CommandKind::kAdvance:
+      driver_->AdvanceTo(cmd.stamp);
+      reply.Set("time", JsonValue::MakeNumber(sim.now()));
+      reply.Set("virtual_time", JsonValue::MakeNumber(cmd.stamp));
+      break;
+    case CommandKind::kDrain: {
+      driver_->AdvanceTo(cmd.stamp);
+      std::size_t terminal = 0;
+      for (const auto& job_state : sim.jobs()) {
+        if (job_state->state() == JobState::kFinished ||
+            job_state->state() == JobState::kCancelled) {
+          ++terminal;
+        }
+      }
+      reply.Set("time", JsonValue::MakeNumber(sim.now()));
+      reply.Set("jobs",
+                JsonValue::MakeNumber(static_cast<double>(sim.jobs().size())));
+      reply.Set("terminal", JsonValue::MakeNumber(static_cast<double>(terminal)));
+      break;
+    }
+  }
+  return reply;
 }
 
 JsonValue SchedulerService::EndedReply(const std::string& what) {
@@ -425,192 +576,6 @@ JsonValue SchedulerService::EndedReply(const std::string& what) {
   std::snprintf(end, sizeof(end), "%.9g", engine_.sim->max_time());
   return ErrorReply("failed_precondition",
                     what + " end of time (t=" + end + ")");
-}
-
-JsonValue SchedulerService::ApplySubmit(const JsonValue& request) {
-  // One walk over the request's members instead of a Find() scan per field:
-  // submit dominates saturation traffic and the scans were measurable there.
-  JobSpec spec;
-  spec.gpus_per_worker = 1;
-  spec.min_workers = 1;
-  spec.max_workers = 0;  // defaults to min_workers when absent
-  bool have_max_workers = false;
-  const JsonValue* model_field = nullptr;
-  unsigned seen = 0;  // first occurrence wins, matching Find()'s semantics
-  const auto first = [&seen](int bit) {
-    if ((seen & (1u << bit)) != 0) {
-      return false;
-    }
-    seen |= 1u << bit;
-    return true;
-  };
-  const auto num = [](const JsonValue& v, double fb) {
-    return v.is_number() ? v.AsDouble() : fb;
-  };
-  // Converting a double outside int's range to int is undefined: such a
-  // field is named here and the submit rejected.
-  const char* out_of_range = nullptr;
-  const auto integer = [&out_of_range](const char* name, double v, int* out) {
-    if (v > static_cast<double>(std::numeric_limits<int>::min()) - 1.0 &&
-        v < static_cast<double>(std::numeric_limits<int>::max()) + 1.0) {
-      *out = static_cast<int>(v);
-    } else if (out_of_range == nullptr) {
-      out_of_range = name;
-    }
-  };
-  for (const auto& [key, value] : request.AsObject()) {
-    if (key == "gpus_per_worker") {
-      if (first(0)) integer("gpus_per_worker", num(value, 1), &spec.gpus_per_worker);
-    } else if (key == "min_workers") {
-      if (first(1)) integer("min_workers", num(value, 1), &spec.min_workers);
-    } else if (key == "max_workers") {
-      if (first(2) && value.is_number()) {
-        integer("max_workers", value.AsDouble(), &spec.max_workers);
-        have_max_workers = true;
-      }
-    } else if (key == "requested_workers") {
-      if (first(3)) integer("requested_workers", num(value, 0), &spec.requested_workers);
-    } else if (key == "fungible") {
-      if (first(4)) spec.fungible = value.is_bool() && value.AsBool();
-    } else if (key == "heterogeneous") {
-      if (first(5)) spec.heterogeneous = value.is_bool() && value.AsBool();
-    } else if (key == "checkpointing") {
-      if (first(6)) spec.checkpointing = value.is_bool() && value.AsBool();
-    } else if (key == "total_work") {
-      if (first(7)) spec.total_work = num(value, 0.0);
-    } else if (key == "model") {
-      if (first(8)) model_field = &value;
-    }
-  }
-  if (out_of_range != nullptr) {
-    CountError();
-    return ErrorReply("invalid_argument",
-                      std::string(out_of_range) + " is outside the int range");
-  }
-  if (!have_max_workers) {
-    spec.max_workers = spec.min_workers;
-  }
-  const std::string model =
-      model_field != nullptr && model_field->is_string() ? model_field->AsString()
-                                                         : "other";
-  if (!ModelFamilyFromName(model, &spec.model)) {
-    CountError();
-    return ErrorReply("invalid_argument", "unknown model family: " + model);
-  }
-
-  const TimeSec stamp = StampFor(request);
-  if (engine_.sim->ended()) {
-    return EndedReply("submit refused: the engine passed its");
-  }
-  if (stamp > engine_.sim->max_time()) {
-    char at[32];
-    std::snprintf(at, sizeof(at), "%.9g", stamp);
-    return EndedReply(std::string("submit at t=") + at +
-                      " is past the engine's");
-  }
-  spec.submit_time = stamp;
-  engine_.sim->StepUntil(stamp);
-  const StatusOr<JobId> id = engine_.sim->SubmitJob(spec);
-  if (!id.ok()) {
-    CountError();
-    return StatusReply(id.status());
-  }
-  LoggedCommand logged;
-  logged.kind = CommandKind::kSubmit;
-  logged.stamp = stamp;
-  logged.spec = spec;
-  TraceCommand("submit", stamp);
-  log_.push_back(std::move(logged));
-  ++batch_submitted_;
-  auto_quiescent_ = false;
-
-  JsonValue reply = OkReply();
-  reply.Set("job", JsonValue::MakeNumber(static_cast<double>(id.value().value)));
-  reply.Set("time", JsonValue::MakeNumber(stamp));
-  return reply;
-}
-
-JsonValue SchedulerService::ApplyCancel(const JsonValue& request) {
-  const StatusOr<std::int64_t> job = JobIdField(request, "cancel");
-  if (!job.ok()) {
-    CountError();
-    return StatusReply(job.status());
-  }
-  const std::int64_t id = job.value();
-  const TimeSec stamp = StampFor(request);
-  engine_.sim->StepUntil(stamp);
-  const Status status = engine_.sim->CancelJob(JobId(id));
-  if (!status.ok()) {
-    CountError();
-    return StatusReply(status);
-  }
-  LoggedCommand logged;
-  logged.kind = CommandKind::kCancel;
-  logged.stamp = stamp;
-  logged.job = id;
-  TraceCommand("cancel", stamp);
-  log_.push_back(std::move(logged));
-  ++batch_cancelled_;
-  auto_quiescent_ = false;
-
-  JsonValue reply = OkReply();
-  reply.Set("job", JsonValue::MakeNumber(static_cast<double>(id)));
-  reply.Set("time", JsonValue::MakeNumber(engine_.sim->now()));
-  return reply;
-}
-
-JsonValue SchedulerService::ApplyAdvance(const JsonValue& request) {
-  const double to = request.GetDouble("to", -1.0);
-  if (to < 0.0 || !std::isfinite(to)) {
-    CountError();
-    return ErrorReply("invalid_argument",
-                      "advance requires a finite non-negative \"to\"");
-  }
-  if (engine_.sim->ended()) {
-    return EndedReply("advance refused: the engine passed its");
-  }
-  const TimeSec stamp = std::max(to, engine_.sim->now());
-  engine_.sim->StepUntil(stamp);
-  driver_->AdvanceTo(stamp);
-  LoggedCommand logged;
-  logged.kind = CommandKind::kAdvance;
-  logged.stamp = stamp;
-  TraceCommand("advance", stamp);
-  log_.push_back(std::move(logged));
-  auto_quiescent_ = false;
-
-  JsonValue reply = OkReply();
-  reply.Set("time", JsonValue::MakeNumber(engine_.sim->now()));
-  reply.Set("virtual_time", JsonValue::MakeNumber(stamp));
-  return reply;
-}
-
-JsonValue SchedulerService::ApplyDrain() {
-  if (engine_.sim->ended()) {
-    return EndedReply("drain refused: the engine passed its");
-  }
-  engine_.sim->StepUntil(kInfinity);
-  driver_->AdvanceTo(engine_.sim->now());
-  LoggedCommand logged;
-  logged.kind = CommandKind::kDrain;
-  logged.stamp = engine_.sim->now();
-  TraceCommand("drain", logged.stamp);
-  log_.push_back(std::move(logged));
-  auto_quiescent_ = true;
-
-  std::size_t finished = 0;
-  for (const auto& job : engine_.sim->jobs()) {
-    if (job->state() == JobState::kFinished ||
-        job->state() == JobState::kCancelled) {
-      ++finished;
-    }
-  }
-  JsonValue reply = OkReply();
-  reply.Set("time", JsonValue::MakeNumber(engine_.sim->now()));
-  reply.Set("jobs", JsonValue::MakeNumber(
-                        static_cast<double>(engine_.sim->jobs().size())));
-  reply.Set("terminal", JsonValue::MakeNumber(static_cast<double>(finished)));
-  return reply;
 }
 
 StatusOr<std::size_t> SchedulerService::DumpFlightRecorder(
@@ -642,12 +607,7 @@ StatusOr<std::size_t> SchedulerService::DumpFlightRecorder(
   return spans.size();
 }
 
-JsonValue SchedulerService::ApplySnapshot(const JsonValue& request) {
-  const std::string path = request.GetString("path");
-  if (path.empty()) {
-    CountError();
-    return ErrorReply("invalid_argument", "snapshot requires a \"path\"");
-  }
+JsonValue SchedulerService::ApplySnapshot(const std::string& path) {
   ServiceSnapshot snapshot;
   snapshot.config = options_.engine;
   snapshot.commands = log_;

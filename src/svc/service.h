@@ -19,15 +19,19 @@
 // connection always reads its own write.
 //
 // Engine commands are submit, cancel, advance, drain, snapshot and
-// shutdown. Mutating commands are stamped with virtual time (max of the
-// engine frontier, the time driver's clock, and an optional explicit "at"
-// parameter) and recorded in an in-memory command log; the engine always
-// steps to the stamp before applying, which makes its event sequence a pure
-// function of the logged command sequence. That is the warm-restart
-// invariant: a snapshot persists the EngineConfig plus the command log, and
-// Restore replays it into a bit-identical engine (same decision log, same
-// fault-log hash). Batching changes when commands are applied, never their
-// stamps, so the invariant is unaffected by pipelining.
+// shutdown. The front end decodes each one once, on its own thread, into an
+// EngineCommand; the engine thread reads no JSON. A mutating command
+// (submit, cancel, advance, drain) carries the LoggedCommand it becomes: the
+// engine stamps it with virtual time (the engine frontier, maxed with the
+// explicit "at" or "to" or else the time driver's clock), runs the one
+// step-and-mutate — step to the stamp, then apply — and appends exactly that
+// command to its in-memory log. Restore runs the same step-and-mutate over
+// the persisted log, so the engine's event sequence is a pure function of
+// the logged command sequence. That is the warm-restart invariant: a
+// snapshot persists the EngineConfig plus the command log, and Restore
+// replays it into a bit-identical engine (same decision log, same fault-log
+// hash). Batching changes when commands are applied, never their stamps, so
+// the invariant is unaffected by pipelining.
 //
 // An online engine has an end of time, its simulator's max_time. Once
 // stepping passes it the engine schedules nothing more, so submit, advance
@@ -43,6 +47,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,6 +78,24 @@ struct ServiceOptions {
   // service's own command instants on the svc track), written on Stop().
   std::string trace_path;
 };
+
+// One engine command, decoded from its wire request before it is queued.
+struct EngineCommand {
+  TelemetryCmd cmd = TelemetryCmd::kOther;  // one of the six engine commands
+  // The mutating four: what the engine applies and logs, stamp unset.
+  LoggedCommand command;
+  // The explicit stamp: "at" (submit, cancel) or "to" (advance). Negative
+  // when absent, and the engine stamps with its time driver's clock.
+  double at = -1.0;
+  std::string path;           // snapshot only
+  std::optional<double> seq;  // the client's numeric "seq", echoed back
+};
+
+// Decodes engine command `cmd` (TelemetryCmdFromName of the request's "cmd")
+// from `request`. A malformed request is InvalidArgument naming the field,
+// as is a command that is not one of the six above.
+StatusOr<EngineCommand> DecodeEngineCommand(TelemetryCmd cmd,
+                                            const JsonValue& request);
 
 class SchedulerService {
  public:
@@ -133,17 +156,15 @@ class SchedulerService {
   // snapshot.
   bool stopped() const { return !serving_.load(std::memory_order_acquire); }
 
-  // Thread-safe and non-blocking: queues engine command `cmd` (submit,
-  // cancel, advance, drain, snapshot or shutdown, as the front end decoded
-  // it from `request`). sink->OnReply(a, b, reply) fires once the batch
-  // holding the command is applied and its snapshot published; rejections
-  // (overload, stopped) fire it before Enqueue returns.
-  void Enqueue(TelemetryCmd cmd, JsonValue request,
-               std::shared_ptr<CompletionSink> sink, std::uint64_t a,
-               std::uint64_t b);
+  // Thread-safe and non-blocking: queues the decoded engine command.
+  // sink->OnReply(a, b, reply) fires once the batch holding the command is
+  // applied and its snapshot published; rejections (overload, stopped) fire
+  // it before Enqueue returns.
+  void Enqueue(EngineCommand command, std::shared_ptr<CompletionSink> sink,
+               std::uint64_t a, std::uint64_t b);
 
   // Counts a failed command the front end answered itself (a malformed
-  // frame, a bad read) in Stats::command_errors.
+  // frame or engine command, a bad read) in Stats::command_errors.
   void CountError() const {
     command_errors_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -213,8 +234,7 @@ class SchedulerService {
 
  private:
   struct PendingCommand {
-    TelemetryCmd cmd = TelemetryCmd::kOther;
-    JsonValue request;
+    EngineCommand command;
     std::shared_ptr<CompletionSink> sink;
     std::uint64_t sink_a = 0;
     std::uint64_t sink_b = 0;
@@ -226,12 +246,14 @@ class SchedulerService {
   NextAction Next(std::vector<PendingCommand>* batch);
   void PublishSnapshot();
 
-  JsonValue Apply(TelemetryCmd cmd, const JsonValue& request);
-  JsonValue ApplySubmit(const JsonValue& request);
-  JsonValue ApplyCancel(const JsonValue& request);
-  JsonValue ApplyAdvance(const JsonValue& request);
-  JsonValue ApplyDrain();
-  JsonValue ApplySnapshot(const JsonValue& request);
+  // Live apply: a mutating command is stamped, checked against the end of
+  // time, stepped and mutated, and only then logged, traced and counted.
+  JsonValue Apply(EngineCommand& command);
+  JsonValue ApplySnapshot(const std::string& path);
+  // The one step-and-mutate, shared by live apply and restore: steps to the
+  // command's stamp (a drain to quiescence), then submits or cancels. Returns
+  // the submitted or cancelled job.
+  StatusOr<JobId> StepAndMutate(const LoggedCommand& cmd);
   // failed_precondition "<what> end of time (t=<max_time>)", counted as a
   // command error.
   JsonValue EndedReply(const std::string& what);
@@ -242,11 +264,7 @@ class SchedulerService {
   // publish the first snapshot, acquire the engine shard, start serving.
   void Serve();
 
-  // Virtual-time stamp for a mutating command: max(engine frontier, driver
-  // clock, explicit "at"). Monotone by construction.
-  TimeSec StampFor(const JsonValue& request) const;
   void TraceCommand(const char* name, TimeSec stamp);
-  Status ReplayCommand(const LoggedCommand& cmd);
 
   ServiceOptions options_;
   std::unique_ptr<TimeDriver> driver_;

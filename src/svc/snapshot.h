@@ -4,11 +4,13 @@
 // the ordered log of mutating commands (submit / cancel / advance / drain),
 // each stamped with the virtual time it was applied at, plus the engine's
 // position (horizon) when the snapshot was taken. Restore rebuilds the engine
-// from the config and replays the log — StepUntil(stamp) then re-apply, the
-// exact discipline the live service uses — then steps to the horizon. Because
-// the engine is seed-deterministic and StepUntil chunk boundaries never change
-// behaviour, the restored service's decision log and fault-log hash are
-// byte-identical to an uninterrupted run's (ctest-enforced).
+// from the config and replays the log through the one step-and-mutate the
+// live service applies every command with (StepUntil(stamp), then submit or
+// cancel) — the exact discipline the live service uses — then steps to the
+// horizon. Because the engine is seed-deterministic and StepUntil chunk
+// boundaries never change behaviour, the restored service's decision log
+// and fault-log hash are byte-identical to an uninterrupted run's
+// (ctest-enforced).
 //
 // File layout: the shared checksummed envelope (src/common/codec.h) with
 // magic "LYRASNAP"; the payload is the EngineConfig, the command count, the

@@ -1,6 +1,7 @@
-// Seeded byte-mutation fuzzers for the two decoders that read untrusted wire
-// bytes: FrameDecoder (length-prefixed frames, fed in arbitrary chunks) and
-// JsonValue::Parse under JsonParseLimits::Untrusted(). They are
+// Seeded byte-mutation fuzzers for the decoders that read untrusted wire
+// bytes: FrameDecoder (length-prefixed frames, fed in arbitrary chunks),
+// JsonValue::Parse under JsonParseLimits::Untrusted(), and
+// DecodeEngineCommand on whatever parses as an engine command. They are
 // self-contained: a fixed corpus of valid documents, a seeded mutator and a
 // fixed iteration budget, so every ctest leg (ASan/UBSan included) runs them
 // the same way. LYRA_FUZZ_ITERATIONS=<n> raises the budget for a long run.
@@ -8,7 +9,8 @@
 // They assert only that the decoders fail cleanly: a rejected input is an
 // InvalidArgument Status, never a crash, a hang or an allocation past the
 // limits; an accepted input is well formed (a frame within the payload cap,
-// a document that survives Dump/Parse unchanged).
+// a document that survives Dump/Parse unchanged, a command of the kind its
+// "cmd" names).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +20,7 @@
 
 #include "src/common/json.h"
 #include "src/common/rng.h"
+#include "src/svc/service.h"
 #include "src/svc/wire.h"
 
 namespace lyra::svc {
@@ -62,6 +65,13 @@ std::vector<std::string> CommandCorpus() {
   corpus.push_back(batch.Dump());
 
   corpus.push_back(R"({"cmd":"advance","to":3600})");
+  corpus.push_back(
+      R"({"cmd":"submit","model":"bert","min_workers":2,"max_workers":2147483647,)"
+      R"("requested_workers":2,"checkpointing":true,"heterogeneous":false,"seq":9})");
+  corpus.push_back(R"({"cmd":"cancel","job":9007199254740992,"at":0.5,"seq":-1})");
+  corpus.push_back(R"({"cmd":"snapshot","path":"/tmp/x.snap","seq":1e308})");
+  corpus.push_back(R"({"cmd":"drain"})");
+  corpus.push_back(R"({"cmd":"migrate","job":3,"to":"train1"})");
   corpus.push_back(R"({"cmd":"query_job","job":9007199254740993})");
   corpus.push_back(R"(  [ true , false , null , "é😀" ]  )");
   return corpus;
@@ -203,6 +213,46 @@ TEST(Fuzz, FrameDecoderFailsCleanly) {
       return;
     }
   }
+}
+
+// Every mutated document that parses as an engine command decodes to a
+// command of the kind its "cmd" names, or fails with InvalidArgument and a
+// message. migrate, which the router answers itself, always fails.
+TEST(Fuzz, EngineCommandDecodeFailsCleanly) {
+  const std::vector<std::string> corpus = CommandCorpus();
+  Rng rng(0xdec0de);
+  const int iterations = Iterations(20000);
+  int decoded = 0;
+  for (int iter = 0; iter < iterations; ++iter) {
+    const std::string& seed = corpus[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(corpus.size()) - 1))];
+    const std::string text = rng.NextBernoulli(0.1) ? seed : Mutate(rng, seed);
+    const StatusOr<JsonValue> parsed =
+        JsonValue::Parse(text, JsonParseLimits::Untrusted());
+    if (!parsed.ok() || !parsed.value().is_object()) {
+      continue;
+    }
+    const TelemetryCmd cmd =
+        TelemetryCmdFromName(parsed.value().GetString("cmd"));
+    if (!IsEngineCmd(cmd)) {
+      continue;
+    }
+    const StatusOr<EngineCommand> command =
+        DecodeEngineCommand(cmd, parsed.value());
+    if (!command.ok()) {
+      EXPECT_EQ(command.status().code(), StatusCode::kInvalidArgument)
+          << "iteration " << iter << ": " << text;
+      EXPECT_FALSE(command.status().message().empty()) << "iteration " << iter;
+      continue;
+    }
+    ++decoded;
+    EXPECT_NE(cmd, TelemetryCmd::kMigrate) << "iteration " << iter;
+    EXPECT_EQ(command.value().cmd, cmd) << "iteration " << iter << ": " << text;
+    if (cmd == TelemetryCmd::kSnapshot) {
+      EXPECT_FALSE(command.value().path.empty()) << "iteration " << iter;
+    }
+  }
+  EXPECT_GT(decoded, 0);
 }
 
 }  // namespace

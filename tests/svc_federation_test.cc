@@ -372,7 +372,7 @@ TEST(Federation, MigrationChargesCheckpointCostAndMovesTheJob) {
   EXPECT_EQ(router.ClusterOfEngine(router.ShardOfJob(new_job)), 2u)
       << "migrated job must live on train1's engine";
 
-  // Source side: the original job ended cancelled, at the advance's time.
+  // Source side: the original job ended cancelled.
   const JsonValue old_state = router.Execute(query);
   ASSERT_TRUE(old_state.GetBool("ok")) << old_state.Dump();
   EXPECT_EQ(old_state.GetString("state"), "cancelled") << old_state.Dump();

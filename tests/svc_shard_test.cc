@@ -601,6 +601,35 @@ TEST(Shard, OneEngineStillWritesPlainLyrasnap) {
   std::remove(direct.c_str());
 }
 
+// A malformed fanout command is decoded before it is copied to the engines:
+// it is answered once, with no "shard" field, counts one command error and
+// reaches no engine queue.
+TEST(Shard, MalformedFanoutCommandIsAnsweredOnce) {
+  FederationSet fleet = BuildFleet(kShards);
+  FederationRouter& router = *fleet.router;
+  const struct {
+    const char* request;
+    const char* reply;
+  } cases[] = {
+      {R"({"cmd":"advance","seq":7})",
+       R"({"ok":false,"code":"invalid_argument","error":"advance requires a finite non-negative \"to\"","seq":7})"},
+      {R"({"cmd":"advance","to":-5})",
+       R"({"ok":false,"code":"invalid_argument","error":"advance requires a finite non-negative \"to\""})"},
+      {R"({"cmd":"snapshot"})",
+       R"({"ok":false,"code":"invalid_argument","error":"snapshot requires a \"path\""})"},
+  };
+  for (const auto& row : cases) {
+    const SchedulerService::Stats before = router.AggregateStats();
+    const JsonValue reply =
+        router.Execute(JsonValue::Parse(row.request).value());
+    EXPECT_EQ(reply.Dump(), row.reply);
+    const SchedulerService::Stats after = router.AggregateStats();
+    EXPECT_EQ(after.command_errors - before.command_errors, 1u) << row.request;
+    EXPECT_EQ(after.commands_applied, before.commands_applied) << row.request;
+  }
+  StopFleet(fleet);
+}
+
 // `--shards=N` is one cluster, and migration needs two: migrate answers
 // failed_precondition instead of fanning out to every engine.
 TEST(Shard, MigrateOnOneClusterIsAFailedPrecondition) {
