@@ -90,12 +90,6 @@ std::string DescribeTarget(const JsonValue& target) {
   return "?";
 }
 
-// Engine k's scratch file for a fanout snapshot, gathered into the
-// container by the barrier merge.
-std::string PartPath(const std::string& path, int engine) {
-  return path + ".part" + std::to_string(engine);
-}
-
 JsonValue Number(double v) { return JsonValue::MakeNumber(v); }
 
 JsonValue PoolJson(const PoolCounters& counters) {
@@ -208,10 +202,11 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
 
 // --- FederationRouter -----------------------------------------------------
 
-// Barrier aggregator for fanout commands: each engine's reply lands in its
-// own slot (no lock — distinct indices), and the last engine to complete
-// merges and delivers to the client's sink. The acq_rel countdown makes
-// every slot write visible to the merging thread.
+// Barrier aggregator for fanout commands: each engine's reply, and for a
+// snapshot its image, lands in its own slot (no lock — distinct indices),
+// and the last engine to complete merges and delivers to the client's sink.
+// The acq_rel countdown makes every slot write visible to the merging
+// thread.
 class FederationRouter::FanoutSink : public SchedulerService::CompletionSink {
  public:
   FanoutSink(const FederationRouter* router, TelemetryCmd cmd,
@@ -228,14 +223,20 @@ class FederationRouter::FanoutSink : public SchedulerService::CompletionSink {
         a_(a),
         b_(b),
         replies_(static_cast<std::size_t>(engines)),
+        images_(static_cast<std::size_t>(engines)),
         remaining_(engines) {}
+
+  std::string* image(int engine) {
+    return &images_[static_cast<std::size_t>(engine)];
+  }
 
   void OnReply(std::uint64_t engine, std::uint64_t /*unused*/,
                JsonValue reply) override {
     replies_[static_cast<std::size_t>(engine)] = std::move(reply);
     if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      JsonValue merged = router_->MergeFanout(cmd_, seq_, snapshot_path_,
-                                              snapshot_submit_seq_, replies_);
+      JsonValue merged =
+          router_->MergeFanout(cmd_, seq_, snapshot_path_,
+                               snapshot_submit_seq_, replies_, images_);
       parent_->OnReply(a_, b_, std::move(merged));
     }
   }
@@ -250,6 +251,7 @@ class FederationRouter::FanoutSink : public SchedulerService::CompletionSink {
   const std::uint64_t a_;
   const std::uint64_t b_;
   std::vector<JsonValue> replies_;
+  std::vector<std::string> images_;
   std::atomic<int> remaining_;
 };
 
@@ -441,26 +443,6 @@ double FederationRouter::MaxEngineTime() const {
   return time;
 }
 
-StatusOr<std::vector<std::string>> FederationRouter::TakeParts(
-    const std::string& path) const {
-  std::vector<std::string> parts;
-  Status status;
-  for (int k = 0; k < shard_count(); ++k) {
-    const std::string part = PartPath(path, k);
-    StatusOr<std::string> image = ReadFile(part);
-    if (image.ok()) {
-      parts.push_back(std::move(image.value()));
-    } else if (status.ok()) {
-      status = image.status();
-    }
-    std::remove(part.c_str());
-  }
-  if (!status.ok()) {
-    return status;
-  }
-  return parts;
-}
-
 const std::vector<std::uint32_t>* FederationRouter::TargetEngines(
     const JsonValue& request) const {
   const JsonValue* cluster = request.Find("cluster");
@@ -506,7 +488,7 @@ FederationRouter::Plan FederationRouter::RouteEngine(
     }
     return plan;
   }
-  if (shard_count() == 1) {
+  if (shard_count() == 1 && cmd != TelemetryCmd::kSnapshot) {
     // The plain daemon's hot path: no JSON lookups, engine 0 answers.
     plan.shed = front()->EngineSaturated();
     return plan;
@@ -625,18 +607,20 @@ void FederationRouter::DispatchEngine(
     return;
   }
   // Sampled at dispatch: every engine's queue is FIFO, so the commands an
-  // engine applies before its part of a snapshot are exactly the ones
+  // engine applies before its snapshot image are exactly the ones
   // dispatched before this point — the counter value here matches the
   // command set the container captures.
   const std::uint64_t snapshot_seq =
       plan.cmd == TelemetryCmd::kSnapshot ? submit_seq() : 0;
-  auto fan = std::make_shared<FanoutSink>(this, plan.cmd, command.seq,
-                                          command.path, snapshot_seq,
-                                          std::move(sink), a, b, shard_count());
+  auto fan = std::make_shared<FanoutSink>(
+      this, plan.cmd, command.seq, std::move(command.path), snapshot_seq,
+      std::move(sink), a, b, shard_count());
+  // The merged reply echoes "seq" once; the engines' copies carry none.
+  command.seq.reset();
   for (int k = 0; k < shard_count(); ++k) {
     EngineCommand copy = command;
     if (plan.cmd == TelemetryCmd::kSnapshot) {
-      copy.path = PartPath(command.path, k);
+      copy.image = fan->image(k);
     }
     shards_[static_cast<std::size_t>(k)]->Enqueue(
         std::move(copy), fan, static_cast<std::uint64_t>(k), 0);
@@ -793,21 +777,19 @@ FederationRouter::ClusterTotals FederationRouter::Totals(int c) const {
   return totals;
 }
 
-JsonValue FederationRouter::MergeFanout(TelemetryCmd cmd,
-                                        std::optional<double> seq,
-                                        const std::string& snapshot_path,
-                                        std::uint64_t snapshot_submit_seq,
-                                        std::vector<JsonValue>& replies) const {
+JsonValue FederationRouter::MergeFanout(
+    TelemetryCmd cmd, std::optional<double> seq,
+    const std::string& snapshot_path, std::uint64_t snapshot_submit_seq,
+    std::vector<JsonValue>& replies, std::vector<std::string>& images) const {
   // Any failed engine fails the whole command; the merged reply is that
   // engine's error annotated with its index. Engines that did apply keep the
   // command in their logs (per-engine replay-exactness is untouched); the
   // client sees the failure and can retry the idempotent fanout commands.
   for (std::size_t k = 0; k < replies.size(); ++k) {
     if (!replies[k].GetBool("ok", false)) {
-      JsonValue failed = replies[k];
-      failed.Set("shard", JsonValue::MakeNumber(static_cast<double>(k)));
-      if (!snapshot_path.empty()) {
-        TakeParts(snapshot_path);
+      JsonValue failed = std::move(replies[k]);
+      if (shard_count() > 1) {
+        failed.Set("shard", JsonValue::MakeNumber(static_cast<double>(k)));
       }
       EchoSeq(seq, failed);
       return failed;
@@ -844,10 +826,12 @@ JsonValue FederationRouter::MergeFanout(TelemetryCmd cmd,
       merged.Set("stopping", JsonValue::MakeBool(true));
       break;
     case TelemetryCmd::kSnapshot: {
-      // Runs on the last engine thread to finish its part — snapshot writes
-      // are engine-thread file I/O anyway.
-      const Status saved = SaveFleetSnapshot(snapshot_path, snapshot_submit_seq);
+      // The one write of the snapshot, on the last engine thread to encode
+      // its image.
+      const Status saved = WriteFileAtomic(
+          snapshot_path, EncodeFleetSnapshot(snapshot_submit_seq, images));
       if (!saved.ok()) {
+        front()->CountError();
         JsonValue failed = StatusReply(saved);
         EchoSeq(seq, failed);
         return failed;
@@ -859,10 +843,12 @@ JsonValue FederationRouter::MergeFanout(TelemetryCmd cmd,
       merged.Set("path", JsonValue::MakeString(snapshot_path));
       merged.Set("commands", JsonValue::MakeNumber(commands));
       merged.Set("time", JsonValue::MakeNumber(time));
-      merged.Set("shards",
-                 JsonValue::MakeNumber(static_cast<double>(shard_count())));
-      merged.Set("clusters",
-                 JsonValue::MakeNumber(static_cast<double>(cluster_count())));
+      if (shard_count() > 1) {
+        merged.Set("shards",
+                   JsonValue::MakeNumber(static_cast<double>(shard_count())));
+        merged.Set("clusters",
+                   JsonValue::MakeNumber(static_cast<double>(cluster_count())));
+      }
       break;
     }
     default:
@@ -872,11 +858,10 @@ JsonValue FederationRouter::MergeFanout(TelemetryCmd cmd,
   return merged;
 }
 
-Status FederationRouter::SaveFleetSnapshot(const std::string& path,
-                                           std::uint64_t submit_seq) const {
-  StatusOr<std::vector<std::string>> parts = TakeParts(path);
-  if (!parts.ok()) {
-    return parts.status();
+std::string FederationRouter::EncodeFleetSnapshot(
+    std::uint64_t submit_seq, std::vector<std::string>& images) const {
+  if (shard_count() == 1) {
+    return std::move(images.front());
   }
   FedSnapshot fed;
   fed.submit_seq = submit_seq;
@@ -887,7 +872,7 @@ Status FederationRouter::SaveFleetSnapshot(const std::string& path,
     MultiSnapshot multi;
     for (const std::uint32_t e :
          cluster_engines_[static_cast<std::size_t>(c)]) {
-      multi.shard_images.push_back(std::move(parts.value()[e]));
+      multi.shard_images.push_back(std::move(images[e]));
     }
     FedClusterImage cluster;
     cluster.name = spec.name;
@@ -897,7 +882,7 @@ Status FederationRouter::SaveFleetSnapshot(const std::string& path,
     fed.clusters.push_back(std::move(cluster));
   }
   fed.ledger_hash = ledger_hash();
-  return SaveFedSnapshot(fed, path);
+  return EncodeFedSnapshot(fed);
 }
 
 JsonValue FederationRouter::Read(TelemetryCmd cmd,

@@ -14,10 +14,11 @@
 //     remaining work plus a checkpoint cost (cheap when the job
 //     checkpoints, expensive when it must recompute). Each completed move
 //     appends a line to the router's migration ledger.
-//   - `snapshot` writes one container: a plain LYRASNAP image at one
-//     engine, a LYRAFED file otherwise (per-cluster images, migration ledger
-//     hash and routing counter), so a warm restart rebuilds every engine
-//     byte-identically.
+//   - `snapshot` writes one file: a plain LYRASNAP image at one engine, a
+//     LYRAFED container otherwise (per-cluster images, migration ledger hash
+//     and routing counter), so a warm restart rebuilds every engine
+//     byte-identically. The engines encode their images in memory; the
+//     router's barrier is the only snapshot writer.
 //
 // Capacity loaning (Lyra §4) happens inside each engine: its Orchestrator
 // moves real servers between the inference and training whitelists. The
@@ -91,12 +92,14 @@ inline constexpr double kMigrationColdCost = 300.0;
 //     RenderPrometheus(router) (prom.h); trace_dump writes one file per
 //     engine.
 //   - advance / drain / snapshot / shutdown fan out to every engine behind a
-//     completion barrier; `snapshot` gathers the per-engine images into one
-//     LYRAFED container together with the submit counter and the migration
-//     ledger hash.
-//   - At one engine every engine command except migrate goes straight to
-//     engine 0, so the engine replies and the LYRASNAP snapshot file are
-//     the plain service's.
+//     completion barrier, which echoes the client's "seq" once. Each engine
+//     encodes its `snapshot` image into a slot the barrier owns, and the
+//     last engine to finish writes the file with one WriteFileAtomic, the
+//     submit counter and the migration ledger hash included.
+//   - At one engine every engine command except snapshot and migrate goes
+//     straight to engine 0. Every reply, snapshot's included, is the plain
+//     service's: the barrier adds no fleet-only field (shards, clusters, a
+//     failure's shard) below two engines.
 //
 // Dispatch is two-phase so the submit counter can never desynchronize from
 // the engine a command actually ran on: RouteEngine is side-effect-free (the
@@ -156,7 +159,9 @@ class FederationRouter {
   struct Plan {
     TelemetryCmd cmd = TelemetryCmd::kOther;
     bool shed = false;         // target saturated: answer canned, enqueue nothing
-    bool fanout = false;       // barrier command (advance/drain/snapshot/shutdown)
+    // Barrier command: snapshot at every fleet size; advance, drain and
+    // shutdown at more than one engine.
+    bool fanout = false;
     bool rewrite_job = false;  // reply "job" needs the local->global rewrite
     bool reject = false;       // invalid target: DispatchEngine answers inline
     std::uint32_t shard = 0;   // advisory target (authoritative after Begin)
@@ -260,16 +265,17 @@ class FederationRouter {
                       std::uint64_t a, std::uint64_t b);
 
   // Merges the fanout replies into the client's one (called by the last
-  // engine to complete, on its engine thread).
+  // engine to complete, on its engine thread); a snapshot also writes its
+  // file from the engines' images.
   JsonValue MergeFanout(TelemetryCmd cmd, std::optional<double> seq,
                         const std::string& snapshot_path,
                         std::uint64_t snapshot_submit_seq,
-                        std::vector<JsonValue>& replies) const;
-  // Gathers the per-engine part files into the LYRAFED container.
-  Status SaveFleetSnapshot(const std::string& path, std::uint64_t submit_seq) const;
-  // Reads every engine's part file of a fanout snapshot to `path`, in
-  // engine order, and deletes them all whatever the outcome.
-  StatusOr<std::vector<std::string>> TakeParts(const std::string& path) const;
+                        std::vector<JsonValue>& replies,
+                        std::vector<std::string>& images) const;
+  // The snapshot file's bytes, made from the engines' LYRASNAP images (moved
+  // from): the plain image at one engine, the LYRAFED container otherwise.
+  std::string EncodeFleetSnapshot(std::uint64_t submit_seq,
+                                  std::vector<std::string>& images) const;
 
   // The fleet's snapshot for a read: engine 0's own at one engine (no
   // copy), else `fold` (SumSnapshots or MergeSnapshots) over every engine's.

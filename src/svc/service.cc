@@ -489,7 +489,7 @@ void SchedulerService::TraceCommand(const char* name, TimeSec stamp) {
 JsonValue SchedulerService::Apply(EngineCommand& command) {
   ++batch_applied_;
   if (command.cmd == TelemetryCmd::kSnapshot) {
-    return ApplySnapshot(command.path);
+    return ApplySnapshot(command.image);
   }
   if (command.cmd == TelemetryCmd::kShutdown) {
     {
@@ -607,22 +607,20 @@ StatusOr<std::size_t> SchedulerService::DumpFlightRecorder(
   return spans.size();
 }
 
-JsonValue SchedulerService::ApplySnapshot(const std::string& path) {
+JsonValue SchedulerService::ApplySnapshot(std::string* image) {
+  LYRA_CHECK(image != nullptr);
+  const TimeSec now = engine_.sim->now();
   ServiceSnapshot snapshot;
   snapshot.config = options_.engine;
-  snapshot.commands = log_;
+  // Lent to the encoder and taken back: the image is the only copy made.
+  snapshot.commands = std::move(log_);
   // An ended engine may have passed its end in an unlogged free-run step;
   // an infinite horizon makes the restore pass it too.
-  const TimeSec now = engine_.sim->now();
   snapshot.horizon = engine_.sim->ended() ? kInfinity : now;
-  const Status saved = SaveSnapshot(snapshot, path);
-  if (!saved.ok()) {
-    CountError();
-    return StatusReply(saved);
-  }
+  *image = EncodeSnapshot(snapshot);
+  log_ = std::move(snapshot.commands);
   TraceCommand("snapshot", now);
   JsonValue reply = OkReply();
-  reply.Set("path", JsonValue::MakeString(path));
   reply.Set("commands", JsonValue::MakeNumber(static_cast<double>(log_.size())));
   reply.Set("time", JsonValue::MakeNumber(now));
   return reply;

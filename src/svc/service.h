@@ -33,6 +33,10 @@
 // hash). Batching changes when commands are applied, never their stamps, so
 // the invariant is unaffected by pipelining.
 //
+// A snapshot does no file I/O here: the engine encodes its LYRASNAP image
+// into the slot the router's barrier hands it, and the router writes the
+// one file (federation.h).
+//
 // An online engine has an end of time, its simulator's max_time. Once
 // stepping passes it the engine schedules nothing more, so submit, advance
 // and drain answer failed_precondition naming the end (as does a submit
@@ -87,7 +91,10 @@ struct EngineCommand {
   // The explicit stamp: "at" (submit, cancel) or "to" (advance). Negative
   // when absent, and the engine stamps with its time driver's clock.
   double at = -1.0;
-  std::string path;           // snapshot only
+  // Snapshot only: the file the router writes, and the slot, owned by the
+  // router's barrier, that the engine fills with its LYRASNAP image.
+  std::string path;
+  std::string* image = nullptr;
   std::optional<double> seq;  // the client's numeric "seq", echoed back
 };
 
@@ -249,7 +256,8 @@ class SchedulerService {
   // Live apply: a mutating command is stamped, checked against the end of
   // time, stepped and mutated, and only then logged, traced and counted.
   JsonValue Apply(EngineCommand& command);
-  JsonValue ApplySnapshot(const std::string& path);
+  // Encodes the engine's LYRASNAP image (config, log, horizon) into *image.
+  JsonValue ApplySnapshot(std::string* image);
   // The one step-and-mutate, shared by live apply and restore: steps to the
   // command's stamp (a drain to quiescence), then submits or cancels. Returns
   // the submitted or cancelled job.

@@ -131,10 +131,6 @@ std::string EncodeSnapshot(const ServiceSnapshot& snapshot) {
   return Seal(kSnapshotFormat, payload.bytes());
 }
 
-Status SaveSnapshot(const ServiceSnapshot& snapshot, const std::string& path) {
-  return WriteFileAtomic(path, EncodeSnapshot(snapshot));
-}
-
 StatusOr<ServiceSnapshot> LoadSnapshot(const std::string& path) {
   StatusOr<std::string> file = ReadFile(path);
   if (!file.ok()) {
@@ -224,13 +220,6 @@ std::string EncodeFedSnapshot(const FedSnapshot& snapshot) {
     payload.Blob(cluster.image);
   }
   return Seal(kFedSnapshotFormat, payload.bytes());
-}
-
-Status SaveFedSnapshot(const FedSnapshot& snapshot, const std::string& path) {
-  if (snapshot.clusters.empty()) {
-    return Status::InvalidArgument("federation snapshot has no clusters");
-  }
-  return WriteFileAtomic(path, EncodeFedSnapshot(snapshot));
 }
 
 StatusOr<FedSnapshot> DecodeFedSnapshot(const std::string& image,

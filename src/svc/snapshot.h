@@ -15,6 +15,10 @@
 // File layout: the shared checksummed envelope (src/common/codec.h) with
 // magic "LYRASNAP"; the payload is the EngineConfig, the command count, the
 // commands, and the horizon.
+//
+// This file only encodes and decodes. An engine encodes its image in memory;
+// the router writes the one snapshot file, a plain LYRASNAP image at one
+// engine and a LYRAFED container otherwise (federation.h).
 #ifndef SRC_SVC_SNAPSHOT_H_
 #define SRC_SVC_SNAPSHOT_H_
 
@@ -62,17 +66,14 @@ struct ServiceSnapshot {
   TimeSec horizon = 0.0;
 };
 
-Status SaveSnapshot(const ServiceSnapshot& snapshot, const std::string& path);
-
 // InvalidArgument on bad magic or an unsupported version, DataLoss on a
 // truncated file or checksum mismatch.
 StatusOr<ServiceSnapshot> LoadSnapshot(const std::string& path);
 
 // String-level codec for the exact LYRASNAP file image (magic + version +
-// payload + checksum). SaveSnapshot == EncodeSnapshot + atomic file write;
-// LoadSnapshot == file read + DecodeSnapshot. Exposed so the fleet
-// containers below can carry each engine's image byte-for-byte, and so tests
-// can round-trip snapshots without touching the filesystem. `origin` only
+// payload + checksum); LoadSnapshot == file read + DecodeSnapshot. The fleet
+// containers below carry each engine's image byte-for-byte, and tests
+// round-trip snapshots without touching the filesystem. `origin` only
 // flavors error messages (a path or a "shard k" tag).
 std::string EncodeSnapshot(const ServiceSnapshot& snapshot);
 StatusOr<ServiceSnapshot> DecodeSnapshot(const std::string& image,
@@ -131,7 +132,6 @@ struct FedSnapshot {
 
 // EncodeFedSnapshot writes version 2; DecodeFedSnapshot accepts versions 1
 // and 2 and rejects any other as InvalidArgument.
-Status SaveFedSnapshot(const FedSnapshot& snapshot, const std::string& path);
 StatusOr<FedSnapshot> LoadFedSnapshot(const std::string& path);
 std::string EncodeFedSnapshot(const FedSnapshot& snapshot);
 StatusOr<FedSnapshot> DecodeFedSnapshot(const std::string& image,

@@ -199,7 +199,9 @@ void PrintTo(const FormatCase& f, std::ostream* os) { *os << f.name; }
 const FormatCase kFormats[] = {
     {"LYRASNAP", svc::kSnapshotFormat,
      [] { return svc::EncodeSnapshot(SampleSnapshot()); },
-     [](const std::string& path) { return svc::SaveSnapshot(SampleSnapshot(), path); },
+     [](const std::string& path) {
+       return WriteFileAtomic(path, svc::EncodeSnapshot(SampleSnapshot()));
+     },
      [](const std::string& bytes) { return svc::DecodeSnapshot(bytes, "test").status(); },
      [](const std::string& path) { return svc::LoadSnapshot(path).status(); }},
     {"LYRASHRD", svc::kMultiSnapshotFormat,
@@ -217,7 +219,9 @@ const FormatCase kFormats[] = {
      }},
     {"LYRAFED", svc::kFedSnapshotFormat,
      [] { return svc::EncodeFedSnapshot(SampleFedSnapshot()); },
-     [](const std::string& path) { return svc::SaveFedSnapshot(SampleFedSnapshot(), path); },
+     [](const std::string& path) {
+       return WriteFileAtomic(path, svc::EncodeFedSnapshot(SampleFedSnapshot()));
+     },
      [](const std::string& bytes) { return svc::DecodeFedSnapshot(bytes, "test").status(); },
      [](const std::string& path) { return svc::LoadFedSnapshot(path).status(); }},
     {"LYRAPOL", rl::kPolicyFormat, [] { return SamplePolicy().Encode(); },

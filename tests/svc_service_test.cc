@@ -585,6 +585,7 @@ std::vector<std::string> PinnedScript(const std::string& dir) {
       R"({"cmd":"cancel","job":1})",
       R"({"cmd":"no_such_command","seq":6})",
       R"({"cmd":"federation_stats"})",
+      R"({"cmd":"snapshot","path":"/nonexistent-dir/engine.snap","seq":9})",
       R"({"cmd":"advance","to":3600})",
       R"({"cmd":"metrics","seq":7})",
       R"({"cmd":"stats_prom"})",
@@ -605,7 +606,9 @@ std::vector<std::string> PinnedScript(const std::string& dir) {
 // included, keeps the bytes it had when a plain SchedulerService answered
 // it: tests/golden/one_engine_replies.golden is that transcript with the
 // end-of-time additions only (`"ended":false` on ping and cluster_stats,
-// the lyra_engine_ended family in stats_prom).
+// the lyra_engine_ended family in stats_prom). A snapshot that cannot be
+// written is one of the exchanges, and metrics' command_errors counts it
+// once.
 TEST(Service, OneEngineRepliesKeepTheirBytes) {
   const std::string dir = "/tmp/lyra_svc_pin_" + std::to_string(::getpid());
   ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);

@@ -13,14 +13,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "src/common/rng.h"
@@ -491,12 +495,14 @@ TEST(Shard, WarmRestartReplaysEveryShardByteForByte) {
 
 // A fleet of four engines writes one LYRAFED container: one training
 // cluster "train0" holding the four engine images plus the routing counter.
+// Each image is, byte for byte, the engine's own one-engine snapshot.
 TEST(Shard, FourEngineSnapshotIsOneLyrafedContainer) {
   FederationSet fleet = BuildFleet(kShards);
   FederationRouter& router = *fleet.router;
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(router.Execute(Submit(0.0, 36000.0)).GetBool("ok"));
   }
+  ASSERT_TRUE(router.Execute(Advance(600.0)).GetBool("ok"));
   const std::string path = TempPath("lyrafed");
   JsonValue snap = Cmd("snapshot");
   snap.Set("path", JsonValue::MakeString(path));
@@ -504,6 +510,14 @@ TEST(Shard, FourEngineSnapshotIsOneLyrafedContainer) {
   ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
   EXPECT_EQ(reply.GetDouble("shards", 0.0), kShards);
   EXPECT_EQ(reply.GetDouble("clusters", 0.0), 1.0);
+  std::vector<std::string> own;
+  for (int k = 0; k < kShards; ++k) {
+    const std::string part = TempPath(("own" + std::to_string(k)).c_str());
+    snap.Replace("path", JsonValue::MakeString(part));
+    ASSERT_TRUE(EngineExecute(fleet.services[k].get(), snap).GetBool("ok"));
+    own.push_back(ReadFile(part).value());
+    std::remove(part.c_str());
+  }
   StopFleet(fleet);
 
   EXPECT_EQ(ReadFile(path).value().substr(0, 8), "LYRAFED_");
@@ -513,6 +527,14 @@ TEST(Shard, FourEngineSnapshotIsOneLyrafedContainer) {
   ASSERT_EQ(loaded.value().clusters.size(), 1u);
   EXPECT_EQ(loaded.value().clusters[0].name, "train0");
   EXPECT_EQ(loaded.value().clusters[0].shards, static_cast<std::uint32_t>(kShards));
+  StatusOr<MultiSnapshot> images =
+      DecodeMultiSnapshot(loaded.value().clusters[0].image, path);
+  ASSERT_TRUE(images.ok()) << images.status().message();
+  ASSERT_EQ(images.value().shard_images.size(), own.size());
+  for (int k = 0; k < kShards; ++k) {
+    EXPECT_EQ(own[k].substr(0, 8), "LYRASNAP") << "engine " << k;
+    EXPECT_TRUE(images.value().shard_images[k] == own[k]) << "engine " << k;
+  }
   std::remove(path.c_str());
 }
 
@@ -627,6 +649,148 @@ TEST(Shard, MalformedFanoutCommandIsAnsweredOnce) {
     EXPECT_EQ(after.command_errors - before.command_errors, 1u) << row.request;
     EXPECT_EQ(after.commands_applied, before.commands_applied) << row.request;
   }
+  StopFleet(fleet);
+}
+
+// Collects the replies of commands dispatched without waiting, keyed by the
+// sink word `a`, as the event loop pipelines one connection's frames.
+class ReplyCollector : public SchedulerService::CompletionSink {
+ public:
+  void OnReply(std::uint64_t a, std::uint64_t /*b*/, JsonValue reply) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      replies_[a] = std::move(reply);
+    }
+    cv_.notify_all();
+  }
+
+  // Waits for the replies to `count` dispatched commands and takes them in
+  // sink-word order.
+  std::vector<JsonValue> Take(std::size_t count) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return replies_.size() == count; });
+    std::vector<JsonValue> replies;
+    for (auto& entry : replies_) {
+      replies.push_back(std::move(entry.second));
+    }
+    replies_.clear();
+    return replies;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<std::uint64_t, JsonValue> replies_;
+};
+
+// Routes and dispatches `request` as the event loop does, without waiting
+// for its reply.
+void Pipeline(FederationRouter& router, const JsonValue& request,
+              const std::shared_ptr<ReplyCollector>& sink, std::uint64_t a) {
+  const FederationRouter::Plan plan = router.RouteEngine(
+      TelemetryCmdFromName(request.GetString("cmd")), request);
+  const std::uint32_t engine = router.BeginEngine(plan);
+  router.DispatchEngine(plan, engine, request, sink, a, 0);
+}
+
+// Two snapshots to one path, pipelined with a submit between them, round
+// after round: both are answered ok, each captures its own command set, and
+// the file is the second one's, restoring to engines whose decision logs
+// equal the fleet's own.
+TEST(Shard, PipelinedSnapshotsToOnePathAreExact) {
+  FederationSet fleet = BuildFleet(2);
+  FederationRouter& router = *fleet.router;
+  ASSERT_TRUE(router.Execute(Submit(0.0, 36000.0)).GetBool("ok"));
+  const std::string path = TempPath("samepath");
+  JsonValue snap = Cmd("snapshot");
+  snap.Set("path", JsonValue::MakeString(path));
+  auto sink = std::make_shared<ReplyCollector>();
+  constexpr int kRounds = 100;
+  for (int round = 0; round < kRounds; ++round) {
+    Pipeline(router, snap, sink, 0);
+    Pipeline(router, Submit(60.0 * round, 3600.0), sink, 1);
+    Pipeline(router, snap, sink, 2);
+    const std::vector<JsonValue> replies = sink->Take(3);
+    for (const JsonValue& reply : replies) {
+      ASSERT_TRUE(reply.GetBool("ok")) << "round " << round << ": "
+                                       << reply.Dump();
+    }
+    EXPECT_EQ(replies[2].GetDouble("commands", 0.0),
+              replies[0].GetDouble("commands", 0.0) + 1.0)
+        << "round " << round;
+    StatusOr<FedSnapshot> file = LoadFedSnapshot(path);
+    ASSERT_TRUE(file.ok()) << file.status().message();
+    EXPECT_EQ(file.value().submit_seq, router.submit_seq()) << "round " << round;
+  }
+  StopFleet(fleet);
+  const FleetOutcome own = CollectOutcome(fleet);
+
+  StatusOr<FederationSet> restored =
+      RestoreFederation(FleetOptions(), path, MakeVirtualDriver);
+  std::remove(path.c_str());
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  StopFleet(restored.value());
+  const FleetOutcome again = CollectOutcome(restored.value());
+  ASSERT_EQ(again.decisions.size(), own.decisions.size());
+  for (std::size_t k = 0; k < own.decisions.size(); ++k) {
+    EXPECT_FALSE(own.decisions[k].empty()) << "engine " << k;
+    EXPECT_TRUE(again.decisions[k] == own.decisions[k]) << "engine " << k;
+    EXPECT_EQ(again.fault_hashes[k], own.fault_hashes[k]) << "engine " << k;
+    EXPECT_DOUBLE_EQ(again.final_times[k], own.final_times[k]) << "engine " << k;
+  }
+}
+
+// A fanout command one engine fails is answered with that engine's error,
+// its index, and the client's "seq" once.
+TEST(Shard, FailedFanoutReplyEchoesSeqOnce) {
+  FederationSet fleet = BuildFleet(2);
+  fleet.services[1]->Stop();
+  JsonValue advance = Advance(600.0);
+  advance.Set("seq", JsonValue::MakeNumber(11));
+  EXPECT_EQ(fleet.router->Execute(advance).Dump(),
+            R"({"ok":false,"code":"unavailable","error":"service is stopped","shard":1,"seq":11})");
+  StopFleet(fleet);
+}
+
+// A fleet snapshot whose container cannot be written is answered once: the
+// write's own error naming the client's path, no "shard" field, one command
+// error, and no file left behind.
+TEST(Shard, FailedContainerWriteIsAnsweredOnce) {
+  FederationSet fleet = BuildFleet(kShards);
+  FederationRouter& router = *fleet.router;
+  ASSERT_TRUE(router.Execute(Submit(0.0, 36000.0)).GetBool("ok"));
+  const std::string dir = TempPath("snapdir");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
+  const struct {
+    std::string path;
+    std::string reply;
+  } cases[] = {
+      // The directory does not exist: the temporary file cannot be opened.
+      {"/nonexistent-dir/fleet.snap",
+       R"({"ok":false,"code":"invalid_argument","error":"cannot open for writing: /nonexistent-dir/fleet.snap.tmp","seq":3})"},
+      // The path is a directory: the temporary file is written, and the
+      // rename over the directory fails.
+      {dir, R"({"ok":false,"code":"internal","error":"rename failed: )" + dir +
+                R"(","seq":3})"},
+  };
+  for (const auto& row : cases) {
+    JsonValue snap = Cmd("snapshot");
+    snap.Set("path", JsonValue::MakeString(row.path));
+    snap.Set("seq", JsonValue::MakeNumber(3));
+    const SchedulerService::Stats before = router.AggregateStats();
+    EXPECT_EQ(router.Execute(snap).Dump(), row.reply);
+    const SchedulerService::Stats after = router.AggregateStats();
+    EXPECT_EQ(after.command_errors - before.command_errors, 1u) << row.path;
+    EXPECT_EQ(after.commands_applied - before.commands_applied,
+              static_cast<std::uint64_t>(kShards))
+        << row.path;
+    EXPECT_NE(::access((row.path + ".tmp").c_str(), F_OK), 0) << row.path;
+    for (int k = 0; k < kShards; ++k) {
+      const std::string part = row.path + ".part" + std::to_string(k);
+      EXPECT_NE(::access(part.c_str(), F_OK), 0) << part;
+    }
+  }
+  EXPECT_EQ(::rmdir(dir.c_str()), 0) << "the snapshot wrote into " << dir;
   StopFleet(fleet);
 }
 

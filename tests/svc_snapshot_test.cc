@@ -223,7 +223,7 @@ TEST(Snapshot, ContainerRoundTripPreservesEverything) {
   snapshot.horizon = 2e6;
 
   const std::string path = TempPath("roundtrip");
-  ASSERT_TRUE(SaveSnapshot(snapshot, path).ok());
+  ASSERT_TRUE(WriteFileAtomic(path, EncodeSnapshot(snapshot)).ok());
   StatusOr<ServiceSnapshot> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_TRUE(loaded.value().config == snapshot.config);
