@@ -3,7 +3,8 @@
 //     354 items and 245 GPUs),
 //   - Lyra's greedy reclaiming vs the exhaustive optimal (paper: 1-3 ms vs
 //     ~420,000x more),
-//   - supporting primitives (preemption cost, BFD placement, LSTM step),
+//   - supporting primitives (preemption cost, BFD placement incl. AFS-shaped
+//     one-worker grants, LSTM step),
 //   - ClusterState hot operations at 1000-server scale: the incremental
 //     counters / pool indices vs brute-force recomputation over the server
 //     vector (the pre-optimization behavior, kept here as the baseline),
@@ -20,6 +21,7 @@
 #include <memory>
 
 #include "bench/harness.h"
+#include "src/common/check.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/lyra/allocation.h"
@@ -290,6 +292,59 @@ void BM_BestFitPlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_BestFitPlacement);
 
+// AFS-shaped grants: AFS's greedy loop grants one flexible worker at a time
+// through TryPlaceWorkers. The cluster is paper-sized (443 V100 training
+// servers plus 260 on-loan T4 servers, 8 GPUs each) and mostly full: ~80% of
+// the servers full, the rest partly used by base or flexible fillers. The
+// granted job is fungible and holds a base worker on training GPUs, so each
+// grant stays on them; it is released after every grant to hold the state.
+struct AfsGrantInstance {
+  lyra::ClusterState cluster;
+  lyra::PlaceRequest grant;
+};
+
+AfsGrantInstance MostlyFullAfsCluster() {
+  AfsGrantInstance instance;
+  lyra::ClusterState& cluster = instance.cluster;
+  lyra::Rng rng(29);
+  std::int64_t filler = 1;
+  const auto add = [&](int count, lyra::GpuType type, lyra::ServerPool pool) {
+    for (int s = 0; s < count; ++s) {
+      const lyra::ServerId id = cluster.AddServer(type, 8, pool);
+      const int used = rng.NextBernoulli(0.8) ? 8 : static_cast<int>(rng.UniformInt(0, 7));
+      if (used > 0) {
+        cluster.Place(lyra::JobId(filler++), id, used, /*flexible=*/rng.NextBernoulli(0.5));
+      }
+    }
+  };
+  add(443, lyra::GpuType::kTrainingV100, lyra::ServerPool::kTraining);
+  add(260, lyra::GpuType::kInferenceT4, lyra::ServerPool::kOnLoan);
+  lyra::PlaceRequest& grant = instance.grant;
+  grant.job = lyra::JobId(0);
+  grant.gpus_per_worker = 2;
+  grant.workers = 1;
+  grant.flexible = true;
+  grant.fungible = true;
+  grant.preference = lyra::PoolPreference::kTrainingFirst;
+  lyra::PlaceRequest base = grant;
+  base.flexible = false;
+  LYRA_CHECK(lyra::TryPlaceWorkers(cluster, base));
+  return instance;
+}
+
+void GrantAndRelease(AfsGrantInstance& instance) {
+  benchmark::DoNotOptimize(lyra::TryPlaceWorkers(instance.cluster, instance.grant));
+  instance.cluster.RemoveAllFlexible(instance.grant.job);
+}
+
+void BM_TryPlaceWorkersAfsGrant(benchmark::State& state) {
+  AfsGrantInstance instance = MostlyFullAfsCluster();
+  for (auto _ : state) {
+    GrantAndRelease(instance);
+  }
+}
+BENCHMARK(BM_TryPlaceWorkersAfsGrant);
+
 // --- ClusterState hot operations at 1000-server scale ----------------------
 //
 // The scheduler tick queries capacity and lists pools many times per event;
@@ -460,9 +515,9 @@ void BM_ChurnBruteForce(benchmark::State& state) {
 BENCHMARK(BM_ChurnBruteForce)->Arg(1000);
 
 // Batch worker placement: one 400-worker launch on a 443-server cluster.
-// The heap-based best-fit builds the candidate heap once and pays O(log n)
-// per worker; the pre-rewrite baseline rescanned every server per worker
-// (O(workers x servers)).
+// The best-fit placer (named for the heap it once used) answers each worker
+// from the free-slot index; the pre-rewrite baseline rescanned every server
+// per worker (O(workers x servers)).
 void BM_BatchPlaceHeap(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
@@ -659,8 +714,8 @@ double TimeNsPerOp(Fn&& body) {
   return elapsed_ns / static_cast<double>(iters);
 }
 
-// Times the reclaim-tick comparison, the scheduler-shaped knapsack and the
-// JSON reply encoders and records them via the bench harness so the repo's
+// Times the reclaim-tick comparison, the scheduler-shaped knapsack, the
+// AFS-shaped grant and the JSON reply encoders and records them via the bench harness so the repo's
 // perf trajectory is machine-checkable from BENCH_perf.json.
 void RecordMicroReport() {
   for (int servers : {64, 256}) {
@@ -689,6 +744,14 @@ void RecordMicroReport() {
         TimeNsPerOp([&] { benchmark::DoNotOptimize(solver.Solve(capacity).total_value); });
     lyra::RecordMicroBench("mckp_scheduler_shaped_" + std::to_string(capacity), solve_ns);
     std::printf("mckp scheduler-shaped capacity %d: %.0f ns/op\n", capacity, solve_ns);
+  }
+
+  {
+    AfsGrantInstance instance = MostlyFullAfsCluster();
+    const double grant_ns = TimeNsPerOp([&] { GrantAndRelease(instance); });
+    lyra::RecordMicroBench("try_place_workers_afs_grant", grant_ns);
+    std::printf("try-place-workers AFS grant (443+260 servers, mostly full): %.0f ns/op\n",
+                grant_ns);
   }
 
   {

@@ -28,18 +28,18 @@ ClusterState ClusterState::Clone() const {
   copy.used_gpus_ = used_gpus_;
   copy.free_gpus_by_type_ = free_gpus_by_type_;
   copy.pool_servers_ = pool_servers_;
-  copy.free_servers_ = free_servers_;
+  copy.free_slots_ = free_slots_;
   copy.placement_stamp_ = placement_stamp_;
   copy.servers_down_ = servers_down_;
   return copy;
 }
 
 ServerId ClusterState::AddServer(GpuType gpu_type, int num_gpus, ServerPool pool) {
+  LYRA_CHECK_LE(num_gpus, kMaxServerGpus);
   const ServerId id(static_cast<std::int64_t>(servers_.size()));
   servers_.emplace_back(id, gpu_type, num_gpus, pool);
-  total_gpus_[PoolIndex(pool)] += num_gpus;
-  free_gpus_by_type_[PoolIndex(pool)][TypeIndex(gpu_type)] += num_gpus;
-  PoolInsert(pool, id, num_gpus > 0);
+  pool_servers_[PoolIndex(pool)].push_back(id);  // the largest id yet
+  CountServer(servers_.back(), +1);
   return id;
 }
 
@@ -73,46 +73,35 @@ void SortedErase(std::vector<ServerId>& members, ServerId id) {
 
 }  // namespace
 
-void ClusterState::PoolInsert(ServerPool pool, ServerId id, bool has_free) {
-  SortedInsert(pool_servers_[PoolIndex(pool)], id);
-  if (has_free) {
-    SortedInsert(free_servers_[PoolIndex(pool)], id);
+void ClusterState::CountServer(const Server& srv, int sign) {
+  if (!srv.up()) {
+    return;
   }
-}
-
-void ClusterState::PoolErase(ServerPool pool, ServerId id, bool has_free) {
-  SortedErase(pool_servers_[PoolIndex(pool)], id);
-  if (has_free) {
-    SortedErase(free_servers_[PoolIndex(pool)], id);
-  }
-}
-
-void ClusterState::MoveServerCounters(const Server& srv, ServerPool from,
-                                      ServerPool to) {
-  const int type = TypeIndex(srv.gpu_type());
-  total_gpus_[PoolIndex(from)] -= srv.num_gpus();
-  total_gpus_[PoolIndex(to)] += srv.num_gpus();
-  used_gpus_[PoolIndex(from)] -= srv.used_gpus();
-  used_gpus_[PoolIndex(to)] += srv.used_gpus();
-  free_gpus_by_type_[PoolIndex(from)][type] -= srv.free_gpus();
-  free_gpus_by_type_[PoolIndex(to)][type] += srv.free_gpus();
-  PoolErase(from, srv.id(), srv.free_gpus() > 0);
-  PoolInsert(to, srv.id(), srv.free_gpus() > 0);
-}
-
-void ClusterState::AccountUsage(const Server& srv, int gpus) {
   const int pool = PoolIndex(srv.pool());
-  used_gpus_[pool] += gpus;
-  free_gpus_by_type_[pool][TypeIndex(srv.gpu_type())] -= gpus;
-  const bool had_free = srv.free_gpus() + gpus > 0;
-  const bool has_free = srv.free_gpus() > 0;
-  if (had_free != has_free) {
-    if (has_free) {
-      SortedInsert(free_servers_[pool], srv.id());
-    } else {
-      SortedErase(free_servers_[pool], srv.id());
-    }
+  const int free = srv.free_gpus();
+  total_gpus_[pool] += sign * srv.num_gpus();
+  used_gpus_[pool] += sign * srv.used_gpus();
+  free_gpus_by_type_[pool][TypeIndex(srv.gpu_type())] += sign * free;
+  if (free == 0) {
+    return;
   }
+  FreeSlotGroup& group = free_slots_[SlotGroup(srv.pool(), srv.gpu_type(), KindOf(srv))];
+  std::vector<ServerId>& bucket = group.by_free[static_cast<std::size_t>(free)];
+  if (sign > 0) {
+    SortedInsert(bucket, srv.id());
+  } else {
+    SortedErase(bucket, srv.id());
+  }
+  const std::uint64_t bit = std::uint64_t{1} << free;
+  group.mask = bucket.empty() ? group.mask & ~bit : group.mask | bit;
+}
+
+void ClusterState::MovePool(Server& srv, ServerPool to) {
+  CountServer(srv, -1);
+  SortedErase(pool_servers_[PoolIndex(srv.pool())], srv.id());
+  srv.set_pool(to);
+  SortedInsert(pool_servers_[PoolIndex(to)], srv.id());
+  CountServer(srv, +1);
 }
 
 std::vector<ServerId> ClusterState::TrainingVisibleServers() const {
@@ -127,8 +116,9 @@ std::vector<ServerId> ClusterState::TrainingVisibleServers() const {
 void ClusterState::Place(JobId job, ServerId server_id, int gpus, bool flexible) {
   Server& srv = mutable_server(server_id);
   LYRA_CHECK(srv.up());  // down servers are invisible to placement
+  CountServer(srv, -1);
   srv.Place(job, gpus, flexible);
-  AccountUsage(srv, gpus);
+  CountServer(srv, +1);
   const auto [entry, inserted] = placements_.try_emplace(job);
   if (inserted && log_new_placements_) {
     new_placements_.push_back(job);
@@ -151,8 +141,9 @@ void ClusterState::RemoveJob(JobId job) {
   }
   for (const auto& [server_id, share] : it->second.shares) {
     Server& srv = mutable_server(server_id);
+    CountServer(srv, -1);
     srv.RemoveJob(job);
-    AccountUsage(srv, -share.total());
+    CountServer(srv, +1);
   }
   placements_.erase(it);
 }
@@ -167,8 +158,9 @@ int ClusterState::RemoveFlexible(JobId job, ServerId server_id, int gpus) {
     return 0;
   }
   Server& srv = mutable_server(server_id);
+  CountServer(srv, -1);
   const int removed = srv.RemoveFlexible(job, gpus);
-  AccountUsage(srv, -removed);
+  CountServer(srv, +1);
   share_it->second.flexible_gpus -= removed;
   it->second.flexible_total -= removed;
   LYRA_CHECK_GE(share_it->second.flexible_gpus, 0);
@@ -220,8 +212,7 @@ Status ClusterState::LoanServer(ServerId id) {
   if (srv.pool() != ServerPool::kInference) {
     return Status::FailedPrecondition("server is not in the inference pool");
   }
-  srv.set_pool(ServerPool::kOnLoan);
-  MoveServerCounters(srv, ServerPool::kInference, ServerPool::kOnLoan);
+  MovePool(srv, ServerPool::kOnLoan);
   return Status::Ok();
 }
 
@@ -236,8 +227,7 @@ Status ClusterState::ReturnServer(ServerId id) {
   if (!srv.idle()) {
     return Status::FailedPrecondition("server still has running workers");
   }
-  srv.set_pool(ServerPool::kInference);
-  MoveServerCounters(srv, ServerPool::kOnLoan, ServerPool::kInference);
+  MovePool(srv, ServerPool::kInference);
   return Status::Ok();
 }
 
@@ -249,10 +239,8 @@ Status ClusterState::MarkServerDown(ServerId id) {
   if (!srv.idle()) {
     return Status::FailedPrecondition("server still has running workers");
   }
-  const int pool = PoolIndex(srv.pool());
-  total_gpus_[pool] -= srv.num_gpus();
-  free_gpus_by_type_[pool][TypeIndex(srv.gpu_type())] -= srv.num_gpus();
-  PoolErase(srv.pool(), id, srv.free_gpus() > 0);
+  CountServer(srv, -1);
+  SortedErase(pool_servers_[PoolIndex(srv.pool())], id);
   srv.set_up(false);
   ++servers_down_;
   return Status::Ok();
@@ -264,11 +252,9 @@ Status ClusterState::MarkServerUp(ServerId id) {
     return Status::FailedPrecondition("server is already up");
   }
   LYRA_CHECK(srv.idle());  // nothing can be placed on a down server
-  const int pool = PoolIndex(srv.pool());
-  total_gpus_[pool] += srv.num_gpus();
-  free_gpus_by_type_[pool][TypeIndex(srv.gpu_type())] += srv.num_gpus();
-  PoolInsert(srv.pool(), id, srv.free_gpus() > 0);
   srv.set_up(true);
+  SortedInsert(pool_servers_[PoolIndex(srv.pool())], id);
+  CountServer(srv, +1);
   --servers_down_;
   return Status::Ok();
 }
@@ -301,7 +287,7 @@ void ClusterState::AuditInvariants() const {
   std::array<int, kNumPools> used{};
   std::array<std::array<int, kNumGpuTypes>, kNumPools> free_by_type{};
   std::array<std::vector<ServerId>, kNumPools> members;
-  std::array<std::vector<ServerId>, kNumPools> free_members;
+  std::array<FreeSlotGroup, kNumPools * kNumGpuTypes * kNumServerKinds> free_slots;
 
   int down = 0;
   for (const Server& srv : servers_) {
@@ -319,7 +305,9 @@ void ClusterState::AuditInvariants() const {
     free_by_type[pool][TypeIndex(srv.gpu_type())] += srv.free_gpus();
     members[pool].push_back(srv.id());
     if (srv.free_gpus() > 0) {
-      free_members[pool].push_back(srv.id());
+      FreeSlotGroup& group = free_slots[SlotGroup(srv.pool(), srv.gpu_type(), KindOf(srv))];
+      group.by_free[static_cast<std::size_t>(srv.free_gpus())].push_back(srv.id());
+      group.mask |= std::uint64_t{1} << srv.free_gpus();
     }
 
     // Server-side per-job shares must sum to the server's used and flexible
@@ -368,7 +356,10 @@ void ClusterState::AuditInvariants() const {
     }
     LYRA_CHECK(members[pool] == pool_servers_[pool]);
     LYRA_CHECK(std::is_sorted(pool_servers_[pool].begin(), pool_servers_[pool].end()));
-    LYRA_CHECK(free_members[pool] == free_servers_[pool]);
+  }
+  for (std::size_t g = 0; g < free_slots.size(); ++g) {
+    LYRA_CHECK(free_slots[g].by_free == free_slots_[g].by_free);
+    LYRA_CHECK_EQ(free_slots[g].mask, free_slots_[g].mask);
   }
   LYRA_CHECK_EQ(down, servers_down_);
 }

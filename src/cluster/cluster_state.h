@@ -8,12 +8,13 @@
 // training scheduler), returning moves it back once it is idle.
 //
 // Capacity accounting is incremental: per-pool GPU totals, usage, and
-// per-GPU-type free counts, plus sorted per-pool server-id lists (all up
-// servers, and the up servers with a free GPU), are maintained in O(1)
-// (amortized) at every mutation point. All capacity
-// queries are counter reads and pool listings return the maintained index —
-// nothing on the query path scans the server vector. AuditInvariants()
-// recomputes everything from scratch and is wired into the tests.
+// per-GPU-type free counts, sorted per-pool server-id lists, and the
+// free-slot index (the up servers with a free GPU, bucketed by pool, GPU
+// type, kind and free count) are maintained at every mutation point. All
+// capacity queries are counter reads and pool listings return the maintained
+// index — nothing on the query path scans the server vector.
+// AuditInvariants() recomputes everything from scratch and is wired into the
+// tests.
 //
 // What-if questions never mutate the live state: a read-only answer is a
 // function of the placements (reclaim's collateral estimate), and anything
@@ -94,12 +95,33 @@ class ClusterState {
     return static_cast<int>(pool_servers_[PoolIndex(pool)].size());
   }
 
-  // Ids of the pool's servers with at least one free GPU, ascending: the only
-  // servers placement can still use (a subsequence of ServersInPool). O(1),
-  // no allocation. Invalidated like ServersInPool and, additionally, by Place
-  // and every removal.
-  const std::vector<ServerId>& ServersWithFreeGpus(ServerPool pool) const {
-    return free_servers_[PoolIndex(pool)];
+  // --- Free-slot index --------------------------------------------------------
+  //
+  // Every up server with a free GPU sits in exactly one bucket, keyed by its
+  // pool, GPU type, kind and free-GPU count: the only servers placement can
+  // still use. The best-fit placer (src/sched/placement_util.h) answers from
+  // the buckets without listing a pool.
+
+  // A server's kind: which demand it hosts. Bit 0 is HasBaseGpus, bit 1 is
+  // HasFlexibleGpus, so kind 0 is an idle server.
+  static constexpr int kNumServerKinds = 4;
+  static int KindOf(const Server& srv) {
+    return (srv.HasBaseGpus() ? 1 : 0) | (srv.HasFlexibleGpus() ? 2 : 0);
+  }
+
+  // Free counts are bits of a 64-bit mask, so a server has at most 63 GPUs.
+  static constexpr int kMaxServerGpus = 63;
+
+  // Bit f is set iff the bucket of free count f is non-empty.
+  std::uint64_t FreeSlotMask(ServerPool pool, GpuType type, int kind) const {
+    return free_slots_[SlotGroup(pool, type, kind)].mask;
+  }
+
+  // Ids of the up servers of the key with exactly `free` free GPUs
+  // (1 <= free <= kMaxServerGpus), ascending. Invalidated by every mutation.
+  const std::vector<ServerId>& FreeSlotBucket(ServerPool pool, GpuType type, int kind,
+                                              int free) const {
+    return free_slots_[SlotGroup(pool, type, kind)].by_free[static_cast<std::size_t>(free)];
   }
 
   // Servers visible to the training scheduler: the training pool plus the
@@ -203,19 +225,26 @@ class ClusterState {
 
   Server& mutable_server(ServerId id);
 
-  // Membership index maintenance: ids are kept ascending per pool, in both
-  // the all-servers and the free-servers index. A server is in its pool's
-  // free index iff it is up and has a free GPU.
-  void PoolInsert(ServerPool pool, ServerId id, bool has_free);
-  void PoolErase(ServerPool pool, ServerId id, bool has_free);
+  // Buckets of one (pool, GPU type, kind), indexed by free count.
+  struct FreeSlotGroup {
+    std::array<std::vector<ServerId>, kMaxServerGpus + 1> by_free;
+    std::uint64_t mask = 0;  // bit f set iff by_free[f] is non-empty
+  };
 
-  // Moves the counter contribution of a server between pools (loan/return).
-  void MoveServerCounters(const Server& srv, ServerPool from, ServerPool to);
+  static constexpr std::size_t SlotGroup(ServerPool pool, GpuType type, int kind) {
+    return static_cast<std::size_t>((PoolIndex(pool) * kNumGpuTypes + TypeIndex(type)) *
+                                        kNumServerKinds +
+                                    kind);
+  }
 
-  // Adjusts used/free counters and the free-server index for `gpus` placed
-  // (positive) or removed (negative) on the server, after the server-side
-  // mutation.
-  void AccountUsage(const Server& srv, int gpus);
+  // Adds (sign +1) or takes away (sign -1) a server's contribution to its
+  // pool: the GPU counters and, with a free GPU, one free-slot bucket; a down
+  // server contributes nothing. Every mutation of a server's pool, health or
+  // usage is bracketed by -1 before it and +1 after it.
+  void CountServer(const Server& srv, int sign);
+
+  // Moves an up server to another pool (loan/return).
+  void MovePool(Server& srv, ServerPool to);
 
   std::vector<Server> servers_;
   std::unordered_map<JobId, JobPlacement> placements_;
@@ -227,7 +256,7 @@ class ClusterState {
   std::array<int, kNumPools> used_gpus_{};
   std::array<std::array<int, kNumGpuTypes>, kNumPools> free_gpus_by_type_{};
   std::array<std::vector<ServerId>, kNumPools> pool_servers_;
-  std::array<std::vector<ServerId>, kNumPools> free_servers_;
+  std::array<FreeSlotGroup, kNumPools * kNumGpuTypes * kNumServerKinds> free_slots_;
   // Last JobPlacement::stamp handed out.
   std::uint64_t placement_stamp_ = 0;
 

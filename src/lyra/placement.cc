@@ -8,13 +8,6 @@
 namespace lyra {
 namespace {
 
-// Moves a pool's candidates behind an earlier pool's tiers 0 and 1.
-void OffsetTiers(std::vector<PlacementCandidate>& set, int offset) {
-  for (PlacementCandidate& c : set) {
-    c.tier += offset;
-  }
-}
-
 // All-or-nothing placement of a job's base demand within a single GPU type
 // (or mixed for heterogeneous jobs).
 bool PlaceBase(ClusterState& cluster, const Job& job, int workers,
@@ -22,30 +15,24 @@ bool PlaceBase(ClusterState& cluster, const Job& job, int workers,
   const JobSpec& spec = job.spec();
   const bool loan_eligible =
       options.allow_loaned && (spec.fungible || spec.heterogeneous);
-  const bool grouped = !options.naive;
+  const TierRule rule = !options.naive && spec.elastic() ? TierRule::kBaseAvoidsFlexible
+                                                         : TierRule::kNone;
 
-  auto training = PoolCandidates(cluster, ServerPool::kTraining, /*for_flexible=*/false,
-                                 grouped && spec.elastic());
-  std::vector<PlacementCandidate> loaned;
-  if (loan_eligible) {
-    loaned = PoolCandidates(cluster, ServerPool::kOnLoan, /*for_flexible=*/false,
-                            grouped && spec.elastic());
-  }
+  const CandidatePools training = CandidatePools().Add(ServerPool::kTraining, rule);
+  const CandidatePools loaned = CandidatePools().Add(ServerPool::kOnLoan, rule);
 
-  auto try_set = [&](const std::vector<PlacementCandidate>& set) {
+  auto try_set = [&](const CandidatePools& set) {
     return PlaceAllOrNothing(cluster, job.id(), spec.gpus_per_worker, workers, false, set);
   };
 
   if (spec.heterogeneous && !options.naive) {
     // Heterogeneous base demand goes to training servers; if that fails the
-    // job may span both pools (§6).
+    // job may span both pools (§6), on-loan servers behind training's tiers.
     if (try_set(training)) {
       return true;
     }
-    std::vector<PlacementCandidate> merged = training;
-    OffsetTiers(loaned, 2);
-    merged.insert(merged.end(), loaned.begin(), loaned.end());
-    return try_set(merged);
+    return loan_eligible &&
+           try_set(CandidatePools(training).Add(ServerPool::kOnLoan, rule, 2));
   }
 
   // Non-heterogeneous jobs keep one GPU type per run: pick a pool order and
@@ -69,31 +56,26 @@ int PlaceFlexible(ClusterState& cluster, const Job& job, int workers,
   const JobSpec& spec = job.spec();
   const bool loan_eligible =
       options.allow_loaned && (spec.fungible || spec.heterogeneous);
-  const bool grouped = !options.naive;
+  const TierRule rule = options.naive ? TierRule::kNone : TierRule::kFlexibleAvoidsBase;
 
-  std::vector<PlacementCandidate> set;
+  CandidatePools set;
   GpuType pinned;
   const bool is_pinned =
       !spec.heterogeneous && CurrentGpuType(cluster, job.id(), &pinned);
 
   if (spec.heterogeneous && !options.naive) {
     // Flexible demand of heterogeneous jobs prefers inference servers (§6).
-    set = PoolCandidates(cluster, ServerPool::kOnLoan, true, grouped);
-    auto training = PoolCandidates(cluster, ServerPool::kTraining, true, grouped);
-    OffsetTiers(training, 2);
-    set.insert(set.end(), training.begin(), training.end());
+    set.Add(ServerPool::kOnLoan, rule).Add(ServerPool::kTraining, rule, 2);
   } else if (is_pinned && pinned == GpuType::kInferenceT4) {
-    set = PoolCandidates(cluster, ServerPool::kOnLoan, true, grouped);
+    set.Add(ServerPool::kOnLoan, rule);
   } else if (is_pinned && pinned == GpuType::kTrainingV100) {
-    set = PoolCandidates(cluster, ServerPool::kTraining, true, grouped);
+    set.Add(ServerPool::kTraining, rule);
   } else {
     // Unplaced job (should not happen for scale-out) or naive mode: training
     // first, then loaned.
-    set = PoolCandidates(cluster, ServerPool::kTraining, true, grouped);
+    set.Add(ServerPool::kTraining, rule);
     if (loan_eligible) {
-      auto loaned = PoolCandidates(cluster, ServerPool::kOnLoan, true, grouped);
-      OffsetTiers(loaned, 2);
-      set.insert(set.end(), loaned.begin(), loaned.end());
+      set.Add(ServerPool::kOnLoan, rule, 2);
     }
   }
   const double placed =

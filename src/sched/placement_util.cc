@@ -1,10 +1,8 @@
 #include "src/sched/placement_util.h"
 
 #include <algorithm>
-#include <functional>
-#include <queue>
+#include <bit>
 #include <tuple>
-#include <utility>
 
 #include "src/common/check.h"
 #include "src/obs/obs.h"
@@ -13,109 +11,155 @@
 namespace lyra {
 namespace {
 
-// Nominal-worker capacity of the candidates, in PlaceBestFit's credit.
-double CandidateCapacity(const ClusterState& cluster,
-                         const std::vector<PlacementCandidate>& candidates,
-                         int gpus_per_worker) {
-  double total = 0.0;
-  for (const PlacementCandidate& c : candidates) {
-    const Server& server = cluster.server(c.id);
-    total += (server.free_gpus() / gpus_per_worker) * GpuComputeFactor(server.gpu_type());
+// A set of free-slot keys of one pool: bit 2 * kind + t stands for
+// (kind, kGpuTypes[t]), the kind as in ClusterState::KindOf (bit 0 base
+// GPUs, bit 1 flexible GPUs).
+using KeySet = unsigned;
+constexpr std::array<GpuType, 2> kGpuTypes = {GpuType::kTrainingV100,
+                                              GpuType::kInferenceT4};
+constexpr KeySet kAllKeys = 0xFF;
+
+// The keys of tiers 0 and 1, by TierRule.
+constexpr std::array<std::array<KeySet, 2>, 3> kTierKeys = {{
+    {0xFF, 0x00},  // kNone
+    {0x0F, 0xF0},  // kBaseAvoidsFlexible: kinds without / with flexible GPUs
+    {0x33, 0xCC},  // kFlexibleAvoidsBase: kinds without / with base GPUs
+}};
+
+template <typename Fn>
+void ForEachKey(KeySet keys, Fn&& fn) {
+  for (; keys != 0; keys &= keys - 1) {
+    const int key = std::countr_zero(keys);
+    fn(kGpuTypes[static_cast<std::size_t>(key & 1)], key >> 1);
   }
-  return total;
 }
 
-// Candidate groups the request may use, in preference order. A non-
-// heterogeneous job gets one group per GPU type, only the type it already
-// holds if it holds any; a heterogeneous job gets one group of both pools in
-// preference order. Every candidate is tier 0, so best fit keys on free GPUs
-// and position alone, across a merged group too.
-std::vector<std::vector<PlacementCandidate>> EligibleGroups(const ClusterState& cluster,
-                                                            const PlaceRequest& request) {
-  std::vector<PlacementCandidate> training;
-  std::vector<PlacementCandidate> loaned;
-  if (request.preference != PoolPreference::kLoanedOnly) {
-    training = PoolCandidates(cluster, ServerPool::kTraining, /*for_flexible=*/false,
-                              /*grouped=*/false);
-  }
-  if ((request.fungible || request.heterogeneous) &&
-      request.preference != PoolPreference::kTrainingOnly) {
-    loaned = PoolCandidates(cluster, ServerPool::kOnLoan, /*for_flexible=*/false,
-                            /*grouped=*/false);
-  }
+// Free counts with room for one worker, as free-slot mask bits.
+std::uint64_t RoomMask(int gpus_per_worker) {
+  return gpus_per_worker > ClusterState::kMaxServerGpus ? 0
+                                                        : ~std::uint64_t{0} << gpus_per_worker;
+}
 
-  std::vector<std::vector<PlacementCandidate>> groups;
-  if (request.heterogeneous) {
-    training.insert(training.end(), loaned.begin(), loaned.end());
-    groups.push_back(std::move(training));
-    return groups;
+// The server the next worker goes to, or an invalid id if none has room. The
+// best server of one (segment, tier) has its fewest sufficient free GPUs and
+// the lowest id among them, so the winner is the (segment, tier) least in
+// (tier, free GPUs, segment order).
+ServerId PickBestFit(const ClusterState& cluster, const CandidatePools& candidates,
+                     int gpus_per_worker) {
+  const std::uint64_t room = RoomMask(gpus_per_worker);
+  ServerPool pool = ServerPool::kTraining;
+  KeySet best_keys = 0;
+  int best_tier = 0;
+  int best_free = 0;
+  for (int s = 0; s < candidates.size; ++s) {
+    const PoolSegment& segment = candidates.segments[static_cast<std::size_t>(s)];
+    for (int r = 0; r < 2; ++r) {
+      const KeySet keys =
+          kTierKeys[static_cast<std::size_t>(segment.rule)][static_cast<std::size_t>(r)];
+      std::uint64_t mask = 0;
+      ForEachKey(keys, [&](GpuType type, int kind) {
+        mask |= cluster.FreeSlotMask(segment.pool, type, kind);
+      });
+      mask &= room;
+      const int tier = segment.tier_offset + r;
+      const int free = std::countr_zero(mask);
+      // Strict: an equal (tier, free) keeps the earlier segment.
+      if (mask != 0 &&
+          (best_keys == 0 || std::tie(tier, free) < std::tie(best_tier, best_free))) {
+        pool = segment.pool;
+        best_keys = keys;
+        best_tier = tier;
+        best_free = free;
+      }
+    }
   }
+  ServerId best;
+  ForEachKey(best_keys, [&](GpuType type, int kind) {
+    const std::vector<ServerId>& bucket = cluster.FreeSlotBucket(pool, type, kind, best_free);
+    if (!bucket.empty() && (!best.valid() || bucket.front() < best)) {
+      best = bucket.front();
+    }
+  });
+  return best;
+}
+
+// Nominal-worker capacity of the candidates, in PlaceBestFit's credit: whole
+// worker slots per GPU type, times the type's compute factor.
+double Capacity(const ClusterState& cluster, const CandidatePools& candidates,
+                int gpus_per_worker) {
+  const std::uint64_t room = RoomMask(gpus_per_worker);
+  std::array<std::int64_t, 2> slots{};  // by GpuType
+  for (int s = 0; s < candidates.size; ++s) {
+    const ServerPool pool = candidates.segments[static_cast<std::size_t>(s)].pool;
+    ForEachKey(kAllKeys, [&](GpuType type, int kind) {
+      for (std::uint64_t mask = cluster.FreeSlotMask(pool, type, kind) & room; mask != 0;
+           mask &= mask - 1) {
+        const int free = std::countr_zero(mask);
+        slots[static_cast<std::size_t>(type)] +=
+            static_cast<std::int64_t>(cluster.FreeSlotBucket(pool, type, kind, free).size()) *
+            (free / gpus_per_worker);
+      }
+    });
+  }
+  return static_cast<double>(slots[0]) * GpuComputeFactor(kGpuTypes[0]) +
+         static_cast<double>(slots[1]) * GpuComputeFactor(kGpuTypes[1]);
+}
+
+// Pool groups the request may use, in preference order. A non-heterogeneous
+// job gets one group per GPU type, only the type it already holds if it holds
+// any; a heterogeneous job gets one group of both pools in preference order.
+// Every segment is tier 0, so best fit keys on free GPUs, segment order and
+// id alone, across a merged group too. A group with no segment fits nothing.
+std::array<CandidatePools, 2> EligibleGroups(const ClusterState& cluster,
+                                             const PlaceRequest& request) {
+  const bool training = request.preference != PoolPreference::kLoanedOnly;
+  const bool loaned = (request.fungible || request.heterogeneous) &&
+                      request.preference != PoolPreference::kTrainingOnly;
   GpuType current;
-  const bool pinned = CurrentGpuType(cluster, request.job, &current);
-  if (!pinned || current == GpuType::kTrainingV100) {
-    groups.push_back(std::move(training));
+  const bool pinned =
+      !request.heterogeneous && CurrentGpuType(cluster, request.job, &current);
+  std::array<CandidatePools, 2> groups;
+  if (training && (!pinned || current == GpuType::kTrainingV100)) {
+    groups[0].Add(ServerPool::kTraining);
   }
-  if (!pinned || current == GpuType::kInferenceT4) {
-    groups.push_back(std::move(loaned));
+  if (loaned && (!pinned || current == GpuType::kInferenceT4)) {
+    groups[request.heterogeneous ? 0 : 1].Add(ServerPool::kOnLoan);
   }
   return groups;
 }
 
 }  // namespace
 
-std::vector<PlacementCandidate> PoolCandidates(const ClusterState& cluster, ServerPool pool,
-                                               bool for_flexible, bool grouped) {
-  std::vector<PlacementCandidate> out;
-  for (ServerId id : cluster.ServersWithFreeGpus(pool)) {
-    int tier = 0;
-    if (grouped) {
-      const Server& server = cluster.server(id);
-      tier = (for_flexible ? server.HasBaseGpus() : server.HasFlexibleGpus()) ? 1 : 0;
-    }
-    out.push_back({id, tier});
-  }
-  return out;
+CandidatePools& CandidatePools::Add(ServerPool pool, TierRule rule, int tier_offset) {
+  LYRA_CHECK_LT(static_cast<std::size_t>(size), segments.size());
+  segments[static_cast<std::size_t>(size++)] = {pool, rule, tier_offset};
+  return *this;
 }
 
-// The candidates live in a min-heap on (tier, free GPUs, position) instead of
-// being rescanned per worker: only the chosen server's free count changes
-// between picks, so one pop + one push per placed worker keeps the heap
-// exact, and a server too small for one more worker leaves it for good.
-// Within a tier every candidate comes from one pool, whose servers all have
-// the same GPU count, so an empty server has the most free GPUs and opens
-// only when no partly used one fits.
+// Each worker is answered from the free-slot index as it stands, which is
+// exact (DESIGN.md §4 "One best-fit placer"): a server's tier cannot change
+// during the call, because placing base GPUs never changes HasFlexibleGpus
+// and placing flexible GPUs never changes HasBaseGpus, and no server gains
+// free GPUs.
 double PlaceBestFit(ClusterState& cluster, JobId job, int gpus_per_worker, int workers,
-                    bool flexible, const std::vector<PlacementCandidate>& candidates) {
-  // (tier, free GPUs, position in `candidates`).
-  using Entry = std::tuple<int, int, std::size_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const int free = cluster.server(candidates[i].id).free_gpus();
-    if (free >= gpus_per_worker) {
-      heap.emplace(candidates[i].tier, free, i);
-    }
-  }
-
+                    bool flexible, const CandidatePools& candidates) {
   double placed = 0.0;
-  while (placed + kCreditEpsilon < static_cast<double>(workers) && !heap.empty()) {
-    auto [tier, free, index] = heap.top();
-    heap.pop();
-    const ServerId id = candidates[index].id;
+  while (placed + kCreditEpsilon < static_cast<double>(workers)) {
+    const ServerId id = PickBestFit(cluster, candidates, gpus_per_worker);
+    if (!id.valid()) {
+      break;
+    }
     cluster.Place(job, id, gpus_per_worker, flexible);
     placed += GpuComputeFactor(cluster.server(id).gpu_type());
-    free -= gpus_per_worker;
-    if (free >= gpus_per_worker) {
-      heap.emplace(tier, free, index);
-    }
   }
   return placed;
 }
 
-// The capacity check counts exactly the worker slots the heap fills, so once
-// it passes the placement cannot stop short and needs no rollback.
+// The capacity check counts exactly the worker slots the placer fills, so
+// once it passes the placement cannot stop short and needs no rollback.
 bool PlaceAllOrNothing(ClusterState& cluster, JobId job, int gpus_per_worker, int workers,
-                       bool flexible, const std::vector<PlacementCandidate>& candidates) {
-  if (CandidateCapacity(cluster, candidates, gpus_per_worker) + kCreditEpsilon <
+                       bool flexible, const CandidatePools& candidates) {
+  if (Capacity(cluster, candidates, gpus_per_worker) + kCreditEpsilon <
       static_cast<double>(workers)) {
     return false;
   }
@@ -128,7 +172,7 @@ bool PlaceAllOrNothing(ClusterState& cluster, JobId job, int gpus_per_worker, in
 bool TryPlaceWorkers(ClusterState& cluster, const PlaceRequest& request) {
   LYRA_CHECK_GT(request.workers, 0);
   obs::AddCounter("placement.attempts");
-  for (const auto& group : EligibleGroups(cluster, request)) {
+  for (const CandidatePools& group : EligibleGroups(cluster, request)) {
     if (PlaceAllOrNothing(cluster, request.job, request.gpus_per_worker, request.workers,
                           request.flexible, group)) {
       obs::AddCounter("placement.workers_placed",

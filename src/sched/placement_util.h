@@ -6,10 +6,13 @@
 // placement attempt picks one eligible pool group; heterogeneous jobs may mix.
 //
 // One best-fit placer (PlaceBestFit) serves Lyra (§5.3) and every baseline:
-// Lyra builds tiered candidate sets, the baselines build tier-0 groups.
+// Lyra describes tiered pools, the baselines tier-0 pool groups. The placer
+// answers each worker from ClusterState's free-slot index.
 #ifndef SRC_SCHED_PLACEMENT_UTIL_H_
 #define SRC_SCHED_PLACEMENT_UTIL_H_
 
+#include <array>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -43,20 +46,37 @@ struct PlaceRequest {
 
 // --- The best-fit placer ------------------------------------------------------
 
-// A server the placer may use. Lower tiers fill first; within a tier the
-// server with the fewest (but sufficient) free GPUs wins, ties to the earlier
-// candidate.
-struct PlacementCandidate {
-  ServerId id;
-  int tier = 0;
+// How a pool's servers are tiered. With a grouping rule, base and flexible
+// demand keep to separate servers (§5.3): a server holding the other kind of
+// demand is tier 1, the rest tier 0. Without one every server is tier 0.
+// A grouping rule is used only for the demand it names: tiers are read live,
+// which is exact because that demand never changes the flag its rule reads
+// (DESIGN.md §4).
+enum class TierRule : std::uint8_t {
+  kNone,
+  kBaseAvoidsFlexible,  // for base demand: servers with flexible GPUs are tier 1
+  kFlexibleAvoidsBase,  // for flexible demand: servers with base GPUs are tier 1
 };
 
-// The servers of `pool` with a free GPU, in pool order. With `grouped`, base
-// and flexible demand keep to separate servers (§5.3): a server holding the
-// other kind of demand (flexible GPUs for base demand, base GPUs for flexible
-// demand) is tier 1, the rest tier 0. Without it every candidate is tier 0.
-std::vector<PlacementCandidate> PoolCandidates(const ClusterState& cluster, ServerPool pool,
-                                               bool for_flexible, bool grouped);
+// One pool the placer may use: every up server of it with a free GPU, at
+// the rule's tier plus `tier_offset`.
+struct PoolSegment {
+  ServerPool pool = ServerPool::kTraining;
+  TierRule rule = TierRule::kNone;
+  int tier_offset = 0;
+};
+
+// The servers a placement call may use, as pool segments in preference order.
+// Each worker goes to the server with the least (tier, free GPUs, segment
+// order, server id) among those with room for it: lower tiers fill first, and
+// within a tier the fewest (but sufficient) free GPUs win.
+struct CandidatePools {
+  std::array<PoolSegment, 2> segments{};
+  int size = 0;
+
+  CandidatePools& Add(ServerPool pool, TierRule rule = TierRule::kNone,
+                      int tier_offset = 0);
+};
 
 // Places physical workers on the candidates until `workers` nominal worker
 // credit is reached or no candidate has room; returns the credit placed. A
@@ -64,12 +84,12 @@ std::vector<PlacementCandidate> PoolCandidates(const ClusterState& cluster, Serv
 // on weaker GPUs keeps its global batch size by running proportionally more,
 // smaller workers (§2.1), which is the capacity normalization of §5.2.
 double PlaceBestFit(ClusterState& cluster, JobId job, int gpus_per_worker, int workers,
-                    bool flexible, const std::vector<PlacementCandidate>& candidates);
+                    bool flexible, const CandidatePools& candidates);
 
 // All-or-nothing PlaceBestFit: places nothing and returns false unless the
 // candidates have room for all `workers` nominal workers.
 bool PlaceAllOrNothing(ClusterState& cluster, JobId job, int gpus_per_worker, int workers,
-                       bool flexible, const std::vector<PlacementCandidate>& candidates);
+                       bool flexible, const CandidatePools& candidates);
 
 // Attempts to place all requested workers within the first eligible pool
 // group that has room for them; all-or-nothing. Returns true on success.

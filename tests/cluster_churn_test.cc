@@ -1,5 +1,5 @@
 // Randomized churn over every ClusterState mutation point, cross-checking
-// the incremental counters, pool membership and free-server indices, and the
+// the incremental counters, pool membership, the free-slot index and the
 // placement stamps against brute-force recomputation and AuditInvariants()
 // after each operation. This is the
 // safety net for the O(1) accounting: any drift between a counter and the
@@ -18,6 +18,7 @@
 #include "src/sched/fifo.h"
 #include "src/sim/simulator.h"
 #include "src/workload/synthetic.h"
+#include "tests/free_slot_oracle.h"
 
 namespace lyra {
 namespace {
@@ -53,17 +54,6 @@ std::vector<ServerId> BruteServersInPool(const ClusterState& cluster, ServerPool
   return out;
 }
 
-std::vector<ServerId> BruteServersWithFreeGpus(const ClusterState& cluster,
-                                               ServerPool pool) {
-  std::vector<ServerId> out;
-  for (const Server& s : cluster.servers()) {
-    if (s.up() && s.pool() == pool && s.free_gpus() > 0) {
-      out.push_back(s.id());
-    }
-  }
-  return out;
-}
-
 double BruteTrainingSideFreeNormalized(const ClusterState& cluster) {
   double total = 0.0;
   for (const Server& s : cluster.servers()) {
@@ -82,7 +72,6 @@ void ExpectMatchesBruteForce(const ClusterState& cluster) {
     EXPECT_EQ(cluster.FreeGpus(pool),
               BruteTotalGpus(cluster, pool) - BruteUsedGpus(cluster, pool));
     EXPECT_EQ(cluster.ServersInPool(pool), BruteServersInPool(cluster, pool));
-    EXPECT_EQ(cluster.ServersWithFreeGpus(pool), BruteServersWithFreeGpus(cluster, pool));
     EXPECT_EQ(cluster.NumServersInPool(pool),
               static_cast<int>(BruteServersInPool(cluster, pool).size()));
   }
@@ -96,6 +85,7 @@ void ExpectMatchesBruteForce(const ClusterState& cluster) {
             cluster.TrainingSideTotalGpus() - cluster.TrainingSideUsedGpus());
   EXPECT_NEAR(cluster.TrainingSideFreeNormalized(),
               BruteTrainingSideFreeNormalized(cluster), 1e-9);
+  ExpectFreeSlotsMatchBruteForce(cluster);
   cluster.AuditInvariants();
 }
 
@@ -256,7 +246,11 @@ TEST_P(ClusterChurnTest, RandomizedChurnKeepsCountersExact) {
     if (step % 10 == 0) {
       ExpectMatchesBruteForce(cluster);
     } else {
+      ExpectFreeSlotsMatchBruteForce(cluster);
       cluster.AuditInvariants();
+    }
+    if (step % 25 == 0) {
+      ExpectCloneIndexesOnItsOwn(cluster, static_cast<std::uint64_t>(step));
     }
     if (::testing::Test::HasFailure()) {
       FAIL() << "counter drift at churn step " << step;

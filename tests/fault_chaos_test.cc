@@ -1,7 +1,7 @@
 // Chaos property test: a long random interleaving of placement, scaling,
 // loan/return, reclaim, server crashes (vacate + mark-down) and repairs,
 // cross-checked after every step against a health-aware brute-force recount
-// of every counter and membership index. This extends
+// of every counter, membership index and free-slot bucket. This extends
 // tests/cluster_churn_test.cc with the fault surface: down servers must
 // vanish from capacity and pool membership exactly.
 //
@@ -18,6 +18,7 @@
 #include "src/cluster/cluster_state.h"
 #include "src/common/rng.h"
 #include "src/lyra/reclaim.h"
+#include "tests/free_slot_oracle.h"
 
 namespace lyra {
 namespace {
@@ -236,6 +237,10 @@ TEST_P(FaultChaosTest, RandomFaultChurnKeepsCountersExact) {
       ExpectMatchesBruteForce(cluster);
     } else {
       cluster.AuditInvariants();
+    }
+    ExpectFreeSlotsMatchBruteForce(cluster);
+    if (step % 50 == 0) {
+      ExpectCloneIndexesOnItsOwn(cluster, static_cast<std::uint64_t>(step));
     }
     if (::testing::Test::HasFailure()) {
       FAIL() << "counter drift at chaos step " << step << " (op " << op << ")";

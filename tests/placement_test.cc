@@ -2,6 +2,7 @@
 // utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -282,7 +283,7 @@ TEST(PlacementUtil, ProfileForComputesMixAndFactor) {
 
 // --- Free-server index -------------------------------------------------------
 //
-// Placement builds its candidates from ClusterState::ServersWithFreeGpus. The
+// Placement answers each worker from ClusterState's free-slot index. The
 // reference below is the rule it implements, run over whole pools with a
 // per-worker rescan: each worker goes to the server with the smallest
 // (tier, empty, free GPUs, position) among those with room for it. On a
@@ -412,8 +413,10 @@ TEST(FreeServerIndex, PlaceBaseMatchesFullPoolScan) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
     ClusterState cluster = MostlyFullCluster(rng);
-    ASSERT_LT(cluster.ServersWithFreeGpus(ServerPool::kTraining).size(),
-              cluster.ServersInPool(ServerPool::kTraining).size());
+    const std::vector<ServerId>& training = cluster.ServersInPool(ServerPool::kTraining);
+    ASSERT_TRUE(std::any_of(training.begin(), training.end(), [&](ServerId id) {
+      return cluster.server(id).free_gpus() == 0;  // some server is full
+    }));
     const int gpw = static_cast<int>(rng.UniformInt(1, 4));
     const int workers = static_cast<int>(rng.UniformInt(1, 12));
     // Elastic, so grouped placement puts base demand on flexible-free
@@ -597,6 +600,228 @@ TEST(FreeServerIndex, TwoPoolPlacementMatchesFullPoolScan) {
   EXPECT_LT(on_loan, 40);
   EXPECT_GT(merged_successes, 0);
   EXPECT_LT(merged_successes, 40);
+}
+
+// Adds 8-GPU servers of one pool whose free GPUs hold exactly `slots` workers
+// of `gpw` GPUs in all, each server a random share of them plus a leftover
+// smaller than a worker; the used GPUs are base or flexible fillers.
+void AddServersWithSlots(ClusterState& cluster, Rng& rng, GpuType type, ServerPool pool,
+                         int gpw, int slots, std::int64_t& filler) {
+  while (slots > 0) {
+    const ServerId id = cluster.AddServer(type, 8, pool);
+    const int here = std::min(slots, static_cast<int>(rng.UniformInt(1, 8 / gpw)));
+    const int free =
+        here * gpw + static_cast<int>(rng.UniformInt(0, std::min(gpw - 1, 8 - here * gpw)));
+    if (free < 8) {
+      cluster.Place(JobId(filler++), id, 8 - free, /*flexible=*/rng.NextBernoulli(0.5));
+    }
+    slots -= here;
+  }
+}
+
+// The all-or-nothing check counts whole worker slots per GPU type, while the
+// reference sums each server's credit as a double. The true capacity is k/3
+// for a whole k, so both give the same verdict: on-loan T4 slots worth
+// 3w-1, 3w and 3w+1 thirds go against a w-worker request, on the on-loan pool
+// alone and on the baselines' merged heterogeneous group (with a few V100
+// slots in front, which the request adds to w).
+TEST(FreeServerIndex, ThirdsBoundaryMatchesDoubleSum) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    const int gpw = static_cast<int>(rng.UniformInt(1, 4));
+    const int workers = static_cast<int>(rng.UniformInt(1, 12));
+    const int v100_slots = static_cast<int>(rng.UniformInt(0, 3));
+    for (int delta : {-1, 0, 1}) {
+      ClusterState cluster;
+      std::int64_t filler = 1000;
+      AddServersWithSlots(cluster, rng, GpuType::kTrainingV100, ServerPool::kTraining, gpw,
+                          v100_slots, filler);
+      AddServersWithSlots(cluster, rng, GpuType::kInferenceT4, ServerPool::kOnLoan, gpw,
+                          3 * workers + delta, filler);
+      const bool fits = delta >= 0;
+      {
+        ClusterState actual = cluster.Clone();
+        ClusterState expected = cluster.Clone();
+        CandidatePools loaned;
+        loaned.Add(ServerPool::kOnLoan);
+        const bool placed = PlaceAllOrNothing(actual, JobId(1), gpw, workers,
+                                              /*flexible=*/false, loaned);
+        EXPECT_EQ(placed, ReferencePlace(expected, JobId(1), gpw, workers, false,
+                                         {.pools = {ServerPool::kOnLoan},
+                                          .tier = NoTier,
+                                          .all_or_nothing = true}));
+        EXPECT_EQ(placed, fits) << "seed " << seed << " delta " << delta;
+        ExpectSamePlacement(actual, expected, JobId(1));
+      }
+      {
+        PlaceRequest request;
+        request.job = JobId(1);
+        request.gpus_per_worker = gpw;
+        request.workers = workers + v100_slots;
+        request.flexible = rng.NextBernoulli(0.5);
+        request.heterogeneous = true;
+        ClusterState actual = cluster.Clone();
+        ClusterState expected = cluster.Clone();
+        const bool placed = TryPlaceWorkers(actual, request);
+        EXPECT_EQ(placed,
+                  ReferencePlace(expected, request.job, gpw, request.workers, request.flexible,
+                                 {.pools = {ServerPool::kTraining, ServerPool::kOnLoan},
+                                  .tier = NoTier,
+                                  .all_or_nothing = true}));
+        EXPECT_EQ(placed, fits) << "seed " << seed << " delta " << delta;
+        ExpectSamePlacement(actual, expected, request.job);
+      }
+    }
+  }
+}
+
+// Every job's shares on the two clusters are the same.
+void ExpectSamePlacements(const ClusterState& actual, const ClusterState& expected) {
+  ASSERT_EQ(actual.placements().size(), expected.placements().size());
+  for (const auto& [job, placement] : expected.placements()) {
+    const JobPlacement* a = actual.FindPlacement(job);
+    ASSERT_NE(a, nullptr) << "job " << job.value;
+    EXPECT_EQ(a->shares, placement.shares) << "job " << job.value;
+  }
+  actual.AuditInvariants();
+}
+
+// The index lives across calls: one cluster runs a sequence of them (launch,
+// grow, scale in, grow again, a baseline launch, a crash and a recovery), and
+// after each call every placement must match the full-pool rescan run on a
+// twin cluster. A bucket left stale by an earlier call shows up as a
+// different server choice.
+TEST(FreeServerIndex, CallSequenceOnOneClusterMatchesFullPoolScan) {
+  int grown_again = 0;
+  int recovered_used = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    ClusterState actual = MostlyFullCluster(rng, /*with_loaned=*/true);
+    ClusterState expected = actual.Clone();
+    const int gpw = static_cast<int>(rng.UniformInt(1, 3));
+    std::vector<std::unique_ptr<Job>> jobs;
+
+    // Moves a placed job to `target` flexible workers on the type it holds,
+    // as ApplyAllocation does: scale in first, then grow back to the target
+    // (a T4 scale-in can undershoot it).
+    auto retarget = [&](Job& job, int target) {
+      AllocationDecision decision;
+      decision.flexible_targets.emplace_back(&job, target);
+      ApplyAllocation(actual, decision, PlacementOptions{});
+      if (PlacedFlexibleWorkers(expected, job) > target) {
+        ShrinkFlexibleTo(expected, job, target);
+      }
+      const int current = PlacedFlexibleWorkers(expected, job);
+      GpuType type;
+      if (current < target && CurrentGpuType(expected, job.id(), &type)) {
+        const ServerPool pool =
+            type == GpuType::kInferenceT4 ? ServerPool::kOnLoan : ServerPool::kTraining;
+        ReferencePlace(expected, job.id(), gpw, target - current, true,
+                       {.pools = {pool}, .tier = FlexibleDemandTier, .empty_last = true});
+      }
+      ExpectSamePlacements(actual, expected);
+    };
+    // Launches an elastic fungible job (on-loan first, else training) and
+    // grows it to `target` flexible workers.
+    auto launch = [&](int workers, int target) -> Job* {
+      jobs.push_back(MakeJob(static_cast<std::int64_t>(jobs.size()) + 1, workers,
+                             workers + target, gpw, /*fungible=*/true));
+      Job& job = *jobs.back();
+      AllocationDecision decision;
+      decision.launches.push_back(jobs.back().get());
+      ApplyAllocation(actual, decision, PlacementOptions{});
+      ReferenceRule base{.pools = {ServerPool::kOnLoan},
+                         .tier = BaseDemandTier,
+                         .empty_last = true,
+                         .all_or_nothing = true};
+      if (!ReferencePlace(expected, job.id(), gpw, workers, false, base)) {
+        base.pools = {ServerPool::kTraining};
+        ReferencePlace(expected, job.id(), gpw, workers, false, base);
+      }
+      ExpectSamePlacements(actual, expected);
+      if (expected.FindPlacement(job.id()) == nullptr) {
+        return nullptr;
+      }
+      retarget(job, target);
+      return &job;
+    };
+
+    Job* first = launch(static_cast<int>(rng.UniformInt(1, 4)),
+                        static_cast<int>(rng.UniformInt(2, 8)));
+    launch(static_cast<int>(rng.UniformInt(1, 4)), static_cast<int>(rng.UniformInt(1, 6)));
+    if (first != nullptr) {
+      // Scale in, then grow again into what the scale-in freed.
+      const int flex = PlacedFlexibleWorkers(expected, *first);
+      const int lower = static_cast<int>(rng.UniformInt(0, std::max(0, flex - 1)));
+      retarget(*first, lower);
+      retarget(*first, flex + 1);
+      grown_again += PlacedFlexibleWorkers(expected, *first) > lower ? 1 : 0;
+    }
+
+    // A baseline launch through TryPlaceWorkers: training, then on-loan.
+    {
+      PlaceRequest request;
+      request.job = JobId(50);
+      request.gpus_per_worker = gpw;
+      request.workers = static_cast<int>(rng.UniformInt(1, 6));
+      request.fungible = true;
+      ClusterState reference = expected.Clone();
+      const bool placed = TryPlaceWorkers(actual, request);
+      const ReferenceRule training{
+          .pools = {ServerPool::kTraining}, .tier = NoTier, .all_or_nothing = true};
+      const ReferenceRule loaned{
+          .pools = {ServerPool::kOnLoan}, .tier = NoTier, .all_or_nothing = true};
+      EXPECT_EQ(placed,
+                ReferencePlace(expected, request.job, gpw, request.workers, false, training) ||
+                    ReferencePlace(expected, request.job, gpw, request.workers, false, loaned));
+      ExpectSamePlacements(actual, expected);
+    }
+
+    // A crash: the busiest training server is vacated and goes down on both
+    // clusters, a launch must avoid it, and after recovery its empty GPUs
+    // are candidates again.
+    ServerId victim;
+    for (ServerId id : expected.ServersInPool(ServerPool::kTraining)) {
+      if (!victim.valid() ||
+          expected.server(id).num_jobs() > expected.server(victim).num_jobs()) {
+        victim = id;
+      }
+    }
+    for (ClusterState* cluster : {&actual, &expected}) {
+      std::vector<JobId> hosted;
+      for (const auto& [job, share] : cluster->server(victim).jobs()) {
+        hosted.push_back(job);
+      }
+      for (JobId job : hosted) {
+        cluster->RemoveJob(job);
+      }
+      ASSERT_TRUE(cluster->MarkServerDown(victim).ok());
+    }
+    ExpectSamePlacements(actual, expected);
+    launch(static_cast<int>(rng.UniformInt(1, 4)), static_cast<int>(rng.UniformInt(1, 4)));
+    ASSERT_TRUE(actual.MarkServerUp(victim).ok());
+    ASSERT_TRUE(expected.MarkServerUp(victim).ok());
+    ExpectSamePlacements(actual, expected);
+    // Enough V100 workers that training must use the recovered server's
+    // empty GPUs if nothing else holds them.
+    PlaceRequest request;
+    request.job = JobId(60);
+    request.gpus_per_worker = gpw;
+    request.workers = 8 / gpw;
+    request.preference = PoolPreference::kTrainingOnly;
+    const bool placed = TryPlaceWorkers(actual, request);
+    EXPECT_EQ(placed, ReferencePlace(expected, request.job, gpw, request.workers, false,
+                                     {.pools = {ServerPool::kTraining},
+                                      .tier = NoTier,
+                                      .all_or_nothing = true}));
+    ExpectSamePlacements(actual, expected);
+    recovered_used += actual.server(victim).idle() ? 0 : 1;
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "seed " << seed;
+    }
+  }
+  EXPECT_GT(grown_again, 0);
+  EXPECT_GT(recovered_used, 0);
 }
 
 }  // namespace
