@@ -201,8 +201,8 @@ void BM_ApplyAllocationSteady(benchmark::State& state) {
   }
   lyra::AllocationDecision decision;
   for (const auto& job : jobs) {
-    decision.flexible_targets.emplace_back(job.get(),
-                                           lyra::PlacedFlexibleWorkers(cluster, *job));
+    const int current = lyra::PlacedFlexibleWorkers(cluster, *job);
+    decision.flexible_targets.push_back({.job = job.get(), .target = current, .current = current});
   }
   for (auto _ : state) {
     const lyra::PlacementStats stats = lyra::ApplyAllocation(cluster, decision, {});
@@ -344,6 +344,59 @@ void BM_TryPlaceWorkersAfsGrant(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TryPlaceWorkersAfsGrant);
+
+// A baseline's failed launch (PlaceOrHarvest): 443 full V100 training
+// servers, each running one job; every sixth job is elastic and holds one
+// 2-GPU flexible worker on its server. The launch asks for range(0) 8-GPU
+// workers, which fit nowhere: with one, the harvest shrinks four of the 74
+// flexible workers and stops; with 24 (192 GPUs), it takes all 74 and makes
+// one more pass. The retry fails again either way. The shrunk workers are
+// put back, untimed, after every launch.
+void BM_HarvestFlexibleGpus(benchmark::State& state) {
+  lyra::ClusterState cluster;
+  std::vector<std::unique_ptr<lyra::Job>> jobs;
+  std::vector<lyra::Job*> holders;
+  lyra::SchedulerContext ctx;
+  ctx.cluster = &cluster;
+  for (int s = 0; s < 443; ++s) {
+    const lyra::ServerId id =
+        cluster.AddServer(lyra::GpuType::kTrainingV100, 8, lyra::ServerPool::kTraining);
+    const bool elastic = s % 6 == 0;
+    lyra::JobSpec spec;
+    spec.id = lyra::JobId(s + 1);
+    spec.gpus_per_worker = 2;
+    spec.min_workers = elastic ? 3 : 4;
+    spec.max_workers = elastic ? 6 : 4;
+    spec.total_work = 1e5;
+    jobs.push_back(std::make_unique<lyra::Job>(spec));
+    cluster.Place(spec.id, id, 6, /*flexible=*/false);
+    cluster.Place(spec.id, id, 2, /*flexible=*/elastic);
+    ctx.running.push_back(jobs.back().get());
+    if (elastic) {
+      holders.push_back(jobs.back().get());
+    }
+  }
+  lyra::JobSpec launch;
+  launch.id = lyra::JobId(0);
+  launch.gpus_per_worker = 8;
+  launch.min_workers = static_cast<int>(state.range(0));
+  launch.max_workers = launch.min_workers;
+  launch.total_work = 1e5;
+  const lyra::Job job(launch);
+  const lyra::PlaceRequest request = lyra::BaseRequest(job, launch.min_workers);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lyra::PlaceOrHarvest(ctx, request));
+    state.PauseTiming();
+    for (lyra::Job* holder : holders) {
+      if (lyra::PlacedFlexibleWorkers(cluster, *holder) == 0) {
+        const lyra::JobPlacement* placement = cluster.FindPlacement(holder->id());
+        cluster.Place(holder->id(), placement->shares.begin()->first, 2, true);
+      }
+    }
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_HarvestFlexibleGpus)->Arg(1)->Arg(24);
 
 // --- ClusterState hot operations at 1000-server scale ----------------------
 //

@@ -69,10 +69,10 @@ int main() {
                 job->EstimatedRemainingTime(job->spec().min_workers));
   }
   std::printf("phase 2 (multiple-choice knapsack over the leftover GPUs):\n");
-  for (const auto& [job, flex] : decision.flexible_targets) {
+  for (const lyra::FlexibleTarget& t : decision.flexible_targets) {
     std::printf("  job %lld: +%d flexible worker(s) -> %d total (max %d)\n",
-                static_cast<long long>(job->id().value), flex,
-                job->spec().min_workers + flex, job->spec().max_workers);
+                static_cast<long long>(t.job->id().value), t.target,
+                t.job->spec().min_workers + t.target, t.job->spec().max_workers);
   }
 
   lyra::PlacementOptions placement;

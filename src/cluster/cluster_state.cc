@@ -27,6 +27,7 @@ ClusterState ClusterState::Clone() const {
   copy.total_gpus_ = total_gpus_;
   copy.used_gpus_ = used_gpus_;
   copy.free_gpus_by_type_ = free_gpus_by_type_;
+  copy.flexible_gpus_ = flexible_gpus_;
   copy.pool_servers_ = pool_servers_;
   copy.free_slots_ = free_slots_;
   copy.placement_stamp_ = placement_stamp_;
@@ -82,6 +83,7 @@ void ClusterState::CountServer(const Server& srv, int sign) {
   total_gpus_[pool] += sign * srv.num_gpus();
   used_gpus_[pool] += sign * srv.used_gpus();
   free_gpus_by_type_[pool][TypeIndex(srv.gpu_type())] += sign * free;
+  flexible_gpus_ += sign * srv.flexible_gpus();
   if (free == 0) {
     return;
   }
@@ -119,11 +121,8 @@ void ClusterState::Place(JobId job, ServerId server_id, int gpus, bool flexible)
   CountServer(srv, -1);
   srv.Place(job, gpus, flexible);
   CountServer(srv, +1);
-  const auto [entry, inserted] = placements_.try_emplace(job);
-  if (inserted && log_new_placements_) {
-    new_placements_.push_back(job);
-  }
-  JobPlacement& placement = entry->second;
+  JobPlacement& placement = placements_[job];
+  NoteChange(job, placement.stamp);
   placement.stamp = ++placement_stamp_;
   GpuShare& share = placement.shares[server_id];
   if (flexible) {
@@ -145,6 +144,7 @@ void ClusterState::RemoveJob(JobId job) {
     srv.RemoveJob(job);
     CountServer(srv, +1);
   }
+  NoteChange(job, it->second.stamp);
   placements_.erase(it);
 }
 
@@ -168,8 +168,10 @@ int ClusterState::RemoveFlexible(JobId job, ServerId server_id, int gpus) {
     it->second.shares.erase(share_it);
   }
   if (it->second.shares.empty()) {
+    NoteChange(job, it->second.stamp);
     placements_.erase(it);
   } else if (removed > 0) {
+    NoteChange(job, it->second.stamp);
     it->second.stamp = ++placement_stamp_;
   }
   return removed;
@@ -286,6 +288,7 @@ void ClusterState::AuditInvariants() const {
   std::array<int, kNumPools> total{};
   std::array<int, kNumPools> used{};
   std::array<std::array<int, kNumGpuTypes>, kNumPools> free_by_type{};
+  int flexible_gpus = 0;
   std::array<std::vector<ServerId>, kNumPools> members;
   std::array<FreeSlotGroup, kNumPools * kNumGpuTypes * kNumServerKinds> free_slots;
 
@@ -303,6 +306,7 @@ void ClusterState::AuditInvariants() const {
     total[pool] += srv.num_gpus();
     used[pool] += srv.used_gpus();
     free_by_type[pool][TypeIndex(srv.gpu_type())] += srv.free_gpus();
+    flexible_gpus += srv.flexible_gpus();
     members[pool].push_back(srv.id());
     if (srv.free_gpus() > 0) {
       FreeSlotGroup& group = free_slots[SlotGroup(srv.pool(), srv.gpu_type(), KindOf(srv))];
@@ -361,6 +365,7 @@ void ClusterState::AuditInvariants() const {
     LYRA_CHECK(free_slots[g].by_free == free_slots_[g].by_free);
     LYRA_CHECK_EQ(free_slots[g].mask, free_slots_[g].mask);
   }
+  LYRA_CHECK_EQ(flexible_gpus, flexible_gpus_);
   LYRA_CHECK_EQ(down, servers_down_);
 }
 

@@ -8,11 +8,12 @@
 // training scheduler), returning moves it back once it is idle.
 //
 // Capacity accounting is incremental: per-pool GPU totals, usage, and
-// per-GPU-type free counts, sorted per-pool server-id lists, and the
-// free-slot index (the up servers with a free GPU, bucketed by pool, GPU
-// type, kind and free count) are maintained at every mutation point. All
-// capacity queries are counter reads and pool listings return the maintained
-// index — nothing on the query path scans the server vector.
+// per-GPU-type free counts, the flexible-GPU total, sorted per-pool
+// server-id lists, and the free-slot index (the up servers with a free GPU,
+// bucketed by pool, GPU type, kind and free count) are maintained at every
+// mutation point. All capacity queries are counter reads and pool listings
+// return the maintained index — nothing on the query path scans the server
+// vector.
 // AuditInvariants() recomputes everything from scratch and is wired into the
 // tests.
 //
@@ -155,15 +156,22 @@ class ClusterState {
     return placements_;
   }
 
-  // New-placement log, so a caller can find what a scheduler launched in
-  // O(launches) instead of walking every placement. While armed, each job
-  // that goes from no placement to one is appended. The log is a superset:
-  // a job whose placement is removed again stays listed,
-  // and one placed twice is listed twice, so readers re-check FindPlacement.
+  // Changed-placement log, so a caller can find the placements that moved in
+  // O(changes) instead of walking every placement. While armed, a job is
+  // appended when its stamp moves or its placement is erased, unless it
+  // already moved since the last ClearChanged (its stamp is past the clear's).
+  // So each job is listed once per interval, except that one erased and
+  // placed again is listed twice; readers dedupe and re-check FindPlacement.
   // Unarmed (the default, and in clones), nothing is kept.
-  void ArmNewPlacementLog() { log_new_placements_ = true; }
-  const std::vector<JobId>& new_placements() const { return new_placements_; }
-  void ClearNewPlacements() { new_placements_.clear(); }
+  void ArmChangeLog() {
+    log_changes_ = true;
+    changed_floor_ = placement_stamp_;
+  }
+  const std::vector<JobId>& changed() const { return changed_; }
+  void ClearChanged() {
+    changed_.clear();
+    changed_floor_ = placement_stamp_;
+  }
 
   // --- Capacity loaning -----------------------------------------------------
 
@@ -196,6 +204,9 @@ class ClusterState {
   int FreeGpus(ServerPool pool) const {
     return total_gpus_[PoolIndex(pool)] - used_gpus_[PoolIndex(pool)];
   }
+
+  // GPUs held by flexible workers, over every pool.
+  int FlexibleGpus() const { return flexible_gpus_; }
 
   // Physical free GPUs on training-visible servers.
   int TrainingSideFreeGpus() const;
@@ -243,18 +254,29 @@ class ClusterState {
   // usage is bracketed by -1 before it and +1 after it.
   void CountServer(const Server& srv, int sign);
 
+  // Logs a change of the job's placement, whose stamp before the change is
+  // `stamp` (0 for a new placement).
+  void NoteChange(JobId job, std::uint64_t stamp) {
+    if (log_changes_ && stamp <= changed_floor_) {
+      changed_.push_back(job);
+    }
+  }
+
   // Moves an up server to another pool (loan/return).
   void MovePool(Server& srv, ServerPool to);
 
   std::vector<Server> servers_;
   std::unordered_map<JobId, JobPlacement> placements_;
-  bool log_new_placements_ = false;
-  std::vector<JobId> new_placements_;
+  bool log_changes_ = false;
+  std::vector<JobId> changed_;
+  // placement_stamp_ at the last ClearChanged: a job stamped past it is listed.
+  std::uint64_t changed_floor_ = 0;
 
   // Incremental accounting (see class comment).
   std::array<int, kNumPools> total_gpus_{};
   std::array<int, kNumPools> used_gpus_{};
   std::array<std::array<int, kNumGpuTypes>, kNumPools> free_gpus_by_type_{};
+  int flexible_gpus_ = 0;
   std::array<std::vector<ServerId>, kNumPools> pool_servers_;
   std::array<FreeSlotGroup, kNumPools * kNumGpuTypes * kNumServerKinds> free_slots_;
   // Last JobPlacement::stamp handed out.

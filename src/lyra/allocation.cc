@@ -43,21 +43,32 @@ struct CapacityLedger {
   }
 };
 
-CapacityLedger BuildLedger(const SchedulerContext& ctx) {
+// The one read of the running set: each elastic running job, in ctx.running
+// order, becomes a flexible target holding its current flexible workers, and
+// its flexible GPUs go back into the ledger as capacity (they are resizable).
+// Only elastic jobs hold flexible GPUs, so the ledger adds the same terms in
+// the same order as a walk of every running job: the on-loan sum of thirds
+// depends on that order.
+CapacityLedger ReadRunning(const SchedulerContext& ctx,
+                           std::vector<FlexibleTarget>& targets) {
   CapacityLedger ledger;
   const ClusterState& cluster = *ctx.cluster;
   ledger.training = cluster.FreeGpus(ServerPool::kTraining);
   if (ctx.allow_loaned_placement) {
     ledger.loaned = cluster.FreeGpus(ServerPool::kOnLoan) * kInferenceGpuFactor;
   }
-  // Flexible workers are resizable: add their GPUs back as capacity.
-  for (const Job* job : ctx.running) {
-    // A placement without flexible GPUs adds nothing; skipping it leaves the
-    // remaining terms in the same order.
-    const JobPlacement* placement = cluster.FindPlacement(job->id());
-    if (placement == nullptr || placement->flexible_gpus() == 0) {
+  for (Job* job : ctx.running) {
+    if (!job->spec().elastic()) {
       continue;
     }
+    const JobPlacement* placement = cluster.FindPlacement(job->id());
+    LYRA_CHECK(placement != nullptr);  // every running job is placed
+    FlexibleTarget& target = targets.emplace_back();
+    target.job = job;
+    if (placement->flexible_gpus() == 0) {
+      continue;  // no flexible worker and nothing to add back
+    }
+    target.current = PlacedFlexibleWorkers(cluster, *job);
     for (const auto& [server_id, share] : placement->shares) {
       if (share.flexible_gpus == 0) {
         continue;
@@ -80,7 +91,8 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
                                     const AllocationOptions& options,
                                     MckpSolver* solver, PendingIndex* pending) {
   AllocationDecision decision;
-  CapacityLedger ledger = BuildLedger(ctx);
+  std::vector<FlexibleTarget>& targets = decision.flexible_targets;
+  CapacityLedger ledger = ReadRunning(ctx, targets);
 
   // --- Phase 1: SJF over the inelastic workload ------------------------------
   // Heterogeneous-capable jobs are considered with the lowest priority, after
@@ -108,18 +120,14 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
   }
 
   // --- Phase 2: multiple-choice knapsack over flexible demand ----------------
-  std::vector<Job*> elastic;
-  for (Job* job : ctx.running) {
-    if (job->spec().elastic()) {
-      elastic.push_back(job);
-    }
-  }
   for (Job* job : decision.launches) {
     if (job->spec().elastic()) {
-      elastic.push_back(job);
+      FlexibleTarget& target = targets.emplace_back();
+      target.job = job;
+      target.launch = true;
     }
   }
-  if (elastic.empty()) {
+  if (targets.empty()) {
     return decision;
   }
 
@@ -131,7 +139,8 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
   MckpSolver local_solver;
   MckpSolver& mckp = solver != nullptr ? *solver : local_solver;
   mckp.Clear();
-  for (Job* job : elastic) {
+  for (const FlexibleTarget& target : targets) {
+    const Job* job = target.job;
     const JobSpec& spec = job->spec();
     mckp.AddGroup();
     // EstimatedRemainingTime(w) is work / w: one product per job, one
@@ -154,12 +163,12 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
   if (options.greedy_phase2) {
     // AFS-style local heuristic: one worker at a time to the job with the
     // best marginal value per GPU.
-    std::vector<int> granted(elastic.size(), 0);
+    std::vector<int> granted(targets.size(), 0);
     int remaining = capacity;
     while (true) {
-      std::size_t best = elastic.size();
+      std::size_t best = targets.size();
       double best_ratio = 0.0;
-      for (std::size_t g = 0; g < elastic.size(); ++g) {
+      for (std::size_t g = 0; g < targets.size(); ++g) {
         const int next = granted[g];
         if (next >= static_cast<int>(mckp.group_size(g))) {
           continue;
@@ -167,7 +176,7 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
         const MckpItem& item = mckp.item(g, static_cast<std::size_t>(next));
         const double prev_value =
             next == 0 ? 0.0 : mckp.item(g, static_cast<std::size_t>(next - 1)).value;
-        const int step_weight = elastic[g]->spec().gpus_per_worker;
+        const int step_weight = targets[g].job->spec().gpus_per_worker;
         if (step_weight > remaining) {
           continue;
         }
@@ -177,14 +186,14 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
           best = g;
         }
       }
-      if (best == elastic.size()) {
+      if (best == targets.size()) {
         break;
       }
       ++granted[best];
-      remaining -= elastic[best]->spec().gpus_per_worker;
+      remaining -= targets[best].job->spec().gpus_per_worker;
     }
-    for (std::size_t g = 0; g < elastic.size(); ++g) {
-      decision.flexible_targets.emplace_back(elastic[g], granted[g]);
+    for (std::size_t g = 0; g < targets.size(); ++g) {
+      targets[g].target = granted[g];
     }
     return decision;
   }
@@ -194,9 +203,9 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
   // replays the same counts.
   obs::AddCounter("mckp.solves");
   obs::AddCounter("mckp.cells", mckp.cell_updates());
-  for (std::size_t g = 0; g < elastic.size(); ++g) {
+  for (std::size_t g = 0; g < targets.size(); ++g) {
     const int chosen = solution.chosen[g];
-    decision.flexible_targets.emplace_back(elastic[g], chosen < 0 ? 0 : chosen + 1);
+    targets[g].target = chosen < 0 ? 0 : chosen + 1;
   }
   return decision;
 }

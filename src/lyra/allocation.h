@@ -31,12 +31,23 @@ struct AllocationOptions {
   bool greedy_phase2 = false;
 };
 
+// One elastic job's flexible-worker target (beyond base) for the epoch.
+struct FlexibleTarget {
+  Job* job = nullptr;
+  int target = 0;
+  // Flexible workers the job holds as the decision is made
+  // (PlacedFlexibleWorkers); 0 for a launch.
+  int current = 0;
+  // Launched this epoch: placed only if its launch succeeds.
+  bool launch = false;
+};
+
 struct AllocationDecision {
   // Jobs to launch at base demand, in the order phase one admitted them.
   std::vector<Job*> launches;
-  // Flexible-worker target (beyond base) for every elastic job that is
-  // running or being launched this epoch.
-  std::vector<std::pair<Job*, int>> flexible_targets;
+  // A target for every elastic job that is running (in the order of
+  // SchedulerContext::running) or being launched this epoch (in launch order).
+  std::vector<FlexibleTarget> flexible_targets;
 };
 
 // Computes the epoch's allocation against the capacity visible in ctx:

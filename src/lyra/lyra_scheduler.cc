@@ -16,8 +16,8 @@ void LyraScheduler::Schedule(SchedulerContext& ctx) {
   if (options_.disable_elastic_scaling) {
     // Base demands only: every flexible target collapses to zero, so any
     // existing flexible workers are also scaled away.
-    for (auto& [job, target] : decision.flexible_targets) {
-      target = 0;
+    for (FlexibleTarget& target : decision.flexible_targets) {
+      target.target = 0;
     }
   }
   {

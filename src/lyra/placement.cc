@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/check.h"
 #include "src/sched/elastic_util.h"
 #include "src/sched/placement_util.h"
 
@@ -54,6 +55,7 @@ bool PlaceBase(ClusterState& cluster, const Job& job, int workers,
 int PlaceFlexible(ClusterState& cluster, const Job& job, int workers,
                   const PlacementOptions& options) {
   const JobSpec& spec = job.spec();
+  LYRA_CHECK(spec.elastic());  // only elastic jobs hold flexible GPUs
   const bool loan_eligible =
       options.allow_loaned && (spec.fungible || spec.heterogeneous);
   const TierRule rule = options.naive ? TierRule::kNone : TierRule::kFlexibleAvoidsBase;
@@ -90,11 +92,10 @@ PlacementStats ApplyAllocation(ClusterState& cluster, const AllocationDecision& 
   PlacementStats stats;
 
   // Scale-ins first so launches and scale-outs see the freed capacity.
-  for (const auto& [job, target_flex] : decision.flexible_targets) {
-    const int current = PlacedFlexibleWorkers(cluster, *job);
-    if (current > target_flex) {
-      ShrinkFlexibleTo(cluster, *job, target_flex);
-      stats.scale_ins += current - target_flex;
+  for (const FlexibleTarget& t : decision.flexible_targets) {
+    if (t.current > t.target) {
+      ShrinkFlexibleTo(cluster, *t.job, t.target);
+      stats.scale_ins += t.current - t.target;
     }
   }
 
@@ -111,14 +112,21 @@ PlacementStats ApplyAllocation(ClusterState& cluster, const AllocationDecision& 
     }
   }
 
-  // Flexible scale-outs to the knapsack targets.
-  for (const auto& [job, target_flex] : decision.flexible_targets) {
-    if (cluster.FindPlacement(job->id()) == nullptr) {
-      continue;  // launch failed; no flexible workers for this job
+  // Flexible scale-outs to the knapsack targets. Only the jobs moved above
+  // are read again: a shrunk job may have gone below its target, and a
+  // launched one holds no flexible worker if it was placed at all. Every
+  // other job holds what the decision read.
+  for (const FlexibleTarget& t : decision.flexible_targets) {
+    int current = t.current;
+    if (t.launch) {
+      if (cluster.FindPlacement(t.job->id()) == nullptr) {
+        continue;  // launch failed; no flexible workers for this job
+      }
+    } else if (current > t.target) {
+      current = PlacedFlexibleWorkers(cluster, *t.job);
     }
-    const int current = PlacedFlexibleWorkers(cluster, *job);
-    if (current < target_flex) {
-      stats.scale_outs += PlaceFlexible(cluster, *job, target_flex - current, options);
+    if (current < t.target) {
+      stats.scale_outs += PlaceFlexible(cluster, *t.job, t.target - current, options);
     }
   }
   return stats;

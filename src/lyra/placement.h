@@ -31,7 +31,9 @@ struct PlacementStats {
 
 // Applies the allocation decision to the cluster: scale-ins first, then BFD
 // launches, then flexible scale-outs. Launch placement is all-or-nothing per
-// job; scale-outs place as many of the target workers as fit.
+// job; scale-outs place as many of the target workers as fit. Each target's
+// `current` must be its job's PlacedFlexibleWorkers at the call, as
+// TwoPhaseAllocate fills it in: only shrunk and launched jobs are read again.
 PlacementStats ApplyAllocation(ClusterState& cluster, const AllocationDecision& decision,
                                const PlacementOptions& options);
 

@@ -33,11 +33,24 @@ void AfsScheduler::Schedule(SchedulerContext& ctx) {
   }
 
   // Greedy marginal allocation: repeatedly add one worker to the elastic job
-  // with the largest throughput gain per GPU until nothing fits.
-  std::vector<Job*> elastic;
+  // with the largest throughput gain per GPU until nothing fits. A grant
+  // changes only its own job's placement, so only that job's gain is read
+  // again.
+  struct Grantee {
+    Job* job;
+    double gain;  // of one more worker; 0 at max_workers, so never granted
+  };
+  auto gain_at = [](const Job& job, int workers) {
+    return workers >= job.spec().max_workers ? 0.0 : MarginalGainPerGpu(job, workers);
+  };
+  std::vector<Grantee> elastic;
   auto consider = [&](Job* job) {
-    if (job->spec().elastic() && PlacedWorkers(cluster, *job) > 0) {
-      elastic.push_back(job);
+    if (!job->spec().elastic()) {
+      return;
+    }
+    const int workers = PlacedWorkers(cluster, *job);
+    if (workers > 0) {
+      elastic.push_back({job, gain_at(*job, workers)});
     }
   };
   for (Job* job : ctx.running) {
@@ -48,25 +61,21 @@ void AfsScheduler::Schedule(SchedulerContext& ctx) {
   }
 
   while (true) {
-    Job* best = nullptr;
+    Grantee* best = nullptr;
     double best_gain = 0.0;
-    for (Job* job : elastic) {
-      const int workers = PlacedWorkers(cluster, *job);
-      if (workers >= job->spec().max_workers) {
-        continue;
-      }
-      const double gain = MarginalGainPerGpu(*job, workers);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = job;
+    for (Grantee& grantee : elastic) {
+      if (grantee.gain > best_gain) {
+        best_gain = grantee.gain;
+        best = &grantee;
       }
     }
     if (best == nullptr) {
       break;
     }
-    if (!TryPlaceWorkers(cluster, FlexibleRequest(*best, 1, pref))) {
+    if (!TryPlaceWorkers(cluster, FlexibleRequest(*best->job, 1, pref))) {
       break;
     }
+    best->gain = gain_at(*best->job, PlacedWorkers(cluster, *best->job));
   }
 }
 

@@ -93,23 +93,40 @@ int ShrinkFlexibleTo(ClusterState& cluster, const Job& job, int target_flex_work
   return released;
 }
 
+// A harvest only shrinks, so a job without a flexible worker when the first
+// pass reaches it never gains one: the first pass walks `running` and keeps
+// the jobs that hold one, and later passes walk only those, in the same
+// order, making the same shrinks as passes over all. Only elastic jobs hold
+// flexible GPUs, so no other job is looked up.
 int HarvestFlexibleGpus(ClusterState& cluster, const std::vector<Job*>& running,
                         int gpus_needed) {
+  if (gpus_needed <= 0 || cluster.FlexibleGpus() == 0) {
+    return 0;
+  }
+  std::vector<Job*> holders;
   int released = 0;
+  bool first_pass = true;
   bool progress = true;
   while (released < gpus_needed && progress) {
     progress = false;
-    for (Job* job : running) {
+    for (Job* job : first_pass ? running : holders) {
       if (released >= gpus_needed) {
         break;
       }
+      if (!job->spec().elastic()) {
+        continue;
+      }
       const int flex = PlacedFlexibleWorkers(cluster, *job);
       if (flex > 0) {
+        if (first_pass) {
+          holders.push_back(job);
+        }
         const int freed = ShrinkFlexibleTo(cluster, *job, flex - 1);
         released += freed;
         progress = progress || freed > 0;
       }
     }
+    first_pass = false;
   }
   return released;
 }

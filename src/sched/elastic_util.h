@@ -20,8 +20,10 @@ int PlacedFlexibleWorkers(const ClusterState& cluster, const Job& job);
 int ShrinkFlexibleTo(ClusterState& cluster, const Job& job, int target_flex_workers);
 
 // Removes flexible workers across `running` jobs (one worker at a time,
-// round-robin) until at least `gpus_needed` GPUs are free in the training-
-// visible pools or no flexible workers remain. Returns GPUs released.
+// round-robin) until at least `gpus_needed` GPUs are released or no flexible
+// workers remain. Returns GPUs released. Costs O(1) when the cluster holds no
+// flexible GPU, and otherwise one look-up per running elastic job plus the
+// passes over the jobs that hold flexible workers.
 int HarvestFlexibleGpus(ClusterState& cluster, const std::vector<Job*>& running,
                         int gpus_needed);
 

@@ -245,6 +245,7 @@ PlaceRequest BaseRequest(const Job& job, int workers, PoolPreference preference)
 }
 
 PlaceRequest FlexibleRequest(const Job& job, int workers, PoolPreference preference) {
+  LYRA_CHECK(job.spec().elastic());  // only elastic jobs hold flexible GPUs
   PlaceRequest request = BaseRequest(job, workers, preference);
   request.flexible = true;
   return request;

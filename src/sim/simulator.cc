@@ -39,7 +39,7 @@ Simulator::Simulator(SimulatorOptions options, const Trace& trace,
       inference_(std::move(inference)),
       queue_id_(NewQueueId()) {
   LYRA_CHECK(scheduler_ != nullptr);
-  cluster_.ArmNewPlacementLog();
+  cluster_.ArmChangeLog();
 
   for (int s = 0; s < options_.training_servers; ++s) {
     cluster_.AddServer(GpuType::kTrainingV100, options_.gpus_per_server,
@@ -70,7 +70,6 @@ Simulator::Simulator(SimulatorOptions options, const Trace& trace,
     jobs_.push_back(std::move(job));
   }
   finish_generation_.assign(jobs_.size(), 0);
-  refreshed_stamp_.assign(jobs_.size(), 0);
 
   if (options_.max_time <= 0.0) {
     options_.max_time = trace.duration + 7 * kDay;
@@ -192,12 +191,12 @@ void Simulator::SyncAfterScheduling(TimeSec now) {
   // Newly placed pending jobs start now, in queue order. Every running job
   // holds a placement and nothing else does except the jobs just launched,
   // and those gained their placement this round, so the cluster's
-  // new-placement log names them: the start set costs O(launches), not
+  // changed-placement log names them: the start set costs O(changes), not
   // O(queue) or O(running).
   const std::size_t to_start = cluster_.placements().size() - running_.size();
   if (to_start > 0) {
     starting_.clear();
-    for (JobId id : cluster_.new_placements()) {
+    for (JobId id : cluster_.changed()) {
       Job* job = jobs_[static_cast<std::size_t>(id.value)].get();
       if (job->state() == JobState::kPending && cluster_.FindPlacement(id) != nullptr) {
         starting_.push_back(job);
@@ -239,26 +238,32 @@ void Simulator::SyncAfterScheduling(TimeSec now) {
     pending_.erase(std::remove(first_hole, pending_.end(), nullptr), pending_.end());
   }
 
-  // Rate refresh for running jobs whose placement changed. A job's rate is a
+  // Rate refresh for running jobs whose placement changed since the last
+  // sync, in running_ order (ascending start stamp). A job's rate is a
   // function of its placement profile, its straggler factor and its tuned
   // flag, and every write of it goes through EffectiveRate(profile) (the
   // Start above, RefreshScaledIn, the straggler handlers), which keeps it in
-  // step with the factor and the flag. So a job whose placement stamp still
-  // equals the one seen at its last refresh would recompute the rate it
-  // already has and change nothing: skip it. Any new rate write must also go
+  // step with the factor and the flag. So a job whose placement did not move
+  // since the last sync would recompute the rate it already has and change
+  // nothing, and the change log lists every job that moved: the refresh
+  // costs O(changes), not O(running). Any new rate write must also go
   // through EffectiveRate, or this skip stops being exact. The on-loan scan
   // can be skipped too: a server changes pool or health only while idle, so
   // an unchanged placement sits on the same pools.
-  const ThroughputModel model(options_.throughput);
-  for (Job* job : running_) {
-    const JobPlacement* placement = cluster_.FindPlacement(job->id());
-    if (placement != nullptr) {
-      std::uint64_t& seen = refreshed_stamp_[static_cast<std::size_t>(job->id().value)];
-      if (placement->stamp == seen) {
-        continue;
-      }
-      seen = placement->stamp;
+  moved_.clear();
+  for (JobId id : cluster_.changed()) {
+    Job* job = jobs_[static_cast<std::size_t>(id.value)].get();
+    if (job->state() == JobState::kRunning) {
+      moved_.push_back(job);
     }
+  }
+  std::sort(moved_.begin(), moved_.end(), [](const Job* a, const Job* b) {
+    return a->start_seq() < b->start_seq();
+  });
+  moved_.erase(std::unique(moved_.begin(), moved_.end()), moved_.end());
+  const ThroughputModel model(options_.throughput);
+  for (Job* job : moved_) {
+    const JobPlacement* placement = cluster_.FindPlacement(job->id());
     const PlacementProfile profile = ProfileFor(cluster_, *job);
     const double rate = EffectiveRate(*job, profile, model);
     if (std::fabs(rate - job->rate()) > kRateEpsilon ||
@@ -284,6 +289,7 @@ void Simulator::SyncAfterScheduling(TimeSec now) {
       }
     }
   }
+  cluster_.ClearChanged();
 }
 
 void Simulator::MirrorIntoResourceManager(TimeSec now) {
@@ -319,7 +325,6 @@ void Simulator::HandleSchedulerTick(TimeSec now) {
   const ThroughputModel model(options_.throughput);
   ctx.throughput = &model;
   ctx.allow_loaned_placement = options_.enable_loaning;
-  cluster_.ClearNewPlacements();
   scheduler_->Schedule(ctx);
   dequeued_.clear();
   dirty_ = false;
@@ -844,7 +849,6 @@ StatusOr<JobId> Simulator::SubmitJob(JobSpec spec) {
     jobs_.back()->ArmDirtySink(job_dirty_sink_);
   }
   finish_generation_.push_back(0);
-  refreshed_stamp_.push_back(0);
   if (faults_ != nullptr) {
     straggler_generation_.push_back(0);
   }

@@ -320,8 +320,6 @@ class Simulator {
   ClusterState cluster_;
   std::vector<std::unique_ptr<Job>> jobs_;
   std::vector<std::uint64_t> finish_generation_;
-  // Per-job JobPlacement::stamp at the last rate refresh (0 = never).
-  std::vector<std::uint64_t> refreshed_stamp_;
   std::unique_ptr<FaultInjector> faults_;
   // Per-job straggler generation: invalidates queued kStragglerEnd events
   // when a newer straggler (or a preemption) superseded them.
@@ -333,8 +331,10 @@ class Simulator {
   std::vector<Job*> dequeued_;
   std::uint64_t queue_id_ = 0;
   std::uint64_t rounds_ = 0;
-  // Jobs placed this round and not yet started; reused buffer.
+  // Jobs placed this round and not yet started, and running jobs whose
+  // placement moved since the last sync; reused buffers.
   std::vector<Job*> starting_;
+  std::vector<Job*> moved_;
   // Base demand of the pending queue, loan-eligible (fungible or
   // heterogeneous) and not: exact integer running sums for the orchestrator.
   std::int64_t eligible_pending_base_ = 0;

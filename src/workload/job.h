@@ -170,6 +170,12 @@ class Job {
     queue_seq_ = ++last;
   }
 
+  // Start stamp: drawn by Start() each time the job starts (first start and
+  // restart after a preemption), from one process-wide counter. A list that
+  // appends jobs as they start is ascending in start_seq, so sorting any
+  // subset of it by start_seq restores the list's order.
+  std::uint64_t start_seq() const { return start_seq_; }
+
   // --- Snapshot dirty tracking (svc read fast path) ------------------------
   //
   // The online service publishes immutable read snapshots of every job; to
@@ -209,12 +215,15 @@ class Job {
   }
 
   // Starts (or restarts) the job with the given throughput rate and worker
-  // count. Records the first start for queuing-time accounting.
+  // count. Records the first start for queuing-time accounting and draws a
+  // start stamp.
   void Start(TimeSec now, double rate, int workers) {
+    static std::atomic<std::uint64_t> last_start{0};
     AdvanceProgress(now);
     if (first_start_time_ < 0.0) {
       first_start_time_ = now;
     }
+    start_seq_ = ++last_start;
     state_ = JobState::kRunning;
     rate_ = rate;
     current_workers_ = workers;
@@ -328,10 +337,11 @@ class Job {
   int scaling_operations_ = 0;
   bool ever_on_loaned_server_ = false;
   bool tuned_ = false;
+  bool dirty_ = false;  // once-per-publish-cycle latch
   double perf_factor_ = 1.0;
   std::uint64_t queue_seq_ = 0;
+  std::uint64_t start_seq_ = 0;
   DirtySink* dirty_sink_ = nullptr;  // not owned; null in batch simulation
-  bool dirty_ = false;               // once-per-publish-cycle latch
 };
 
 }  // namespace lyra

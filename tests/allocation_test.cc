@@ -46,9 +46,9 @@ class AllocationTest : public ::testing::Test {
   }
 
   int FlexTargetOf(const AllocationDecision& decision, JobId id) {
-    for (const auto& [job, target] : decision.flexible_targets) {
-      if (job->id() == id) {
-        return target;
+    for (const FlexibleTarget& t : decision.flexible_targets) {
+      if (t.job->id() == id) {
+        return t.target;
       }
     }
     return -1;
@@ -250,7 +250,7 @@ TEST_F(AllocationTest, GreedyPhase2RespectsCapacityAndBounds) {
   options.greedy_phase2 = true;
   const AllocationDecision decision = TwoPhaseAllocate(ctx, options);
   int total_flex_gpus = 0;
-  for (const auto& [job, flex] : decision.flexible_targets) {
+  for (const auto& [job, flex, current, launch] : decision.flexible_targets) {
     EXPECT_GE(flex, 0);
     EXPECT_LE(flex, job->spec().max_workers - job->spec().min_workers);
     total_flex_gpus += flex * job->spec().gpus_per_worker;
@@ -272,7 +272,7 @@ TEST_F(AllocationTest, GreedyMatchesKnapsackOnUniformConcaveInstances) {
   const AllocationDecision greedy = TwoPhaseAllocate(ctx, options);
   auto value = [&](const AllocationDecision& d) {
     double total = 0.0;
-    for (const auto& [job, flex] : d.flexible_targets) {
+    for (const auto& [job, flex, current, launch] : d.flexible_targets) {
       total += job->EstimatedRemainingTime(job->spec().min_workers) -
                job->EstimatedRemainingTime(job->spec().min_workers + std::max(flex, 1)) *
                    (flex > 0 ? 1.0 : 0.0);

@@ -18,6 +18,7 @@
 #include "src/sched/fifo.h"
 #include "src/sim/simulator.h"
 #include "src/workload/synthetic.h"
+#include "tests/change_log_oracle.h"
 #include "tests/free_slot_oracle.h"
 
 namespace lyra {
@@ -139,6 +140,9 @@ TEST_P(ClusterChurnTest, RandomizedChurnKeepsCountersExact) {
     all.push_back(cluster.AddServer(GpuType::kInferenceT4, 8, ServerPool::kInference));
   }
   ExpectMatchesBruteForce(cluster);
+  cluster.ArmChangeLog();
+  ChangeLogOracle change_log;
+  change_log.Clear(cluster);
 
   int next_job = 0;
   for (int step = 0; step < 1500; ++step) {
@@ -243,6 +247,10 @@ TEST_P(ClusterChurnTest, RandomizedChurnKeepsCountersExact) {
       }
     }
     ExpectStampsTrackShares(stamps, cluster);
+    change_log.ExpectListsEveryMove(cluster);
+    if (step % 6 == 5) {
+      change_log.Clear(cluster);
+    }
     if (step % 10 == 0) {
       ExpectMatchesBruteForce(cluster);
     } else {
@@ -370,7 +378,8 @@ TEST(ClusterChurnTest, EndToEndSimulationPreservesInvariants) {
 // stamp order. Both rest on invariants checked here between chunks of a
 // contended Lyra run with loaning (reclaim requeues), server crashes and
 // online cancels: every running job, and nothing else, holds a placement,
-// and the pending queue is strictly ascending in queue_seq.
+// only elastic jobs hold flexible GPUs, and the pending queue is strictly
+// ascending in queue_seq.
 TEST(ClusterChurnTest, SteppedLyraRunKeepsQueueAndPlacementInvariants) {
   SyntheticTraceOptions trace_options;
   trace_options.duration = 1 * kDay;
@@ -395,6 +404,7 @@ TEST(ClusterChurnTest, SteppedLyraRunKeepsQueueAndPlacementInvariants) {
                           std::make_unique<SeasonalNaivePredictor>()));
   Rng rng(17);
   std::size_t max_pending = 0;
+  int flexible_holders = 0;
   for (TimeSec t = 0.0; t < 2 * kDay; t += 10 * kMinute) {
     simulator.StepUntil(t);
     const std::vector<Job*>& pending = simulator.pending_jobs();
@@ -407,9 +417,16 @@ TEST(ClusterChurnTest, SteppedLyraRunKeepsQueueAndPlacementInvariants) {
     }
     std::size_t running = 0;
     for (const auto& job : simulator.jobs()) {
-      const bool placed = simulator.cluster().FindPlacement(job->id()) != nullptr;
+      const JobPlacement* placement = simulator.cluster().FindPlacement(job->id());
+      const bool placed = placement != nullptr;
       ASSERT_EQ(placed, job->state() == JobState::kRunning) << "job " << job->id().value;
       running += placed ? 1 : 0;
+      // Only elastic jobs hold flexible GPUs (Lyra's capacity ledger reads
+      // the elastic jobs alone).
+      if (placed && placement->flexible_gpus() > 0) {
+        ASSERT_TRUE(job->spec().elastic()) << "job " << job->id().value;
+        ++flexible_holders;
+      }
     }
     ASSERT_EQ(simulator.cluster().placements().size(), running);
     if (!pending.empty() && rng.NextBernoulli(0.3)) {
@@ -421,6 +438,7 @@ TEST(ClusterChurnTest, SteppedLyraRunKeepsQueueAndPlacementInvariants) {
   const SimulationResult result = simulator.Finalize();
   EXPECT_GT(result.preemptions, 0);
   EXPECT_GT(max_pending, 5u);
+  EXPECT_GT(flexible_holders, 0);
   simulator.cluster().AuditInvariants();
 }
 

@@ -250,28 +250,38 @@ TEST(ClusterStateFuzz, ViewsStayConsistentUnderRandomOperations) {
   }
 }
 
-TEST(NewPlacementLog, ListsJobsThatGainedAPlacement) {
+TEST(ChangeLog, ListsJobsWhosePlacementMovedOrVanished) {
   ClusterState cluster;
   const ServerId a = cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);
   const ServerId b = cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);
   cluster.Place(JobId(1), a, 2, false);
-  EXPECT_TRUE(cluster.new_placements().empty());  // unarmed: nothing kept
+  EXPECT_TRUE(cluster.changed().empty());  // unarmed: nothing kept
 
-  cluster.ArmNewPlacementLog();
-  cluster.Place(JobId(2), a, 2, false);
-  cluster.Place(JobId(2), b, 2, true);   // already placed: not listed again
-  cluster.Place(JobId(1), b, 1, true);   // placed before: not new
+  cluster.ArmChangeLog();
+  cluster.Place(JobId(2), a, 2, false);  // a new placement
+  cluster.Place(JobId(2), b, 2, true);   // moved again: not listed twice
+  cluster.Place(JobId(1), b, 1, true);   // placed before arming, moved now
   cluster.Place(JobId(3), b, 1, false);
-  cluster.RemoveJob(JobId(3));           // gone again, but stays listed
-  cluster.RemoveJob(JobId(1));
-  cluster.Place(JobId(1), a, 1, false);  // placed again: listed now
-  cluster.RemoveJob(JobId(2));
-  cluster.Place(JobId(2), a, 1, false);
-  EXPECT_EQ(cluster.new_placements(),
-            (std::vector<JobId>{JobId(2), JobId(3), JobId(1), JobId(2)}));
+  cluster.RemoveJob(JobId(3));           // erased after it moved: listed once
+  EXPECT_EQ(cluster.changed(), (std::vector<JobId>{JobId(2), JobId(1), JobId(3)}));
   EXPECT_EQ(cluster.FindPlacement(JobId(3)), nullptr);
-  cluster.ClearNewPlacements();
-  EXPECT_TRUE(cluster.new_placements().empty());
+  cluster.ClearChanged();
+  EXPECT_TRUE(cluster.changed().empty());
+
+  EXPECT_EQ(cluster.RemoveFlexible(JobId(2), a, 2), 0);  // nothing moved
+  EXPECT_TRUE(cluster.changed().empty());
+  cluster.RemoveFlexible(JobId(2), b, 2);  // a scale-in draws a new stamp
+  cluster.RemoveFlexible(JobId(1), b, 1);  // a share goes, the placement stays
+  cluster.RemoveJob(JobId(1));             // already listed
+  cluster.Place(JobId(1), a, 1, false);    // erased and placed again: twice
+  cluster.Place(JobId(4), b, 2, true);
+  EXPECT_EQ(cluster.changed(),
+            (std::vector<JobId>{JobId(2), JobId(1), JobId(1), JobId(4)}));
+  cluster.ClearChanged();
+
+  cluster.RemoveFlexible(JobId(4), b, 2);  // its only share: the placement goes
+  EXPECT_EQ(cluster.FindPlacement(JobId(4)), nullptr);
+  EXPECT_EQ(cluster.changed(), (std::vector<JobId>{JobId(4)}));
 }
 
 }  // namespace

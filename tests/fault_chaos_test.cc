@@ -1,7 +1,8 @@
 // Chaos property test: a long random interleaving of placement, scaling,
 // loan/return, reclaim, server crashes (vacate + mark-down) and repairs,
 // cross-checked after every step against a health-aware brute-force recount
-// of every counter, membership index and free-slot bucket. This extends
+// of every counter, membership index and free-slot bucket, and against the
+// placements' stamps for the changed-placement log. This extends
 // tests/cluster_churn_test.cc with the fault surface: down servers must
 // vanish from capacity and pool membership exactly.
 //
@@ -18,6 +19,7 @@
 #include "src/cluster/cluster_state.h"
 #include "src/common/rng.h"
 #include "src/lyra/reclaim.h"
+#include "tests/change_log_oracle.h"
 #include "tests/free_slot_oracle.h"
 
 namespace lyra {
@@ -127,6 +129,9 @@ TEST_P(FaultChaosTest, RandomFaultChurnKeepsCountersExact) {
         cluster.AddServer(GpuType::kInferenceT4, 8, ServerPool::kInference));
   }
   ExpectMatchesBruteForce(cluster);
+  cluster.ArmChangeLog();
+  ChangeLogOracle change_log;
+  change_log.Clear(cluster);
 
   const int ops = ChaosOps() / 2;  // two seeds share the budget
   int next_job = 0;
@@ -239,6 +244,10 @@ TEST_P(FaultChaosTest, RandomFaultChurnKeepsCountersExact) {
       cluster.AuditInvariants();
     }
     ExpectFreeSlotsMatchBruteForce(cluster);
+    change_log.ExpectListsEveryMove(cluster);
+    if (step % 6 == 5) {
+      change_log.Clear(cluster);
+    }
     if (step % 50 == 0) {
       ExpectCloneIndexesOnItsOwn(cluster, static_cast<std::uint64_t>(step));
     }

@@ -451,13 +451,18 @@ TEST(PendingIndex, PhaseOneExitMatchesFullWalkOnRandomLedgers) {
   Rng rng(31);
   PendingIndex index;
   std::vector<std::unique_ptr<Job>> jobs;
-  const auto make_job = [&](bool heterogeneous) {
+  // `elastic` raises a job's max_workers to at least min + 1 without a draw
+  // of its own, so the random stream, and every ledger, stays the same.
+  const auto make_job = [&](bool heterogeneous, bool elastic) {
     JobSpec spec;
     spec.id = JobId(static_cast<std::int64_t>(jobs.size()));
     spec.total_work = rng.Uniform(10.0, 1000.0);
     spec.gpus_per_worker = static_cast<int>(rng.UniformInt(1, 4));
     spec.min_workers = static_cast<int>(rng.UniformInt(1, 3));
     spec.max_workers = spec.min_workers + static_cast<int>(rng.UniformInt(0, 2));
+    if (elastic) {
+      spec.max_workers = std::max(spec.max_workers, spec.min_workers + 1);
+    }
     spec.fungible = rng.NextBernoulli(0.4);
     spec.heterogeneous = heterogeneous;
     jobs.push_back(std::make_unique<Job>(spec));
@@ -479,11 +484,12 @@ TEST(PendingIndex, PhaseOneExitMatchesFullWalkOnRandomLedgers) {
     ctx.cluster = &cluster;
     ctx.allow_loaned_placement = rng.NextBernoulli(0.8);
     // Running jobs fill most servers with base and flexible GPUs, leaving
-    // fractional loaned capacity and flexible GPUs behind.
+    // fractional loaned capacity and flexible GPUs behind. They are elastic:
+    // only elastic jobs hold flexible GPUs.
     for (ServerId id : servers) {
       int free = cluster.server(id).free_gpus();
       while (free > 0 && rng.NextBernoulli(0.8)) {
-        Job* job = make_job(false);
+        Job* job = make_job(false, /*elastic=*/true);
         const int gpus = static_cast<int>(rng.UniformInt(1, free));
         cluster.Place(job->id(), id, gpus, /*flexible=*/rng.NextBernoulli(0.3));
         ctx.running.push_back(job);
@@ -493,7 +499,7 @@ TEST(PendingIndex, PhaseOneExitMatchesFullWalkOnRandomLedgers) {
     std::vector<Job*> pending;
     const int queued = static_cast<int>(rng.UniformInt(0, 40));
     for (int p = 0; p < queued; ++p) {
-      Job* job = make_job(rng.NextBernoulli(0.15));
+      Job* job = make_job(rng.NextBernoulli(0.15), /*elastic=*/false);
       job->StampQueueSeq();
       pending.push_back(job);
     }

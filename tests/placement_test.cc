@@ -28,6 +28,16 @@ std::unique_ptr<Job> MakeJob(std::int64_t id, int min_w, int max_w, int gpw = 2,
   return std::make_unique<Job>(spec);
 }
 
+// The flexible targets TwoPhaseAllocate builds: a running job holds its
+// PlacedFlexibleWorkers as the decision is made, a launch none.
+FlexibleTarget RunningTarget(const ClusterState& cluster, Job* job, int target) {
+  return {.job = job, .target = target, .current = PlacedFlexibleWorkers(cluster, *job)};
+}
+
+FlexibleTarget LaunchTarget(Job* job, int target) {
+  return {.job = job, .target = target, .launch = true};
+}
+
 class PlacementTest : public ::testing::Test {
  protected:
   std::vector<ServerId> AddServers(int count, GpuType type, ServerPool pool) {
@@ -114,7 +124,7 @@ TEST_F(PlacementTest, BaseAndFlexibleLandOnSeparateLoanedServers) {
   jobs_.push_back(MakeJob(0, 1, 4, 2, /*fungible=*/true));
   AllocationDecision decision;
   decision.launches.push_back(jobs_[0].get());
-  decision.flexible_targets.emplace_back(jobs_[0].get(), 1);
+  decision.flexible_targets.push_back(LaunchTarget(jobs_[0].get(), 1));
   Apply(decision);
   // The base workers and the flexible workers must not share a server, so the
   // flexible group can be released without preemption (§5.3).
@@ -136,13 +146,36 @@ TEST_F(PlacementTest, ScaleInHappensBeforeLaunches) {
   // New inelastic job needs 4 GPUs.
   jobs_.push_back(MakeJob(1, 2, 2, 2));
   AllocationDecision decision;
-  decision.flexible_targets.emplace_back(jobs_[0].get(), 0);  // shrink to base
+  decision.flexible_targets.push_back(
+      RunningTarget(cluster_, jobs_[0].get(), 0));  // shrink to base
   decision.launches.push_back(jobs_[1].get());
   const PlacementStats stats = Apply(decision);
   EXPECT_EQ(stats.scale_ins, 2);
   EXPECT_EQ(stats.launched, 1);
   EXPECT_EQ(cluster_.FindPlacement(JobId(0))->total_gpus(), 4);
   EXPECT_EQ(cluster_.FindPlacement(JobId(1))->total_gpus(), 4);
+}
+
+// A mixed V100/T4 scale-in can undershoot its target: the decision read two
+// flexible workers (2⅓ credit), and shrinking to one removes both V100
+// workers, leaving ⅓. ApplyAllocation reads the shrunk job again, so the
+// scale-out grows it back to one worker on the T4 server.
+TEST_F(PlacementTest, ScaleOutMakesUpAShrinkThatUndershot) {
+  const ServerId v100 = AddServers(1, GpuType::kTrainingV100, ServerPool::kTraining)[0];
+  const ServerId t4 = AddServers(1, GpuType::kInferenceT4, ServerPool::kOnLoan)[0];
+  jobs_.push_back(MakeJob(0, 1, 4, 2, /*fungible=*/false, /*heterogeneous=*/true));
+  cluster_.Place(JobId(0), v100, 2, false);
+  cluster_.Place(JobId(0), v100, 4, true);
+  cluster_.Place(JobId(0), t4, 2, true);
+  AllocationDecision decision;
+  decision.flexible_targets.push_back(RunningTarget(cluster_, jobs_[0].get(), 1));
+  ASSERT_EQ(decision.flexible_targets[0].current, 2);
+  const PlacementStats stats = Apply(decision);
+  EXPECT_EQ(stats.scale_ins, 1);
+  EXPECT_EQ(stats.scale_outs, 1);
+  EXPECT_EQ(cluster_.server(v100).JobGpus(JobId(0)), 2);  // base only
+  EXPECT_EQ(cluster_.server(t4).JobGpus(JobId(0)), 8);
+  EXPECT_EQ(PlacedFlexibleWorkers(cluster_, *jobs_[0]), 1);
 }
 
 TEST_F(PlacementTest, AllOrNothingLaunchFailureLeavesNoResidue) {
@@ -192,7 +225,7 @@ TEST_F(PlacementTest, HeterogeneousBaseOnTrainingFlexibleOnLoaned) {
   jobs_.push_back(MakeJob(0, 2, 4, 2, /*fungible=*/false, /*heterogeneous=*/true));
   AllocationDecision decision;
   decision.launches.push_back(jobs_[0].get());
-  decision.flexible_targets.emplace_back(jobs_[0].get(), 1);
+  decision.flexible_targets.push_back(LaunchTarget(jobs_[0].get(), 1));
   Apply(decision);
   const JobPlacement* p = cluster_.FindPlacement(JobId(0));
   ASSERT_NE(p, nullptr);
@@ -460,7 +493,7 @@ TEST(FreeServerIndex, PlaceFlexibleMatchesFullPoolScan) {
     ClusterState expected = cluster.Clone();
 
     AllocationDecision decision;
-    decision.flexible_targets.emplace_back(job.get(), target);
+    decision.flexible_targets.push_back(RunningTarget(cluster, job.get(), target));
     ApplyAllocation(cluster, decision, PlacementOptions{});
     ReferencePlace(expected, job->id(), gpw, target, true,
                    {.pools = {ServerPool::kTraining},
@@ -517,7 +550,7 @@ TEST(FreeServerIndex, TwoPoolPlacementMatchesFullPoolScan) {
       ClusterState expected = cluster.Clone();
       AllocationDecision decision;
       decision.launches.push_back(job.get());
-      decision.flexible_targets.emplace_back(job.get(), target);
+      decision.flexible_targets.push_back(LaunchTarget(job.get(), target));
       ApplyAllocation(actual, decision, PlacementOptions{});
 
       const ReferenceRule base{.pools = {ServerPool::kTraining},
@@ -551,7 +584,7 @@ TEST(FreeServerIndex, TwoPoolPlacementMatchesFullPoolScan) {
       ClusterState expected = cluster.Clone();
       AllocationDecision decision;
       decision.launches.push_back(job.get());
-      decision.flexible_targets.emplace_back(job.get(), target);
+      decision.flexible_targets.push_back(LaunchTarget(job.get(), target));
       ApplyAllocation(actual, decision, PlacementOptions{});
 
       ReferenceRule base{.pools = {ServerPool::kOnLoan},
@@ -706,7 +739,7 @@ TEST(FreeServerIndex, CallSequenceOnOneClusterMatchesFullPoolScan) {
     // (a T4 scale-in can undershoot it).
     auto retarget = [&](Job& job, int target) {
       AllocationDecision decision;
-      decision.flexible_targets.emplace_back(&job, target);
+      decision.flexible_targets.push_back(RunningTarget(actual, &job, target));
       ApplyAllocation(actual, decision, PlacementOptions{});
       if (PlacedFlexibleWorkers(expected, job) > target) {
         ShrinkFlexibleTo(expected, job, target);
