@@ -21,6 +21,15 @@ struct OrchestratorStats {
   int servers_returned = 0;
   int jobs_preempted = 0;
   int collateral_gpus = 0;
+
+  void Add(const OrchestratorStats& other) {
+    loan_operations += other.loan_operations;
+    reclaim_operations += other.reclaim_operations;
+    servers_loaned += other.servers_loaned;
+    servers_returned += other.servers_returned;
+    jobs_preempted += other.jobs_preempted;
+    collateral_gpus += other.collateral_gpus;
+  }
 };
 
 class ResourceOrchestrator {

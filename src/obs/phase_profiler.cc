@@ -16,8 +16,6 @@ const char* PhaseName(Phase phase) {
       return "orchestrator_tick";
     case Phase::kReclaimPolicy:
       return "reclaim_policy";
-    case Phase::kRmReconcile:
-      return "rm_reconcile";
     case Phase::kFinalize:
       return "finalize";
     case Phase::kCount:

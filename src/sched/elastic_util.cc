@@ -1,6 +1,7 @@
 #include "src/sched/elastic_util.h"
 
 #include <cmath>
+#include <iterator>
 
 #include "src/common/check.h"
 #include "src/sched/placement_util.h"
@@ -66,19 +67,30 @@ int ShrinkFlexibleTo(ClusterState& cluster, const Job& job, int target_flex_work
     return 0;
   }
   double flex_credit = 0.0;
-  std::vector<ServerId> servers;
   for (const auto& [server_id, share] : placement->shares) {
     if (share.flexible_gpus > 0) {
       flex_credit += ShareWorkerCredit(cluster, server_id, share.flexible_gpus, gpw);
-      servers.push_back(server_id);
     }
   }
+  const auto within_target = [&] {
+    return flex_credit - kCreditEpsilon <= static_cast<double>(target_flex_workers);
+  };
   int released = 0;
-  // Remove one physical flexible worker at a time until within target.
-  for (ServerId server_id : servers) {
+  // Remove one physical flexible worker at a time until within target, server
+  // by server in ascending id. RemoveFlexible erases a share it empties, so
+  // the walk finds the next server by key. The placement itself goes only
+  // with its last share, and after the last share there is nothing to walk.
+  auto it = placement->shares.begin();
+  while (it != placement->shares.end() && !within_target()) {
+    const ServerId server_id = it->first;
+    if (it->second.flexible_gpus == 0) {
+      ++it;
+      continue;
+    }
+    const bool last = std::next(it) == placement->shares.end();
     const double credit_per_worker =
         GpuComputeFactor(cluster.server(server_id).gpu_type());
-    while (flex_credit - kCreditEpsilon > static_cast<double>(target_flex_workers)) {
+    while (!within_target()) {
       const int removed = cluster.RemoveFlexible(job.id(), server_id, gpw);
       if (removed == 0) {
         break;  // nothing flexible left on this server
@@ -86,9 +98,10 @@ int ShrinkFlexibleTo(ClusterState& cluster, const Job& job, int target_flex_work
       released += removed;
       flex_credit -= static_cast<double>(removed) / gpw * credit_per_worker;
     }
-    if (flex_credit - kCreditEpsilon <= static_cast<double>(target_flex_workers)) {
+    if (last) {
       break;
     }
+    it = placement->shares.upper_bound(server_id);
   }
   return released;
 }

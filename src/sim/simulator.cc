@@ -42,8 +42,7 @@ Simulator::Simulator(SimulatorOptions options, const Trace& trace,
   cluster_.ArmChangeLog();
 
   for (int s = 0; s < options_.training_servers; ++s) {
-    cluster_.AddServer(GpuType::kTrainingV100, options_.gpus_per_server,
-                       ServerPool::kTraining);
+    cluster_.AddServer(GpuType::kTrainingV100, kGpusPerServer, ServerPool::kTraining);
   }
   if (inference_ != nullptr) {
     const auto& opts = inference_->options();
@@ -60,11 +59,10 @@ Simulator::Simulator(SimulatorOptions options, const Trace& trace,
     LYRA_CHECK_EQ(spec.id.value, static_cast<std::int64_t>(jobs_.size()));
     auto job = std::make_unique<Job>(spec);
     // Table 9: inject running-time estimation error for a random fraction of
-    // jobs, each with a uniform relative error within the configured bound.
+    // jobs, each with a uniform relative error within kMispredictionMaxError.
     if (options_.misprediction_fraction > 0.0 &&
         rng.NextBernoulli(options_.misprediction_fraction)) {
-      const double err =
-          rng.Uniform(-options_.misprediction_max_error, options_.misprediction_max_error);
+      const double err = rng.Uniform(-kMispredictionMaxError, kMispredictionMaxError);
       job->set_estimated_total_work(spec.total_work * (1.0 + err));
     }
     jobs_.push_back(std::move(job));
@@ -292,15 +290,6 @@ void Simulator::SyncAfterScheduling(TimeSec now) {
   cluster_.ClearChanged();
 }
 
-void Simulator::MirrorIntoResourceManager(TimeSec now) {
-  if (!options_.mirror_resource_manager) {
-    return;
-  }
-  obs::PhaseSpan reconcile_span(obs::Phase::kRmReconcile);
-  result_.rm_stats.Accumulate(reconciler_.Reconcile(cluster_, rm_, now));
-  LYRA_CHECK(RmReconciler::Consistent(cluster_, rm_));
-}
-
 void Simulator::HandleSchedulerTick(TimeSec now) {
   if (!dirty_ && pending_.empty()) {
     if (ticks_skipped_counter_ == nullptr) {
@@ -329,7 +318,6 @@ void Simulator::HandleSchedulerTick(TimeSec now) {
   dequeued_.clear();
   dirty_ = false;
   SyncAfterScheduling(now);
-  MirrorIntoResourceManager(now);
   // SyncAfterScheduling re-marks dirty when jobs started; that is fine — it
   // only forces the next tick to re-run, which is conservative.
 }
@@ -361,8 +349,7 @@ void Simulator::HandleOrchestratorTick(TimeSec now) {
   const double eligible_pending_gpus =
       static_cast<double>(eligible_pending_base_) / kInferenceGpuFactor;
   const double noneligible_pending = static_cast<double>(other_pending_base_);
-  const int gpus_per_server =
-      inference_ != nullptr ? inference_->options().gpus_per_server : 8;
+  const int gpus_per_server = inference_->options().gpus_per_server;
   const int current_loaned = cluster_.NumServersInPool(ServerPool::kOnLoan);
   // Borrow only for pending demand that free training capacity cannot absorb:
   // pending jobs take training GPUs first, so loans sized to the raw pending
@@ -389,12 +376,7 @@ void Simulator::HandleOrchestratorTick(TimeSec now) {
   ReclaimResult reclaim = orchestrator.Reconcile(cluster_, target);
 
   const OrchestratorStats& stats = orchestrator.stats();
-  result_.orchestrator.loan_operations += stats.loan_operations;
-  result_.orchestrator.reclaim_operations += stats.reclaim_operations;
-  result_.orchestrator.servers_loaned += stats.servers_loaned;
-  result_.orchestrator.servers_returned += stats.servers_returned;
-  result_.orchestrator.jobs_preempted += stats.jobs_preempted;
-  result_.orchestrator.collateral_gpus += stats.collateral_gpus;
+  result_.orchestrator.Add(stats);
 
   if (!reclaim.preempted.empty() || !reclaim.scaled_in.empty() ||
       stats.servers_loaned > 0 || stats.servers_returned > 0) {
@@ -430,7 +412,6 @@ void Simulator::HandleOrchestratorTick(TimeSec now) {
                     "\"reason\": \"preempted\"");
   RefreshScaledIn(now, reclaim.scaled_in);
 
-  MirrorIntoResourceManager(now);
   RecordSeriesPoint(now);
 }
 
@@ -439,7 +420,7 @@ void Simulator::PreemptAndRequeue(TimeSec now, const std::vector<JobId>& preempt
   for (JobId id : preempted) {
     Job* job = jobs_[static_cast<std::size_t>(id.value)].get();
     LYRA_CHECK(job->state() == JobState::kRunning);
-    job->Preempt(now, options_.preemption_overhead,
+    job->Preempt(now, kPreemptionOverhead,
                  options_.checkpoint_interval * job->spec().min_workers);
     if (trace_ != nullptr) {
       trace_->Instant(track, "preempt", now, JobArgs(id.value, job->current_workers()));
@@ -566,12 +547,7 @@ void Simulator::HandleRevocationStorm(TimeSec now) {
   const ReclaimResult reclaim =
       orchestrator.Reconcile(cluster_, loaned - revoke);
   const OrchestratorStats& stats = orchestrator.stats();
-  result_.orchestrator.loan_operations += stats.loan_operations;
-  result_.orchestrator.reclaim_operations += stats.reclaim_operations;
-  result_.orchestrator.servers_loaned += stats.servers_loaned;
-  result_.orchestrator.servers_returned += stats.servers_returned;
-  result_.orchestrator.jobs_preempted += stats.jobs_preempted;
-  result_.orchestrator.collateral_gpus += stats.collateral_gpus;
+  result_.orchestrator.Add(stats);
   PreemptAndRequeue(now, reclaim.preempted, obs::TraceTrack::kFaults,
                     "\"reason\": \"revocation_storm\"");
   RefreshScaledIn(now, reclaim.scaled_in);
@@ -782,7 +758,7 @@ bool Simulator::StepUntil(TimeSec horizon, std::uint64_t max_events) {
         scheduler_tick_counter_->Add();
         HandleSchedulerTick(now_);
         if (now_ >= next_scheduler_tick_) {
-          next_scheduler_tick_ = now_ + options_.scheduler_interval;
+          next_scheduler_tick_ = now_ + kSchedulerInterval;
           PushEvent(next_scheduler_tick_, EventType::kSchedulerTick);
         }
         break;
@@ -790,7 +766,7 @@ bool Simulator::StepUntil(TimeSec horizon, std::uint64_t max_events) {
         orchestrator_tick_counter_->Add();
         HandleOrchestratorTick(now_);
         if (now_ >= next_orchestrator_tick_) {
-          next_orchestrator_tick_ = now_ + options_.orchestrator_interval;
+          next_orchestrator_tick_ = now_ + kOrchestratorInterval;
           PushEvent(next_orchestrator_tick_, EventType::kOrchestratorTick);
         }
         break;
@@ -909,15 +885,13 @@ SimulationResult Simulator::Finalize() {
   Begin();
   obs::ScopedObsContext obs_scope(&obs_);
   {
-    // Covers everything after the drain — meter close-out, final reconcile,
-    // and the result folding — so phase self times account for (nearly) all
-    // of wall_seconds.
+    // Covers everything after the drain — meter close-out and the result
+    // folding — so phase self times account for (nearly) all of
+    // wall_seconds.
     obs::PhaseSpan finalize_span(obs::Phase::kFinalize);
     // Close the usage meters at the end of the trace window: the run may end
     // (all jobs finished) before the window does, leaving idle time uncounted.
     AdvanceMeters(meter_cutoff_);
-    // Final reconcile so the execution layer tears down the last containers.
-    MirrorIntoResourceManager(now_);
 
     // --- Final metrics -------------------------------------------------------
     result_.finished_jobs = finished_count_ - cancelled_count_;
@@ -934,7 +908,7 @@ SimulationResult Simulator::Finalize() {
         result_.jct_on_loan_samples.push_back(jct);
       }
       result_.queued_flags[static_cast<std::size_t>(job->id().value)] =
-          queuing > options_.scheduler_interval + 1.0;
+          queuing > kSchedulerInterval + 1.0;
       result_.scaling_operations += job->scaling_operations();
     }
     result_.queuing = Summarize(result_.queuing_samples);
@@ -954,8 +928,7 @@ SimulationResult Simulator::Finalize() {
         jobs_.empty() ? 0.0
                       : static_cast<double>(result_.preemptions) /
                             static_cast<double>(jobs_.size());
-    const int demanded_gpus =
-        result_.orchestrator.servers_returned * options_.gpus_per_server;
+    const int demanded_gpus = result_.orchestrator.servers_returned * kGpusPerServer;
     result_.collateral_damage =
         demanded_gpus > 0
             ? static_cast<double>(result_.orchestrator.collateral_gpus) / demanded_gpus

@@ -1,14 +1,15 @@
 // Discrete-event GPU-cluster simulator (§7.1).
 //
 // Replays a job trace against a training cluster plus an optional inference
-// cluster, driving a pluggable job scheduler (every scheduler_interval), the
+// cluster, driving a pluggable job scheduler (every kSchedulerInterval), the
 // resource orchestrator with a pluggable reclaiming policy (every
-// orchestrator_interval, §3), and all job events: arrival, completion,
+// kOrchestratorInterval, §3), and all job events: arrival, completion,
 // scaling, and preemption. Job progress is piecewise linear; completion
 // events carry per-job generation counters so allocation changes invalidate
 // stale events in O(1). A fixed preemption overhead — the 63 s measured on
 // the testbed (§7.5) — is charged to checkpointing jobs; jobs without
-// checkpoints lose all progress (§4).
+// checkpoints lose all progress (§4). Every decision lives in ClusterState:
+// the simulator stands in for the testbed's resource manager (§6).
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -26,8 +27,6 @@
 #include "src/profile/job_profiler.h"
 #include "src/lyra/reclaim.h"
 #include "src/sched/scheduler.h"
-#include "src/rm/reconciler.h"
-#include "src/rm/resource_manager.h"
 #include "src/sim/decision_log.h"
 #include "src/sim/faults.h"
 #include "src/sim/inference_cluster.h"
@@ -35,13 +34,17 @@
 
 namespace lyra {
 
+// GPUs per training server (the testbed's 8-GPU V100 servers).
+inline constexpr int kGpusPerServer = 8;
+inline constexpr TimeSec kSchedulerInterval = 60.0;
+inline constexpr TimeSec kOrchestratorInterval = 5 * kMinute;
+// Checkpoint save/terminate/relaunch/load cost charged on preemption (§7.5).
+inline constexpr TimeSec kPreemptionOverhead = 63.0;
+// Table 9: bound of the uniform relative error of a mispredicted estimate.
+inline constexpr double kMispredictionMaxError = 0.25;
+
 struct SimulatorOptions {
   int training_servers = 443;  // 3,544 V100 GPUs
-  int gpus_per_server = 8;
-  TimeSec scheduler_interval = 60.0;
-  TimeSec orchestrator_interval = 5 * kMinute;
-  // Checkpoint save/terminate/relaunch/load cost charged on preemption.
-  TimeSec preemption_overhead = 63.0;
   // Interval between periodic checkpoints of checkpointing jobs, in seconds
   // of base-demand progress (CheckFreq-style). A preempted job resumes from
   // its last checkpoint; 0 means a checkpoint is taken at preemption time.
@@ -53,9 +56,8 @@ struct SimulatorOptions {
   int reclaim_chunk = 0;
   ThroughputOptions throughput;
   // Table 9 sensitivity: fraction of jobs whose running-time estimate is
-  // wrong, each with a uniform relative error up to the max below.
+  // wrong, each with a uniform relative error up to kMispredictionMaxError.
   double misprediction_fraction = 0.0;
-  double misprediction_max_error = 0.25;
   // Estimate running times with the learning profiler (§3) instead of the
   // oracle: jobs are estimated at submission from previously completed jobs.
   bool use_profiler = false;
@@ -65,10 +67,6 @@ struct SimulatorOptions {
   // Record every scheduling decision (starts, finishes, scales, preemptions,
   // loans) for the §7.2-style calibration comparison.
   bool record_decisions = false;
-  // Mirror every placement into the resource-manager execution layer (§6):
-  // container launches/stops and whitelist moves are reconciled after each
-  // epoch, with a consistency check. Costs ~10-20% runtime.
-  bool mirror_resource_manager = false;
   // When non-empty, stream job/loan/reclaim/decision events and scheduler
   // phase spans into a ring buffer and write them here at the end of Run()
   // as Chrome trace-event JSON (opens in ui.perfetto.dev). Purely
@@ -133,7 +131,7 @@ struct SimulationResult {
   double events_per_sec = 0.0;
 
   // Per-phase wall-clock profile of Run() (event drain, scheduler tick,
-  // placement, orchestrator tick, reclaim policy, RM reconcile, finalize).
+  // placement, orchestrator tick, reclaim policy, finalize).
   // Self times are disjoint, so they sum to ~wall_seconds. Wall-clock, so —
   // like the fields above — excluded from determinism comparisons.
   std::vector<obs::PhaseStat> phases;
@@ -150,8 +148,6 @@ struct SimulationResult {
   // Mean absolute relative error of the profiler's estimates (0 when the
   // profiler is off).
   double profiler_error = 0.0;
-  // Resource-manager execution totals (zero unless mirroring is enabled).
-  ReconcileStats rm_stats;
 };
 
 class Simulator {
@@ -221,7 +217,6 @@ class Simulator {
   // The pending queue: enqueue order, so ascending in Job::queue_seq().
   const std::vector<Job*>& pending_jobs() const { return pending_; }
   const DecisionLog& decision_log() const { return decision_log_; }
-  const ResourceManager& resource_manager() const { return rm_; }
   // This run's metrics registry (counters/gauges/histograms); disjoint per
   // simulation, so parallel runs never share metric state.
   const obs::MetricsRegistry& metrics() const { return obs_.metrics; }
@@ -286,7 +281,6 @@ class Simulator {
   void AdvanceMeters(TimeSec now);
   void ScheduleFinish(Job& job, TimeSec now);
   void SyncAfterScheduling(TimeSec now);
-  void MirrorIntoResourceManager(TimeSec now);
   void HandleSchedulerTick(TimeSec now);
   void HandleOrchestratorTick(TimeSec now);
   void HandleFinish(TimeSec now, std::int64_t job_index, std::uint64_t generation);
@@ -373,8 +367,6 @@ class Simulator {
   std::unique_ptr<obs::TraceExporter> trace_;
   JobProfiler profiler_;
   DecisionLog decision_log_;
-  ResourceManager rm_;
-  RmReconciler reconciler_;
   TimeWeightedMean training_meter_;
   TimeWeightedMean overall_meter_;
   TimeWeightedMean onloan_meter_;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -73,6 +74,36 @@ TEST(ElasticUtil, ShrinkUnplacedJobIsNoop) {
   ClusterState cluster;
   auto job = MakeJob(0, 1, 4);
   EXPECT_EQ(ShrinkFlexibleTo(cluster, *job, 0), 0);
+}
+
+TEST(ElasticUtil, ShrinkWalksPastAnEmptiedFlexibleOnlyShare) {
+  ClusterState cluster;
+  for (int s = 0; s < 4; ++s) {
+    cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);
+  }
+  auto job = MakeJob(0, 1, 8);
+  cluster.Place(JobId(0), ServerId(0), 2, false);
+  cluster.Place(JobId(0), ServerId(1), 2, true);
+  cluster.Place(JobId(0), ServerId(2), 4, true);
+  cluster.Place(JobId(0), ServerId(3), 2, false);
+  cluster.Place(JobId(0), ServerId(3), 2, true);
+  ASSERT_EQ(PlacedFlexibleWorkers(cluster, *job), 4);
+
+  // Server 1's flexible-only share empties and leaves the map; the walk goes
+  // on to server 2 and stops there after one worker, leaving server 3 alone.
+  EXPECT_EQ(ShrinkFlexibleTo(cluster, *job, 2), 4);
+  EXPECT_EQ(PlacedFlexibleWorkers(cluster, *job), 2);
+  const JobPlacement* placement = cluster.FindPlacement(JobId(0));
+  ASSERT_NE(placement, nullptr);
+  const std::map<ServerId, GpuShare> expected = {
+      {ServerId(0), GpuShare{2, 0}},
+      {ServerId(2), GpuShare{0, 2}},
+      {ServerId(3), GpuShare{2, 2}},
+  };
+  EXPECT_EQ(placement->shares, expected);
+  EXPECT_EQ(placement->flexible_gpus(), 4);
+  EXPECT_EQ(cluster.server(ServerId(1)).free_gpus(), 8);
+  EXPECT_EQ(cluster.server(ServerId(2)).free_gpus(), 6);
 }
 
 TEST(ElasticUtil, HarvestTakesRoundRobinAcrossJobs) {

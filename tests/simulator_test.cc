@@ -54,7 +54,6 @@ TEST(Simulator, SingleJobExactTiming) {
 
   SimulatorOptions options;
   options.training_servers = 1;
-  options.scheduler_interval = 60.0;
   options.enable_loaning = false;
   FifoScheduler fifo;
   LyraReclaimPolicy reclaim;
@@ -78,7 +77,6 @@ TEST(Simulator, SameTimestampBatchSchedulesArrivalImmediately) {
 
   SimulatorOptions options;
   options.training_servers = 1;
-  options.scheduler_interval = 60.0;
   options.enable_loaning = false;
   FifoScheduler fifo;
   LyraReclaimPolicy reclaim;
@@ -103,7 +101,6 @@ TEST(Simulator, TickCoalescingCounterPresentAndZeroOnPeriodicSchedule) {
 
   SimulatorOptions options;
   options.training_servers = 2;
-  options.scheduler_interval = 60.0;
   options.enable_loaning = true;
   FifoScheduler fifo;
   LyraReclaimPolicy reclaim;
@@ -354,7 +351,6 @@ TEST(Simulator, MispredictionAffectsEstimatesNotGroundTruth) {
   options.training_servers = 2;
   options.enable_loaning = false;
   options.misprediction_fraction = 1.0;
-  options.misprediction_max_error = 0.25;
   LyraScheduler scheduler;
   LyraReclaimPolicy reclaim;
   Simulator sim(options, trace, &scheduler, &reclaim, nullptr);
