@@ -15,9 +15,7 @@
 //                   [--seed=1] [--scale=0.05] [--days=1]
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,35 +26,6 @@
 #include "src/common/table.h"
 #include "src/rl/policy.h"
 #include "src/rl/trainer.h"
-
-namespace {
-
-void MergeReport(const std::string& path, const lyra::JsonValue& section) {
-  lyra::JsonValue report = lyra::JsonValue::MakeObject();
-  std::ifstream in(path);
-  if (in) {
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    lyra::StatusOr<lyra::JsonValue> existing =
-        lyra::JsonValue::Parse(buffer.str());
-    if (existing.ok() && existing.value().is_object()) {
-      for (const auto& [key, value] : existing.value().AsObject()) {
-        if (key != "rl_policy") {
-          report.Set(key, value);
-        }
-      }
-    }
-  }
-  report.Set("rl_policy", section);
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "bench_rl_policy: cannot write %s\n", path.c_str());
-    return;
-  }
-  out << report.Dump() << "\n";
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string weights;
@@ -194,8 +163,13 @@ int main(int argc, char** argv) {
       rows.Append(std::move(row));
     }
     section.Set("schemes", std::move(rows));
-    MergeReport(report_path, section);
-    std::printf("merged rl_policy section into %s\n", report_path.c_str());
+    const lyra::Status merged =
+        lyra::MergeReportSection(report_path, "rl_policy", section);
+    if (merged.ok()) {
+      std::printf("merged rl_policy section into %s\n", report_path.c_str());
+    } else {
+      std::fprintf(stderr, "bench_rl_policy: %s\n", merged.message().c_str());
+    }
   }
   return beats_fifo ? 0 : 1;
 }

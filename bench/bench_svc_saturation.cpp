@@ -28,7 +28,6 @@
 // records the curve under "federation_sweep" with each entry's spec string.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -45,31 +44,6 @@
 #include "src/svc/time_driver.h"
 
 namespace {
-
-void MergeReport(const std::string& path, const lyra::JsonValue& section) {
-  lyra::JsonValue report = lyra::JsonValue::MakeObject();
-  std::ifstream in(path);
-  if (in) {
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    lyra::StatusOr<lyra::JsonValue> existing =
-        lyra::JsonValue::Parse(buffer.str());
-    if (existing.ok() && existing.value().is_object()) {
-      for (const auto& [key, value] : existing.value().AsObject()) {
-        if (key != "svc_saturation") {
-          report.Set(key, value);
-        }
-      }
-    }
-  }
-  report.Set("svc_saturation", section);
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "bench_svc_saturation: cannot write %s\n", path.c_str());
-    return;
-  }
-  out << report.Dump() << "\n";
-}
 
 // One offered-rate point against a brand-new daemon: a fresh fleet of
 // `clusters` behind a fresh event loop. One training cluster of one engine
@@ -333,8 +307,13 @@ int main(int argc, char** argv) {
       }
       section.Set("federation_sweep", std::move(scaling));
     }
-    MergeReport(report_path, section);
-    std::printf("merged svc_saturation section into %s\n", report_path.c_str());
+    const lyra::Status merged =
+        lyra::MergeReportSection(report_path, "svc_saturation", section);
+    if (merged.ok()) {
+      std::printf("merged svc_saturation section into %s\n", report_path.c_str());
+    } else {
+      std::fprintf(stderr, "bench_svc_saturation: %s\n", merged.message().c_str());
+    }
   }
   return errors == 0 ? 0 : 2;
 }

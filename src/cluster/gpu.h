@@ -19,6 +19,10 @@ enum class GpuType {
 // Compute capability relative to a training GPU (V100 == 1.0).
 inline constexpr double kInferenceGpuFactor = 1.0 / 3.0;
 
+// GPUs per server in both clusters (the testbed's 8-GPU V100 and T4
+// servers; 520 inference servers hold 4,160 T4s).
+inline constexpr int kGpusPerServer = 8;
+
 constexpr double GpuComputeFactor(GpuType type) {
   switch (type) {
     case GpuType::kTrainingV100:

@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "src/common/check.h"
+#include "src/common/codec.h"
 
 namespace lyra {
 
@@ -625,6 +626,24 @@ StatusOr<JsonValue> JsonValue::Parse(const std::string& text) {
 StatusOr<JsonValue> JsonValue::Parse(const std::string& text,
                                      const JsonParseLimits& limits) {
   return JsonParser(text, limits).Parse();
+}
+
+Status MergeReportSection(const std::string& path, const std::string& key,
+                          const JsonValue& section) {
+  JsonValue report = JsonValue::MakeObject();
+  StatusOr<std::string> file = ReadFile(path);
+  if (file.ok()) {
+    StatusOr<JsonValue> existing = JsonValue::Parse(file.value());
+    if (existing.ok() && existing.value().is_object()) {
+      for (const auto& [name, value] : existing.value().AsObject()) {
+        if (name != key) {
+          report.Set(name, value);
+        }
+      }
+    }
+  }
+  report.Set(key, section);
+  return WriteFileAtomic(path, report.Dump() + "\n");
 }
 
 }  // namespace lyra

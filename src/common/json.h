@@ -132,6 +132,14 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
+// Sets member `key` of the JSON object stored at `path` (a report such as
+// BENCH_perf.json) to `section`, moving it last and keeping every other
+// member as it was; a missing or unparsable file starts a fresh object.
+// Writes with WriteFileAtomic, so a crash leaves the old report or the new
+// one, never a truncated file.
+Status MergeReportSection(const std::string& path, const std::string& key,
+                          const JsonValue& section);
+
 }  // namespace lyra
 
 #endif  // SRC_COMMON_JSON_H_

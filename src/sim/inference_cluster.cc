@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/cluster/gpu.h"
 #include "src/common/check.h"
 #include "src/obs/obs.h"
 
@@ -71,7 +72,7 @@ InferenceCluster::InferenceCluster(const InferenceClusterOptions& options,
 
 double InferenceCluster::BusyGpusAt(TimeSec t) const {
   return ServingFractionAt(t) * options_.compute_per_serving *
-         static_cast<double>(options_.num_servers * options_.gpus_per_server);
+         static_cast<double>(options_.num_servers * kGpusPerServer);
 }
 
 int InferenceCluster::TargetLoanedServers(TimeSec now) {

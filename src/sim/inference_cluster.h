@@ -62,7 +62,6 @@ class DiurnalTrafficModel {
 
 struct InferenceClusterOptions {
   int num_servers = 520;  // 4,160 T4 GPUs in 8-GPU servers
-  int gpus_per_server = 8;
   // Never-loaned reserve to absorb intra-interval bursts (§7.1: 2%).
   double headroom_fraction = 0.02;
   // The loaning unit is a whole server (§3), but the traffic series measures

@@ -46,9 +46,9 @@ Simulator::Simulator(SimulatorOptions options, const Trace& trace,
   }
   if (inference_ != nullptr) {
     const auto& opts = inference_->options();
-    total_inference_gpus_ = opts.num_servers * opts.gpus_per_server;
+    total_inference_gpus_ = opts.num_servers * kGpusPerServer;
     for (int s = 0; s < opts.num_servers; ++s) {
-      cluster_.AddServer(GpuType::kInferenceT4, opts.gpus_per_server,
+      cluster_.AddServer(GpuType::kInferenceT4, kGpusPerServer,
                          ServerPool::kInference);
     }
   }
@@ -349,7 +349,6 @@ void Simulator::HandleOrchestratorTick(TimeSec now) {
   const double eligible_pending_gpus =
       static_cast<double>(eligible_pending_base_) / kInferenceGpuFactor;
   const double noneligible_pending = static_cast<double>(other_pending_base_);
-  const int gpus_per_server = inference_->options().gpus_per_server;
   const int current_loaned = cluster_.NumServersInPool(ServerPool::kOnLoan);
   // Borrow only for pending demand that free training capacity cannot absorb:
   // pending jobs take training GPUs first, so loans sized to the raw pending
@@ -361,7 +360,7 @@ void Simulator::HandleOrchestratorTick(TimeSec now) {
                         training_free_for_eligible);
   const int demand_target =
       occupied_loaned + static_cast<int>(std::ceil(
-                            unmet_normalized / kInferenceGpuFactor / gpus_per_server));
+                            unmet_normalized / kInferenceGpuFactor / kGpusPerServer));
   int target = std::min(allowance, demand_target);
   // Reclaim hysteresis: the inference scheduler asks servers back in bulk
   // rather than trickling one server per interval — small deficits ride on

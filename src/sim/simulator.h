@@ -34,8 +34,6 @@
 
 namespace lyra {
 
-// GPUs per training server (the testbed's 8-GPU V100 servers).
-inline constexpr int kGpusPerServer = 8;
 inline constexpr TimeSec kSchedulerInterval = 60.0;
 inline constexpr TimeSec kOrchestratorInterval = 5 * kMinute;
 // Checkpoint save/terminate/relaunch/load cost charged on preemption (§7.5).

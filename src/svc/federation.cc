@@ -10,7 +10,6 @@
 
 #include "src/common/check.h"
 #include "src/common/codec.h"
-#include "src/common/log.h"
 #include "src/svc/prom.h"
 #include "src/svc/replies.h"
 
@@ -866,19 +865,14 @@ std::string FederationRouter::EncodeFleetSnapshot(
   FedSnapshot fed;
   fed.submit_seq = submit_seq;
   for (int c = 0; c < cluster_count(); ++c) {
-    const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
-    // Per-cluster images carry no routing counter of their own; the fleet
-    // counter above covers every cluster.
-    MultiSnapshot multi;
+    FedClusterImage cluster;
+    cluster.name = clusters_[static_cast<std::size_t>(c)].name;
+    cluster.kind =
+        static_cast<std::uint8_t>(clusters_[static_cast<std::size_t>(c)].kind);
     for (const std::uint32_t e :
          cluster_engines_[static_cast<std::size_t>(c)]) {
-      multi.shard_images.push_back(std::move(images[e]));
+      cluster.engines.push_back(std::move(images[e]));
     }
-    FedClusterImage cluster;
-    cluster.name = spec.name;
-    cluster.kind = static_cast<std::uint8_t>(spec.kind);
-    cluster.shards = static_cast<std::uint32_t>(spec.shards);
-    cluster.image = EncodeMultiSnapshot(multi);
     fed.clusters.push_back(std::move(cluster));
   }
   fed.ledger_hash = ledger_hash();
@@ -1243,10 +1237,9 @@ std::string EnginePath(const std::string& path, int engine) {
 
 namespace {
 
-// Reads any fleet snapshot file as a LYRAFED container: a LYRAFED file as
-// is, and a plain LYRASNAP image or a LYRASHRD file (what sharded daemons
-// wrote before LYRAFED covered them) as SingleCluster of its engines, with
-// the file's routing counter.
+// Reads a fleet snapshot file as a LYRAFED container: a LYRAFED file as is,
+// and a LYRASNAP image as the one engine of SingleCluster(1) (routing
+// counter 0 is exact at one engine; RestoreBytes checks the image).
 StatusOr<FedSnapshot> LoadFleetSnapshot(const std::string& path) {
   StatusOr<std::string> file = ReadFile(path);
   if (!file.ok()) {
@@ -1255,19 +1248,15 @@ StatusOr<FedSnapshot> LoadFleetSnapshot(const std::string& path) {
   if (HasMagic(kFedSnapshotFormat, file.value())) {
     return DecodeFedSnapshot(file.value(), path);
   }
-  StatusOr<MultiSnapshot> multi = DecodeMultiSnapshot(file.value(), path);
-  if (!multi.ok()) {
-    return multi.status();
+  if (!HasMagic(kSnapshotFormat, file.value())) {
+    return Status::InvalidArgument("not a LYRAFED_ or LYRASNAP file: " + path);
   }
-  const ClusterSpec spec =
-      SingleCluster(static_cast<int>(multi.value().shard_images.size()))[0];
-  FedSnapshot fed;
-  fed.submit_seq = multi.value().submit_seq;
+  const ClusterSpec spec = SingleCluster(1)[0];
   FedClusterImage cluster;
   cluster.name = spec.name;
   cluster.kind = static_cast<std::uint8_t>(spec.kind);
-  cluster.shards = static_cast<std::uint32_t>(spec.shards);
-  cluster.image = std::move(file.value());
+  cluster.engines.push_back(std::move(file.value()));
+  FedSnapshot fed;
   fed.clusters.push_back(std::move(cluster));
   return fed;
 }
@@ -1345,39 +1334,24 @@ StatusOr<FederationSet> RestoreFederation(
   const FedSnapshot& fed = loaded.value();
   // A one-engine fleet names errors after the file alone, as the plain
   // service's restore does.
-  const bool single = fed.clusters.size() == 1 && fed.clusters[0].shards == 1;
+  const bool single =
+      fed.clusters.size() == 1 && fed.clusters[0].engines.size() == 1;
 
   std::vector<ClusterSpec> clusters;
   FederationSet set;
-  int k = 0;
   for (const FedClusterImage& cluster : fed.clusters) {
-    if (cluster.kind > 1) {
-      return Status::DataLoss("bad cluster kind in " + snapshot_path);
-    }
     ClusterSpec spec;
     spec.name = cluster.name;
     spec.kind = static_cast<ClusterKind>(cluster.kind);
-    spec.shards = static_cast<int>(cluster.shards);
-
-    StatusOr<MultiSnapshot> multi = DecodeMultiSnapshot(
-        cluster.image, snapshot_path + " (cluster " + cluster.name + ")");
-    if (!multi.ok()) {
-      return multi.status();
-    }
-    if (multi.value().shard_images.size() !=
-        static_cast<std::size_t>(cluster.shards)) {
-      return Status::DataLoss("cluster " + cluster.name + " has " +
-                              std::to_string(multi.value().shard_images.size()) +
-                              " images for " + std::to_string(cluster.shards) +
-                              " shards in " + snapshot_path);
-    }
-    for (std::size_t s = 0; s < multi.value().shard_images.size(); ++s) {
+    spec.shards = static_cast<int>(cluster.engines.size());
+    for (std::size_t s = 0; s < cluster.engines.size(); ++s) {
+      const int k = static_cast<int>(set.services.size());
       ServiceOptions options = base;
       options.trace_path = EnginePath(base.trace_path, k);
       auto service =
           std::make_unique<SchedulerService>(std::move(options), make_driver(k));
       const Status restored = service->RestoreBytes(
-          multi.value().shard_images[s],
+          cluster.engines[s],
           single ? snapshot_path
                  : snapshot_path + " (cluster " + cluster.name + " shard " +
                        std::to_string(s) + ")");
@@ -1385,19 +1359,8 @@ StatusOr<FederationSet> RestoreFederation(
         return restored;
       }
       set.services.push_back(std::move(service));
-      ++k;
     }
     clusters.push_back(std::move(spec));
-  }
-  if (k < 1 || k > 64) {
-    return Status::DataLoss("federation engine count must be in [1, 64], got " +
-                            std::to_string(k));
-  }
-
-  if (fed.ignored_loans > 0) {
-    LYRA_LOG_WARNING("%s: ignoring %u loan(s) of a version-1 LYRAFED file; "
-                     "the router moves no capacity between clusters",
-                     snapshot_path.c_str(), fed.ignored_loans);
   }
   AttachRouter(set, std::move(clusters));
   set.router->set_submit_seq(fed.submit_seq);

@@ -342,10 +342,9 @@ StatusOr<FederationSet> BuildFederation(
 
 // Restores a fleet from a snapshot file: cluster layout, per-engine images,
 // routing counter, and migration ledger hash all come from the file; runtime
-// knobs come from `base`. A LYRAFED file restores as written (a version-1
-// file's loan list is ignored); a plain LYRASNAP image or a LYRASHRD file
-// (read-only: what sharded daemons wrote before LYRAFED covered them)
-// restores as SingleCluster of its engines with the file's routing counter.
+// knobs come from `base`. A LYRAFED file restores as written, and a plain
+// LYRASNAP image as SingleCluster(1). Any other file, a LYRAFED of another
+// version included, is refused (InvalidArgument) before an engine starts.
 StatusOr<FederationSet> RestoreFederation(
     const ServiceOptions& base, const std::string& snapshot_path,
     const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver);

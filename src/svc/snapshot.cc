@@ -8,10 +8,11 @@ namespace {
 
 // Smallest encodings, used to bound counts read from a payload.
 constexpr std::size_t kMinCommandBytes = 1 + 8;  // kind + stamp
+constexpr std::size_t kMinImageBytes = 8;        // u64 length framing
 
-// The read-only first LYRAFED version and the size of one loan entry in it.
-constexpr EnvelopeFormat kFedSnapshotFormatV1{"LYRAFED_", 1};
-constexpr std::size_t kV1LoanBytes = 8 + 4 + 4 + 8 + 8;
+// A fleet has at most 64 engines in all (BuildFederation), so at most 64
+// clusters.
+constexpr std::uint32_t kMaxEngines = 64;
 
 void PutConfig(ByteWriter& out, const EngineConfig& config) {
   out.Str(config.scheduler);
@@ -163,51 +164,6 @@ StatusOr<ServiceSnapshot> DecodeSnapshot(const std::string& image,
   return snapshot;
 }
 
-std::string EncodeMultiSnapshot(const MultiSnapshot& snapshot) {
-  if (snapshot.shard_images.size() == 1) {
-    // Bit-compatible with the unsharded service: one shard writes the plain
-    // LYRASNAP image, so existing tooling keeps working on shards=1 files.
-    return snapshot.shard_images.front();
-  }
-  ByteWriter payload;
-  payload.U32(static_cast<std::uint32_t>(snapshot.shard_images.size()));
-  payload.U64(snapshot.submit_seq);
-  for (const std::string& image : snapshot.shard_images) {
-    payload.Blob(image);
-  }
-  return Seal(kMultiSnapshotFormat, payload.bytes());
-}
-
-StatusOr<MultiSnapshot> DecodeMultiSnapshot(const std::string& image,
-                                            const std::string& origin) {
-  // A plain LYRASNAP image is a valid one-shard snapshot: the sequence number
-  // never influenced routing at one shard, so 0 is exact, not a guess.
-  if (HasMagic(kSnapshotFormat, image)) {
-    MultiSnapshot snapshot;
-    snapshot.shard_images.push_back(image);
-    return snapshot;
-  }
-  StatusOr<std::string_view> payload = Open(kMultiSnapshotFormat, image, origin);
-  if (!payload.ok()) {
-    return payload.status();
-  }
-  ByteReader in(payload.value(), origin);
-  MultiSnapshot snapshot;
-  const std::uint32_t shard_count = in.U32();
-  if (in.ok() && (shard_count == 0 || shard_count > 4096)) {
-    in.Fail("implausible shard count " + std::to_string(shard_count));
-  }
-  snapshot.submit_seq = in.U64();
-  for (std::uint32_t i = 0; i < shard_count && in.ok(); ++i) {
-    snapshot.shard_images.push_back(in.Blob());
-  }
-  const Status status = in.Finish();
-  if (!status.ok()) {
-    return status;
-  }
-  return snapshot;
-}
-
 std::string EncodeFedSnapshot(const FedSnapshot& snapshot) {
   ByteWriter payload;
   payload.U64(snapshot.submit_seq);
@@ -216,59 +172,47 @@ std::string EncodeFedSnapshot(const FedSnapshot& snapshot) {
   for (const FedClusterImage& cluster : snapshot.clusters) {
     payload.Str(cluster.name);
     payload.U8(cluster.kind);
-    payload.U32(cluster.shards);
-    payload.Blob(cluster.image);
+    payload.U32(static_cast<std::uint32_t>(cluster.engines.size()));
+    for (const std::string& image : cluster.engines) {
+      payload.Blob(image);
+    }
   }
   return Seal(kFedSnapshotFormat, payload.bytes());
 }
 
 StatusOr<FedSnapshot> DecodeFedSnapshot(const std::string& image,
                                         const std::string& origin) {
-  // The version word follows the 8-byte magic; a short or foreign file falls
-  // through to Open, which names the problem.
-  const bool v1 = HasMagic(kFedSnapshotFormat, image) &&
-                  ByteReader(std::string_view(image).substr(8, 4), origin)
-                          .U32() == kFedSnapshotFormatV1.version;
-  StatusOr<std::string_view> payload =
-      Open(v1 ? kFedSnapshotFormatV1 : kFedSnapshotFormat, image, origin);
+  StatusOr<std::string_view> payload = Open(kFedSnapshotFormat, image, origin);
   if (!payload.ok()) {
     return payload.status();
   }
   ByteReader in(payload.value(), origin);
   FedSnapshot snapshot;
   snapshot.submit_seq = in.U64();
-  if (v1) {
-    // Loan id counter and granted/reclaimed/returned totals.
-    for (int i = 0; i < 4; ++i) {
-      in.U64();
-    }
-  }
   snapshot.ledger_hash = in.U64();
-  if (v1) {
-    // Active loans: u64 id, u32 lender, u32 borrower, i64 gpus, f64 time.
-    snapshot.ignored_loans = in.U32();
-    in.Fits(snapshot.ignored_loans, kV1LoanBytes);
-    for (std::uint32_t i = 0; i < snapshot.ignored_loans && in.ok(); ++i) {
-      in.U64();
-      in.U32();
-      in.U32();
-      in.I64();
-      in.F64();
-    }
-  }
   const std::uint32_t cluster_count = in.U32();
-  if (in.ok() && (cluster_count == 0 || cluster_count > 256)) {
+  if (in.ok() && (cluster_count == 0 || cluster_count > kMaxEngines)) {
     in.Fail("implausible cluster count " + std::to_string(cluster_count));
   }
+  std::uint32_t engines_left = kMaxEngines;
   for (std::uint32_t i = 0; i < cluster_count && in.ok(); ++i) {
     FedClusterImage cluster;
     cluster.name = in.Str();
     cluster.kind = in.U8();
-    if (v1) {
-      in.I64();  // loan priority
+    if (in.ok() && cluster.kind > 1) {
+      in.Fail("unknown cluster kind " + std::to_string(cluster.kind));
     }
-    cluster.shards = in.U32();
-    cluster.image = in.Blob();
+    const std::uint32_t engines = in.U32();
+    if (in.ok() && (engines == 0 || engines > engines_left)) {
+      in.Fail("implausible engine count " + std::to_string(engines));
+    }
+    if (in.Fits(engines, kMinImageBytes)) {
+      engines_left -= engines;
+      cluster.engines.reserve(engines);
+    }
+    for (std::uint32_t e = 0; e < engines && in.ok(); ++e) {
+      cluster.engines.push_back(in.Blob());
+    }
     snapshot.clusters.push_back(std::move(cluster));
   }
   const Status status = in.Finish();

@@ -72,66 +72,41 @@ StatusOr<ServiceSnapshot> LoadSnapshot(const std::string& path);
 
 // String-level codec for the exact LYRASNAP file image (magic + version +
 // payload + checksum); LoadSnapshot == file read + DecodeSnapshot. The fleet
-// containers below carry each engine's image byte-for-byte, and tests
+// container below carries each engine's image byte-for-byte, and tests
 // round-trip snapshots without touching the filesystem. `origin` only
 // flavors error messages (a path or a "shard k" tag).
 std::string EncodeSnapshot(const ServiceSnapshot& snapshot);
 StatusOr<ServiceSnapshot> DecodeSnapshot(const std::string& image,
                                          const std::string& origin);
 
-// One cluster's engine images (DESIGN.md §10): N complete LYRASNAP images
-// stored byte-identically, plus a submit-routing sequence number. It is the
-// per-cluster image nested in LYRAFED; as a top-level file it is the
-// read-only format older sharded daemons wrote.
-//
-// Layout: the shared envelope with magic "LYRASHRD"; the payload is u32
-// shard count, u64 submit_seq, then per shard a u64-framed LYRASNAP image.
-inline constexpr EnvelopeFormat kMultiSnapshotFormat{"LYRASHRD", 1};
-
-struct MultiSnapshot {
-  std::uint64_t submit_seq = 0;
-  std::vector<std::string> shard_images;  // one LYRASNAP file image per shard
-};
-
-// EncodeMultiSnapshot returns a plain LYRASNAP image at one shard and the
-// LYRASHRD envelope otherwise; DecodeMultiSnapshot accepts both (a plain
-// image decodes as one shard with submit_seq 0).
-std::string EncodeMultiSnapshot(const MultiSnapshot& snapshot);
-StatusOr<MultiSnapshot> DecodeMultiSnapshot(const std::string& image,
-                                            const std::string& origin);
-
 // Fleet snapshot container (DESIGN.md §10), written by every fleet of more
-// than one engine. Wraps one complete LYRASHRD/LYRASNAP image per cluster —
-// stored byte-identically, so each cluster warm-restarts exactly as a
-// standalone fleet would — plus the front end's submit-routing sequence
-// number and the migration ledger's rolling hash, so a restart resumes
-// routing and the ledger's hash chain exactly where the killed process was.
+// than one engine. It holds each engine's complete LYRASNAP image, stored
+// byte-identically (the bytes that engine writes as a one-engine snapshot),
+// grouped by cluster, plus the front end's submit-routing sequence number
+// and the migration ledger's rolling hash, so a restart resumes routing and
+// the ledger's hash chain exactly where the killed process was.
 //
-// File layout (version 2): the shared envelope with magic "LYRAFED_"; the
+// File layout (version 3): the shared envelope with magic "LYRAFED_"; the
 // payload is u64 submit_seq, u64 ledger_hash, u32 cluster count, then per
-// cluster its name, u8 kind, u32 shards and u64-framed image. Version 1
-// files (read-only) also carry the cross-cluster loan ledger of an older
-// router and an i64 loan priority per cluster; the decoder skips both.
-inline constexpr EnvelopeFormat kFedSnapshotFormat{"LYRAFED_", 2};
+// cluster its name, u8 kind, u32 engine count and one u64-framed LYRASNAP
+// image per engine. Decoding is strict, as for LYRASNAP: any other version
+// is rejected, not migrated. The engine counts sum to at most 64.
+inline constexpr EnvelopeFormat kFedSnapshotFormat{"LYRAFED_", 3};
 
 struct FedClusterImage {
   std::string name;
   std::uint8_t kind = 0;  // ClusterKind as a byte (0 inference, 1 training)
-  std::uint32_t shards = 1;
-  std::string image;  // complete LYRASHRD/LYRASNAP file image
+  std::vector<std::string> engines;  // one LYRASNAP file image per engine
 };
 
 struct FedSnapshot {
   std::uint64_t submit_seq = 0;
   std::uint64_t ledger_hash = 0;  // rolling FNV-1a of the migration ledger
   std::vector<FedClusterImage> clusters;
-  // Active loans a version-1 file carried: decoded only to be skipped, and
-  // logged once on restore. Never written.
-  std::uint32_t ignored_loans = 0;
 };
 
-// EncodeFedSnapshot writes version 2; DecodeFedSnapshot accepts versions 1
-// and 2 and rejects any other as InvalidArgument.
+// InvalidArgument on bad magic or another version, DataLoss on a truncated
+// file, checksum mismatch or a payload that breaks the layout.
 StatusOr<FedSnapshot> LoadFedSnapshot(const std::string& path);
 std::string EncodeFedSnapshot(const FedSnapshot& snapshot);
 StatusOr<FedSnapshot> DecodeFedSnapshot(const std::string& image,

@@ -1,9 +1,8 @@
 // The shared byte codec (src/common/codec.h) and the one checksummed
-// envelope all four persisted formats use. The corruption matrix and the
+// envelope all three persisted formats use. The corruption matrix and the
 // seeded mutation fuzzer run once per format: LYRASNAP (one engine),
-// LYRASHRD (one cluster's engines, read-only as a file), LYRAFED_ (fleet;
-// version 1 is read-only, written here by a reference writer) and LYRAPOL_
-// (policy weights). Under the ASan build the fuzzer doubles as the memory-safety
+// LYRAFED_ (fleet: clusters of LYRASNAP images) and LYRAPOL_ (policy
+// weights). Under the ASan build the fuzzer doubles as the memory-safety
 // check of every payload decoder.
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include "src/common/rng.h"
 #include "src/rl/policy.h"
 #include "src/svc/snapshot.h"
-#include "tests/fed_test_support.h"
 
 namespace lyra {
 namespace {
@@ -148,33 +146,22 @@ svc::ServiceSnapshot SampleSnapshot() {
   return snapshot;
 }
 
-svc::MultiSnapshot SampleMultiSnapshot() {
-  const std::string image = svc::EncodeSnapshot(SampleSnapshot());
-  svc::MultiSnapshot multi;
-  multi.submit_seq = 777;
-  multi.shard_images = {image, image, image};
-  return multi;
-}
-
+// A one-engine and a three-engine cluster, so the cases below reach the
+// per-cluster engine count and every framed image.
 svc::FedSnapshot SampleFedSnapshot() {
+  const std::string image = svc::EncodeSnapshot(SampleSnapshot());
   svc::FedSnapshot fed;
   fed.submit_seq = 5;
   fed.ledger_hash = 0x1234;
   svc::FedClusterImage inference;
   inference.name = "infer0";
-  inference.image = svc::EncodeSnapshot(SampleSnapshot());
-  svc::FedClusterImage training = inference;
+  inference.engines = {image};
+  svc::FedClusterImage training;
   training.name = "train0";
   training.kind = 1;
-  training.shards = 3;
-  training.image = svc::EncodeMultiSnapshot(SampleMultiSnapshot());
+  training.engines = {image, image, image};
   fed.clusters = {inference, training};
   return fed;
-}
-
-std::string SampleFedSnapshotV1() {
-  return svc::EncodeFedSnapshotV1(SampleFedSnapshot(),
-                                  {{1, 0, 1, 8, 100.0}, {2, 0, 1, 4, 200.0}});
 }
 
 rl::PolicyNet SamplePolicy() {
@@ -204,19 +191,6 @@ const FormatCase kFormats[] = {
      },
      [](const std::string& bytes) { return svc::DecodeSnapshot(bytes, "test").status(); },
      [](const std::string& path) { return svc::LoadSnapshot(path).status(); }},
-    {"LYRASHRD", svc::kMultiSnapshotFormat,
-     [] { return svc::EncodeMultiSnapshot(SampleMultiSnapshot()); },
-     [](const std::string& path) {
-       return WriteFileAtomic(path, svc::EncodeMultiSnapshot(SampleMultiSnapshot()));
-     },
-     [](const std::string& bytes) {
-       return svc::DecodeMultiSnapshot(bytes, "test").status();
-     },
-     [](const std::string& path) {
-       StatusOr<std::string> file = ReadFile(path);
-       return file.ok() ? svc::DecodeMultiSnapshot(file.value(), path).status()
-                        : file.status();
-     }},
     {"LYRAFED", svc::kFedSnapshotFormat,
      [] { return svc::EncodeFedSnapshot(SampleFedSnapshot()); },
      [](const std::string& path) {
@@ -228,11 +202,44 @@ const FormatCase kFormats[] = {
      [](const std::string& path) { return SamplePolicy().Save(path); },
      [](const std::string& bytes) { return rl::PolicyNet::Decode(bytes).status(); },
      [](const std::string& path) { return rl::PolicyNet::Load(path).status(); }},
-    {"LYRAFED_v1", svc::kFedSnapshotFormatV1, SampleFedSnapshotV1,
-     [](const std::string& path) { return WriteFileAtomic(path, SampleFedSnapshotV1()); },
-     [](const std::string& bytes) { return svc::DecodeFedSnapshot(bytes, "test").status(); },
-     [](const std::string& path) { return svc::LoadFedSnapshot(path).status(); }},
 };
+
+// A fleet holds at most 64 engines in all, and each cluster's engine count
+// is bounded by the bytes left before anything is reserved: a count the
+// payload cannot hold is DataLoss, however plausible.
+TEST(Codec, FleetEngineCountIsBoundedByThePayload) {
+  const std::string image = svc::EncodeSnapshot(SampleSnapshot());
+  // `clusters` training clusters, each declaring `engines` and holding
+  // `images` images.
+  const auto fleet = [&image](int clusters, std::uint32_t engines, int images) {
+    ByteWriter payload;
+    payload.U64(0);  // submit_seq
+    payload.U64(0);  // ledger_hash
+    payload.U32(static_cast<std::uint32_t>(clusters));
+    for (int c = 0; c < clusters; ++c) {
+      payload.Str("train" + std::to_string(c));
+      payload.U8(1);
+      payload.U32(engines);
+      for (int i = 0; i < images; ++i) {
+        payload.Blob(image);
+      }
+    }
+    return svc::DecodeFedSnapshot(Seal(svc::kFedSnapshotFormat, payload.bytes()),
+                                  "test");
+  };
+  ASSERT_TRUE(fleet(2, 32, 32).ok());
+  EXPECT_EQ(fleet(2, 32, 32).value().clusters[1].engines.size(), 32u);
+  const auto fails_with = [](const Status& status, const char* text) {
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+    EXPECT_NE(status.message().find(text), std::string::npos)
+        << status.message();
+  };
+  fails_with(fleet(1, 0, 0).status(), "implausible engine count 0");
+  fails_with(fleet(1, 65, 0).status(), "implausible engine count 65");
+  fails_with(fleet(1, 0xffffffffu, 0).status(), "implausible engine count");
+  fails_with(fleet(2, 33, 33).status(), "implausible engine count 33");
+  fails_with(fleet(1, 64, 1).status(), "exceeds the payload");
+}
 
 class EnvelopeTest : public testing::TestWithParam<FormatCase> {};
 

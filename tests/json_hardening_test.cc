@@ -2,13 +2,17 @@
 // randomized Dump->Parse round-trips (the wire protocol's invariant) plus an
 // adversarial corpus — depth bombs, oversized documents, duplicate keys,
 // truncations, and malformed literals must fail cleanly, never crash or hang
-// — and out-of-range numbers read through AsInt saturate.
+// — out-of-range numbers read through AsInt saturate, and a report merge
+// replaces one section and keeps the others' bytes.
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include "src/common/codec.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
 
@@ -212,6 +216,37 @@ TEST(JsonHardening, AsIntSaturatesOutOfRangeNumbers) {
   StatusOr<JsonValue> parsed = JsonValue::Parse("{\"job\":1e300}");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().Find("job")->AsInt(), kMax);
+}
+
+// MergeReportSection replaces its own section (moving it last) and keeps
+// every other section: the same bytes where a previous merge wrote them (a
+// re-Dump of a Dump is the identity). A missing or unparsable report starts
+// a fresh object, and no temporary file is left.
+TEST(JsonReport, MergeReplacesOneSectionAndKeepsTheOthers) {
+  const std::string path = testing::TempDir() + "/lyra_report_" +
+                           std::to_string(::getpid()) + ".json";
+  std::remove(path.c_str());
+  const StatusOr<JsonValue> first = JsonValue::Parse(R"({"rate":1.5e5})");
+  const StatusOr<JsonValue> second = JsonValue::Parse(R"({"rate":2})");
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_TRUE(MergeReportSection(path, "mine", first.value()).ok());
+  EXPECT_EQ(ReadFile(path).value(), "{\"mine\":{\"rate\":150000}}\n");
+
+  const std::string others =
+      R"({"experiment":"t5","runs":[{"wall_sec":0.125,"events":7}],)"
+      R"("mine":{"old":true},"micro":{"ns":[0.5,3.25]}})";
+  ASSERT_TRUE(WriteFileAtomic(path, others + "\n").ok());
+  ASSERT_TRUE(MergeReportSection(path, "mine", second.value()).ok());
+  EXPECT_EQ(ReadFile(path).value(),
+            R"({"experiment":"t5","runs":[{"wall_sec":0.125,"events":7}],)"
+            R"("micro":{"ns":[0.5,3.25]},"mine":{"rate":2}})"
+            "\n");
+  EXPECT_FALSE(ReadFile(path + ".tmp").ok());
+
+  ASSERT_TRUE(WriteFileAtomic(path, "{\"trunc").ok());
+  ASSERT_TRUE(MergeReportSection(path, "mine", second.value()).ok());
+  EXPECT_EQ(ReadFile(path).value(), "{\"mine\":{\"rate\":2}}\n");
+  std::remove(path.c_str());
 }
 
 }  // namespace

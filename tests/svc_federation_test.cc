@@ -5,7 +5,7 @@
 // clusters and its ledger, the plain-service compatibility contract (a
 // one-cluster federation answers byte-for-byte like an unsharded
 // SchedulerService and writes the identical LYRASNAP file), LYRAFED restores
-// (version 2 as written, version 1 without its loans), and a golden
+// (version 3 as written, retired layouts refused), and a golden
 // regression pinning the engine outcomes of a Lyra pair script.
 //
 // To regenerate the golden fixture after an *intentional* behaviour change:
@@ -620,64 +620,138 @@ TEST(Federation, FedSnapshotRestoresLayoutLedgerAndCounter) {
   std::remove(path.c_str());
 }
 
-// A version-1 LYRAFED file, which also carried an older router's
-// cross-cluster loan ledger, still restores: the same clusters, engines and
-// routing counter come back, its hash seeds the migration ledger, its
-// loans are ignored (one names a cluster the file no longer has), and the
-// restored fleet serves.
-TEST(Federation, FedSnapshotV1RestoresWithoutItsLoans) {
-  FederationSet fed = BuildFed("1x2");  // inf0, train0, train1
-  FederationRouter& router = *fed.router;
-  for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(router.Execute(Submit(0.0, 36000.0, 1, 1, 2)).GetBool("ok"));
+// What older routers wrote per cluster: the plain LYRASNAP image at one
+// engine, else a LYRASHRD envelope (u32 engine count, u64 routing counter,
+// u64-framed images).
+std::string RetiredClusterImage(const FedClusterImage& cluster,
+                                std::uint64_t submit_seq) {
+  if (cluster.engines.size() == 1) {
+    return cluster.engines[0];
   }
-  ASSERT_TRUE(router.Execute(SubmitTo("inf0", 0.0, 36000.0)).GetBool("ok"));
-  ASSERT_TRUE(router.Execute(Advance(500.0)).GetBool("ok"));
-  const std::string stats_before = router.Execute(Cmd("cluster_stats")).Dump();
-  const std::uint64_t seq_before = router.submit_seq();
+  ByteWriter payload;
+  payload.U32(static_cast<std::uint32_t>(cluster.engines.size()));
+  payload.U64(submit_seq);
+  for (const std::string& image : cluster.engines) {
+    payload.Blob(image);
+  }
+  return Seal({"LYRASHRD", 1}, payload.bytes());
+}
 
-  const std::string path = TempPath("v2");
+// LYRAFED version 1 (an older router's loan ledger, a loan priority per
+// cluster) and version 2 (no ledger), both nesting a retired cluster image.
+std::string RetiredFedFile(const FedSnapshot& fed, std::uint32_t version) {
+  ByteWriter payload;
+  payload.U64(fed.submit_seq);
+  if (version == 1) {
+    for (int i = 0; i < 4; ++i) {
+      payload.U64(0);  // loan id counter, granted/reclaimed/returned totals
+    }
+  }
+  payload.U64(fed.ledger_hash);
+  if (version == 1) {
+    payload.U32(0);  // active loans
+  }
+  payload.U32(static_cast<std::uint32_t>(fed.clusters.size()));
+  for (const FedClusterImage& cluster : fed.clusters) {
+    payload.Str(cluster.name);
+    payload.U8(cluster.kind);
+    if (version == 1) {
+      payload.I64(0);  // loan priority
+    }
+    payload.U32(static_cast<std::uint32_t>(cluster.engines.size()));
+    payload.Blob(RetiredClusterImage(cluster, fed.submit_seq));
+  }
+  return Seal({"LYRAFED_", version}, payload.bytes());
+}
+
+// LYRAFED version 3 is the one fleet container --restore reads. A file in a
+// retired layout — a top-level LYRASHRD, LYRAFED version 1 or 2 — is
+// refused as InvalidArgument before any engine is built, as an old LYRASNAP
+// is; a version-3 file of clusters of one and of two engines restores its
+// layout, routing counter and ledger hash.
+TEST(Federation, OnlyTheCurrentFleetContainerRestores) {
+  FederationSet fed =
+      BuildFed("inf0:inf:1,inf1:inf:2,train0:train:1,train1:train:2");
+  FederationRouter& router = *fed.router;
+  std::vector<std::int64_t> ids;
+  for (int i = 0; i < 4; ++i) {
+    const JsonValue reply =
+        router.Execute(SubmitTo("train1", 0.0, 999999.0, 64, 100, 100));
+    ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
+    ids.push_back(static_cast<std::int64_t>(reply.GetDouble("job", -1.0)));
+  }
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(router.Execute(Submit(0.0, 36000.0)).GetBool("ok"));
+  }
+  ASSERT_TRUE(router.Execute(Advance(100.0)).GetBool("ok"));
+  ASSERT_TRUE(router.Execute(Migrate(ids[0], "train0")).GetBool("ok"));
+  const std::uint64_t hash_before = router.ledger_hash();
+  const std::uint64_t seq_before = router.submit_seq();
+  ASSERT_NE(hash_before, 0u);
+  ASSERT_GT(seq_before, 0u);
+
+  const std::string path = TempPath("v3");
   JsonValue snap = Cmd("snapshot");
   snap.Set("path", JsonValue::MakeString(path));
   ASSERT_TRUE(router.Execute(snap).GetBool("ok"));
   StopFed(fed);
 
+  const std::string file = ReadFile(path).value();
+  ASSERT_EQ(file.substr(0, 8), "LYRAFED_");
+  EXPECT_EQ(file.find("LYRASHRD"), std::string::npos);
   StatusOr<FedSnapshot> written = LoadFedSnapshot(path);
   ASSERT_TRUE(written.ok()) << written.status().message();
-  FedSnapshot fed_image = written.value();
-  fed_image.ledger_hash = 0x5eed;
-  // Loan 1's borrower, cluster 9, does not exist.
-  const std::string v1_image = EncodeFedSnapshotV1(
-      fed_image, {{0, 0, 1, 16, 100.0}, {1, 0, 9, 8, 200.0}});
-  const std::string v1_path = TempPath("v1");
-  ASSERT_TRUE(WriteFileAtomic(v1_path, v1_image).ok());
+  const std::vector<std::size_t> engine_counts = {1, 2, 1, 2};
+  ASSERT_EQ(written.value().clusters.size(), engine_counts.size());
+  for (std::size_t c = 0; c < engine_counts.size(); ++c) {
+    const FedClusterImage& cluster = written.value().clusters[c];
+    ASSERT_EQ(cluster.engines.size(), engine_counts[c]) << cluster.name;
+    for (const std::string& image : cluster.engines) {
+      EXPECT_EQ(image.substr(0, 8), "LYRASNAP") << cluster.name;
+    }
+  }
+
+  int built = 0;
+  const auto counting_driver = [&built](int shard) {
+    ++built;
+    return MakeVirtualDriver(shard);
+  };
+  const FedClusterImage& train1 = written.value().clusters[3];
+  const std::pair<const char*, std::string> retired[] = {
+      {"LYRASHRD", RetiredClusterImage(train1, seq_before)},
+      {"LYRAFED v1", RetiredFedFile(written.value(), 1)},
+      {"LYRAFED v2", RetiredFedFile(written.value(), 2)},
+  };
+  const std::string retired_path = TempPath("retired");
+  for (const auto& [name, bytes] : retired) {
+    ASSERT_TRUE(WriteFileAtomic(retired_path, bytes).ok());
+    StatusOr<FederationSet> refused =
+        RestoreFederation(BaseOptions(), retired_path, counting_driver);
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << name << ": " << refused.status().message();
+    EXPECT_EQ(built, 0) << name;
+  }
+  std::remove(retired_path.c_str());
 
   StatusOr<FederationSet> restored =
-      RestoreFederation(BaseOptions(), v1_path, MakeVirtualDriver);
+      RestoreFederation(BaseOptions(), path, counting_driver);
   ASSERT_TRUE(restored.ok()) << restored.status().message();
-  FederationRouter& resumed = *restored.value().router;
-  ASSERT_EQ(resumed.cluster_count(), 3);
-  EXPECT_EQ(resumed.cluster_spec(0).name, "inf0");
-  EXPECT_EQ(resumed.cluster_spec(0).kind, ClusterKind::kInference);
-  EXPECT_EQ(resumed.cluster_spec(1).name, "train0");
-  EXPECT_EQ(resumed.cluster_spec(2).name, "train1");
-  EXPECT_EQ(resumed.shard_count(), 3);
-  EXPECT_EQ(resumed.submit_seq(), seq_before);
-  EXPECT_EQ(resumed.ledger_hash(), 0x5eedu);
-  EXPECT_TRUE(resumed.RecentEvents().empty());
-  EXPECT_EQ(resumed.Execute(Cmd("cluster_stats")).Dump(), stats_before);
-
-  // It serves: a keyless submit, an advance, and the stats read.
-  const JsonValue submitted = resumed.Execute(Submit(600.0, 3600.0));
-  EXPECT_TRUE(submitted.GetBool("ok")) << submitted.Dump();
-  EXPECT_TRUE(resumed.Execute(Advance(1000.0)).GetBool("ok"));
-  const JsonValue stats = resumed.Execute(Cmd("federation_stats"));
-  EXPECT_TRUE(stats.GetBool("ok")) << stats.Dump();
-  for (auto& service : restored.value().services) {
-    service->Stop();
+  EXPECT_EQ(built, 6);
+  const FederationRouter& resumed = *restored.value().router;
+  ASSERT_EQ(resumed.cluster_count(), 4);
+  const char* names[] = {"inf0", "inf1", "train0", "train1"};
+  for (int c = 0; c < 4; ++c) {
+    EXPECT_EQ(resumed.cluster_spec(c).name, names[c]);
+    EXPECT_EQ(resumed.cluster_spec(c).kind,
+              c < 2 ? ClusterKind::kInference : ClusterKind::kTraining);
+    EXPECT_EQ(static_cast<std::size_t>(resumed.cluster_spec(c).shards),
+              engine_counts[static_cast<std::size_t>(c)]);
   }
+  EXPECT_EQ(resumed.shard_count(), 6);
+  EXPECT_EQ(resumed.submit_seq(), seq_before);
+  EXPECT_EQ(resumed.ledger_hash(), hash_before);
+  StopFed(restored.value());
   std::remove(path.c_str());
-  std::remove(v1_path.c_str());
 }
 
 }  // namespace

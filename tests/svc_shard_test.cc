@@ -4,8 +4,8 @@
 // round-trips), merged reads (cluster_stats across shards equals the sum of
 // the per-shard snapshots, and `metrics` folds registry histograms
 // bucketwise), wire job ids outside [0, 2^53] rejected before
-// any routing, the snapshot containers (LYRAFED at four engines, plain
-// LYRASNAP at one, legacy LYRASHRD files still restoring), a randomized
+// any routing, the snapshot containers (LYRAFED at four engines, holding
+// each engine's own image, and plain LYRASNAP at one), a randomized
 // kill-and-warm-restart at --shards=4 that must reproduce every shard's
 // decision log byte-for-byte, and pipelined reply ordering over the sharded
 // event loop.
@@ -526,68 +526,11 @@ TEST(Shard, FourEngineSnapshotIsOneLyrafedContainer) {
   EXPECT_EQ(loaded.value().submit_seq, 6u);
   ASSERT_EQ(loaded.value().clusters.size(), 1u);
   EXPECT_EQ(loaded.value().clusters[0].name, "train0");
-  EXPECT_EQ(loaded.value().clusters[0].shards, static_cast<std::uint32_t>(kShards));
-  StatusOr<MultiSnapshot> images =
-      DecodeMultiSnapshot(loaded.value().clusters[0].image, path);
-  ASSERT_TRUE(images.ok()) << images.status().message();
-  ASSERT_EQ(images.value().shard_images.size(), own.size());
+  const std::vector<std::string>& engines = loaded.value().clusters[0].engines;
+  ASSERT_EQ(engines.size(), own.size());
   for (int k = 0; k < kShards; ++k) {
     EXPECT_EQ(own[k].substr(0, 8), "LYRASNAP") << "engine " << k;
-    EXPECT_TRUE(images.value().shard_images[k] == own[k]) << "engine " << k;
-  }
-  std::remove(path.c_str());
-}
-
-// Sharded daemons used to write a LYRASHRD file: the per-engine LYRASNAP
-// images plus the routing counter. Such a file still restores, as cluster
-// "train0" with its counter kept, and the restored fleet finishes the
-// script exactly as an uninterrupted run does.
-TEST(Shard, LegacyLyrashrdFileRestoresEveryShard) {
-  const FleetScript script = MakeFleetScript(kShards);
-  const FleetOutcome baseline = RunFleetScript(script, /*cut=*/-1, "");
-  const int cut = static_cast<int>(script.commands.size()) / 2;
-
-  FederationSet fleet = BuildFleet(kShards);
-  for (int i = 0; i < cut; ++i) {
-    fleet.router->Execute(script.commands[static_cast<std::size_t>(i)]);
-  }
-  MultiSnapshot legacy;
-  legacy.submit_seq = fleet.router->submit_seq();
-  ASSERT_GT(legacy.submit_seq, 0u);
-  for (int k = 0; k < kShards; ++k) {
-    const std::string part = TempPath(("part" + std::to_string(k)).c_str());
-    JsonValue snap = Cmd("snapshot");
-    snap.Set("path", JsonValue::MakeString(part));
-    ASSERT_TRUE(EngineExecute(fleet.services[k].get(), snap).GetBool("ok"));
-    legacy.shard_images.push_back(ReadFile(part).value());
-    std::remove(part.c_str());
-  }
-  StopFleet(fleet);
-  const FleetOutcome at_cut = CollectOutcome(fleet);
-  const std::string bytes = EncodeMultiSnapshot(legacy);
-  ASSERT_EQ(bytes.substr(0, 8), "LYRASHRD");
-  const std::string path = TempPath("lyrashrd");
-  ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
-
-  StatusOr<FederationSet> restored =
-      RestoreFederation(FleetOptions(), path, MakeVirtualDriver);
-  ASSERT_TRUE(restored.ok()) << restored.status().message();
-  const FederationRouter& router = *restored.value().router;
-  ASSERT_EQ(router.shard_count(), kShards);
-  ASSERT_EQ(router.cluster_count(), 1);
-  EXPECT_EQ(router.cluster_spec(0).name, "train0");
-  EXPECT_EQ(router.cluster_spec(0).kind, ClusterKind::kTraining);
-  EXPECT_EQ(router.submit_seq(), legacy.submit_seq);
-  StopFleet(restored.value());
-  const FleetOutcome at_restore = CollectOutcome(restored.value());
-  for (int k = 0; k < kShards; ++k) {
-    EXPECT_TRUE(at_restore.decisions[k] == at_cut.decisions[k]) << "shard " << k;
-  }
-
-  const FleetOutcome resumed = ResumeFleetScript(script, cut, path);
-  for (int k = 0; k < kShards; ++k) {
-    EXPECT_TRUE(resumed.decisions[k] == baseline.decisions[k]) << "shard " << k;
-    EXPECT_EQ(resumed.fault_hashes[k], baseline.fault_hashes[k]) << "shard " << k;
+    EXPECT_TRUE(engines[k] == own[k]) << "engine " << k;
   }
   std::remove(path.c_str());
 }
@@ -1083,15 +1026,12 @@ TEST(Shard, SnapshotPipelinedBehindDrainWhileSubmitsRace) {
   StatusOr<FedSnapshot> fed = LoadFedSnapshot(path);
   ASSERT_TRUE(fed.ok()) << fed.status().message();
   ASSERT_EQ(fed.value().clusters.size(), 1u);
-  StatusOr<MultiSnapshot> loaded =
-      DecodeMultiSnapshot(fed.value().clusters[0].image, path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  EXPECT_EQ(loaded.value().shard_images.size(),
-            static_cast<std::size_t>(kShards));
+  const std::vector<std::string>& engines = fed.value().clusters[0].engines;
+  EXPECT_EQ(engines.size(), static_cast<std::size_t>(kShards));
   EXPECT_GE(fed.value().submit_seq, static_cast<std::uint64_t>(kBefore));
   EXPECT_LE(fed.value().submit_seq,
             static_cast<std::uint64_t>(kBefore + kRacers));
-  for (const std::string& image : loaded.value().shard_images) {
+  for (const std::string& image : engines) {
     EXPECT_EQ(image.substr(0, 8), "LYRASNAP");
   }
   std::remove(path.c_str());

@@ -21,7 +21,6 @@
 //       --sweep=10000,20000,50000,100000,200000,400000 --report=BENCH_perf.json
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,32 +30,6 @@
 #include "src/svc/loadclient.h"
 
 namespace {
-
-// Merges `section` into the JSON report at `path` under the "lyra_loadgen"
-// key, preserving every other key (and replacing a previous loadgen section).
-void MergeReport(const std::string& path, const lyra::JsonValue& section) {
-  lyra::JsonValue report = lyra::JsonValue::MakeObject();
-  std::ifstream in(path);
-  if (in) {
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    lyra::StatusOr<lyra::JsonValue> existing = lyra::JsonValue::Parse(buffer.str());
-    if (existing.ok() && existing.value().is_object()) {
-      for (const auto& [key, value] : existing.value().AsObject()) {
-        if (key != "lyra_loadgen") {
-          report.Set(key, value);
-        }
-      }
-    }
-  }
-  report.Set("lyra_loadgen", section);
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "lyra_loadgen: cannot write %s\n", path.c_str());
-    return;
-  }
-  out << report.Dump() << "\n";
-}
 
 void PrintPoint(const lyra::svc::LoadPoint& point) {
   std::printf("  rate %8.0f/s -> accepted %8.0f/s  "
@@ -223,8 +196,13 @@ int main(int argc, char** argv) {
       }
       section.Set("sweep", std::move(curve));
     }
-    MergeReport(report_path, section);
-    std::printf("  merged lyra_loadgen section into %s\n", report_path.c_str());
+    const lyra::Status merged =
+        lyra::MergeReportSection(report_path, "lyra_loadgen", section);
+    if (merged.ok()) {
+      std::printf("  merged lyra_loadgen section into %s\n", report_path.c_str());
+    } else {
+      std::fprintf(stderr, "lyra_loadgen: %s\n", merged.message().c_str());
+    }
   }
 
   // Errors are failures; overloaded replies are the backpressure working.

@@ -18,9 +18,10 @@
 // engine shards, and "name:kind[:shards],..." spells the clusters out.
 // Submits route by "cluster"/"kind", and `migrate` moves a training job
 // between training clusters; capacity loaning stays inside each engine.
-// One engine snapshots to a plain LYRASNAP file, more engines to
-// one LYRAFED container; --restore takes the topology from the file,
-// whatever the flags say (older LYRASHRD files restore as "train0").
+// One engine snapshots to a plain LYRASNAP file, more engines to one
+// LYRAFED container of their LYRASNAP images; --restore takes the topology
+// from the file, whatever the flags say, and refuses any other format or
+// version.
 //
 //   ./build/tools/lyra_schedd --socket=/tmp/lyra.sock
 //   ./build/tools/lyra_schedd --socket=/tmp/lyra.sock --tcp-port=7070
