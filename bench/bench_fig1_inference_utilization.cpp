@@ -16,11 +16,11 @@ int main() {
 
   // Hourly means with a coarse bar rendering.
   std::printf("day hour  util  |bar|\n");
-  const int samples_per_hour = static_cast<int>(lyra::kHour / options.sample_interval);
+  const int samples_per_hour = static_cast<int>(lyra::kHour / lyra::kTrafficSampleInterval);
   for (int hour = 0; hour < 7 * 24; hour += 2) {
     double sum = 0.0;
     for (int s = 0; s < samples_per_hour; ++s) {
-      sum += model.ServingFractionAt(hour * lyra::kHour + s * options.sample_interval);
+      sum += model.ServingFractionAt(hour * lyra::kHour + s * lyra::kTrafficSampleInterval);
     }
     const double mean = sum / samples_per_hour;
     std::printf("%3d %02d:00 %5.1f%%  |", hour / 24, hour % 24, mean * 100.0);

@@ -204,8 +204,10 @@ void BM_ApplyAllocationSteady(benchmark::State& state) {
     const int current = lyra::PlacedFlexibleWorkers(cluster, *job);
     decision.flexible_targets.push_back({.job = job.get(), .target = current, .current = current});
   }
+  lyra::SchedulerContext ctx;
+  ctx.cluster = &cluster;
   for (auto _ : state) {
-    const lyra::PlacementStats stats = lyra::ApplyAllocation(cluster, decision, {});
+    const lyra::PlacementStats stats = lyra::ApplyAllocation(ctx, decision);
     benchmark::DoNotOptimize(stats.scale_ins + stats.scale_outs);
   }
 }

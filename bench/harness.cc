@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "src/common/check.h"
+#include "src/common/json.h"
 #include "src/svc/registry.h"
 
 namespace lyra {
@@ -64,15 +65,6 @@ void RecordPerf(const std::string& label, const JobScheduler& scheduler,
   entry.phases = result.phases;
   std::lock_guard<std::mutex> lock(g_perf_mutex);
   PerfEntries().push_back(std::move(entry));
-}
-
-void JsonEscapeTo(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
 }
 
 }  // namespace
@@ -288,72 +280,49 @@ void WritePerfReport(const std::string& experiment) {
     total_events += e.events;
   }
 
-  std::string json = "{\n  \"experiment\": \"";
-  JsonEscapeTo(json, experiment);
-  json += "\",\n  \"bench_jobs\": " + std::to_string(BenchJobs());
-  json += ",\n  \"total_runs\": " + std::to_string(entries.size());
-  json += ",\n  \"total_events\": " + std::to_string(total_events);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", total_wall);
-  json += ",\n  \"total_sim_wall_sec\": ";
-  json += buf;
-  json += ",\n  \"runs\": [";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const PerfEntry& e = entries[i];
-    json += i == 0 ? "\n" : ",\n";
-    json += "    {\"label\": \"";
-    JsonEscapeTo(json, e.label);
-    json += "\", \"scheduler\": \"";
-    JsonEscapeTo(json, e.scheduler);
-    json += "\", \"reclaim\": \"";
-    JsonEscapeTo(json, e.reclaim);
-    json += "\", \"total_jobs\": " + std::to_string(e.total_jobs);
-    json += ", \"finished_jobs\": " + std::to_string(e.finished_jobs);
-    json += ", \"events\": " + std::to_string(e.events);
-    std::snprintf(buf, sizeof(buf), "%.6f", e.wall_seconds);
-    json += ", \"wall_sec\": ";
-    json += buf;
-    std::snprintf(buf, sizeof(buf), "%.1f", e.events_per_sec);
-    json += ", \"events_per_sec\": ";
-    json += buf;
-    json += ", \"phases\": [";
-    for (std::size_t p = 0; p < e.phases.size(); ++p) {
-      const obs::PhaseStat& stat = e.phases[p];
-      json += p == 0 ? "{" : ", {";
-      json += "\"name\": \"";
-      JsonEscapeTo(json, stat.name);
-      json += "\", \"calls\": " + std::to_string(stat.calls);
-      std::snprintf(buf, sizeof(buf), "%.6f", stat.total_sec);
-      json += ", \"total_sec\": ";
-      json += buf;
-      std::snprintf(buf, sizeof(buf), "%.6f", stat.self_sec);
-      json += ", \"self_sec\": ";
-      json += buf;
-      json += "}";
+  auto number = [](double n) { return JsonValue::MakeNumber(n); };
+  JsonValue runs = JsonValue::MakeArray();
+  for (const PerfEntry& e : entries) {
+    JsonValue phases = JsonValue::MakeArray();
+    for (const obs::PhaseStat& stat : e.phases) {
+      JsonValue phase = JsonValue::MakeObject();
+      phase.Set("name", JsonValue::MakeString(stat.name))
+          .Set("calls", number(stat.calls))
+          .Set("total_sec", number(stat.total_sec))
+          .Set("self_sec", number(stat.self_sec));
+      phases.Append(std::move(phase));
     }
-    json += "]}";
+    JsonValue run = JsonValue::MakeObject();
+    run.Set("label", JsonValue::MakeString(e.label))
+        .Set("scheduler", JsonValue::MakeString(e.scheduler))
+        .Set("reclaim", JsonValue::MakeString(e.reclaim))
+        .Set("total_jobs", number(e.total_jobs))
+        .Set("finished_jobs", number(e.finished_jobs))
+        .Set("events", number(e.events))
+        .Set("wall_sec", number(e.wall_seconds))
+        .Set("events_per_sec", number(e.events_per_sec))
+        .Set("phases", std::move(phases));
+    runs.Append(std::move(run));
   }
-  json += "\n  ]";
-  json += ",\n  \"micro\": [";
-  for (std::size_t i = 0; i < micro.size(); ++i) {
-    json += i == 0 ? "\n" : ",\n";
-    json += "    {\"name\": \"";
-    JsonEscapeTo(json, micro[i].name);
-    std::snprintf(buf, sizeof(buf), "%.1f", micro[i].ns_per_op);
-    json += "\", \"ns_per_op\": ";
-    json += buf;
-    json += "}";
+  JsonValue micro_runs = JsonValue::MakeArray();
+  for (const MicroEntry& m : micro) {
+    JsonValue entry = JsonValue::MakeObject();
+    entry.Set("name", JsonValue::MakeString(m.name)).Set("ns_per_op", number(m.ns_per_op));
+    micro_runs.Append(std::move(entry));
   }
-  json += micro.empty() ? "]" : "\n  ]";
-  json += "\n}\n";
-
-  std::FILE* out = std::fopen(file.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "WritePerfReport: cannot open %s\n", file.c_str());
+  JsonValue report = JsonValue::MakeObject();
+  report.Set("experiment", JsonValue::MakeString(experiment))
+      .Set("bench_jobs", number(BenchJobs()))
+      .Set("total_runs", number(entries.size()))
+      .Set("total_events", number(total_events))
+      .Set("total_sim_wall_sec", number(total_wall))
+      .Set("runs", std::move(runs))
+      .Set("micro", std::move(micro_runs));
+  const Status written = MergeReportSection(file, "harness", report);
+  if (!written.ok()) {
+    std::fprintf(stderr, "WritePerfReport: %s\n", written.message().c_str());
     return;
   }
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
   std::printf("\nperf: %zu run(s), %llu events in %.2fs simulator wall-clock -> %s\n",
               entries.size(), static_cast<unsigned long long>(total_events),
               total_wall, file.c_str());

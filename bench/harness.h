@@ -10,9 +10,10 @@
 // Independent runs fan out over a thread pool via RunExperiments /
 // RunSeedSweep (simulations are seed-deterministic and share no mutable
 // state), and every run's perf profile — events processed, wall-clock,
-// events/sec, per-phase profiler times — is recorded and written as
-// machine-readable JSON by WritePerfReport so the repo's perf trajectory
-// stays measurable. LYRA_BENCH_TRACE=<prefix> additionally writes a Chrome
+// events/sec, per-phase profiler times — is recorded and written by
+// WritePerfReport as the "harness" section of a JSON report, next to the
+// sections other tools merge into the same file, so the repo's perf
+// trajectory stays measurable. LYRA_BENCH_TRACE=<prefix> additionally writes a Chrome
 // trace-event JSON per run (open in ui.perfetto.dev; see tools/lyra_trace).
 #ifndef BENCH_HARNESS_H_
 #define BENCH_HARNESS_H_
@@ -115,7 +116,10 @@ std::vector<SimulationResult> RunSeedSweep(const ExperimentConfig& config,
 
 // Writes the perf profile of every experiment run so far by this process —
 // label, scheduler/reclaim scheme, events processed, wall-clock seconds,
-// events/sec — as JSON (the BENCH_perf.json schema). Path defaults to
+// events/sec — as the "harness" section of a JSON report (the
+// BENCH_perf.json schema), through MergeReportSection: the sections other
+// tools merged into the same file (lyra_loadgen, svc_saturation, rl_policy)
+// stay, and the file is replaced atomically. Path defaults to
 // BENCH_perf.json in the working directory, overridable via
 // LYRA_BENCH_PERF_JSON; LYRA_BENCH_PERF_JSON=0 disables the report.
 void WritePerfReport(const std::string& experiment);

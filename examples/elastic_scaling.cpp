@@ -75,8 +75,7 @@ int main() {
                 t.job->spec().min_workers + t.target, t.job->spec().max_workers);
   }
 
-  lyra::PlacementOptions placement;
-  const lyra::PlacementStats stats = ApplyAllocation(cluster, decision, placement);
+  const lyra::PlacementStats stats = ApplyAllocation(ctx, decision);
   std::printf("placement: %d launched, %d scale-outs, %d free GPUs left\n\n",
               stats.launched, stats.scale_outs,
               cluster.FreeGpus(lyra::ServerPool::kTraining));

@@ -156,11 +156,6 @@ JsonValue& JsonValue::Append(JsonValue value) {
   return *this;
 }
 
-JsonValue* JsonValue::FindMutable(const std::string& key) {
-  return const_cast<JsonValue*>(
-      static_cast<const JsonValue*>(this)->Find(key));
-}
-
 const JsonValue* JsonValue::Find(const std::string& key) const {
   if (!is_object()) {
     return nullptr;

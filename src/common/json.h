@@ -98,8 +98,6 @@ class JsonValue {
   // Object member lookup; nullptr when absent or not an object. With
   // duplicate keys (kKeepAll), the first occurrence wins.
   const JsonValue* Find(const std::string& key) const;
-  // Mutable variant, for editing a member in place.
-  JsonValue* FindMutable(const std::string& key);
 
   // Convenience: Find(key) as a number/string/bool with a fallback.
   double GetDouble(const std::string& key, double fallback = 0.0) const;

@@ -33,8 +33,6 @@ const char* LevelName(LogLevel level) {
 
 void SetLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
 
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-
 bool ParseLogLevel(const std::string& name, LogLevel* level) {
   if (name == "debug") {
     *level = LogLevel::kDebug;

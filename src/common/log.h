@@ -15,7 +15,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kOff = 4 
 
 // Sets the minimum level that is emitted. Defaults to kWarning.
 void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 // Parses a level name ("debug", "info", "warning"/"warn", "error", "off")
 // into *level; false on an unknown name. Backs --log-level flags and the

@@ -16,7 +16,6 @@ enum class StatusCode {
   kInvalidArgument,
   kNotFound,
   kFailedPrecondition,
-  kResourceExhausted,
   kInternal,
   // Transient I/O failure (peer closed, connect refused); retryable.
   kUnavailable,
@@ -39,9 +38,6 @@ class Status {
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

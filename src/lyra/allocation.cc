@@ -88,7 +88,7 @@ CapacityLedger ReadRunning(const SchedulerContext& ctx,
 }  // namespace
 
 AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
-                                    const AllocationOptions& options,
+                                    const LyraSchedulerOptions& options,
                                     MckpSolver* solver, PendingIndex* pending) {
   AllocationDecision decision;
   std::vector<FlexibleTarget>& targets = decision.flexible_targets;

@@ -18,7 +18,17 @@
 
 namespace lyra {
 
-struct AllocationOptions {
+// Lyra's ablation and variant flags, read by allocation and placement alike.
+struct LyraSchedulerOptions {
+  // Table 6 ablation: place elastic jobs on training servers first like
+  // inelastic ones and drop the base/flexible server grouping.
+  bool naive_placement = false;
+  // Lyra+TunedJobs (§7.4): adopt a Pollux-style job agent that re-tunes batch
+  // size and learning rate whenever the allocation changes.
+  bool tuned_jobs = false;
+  // Disable phase 2 entirely: allocate base demands only. Used by the
+  // capacity-loaning-only studies (§7.3) where elastic scaling is off.
+  bool disable_elastic_scaling = false;
   // §10 future work: schedule without knowing running times a priori. Phase
   // one orders jobs by least attained service (Tiresias-style) instead of
   // SJF, and phase two values a flexible worker by the compute it adds
@@ -57,7 +67,7 @@ struct AllocationDecision {
 // scheduler keeps one of each, so a round allocates no DP tables and does
 // not re-sort or re-read the queue); null uses a temporary one.
 AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
-                                    const AllocationOptions& options = {},
+                                    const LyraSchedulerOptions& options = {},
                                     MckpSolver* solver = nullptr,
                                     PendingIndex* pending = nullptr);
 

@@ -6,13 +6,7 @@
 namespace lyra {
 
 void LyraScheduler::Schedule(SchedulerContext& ctx) {
-  AllocationDecision decision;
-  {
-    AllocationOptions allocation;
-    allocation.information_agnostic = options_.information_agnostic;
-    allocation.greedy_phase2 = options_.greedy_phase2;
-    decision = TwoPhaseAllocate(ctx, allocation, &mckp_, &pending_);
-  }
+  AllocationDecision decision = TwoPhaseAllocate(ctx, options_, &mckp_, &pending_);
   if (options_.disable_elastic_scaling) {
     // Base demands only: every flexible target collapses to zero, so any
     // existing flexible workers are also scaled away.
@@ -22,10 +16,7 @@ void LyraScheduler::Schedule(SchedulerContext& ctx) {
   }
   {
     obs::PhaseSpan placement_span(obs::Phase::kPlacement);
-    PlacementOptions placement;
-    placement.naive = options_.naive_placement;
-    placement.allow_loaned = ctx.allow_loaned_placement;
-    last_stats_ = ApplyAllocation(*ctx.cluster, decision, placement);
+    last_stats_ = ApplyAllocation(ctx, decision, options_);
   }
   obs::AddCounter("sched.launched", static_cast<std::uint64_t>(last_stats_.launched));
   obs::AddCounter("sched.launch_failures",

@@ -11,13 +11,15 @@ namespace {
 
 // All-or-nothing placement of a job's base demand within a single GPU type
 // (or mixed for heterogeneous jobs).
-bool PlaceBase(ClusterState& cluster, const Job& job, int workers,
-               const PlacementOptions& options) {
+bool PlaceBase(const SchedulerContext& ctx, const Job& job, int workers,
+               const LyraSchedulerOptions& options) {
+  ClusterState& cluster = *ctx.cluster;
   const JobSpec& spec = job.spec();
   const bool loan_eligible =
-      options.allow_loaned && (spec.fungible || spec.heterogeneous);
-  const TierRule rule = !options.naive && spec.elastic() ? TierRule::kBaseAvoidsFlexible
-                                                         : TierRule::kNone;
+      ctx.allow_loaned_placement && (spec.fungible || spec.heterogeneous);
+  const TierRule rule = !options.naive_placement && spec.elastic()
+                            ? TierRule::kBaseAvoidsFlexible
+                            : TierRule::kNone;
 
   const CandidatePools training = CandidatePools().Add(ServerPool::kTraining, rule);
   const CandidatePools loaned = CandidatePools().Add(ServerPool::kOnLoan, rule);
@@ -26,7 +28,7 @@ bool PlaceBase(ClusterState& cluster, const Job& job, int workers,
     return PlaceAllOrNothing(cluster, job.id(), spec.gpus_per_worker, workers, false, set);
   };
 
-  if (spec.heterogeneous && !options.naive) {
+  if (spec.heterogeneous && !options.naive_placement) {
     // Heterogeneous base demand goes to training servers; if that fails the
     // job may span both pools (§6), on-loan servers behind training's tiers.
     if (try_set(training)) {
@@ -38,7 +40,7 @@ bool PlaceBase(ClusterState& cluster, const Job& job, int workers,
 
   // Non-heterogeneous jobs keep one GPU type per run: pick a pool order and
   // place entirely within one pool.
-  const bool prefer_loaned = spec.elastic() && !options.naive && loan_eligible;
+  const bool prefer_loaned = spec.elastic() && !options.naive_placement && loan_eligible;
   if (prefer_loaned) {
     if (try_set(loaned)) {
       return true;
@@ -52,20 +54,22 @@ bool PlaceBase(ClusterState& cluster, const Job& job, int workers,
 }
 
 // Places up to `workers` flexible workers; partial success allowed.
-int PlaceFlexible(ClusterState& cluster, const Job& job, int workers,
-                  const PlacementOptions& options) {
+int PlaceFlexible(const SchedulerContext& ctx, const Job& job, int workers,
+                  const LyraSchedulerOptions& options) {
+  ClusterState& cluster = *ctx.cluster;
   const JobSpec& spec = job.spec();
   LYRA_CHECK(spec.elastic());  // only elastic jobs hold flexible GPUs
   const bool loan_eligible =
-      options.allow_loaned && (spec.fungible || spec.heterogeneous);
-  const TierRule rule = options.naive ? TierRule::kNone : TierRule::kFlexibleAvoidsBase;
+      ctx.allow_loaned_placement && (spec.fungible || spec.heterogeneous);
+  const TierRule rule =
+      options.naive_placement ? TierRule::kNone : TierRule::kFlexibleAvoidsBase;
 
   CandidatePools set;
   GpuType pinned;
   const bool is_pinned =
       !spec.heterogeneous && CurrentGpuType(cluster, job.id(), &pinned);
 
-  if (spec.heterogeneous && !options.naive) {
+  if (spec.heterogeneous && !options.naive_placement) {
     // Flexible demand of heterogeneous jobs prefers inference servers (§6).
     set.Add(ServerPool::kOnLoan, rule).Add(ServerPool::kTraining, rule, 2);
   } else if (is_pinned && pinned == GpuType::kInferenceT4) {
@@ -87,8 +91,9 @@ int PlaceFlexible(ClusterState& cluster, const Job& job, int workers,
 
 }  // namespace
 
-PlacementStats ApplyAllocation(ClusterState& cluster, const AllocationDecision& decision,
-                               const PlacementOptions& options) {
+PlacementStats ApplyAllocation(const SchedulerContext& ctx, const AllocationDecision& decision,
+                               const LyraSchedulerOptions& options) {
+  ClusterState& cluster = *ctx.cluster;
   PlacementStats stats;
 
   // Scale-ins first so launches and scale-outs see the freed capacity.
@@ -105,7 +110,7 @@ PlacementStats ApplyAllocation(ClusterState& cluster, const AllocationDecision& 
     return a->spec().gpus_per_worker > b->spec().gpus_per_worker;
   });
   for (Job* job : launches) {
-    if (PlaceBase(cluster, *job, job->spec().min_workers, options)) {
+    if (PlaceBase(ctx, *job, job->spec().min_workers, options)) {
       ++stats.launched;
     } else {
       ++stats.launch_failures;
@@ -126,7 +131,7 @@ PlacementStats ApplyAllocation(ClusterState& cluster, const AllocationDecision& 
       current = PlacedFlexibleWorkers(cluster, *t.job);
     }
     if (current < t.target) {
-      stats.scale_outs += PlaceFlexible(cluster, *t.job, t.target - current, options);
+      stats.scale_outs += PlaceFlexible(ctx, *t.job, t.target - current, options);
     }
   }
   return stats;

@@ -14,14 +14,6 @@
 
 namespace lyra {
 
-struct PlacementOptions {
-  // Table 6 ablation: place elastic jobs on training servers first like
-  // inelastic ones and drop the base/flexible server grouping.
-  bool naive = false;
-  // Whether on-loan servers may be used at all this scenario.
-  bool allow_loaned = true;
-};
-
 struct PlacementStats {
   int launched = 0;
   int launch_failures = 0;  // admitted by phase 1 but unplaceable (fragmentation)
@@ -29,13 +21,15 @@ struct PlacementStats {
   int scale_ins = 0;        // flexible workers removed
 };
 
-// Applies the allocation decision to the cluster: scale-ins first, then BFD
+// Applies the allocation decision to ctx.cluster: scale-ins first, then BFD
 // launches, then flexible scale-outs. Launch placement is all-or-nothing per
-// job; scale-outs place as many of the target workers as fit. Each target's
-// `current` must be its job's PlacedFlexibleWorkers at the call, as
-// TwoPhaseAllocate fills it in: only shrunk and launched jobs are read again.
-PlacementStats ApplyAllocation(ClusterState& cluster, const AllocationDecision& decision,
-                               const PlacementOptions& options);
+// job; scale-outs place as many of the target workers as fit. On-loan servers
+// are used only when ctx.allow_loaned_placement, the rule the capacity ledger
+// counted them by. Each target's `current` must be its job's
+// PlacedFlexibleWorkers at the call, as TwoPhaseAllocate fills it in: only
+// shrunk and launched jobs are read again.
+PlacementStats ApplyAllocation(const SchedulerContext& ctx, const AllocationDecision& decision,
+                               const LyraSchedulerOptions& options = {});
 
 }  // namespace lyra
 

@@ -290,8 +290,8 @@ void LstmNetwork::Backward(const std::vector<std::vector<StepCache>>& cache,
 
 void LstmNetwork::AdamUpdate() {
   ++adam_t_;
-  const double b1 = options_.adam_beta1;
-  const double b2 = options_.adam_beta2;
+  const double b1 = kAdamBeta1;
+  const double b2 = kAdamBeta2;
   const double correction1 = 1.0 - std::pow(b1, static_cast<double>(adam_t_));
   const double correction2 = 1.0 - std::pow(b2, static_cast<double>(adam_t_));
   for (std::size_t i = 0; i < param_ptrs_.size(); ++i) {
@@ -300,7 +300,7 @@ void LstmNetwork::AdamUpdate() {
     adam_v_[i] = b2 * adam_v_[i] + (1.0 - b2) * g * g;
     const double m_hat = adam_m_[i] / correction1;
     const double v_hat = adam_v_[i] / correction2;
-    *param_ptrs_[i] -= options_.learning_rate * m_hat / (std::sqrt(v_hat) + options_.adam_eps);
+    *param_ptrs_[i] -= options_.learning_rate * m_hat / (std::sqrt(v_hat) + kAdamEps);
   }
 }
 
@@ -344,7 +344,7 @@ void LstmPredictor::Observe(double value) {
   // Train on random windows drawn from history (favoring recent data), plus
   // always the newest window, so the model tracks regime changes.
   const std::size_t max_start = history_.size() - window - 1;
-  for (int s = 0; s < options_.train_steps_per_observe; ++s) {
+  for (int s = 0; s < kLstmTrainStepsPerObserve; ++s) {
     std::size_t start;
     if (s == 0) {
       start = max_start;
@@ -372,7 +372,7 @@ double LstmPredictor::PredictNext() {
     return 0.0;
   }
   if (history_.size() < window ||
-      history_.size() < static_cast<std::size_t>(options_.warmup_samples)) {
+      history_.size() < static_cast<std::size_t>(kLstmWarmupSamples)) {
     return history_.back();
   }
   std::vector<double> input(history_.end() - static_cast<std::ptrdiff_t>(window),

@@ -16,18 +16,21 @@
 
 namespace lyra {
 
+// Adam moment decay rates and denominator epsilon.
+inline constexpr double kAdamBeta1 = 0.9;
+inline constexpr double kAdamBeta2 = 0.999;
+inline constexpr double kAdamEps = 1e-8;
+// Gradient steps the usage predictor performs per observed sample (on random
+// past windows).
+inline constexpr int kLstmTrainStepsPerObserve = 4;
+// Before this many samples the usage predictor falls back to the last value.
+inline constexpr int kLstmWarmupSamples = 64;
+
 struct LstmOptions {
   int window = 10;
   int hidden = 16;
   int layers = 2;
   double learning_rate = 0.01;  // Adam step size
-  double adam_beta1 = 0.9;
-  double adam_beta2 = 0.999;
-  double adam_eps = 1e-8;
-  // Gradient steps performed per observed sample (on random past windows).
-  int train_steps_per_observe = 4;
-  // Before this many samples the predictor falls back to the last value.
-  int warmup_samples = 64;
   std::uint64_t seed = 17;
 };
 

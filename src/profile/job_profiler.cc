@@ -48,13 +48,13 @@ double JobProfiler::EstimateTotalWork(const JobSpec& spec) const {
   // Global mean (itself shrunk toward the fixed prior while data is scarce),
   // then the bucket mean shrunk toward the global mean.
   const double global_log =
-      (global_.log_sum + kPriorLogDuration * options_.prior_strength) /
-      (global_.count + options_.prior_strength);
+      (global_.log_sum + kPriorLogDuration * kProfilerPriorStrength) /
+      (global_.count + kProfilerPriorStrength);
   const double bucket_log =
-      (cell.log_sum + global_log * options_.prior_strength) /
-      (cell.count + options_.prior_strength);
+      (cell.log_sum + global_log * kProfilerPriorStrength) /
+      (cell.count + kProfilerPriorStrength);
   const double duration = std::exp(bucket_log);
-  return std::max(options_.min_estimate, duration * spec.RequestedWorkers());
+  return std::max(kProfilerMinEstimate, duration * spec.RequestedWorkers());
 }
 
 void JobProfiler::ObserveCompletion(const JobSpec& spec) {

@@ -22,18 +22,14 @@
 
 namespace lyra {
 
-struct JobProfilerOptions {
-  // Pseudo-observations of the global prior each bucket starts with; higher
-  // values shrink small buckets harder toward the global mean.
-  double prior_strength = 4.0;
-  // Floor for any estimate, in worker-seconds.
-  double min_estimate = 60.0;
-};
+// Pseudo-observations of the global prior each bucket starts with; higher
+// values shrink small buckets harder toward the global mean.
+inline constexpr double kProfilerPriorStrength = 4.0;
+// Floor for any estimate, in worker-seconds.
+inline constexpr double kProfilerMinEstimate = 60.0;
 
 class JobProfiler {
  public:
-  explicit JobProfiler(JobProfilerOptions options = {}) : options_(options) {}
-
   // Estimated total work (worker-seconds at reference GPUs) for a job about
   // to be enqueued. Before any observation the estimate is the global prior
   // (a one-hour single-worker job scaled by the requested demand).
@@ -63,7 +59,6 @@ class JobProfiler {
   const Cell& CellFor(const JobSpec& spec) const;
   Cell& CellFor(const JobSpec& spec);
 
-  JobProfilerOptions options_;
   std::array<Cell, kFamilies * kSizes> cells_{};
   Cell global_{};
   std::size_t observations_ = 0;

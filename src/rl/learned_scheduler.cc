@@ -94,7 +94,7 @@ void LearnedScheduler::Schedule(SchedulerContext& ctx) {
   }
   const std::vector<Job*> queue = ArrivalOrder(ctx.pending);
   const int scored =
-      std::min<int>(static_cast<int>(queue.size()), options_.max_scored_jobs);
+      std::min<int>(static_cast<int>(queue.size()), kMaxScoredJobs);
 
   std::vector<std::vector<double>> obs(static_cast<std::size_t>(scored));
   std::vector<double> score(static_cast<std::size_t>(scored));
@@ -168,7 +168,7 @@ void LearnedScheduler::Schedule(SchedulerContext& ctx) {
 
   if (options_.mode == PolicyMode::kSample && trajectory_ != nullptr &&
       trajectory_->steps.size() <
-          static_cast<std::size_t>(options_.max_trajectory_steps)) {
+          static_cast<std::size_t>(kMaxTrajectorySteps)) {
     for (int i = 0; i < scored; ++i) {
       TrajectoryStep step;
       step.obs = std::move(obs[static_cast<std::size_t>(i)]);

@@ -44,17 +44,18 @@ struct Trajectory {
   std::vector<TrajectoryStep> steps;
 };
 
+// Score at most this many head-of-queue jobs per epoch; the tail launches
+// FIFO behind them. Bounds policy cost on deep queues.
+inline constexpr int kMaxScoredJobs = 32;
+// Stop recording trajectory steps beyond this many per episode (bounds
+// rollout memory; gradient steps past the cap are simply not credited).
+inline constexpr int kMaxTrajectorySteps = 50000;
+
 struct LearnedSchedulerOptions {
   PolicyMode mode = PolicyMode::kEval;
   std::uint64_t sample_seed = 1;
   // Exploration stddev of the Gaussian worker action (kSample only).
   double worker_sigma = 0.5;
-  // Score at most this many head-of-queue jobs per epoch; the tail launches
-  // FIFO behind them. Bounds policy cost on deep queues.
-  int max_scored_jobs = 32;
-  // Stop recording trajectory steps beyond this many per episode (bounds
-  // rollout memory; gradient steps past the cap are simply not credited).
-  int max_trajectory_steps = 50000;
 };
 
 class LearnedScheduler : public JobScheduler {

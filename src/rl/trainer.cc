@@ -6,9 +6,8 @@
 
 namespace lyra::rl {
 
-double ComputeReward(const SimulationResult& result, const RewardOptions& options) {
-  return -(result.jct.mean / options.jct_scale) +
-         options.utilization_weight * result.training_usage;
+double ComputeReward(const SimulationResult& result) {
+  return -(result.jct.mean / kRewardJctScale) + kRewardUtilizationWeight * result.training_usage;
 }
 
 StatusOr<TrainReport> TrainPolicy(const TrainOptions& options, PolicyNet* policy) {
@@ -51,8 +50,7 @@ StatusOr<TrainReport> TrainPolicy(const TrainOptions& options, PolicyNet* policy
     std::vector<double> rewards(static_cast<std::size_t>(batch), 0.0);
     double mean_reward = 0.0;
     for (int e = 0; e < batch; ++e) {
-      rewards[static_cast<std::size_t>(e)] =
-          ComputeReward(results[static_cast<std::size_t>(e)], options.reward);
+      rewards[static_cast<std::size_t>(e)] = ComputeReward(results[static_cast<std::size_t>(e)]);
       mean_reward += rewards[static_cast<std::size_t>(e)];
     }
     mean_reward /= batch;

@@ -20,18 +20,14 @@
 
 namespace lyra::rl {
 
-// Episode reward: -(mean JCT / jct_scale) + utilization_weight *
+// Episode reward: -(mean JCT / kRewardJctScale) + kRewardUtilizationWeight *
 // training_usage. Minimizing JCT is the paper's headline metric; the
 // utilization term shapes early training, when most orderings time out into
 // similar JCTs.
-struct RewardOptions {
-  double jct_scale = 4.0 * 3600.0;  // mean-JCT normalizer (seconds)
-  double utilization_weight = 0.5;
+inline constexpr double kRewardJctScale = 4.0 * 3600.0;  // mean-JCT normalizer (seconds)
+inline constexpr double kRewardUtilizationWeight = 0.5;
 
-  friend bool operator==(const RewardOptions&, const RewardOptions&) = default;
-};
-
-double ComputeReward(const SimulationResult& result, const RewardOptions& options);
+double ComputeReward(const SimulationResult& result);
 
 struct TrainOptions {
   int episodes = 16;  // total sampled episodes
@@ -48,7 +44,6 @@ struct TrainOptions {
   // fields of `base` are overwritten per rollout.
   ExperimentConfig env;
   RunSpec base;
-  RewardOptions reward;
   bool verbose = false;
 };
 

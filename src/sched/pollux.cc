@@ -69,7 +69,7 @@ void Repair(const std::vector<Candidate>& candidates, int capacity_gpus,
 }  // namespace
 
 PolluxScheduler::PolluxScheduler(PolluxOptions options)
-    : options_(options), rng_(options.seed) {}
+    : options_(options), rng_(kPolluxSeed) {}
 
 void PolluxScheduler::Schedule(SchedulerContext& ctx) {
   obs::PhaseSpan placement_span(obs::Phase::kPlacement);
@@ -159,7 +159,7 @@ void PolluxScheduler::RunGeneticAllocation(SchedulerContext& ctx,
     population.emplace_back(Fitness(candidates, current), current);
     population.emplace_back(Fitness(candidates, minimal), minimal);
   }
-  while (population.size() < static_cast<std::size_t>(options_.population)) {
+  while (population.size() < static_cast<std::size_t>(kPolluxPopulation)) {
     auto g = random_genome();
     population.emplace_back(Fitness(candidates, g), g);
   }
@@ -174,7 +174,7 @@ void PolluxScheduler::RunGeneticAllocation(SchedulerContext& ctx,
     for (std::size_t i = 0; i < n; ++i) {
       child[i] = rng_.NextBernoulli(0.5) ? population[a].second[i] : population[b].second[i];
     }
-    if (rng_.NextBernoulli(options_.mutation_prob) && n > 0) {
+    if (rng_.NextBernoulli(kPolluxMutationProb) && n > 0) {
       const auto i = static_cast<std::size_t>(
           rng_.UniformInt(0, static_cast<std::int64_t>(n) - 1));
       const Candidate& c = candidates[i];

@@ -15,17 +15,20 @@
 
 namespace lyra {
 
+// Genetic-algorithm population size and per-child mutation probability.
+inline constexpr int kPolluxPopulation = 32;
+inline constexpr double kPolluxMutationProb = 0.3;
+// Seed of the GA's random stream.
+inline constexpr std::uint64_t kPolluxSeed = 1234;
+
 struct PolluxOptions {
   // Genetic-algorithm budget. The paper notes Pollux's preset 100 iterations
   // are insufficient at 3,500-GPU scale and uses 250 to keep overhead
   // acceptable (§7.4).
   int iterations = 250;
-  int population = 32;
-  double mutation_prob = 0.3;
   // Minimum spacing between full GA runs; between runs only base-demand
   // launches happen (Pollux reschedules on a fixed interval).
   TimeSec ga_interval = 5 * kMinute;
-  std::uint64_t seed = 1234;
 };
 
 class PolluxScheduler : public JobScheduler {

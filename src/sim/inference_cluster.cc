@@ -12,21 +12,20 @@ namespace lyra {
 
 DiurnalTrafficModel::DiurnalTrafficModel(const DiurnalTrafficOptions& options)
     : options_(options) {
-  LYRA_CHECK_GT(options.sample_interval, 0.0);
   LYRA_CHECK_LT(options.trough, options.peak);
   Rng rng(options.seed);
   const auto count =
-      static_cast<std::size_t>(std::ceil(options.duration / options.sample_interval)) + 1;
+      static_cast<std::size_t>(std::ceil(options.duration / kTrafficSampleInterval)) + 1;
   samples_.reserve(count);
 
   double noise = 0.0;
   double burst = 0.0;
   TimeSec burst_until = -1.0;
   const double burst_prob_per_sample =
-      options.bursts_per_day * options.sample_interval / kDay;
+      options.bursts_per_day * kTrafficSampleInterval / kDay;
 
   for (std::size_t i = 0; i < count; ++i) {
-    const TimeSec t = static_cast<double>(i) * options.sample_interval;
+    const TimeSec t = static_cast<double>(i) * kTrafficSampleInterval;
     // Diurnal base: a cosine peaking at peak_time, sharpened so the nightly
     // peak lasts about four hours.
     const double phase = 2.0 * M_PI * (std::fmod(t, kDay) - options.peak_time) / kDay;
@@ -40,13 +39,13 @@ DiurnalTrafficModel::DiurnalTrafficModel(const DiurnalTrafficOptions& options)
     }
 
     // AR(1) noise.
-    noise = options_.noise_rho * noise +
-            options_.noise_sigma * std::sqrt(1.0 - options_.noise_rho * options_.noise_rho) *
+    noise = kTrafficNoiseRho * noise +
+            options_.noise_sigma * std::sqrt(1.0 - kTrafficNoiseRho * kTrafficNoiseRho) *
                 rng.NextGaussian();
     // Short traffic bursts: the events the headroom + predictor must absorb.
     if (t > burst_until && rng.NextBernoulli(burst_prob_per_sample)) {
-      burst = options_.burst_magnitude * rng.Uniform(0.5, 1.5);
-      burst_until = t + options_.burst_duration * rng.Uniform(0.5, 2.0);
+      burst = kTrafficBurstMagnitude * rng.Uniform(0.5, 1.5);
+      burst_until = t + kTrafficBurstDuration * rng.Uniform(0.5, 2.0);
     }
     if (t > burst_until) {
       burst = 0.0;
@@ -58,7 +57,7 @@ DiurnalTrafficModel::DiurnalTrafficModel(const DiurnalTrafficOptions& options)
 
 double DiurnalTrafficModel::ServingFractionAt(TimeSec t) const {
   LYRA_CHECK_GE(t, 0.0);
-  auto index = static_cast<std::size_t>(t / options_.sample_interval);
+  auto index = static_cast<std::size_t>(t / kTrafficSampleInterval);
   index = std::min(index, samples_.size() - 1);
   return samples_[index];
 }
@@ -71,7 +70,7 @@ InferenceCluster::InferenceCluster(const InferenceClusterOptions& options,
 }
 
 double InferenceCluster::BusyGpusAt(TimeSec t) const {
-  return ServingFractionAt(t) * options_.compute_per_serving *
+  return ServingFractionAt(t) * kComputePerServing *
          static_cast<double>(options_.num_servers * kGpusPerServer);
 }
 

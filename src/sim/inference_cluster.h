@@ -21,9 +21,17 @@
 
 namespace lyra {
 
+// Spacing of the precomputed serving-fraction samples (Fig 1: 5-minute samples).
+inline constexpr TimeSec kTrafficSampleInterval = 5 * kMinute;
+// AR(1) autocorrelation of the traffic noise, per sample.
+inline constexpr double kTrafficNoiseRho = 0.6;
+// Size of a short traffic burst (scaled by U(0.5, 1.5)) and its length
+// (scaled by U(0.5, 2.0)).
+inline constexpr double kTrafficBurstMagnitude = 0.15;
+inline constexpr TimeSec kTrafficBurstDuration = 30 * kMinute;
+
 struct DiurnalTrafficOptions {
   TimeSec duration = 22 * kDay;  // cover the trace plus drain time
-  TimeSec sample_interval = 5 * kMinute;
   double trough = 0.42;
   double peak = 0.95;
   // Hour-of-day (seconds) at which traffic peaks; the peak lasts ~4 hours.
@@ -35,10 +43,7 @@ struct DiurnalTrafficOptions {
   // cluster (§7.1: the observed median intra-interval burst, which sets the
   // 2% headroom).
   double noise_sigma = 0.03;
-  double noise_rho = 0.6;  // AR(1) autocorrelation per sample
   double bursts_per_day = 6.0;
-  double burst_magnitude = 0.15;
-  TimeSec burst_duration = 30 * kMinute;
   // Weekend traffic dip (fractional reduction applied on days 5 and 6).
   double weekend_dip = 0.05;
   std::uint64_t seed = 1;
@@ -52,7 +57,6 @@ class DiurnalTrafficModel {
   // Serving fraction in [0, 1] at time t (held constant within a sample).
   double ServingFractionAt(TimeSec t) const;
 
-  TimeSec sample_interval() const { return options_.sample_interval; }
   const std::vector<double>& samples() const { return samples_; }
 
  private:
@@ -69,10 +73,11 @@ struct InferenceClusterOptions {
   // serving GPUs spread over more servers than perfect packing would use;
   // busy-server fraction = min(1, serving_fraction * server_packing_spread).
   double server_packing_spread = 1.3;
-  // Average compute occupancy of a serving GPU; calibrates the "overall GPU
-  // usage" metric (a GPU counted as serving is not 100% busy).
-  double compute_per_serving = 0.54;
 };
+
+// Average compute occupancy of a serving GPU; calibrates the "overall GPU
+// usage" metric (a GPU counted as serving is not 100% busy).
+inline constexpr double kComputePerServing = 0.54;
 
 class InferenceCluster {
  public:

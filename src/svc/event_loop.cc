@@ -126,12 +126,11 @@ class EventLoop::IoThread {
     }
   };
 
-  IoThread(EventLoop* loop, FederationRouter* router, std::size_t max_outbuf,
-           int index, std::uint64_t slow_ns)
+  IoThread(EventLoop* loop, FederationRouter* router, int index,
+           std::uint64_t slow_ns)
       : loop_(loop),
         router_(router),
         service_(router->front()),
-        max_outbuf_(max_outbuf),
         index_(index),
         slow_ns_(slow_ns),
         mailbox_(std::make_shared<Mailbox>()) {}
@@ -561,11 +560,7 @@ class EventLoop::IoThread {
         if (request.Find("seq") == nullptr) {
           PushReadyRaw(conn, ShedPayload());
         } else {
-          JsonValue rejection =
-              ErrorReply("overloaded", "command queue full");
-          rejection.Set("retry_after_ms",
-                        JsonValue::MakeNumber(
-                            service_->options().retry_after_ms));
+          JsonValue rejection = OverloadedReply();
           EchoSeq(SeqOf(request), rejection);
           PushReady(conn, rejection);
         }
@@ -668,11 +663,7 @@ class EventLoop::IoThread {
 
   const std::string& ShedPayload() {
     if (shed_payload_.empty()) {
-      JsonValue rejection = ErrorReply("overloaded", "command queue full");
-      rejection.Set(
-          "retry_after_ms",
-          JsonValue::MakeNumber(service_->options().retry_after_ms));
-      rejection.AppendTo(shed_payload_);
+      OverloadedReply().AppendTo(shed_payload_);
     }
     return shed_payload_;
   }
@@ -761,7 +752,7 @@ class EventLoop::IoThread {
           continue;
         }
         if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          if (conn->queued_bytes > max_outbuf_) {
+          if (conn->queued_bytes > kMaxOutbufBytes) {
             Close(conn);  // peer stopped reading; don't buffer forever
             return false;
           }
@@ -887,7 +878,6 @@ class EventLoop::IoThread {
   FederationRouter* router_;
   // router_->front(): telemetry registry, error counter, identity.
   SchedulerService* service_;
-  std::size_t max_outbuf_;
   int index_;
   std::uint64_t slow_ns_;  // 0 disables the slow-request log
   // This thread's telemetry block; acquired at Run() start, written only by
@@ -935,7 +925,7 @@ Status EventLoop::Start() {
     options_.io_threads = 1;
   }
   if (!options_.unix_path.empty()) {
-    StatusOr<int> fd = ListenUnix(options_.unix_path, options_.backlog);
+    StatusOr<int> fd = ListenUnix(options_.unix_path);
     if (!fd.ok()) {
       return fd.status();
     }
@@ -944,8 +934,7 @@ Status EventLoop::Start() {
   }
   if (options_.tcp_port >= 0) {
     StatusOr<int> fd =
-        ListenTcp(options_.tcp_host, options_.tcp_port, options_.backlog,
-                  &tcp_port_);
+        ListenTcp(options_.tcp_host, options_.tcp_port, &tcp_port_);
     if (!fd.ok()) {
       if (unix_listen_fd_ >= 0) {
         ::close(unix_listen_fd_);
@@ -964,7 +953,7 @@ Status EventLoop::Start() {
   threads_.reserve(static_cast<std::size_t>(options_.io_threads));
   for (int i = 0; i < options_.io_threads; ++i) {
     threads_.push_back(std::make_unique<IoThread>(
-        this, router_, options_.max_outbuf_bytes, i, slow_ns));
+        this, router_, i, slow_ns));
     const Status init = threads_.back()->Init();
     if (!init.ok()) {
       threads_.clear();

@@ -40,6 +40,10 @@ namespace lyra::svc {
 class SchedulerService;
 class FederationRouter;
 
+// A connection whose peer stops reading accumulates at most this many unsent
+// bytes before it is dropped.
+inline constexpr std::size_t kMaxOutbufBytes = 64u << 20;
+
 struct EventLoopOptions {
   // Unix socket path to listen on; empty disables the Unix listener.
   std::string unix_path;
@@ -49,10 +53,6 @@ struct EventLoopOptions {
   int tcp_port = -1;
   // Fixed I/O thread pool size.
   int io_threads = 2;
-  int backlog = 128;
-  // A connection whose peer stops reading accumulates at most this many
-  // unsent bytes before it is dropped.
-  std::size_t max_outbuf_bytes = 64u << 20;
   // Requests slower than this (decode -> reply queued) are logged at WARNING
   // through the leveled logger; 0 disables the slow-request log.
   double slow_ms = 0.0;

@@ -24,8 +24,6 @@ inline const char* CodeName(StatusCode code) {
       return "not_found";
     case StatusCode::kFailedPrecondition:
       return "failed_precondition";
-    case StatusCode::kResourceExhausted:
-      return "resource_exhausted";
     case StatusCode::kInternal:
       return "internal";
     case StatusCode::kUnavailable:
@@ -72,6 +70,18 @@ inline void EchoSeq(std::optional<double> seq, JsonValue& reply) {
 // Reads a request's wire "job" id for `cmd`: an integer in [0, 2^53], the
 // range a double carries exactly. Anything else is InvalidArgument, checked
 // before any id arithmetic so no id can alias another job.
+// Hint, in milliseconds, that clients receive with an `overloaded` rejection.
+inline constexpr double kRetryAfterMs = 50.0;
+
+// The rejection for an engine command that finds the engine queue full,
+// whether the front end shed it on the saturation hint or Enqueue refused it.
+// Callers echo the request's seq after it.
+inline JsonValue OverloadedReply() {
+  JsonValue reply = ErrorReply("overloaded", "command queue full");
+  reply.Set("retry_after_ms", JsonValue::MakeNumber(kRetryAfterMs));
+  return reply;
+}
+
 inline StatusOr<std::int64_t> JobIdField(const JsonValue& request,
                                          const char* cmd) {
   const JsonValue* job = request.Find("job");

@@ -334,8 +334,7 @@ void SchedulerService::Enqueue(EngineCommand command,
       rejection = ErrorReply("unavailable", "service is stopped");
     } else if (queue_.size() >= static_cast<std::size_t>(options_.queue_capacity)) {
       ++rejected_overload_;
-      rejection = ErrorReply("overloaded", "command queue full");
-      rejection.Set("retry_after_ms", JsonValue::MakeNumber(options_.retry_after_ms));
+      rejection = OverloadedReply();
     } else {
       was_empty = queue_.empty();
       queue_.push_back(PendingCommand{std::move(command), std::move(sink), a, b});

@@ -76,8 +76,6 @@ struct ServiceOptions {
   // off for deterministic scripting, where the engine moves only on command
   // stamps and explicit advance/drain.
   bool auto_advance = false;
-  // Hint clients receive with an `overloaded` rejection.
-  double retry_after_ms = 50.0;
   // When non-empty, the engine streams a Perfetto trace here (including the
   // service's own command instants on the svc track), written on Stop().
   std::string trace_path;

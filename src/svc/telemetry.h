@@ -103,14 +103,6 @@ class Log2Histogram {
                std::memory_order_relaxed);
   }
 
-  std::uint64_t TotalCount() const {
-    std::uint64_t total = 0;
-    for (const auto& c : counts_) {
-      total += c.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
   // Materializes the current counts as an obs::Histogram whose bounds are
   // 2^i * scale (scale = 1e-9 turns nanosecond samples into second bounds).
   obs::Histogram ToHistogram(double scale) const;

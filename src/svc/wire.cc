@@ -142,7 +142,7 @@ StatusOr<bool> FrameDecoder::Next(std::string* payload) {
   return true;
 }
 
-StatusOr<int> ListenUnix(const std::string& path, int backlog) {
+StatusOr<int> ListenUnix(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (path.size() >= sizeof(addr.sun_path)) {
@@ -161,7 +161,7 @@ StatusOr<int> ListenUnix(const std::string& path, int backlog) {
     ::close(fd);
     return status;
   }
-  if (::listen(fd, backlog) != 0) {
+  if (::listen(fd, kListenBacklog) != 0) {
     const Status status =
         Status::Unavailable("listen " + path + ": " + std::strerror(errno));
     ::close(fd);
@@ -191,8 +191,7 @@ StatusOr<int> ConnectUnix(const std::string& path) {
   return fd;
 }
 
-StatusOr<int> ListenTcp(const std::string& host, int port, int backlog,
-                        int* bound_port) {
+StatusOr<int> ListenTcp(const std::string& host, int port, int* bound_port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -212,7 +211,7 @@ StatusOr<int> ListenTcp(const std::string& host, int port, int backlog,
     ::close(fd);
     return status;
   }
-  if (::listen(fd, backlog) != 0) {
+  if (::listen(fd, kListenBacklog) != 0) {
     const Status status = Status::Unavailable(
         "listen " + host + ":" + std::to_string(port) + ": " + std::strerror(errno));
     ::close(fd);

@@ -63,16 +63,18 @@ class FrameDecoder {
   std::size_t consumed_ = 0;
 };
 
+// Pending-connection queue length of every listener.
+inline constexpr int kListenBacklog = 128;
+
 // Unix-domain socket helpers. Paths must fit sockaddr_un (~107 chars).
-StatusOr<int> ListenUnix(const std::string& path, int backlog);
+StatusOr<int> ListenUnix(const std::string& path);
 StatusOr<int> ConnectUnix(const std::string& path);
 
 // TCP (IPv4) helpers. `port` 0 binds an ephemeral port; ListenTcp reports
 // the actual port through `bound_port` (when non-null). Listeners get
 // SO_REUSEADDR; connected sockets get TCP_NODELAY (frames are small and
 // latency-sensitive, Nagle would batch them against us).
-StatusOr<int> ListenTcp(const std::string& host, int port, int backlog,
-                        int* bound_port = nullptr);
+StatusOr<int> ListenTcp(const std::string& host, int port, int* bound_port = nullptr);
 StatusOr<int> ConnectTcp(const std::string& host, int port);
 
 // Connects to whichever endpoint is configured: the Unix path when

@@ -116,7 +116,7 @@ void SyntheticTraceGenerator::AssignArrivalTimes(Trace& trace, Rng& rng) const {
   const int hours = static_cast<int>(std::ceil(options_.duration / kHour));
   std::vector<double> weights(static_cast<std::size_t>(hours));
   for (double& w : weights) {
-    w = rng.NextLogNormal(0.0, options_.arrival_burstiness);
+    w = rng.NextLogNormal(0.0, kArrivalBurstiness);
   }
   for (JobSpec& job : trace.jobs) {
     const std::size_t hour = rng.SampleIndex(weights);
@@ -212,7 +212,7 @@ Trace MakeTestbedTrace(const TestbedTraceOptions& options) {
       job.fungible = rng.NextBernoulli(0.21);
     }
     const double duration = std::clamp(rng.NextLogNormal(std::log(900.0), 1.0),
-                                       options.min_duration, options.max_duration);
+                                       kTestbedMinDuration, options.max_duration);
     job.total_work = duration * job.RequestedWorkers();
     job.submit_time = rng.NextDouble() * options.submission_window;
     trace.jobs.push_back(job);

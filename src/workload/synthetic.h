@@ -33,10 +33,11 @@ struct SyntheticTraceOptions {
   double heterogeneous_job_fraction = 0.0;
   // Fraction of jobs that checkpoint (the paper's conservative default: 0).
   double checkpointing_fraction = 0.0;
-  // Burstiness of hourly arrival rates (sigma of the lognormal hour weights).
-  double arrival_burstiness = 0.45;
   std::uint64_t seed = 42;
 };
+
+// Burstiness of hourly arrival rates (sigma of the lognormal hour weights).
+inline constexpr double kArrivalBurstiness = 0.45;
 
 class SyntheticTraceGenerator {
  public:
@@ -53,6 +54,9 @@ class SyntheticTraceGenerator {
   SyntheticTraceOptions options_;
 };
 
+// Shortest training time of a testbed job (§7.5).
+inline constexpr TimeSec kTestbedMinDuration = 2 * kMinute;
+
 // The scaled-down testbed workload of §7.5: 180 jobs (10 elastic), maximum
 // demand capped at 16 GPUs (half the 32-GPU training side), submissions over
 // 8 hours, training times between 2 minutes and 2 hours.
@@ -61,7 +65,6 @@ struct TestbedTraceOptions {
   int num_elastic_jobs = 10;
   int max_demand_gpus = 16;
   TimeSec submission_window = 8 * kHour;
-  TimeSec min_duration = 2 * kMinute;
   TimeSec max_duration = 2 * kHour;
   std::uint64_t seed = 7;
 };

@@ -47,7 +47,7 @@ double ThroughputModel::Rate(const JobSpec& spec, const PlacementProfile& profil
     }
   }
   if (tuned) {
-    rate *= options_.tuned_boost;
+    rate *= kTunedBoost;
   }
   return rate;
 }

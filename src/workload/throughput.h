@@ -42,11 +42,12 @@ struct ThroughputOptions {
   // Compute the heterogeneous efficiency from the worker mix with the
   // semi-dynamic load balancer (src/hetero) instead of the flat cap above.
   bool computed_heterogeneous = false;
-  // Multiplier applied to jobs whose hyperparameters are re-tuned on every
-  // allocation change (Lyra+TunedJobs). Tuning restores linear scaling and
-  // recovers a small amount of statistical efficiency.
-  double tuned_boost = 1.05;
 };
+
+// Multiplier applied to jobs whose hyperparameters are re-tuned on every
+// allocation change (Lyra+TunedJobs). Tuning restores linear scaling and
+// recovers a small amount of statistical efficiency.
+inline constexpr double kTunedBoost = 1.05;
 
 class ThroughputModel {
  public:

@@ -214,7 +214,7 @@ TEST_F(AllocationTest, InformationAgnosticUsesLeastAttainedService) {
   pending_.push_back(MakeJob(0, 10000.0, 6, 6));
   pending_.push_back(MakeJob(1, 10.0, 6, 6));
   SchedulerContext ctx = Context();
-  AllocationOptions options;
+  LyraSchedulerOptions options;
   options.information_agnostic = true;
   const AllocationDecision decision = TwoPhaseAllocate(ctx, options);
   ASSERT_EQ(decision.launches.size(), 1u);
@@ -234,7 +234,7 @@ TEST_F(AllocationTest, InformationAgnosticPrefersLeastProgressedJobs) {
   pending_.push_back(std::move(progressed));
   pending_.push_back(std::move(fresh));
   SchedulerContext ctx = Context();
-  AllocationOptions options;
+  LyraSchedulerOptions options;
   options.information_agnostic = true;
   const AllocationDecision decision = TwoPhaseAllocate(ctx, options);
   ASSERT_EQ(decision.launches.size(), 1u);
@@ -246,7 +246,7 @@ TEST_F(AllocationTest, GreedyPhase2RespectsCapacityAndBounds) {
   pending_.push_back(MakeJob(0, 300.0, 2, 6));
   pending_.push_back(MakeJob(1, 120.0, 2, 6));
   SchedulerContext ctx = Context();
-  AllocationOptions options;
+  LyraSchedulerOptions options;
   options.greedy_phase2 = true;
   const AllocationDecision decision = TwoPhaseAllocate(ctx, options);
   int total_flex_gpus = 0;
@@ -267,7 +267,7 @@ TEST_F(AllocationTest, GreedyMatchesKnapsackOnUniformConcaveInstances) {
   pending_.push_back(MakeJob(1, 120.0, 2, 6));
   SchedulerContext ctx = Context();
   const AllocationDecision knapsack = TwoPhaseAllocate(ctx);
-  AllocationOptions options;
+  LyraSchedulerOptions options;
   options.greedy_phase2 = true;
   const AllocationDecision greedy = TwoPhaseAllocate(ctx, options);
   auto value = [&](const AllocationDecision& d) {
@@ -305,7 +305,7 @@ TEST_F(AllocationTest, HugeMaxWorkersIsBoundedByCapacity) {
   for (int round = 0; round < 2; ++round) {
     EXPECT_EQ(FlexTargetOf(TwoPhaseAllocate(ctx, {}, &solver), JobId(0)), 15);
   }
-  AllocationOptions greedy;
+  LyraSchedulerOptions greedy;
   greedy.greedy_phase2 = true;
   EXPECT_EQ(FlexTargetOf(TwoPhaseAllocate(ctx, greedy), JobId(0)), 15);
 }

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include "bench/harness.h"
+#include "src/common/codec.h"
+#include "src/common/json.h"
 #include "src/lyra/lyra_scheduler.h"
 #include "src/lyra/reclaim.h"
 #include "src/predict/predictor.h"
@@ -234,6 +238,35 @@ TEST_F(BenchHarnessTest, AblationNamesMatchHandBuiltLyraVariants) {
   EXPECT_EQ(Summary(RunExperiment(config, spec)), naive_by_hand);
   spec.scheduler = "lyra-no-elastic";
   EXPECT_EQ(Summary(RunExperiment(config, spec)), no_elastic_by_hand);
+}
+
+// The harness writes its report as one section of the shared perf file: a
+// section another tool merged in before stays.
+TEST_F(BenchHarnessTest, PerfReportKeepsOtherSections) {
+  const std::string path =
+      ::testing::TempDir() + "perf_sections_" + std::to_string(::getpid()) + ".json";
+  ASSERT_TRUE(WriteFileAtomic(path, R"({"lyra_loadgen":{"x":1}})").ok());
+  setenv("LYRA_BENCH_PERF_JSON", path.c_str(), 1);
+  ExperimentConfig config;
+  config.scale = 0.02;
+  config.days = 0.5;
+  RunExperiment(config, RunSpec{});
+  WritePerfReport("keeps_sections");
+
+  StatusOr<std::string> text = ReadFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(text.ok()) << text.status().message();
+  StatusOr<JsonValue> report = JsonValue::Parse(text.value());
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  const JsonValue* loadgen = report.value().Find("lyra_loadgen");
+  ASSERT_NE(loadgen, nullptr) << text.value();
+  EXPECT_EQ(loadgen->GetDouble("x"), 1.0);
+  const JsonValue* harness = report.value().Find("harness");
+  ASSERT_NE(harness, nullptr) << text.value();
+  EXPECT_EQ(harness->GetString("experiment"), "keeps_sections");
+  const JsonValue* runs = harness->Find("runs");
+  ASSERT_NE(runs, nullptr);
+  EXPECT_FALSE(runs->AsArray().empty());
 }
 
 TEST(BenchJobsTest, EnvOverrideWins) {

@@ -723,9 +723,7 @@ class RecordingLyraScheduler : public JobScheduler {
       }
       instances_.push_back(std::move(groups));
     }
-    PlacementOptions placement;
-    placement.allow_loaned = ctx.allow_loaned_placement;
-    ApplyAllocation(*ctx.cluster, decision, placement);
+    ApplyAllocation(ctx, decision);
   }
   const std::vector<std::vector<MckpGroup>>& instances() const { return instances_; }
 

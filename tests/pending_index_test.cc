@@ -505,8 +505,7 @@ TEST(PendingIndex, PhaseOneExitMatchesFullWalkOnRandomLedgers) {
     }
     ctx.pending = pending;
     const std::vector<Job*> expected = FullWalkLaunches(ctx);
-    AllocationOptions options;
-    const AllocationDecision decision = TwoPhaseAllocate(ctx, options, nullptr, &index);
+    const AllocationDecision decision = TwoPhaseAllocate(ctx, {}, nullptr, &index);
     ASSERT_EQ(decision.launches, expected) << "trial " << trial;
     if (!ctx.pending.empty() && expected.size() < ctx.pending.size()) {
       ++exits_before_end;

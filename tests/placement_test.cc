@@ -38,6 +38,15 @@ FlexibleTarget LaunchTarget(Job* job, int target) {
   return {.job = job, .target = target, .launch = true};
 }
 
+// Applies `decision` to `cluster` as Lyra's scheduler does in a scenario
+// that allows on-loan placement.
+PlacementStats ApplyTo(ClusterState& cluster, const AllocationDecision& decision,
+                       const LyraSchedulerOptions& options = {}) {
+  SchedulerContext ctx;
+  ctx.cluster = &cluster;
+  return ApplyAllocation(ctx, decision, options);
+}
+
 class PlacementTest : public ::testing::Test {
  protected:
   std::vector<ServerId> AddServers(int count, GpuType type, ServerPool pool) {
@@ -49,9 +58,9 @@ class PlacementTest : public ::testing::Test {
   }
 
   PlacementStats Apply(const AllocationDecision& decision, bool naive = false) {
-    PlacementOptions options;
-    options.naive = naive;
-    return ApplyAllocation(cluster_, decision, options);
+    LyraSchedulerOptions options;
+    options.naive_placement = naive;
+    return ApplyTo(cluster_, decision, options);
   }
 
   bool JobTouchesPool(JobId id, ServerPool pool) {
@@ -459,7 +468,7 @@ TEST(FreeServerIndex, PlaceBaseMatchesFullPoolScan) {
 
     AllocationDecision decision;
     decision.launches.push_back(job.get());
-    ApplyAllocation(cluster, decision, PlacementOptions{});
+    ApplyTo(cluster, decision);
     ReferencePlace(expected, job->id(), gpw, workers, false,
                    {.pools = {ServerPool::kTraining},
                     .tier = BaseDemandTier,
@@ -494,7 +503,7 @@ TEST(FreeServerIndex, PlaceFlexibleMatchesFullPoolScan) {
 
     AllocationDecision decision;
     decision.flexible_targets.push_back(RunningTarget(cluster, job.get(), target));
-    ApplyAllocation(cluster, decision, PlacementOptions{});
+    ApplyTo(cluster, decision);
     ReferencePlace(expected, job->id(), gpw, target, true,
                    {.pools = {ServerPool::kTraining},
                     .tier = FlexibleDemandTier,
@@ -551,7 +560,7 @@ TEST(FreeServerIndex, TwoPoolPlacementMatchesFullPoolScan) {
       AllocationDecision decision;
       decision.launches.push_back(job.get());
       decision.flexible_targets.push_back(LaunchTarget(job.get(), target));
-      ApplyAllocation(actual, decision, PlacementOptions{});
+      ApplyTo(actual, decision);
 
       const ReferenceRule base{.pools = {ServerPool::kTraining},
                                .tier = BaseDemandTier,
@@ -585,7 +594,7 @@ TEST(FreeServerIndex, TwoPoolPlacementMatchesFullPoolScan) {
       AllocationDecision decision;
       decision.launches.push_back(job.get());
       decision.flexible_targets.push_back(LaunchTarget(job.get(), target));
-      ApplyAllocation(actual, decision, PlacementOptions{});
+      ApplyTo(actual, decision);
 
       ReferenceRule base{.pools = {ServerPool::kOnLoan},
                          .tier = BaseDemandTier,
@@ -740,7 +749,7 @@ TEST(FreeServerIndex, CallSequenceOnOneClusterMatchesFullPoolScan) {
     auto retarget = [&](Job& job, int target) {
       AllocationDecision decision;
       decision.flexible_targets.push_back(RunningTarget(actual, &job, target));
-      ApplyAllocation(actual, decision, PlacementOptions{});
+      ApplyTo(actual, decision);
       if (PlacedFlexibleWorkers(expected, job) > target) {
         ShrinkFlexibleTo(expected, job, target);
       }
@@ -762,7 +771,7 @@ TEST(FreeServerIndex, CallSequenceOnOneClusterMatchesFullPoolScan) {
       Job& job = *jobs.back();
       AllocationDecision decision;
       decision.launches.push_back(jobs.back().get());
-      ApplyAllocation(actual, decision, PlacementOptions{});
+      ApplyTo(actual, decision);
       ReferenceRule base{.pools = {ServerPool::kOnLoan},
                          .tier = BaseDemandTier,
                          .empty_last = true,

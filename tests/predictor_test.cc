@@ -144,10 +144,8 @@ TEST(LstmNetwork, LearnsSineWaveNextStep) {
 }
 
 TEST(LstmPredictor, WarmupFallsBackToLastValue) {
-  LstmOptions options;
-  options.warmup_samples = 64;
-  LstmPredictor p(options);
-  for (int i = 0; i < 20; ++i) {
+  LstmPredictor p;
+  for (int i = 0; i < kLstmWarmupSamples - 1; ++i) {
     p.Observe(0.4);
   }
   EXPECT_DOUBLE_EQ(p.PredictNext(), 0.4);
@@ -167,9 +165,7 @@ TEST(LstmPredictor, TracksDiurnalSeriesWithLowLoss) {
   // §6: the paper reports 0.00048 average MSE over 1440 points on the 5-min
   // usage series. Our from-scratch LSTM on a comparable synthetic diurnal
   // series should reach the same order of magnitude.
-  LstmOptions options;
-  options.train_steps_per_observe = 4;
-  LstmPredictor p(options);
+  LstmPredictor p;
   const int day = 288;  // 5-minute slots
   for (int t = 0; t < 5 * day; ++t) {
     const double v =

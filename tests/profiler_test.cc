@@ -93,14 +93,13 @@ TEST(JobProfiler, ErrorMetricDropsAsItLearns) {
 }
 
 TEST(JobProfiler, MinEstimateFloorApplies) {
-  JobProfilerOptions options;
-  options.min_estimate = 500.0;
-  JobProfiler profiler(options);
+  JobProfiler profiler;
   const JobSpec tiny = Spec(ModelFamily::kOther, 1, 1, 1.0);
   for (int i = 0; i < 100; ++i) {
     profiler.ObserveCompletion(tiny);
   }
-  EXPECT_GE(profiler.EstimateTotalWork(tiny), 500.0);
+  // The learned estimate is about one second; the floor lifts it.
+  EXPECT_DOUBLE_EQ(profiler.EstimateTotalWork(tiny), kProfilerMinEstimate);
 }
 
 TEST(ProfilerIntegration, SimulationWithProfilerCompletesAndLearns) {

@@ -61,8 +61,7 @@ TEST(Env, RewardCombinesJctAndUtilization) {
   SimulationResult result;
   result.jct.mean = 7200.0;  // half the 4h normalizer
   result.training_usage = 0.8;
-  RewardOptions reward;
-  EXPECT_DOUBLE_EQ(ComputeReward(result, reward), -0.5 + 0.5 * 0.8);
+  EXPECT_DOUBLE_EQ(ComputeReward(result), -0.5 + 0.5 * 0.8);
 }
 
 struct Episode {
@@ -89,7 +88,7 @@ Episode RunEpisode(const PolicyNet& policy, PolicyMode mode, std::uint64_t sampl
     spec.trajectory = &episode.trajectory;
   }
   episode.result = RunExperiment(config, spec);
-  episode.reward = ComputeReward(episode.result, RewardOptions{});
+  episode.reward = ComputeReward(episode.result);
   return episode;
 }
 

@@ -24,6 +24,7 @@
 #include "src/svc/event_loop.h"
 #include "src/svc/federation.h"
 #include "src/svc/prom.h"
+#include "src/svc/replies.h"
 #include "src/svc/service.h"
 #include "src/svc/state_snapshot.h"
 #include "src/svc/time_driver.h"
@@ -396,17 +397,19 @@ TEST(Service, ShutdownCommandStopsService) {
 TEST(Service, BackpressureRejectsWhenQueueFull) {
   ServiceOptions options = SmallServiceOptions();
   options.queue_capacity = 1;
-  options.retry_after_ms = 7.0;
   FederationSet fleet = OneEngineFleet(options);
   FederationRouter& router = *fleet.router;
   SchedulerService& service = *fleet.services[0];
+  const std::string overloaded = OverloadedReply().Dump();
+  ASSERT_NE(overloaded.find("\"retry_after_ms\":50"), std::string::npos) << overloaded;
 
   // Hammer the capacity-1 queue from many threads until a rejection is
   // observed; with 16 concurrent submitters this lands in the first round.
+  // Execute skips the front end's shed, so each rejection is Enqueue's.
   std::atomic<std::uint64_t> attempts{0};
   std::atomic<std::uint64_t> ok_count{0};
   std::atomic<std::uint64_t> rejected{0};
-  std::atomic<bool> saw_retry_hint{false};
+  std::atomic<std::uint64_t> other_document{0};
   for (int round = 0; round < 50 && rejected.load() == 0; ++round) {
     std::vector<std::thread> threads;
     for (int t = 0; t < 16; ++t) {
@@ -418,8 +421,8 @@ TEST(Service, BackpressureRejectsWhenQueueFull) {
             ok_count.fetch_add(1);
           } else if (reply.GetString("code") == "overloaded") {
             rejected.fetch_add(1);
-            if (reply.GetDouble("retry_after_ms") == 7.0) {
-              saw_retry_hint.store(true);
+            if (reply.Dump() != overloaded) {
+              other_document.fetch_add(1);
             }
           }
         }
@@ -431,13 +434,56 @@ TEST(Service, BackpressureRejectsWhenQueueFull) {
   }
   const SchedulerService::Stats stats = service.stats();
   EXPECT_GT(rejected.load(), 0u);
-  EXPECT_TRUE(saw_retry_hint.load());
+  EXPECT_EQ(other_document.load(), 0u);
   EXPECT_EQ(stats.rejected_overload, rejected.load());
   EXPECT_EQ(stats.jobs_submitted, ok_count.load());
   // Every attempt either succeeded or was explicitly rejected — no silent
   // drops, no blocking.
   EXPECT_EQ(ok_count.load() + rejected.load(), attempts.load());
   service.Stop();
+
+  // The event loop sheds on the saturation hint: frames without a seq get
+  // the canned payload, frames with one a fresh reply echoing it. Both, and
+  // Enqueue's rejections among them, answer the same document.
+  FederationSet flooded = OneEngineFleet(options);
+  EventLoopOptions loop_options;
+  loop_options.unix_path =
+      "/tmp/lyra_svc_overload_" + std::to_string(::getpid()) + ".sock";
+  loop_options.io_threads = 1;
+  EventLoop server(flooded.router.get(), loop_options);
+  ASSERT_TRUE(server.Start().ok());
+  StatusOr<int> fd = ConnectUnix(loop_options.unix_path);
+  ASSERT_TRUE(fd.ok()) << fd.status().message();
+  constexpr int kFrames = 2000;
+  for (int i = 0; i < kFrames; ++i) {
+    JsonValue request = SubmitCmd(0.0);
+    if (i % 2 == 1) {
+      request.Set("seq", JsonValue::MakeNumber(i));
+    }
+    ASSERT_TRUE(WriteFrame(fd.value(), request.Dump()).ok());
+  }
+  int shed_plain = 0;
+  int shed_seq = 0;
+  for (int i = 0; i < kFrames; ++i) {
+    StatusOr<std::string> reply = ReadFrame(fd.value());
+    ASSERT_TRUE(reply.ok()) << reply.status().message();
+    if (reply.value().find("\"overloaded\"") == std::string::npos) {
+      continue;
+    }
+    JsonValue expected = OverloadedReply();
+    if (i % 2 == 1) {
+      EchoSeq(static_cast<double>(i), expected);
+      ++shed_seq;
+    } else {
+      ++shed_plain;
+    }
+    EXPECT_EQ(reply.value(), expected.Dump()) << "frame " << i;
+  }
+  ::close(fd.value());
+  server.Stop();
+  flooded.services[0]->Stop();
+  EXPECT_GT(shed_plain, 0);
+  EXPECT_GT(shed_seq, 0);
 }
 
 TEST(Service, EventLoopEndToEnd) {

@@ -50,10 +50,9 @@ TEST(ThroughputModel, MarginalEfficiencyDiscountsExtraWorkersOnly) {
 TEST(ThroughputModel, TunedJobsRecoverLinearScalingPlusBoost) {
   ThroughputOptions options;
   options.marginal_efficiency = 0.8;
-  options.tuned_boost = 1.05;
   ThroughputModel model(options);
   const JobSpec spec = ElasticSpec(2, 6);
-  EXPECT_DOUBLE_EQ(model.Rate(spec, Profile(6), /*tuned=*/true), 6.0 * 1.05);
+  EXPECT_DOUBLE_EQ(model.Rate(spec, Profile(6), /*tuned=*/true), 6.0 * kTunedBoost);
 }
 
 TEST(ThroughputModel, InferenceGpusNormalizeToNominalWorkers) {
