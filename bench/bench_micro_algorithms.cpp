@@ -4,23 +4,17 @@
 //   - Lyra's greedy reclaiming vs the exhaustive optimal (paper: 1-3 ms vs
 //     ~420,000x more),
 //   - supporting primitives (preemption cost, BFD placement incl. AFS-shaped
-//     one-worker grants, LSTM step),
-//   - ClusterState hot operations at 1000-server scale: the incremental
-//     counters / pool indices vs brute-force recomputation over the server
-//     vector (the pre-optimization behavior, kept here as the baseline),
-//   - the reclaim policy's lazy cost heap vs the pre-rewrite
-//     rescan-per-vacate greedy loop.
+//     one-worker grants, a baseline's harvest, a warm Lyra round, LSTM step),
+//   - ClusterState capacity queries, pool listings and place/remove churn at
+//     1000-server scale,
+//   - the service's JSON reply encoders.
 //
-// The main() also runs the reclaim-tick comparison under manual timing and
-// surfaces it in the "micro" section of BENCH_perf.json (disable with
-// LYRA_BENCH_PERF_JSON=0).
+// google-benchmark is the only timer: for a machine-readable report pass
+// --benchmark_out=BENCH_micro_perf.json --benchmark_out_format=json.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
 #include <memory>
 
-#include "bench/harness.h"
 #include "src/common/check.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
@@ -78,9 +72,9 @@ BENCHMARK(BM_MckpByCapacity)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 // keeps its original draw (80 groups, 1-8 extra workers, gpus per worker up
 // to 8) so its numbers compare across commits. The solver is reused across
 // iterations as the scheduler reuses it across rounds.
-constexpr int kSchedulerShapedCapacities[] = {193, 403, 1013, 4096};
-
-void LoadSchedulerShaped(lyra::MckpSolver& solver, int capacity) {
+void BM_MckpSchedulerShaped(benchmark::State& state) {
+  const int capacity = static_cast<int>(state.range(0));
+  lyra::MckpSolver solver;
   lyra::Rng rng(13);
   for (int g = 0; g < 80; ++g) {
     static constexpr int kGpusPerWorker[] = {1, 2, 4, 8};
@@ -93,21 +87,11 @@ void LoadSchedulerShaped(lyra::MckpSolver& solver, int capacity) {
       solver.AddItem(k * gpw, work / min_workers - work / (min_workers + k));
     }
   }
-}
-
-void BM_MckpSchedulerShaped(benchmark::State& state) {
-  const int capacity = static_cast<int>(state.range(0));
-  lyra::MckpSolver solver;
-  LoadSchedulerShaped(solver, capacity);
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.Solve(capacity).total_value);
   }
 }
-BENCHMARK(BM_MckpSchedulerShaped)->Apply([](benchmark::internal::Benchmark* bench) {
-  for (int capacity : kSchedulerShapedCapacities) {
-    bench->Arg(capacity);
-  }
-});
+BENCHMARK(BM_MckpSchedulerShaped)->Arg(193)->Arg(403)->Arg(1013)->Arg(4096);
 
 // One warm Lyra allocation round (both phases) with range(0) pending jobs.
 // 110 servers are full of elastic jobs, each holding one flexible worker, so
@@ -300,14 +284,8 @@ BENCHMARK(BM_BestFitPlacement);
 // the servers full, the rest partly used by base or flexible fillers. The
 // granted job is fungible and holds a base worker on training GPUs, so each
 // grant stays on them; it is released after every grant to hold the state.
-struct AfsGrantInstance {
+void BM_TryPlaceWorkersAfsGrant(benchmark::State& state) {
   lyra::ClusterState cluster;
-  lyra::PlaceRequest grant;
-};
-
-AfsGrantInstance MostlyFullAfsCluster() {
-  AfsGrantInstance instance;
-  lyra::ClusterState& cluster = instance.cluster;
   lyra::Rng rng(29);
   std::int64_t filler = 1;
   const auto add = [&](int count, lyra::GpuType type, lyra::ServerPool pool) {
@@ -321,7 +299,7 @@ AfsGrantInstance MostlyFullAfsCluster() {
   };
   add(443, lyra::GpuType::kTrainingV100, lyra::ServerPool::kTraining);
   add(260, lyra::GpuType::kInferenceT4, lyra::ServerPool::kOnLoan);
-  lyra::PlaceRequest& grant = instance.grant;
+  lyra::PlaceRequest grant;
   grant.job = lyra::JobId(0);
   grant.gpus_per_worker = 2;
   grant.workers = 1;
@@ -331,18 +309,9 @@ AfsGrantInstance MostlyFullAfsCluster() {
   lyra::PlaceRequest base = grant;
   base.flexible = false;
   LYRA_CHECK(lyra::TryPlaceWorkers(cluster, base));
-  return instance;
-}
-
-void GrantAndRelease(AfsGrantInstance& instance) {
-  benchmark::DoNotOptimize(lyra::TryPlaceWorkers(instance.cluster, instance.grant));
-  instance.cluster.RemoveAllFlexible(instance.grant.job);
-}
-
-void BM_TryPlaceWorkersAfsGrant(benchmark::State& state) {
-  AfsGrantInstance instance = MostlyFullAfsCluster();
   for (auto _ : state) {
-    GrantAndRelease(instance);
+    benchmark::DoNotOptimize(lyra::TryPlaceWorkers(cluster, grant));
+    cluster.RemoveAllFlexible(grant.job);
   }
 }
 BENCHMARK(BM_TryPlaceWorkersAfsGrant);
@@ -403,9 +372,7 @@ BENCHMARK(BM_HarvestFlexibleGpus)->Arg(1)->Arg(24);
 // --- ClusterState hot operations at 1000-server scale ----------------------
 //
 // The scheduler tick queries capacity and lists pools many times per event;
-// these benchmarks compare the maintained counters/indices against the
-// brute-force full-vector recomputation the code used before the
-// incremental-accounting rewrite.
+// ClusterState answers both from maintained counters and pool indices.
 
 lyra::ClusterState BigCluster(int servers, std::uint64_t seed) {
   lyra::Rng rng(seed);
@@ -438,32 +405,6 @@ lyra::ClusterState BigCluster(int servers, std::uint64_t seed) {
   return cluster;
 }
 
-// The pre-rewrite implementations: full scans over the server vector.
-int BruteTotalGpus(const lyra::ClusterState& cluster, lyra::ServerPool pool) {
-  int total = 0;
-  for (const lyra::Server& s : cluster.servers()) {
-    if (s.pool() == pool) total += s.num_gpus();
-  }
-  return total;
-}
-
-int BruteUsedGpus(const lyra::ClusterState& cluster, lyra::ServerPool pool) {
-  int total = 0;
-  for (const lyra::Server& s : cluster.servers()) {
-    if (s.pool() == pool) total += s.used_gpus();
-  }
-  return total;
-}
-
-std::vector<lyra::ServerId> BruteServersInPool(const lyra::ClusterState& cluster,
-                                               lyra::ServerPool pool) {
-  std::vector<lyra::ServerId> out;
-  for (const lyra::Server& s : cluster.servers()) {
-    if (s.pool() == pool) out.push_back(s.id());
-  }
-  return out;
-}
-
 constexpr lyra::ServerPool kAllPools[] = {lyra::ServerPool::kTraining,
                                           lyra::ServerPool::kInference,
                                           lyra::ServerPool::kOnLoan};
@@ -481,24 +422,6 @@ void BM_CapacityQueriesIncremental(benchmark::State& state) {
 }
 BENCHMARK(BM_CapacityQueriesIncremental)->Arg(1000);
 
-void BM_CapacityQueriesBruteForce(benchmark::State& state) {
-  const lyra::ClusterState cluster = BigCluster(static_cast<int>(state.range(0)), 17);
-  for (auto _ : state) {
-    int sum = 0;
-    for (lyra::ServerPool pool : kAllPools) {
-      const int total = BruteTotalGpus(cluster, pool);
-      const int used = BruteUsedGpus(cluster, pool);
-      sum += total + used + (total - used);
-    }
-    sum += BruteTotalGpus(cluster, lyra::ServerPool::kTraining) -
-           BruteUsedGpus(cluster, lyra::ServerPool::kTraining) +
-           BruteTotalGpus(cluster, lyra::ServerPool::kOnLoan) -
-           BruteUsedGpus(cluster, lyra::ServerPool::kOnLoan);
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_CapacityQueriesBruteForce)->Arg(1000);
-
 void BM_PoolListingIndexed(benchmark::State& state) {
   const lyra::ClusterState cluster = BigCluster(static_cast<int>(state.range(0)), 17);
   for (auto _ : state) {
@@ -511,22 +434,9 @@ void BM_PoolListingIndexed(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolListingIndexed)->Arg(1000);
 
-void BM_PoolListingBruteForce(benchmark::State& state) {
-  const lyra::ClusterState cluster = BigCluster(static_cast<int>(state.range(0)), 17);
-  for (auto _ : state) {
-    std::size_t n = 0;
-    for (lyra::ServerPool pool : kAllPools) {
-      n += BruteServersInPool(cluster, pool).size();
-    }
-    benchmark::DoNotOptimize(n);
-  }
-}
-BENCHMARK(BM_PoolListingBruteForce)->Arg(1000);
-
 // Mutation + query churn: the shape of a scheduler tick — place, query the
 // training-side headroom, remove — repeated across the cluster. With the
-// incremental counters the queries are O(1); the baseline pays a full scan
-// per query.
+// incremental counters the queries are O(1).
 void BM_ChurnIncremental(benchmark::State& state) {
   lyra::ClusterState cluster = BigCluster(static_cast<int>(state.range(0)), 17);
   const auto& training = cluster.ServersInPool(lyra::ServerPool::kTraining);
@@ -546,34 +456,9 @@ void BM_ChurnIncremental(benchmark::State& state) {
 }
 BENCHMARK(BM_ChurnIncremental)->Arg(1000);
 
-void BM_ChurnBruteForce(benchmark::State& state) {
-  lyra::ClusterState cluster = BigCluster(static_cast<int>(state.range(0)), 17);
-  const std::vector<lyra::ServerId> training =
-      BruteServersInPool(cluster, lyra::ServerPool::kTraining);
-  int next = 1 << 20;
-  for (auto _ : state) {
-    int headroom = 0;
-    for (std::size_t i = 0; i < training.size(); ++i) {
-      const lyra::ServerId id = training[i];
-      if (cluster.server(id).free_gpus() == 0) continue;
-      const lyra::JobId job(next++);
-      cluster.Place(job, id, 1, true);
-      headroom += BruteTotalGpus(cluster, lyra::ServerPool::kTraining) -
-                  BruteUsedGpus(cluster, lyra::ServerPool::kTraining) +
-                  BruteTotalGpus(cluster, lyra::ServerPool::kOnLoan) -
-                  BruteUsedGpus(cluster, lyra::ServerPool::kOnLoan);
-      cluster.RemoveJob(job);
-    }
-    benchmark::DoNotOptimize(headroom);
-  }
-}
-BENCHMARK(BM_ChurnBruteForce)->Arg(1000);
-
 // Batch worker placement: one 400-worker launch on a 443-server cluster.
-// The best-fit placer (named for the heap it once used) answers each worker
-// from the free-slot index; the pre-rewrite baseline rescanned every server
-// per worker (O(workers x servers)).
-void BM_BatchPlaceHeap(benchmark::State& state) {
+// The best-fit placer answers each worker from the free-slot index.
+void BM_BatchPlaceBestFit(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     lyra::ClusterState cluster;
@@ -588,74 +473,10 @@ void BM_BatchPlaceHeap(benchmark::State& state) {
     benchmark::DoNotOptimize(lyra::TryPlaceWorkers(cluster, request));
   }
 }
-BENCHMARK(BM_BatchPlaceHeap);
+BENCHMARK(BM_BatchPlaceBestFit);
 
-void BM_BatchPlaceLinearScan(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    lyra::ClusterState cluster;
-    std::vector<lyra::ServerId> ids;
-    for (int s = 0; s < 443; ++s) {
-      ids.push_back(cluster.AddServer(lyra::GpuType::kTrainingV100, 8,
-                                      lyra::ServerPool::kTraining));
-    }
-    state.ResumeTiming();
-    for (int w = 0; w < 400; ++w) {
-      lyra::ServerId best;
-      int best_free = 0;
-      for (lyra::ServerId id : ids) {
-        const int free = cluster.server(id).free_gpus();
-        if (free >= 8 && (!best.valid() || free < best_free)) {
-          best = id;
-          best_free = free;
-        }
-      }
-      if (best.valid()) {
-        cluster.Place(lyra::JobId(0), best, 8, false);
-      }
-    }
-    benchmark::DoNotOptimize(cluster.UsedGpus(lyra::ServerPool::kTraining));
-  }
-}
-BENCHMARK(BM_BatchPlaceLinearScan);
-
-// --- Reclaim tick: lazy cost heap vs the pre-rewrite full rescan ------------
-
-// The greedy loop as it was before the heap rewrite: recompute the
-// preemption cost and the collateral estimate of every occupied on-loan
-// server on every iteration. Kept as the microbench baseline.
-int RescanGreedyReclaim(lyra::ClusterState& cluster, int num_servers) {
-  auto idle_on_loan = [&] {
-    int count = 0;
-    for (lyra::ServerId id : cluster.ServersInPool(lyra::ServerPool::kOnLoan)) {
-      if (cluster.server(id).idle()) ++count;
-    }
-    return count;
-  };
-  const int idle_start = idle_on_loan();
-  int vacated = 0;
-  while (idle_on_loan() - idle_start < num_servers) {
-    lyra::ServerId best;
-    double best_cost = 1e300;
-    int best_collateral = 1 << 30;
-    for (lyra::ServerId id : cluster.ServersInPool(lyra::ServerPool::kOnLoan)) {
-      if (cluster.server(id).idle()) continue;
-      const double cost = lyra::ServerPreemptionCost(cluster, id);
-      const int collateral = lyra::CollateralEstimate(cluster, id);
-      if (cost < best_cost || (cost == best_cost && collateral < best_collateral)) {
-        best = id;
-        best_cost = cost;
-        best_collateral = collateral;
-      }
-    }
-    if (!best.valid()) break;
-    lyra::ReclaimResult result;
-    lyra::VacateServer(cluster, best, result);
-    ++vacated;
-  }
-  return vacated;
-}
-
+// One reclaim tick of Lyra's policy (its lazy cost heap), the instance rebuilt
+// untimed before each tick.
 void BM_ReclaimTickHeap(benchmark::State& state) {
   const int servers = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -667,17 +488,6 @@ void BM_ReclaimTickHeap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReclaimTickHeap)->Arg(64)->Arg(256);
-
-void BM_ReclaimTickRescan(benchmark::State& state) {
-  const int servers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    lyra::ClusterState cluster = ReclaimInstance(servers, 11);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(RescanGreedyReclaim(cluster, servers / 3));
-  }
-}
-BENCHMARK(BM_ReclaimTickRescan)->Arg(64)->Arg(256);
 
 // A cluster_stats-shaped reply: the document the service serializes most on
 // its hot path (nested objects, mixed numbers/strings/bools).
@@ -748,94 +558,6 @@ void BM_LstmForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmForward);
 
-// Manual steady_clock timing for the BENCH_perf.json "micro" section: runs
-// the body in growing batches until ~50ms of wall-clock has accumulated and
-// reports mean ns/op.
-template <typename Fn>
-double TimeNsPerOp(Fn&& body) {
-  using Clock = std::chrono::steady_clock;
-  std::int64_t iters = 0;
-  double elapsed_ns = 0.0;
-  std::int64_t batch = 1;
-  while (elapsed_ns < 5e7) {
-    const auto start = Clock::now();
-    for (std::int64_t i = 0; i < batch; ++i) {
-      body();
-    }
-    elapsed_ns += std::chrono::duration<double, std::nano>(Clock::now() - start).count();
-    iters += batch;
-    batch *= 2;
-  }
-  return elapsed_ns / static_cast<double>(iters);
-}
-
-// Times the reclaim-tick comparison, the scheduler-shaped knapsack, the
-// AFS-shaped grant and the JSON reply encoders and records them via the bench harness so the repo's
-// perf trajectory is machine-checkable from BENCH_perf.json.
-void RecordMicroReport() {
-  for (int servers : {64, 256}) {
-    const double heap_ns = TimeNsPerOp([&] {
-      lyra::ClusterState cluster = ReclaimInstance(servers, 11);
-      lyra::LyraReclaimPolicy policy;
-      benchmark::DoNotOptimize(policy.Reclaim(cluster, servers / 3));
-    });
-    const double rescan_ns = TimeNsPerOp([&] {
-      lyra::ClusterState cluster = ReclaimInstance(servers, 11);
-      benchmark::DoNotOptimize(RescanGreedyReclaim(cluster, servers / 3));
-    });
-    const std::string suffix = "_" + std::to_string(servers);
-    lyra::RecordMicroBench("reclaim_tick_heap" + suffix, heap_ns);
-    lyra::RecordMicroBench("reclaim_tick_rescan" + suffix, rescan_ns);
-    std::printf("reclaim tick %d servers: heap %.0f ns/op, rescan %.0f ns/op (%.1fx)\n",
-                servers, heap_ns, rescan_ns, rescan_ns / heap_ns);
-  }
-  // Note: both reclaim timings include rebuilding the instance per iteration;
-  // the ratio understates the policy-only speedup.
-
-  for (int capacity : kSchedulerShapedCapacities) {
-    lyra::MckpSolver solver;
-    LoadSchedulerShaped(solver, capacity);
-    const double solve_ns =
-        TimeNsPerOp([&] { benchmark::DoNotOptimize(solver.Solve(capacity).total_value); });
-    lyra::RecordMicroBench("mckp_scheduler_shaped_" + std::to_string(capacity), solve_ns);
-    std::printf("mckp scheduler-shaped capacity %d: %.0f ns/op\n", capacity, solve_ns);
-  }
-
-  {
-    AfsGrantInstance instance = MostlyFullAfsCluster();
-    const double grant_ns = TimeNsPerOp([&] { GrantAndRelease(instance); });
-    lyra::RecordMicroBench("try_place_workers_afs_grant", grant_ns);
-    std::printf("try-place-workers AFS grant (443+260 servers, mostly full): %.0f ns/op\n",
-                grant_ns);
-  }
-
-  {
-    const lyra::JsonValue reply = ServiceReplyDoc();
-    const double dump_ns =
-        TimeNsPerOp([&] { benchmark::DoNotOptimize(reply.Dump()); });
-    std::string payload;
-    const double append_ns = TimeNsPerOp([&] {
-      payload.clear();
-      reply.AppendTo(payload);
-      benchmark::DoNotOptimize(payload.data());
-    });
-    lyra::RecordMicroBench("json_dump_reply", dump_ns);
-    lyra::RecordMicroBench("json_append_reply", append_ns);
-    std::printf("json reply: dump %.0f ns/op, append-reuse %.0f ns/op\n",
-                dump_ns, append_ns);
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  RecordMicroReport();
-  lyra::WritePerfReport("micro_algorithms");
-  return 0;
-}
+BENCHMARK_MAIN();

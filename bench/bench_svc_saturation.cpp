@@ -14,18 +14,19 @@
 // every other section in the file.
 //
 //   bench_svc_saturation [--rates=20000,100000,400000] [--duration=2]
-//                        [--connections=1] [--io-threads=2] [--shards=1]
-//                        [--shard-sweep=1,2,4,8] [--shard-rate=400000]
-//                        [--federation-sweep=1x1,2x2] [--federation-rate=400000]
+//                        [--connections=1] [--io-threads=2]
+//                        [--federation-sweep=0x1@1,0x1@4,2x2]
+//                        [--federation-rate=400000]
 //
-// --shard-sweep additionally runs one saturating point per engine-shard
-// count (--shard-rate offered) and records the scaling curve under
-// "shard_sweep" in the same section; each entry carries its "shards" count.
-// Engine sharding only buys throughput when shards run on distinct cores —
-// on a single-core host the sweep documents the overhead floor instead.
-// --federation-sweep does the same per federation spec (one fresh federated
-// daemon per point, untargeted submits landing on the training side) and
-// records the curve under "federation_sweep" with each entry's spec string.
+// The rate sweep runs one training cluster of one engine. --federation-sweep
+// additionally runs one saturating point (--federation-rate offered) per
+// federation spec, a fresh federated daemon per point with untargeted
+// submits landing on the training side, and records the curve under
+// "federation_sweep" with each entry's spec string. Engine scaling is the
+// same sweep over `0x1@N` specs (one training cluster of N engines, what
+// lyra_schedd's --shards=N means); extra engines only buy throughput when
+// they run on distinct cores, so on a single-core host the sweep documents
+// the overhead floor instead.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -102,14 +103,11 @@ lyra::StatusOr<lyra::svc::LoadPoint> RunPoint(
 
 int main(int argc, char** argv) {
   std::string rates_csv = "20000,50000,100000,200000,400000";
-  std::string shard_sweep_csv;
   std::string federation_sweep_csv;
   double duration = 2.0;
-  double shard_rate = 400000.0;
   double federation_rate = 400000.0;
   int connections = 1;
   int io_threads = 2;
-  int shards = 1;
 
   lyra::FlagSet flags("bench_svc_saturation: offered-load sweep against a "
                       "fresh in-process daemon per point");
@@ -117,14 +115,8 @@ int main(int argc, char** argv) {
   flags.AddDouble("duration", &duration, "send window per point (seconds)");
   flags.AddInt("connections", &connections, "client connections per point");
   flags.AddInt("io-threads", &io_threads, "event-loop I/O threads");
-  flags.AddInt("shards", &shards, "engine shards for the rate sweep");
-  flags.AddString("shard-sweep", &shard_sweep_csv,
-                  "comma-separated shard counts for a scaling sweep "
-                  "(one saturating point per count)");
-  flags.AddDouble("shard-rate", &shard_rate,
-                  "offered rate for every shard-sweep point");
   flags.AddString("federation-sweep", &federation_sweep_csv,
-                  "comma-separated --federation specs (e.g. 1x1,2x2) for a "
+                  "comma-separated --federation specs (e.g. 0x1@4,2x2) for a "
                   "federated-topology sweep (one saturating point per spec)");
   flags.AddDouble("federation-rate", &federation_rate,
                   "offered rate for every federation-sweep point");
@@ -163,14 +155,14 @@ int main(int argc, char** argv) {
   const std::string payload = request.Dump();
 
   std::printf("svc saturation sweep: %d connection(s), %d io thread(s), "
-              "%d shard(s), %.1fs per point, fresh daemon per point\n",
-              connections, io_threads, shards, duration);
+              "%.1fs per point, fresh daemon per point\n",
+              connections, io_threads, duration);
   std::vector<lyra::svc::LoadPoint> points;
   std::uint64_t errors = 0;
   for (const double rate : rates) {
     lyra::StatusOr<lyra::svc::LoadPoint> run =
         RunPoint(rate, duration, connections, io_threads,
-                 lyra::svc::SingleCluster(shards), payload);
+                 lyra::svc::SingleCluster(1), payload);
     if (!run.ok()) {
       std::fprintf(stderr, "bench_svc_saturation: %s\n",
                    run.status().message().c_str());
@@ -204,79 +196,38 @@ int main(int argc, char** argv) {
   std::printf("peak: %.0f submits/s accepted at offered %.0f/s\n",
               points[best].accepted_per_s, points[best].offered_rate);
 
-  // Shard-count scaling sweep: one saturating point per engine count, same
-  // client and front end throughout, so the only variable is how many
-  // single-writer engines share the applied-command work.
-  std::vector<int> shard_counts;
-  {
-    std::stringstream shard_parts(shard_sweep_csv);
-    std::string shard_part;
-    while (std::getline(shard_parts, shard_part, ',')) {
-      const int value = std::atoi(shard_part.c_str());
-      if (value > 0) {
-        shard_counts.push_back(value);
-      }
-    }
-  }
-  std::vector<std::pair<int, lyra::svc::LoadPoint>> shard_points;
-  if (!shard_counts.empty()) {
-    std::printf("shard scaling sweep at offered %.0f/s:\n", shard_rate);
-    for (const int count : shard_counts) {
-      lyra::StatusOr<lyra::svc::LoadPoint> run =
-          RunPoint(shard_rate, duration, connections, io_threads,
-                   lyra::svc::SingleCluster(count), payload);
-      if (!run.ok()) {
-        std::fprintf(stderr, "bench_svc_saturation: %s\n",
-                     run.status().message().c_str());
-        return 1;
-      }
-      const lyra::svc::LoadPoint& point = run.value();
-      errors += point.errors;
-      std::printf("  shards %2d -> accepted %8.0f/s  p50=%.3fms p99=%.3fms "
-                  "corrected_p99=%.3fms backlog_max=%llu\n",
-                  count, point.accepted_per_s, point.p50_ms, point.p99_ms,
-                  point.corrected_p99_ms,
-                  static_cast<unsigned long long>(point.backlog_max));
-      shard_points.emplace_back(count, point);
-    }
-  }
-
-  // Federation-topology sweep: one saturating point per federation spec —
-  // the cost of the cluster-routing layer as the fleet grows.
-  std::vector<std::string> federation_specs;
-  {
-    std::stringstream fed_parts(federation_sweep_csv);
-    std::string fed_part;
-    while (std::getline(fed_parts, fed_part, ',')) {
-      if (!fed_part.empty()) {
-        federation_specs.push_back(fed_part);
-      }
-    }
-  }
+  // Fleet sweep: one saturating point per federation spec. `0x1@N` specs
+  // give the engine-count scaling curve, NxM specs the cost of the
+  // cluster-routing layer as the fleet grows.
   std::vector<std::pair<std::string, lyra::svc::LoadPoint>> federation_points;
-  if (!federation_specs.empty()) {
+  if (!federation_sweep_csv.empty()) {
     std::printf("federation scaling sweep at offered %.0f/s:\n",
                 federation_rate);
-    for (const std::string& spec : federation_specs) {
-      lyra::StatusOr<std::vector<lyra::svc::ClusterSpec>> clusters =
-          lyra::svc::ParseFederationSpec(spec);
-      lyra::StatusOr<lyra::svc::LoadPoint> run =
-          clusters.ok() ? RunPoint(federation_rate, duration, connections,
-                                   io_threads, clusters.value(), payload)
-                        : lyra::StatusOr<lyra::svc::LoadPoint>(clusters.status());
-      if (!run.ok()) {
-        std::fprintf(stderr, "bench_svc_saturation: federation %s: %s\n",
-                     spec.c_str(), run.status().message().c_str());
-        return 1;
-      }
-      const lyra::svc::LoadPoint& point = run.value();
-      errors += point.errors;
-      std::printf("  federation %-8s -> accepted %8.0f/s  p50=%.3fms "
-                  "p99=%.3fms corrected_p99=%.3fms\n",
-                  spec.c_str(), point.accepted_per_s, point.p50_ms,
-                  point.p99_ms, point.corrected_p99_ms);
-      federation_points.emplace_back(spec, point);
+  }
+  std::stringstream specs(federation_sweep_csv);
+  std::string spec;
+  while (std::getline(specs, spec, ',')) {
+    if (spec.empty()) {
+      continue;
     }
+    lyra::StatusOr<std::vector<lyra::svc::ClusterSpec>> clusters =
+        lyra::svc::ParseFederationSpec(spec);
+    lyra::StatusOr<lyra::svc::LoadPoint> run =
+        clusters.ok() ? RunPoint(federation_rate, duration, connections,
+                                 io_threads, clusters.value(), payload)
+                      : lyra::StatusOr<lyra::svc::LoadPoint>(clusters.status());
+    if (!run.ok()) {
+      std::fprintf(stderr, "bench_svc_saturation: federation %s: %s\n",
+                   spec.c_str(), run.status().message().c_str());
+      return 1;
+    }
+    const lyra::svc::LoadPoint& point = run.value();
+    errors += point.errors;
+    std::printf("  federation %-8s -> accepted %8.0f/s  p50=%.3fms "
+                "p99=%.3fms corrected_p99=%.3fms\n",
+                spec.c_str(), point.accepted_per_s, point.p50_ms,
+                point.p99_ms, point.corrected_p99_ms);
+    federation_points.emplace_back(spec, point);
   }
 
   const char* report_env = std::getenv("LYRA_BENCH_PERF_JSON");
@@ -289,15 +240,6 @@ int main(int argc, char** argv) {
       curve.Append(lyra::svc::LoadPointJson(point));
     }
     section.Set("sweep", std::move(curve));
-    if (!shard_points.empty()) {
-      lyra::JsonValue scaling = lyra::JsonValue::MakeArray();
-      for (const auto& [count, point] : shard_points) {
-        lyra::JsonValue entry = lyra::svc::LoadPointJson(point);
-        entry.Set("shards", lyra::JsonValue::MakeNumber(count));
-        scaling.Append(std::move(entry));
-      }
-      section.Set("shard_sweep", std::move(scaling));
-    }
     if (!federation_points.empty()) {
       lyra::JsonValue scaling = lyra::JsonValue::MakeArray();
       for (const auto& [spec, point] : federation_points) {

@@ -41,16 +41,6 @@ std::vector<PerfEntry>& PerfEntries() {
   return entries;
 }
 
-// Microbenchmark results (ns/op), also guarded by g_perf_mutex.
-struct MicroEntry {
-  std::string name;
-  double ns_per_op = 0.0;
-};
-std::vector<MicroEntry>& MicroEntries() {
-  static std::vector<MicroEntry> entries;
-  return entries;
-}
-
 void RecordPerf(const std::string& label, const JobScheduler& scheduler,
                 const ReclaimPolicy& reclaim, const SimulationResult& result) {
   PerfEntry entry;
@@ -88,8 +78,6 @@ Trace MakeTrace(const ExperimentConfig& config) {
   options.duration = config.days * kDay;
   options.training_gpus = config.training_servers() * 8;
   options.target_utilization = config.offered_load;
-  options.elastic_work_fraction = config.elastic_work_fraction;
-  options.fungible_job_fraction = config.fungible_fraction;
   options.heterogeneous_job_fraction = config.heterogeneous_fraction;
   options.checkpointing_fraction = config.checkpointing_fraction;
   options.seed = config.seed;
@@ -170,7 +158,7 @@ SimulationResult RunOne(const ExperimentConfig& config, const RunSpec& spec,
   Simulator simulator(options, trace, scheduler.get(), reclaim.get(),
                       MakeInferenceCluster(config.inference_servers(), trace.duration,
                                            config.seed,
-                                           svc::MakeUsagePredictor(spec.lstm_predictor)));
+                                           svc::MakeUsagePredictor(/*lstm=*/false)));
   SimulationResult result = simulator.Run();
   RecordPerf(label, *scheduler, *reclaim, result);
   return result;
@@ -254,11 +242,6 @@ std::vector<SimulationResult> RunSeedSweep(const ExperimentConfig& config,
   return RunExperiments(runs);
 }
 
-void RecordMicroBench(const std::string& name, double ns_per_op) {
-  std::lock_guard<std::mutex> lock(g_perf_mutex);
-  MicroEntries().push_back({name, ns_per_op});
-}
-
 void WritePerfReport(const std::string& experiment) {
   const char* path = std::getenv("LYRA_BENCH_PERF_JSON");
   if (path != nullptr && std::string(path) == "0") {
@@ -267,11 +250,9 @@ void WritePerfReport(const std::string& experiment) {
   const std::string file = path != nullptr ? path : "BENCH_perf.json";
 
   std::vector<PerfEntry> entries;
-  std::vector<MicroEntry> micro;
   {
     std::lock_guard<std::mutex> lock(g_perf_mutex);
     entries = PerfEntries();
-    micro = MicroEntries();
   }
   double total_wall = 0.0;
   std::uint64_t total_events = 0;
@@ -304,20 +285,13 @@ void WritePerfReport(const std::string& experiment) {
         .Set("phases", std::move(phases));
     runs.Append(std::move(run));
   }
-  JsonValue micro_runs = JsonValue::MakeArray();
-  for (const MicroEntry& m : micro) {
-    JsonValue entry = JsonValue::MakeObject();
-    entry.Set("name", JsonValue::MakeString(m.name)).Set("ns_per_op", number(m.ns_per_op));
-    micro_runs.Append(std::move(entry));
-  }
   JsonValue report = JsonValue::MakeObject();
   report.Set("experiment", JsonValue::MakeString(experiment))
       .Set("bench_jobs", number(BenchJobs()))
       .Set("total_runs", number(entries.size()))
       .Set("total_events", number(total_events))
       .Set("total_sim_wall_sec", number(total_wall))
-      .Set("runs", std::move(runs))
-      .Set("micro", std::move(micro_runs));
+      .Set("runs", std::move(runs));
   const Status written = MergeReportSection(file, "harness", report);
   if (!written.ok()) {
     std::fprintf(stderr, "WritePerfReport: %s\n", written.message().c_str());

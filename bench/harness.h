@@ -1,6 +1,8 @@
-// Shared experiment harness for the bench binaries.
+// Shared experiment harness for the simulation bench binaries.
 //
-// Each bench reproduces one table or figure from the paper. The harness
+// Each bench reproduces one table or figure from the paper. (The
+// google-benchmark suite bench_micro_algorithms and the service bench
+// bench_svc_saturation do not link it.) The harness
 // provides the scenario vocabulary of §7.1 (trace scenarios; schedulers and
 // reclaiming schemes by component-registry name) and a single RunExperiment
 // entry point so benches stay declarative. Cluster scale and trace length
@@ -35,8 +37,6 @@ struct ExperimentConfig {
   double scale = 1.0;
   double days = 15.0;
   double offered_load = 0.95;
-  double elastic_work_fraction = 0.36;
-  double fungible_fraction = 0.21;
   double heterogeneous_fraction = 0.0;
   double checkpointing_fraction = 0.0;
   // Grow the elastic share of the job population to this fraction (Figs
@@ -68,8 +68,6 @@ struct RunSpec {
   double misprediction_fraction = 0.0;
   TimeSec checkpoint_interval = 0.0;
   bool record_series = false;
-  // Use the LSTM usage predictor instead of seasonal-naive (slower).
-  bool lstm_predictor = false;
   // Deterministic fault injection (off by default; see src/sim/faults.h).
   FaultOptions faults;
   // scheduler == "learned" only: the policy to drive (shared read-only
@@ -123,10 +121,6 @@ std::vector<SimulationResult> RunSeedSweep(const ExperimentConfig& config,
 // BENCH_perf.json in the working directory, overridable via
 // LYRA_BENCH_PERF_JSON; LYRA_BENCH_PERF_JSON=0 disables the report.
 void WritePerfReport(const std::string& experiment);
-
-// Records one microbenchmark result (nanoseconds per operation) to surface
-// in the "micro" section of the next WritePerfReport. Thread-safe.
-void RecordMicroBench(const std::string& name, double ns_per_op);
 
 // Formats seconds with no decimals, e.g. for table cells.
 std::string Secs(double seconds);

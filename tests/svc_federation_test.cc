@@ -162,6 +162,25 @@ TEST(Federation, SpecParsingCompactAndExplicitForms) {
   EXPECT_FALSE(ParseFederationSpec("edge:inf:1:99999999999").ok());
 }
 
+// `--shards=N` is sugar for `--federation=0x1@N`, and bench_svc_saturation's
+// engine-scaling sweep runs `0x1@N` specs on that sugar: both must name the
+// same fleet, one training cluster "train0" of N engines.
+TEST(Federation, ZeroByOneSpecIsSingleCluster) {
+  for (int n = 1; n <= 8; ++n) {
+    const std::string spec = "0x1@" + std::to_string(n);
+    const StatusOr<std::vector<ClusterSpec>> parsed = ParseFederationSpec(spec);
+    ASSERT_TRUE(parsed.ok()) << spec << ": " << parsed.status().message();
+    const std::vector<ClusterSpec> single = SingleCluster(n);
+    ASSERT_EQ(parsed.value().size(), 1u) << spec;
+    ASSERT_EQ(single.size(), 1u);
+    for (const ClusterSpec& cluster : {parsed.value()[0], single[0]}) {
+      EXPECT_EQ(cluster.name, "train0") << spec;
+      EXPECT_EQ(cluster.kind, ClusterKind::kTraining) << spec;
+      EXPECT_EQ(cluster.shards, n) << spec;
+    }
+  }
+}
+
 // The compact form bounds its counts before it builds a cluster list: a
 // count of a hundred million is refused at once instead of allocating its
 // clusters, and one past strtoll's range is refused instead of saturated.
