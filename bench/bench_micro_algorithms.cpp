@@ -475,20 +475,6 @@ void BM_BatchPlaceBestFit(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchPlaceBestFit);
 
-// One reclaim tick of Lyra's policy (its lazy cost heap), the instance rebuilt
-// untimed before each tick.
-void BM_ReclaimTickHeap(benchmark::State& state) {
-  const int servers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    lyra::ClusterState cluster = ReclaimInstance(servers, 11);
-    lyra::LyraReclaimPolicy policy;
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(policy.Reclaim(cluster, servers / 3));
-  }
-}
-BENCHMARK(BM_ReclaimTickHeap)->Arg(64)->Arg(256);
-
 // A cluster_stats-shaped reply: the document the service serializes most on
 // its hot path (nested objects, mixed numbers/strings/bools).
 lyra::JsonValue ServiceReplyDoc() {

@@ -9,24 +9,6 @@
 
 namespace lyra {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kServerCrash:
-      return "server_crash";
-    case FaultKind::kServerRecovery:
-      return "server_recovery";
-    case FaultKind::kWorkerFailure:
-      return "worker_failure";
-    case FaultKind::kRevocationStorm:
-      return "revocation_storm";
-    case FaultKind::kStragglerStart:
-      return "straggler_start";
-    case FaultKind::kStragglerEnd:
-      return "straggler_end";
-  }
-  return "?";
-}
-
 FaultInjector::FaultInjector(const FaultOptions& options)
     : options_(options), rng_(options.seed) {
   LYRA_CHECK(options_.enabled);

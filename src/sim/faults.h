@@ -66,8 +66,6 @@ enum class FaultKind : std::uint8_t {
   kStragglerEnd,
 };
 
-const char* FaultKindName(FaultKind kind);
-
 // One fault firing. `target` is a server id for crash/recovery, a job id for
 // worker/straggler faults, and the number of servers revoked for storms.
 // `jobs_affected` counts preemptions (crash, storm) or is 0.

@@ -203,10 +203,6 @@ class EventLoop::IoThread {
     std::uint64_t start_ns = 0;
     std::uint64_t seq = 0;
     TelemetryCmd cmd = TelemetryCmd::kOther;
-    // Which engine shard owns the command, and whether its reply's "job"
-    // needs the local->global id rewrite (submit/cancel at shard_count > 1).
-    std::uint32_t shard = 0;
-    bool rewrite_job = false;
   };
 
   struct Conn {
@@ -548,43 +544,36 @@ class EventLoop::IoThread {
     // the read dispatcher answers with the usual error reply).
     const TelemetryCmd tcmd = TelemetryCmdFromName(request.GetString("cmd"));
     if (IsEngineCmd(tcmd)) {
-      const FederationRouter::Plan plan = router_->RouteEngine(tcmd, request);
-      if (plan.shed) {
-        // Shed on the saturation hint: at heavy overload most engine frames
-        // are doomed to rejection, and building + serializing a fresh reply
-        // per frame just starves the frames that would be accepted. Answer
-        // with one canned pre-serialized rejection instead. The hint racing
-        // the engine's drain only means the authoritative check below picks
-        // up the boundary cases.
-        router_->shard(static_cast<int>(plan.shard))->CountShedOverload();
-        if (request.Find("seq") == nullptr) {
-          PushReadyRaw(conn, ShedPayload());
-        } else {
-          JsonValue rejection = OverloadedReply();
-          EchoSeq(SeqOf(request), rejection);
-          PushReady(conn, rejection);
-        }
-        return;
-      }
-      // BeginEngine consumes the routing counter; it must precede the slot
-      // so the slot records the authoritative shard.
-      const std::uint32_t shard = router_->BeginEngine(plan);
+      // The slot exists before the dispatch: a malformed command or a full
+      // engine queue is answered inline, re-entering OnCompletion before
+      // Dispatch returns. Otherwise the engine thread bounces the reply onto
+      // this I/O thread via the mailbox sink as a typed record; serialization
+      // happens here, off the engine.
       const std::uint64_t seq = conn->base_seq + conn->slots.size();
       conn->slots.emplace_back();
       Slot& slot = conn->slots.back();
       slot.start_ns = start_ns;
       slot.seq = seq;
       slot.cmd = tcmd;
-      slot.shard = shard;
-      slot.rewrite_job = plan.rewrite_job;
       ++conn->engine_inflight;
-      // Engine thread (or inline on overload) bounces the reply onto the
-      // owning I/O thread via the mailbox sink as a typed record;
-      // serialization happens there, off the engine. The slot is fully
-      // initialized first: a malformed command or a saturated shard is
-      // answered inline, re-entering OnCompletion before DispatchEngine
-      // returns.
-      router_->DispatchEngine(plan, shard, request, mailbox_, conn->id, seq);
+      if (router_->Dispatch(tcmd, request, mailbox_, conn->id, seq)) {
+        // Shed on the saturation hint: at heavy overload most engine frames
+        // are doomed to rejection, and building + serializing a fresh reply
+        // per frame just starves the frames that would be accepted. Answer
+        // with one canned pre-serialized rejection instead, recording no
+        // latency (rejections would poison the request-duration
+        // histograms). The hint racing the engine's drain only means
+        // Enqueue's authoritative check picks up the boundary cases.
+        --conn->engine_inflight;
+        slot.start_ns = 0;
+        if (request.Find("seq") == nullptr) {
+          MakeReadyRaw(slot, ShedPayload(), conn);
+        } else {
+          JsonValue rejection = OverloadedReply();
+          EchoSeq(SeqOf(request), rejection);
+          MakeReady(slot, rejection, conn);
+        }
+      }
     } else if (conn->engine_inflight > 0) {
       // An engine command ahead of this read is still in flight: defer, so
       // the reply order matches the request order and the read observes the
@@ -643,13 +632,10 @@ class EventLoop::IoThread {
     MakeReady(conn->slots.back(), reply, conn);
   }
 
-  // Ready slot from pre-serialized bytes; the shed path answers thousands
-  // of doomed frames per second and must not re-serialize each one. Counts
-  // the frame out but records no latency — rejections would poison the
-  // request-duration histograms.
-  void PushReadyRaw(Conn* conn, const std::string& payload) {
-    conn->slots.emplace_back();
-    Slot& slot = conn->slots.back();
+  // Readies a slot from pre-serialized bytes; the shed path answers
+  // thousands of doomed frames per second and must not re-serialize each
+  // one. Counts the frame out but records no latency.
+  void MakeReadyRaw(Slot& slot, const std::string& payload, Conn* conn) {
     slot.payload = payload;
     EncodeFrameHeader(static_cast<std::uint32_t>(slot.payload.size()),
                       slot.header);
@@ -684,9 +670,6 @@ class EventLoop::IoThread {
     }
     Slot& slot = conn->slots[index];
     LYRA_CHECK(slot.state == Slot::State::kWaitingEngine);
-    if (slot.rewrite_job) {
-      router_->RewriteReplyJob(slot.shard, reply);
-    }
     MakeReady(slot, reply, conn);
     --conn->engine_inflight;
     ResolveDeferredReads(conn);

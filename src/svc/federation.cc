@@ -290,7 +290,7 @@ class FederationRouter::MigrationSink
   MigrationSink(FederationRouter* router, std::optional<double> seq,
                 std::shared_ptr<SchedulerService::CompletionSink> parent,
                 std::uint64_t a, std::uint64_t b, std::int64_t from_global,
-                std::uint32_t source_engine, std::uint32_t dest_engine,
+                std::uint32_t dest_engine,
                 std::uint32_t dest_cluster, std::uint32_t source_cluster,
                 EngineCommand submit, double checkpoint_cost)
       : router_(router),
@@ -299,7 +299,6 @@ class FederationRouter::MigrationSink
         a_(a),
         b_(b),
         from_global_(from_global),
-        source_engine_(source_engine),
         dest_engine_(dest_engine),
         dest_cluster_(dest_cluster),
         source_cluster_(source_cluster),
@@ -309,10 +308,6 @@ class FederationRouter::MigrationSink
   void OnReply(std::uint64_t phase, std::uint64_t /*unused*/,
                JsonValue reply) override {
     if (!reply.GetBool("ok", false)) {
-      if (phase == 0) {
-        // The cancel's not_found names the shard-local id.
-        router_->RewriteReplyJob(source_engine_, reply);
-      }
       EchoSeq(seq_, reply);
       parent_->OnReply(a_, b_, std::move(reply));
       return;
@@ -326,9 +321,8 @@ class FederationRouter::MigrationSink
           ->Enqueue(std::move(submit_), shared_from_this(), 1, 0);
       return;
     }
-    const std::int64_t local =
+    const std::int64_t to_global =
         static_cast<std::int64_t>(reply.GetDouble("job", -1.0));
-    const std::int64_t to_global = router_->ToGlobal(local, dest_engine_);
     const double time = reply.GetDouble("time", 0.0);
     {
       std::lock_guard<std::mutex> lock(router_->ledger_mu_);
@@ -354,7 +348,6 @@ class FederationRouter::MigrationSink
   const std::uint64_t a_;
   const std::uint64_t b_;
   const std::int64_t from_global_;
-  const std::uint32_t source_engine_;
   const std::uint32_t dest_engine_;
   const std::uint32_t dest_cluster_;
   const std::uint32_t source_cluster_;
@@ -431,17 +424,6 @@ void FederationRouter::RecordMigration(double now, std::int64_t from_job,
   }
 }
 
-double FederationRouter::MaxEngineTime() const {
-  double time = 0.0;
-  for (int k = 0; k < shard_count(); ++k) {
-    const std::shared_ptr<const StateSnapshot> snap = shard(k)->snapshot();
-    if (snap != nullptr) {
-      time = std::max(time, snap->time);
-    }
-  }
-  return time;
-}
-
 const std::vector<std::uint32_t>* FederationRouter::TargetEngines(
     const JsonValue& request) const {
   const JsonValue* cluster = request.Find("cluster");
@@ -474,75 +456,6 @@ const std::vector<std::uint32_t>* FederationRouter::TargetEngines(
   return engines.empty() ? nullptr : &engines;
 }
 
-FederationRouter::Plan FederationRouter::RouteEngine(
-    TelemetryCmd cmd, const JsonValue& request) const {
-  Plan plan;
-  plan.cmd = cmd;
-  if (cmd == TelemetryCmd::kMigrate) {
-    const StatusOr<std::int64_t> job = JobIdField(request, "migrate");
-    plan.reject = cluster_count() < 2 || !job.ok();
-    if (!plan.reject) {
-      plan.shard = ShardOfJob(job.value());
-      plan.shed = shard(static_cast<int>(plan.shard))->EngineSaturated();
-    }
-    return plan;
-  }
-  if (shard_count() == 1 && cmd != TelemetryCmd::kSnapshot) {
-    // The plain daemon's hot path: no JSON lookups, engine 0 answers.
-    plan.shed = front()->EngineSaturated();
-    return plan;
-  }
-  switch (cmd) {
-    case TelemetryCmd::kSubmit: {
-      const std::vector<std::uint32_t>* targets = TargetEngines(request);
-      if (targets == nullptr) {
-        plan.reject = true;
-        return plan;
-      }
-      plan.rewrite_job = true;
-      const JsonValue* key = request.Find("key");
-      if (key != nullptr && key->is_string()) {
-        plan.shard = (*targets)[Fnv1a(key->AsString()) % targets->size()];
-      } else {
-        // Peek only: a shed submit must not consume a routing sequence
-        // number, or a restore would route later submits differently than
-        // the uninterrupted run (the counter is snapshotted). BeginEngine's
-        // fetch_add is authoritative.
-        plan.counter_targets = targets;
-        plan.shard = (*targets)[Fnv1aU64(submit_seq()) % targets->size()];
-      }
-      break;
-    }
-    case TelemetryCmd::kCancel: {
-      // An invalid "job" goes to engine 0, which answers invalid_argument.
-      const StatusOr<std::int64_t> job = JobIdField(request, "cancel");
-      if (job.ok()) {
-        plan.shard = ShardOfJob(job.value());
-        plan.rewrite_job = true;
-      }
-      break;
-    }
-    default:
-      plan.fanout = true;
-      plan.shed = AnySaturated();
-      return plan;
-  }
-  plan.shed = shard(static_cast<int>(plan.shard))->EngineSaturated();
-  return plan;
-}
-
-std::uint32_t FederationRouter::BeginEngine(const Plan& plan) {
-  if (plan.counter_targets != nullptr) {
-    // The fetch_add is the authoritative routing decision: two I/O threads
-    // that both planned from the same peeked value still dispatch to
-    // distinct, deterministic engines.
-    const std::uint64_t seq =
-        submit_seq_.fetch_add(1, std::memory_order_relaxed);
-    return (*plan.counter_targets)[Fnv1aU64(seq) % plan.counter_targets->size()];
-  }
-  return plan.shard;
-}
-
 JsonValue FederationRouter::RejectReply(TelemetryCmd cmd,
                                         const JsonValue& request) const {
   JsonValue reply;
@@ -571,104 +484,119 @@ JsonValue FederationRouter::RejectReply(TelemetryCmd cmd,
       }
     }
   }
-  EchoSeq(SeqOf(request), reply);
   return reply;
 }
 
-void FederationRouter::DispatchEngine(
-    const Plan& plan, std::uint32_t shard_index, const JsonValue& request,
+bool FederationRouter::Dispatch(
+    TelemetryCmd cmd, const JsonValue& request,
     std::shared_ptr<SchedulerService::CompletionSink> sink, std::uint64_t a,
-    std::uint64_t b) {
-  if (plan.reject) {
+    std::uint64_t b, bool may_shed) {
+  const auto fail = [&](JsonValue reply) {
     front()->CountError();
-    sink->OnReply(a, b, RejectReply(plan.cmd, request));
-    return;
-  }
-  if (plan.cmd == TelemetryCmd::kMigrate) {
-    StartMigration(request, std::move(sink), a, b);
-    return;
-  }
-  StatusOr<EngineCommand> decoded = DecodeEngineCommand(plan.cmd, request);
-  if (!decoded.ok()) {
-    // Answered once here, whatever the fanout: no engine sees it.
-    front()->CountError();
-    JsonValue reply = StatusReply(decoded.status());
     EchoSeq(SeqOf(request), reply);
     sink->OnReply(a, b, std::move(reply));
-    return;
+    return false;
+  };
+
+  // Route: the target engine (engine 0 stands in for a barrier), peeked
+  // from the submit counter for a keyless submit at E > 1.
+  std::uint32_t engine = 0;
+  bool fanout = false;
+  const std::vector<std::uint32_t>* counter_targets = nullptr;
+  if (cmd == TelemetryCmd::kMigrate) {
+    const StatusOr<std::int64_t> job = JobIdField(request, "migrate");
+    if (cluster_count() < 2 || !job.ok()) {
+      return fail(RejectReply(cmd, request));
+    }
+    engine = ShardOfJob(job.value());
+  } else if (shard_count() == 1 && cmd != TelemetryCmd::kSnapshot) {
+    // The plain daemon's hot path: no JSON lookups, engine 0 answers.
+  } else if (cmd == TelemetryCmd::kSubmit) {
+    const std::vector<std::uint32_t>* targets = TargetEngines(request);
+    if (targets == nullptr) {
+      return fail(RejectReply(cmd, request));
+    }
+    const JsonValue* key = request.Find("key");
+    if (key != nullptr && key->is_string()) {
+      engine = (*targets)[Fnv1a(key->AsString()) % targets->size()];
+    } else {
+      counter_targets = targets;
+      engine = (*targets)[Fnv1aU64(submit_seq()) % targets->size()];
+    }
+  } else if (cmd == TelemetryCmd::kCancel) {
+    // An invalid "job" goes to engine 0, whose decode answers it.
+    const StatusOr<std::int64_t> job = JobIdField(request, "cancel");
+    if (job.ok()) {
+      engine = ShardOfJob(job.value());
+    }
+  } else {
+    fanout = true;
+  }
+
+  // Shed on the peeked route: a shed submit must not consume a routing
+  // sequence number, or a restore would route later submits differently
+  // than the uninterrupted run (the counter is snapshotted).
+  if (may_shed &&
+      (fanout ? AnySaturated() : shards_[engine]->EngineSaturated())) {
+    shards_[engine]->CountShedOverload();
+    return true;
+  }
+  if (counter_targets != nullptr) {
+    // The fetch_add is the authoritative routing decision: two I/O threads
+    // that both peeked the same value still dispatch to distinct,
+    // deterministic engines. It precedes the decode, so a malformed keyless
+    // submit consumes its number like any other.
+    const std::uint64_t seq =
+        submit_seq_.fetch_add(1, std::memory_order_relaxed);
+    engine = (*counter_targets)[Fnv1aU64(seq) % counter_targets->size()];
+  }
+  if (cmd == TelemetryCmd::kMigrate) {
+    JsonValue refused = StartMigration(request, sink, a, b);
+    return refused.is_object() ? fail(std::move(refused)) : false;
+  }
+  StatusOr<EngineCommand> decoded = DecodeEngineCommand(cmd, request);
+  if (!decoded.ok()) {
+    // Answered once here, whatever the fanout: no engine sees it.
+    return fail(StatusReply(decoded.status()));
   }
   EngineCommand& command = decoded.value();
-  if (!plan.fanout) {
-    if (plan.rewrite_job && plan.cmd == TelemetryCmd::kCancel) {
-      command.command.job = ToLocal(command.command.job);
-    }
-    shards_[shard_index]->Enqueue(std::move(command), std::move(sink), a, b);
-    return;
+  if (!fanout) {
+    shards_[engine]->Enqueue(std::move(command), std::move(sink), a, b);
+    return false;
   }
   // Sampled at dispatch: every engine's queue is FIFO, so the commands an
   // engine applies before its snapshot image are exactly the ones
   // dispatched before this point — the counter value here matches the
   // command set the container captures.
   const std::uint64_t snapshot_seq =
-      plan.cmd == TelemetryCmd::kSnapshot ? submit_seq() : 0;
+      cmd == TelemetryCmd::kSnapshot ? submit_seq() : 0;
   auto fan = std::make_shared<FanoutSink>(
-      this, plan.cmd, command.seq, std::move(command.path), snapshot_seq,
+      this, cmd, command.seq, std::move(command.path), snapshot_seq,
       std::move(sink), a, b, shard_count());
   // The merged reply echoes "seq" once; the engines' copies carry none.
   command.seq.reset();
   for (int k = 0; k < shard_count(); ++k) {
     EngineCommand copy = command;
-    if (plan.cmd == TelemetryCmd::kSnapshot) {
+    if (cmd == TelemetryCmd::kSnapshot) {
       copy.image = fan->image(k);
     }
     shards_[static_cast<std::size_t>(k)]->Enqueue(
         std::move(copy), fan, static_cast<std::uint64_t>(k), 0);
   }
+  return false;
 }
 
-void FederationRouter::RewriteReplyJob(std::uint32_t shard,
-                                       JsonValue& reply) const {
-  const JsonValue* job = reply.Find("job");
-  if (job != nullptr && job->is_number()) {
-    reply.Replace("job", JsonValue::MakeNumber(static_cast<double>(
-                             ToGlobal(job->AsInt(), shard))));
-  }
-  // A not_found from cancel/query_job names the engine-local id; clients
-  // only ever saw the global one.
-  if (!reply.GetBool("ok", false) && reply.GetString("code") == "not_found") {
-    static constexpr char kPrefix[] = "no such job: ";
-    const std::string message = reply.GetString("error");
-    if (message.rfind(kPrefix, 0) == 0) {
-      char* end = nullptr;
-      const long long local =
-          std::strtoll(message.c_str() + sizeof(kPrefix) - 1, &end, 10);
-      if (end != nullptr && *end == '\0') {
-        reply.Replace("error",
-                      JsonValue::MakeString(
-                          kPrefix + std::to_string(ToGlobal(local, shard))));
-      }
-    }
-  }
-}
-
-void FederationRouter::StartMigration(
+JsonValue FederationRouter::StartMigration(
     const JsonValue& request,
-    std::shared_ptr<SchedulerService::CompletionSink> sink, std::uint64_t a,
-    std::uint64_t b) {
-  const auto fail = [&](JsonValue reply) {
-    front()->CountError();
-    EchoSeq(SeqOf(request), reply);
-    sink->OnReply(a, b, std::move(reply));
-  };
-
-  const std::int64_t global = JobIdField(request, "migrate").value();  // RouteEngine-checked
+    const std::shared_ptr<SchedulerService::CompletionSink>& sink,
+    std::uint64_t a, std::uint64_t b) {
+  const std::int64_t global = JobIdField(request, "migrate").value();  // Dispatch-checked
   const std::uint32_t source_engine = ShardOfJob(global);
   const std::uint32_t source_cluster = ClusterOfEngine(source_engine);
 
   const JsonValue* to = request.Find("to");
   if (to == nullptr) {
-    return fail(
-        ErrorReply("invalid_argument", "migrate requires a \"to\" cluster"));
+    return ErrorReply("invalid_argument", "migrate requires a \"to\" cluster");
   }
   int dest = -1;
   if (to->is_string()) {
@@ -680,48 +608,46 @@ void FederationRouter::StartMigration(
     }
   }
   if (dest < 0) {
-    return fail(ErrorReply("invalid_argument",
-                           "no such cluster: " + DescribeTarget(*to)));
+    return ErrorReply("invalid_argument",
+                      "no such cluster: " + DescribeTarget(*to));
   }
   if (clusters_[static_cast<std::size_t>(dest)].kind !=
       ClusterKind::kTraining) {
-    return fail(ErrorReply(
-        "failed_precondition",
-        "destination cluster \"" +
-            clusters_[static_cast<std::size_t>(dest)].name +
-            "\" is not a training cluster"));
+    return ErrorReply("failed_precondition",
+                      "destination cluster \"" +
+                          clusters_[static_cast<std::size_t>(dest)].name +
+                          "\" is not a training cluster");
   }
   if (clusters_[source_cluster].kind != ClusterKind::kTraining) {
-    return fail(ErrorReply("failed_precondition",
-                           "job " + std::to_string(global) +
-                               " is not on a training cluster"));
+    return ErrorReply("failed_precondition",
+                      "job " + std::to_string(global) +
+                          " is not on a training cluster");
   }
   if (static_cast<std::uint32_t>(dest) == source_cluster) {
-    return fail(ErrorReply(
-        "failed_precondition",
-        "job " + std::to_string(global) + " is already on cluster \"" +
-            clusters_[source_cluster].name + "\""));
+    return ErrorReply("failed_precondition",
+                      "job " + std::to_string(global) +
+                          " is already on cluster \"" +
+                          clusters_[source_cluster].name + "\"");
   }
 
-  if (shard(static_cast<int>(source_engine))->stopped()) {
-    return fail(ErrorReply("unavailable", "service is stopped"));
+  SchedulerService* source = shard(static_cast<int>(source_engine));
+  if (source->stopped()) {
+    return ErrorReply("unavailable", "service is stopped");
   }
-  const std::shared_ptr<const StateSnapshot> snap =
-      shard(static_cast<int>(source_engine))->snapshot();
   // RCU read: the record can be stale, but the cancel below is the
   // authoritative gate — a job that finished in between fails there and the
   // engine error is forwarded verbatim.
-  const JobRecord* record = snap->FindJob(ToLocal(global));
+  const std::shared_ptr<const StateSnapshot> snap = source->snapshot();
+  const JobRecord* record = snap->FindJob(source->ids().Local(global));
   if (record == nullptr) {
-    return fail(
-        ErrorReply("not_found", "no such job: " + std::to_string(global)));
+    return NoSuchJobReply(global);
   }
   if (record->state == JobState::kFinished ||
       record->state == JobState::kCancelled) {
-    return fail(ErrorReply(
+    return ErrorReply(
         "failed_precondition",
         "job " + std::to_string(global) + " is already " +
-            (record->state == JobState::kFinished ? "finished" : "cancelled")));
+            (record->state == JobState::kFinished ? "finished" : "cancelled"));
   }
 
   const double cost = record->spec.checkpointing ? kMigrationCheckpointCost
@@ -747,15 +673,15 @@ void FederationRouter::StartMigration(
   EngineCommand cancel;
   cancel.cmd = TelemetryCmd::kCancel;
   cancel.command.kind = CommandKind::kCancel;
-  cancel.command.job = ToLocal(global);
+  cancel.command.job = global;
   cancel.at = request.GetDouble("at", -1.0);
 
   auto chain = std::make_shared<MigrationSink>(
-      this, SeqOf(request), std::move(sink), a, b, global, source_engine,
-      dest_engine, static_cast<std::uint32_t>(dest), source_cluster,
-      std::move(submit), cost);
-  shard(static_cast<int>(source_engine))
-      ->Enqueue(std::move(cancel), std::move(chain), 0, 0);
+      this, SeqOf(request), sink, a, b, global, dest_engine,
+      static_cast<std::uint32_t>(dest), source_cluster, std::move(submit),
+      cost);
+  source->Enqueue(std::move(cancel), std::move(chain), 0, 0);
+  return JsonValue();
 }
 
 FederationRouter::ClusterTotals FederationRouter::Totals(int c) const {
@@ -947,12 +873,12 @@ JsonValue FederationRouter::QueryJob(const JsonValue& request) const {
   }
   // The global id names its engine and the engine's own id.
   const std::int64_t id = job.value();
-  const std::shared_ptr<const StateSnapshot> snap =
-      shards_[ShardOfJob(id)]->snapshot();
-  const JobRecord* record = snap->FindJob(ToLocal(id));
+  const SchedulerService* engine = shards_[ShardOfJob(id)];
+  const std::shared_ptr<const StateSnapshot> snap = engine->snapshot();
+  const JobRecord* record = snap->FindJob(engine->ids().Local(id));
   if (record == nullptr) {
     front()->CountError();
-    return ErrorReply("not_found", "no such job: " + std::to_string(id));
+    return NoSuchJobReply(id);
   }
   JsonValue reply = OkReply();
   reply.Set("job", Number(static_cast<double>(id)));
@@ -1151,7 +1077,7 @@ JsonValue FederationRouter::FederationStats(
   }
 
   JsonValue reply = OkReply();
-  reply.Set("time", JsonValue::MakeNumber(MaxEngineTime()));
+  reply.Set("time", JsonValue::MakeNumber(FleetSnapshot(&SumSnapshots)->time));
   reply.Set("submit_seq",
             JsonValue::MakeNumber(static_cast<double>(submit_seq())));
   reply.Set("shards",
@@ -1182,18 +1108,11 @@ JsonValue FederationRouter::Execute(const JsonValue& request) {
   if (!IsEngineCmd(cmd)) {
     return Read(cmd, request);
   }
-  Plan plan = RouteEngine(cmd, request);
   // Synchronous callers take the authoritative per-engine rejection rather
   // than the advisory shed (there is no canned-reply fast path to protect).
-  plan.shed = false;
-  const std::uint32_t shard = BeginEngine(plan);
   auto waiter = std::make_shared<WaitSink>();
-  DispatchEngine(plan, shard, request, waiter, 0, 0);
-  JsonValue reply = waiter->Wait();
-  if (plan.rewrite_job) {
-    RewriteReplyJob(shard, reply);
-  }
-  return reply;
+  Dispatch(cmd, request, waiter, 0, 0, /*may_shed=*/false);
+  return waiter->Wait();
 }
 
 bool FederationRouter::AnySaturated() const {
@@ -1312,8 +1231,10 @@ StatusOr<FederationSet> BuildFederation(
     // seed so a one-engine fleet is the plain service exactly.
     options.engine.seed = base.engine.seed + static_cast<std::uint64_t>(k);
     options.trace_path = EnginePath(base.trace_path, k);
-    auto service =
-        std::make_unique<SchedulerService>(std::move(options), make_driver(k));
+    auto service = std::make_unique<SchedulerService>(
+        std::move(options), make_driver(k),
+        FleetIds{static_cast<std::uint32_t>(k),
+                 static_cast<std::uint32_t>(total)});
     const Status started = service->Start();
     if (!started.ok()) {
       return started;  // ~FederationSet stops the engines already started
@@ -1336,6 +1257,11 @@ StatusOr<FederationSet> RestoreFederation(
   // service's restore does.
   const bool single =
       fed.clusters.size() == 1 && fed.clusters[0].engines.size() == 1;
+  // Each engine's place in the fleet follows from the container's layout.
+  std::uint32_t total = 0;
+  for (const FedClusterImage& cluster : fed.clusters) {
+    total += static_cast<std::uint32_t>(cluster.engines.size());
+  }
 
   std::vector<ClusterSpec> clusters;
   FederationSet set;
@@ -1348,8 +1274,9 @@ StatusOr<FederationSet> RestoreFederation(
       const int k = static_cast<int>(set.services.size());
       ServiceOptions options = base;
       options.trace_path = EnginePath(base.trace_path, k);
-      auto service =
-          std::make_unique<SchedulerService>(std::move(options), make_driver(k));
+      auto service = std::make_unique<SchedulerService>(
+          std::move(options), make_driver(k),
+          FleetIds{static_cast<std::uint32_t>(k), total});
       const Status restored = service->RestoreBytes(
           cluster.engines[s],
           single ? snapshot_path

@@ -75,9 +75,10 @@ inline constexpr double kMigrationColdCost = 300.0;
 // cluster "train0" of one engine, and `--shards=N` is one training cluster
 // of N engines (`--federation=0x1@N`).
 //
-//   - Job ids returned to clients are global: G = L * E + e over the flat
-//     pool of E engines, so e = G mod E and the id carries its own route.
-//     At E == 1 global and local coincide.
+//   - Job ids returned to clients are global (FleetIds, service.h): engine
+//     k of E answers its local job L as G = L * E + k, so G mod E names the
+//     engine. Each engine translates at its own boundary and the router
+//     forwards replies untouched. At E == 1 global and local coincide.
 //   - submit routes to its target cluster's engines (see TargetEngines) by
 //     an FNV-1a hash of the client's "key" string when present, of the
 //     router's monotone submit counter otherwise; cancel and query_job route
@@ -101,15 +102,11 @@ inline constexpr double kMigrationColdCost = 300.0;
 //     service's: the barrier adds no fleet-only field (shards, clusters, a
 //     failure's shard) below two engines.
 //
-// Dispatch is two-phase so the submit counter can never desynchronize from
-// the engine a command actually ran on: RouteEngine is side-effect-free (the
-// shed check peeks the counter), BeginEngine consumes it and returns the
-// authoritative engine, and only then is the command decoded and enqueued —
-// so a malformed keyless submit consumes its sequence number like any
-// other. The caller must finish initializing its per-request state (the
-// event loop's reply slot) between BeginEngine and DispatchEngine, because
-// a malformed command or a saturated engine is answered inline, before
-// DispatchEngine returns.
+// One call dispatches an engine command (Dispatch): it routes and peeks the
+// submit counter for the shed check, and only when the command is not shed
+// consumes the counter, decodes and enqueues. So a shed keyless submit
+// burns no sequence number while a malformed one does, like any other, and
+// the counter can never desynchronize from the engine a command ran on.
 class FederationRouter {
  public:
   // `engines` is the flat pool and must outlive the router; the clusters'
@@ -142,59 +139,30 @@ class FederationRouter {
   }
   int FindCluster(const std::string& name) const;  // -1 when unknown
 
-  // --- Job-id arithmetic (ids are validated by JobIdField first) --------
-
-  std::int64_t ToGlobal(std::int64_t local, std::uint32_t engine) const {
-    return local * shard_count() + static_cast<std::int64_t>(engine);
-  }
-  std::int64_t ToLocal(std::int64_t global) const {
-    return global / shard_count();
-  }
+  // The engine a fleet job id routes to (the id is validated by JobIdField
+  // first). Engine k of this pool is FleetIds{k, shard_count()}, as
+  // BuildFederation and RestoreFederation make it.
   std::uint32_t ShardOfJob(std::int64_t global) const {
-    return static_cast<std::uint32_t>(global % shard_count());
+    return FleetIds{0, static_cast<std::uint32_t>(shards_.size())}.EngineOf(
+        global);
   }
 
-  // --- Engine-command dispatch (two-phase) ------------------------------
-
-  struct Plan {
-    TelemetryCmd cmd = TelemetryCmd::kOther;
-    bool shed = false;         // target saturated: answer canned, enqueue nothing
-    // Barrier command: snapshot at every fleet size; advance, drain and
-    // shutdown at more than one engine.
-    bool fanout = false;
-    bool rewrite_job = false;  // reply "job" needs the local->global rewrite
-    bool reject = false;       // invalid target: DispatchEngine answers inline
-    std::uint32_t shard = 0;   // advisory target (authoritative after Begin)
-    // Keyless submit at E > 1: the target cluster's engines, one of which
-    // BeginEngine picks by the submit counter.
-    const std::vector<std::uint32_t>* counter_targets = nullptr;
-  };
-
-  // Phase 1: pure routing decision, no side effects. For keyless submits the
-  // counter is peeked, not consumed — a shed frame must not burn a sequence
-  // number or replay-after-restore would route differently than the
-  // uninterrupted run.
-  Plan RouteEngine(TelemetryCmd cmd, const JsonValue& request) const;
-
-  // Phase 2: consumes the submit counter where routing is counter-based.
-  // Returns the authoritative engine (0 for fanout commands).
-  std::uint32_t BeginEngine(const Plan& plan);
-
-  // Phase 3: decode and enqueue. A rejected plan or a malformed command
-  // (DecodeEngineCommand) is answered inline, once, and counted as a
-  // command error; migrate starts its cancel/resubmit chain. The decoded
-  // command goes to its engine's queue — a cancel with its job id made
-  // engine-local — or, for a fanout command, a copy to every engine behind
-  // a barrier sink that merges the replies and delivers once to `sink` with
-  // (a, b). Inline rejections can invoke the sink before this returns.
-  void DispatchEngine(const Plan& plan, std::uint32_t shard,
-                      const JsonValue& request,
-                      std::shared_ptr<SchedulerService::CompletionSink> sink,
-                      std::uint64_t a, std::uint64_t b);
-
-  // Reply-side id rewrite (local -> global) for replies from `shard`.
-  // No-op when the reply has no numeric "job" (error replies) or E == 1.
-  void RewriteReplyJob(std::uint32_t shard, JsonValue& reply) const;
+  // Routes, decodes and enqueues engine command `cmd` (TelemetryCmdFromName
+  // of the request's "cmd"). Returns true when it shed the command: with
+  // `may_shed`, a target engine saturated on the EngineSaturated() hint
+  // (counted there) leaves the counter, the queues and the sink untouched,
+  // and the caller answers with OverloadedReply(). Otherwise sink->OnReply(a,
+  // b, reply) fires once, possibly before this returns: an invalid target or
+  // a malformed command (DecodeEngineCommand) is answered inline, once, and
+  // counted as a command error, and a full queue is rejected by Enqueue.
+  // migrate starts its cancel/resubmit chain; a barrier command (snapshot at
+  // every fleet size; advance, drain and shutdown at more than one engine)
+  // goes to every engine behind a sink that merges the replies and delivers
+  // once. The caller's per-request state (the event loop's reply slot) must
+  // exist before the call, for the inline answers.
+  bool Dispatch(TelemetryCmd cmd, const JsonValue& request,
+                std::shared_ptr<SchedulerService::CompletionSink> sink,
+                std::uint64_t a, std::uint64_t b, bool may_shed = true);
 
   // --- Reads ------------------------------------------------------------
 
@@ -205,9 +173,9 @@ class FederationRouter {
   // reads_served. The reply echoes the request's "seq".
   JsonValue Read(TelemetryCmd cmd, const JsonValue& request) const;
 
-  // Synchronous convenience for tools and tests: decodes the command once
-  // and answers it as the event loop would, reads by Read and engine
-  // commands routed, waited for and id-rewritten.
+  // Synchronous convenience for tools and tests: answers the command as the
+  // event loop would, a read by Read and an engine command by Dispatch
+  // (never shed) and waited for.
   JsonValue Execute(const JsonValue& request);
 
   // --- Front-end hints and aggregates -----------------------------------
@@ -260,9 +228,12 @@ class FederationRouter {
   const std::vector<std::uint32_t>* TargetEngines(
       const JsonValue& request) const;
   JsonValue RejectReply(TelemetryCmd cmd, const JsonValue& request) const;
-  void StartMigration(const JsonValue& request,
-                      std::shared_ptr<SchedulerService::CompletionSink> sink,
-                      std::uint64_t a, std::uint64_t b);
+  // Starts migrate's cancel/resubmit chain, which answers `sink`; returns
+  // the refusal instead (null once started) when the move is invalid.
+  JsonValue StartMigration(
+      const JsonValue& request,
+      const std::shared_ptr<SchedulerService::CompletionSink>& sink,
+      std::uint64_t a, std::uint64_t b);
 
   // Merges the fanout replies into the client's one (called by the last
   // engine to complete, on its engine thread); a snapshot also writes its
@@ -295,7 +266,6 @@ class FederationRouter {
   // Per-cluster stats object (jobs by state, pool) shared by
   // federation_stats and the cluster_stats read augmentation.
   JsonValue ClusterInfo(int c) const;
-  double MaxEngineTime() const;
   // Appends one migration event line to the ledger; called under ledger_mu_.
   void RecordMigration(double now, std::int64_t from_job, std::int64_t to_job,
                        std::uint32_t from_cluster, std::uint32_t to_cluster,

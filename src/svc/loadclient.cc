@@ -229,10 +229,10 @@ void ReceiverLoop(Connection* conn, Clock::time_point start,
 
 }  // namespace
 
-StatusOr<obs::Histogram> ScrapeServerHistogram(const LoadClientOptions& options,
-                                               const std::string& cmd) {
-  StatusOr<int> fd =
-      ConnectEndpoint(options.unix_path, options.tcp_host, options.tcp_port);
+StatusOr<std::string> FetchStatsProm(const std::string& unix_path,
+                                     const std::string& tcp_host,
+                                     int tcp_port) {
+  StatusOr<int> fd = ConnectEndpoint(unix_path, tcp_host, tcp_port);
   if (!fd.ok()) {
     return fd.status();
   }
@@ -253,8 +253,17 @@ StatusOr<obs::Histogram> ScrapeServerHistogram(const LoadClientOptions& options,
   if (!parsed.value().GetBool("ok", false)) {
     return Status::Internal("stats_prom refused: " + reply.value());
   }
-  StatusOr<PromScrape> scrape =
-      ParsePrometheus(parsed.value().GetString("text", ""));
+  return parsed.value().GetString("text", "");
+}
+
+StatusOr<obs::Histogram> ScrapeServerHistogram(const LoadClientOptions& options,
+                                               const std::string& cmd) {
+  StatusOr<std::string> text =
+      FetchStatsProm(options.unix_path, options.tcp_host, options.tcp_port);
+  if (!text.ok()) {
+    return text.status();
+  }
+  StatusOr<PromScrape> scrape = ParsePrometheus(text.value());
   if (!scrape.ok()) {
     return scrape.status();
   }

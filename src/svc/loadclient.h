@@ -89,6 +89,12 @@ struct LoadPoint {
 // established.
 StatusOr<LoadPoint> RunOpenLoop(const LoadClientOptions& options);
 
+// One `stats_prom` request to the endpoint ConnectEndpoint picks: the
+// daemon's Prometheus exposition text, or the refusal as Internal.
+StatusOr<std::string> FetchStatsProm(const std::string& unix_path,
+                                     const std::string& tcp_host,
+                                     int tcp_port);
+
 // One-shot scrape of the daemon's `stats_prom` exposition, reassembling the
 // request-duration histogram (seconds) for wire command `cmd`. NotFound when
 // the daemon has not yet served that command (zero-count families are not

@@ -46,6 +46,11 @@ inline JsonValue StatusReply(const Status& status) {
   return ErrorReply(CodeName(status.code()), status.message());
 }
 
+// not_found for a job id a client sent (engine cancel, query_job, migrate).
+inline JsonValue NoSuchJobReply(std::int64_t job) {
+  return ErrorReply("not_found", "no such job: " + std::to_string(job));
+}
+
 inline JsonValue OkReply() {
   JsonValue reply = JsonValue::MakeObject();
   reply.Set("ok", JsonValue::MakeBool(true));

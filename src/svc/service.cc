@@ -175,10 +175,12 @@ StatusOr<EngineCommand> DecodeEngineCommand(TelemetryCmd cmd,
 }
 
 SchedulerService::SchedulerService(ServiceOptions options,
-                                   std::unique_ptr<TimeDriver> driver)
-    : options_(std::move(options)), driver_(std::move(driver)) {
+                                   std::unique_ptr<TimeDriver> driver,
+                                   FleetIds ids)
+    : options_(std::move(options)), driver_(std::move(driver)), ids_(ids) {
   LYRA_CHECK(driver_ != nullptr);
   LYRA_CHECK_GT(options_.queue_capacity, 0);
+  LYRA_CHECK_LT(ids_.engine, ids_.engines);
 }
 
 SchedulerService::~SchedulerService() { Stop(); }
@@ -505,6 +507,16 @@ JsonValue SchedulerService::Apply(EngineCommand& command) {
   Simulator& sim = *engine_.sim;
   LoggedCommand& cmd = command.command;
   const char* name = CommandKindName(cmd.kind);
+  // A cancel arrives with the fleet id; it runs and is logged with the
+  // engine's own.
+  const std::int64_t fleet_job = cmd.job;
+  if (cmd.kind == CommandKind::kCancel) {
+    if (ids_.EngineOf(fleet_job) != ids_.engine) {
+      CountError();
+      return NoSuchJobReply(fleet_job);
+    }
+    cmd.job = ids_.Local(fleet_job);
+  }
   // Monotone by construction: never behind the engine's frontier.
   cmd.stamp = std::max(command.at >= 0.0 ? command.at : driver_->Now(),
                        sim.now());
@@ -524,6 +536,18 @@ JsonValue SchedulerService::Apply(EngineCommand& command) {
   const StatusOr<JobId> job = StepAndMutate(cmd);
   if (!job.ok()) {
     CountError();
+    // The simulator's cancel errors name the local id: answered here with
+    // the one the client sent.
+    if (cmd.kind == CommandKind::kCancel) {
+      if (job.status().code() == StatusCode::kNotFound) {
+        return NoSuchJobReply(fleet_job);
+      }
+      if (job.status().code() == StatusCode::kFailedPrecondition) {
+        return ErrorReply("failed_precondition",
+                          "job " + std::to_string(fleet_job) +
+                              " already terminated");
+      }
+    }
     return StatusReply(job.status());
   }
   if (cmd.kind == CommandKind::kDrain) {
@@ -537,12 +561,13 @@ JsonValue SchedulerService::Apply(EngineCommand& command) {
   switch (cmd.kind) {
     case CommandKind::kSubmit:
       ++batch_submitted_;
-      reply.Set("job", JsonValue::MakeNumber(static_cast<double>(job.value().value)));
+      reply.Set("job", JsonValue::MakeNumber(static_cast<double>(
+                           ids_.Global(job.value().value))));
       reply.Set("time", JsonValue::MakeNumber(cmd.stamp));
       break;
     case CommandKind::kCancel:
       ++batch_cancelled_;
-      reply.Set("job", JsonValue::MakeNumber(static_cast<double>(cmd.job)));
+      reply.Set("job", JsonValue::MakeNumber(static_cast<double>(fleet_job)));
       reply.Set("time", JsonValue::MakeNumber(sim.now()));
       break;
     case CommandKind::kAdvance:

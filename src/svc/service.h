@@ -33,6 +33,11 @@
 // hash). Batching changes when commands are applied, never their stamps, so
 // the invariant is unaffected by pipelining.
 //
+// An engine speaks fleet-wide job ids at its boundary (FleetIds): a cancel's
+// id is made engine-local before step, mutate and log, and every reply or
+// error that names a job names its fleet id. The log, and so the LYRASNAP
+// image, holds local ids only.
+//
 // A snapshot does no file I/O here: the engine encodes its LYRASNAP image
 // into the slot the router's barrier hands it, and the router writes the
 // one file (federation.h).
@@ -81,10 +86,29 @@ struct ServiceOptions {
   std::string trace_path;
 };
 
+// The fleet's job-id format, for engine `engine` of `engines`: the engine
+// numbers its jobs L = 0, 1, ... and clients see G = L * engines + engine,
+// so G mod engines names the engine and the id carries its own route. The
+// default, engine 0 of 1, maps every id to itself. Ids are validated by
+// JobIdField first.
+struct FleetIds {
+  std::uint32_t engine = 0;
+  std::uint32_t engines = 1;
+
+  std::int64_t Global(std::int64_t local) const {
+    return local * engines + static_cast<std::int64_t>(engine);
+  }
+  std::int64_t Local(std::int64_t global) const { return global / engines; }
+  std::uint32_t EngineOf(std::int64_t global) const {
+    return static_cast<std::uint32_t>(global % engines);
+  }
+};
+
 // One engine command, decoded from its wire request before it is queued.
 struct EngineCommand {
   TelemetryCmd cmd = TelemetryCmd::kOther;  // one of the six engine commands
-  // The mutating four: what the engine applies and logs, stamp unset.
+  // The mutating four: what the engine applies and logs, stamp unset. A
+  // cancel carries the fleet id here until the engine makes it local.
   LoggedCommand command;
   // The explicit stamp: "at" (submit, cancel) or "to" (advance). Negative
   // when absent, and the engine stamps with its time driver's clock.
@@ -132,7 +156,10 @@ class SchedulerService {
     virtual void OnReply(std::uint64_t a, std::uint64_t b, JsonValue reply) = 0;
   };
 
-  SchedulerService(ServiceOptions options, std::unique_ptr<TimeDriver> driver);
+  // `ids` is the engine's place in its fleet (BuildFederation and
+  // RestoreFederation set it); a lone engine is engine 0 of 1.
+  SchedulerService(ServiceOptions options, std::unique_ptr<TimeDriver> driver,
+                   FleetIds ids = {});
   ~SchedulerService();
 
   SchedulerService(const SchedulerService&) = delete;
@@ -230,6 +257,7 @@ class SchedulerService {
 
   Stats stats() const;
   const ServiceOptions& options() const { return options_; }
+  const FleetIds& ids() const { return ids_; }
   TimeDriver* driver() { return driver_.get(); }
 
   // Engine access for embedding and tests. Safe only when no engine thread
@@ -274,6 +302,7 @@ class SchedulerService {
 
   ServiceOptions options_;
   std::unique_ptr<TimeDriver> driver_;
+  const FleetIds ids_;
   Engine engine_;
   std::vector<LoggedCommand> log_;
 

@@ -227,11 +227,11 @@ TEST(Federation, GlobalIdRoundTripAcrossFederationTimesShards) {
     }
     for (std::int64_t local = 0; local < 50; ++local) {
       for (int e = 0; e < engines; ++e) {
-        const std::int64_t global =
-            router.ToGlobal(local, static_cast<std::uint32_t>(e));
+        const FleetIds& ids = router.shard(e)->ids();
+        const std::int64_t global = ids.Global(local);
         EXPECT_EQ(router.ShardOfJob(global), static_cast<std::uint32_t>(e))
             << spec;
-        EXPECT_EQ(router.ToLocal(global), local) << spec;
+        EXPECT_EQ(ids.Local(global), local) << spec;
       }
     }
     StopFed(fed);
@@ -436,7 +436,7 @@ TEST(Federation, MigrationChargesCheckpointCostAndMovesTheJob) {
   EXPECT_NE(bad.GetString("error").find("not a training cluster"),
             std::string::npos)
       << bad.Dump();
-  bad = router.Execute(Migrate(router.ToGlobal(9999, 1), "train1"));
+  bad = router.Execute(Migrate(router.shard(1)->ids().Global(9999), "train1"));
   EXPECT_FALSE(bad.GetBool("ok"));
   EXPECT_EQ(bad.GetString("code"), "not_found");
   bad = router.Execute(Migrate(new_job, "train1"));

@@ -263,9 +263,10 @@ TEST(Shard, JobIdArithmeticRoundTripsAndEncodesTheShard) {
   const FederationRouter& router = *fleet.router;
   for (std::int64_t local = 0; local < 100; ++local) {
     for (std::uint32_t shard = 0; shard < kShards; ++shard) {
-      const std::int64_t global = router.ToGlobal(local, shard);
+      const FleetIds& ids = router.shard(static_cast<int>(shard))->ids();
+      const std::int64_t global = ids.Global(local);
       EXPECT_EQ(router.ShardOfJob(global), shard);
-      EXPECT_EQ(router.ToLocal(global), local);
+      EXPECT_EQ(ids.Local(global), local);
     }
   }
   StopFleet(fleet);
@@ -298,7 +299,8 @@ TEST(Shard, SameKeyAlwaysLandsOnTheSameShard) {
     // Same key -> same shard: every global id carries the same residue.
     EXPECT_EQ(router.ShardOfJob(ids[i]), expected) << "id " << ids[i];
     // And on that shard, local ids are the engine's plain sequence.
-    EXPECT_EQ(router.ToLocal(ids[i]), static_cast<std::int64_t>(i));
+    EXPECT_EQ(router.shard(static_cast<int>(expected))->ids().Local(ids[i]),
+              static_cast<std::int64_t>(i));
   }
   // A query or cancel for any of those ids routes by the id alone and finds
   // the job — the id is the route.
@@ -312,13 +314,53 @@ TEST(Shard, SameKeyAlwaysLandsOnTheSameShard) {
   const JsonValue cancelled = router.Execute(Cancel(10.0, ids[2]));
   EXPECT_TRUE(cancelled.GetBool("ok")) << cancelled.Dump();
   // A job that was never issued reports its *global* id in the error.
-  const std::int64_t missing = router.ToGlobal(9999, expected);
+  const std::int64_t missing =
+      router.shard(static_cast<int>(expected))->ids().Global(9999);
   const JsonValue not_found = router.Execute(Cancel(10.0, missing));
   EXPECT_FALSE(not_found.GetBool("ok"));
   const std::string message = not_found.GetString("error");
   EXPECT_NE(message.find(std::to_string(missing)), std::string::npos)
       << message;
   StopFleet(fleet);
+}
+
+// Every engine error that names a job names the id the client sent: a
+// cancel of a finished job answers failed_precondition with its global id,
+// not the engine's local one.
+TEST(Shard, CancelOfATerminatedJobNamesItsGlobalId) {
+  FederationSet fleet = BuildFleet(2);
+  FederationRouter& router = *fleet.router;
+  std::vector<std::int64_t> ids;
+  for (int i = 0; i < 4; ++i) {
+    const JsonValue reply = router.Execute(Submit(0.0, 3600.0));
+    ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
+    ids.push_back(static_cast<std::int64_t>(reply.GetDouble("job", -1.0)));
+  }
+  ASSERT_TRUE(router.Execute(Cmd("drain")).GetBool("ok"));
+  for (const std::int64_t id : ids) {
+    const JsonValue reply = router.Execute(Cancel(0.0, id));
+    ASSERT_FALSE(reply.GetBool("ok", true)) << reply.Dump();
+    ASSERT_EQ(reply.GetString("code"), "failed_precondition") << reply.Dump();
+    EXPECT_NE(reply.GetString("error").find("job " + std::to_string(id) + " "),
+              std::string::npos)
+        << "cancel of " << id << ": " << reply.Dump();
+  }
+  StopFleet(fleet);
+}
+
+// An engine takes only its own fleet ids: a cancel naming another engine's
+// job is not_found with that id, and nothing is logged.
+TEST(Shard, EngineRefusesAnotherEnginesJobId) {
+  FederationSet fleet = BuildFleet(2);
+  ASSERT_TRUE(fleet.router->Execute(Submit(0.0, 3600.0, 1, "k")).GetBool("ok"));
+  const std::uint32_t owner = PredictKeyShard("k", 2);
+  SchedulerService* other = fleet.services[1 - owner].get();
+  const std::int64_t job = fleet.services[owner]->ids().Global(0);
+  const JsonValue reply = EngineExecute(other, Cancel(0.0, job));
+  EXPECT_EQ(reply.GetString("code"), "not_found") << reply.Dump();
+  EXPECT_EQ(reply.GetString("error"), "no such job: " + std::to_string(job));
+  StopFleet(fleet);
+  EXPECT_TRUE(other->command_log().empty());
 }
 
 TEST(Shard, KeylessSubmitsFollowTheRoutingCounter) {
@@ -627,13 +669,12 @@ class ReplyCollector : public SchedulerService::CompletionSink {
 };
 
 // Routes and dispatches `request` as the event loop does, without waiting
-// for its reply.
+// for its reply. These pipelines stay far below the queue capacity, so
+// nothing is shed.
 void Pipeline(FederationRouter& router, const JsonValue& request,
               const std::shared_ptr<ReplyCollector>& sink, std::uint64_t a) {
-  const FederationRouter::Plan plan = router.RouteEngine(
-      TelemetryCmdFromName(request.GetString("cmd")), request);
-  const std::uint32_t engine = router.BeginEngine(plan);
-  router.DispatchEngine(plan, engine, request, sink, a, 0);
+  EXPECT_FALSE(router.Dispatch(TelemetryCmdFromName(request.GetString("cmd")),
+                               request, sink, a, 0));
 }
 
 // Two snapshots to one path, pipelined with a submit between them, round
@@ -877,9 +918,10 @@ TEST(Shard, PipelinedRepliesStayInOrderAcrossShards) {
 // A cancel pipelined in the same burst as its own submit: the client never
 // saw the submit reply, so it predicts the global id from the routing
 // mirror. The router must have consumed the submit's sequence number before
-// the cancel is routed (BeginEngine order), so the cancel lands on the same
-// shard as the submit and finds the job — the regression this guards is the
-// router routing the cancel before assigning the submit's id.
+// the cancel is routed (Dispatch takes it before it returns), so the cancel
+// lands on the same shard as the submit and finds the job — the regression
+// this guards is the router routing the cancel before assigning the
+// submit's id.
 TEST(Shard, PipelinedCancelImmediatelyAfterSubmitSameFrameBurst) {
   EventLoopOptions loop_options;
   loop_options.unix_path =

@@ -25,9 +25,9 @@
 #include <unistd.h>
 
 #include "src/common/flags.h"
-#include "src/common/json.h"
 #include "src/common/status.h"
 #include "src/obs/metrics.h"
+#include "src/svc/loadclient.h"
 #include "src/svc/prom.h"
 #include "src/svc/wire.h"
 
@@ -81,32 +81,6 @@ StatusOr<std::string> FetchHttpMetrics(const std::string& host, int port) {
     return Status::Internal("metrics endpoint answered: " + status_line);
   }
   return response.substr(header_end + 4);
-}
-
-StatusOr<std::string> FetchStatsProm(const std::string& unix_path) {
-  StatusOr<int> fd = lyra::svc::ConnectUnix(unix_path);
-  if (!fd.ok()) {
-    return fd.status();
-  }
-  const Status sent =
-      lyra::svc::WriteFrame(fd.value(), "{\"cmd\":\"stats_prom\"}");
-  if (!sent.ok()) {
-    ::close(fd.value());
-    return sent;
-  }
-  StatusOr<std::string> reply = lyra::svc::ReadFrame(fd.value());
-  ::close(fd.value());
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  StatusOr<lyra::JsonValue> parsed = lyra::JsonValue::Parse(reply.value());
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  if (!parsed.value().GetBool("ok", false)) {
-    return Status::Internal("stats_prom refused: " + reply.value());
-  }
-  return parsed.value().GetString("text", "");
 }
 
 double Rate(double cur, double prev, double dt, bool have_prev) {
@@ -331,7 +305,7 @@ int main(int argc, char** argv) {
     }
     StatusOr<std::string> text =
         !tcp.empty() ? FetchHttpMetrics(tcp_host, tcp_port)
-                     : FetchStatsProm(socket_path);
+                     : lyra::svc::FetchStatsProm(socket_path, "", 0);
     if (!text.ok()) {
       std::fprintf(stderr, "lyra_top: scrape: %s\n",
                    text.status().message().c_str());
