@@ -72,9 +72,8 @@ BENCHMARK(BM_MckpByCapacity)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 // keeps its original draw (80 groups, 1-8 extra workers, gpus per worker up
 // to 8) so its numbers compare across commits. The solver is reused across
 // iterations as the scheduler reuses it across rounds.
-void BM_MckpSchedulerShaped(benchmark::State& state) {
+void TimeSchedulerShaped(benchmark::State& state, lyra::MckpSolver& solver) {
   const int capacity = static_cast<int>(state.range(0));
-  lyra::MckpSolver solver;
   lyra::Rng rng(13);
   for (int g = 0; g < 80; ++g) {
     static constexpr int kGpusPerWorker[] = {1, 2, 4, 8};
@@ -91,7 +90,30 @@ void BM_MckpSchedulerShaped(benchmark::State& state) {
     benchmark::DoNotOptimize(solver.Solve(capacity).total_value);
   }
 }
+
+// With the row-kernel build the CPU selects.
+void BM_MckpSchedulerShaped(benchmark::State& state) {
+  lyra::MckpSolver solver;
+  TimeSchedulerShaped(state, solver);
+}
 BENCHMARK(BM_MckpSchedulerShaped)->Arg(193)->Arg(403)->Arg(1013)->Arg(4096);
+
+// The same solves through each build of the row kernel. On an AVX2 host the
+// avx2 row must beat the baseline row: an AVX2 build that lost its target
+// (32-byte vectors split into baseline instructions) shows here as slower.
+void BM_MckpKernel(benchmark::State& state, lyra::MckpKernel kernel) {
+  if (kernel == lyra::MckpKernel::kAvx2 && !lyra::MckpAvx2Supported()) {
+    state.SkipWithError("this CPU has no AVX2");
+    return;
+  }
+  lyra::MckpSolver solver(kernel);
+  TimeSchedulerShaped(state, solver);
+}
+BENCHMARK_CAPTURE(BM_MckpKernel, baseline, lyra::MckpKernel::kBaseline)
+    ->Arg(193)
+    ->Arg(403)
+    ->Arg(1013);
+BENCHMARK_CAPTURE(BM_MckpKernel, avx2, lyra::MckpKernel::kAvx2)->Arg(193)->Arg(403)->Arg(1013);
 
 // One warm Lyra allocation round (both phases) with range(0) pending jobs.
 // 110 servers are full of elastic jobs, each holding one flexible worker, so

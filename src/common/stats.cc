@@ -18,21 +18,30 @@ double Mean(const std::vector<double>& samples) {
   return sum / static_cast<double>(samples.size());
 }
 
+namespace {
+
+// Percentile of samples already sorted ascending (see Percentile).
+double SortedPercentile(const std::vector<double>& sorted, double pct) {
+  LYRA_CHECK_GE(pct, 0.0);
+  LYRA_CHECK_LE(pct, 100.0);
+  const double rank = pct / 100.0 * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
+  const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
+  if (lo == hi) {
+    return sorted[lo];
+  }
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+}  // namespace
+
 double Percentile(std::vector<double> samples, double pct) {
   if (samples.empty()) {
     return 0.0;
   }
-  LYRA_CHECK_GE(pct, 0.0);
-  LYRA_CHECK_LE(pct, 100.0);
   std::sort(samples.begin(), samples.end());
-  const double rank = pct / 100.0 * static_cast<double>(samples.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
-  const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
-  if (lo == hi) {
-    return samples[lo];
-  }
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+  return SortedPercentile(samples, pct);
 }
 
 double StdDev(const std::vector<double>& samples) {
@@ -55,11 +64,13 @@ Summary Summarize(const std::vector<double>& samples) {
   }
   s.mean = Mean(samples);
   s.min = *std::min_element(samples.begin(), samples.end());
-  s.p25 = Percentile(samples, 25.0);
-  s.p50 = Percentile(samples, 50.0);
-  s.p75 = Percentile(samples, 75.0);
-  s.p95 = Percentile(samples, 95.0);
-  s.p99 = Percentile(samples, 99.0);
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  s.p25 = SortedPercentile(sorted, 25.0);
+  s.p50 = SortedPercentile(sorted, 50.0);
+  s.p75 = SortedPercentile(sorted, 75.0);
+  s.p95 = SortedPercentile(sorted, 95.0);
+  s.p99 = SortedPercentile(sorted, 99.0);
   s.max = *std::max_element(samples.begin(), samples.end());
   return s;
 }

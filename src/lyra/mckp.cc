@@ -8,16 +8,87 @@
 namespace lyra {
 namespace {
 
-// out[i] = max(out[i], prev[i] + value) for i = 0..n-1. The select has no
-// branch and stores no choice, so it vectorizes. Kept out of line on its own
-// cache line: inlined into Solve, the loop's line crossing moved with
-// unrelated code size, and with it the round time.
-[[gnu::noinline, gnu::aligned(64)]] void MaxPlusRow(const double* prev, double* out,
-                                                    std::size_t n, double value) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double candidate = prev[i] + value;
-    out[i] = out[i] < candidate ? candidate : out[i];
+// Cells stored past each row's last column: the row kernel's last vector
+// may read and write up to three cells past the row (four doubles to a
+// 32-byte vector).
+constexpr std::size_t kRowPad = 3;
+
+// out[c] = max(prev[c], max_j prev[c - w_j] + v_j) for c = 0..n-1 in one
+// pass: column blocks outside, items inside, and kChains independent running
+// maxima per block (a single one serialises on the max's latency). The
+// select `acc < x ? x : acc` is a branch-free maxpd that never picks NaN, max
+// over non-NaN doubles does not depend on the order, and the kernel has no
+// multiply to contract, so every cell equals the item-by-item strict running
+// max bit for bit. prev must be readable from prev[-max_j w_j] (the guard
+// band) to prev[n + lanes - 2]; the last vector may store up to lanes - 1
+// cells past out[n - 1].
+template <std::size_t kBytes>
+[[gnu::always_inline]] inline void FusedRow(const double* prev, double* out, std::size_t n,
+                                            const MckpItem* items, std::size_t count) {
+  typedef double Vec __attribute__((vector_size(kBytes)));
+  constexpr std::size_t kLanes = kBytes / sizeof(double);
+  constexpr std::size_t kChains = 128 / kBytes;
+  std::size_t c = 0;
+  for (; c + kChains * kLanes <= n; c += kChains * kLanes) {
+    Vec acc[kChains];
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < kChains; ++k) {
+      __builtin_memcpy(&acc[k], prev + c + k * kLanes, kBytes);
+    }
+    for (std::size_t j = 0; j < count; ++j) {
+      const double* from = prev + c - items[j].weight;
+#pragma GCC unroll 8
+      for (std::size_t k = 0; k < kChains; ++k) {
+        Vec x;
+        __builtin_memcpy(&x, from + k * kLanes, kBytes);
+        x += items[j].value;
+        acc[k] = acc[k] < x ? x : acc[k];
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < kChains; ++k) {
+      __builtin_memcpy(out + c + k * kLanes, &acc[k], kBytes);
+    }
   }
+  for (; c < n; c += kLanes) {
+    Vec acc;
+    __builtin_memcpy(&acc, prev + c, kBytes);
+    for (std::size_t j = 0; j < count; ++j) {
+      Vec x;
+      __builtin_memcpy(&x, prev + c - items[j].weight, kBytes);
+      x += items[j].value;
+      acc = acc < x ? x : acc;
+    }
+    __builtin_memcpy(out + c, &acc, kBytes);
+  }
+}
+
+using RowKernel = void (*)(const double* prev, double* out, std::size_t n,
+                           const MckpItem* items, std::size_t count);
+
+// The kernel's two builds, picked once per solver (MckpSolver's
+// constructor). Each starts its own cache line: the loops' line crossings
+// otherwise move with unrelated code size, and the round time with them.
+[[gnu::noinline, gnu::aligned(64)]] void FusedRowBaseline(const double* prev, double* out,
+                                                          std::size_t n, const MckpItem* items,
+                                                          std::size_t count) {
+  FusedRow<16>(prev, out, n, items, count);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+[[gnu::noinline, gnu::aligned(64), gnu::target("avx2")]] void FusedRowAvx2(
+    const double* prev, double* out, std::size_t n, const MckpItem* items, std::size_t count) {
+  FusedRow<32>(prev, out, n, items, count);
+}
+#endif
+
+RowKernel KernelFor(MckpKernel kernel) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (kernel == MckpKernel::kAvx2) {
+    return FusedRowAvx2;
+  }
+#endif
+  return FusedRowBaseline;
 }
 
 bool Usable(const MckpItem& entry, int capacity) {
@@ -25,6 +96,25 @@ bool Usable(const MckpItem& entry, int capacity) {
 }
 
 }  // namespace
+
+bool MckpAvx2Supported() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+MckpSolver::MckpSolver()
+    : MckpSolver(MckpAvx2Supported() ? MckpKernel::kAvx2 : MckpKernel::kBaseline) {}
+
+MckpSolver::MckpSolver(MckpKernel kernel) : kernel_(kernel) {
+  LYRA_CHECK(kernel != MckpKernel::kAvx2 || MckpAvx2Supported());
+}
 
 void MckpSolver::Clear() {
   items_.clear();
@@ -40,44 +130,51 @@ void MckpSolver::AddItem(int weight, double value) {
   ++group_end_.back();
 }
 
-void MckpSolver::Fill(int cap) {
-  // table_ starts with the all-zero start row on [0, width_0]. Group g's row
-  // follows, on [lo_g, width_{g+1}]: past width_g it repeats its last value,
-  // so the next group reads it in place.
+void MckpSolver::Fill() {
+  // table_ holds the all-zero start row on [0, width_0], then group g's row
+  // on [lo_g, width_{g+1}]: past width_g it repeats its last value, so the
+  // next group reads it in place. Each stored row is preceded by a guard of
+  // -inf cells reaching down to the lowest column the next group reads, and
+  // followed by kRowPad cells the kernel's last vector may touch.
   const std::size_t groups = num_groups();
   const auto extent = [&](std::size_t g) {
     return static_cast<std::size_t>(g + 1 < groups ? width_[g + 1] : width_[g]);
   };
-  std::size_t cells = static_cast<std::size_t>(width_[0]) + 1;
+  const auto guard = [&](std::size_t g) {
+    const int prev_lo = g == 0 ? 0 : lo_[g - 1];
+    return static_cast<std::size_t>(std::max(0, prev_lo + reach_[g] - lo_[g]));
+  };
+  const std::size_t start = guard(0);
+  std::size_t cells = start + static_cast<std::size_t>(width_[0]) + 1 + kRowPad;
   for (std::size_t g = 0; g < groups; ++g) {
+    cells += g + 1 < groups ? guard(g + 1) : 0;
     row_[g] = cells;
-    cells += extent(g) - static_cast<std::size_t>(lo_[g]) + 1;
+    cells += extent(g) - static_cast<std::size_t>(lo_[g]) + 1 + kRowPad;
   }
   table_.resize(cells);
-  std::fill(table_.begin(), table_.begin() + width_[0] + 1, 0.0);
+  constexpr double kNone = -std::numeric_limits<double>::infinity();
+  std::fill(table_.begin(), table_.begin() + start, kNone);
+  std::fill(table_.begin() + start, table_.begin() + start + width_[0] + 1, 0.0);
 
-  // Row g starts as the previous row on [lo, width] ("take nothing") and each
-  // usable item raises it to the running max. It reads the previous row only
-  // at columns >= lo - w >= the previous row's lo (class comment).
-  const double* prev = table_.data();
+  // Row g is the previous row at [lo, width] ("take nothing") raised by each
+  // usable item. It reads the previous row at columns >= lo - w, which is
+  // either >= the previous row's lo (class comment) or below column 0, in
+  // the guard, where -inf + v never wins.
+  const RowKernel kernel = KernelFor(kernel_);
+  const double* prev = table_.data() + start;
   std::size_t prev_lo = 0;
   for (std::size_t g = 0; g < groups; ++g) {
     const auto width = static_cast<std::size_t>(width_[g]);
     const auto lo = static_cast<std::size_t>(lo_[g]);
     double* out = table_.data() + row_[g];
-    std::copy(prev + (lo - prev_lo), prev + (width - prev_lo) + 1, out);
-    for (std::size_t i = group_begin(g); i < group_end_[g]; ++i) {
-      const MckpItem& entry = items_[i];
-      if (!Usable(entry, cap)) {
-        continue;
-      }
-      const auto w = static_cast<std::size_t>(entry.weight);
-      if (w > width) {
-        continue;
-      }
-      const std::size_t from = std::max(w, lo);
-      MaxPlusRow(prev + (from - w - prev_lo), out + (from - lo), width - from + 1, entry.value);
-      cell_updates_ += width - from + 1;
+    if (g + 1 < groups) {
+      std::fill(out - guard(g + 1), out, kNone);
+    }
+    const std::size_t begin = g == 0 ? 0 : usable_end_[g - 1];
+    const std::size_t count = usable_end_[g] - begin;
+    kernel(prev + (lo - prev_lo), out, width - lo + 1, usable_.data() + begin, count);
+    for (std::size_t i = begin; i < usable_end_[g]; ++i) {
+      cell_updates_ += width - std::max(static_cast<std::size_t>(usable_[i].weight), lo) + 1;
     }
     std::fill(out + (width - lo) + 1, out + (extent(g) - lo) + 1, out[width - lo]);
     prev = out;
@@ -104,6 +201,9 @@ const MckpSolution& MckpSolver::Solve(int capacity) {
   std::int64_t usable_total = 0;
   int depth = 0;
   width_.resize(groups);
+  reach_.resize(groups);
+  usable_end_.resize(groups);
+  usable_.clear();
   for (std::size_t g = 0; g < groups; ++g) {
     // Chosen indices are int: a group must not hold more items.
     LYRA_CHECK_LE(group_size(g), static_cast<std::size_t>(std::numeric_limits<int>::max()));
@@ -114,16 +214,18 @@ const MckpSolution& MckpSolver::Solve(int capacity) {
       const MckpItem& entry = items_[i];
       max_weight = std::max(max_weight, entry.weight);
       if (Usable(entry, capacity)) {
+        usable_.push_back(entry);
         max_usable = std::max(max_usable, entry.weight);
         min_usable = std::min(min_usable, entry.weight);
       }
     }
+    usable_end_[g] = usable_.size();
     if (min_usable != std::numeric_limits<int>::max()) {
       depth = std::max(depth, min_usable);
     }
     useful_capacity += max_weight;
     usable_total += max_usable;
-    width_[g] = max_usable;
+    reach_[g] = max_usable;
   }
   const int cap = static_cast<int>(std::min<std::int64_t>(capacity, useful_capacity));
   if (cap == 0) {
@@ -132,14 +234,16 @@ const MckpSolution& MckpSolver::Solve(int capacity) {
 
   // Group g's last column is min(cap, P_g), with P_g the prefix sum of the
   // largest usable weights, and its first is top - depth - S_g, with S_g the
-  // sum of the largest usable weights after g (class comment).
+  // sum of the largest usable weights after g (class comment). Every weight
+  // is at most useful_capacity, so an item usable at capacity is usable at
+  // cap, and it fits its row: w <= min(cap, P_g).
   const std::int64_t top = std::min<std::int64_t>(cap, usable_total);
   const auto top_column = static_cast<std::size_t>(top);
   std::int64_t prefix = 0;
   row_.resize(groups);
   lo_.resize(groups);
   for (std::size_t g = 0; g < groups; ++g) {
-    prefix += width_[g];
+    prefix += reach_[g];
     width_[g] = static_cast<int>(std::min<std::int64_t>(cap, prefix));
     lo_[g] = static_cast<int>(std::max<std::int64_t>(0, top - depth - (usable_total - prefix)));
   }
@@ -148,13 +252,13 @@ const MckpSolution& MckpSolver::Solve(int capacity) {
   // with the column, so when the region's first cell is below the maximum,
   // that argmax lies inside the region and the backtrack reads only region
   // cells. Otherwise the answer may lie below it: solve the full table.
-  Fill(cap);
+  Fill();
   auto lo = static_cast<std::size_t>(lo_[groups - 1]);
   const double* last = table_.data() + row_[groups - 1];
   auto c = static_cast<std::size_t>(std::max_element(last, last + (top_column - lo) + 1) - last);
   if (lo > 0 && !(last[0] < last[c])) {
     std::fill(lo_.begin(), lo_.end(), 0);
-    Fill(cap);
+    Fill();
     lo = 0;
     last = table_.data() + row_[groups - 1];
     c = static_cast<std::size_t>(std::max_element(last, last + top_column + 1) - last);

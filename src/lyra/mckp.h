@@ -31,6 +31,13 @@ struct MckpSolution {
   std::vector<int> chosen;
 };
 
+// The builds of the knapsack's row kernel (mckp.cc). Both fill the same
+// values; kAvx2 runs only on a CPU with AVX2.
+enum class MckpKernel { kBaseline, kAvx2 };
+
+// Whether this CPU has AVX2; read once per process.
+bool MckpAvx2Supported();
+
 // Exact DP solver over a flat, reusable instance. The scheduler keeps one and
 // rebuilds the instance every round, so in steady state a solve allocates
 // nothing: the items and the value table keep their capacity.
@@ -63,8 +70,26 @@ struct MckpSolution {
 // O(items + top + sum_g (r_g + 1) * (|items of g| + 1)) time, where
 // r_g <= min(width_g, D + S_g) is row g's region width, or width_g after a
 // fallback (whose first pass counts too). With ample capacity, r_g <= D.
+//
+// The forward pass fills each row in one pass, out[c] = max(prev[c],
+// max_j prev[c - w_j] + v_j), blocks of columns outside and the group's
+// usable items inside. Each stored row is preceded by a guard band of -inf
+// cells as deep as the next group reads below the row's first column,
+// max(0, lo_{g-1} + m_g - lo_g) with lo_g row g's first column (lo_{-1} = 0)
+// and m_g the group's largest usable weight. A column below an item's weight
+// thus reads -inf, and its candidate (-inf, or NaN for a +inf value) never
+// wins the select, so the pass has no per-item first column.
+// Max over non-NaN doubles does not depend on the order of the items, so
+// the cells equal an item-by-item strict running max bit for bit. The pass
+// is built twice, for baseline x86-64 (16-byte vectors) and for AVX2
+// (32-byte vectors); a default-constructed solver takes the AVX2 build when
+// the CPU has it.
 class MckpSolver {
  public:
+  // Fills with kAvx2 when the CPU has it, with kBaseline otherwise.
+  MckpSolver();
+  explicit MckpSolver(MckpKernel kernel);
+
   // Starts a new instance; every buffer keeps its capacity.
   void Clear();
 
@@ -95,14 +120,18 @@ class MckpSolver {
     return g == 0 ? 0 : group_end_[g - 1];
   }
   // Runs the forward pass over columns [lo_[g], width_[g]] of every row.
-  void Fill(int cap);
+  void Fill();
 
+  MckpKernel kernel_;
   std::vector<MckpItem> items_;
-  std::vector<std::size_t> group_end_;  // items of group g end here
-  std::vector<int> width_;              // last DP column of group g
-  std::vector<int> lo_;                 // first DP column of group g
-  std::vector<std::size_t> row_;        // start of group g's row in table_
-  std::vector<double> table_;           // every group's rows, from lo_ on
+  std::vector<std::size_t> group_end_;   // items of group g end here
+  std::vector<MckpItem> usable_;         // the usable items, by group
+  std::vector<std::size_t> usable_end_;  // usable items of group g end here
+  std::vector<int> reach_;               // largest usable weight of group g
+  std::vector<int> width_;               // last DP column of group g
+  std::vector<int> lo_;                  // first DP column of group g
+  std::vector<std::size_t> row_;         // start of group g's row in table_
+  std::vector<double> table_;            // every group's rows and guards
   std::uint64_t cell_updates_ = 0;
   MckpSolution solution_;
 };

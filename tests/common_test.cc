@@ -180,6 +180,23 @@ TEST(Stats, SummarizeMinAndP25) {
   EXPECT_DOUBLE_EQ(Percentile({5.0, 3.0, 1.0, 4.0, 2.0}, 25.0), s.p25);
 }
 
+TEST(Stats, SummarizePercentilesEqualPercentile) {
+  // Summarize sorts one copy for all five percentiles; each must be the
+  // same double Percentile computes from its own sorted copy.
+  Rng rng(10000);
+  std::vector<double> xs;
+  for (int i = 0; i < 10000; ++i) {
+    xs.push_back(rng.NextBernoulli(0.1) ? static_cast<double>(rng.UniformInt(0, 9))
+                                        : rng.Uniform(-1e3, 1e6));
+  }
+  const Summary s = Summarize(xs);
+  EXPECT_EQ(s.p25, Percentile(xs, 25.0));
+  EXPECT_EQ(s.p50, Percentile(xs, 50.0));
+  EXPECT_EQ(s.p75, Percentile(xs, 75.0));
+  EXPECT_EQ(s.p95, Percentile(xs, 95.0));
+  EXPECT_EQ(s.p99, Percentile(xs, 99.0));
+}
+
 TEST(Stats, SummarizeEmptyHasZeroMinAndP25) {
   const Summary s = Summarize({});
   EXPECT_EQ(s.count, 0u);

@@ -259,6 +259,19 @@ void ExpectIdentical(MckpSolver& solver, const std::vector<MckpGroup>& groups,
   ASSERT_EQ(got.total_weight, want.total_weight) << label;
 }
 
+// Every build of the row kernel this CPU runs. The oracle tests below solve
+// through each one, not only the build a default solver picks.
+std::vector<MckpKernel> Kernels() {
+  if (MckpAvx2Supported()) {
+    return {MckpKernel::kBaseline, MckpKernel::kAvx2};
+  }
+  return {MckpKernel::kBaseline};
+}
+
+const char* KernelName(MckpKernel kernel) {
+  return kernel == MckpKernel::kAvx2 ? "avx2 kernel" : "baseline kernel";
+}
+
 // Random instances aimed at the bounded table's edges: ties in value and
 // weight, zero weights, non-positive values, weights above the capacity,
 // capacity 0, and groups that are empty or have no usable item.
@@ -290,12 +303,15 @@ std::vector<MckpGroup> RandomEdgeInstance(Rng& rng, int* capacity) {
 }
 
 TEST(MckpReference, MatchesOracleOnRandomEdgeInstances) {
-  Rng rng(20230521);
-  MckpSolver solver;
-  for (int instance = 0; instance < 12000; ++instance) {
-    int capacity = 0;
-    const std::vector<MckpGroup> groups = RandomEdgeInstance(rng, &capacity);
-    ExpectIdentical(solver, groups, capacity, "instance " + std::to_string(instance));
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    Rng rng(20230521);
+    MckpSolver solver(kernel);
+    for (int instance = 0; instance < 12000; ++instance) {
+      int capacity = 0;
+      const std::vector<MckpGroup> groups = RandomEdgeInstance(rng, &capacity);
+      ExpectIdentical(solver, groups, capacity, "instance " + std::to_string(instance));
+    }
   }
 }
 
@@ -321,32 +337,38 @@ std::vector<MckpGroup> SchedulerShapedInstance(Rng& rng) {
 }
 
 TEST(MckpReference, MatchesOracleOnSchedulerShapedInstances) {
-  Rng rng(11);
-  MckpSolver solver;
-  for (int instance = 0; instance < 40; ++instance) {
-    const std::vector<MckpGroup> groups = SchedulerShapedInstance(rng);
-    for (int capacity : {193, 1013}) {
-      ExpectIdentical(solver, groups, capacity,
-                      "instance " + std::to_string(instance) + " capacity " +
-                          std::to_string(capacity));
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    Rng rng(11);
+    MckpSolver solver(kernel);
+    for (int instance = 0; instance < 40; ++instance) {
+      const std::vector<MckpGroup> groups = SchedulerShapedInstance(rng);
+      for (int capacity : {193, 1013}) {
+        ExpectIdentical(solver, groups, capacity,
+                        "instance " + std::to_string(instance) + " capacity " +
+                            std::to_string(capacity));
+      }
     }
   }
 }
 
 TEST(MckpReference, ReusedSolverMatchesFreshSolve) {
-  // Shrinking and growing instances through one solver leave no stale rows.
-  Rng rng(5);
-  MckpSolver solver;
-  for (int instance = 0; instance < 200; ++instance) {
-    int capacity = 0;
-    const std::vector<MckpGroup> groups =
-        instance % 2 == 0 ? SchedulerShapedInstance(rng) : RandomEdgeInstance(rng, &capacity);
-    if (instance % 2 == 0) {
-      capacity = static_cast<int>(rng.UniformInt(0, 600));
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    // Shrinking and growing instances through one solver leave no stale rows.
+    Rng rng(5);
+    MckpSolver solver(kernel);
+    for (int instance = 0; instance < 200; ++instance) {
+      int capacity = 0;
+      const std::vector<MckpGroup> groups =
+          instance % 2 == 0 ? SchedulerShapedInstance(rng) : RandomEdgeInstance(rng, &capacity);
+      if (instance % 2 == 0) {
+        capacity = static_cast<int>(rng.UniformInt(0, 600));
+      }
+      const MckpSolution fresh = SolveMckp(groups, capacity);
+      ExpectIdentical(solver, groups, capacity, "instance " + std::to_string(instance));
+      EXPECT_EQ(fresh.chosen, solver.Solve(capacity).chosen);
     }
-    const MckpSolution fresh = SolveMckp(groups, capacity);
-    ExpectIdentical(solver, groups, capacity, "instance " + std::to_string(instance));
-    EXPECT_EQ(fresh.chosen, solver.Solve(capacity).chosen);
   }
 }
 
@@ -367,120 +389,132 @@ std::vector<MckpGroup> LoadedInstance(double big, std::vector<MckpGroup> rest) {
 }
 
 TEST(MckpBacktrack, TiesThatAppearOnlyAfterRounding) {
-  // Above 2^56 one ulp is 16, so adding 9, 10 or 12 to 1e17 rounds to the
-  // same double: three different items tie at every column past the first.
-  // The first of them must be taken, and "none" must win where an item's sum
-  // rounds back to the previous row's value (+3 rounds down). At capacity 3
-  // group 1 ties items 0 and 2 at column 2, group 2's +3 rounds away, and
-  // group 3's +12 rounds up to a new value.
-  MckpSolver solver;
-  const double big = 1e17;
-  ASSERT_EQ(big + 9.0, big + 12.0);
-  ASSERT_EQ(big + 3.0, big);
-  const auto groups = LoadedInstance(
-      big, {Group({{1, 9.0}, {2, 10.0}, {1, 12.0}}), Group({{1, 3.0}}),
-            Group({{1, 3.0}, {1, 12.0}, {2, 9.0}})});
-  for (int capacity : {1, 2, 3, 4, 5, 6}) {
-    ExpectIdentical(solver, groups, capacity, "capacity " + std::to_string(capacity));
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    // Above 2^56 one ulp is 16, so adding 9, 10 or 12 to 1e17 rounds to the
+    // same double: three different items tie at every column past the first.
+    // The first of them must be taken, and "none" must win where an item's sum
+    // rounds back to the previous row's value (+3 rounds down). At capacity 3
+    // group 1 ties items 0 and 2 at column 2, group 2's +3 rounds away, and
+    // group 3's +12 rounds up to a new value.
+    MckpSolver solver(kernel);
+    const double big = 1e17;
+    ASSERT_EQ(big + 9.0, big + 12.0);
+    ASSERT_EQ(big + 3.0, big);
+    const auto groups = LoadedInstance(
+        big, {Group({{1, 9.0}, {2, 10.0}, {1, 12.0}}), Group({{1, 3.0}}),
+              Group({{1, 3.0}, {1, 12.0}, {2, 9.0}})});
+    for (int capacity : {1, 2, 3, 4, 5, 6}) {
+      ExpectIdentical(solver, groups, capacity, "capacity " + std::to_string(capacity));
+    }
+    Load(solver, groups);
+    EXPECT_EQ(solver.Solve(3).chosen, (std::vector<int>{0, 0, -1, 1}));
   }
-  Load(solver, groups);
-  EXPECT_EQ(solver.Solve(3).chosen, (std::vector<int>{0, 0, -1, 1}));
 }
 
 TEST(MckpBacktrack, MatchesOracleOnRandomRoundingTies) {
-  // A large running sum from group 0, then small integer values whose sums
-  // collide after rounding, in groups with repeated weights.
-  Rng rng(1717);
-  MckpSolver solver;
-  for (int instance = 0; instance < 3000; ++instance) {
-    const double big = std::ldexp(1.0, static_cast<int>(rng.UniformInt(52, 58)));
-    std::vector<MckpGroup> rest;
-    const int num_groups = static_cast<int>(rng.UniformInt(1, 6));
-    for (int g = 0; g < num_groups; ++g) {
-      MckpGroup group;
-      for (int i = static_cast<int>(rng.UniformInt(1, 6)); i > 0; --i) {
-        group.items.push_back({static_cast<int>(rng.UniformInt(0, 4)),
-                               static_cast<double>(rng.UniformInt(1, 40))});
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    // A large running sum from group 0, then small integer values whose sums
+    // collide after rounding, in groups with repeated weights.
+    Rng rng(1717);
+    MckpSolver solver(kernel);
+    for (int instance = 0; instance < 3000; ++instance) {
+      const double big = std::ldexp(1.0, static_cast<int>(rng.UniformInt(52, 58)));
+      std::vector<MckpGroup> rest;
+      const int num_groups = static_cast<int>(rng.UniformInt(1, 6));
+      for (int g = 0; g < num_groups; ++g) {
+        MckpGroup group;
+        for (int i = static_cast<int>(rng.UniformInt(1, 6)); i > 0; --i) {
+          group.items.push_back({static_cast<int>(rng.UniformInt(0, 4)),
+                                 static_cast<double>(rng.UniformInt(1, 40))});
+        }
+        rest.push_back(std::move(group));
       }
-      rest.push_back(std::move(group));
+      const int capacity = static_cast<int>(rng.UniformInt(1, 16));
+      ExpectIdentical(solver, LoadedInstance(big, std::move(rest)), capacity,
+                      "instance " + std::to_string(instance));
     }
-    const int capacity = static_cast<int>(rng.UniformInt(1, 16));
-    ExpectIdentical(solver, LoadedInstance(big, std::move(rest)), capacity,
-                    "instance " + std::to_string(instance));
   }
 }
 
 TEST(MckpBacktrack, MatchesOracleWithNanAndInfiniteValues) {
-  // NaN never beats a cell (every comparison with it is false) and never
-  // equals one; +inf saturates, so later +inf candidates tie with it; -inf is
-  // not positive and is skipped.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  MckpSolver solver;
-  const std::vector<std::vector<MckpGroup>> fixed = {
-      {Group({{1, nan}, {2, 5.0}}), Group({{1, 4.0}, {1, nan}})},
-      {Group({{1, inf}}), Group({{1, inf}, {2, inf}}), Group({{1, 7.0}})},
-      {Group({{2, -inf}, {1, 3.0}}), Group({{1, inf}, {0, inf}})},
-      {Group({{0, nan}, {0, inf}, {0, 1.0}}), Group({{3, nan}, {1, -inf}})},
-  };
-  for (std::size_t k = 0; k < fixed.size(); ++k) {
-    for (int capacity : {1, 2, 3, 5}) {
-      ExpectIdentical(solver, fixed[k], capacity,
-                      "fixed " + std::to_string(k) + " capacity " + std::to_string(capacity));
-    }
-  }
-  Rng rng(4242);
-  for (int instance = 0; instance < 3000; ++instance) {
-    std::vector<MckpGroup> groups;
-    for (int g = static_cast<int>(rng.UniformInt(1, 5)); g > 0; --g) {
-      MckpGroup group;
-      for (int i = static_cast<int>(rng.UniformInt(1, 5)); i > 0; --i) {
-        double value = static_cast<double>(rng.UniformInt(-1, 6));
-        switch (rng.UniformInt(0, 7)) {
-          case 0:
-            value = nan;
-            break;
-          case 1:
-            value = inf;
-            break;
-          case 2:
-            value = -inf;
-            break;
-          default:
-            break;
-        }
-        group.items.push_back({static_cast<int>(rng.UniformInt(0, 5)), value});
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    // NaN never beats a cell (every comparison with it is false) and never
+    // equals one; +inf saturates, so later +inf candidates tie with it; -inf is
+    // not positive and is skipped.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    MckpSolver solver(kernel);
+    const std::vector<std::vector<MckpGroup>> fixed = {
+        {Group({{1, nan}, {2, 5.0}}), Group({{1, 4.0}, {1, nan}})},
+        {Group({{1, inf}}), Group({{1, inf}, {2, inf}}), Group({{1, 7.0}})},
+        {Group({{2, -inf}, {1, 3.0}}), Group({{1, inf}, {0, inf}})},
+        {Group({{0, nan}, {0, inf}, {0, 1.0}}), Group({{3, nan}, {1, -inf}})},
+    };
+    for (std::size_t k = 0; k < fixed.size(); ++k) {
+      for (int capacity : {1, 2, 3, 5}) {
+        ExpectIdentical(solver, fixed[k], capacity,
+                        "fixed " + std::to_string(k) + " capacity " + std::to_string(capacity));
       }
-      groups.push_back(std::move(group));
     }
-    const int capacity = static_cast<int>(rng.UniformInt(0, 12));
-    ExpectIdentical(solver, groups, capacity, "instance " + std::to_string(instance));
+    Rng rng(4242);
+    for (int instance = 0; instance < 3000; ++instance) {
+      std::vector<MckpGroup> groups;
+      for (int g = static_cast<int>(rng.UniformInt(1, 5)); g > 0; --g) {
+        MckpGroup group;
+        for (int i = static_cast<int>(rng.UniformInt(1, 5)); i > 0; --i) {
+          double value = static_cast<double>(rng.UniformInt(-1, 6));
+          switch (rng.UniformInt(0, 7)) {
+            case 0:
+              value = nan;
+              break;
+            case 1:
+              value = inf;
+              break;
+            case 2:
+              value = -inf;
+              break;
+            default:
+              break;
+          }
+          group.items.push_back({static_cast<int>(rng.UniformInt(0, 5)), value});
+        }
+        groups.push_back(std::move(group));
+      }
+      const int capacity = static_cast<int>(rng.UniformInt(0, 12));
+      ExpectIdentical(solver, groups, capacity, "instance " + std::to_string(instance));
+    }
   }
 }
 
 TEST(MckpBacktrack, TiedWeightZeroItems) {
-  // Weight-0 items apply at every column, including column 0, and tie with
-  // each other and with heavier items.
-  MckpSolver solver;
-  const std::vector<MckpGroup> groups = {
-      Group({{0, 2.0}, {0, 2.0}, {1, 2.0}}), Group({{0, 1.0}, {1, 3.0}, {0, 3.0}}),
-      Group({{1, 1.0}, {0, 1.0}})};
-  for (int capacity : {1, 2, 3}) {
-    ExpectIdentical(solver, groups, capacity, "capacity " + std::to_string(capacity));
-  }
-  Rng rng(99);
-  for (int instance = 0; instance < 3000; ++instance) {
-    std::vector<MckpGroup> random;
-    for (int g = static_cast<int>(rng.UniformInt(1, 6)); g > 0; --g) {
-      MckpGroup group;
-      for (int i = static_cast<int>(rng.UniformInt(1, 5)); i > 0; --i) {
-        group.items.push_back({static_cast<int>(rng.UniformInt(0, 1)) * 2,
-                               static_cast<double>(rng.UniformInt(1, 3))});
-      }
-      random.push_back(std::move(group));
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    // Weight-0 items apply at every column, including column 0, and tie with
+    // each other and with heavier items.
+    MckpSolver solver(kernel);
+    const std::vector<MckpGroup> groups = {
+        Group({{0, 2.0}, {0, 2.0}, {1, 2.0}}), Group({{0, 1.0}, {1, 3.0}, {0, 3.0}}),
+        Group({{1, 1.0}, {0, 1.0}})};
+    for (int capacity : {1, 2, 3}) {
+      ExpectIdentical(solver, groups, capacity, "capacity " + std::to_string(capacity));
     }
-    ExpectIdentical(solver, random, static_cast<int>(rng.UniformInt(1, 6)),
-                    "instance " + std::to_string(instance));
+    Rng rng(99);
+    for (int instance = 0; instance < 3000; ++instance) {
+      std::vector<MckpGroup> random;
+      for (int g = static_cast<int>(rng.UniformInt(1, 6)); g > 0; --g) {
+        MckpGroup group;
+        for (int i = static_cast<int>(rng.UniformInt(1, 5)); i > 0; --i) {
+          group.items.push_back({static_cast<int>(rng.UniformInt(0, 1)) * 2,
+                                 static_cast<double>(rng.UniformInt(1, 3))});
+        }
+        random.push_back(std::move(group));
+      }
+      ExpectIdentical(solver, random, static_cast<int>(rng.UniformInt(1, 6)),
+                      "instance " + std::to_string(instance));
+    }
   }
 }
 
@@ -504,41 +538,47 @@ std::vector<MckpGroup> PaperShapedInstance(Rng& rng, int capacity) {
 }
 
 TEST(MckpBacktrack, MatchesOracleAtPaperShape) {
-  Rng rng(403);
-  MckpSolver solver;
-  for (int instance = 0; instance < 30; ++instance) {
-    for (int capacity : {1, 64, 403, 2000}) {
-      ExpectIdentical(solver, PaperShapedInstance(rng, capacity), capacity,
-                      "instance " + std::to_string(instance) + " capacity " +
-                          std::to_string(capacity));
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    Rng rng(403);
+    MckpSolver solver(kernel);
+    for (int instance = 0; instance < 30; ++instance) {
+      for (int capacity : {1, 64, 403, 2000}) {
+        ExpectIdentical(solver, PaperShapedInstance(rng, capacity), capacity,
+                        "instance " + std::to_string(instance) + " capacity " +
+                            std::to_string(capacity));
+      }
     }
   }
 }
 
 TEST(MckpBacktrack, ReusedSolverShrinksFromHugeCapacity) {
-  // A 35,000-column solve leaves a large table and DP row behind; the
-  // capacity-3 solves that follow through the same solver must not read them.
-  Rng rng(35000);
-  std::vector<MckpGroup> huge;
-  for (int g = 0; g < 40; ++g) {
-    const int gpw = static_cast<int>(rng.UniformInt(60, 125));
-    const double work = rng.Uniform(1e3, 1e7);
-    MckpGroup group;
-    for (int k = 1; k <= 8; ++k) {
-      group.items.push_back({k * gpw, work - work / (1 + k)});
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    // A 35,000-column solve leaves a large table and DP row behind; the
+    // capacity-3 solves that follow through the same solver must not read them.
+    Rng rng(35000);
+    std::vector<MckpGroup> huge;
+    for (int g = 0; g < 40; ++g) {
+      const int gpw = static_cast<int>(rng.UniformInt(60, 125));
+      const double work = rng.Uniform(1e3, 1e7);
+      MckpGroup group;
+      for (int k = 1; k <= 8; ++k) {
+        group.items.push_back({k * gpw, work - work / (1 + k)});
+      }
+      huge.push_back(std::move(group));
     }
-    huge.push_back(std::move(group));
-  }
-  MckpSolver solver;
-  ExpectIdentical(solver, huge, 35000, "capacity 35000");
-  ExpectIdentical(solver, huge, 3, "huge instance, capacity 3");
-  ExpectIdentical(solver, {Group({{1, 2.0}, {2, 3.0}}), Group({{1, 2.0}, {3, 4.5}})}, 3,
-                  "small instance, capacity 3");
-  for (int instance = 0; instance < 200; ++instance) {
-    int capacity = 0;
-    const std::vector<MckpGroup> groups = RandomEdgeInstance(rng, &capacity);
-    ExpectIdentical(solver, groups, std::min(capacity, 3),
-                    "edge instance " + std::to_string(instance));
+    MckpSolver solver(kernel);
+    ExpectIdentical(solver, huge, 35000, "capacity 35000");
+    ExpectIdentical(solver, huge, 3, "huge instance, capacity 3");
+    ExpectIdentical(solver, {Group({{1, 2.0}, {2, 3.0}}), Group({{1, 2.0}, {3, 4.5}})}, 3,
+                    "small instance, capacity 3");
+    for (int instance = 0; instance < 200; ++instance) {
+      int capacity = 0;
+      const std::vector<MckpGroup> groups = RandomEdgeInstance(rng, &capacity);
+      ExpectIdentical(solver, groups, std::min(capacity, 3),
+                      "edge instance " + std::to_string(instance));
+    }
   }
 }
 
@@ -636,73 +676,108 @@ void ExpectFallback(MckpSolver& solver, const std::vector<MckpGroup>& groups, in
 }
 
 TEST(MckpRegion, FlatTopFallsBackToTheFullTable) {
-  MckpSolver solver;
-  // Heavier items worth less: every group takes its light item, so the best
-  // value is reached at column 6 and stays flat up to top = 36.
-  std::vector<MckpGroup> lighter_is_better(6, Group({{1, 10.0}, {6, 1.0}}));
-  ExpectFallback(solver, lighter_is_better, 100, "lighter is better");
-  ExpectFallback(solver, lighter_is_better, 30, "lighter is better, capacity 30");
-  // Absorbed sums: above 2^56 adding 3 rounds back, so nothing after the
-  // first group raises the row past column 1.
-  ExpectFallback(solver,
-                 LoadedInstance(1e17, {Group({{1, 3.0}}), Group({{2, 3.0}, {1, 2.0}}),
-                                       Group({{1, 3.0}})}),
-                 10, "absorbed sums");
-  // Saturation: +inf in the first group ties every later cell with it.
-  const double inf = std::numeric_limits<double>::infinity();
-  ExpectFallback(solver, {Group({{1, inf}}), Group({{3, 4.0}}), Group({{2, 1.0}})}, 9,
-                 "+inf saturates");
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    MckpSolver solver(kernel);
+    // Heavier items worth less: every group takes its light item, so the best
+    // value is reached at column 6 and stays flat up to top = 36.
+    std::vector<MckpGroup> lighter_is_better(6, Group({{1, 10.0}, {6, 1.0}}));
+    ExpectFallback(solver, lighter_is_better, 100, "lighter is better");
+    ExpectFallback(solver, lighter_is_better, 30, "lighter is better, capacity 30");
+    // Absorbed sums: above 2^56 adding 3 rounds back, so nothing after the
+    // first group raises the row past column 1.
+    ExpectFallback(solver,
+                   LoadedInstance(1e17, {Group({{1, 3.0}}), Group({{2, 3.0}, {1, 2.0}}),
+                                         Group({{1, 3.0}})}),
+                   10, "absorbed sums");
+    // Saturation: +inf in the first group ties every later cell with it.
+    const double inf = std::numeric_limits<double>::infinity();
+    ExpectFallback(solver, {Group({{1, inf}}), Group({{3, 4.0}}), Group({{2, 1.0}})}, 9,
+                   "+inf saturates");
 
-  // Random instances with falling values per group: the flat ones must fall
-  // back, and every one must match the oracle.
-  Rng rng(2026);
-  int flat = 0;
-  for (int instance = 0; instance < 4000; ++instance) {
-    std::vector<MckpGroup> groups;
-    for (int g = static_cast<int>(rng.UniformInt(1, 6)); g > 0; --g) {
-      MckpGroup group;
-      double value = static_cast<double>(rng.UniformInt(10, 40));
-      int weight = 0;
-      for (int i = static_cast<int>(rng.UniformInt(1, 4)); i > 0; --i) {
-        weight += static_cast<int>(rng.UniformInt(0, 5));
-        value -= static_cast<double>(rng.UniformInt(0, 8));
-        group.items.push_back({weight, value});
+    // Random instances with falling values per group: the flat ones must fall
+    // back, and every one must match the oracle.
+    Rng rng(2026);
+    int flat = 0;
+    for (int instance = 0; instance < 4000; ++instance) {
+      std::vector<MckpGroup> groups;
+      for (int g = static_cast<int>(rng.UniformInt(1, 6)); g > 0; --g) {
+        MckpGroup group;
+        double value = static_cast<double>(rng.UniformInt(10, 40));
+        int weight = 0;
+        for (int i = static_cast<int>(rng.UniformInt(1, 4)); i > 0; --i) {
+          weight += static_cast<int>(rng.UniformInt(0, 5));
+          value -= static_cast<double>(rng.UniformInt(0, 8));
+          group.items.push_back({weight, value});
+        }
+        groups.push_back(std::move(group));
       }
-      groups.push_back(std::move(group));
+      const int capacity = static_cast<int>(rng.UniformInt(1, 40));
+      const std::string label = "instance " + std::to_string(instance);
+      std::size_t first_argmax = 0;
+      ReferenceSolveMckp(groups, capacity, &first_argmax);
+      const RegionShape shape = Shape(groups, capacity);
+      if (first_argmax + static_cast<std::size_t>(shape.depth) <
+          static_cast<std::size_t>(shape.top)) {
+        ++flat;
+        ExpectFallback(solver, groups, capacity, label);
+      } else {
+        ExpectIdentical(solver, groups, capacity, label);
+      }
     }
-    const int capacity = static_cast<int>(rng.UniformInt(1, 40));
-    const std::string label = "instance " + std::to_string(instance);
-    std::size_t first_argmax = 0;
-    ReferenceSolveMckp(groups, capacity, &first_argmax);
-    const RegionShape shape = Shape(groups, capacity);
-    if (first_argmax + static_cast<std::size_t>(shape.depth) <
-        static_cast<std::size_t>(shape.top)) {
-      ++flat;
-      ExpectFallback(solver, groups, capacity, label);
-    } else {
-      ExpectIdentical(solver, groups, capacity, label);
-    }
+    EXPECT_GT(flat, 400);
   }
-  EXPECT_GT(flat, 400);
 }
 
 TEST(MckpRegion, AmpleCapacitySolvesABand) {
-  // When the capacity covers every group's largest item, row g's region is
-  // [P_g - D, P_g]: each usable item is tried at no more than D + 1 columns.
-  constexpr int kAmple = 1 << 16;
-  Rng rng(4096);
-  MckpSolver solver;
-  for (int instance = 0; instance < 40; ++instance) {
-    const std::vector<MckpGroup> groups =
-        instance % 2 == 0 ? SchedulerShapedInstance(rng) : PaperShapedInstance(rng, kAmple);
-    const std::string label = "instance " + std::to_string(instance);
-    ExpectIdentical(solver, groups, kAmple, label);
-    const RegionShape shape = Shape(groups, kAmple);
-    ASSERT_LT(shape.top, kAmple) << label;
-    EXPECT_LE(solver.cell_updates(),
-              static_cast<std::uint64_t>(shape.depth + 1) * shape.usable_items)
-        << label;
-    EXPECT_LT(solver.cell_updates(), FullTableCells(groups, kAmple) / 4) << label;
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    // When the capacity covers every group's largest item, row g's region is
+    // [P_g - D, P_g]: each usable item is tried at no more than D + 1 columns.
+    constexpr int kAmple = 1 << 16;
+    Rng rng(4096);
+    MckpSolver solver(kernel);
+    for (int instance = 0; instance < 40; ++instance) {
+      const std::vector<MckpGroup> groups =
+          instance % 2 == 0 ? SchedulerShapedInstance(rng) : PaperShapedInstance(rng, kAmple);
+      const std::string label = "instance " + std::to_string(instance);
+      ExpectIdentical(solver, groups, kAmple, label);
+      const RegionShape shape = Shape(groups, kAmple);
+      ASSERT_LT(shape.top, kAmple) << label;
+      EXPECT_LE(solver.cell_updates(),
+                static_cast<std::uint64_t>(shape.depth + 1) * shape.usable_items)
+          << label;
+      EXPECT_LT(solver.cell_updates(), FullTableCells(groups, kAmple) / 4) << label;
+    }
+  }
+}
+
+TEST(MckpRegion, GuardBandKeepsItemsOutOfColumnsBelowTheirWeight) {
+  // At capacity 4, row 1's region is [3, 4] and the +inf item of weight 4
+  // reads row 0 at column 3 - 4 = -1: 0 < lo_1 = 3 < reach_1 = 4, so row 0's
+  // guard band holds that cell. With the guard missing or short, the read
+  // lands on a finite cell of the start row, the candidate is +inf at column
+  // 3, and the solve no longer matches the oracle (the true row 1 is 2 there).
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<MckpGroup> groups = {Group({{1, 1.0}}), Group({{1, 1.0}, {4, inf}})};
+  const RegionShape shape = Shape(groups, 4);
+  const int lo = shape.top - shape.depth;
+  ASSERT_GT(lo, 0);
+  ASSERT_LT(lo, 4);
+  // A flat top (group 0's +inf saturates every later cell) falls back to the
+  // full table, where row 0's guard is two cells: the +inf item of weight 2
+  // reads it at columns 0 and 1.
+  const std::vector<MckpGroup> flat = {Group({{1, inf}}), Group({{3, 4.0}, {2, inf}}),
+                                       Group({{2, 1.0}})};
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    MckpSolver solver(kernel);
+    ExpectIdentical(solver, groups, 4, "region guard");
+    ExpectFallback(solver, flat, 9, "full-table guard");
+    for (int capacity = 1; capacity <= 8; ++capacity) {
+      ExpectIdentical(solver, groups, capacity, "capacity " + std::to_string(capacity));
+      ExpectIdentical(solver, flat, capacity, "flat, capacity " + std::to_string(capacity));
+    }
   }
 }
 
@@ -758,26 +833,29 @@ TEST(MckpRegion, MatchesOracleOnRecordedLyraInstances) {
   // The round's capacity is not part of the instance, but every item was
   // built to fit it, so replay each instance from its heaviest item (the
   // least such capacity) up to ample capacity.
-  Rng rng(kSeed);
-  MckpSolver solver;
-  std::size_t recorded = 0;
-  for (const std::vector<MckpGroup>& groups : scheduler.instances()) {
-    int heaviest = 1;
-    int sum_heaviest = 0;
-    for (const MckpGroup& group : groups) {
-      int group_heaviest = 0;
-      for (const MckpItem& item : group.items) {
-        group_heaviest = std::max(group_heaviest, item.weight);
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    Rng rng(kSeed);
+    MckpSolver solver(kernel);
+    std::size_t recorded = 0;
+    for (const std::vector<MckpGroup>& groups : scheduler.instances()) {
+      int heaviest = 1;
+      int sum_heaviest = 0;
+      for (const MckpGroup& group : groups) {
+        int group_heaviest = 0;
+        for (const MckpItem& item : group.items) {
+          group_heaviest = std::max(group_heaviest, item.weight);
+        }
+        heaviest = std::max(heaviest, group_heaviest);
+        sum_heaviest += group_heaviest;
       }
-      heaviest = std::max(heaviest, group_heaviest);
-      sum_heaviest += group_heaviest;
-    }
-    const int depth = Shape(groups, heaviest).depth;
-    const std::string label = "recorded " + std::to_string(recorded++);
-    for (int capacity :
-         {heaviest, heaviest + depth, std::max(heaviest, sum_heaviest - 1), sum_heaviest,
-          static_cast<int>(rng.UniformInt(heaviest, std::max(heaviest, sum_heaviest))), 4096}) {
-      ExpectIdentical(solver, groups, capacity, label + " capacity " + std::to_string(capacity));
+      const int depth = Shape(groups, heaviest).depth;
+      const std::string label = "recorded " + std::to_string(recorded++);
+      for (int capacity :
+           {heaviest, heaviest + depth, std::max(heaviest, sum_heaviest - 1), sum_heaviest,
+            static_cast<int>(rng.UniformInt(heaviest, std::max(heaviest, sum_heaviest))), 4096}) {
+        ExpectIdentical(solver, groups, capacity, label + " capacity " + std::to_string(capacity));
+      }
     }
   }
 }

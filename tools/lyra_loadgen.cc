@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
       // mid-point (ECONNRESET / EPIPE / short read). Aborting there would
       // throw away the sweep's earlier points, so record the point as failed
       // and keep walking the rate ladder; the exit status still reports it.
-      const std::string& why = run.status().message();
+      const std::string why = run.status().message();
       const bool transient = why.find("Connection reset") != std::string::npos ||
                              why.find("Broken pipe") != std::string::npos ||
                              why.find("closed") != std::string::npos ||
