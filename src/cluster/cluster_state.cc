@@ -182,7 +182,7 @@ int ClusterState::RemoveAllFlexible(JobId job) {
   if (it == placements_.end()) {
     return 0;
   }
-  // Collect first: RemoveFlexible mutates the share map we are iterating.
+  // Collect first: RemoveFlexible erases from the share list we would walk.
   std::vector<std::pair<ServerId, int>> flex;
   for (const auto& [server_id, share] : it->second.shares) {
     if (share.flexible_gpus > 0) {
@@ -314,8 +314,10 @@ void ClusterState::AuditInvariants() const {
       group.mask |= std::uint64_t{1} << srv.free_gpus();
     }
 
-    // Server-side per-job shares must sum to the server's used and flexible
-    // counts and be mirrored exactly in the job-side placement map.
+    // Server-side per-job shares, ascending by job id, must sum to the
+    // server's used and flexible counts and be mirrored exactly in the
+    // job-side placement map.
+    LYRA_CHECK(IdsStrictlyAscending(srv.jobs()));
     int server_used = 0;
     int server_flexible = 0;
     for (const auto& [job, share] : srv.jobs()) {
@@ -336,12 +338,15 @@ void ClusterState::AuditInvariants() const {
     LYRA_CHECK_LE(srv.used_gpus(), srv.num_gpus());
   }
 
-  // Job-side shares must all exist on the server side (with the mirror check
-  // above, the two views are then identical).
+  // Job-side shares, ascending by server id and none empty, must all exist on
+  // the server side (with the mirror check above, the two views are then
+  // identical). Every sum over a job's shares relies on that order.
   for (const auto& [job, placement] : placements_) {
     LYRA_CHECK(!placement.shares.empty());
+    LYRA_CHECK(IdsStrictlyAscending(placement.shares));
     int flexible = 0;
     for (const auto& [server_id, share] : placement.shares) {
+      LYRA_CHECK_GT(share.total(), 0);
       const Server& srv = server(server_id);
       auto it = srv.jobs().find(job);
       LYRA_CHECK(it != srv.jobs().end());

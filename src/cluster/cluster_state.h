@@ -26,7 +26,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -36,9 +35,10 @@
 
 namespace lyra {
 
-// Job-side view: which servers host this job and how many GPUs on each.
+// Job-side view: which servers host this job and how many GPUs on each,
+// ascending by server id.
 struct JobPlacement {
-  std::map<ServerId, GpuShare> shares;
+  SortedIdMap<ServerId, GpuShare> shares;
   // Mutation stamp: drawn from a cluster-wide counter at every change of
   // `shares`. Stamps never repeat, so a job whose stamp
   // is unchanged holds exactly the shares it held when the stamp was read.

@@ -2,9 +2,8 @@
 #ifndef SRC_CLUSTER_SERVER_H_
 #define SRC_CLUSTER_SERVER_H_
 
-#include <map>
-
 #include "src/cluster/gpu.h"
+#include "src/cluster/sorted_id_map.h"
 #include "src/common/check.h"
 #include "src/common/types.h"
 
@@ -70,8 +69,9 @@ class Server {
   int free_gpus() const { return num_gpus_ - used_gpus_; }
   bool idle() const { return used_gpus_ == 0; }
 
-  // Jobs hosted by this server and the GPUs each occupies here.
-  const std::map<JobId, GpuShare>& jobs() const { return jobs_; }
+  // Jobs hosted by this server and the GPUs each occupies here, ascending by
+  // job id.
+  const SortedIdMap<JobId, GpuShare>& jobs() const { return jobs_; }
   int num_jobs() const { return static_cast<int>(jobs_.size()); }
 
   // Number of GPUs the given job occupies on this server (0 if absent).
@@ -104,7 +104,7 @@ class Server {
   bool up_ = true;
   int used_gpus_ = 0;
   int flexible_gpus_ = 0;
-  std::map<JobId, GpuShare> jobs_;
+  SortedIdMap<JobId, GpuShare> jobs_;
 };
 
 }  // namespace lyra

@@ -91,13 +91,17 @@ double Rng::NextLogNormal(double mu, double sigma) {
 
 bool Rng::NextBernoulli(double p) { return NextDouble() < p; }
 
-std::size_t Rng::SampleIndex(const std::vector<double>& weights) {
+double Rng::WeightTotal(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) {
     LYRA_CHECK_GE(w, 0.0);
     total += w;
   }
   LYRA_CHECK_GT(total, 0.0);
+  return total;
+}
+
+std::size_t Rng::SampleIndex(const std::vector<double>& weights, double total) {
   double target = NextDouble() * total;
   for (std::size_t i = 0; i < weights.size(); ++i) {
     target -= weights[i];

@@ -41,7 +41,16 @@ class Rng {
 
   // Samples an index according to the (unnormalized, non-negative) weights.
   // Requires at least one strictly positive weight.
-  std::size_t SampleIndex(const std::vector<double>& weights);
+  std::size_t SampleIndex(const std::vector<double>& weights) {
+    return SampleIndex(weights, WeightTotal(weights));
+  }
+
+  // Checks the weights as SampleIndex does and returns their sum, so a caller
+  // drawing many times from one weight vector sums it once.
+  static double WeightTotal(const std::vector<double>& weights);
+
+  // SampleIndex with `total == WeightTotal(weights)`: the same draw.
+  std::size_t SampleIndex(const std::vector<double>& weights, double total);
 
   // Derives an independent child generator; used to give each subsystem its
   // own stream so adding draws to one subsystem does not perturb another.

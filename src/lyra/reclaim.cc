@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <queue>
 #include <tuple>
 #include <unordered_map>
@@ -179,7 +178,7 @@ double ServerPreemptionCost(const ClusterState& cluster, ServerId server_id) {
 }
 
 int CollateralEstimate(const ClusterState& cluster, ServerId server_id) {
-  const std::map<JobId, GpuShare>& hosted = cluster.server(server_id).jobs();
+  const SortedIdMap<JobId, GpuShare>& hosted = cluster.server(server_id).jobs();
   // The vacate preempts the jobs with base GPUs here. Jobs with only
   // flexible GPUs here scale in on this server alone, which changes no other
   // server's occupancy.

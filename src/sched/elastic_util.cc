@@ -77,9 +77,10 @@ int ShrinkFlexibleTo(ClusterState& cluster, const Job& job, int target_flex_work
   };
   int released = 0;
   // Remove one physical flexible worker at a time until within target, server
-  // by server in ascending id. RemoveFlexible erases a share it empties, so
-  // the walk finds the next server by key. The placement itself goes only
-  // with its last share, and after the last share there is nothing to walk.
+  // by server in ascending id. RemoveFlexible erases a share it empties,
+  // which invalidates every iterator into the sorted share list, so the walk
+  // finds the next server by key. The placement itself goes only with its
+  // last share, and after the last share there is nothing to walk.
   auto it = placement->shares.begin();
   while (it != placement->shares.end() && !within_target()) {
     const ServerId server_id = it->first;

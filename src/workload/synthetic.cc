@@ -118,8 +118,9 @@ void SyntheticTraceGenerator::AssignArrivalTimes(Trace& trace, Rng& rng) const {
   for (double& w : weights) {
     w = rng.NextLogNormal(0.0, kArrivalBurstiness);
   }
+  const double total = Rng::WeightTotal(weights);
   for (JobSpec& job : trace.jobs) {
-    const std::size_t hour = rng.SampleIndex(weights);
+    const std::size_t hour = rng.SampleIndex(weights, total);
     const double offset = rng.NextDouble() * kHour;
     job.submit_time = std::min(options_.duration - 1.0,
                                static_cast<double>(hour) * kHour + offset);

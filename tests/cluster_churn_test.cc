@@ -107,7 +107,7 @@ JobId RandomPlacedJob(const ClusterState& cluster, Rng& rng) {
 
 // Placement stamps: a job whose stamp did not move across an operation must
 // hold exactly the shares it held before it.
-using StampedShares = std::map<JobId, std::pair<std::uint64_t, std::map<ServerId, GpuShare>>>;
+using StampedShares = std::map<JobId, std::pair<std::uint64_t, SortedIdMap<ServerId, GpuShare>>>;
 
 StampedShares CaptureStamps(const ClusterState& cluster) {
   StampedShares out;

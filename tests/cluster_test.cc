@@ -1,6 +1,10 @@
 // Unit tests for the cluster model: Server and ClusterState invariants.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "src/cluster/cluster_state.h"
 #include "src/common/rng.h"
 
@@ -192,6 +196,75 @@ TEST_F(ClusterStateTest, PartialFlexibleRemoveUpdatesJobIndex) {
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->flexible_gpus(), 2);
   EXPECT_EQ(p->base_gpus(), 2);
+}
+
+// The ordered (id, share) entries of a sorted list or a std::map.
+template <typename Map>
+std::vector<std::pair<std::int64_t, GpuShare>> Entries(const Map& map) {
+  std::vector<std::pair<std::int64_t, GpuShare>> out;
+  for (const auto& [id, share] : map) {
+    out.emplace_back(id.value, share);
+  }
+  return out;
+}
+
+// Both sides of the placement index walk in ascending id, exactly like a
+// std::map oracle kept beside them, through out-of-order inserts, a grown
+// share, a partial flexible removal and a job removal.
+TEST_F(ClusterStateTest, ShareListsStayAscendingLikeAMap) {
+  std::map<ServerId, GpuShare> job_oracle;  // job 5's shares
+  std::map<ServerId, std::map<JobId, GpuShare>> server_oracle;
+  const JobId job(5);
+  auto place = [&](JobId j, ServerId server, int gpus, bool flexible) {
+    cluster_.Place(j, server, gpus, flexible);
+    GpuShare& share = server_oracle[server][j];
+    (flexible ? share.flexible_gpus : share.base_gpus) += gpus;
+    if (j == job) {
+      job_oracle[server] = share;
+    }
+  };
+  auto expect_matches = [&](const char* step) {
+    SCOPED_TRACE(step);
+    cluster_.AuditInvariants();
+    const JobPlacement* p = cluster_.FindPlacement(job);
+    if (job_oracle.empty()) {
+      EXPECT_EQ(p, nullptr);
+    } else {
+      ASSERT_NE(p, nullptr);
+      EXPECT_EQ(Entries(p->shares), Entries(job_oracle));
+    }
+    for (const Server& srv : cluster_.servers()) {
+      EXPECT_EQ(Entries(srv.jobs()), Entries(server_oracle[srv.id()])) << "server "
+                                                                       << srv.id().value;
+    }
+  };
+
+  // Servers 3, 0, 6, 1 in that order; on server 0, jobs 9, 5 and 2.
+  place(JobId(9), training_[0], 1, false);
+  place(job, training_[3], 2, false);
+  place(job, training_[0], 2, false);
+  place(job, inference_[2], 3, true);
+  place(job, training_[1], 1, true);
+  place(JobId(2), training_[0], 1, true);
+  expect_matches("out-of-order places");
+
+  place(job, training_[0], 2, true);  // grows an existing share
+  expect_matches("grown share");
+
+  EXPECT_EQ(cluster_.RemoveFlexible(job, training_[0], 1), 1);
+  job_oracle[training_[0]].flexible_gpus -= 1;
+  server_oracle[training_[0]][job] = job_oracle[training_[0]];
+  EXPECT_EQ(cluster_.RemoveFlexible(job, training_[1], 1), 1);  // empties the share
+  job_oracle.erase(training_[1]);
+  server_oracle[training_[1]].erase(job);
+  expect_matches("partial flexible removal");
+
+  cluster_.RemoveJob(job);
+  for (const auto& [server, share] : job_oracle) {
+    server_oracle[server].erase(job);
+  }
+  job_oracle.clear();
+  expect_matches("job removal");
 }
 
 // Randomized consistency fuzz: apply random place/remove sequences and check

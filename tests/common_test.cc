@@ -118,6 +118,47 @@ TEST(Rng, SampleIndexRespectsWeights) {
   EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.02);
 }
 
+// Reference draw that sums the weights again on every call.
+std::size_t ResummingSampleIndex(Rng& rng, const std::vector<double>& weights) {
+  double total = 0.0;
+  for (double w : weights) {
+    total += w;
+  }
+  double target = rng.NextDouble() * total;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    target -= weights[i];
+    if (target < 0.0) {
+      return i;
+    }
+  }
+  return weights.size() - 1;
+}
+
+TEST(Rng, SampleIndexWithSummedTotalMatchesOneShot) {
+  // Lognormal hour weights, shaped like the synthetic trace's arrivals.
+  Rng weight_rng(5);
+  std::vector<double> weights(360);
+  for (double& w : weights) {
+    w = weight_rng.NextLogNormal(0.0, 1.5);
+  }
+  const double total = Rng::WeightTotal(weights);
+  Rng once(11);
+  Rng one_shot(11);
+  Rng resumming(11);
+  for (int i = 0; i < 20000; ++i) {
+    const std::size_t index = once.SampleIndex(weights, total);
+    ASSERT_EQ(index, one_shot.SampleIndex(weights)) << "draw " << i;
+    ASSERT_EQ(index, ResummingSampleIndex(resumming, weights)) << "draw " << i;
+  }
+}
+
+TEST(RngDeathTest, NegativeWeightAborts) {
+  const std::vector<double> weights = {1.0, -0.5, 2.0};
+  EXPECT_DEATH(Rng::WeightTotal(weights), "CHECK failed");
+  Rng rng(1);
+  EXPECT_DEATH(rng.SampleIndex(weights), "CHECK failed");
+}
+
 TEST(Rng, ForkedStreamsAreIndependentOfParentDraws) {
   Rng parent1(42);
   Rng child1 = parent1.Fork();

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -95,7 +94,7 @@ TEST(ElasticUtil, ShrinkWalksPastAnEmptiedFlexibleOnlyShare) {
   EXPECT_EQ(PlacedFlexibleWorkers(cluster, *job), 2);
   const JobPlacement* placement = cluster.FindPlacement(JobId(0));
   ASSERT_NE(placement, nullptr);
-  const std::map<ServerId, GpuShare> expected = {
+  const SortedIdMap<ServerId, GpuShare> expected = {
       {ServerId(0), GpuShare{2, 0}},
       {ServerId(2), GpuShare{0, 2}},
       {ServerId(3), GpuShare{2, 2}},
