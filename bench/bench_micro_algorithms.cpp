@@ -127,6 +127,7 @@ void BM_TwoPhaseAllocate(benchmark::State& state) {
   lyra::ClusterState cluster;
   std::vector<std::unique_ptr<lyra::Job>> jobs;
   std::vector<lyra::Job*> queue;
+  std::vector<lyra::Job*> running;
   lyra::SchedulerContext ctx;
   ctx.cluster = &cluster;
   ctx.queue_id = lyra::NewQueueId();
@@ -147,8 +148,9 @@ void BM_TwoPhaseAllocate(benchmark::State& state) {
     lyra::Job* job = make_job(2, 3, 6);
     cluster.Place(job->id(), server, 6, /*flexible=*/false);
     cluster.Place(job->id(), server, 2, /*flexible=*/true);
-    ctx.running.push_back(job);
+    running.push_back(job);
   }
+  ctx.running = running;
   static constexpr int kGpusPerWorker[] = {1, 2, 4, 8};
   for (int p = 0; p < pending; ++p) {
     const int min_workers = static_cast<int>(rng.UniformInt(1, 4));
@@ -349,6 +351,7 @@ void BM_HarvestFlexibleGpus(benchmark::State& state) {
   lyra::ClusterState cluster;
   std::vector<std::unique_ptr<lyra::Job>> jobs;
   std::vector<lyra::Job*> holders;
+  std::vector<lyra::Job*> running;
   lyra::SchedulerContext ctx;
   ctx.cluster = &cluster;
   for (int s = 0; s < 443; ++s) {
@@ -364,11 +367,12 @@ void BM_HarvestFlexibleGpus(benchmark::State& state) {
     jobs.push_back(std::make_unique<lyra::Job>(spec));
     cluster.Place(spec.id, id, 6, /*flexible=*/false);
     cluster.Place(spec.id, id, 2, /*flexible=*/elastic);
-    ctx.running.push_back(jobs.back().get());
+    running.push_back(jobs.back().get());
     if (elastic) {
       holders.push_back(jobs.back().get());
     }
   }
+  ctx.running = running;
   lyra::JobSpec launch;
   launch.id = lyra::JobId(0);
   launch.gpus_per_worker = 8;

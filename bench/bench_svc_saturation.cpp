@@ -15,7 +15,7 @@
 //
 //   bench_svc_saturation [--rates=20000,100000,400000] [--duration=2]
 //                        [--connections=1] [--io-threads=2]
-//                        [--federation-sweep=0x1@1,0x1@4,2x2]
+//                        [--federation-sweep=0x1,0x4,2x2]
 //                        [--federation-rate=400000]
 //
 // The rate sweep runs one training cluster of one engine. --federation-sweep
@@ -23,10 +23,10 @@
 // federation spec, a fresh federated daemon per point with untargeted
 // submits landing on the training side, and records the curve under
 // "federation_sweep" with each entry's spec string. Engine scaling is the
-// same sweep over `0x1@N` specs (one training cluster of N engines, what
-// lyra_schedd's --shards=N means); extra engines only buy throughput when
-// they run on distinct cores, so on a single-core host the sweep documents
-// the overhead floor instead.
+// same sweep over `0xN` specs (N training clusters, one engine each, with
+// untargeted submits spread over them); extra engines only buy throughput
+// when they run on distinct cores, so on a single-core host the sweep
+// documents the overhead floor instead.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   flags.AddInt("connections", &connections, "client connections per point");
   flags.AddInt("io-threads", &io_threads, "event-loop I/O threads");
   flags.AddString("federation-sweep", &federation_sweep_csv,
-                  "comma-separated --federation specs (e.g. 0x1@4,2x2) for a "
+                  "comma-separated --federation specs (e.g. 0x4,2x2) for a "
                   "federated-topology sweep (one saturating point per spec)");
   flags.AddDouble("federation-rate", &federation_rate,
                   "offered rate for every federation-sweep point");
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   for (const double rate : rates) {
     lyra::StatusOr<lyra::svc::LoadPoint> run =
         RunPoint(rate, duration, connections, io_threads,
-                 lyra::svc::SingleCluster(1), payload);
+                 lyra::svc::SingleCluster(), payload);
     if (!run.ok()) {
       std::fprintf(stderr, "bench_svc_saturation: %s\n",
                    run.status().message().c_str());
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
   std::printf("peak: %.0f submits/s accepted at offered %.0f/s\n",
               points[best].accepted_per_s, points[best].offered_rate);
 
-  // Fleet sweep: one saturating point per federation spec. `0x1@N` specs
+  // Fleet sweep: one saturating point per federation spec. `0xN` specs
   // give the engine-count scaling curve, NxM specs the cost of the
   // cluster-routing layer as the fleet grows.
   std::vector<std::pair<std::string, lyra::svc::LoadPoint>> federation_points;

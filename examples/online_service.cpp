@@ -50,7 +50,7 @@ int main() {
   options.engine.scale = 0.05;
   options.auto_advance = false;
   lyra::StatusOr<lyra::svc::FederationSet> fleet = lyra::svc::BuildFederation(
-      options, lyra::svc::SingleCluster(1),
+      options, lyra::svc::SingleCluster(),
       [](int) { return std::make_unique<lyra::svc::VirtualTimeDriver>(); });
   if (!fleet.ok()) {
     std::fprintf(stderr, "start failed: %s\n", fleet.status().message().c_str());

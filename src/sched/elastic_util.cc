@@ -112,7 +112,7 @@ int ShrinkFlexibleTo(ClusterState& cluster, const Job& job, int target_flex_work
 // the jobs that hold one, and later passes walk only those, in the same
 // order, making the same shrinks as passes over all. Only elastic jobs hold
 // flexible GPUs, so no other job is looked up.
-int HarvestFlexibleGpus(ClusterState& cluster, const std::vector<Job*>& running,
+int HarvestFlexibleGpus(ClusterState& cluster, std::span<Job* const> running,
                         int gpus_needed) {
   if (gpus_needed <= 0 || cluster.FlexibleGpus() == 0) {
     return 0;

@@ -2,7 +2,7 @@
 #ifndef SRC_SCHED_ELASTIC_UTIL_H_
 #define SRC_SCHED_ELASTIC_UTIL_H_
 
-#include <vector>
+#include <span>
 
 #include "src/cluster/cluster_state.h"
 #include "src/workload/job.h"
@@ -24,7 +24,7 @@ int ShrinkFlexibleTo(ClusterState& cluster, const Job& job, int target_flex_work
 // workers remain. Returns GPUs released. Costs O(1) when the cluster holds no
 // flexible GPU, and otherwise one look-up per running elastic job plus the
 // passes over the jobs that hold flexible workers.
-int HarvestFlexibleGpus(ClusterState& cluster, const std::vector<Job*>& running,
+int HarvestFlexibleGpus(ClusterState& cluster, std::span<Job* const> running,
                         int gpus_needed);
 
 }  // namespace lyra

@@ -13,7 +13,6 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "src/cluster/cluster_state.h"
 #include "src/workload/job.h"
@@ -41,8 +40,10 @@ struct SchedulerContext {
   // scheduler that drives several queues, or misses a round, rebuilds.
   std::uint64_t queue_id = 0;
   std::uint64_t round = 0;
-  // All currently running jobs.
-  std::vector<Job*> running;
+  // All currently running jobs, in start order: a view of the caller's
+  // list, valid for the Schedule call (the list changes only between
+  // rounds).
+  std::span<Job* const> running;
   const ThroughputModel* throughput = nullptr;
   // Whether the scenario lets the scheduler place fungible jobs on on-loan
   // servers. False in the elastic-scaling-only studies (§7.4).

@@ -886,7 +886,7 @@ class EventLoop::IoThread {
 
 EventLoop::EventLoop(SchedulerService* service, EventLoopOptions options)
     : owned_router_(std::make_unique<FederationRouter>(
-          std::vector<SchedulerService*>{service}, SingleCluster(1))),
+          std::vector<SchedulerService*>{service}, SingleCluster())),
       router_(owned_router_.get()),
       options_(std::move(options)) {
   LYRA_CHECK(service != nullptr);

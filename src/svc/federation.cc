@@ -112,61 +112,42 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
     return Status::InvalidArgument("empty federation spec");
   }
 
-  // Compact form first: "NxM" or "NxM@S".
+  // Compact form first: "NxM".
   const std::size_t x = spec.find('x');
   if (x != std::string::npos && spec.find(',') == std::string::npos &&
       spec.find(':') == std::string::npos) {
-    const std::size_t at = spec.find('@');
-    long long inference = 0, training = 0, shards = 1;
-    const std::string training_text =
-        at == std::string::npos ? spec.substr(x + 1)
-                                : spec.substr(x + 1, at - x - 1);
+    long long inference = 0, training = 0;
     if (!ParseUint(spec.substr(0, x), &inference) ||
-        !ParseUint(training_text, &training) ||
-        (at != std::string::npos &&
-         !ParseUint(spec.substr(at + 1), &shards))) {
+        !ParseUint(spec.substr(x + 1), &training)) {
       return Status::InvalidArgument("bad federation spec: \"" + spec + "\"");
-    }
-    if (shards < 1 || shards > 64) {
-      return Status::InvalidArgument(
-          "cluster shard count must be in [1, 64], got " +
-          std::to_string(shards));
     }
     // Bound the fleet before building it. Each count is bounded alone first,
     // so the total cannot overflow.
-    if (inference > 64 || training > 64 || (inference + training) * shards > 64) {
+    if (inference > 64 || training > 64 || inference + training > 64) {
       return Status::InvalidArgument(
           "federation engine count must be in [1, 64], got " +
           (inference > 64 || training > 64
                ? std::string("more than 64")
-               : std::to_string((inference + training) * shards)));
+               : std::to_string(inference + training)));
     }
     if (inference + training < 1) {
       return Status::InvalidArgument("federation needs at least one cluster");
     }
     std::vector<ClusterSpec> clusters;
     for (long long i = 0; i < inference; ++i) {
-      ClusterSpec cluster;
-      cluster.name = "inf" + std::to_string(i);
-      cluster.kind = ClusterKind::kInference;
-      cluster.shards = static_cast<int>(shards);
-      clusters.push_back(std::move(cluster));
+      clusters.push_back({"inf" + std::to_string(i), ClusterKind::kInference});
     }
     for (long long i = 0; i < training; ++i) {
-      ClusterSpec cluster;
-      cluster.name = "train" + std::to_string(i);
-      cluster.kind = ClusterKind::kTraining;
-      cluster.shards = static_cast<int>(shards);
-      clusters.push_back(std::move(cluster));
+      clusters.push_back({"train" + std::to_string(i), ClusterKind::kTraining});
     }
     return clusters;
   }
 
-  // Explicit list: "name:kind[:shards],...".
+  // Explicit list: "name:kind,...".
   std::vector<ClusterSpec> clusters;
   for (const std::string& entry : SplitOn(spec, ',')) {
     const std::vector<std::string> fields = SplitOn(entry, ':');
-    if (fields.size() < 2 || fields.size() > 3) {
+    if (fields.size() != 2) {
       return Status::InvalidArgument("bad federation cluster: \"" + entry +
                                      "\"");
     }
@@ -179,14 +160,6 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
     if (!ParseKindToken(fields[1], &cluster.kind)) {
       return Status::InvalidArgument("unknown cluster kind: \"" + fields[1] +
                                      "\"");
-    }
-    if (fields.size() >= 3) {
-      long long shards = 0;
-      if (!ParseUint(fields[2], &shards) || shards < 1 || shards > 64) {
-        return Status::InvalidArgument("bad cluster shard count: \"" +
-                                       fields[2] + "\"");
-      }
-      cluster.shards = static_cast<int>(shards);
     }
     for (const ClusterSpec& existing : clusters) {
       if (existing.name == cluster.name) {
@@ -280,9 +253,9 @@ class FederationRouter::WaitSink : public SchedulerService::CompletionSink {
   JsonValue reply_;
 };
 
-// Two-hop migration chain: cancel on the source engine, then resubmit on the
-// destination engine with the remaining work plus the checkpoint cost. Each
-// hop's reply arrives on that engine's thread; `a` carries the phase.
+// Two-hop migration chain: cancel on the source cluster, then resubmit on
+// the destination cluster with the remaining work plus the checkpoint cost.
+// Each hop's reply arrives on that engine's thread; `a` carries the phase.
 class FederationRouter::MigrationSink
     : public SchedulerService::CompletionSink,
       public std::enable_shared_from_this<MigrationSink> {
@@ -290,18 +263,16 @@ class FederationRouter::MigrationSink
   MigrationSink(FederationRouter* router, std::optional<double> seq,
                 std::shared_ptr<SchedulerService::CompletionSink> parent,
                 std::uint64_t a, std::uint64_t b, std::int64_t from_global,
-                std::uint32_t dest_engine,
-                std::uint32_t dest_cluster, std::uint32_t source_cluster,
-                EngineCommand submit, double checkpoint_cost)
+                std::uint32_t source, std::uint32_t dest, EngineCommand submit,
+                double checkpoint_cost)
       : router_(router),
         seq_(seq),
         parent_(std::move(parent)),
         a_(a),
         b_(b),
         from_global_(from_global),
-        dest_engine_(dest_engine),
-        dest_cluster_(dest_cluster),
-        source_cluster_(source_cluster),
+        source_(source),
+        dest_(dest),
         submit_(std::move(submit)),
         checkpoint_cost_(checkpoint_cost) {}
 
@@ -317,7 +288,7 @@ class FederationRouter::MigrationSink
       // the destination no earlier (the destination still maxes the stamp
       // with its own frontier).
       submit_.at = reply.GetDouble("time", 0.0);
-      router_->shard(static_cast<int>(dest_engine_))
+      router_->shard(static_cast<int>(dest_))
           ->Enqueue(std::move(submit_), shared_from_this(), 1, 0);
       return;
     }
@@ -326,15 +297,15 @@ class FederationRouter::MigrationSink
     const double time = reply.GetDouble("time", 0.0);
     {
       std::lock_guard<std::mutex> lock(router_->ledger_mu_);
-      router_->RecordMigration(time, from_global_, to_global, source_cluster_,
-                               dest_cluster_, checkpoint_cost_);
+      router_->RecordMigration(time, from_global_, to_global, source_, dest_,
+                               checkpoint_cost_);
     }
     JsonValue done = OkReply();
     done.Set("job", JsonValue::MakeNumber(static_cast<double>(to_global)));
     done.Set("from_job",
              JsonValue::MakeNumber(static_cast<double>(from_global_)));
     done.Set("cluster", JsonValue::MakeString(
-                            router_->clusters_[dest_cluster_].name));
+                            router_->clusters_[dest_].name));
     done.Set("checkpoint_cost", JsonValue::MakeNumber(checkpoint_cost_));
     done.Set("time", JsonValue::MakeNumber(time));
     EchoSeq(seq_, done);
@@ -348,9 +319,8 @@ class FederationRouter::MigrationSink
   const std::uint64_t a_;
   const std::uint64_t b_;
   const std::int64_t from_global_;
-  const std::uint32_t dest_engine_;
-  const std::uint32_t dest_cluster_;
-  const std::uint32_t source_cluster_;
+  const std::uint32_t source_;  // cluster, and so engine
+  const std::uint32_t dest_;
   EngineCommand submit_;
   const double checkpoint_cost_;
 };
@@ -362,22 +332,11 @@ FederationRouter::FederationRouter(std::vector<SchedulerService*> engines,
   for (SchedulerService* engine : shards_) {
     LYRA_CHECK(engine != nullptr);
   }
-  LYRA_CHECK(!clusters_.empty());
-  int next = 0;
+  LYRA_CHECK(clusters_.size() == shards_.size());
   for (std::size_t c = 0; c < clusters_.size(); ++c) {
-    const ClusterSpec& spec = clusters_[c];
-    LYRA_CHECK(spec.shards >= 1);
-    first_engine_.push_back(next);
-    std::vector<std::uint32_t> range;
-    for (int s = 0; s < spec.shards; ++s) {
-      const auto engine = static_cast<std::uint32_t>(next++);
-      range.push_back(engine);
-      engine_cluster_.push_back(static_cast<std::uint32_t>(c));
-      kind_engines_[static_cast<int>(spec.kind)].push_back(engine);
-    }
-    cluster_engines_.push_back(std::move(range));
+    kind_engines_[static_cast<int>(clusters_[c].kind)].push_back(
+        static_cast<std::uint32_t>(c));
   }
-  LYRA_CHECK(next == shard_count());
 }
 
 int FederationRouter::FindCluster(const std::string& name) const {
@@ -424,7 +383,7 @@ void FederationRouter::RecordMigration(double now, std::int64_t from_job,
   }
 }
 
-const std::vector<std::uint32_t>* FederationRouter::TargetEngines(
+std::span<const std::uint32_t> FederationRouter::TargetEngines(
     const JsonValue& request) const {
   const JsonValue* cluster = request.Find("cluster");
   if (cluster != nullptr) {
@@ -437,23 +396,30 @@ const std::vector<std::uint32_t>* FederationRouter::TargetEngines(
         c = static_cast<int>(index);
       }
     }
-    return c < 0 ? nullptr : &cluster_engines_[static_cast<std::size_t>(c)];
+    if (c < 0) {
+      return {};
+    }
+    // Engine c, as the one-element run of its kind's ascending list.
+    const ClusterKind kind = clusters_[static_cast<std::size_t>(c)].kind;
+    const std::vector<std::uint32_t>& same_kind =
+        kind_engines_[static_cast<int>(kind)];
+    const auto [first, last] = std::equal_range(
+        same_kind.begin(), same_kind.end(), static_cast<std::uint32_t>(c));
+    return {first, last};
   }
   const JsonValue* kind_field = request.Find("kind");
   if (kind_field == nullptr && cluster_count() == 1) {
     // Untargeted submit to a single-cluster fleet goes to that cluster
     // whatever its kind.
-    return &cluster_engines_[0];
+    return kind_engines_[static_cast<int>(clusters_[0].kind)];
   }
   ClusterKind kind = ClusterKind::kTraining;
   if (kind_field != nullptr &&
       (!kind_field->is_string() ||
        !ParseKindToken(kind_field->AsString(), &kind))) {
-    return nullptr;
+    return {};
   }
-  const std::vector<std::uint32_t>& engines =
-      kind_engines_[static_cast<int>(kind)];
-  return engines.empty() ? nullptr : &engines;
+  return kind_engines_[static_cast<int>(kind)];
 }
 
 JsonValue FederationRouter::RejectReply(TelemetryCmd cmd,
@@ -502,7 +468,7 @@ bool FederationRouter::Dispatch(
   // from the submit counter for a keyless submit at E > 1.
   std::uint32_t engine = 0;
   bool fanout = false;
-  const std::vector<std::uint32_t>* counter_targets = nullptr;
+  std::span<const std::uint32_t> counter_targets;
   if (cmd == TelemetryCmd::kMigrate) {
     const StatusOr<std::int64_t> job = JobIdField(request, "migrate");
     if (cluster_count() < 2 || !job.ok()) {
@@ -512,16 +478,16 @@ bool FederationRouter::Dispatch(
   } else if (shard_count() == 1 && cmd != TelemetryCmd::kSnapshot) {
     // The plain daemon's hot path: no JSON lookups, engine 0 answers.
   } else if (cmd == TelemetryCmd::kSubmit) {
-    const std::vector<std::uint32_t>* targets = TargetEngines(request);
-    if (targets == nullptr) {
+    const std::span<const std::uint32_t> targets = TargetEngines(request);
+    if (targets.empty()) {
       return fail(RejectReply(cmd, request));
     }
     const JsonValue* key = request.Find("key");
     if (key != nullptr && key->is_string()) {
-      engine = (*targets)[Fnv1a(key->AsString()) % targets->size()];
+      engine = targets[Fnv1a(key->AsString()) % targets.size()];
     } else {
       counter_targets = targets;
-      engine = (*targets)[Fnv1aU64(submit_seq()) % targets->size()];
+      engine = targets[Fnv1aU64(submit_seq()) % targets.size()];
     }
   } else if (cmd == TelemetryCmd::kCancel) {
     // An invalid "job" goes to engine 0, whose decode answers it.
@@ -541,14 +507,14 @@ bool FederationRouter::Dispatch(
     shards_[engine]->CountShedOverload();
     return true;
   }
-  if (counter_targets != nullptr) {
+  if (!counter_targets.empty()) {
     // The fetch_add is the authoritative routing decision: two I/O threads
     // that both peeked the same value still dispatch to distinct,
     // deterministic engines. It precedes the decode, so a malformed keyless
     // submit consumes its number like any other.
     const std::uint64_t seq =
         submit_seq_.fetch_add(1, std::memory_order_relaxed);
-    engine = (*counter_targets)[Fnv1aU64(seq) % counter_targets->size()];
+    engine = counter_targets[Fnv1aU64(seq) % counter_targets.size()];
   }
   if (cmd == TelemetryCmd::kMigrate) {
     JsonValue refused = StartMigration(request, sink, a, b);
@@ -591,8 +557,7 @@ JsonValue FederationRouter::StartMigration(
     const std::shared_ptr<SchedulerService::CompletionSink>& sink,
     std::uint64_t a, std::uint64_t b) {
   const std::int64_t global = JobIdField(request, "migrate").value();  // Dispatch-checked
-  const std::uint32_t source_engine = ShardOfJob(global);
-  const std::uint32_t source_cluster = ClusterOfEngine(source_engine);
+  const std::uint32_t source_cluster = ShardOfJob(global);
 
   const JsonValue* to = request.Find("to");
   if (to == nullptr) {
@@ -630,7 +595,7 @@ JsonValue FederationRouter::StartMigration(
                           clusters_[source_cluster].name + "\"");
   }
 
-  SchedulerService* source = shard(static_cast<int>(source_engine));
+  SchedulerService* source = shard(static_cast<int>(source_cluster));
   if (source->stopped()) {
     return ErrorReply("unavailable", "service is stopped");
   }
@@ -652,14 +617,6 @@ JsonValue FederationRouter::StartMigration(
 
   const double cost = record->spec.checkpointing ? kMigrationCheckpointCost
                                                  : kMigrationColdCost;
-  // The destination engine comes from a dedicated hash, never the submit
-  // counter: migrations must not shift how later keyless submits route (the
-  // counter is snapshotted and replay-compared).
-  const std::string route_key = "migrate:" + std::to_string(global);
-  const std::vector<std::uint32_t>& dests =
-      cluster_engines_[static_cast<std::size_t>(dest)];
-  const std::uint32_t dest_engine =
-      dests[Fnv1a(route_key) % dests.size()];
 
   // The destination runs the source's spec (its own id to assign) with the
   // remaining work plus the cost, stamped once the cancel has answered.
@@ -677,9 +634,8 @@ JsonValue FederationRouter::StartMigration(
   cancel.at = request.GetDouble("at", -1.0);
 
   auto chain = std::make_shared<MigrationSink>(
-      this, SeqOf(request), sink, a, b, global, dest_engine,
-      static_cast<std::uint32_t>(dest), source_cluster, std::move(submit),
-      cost);
+      this, SeqOf(request), sink, a, b, global, source_cluster,
+      static_cast<std::uint32_t>(dest), std::move(submit), cost);
   source->Enqueue(std::move(cancel), std::move(chain), 0, 0);
   return JsonValue();
 }
@@ -687,17 +643,11 @@ JsonValue FederationRouter::StartMigration(
 FederationRouter::ClusterTotals FederationRouter::Totals(int c) const {
   const ClusterKind kind = clusters_[static_cast<std::size_t>(c)].kind;
   ClusterTotals totals;
-  for (const std::uint32_t e : cluster_engines_[static_cast<std::size_t>(c)]) {
-    const std::shared_ptr<const StateSnapshot> snap =
-        shard(static_cast<int>(e))->snapshot();
-    if (snap == nullptr) {
-      continue;
-    }
-    for (std::size_t s = 0; s < totals.states.size(); ++s) {
-      totals.states[s] += snap->state_counts[s];
-    }
-    totals.pool.Add(kind == ClusterKind::kInference ? snap->inference
-                                                    : snap->training);
+  const std::shared_ptr<const StateSnapshot> snap = shard(c)->snapshot();
+  if (snap != nullptr) {
+    totals.states = snap->state_counts;
+    totals.pool = kind == ClusterKind::kInference ? snap->inference
+                                                  : snap->training;
   }
   return totals;
 }
@@ -791,15 +741,9 @@ std::string FederationRouter::EncodeFleetSnapshot(
   FedSnapshot fed;
   fed.submit_seq = submit_seq;
   for (int c = 0; c < cluster_count(); ++c) {
-    FedClusterImage cluster;
-    cluster.name = clusters_[static_cast<std::size_t>(c)].name;
-    cluster.kind =
-        static_cast<std::uint8_t>(clusters_[static_cast<std::size_t>(c)].kind);
-    for (const std::uint32_t e :
-         cluster_engines_[static_cast<std::size_t>(c)]) {
-      cluster.engines.push_back(std::move(images[e]));
-    }
-    fed.clusters.push_back(std::move(cluster));
+    const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
+    fed.clusters.push_back({spec.name, static_cast<std::uint8_t>(spec.kind),
+                            std::move(images[static_cast<std::size_t>(c)])});
   }
   fed.ledger_hash = ledger_hash();
   return EncodeFedSnapshot(fed);
@@ -1048,10 +992,9 @@ JsonValue FederationRouter::ClusterInfo(int c) const {
   info.Set("cluster", JsonValue::MakeNumber(static_cast<double>(c)));
   info.Set("name", JsonValue::MakeString(spec.name));
   info.Set("kind", JsonValue::MakeString(ClusterKindName(spec.kind)));
-  info.Set("shards", JsonValue::MakeNumber(static_cast<double>(spec.shards)));
-  info.Set("first_engine",
-           JsonValue::MakeNumber(static_cast<double>(
-               first_engine_[static_cast<std::size_t>(c)])));
+  // Engine c runs cluster c; the two fields keep the wire's shape.
+  info.Set("shards", JsonValue::MakeNumber(1.0));
+  info.Set("first_engine", JsonValue::MakeNumber(static_cast<double>(c)));
   JsonValue jobs = JsonValue::MakeObject();
   for (std::size_t s = 0; s < states.size(); ++s) {
     jobs.Set(JobStateName(static_cast<JobState>(s)),
@@ -1142,11 +1085,8 @@ SchedulerService::Stats FederationRouter::AggregateStats() const {
 
 // --- Build / restore ------------------------------------------------------
 
-std::vector<ClusterSpec> SingleCluster(int shards) {
-  ClusterSpec cluster;
-  cluster.name = "train0";
-  cluster.shards = shards;
-  return {cluster};
+std::vector<ClusterSpec> SingleCluster() {
+  return {{"train0", ClusterKind::kTraining}};
 }
 
 std::string EnginePath(const std::string& path, int engine) {
@@ -1157,7 +1097,7 @@ std::string EnginePath(const std::string& path, int engine) {
 namespace {
 
 // Reads a fleet snapshot file as a LYRAFED container: a LYRAFED file as is,
-// and a LYRASNAP image as the one engine of SingleCluster(1) (routing
+// and a LYRASNAP image as the one engine of SingleCluster() (routing
 // counter 0 is exact at one engine; RestoreBytes checks the image).
 StatusOr<FedSnapshot> LoadFleetSnapshot(const std::string& path) {
   StatusOr<std::string> file = ReadFile(path);
@@ -1170,13 +1110,10 @@ StatusOr<FedSnapshot> LoadFleetSnapshot(const std::string& path) {
   if (!HasMagic(kSnapshotFormat, file.value())) {
     return Status::InvalidArgument("not a LYRAFED_ or LYRASNAP file: " + path);
   }
-  const ClusterSpec spec = SingleCluster(1)[0];
-  FedClusterImage cluster;
-  cluster.name = spec.name;
-  cluster.kind = static_cast<std::uint8_t>(spec.kind);
-  cluster.engines.push_back(std::move(file.value()));
+  const ClusterSpec spec = SingleCluster()[0];
   FedSnapshot fed;
-  fed.clusters.push_back(std::move(cluster));
+  fed.clusters.push_back({spec.name, static_cast<std::uint8_t>(spec.kind),
+                          std::move(file.value())});
   return fed;
 }
 
@@ -1199,13 +1136,13 @@ StatusOr<FederationSet> BuildFederation(
   if (clusters.empty()) {
     return Status::InvalidArgument("federation needs at least one cluster");
   }
-  int total = 0;
+  if (clusters.size() > 64) {
+    return Status::InvalidArgument(
+        "federation engine count must be in [1, 64], got " +
+        std::to_string(clusters.size()));
+  }
+  const int total = static_cast<int>(clusters.size());
   for (std::size_t c = 0; c < clusters.size(); ++c) {
-    if (clusters[c].shards < 1 || clusters[c].shards > 64) {
-      return Status::InvalidArgument(
-          "cluster shard count must be in [1, 64], got " +
-          std::to_string(clusters[c].shards));
-    }
     if (!ValidClusterName(clusters[c].name)) {
       return Status::InvalidArgument("bad cluster name: \"" +
                                      clusters[c].name + "\"");
@@ -1216,12 +1153,6 @@ StatusOr<FederationSet> BuildFederation(
                                        clusters[c].name + "\"");
       }
     }
-    total += clusters[c].shards;
-  }
-  if (total > 64) {
-    return Status::InvalidArgument(
-        "federation engine count must be in [1, 64], got " +
-        std::to_string(total));
   }
 
   FederationSet set;
@@ -1253,41 +1184,27 @@ StatusOr<FederationSet> RestoreFederation(
     return loaded.status();
   }
   const FedSnapshot& fed = loaded.value();
-  // A one-engine fleet names errors after the file alone, as the plain
-  // service's restore does.
-  const bool single =
-      fed.clusters.size() == 1 && fed.clusters[0].engines.size() == 1;
-  // Each engine's place in the fleet follows from the container's layout.
-  std::uint32_t total = 0;
-  for (const FedClusterImage& cluster : fed.clusters) {
-    total += static_cast<std::uint32_t>(cluster.engines.size());
-  }
-
+  // Engine k restores cluster k's image. A one-engine fleet names errors
+  // after the file alone, as the plain service's restore does.
+  const auto total = static_cast<std::uint32_t>(fed.clusters.size());
   std::vector<ClusterSpec> clusters;
   FederationSet set;
-  for (const FedClusterImage& cluster : fed.clusters) {
-    ClusterSpec spec;
-    spec.name = cluster.name;
-    spec.kind = static_cast<ClusterKind>(cluster.kind);
-    spec.shards = static_cast<int>(cluster.engines.size());
-    for (std::size_t s = 0; s < cluster.engines.size(); ++s) {
-      const int k = static_cast<int>(set.services.size());
-      ServiceOptions options = base;
-      options.trace_path = EnginePath(base.trace_path, k);
-      auto service = std::make_unique<SchedulerService>(
-          std::move(options), make_driver(k),
-          FleetIds{static_cast<std::uint32_t>(k), total});
-      const Status restored = service->RestoreBytes(
-          cluster.engines[s],
-          single ? snapshot_path
-                 : snapshot_path + " (cluster " + cluster.name + " shard " +
-                       std::to_string(s) + ")");
-      if (!restored.ok()) {
-        return restored;
-      }
-      set.services.push_back(std::move(service));
+  for (std::uint32_t k = 0; k < total; ++k) {
+    const FedClusterImage& cluster = fed.clusters[k];
+    ServiceOptions options = base;
+    options.trace_path = EnginePath(base.trace_path, static_cast<int>(k));
+    auto service = std::make_unique<SchedulerService>(
+        std::move(options), make_driver(static_cast<int>(k)),
+        FleetIds{k, total});
+    const Status restored = service->RestoreBytes(
+        cluster.image, total == 1 ? snapshot_path
+                                  : snapshot_path + " (cluster " +
+                                        cluster.name + ")");
+    if (!restored.ok()) {
+      return restored;
     }
-    clusters.push_back(std::move(spec));
+    set.services.push_back(std::move(service));
+    clusters.push_back({cluster.name, static_cast<ClusterKind>(cluster.kind)});
   }
   AttachRouter(set, std::move(clusters));
   set.router->set_submit_seq(fed.submit_seq);

@@ -1,14 +1,14 @@
 // Engine fleets for the online scheduler service (DESIGN.md §10): one
-// router for the plain daemon, `--shards=N`, and `--federation=<spec>`.
+// router for the plain daemon and `--federation=<spec>`.
 //
-// Every daemon is a list of ClusterSpecs — each cluster its own group of
-// single-writer SchedulerService engines — behind the one epoll front end;
-// a single cluster is the smallest case:
+// Every daemon is a list of ClusterSpecs — each cluster one single-writer
+// SchedulerService engine — behind the one epoll front end; a single
+// cluster is the smallest case:
 //
 //   - Submits route by explicit "cluster" field (name or index) or by job
-//     kind ("kind": "inference" | "training", default training); within the
-//     chosen engine set the key hash / submit counter picks the engine, so
-//     routing stays a pure function of (cluster, key | sequence).
+//     kind ("kind": "inference" | "training", default training); among the
+//     kind's clusters the key hash / submit counter picks one, so routing
+//     stays a pure function of (cluster, key | sequence).
 //   - `migrate` moves a job between training clusters for defragmentation:
 //     cancel on the source engine, resubmit on the destination with the
 //     remaining work plus a checkpoint cost (cheap when the job
@@ -34,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,15 +53,14 @@ const char* ClusterKindName(ClusterKind kind);
 struct ClusterSpec {
   std::string name;  // [A-Za-z0-9_.-]+, unique within the federation
   ClusterKind kind = ClusterKind::kTraining;
-  int shards = 1;  // engines in this cluster
 };
 
 // Parses a `--federation=` spec:
-//   "NxM"      N inference + M training clusters, one engine each
-//   "NxM@S"    same, S engine shards per cluster
-//   "name:kind[:shards],..."  explicit comma-separated list
+//   "NxM"      N inference + M training clusters
+//   "name:kind,..."  explicit comma-separated list
 //             (kind: "inference"/"inf" or "training"/"train")
-// Default names are inf0..infN-1 / train0..trainM-1.
+// Default names are inf0..infN-1 / train0..trainM-1. A fleet holds at most
+// 64 clusters.
 StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(const std::string& spec);
 
 // Checkpoint cost charged to a migrated job, in GPU-seconds of extra work:
@@ -69,20 +69,19 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(const std::string& spec);
 inline constexpr double kMigrationCheckpointCost = 60.0;
 inline constexpr double kMigrationColdCost = 300.0;
 
-// The one front end for every daemon: a router over a flat pool of
-// single-writer SchedulerService engines, grouped into clusters that own
-// contiguous engine ranges in spec order. A plain daemon is one training
-// cluster "train0" of one engine, and `--shards=N` is one training cluster
-// of N engines (`--federation=0x1@N`).
+// The one front end for every daemon: a router over single-writer
+// SchedulerService engines, one per cluster, so engine k is cluster k in
+// spec order. A plain daemon is one training cluster "train0", and
+// `--federation=0xN` is N training clusters.
 //
 //   - Job ids returned to clients are global (FleetIds, service.h): engine
 //     k of E answers its local job L as G = L * E + k, so G mod E names the
 //     engine. Each engine translates at its own boundary and the router
 //     forwards replies untouched. At E == 1 global and local coincide.
-//   - submit routes to its target cluster's engines (see TargetEngines) by
-//     an FNV-1a hash of the client's "key" string when present, of the
-//     router's monotone submit counter otherwise; cancel and query_job route
-//     by the engine encoded in the job id.
+//   - submit routes to its target engines (see TargetEngines) by an FNV-1a
+//     hash of the client's "key" string when present, of the router's
+//     monotone submit counter otherwise; cancel and query_job route by the
+//     engine encoded in the job id.
 //   - Every read (query_job, cluster_stats, metrics, ping, stats_prom,
 //     trace_dump, federation_stats) and every unknown command is answered
 //     here, by one dispatcher (Read) and one function per read, from the
@@ -109,8 +108,8 @@ inline constexpr double kMigrationColdCost = 300.0;
 // the counter can never desynchronize from the engine a command ran on.
 class FederationRouter {
  public:
-  // `engines` is the flat pool and must outlive the router; the clusters'
-  // shard counts must sum to engines.size().
+  // `engines` must outlive the router; engine k runs cluster k, so the two
+  // lists have one size.
   FederationRouter(std::vector<SchedulerService*> engines,
                    std::vector<ClusterSpec> clusters);
 
@@ -130,12 +129,6 @@ class FederationRouter {
   int cluster_count() const { return static_cast<int>(clusters_.size()); }
   const ClusterSpec& cluster_spec(int c) const {
     return clusters_[static_cast<std::size_t>(c)];
-  }
-  int cluster_first_engine(int c) const {
-    return first_engine_[static_cast<std::size_t>(c)];
-  }
-  std::uint32_t ClusterOfEngine(std::uint32_t engine) const {
-    return engine_cluster_[engine];
   }
   int FindCluster(const std::string& name) const;  // -1 when unknown
 
@@ -193,8 +186,8 @@ class FederationRouter {
   SchedulerService::Stats AggregateStats() const;
 
   // One cluster's job counts by state and its own pool (the inference pool
-  // of an inference cluster, the training pool otherwise), summed over its
-  // engines' published snapshots.
+  // of an inference cluster, the training pool otherwise), from its
+  // engine's published snapshot.
   struct ClusterTotals {
     std::array<std::uint64_t, 4> states{};
     PoolCounters pool;
@@ -223,10 +216,10 @@ class FederationRouter {
   class WaitSink;
   class MigrationSink;
 
-  // Candidate engines for a submit: the explicit cluster's range, or every
-  // engine of the requested kind. nullptr when the target doesn't resolve.
-  const std::vector<std::uint32_t>* TargetEngines(
-      const JsonValue& request) const;
+  // Candidate engines for a submit: the explicit cluster's one engine, or
+  // every engine of the requested kind. Empty when the target doesn't
+  // resolve.
+  std::span<const std::uint32_t> TargetEngines(const JsonValue& request) const;
   JsonValue RejectReply(TelemetryCmd cmd, const JsonValue& request) const;
   // Starts migrate's cancel/resubmit chain, which answers `sink`; returns
   // the refusal instead (null once started) when the move is invalid.
@@ -274,10 +267,7 @@ class FederationRouter {
   std::vector<SchedulerService*> shards_;
   std::atomic<std::uint64_t> submit_seq_{0};
   std::vector<ClusterSpec> clusters_;
-  std::vector<int> first_engine_;                        // per cluster
-  std::vector<std::uint32_t> engine_cluster_;            // per engine
-  std::vector<std::vector<std::uint32_t>> cluster_engines_;  // per cluster
-  std::vector<std::uint32_t> kind_engines_[2];           // per ClusterKind
+  std::vector<std::uint32_t> kind_engines_[2];  // per ClusterKind, ascending
   // Event lines retained for federation_stats (the hash covers all).
   static constexpr std::size_t kMaxEvents = 256;
   // Guards the migration ledger: migration completions land on arbitrary
@@ -294,17 +284,17 @@ struct FederationSet {
   std::unique_ptr<FederationRouter> router;
 };
 
-// The plain daemon's topology: one training cluster "train0" of `shards`
-// engines, the fleet `--federation=0x1@<shards>` describes.
-std::vector<ClusterSpec> SingleCluster(int shards);
+// The plain daemon's topology: one training cluster "train0", the fleet
+// `--federation=0x1` describes.
+std::vector<ClusterSpec> SingleCluster();
 
 // Engine k's file for a per-engine output such as a trace stream or a
 // flight-recorder dump: engine 0 keeps `path`, engine k > 0 writes
 // "<path>.shard<k>", and an empty path (output off) stays empty.
 std::string EnginePath(const std::string& path, int engine);
 
-// Builds and Start()s one engine per (cluster, shard), flat engine index k
-// getting seed base.engine.seed + k (so a one-engine fleet is the plain
+// Builds and Start()s one engine per cluster, engine k getting seed
+// base.engine.seed + k (so a one-engine fleet is the plain
 // service exactly) and trace path EnginePath(base.trace_path, k).
 StatusOr<FederationSet> BuildFederation(
     const ServiceOptions& base, const std::vector<ClusterSpec>& clusters,
@@ -313,7 +303,7 @@ StatusOr<FederationSet> BuildFederation(
 // Restores a fleet from a snapshot file: cluster layout, per-engine images,
 // routing counter, and migration ledger hash all come from the file; runtime
 // knobs come from `base`. A LYRAFED file restores as written, and a plain
-// LYRASNAP image as SingleCluster(1). Any other file, a LYRAFED of another
+// LYRASNAP image as SingleCluster(). Any other file, a LYRAFED of another
 // version included, is refused (InvalidArgument) before an engine starts.
 StatusOr<FederationSet> RestoreFederation(
     const ServiceOptions& base, const std::string& snapshot_path,

@@ -174,8 +174,8 @@ class SchedulerService {
   // Call instead of Start().
   Status Restore(const std::string& snapshot_path);
 
-  // Same, from an in-memory LYRASNAP file image — the multi-shard restore
-  // path, where the container carries each shard's image byte-for-byte.
+  // Same, from an in-memory LYRASNAP file image — the fleet restore path,
+  // where the container carries each cluster's image byte-for-byte.
   // `origin` only flavors error messages.
   Status RestoreBytes(const std::string& image, const std::string& origin);
 

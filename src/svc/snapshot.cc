@@ -8,11 +8,11 @@ namespace {
 
 // Smallest encodings, used to bound counts read from a payload.
 constexpr std::size_t kMinCommandBytes = 1 + 8;  // kind + stamp
-constexpr std::size_t kMinImageBytes = 8;        // u64 length framing
+// name length + kind + image length framing
+constexpr std::size_t kMinClusterBytes = 4 + 1 + 8;
 
-// A fleet has at most 64 engines in all (BuildFederation), so at most 64
-// clusters.
-constexpr std::uint32_t kMaxEngines = 64;
+// A fleet has at most 64 clusters (BuildFederation), one engine each.
+constexpr std::uint32_t kMaxClusters = 64;
 
 void PutConfig(ByteWriter& out, const EngineConfig& config) {
   out.Str(config.scheduler);
@@ -172,10 +172,7 @@ std::string EncodeFedSnapshot(const FedSnapshot& snapshot) {
   for (const FedClusterImage& cluster : snapshot.clusters) {
     payload.Str(cluster.name);
     payload.U8(cluster.kind);
-    payload.U32(static_cast<std::uint32_t>(cluster.engines.size()));
-    for (const std::string& image : cluster.engines) {
-      payload.Blob(image);
-    }
+    payload.Blob(cluster.image);
   }
   return Seal(kFedSnapshotFormat, payload.bytes());
 }
@@ -191,10 +188,12 @@ StatusOr<FedSnapshot> DecodeFedSnapshot(const std::string& image,
   snapshot.submit_seq = in.U64();
   snapshot.ledger_hash = in.U64();
   const std::uint32_t cluster_count = in.U32();
-  if (in.ok() && (cluster_count == 0 || cluster_count > kMaxEngines)) {
+  if (in.ok() && (cluster_count == 0 || cluster_count > kMaxClusters)) {
     in.Fail("implausible cluster count " + std::to_string(cluster_count));
   }
-  std::uint32_t engines_left = kMaxEngines;
+  if (in.Fits(cluster_count, kMinClusterBytes)) {
+    snapshot.clusters.reserve(cluster_count);
+  }
   for (std::uint32_t i = 0; i < cluster_count && in.ok(); ++i) {
     FedClusterImage cluster;
     cluster.name = in.Str();
@@ -202,17 +201,7 @@ StatusOr<FedSnapshot> DecodeFedSnapshot(const std::string& image,
     if (in.ok() && cluster.kind > 1) {
       in.Fail("unknown cluster kind " + std::to_string(cluster.kind));
     }
-    const std::uint32_t engines = in.U32();
-    if (in.ok() && (engines == 0 || engines > engines_left)) {
-      in.Fail("implausible engine count " + std::to_string(engines));
-    }
-    if (in.Fits(engines, kMinImageBytes)) {
-      engines_left -= engines;
-      cluster.engines.reserve(engines);
-    }
-    for (std::uint32_t e = 0; e < engines && in.ok(); ++e) {
-      cluster.engines.push_back(in.Blob());
-    }
+    cluster.image = in.Blob();
     snapshot.clusters.push_back(std::move(cluster));
   }
   const Status status = in.Finish();

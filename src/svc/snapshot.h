@@ -80,23 +80,23 @@ StatusOr<ServiceSnapshot> DecodeSnapshot(const std::string& image,
                                          const std::string& origin);
 
 // Fleet snapshot container (DESIGN.md §10), written by every fleet of more
-// than one engine. It holds each engine's complete LYRASNAP image, stored
-// byte-identically (the bytes that engine writes as a one-engine snapshot),
-// grouped by cluster, plus the front end's submit-routing sequence number
+// than one cluster. It holds each cluster's engine's complete LYRASNAP
+// image, stored byte-identically (the bytes that engine writes as a
+// one-engine snapshot), plus the front end's submit-routing sequence number
 // and the migration ledger's rolling hash, so a restart resumes routing and
 // the ledger's hash chain exactly where the killed process was.
 //
-// File layout (version 3): the shared envelope with magic "LYRAFED_"; the
-// payload is u64 submit_seq, u64 ledger_hash, u32 cluster count, then per
-// cluster its name, u8 kind, u32 engine count and one u64-framed LYRASNAP
-// image per engine. Decoding is strict, as for LYRASNAP: any other version
-// is rejected, not migrated. The engine counts sum to at most 64.
-inline constexpr EnvelopeFormat kFedSnapshotFormat{"LYRAFED_", 3};
+// File layout (version 4): the shared envelope with magic "LYRAFED_"; the
+// payload is u64 submit_seq, u64 ledger_hash, u32 cluster count (1..64),
+// then per cluster its name, u8 kind and one u64-framed LYRASNAP image.
+// Decoding is strict, as for LYRASNAP: any other version is rejected, not
+// migrated.
+inline constexpr EnvelopeFormat kFedSnapshotFormat{"LYRAFED_", 4};
 
 struct FedClusterImage {
   std::string name;
   std::uint8_t kind = 0;  // ClusterKind as a byte (0 inference, 1 training)
-  std::vector<std::string> engines;  // one LYRASNAP file image per engine
+  std::string image;      // the cluster's engine's LYRASNAP file image
 };
 
 struct FedSnapshot {

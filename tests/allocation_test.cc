@@ -39,9 +39,11 @@ class AllocationTest : public ::testing::Test {
       pending_view_.push_back(job.get());
     }
     ctx.pending = pending_view_;
+    running_view_.clear();
     for (auto& job : running_) {
-      ctx.running.push_back(job.get());
+      running_view_.push_back(job.get());
     }
+    ctx.running = running_view_;
     return ctx;
   }
 
@@ -67,6 +69,7 @@ class AllocationTest : public ::testing::Test {
   ThroughputModel model_;
   std::vector<std::unique_ptr<Job>> pending_;
   std::vector<Job*> pending_view_;  // what ctx.pending views
+  std::vector<Job*> running_view_;  // what ctx.running views
   std::vector<std::unique_ptr<Job>> running_;
 };
 

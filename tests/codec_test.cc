@@ -146,21 +146,15 @@ svc::ServiceSnapshot SampleSnapshot() {
   return snapshot;
 }
 
-// A one-engine and a three-engine cluster, so the cases below reach the
-// per-cluster engine count and every framed image.
+// An inference and two training clusters, so the cases below reach both
+// kinds and every framed image.
 svc::FedSnapshot SampleFedSnapshot() {
   const std::string image = svc::EncodeSnapshot(SampleSnapshot());
   svc::FedSnapshot fed;
   fed.submit_seq = 5;
   fed.ledger_hash = 0x1234;
-  svc::FedClusterImage inference;
-  inference.name = "infer0";
-  inference.engines = {image};
-  svc::FedClusterImage training;
-  training.name = "train0";
-  training.kind = 1;
-  training.engines = {image, image, image};
-  fed.clusters = {inference, training};
+  fed.clusters = {{"infer0", 0, image}, {"train0", 1, image},
+                  {"train1", 1, image}};
   return fed;
 }
 
@@ -204,41 +198,36 @@ const FormatCase kFormats[] = {
      [](const std::string& path) { return rl::PolicyNet::Load(path).status(); }},
 };
 
-// A fleet holds at most 64 engines in all, and each cluster's engine count
+// A fleet holds at most 64 engines, one per cluster, and the cluster count
 // is bounded by the bytes left before anything is reserved: a count the
 // payload cannot hold is DataLoss, however plausible.
 TEST(Codec, FleetEngineCountIsBoundedByThePayload) {
   const std::string image = svc::EncodeSnapshot(SampleSnapshot());
-  // `clusters` training clusters, each declaring `engines` and holding
-  // `images` images.
-  const auto fleet = [&image](int clusters, std::uint32_t engines, int images) {
+  // A container declaring `declared` training clusters and holding `held`.
+  const auto fleet = [&image](std::uint32_t declared, std::uint32_t held) {
     ByteWriter payload;
     payload.U64(0);  // submit_seq
     payload.U64(0);  // ledger_hash
-    payload.U32(static_cast<std::uint32_t>(clusters));
-    for (int c = 0; c < clusters; ++c) {
+    payload.U32(declared);
+    for (std::uint32_t c = 0; c < held; ++c) {
       payload.Str("train" + std::to_string(c));
       payload.U8(1);
-      payload.U32(engines);
-      for (int i = 0; i < images; ++i) {
-        payload.Blob(image);
-      }
+      payload.Blob(image);
     }
     return svc::DecodeFedSnapshot(Seal(svc::kFedSnapshotFormat, payload.bytes()),
                                   "test");
   };
-  ASSERT_TRUE(fleet(2, 32, 32).ok());
-  EXPECT_EQ(fleet(2, 32, 32).value().clusters[1].engines.size(), 32u);
+  ASSERT_TRUE(fleet(64, 64).ok());
+  EXPECT_EQ(fleet(64, 64).value().clusters[63].image, image);
   const auto fails_with = [](const Status& status, const char* text) {
     EXPECT_EQ(status.code(), StatusCode::kDataLoss);
     EXPECT_NE(status.message().find(text), std::string::npos)
         << status.message();
   };
-  fails_with(fleet(1, 0, 0).status(), "implausible engine count 0");
-  fails_with(fleet(1, 65, 0).status(), "implausible engine count 65");
-  fails_with(fleet(1, 0xffffffffu, 0).status(), "implausible engine count");
-  fails_with(fleet(2, 33, 33).status(), "implausible engine count 33");
-  fails_with(fleet(1, 64, 1).status(), "exceeds the payload");
+  fails_with(fleet(0, 0).status(), "implausible cluster count 0");
+  fails_with(fleet(65, 65).status(), "implausible cluster count 65");
+  fails_with(fleet(0xffffffffu, 0).status(), "implausible cluster count");
+  fails_with(fleet(64, 1).status(), "exceeds the payload");
 }
 
 class EnvelopeTest : public testing::TestWithParam<FormatCase> {};

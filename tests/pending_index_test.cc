@@ -486,16 +486,18 @@ TEST(PendingIndex, PhaseOneExitMatchesFullWalkOnRandomLedgers) {
     // Running jobs fill most servers with base and flexible GPUs, leaving
     // fractional loaned capacity and flexible GPUs behind. They are elastic:
     // only elastic jobs hold flexible GPUs.
+    std::vector<Job*> running;
     for (ServerId id : servers) {
       int free = cluster.server(id).free_gpus();
       while (free > 0 && rng.NextBernoulli(0.8)) {
         Job* job = make_job(false, /*elastic=*/true);
         const int gpus = static_cast<int>(rng.UniformInt(1, free));
         cluster.Place(job->id(), id, gpus, /*flexible=*/rng.NextBernoulli(0.3));
-        ctx.running.push_back(job);
+        running.push_back(job);
         free -= gpus;
       }
     }
+    ctx.running = running;
     std::vector<Job*> pending;
     const int queued = static_cast<int>(rng.UniformInt(0, 40));
     for (int p = 0; p < queued; ++p) {

@@ -73,6 +73,7 @@ TEST_P(SchedulerConformance, PlacementContractsHold) {
   // A mix of running and pending jobs.
   std::vector<std::unique_ptr<Job>> jobs;
   std::vector<Job*> pending;
+  std::vector<Job*> running;
   SchedulerContext ctx;
   ctx.now = 600.0;
   ctx.cluster = &cluster;
@@ -96,13 +97,14 @@ TEST_P(SchedulerConformance, PlacementContractsHold) {
         TryPlaceWorkers(cluster, BaseRequest(*job, spec.min_workers,
                                              PoolPreference::kTrainingOnly))) {
       job->Start(0.0, spec.min_workers, spec.min_workers);
-      ctx.running.push_back(job);
+      running.push_back(job);
     } else {
       cluster.RemoveJob(job->id());  // in case of partial placement
       pending.push_back(job);
     }
   }
   ctx.pending = pending;
+  ctx.running = running;
 
   // Snapshot running jobs' base GPUs: schedulers must never reduce them.
   std::vector<std::pair<JobId, int>> base_before;

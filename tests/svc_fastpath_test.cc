@@ -53,7 +53,7 @@ ServiceOptions SmallServiceOptions() {
 // monotone per reader, and reads never touch the engine queue.
 TEST(Fastpath, ReadersNeverTearOrBlockUnderWriteLoad) {
   StatusOr<FederationSet> fleet =
-      BuildFederation(SmallServiceOptions(), SingleCluster(1), [](int) {
+      BuildFederation(SmallServiceOptions(), SingleCluster(), [](int) {
         return std::make_unique<VirtualTimeDriver>();
       });
   ASSERT_TRUE(fleet.ok()) << fleet.status().message();

@@ -1,11 +1,11 @@
 // Multi-cluster federation conformance tests (DESIGN.md §11): spec parsing,
 // deterministic cluster routing (explicit cluster / kind targets, keyed and
-// keyless, pipelined over the event loop), global-id arithmetic across
-// federation × shards, checkpoint-cost-charged migration between training
-// clusters and its ledger, the plain-service compatibility contract (a
-// one-cluster federation answers byte-for-byte like an unsharded
+// keyless, pipelined over the event loop), global-id arithmetic across the
+// fleet (engine k is cluster k), checkpoint-cost-charged migration between
+// training clusters and its ledger, the plain-service compatibility
+// contract (a one-cluster federation answers byte-for-byte like a lone
 // SchedulerService and writes the identical LYRASNAP file), LYRAFED restores
-// (version 3 as written, retired layouts refused), and a golden
+// (version 4 as written, retired layouts refused), and a golden
 // regression pinning the engine outcomes of a Lyra pair script.
 //
 // To regenerate the golden fixture after an *intentional* behaviour change:
@@ -129,54 +129,51 @@ TEST(Federation, SpecParsingCompactAndExplicitForms) {
   EXPECT_EQ(compact.value()[4].name, "train2");
   EXPECT_EQ(compact.value()[0].kind, ClusterKind::kInference);
   EXPECT_EQ(compact.value()[2].kind, ClusterKind::kTraining);
-  for (const ClusterSpec& spec : compact.value()) {
-    EXPECT_EQ(spec.shards, 1);
-  }
-
-  StatusOr<std::vector<ClusterSpec>> sharded = ParseFederationSpec("1x1@4");
-  ASSERT_TRUE(sharded.ok());
-  ASSERT_EQ(sharded.value().size(), 2u);
-  EXPECT_EQ(sharded.value()[0].shards, 4);
-  EXPECT_EQ(sharded.value()[1].shards, 4);
 
   StatusOr<std::vector<ClusterSpec>> verbose =
-      ParseFederationSpec("edge:inf:2,bulk:train:3,spill:training");
+      ParseFederationSpec("edge:inf,bulk:train,spill:training");
   ASSERT_TRUE(verbose.ok()) << verbose.status().message();
   ASSERT_EQ(verbose.value().size(), 3u);
   EXPECT_EQ(verbose.value()[0].name, "edge");
   EXPECT_EQ(verbose.value()[0].kind, ClusterKind::kInference);
-  EXPECT_EQ(verbose.value()[0].shards, 2);
-  EXPECT_EQ(verbose.value()[1].shards, 3);
+  EXPECT_EQ(verbose.value()[1].kind, ClusterKind::kTraining);
   EXPECT_EQ(verbose.value()[2].kind, ClusterKind::kTraining);
-  EXPECT_EQ(verbose.value()[2].shards, 1);
 
   EXPECT_FALSE(ParseFederationSpec("").ok());
   EXPECT_FALSE(ParseFederationSpec("0x0").ok());
-  EXPECT_FALSE(ParseFederationSpec("1x1@0").ok());
-  EXPECT_FALSE(ParseFederationSpec("1x1@65").ok());
   EXPECT_FALSE(ParseFederationSpec("a:bogus").ok());
   EXPECT_FALSE(ParseFederationSpec("a:inf,a:train").ok());
   EXPECT_FALSE(ParseFederationSpec("bad name:inf").ok());
-  // A fourth field (the retired loan priority) is a bad cluster entry.
-  EXPECT_FALSE(ParseFederationSpec("edge:inf:2:7").ok());
-  EXPECT_FALSE(ParseFederationSpec("edge:inf:1:99999999999").ok());
+  // A cluster is one engine: the retired engine counts ("@S", a third
+  // field) and a fourth field (the retired loan priority) are refused.
+  for (const char* spec : {"0x1@4", "2x2@2", "1x1@1", "a:train:2", "a:inf:1",
+                           "edge:inf:2:7", "edge:inf:1:99999999999"}) {
+    EXPECT_EQ(ParseFederationSpec(spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+  }
 }
 
-// `--shards=N` is sugar for `--federation=0x1@N`, and bench_svc_saturation's
-// engine-scaling sweep runs `0x1@N` specs on that sugar: both must name the
-// same fleet, one training cluster "train0" of N engines.
+// The plain daemon's fleet is `--federation=0x1`, one training cluster
+// "train0", and `0xN` is N training clusters train0..trainN-1, the fleets
+// bench_svc_saturation's engine-scaling sweep runs.
 TEST(Federation, ZeroByOneSpecIsSingleCluster) {
-  for (int n = 1; n <= 8; ++n) {
-    const std::string spec = "0x1@" + std::to_string(n);
+  const StatusOr<std::vector<ClusterSpec>> one = ParseFederationSpec("0x1");
+  ASSERT_TRUE(one.ok()) << one.status().message();
+  ASSERT_EQ(one.value().size(), 1u);
+  ASSERT_EQ(SingleCluster().size(), 1u);
+  for (const ClusterSpec& cluster : {one.value()[0], SingleCluster()[0]}) {
+    EXPECT_EQ(cluster.name, "train0");
+    EXPECT_EQ(cluster.kind, ClusterKind::kTraining);
+  }
+  for (int n = 2; n <= 8; ++n) {
+    const std::string spec = "0x" + std::to_string(n);
     const StatusOr<std::vector<ClusterSpec>> parsed = ParseFederationSpec(spec);
     ASSERT_TRUE(parsed.ok()) << spec << ": " << parsed.status().message();
-    const std::vector<ClusterSpec> single = SingleCluster(n);
-    ASSERT_EQ(parsed.value().size(), 1u) << spec;
-    ASSERT_EQ(single.size(), 1u);
-    for (const ClusterSpec& cluster : {parsed.value()[0], single[0]}) {
-      EXPECT_EQ(cluster.name, "train0") << spec;
-      EXPECT_EQ(cluster.kind, ClusterKind::kTraining) << spec;
-      EXPECT_EQ(cluster.shards, n) << spec;
+    ASSERT_EQ(parsed.value().size(), static_cast<std::size_t>(n)) << spec;
+    for (int c = 0; c < n; ++c) {
+      EXPECT_EQ(parsed.value()[c].name, "train" + std::to_string(c)) << spec;
+      EXPECT_EQ(parsed.value()[c].kind, ClusterKind::kTraining) << spec;
     }
   }
 }
@@ -185,7 +182,7 @@ TEST(Federation, ZeroByOneSpecIsSingleCluster) {
 // count of a hundred million is refused at once instead of allocating its
 // clusters, and one past strtoll's range is refused instead of saturated.
 TEST(Federation, SpecBoundsEngineCountBeforeBuilding) {
-  for (const char* spec : {"65x0", "0x65", "33x32", "1x2@32", "100000000x1",
+  for (const char* spec : {"65x0", "0x65", "33x32", "100000000x1",
                            "9223372036854775807x9223372036854775807"}) {
     const StatusOr<std::vector<ClusterSpec>> parsed = ParseFederationSpec(spec);
     ASSERT_FALSE(parsed.ok()) << spec;
@@ -194,8 +191,8 @@ TEST(Federation, SpecBoundsEngineCountBeforeBuilding) {
               0u)
         << spec << ": " << parsed.status().message();
   }
-  EXPECT_EQ(ParseFederationSpec("1x2@32").status().message(),
-            "federation engine count must be in [1, 64], got 96");
+  EXPECT_EQ(ParseFederationSpec("33x32").status().message(),
+            "federation engine count must be in [1, 64], got 65");
 
   const StatusOr<std::vector<ClusterSpec>> saturated =
       ParseFederationSpec("99999999999999999999x1");
@@ -204,26 +201,27 @@ TEST(Federation, SpecBoundsEngineCountBeforeBuilding) {
 
   // The limit itself still parses.
   EXPECT_TRUE(ParseFederationSpec("32x32").ok());
-  EXPECT_TRUE(ParseFederationSpec("1x1@32").ok());
+  EXPECT_TRUE(ParseFederationSpec("0x64").ok());
 }
 
 TEST(Federation, GlobalIdRoundTripAcrossFederationTimesShards) {
-  for (const char* spec : {"1x1", "2x1@2", "1x2@3", "2x2@2"}) {
+  for (const char* spec : {"1x1", "2x1", "1x2", "2x2", "0x4"}) {
     FederationSet fed = BuildFed(spec);
     FederationRouter& router = *fed.router;
     const int engines = router.shard_count();
-    // Every engine belongs to exactly one cluster, clusters own contiguous
-    // ranges in spec order, and the id arithmetic round-trips through the
-    // flat pool — so an id names (cluster, engine, local) unambiguously.
-    int expected_cluster = 0;
-    for (int e = 0; e < engines; ++e) {
-      while (e >= router.cluster_first_engine(expected_cluster) +
-                      router.cluster_spec(expected_cluster).shards) {
-        ++expected_cluster;
-      }
-      EXPECT_EQ(router.ClusterOfEngine(static_cast<std::uint32_t>(e)),
-                static_cast<std::uint32_t>(expected_cluster))
-          << spec << " engine " << e;
+    // Engine k is cluster k: a submit to cluster c is answered by engine c,
+    // and the id arithmetic round-trips through the fleet — so an id names
+    // (cluster, local) unambiguously.
+    ASSERT_EQ(engines, router.cluster_count()) << spec;
+    for (int c = 0; c < router.cluster_count(); ++c) {
+      const JsonValue reply =
+          router.Execute(SubmitTo(router.cluster_spec(c).name.c_str(), 0.0,
+                                  3600.0));
+      ASSERT_TRUE(reply.GetBool("ok")) << spec << ": " << reply.Dump();
+      const auto job = static_cast<std::int64_t>(reply.GetDouble("job", -1.0));
+      EXPECT_EQ(router.ShardOfJob(job), static_cast<std::uint32_t>(c))
+          << spec << " cluster " << c;
+      EXPECT_EQ(job, router.shard(c)->ids().Global(0)) << spec;
     }
     for (std::int64_t local = 0; local < 50; ++local) {
       for (int e = 0; e < engines; ++e) {
@@ -243,7 +241,7 @@ TEST(Federation, GlobalIdRoundTripAcrossFederationTimesShards) {
 // mirror — cluster routing is a pure function of (cluster, key | sequence),
 // never of timing.
 TEST(Federation, RoutingIsDeterministicUnderPipelining) {
-  FederationSet fed = BuildFed("1x1@2");  // inf0={0,1}, train0={2,3}
+  FederationSet fed = BuildFed("2x2");  // inf0, inf1, train0, train1
   EventLoopOptions loop_options;
   loop_options.unix_path =
       "/tmp/lyra_fed_route_" + std::to_string(::getpid()) + ".sock";
@@ -264,17 +262,16 @@ TEST(Federation, RoutingIsDeterministicUnderPipelining) {
   const auto queue_submit = [&](const char* cluster, const char* kind,
                                 const char* key) {
     JsonValue submit = Submit(0.0, 36000.0);
+    std::vector<std::uint32_t> targets =
+        kind != nullptr && std::string(kind) == "inference" ? inf_engines
+                                                            : train_engines;
     if (cluster != nullptr) {
       submit.Set("cluster", JsonValue::MakeString(cluster));
+      targets = {static_cast<std::uint32_t>(fed.router->FindCluster(cluster))};
     }
     if (kind != nullptr) {
       submit.Set("kind", JsonValue::MakeString(kind));
     }
-    const std::vector<std::uint32_t>& targets =
-        (cluster != nullptr && std::string(cluster) == "inf0") ||
-                (kind != nullptr && std::string(kind) == "inference")
-            ? inf_engines
-            : train_engines;
     std::uint32_t engine;
     if (key != nullptr) {
       submit.Set("key", JsonValue::MakeString(key));
@@ -294,7 +291,7 @@ TEST(Federation, RoutingIsDeterministicUnderPipelining) {
     queue_submit(nullptr, "training", nullptr);
     queue_submit(nullptr, "inference", nullptr);
     queue_submit(nullptr, nullptr, nullptr);  // kindless -> training default
-    queue_submit("train0", nullptr, "tenant-a");
+    queue_submit(nullptr, "training", "tenant-a");
   }
   ASSERT_TRUE(WriteAllBytes(fd.value(), burst.data(), burst.size()).ok());
 
@@ -388,7 +385,7 @@ TEST(Federation, MigrationChargesCheckpointCostAndMovesTheJob) {
       static_cast<std::int64_t>(moved.GetDouble("job", -1.0));
   ASSERT_GE(new_job, 0);
   EXPECT_NE(new_job, job);
-  EXPECT_EQ(router.ClusterOfEngine(router.ShardOfJob(new_job)), 2u)
+  EXPECT_EQ(router.ShardOfJob(new_job), 2u)
       << "migrated job must live on train1's engine";
 
   // Source side: the original job ended cancelled.
@@ -467,7 +464,7 @@ TEST(Federation, SingleClusterFederationMatchesPlainServiceByteForByte) {
 
   SchedulerService engine(BaseOptions(), MakeVirtualDriver(0));
   ASSERT_TRUE(engine.Start().ok());
-  FederationRouter plain({&engine}, SingleCluster(1));
+  FederationRouter plain({&engine}, SingleCluster());
   FederationSet fed = BuildFed("solo:train");
   ASSERT_EQ(fed.router->shard_count(), 1);
 
@@ -580,9 +577,9 @@ TEST(Federation, PairScriptEngineOutcomesMatchGolden) {
 // per-engine images, migration ledger hash, and routing counter all come
 // back, and the restored ledger's hash chain continues from the file's.
 TEST(Federation, FedSnapshotRestoresLayoutLedgerAndCounter) {
-  FederationSet fed = BuildFed("edge:inf:1,bulk:train:2,spill:train");
+  FederationSet fed = BuildFed("edge:inf,bulk:train,spill:train");
   FederationRouter& router = *fed.router;
-  ASSERT_EQ(router.shard_count(), 4);
+  ASSERT_EQ(router.shard_count(), 3);
 
   std::vector<std::int64_t> ids;
   for (int i = 0; i < 40; ++i) {
@@ -620,9 +617,9 @@ TEST(Federation, FedSnapshotRestoresLayoutLedgerAndCounter) {
   EXPECT_EQ(resumed.cluster_spec(0).name, "edge");
   EXPECT_EQ(resumed.cluster_spec(0).kind, ClusterKind::kInference);
   EXPECT_EQ(resumed.cluster_spec(1).name, "bulk");
-  EXPECT_EQ(resumed.cluster_spec(1).shards, 2);
+  EXPECT_EQ(resumed.cluster_spec(1).kind, ClusterKind::kTraining);
   EXPECT_EQ(resumed.cluster_spec(2).name, "spill");
-  EXPECT_EQ(resumed.shard_count(), 4);
+  EXPECT_EQ(resumed.shard_count(), 3);
   EXPECT_EQ(resumed.submit_seq(), seq_before);
   EXPECT_EQ(resumed.ledger_hash(), hash_before)
       << "migration ledger hash must survive the restart bit-for-bit";
@@ -639,26 +636,31 @@ TEST(Federation, FedSnapshotRestoresLayoutLedgerAndCounter) {
   std::remove(path.c_str());
 }
 
-// What older routers wrote per cluster: the plain LYRASNAP image at one
-// engine, else a LYRASHRD envelope (u32 engine count, u64 routing counter,
-// u64-framed images).
+// A cluster's engine list as older routers wrote it, `engines` copies of
+// the cluster's image: the plain LYRASNAP image for a list of one, else a
+// LYRASHRD envelope (u32 engine count, u64 routing counter, u64-framed
+// images).
 std::string RetiredClusterImage(const FedClusterImage& cluster,
+                                std::uint32_t engines,
                                 std::uint64_t submit_seq) {
-  if (cluster.engines.size() == 1) {
-    return cluster.engines[0];
+  if (engines == 1) {
+    return cluster.image;
   }
   ByteWriter payload;
-  payload.U32(static_cast<std::uint32_t>(cluster.engines.size()));
+  payload.U32(engines);
   payload.U64(submit_seq);
-  for (const std::string& image : cluster.engines) {
-    payload.Blob(image);
+  for (std::uint32_t e = 0; e < engines; ++e) {
+    payload.Blob(cluster.image);
   }
   return Seal({"LYRASHRD", 1}, payload.bytes());
 }
 
-// LYRAFED version 1 (an older router's loan ledger, a loan priority per
-// cluster) and version 2 (no ledger), both nesting a retired cluster image.
-std::string RetiredFedFile(const FedSnapshot& fed, std::uint32_t version) {
+// LYRAFED versions 1 to 3, each cluster an engine list of `engines` copies
+// of its image. Version 1 (an older router's loan ledger, a loan priority
+// per cluster) and version 2 (no ledger) nest the list as one retired
+// cluster image; version 3 frames each image after the engine count.
+std::string RetiredFedFile(const FedSnapshot& fed, std::uint32_t version,
+                           std::uint32_t engines) {
   ByteWriter payload;
   payload.U64(fed.submit_seq);
   if (version == 1) {
@@ -677,20 +679,25 @@ std::string RetiredFedFile(const FedSnapshot& fed, std::uint32_t version) {
     if (version == 1) {
       payload.I64(0);  // loan priority
     }
-    payload.U32(static_cast<std::uint32_t>(cluster.engines.size()));
-    payload.Blob(RetiredClusterImage(cluster, fed.submit_seq));
+    payload.U32(engines);
+    if (version == 3) {
+      for (std::uint32_t e = 0; e < engines; ++e) {
+        payload.Blob(cluster.image);
+      }
+    } else {
+      payload.Blob(RetiredClusterImage(cluster, engines, fed.submit_seq));
+    }
   }
   return Seal({"LYRAFED_", version}, payload.bytes());
 }
 
-// LYRAFED version 3 is the one fleet container --restore reads. A file in a
-// retired layout — a top-level LYRASHRD, LYRAFED version 1 or 2 — is
-// refused as InvalidArgument before any engine is built, as an old LYRASNAP
-// is; a version-3 file of clusters of one and of two engines restores its
+// LYRAFED version 4 is the one fleet container --restore reads. A file in a
+// retired layout — a top-level LYRASHRD, LYRAFED version 1, 2 or 3 with
+// its per-cluster engine lists — is refused as InvalidArgument before any
+// engine is built, as an old LYRASNAP is; a version-4 file restores its
 // layout, routing counter and ledger hash.
 TEST(Federation, OnlyTheCurrentFleetContainerRestores) {
-  FederationSet fed =
-      BuildFed("inf0:inf:1,inf1:inf:2,train0:train:1,train1:train:2");
+  FederationSet fed = BuildFed("2x2");
   FederationRouter& router = *fed.router;
   std::vector<std::int64_t> ids;
   for (int i = 0; i < 4; ++i) {
@@ -709,7 +716,7 @@ TEST(Federation, OnlyTheCurrentFleetContainerRestores) {
   ASSERT_NE(hash_before, 0u);
   ASSERT_GT(seq_before, 0u);
 
-  const std::string path = TempPath("v3");
+  const std::string path = TempPath("v4");
   JsonValue snap = Cmd("snapshot");
   snap.Set("path", JsonValue::MakeString(path));
   ASSERT_TRUE(router.Execute(snap).GetBool("ok"));
@@ -717,17 +724,17 @@ TEST(Federation, OnlyTheCurrentFleetContainerRestores) {
 
   const std::string file = ReadFile(path).value();
   ASSERT_EQ(file.substr(0, 8), "LYRAFED_");
+  EXPECT_EQ(file.substr(8, 4), std::string("\x04\0\0\0", 4))
+      << "version word";
   EXPECT_EQ(file.find("LYRASHRD"), std::string::npos);
   StatusOr<FedSnapshot> written = LoadFedSnapshot(path);
   ASSERT_TRUE(written.ok()) << written.status().message();
-  const std::vector<std::size_t> engine_counts = {1, 2, 1, 2};
-  ASSERT_EQ(written.value().clusters.size(), engine_counts.size());
-  for (std::size_t c = 0; c < engine_counts.size(); ++c) {
+  const char* names[] = {"inf0", "inf1", "train0", "train1"};
+  ASSERT_EQ(written.value().clusters.size(), 4u);
+  for (std::size_t c = 0; c < 4; ++c) {
     const FedClusterImage& cluster = written.value().clusters[c];
-    ASSERT_EQ(cluster.engines.size(), engine_counts[c]) << cluster.name;
-    for (const std::string& image : cluster.engines) {
-      EXPECT_EQ(image.substr(0, 8), "LYRASNAP") << cluster.name;
-    }
+    EXPECT_EQ(cluster.name, names[c]);
+    EXPECT_EQ(cluster.image.substr(0, 8), "LYRASNAP") << cluster.name;
   }
 
   int built = 0;
@@ -737,9 +744,13 @@ TEST(Federation, OnlyTheCurrentFleetContainerRestores) {
   };
   const FedClusterImage& train1 = written.value().clusters[3];
   const std::pair<const char*, std::string> retired[] = {
-      {"LYRASHRD", RetiredClusterImage(train1, seq_before)},
-      {"LYRAFED v1", RetiredFedFile(written.value(), 1)},
-      {"LYRAFED v2", RetiredFedFile(written.value(), 2)},
+      {"LYRASHRD", RetiredClusterImage(train1, 2, seq_before)},
+      {"LYRAFED v1", RetiredFedFile(written.value(), 1, 2)},
+      {"LYRAFED v2", RetiredFedFile(written.value(), 2, 2)},
+      {"LYRAFED v3, one engine per cluster",
+       RetiredFedFile(written.value(), 3, 1)},
+      {"LYRAFED v3, two engines per cluster",
+       RetiredFedFile(written.value(), 3, 2)},
   };
   const std::string retired_path = TempPath("retired");
   for (const auto& [name, bytes] : retired) {
@@ -755,18 +766,15 @@ TEST(Federation, OnlyTheCurrentFleetContainerRestores) {
   StatusOr<FederationSet> restored =
       RestoreFederation(BaseOptions(), path, counting_driver);
   ASSERT_TRUE(restored.ok()) << restored.status().message();
-  EXPECT_EQ(built, 6);
+  EXPECT_EQ(built, 4);
   const FederationRouter& resumed = *restored.value().router;
   ASSERT_EQ(resumed.cluster_count(), 4);
-  const char* names[] = {"inf0", "inf1", "train0", "train1"};
   for (int c = 0; c < 4; ++c) {
     EXPECT_EQ(resumed.cluster_spec(c).name, names[c]);
     EXPECT_EQ(resumed.cluster_spec(c).kind,
               c < 2 ? ClusterKind::kInference : ClusterKind::kTraining);
-    EXPECT_EQ(static_cast<std::size_t>(resumed.cluster_spec(c).shards),
-              engine_counts[static_cast<std::size_t>(c)]);
   }
-  EXPECT_EQ(resumed.shard_count(), 6);
+  EXPECT_EQ(resumed.shard_count(), 4);
   EXPECT_EQ(resumed.submit_seq(), seq_before);
   EXPECT_EQ(resumed.ledger_hash(), hash_before);
   StopFed(restored.value());

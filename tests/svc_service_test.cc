@@ -148,7 +148,7 @@ ServiceOptions SmallServiceOptions() {
 // A one-engine fleet, the plain daemon's shape, driven through its router.
 FederationSet OneEngineFleet(const ServiceOptions& options) {
   StatusOr<FederationSet> fleet =
-      BuildFederation(options, SingleCluster(1), [](int) {
+      BuildFederation(options, SingleCluster(), [](int) {
         return std::make_unique<VirtualTimeDriver>();
       });
   EXPECT_TRUE(fleet.ok()) << fleet.status().message();
@@ -313,10 +313,11 @@ const DecodeCase kDecodeCases[] = {
 };
 
 TEST(Service, EngineCommandDecoderRepliesKeepTheirBytes) {
-  for (const int shards : {1, 4}) {
-    SCOPED_TRACE(shards);
+  for (const char* fleet : {"0x1", "0x4"}) {
+    SCOPED_TRACE(fleet);
     StatusOr<FederationSet> built =
-        BuildFederation(SmallServiceOptions(), SingleCluster(shards),
+        BuildFederation(SmallServiceOptions(),
+                        ParseFederationSpec(fleet).value(),
                         [](int) { return std::make_unique<VirtualTimeDriver>(); });
     ASSERT_TRUE(built.ok()) << built.status().message();
     FederationRouter& router = *built.value().router;
@@ -325,7 +326,7 @@ TEST(Service, EngineCommandDecoderRepliesKeepTheirBytes) {
       const std::uint64_t errors = router.AggregateStats().command_errors;
       const JsonValue reply =
           router.Execute(JsonValue::Parse(row.request).value());
-      if (shards == 1 || !reply.GetBool("ok", false)) {
+      if (router.shard_count() == 1 || !reply.GetBool("ok", false)) {
         EXPECT_EQ(reply.Dump(), row.reply);
       }
       EXPECT_EQ(router.AggregateStats().command_errors - errors, row.errors);

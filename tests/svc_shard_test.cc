@@ -1,14 +1,14 @@
-// Engine-sharding tests (DESIGN.md §10) on one training cluster of N
-// engines, the `--shards=N` fleet: deterministic routing (same key / same
-// job id always lands on the same shard, global↔local id arithmetic
-// round-trips), merged reads (cluster_stats across shards equals the sum of
-// the per-shard snapshots, and `metrics` folds registry histograms
-// bucketwise), wire job ids outside [0, 2^53] rejected before
-// any routing, the snapshot containers (LYRAFED at four engines, holding
-// each engine's own image, and plain LYRASNAP at one), a randomized
-// kill-and-warm-restart at --shards=4 that must reproduce every shard's
-// decision log byte-for-byte, and pipelined reply ordering over the sharded
-// event loop.
+// Engine-fleet tests (DESIGN.md §10) on N training clusters of one engine
+// each, the `--federation=0xN` fleet: deterministic routing of untargeted
+// submits (same key / same job id always lands on the same engine,
+// global↔local id arithmetic round-trips), merged reads (cluster_stats
+// across engines equals the sum of the per-engine snapshots, and `metrics`
+// folds registry histograms bucketwise), wire job ids outside [0, 2^53]
+// rejected before any routing, the snapshot containers (LYRAFED at four
+// engines, holding each engine's own image, and plain LYRASNAP at one), a
+// randomized kill-and-warm-restart at 0x4 that must reproduce every
+// engine's decision log byte-for-byte, and pipelined reply ordering over
+// the fleet's event loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -93,17 +93,21 @@ std::unique_ptr<TimeDriver> MakeVirtualDriver(int /*shard*/) {
   return std::make_unique<VirtualTimeDriver>();
 }
 
+// `--federation=0x<shards>`: training clusters train0..train<shards-1>.
 FederationSet BuildFleet(int shards,
                          const ServiceOptions& options = FleetOptions()) {
+  StatusOr<std::vector<ClusterSpec>> clusters =
+      ParseFederationSpec("0x" + std::to_string(shards));
+  EXPECT_TRUE(clusters.ok()) << clusters.status().message();
   StatusOr<FederationSet> built =
-      BuildFederation(options, SingleCluster(shards), MakeVirtualDriver);
+      BuildFederation(options, clusters.value(), MakeVirtualDriver);
   EXPECT_TRUE(built.ok()) << built.status().message();
   return std::move(built.value());
 }
 
 // What one engine alone answers: the reply of a one-engine router over it.
 JsonValue EngineExecute(SchedulerService* engine, const JsonValue& request) {
-  FederationRouter solo({engine}, SingleCluster(1));
+  FederationRouter solo({engine}, SingleCluster());
   return solo.Execute(request);
 }
 
@@ -535,9 +539,10 @@ TEST(Shard, WarmRestartReplaysEveryShardByteForByte) {
   }
 }
 
-// A fleet of four engines writes one LYRAFED container: one training
-// cluster "train0" holding the four engine images plus the routing counter.
-// Each image is, byte for byte, the engine's own one-engine snapshot.
+// A fleet of four engines writes one LYRAFED container: the training
+// clusters train0..train3, each holding its engine's image, plus the
+// routing counter. Each image is, byte for byte, the engine's own
+// one-engine snapshot.
 TEST(Shard, FourEngineSnapshotIsOneLyrafedContainer) {
   FederationSet fleet = BuildFleet(kShards);
   FederationRouter& router = *fleet.router;
@@ -551,7 +556,7 @@ TEST(Shard, FourEngineSnapshotIsOneLyrafedContainer) {
   const JsonValue reply = router.Execute(snap);
   ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
   EXPECT_EQ(reply.GetDouble("shards", 0.0), kShards);
-  EXPECT_EQ(reply.GetDouble("clusters", 0.0), 1.0);
+  EXPECT_EQ(reply.GetDouble("clusters", 0.0), kShards);
   std::vector<std::string> own;
   for (int k = 0; k < kShards; ++k) {
     const std::string part = TempPath(("own" + std::to_string(k)).c_str());
@@ -566,13 +571,12 @@ TEST(Shard, FourEngineSnapshotIsOneLyrafedContainer) {
   StatusOr<FedSnapshot> loaded = LoadFedSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ(loaded.value().submit_seq, 6u);
-  ASSERT_EQ(loaded.value().clusters.size(), 1u);
-  EXPECT_EQ(loaded.value().clusters[0].name, "train0");
-  const std::vector<std::string>& engines = loaded.value().clusters[0].engines;
-  ASSERT_EQ(engines.size(), own.size());
+  const std::vector<FedClusterImage>& clusters = loaded.value().clusters;
+  ASSERT_EQ(clusters.size(), own.size());
   for (int k = 0; k < kShards; ++k) {
+    EXPECT_EQ(clusters[k].name, "train" + std::to_string(k));
     EXPECT_EQ(own[k].substr(0, 8), "LYRASNAP") << "engine " << k;
-    EXPECT_TRUE(engines[k] == own[k]) << "engine " << k;
+    EXPECT_TRUE(clusters[k].image == own[k]) << "engine " << k;
   }
   std::remove(path.c_str());
 }
@@ -778,24 +782,22 @@ TEST(Shard, FailedContainerWriteIsAnsweredOnce) {
   StopFleet(fleet);
 }
 
-// `--shards=N` is one cluster, and migration needs two: migrate answers
-// failed_precondition instead of fanning out to every engine.
+// Migration needs two clusters: on a one-engine fleet migrate answers
+// failed_precondition and cancels nothing.
 TEST(Shard, MigrateOnOneClusterIsAFailedPrecondition) {
-  for (const int shards : {1, kShards}) {
-    FederationSet fleet = BuildFleet(shards);
-    ASSERT_TRUE(fleet.router->Execute(Submit(0.0, 36000.0)).GetBool("ok"));
-    JsonValue migrate = Cmd("migrate");
-    migrate.Set("job", JsonValue::MakeNumber(0));
-    migrate.Set("to", JsonValue::MakeString("train0"));
-    const JsonValue reply = fleet.router->Execute(migrate);
-    EXPECT_FALSE(reply.GetBool("ok", true)) << reply.Dump();
-    EXPECT_EQ(reply.GetString("code"), "failed_precondition") << reply.Dump();
-    EXPECT_EQ(reply.GetString("error"),
-              "migration requires at least two clusters");
-    const JsonValue stats = fleet.router->Execute(Cmd("cluster_stats"));
-    EXPECT_EQ(stats.Find("jobs")->GetDouble("cancelled"), 0.0) << shards;
-    StopFleet(fleet);
-  }
+  FederationSet fleet = BuildFleet(1);
+  ASSERT_TRUE(fleet.router->Execute(Submit(0.0, 36000.0)).GetBool("ok"));
+  JsonValue migrate = Cmd("migrate");
+  migrate.Set("job", JsonValue::MakeNumber(0));
+  migrate.Set("to", JsonValue::MakeString("train0"));
+  const JsonValue reply = fleet.router->Execute(migrate);
+  EXPECT_FALSE(reply.GetBool("ok", true)) << reply.Dump();
+  EXPECT_EQ(reply.GetString("code"), "failed_precondition") << reply.Dump();
+  EXPECT_EQ(reply.GetString("error"),
+            "migration requires at least two clusters");
+  const JsonValue stats = fleet.router->Execute(Cmd("cluster_stats"));
+  EXPECT_EQ(stats.Find("jobs")->GetDouble("cancelled"), 0.0);
+  StopFleet(fleet);
 }
 
 // Wire job ids outside [0, 2^53] name no job. A negative id used to alias a
@@ -1067,14 +1069,13 @@ TEST(Shard, SnapshotPipelinedBehindDrainWhileSubmitsRace) {
   // of the barrier — that's the race — but the container must be coherent).
   StatusOr<FedSnapshot> fed = LoadFedSnapshot(path);
   ASSERT_TRUE(fed.ok()) << fed.status().message();
-  ASSERT_EQ(fed.value().clusters.size(), 1u);
-  const std::vector<std::string>& engines = fed.value().clusters[0].engines;
-  EXPECT_EQ(engines.size(), static_cast<std::size_t>(kShards));
+  const std::vector<FedClusterImage>& clusters = fed.value().clusters;
+  EXPECT_EQ(clusters.size(), static_cast<std::size_t>(kShards));
   EXPECT_GE(fed.value().submit_seq, static_cast<std::uint64_t>(kBefore));
   EXPECT_LE(fed.value().submit_seq,
             static_cast<std::uint64_t>(kBefore + kRacers));
-  for (const std::string& image : engines) {
-    EXPECT_EQ(image.substr(0, 8), "LYRASNAP");
+  for (const FedClusterImage& cluster : clusters) {
+    EXPECT_EQ(cluster.image.substr(0, 8), "LYRASNAP");
   }
   std::remove(path.c_str());
 

@@ -102,7 +102,7 @@ RunOutcome RunScript(const std::vector<JsonValue>& script, int cut,
   SchedulerService service(SnapshotServiceOptions(),
                            std::make_unique<VirtualTimeDriver>());
   EXPECT_TRUE(service.Start().ok());
-  FederationRouter router({&service}, SingleCluster(1));
+  FederationRouter router({&service}, SingleCluster());
   for (std::size_t i = 0; i < script.size(); ++i) {
     if (cut >= 0 && static_cast<std::size_t>(cut) == i) {
       JsonValue snap = JsonValue::MakeObject();
@@ -140,7 +140,7 @@ RunOutcome ResumeScript(const std::vector<JsonValue>& script, int cut,
   EXPECT_TRUE(service.Restore(snapshot_path).ok());
   EXPECT_EQ(service.options().engine.scheduler, "lyra");
   EXPECT_EQ(service.options().engine.seed, 1234u);
-  FederationRouter router({&service}, SingleCluster(1));
+  FederationRouter router({&service}, SingleCluster());
   for (std::size_t i = static_cast<std::size_t>(cut); i < script.size(); ++i) {
     const JsonValue reply = router.Execute(script[i]);
     EXPECT_TRUE(reply.GetBool("ok")) << "cmd " << i << ": " << reply.Dump();

@@ -72,7 +72,7 @@ class TelemetryEndToEnd : public ::testing::Test {
         SmallServiceOptions(), std::make_unique<VirtualTimeDriver>());
     ASSERT_TRUE(service_->Start().ok());
     router_ = std::make_unique<FederationRouter>(
-        std::vector<SchedulerService*>{service_.get()}, SingleCluster(1));
+        std::vector<SchedulerService*>{service_.get()}, SingleCluster());
     loop_ = std::make_unique<EventLoop>(service_.get(), loop_options_);
     ASSERT_TRUE(loop_->Start().ok());
     ASSERT_GT(loop_->tcp_port(), 0);
@@ -304,18 +304,15 @@ void ExpectRegistryRowsMatch(const PromScrape& scrape, const JsonValue& reply,
   }
 }
 
-// stats_prom over the router, for the plain, --shards=4 and --federation=2x2
-// fleets: the document passes the exposition lint, and its registry
-// families carry the `metrics` reply's values, merged (the unlabelled first
-// row) and per engine (shard="k").
+// stats_prom over the router, for the plain, --federation=0x4 and
+// --federation=2x2 fleets: the document passes the exposition lint, and its
+// registry families carry the `metrics` reply's values, merged (the
+// unlabelled first row) and per engine (shard="k").
 TEST(TelemetryTopologies, EveryRouterExpositionIsLintCleanAndMatchesMetrics) {
-  const StatusOr<std::vector<ClusterSpec>> federation =
-      ParseFederationSpec("2x2");
-  ASSERT_TRUE(federation.ok()) << federation.status().message();
   const std::pair<const char*, std::vector<ClusterSpec>> topologies[] = {
-      {"plain", SingleCluster(1)},
-      {"--shards=4", SingleCluster(4)},
-      {"--federation=2x2", federation.value()}};
+      {"plain", SingleCluster()},
+      {"--federation=0x4", ParseFederationSpec("0x4").value()},
+      {"--federation=2x2", ParseFederationSpec("2x2").value()}};
   for (const auto& [topology, clusters] : topologies) {
     SCOPED_TRACE(topology);
     StatusOr<FederationSet> built =
@@ -347,7 +344,7 @@ TEST(TelemetryTopologies, EveryRouterExpositionIsLintCleanAndMatchesMetrics) {
     if (router.shard_count() > 1) {
       for (int k = 0; k < router.shard_count(); ++k) {
         ExpectRegistryRowsMatch(scrape.value(),
-                                FederationRouter({router.shard(k)}, SingleCluster(1))
+                                FederationRouter({router.shard(k)}, SingleCluster())
                                     .Execute(Cmd("metrics")),
                                 {{"shard", std::to_string(k)}});
       }
@@ -362,7 +359,7 @@ TEST(TelemetryTopologies, EveryRouterExpositionIsLintCleanAndMatchesMetrics) {
 // updates (no clock), reaches /metrics as lyra_engine_mckp_*.
 TEST(TelemetryTopologies, MckpCountersReachExposition) {
   StatusOr<FederationSet> built =
-      BuildFederation(SmallServiceOptions(), SingleCluster(1), [](int) {
+      BuildFederation(SmallServiceOptions(), SingleCluster(), [](int) {
         return std::make_unique<VirtualTimeDriver>();
       });
   ASSERT_TRUE(built.ok()) << built.status().message();

@@ -10,14 +10,13 @@
 // replaying the persisted command log into a bit-identical engine.
 //
 // Every daemon is a fleet of clusters behind the one front end (DESIGN.md
-// §10–11). The plain daemon is one training cluster "train0" of one engine;
-// --shards=N is sugar for --federation=0x1@N, one training cluster of N
-// independent single-writer engines (submits spread by key hash, job ids
-// carry their owning engine). --federation=<spec> runs a multi-cluster
-// fleet: "2x2" is 2 inference + 2 training clusters, "2x2@4" gives each 4
-// engine shards, and "name:kind[:shards],..." spells the clusters out.
-// Submits route by "cluster"/"kind", and `migrate` moves a training job
-// between training clusters; capacity loaning stays inside each engine.
+// §10–11), each cluster one independent single-writer engine. The plain
+// daemon is one training cluster "train0"; --federation=<spec> runs more:
+// "2x2" is 2 inference + 2 training clusters, "0x4" is 4 training clusters
+// (untargeted submits spread by key hash, job ids carry their owning
+// engine), and "name:kind,..." spells the clusters out. Submits route by
+// "cluster"/"kind", and `migrate` moves a training job between training
+// clusters; capacity loaning stays inside each engine.
 // One engine snapshots to a plain LYRASNAP file, more engines to one
 // LYRAFED container of their LYRASNAP images; --restore takes the topology
 // from the file, whatever the flags say, and refuses any other format or
@@ -27,7 +26,7 @@
 //   ./build/tools/lyra_schedd --socket=/tmp/lyra.sock --tcp-port=7070
 //   ./build/tools/lyra_schedd --socket=/tmp/lyra.sock --restore=/tmp/lyra.snap
 //   ./build/tools/lyra_schedd --socket=/tmp/lyra.sock --time-scale=3600
-//   ./build/tools/lyra_schedd --socket=/tmp/lyra.sock --shards=4
+//   ./build/tools/lyra_schedd --socket=/tmp/lyra.sock --federation=0x4
 //   ./build/tools/lyra_schedd --socket=/tmp/lyra.sock --federation=2x2
 #include <chrono>
 #include <csignal>
@@ -70,8 +69,7 @@ int main(int argc, char** argv) {
   std::string log_level = env_level != nullptr ? env_level : "warning";
   std::string flight_path = "/tmp/lyra_schedd.trace.json";
   double time_scale = 0.0;
-  std::string federation_spec;
-  int shards = 1;
+  std::string federation_spec = "0x1";  // SingleCluster()
   int seed = 42;
   double scale = 0.25;
   double horizon_days = 30.0;
@@ -106,12 +104,9 @@ int main(int argc, char** argv) {
   flags.AddInt("queue-capacity", &options.queue_capacity,
                "command queue bound (backpressure beyond it)");
   flags.AddInt("io-threads", &loop_options.io_threads, "epoll I/O threads");
-  flags.AddInt("shards", &shards,
-               "engines of the one training cluster "
-               "(sugar for --federation=0x1@N)");
   flags.AddString("federation", &federation_spec,
-                  "multi-cluster federation: \"NxM[@S]\" or "
-                  "\"name:kind[:shards],...\" (excludes --shards)");
+                  "multi-cluster federation, one engine per cluster: "
+                  "\"NxM\" or \"name:kind,...\"");
   flags.AddString("log-level", &log_level,
                   "debug | info | warning | error | off "
                   "(default from LYRA_LOG_LEVEL)");
@@ -152,18 +147,10 @@ int main(int argc, char** argv) {
     }
     return std::make_unique<lyra::svc::VirtualTimeDriver>();
   };
-  if (!federation_spec.empty() && shards != 1) {
-    std::fprintf(stderr, "lyra_schedd: --federation excludes --shards\n");
-    return 1;
-  }
   lyra::StatusOr<lyra::svc::FederationSet> built =
       [&]() -> lyra::StatusOr<lyra::svc::FederationSet> {
     if (!restore_path.empty()) {
       return lyra::svc::RestoreFederation(options, restore_path, make_driver);
-    }
-    if (federation_spec.empty()) {
-      return lyra::svc::BuildFederation(
-          options, lyra::svc::SingleCluster(shards), make_driver);
     }
     lyra::StatusOr<std::vector<lyra::svc::ClusterSpec>> clusters =
         lyra::svc::ParseFederationSpec(federation_spec);
