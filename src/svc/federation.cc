@@ -392,7 +392,7 @@ std::span<const std::uint32_t> FederationRouter::TargetEngines(
       c = FindCluster(cluster->AsString());
     } else if (cluster->is_number()) {
       const std::int64_t index = cluster->AsInt();
-      if (index >= 0 && index < cluster_count()) {
+      if (index >= 0 && index < shard_count()) {
         c = static_cast<int>(index);
       }
     }
@@ -408,7 +408,7 @@ std::span<const std::uint32_t> FederationRouter::TargetEngines(
     return {first, last};
   }
   const JsonValue* kind_field = request.Find("kind");
-  if (kind_field == nullptr && cluster_count() == 1) {
+  if (kind_field == nullptr && shard_count() == 1) {
     // Untargeted submit to a single-cluster fleet goes to that cluster
     // whatever its kind.
     return kind_engines_[static_cast<int>(clusters_[0].kind)];
@@ -426,7 +426,7 @@ JsonValue FederationRouter::RejectReply(TelemetryCmd cmd,
                                         const JsonValue& request) const {
   JsonValue reply;
   if (cmd == TelemetryCmd::kMigrate) {
-    if (cluster_count() < 2) {
+    if (shard_count() < 2) {
       reply = ErrorReply("failed_precondition",
                          "migration requires at least two clusters");
     } else {
@@ -471,7 +471,7 @@ bool FederationRouter::Dispatch(
   std::span<const std::uint32_t> counter_targets;
   if (cmd == TelemetryCmd::kMigrate) {
     const StatusOr<std::int64_t> job = JobIdField(request, "migrate");
-    if (cluster_count() < 2 || !job.ok()) {
+    if (shard_count() < 2 || !job.ok()) {
       return fail(RejectReply(cmd, request));
     }
     engine = ShardOfJob(job.value());
@@ -568,7 +568,7 @@ JsonValue FederationRouter::StartMigration(
     dest = FindCluster(to->AsString());
   } else if (to->is_number()) {
     const std::int64_t index = to->AsInt();
-    if (index >= 0 && index < cluster_count()) {
+    if (index >= 0 && index < shard_count()) {
       dest = static_cast<int>(index);
     }
   }
@@ -640,18 +640,6 @@ JsonValue FederationRouter::StartMigration(
   return JsonValue();
 }
 
-FederationRouter::ClusterTotals FederationRouter::Totals(int c) const {
-  const ClusterKind kind = clusters_[static_cast<std::size_t>(c)].kind;
-  ClusterTotals totals;
-  const std::shared_ptr<const StateSnapshot> snap = shard(c)->snapshot();
-  if (snap != nullptr) {
-    totals.states = snap->state_counts;
-    totals.pool = kind == ClusterKind::kInference ? snap->inference
-                                                  : snap->training;
-  }
-  return totals;
-}
-
 JsonValue FederationRouter::MergeFanout(
     TelemetryCmd cmd, std::optional<double> seq,
     const std::string& snapshot_path, std::uint64_t snapshot_submit_seq,
@@ -719,10 +707,8 @@ JsonValue FederationRouter::MergeFanout(
       merged.Set("commands", JsonValue::MakeNumber(commands));
       merged.Set("time", JsonValue::MakeNumber(time));
       if (shard_count() > 1) {
-        merged.Set("shards",
-                   JsonValue::MakeNumber(static_cast<double>(shard_count())));
         merged.Set("clusters",
-                   JsonValue::MakeNumber(static_cast<double>(cluster_count())));
+                   JsonValue::MakeNumber(static_cast<double>(shard_count())));
       }
       break;
     }
@@ -740,7 +726,7 @@ std::string FederationRouter::EncodeFleetSnapshot(
   }
   FedSnapshot fed;
   fed.submit_seq = submit_seq;
-  for (int c = 0; c < cluster_count(); ++c) {
+  for (int c = 0; c < shard_count(); ++c) {
     const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
     fed.clusters.push_back({spec.name, static_cast<std::uint8_t>(spec.kind),
                             std::move(images[static_cast<std::size_t>(c)])});
@@ -759,9 +745,6 @@ JsonValue FederationRouter::Read(TelemetryCmd cmd,
       break;
     case TelemetryCmd::kClusterStats:
       reader = &FederationRouter::ClusterStats;
-      break;
-    case TelemetryCmd::kMetrics:
-      reader = &FederationRouter::Metrics;
       break;
     case TelemetryCmd::kPing:
       reader = &FederationRouter::Ping;
@@ -796,8 +779,7 @@ JsonValue FederationRouter::Read(TelemetryCmd cmd,
   return reply;
 }
 
-std::shared_ptr<const StateSnapshot> FederationRouter::FleetSnapshot(
-    SnapshotFold fold) const {
+std::shared_ptr<const StateSnapshot> FederationRouter::FleetSnapshot() const {
   if (shard_count() == 1) {
     return front()->snapshot();
   }
@@ -806,7 +788,7 @@ std::shared_ptr<const StateSnapshot> FederationRouter::FleetSnapshot(
   for (const SchedulerService* engine : shards_) {
     snaps.push_back(engine->snapshot());
   }
-  return std::make_shared<const StateSnapshot>(fold(snaps));
+  return std::make_shared<const StateSnapshot>(SumSnapshots(snaps));
 }
 
 JsonValue FederationRouter::QueryJob(const JsonValue& request) const {
@@ -845,8 +827,7 @@ JsonValue FederationRouter::QueryJob(const JsonValue& request) const {
 }
 
 JsonValue FederationRouter::ClusterStats(const JsonValue& /*request*/) const {
-  const std::shared_ptr<const StateSnapshot> snap =
-      FleetSnapshot(&SumSnapshots);
+  const std::shared_ptr<const StateSnapshot> snap = FleetSnapshot();
   JsonValue jobs = JsonValue::MakeObject();
   jobs.Set("total", Number(static_cast<double>(snap->job_count)));
   for (std::size_t s = 0; s < snap->state_counts.size(); ++s) {
@@ -865,42 +846,6 @@ JsonValue FederationRouter::ClusterStats(const JsonValue& /*request*/) const {
   reply.Set("jobs", std::move(jobs));
   reply.Set("cluster", std::move(pools));
   reply.Set("ended", JsonValue::MakeBool(snap->ended));
-  if (shard_count() > 1) {
-    JsonValue clusters = JsonValue::MakeArray();
-    for (int c = 0; c < cluster_count(); ++c) {
-      clusters.Append(ClusterInfo(c));
-    }
-    reply.Set("federation", std::move(clusters));
-  }
-  return reply;
-}
-
-JsonValue FederationRouter::Metrics(const JsonValue& /*request*/) const {
-  const std::shared_ptr<const StateSnapshot> snap =
-      FleetSnapshot(&MergeSnapshots);
-  const SchedulerService::Stats stats = AggregateStats();
-  JsonValue service = JsonValue::MakeObject();
-  service.Set("commands_applied", Number(stats.commands_applied));
-  service.Set("jobs_submitted", Number(stats.jobs_submitted));
-  service.Set("jobs_cancelled", Number(stats.jobs_cancelled));
-  service.Set("rejected_overload", Number(stats.rejected_overload));
-  service.Set("command_errors", Number(stats.command_errors));
-  service.Set("reads_served", Number(stats.reads_served));
-  service.Set("snapshots_published", Number(stats.snapshots_published));
-  service.Set("queue_depth", Number(stats.queue_depth));
-  service.Set("queue_peak", Number(stats.queue_peak));
-  service.Set("command_log", Number(snap->command_log_size));
-  service.Set("driver", JsonValue::MakeString(front()->driver_name()));
-  if (shard_count() > 1) {
-    service.Set("shards", Number(shard_count()));
-  }
-  JsonValue reply = OkReply();
-  reply.Set("time", Number(snap->time));
-  reply.Set("engine", snap->engine_metrics != nullptr
-                          ? snap->engine_metrics->ToJson()
-                          : JsonValue::MakeNull());
-  reply.Set("service", std::move(service));
-  reply.Set("metrics_time", Number(snap->metrics_time));
   return reply;
 }
 
@@ -984,21 +929,18 @@ JsonValue FederationRouter::TraceDump(const JsonValue& request) const {
 
 JsonValue FederationRouter::ClusterInfo(int c) const {
   const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
-  const ClusterTotals totals = Totals(c);
-  const std::array<std::uint64_t, 4>& states = totals.states;
-  const PoolCounters& pool = totals.pool;
+  const std::shared_ptr<const StateSnapshot> snap = shard(c)->snapshot();
+  const PoolCounters& pool =
+      spec.kind == ClusterKind::kInference ? snap->inference : snap->training;
 
   JsonValue info = JsonValue::MakeObject();
   info.Set("cluster", JsonValue::MakeNumber(static_cast<double>(c)));
   info.Set("name", JsonValue::MakeString(spec.name));
   info.Set("kind", JsonValue::MakeString(ClusterKindName(spec.kind)));
-  // Engine c runs cluster c; the two fields keep the wire's shape.
-  info.Set("shards", JsonValue::MakeNumber(1.0));
-  info.Set("first_engine", JsonValue::MakeNumber(static_cast<double>(c)));
   JsonValue jobs = JsonValue::MakeObject();
-  for (std::size_t s = 0; s < states.size(); ++s) {
+  for (std::size_t s = 0; s < snap->state_counts.size(); ++s) {
     jobs.Set(JobStateName(static_cast<JobState>(s)),
-             JsonValue::MakeNumber(static_cast<double>(states[s])));
+             JsonValue::MakeNumber(static_cast<double>(snap->state_counts[s])));
   }
   info.Set("jobs", std::move(jobs));
   JsonValue gpus = JsonValue::MakeObject();
@@ -1020,13 +962,11 @@ JsonValue FederationRouter::FederationStats(
   }
 
   JsonValue reply = OkReply();
-  reply.Set("time", JsonValue::MakeNumber(FleetSnapshot(&SumSnapshots)->time));
+  reply.Set("time", JsonValue::MakeNumber(FleetSnapshot()->time));
   reply.Set("submit_seq",
             JsonValue::MakeNumber(static_cast<double>(submit_seq())));
-  reply.Set("shards",
-            JsonValue::MakeNumber(static_cast<double>(shard_count())));
   JsonValue clusters = JsonValue::MakeArray();
-  for (int c = 0; c < cluster_count(); ++c) {
+  for (int c = 0; c < shard_count(); ++c) {
     clusters.Append(ClusterInfo(c));
   }
   reply.Set("clusters", std::move(clusters));

@@ -27,7 +27,6 @@
 #ifndef SRC_SVC_FEDERATION_H_
 #define SRC_SVC_FEDERATION_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -82,15 +81,16 @@ inline constexpr double kMigrationColdCost = 300.0;
 //     hash of the client's "key" string when present, of the router's
 //     monotone submit counter otherwise; cancel and query_job route by the
 //     engine encoded in the job id.
-//   - Every read (query_job, cluster_stats, metrics, ping, stats_prom,
-//     trace_dump, federation_stats) and every unknown command is answered
-//     here, by one dispatcher (Read) and one function per read, from the
-//     engines' published snapshots off the engine threads, at every fleet
-//     size. Fleet-only fields (ping's shard_count/shards, cluster_stats'
-//     federation array, trace_dump's shards) appear only at E > 1, so a
-//     one-engine reply is the plain daemon's. stats_prom and /metrics serve
-//     RenderPrometheus(router) (prom.h); trace_dump writes one file per
-//     engine.
+//   - Every read (query_job, cluster_stats, ping, stats_prom, trace_dump,
+//     federation_stats) and every unknown command is answered here, by one
+//     dispatcher (Read) and one function per read, from the engines'
+//     published snapshots off the engine threads, at every fleet size.
+//     Each fleet fact has one home: metrics live in RenderPrometheus(router)
+//     (prom.h), which stats_prom and /metrics serve, and the per-cluster
+//     jobs and GPUs in federation_stats. Fleet-only fields (ping's
+//     shard_count/shards, trace_dump's shards) appear only at E > 1, so a
+//     one-engine reply is the plain daemon's; trace_dump writes one file
+//     per engine.
 //   - advance / drain / snapshot / shutdown fan out to every engine behind a
 //     completion barrier, which echoes the client's "seq" once. Each engine
 //     encodes its `snapshot` image into a slot the barrier owns, and the
@@ -98,8 +98,8 @@ inline constexpr double kMigrationColdCost = 300.0;
 //     submit counter and the migration ledger hash included.
 //   - At one engine every engine command except snapshot and migrate goes
 //     straight to engine 0. Every reply, snapshot's included, is the plain
-//     service's: the barrier adds no fleet-only field (shards, clusters, a
-//     failure's shard) below two engines.
+//     service's: the barrier adds no fleet-only field (clusters, a failure's
+//     shard) below two engines.
 //
 // One call dispatches an engine command (Dispatch): it routes and peeks the
 // submit counter for the shed check, and only when the command is not shed
@@ -116,6 +116,7 @@ class FederationRouter {
   FederationRouter(const FederationRouter&) = delete;
   FederationRouter& operator=(const FederationRouter&) = delete;
 
+  // Engines, and so clusters: engine k runs cluster k.
   int shard_count() const { return static_cast<int>(shards_.size()); }
   SchedulerService* shard(int i) const { return shards_[static_cast<std::size_t>(i)]; }
   // Engine 0 doubles as the front end's home service: I/O-thread telemetry,
@@ -126,7 +127,6 @@ class FederationRouter {
     return {shards_.begin(), shards_.end()};
   }
 
-  int cluster_count() const { return static_cast<int>(clusters_.size()); }
   const ClusterSpec& cluster_spec(int c) const {
     return clusters_[static_cast<std::size_t>(c)];
   }
@@ -185,15 +185,6 @@ class FederationRouter {
   // Per-engine stats summed (queue_peak is a max).
   SchedulerService::Stats AggregateStats() const;
 
-  // One cluster's job counts by state and its own pool (the inference pool
-  // of an inference cluster, the training pool otherwise), from its
-  // engine's published snapshot.
-  struct ClusterTotals {
-    std::array<std::uint64_t, 4> states{};
-    PoolCounters pool;
-  };
-  ClusterTotals Totals(int c) const;
-
   // Routing sequence for keyless submits; persisted in the snapshot
   // container and restored by RestoreFederation.
   std::uint64_t submit_seq() const {
@@ -242,22 +233,20 @@ class FederationRouter {
                                   std::vector<std::string>& images) const;
 
   // The fleet's snapshot for a read: engine 0's own at one engine (no
-  // copy), else `fold` (SumSnapshots or MergeSnapshots) over every engine's.
-  using SnapshotFold = StateSnapshot (*)(
-      const std::vector<std::shared_ptr<const StateSnapshot>>&);
-  std::shared_ptr<const StateSnapshot> FleetSnapshot(SnapshotFold fold) const;
+  // copy), else SumSnapshots over every engine's.
+  std::shared_ptr<const StateSnapshot> FleetSnapshot() const;
 
   // One function per read, called by Read once the engines are known to
   // serve.
   JsonValue QueryJob(const JsonValue& request) const;
   JsonValue ClusterStats(const JsonValue& request) const;
-  JsonValue Metrics(const JsonValue& request) const;
   JsonValue Ping(const JsonValue& request) const;
   JsonValue StatsProm(const JsonValue& request) const;
   JsonValue TraceDump(const JsonValue& request) const;
   JsonValue FederationStats(const JsonValue& request) const;
-  // Per-cluster stats object (jobs by state, pool) shared by
-  // federation_stats and the cluster_stats read augmentation.
+  // federation_stats' entry for cluster c: jobs by state and the cluster's
+  // own pool (inference for an inference cluster, training otherwise), read
+  // from engine c's snapshot.
   JsonValue ClusterInfo(int c) const;
   // Appends one migration event line to the ledger; called under ledger_mu_.
   void RecordMigration(double now, std::int64_t from_job, std::int64_t to_job,

@@ -363,10 +363,9 @@ StatusOr<LoadPoint> RunOpenLoop(const LoadClientOptions& options) {
     // request into its histograms — no settle delay needed.
     StatusOr<obs::Histogram> after = ScrapeServerHistogram(options, "submit");
     if (after.ok()) {
-      obs::Histogram window = after.value();
-      if (before.ok()) {
-        window.Subtract(before.value());
-      }
+      const obs::Histogram window =
+          before.ok() ? WindowSince(after.value(), before.value())
+                      : after.value();
       point.server_samples = window.count();
       if (point.server_samples > 0) {
         point.server_p50_ms = window.Quantile(0.50) * 1e3;

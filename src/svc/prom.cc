@@ -342,6 +342,12 @@ std::string RenderEngines(
           [](Family& f, const auto& shard, const EngineValues& e) {
             f.Value(shard, e.snap->time);
           });
+  per_row("lyra_engine_metrics_time_seconds", "gauge",
+          "Virtual time of the registry copy the lyra_engine_<metric> "
+          "families read (refreshed on a wall-clock throttle).",
+          [](Family& f, const auto& shard, const EngineValues& e) {
+            f.Value(shard, e.snap->metrics_time);
+          });
   per_row("lyra_engine_ended", "gauge",
           "1 once the engine passed its end of time and schedules nothing "
           "more.",
@@ -357,6 +363,11 @@ std::string RenderEngines(
           "Monotone version of the published read snapshot.",
           [](Family& f, const auto& shard, const EngineValues& e) {
             f.Count(shard, e.snap->version);
+          });
+  per_row("lyra_svc_command_log", "gauge",
+          "Commands in the engine's replay log, which a snapshot writes.",
+          [](Family& f, const auto& shard, const EngineValues& e) {
+            f.Count(shard, e.snap->command_log_size);
           });
   per_row("lyra_engine_jobs", "gauge", "Jobs known to the engine, by state.",
           [](Family& f, const auto& shard, const EngineValues& e) {
@@ -452,50 +463,19 @@ std::string RenderPrometheus(const FederationRouter& router) {
   if (engines.size() == 1) {
     return out;
   }
-  const auto gauge = [&out](const char* name, const char* help,
-                            std::uint64_t value) {
-    WriteFamily(out, name, "gauge", help,
-                [&](Family& f) { f.Count("", value); });
-  };
-  gauge("lyra_svc_shards", "Engine shards behind this front end.",
-        engines.size());
-
-  // Per-cluster families.
-  const int clusters = router.cluster_count();
-  std::vector<std::string> cluster_labels;
-  std::vector<FederationRouter::ClusterTotals> totals;
-  for (int c = 0; c < clusters; ++c) {
-    cluster_labels.push_back(Label("cluster", router.cluster_spec(c).name));
-    totals.push_back(router.Totals(c));
-  }
-  const auto per_cluster = [&](const char* name, const char* help, auto write) {
-    WriteFamily(out, name, "gauge", help, [&](Family& f) {
-      for (int c = 0; c < clusters; ++c) {
-        write(f, cluster_labels[c], c);
-      }
-    });
-  };
-  gauge("lyra_fed_clusters", "Clusters in the federation.",
-        static_cast<std::uint64_t>(clusters));
-  per_cluster("lyra_fed_cluster_info", "Cluster identity (value is always 1).",
-              [&](Family& f, const std::string& cluster, int c) {
-                const char* kind = ClusterKindName(router.cluster_spec(c).kind);
-                f.Value(Labels(cluster, Label("kind", kind)), 1.0);
-              });
-  per_cluster("lyra_fed_jobs", "Jobs by cluster and state.",
-              [&](Family& f, const std::string& cluster, int c) {
-                for (std::size_t s = 0; s < totals[c].states.size(); ++s) {
-                  const char* state = JobStateName(static_cast<JobState>(s));
-                  f.Count(Labels(cluster, Label("state", state)),
-                          totals[c].states[s]);
+  WriteFamily(out, "lyra_svc_shards", "gauge",
+              "Engine shards behind this front end.",
+              [&](Family& f) { f.Count("", engines.size()); });
+  // Cluster k is engine k: its name joins that engine's shard="k" rows.
+  WriteFamily(out, "lyra_fed_cluster_info", "gauge",
+              "Cluster identity (value is always 1).", [&](Family& f) {
+                for (int c = 0; c < router.shard_count(); ++c) {
+                  const ClusterSpec& spec = router.cluster_spec(c);
+                  f.Value(Labels(Labels(Label("cluster", spec.name),
+                                        Label("kind", ClusterKindName(spec.kind))),
+                                 Label("shard", std::to_string(c))),
+                          1.0);
                 }
-              });
-  per_cluster("lyra_fed_gpus", "GPUs by cluster and pool counter.",
-              [&](Family& f, const std::string& cluster, int c) {
-                f.Value(Labels(cluster, Label("pool", "total")),
-                        totals[c].pool.total_gpus);
-                f.Value(Labels(cluster, Label("pool", "free")),
-                        totals[c].pool.free_gpus);
               });
   return out;
 }
@@ -658,45 +638,92 @@ StatusOr<PromScrape> ParsePrometheus(const std::string& text) {
   return scrape;
 }
 
+namespace {
+
+// A bucket bound: "+Inf", or a finite number that parses in full.
+bool ParseBound(const std::string& text, double* bound) {
+  if (text == "+Inf") {
+    *bound = std::numeric_limits<double>::infinity();
+    return true;
+  }
+  char* end = nullptr;
+  *bound = std::strtod(text.c_str(), &end);
+  return !text.empty() && end == text.c_str() + text.size() &&
+         std::isfinite(*bound);
+}
+
+// A cumulative bucket count: a finite non-negative integer below 2^64.
+bool ParseCount(double value, std::uint64_t* count) {
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (!(value >= 0.0 && value < kTwoTo64) || value != std::floor(value)) {
+    return false;
+  }
+  *count = static_cast<std::uint64_t>(value);
+  return true;
+}
+
+}  // namespace
+
 StatusOr<obs::Histogram> ExtractHistogram(
     const PromScrape& scrape, const std::string& family,
     const std::map<std::string, std::string>& labels) {
-  // Buckets arrive in ascending-le order (+Inf last) from any conforming
-  // exposition; sortedness is re-checked by the Histogram constructor.
+  // Bounds must arrive strictly ascending with +Inf last, as the renderer
+  // writes them; a scrape is untrusted bytes, so anything else is refused
+  // here rather than reaching the Histogram constructor's CHECK.
   std::vector<double> bounds;
   std::vector<std::uint64_t> cumulative;
-  bool have_inf = false;
-  std::uint64_t inf_count = 0;
   const std::string bucket_name = family + "_bucket";
+  const std::string sum_name = family + "_sum";
+  const PromSample* sum = nullptr;
   for (const PromSample& sample : scrape.samples) {
-    if (sample.name != bucket_name || !HasLabels(sample, labels)) {
+    if (sum == nullptr && sample.name == sum_name && sample.labels == labels) {
+      sum = &sample;
+    }
+    if (sample.name != bucket_name) {
       continue;
     }
+    // One series only: the labels apart from `le` are exactly `labels`.
     const auto le = sample.labels.find("le");
-    if (le == sample.labels.end()) {
+    if (le == sample.labels.end() ||
+        sample.labels.size() != labels.size() + 1 ||
+        !HasLabels(sample, labels)) {
       continue;
     }
-    const auto count = static_cast<std::uint64_t>(sample.value);
-    if (le->second == "+Inf") {
-      have_inf = true;
-      inf_count = count;
-    } else {
-      bounds.push_back(std::strtod(le->second.c_str(), nullptr));
-      cumulative.push_back(count);
+    double bound = 0.0;
+    if (!ParseBound(le->second, &bound)) {
+      return Status::InvalidArgument("prom: bad bucket bound le=\"" +
+                                     le->second + "\" in " + family);
     }
+    if (!bounds.empty() && !(bound > bounds.back())) {
+      return Status::InvalidArgument(
+          "prom: bucket bounds not strictly ascending in " + family);
+    }
+    std::uint64_t count = 0;
+    if (!ParseCount(sample.value, &count)) {
+      return Status::InvalidArgument("prom: bad bucket count in " + family);
+    }
+    bounds.push_back(bound);
+    cumulative.push_back(count);
   }
-  if (bounds.empty() || !have_inf) {
+  if (bounds.size() < 2 || !std::isinf(bounds.back())) {
     return Status::NotFound("prom: no histogram for family " + family);
   }
-  cumulative.push_back(inf_count);
+  bounds.pop_back();  // +Inf is the overflow bucket, not a bound
   std::vector<std::uint64_t> counts(cumulative.size());
   std::uint64_t previous = 0;
   for (std::size_t i = 0; i < cumulative.size(); ++i) {
     counts[i] = cumulative[i] >= previous ? cumulative[i] - previous : 0;
     previous = cumulative[i];
   }
-  const double sum = scrape.Value(family + "_sum", labels, 0.0);
-  return obs::Histogram(std::move(bounds), std::move(counts), sum);
+  return obs::Histogram(std::move(bounds), std::move(counts),
+                        sum == nullptr ? 0.0 : sum->value);
+}
+
+obs::Histogram WindowSince(obs::Histogram now, const obs::Histogram& earlier) {
+  if (now.upper_bounds() == earlier.upper_bounds()) {
+    now.Subtract(earlier);
+  }
+  return now;
 }
 
 }  // namespace lyra::svc

@@ -36,19 +36,25 @@ inline constexpr char kRequestDurationFamily[] =
 //
 // Families: lyra_svc_* (request latency and transport from the I/O threads,
 // engine batch histograms, the Stats counters, uptime and identity),
-// lyra_engine_* from the read snapshot (virtual time, the end-of-time flag,
-// events, jobs by state, pools), and one lyra_engine_<name> family per metric in the engine's
-// metrics registry, the name's '.' written as '_' and counters ending in
-// `_total`.
+// from the read snapshot lyra_svc_command_log and lyra_engine_* (virtual
+// time, the registry copy's time, the end-of-time flag, events, jobs by
+// state, pools), and one lyra_engine_<name> family per metric in the
+// engine's metrics registry, the name's '.' written as '_' and counters
+// ending in `_total`.
 std::string RenderPrometheus(const SchedulerService& service);
 
 // The router's exposition. One engine renders exactly as above. With N > 1
 // engines every engine family carries the merged total first (histograms
-// merged bucketwise, counters and gauges summed, the virtual time and the
-// snapshot version the furthest engine's, `ended` when any engine ended), so consumers that take the first
-// match see the fleet, then one `shard="k"` row per engine; I/O-thread
+// merged bucketwise, counters and gauges summed, the times and the snapshot
+// version the furthest engine's, `ended` when any engine ended), so
+// consumers that take the first match see the fleet, then one `shard="k"`
+// row per engine; I/O-thread
 // families are engine 0's, where the event loop homes them. A fleet adds
-// the `lyra_svc_shards` gauge and the per-cluster `lyra_fed_*` families.
+// the `lyra_svc_shards` gauge and `lyra_fed_cluster_info{cluster,kind,
+// shard}`, which names the cluster that engine k's shard="k" rows count:
+// its jobs are `lyra_engine_jobs{shard="k"}`, and its own pool (inference
+// for an inference cluster, training otherwise) is in
+// `lyra_engine_pool_gpus{shard="k"}`.
 std::string RenderPrometheus(const FederationRouter& router);
 
 struct PromSample {
@@ -76,13 +82,22 @@ struct PromScrape {
 // unknown comment lines are ignored per the format spec.
 StatusOr<PromScrape> ParsePrometheus(const std::string& text);
 
-// Reassembles the `family` histogram (samples `family_bucket{le=...}`,
-// `family_sum`, `family_count`) whose labels contain `labels` as a subset,
-// converting cumulative buckets back to per-bucket counts. NotFound when the
-// family has no buckets under those labels.
+// Reassembles the `family` histogram (samples `family_bucket{le=...}` and
+// `family_sum`) whose labels, apart from `le`, are exactly `labels`, so `{}`
+// names a fleet's unlabelled merged row and `{{"shard", "k"}}` engine k's;
+// cumulative buckets become per-bucket counts. NotFound when the family has
+// no finite bucket and +Inf under those labels. A scrape is untrusted
+// bytes: a `le` that is not "+Inf" or a finite number in full, bounds that
+// are not strictly ascending with +Inf last, or a bucket value that is not
+// a non-negative integer below 2^64 is InvalidArgument.
 StatusOr<obs::Histogram> ExtractHistogram(
     const PromScrape& scrape, const std::string& family,
     const std::map<std::string, std::string>& labels = {});
+
+// The samples `now` holds beyond `earlier`, two scrapes of one cumulative
+// histogram; `now` whole when the bounds differ (the daemon restarted with
+// another layout), so a pair of scrapes never trips Subtract's CHECK.
+obs::Histogram WindowSince(obs::Histogram now, const obs::Histogram& earlier);
 
 }  // namespace lyra::svc
 

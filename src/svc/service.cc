@@ -21,7 +21,8 @@ constexpr std::uint64_t kAutoStepChunk = 4096;
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 // Minimum wall-clock interval between registry copies into the read
-// snapshot; bounds how stale a `metrics` reply's engine section can be.
+// snapshot; bounds how stale the lyra_engine_<metric> rows of /metrics can
+// be (lyra_engine_metrics_time_seconds says how stale they are).
 constexpr double kMetricsRefreshMs = 10.0;
 
 bool ModelFamilyFromName(const std::string& name, ModelFamily* family) {

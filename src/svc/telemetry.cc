@@ -5,12 +5,17 @@
 namespace lyra::svc {
 namespace {
 
+// One name per TelemetryCmd, in enum order. A list one entry short would
+// leave a null name at the end, which the assert below refuses.
 constexpr const char* kCmdNames[kTelemetryCmdCount] = {
-    "submit",      "cancel",     "advance",    "drain",       "snapshot",
-    "shutdown",    "query_job",  "cluster_stats", "metrics",  "ping",
-    "stats_prom",  "trace_dump", "migrate",    "federation_stats",
-    "other",       "batch_apply", "snapshot_publish",
+    "submit",     "cancel",     "advance",    "drain",
+    "snapshot",   "shutdown",   "query_job",  "cluster_stats",
+    "ping",       "stats_prom", "trace_dump", "migrate",
+    "federation_stats", "other", "batch_apply", "snapshot_publish",
 };
+static_assert(std::ranges::none_of(kCmdNames,
+                                   [](const char* name) { return name == nullptr; }),
+              "kCmdNames needs one name per TelemetryCmd");
 
 }  // namespace
 

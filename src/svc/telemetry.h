@@ -46,7 +46,6 @@ enum class TelemetryCmd : std::uint8_t {
   kShutdown,
   kQueryJob,
   kClusterStats,
-  kMetrics,
   kPing,
   kStatsProm,
   kTraceDump,
@@ -55,12 +54,14 @@ enum class TelemetryCmd : std::uint8_t {
   kOther,
   // Engine-thread span names only; never recorded as request latency.
   kBatchApply,
-  kSnapshotPublish,
+  kSnapshotPublish,  // last: kTelemetryCmdCount counts through it
 };
-inline constexpr int kTelemetryCmdCount = 17;
+inline constexpr int kTelemetryCmdCount =
+    static_cast<int>(TelemetryCmd::kSnapshotPublish) + 1;
 // Wire commands tracked in the request-duration histograms (excludes the
 // engine-internal span kinds above).
-inline constexpr int kTelemetryWireCmdCount = 15;
+inline constexpr int kTelemetryWireCmdCount =
+    static_cast<int>(TelemetryCmd::kOther) + 1;
 
 const char* TelemetryCmdName(TelemetryCmd cmd);
 TelemetryCmd TelemetryCmdFromName(const std::string& name);

@@ -1,7 +1,9 @@
 // Seeded byte-mutation fuzzers for the decoders that read untrusted wire
 // bytes: FrameDecoder (length-prefixed frames, fed in arbitrary chunks),
-// JsonValue::Parse under JsonParseLimits::Untrusted(), and
-// DecodeEngineCommand on whatever parses as an engine command. They are
+// JsonValue::Parse under JsonParseLimits::Untrusted(),
+// DecodeEngineCommand on whatever parses as an engine command, and the
+// scrape decoder (ParsePrometheus, then ExtractHistogram), which lyra_top
+// and lyra_loadgen feed with bytes off a socket. They are
 // self-contained: a fixed corpus of valid documents, a seeded mutator and a
 // fixed iteration budget, so every ctest leg (ASan/UBSan included) runs them
 // the same way. LYRA_FUZZ_ITERATIONS=<n> raises the budget for a long run.
@@ -15,12 +17,20 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/json.h"
 #include "src/common/rng.h"
+#include "src/obs/metrics.h"
+#include "src/svc/federation.h"
+#include "src/svc/prom.h"
 #include "src/svc/service.h"
+#include "src/svc/time_driver.h"
 #include "src/svc/wire.h"
 
 namespace lyra::svc {
@@ -253,6 +263,97 @@ TEST(Fuzz, EngineCommandDecodeFailsCleanly) {
     }
   }
   EXPECT_GT(decoded, 0);
+}
+
+// The exposition of a 2x2 fleet after some work: every shape of family
+// (unlabelled, per-command, per-thread, merged and shard="k" rows,
+// histograms, the cluster join) appears in it.
+std::string FleetExposition() {
+  ServiceOptions options;
+  options.engine.scale = 0.05;
+  options.auto_advance = false;
+  StatusOr<FederationSet> built =
+      BuildFederation(options, ParseFederationSpec("2x2").value(), [](int) {
+        return std::make_unique<VirtualTimeDriver>();
+      });
+  EXPECT_TRUE(built.ok()) << built.status().message();
+  FederationRouter& router = *built.value().router;
+  for (int i = 0; i < 8; ++i) {
+    const std::string kind = i % 2 == 0 ? "training" : "inference";
+    const std::string submit =
+        R"({"cmd":"submit","at":0,"total_work":7200,"kind":")" + kind + "\"}";
+    EXPECT_TRUE(router.Execute(JsonValue::Parse(submit).value()).GetBool("ok"));
+  }
+  EXPECT_TRUE(
+      router.Execute(JsonValue::Parse(R"({"cmd":"advance","to":3600})").value())
+          .GetBool("ok"));
+  const std::string text = RenderPrometheus(router);
+  for (auto& service : built.value().services) {
+    service->Stop();
+  }
+  return text;
+}
+
+// Every `_bucket` series of a scrape: family name and labels without `le`.
+std::set<std::pair<std::string, std::map<std::string, std::string>>>
+BucketSeries(const PromScrape& scrape) {
+  std::set<std::pair<std::string, std::map<std::string, std::string>>> series;
+  const std::string suffix = "_bucket";
+  for (const PromSample& sample : scrape.samples) {
+    const std::string& name = sample.name;
+    if (name.size() > suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      std::map<std::string, std::string> labels = sample.labels;
+      labels.erase("le");
+      series.emplace(name.substr(0, name.size() - suffix.size()),
+                     std::move(labels));
+    }
+  }
+  return series;
+}
+
+// A mutated exposition either fails to parse with InvalidArgument, or every
+// histogram series in it reassembles into a well-formed histogram or fails
+// with InvalidArgument / NotFound: never an abort, and never a value cast
+// outside its type (the UBSan leg checks that).
+TEST(Fuzz, PrometheusScrapeFailsCleanly) {
+  const std::string corpus = FleetExposition();
+  const StatusOr<PromScrape> intact = ParsePrometheus(corpus);
+  ASSERT_TRUE(intact.ok()) << intact.status().message();
+  const auto intact_series = BucketSeries(intact.value());
+  ASSERT_GT(intact_series.size(), 10u);
+  for (const auto& [family, labels] : intact_series) {
+    EXPECT_TRUE(ExtractHistogram(intact.value(), family, labels).ok()) << family;
+  }
+
+  Rng rng(0x5c4a9e);
+  const int iterations = Iterations(1000);
+  int parsed = 0;
+  for (int iter = 0; iter < iterations; ++iter) {
+    const StatusOr<PromScrape> scrape = ParsePrometheus(Mutate(rng, corpus));
+    if (!scrape.ok()) {
+      EXPECT_EQ(scrape.status().code(), StatusCode::kInvalidArgument)
+          << "iteration " << iter;
+      EXPECT_FALSE(scrape.status().message().empty()) << "iteration " << iter;
+      continue;
+    }
+    ++parsed;
+    for (const auto& [family, labels] : BucketSeries(scrape.value())) {
+      const StatusOr<obs::Histogram> histogram =
+          ExtractHistogram(scrape.value(), family, labels);
+      if (!histogram.ok()) {
+        EXPECT_TRUE(histogram.status().code() == StatusCode::kInvalidArgument ||
+                    histogram.status().code() == StatusCode::kNotFound)
+            << "iteration " << iter << ": " << histogram.status().message();
+        continue;
+      }
+      const obs::Histogram& h = histogram.value();
+      EXPECT_EQ(h.bucket_counts().size(), h.upper_bounds().size() + 1)
+          << "iteration " << iter;
+      h.Quantile(0.99);
+    }
+  }
+  EXPECT_GT(parsed, 0);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Multi-cluster federation conformance tests (DESIGN.md §11): spec parsing,
 // deterministic cluster routing (explicit cluster / kind targets, keyed and
 // keyless, pipelined over the event loop), global-id arithmetic across the
-// fleet (engine k is cluster k), checkpoint-cost-charged migration between
-// training clusters and its ledger, the plain-service compatibility
+// fleet (engine k is cluster k), each fleet fact in one home (a cluster's
+// /metrics rows join federation_stats), checkpoint-cost-charged migration
+// between training clusters and its ledger, the plain-service compatibility
 // contract (a one-cluster federation answers byte-for-byte like a lone
 // SchedulerService and writes the identical LYRASNAP file), LYRAFED restores
 // (version 4 as written, retired layouts refused), and a golden
@@ -28,6 +29,7 @@
 #include "src/sim/simulator.h"
 #include "src/svc/event_loop.h"
 #include "src/svc/federation.h"
+#include "src/svc/prom.h"
 #include "src/svc/service.h"
 #include "src/svc/snapshot.h"
 #include "src/svc/time_driver.h"
@@ -212,8 +214,7 @@ TEST(Federation, GlobalIdRoundTripAcrossFederationTimesShards) {
     // Engine k is cluster k: a submit to cluster c is answered by engine c,
     // and the id arithmetic round-trips through the fleet — so an id names
     // (cluster, local) unambiguously.
-    ASSERT_EQ(engines, router.cluster_count()) << spec;
-    for (int c = 0; c < router.cluster_count(); ++c) {
+    for (int c = 0; c < engines; ++c) {
       const JsonValue reply =
           router.Execute(SubmitTo(router.cluster_spec(c).name.c_str(), 0.0,
                                   3600.0));
@@ -443,11 +444,79 @@ TEST(Federation, MigrationChargesCheckpointCostAndMovesTheJob) {
   StopFed(fed);
 }
 
+// Each fleet fact has one home. In /metrics a cluster is its
+// lyra_fed_cluster_info{cluster,kind,shard} row, which joins engine k's
+// shard="k" rows, and those rows equal federation_stats' jobs and GPUs for
+// the cluster (its own pool: inference for an inference cluster, training
+// otherwise). No per-cluster copy of them is exported, and no JSON read
+// repeats what another carries.
+TEST(Federation, ClusterInfoJoinsEngineRowsEqualToFederationStats) {
+  FederationSet fed = BuildFed("2x2");
+  FederationRouter& router = *fed.router;
+  for (const char* cluster : {"inf0", "inf1", "train0", "train1"}) {
+    ASSERT_TRUE(router.Execute(SubmitTo(cluster, 0.0, 7200.0)).GetBool("ok"));
+  }
+  for (int i = 0; i < 3; ++i) {  // unplaceable: pending on train1
+    ASSERT_TRUE(router.Execute(SubmitTo("train1", 0.0, 1e6, 64, 100, 100))
+                    .GetBool("ok"));
+  }
+  ASSERT_TRUE(router.Execute(Advance(600.0)).GetBool("ok"));
+
+  const JsonValue stats = router.Execute(Cmd("federation_stats"));
+  ASSERT_TRUE(stats.GetBool("ok")) << stats.Dump();
+  EXPECT_EQ(stats.Find("shards"), nullptr) << stats.Dump();
+  const JsonValue cluster_stats = router.Execute(Cmd("cluster_stats"));
+  EXPECT_EQ(cluster_stats.Find("federation"), nullptr) << cluster_stats.Dump();
+  const JsonValue metrics = router.Execute(Cmd("metrics"));
+  EXPECT_EQ(metrics.GetString("code"), "invalid_argument") << metrics.Dump();
+
+  StatusOr<PromScrape> scrape = ParsePrometheus(
+      router.Execute(Cmd("stats_prom")).GetString("text", ""));
+  ASSERT_TRUE(scrape.ok()) << scrape.status().message();
+  const PromScrape& prom = scrape.value();
+  for (const char* gone : {"lyra_fed_jobs", "lyra_fed_gpus", "lyra_fed_clusters"}) {
+    EXPECT_EQ(prom.types.count(gone), 0u) << gone;
+  }
+  EXPECT_EQ(prom.Value("lyra_svc_shards"), 4.0);
+  EXPECT_EQ(prom.Value("lyra_engine_jobs", {{"state", "pending"}, {"shard", "3"}}),
+            3.0);
+
+  const JsonValue* clusters = stats.Find("clusters");
+  ASSERT_NE(clusters, nullptr);
+  ASSERT_EQ(clusters->AsArray().size(), 4u);
+  for (const JsonValue& entry : clusters->AsArray()) {
+    const std::string name = entry.GetString("name");
+    const std::string kind = entry.GetString("kind");
+    SCOPED_TRACE(name);
+    EXPECT_EQ(entry.Find("shards"), nullptr);
+    EXPECT_EQ(entry.Find("first_engine"), nullptr);
+    const PromSample* info = prom.Find("lyra_fed_cluster_info", {{"cluster", name}});
+    ASSERT_NE(info, nullptr);
+    EXPECT_EQ(info->labels.at("kind"), kind);
+    const std::string shard = info->labels.at("shard");
+    EXPECT_EQ(shard, std::to_string(static_cast<int>(entry.GetDouble("cluster"))));
+    for (const char* state : {"pending", "running", "finished", "cancelled"}) {
+      EXPECT_EQ(prom.Value("lyra_engine_jobs", {{"state", state}, {"shard", shard}},
+                           -1.0),
+                entry.Find("jobs")->GetDouble(state, -2.0))
+          << state;
+    }
+    const char* pool = kind == "inference" ? "inference" : "training";
+    for (const char* counter : {"total", "used", "free"}) {
+      EXPECT_EQ(prom.Value("lyra_engine_pool_gpus",
+                           {{"pool", pool}, {"kind", counter}, {"shard", shard}},
+                           -1.0),
+                entry.Find("gpus")->GetDouble(counter, -2.0))
+          << counter;
+    }
+  }
+  StopFed(fed);
+}
+
 // The compatibility contract: a federation of exactly one training cluster
 // with one engine answers every plain command byte-for-byte like the
 // unsharded SchedulerService, and its snapshot file is the identical
-// LYRASNAP image. federation_stats and lyra_fed_* metrics are the only
-// additive surface.
+// LYRASNAP image. federation_stats is the only additive surface.
 TEST(Federation, SingleClusterFederationMatchesPlainServiceByteForByte) {
   const auto script = [](double snapshot_at) {
     std::vector<JsonValue> commands;
@@ -613,13 +682,12 @@ TEST(Federation, FedSnapshotRestoresLayoutLedgerAndCounter) {
       RestoreFederation(base, path, MakeVirtualDriver);
   ASSERT_TRUE(restored.ok()) << restored.status().message();
   FederationRouter& resumed = *restored.value().router;
-  ASSERT_EQ(resumed.cluster_count(), 3);
+  ASSERT_EQ(resumed.shard_count(), 3);
   EXPECT_EQ(resumed.cluster_spec(0).name, "edge");
   EXPECT_EQ(resumed.cluster_spec(0).kind, ClusterKind::kInference);
   EXPECT_EQ(resumed.cluster_spec(1).name, "bulk");
   EXPECT_EQ(resumed.cluster_spec(1).kind, ClusterKind::kTraining);
   EXPECT_EQ(resumed.cluster_spec(2).name, "spill");
-  EXPECT_EQ(resumed.shard_count(), 3);
   EXPECT_EQ(resumed.submit_seq(), seq_before);
   EXPECT_EQ(resumed.ledger_hash(), hash_before)
       << "migration ledger hash must survive the restart bit-for-bit";
@@ -768,13 +836,12 @@ TEST(Federation, OnlyTheCurrentFleetContainerRestores) {
   ASSERT_TRUE(restored.ok()) << restored.status().message();
   EXPECT_EQ(built, 4);
   const FederationRouter& resumed = *restored.value().router;
-  ASSERT_EQ(resumed.cluster_count(), 4);
+  ASSERT_EQ(resumed.shard_count(), 4);
   for (int c = 0; c < 4; ++c) {
     EXPECT_EQ(resumed.cluster_spec(c).name, names[c]);
     EXPECT_EQ(resumed.cluster_spec(c).kind,
               c < 2 ? ClusterKind::kInference : ClusterKind::kTraining);
   }
-  EXPECT_EQ(resumed.shard_count(), 4);
   EXPECT_EQ(resumed.submit_seq(), seq_before);
   EXPECT_EQ(resumed.ledger_hash(), hash_before);
   StopFed(restored.value());

@@ -192,11 +192,20 @@ TEST(Service, SubmitAdvanceQueryDrainLifecycle) {
   EXPECT_DOUBLE_EQ(reply.GetDouble("jobs"), 2.0);
   EXPECT_DOUBLE_EQ(reply.GetDouble("terminal"), 2.0);
 
-  reply = router.Execute(Cmd("metrics"));
+  // The metrics live in stats_prom (/metrics): the Stats counters, the
+  // replay log's length and the registry copy's time.
+  reply = router.Execute(Cmd("stats_prom"));
   ASSERT_TRUE(reply.GetBool("ok"));
-  ASSERT_NE(reply.Find("engine"), nullptr);
-  ASSERT_NE(reply.Find("service"), nullptr);
-  EXPECT_DOUBLE_EQ(reply.Find("service")->GetDouble("jobs_submitted"), 2.0);
+  StatusOr<PromScrape> scrape = ParsePrometheus(reply.GetString("text", ""));
+  ASSERT_TRUE(scrape.ok()) << scrape.status().message();
+  EXPECT_DOUBLE_EQ(scrape.value().Value("lyra_svc_jobs_submitted_total"), 2.0);
+  EXPECT_DOUBLE_EQ(scrape.value().Value("lyra_svc_command_log", {}, -1.0),
+                   static_cast<double>(service.command_log().size()));
+  const PromSample* metrics_time =
+      scrape.value().Find("lyra_engine_metrics_time_seconds");
+  ASSERT_NE(metrics_time, nullptr);
+  EXPECT_LE(metrics_time->value,
+            scrape.value().Value("lyra_engine_virtual_time_seconds"));
 
   const SchedulerService::Stats stats = service.stats();
   EXPECT_EQ(stats.jobs_submitted, 2u);
@@ -204,9 +213,9 @@ TEST(Service, SubmitAdvanceQueryDrainLifecycle) {
   service.Stop();
 }
 
-// The `metrics` reply's engine section is the registry copy's JSON. Its
-// bytes are pinned to what the daemon has always replied (the registry's
-// JSON export read back): nine-digit doubles, name order, empty histograms.
+// A registry copy's JSON (lyra_sim --metrics-json writes it). Its bytes are
+// pinned to what the export has always written: nine-digit doubles, name
+// order, empty histograms.
 TEST(Service, MetricsEngineSectionKeepsItsBytes) {
   obs::MetricsRegistry registry;
   registry.counter("sim.events.arrival")->Add(12);
@@ -652,10 +661,12 @@ std::vector<std::string> PinnedScript(const std::string& dir) {
 // Every read and engine command of a one-engine daemon, error replies
 // included, keeps the bytes it had when a plain SchedulerService answered
 // it: tests/golden/one_engine_replies.golden is that transcript with the
-// end-of-time additions only (`"ended":false` on ping and cluster_stats,
-// the lyra_engine_ended family in stats_prom). A snapshot that cannot be
-// written is one of the exchanges, and metrics' command_errors counts it
-// once.
+// end-of-time additions (`"ended":false` on ping and cluster_stats, the
+// lyra_engine_ended family in stats_prom), with each fact in one home:
+// `metrics` is an unknown command, and stats_prom carries its command_log
+// and metrics_time as lyra_svc_command_log and
+// lyra_engine_metrics_time_seconds. A snapshot that cannot be written is
+// one of the exchanges.
 TEST(Service, OneEngineRepliesKeepTheirBytes) {
   const std::string dir = "/tmp/lyra_svc_pin_" + std::to_string(::getpid());
   ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
@@ -664,7 +675,7 @@ TEST(Service, OneEngineRepliesKeepTheirBytes) {
   for (const std::string& text : PinnedScript(dir)) {
     if (text == R"({"cmd":"advance","to":3600})") {
       // Past the registry refresh interval: the advance's publish copies
-      // the registry, so the metrics reply reads it at a fixed state.
+      // the registry, so stats_prom lists its families at a fixed state.
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     transcript += TranscriptEntry(

@@ -2,8 +2,8 @@
 // each, the `--federation=0xN` fleet: deterministic routing of untargeted
 // submits (same key / same job id always lands on the same engine,
 // global↔local id arithmetic round-trips), merged reads (cluster_stats
-// across engines equals the sum of the per-engine snapshots, and `metrics`
-// folds registry histograms bucketwise), wire job ids outside [0, 2^53]
+// across engines equals the sum of the per-engine snapshots, and the
+// exposition folds registry histograms bucketwise), wire job ids outside [0, 2^53]
 // rejected before any routing, the snapshot containers (LYRAFED at four
 // engines, holding each engine's own image, and plain LYRASNAP at one), a
 // randomized kill-and-warm-restart at 0x4 that must reproduce every
@@ -28,9 +28,11 @@
 #include <unistd.h>
 
 #include "src/common/rng.h"
+#include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 #include "src/svc/event_loop.h"
 #include "src/svc/federation.h"
+#include "src/svc/prom.h"
 #include "src/svc/service.h"
 #include "src/svc/snapshot.h"
 #include "src/svc/state_snapshot.h"
@@ -211,7 +213,7 @@ FleetOutcome RunFleetScript(const FleetScript& script, int cut,
       snap.Set("path", JsonValue::MakeString(snapshot_path));
       const JsonValue reply = router.Execute(snap);
       EXPECT_TRUE(reply.GetBool("ok")) << reply.Dump();
-      EXPECT_EQ(reply.GetDouble("shards", 0.0), kShards);
+      EXPECT_EQ(reply.GetDouble("clusters", 0.0), kShards);
       StopFleet(fleet);
       return CollectOutcome(fleet);
     }
@@ -452,9 +454,9 @@ TEST(Shard, ClusterStatsMergeEqualsSumOfPerShardSnapshots) {
   StopFleet(fleet);
 }
 
-// The fleet `metrics` reply folds each registry histogram bucketwise: the
-// merged count is both the sum of the merged buckets and the sum of the
-// per-engine counts, and min/max are the extremes, not sums.
+// The fleet exposition folds each registry histogram bucketwise: the
+// merged (unlabelled) row's buckets are the sums of the shard="k" rows'
+// buckets, so its count is the sum of the per-engine counts.
 TEST(Shard, MetricsMergeFoldsRegistryHistogramsBucketwise) {
   FederationSet fleet = BuildFleet(2);
   FederationRouter& router = *fleet.router;
@@ -468,39 +470,32 @@ TEST(Shard, MetricsMergeFoldsRegistryHistogramsBucketwise) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   ASSERT_TRUE(router.Execute(Advance(7200.0)).GetBool("ok"));
 
-  const auto histogram = [](const JsonValue& reply) {
-    EXPECT_TRUE(reply.GetBool("ok")) << reply.Dump();
-    const JsonValue* engine = reply.Find("engine");
-    const JsonValue* histograms =
-        engine != nullptr ? engine->Find("histograms") : nullptr;
-    const JsonValue* h = histograms != nullptr
-                             ? histograms->Find("sim.pending_jobs_per_tick")
-                             : nullptr;
-    EXPECT_NE(h, nullptr) << reply.Dump();
-    return h != nullptr ? *h : JsonValue::MakeObject();
-  };
-  const JsonValue merged = histogram(router.Execute(Cmd("metrics")));
-  double counts = 0.0;
-  double min = 0.0;
-  double max = 0.0;
+  const StatusOr<PromScrape> scrape = ParsePrometheus(
+      router.Execute(Cmd("stats_prom")).GetString("text", ""));
+  ASSERT_TRUE(scrape.ok()) << scrape.status().message();
+  const std::string family = "lyra_engine_sim_pending_jobs_per_tick";
+  const StatusOr<obs::Histogram> merged =
+      ExtractHistogram(scrape.value(), family);
+  ASSERT_TRUE(merged.ok()) << merged.status().message();
+  std::vector<std::uint64_t> buckets(merged.value().bucket_counts().size());
+  std::uint64_t counts = 0;
+  double sum = 0.0;
   for (int k = 0; k < 2; ++k) {
-    const JsonValue part =
-        histogram(EngineExecute(router.shard(k), Cmd("metrics")));
-    ASSERT_GT(part.GetDouble("count"), 0.0) << "engine " << k;
-    counts += part.GetDouble("count");
-    min = k == 0 ? part.GetDouble("min") : std::min(min, part.GetDouble("min"));
-    max = k == 0 ? part.GetDouble("max") : std::max(max, part.GetDouble("max"));
+    const StatusOr<obs::Histogram> part = ExtractHistogram(
+        scrape.value(), family, {{"shard", std::to_string(k)}});
+    ASSERT_TRUE(part.ok()) << "engine " << k << ": " << part.status().message();
+    ASSERT_GT(part.value().count(), 0u) << "engine " << k;
+    ASSERT_EQ(part.value().upper_bounds(), merged.value().upper_bounds());
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      buckets[i] += part.value().bucket_counts()[i];
+    }
+    counts += part.value().count();
+    sum += part.value().sum();
   }
-  double buckets = 0.0;
-  const JsonValue* merged_buckets = merged.Find("buckets");
-  ASSERT_NE(merged_buckets, nullptr);
-  for (const JsonValue& bucket : merged_buckets->AsArray()) {
-    buckets += bucket.AsDouble();
-  }
-  EXPECT_EQ(merged.GetDouble("count"), buckets);
-  EXPECT_EQ(merged.GetDouble("count"), counts);
-  EXPECT_EQ(merged.GetDouble("min"), min);
-  EXPECT_EQ(merged.GetDouble("max"), max);
+  EXPECT_EQ(merged.value().bucket_counts(), buckets);
+  EXPECT_EQ(merged.value().count(), counts);
+  // Each row's sum is printed to ten significant digits.
+  EXPECT_NEAR(merged.value().sum(), sum, 1e-9 * std::max(1.0, sum));
   StopFleet(fleet);
 }
 
@@ -555,7 +550,7 @@ TEST(Shard, FourEngineSnapshotIsOneLyrafedContainer) {
   snap.Set("path", JsonValue::MakeString(path));
   const JsonValue reply = router.Execute(snap);
   ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
-  EXPECT_EQ(reply.GetDouble("shards", 0.0), kShards);
+  EXPECT_EQ(reply.Find("shards"), nullptr) << reply.Dump();
   EXPECT_EQ(reply.GetDouble("clusters", 0.0), kShards);
   std::vector<std::string> own;
   for (int k = 0; k < kShards; ++k) {
@@ -1044,7 +1039,7 @@ TEST(Shard, SnapshotPipelinedBehindDrainWhileSubmitsRace) {
         << reply_text.value();
     ASSERT_TRUE(reply.value().GetBool("ok")) << reply_text.value();
     if (expect == kBefore + 1) {
-      EXPECT_EQ(reply.value().GetDouble("shards", 0.0), kShards);
+      EXPECT_EQ(reply.value().GetDouble("clusters", 0.0), kShards);
     }
   }
   // Connection B's submits all complete (in order, unique global ids).

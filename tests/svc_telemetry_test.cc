@@ -2,7 +2,7 @@
 // exposition served over `GET /metrics` (HTTP sniffed off the framed
 // listener) and the `stats_prom` wire command, its lint and registry rows
 // for the plain, sharded and federated routers, histogram reassembly from a
-// scrape, the flight-recorder trace dump, the enriched ping reply, and
+// scrape (malformed scrapes refused), the flight-recorder trace dump, the enriched ping reply, and
 // scrape thread-safety under write load (the TSan leg runs this binary).
 #include <gtest/gtest.h>
 
@@ -271,43 +271,35 @@ TEST_F(TelemetryEndToEnd, HttpMetricsServesLintCleanTypedExposition) {
   EXPECT_NE(not_found_status.find(" 404 "), std::string::npos);
 }
 
-// The exposition family of registry metric `name`.
-std::string RegistryFamily(const std::string& name, const char* suffix) {
-  std::string family = "lyra_engine_" + name + suffix;
-  for (char& c : family) {
-    c = c == '.' ? '_' : c;
+// The registry rows of `scrape` whose labels are exactly `labels`: each
+// registry counter's value and each registry histogram's count, by sample
+// name.
+std::map<std::string, double> RegistryRows(
+    const PromScrape& scrape, const std::map<std::string, std::string>& labels) {
+  std::map<std::string, double> rows;
+  for (const auto& [family, help] : scrape.helps) {
+    std::string name;
+    if (help.rfind("Engine metrics registry counter ", 0) == 0) {
+      name = family;
+    } else if (help.rfind("Engine metrics registry histogram ", 0) == 0) {
+      name = family + "_count";
+    } else {
+      continue;
+    }
+    for (const PromSample& sample : scrape.samples) {
+      if (sample.name == name && sample.labels == labels) {
+        rows[name] = sample.value;
+        break;
+      }
+    }
   }
-  return family;
-}
-
-// Every registry counter and histogram count in a `metrics` reply's engine
-// section equals the exposition row under `labels`.
-void ExpectRegistryRowsMatch(const PromScrape& scrape, const JsonValue& reply,
-                             const std::map<std::string, std::string>& labels) {
-  ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
-  const JsonValue* engine = reply.Find("engine");
-  ASSERT_NE(engine, nullptr);
-  const JsonValue* counters = engine->Find("counters");
-  ASSERT_NE(counters, nullptr);
-  ASSERT_FALSE(counters->AsObject().empty());
-  for (const auto& [name, value] : counters->AsObject()) {
-    const PromSample* row = scrape.Find(RegistryFamily(name, "_total"), labels);
-    ASSERT_NE(row, nullptr) << name;
-    EXPECT_EQ(row->value, value.AsDouble()) << name;
-  }
-  const JsonValue* histograms = engine->Find("histograms");
-  ASSERT_NE(histograms, nullptr);
-  for (const auto& [name, value] : histograms->AsObject()) {
-    const PromSample* row = scrape.Find(RegistryFamily(name, "_count"), labels);
-    ASSERT_NE(row, nullptr) << name;
-    EXPECT_EQ(row->value, value.GetDouble("count")) << name;
-  }
+  return rows;
 }
 
 // stats_prom over the router, for the plain, --federation=0x4 and
-// --federation=2x2 fleets: the document passes the exposition lint, and its
-// registry families carry the `metrics` reply's values, merged (the
-// unlabelled first row) and per engine (shard="k").
+// --federation=2x2 fleets: the document passes the exposition lint, each
+// engine's registry rows (shard="k" in a fleet) equal that engine's own
+// one-engine exposition, and the unlabelled rows are their sum.
 TEST(TelemetryTopologies, EveryRouterExpositionIsLintCleanAndMatchesMetrics) {
   const std::pair<const char*, std::vector<ClusterSpec>> topologies[] = {
       {"plain", SingleCluster()},
@@ -339,16 +331,23 @@ TEST(TelemetryTopologies, EveryRouterExpositionIsLintCleanAndMatchesMetrics) {
     ExpectLintClean(text, topology);
     StatusOr<PromScrape> scrape = ParsePrometheus(text);
     ASSERT_TRUE(scrape.ok()) << scrape.status().message();
-    ExpectRegistryRowsMatch(scrape.value(), router.Execute(Cmd("metrics")),
-                            {});
-    if (router.shard_count() > 1) {
-      for (int k = 0; k < router.shard_count(); ++k) {
-        ExpectRegistryRowsMatch(scrape.value(),
-                                FederationRouter({router.shard(k)}, SingleCluster())
-                                    .Execute(Cmd("metrics")),
-                                {{"shard", std::to_string(k)}});
+    const int engines = router.shard_count();
+    std::map<std::string, double> summed;
+    for (int k = 0; k < engines; ++k) {
+      StatusOr<PromScrape> own =
+          ParsePrometheus(RenderPrometheus(*router.shard(k)));
+      ASSERT_TRUE(own.ok()) << own.status().message();
+      const std::map<std::string, double> rows = RegistryRows(own.value(), {});
+      ASSERT_FALSE(rows.empty()) << "engine " << k;
+      const std::map<std::string, std::string> shard =
+          engines > 1 ? std::map<std::string, std::string>{{"shard", std::to_string(k)}}
+                      : std::map<std::string, std::string>{};
+      EXPECT_EQ(RegistryRows(scrape.value(), shard), rows) << "engine " << k;
+      for (const auto& [name, value] : rows) {
+        summed[name] += value;
       }
     }
+    EXPECT_EQ(RegistryRows(scrape.value(), {}), summed);
     for (auto& service : built.value().services) {
       service->Stop();
     }
@@ -537,6 +536,63 @@ TEST(PromParser, HistogramRoundTripsThroughExposition) {
   // Quantiles agree to within bucket interpolation of the same layout.
   EXPECT_NEAR(round.value().Quantile(0.5), original.Quantile(0.5),
               original.Quantile(0.5) * 0.5 + 1e-9);
+}
+
+// One histogram `h` scraped from exposition lines `buckets`.
+StatusOr<obs::Histogram> ExtractH(const std::string& buckets) {
+  const StatusOr<PromScrape> scrape =
+      ParsePrometheus(buckets + "h_sum 3\nh_count 3\n");
+  EXPECT_TRUE(scrape.ok()) << scrape.status().message();
+  return ExtractHistogram(scrape.value(), "h");
+}
+
+// A scrape is untrusted bytes: ExtractHistogram refuses bounds out of
+// order, a bound that is not a number, and a bucket value that is no count,
+// rather than aborting in the Histogram constructor or casting a value
+// outside std::uint64_t.
+TEST(PromParser, MalformedScrapedHistogramsFailCleanly) {
+  const std::string inf = "h_bucket{le=\"+Inf\"} 3\n";
+  const StatusOr<obs::Histogram> fine =
+      ExtractH("h_bucket{le=\"1\"} 1\nh_bucket{le=\"2\"} 2\n" + inf);
+  ASSERT_TRUE(fine.ok()) << fine.status().message();
+  EXPECT_EQ(fine.value().bucket_counts(), (std::vector<std::uint64_t>{1, 1, 1}));
+
+  for (const std::string& buckets :
+       {"h_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 2\n" + inf,
+        "h_bucket{le=\"1\"} 1\nh_bucket{le=\"1\"} 2\n" + inf,
+        inf + "h_bucket{le=\"1\"} 1\n",
+        "h_bucket{le=\"1\"} 1\n" + inf + inf,
+        "h_bucket{le=\"x\"} 1\n" + inf,
+        "h_bucket{le=\"1x\"} 1\n" + inf,
+        "h_bucket{le=\"\"} 1\n" + inf,
+        "h_bucket{le=\"nan\"} 1\n" + inf,
+        "h_bucket{le=\"inf\"} 1\n" + inf,
+        "h_bucket{le=\"1\"} -1\n" + inf,
+        "h_bucket{le=\"1\"} 1.5\n" + inf,
+        "h_bucket{le=\"1\"} 1e30\n" + inf,
+        "h_bucket{le=\"1\"} 18446744073709551616\n" + inf,
+        "h_bucket{le=\"1\"} nan\n" + inf,
+        std::string("h_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} +Inf\n")}) {
+    const StatusOr<obs::Histogram> refused = ExtractH(buckets);
+    ASSERT_FALSE(refused.ok()) << buckets;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument) << buckets;
+  }
+  EXPECT_EQ(ExtractH("h_bucket{le=\"1\"} 1\n").status().code(),
+            StatusCode::kNotFound);
+}
+
+// Two scrapes whose bounds differ (a daemon restarted with another layout)
+// make a fresh window instead of tripping Subtract's CHECK.
+TEST(PromParser, WindowOverScrapesWithOtherBoundsIsFresh) {
+  const std::string inf = "h_bucket{le=\"+Inf\"} 3\n";
+  const StatusOr<obs::Histogram> now =
+      ExtractH("h_bucket{le=\"1\"} 1\nh_bucket{le=\"2\"} 2\n" + inf);
+  const StatusOr<obs::Histogram> other =
+      ExtractH("h_bucket{le=\"1\"} 1\nh_bucket{le=\"4\"} 1\n" + inf);
+  ASSERT_TRUE(now.ok()) << now.status().message();
+  ASSERT_TRUE(other.ok()) << other.status().message();
+  EXPECT_EQ(WindowSince(now.value(), other.value()).count(), 3u);
+  EXPECT_EQ(WindowSince(now.value(), now.value()).count(), 0u);
 }
 
 }  // namespace

@@ -26,8 +26,7 @@ namespace {
 
 const char kSubcommands[] =
     "submit | cancel | migrate | advance | drain | query_job | cluster_stats "
-    "| metrics | stats_prom | trace_dump | federation_stats | snapshot | ping "
-    "| shutdown";
+    "| stats_prom | trace_dump | federation_stats | snapshot | ping | shutdown";
 
 // Cluster targets are a name or a numeric index; the daemon distinguishes
 // them by JSON type, so an all-digits flag value becomes a number.

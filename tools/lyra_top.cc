@@ -4,10 +4,10 @@
 // --tcp is given (the same sniffed path a real scraper uses), or the
 // `stats_prom` wire command over the Unix socket otherwise — and renders
 // throughput deltas, windowed latency percentiles per command, queue depth,
-// shed counts, the per-io-thread traffic balance, and (against a sharded
-// daemon) the per-engine-shard command balance. Percentiles are
-// computed by differencing consecutive scrapes of the cumulative histograms
-// (obs::Histogram::Subtract), so every number shown is "over the last
+// shed counts, the per-io-thread traffic balance, and (against a fleet) one
+// row per engine with its cluster, command rate, GPUs and jobs. Percentiles
+// are computed by differencing consecutive scrapes of the cumulative
+// histograms (WindowSince, prom.h), so every number shown is "over the last
 // interval", not since daemon start.
 //
 //   lyra_top --socket=/tmp/lyra_schedd.sock
@@ -40,9 +40,9 @@ using lyra::svc::PromSample;
 using lyra::svc::PromScrape;
 
 // Wire commands worth a latency row, in display order.
-const char* const kLatencyCmds[] = {"submit",        "cancel", "advance",
-                                    "query_job",     "cluster_stats",
-                                    "metrics",       "ping",   "stats_prom"};
+const char* const kLatencyCmds[] = {"submit",    "cancel",        "advance",
+                                    "query_job", "cluster_stats", "ping",
+                                    "stats_prom"};
 
 // Minimal HTTP/1.x GET: the daemon always answers with Connection: close, so
 // "read to EOF, split on the blank line" is the whole client.
@@ -151,7 +151,7 @@ void Render(const Frame& cur, const Frame* prev, double dt, bool plain) {
     if (have_prev) {
       auto it = prev->cmd_hist.find(cmd);
       if (it != prev->cmd_hist.end()) {
-        window.Subtract(it->second);
+        window = lyra::svc::WindowSince(hist, it->second);
       }
     }
     if (window.count() == 0) {
@@ -192,59 +192,48 @@ void Render(const Frame& cur, const Frame* prev, double dt, bool plain) {
   }
   std::printf("\n");
 
-  // Per-engine-shard balance, from the shard="k" rows a sharded daemon adds
-  // to lyra_svc_commands_applied_total. Unsharded daemons have no such rows
-  // and skip the line entirely; a skewed column here means the routing hash
-  // (or a hot client key) is concentrating work on one engine.
-  std::map<std::string, double> per_shard;
+  // One row per engine of a fleet: lyra_fed_cluster_info names the cluster
+  // engine k runs, and its shard="k" rows give the command rate, the
+  // cluster's own pool (inference for an inference cluster, training
+  // otherwise) and its jobs. A skewed commands column means the routing
+  // hash (or a hot client key) is concentrating work on one engine. A
+  // one-engine daemon has no such rows and skips the table.
+  struct Engine {
+    std::string name;
+    std::string kind;
+  };
+  std::map<int, Engine> engines;
   for (const PromSample& sample : s.samples) {
-    if (sample.name != "lyra_svc_commands_applied_total") {
-      continue;
-    }
-    const auto shard = sample.labels.find("shard");
-    if (shard == sample.labels.end()) {
-      continue;
-    }
-    per_shard[shard->second] += sample.value;
-  }
-  if (!per_shard.empty()) {
-    std::printf("shards:");
-    for (const auto& [shard, commands] : per_shard) {
-      double prev_commands = 0.0;
-      if (have_prev) {
-        prev_commands = prev->scrape.Value("lyra_svc_commands_applied_total",
-                                           {{"shard", shard}});
-      }
-      std::printf("  engine%s %.0f/s", shard.c_str(),
-                  Rate(commands, prev_commands, dt, have_prev));
-    }
-    std::printf("\n");
-  }
-
-  // Per-cluster pools and jobs, from the lyra_fed_* families a federated
-  // daemon exposes. Non-federated daemons have none and skip the block.
-  std::map<std::string, std::string> cluster_kind;
-  for (const PromSample& sample : s.samples) {
-    if (sample.name != "lyra_fed_cluster_info") {
-      continue;
-    }
     const auto name = sample.labels.find("cluster");
     const auto kind = sample.labels.find("kind");
-    if (name != sample.labels.end() && kind != sample.labels.end()) {
-      cluster_kind[name->second] = kind->second;
+    const auto shard = sample.labels.find("shard");
+    if (sample.name == "lyra_fed_cluster_info" && name != sample.labels.end() &&
+        kind != sample.labels.end() && shard != sample.labels.end()) {
+      engines[std::atoi(shard->second.c_str())] = {name->second, kind->second};
     }
   }
-  if (!cluster_kind.empty()) {
-    std::printf("\n%-14s %-10s %8s %8s %8s %8s\n", "cluster", "kind",
-                "total", "free", "pending", "running");
-    for (const auto& [name, kind] : cluster_kind) {
-      std::printf(
-          "%-14s %-10s %8.0f %8.0f %8.0f %8.0f\n", name.c_str(), kind.c_str(),
-          s.Value("lyra_fed_gpus", {{"cluster", name}, {"pool", "total"}}),
-          s.Value("lyra_fed_gpus", {{"cluster", name}, {"pool", "free"}}),
-          s.Value("lyra_fed_jobs", {{"cluster", name}, {"state", "pending"}}),
-          s.Value("lyra_fed_jobs", {{"cluster", name}, {"state", "running"}}));
-    }
+  if (!engines.empty()) {
+    std::printf("\n%-14s %-10s %10s %8s %8s %8s %8s\n", "cluster", "kind",
+                "commands/s", "total", "free", "pending", "running");
+  }
+  for (const auto& [k, engine] : engines) {
+    const std::string shard = std::to_string(k);
+    const char* pool = engine.kind == "inference" ? "inference" : "training";
+    const auto gpus = [&](const char* kind) {
+      return s.Value("lyra_engine_pool_gpus",
+                     {{"pool", pool}, {"kind", kind}, {"shard", shard}});
+    };
+    const auto jobs = [&](const char* state) {
+      return s.Value("lyra_engine_jobs", {{"state", state}, {"shard", shard}});
+    };
+    const char* const applied = "lyra_svc_commands_applied_total";
+    std::printf(
+        "%-14s %-10s %10.0f %8.0f %8.0f %8.0f %8.0f\n", engine.name.c_str(),
+        engine.kind.c_str(),
+        Rate(s.Value(applied, {{"shard", shard}}),
+             have_prev ? prev->scrape.Value(applied, {{"shard", shard}}) : 0.0,
+             dt, have_prev),
+        gpus("total"), gpus("free"), jobs("pending"), jobs("running"));
   }
   std::fflush(stdout);
 }
