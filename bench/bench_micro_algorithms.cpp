@@ -75,6 +75,7 @@ BENCHMARK(BM_MckpByCapacity)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 void TimeSchedulerShaped(benchmark::State& state, lyra::MckpSolver& solver) {
   const int capacity = static_cast<int>(state.range(0));
   lyra::Rng rng(13);
+  solver.Clear(capacity);
   for (int g = 0; g < 80; ++g) {
     static constexpr int kGpusPerWorker[] = {1, 2, 4, 8};
     const int gpw = kGpusPerWorker[rng.UniformInt(0, 3)];
@@ -87,7 +88,7 @@ void TimeSchedulerShaped(benchmark::State& state, lyra::MckpSolver& solver) {
     }
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.Solve(capacity).total_value);
+    benchmark::DoNotOptimize(solver.Solve().total_value);
   }
 }
 
@@ -162,10 +163,11 @@ void BM_TwoPhaseAllocate(benchmark::State& state) {
   ctx.pending = queue;
   lyra::MckpSolver solver;
   lyra::PendingIndex index;
+  lyra::AllocationDecision decision;
   for (auto _ : state) {
     ++ctx.round;
-    benchmark::DoNotOptimize(
-        lyra::TwoPhaseAllocate(ctx, {}, &solver, &index).launches.size());
+    lyra::TwoPhaseAllocate(ctx, {}, solver, index, decision);
+    benchmark::DoNotOptimize(decision.launches.size());
   }
 }
 BENCHMARK(BM_TwoPhaseAllocate)->Arg(64)->Arg(8192);

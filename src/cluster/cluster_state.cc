@@ -24,6 +24,10 @@ ClusterState ClusterState::Clone() const {
   ClusterState copy;
   copy.servers_ = servers_;
   copy.placements_ = placements_;
+  copy.by_job_.assign(by_job_.size(), nullptr);
+  for (auto& [job, placement] : copy.placements_) {
+    copy.by_job_[static_cast<std::size_t>(job.value)] = &placement;
+  }
   copy.total_gpus_ = total_gpus_;
   copy.used_gpus_ = used_gpus_;
   copy.free_gpus_by_type_ = free_gpus_by_type_;
@@ -116,12 +120,20 @@ std::vector<ServerId> ClusterState::TrainingVisibleServers() const {
 }
 
 void ClusterState::Place(JobId job, ServerId server_id, int gpus, bool flexible) {
+  LYRA_CHECK(job.valid());
   Server& srv = mutable_server(server_id);
   LYRA_CHECK(srv.up());  // down servers are invisible to placement
   CountServer(srv, -1);
   srv.Place(job, gpus, flexible);
   CountServer(srv, +1);
-  JobPlacement& placement = placements_[job];
+  const auto index = static_cast<std::size_t>(job.value);
+  if (index >= by_job_.size()) {
+    by_job_.resize(index + 1, nullptr);
+  }
+  if (by_job_[index] == nullptr) {
+    by_job_[index] = &placements_[job];
+  }
+  JobPlacement& placement = *by_job_[index];
   NoteChange(job, placement.stamp);
   placement.stamp = ++placement_stamp_;
   GpuShare& share = placement.shares[server_id];
@@ -133,28 +145,33 @@ void ClusterState::Place(JobId job, ServerId server_id, int gpus, bool flexible)
   }
 }
 
+void ClusterState::ErasePlacement(JobId job) {
+  by_job_[static_cast<std::size_t>(job.value)] = nullptr;
+  placements_.erase(job);
+}
+
 void ClusterState::RemoveJob(JobId job) {
-  auto it = placements_.find(job);
-  if (it == placements_.end()) {
+  const JobPlacement* placement = FindPlacement(job);
+  if (placement == nullptr) {
     return;
   }
-  for (const auto& [server_id, share] : it->second.shares) {
+  for (const auto& [server_id, share] : placement->shares) {
     Server& srv = mutable_server(server_id);
     CountServer(srv, -1);
     srv.RemoveJob(job);
     CountServer(srv, +1);
   }
-  NoteChange(job, it->second.stamp);
-  placements_.erase(it);
+  NoteChange(job, placement->stamp);
+  ErasePlacement(job);
 }
 
 int ClusterState::RemoveFlexible(JobId job, ServerId server_id, int gpus) {
-  auto it = placements_.find(job);
-  if (it == placements_.end()) {
+  JobPlacement* placement = const_cast<JobPlacement*>(FindPlacement(job));
+  if (placement == nullptr) {
     return 0;
   }
-  auto share_it = it->second.shares.find(server_id);
-  if (share_it == it->second.shares.end()) {
+  auto share_it = placement->shares.find(server_id);
+  if (share_it == placement->shares.end()) {
     return 0;
   }
   Server& srv = mutable_server(server_id);
@@ -162,29 +179,29 @@ int ClusterState::RemoveFlexible(JobId job, ServerId server_id, int gpus) {
   const int removed = srv.RemoveFlexible(job, gpus);
   CountServer(srv, +1);
   share_it->second.flexible_gpus -= removed;
-  it->second.flexible_total -= removed;
+  placement->flexible_total -= removed;
   LYRA_CHECK_GE(share_it->second.flexible_gpus, 0);
   if (share_it->second.total() == 0) {
-    it->second.shares.erase(share_it);
+    placement->shares.erase(share_it);
   }
-  if (it->second.shares.empty()) {
-    NoteChange(job, it->second.stamp);
-    placements_.erase(it);
+  if (placement->shares.empty()) {
+    NoteChange(job, placement->stamp);
+    ErasePlacement(job);
   } else if (removed > 0) {
-    NoteChange(job, it->second.stamp);
-    it->second.stamp = ++placement_stamp_;
+    NoteChange(job, placement->stamp);
+    placement->stamp = ++placement_stamp_;
   }
   return removed;
 }
 
 int ClusterState::RemoveAllFlexible(JobId job) {
-  auto it = placements_.find(job);
-  if (it == placements_.end()) {
+  const JobPlacement* placement = FindPlacement(job);
+  if (placement == nullptr) {
     return 0;
   }
   // Collect first: RemoveFlexible erases from the share list we would walk.
   std::vector<std::pair<ServerId, int>> flex;
-  for (const auto& [server_id, share] : it->second.shares) {
+  for (const auto& [server_id, share] : placement->shares) {
     if (share.flexible_gpus > 0) {
       flex.emplace_back(server_id, share.flexible_gpus);
     }
@@ -194,11 +211,6 @@ int ClusterState::RemoveAllFlexible(JobId job) {
     released += RemoveFlexible(job, server_id, gpus);
   }
   return released;
-}
-
-const JobPlacement* ClusterState::FindPlacement(JobId job) const {
-  auto it = placements_.find(job);
-  return it == placements_.end() ? nullptr : &it->second;
 }
 
 int ClusterState::NumServersHosting(JobId job) const {
@@ -355,7 +367,15 @@ void ClusterState::AuditInvariants() const {
       flexible += share.flexible_gpus;
     }
     LYRA_CHECK_EQ(flexible, placement.flexible_total);
+    // The id index names this very placement...
+    LYRA_CHECK(FindPlacement(job) == &placement);
   }
+  // ...and nothing else: an unplaced id reads null.
+  std::size_t indexed = 0;
+  for (const JobPlacement* placement : by_job_) {
+    indexed += placement != nullptr ? 1 : 0;
+  }
+  LYRA_CHECK_EQ(indexed, placements_.size());
 
   for (int pool = 0; pool < kNumPools; ++pool) {
     LYRA_CHECK_EQ(total[pool], total_gpus_[pool]);

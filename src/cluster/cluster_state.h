@@ -146,8 +146,12 @@ class ClusterState {
   // servers. Returns the total number of GPUs released.
   int RemoveAllFlexible(JobId job);
 
-  // Null if the job currently occupies no server.
-  const JobPlacement* FindPlacement(JobId job) const;
+  // Null if the job currently occupies no server. One array read: the
+  // placements are indexed by job id as well as held in placements().
+  const JobPlacement* FindPlacement(JobId job) const {
+    const auto index = static_cast<std::size_t>(job.value);
+    return index < by_job_.size() ? by_job_[index] : nullptr;
+  }
 
   // Number of distinct servers hosting the job (0 if not placed).
   int NumServersHosting(JobId job) const;
@@ -265,8 +269,16 @@ class ClusterState {
   // Moves an up server to another pool (loan/return).
   void MovePool(Server& srv, ServerPool to);
 
+  // Erases a placement from the map and the index.
+  void ErasePlacement(JobId job);
+
   std::vector<Server> servers_;
+  // The one owner of the placements. Map nodes never move, so by_job_ (job
+  // id -> its placement, null when unplaced) stays valid across rehashes;
+  // job ids are dense (the simulator's are positions in its job list), so
+  // the index costs one pointer per id.
   std::unordered_map<JobId, JobPlacement> placements_;
+  std::vector<JobPlacement*> by_job_;
   bool log_changes_ = false;
   std::vector<JobId> changed_;
   // placement_stamp_ at the last ClearChanged: a job stamped past it is listed.

@@ -90,15 +90,24 @@ CapacityLedger ReadRunning(const SchedulerContext& ctx,
 AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
                                     const LyraSchedulerOptions& options,
                                     MckpSolver* solver, PendingIndex* pending) {
+  MckpSolver local_solver;
+  PendingIndex local_index;
   AllocationDecision decision;
+  TwoPhaseAllocate(ctx, options, solver != nullptr ? *solver : local_solver,
+                   pending != nullptr ? *pending : local_index, decision);
+  return decision;
+}
+
+void TwoPhaseAllocate(const SchedulerContext& ctx, const LyraSchedulerOptions& options,
+                      MckpSolver& mckp, PendingIndex& index, AllocationDecision& decision) {
+  decision.launches.clear();
+  decision.flexible_targets.clear();
   std::vector<FlexibleTarget>& targets = decision.flexible_targets;
   CapacityLedger ledger = ReadRunning(ctx, targets);
 
   // --- Phase 1: SJF over the inelastic workload ------------------------------
   // Heterogeneous-capable jobs are considered with the lowest priority, after
   // everything else is scheduled (§6).
-  PendingIndex local_index;
-  PendingIndex& index = pending != nullptr ? *pending : local_index;
   index.Refresh(ctx, options.information_agnostic);
   // Debit only ever subtracts, and each of its branches fails once neither
   // the training pool nor the whole ledger covers the demand. So when both
@@ -128,7 +137,7 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
     }
   }
   if (targets.empty()) {
-    return decision;
+    return;
   }
 
   // One group per elastic job, item k = "grow by k workers". Items that
@@ -136,27 +145,26 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
   // them and the greedy loop never reaches them), so they are not built: a
   // job's item count is bounded by the capacity, not by max_workers.
   const int capacity = static_cast<int>(ledger.total());
-  MckpSolver local_solver;
-  MckpSolver& mckp = solver != nullptr ? *solver : local_solver;
-  mckp.Clear();
+  mckp.Clear(capacity);
   for (const FlexibleTarget& target : targets) {
     const Job* job = target.job;
     const JobSpec& spec = job->spec();
-    mckp.AddGroup();
     // EstimatedRemainingTime(w) is work / w: one product per job, one
     // division per item, the same doubles.
     LYRA_CHECK_GT(spec.min_workers, 0);
+    LYRA_CHECK_GT(spec.gpus_per_worker, 0);
     const double work = job->EstimatedRemainingWork();
     const TimeSec base_time = work / spec.min_workers;
-    for (int k = 1; k <= spec.max_workers - spec.min_workers &&
-                    k * spec.gpus_per_worker <= capacity;
-         ++k) {
+    const int count =
+        std::min(spec.max_workers - spec.min_workers, capacity / spec.gpus_per_worker);
+    if (options.information_agnostic) {
       // Without running-time estimates, value a grant by the compute it adds
       // so the remaining GPUs are simply kept busy.
-      const double value = options.information_agnostic
-                               ? static_cast<double>(k)
-                               : base_time - work / (spec.min_workers + k);
-      mckp.AddItem(k * spec.gpus_per_worker, value);
+      mckp.AddGroup(count, spec.gpus_per_worker, [](int k) { return static_cast<double>(k); });
+    } else {
+      const int min_workers = spec.min_workers;
+      mckp.AddGroup(count, spec.gpus_per_worker,
+                    [=](int k) { return base_time - work / (min_workers + k); });
     }
   }
 
@@ -195,19 +203,18 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
     for (std::size_t g = 0; g < targets.size(); ++g) {
       targets[g].target = granted[g];
     }
-    return decision;
+    return;
   }
 
-  const MckpSolution& solution = mckp.Solve(capacity);
+  const MckpSolution& solution = mckp.Solve();
   // The solve's cost in DP cell updates, not in time: a restored daemon
   // replays the same counts.
-  obs::AddCounter("mckp.solves");
-  obs::AddCounter("mckp.cells", mckp.cell_updates());
+  obs::AddCounter(obs::HotCounter::kMckpSolves);
+  obs::AddCounter(obs::HotCounter::kMckpCells, mckp.cell_updates());
   for (std::size_t g = 0; g < targets.size(); ++g) {
     const int chosen = solution.chosen[g];
     targets[g].target = chosen < 0 ? 0 : chosen + 1;
   }
-  return decision;
 }
 
 }  // namespace lyra

@@ -62,10 +62,14 @@ struct AllocationDecision {
 
 // Computes the epoch's allocation against the capacity visible in ctx:
 // idle training-side GPUs plus GPUs currently held by flexible workers
-// (which are available for resizing, §5.2). `solver` holds reusable
-// knapsack buffers and `pending` the phase-one order of the queue (the
-// scheduler keeps one of each, so a round allocates no DP tables and does
-// not re-sort or re-read the queue); null uses a temporary one.
+// (which are available for resizing, §5.2), into `decision`. `solver` holds
+// reusable knapsack buffers, `pending` the phase-one order of the queue and
+// `decision` the round's lists: the scheduler keeps one of each, so a round
+// allocates no DP tables or lists and does not re-sort or re-read the queue.
+void TwoPhaseAllocate(const SchedulerContext& ctx, const LyraSchedulerOptions& options,
+                      MckpSolver& solver, PendingIndex& pending, AllocationDecision& decision);
+
+// The same into a fresh decision; a null solver or index uses a temporary.
 AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
                                     const LyraSchedulerOptions& options = {},
                                     MckpSolver* solver = nullptr,

@@ -2,6 +2,7 @@
 #ifndef SRC_LYRA_LYRA_SCHEDULER_H_
 #define SRC_LYRA_LYRA_SCHEDULER_H_
 
+#include "src/lyra/allocation.h"
 #include "src/lyra/mckp.h"
 #include "src/lyra/pending_index.h"
 #include "src/lyra/placement.h"
@@ -34,6 +35,8 @@ class LyraScheduler : public JobScheduler {
   MckpSolver mckp_;
   // Phase-one order of the pending queue, carried across rounds.
   PendingIndex pending_;
+  // The round's decision lists, reused across rounds.
+  AllocationDecision decision_;
 };
 
 }  // namespace lyra

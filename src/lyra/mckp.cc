@@ -24,7 +24,7 @@ constexpr std::size_t kRowPad = 3;
 // cells past out[n - 1].
 template <std::size_t kBytes>
 [[gnu::always_inline]] inline void FusedRow(const double* prev, double* out, std::size_t n,
-                                            const MckpItem* items, std::size_t count) {
+                                            const MckpUsableItem* items, std::size_t count) {
   typedef double Vec __attribute__((vector_size(kBytes)));
   constexpr std::size_t kLanes = kBytes / sizeof(double);
   constexpr std::size_t kChains = 128 / kBytes;
@@ -64,20 +64,22 @@ template <std::size_t kBytes>
 }
 
 using RowKernel = void (*)(const double* prev, double* out, std::size_t n,
-                           const MckpItem* items, std::size_t count);
+                           const MckpUsableItem* items, std::size_t count);
 
 // The kernel's two builds, picked once per solver (MckpSolver's
 // constructor). Each starts its own cache line: the loops' line crossings
 // otherwise move with unrelated code size, and the round time with them.
 [[gnu::noinline, gnu::aligned(64)]] void FusedRowBaseline(const double* prev, double* out,
-                                                          std::size_t n, const MckpItem* items,
+                                                          std::size_t n,
+                                                          const MckpUsableItem* items,
                                                           std::size_t count) {
   FusedRow<16>(prev, out, n, items, count);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
 [[gnu::noinline, gnu::aligned(64), gnu::target("avx2")]] void FusedRowAvx2(
-    const double* prev, double* out, std::size_t n, const MckpItem* items, std::size_t count) {
+    const double* prev, double* out, std::size_t n, const MckpUsableItem* items,
+    std::size_t count) {
   FusedRow<32>(prev, out, n, items, count);
 }
 #endif
@@ -89,10 +91,6 @@ RowKernel KernelFor(MckpKernel kernel) {
   }
 #endif
   return FusedRowBaseline;
-}
-
-bool Usable(const MckpItem& entry, int capacity) {
-  return entry.weight <= capacity && entry.value > 0.0;
 }
 
 }  // namespace
@@ -116,18 +114,12 @@ MckpSolver::MckpSolver(MckpKernel kernel) : kernel_(kernel) {
   LYRA_CHECK(kernel != MckpKernel::kAvx2 || MckpAvx2Supported());
 }
 
-void MckpSolver::Clear() {
-  items_.clear();
-  group_end_.clear();
-}
-
-void MckpSolver::AddGroup() { group_end_.push_back(items_.size()); }
-
-void MckpSolver::AddItem(int weight, double value) {
-  LYRA_CHECK(!group_end_.empty());
-  LYRA_CHECK_GE(weight, 0);
-  items_.push_back({weight, value});
-  ++group_end_.back();
+void MckpSolver::Clear(int capacity) {
+  LYRA_CHECK_GE(capacity, 0);
+  capacity_ = capacity;
+  num_items_ = 0;
+  num_usable_ = 0;
+  groups_.clear();
 }
 
 void MckpSolver::Fill() {
@@ -138,23 +130,23 @@ void MckpSolver::Fill() {
   // followed by kRowPad cells the kernel's last vector may touch.
   const std::size_t groups = num_groups();
   const auto extent = [&](std::size_t g) {
-    return static_cast<std::size_t>(g + 1 < groups ? width_[g + 1] : width_[g]);
+    return static_cast<std::size_t>(g + 1 < groups ? groups_[g + 1].width : groups_[g].width);
   };
   const auto guard = [&](std::size_t g) {
-    const int prev_lo = g == 0 ? 0 : lo_[g - 1];
-    return static_cast<std::size_t>(std::max(0, prev_lo + reach_[g] - lo_[g]));
+    const int prev_lo = g == 0 ? 0 : groups_[g - 1].lo;
+    return static_cast<std::size_t>(std::max(0, prev_lo + groups_[g].reach - groups_[g].lo));
   };
   const std::size_t start = guard(0);
-  std::size_t cells = start + static_cast<std::size_t>(width_[0]) + 1 + kRowPad;
+  std::size_t cells = start + static_cast<std::size_t>(groups_[0].width) + 1 + kRowPad;
   for (std::size_t g = 0; g < groups; ++g) {
     cells += g + 1 < groups ? guard(g + 1) : 0;
-    row_[g] = cells;
-    cells += extent(g) - static_cast<std::size_t>(lo_[g]) + 1 + kRowPad;
+    groups_[g].row = cells;
+    cells += extent(g) - static_cast<std::size_t>(groups_[g].lo) + 1 + kRowPad;
   }
   table_.resize(cells);
   constexpr double kNone = -std::numeric_limits<double>::infinity();
   std::fill(table_.begin(), table_.begin() + start, kNone);
-  std::fill(table_.begin() + start, table_.begin() + start + width_[0] + 1, 0.0);
+  std::fill(table_.begin() + start, table_.begin() + start + groups_[0].width + 1, 0.0);
 
   // Row g is the previous row at [lo, width] ("take nothing") raised by each
   // usable item. It reads the previous row at columns >= lo - w, which is
@@ -164,17 +156,28 @@ void MckpSolver::Fill() {
   const double* prev = table_.data() + start;
   std::size_t prev_lo = 0;
   for (std::size_t g = 0; g < groups; ++g) {
-    const auto width = static_cast<std::size_t>(width_[g]);
-    const auto lo = static_cast<std::size_t>(lo_[g]);
-    double* out = table_.data() + row_[g];
+    const Group& group = groups_[g];
+    const auto width = static_cast<std::size_t>(group.width);
+    const auto lo = static_cast<std::size_t>(group.lo);
+    double* out = table_.data() + group.row;
     if (g + 1 < groups) {
       std::fill(out - guard(g + 1), out, kNone);
     }
-    const std::size_t begin = g == 0 ? 0 : usable_end_[g - 1];
-    const std::size_t count = usable_end_[g] - begin;
+    const std::size_t begin = usable_begin(g);
+    const std::size_t count = group.usable_end - begin;
     kernel(prev + (lo - prev_lo), out, width - lo + 1, usable_.data() + begin, count);
-    for (std::size_t i = begin; i < usable_end_[g]; ++i) {
-      cell_updates_ += width - std::max(static_cast<std::size_t>(usable_[i].weight), lo) + 1;
+    // Each usable item is tried at columns [max(w, lo), width]. The sum has
+    // a closed form when lo is at most every usable weight or at least all
+    // of them; a row whose lo falls among its weights adds item by item.
+    if (group.lo <= group.min_usable) {
+      cell_updates_ += count * (width + 1) - static_cast<std::uint64_t>(group.usable_weight);
+    } else if (group.lo >= group.reach) {
+      cell_updates_ += count * (width - lo + 1);
+    } else {
+      for (std::size_t i = begin; i < group.usable_end; ++i) {
+        cell_updates_ +=
+            width - std::max(static_cast<std::size_t>(usable_[i].weight), lo) + 1;
+      }
     }
     std::fill(out + (width - lo) + 1, out + (extent(g) - lo) + 1, out[width - lo]);
     prev = out;
@@ -182,52 +185,34 @@ void MckpSolver::Fill() {
   }
 }
 
-const MckpSolution& MckpSolver::Solve(int capacity) {
-  LYRA_CHECK_GE(capacity, 0);
+const MckpSolution& MckpSolver::Solve() {
   const std::size_t groups = num_groups();
   solution_.total_value = 0.0;
   solution_.total_weight = 0;
   solution_.chosen.assign(groups, -1);
   cell_updates_ = 0;
-  if (groups == 0 || capacity == 0) {
+  if (groups == 0 || capacity_ == 0) {
     return solution_;
   }
 
   // Never allocate DP columns beyond what all items together could use. An
   // item above the capacity is never usable; the per-group largest usable
   // weight bounds that group's columns below, and the largest smallest
-  // usable weight is the region's depth.
+  // usable weight is the region's depth. AddItem kept every bound.
   std::int64_t useful_capacity = 0;
   std::int64_t usable_total = 0;
   int depth = 0;
-  width_.resize(groups);
-  reach_.resize(groups);
-  usable_end_.resize(groups);
-  usable_.clear();
   for (std::size_t g = 0; g < groups; ++g) {
+    const Group& group = groups_[g];
     // Chosen indices are int: a group must not hold more items.
     LYRA_CHECK_LE(group_size(g), static_cast<std::size_t>(std::numeric_limits<int>::max()));
-    int max_weight = 0;
-    int max_usable = 0;
-    int min_usable = std::numeric_limits<int>::max();
-    for (std::size_t i = group_begin(g); i < group_end_[g]; ++i) {
-      const MckpItem& entry = items_[i];
-      max_weight = std::max(max_weight, entry.weight);
-      if (Usable(entry, capacity)) {
-        usable_.push_back(entry);
-        max_usable = std::max(max_usable, entry.weight);
-        min_usable = std::min(min_usable, entry.weight);
-      }
+    if (group.usable_end > usable_begin(g)) {
+      depth = std::max(depth, group.min_usable);
     }
-    usable_end_[g] = usable_.size();
-    if (min_usable != std::numeric_limits<int>::max()) {
-      depth = std::max(depth, min_usable);
-    }
-    useful_capacity += max_weight;
-    usable_total += max_usable;
-    reach_[g] = max_usable;
+    useful_capacity += group.max_weight;
+    usable_total += group.reach;
   }
-  const int cap = static_cast<int>(std::min<std::int64_t>(capacity, useful_capacity));
+  const int cap = static_cast<int>(std::min<std::int64_t>(capacity_, useful_capacity));
   if (cap == 0) {
     return solution_;
   }
@@ -235,17 +220,15 @@ const MckpSolution& MckpSolver::Solve(int capacity) {
   // Group g's last column is min(cap, P_g), with P_g the prefix sum of the
   // largest usable weights, and its first is top - depth - S_g, with S_g the
   // sum of the largest usable weights after g (class comment). Every weight
-  // is at most useful_capacity, so an item usable at capacity is usable at
-  // cap, and it fits its row: w <= min(cap, P_g).
+  // is at most useful_capacity, so an item usable at the capacity is usable
+  // at cap, and it fits its row: w <= min(cap, P_g).
   const std::int64_t top = std::min<std::int64_t>(cap, usable_total);
   const auto top_column = static_cast<std::size_t>(top);
   std::int64_t prefix = 0;
-  row_.resize(groups);
-  lo_.resize(groups);
-  for (std::size_t g = 0; g < groups; ++g) {
-    prefix += reach_[g];
-    width_[g] = static_cast<int>(std::min<std::int64_t>(cap, prefix));
-    lo_[g] = static_cast<int>(std::max<std::int64_t>(0, top - depth - (usable_total - prefix)));
+  for (Group& group : groups_) {
+    prefix += group.reach;
+    group.width = static_cast<int>(std::min<std::int64_t>(cap, prefix));
+    group.lo = static_cast<int>(std::max<std::int64_t>(0, top - depth - (usable_total - prefix)));
   }
 
   // The backtrack starts at the last row's first argmax. Rows never fall
@@ -253,65 +236,65 @@ const MckpSolution& MckpSolver::Solve(int capacity) {
   // that argmax lies inside the region and the backtrack reads only region
   // cells. Otherwise the answer may lie below it: solve the full table.
   Fill();
-  auto lo = static_cast<std::size_t>(lo_[groups - 1]);
-  const double* last = table_.data() + row_[groups - 1];
+  auto lo = static_cast<std::size_t>(groups_.back().lo);
+  const double* last = table_.data() + groups_.back().row;
   auto c = static_cast<std::size_t>(std::max_element(last, last + (top_column - lo) + 1) - last);
   if (lo > 0 && !(last[0] < last[c])) {
-    std::fill(lo_.begin(), lo_.end(), 0);
+    for (Group& group : groups_) {
+      group.lo = 0;
+    }
     Fill();
     lo = 0;
-    last = table_.data() + row_[groups - 1];
+    last = table_.data() + groups_.back().row;
     c = static_cast<std::size_t>(std::max_element(last, last + top_column + 1) - last);
   }
   solution_.total_value = last[c];
   c += lo;
 
   // Backtrack from the best capacity, re-deriving each choice by the
-  // first-equal rule (class comment). Columns above a row's last one repeat
-  // it, so every row is read at min(column, last column); no read may fall
-  // below the row's region.
+  // first-equal rule (class comment) over the group's usable items, which
+  // keep the group's order. Columns above a row's last one repeat it, so
+  // every row is read at min(column, last column); no read may fall below
+  // the row's region.
   const auto cell = [&](std::size_t g, std::size_t col) {
-    const std::size_t column = std::min(col, static_cast<std::size_t>(width_[g]));
-    LYRA_CHECK_GE(column, static_cast<std::size_t>(lo_[g]));
-    return table_[row_[g] + column - static_cast<std::size_t>(lo_[g])];
+    const Group& group = groups_[g];
+    const std::size_t column = std::min(col, static_cast<std::size_t>(group.width));
+    LYRA_CHECK_GE(column, static_cast<std::size_t>(group.lo));
+    return table_[group.row + column - static_cast<std::size_t>(group.lo)];
   };
   for (std::size_t g = groups; g-- > 0;) {
-    const std::size_t column = std::min(c, static_cast<std::size_t>(width_[g]));
+    const std::size_t column = std::min(c, static_cast<std::size_t>(groups_[g].width));
     const double best = cell(g, column);
     const auto before = [&](std::size_t col) { return g == 0 ? 0.0 : cell(g - 1, col); };
     c = column;
     if (before(column) == best) {
       continue;
     }
-    const std::size_t begin = group_begin(g);
-    std::size_t i = begin;
-    for (; i < group_end_[g]; ++i) {
-      const MckpItem& entry = items_[i];
-      if (!Usable(entry, cap)) {
-        continue;
-      }
-      const auto w = static_cast<std::size_t>(entry.weight);
-      if (w <= column && before(column - w) + entry.value == best) {
+    std::size_t i = usable_begin(g);
+    for (; i < groups_[g].usable_end; ++i) {
+      const auto w = static_cast<std::size_t>(usable_[i].weight);
+      if (w <= column && before(column - w) + usable_[i].value == best) {
         break;
       }
     }
-    LYRA_CHECK_LT(i, group_end_[g]);
-    solution_.chosen[g] = static_cast<int>(i - begin);
-    solution_.total_weight += items_[i].weight;
-    c = column - static_cast<std::size_t>(items_[i].weight);
+    LYRA_CHECK_LT(i, groups_[g].usable_end);
+    solution_.chosen[g] = usable_[i].index;
+    solution_.total_weight += usable_[i].weight;
+    c = column - static_cast<std::size_t>(usable_[i].weight);
   }
   return solution_;
 }
 
 MckpSolution SolveMckp(const std::vector<MckpGroup>& groups, int capacity) {
   MckpSolver solver;
+  solver.Clear(capacity);
   for (const MckpGroup& group : groups) {
     solver.AddGroup();
     for (const MckpItem& entry : group.items) {
       solver.AddItem(entry.weight, entry.value);
     }
   }
-  return solver.Solve(capacity);
+  return solver.Solve();
 }
 
 }  // namespace lyra

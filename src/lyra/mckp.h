@@ -8,15 +8,28 @@
 #ifndef SRC_LYRA_MCKP_H_
 #define SRC_LYRA_MCKP_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
+
+#include "src/common/check.h"
 
 namespace lyra {
 
 struct MckpItem {
   int weight = 0;      // GPUs consumed
   double value = 0.0;  // JCT reduction (seconds)
+};
+
+// A usable item as the solver keeps it, with its index in its group. The
+// index sits where MckpItem has padding, so the row kernel reads 16-byte
+// records with the weight and the value where MckpItem holds them.
+struct MckpUsableItem {
+  int weight = 0;
+  int index = 0;
+  double value = 0.0;
 };
 
 // One group per elastic job; at most one item may be chosen per group.
@@ -42,16 +55,21 @@ bool MckpAvx2Supported();
 // rebuilds the instance every round, so in steady state a solve allocates
 // nothing: the items and the value table keep their capacity.
 //
-//   solver.Clear();
+//   solver.Clear(/*capacity=*/4);
 //   solver.AddGroup(); solver.AddItem(2, 6.67);
 //   solver.AddGroup(); solver.AddItem(1, 20.0); solver.AddItem(2, 30.0);
-//   const MckpSolution& s = solver.Solve(/*capacity=*/4);
+//   const MckpSolution& s = solver.Solve();
 //
 // Capacity and weights must be non-negative. An item is usable when its
-// weight fits the capacity and its value is positive. Group g's row ends at
-// column width_g = min(capacity, P_g), where P_g sums the largest usable
-// weight of groups 0..g: no combination of those groups weighs more, so every
-// column above P_g repeats column P_g's value. The solver keeps no choice
+// weight fits the capacity and its value is positive (so not NaN). The
+// capacity comes with the instance, so each item is sorted as it arrives:
+// every item is kept (item(g, i)), a usable one is also copied to the list
+// the solve reads, and each group keeps its weight bounds, so a solve reads
+// per-group bounds and the usable items, never the whole item list.
+//
+// Group g's row ends at column width_g = min(capacity, P_g), where P_g sums
+// the largest usable weight of groups 0..g: no combination of those groups
+// weighs more, so every column above P_g repeats column P_g's value. The solver keeps no choice
 // table: the forward pass is a branch-free running max, and the backtrack
 // re-derives each group's choice from two value rows. A strict running max
 // keeps the first candidate that reaches a cell's final value, so the
@@ -67,7 +85,7 @@ bool MckpAvx2Supported();
 // column, so when the last row's first region cell is below its maximum, the
 // backtrack's start and every cell it reads lie in the region. Otherwise the
 // solver fills the full table and backtracks there. A solve takes
-// O(items + top + sum_g (r_g + 1) * (|items of g| + 1)) time, where
+// O(groups + top + sum_g (r_g + 1) * (|usable items of g| + 1)) time, where
 // r_g <= min(width_g, D + S_g) is row g's region width, or width_g after a
 // fallback (whose first pass counts too). With ample capacity, r_g <= D.
 //
@@ -90,24 +108,46 @@ class MckpSolver {
   MckpSolver();
   explicit MckpSolver(MckpKernel kernel);
 
-  // Starts a new instance; every buffer keeps its capacity.
-  void Clear();
+  // Starts a new instance of the given capacity; every buffer keeps its
+  // capacity.
+  void Clear(int capacity);
 
   // Opens the next group. AddItem appends to the most recently opened one.
-  void AddGroup();
-  void AddItem(int weight, double value);
-
-  std::size_t num_groups() const { return group_end_.size(); }
-  std::size_t group_size(std::size_t g) const {
-    return group_end_[g] - group_begin(g);
+  void AddGroup() { groups_.push_back(Group{num_items_, num_usable_}); }
+  void AddItem(int weight, double value) {
+    LYRA_CHECK(!groups_.empty());
+    LYRA_CHECK_GE(weight, 0);
+    Reserve(1);
+    Group& group = groups_.back();
+    Append(group, static_cast<int>(num_items_ - group_begin(groups_.size() - 1)), weight,
+           value);
   }
+
+  // Opens a group of `count` items, item k - 1 weighing k * step and worth
+  // value(k) for k = 1..count: the same instance as AddGroup() and `count`
+  // AddItem calls, built in one pass (Lyra's "grow by k workers" groups).
+  template <typename Value>
+  void AddGroup(int count, int step, const Value& value) {
+    LYRA_CHECK_GE(count, 0);
+    LYRA_CHECK_GE(step, 0);
+    Reserve(static_cast<std::size_t>(count));
+    Group group{num_items_, num_usable_};
+    for (int k = 1; k <= count; ++k) {
+      Append(group, k - 1, k * step, value(k));
+    }
+    groups_.push_back(group);
+  }
+
+  int capacity() const { return capacity_; }
+  std::size_t num_groups() const { return groups_.size(); }
+  std::size_t group_size(std::size_t g) const { return groups_[g].end - group_begin(g); }
   const MckpItem& item(std::size_t g, std::size_t i) const {
     return items_[group_begin(g) + i];
   }
 
   // Solves the current instance. The reference stays valid until the next
   // Clear or Solve.
-  const MckpSolution& Solve(int capacity);
+  const MckpSolution& Solve();
 
   // DP cell updates of the last Solve: sum over usable items of the columns
   // they were tried at, both passes when the region fell back to the full
@@ -116,22 +156,59 @@ class MckpSolver {
   std::uint64_t cell_updates() const { return cell_updates_; }
 
  private:
-  std::size_t group_begin(std::size_t g) const {
-    return g == 0 ? 0 : group_end_[g - 1];
+  // A group's items and bounds, kept as its items arrive, and its row, set
+  // by Solve.
+  struct Group {
+    std::size_t end = 0;         // its items end here in items_
+    std::size_t usable_end = 0;  // its usable items end here in usable_
+    int max_weight = 0;          // heaviest item
+    int reach = 0;               // heaviest usable item
+    int min_usable = std::numeric_limits<int>::max();  // lightest usable item
+    std::int64_t usable_weight = 0;                    // usable items' weights
+    int width = 0;               // last DP column
+    int lo = 0;                  // first DP column
+    std::size_t row = 0;         // start of the row in table_
+  };
+
+  // Makes room for `count` more items in both item buffers.
+  void Reserve(std::size_t count) {
+    if (items_.size() < num_items_ + count) {
+      items_.resize(std::max(num_items_ + count, 2 * items_.size()));
+      usable_.resize(items_.size());
+    }
   }
-  // Runs the forward pass over columns [lo_[g], width_[g]] of every row.
+  // Appends item `index` of `group`, the open group, and sorts it: every
+  // item is kept, a usable one is also copied to the list the solve reads.
+  void Append(Group& group, int index, int weight, double value) {
+    items_[num_items_++] = {weight, value};
+    group.end = num_items_;
+    group.max_weight = std::max(group.max_weight, weight);
+    if (weight <= capacity_ && value > 0.0) {
+      usable_[num_usable_++] = {weight, index, value};
+      group.usable_end = num_usable_;
+      group.reach = std::max(group.reach, weight);
+      group.min_usable = std::min(group.min_usable, weight);
+      group.usable_weight += weight;
+    }
+  }
+
+  std::size_t group_begin(std::size_t g) const { return g == 0 ? 0 : groups_[g - 1].end; }
+  std::size_t usable_begin(std::size_t g) const {
+    return g == 0 ? 0 : groups_[g - 1].usable_end;
+  }
+  // Runs the forward pass over columns [lo, width] of every group's row.
   void Fill();
 
   MckpKernel kernel_;
+  int capacity_ = 0;
+  // The instance's items, and its usable items by group, in the first
+  // num_items_ and num_usable_ cells: the buffers only grow.
   std::vector<MckpItem> items_;
-  std::vector<std::size_t> group_end_;   // items of group g end here
-  std::vector<MckpItem> usable_;         // the usable items, by group
-  std::vector<std::size_t> usable_end_;  // usable items of group g end here
-  std::vector<int> reach_;               // largest usable weight of group g
-  std::vector<int> width_;               // last DP column of group g
-  std::vector<int> lo_;                  // first DP column of group g
-  std::vector<std::size_t> row_;         // start of group g's row in table_
-  std::vector<double> table_;            // every group's rows and guards
+  std::vector<MckpUsableItem> usable_;
+  std::size_t num_items_ = 0;
+  std::size_t num_usable_ = 0;
+  std::vector<Group> groups_;
+  std::vector<double> table_;  // every group's rows and guards
   std::uint64_t cell_updates_ = 0;
   MckpSolution solution_;
 };

@@ -1,9 +1,25 @@
 #include "src/obs/obs.h"
 
+#include <iterator>
+
 namespace lyra::obs {
 namespace {
 
 thread_local ObsContext* t_current = nullptr;
+
+// Registry names of the HotCounter slots, in enum order.
+constexpr const char* kHotCounterNames[] = {
+    "placement.attempts",
+    "placement.workers_placed",
+    "placement.failures",
+    "mckp.solves",
+    "mckp.cells",
+    "sched.launched",
+    "sched.launch_failures",
+    "sched.scale_outs",
+    "sched.scale_ins",
+};
+static_assert(std::size(kHotCounterNames) == static_cast<std::size_t>(HotCounter::kCount));
 
 }  // namespace
 
@@ -30,6 +46,18 @@ void AddCounter(const std::string& name, std::uint64_t n) {
   ObsContext* context = t_current;
   if (context != nullptr) {
     context->metrics.counter(name)->Add(n);
+  }
+}
+
+void AddCounter(HotCounter counter, std::uint64_t n) {
+  ObsContext* context = t_current;
+  if (context != nullptr) {
+    const auto index = static_cast<std::size_t>(counter);
+    Counter*& slot = context->hot[index];
+    if (slot == nullptr) {
+      slot = context->metrics.counter(kHotCounterNames[index]);
+    }
+    slot->Add(n);
   }
 }
 

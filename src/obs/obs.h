@@ -17,6 +17,8 @@
 #ifndef SRC_OBS_OBS_H_
 #define SRC_OBS_OBS_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -26,10 +28,30 @@
 
 namespace lyra::obs {
 
+// Counters bumped on every scheduling round or placement attempt. A context
+// resolves each one's Counter* at its first use and keeps it, so these skip
+// the string-keyed lookup and the registry still gains each counter exactly
+// when AddCounter by name would have created it. The slots live in the
+// context, so they never outlive the registry they point into.
+enum class HotCounter {
+  kPlacementAttempts,
+  kPlacementWorkersPlaced,
+  kPlacementFailures,
+  kMckpSolves,
+  kMckpCells,
+  kSchedLaunched,
+  kSchedLaunchFailures,
+  kSchedScaleOuts,
+  kSchedScaleIns,
+  kCount,
+};
+
 struct ObsContext {
   MetricsRegistry metrics;
   PhaseProfiler profiler;
   TraceExporter* trace = nullptr;  // not owned; null unless tracing is enabled
+  // HotCounter slots into `metrics`, null until first used.
+  std::array<Counter*, static_cast<std::size_t>(HotCounter::kCount)> hot{};
 };
 
 // The context installed on this thread, or nullptr.
@@ -72,6 +94,7 @@ class PhaseSpan {
 // one). Hot loops should instead cache a Counter*/Histogram* from
 // Current()->metrics once per call.
 void AddCounter(const std::string& name, std::uint64_t n = 1);
+void AddCounter(HotCounter counter, std::uint64_t n = 1);
 void SetGauge(const std::string& name, double value);
 void RecordHistogram(const std::string& name, double value);
 

@@ -171,16 +171,16 @@ bool PlaceAllOrNothing(ClusterState& cluster, JobId job, int gpus_per_worker, in
 
 bool TryPlaceWorkers(ClusterState& cluster, const PlaceRequest& request) {
   LYRA_CHECK_GT(request.workers, 0);
-  obs::AddCounter("placement.attempts");
+  obs::AddCounter(obs::HotCounter::kPlacementAttempts);
   for (const CandidatePools& group : EligibleGroups(cluster, request)) {
     if (PlaceAllOrNothing(cluster, request.job, request.gpus_per_worker, request.workers,
                           request.flexible, group)) {
-      obs::AddCounter("placement.workers_placed",
+      obs::AddCounter(obs::HotCounter::kPlacementWorkersPlaced,
                       static_cast<std::uint64_t>(request.workers));
       return true;
     }
   }
-  obs::AddCounter("placement.failures");
+  obs::AddCounter(obs::HotCounter::kPlacementFailures);
   return false;
 }
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <string>
 
 #include "src/common/check.h"
@@ -80,8 +81,21 @@ Simulator::Simulator(SimulatorOptions options, const Trace& trace,
     decision_log_.set_trace_exporter(trace_.get());
   }
 
-  for (const auto& job : jobs_) {
-    PushEvent(job->spec().submit_time, EventType::kJobArrival, job->id().value);
+  // The arrivals stay out of the heap: they are walked in (submit time, id)
+  // order beside it, with seqs 0..n-1 as if pushed in job order. A normalized
+  // trace is in that order already; only another one gets an order to walk.
+  trace_arrivals_ = jobs_.size();
+  next_seq_ = trace_arrivals_;
+  const auto submit_time = [&](std::size_t job) { return jobs_[job]->spec().submit_time; };
+  for (std::size_t job = 1; job < trace_arrivals_; ++job) {
+    if (submit_time(job) < submit_time(job - 1)) {
+      arrival_order_.resize(trace_arrivals_);
+      std::iota(arrival_order_.begin(), arrival_order_.end(), std::size_t{0});
+      std::stable_sort(
+          arrival_order_.begin(), arrival_order_.end(),
+          [&](std::size_t a, std::size_t b) { return submit_time(a) < submit_time(b); });
+      break;
+    }
   }
   PushEvent(0.0, EventType::kSchedulerTick);
   PushEvent(0.0, EventType::kOrchestratorTick);
@@ -108,6 +122,13 @@ Simulator::Simulator(SimulatorOptions options, const Trace& trace,
 void Simulator::PushEvent(TimeSec time, EventType type, std::int64_t job,
                           std::uint64_t generation) {
   events_.push(Event{time, next_seq_++, type, job, generation});
+}
+
+bool Simulator::ArrivalIsNext() const {
+  if (next_arrival_ == trace_arrivals_) {
+    return false;
+  }
+  return events_.empty() || events_.top() > NextArrival();
 }
 
 void Simulator::Enqueue(Job* job) {
@@ -698,15 +719,20 @@ bool Simulator::StepUntil(TimeSec horizon, std::uint64_t max_events) {
     return false;
   }
   std::uint64_t stepped = 0;
-  while (!events_.empty() && finished_count_ < jobs_.size()) {
-    if (events_.top().time > horizon) {
+  while (HasEvent() && finished_count_ < jobs_.size()) {
+    const bool arrival = ArrivalIsNext();
+    const Event event = arrival ? NextArrival() : events_.top();
+    if (event.time > horizon) {
       return false;
     }
     if (stepped >= max_events) {
       return true;
     }
-    const Event event = events_.top();
-    events_.pop();
+    if (arrival) {
+      ++next_arrival_;
+    } else {
+      events_.pop();
+    }
     if (event.time > options_.max_time) {
       LYRA_LOG_WARNING("simulation hit max_time with %zu/%zu jobs finished",
                        finished_count_, jobs_.size());
@@ -721,7 +747,7 @@ bool Simulator::StepUntil(TimeSec horizon, std::uint64_t max_events) {
     // lands between them, so fixed-seed runs stay bit-identical.
     if (event.type == EventType::kSchedulerTick ||
         event.type == EventType::kOrchestratorTick) {
-      while (!events_.empty() && events_.top().time == event.time &&
+      while (!ArrivalIsNext() && !events_.empty() && events_.top().time == event.time &&
              events_.top().type == event.type) {
         events_.pop();
         ++result_.events_processed;

@@ -197,8 +197,7 @@ class Simulator {
   TimeSec now() const { return now_; }
   // Time of the next queued event, +inf when the queue is empty.
   TimeSec NextEventTime() const {
-    return events_.empty() ? std::numeric_limits<double>::infinity()
-                           : events_.top().time;
+    return HasEvent() ? TopEvent().time : std::numeric_limits<double>::infinity();
   }
   // True while any submitted job is pending or running.
   bool HasUnfinishedJobs() const { return finished_count_ < jobs_.size(); }
@@ -271,6 +270,20 @@ class Simulator {
 
   void PushEvent(TimeSec time, EventType type, std::int64_t job = -1,
                  std::uint64_t generation = 0);
+  // The event queue: the heap merged with the trace's arrivals, which are
+  // walked in place (see arrival_order_). TopEvent requires HasEvent; the
+  // next event is the trace's arrival when ArrivalIsNext, else the heap's top.
+  bool HasEvent() const { return next_arrival_ < trace_arrivals_ || !events_.empty(); }
+  bool ArrivalIsNext() const;
+  Event TopEvent() const { return ArrivalIsNext() ? NextArrival() : events_.top(); }
+  // The trace arrival at the cursor, keyed as it was pushed: its seq is the
+  // job's id (arrivals draw seqs in job order, before anything else).
+  Event NextArrival() const {
+    const auto job = static_cast<std::int64_t>(
+        arrival_order_.empty() ? next_arrival_ : arrival_order_[next_arrival_]);
+    return Event{jobs_[static_cast<std::size_t>(job)]->spec().submit_time,
+                 static_cast<std::uint64_t>(job), EventType::kJobArrival, job, 0};
+  }
   // Every change of pending_ goes through these two, so the queue deltas and
   // the pending demand sums stay in step with it. Enqueue stamps and appends;
   // Dequeued accounts for a job the caller removed (launch, cancel).
@@ -331,7 +344,15 @@ class Simulator {
   // heterogeneous) and not: exact integer running sums for the orchestrator.
   std::int64_t eligible_pending_base_ = 0;
   std::int64_t other_pending_base_ = 0;
+  // Every event but the trace's arrivals: ticks, finishes, faults and online
+  // submits. Pops follow one (time, seq) order over the heap and the trace.
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
+  // The trace's arrivals in (submit time, id) order: ids 0..trace_arrivals_-1
+  // in order when arrival_order_ is empty (a normalized trace), else
+  // arrival_order_ lists them. next_arrival_ counts the arrivals popped.
+  std::size_t trace_arrivals_ = 0;
+  std::size_t next_arrival_ = 0;
+  std::vector<std::size_t> arrival_order_;
   std::uint64_t next_seq_ = 0;
   std::size_t finished_count_ = 0;  // jobs in any terminal state
   std::size_t cancelled_count_ = 0;

@@ -40,9 +40,6 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 // sendmsg iovec cap per call: 128 frames (header + payload each); IOV_MAX
 // is 1024 everywhere we run.
 constexpr std::size_t kMaxFlushIovecs = 256;
-// HTTP request-header cap for the sniffed GET /metrics path; anything a
-// scraper sends fits in a fraction of this.
-constexpr std::size_t kMaxHttpHeader = 8192;
 
 }  // namespace
 

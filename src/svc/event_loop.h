@@ -44,6 +44,11 @@ class FederationRouter;
 // bytes before it is dropped.
 inline constexpr std::size_t kMaxOutbufBytes = 64u << 20;
 
+// HTTP request-header cap for the sniffed GET /metrics path; anything a
+// scraper sends fits in a fraction of this. A longer head is dropped
+// unanswered.
+inline constexpr std::size_t kMaxHttpHeader = 8192;
+
 struct EventLoopOptions {
   // Unix socket path to listen on; empty disables the Unix listener.
   std::string unix_path;

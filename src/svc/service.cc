@@ -22,8 +22,10 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 // Minimum wall-clock interval between registry copies into the read
 // snapshot; bounds how stale the lyra_engine_<metric> rows of /metrics can
-// be (lyra_engine_metrics_time_seconds says how stale they are).
-constexpr double kMetricsRefreshMs = 10.0;
+// be (lyra_engine_metrics_time_seconds says how stale they are). An engine
+// that goes idle after a publish without a copy takes one when the interval
+// closes, so the stale window ends with the interval.
+constexpr std::chrono::milliseconds kMetricsRefresh(10);
 
 bool ModelFamilyFromName(const std::string& name, ModelFamily* family) {
   for (ModelFamily candidate :
@@ -387,18 +389,27 @@ SchedulerService::NextAction SchedulerService::Next(
                sim.HasUnfinishedJobs()) {
       return NextAction::kStep;
     }
+    if (registry_stale_) {
+      // Idle with the registry copy behind: sleep only until the refresh
+      // interval closes, then publish once with a copy.
+      if (cv_.wait_until(lock, last_metrics_refresh_ + kMetricsRefresh) ==
+              std::cv_status::timeout &&
+          queue_.empty() && !stop_requested_) {
+        return NextAction::kRefresh;
+      }
+      continue;
+    }
     cv_.wait(lock);
   }
 }
 
 void SchedulerService::PublishSnapshot() {
   const auto wall = std::chrono::steady_clock::now();
-  const bool refresh =
-      std::chrono::duration<double, std::milli>(wall - last_metrics_refresh_)
-          .count() >= kMetricsRefreshMs;
+  const bool refresh = wall - last_metrics_refresh_ >= kMetricsRefresh;
   if (refresh) {
     last_metrics_refresh_ = wall;
   }
+  registry_stale_ = !refresh;
   const std::uint64_t publish_start =
       engine_shard_ != nullptr ? TelemetryNowNs() : 0;
   snapshot_.store(builder_.Publish(*engine_.sim, log_.size(), refresh),
@@ -473,6 +484,9 @@ void SchedulerService::EngineLoop() {
         }
         break;
       }
+      case NextAction::kRefresh:
+        PublishSnapshot();
+        break;
       case NextAction::kStop:
         return;
     }

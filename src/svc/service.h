@@ -273,7 +273,9 @@ class SchedulerService {
     std::uint64_t sink_b = 0;
   };
 
-  enum class NextAction { kApply, kStep, kWaitRealTime, kStop };
+  // kRefresh: idle past the registry refresh interval after a publish that
+  // skipped the registry copy; publish once more, with it.
+  enum class NextAction { kApply, kStep, kWaitRealTime, kRefresh, kStop };
 
   void EngineLoop();
   NextAction Next(std::vector<PendingCommand>* batch);
@@ -339,6 +341,8 @@ class SchedulerService {
   std::uint64_t batch_submitted_ = 0;
   std::uint64_t batch_cancelled_ = 0;
   std::chrono::steady_clock::time_point last_metrics_refresh_{};
+  // The last publish skipped the registry copy (engine thread only).
+  bool registry_stale_ = false;
 
   // Guarded by mu_ so a stats() reader always sees one coherent snapshot of
   // the queue-coupled counters (queue_depth/queue_peak vs applied counts).

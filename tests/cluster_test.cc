@@ -323,6 +323,88 @@ TEST(ClusterStateFuzz, ViewsStayConsistentUnderRandomOperations) {
   }
 }
 
+// FindPlacement answers from an index by job id, kept beside the map that
+// owns the placements. Under random churn (ids placed, erased and placed
+// again, sparse ids beyond any placed so far), through clones and a move,
+// every id must read exactly the map's placement, or null when the map has
+// none: an index slot left set after an erase, or pointing into another
+// cluster's map, fails here.
+void ExpectIndexMatchesMap(const ClusterState& cluster, std::int64_t max_id) {
+  for (std::int64_t id = -1; id <= max_id + 2; ++id) {
+    const auto it = cluster.placements().find(JobId(id));
+    const JobPlacement* want = it == cluster.placements().end() ? nullptr : &it->second;
+    ASSERT_EQ(cluster.FindPlacement(JobId(id)), want) << "job " << id;
+  }
+  cluster.AuditInvariants();
+}
+
+TEST(ClusterPlacementIndex, MatchesTheMapUnderChurnClonesAndMoves) {
+  Rng rng(4141);
+  ClusterState cluster;
+  std::vector<ServerId> servers;
+  for (int i = 0; i < 12; ++i) {
+    servers.push_back(cluster.AddServer(
+        i < 8 ? GpuType::kTrainingV100 : GpuType::kInferenceT4, 8,
+        i < 8 ? ServerPool::kTraining : ServerPool::kOnLoan));
+  }
+  constexpr std::int64_t kMaxId = 300;
+  for (int step = 0; step < 4000; ++step) {
+    // Mostly a small set of ids, so erased ids are placed again; now and
+    // then a sparse one far above the rest.
+    const JobId job(rng.NextBernoulli(0.05) ? rng.UniformInt(0, kMaxId)
+                                            : rng.UniformInt(0, 24));
+    const ServerId server = servers[static_cast<std::size_t>(rng.UniformInt(0, 11))];
+    switch (rng.UniformInt(0, 3)) {
+      case 0: {
+        const int free = cluster.server(server).free_gpus();
+        if (free > 0) {
+          cluster.Place(job, server, static_cast<int>(rng.UniformInt(1, free)),
+                        rng.NextBernoulli(0.5));
+        }
+        break;
+      }
+      case 1:
+        cluster.RemoveJob(job);
+        break;
+      case 2:
+        cluster.RemoveFlexible(job, server, static_cast<int>(rng.UniformInt(1, 8)));
+        break;
+      default:
+        cluster.RemoveAllFlexible(job);
+        break;
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectIndexMatchesMap(cluster, kMaxId));
+
+    if (step % 250 == 0 && !cluster.placements().empty()) {
+      // A clone indexes its own map; emptying it leaves the original whole.
+      ClusterState copy = cluster.Clone();
+      ASSERT_NO_FATAL_FAILURE(ExpectIndexMatchesMap(copy, kMaxId));
+      for (const auto& [id, placement] : cluster.placements()) {
+        ASSERT_NE(copy.FindPlacement(id), &placement);
+        ASSERT_EQ(copy.FindPlacement(id)->shares, placement.shares);
+      }
+      std::vector<JobId> placed;
+      for (const auto& [id, placement] : copy.placements()) {
+        placed.push_back(id);
+      }
+      for (const JobId id : placed) {
+        copy.RemoveJob(id);
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectIndexMatchesMap(copy, kMaxId));
+      ASSERT_NO_FATAL_FAILURE(ExpectIndexMatchesMap(cluster, kMaxId));
+      for (const JobId id : placed) {
+        ASSERT_NE(cluster.FindPlacement(id), nullptr);
+      }
+    }
+    if (step % 1000 == 999) {
+      // The map's nodes move with it, and the index with them.
+      ClusterState moved = std::move(cluster);
+      cluster = std::move(moved);
+      ASSERT_NO_FATAL_FAILURE(ExpectIndexMatchesMap(cluster, kMaxId));
+    }
+  }
+}
+
 TEST(ChangeLog, ListsJobsWhosePlacementMovedOrVanished) {
   ClusterState cluster;
   const ServerId a = cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);

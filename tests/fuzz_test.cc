@@ -3,7 +3,8 @@
 // JsonValue::Parse under JsonParseLimits::Untrusted(),
 // DecodeEngineCommand on whatever parses as an engine command, and the
 // scrape decoder (ParsePrometheus, then ExtractHistogram), which lyra_top
-// and lyra_loadgen feed with bytes off a socket. They are
+// and lyra_loadgen feed with bytes off a socket, plus the HTTP sniff
+// (EventLoop's GET /metrics path), driven over TCP. They are
 // self-contained: a fixed corpus of valid documents, a seeded mutator and a
 // fixed iteration budget, so every ctest leg (ASan/UBSan included) runs them
 // the same way. LYRA_FUZZ_ITERATIONS=<n> raises the budget for a long run.
@@ -15,6 +16,11 @@
 // "cmd" names).
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -27,6 +33,7 @@
 #include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
+#include "src/svc/event_loop.h"
 #include "src/svc/federation.h"
 #include "src/svc/prom.h"
 #include "src/svc/service.h"
@@ -354,6 +361,133 @@ TEST(Fuzz, PrometheusScrapeFailsCleanly) {
     }
   }
   EXPECT_GT(parsed, 0);
+}
+
+// Request heads for the HTTP sniff: scrapes with and without a version or a
+// query string, and pages the loop does not serve.
+std::vector<std::string> HttpCorpus() {
+  return {
+      "GET /metrics HTTP/1.1\r\nHost: lyra\r\nAccept: text/plain\r\nConnection: close\r\n\r\n",
+      "GET /metrics?name[]=lyra_svc_info HTTP/1.0\r\n\r\n",
+      "GET /metrics\r\n\r\n",
+      "GET / HTTP/1.1\r\nUser-Agent: prometheus/2.45\r\n\r\n",
+      "GET /metricsz HTTP/1.1\r\nHost: x\r\n\r\n",
+  };
+}
+
+// Sends `head` on a fresh TCP connection and reads until the loop closes
+// it. False when the read timed out: the loop neither answered nor closed.
+bool HttpExchange(int port, const std::string& head, std::string* response) {
+  StatusOr<int> fd = ConnectTcp("127.0.0.1", port);
+  if (!fd.ok()) {
+    ADD_FAILURE() << fd.status().message();
+    return false;
+  }
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ::setsockopt(fd.value(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  // A head the loop drops may reset the connection under the write.
+  (void)WriteAllBytes(fd.value(), head.data(), head.size());
+  response->clear();
+  char buf[16 * 1024];
+  bool closed = true;
+  for (;;) {
+    const ssize_t n = ::read(fd.value(), buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      closed = false;
+    }
+    if (n <= 0) {
+      break;
+    }
+    response->append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd.value());
+  return closed;
+}
+
+// The whole response the loop owes a head it accepted: 200 and the
+// exposition for a request line naming /metrics (alone, or followed by a
+// space or a query string), 404 for anything else.
+void ExpectHttpResponse(const std::string& head, const std::string& response, int iter) {
+  const std::string line = head.substr(0, head.find("\r\n"));
+  const bool metrics = line.rfind("GET /metrics", 0) == 0 &&
+                       (line.size() == 12 || line[12] == ' ' || line[12] == '?');
+  const std::string status = metrics ? "HTTP/1.1 200 OK\r\n" : "HTTP/1.1 404 Not Found\r\n";
+  ASSERT_EQ(response.rfind(status, 0), 0u) << "iteration " << iter << ": " << response;
+  const std::size_t header_end = response.find("\r\n\r\n");
+  ASSERT_NE(header_end, std::string::npos) << "iteration " << iter;
+  const std::string length = "Content-Length: ";
+  const std::size_t at = response.find(length);
+  ASSERT_LT(at, header_end) << "iteration " << iter;
+  EXPECT_EQ(std::stoul(response.substr(at + length.size())),
+            response.size() - header_end - 4)
+      << "iteration " << iter;
+}
+
+// Mutated request heads sent to a running loop over TCP. Each head starts
+// with 'G', so the loop sniffs it as HTTP, and ends at its first blank line,
+// so the loop reads all of it. A head within kMaxHttpHeader must get the
+// 200 or 404 its request line calls for; a longer one may instead be closed
+// unanswered. Nothing may crash, hang or wedge the loop: a framed ping on
+// the same listener still answers after the run.
+TEST(Fuzz, HttpRequestFailsCleanly) {
+  ServiceOptions options;
+  options.engine.scale = 0.05;
+  options.auto_advance = false;
+  SchedulerService service(options, std::make_unique<VirtualTimeDriver>());
+  ASSERT_TRUE(service.Start().ok());
+  EventLoopOptions loop_options;
+  loop_options.tcp_port = 0;
+  loop_options.io_threads = 1;
+  EventLoop loop(&service, loop_options);
+  ASSERT_TRUE(loop.Start().ok());
+
+  const std::vector<std::string> corpus = HttpCorpus();
+  Rng rng(0x4774);
+  const int iterations = Iterations(300);
+  int answered = 0;
+  for (int iter = 0; iter < iterations; ++iter) {
+    std::string head = Mutate(rng, corpus[static_cast<std::size_t>(rng.UniformInt(
+                                       0, static_cast<std::int64_t>(corpus.size()) - 1))]);
+    if (head.empty()) {
+      head = "G";
+    }
+    head[0] = 'G';
+    if (rng.NextBernoulli(0.1)) {
+      // A header line that carries the head past the cap.
+      head += "\r\nX-Pad: " + std::string(kMaxHttpHeader, 'p');
+    }
+    const std::size_t blank = head.find("\r\n\r\n");
+    head = blank == std::string::npos ? head + "\r\n\r\n" : head.substr(0, blank + 4);
+
+    std::string response;
+    ASSERT_TRUE(HttpExchange(loop.tcp_port(), head, &response))
+        << "iteration " << iter << ": no answer and no close";
+    if (head.size() > kMaxHttpHeader && response.empty()) {
+      continue;  // dropped at the cap
+    }
+    ExpectHttpResponse(head, response, iter);
+    if (HasFatalFailure()) {
+      return;
+    }
+    ++answered;
+  }
+  EXPECT_GT(answered, iterations / 2);
+
+  StatusOr<int> fd = ConnectTcp("127.0.0.1", loop.tcp_port());
+  ASSERT_TRUE(fd.ok()) << fd.status().message();
+  std::string frame;
+  AppendFrame(R"({"cmd":"ping"})", frame);
+  ASSERT_TRUE(WriteAllBytes(fd.value(), frame.data(), frame.size()).ok());
+  StatusOr<std::string> reply = ReadFrame(fd.value());
+  ::close(fd.value());
+  ASSERT_TRUE(reply.ok()) << reply.status().message();
+  EXPECT_NE(reply.value().find("\"ok\":true"), std::string::npos) << reply.value();
+  service.Stop();
+  loop.Stop();
 }
 
 }  // namespace

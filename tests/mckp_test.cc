@@ -235,8 +235,8 @@ MckpSolution ReferenceSolveMckp(const std::vector<MckpGroup>& groups, int capaci
   return solution;
 }
 
-void Load(MckpSolver& solver, const std::vector<MckpGroup>& groups) {
-  solver.Clear();
+void Load(MckpSolver& solver, const std::vector<MckpGroup>& groups, int capacity) {
+  solver.Clear(capacity);
   for (const MckpGroup& group : groups) {
     solver.AddGroup();
     for (const MckpItem& item : group.items) {
@@ -249,8 +249,8 @@ void Load(MckpSolver& solver, const std::vector<MckpGroup>& groups) {
 // the result against the oracle bit for bit.
 void ExpectIdentical(MckpSolver& solver, const std::vector<MckpGroup>& groups,
                      int capacity, const std::string& label) {
-  Load(solver, groups);
-  const MckpSolution& got = solver.Solve(capacity);
+  Load(solver, groups, capacity);
+  const MckpSolution& got = solver.Solve();
   const MckpSolution want = ReferenceSolveMckp(groups, capacity);
   ASSERT_EQ(got.chosen, want.chosen) << label;
   ASSERT_EQ(std::bit_cast<std::uint64_t>(got.total_value),
@@ -367,7 +367,7 @@ TEST(MckpReference, ReusedSolverMatchesFreshSolve) {
       }
       const MckpSolution fresh = SolveMckp(groups, capacity);
       ExpectIdentical(solver, groups, capacity, "instance " + std::to_string(instance));
-      EXPECT_EQ(fresh.chosen, solver.Solve(capacity).chosen);
+      EXPECT_EQ(fresh.chosen, solver.Solve().chosen);
     }
   }
 }
@@ -407,8 +407,8 @@ TEST(MckpBacktrack, TiesThatAppearOnlyAfterRounding) {
     for (int capacity : {1, 2, 3, 4, 5, 6}) {
       ExpectIdentical(solver, groups, capacity, "capacity " + std::to_string(capacity));
     }
-    Load(solver, groups);
-    EXPECT_EQ(solver.Solve(3).chosen, (std::vector<int>{0, 0, -1, 1}));
+    Load(solver, groups, 3);
+    EXPECT_EQ(solver.Solve().chosen, (std::vector<int>{0, 0, -1, 1}));
   }
 }
 
@@ -586,11 +586,12 @@ TEST(Mckp, ChoiceIndexHoldsMoreThanInt16Items) {
   // One job that may grow by up to 40,000 one-GPU workers, 35,000 GPUs free:
   // the best item is "grow by 35,000", index 34,999, past the int16 range.
   MckpSolver solver;
+  solver.Clear(35000);
   solver.AddGroup();
   for (int k = 1; k <= 40000; ++k) {
     solver.AddItem(k, static_cast<double>(k));
   }
-  const MckpSolution& s = solver.Solve(35000);
+  const MckpSolution& s = solver.Solve();
   ASSERT_EQ(s.chosen.size(), 1u);
   EXPECT_EQ(s.chosen[0], 34999);
   EXPECT_EQ(s.total_weight, 35000);
@@ -655,6 +656,44 @@ std::uint64_t FullTableCells(const std::vector<MckpGroup>& groups, int capacity)
     for (const MckpItem& item : group.items) {
       if (Usable(item, capacity) && item.weight <= width) {
         cells += static_cast<std::uint64_t>(width - item.weight + 1);
+      }
+    }
+  }
+  return cells;
+}
+
+// Cell updates of the region's first pass (mckp.h class comment): every
+// usable item of row g tried at the columns [max(w, lo_g), width_g], with
+// lo_g = max(0, top - D - S_g). No pass runs when no item weighs anything.
+std::uint64_t RegionCells(const std::vector<MckpGroup>& groups, int capacity) {
+  const RegionShape shape = Shape(groups, capacity);
+  std::vector<std::int64_t> reach;
+  std::int64_t usable_total = 0;
+  int heaviest_any = 0;
+  for (const MckpGroup& group : groups) {
+    int heaviest = 0;
+    for (const MckpItem& item : group.items) {
+      heaviest_any = std::max(heaviest_any, item.weight);
+      if (Usable(item, capacity)) {
+        heaviest = std::max(heaviest, item.weight);
+      }
+    }
+    reach.push_back(heaviest);
+    usable_total += heaviest;
+  }
+  std::uint64_t cells = 0;
+  if (heaviest_any == 0) {
+    return cells;
+  }
+  std::int64_t prefix = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    prefix += reach[g];
+    const std::int64_t width = std::min<std::int64_t>(capacity, prefix);
+    const std::int64_t lo =
+        std::max<std::int64_t>(0, shape.top - shape.depth - (usable_total - prefix));
+    for (const MckpItem& item : groups[g].items) {
+      if (Usable(item, capacity)) {
+        cells += static_cast<std::uint64_t>(width - std::max<std::int64_t>(item.weight, lo) + 1);
       }
     }
   }
@@ -856,6 +895,129 @@ TEST(MckpRegion, MatchesOracleOnRecordedLyraInstances) {
             static_cast<int>(rng.UniformInt(heaviest, std::max(heaviest, sum_heaviest))), 4096}) {
         ExpectIdentical(solver, groups, capacity, label + " capacity " + std::to_string(capacity));
       }
+    }
+  }
+}
+
+// --- Items sorted as they arrive -----------------------------------------------
+//
+// AddItem and the one-pass AddGroup(count, step, value) keep every item and
+// copy the usable ones, by the instance's capacity, into the list the solve
+// reads, with each group's bounds. The tests mix unusable items (over the
+// capacity, weight-0 items worth nothing, zero, negative, NaN and -inf
+// values) among usable ones, +inf included.
+
+// A value of each kind, drawn so most items stay usable.
+double MixedValue(Rng& rng) {
+  switch (rng.UniformInt(0, 9)) {
+    case 0:
+      return std::numeric_limits<double>::quiet_NaN();
+    case 1:
+      return -std::numeric_limits<double>::infinity();
+    case 2:
+      return std::numeric_limits<double>::infinity();
+    case 3:
+      return 0.0;
+    case 4:
+      return -rng.Uniform(0.0, 5.0);
+    default:
+      return rng.Uniform(0.5, 50.0);
+  }
+}
+
+TEST(MckpOnePass, MixedUnusableItemsMatchTheOracle) {
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    Rng rng(0x1a55);
+    MckpSolver solver(kernel);
+    for (int instance = 0; instance < 3000; ++instance) {
+      std::vector<MckpGroup> groups;
+      for (int g = static_cast<int>(rng.UniformInt(1, 9)); g > 0; --g) {
+        MckpGroup group;
+        for (int i = static_cast<int>(rng.UniformInt(0, 8)); i > 0; --i) {
+          group.items.push_back({static_cast<int>(rng.UniformInt(0, 30)), MixedValue(rng)});
+        }
+        groups.push_back(std::move(group));
+      }
+      const int capacity = static_cast<int>(rng.UniformInt(0, 80));
+      const std::string label = "instance " + std::to_string(instance);
+      ExpectIdentical(solver, groups, capacity, label);
+      // The instance is kept whole, unusable items included.
+      ASSERT_EQ(solver.capacity(), capacity) << label;
+      ASSERT_EQ(solver.num_groups(), groups.size()) << label;
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        ASSERT_EQ(solver.group_size(g), groups[g].items.size()) << label;
+        for (std::size_t i = 0; i < groups[g].items.size(); ++i) {
+          ASSERT_EQ(solver.item(g, i).weight, groups[g].items[i].weight) << label;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(solver.item(g, i).value),
+                    std::bit_cast<std::uint64_t>(groups[g].items[i].value))
+              << label;
+        }
+      }
+      // The cell count, summed per group, is the per-item sum of the
+      // region's pass, plus a full-table pass after a fallback.
+      const std::uint64_t region = RegionCells(groups, capacity);
+      const std::uint64_t cells = solver.cell_updates();
+      if (capacity > 0) {
+        EXPECT_TRUE(cells == region || cells == region + FullTableCells(groups, capacity))
+            << label << ": " << cells << " cells, region " << region;
+      }
+    }
+  }
+}
+
+TEST(MckpOnePass, AddGroupBuildsWhatAddItemBuilds) {
+  // Lyra's groups: item k - 1 grows a job by k workers of `step` GPUs. The
+  // one-pass build must give the same instance, solution and cell count as
+  // AddItem, whatever the values, including unusable ones mid-group.
+  for (const MckpKernel kernel : Kernels()) {
+    SCOPED_TRACE(KernelName(kernel));
+    Rng rng(0xadd);
+    MckpSolver by_item(kernel);
+    MckpSolver by_group(kernel);
+    for (int instance = 0; instance < 2000; ++instance) {
+      const int capacity = static_cast<int>(rng.UniformInt(0, 120));
+      by_item.Clear(capacity);
+      by_group.Clear(capacity);
+      std::vector<MckpGroup> groups;
+      for (int g = static_cast<int>(rng.UniformInt(0, 10)); g > 0; --g) {
+        const int count = static_cast<int>(rng.UniformInt(0, 9));
+        const int step = static_cast<int>(rng.UniformInt(0, 8));
+        std::vector<double> values;
+        for (int k = 0; k < count; ++k) {
+          values.push_back(rng.NextBernoulli(0.8) ? rng.Uniform(0.1, 100.0) : MixedValue(rng));
+        }
+        MckpGroup group;
+        by_item.AddGroup();
+        for (int k = 1; k <= count; ++k) {
+          by_item.AddItem(k * step, values[static_cast<std::size_t>(k - 1)]);
+          group.items.push_back({k * step, values[static_cast<std::size_t>(k - 1)]});
+        }
+        by_group.AddGroup(count, step,
+                          [&](int k) { return values[static_cast<std::size_t>(k - 1)]; });
+        groups.push_back(std::move(group));
+      }
+      const std::string label = "instance " + std::to_string(instance);
+      ASSERT_EQ(by_group.num_groups(), by_item.num_groups()) << label;
+      for (std::size_t g = 0; g < by_item.num_groups(); ++g) {
+        ASSERT_EQ(by_group.group_size(g), by_item.group_size(g)) << label;
+        for (std::size_t i = 0; i < by_item.group_size(g); ++i) {
+          ASSERT_EQ(by_group.item(g, i).weight, by_item.item(g, i).weight) << label;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(by_group.item(g, i).value),
+                    std::bit_cast<std::uint64_t>(by_item.item(g, i).value))
+              << label;
+        }
+      }
+      const MckpSolution want = ReferenceSolveMckp(groups, capacity);
+      const MckpSolution& item_solution = by_item.Solve();
+      ASSERT_EQ(item_solution.chosen, want.chosen) << label;
+      const MckpSolution& group_solution = by_group.Solve();
+      ASSERT_EQ(group_solution.chosen, want.chosen) << label;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(group_solution.total_value),
+                std::bit_cast<std::uint64_t>(want.total_value))
+          << label;
+      ASSERT_EQ(group_solution.total_weight, want.total_weight) << label;
+      ASSERT_EQ(by_group.cell_updates(), by_item.cell_updates()) << label;
     }
   }
 }

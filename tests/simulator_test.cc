@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <climits>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -518,6 +521,160 @@ TEST(Simulator, PendingDemandRunningSumsMatchSequentialDoubleSums) {
     ASSERT_EQ(static_cast<double>(eligible) / kInferenceGpuFactor, eligible_double);
     ASSERT_EQ(static_cast<double>(other), other_double);
   }
+}
+
+// --- Arrivals beside the event heap --------------------------------------------
+//
+// The simulator walks the trace's arrivals with a cursor beside its event
+// heap. The oracle below is the single heap it replaced: every trace arrival
+// pushed in job order (seqs 0..n-1), then the two ticks, each tick pushing
+// its successor as it fires, and online submits pushed when they come. The
+// two must pop the same events in the same order.
+
+// Places nothing, so every arrival stays pending and nothing finishes: the
+// queue and the ticks are all the events there are.
+class IdleScheduler : public JobScheduler {
+ public:
+  const char* name() const override { return "idle"; }
+  void Schedule(SchedulerContext&) override {}
+};
+
+// An event as the tests observe it: an arrival names its job, any tick is
+// kTick.
+constexpr std::int64_t kTick = -1;
+using Popped = std::pair<TimeSec, std::int64_t>;
+
+class SingleHeapOracle {
+ public:
+  explicit SingleHeapOracle(const Trace& trace) {
+    for (const JobSpec& spec : trace.jobs) {
+      Push(spec.submit_time, spec.id.value);
+    }
+    Push(0.0, kSchedulerTick);
+    Push(0.0, kOrchestratorTick);
+  }
+
+  // An online submit: clamped to the last popped time, like SubmitJob.
+  void Submit(TimeSec time, std::int64_t job) { Push(std::max(time, now_), job); }
+
+  TimeSec NextTime() const { return heap_.top().time; }
+
+  // Pops the next event at or before `horizon`, false when there is none.
+  bool Pop(TimeSec horizon, Popped* popped) {
+    if (heap_.empty() || heap_.top().time > horizon) {
+      return false;
+    }
+    const Entry entry = heap_.top();
+    heap_.pop();
+    now_ = entry.time;
+    if (entry.what == kSchedulerTick) {
+      Push(entry.time + kSchedulerInterval, kSchedulerTick);
+    } else if (entry.what == kOrchestratorTick) {
+      Push(entry.time + kOrchestratorInterval, kOrchestratorTick);
+    }
+    *popped = {entry.time, entry.what < 0 ? kTick : entry.what};
+    return true;
+  }
+
+ private:
+  static constexpr std::int64_t kSchedulerTick = -1;
+  static constexpr std::int64_t kOrchestratorTick = -2;
+  struct Entry {
+    TimeSec time;
+    std::uint64_t seq;
+    std::int64_t what;  // a job id, or one of the two ticks
+    bool operator>(const Entry& other) const {
+      return time != other.time ? time > other.time : seq > other.seq;
+    }
+  };
+  void Push(TimeSec time, std::int64_t what) { heap_.push(Entry{time, next_seq_++, what}); }
+
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
+  std::uint64_t next_seq_ = 0;
+  TimeSec now_ = 0.0;
+};
+
+// Steps the simulator one event at a time up to `horizon`, checking each pop
+// and NextEventTime against the oracle.
+void ExpectSamePops(Simulator& sim, SingleHeapOracle& oracle, TimeSec horizon) {
+  for (bool more = true; more;) {
+    ASSERT_EQ(sim.NextEventTime(), oracle.NextTime());
+    const std::size_t pending = sim.pending_jobs().size();
+    const std::uint64_t events = sim.events_processed();
+    more = sim.StepUntil(horizon, 1);
+    Popped want;
+    const bool popped = oracle.Pop(horizon, &want);
+    ASSERT_EQ(sim.events_processed() - events, popped ? 1u : 0u) << "at t=" << sim.now();
+    if (!popped) {
+      break;
+    }
+    const bool arrived = sim.pending_jobs().size() == pending + 1;
+    const Popped got = {sim.now(), arrived ? sim.pending_jobs().back()->id().value : kTick};
+    ASSERT_EQ(got, want) << "event " << sim.events_processed();
+  }
+}
+
+Trace TraceAt(const std::vector<TimeSec>& submit_times) {
+  Trace trace;
+  for (std::size_t i = 0; i < submit_times.size(); ++i) {
+    trace.jobs.push_back(SimpleJob(static_cast<std::int64_t>(i), submit_times[i], 1000.0, 1));
+  }
+  trace.duration = kDay;
+  return trace;
+}
+
+TEST(SimulatorArrivals, PopInTheSingleHeapsOrder) {
+  const std::vector<std::vector<TimeSec>> traces = {
+      // Normalized: equal submit times, some on a tick (0, 60, 300).
+      {0.0, 0.0, 0.0, 30.0, 60.0, 60.0, 60.0, 61.0, 120.0, 120.0, 300.0, 300.0, 900.0},
+      // Not in submit-time order: the simulator walks a sorted order, ties
+      // by id.
+      {500.0, 60.0, 0.0, 60.0, 300.0, 0.5, 60.0, 1000.0, 120.0, 0.0, 500.0},
+  };
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    SCOPED_TRACE("trace " + std::to_string(t));
+    const Trace trace = TraceAt(traces[t]);
+    SimulatorOptions options;
+    options.training_servers = 1;
+    options.enable_loaning = false;
+    IdleScheduler scheduler;
+    LyraReclaimPolicy reclaim;
+    Simulator sim(options, trace, &scheduler, &reclaim, nullptr);
+    SingleHeapOracle oracle(trace);
+    ExpectSamePops(sim, oracle, 3600.0);
+    EXPECT_EQ(sim.pending_jobs().size(), trace.jobs.size());
+  }
+}
+
+TEST(SimulatorArrivals, OnlineSubmitsInterleaveWithTheTrace) {
+  // Online submits join the heap between the trace's arrivals: one on a
+  // trace arrival's time, one on a tick, one in the past (clamped to now),
+  // and one past the trace's last arrival.
+  const Trace trace = TraceAt({300.0, 60.0, 0.0, 120.0, 600.0, 60.0});
+  SimulatorOptions options;
+  options.training_servers = 1;
+  options.enable_loaning = false;
+  IdleScheduler scheduler;
+  LyraReclaimPolicy reclaim;
+  Simulator sim(options, trace, &scheduler, &reclaim, nullptr);
+  SingleHeapOracle oracle(trace);
+  std::int64_t next_id = static_cast<std::int64_t>(trace.jobs.size());
+  const auto submit = [&](TimeSec at) {
+    const StatusOr<JobId> id = sim.SubmitJob(SimpleJob(0, at, 1000.0, 1));
+    ASSERT_TRUE(id.ok());
+    ASSERT_EQ(id.value().value, next_id);
+    oracle.Submit(at, next_id++);
+  };
+  ExpectSamePops(sim, oracle, 100.0);
+  submit(120.0);
+  submit(180.0);
+  submit(10.0);
+  ExpectSamePops(sim, oracle, 300.0);
+  submit(300.0);
+  submit(2000.0);
+  submit(600.0);
+  ExpectSamePops(sim, oracle, 3600.0);
+  EXPECT_EQ(sim.pending_jobs().size(), static_cast<std::size_t>(next_id));
 }
 
 }  // namespace

@@ -386,6 +386,75 @@ TEST(TelemetryTopologies, MckpCountersReachExposition) {
   }
 }
 
+// An engine that goes idle right after a publish that skipped the registry
+// copy (one inside the refresh interval) publishes once more when the
+// interval closes, so the burst's work reaches /metrics without another
+// command: the registry copy's time reads the engine's, and its rows equal
+// the engine's own registry.
+TEST_F(TelemetryEndToEnd, IdleEngineRefreshesItsRegistryCopyOnce) {
+  StatusOr<int> fd = ConnectUnix(loop_options_.unix_path);
+  ASSERT_TRUE(fd.ok()) << fd.status().message();
+  const auto exchange = [&](const std::vector<JsonValue>& commands) {
+    std::string burst;
+    for (const JsonValue& command : commands) {
+      AppendFrame(command.Dump(), burst);
+    }
+    ASSERT_TRUE(WriteAllBytes(fd.value(), burst.data(), burst.size()).ok());
+    for (std::size_t i = 0; i < commands.size(); ++i) {
+      StatusOr<std::string> reply = ReadFrame(fd.value());
+      ASSERT_TRUE(reply.ok()) << reply.status().message();
+      ASSERT_NE(reply.value().find("\"ok\":true"), std::string::npos) << reply.value();
+    }
+  };
+  // Past the interval, the first submit's publish copies the registry; the
+  // burst right after it lands inside the interval and skips the copy.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_NO_FATAL_FAILURE(exchange({SubmitCmd()}));
+  JsonValue advance = Cmd("advance");
+  advance.Set("to", JsonValue::MakeNumber(600.0));
+  ASSERT_NO_FATAL_FAILURE(exchange({SubmitCmd(), advance}));
+  ::close(fd.value());
+
+  PromScrape scrape;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  for (;;) {
+    std::string status_line;
+    std::string headers;
+    StatusOr<std::string> body = HttpGet("/metrics", &status_line, &headers);
+    ASSERT_TRUE(body.ok()) << body.status().message();
+    StatusOr<PromScrape> parsed = ParsePrometheus(body.value());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    scrape = std::move(parsed.value());
+    if (scrape.Value("lyra_engine_metrics_time_seconds") == 600.0 ||
+        std::chrono::steady_clock::now() > deadline) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(scrape.Value("lyra_engine_virtual_time_seconds"), 600.0);
+  ASSERT_EQ(scrape.Value("lyra_engine_metrics_time_seconds"), 600.0);
+
+  // The engine's own registry, read once its thread has stopped.
+  service_->Stop();
+  const obs::MetricsValues engine = service_->simulator().metrics().Values();
+  std::map<std::string, double> want;
+  const auto row = [](const std::string& metric, const char* suffix) {
+    std::string name = "lyra_engine_";
+    for (const char c : metric) {
+      name += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
+    }
+    return name + suffix;
+  };
+  for (const auto& [metric, value] : engine.counters) {
+    want[row(metric, "_total")] = static_cast<double>(value);
+  }
+  for (const auto& [metric, histogram] : engine.histograms) {
+    want[row(metric, "_count")] = static_cast<double>(histogram.count());
+  }
+  EXPECT_GT(want[row("sim.events.scheduler_tick", "_total")], 0.0);
+  EXPECT_EQ(RegistryRows(scrape, {}), want);
+}
+
 TEST_F(TelemetryEndToEnd, StatsPromWireCommandCarriesTheSameDocument) {
   DriveTraffic(/*count=*/8);
 
