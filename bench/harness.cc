@@ -9,7 +9,6 @@
 #include <mutex>
 #include <thread>
 
-#include "src/common/check.h"
 #include "src/common/json.h"
 #include "src/svc/registry.h"
 
@@ -109,29 +108,11 @@ std::unique_ptr<T> Built(StatusOr<std::unique_ptr<T>> made) {
   return std::move(made.value());
 }
 
-std::unique_ptr<JobScheduler> MakeScheduler(const RunSpec& spec) {
-  if (spec.scheduler != "learned") {
-    return Built(svc::MakeScheduler(spec.scheduler, /*info_agnostic=*/false, spec.tuned));
-  }
-  // The one component built outside the table: a rollout drives an
-  // in-memory policy with its own mode, sample seed, sigma and trajectory
-  // sink, none of which a LYRAPOL file carries.
-  LYRA_CHECK(spec.policy != nullptr);
-  rl::LearnedSchedulerOptions options;
-  options.mode = spec.policy_mode;
-  options.sample_seed = spec.policy_sample_seed;
-  options.worker_sigma = spec.policy_worker_sigma;
-  auto learned = std::make_unique<rl::LearnedScheduler>(*spec.policy, options);
-  if (spec.trajectory != nullptr) {
-    learned->set_trajectory_sink(spec.trajectory);
-  }
-  return learned;
-}
-
 SimulationResult RunOne(const ExperimentConfig& config, const RunSpec& spec,
                         const std::string& label) {
   const Trace trace = MakeTrace(config);
-  const std::unique_ptr<JobScheduler> scheduler = MakeScheduler(spec);
+  const std::unique_ptr<JobScheduler> scheduler = Built(
+      svc::MakeScheduler(spec.scheduler, /*info_agnostic=*/false, spec.tuned));
   const std::unique_ptr<ReclaimPolicy> reclaim = Built(svc::MakeReclaim(spec.reclaim));
 
   SimulatorOptions options;

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "src/rl/learned_scheduler.h"
 #include "src/sim/simulator.h"
 #include "src/workload/synthetic.h"
 
@@ -70,16 +69,6 @@ struct RunSpec {
   bool record_series = false;
   // Deterministic fault injection (off by default; see src/sim/faults.h).
   FaultOptions faults;
-  // scheduler == "learned" only: the policy to drive (shared read-only
-  // across pool threads; each run copies it into its own LearnedScheduler),
-  // the rollout mode, the action-sampling seed, the worker-head exploration
-  // stddev, and an optional per-run trajectory sink (must outlive the run;
-  // the RL trainer points each rollout at its own slot).
-  std::shared_ptr<const rl::PolicyNet> policy;
-  rl::PolicyMode policy_mode = rl::PolicyMode::kEval;
-  std::uint64_t policy_sample_seed = 1;
-  double policy_worker_sigma = 0.5;
-  rl::Trajectory* trajectory = nullptr;
 };
 
 SimulationResult RunExperiment(const ExperimentConfig& config, const RunSpec& spec);
@@ -116,10 +105,10 @@ std::vector<SimulationResult> RunSeedSweep(const ExperimentConfig& config,
 // label, scheduler/reclaim scheme, events processed, wall-clock seconds,
 // events/sec — as the "harness" section of a JSON report (the
 // BENCH_perf.json schema), through MergeReportSection: the sections other
-// tools merged into the same file (lyra_loadgen, svc_saturation, rl_policy)
-// stay, and the file is replaced atomically. Path defaults to
-// BENCH_perf.json in the working directory, overridable via
-// LYRA_BENCH_PERF_JSON; LYRA_BENCH_PERF_JSON=0 disables the report.
+// tools merged into the same file (lyra_loadgen, svc_saturation) stay, and
+// the file is replaced atomically. Path defaults to BENCH_perf.json in the
+// working directory, overridable via LYRA_BENCH_PERF_JSON;
+// LYRA_BENCH_PERF_JSON=0 disables the report.
 void WritePerfReport(const std::string& experiment);
 
 // Formats seconds with no decimals, e.g. for table cells.

@@ -3,7 +3,7 @@
 // to evaluate Lyra on their own trace file.
 //
 //   ./build/examples/trace_replay [scheduler] [trace.csv]
-//     scheduler: any registered name but learned (default: lyra)
+//     scheduler: any registered name (default: lyra)
 //     trace.csv: optional path; generated + saved when absent
 #include <cstdio>
 #include <memory>

@@ -1,7 +1,7 @@
 // The one byte codec behind every persisted format (DESIGN.md §8): FNV-1a,
 // little-endian field writer and bounds-checked reader, the checksummed
-// envelope that the three on-disk containers share (LYRASNAP, LYRAFED_,
-// LYRAPOL_), and whole-file read / durable atomic write.
+// envelope that the two on-disk containers share (LYRASNAP, LYRAFED_), and
+// whole-file read / durable atomic write.
 //
 // Envelope layout (all integers little-endian):
 //   magic  8 bytes (identifies the format)

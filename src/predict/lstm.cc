@@ -43,14 +43,7 @@ LstmNetwork::LstmNetwork(const LstmOptions& options) : options_(options) {
     v = rng.NextGaussian() / std::sqrt(static_cast<double>(h));
   }
 
-  RebuildParamPtrs();
-  grads_.assign(param_ptrs_.size(), 0.0);
-  adam_m_.assign(param_ptrs_.size(), 0.0);
-  adam_v_.assign(param_ptrs_.size(), 0.0);
-}
-
-void LstmNetwork::RebuildParamPtrs() {
-  param_ptrs_.clear();
+  // The flat parameter view, in the gradient buffer's order.
   for (Layer& layer : layers_) {
     for (double& v : layer.w) {
       param_ptrs_.push_back(&v);
@@ -66,52 +59,12 @@ void LstmNetwork::RebuildParamPtrs() {
     param_ptrs_.push_back(&v);
   }
   param_ptrs_.push_back(&head_b_);
-}
-
-LstmNetwork::LstmNetwork(const LstmNetwork& other)
-    : options_(other.options_),
-      layers_(other.layers_),
-      head_w_(other.head_w_),
-      head_b_(other.head_b_),
-      grads_(other.grads_),
-      adam_m_(other.adam_m_),
-      adam_v_(other.adam_v_),
-      adam_t_(other.adam_t_) {
-  RebuildParamPtrs();
-}
-
-LstmNetwork& LstmNetwork::operator=(const LstmNetwork& other) {
-  if (this == &other) {
-    return *this;
-  }
-  options_ = other.options_;
-  layers_ = other.layers_;
-  head_w_ = other.head_w_;
-  head_b_ = other.head_b_;
-  grads_ = other.grads_;
-  adam_m_ = other.adam_m_;
-  adam_v_ = other.adam_v_;
-  adam_t_ = other.adam_t_;
-  RebuildParamPtrs();
-  return *this;
+  grads_.assign(param_ptrs_.size(), 0.0);
+  adam_m_.assign(param_ptrs_.size(), 0.0);
+  adam_v_.assign(param_ptrs_.size(), 0.0);
 }
 
 int LstmNetwork::num_parameters() const { return static_cast<int>(param_ptrs_.size()); }
-
-std::vector<double> LstmNetwork::ExportParameters() const {
-  std::vector<double> out(param_ptrs_.size());
-  for (std::size_t i = 0; i < param_ptrs_.size(); ++i) {
-    out[i] = *param_ptrs_[i];
-  }
-  return out;
-}
-
-void LstmNetwork::ImportParameters(const std::vector<double>& params) {
-  LYRA_CHECK_EQ(params.size(), param_ptrs_.size());
-  for (std::size_t i = 0; i < param_ptrs_.size(); ++i) {
-    *param_ptrs_[i] = params[i];
-  }
-}
 
 double LstmNetwork::RunForward(const std::vector<double>& window,
                                std::vector<std::vector<StepCache>>* cache) {
@@ -312,14 +265,6 @@ double LstmNetwork::TrainStep(const std::vector<double>& window, double target) 
 
 void LstmNetwork::ZeroGradients() { std::fill(grads_.begin(), grads_.end(), 0.0); }
 
-double LstmNetwork::AccumulateGradient(const std::vector<double>& window,
-                                       double d_output) {
-  std::vector<std::vector<StepCache>> cache;
-  const double prediction = RunForward(window, &cache);
-  Backward(cache, d_output);
-  return prediction;
-}
-
 double LstmNetwork::ComputeLossAndGradient(const std::vector<double>& window,
                                            double target) {
   ZeroGradients();
@@ -329,8 +274,6 @@ double LstmNetwork::ComputeLossAndGradient(const std::vector<double>& window,
   Backward(cache, 2.0 * err);
   return err * err;
 }
-
-void LstmNetwork::ApplyAdam() { AdamUpdate(); }
 
 LstmPredictor::LstmPredictor(LstmOptions options)
     : options_(options), network_(options), rng_(options.seed ^ 0xabcdef) {}

@@ -35,22 +35,18 @@ struct LstmOptions {
 };
 
 // One stacked-LSTM network with a linear output head. Exposed separately from
-// the predictor so tests can train it on known functions.
-//
-// Besides the self-contained TrainStep (MSE + Adam, used by the usage
-// predictor), the network exposes its gradient machinery piecewise —
-// ZeroGradients / AccumulateGradient / ApplyAdam — so callers with other
-// losses (the REINFORCE policy gradient in src/rl/) can drive the same
-// backprop-through-time cells with an arbitrary output gradient, and its
-// flat parameter vector, so policies can be checkpointed to disk.
+// the predictor so tests can train it on known functions and check its
+// backprop-through-time gradient against finite differences through the flat
+// parameter view.
 class LstmNetwork {
  public:
   explicit LstmNetwork(const LstmOptions& options);
 
-  // The flat parameter view (param_ptrs_) points into the layer vectors, so
-  // copies must rebuild it against their own storage.
-  LstmNetwork(const LstmNetwork& other);
-  LstmNetwork& operator=(const LstmNetwork& other);
+  // The flat parameter view (param_ptrs_) points into this object's own
+  // storage (head_b_ included), so a copy or a move would leave it pointing
+  // at the source. Deleting the copy operations also suppresses the moves.
+  LstmNetwork(const LstmNetwork&) = delete;
+  LstmNetwork& operator=(const LstmNetwork&) = delete;
 
   // Runs the window through the network; returns the scalar prediction.
   double Forward(const std::vector<double>& window);
@@ -59,33 +55,17 @@ class LstmNetwork {
   // Returns the squared-error loss before the update.
   double TrainStep(const std::vector<double>& window, double target);
 
-  // --- Piecewise gradient interface ----------------------------------------
-
-  // Clears the accumulated gradient buffer.
-  void ZeroGradients();
-
-  // Forward + BPTT with the given loss gradient w.r.t. the scalar output,
-  // *added* into the gradient buffer (call ZeroGradients to start a batch).
-  // Returns the forward output.
-  double AccumulateGradient(const std::vector<double>& window, double d_output);
-
   // One MSE forward/backward into a freshly zeroed buffer, without an
   // optimizer step. Returns the squared error; used by the finite-difference
   // gradient check in predictor_test.
   double ComputeLossAndGradient(const std::vector<double>& window, double target);
 
-  // Applies one Adam step on the accumulated gradients.
-  void ApplyAdam();
-
-  // --- Flat parameter access (checkpointing, gradient checks) --------------
+  // --- Flat parameter access (gradient checks) -----------------------------
 
   int num_parameters() const;
   double parameter(int i) const { return *param_ptrs_[static_cast<std::size_t>(i)]; }
   void set_parameter(int i, double v) { *param_ptrs_[static_cast<std::size_t>(i)] = v; }
   const std::vector<double>& gradients() const { return grads_; }
-  std::vector<double> ExportParameters() const;
-  // The vector must have exactly num_parameters() entries.
-  void ImportParameters(const std::vector<double>& params);
 
   const LstmOptions& options() const { return options_; }
 
@@ -113,8 +93,8 @@ class LstmNetwork {
   double RunForward(const std::vector<double>& window,
                     std::vector<std::vector<StepCache>>* cache);
   void Backward(const std::vector<std::vector<StepCache>>& cache, double d_output);
+  void ZeroGradients();
   void AdamUpdate();
-  void RebuildParamPtrs();
 
   LstmOptions options_;
   std::vector<Layer> layers_;

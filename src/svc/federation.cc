@@ -1038,7 +1038,9 @@ namespace {
 
 // Reads a fleet snapshot file as a LYRAFED container: a LYRAFED file as is,
 // and a LYRASNAP image as the one engine of SingleCluster() (routing
-// counter 0 is exact at one engine; RestoreBytes checks the image).
+// counter 0 is exact at one engine). The image's envelope is opened here, so
+// a retired version is refused before any engine is built; RestoreBytes
+// decodes the payload.
 StatusOr<FedSnapshot> LoadFleetSnapshot(const std::string& path) {
   StatusOr<std::string> file = ReadFile(path);
   if (!file.ok()) {
@@ -1049,6 +1051,9 @@ StatusOr<FedSnapshot> LoadFleetSnapshot(const std::string& path) {
   }
   if (!HasMagic(kSnapshotFormat, file.value())) {
     return Status::InvalidArgument("not a LYRAFED_ or LYRASNAP file: " + path);
+  }
+  if (const auto opened = Open(kSnapshotFormat, file.value(), path); !opened.ok()) {
+    return opened.status();
   }
   const ClusterSpec spec = SingleCluster()[0];
   FedSnapshot fed;

@@ -7,8 +7,6 @@
 #include "src/common/types.h"
 #include "src/lyra/lyra_scheduler.h"
 #include "src/predict/lstm.h"
-#include "src/rl/learned_scheduler.h"
-#include "src/rl/policy.h"
 #include "src/sched/afs.h"
 #include "src/sched/fifo.h"
 #include "src/sched/gandiva.h"
@@ -41,7 +39,7 @@ std::string JoinNames(const std::vector<std::string>& names) {
 
 const std::vector<std::string>& KnownSchedulerNames() {
   static const std::vector<std::string> names = {
-      "afs", "fifo", "gandiva", "learned", "lyra", "lyra-naive-placement",
+      "afs", "fifo", "gandiva", "lyra", "lyra-naive-placement",
       "lyra-no-elastic", "opportunistic", "pollux", "sjf"};
   return names;
 }
@@ -58,8 +56,7 @@ const std::vector<std::string>& KnownPredictorNames() {
 }
 
 StatusOr<std::unique_ptr<JobScheduler>> MakeScheduler(
-    const std::string& name, bool info_agnostic, bool tuned,
-    const std::string& policy_weights) {
+    const std::string& name, bool info_agnostic, bool tuned) {
   if (name == "fifo") {
     return std::unique_ptr<JobScheduler>(std::make_unique<FifoScheduler>());
   }
@@ -85,19 +82,6 @@ StatusOr<std::unique_ptr<JobScheduler>> MakeScheduler(
     options.naive_placement = name == "lyra-naive-placement";
     options.disable_elastic_scaling = name == "lyra-no-elastic";
     return std::unique_ptr<JobScheduler>(std::make_unique<LyraScheduler>(options));
-  }
-  if (name == "learned") {
-    if (policy_weights.empty()) {
-      return Status::InvalidArgument(
-          "scheduler \"learned\" requires --policy-weights=<LYRAPOL file> "
-          "(train one with lyra_train)");
-    }
-    StatusOr<rl::PolicyNet> policy = rl::PolicyNet::Load(policy_weights);
-    if (!policy.ok()) {
-      return policy.status();
-    }
-    return std::unique_ptr<JobScheduler>(
-        std::make_unique<rl::LearnedScheduler>(std::move(policy.value())));
   }
   return UnknownComponent("scheduler", name, KnownSchedulerNames());
 }
@@ -147,8 +131,8 @@ StatusOr<Engine> BuildEngine(const EngineConfig& config,
     return Status::InvalidArgument("horizon_days must be positive");
   }
   Engine engine;
-  StatusOr<std::unique_ptr<JobScheduler>> scheduler = MakeScheduler(
-      config.scheduler, config.info_agnostic, config.tuned, config.policy_weights);
+  StatusOr<std::unique_ptr<JobScheduler>> scheduler =
+      MakeScheduler(config.scheduler, config.info_agnostic, config.tuned);
   if (!scheduler.ok()) {
     return scheduler.status();
   }

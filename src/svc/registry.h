@@ -36,14 +36,11 @@ const std::vector<std::string>& KnownPredictorNames();
 std::string JoinNames(const std::vector<std::string>& names);
 
 // Status-reporting factories. Unknown names fail with InvalidArgument listing
-// the registered alternatives; `learned` additionally needs `policy_weights`
-// (a LYRAPOL file, see src/rl/policy.h) and propagates load errors.
-// `info_agnostic` and `tuned` apply to the three Lyra names: `lyra`, and the
-// ablations `lyra-naive-placement` (Table 6) and `lyra-no-elastic` (capacity
-// loaning only, §7.3).
+// the registered alternatives. `info_agnostic` and `tuned` apply to the three
+// Lyra names: `lyra`, and the ablations `lyra-naive-placement` (Table 6) and
+// `lyra-no-elastic` (capacity loaning only, §7.3).
 StatusOr<std::unique_ptr<JobScheduler>> MakeScheduler(
-    const std::string& name, bool info_agnostic, bool tuned,
-    const std::string& policy_weights = "");
+    const std::string& name, bool info_agnostic, bool tuned);
 StatusOr<std::unique_ptr<ReclaimPolicy>> MakeReclaim(const std::string& name);
 StatusOr<std::unique_ptr<UsagePredictor>> MakePredictor(const std::string& name);
 
@@ -54,9 +51,6 @@ std::unique_ptr<UsagePredictor> MakeUsagePredictor(bool lstm);
 struct EngineConfig {
   std::string scheduler = "lyra";
   std::string reclaim = "lyra";
-  // LYRAPOL weights file for scheduler == "learned" (ignored otherwise).
-  // Persisted in snapshots so a warm restart reloads the same policy.
-  std::string policy_weights;
   bool info_agnostic = false;
   bool tuned = false;
   bool loaning = true;

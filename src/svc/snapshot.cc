@@ -17,7 +17,6 @@ constexpr std::uint32_t kMaxClusters = 64;
 void PutConfig(ByteWriter& out, const EngineConfig& config) {
   out.Str(config.scheduler);
   out.Str(config.reclaim);
-  out.Str(config.policy_weights);
   out.Bool(config.info_agnostic);
   out.Bool(config.tuned);
   out.Bool(config.loaning);
@@ -32,7 +31,6 @@ EngineConfig ReadConfig(ByteReader& in) {
   EngineConfig config;
   config.scheduler = in.Str();
   config.reclaim = in.Str();
-  config.policy_weights = in.Str();
   config.info_agnostic = in.Bool();
   config.tuned = in.Bool();
   config.loaning = in.Bool();

@@ -33,9 +33,10 @@
 
 namespace lyra::svc {
 
-// v2 added EngineConfig::policy_weights (the learned scheduler's LYRAPOL
-// path). Decoding is strict: any other version is rejected, not migrated.
-inline constexpr EnvelopeFormat kSnapshotFormat{"LYRASNAP", 2};
+// v3 dropped the config's weights-file path, so the engine a restore builds
+// depends only on the snapshot's bytes. Decoding is strict: any other version
+// is rejected, not migrated.
+inline constexpr EnvelopeFormat kSnapshotFormat{"LYRASNAP", 3};
 
 enum class CommandKind : std::uint8_t {
   kSubmit = 1,

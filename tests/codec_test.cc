@@ -1,8 +1,7 @@
 // The shared byte codec (src/common/codec.h) and the one checksummed
-// envelope all three persisted formats use. The corruption matrix and the
-// seeded mutation fuzzer run once per format: LYRASNAP (one engine),
-// LYRAFED_ (fleet: clusters of LYRASNAP images) and LYRAPOL_ (policy
-// weights). Under the ASan build the fuzzer doubles as the memory-safety
+// envelope both persisted formats use. The corruption matrix and the
+// seeded mutation fuzzer run once per format: LYRASNAP (one engine) and
+// LYRAFED_ (fleet: clusters of LYRASNAP images). Under the ASan build the fuzzer doubles as the memory-safety
 // check of every payload decoder.
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 
 #include "src/common/codec.h"
 #include "src/common/rng.h"
-#include "src/rl/policy.h"
 #include "src/svc/snapshot.h"
 
 namespace lyra {
@@ -126,7 +124,6 @@ TEST(Codec, WriteFileAtomicReplacesTheFileAndLeavesNoTemporary) {
 svc::ServiceSnapshot SampleSnapshot() {
   svc::ServiceSnapshot snapshot;
   snapshot.config.scheduler = "lyra";
-  snapshot.config.policy_weights = "weights.lyrapol";
   snapshot.config.faults = true;
   snapshot.config.seed = 99;
   svc::LoggedCommand submit;
@@ -158,13 +155,6 @@ svc::FedSnapshot SampleFedSnapshot() {
   return fed;
 }
 
-rl::PolicyNet SamplePolicy() {
-  rl::PolicyOptions options;
-  options.hidden = 3;
-  options.seed = 11;
-  return rl::PolicyNet(options);
-}
-
 struct FormatCase {
   const char* name;
   EnvelopeFormat format;
@@ -192,10 +182,6 @@ const FormatCase kFormats[] = {
      },
      [](const std::string& bytes) { return svc::DecodeFedSnapshot(bytes, "test").status(); },
      [](const std::string& path) { return svc::LoadFedSnapshot(path).status(); }},
-    {"LYRAPOL", rl::kPolicyFormat, [] { return SamplePolicy().Encode(); },
-     [](const std::string& path) { return SamplePolicy().Save(path); },
-     [](const std::string& bytes) { return rl::PolicyNet::Decode(bytes).status(); },
-     [](const std::string& path) { return rl::PolicyNet::Load(path).status(); }},
 };
 
 // A fleet holds at most 64 engines, one per cluster, and the cluster count

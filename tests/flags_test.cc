@@ -145,16 +145,9 @@ TEST(Registry, UnknownNamesListRegisteredAlternatives) {
   }
 }
 
-TEST(Registry, EveryRegisteredNameConstructsExceptLearned) {
+TEST(Registry, EveryRegisteredNameConstructs) {
   for (const std::string& name : svc::KnownSchedulerNames()) {
     const auto made = svc::MakeScheduler(name, false, false);
-    if (name == "learned") {
-      // Needs weights; the error says how to get them.
-      ASSERT_FALSE(made.ok());
-      EXPECT_NE(made.status().message().find("policy-weights"),
-                std::string::npos);
-      continue;
-    }
     ASSERT_TRUE(made.ok()) << name << ": " << made.status().message();
     EXPECT_NE(made.value(), nullptr) << name;
   }
@@ -168,10 +161,22 @@ TEST(Registry, EveryRegisteredNameConstructsExceptLearned) {
   }
 }
 
-TEST(Registry, LearnedSchedulerPropagatesWeightLoadErrors) {
-  const auto made =
-      svc::MakeScheduler("learned", false, false, "/nonexistent/w.lyrapol");
+// The retired learned scheduler's name, passed as lyra_sim takes it, is an
+// unknown scheduler like any other: the error lists the nine registered names.
+TEST(Registry, RetiredLearnedSchedulerIsUnknown) {
+  std::string name;
+  FlagSet flags("test tool");
+  flags.AddString("scheduler", &name, "scheduler name");
+  const char* args[] = {"prog", "--scheduler=learned"};
+  ASSERT_TRUE(flags.Parse(2, args).ok());
+  ASSERT_EQ(svc::KnownSchedulerNames().size(), 9u);
+
+  const auto made = svc::MakeScheduler(name, false, false);
   ASSERT_FALSE(made.ok());
+  EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(made.status().message(),
+            "unknown scheduler: \"" + name + "\" (known: " +
+                svc::JoinNames(svc::KnownSchedulerNames()) + ")");
 }
 
 }  // namespace

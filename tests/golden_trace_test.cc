@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/rl/learned_scheduler.h"
 #include "src/sim/inference_cluster.h"
 #include "src/svc/registry.h"
 
@@ -227,9 +226,7 @@ TEST(GoldenTrace, LongQueueDecisionsMatchPin) {
 // decision log of every registry scheduler. Each run is wired like
 //   lyra_sim --scheduler=<name> --scale=0.05 --days=2 --load=1.5 --elastic=0.5
 // (seed 42, Lyra reclaiming, loaning on), so `--decisions-csv=<file>` writes
-// the same log. `learned` runs an untrained policy built in-test from seed 42
-// instead of a weights file, so its row pins the scheduler's mechanics, not
-// a training run. Half the jobs elastic and the cluster overloaded keep every
+// the same log. Half the jobs elastic and the cluster overloaded keep every
 // placement path busy: launches on both pools, harvests, flexible growth.
 
 struct SchedulerPin {
@@ -244,7 +241,6 @@ constexpr SchedulerPin kSchedulerPins[] = {
     {"afs", 2563, 0x1f89fdb41d4e8999ull},
     {"fifo", 1797, 0x647436eab33cbd96ull},
     {"gandiva", 1974, 0x78976c1e44f127b4ull},
-    {"learned", 1945, 0xfaff304053b3983full},
     {"lyra", 3957, 0x6a333a7bd112e5b6ull},
     {"lyra-naive-placement", 3768, 0xd4b5ec3ee5cf91b4ull},
     {"lyra-no-elastic", 1812, 0x2d91e468482e2495ull},
@@ -273,11 +269,7 @@ TEST(GoldenTrace, EverySchedulerDecisionsMatchPin) {
     pinned.push_back(pin.name);
     SCOPED_TRACE(pin.name);
     StatusOr<std::unique_ptr<JobScheduler>> scheduler =
-        std::string(pin.name) == "learned"
-            ? StatusOr<std::unique_ptr<JobScheduler>>(
-                  std::make_unique<rl::LearnedScheduler>(
-                      rl::PolicyNet(rl::PolicyOptions{.seed = kSeed})))
-            : svc::MakeScheduler(pin.name, false, false);
+        svc::MakeScheduler(pin.name, false, false);
     StatusOr<std::unique_ptr<ReclaimPolicy>> reclaim = svc::MakeReclaim("lyra");
     ASSERT_TRUE(scheduler.ok());
     ASSERT_TRUE(reclaim.ok());

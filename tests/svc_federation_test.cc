@@ -6,8 +6,9 @@
 // between training clusters and its ledger, the plain-service compatibility
 // contract (a one-cluster federation answers byte-for-byte like a lone
 // SchedulerService and writes the identical LYRASNAP file), LYRAFED restores
-// (version 4 as written, retired layouts refused), and a golden
-// regression pinning the engine outcomes of a Lyra pair script.
+// (version 4 as written, retired layouts refused), LYRASNAP version 2
+// refused, and a golden regression pinning the engine outcomes of a Lyra
+// pair script.
 //
 // To regenerate the golden fixture after an *intentional* behaviour change:
 //   LYRA_UPDATE_GOLDEN=1 ./svc_federation_test
@@ -844,6 +845,74 @@ TEST(Federation, OnlyTheCurrentFleetContainerRestores) {
   }
   EXPECT_EQ(resumed.submit_seq(), seq_before);
   EXPECT_EQ(resumed.ledger_hash(), hash_before);
+  StopFed(restored.value());
+  std::remove(path.c_str());
+}
+
+// A LYRASNAP image in the layout of `version`: version 2 carried a
+// weights-file path after the reclaim name, version 3 dropped it. The log is
+// one advance command.
+std::string SnapshotImageOfVersion(const EngineConfig& config,
+                                   std::uint32_t version) {
+  ByteWriter payload;
+  payload.Str(config.scheduler);
+  payload.Str(config.reclaim);
+  if (version == 2) {
+    payload.Str("weights.bin");
+  }
+  payload.Bool(config.info_agnostic);
+  payload.Bool(config.tuned);
+  payload.Bool(config.loaning);
+  payload.Bool(config.lstm);
+  payload.Bool(config.faults);
+  payload.F64(config.scale);
+  payload.F64(config.horizon_days);
+  payload.U64(config.seed);
+  payload.U64(1);
+  payload.U8(static_cast<std::uint8_t>(CommandKind::kAdvance));
+  payload.F64(600.0);
+  payload.F64(600.0);  // horizon
+  return Seal({"LYRASNAP", version}, payload.bytes());
+}
+
+// LYRASNAP version 3 is the one engine image a restore reads. A version-2
+// image is refused as InvalidArgument naming its version, by the decoder
+// and by --restore before any engine is built; the same log in the current
+// layout restores.
+TEST(Federation, RetiredSnapshotVersionIsRefused) {
+  const EngineConfig config = BaseOptions().engine;
+  const std::string retired = SnapshotImageOfVersion(config, 2);
+  const StatusOr<ServiceSnapshot> decoded = DecodeSnapshot(retired, "v2 image");
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("unsupported LYRASNAP version 2"),
+            std::string::npos)
+      << decoded.status().message();
+
+  int built = 0;
+  const auto counting_driver = [&built](int shard) {
+    ++built;
+    return MakeVirtualDriver(shard);
+  };
+  const std::string path = TempPath("snap_v2");
+  ASSERT_TRUE(WriteFileAtomic(path, retired).ok());
+  StatusOr<FederationSet> refused =
+      RestoreFederation(BaseOptions(), path, counting_driver);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("unsupported LYRASNAP version 2"),
+            std::string::npos)
+      << refused.status().message();
+  EXPECT_EQ(built, 0);
+
+  ServiceSnapshot current;
+  current.config = config;
+  current.commands = {{CommandKind::kAdvance, 600.0, {}, -1}};
+  current.horizon = 600.0;
+  ASSERT_EQ(SnapshotImageOfVersion(config, 3), EncodeSnapshot(current));
+  ASSERT_TRUE(WriteFileAtomic(path, SnapshotImageOfVersion(config, 3)).ok());
+  StatusOr<FederationSet> restored =
+      RestoreFederation(BaseOptions(), path, counting_driver);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  EXPECT_EQ(built, 1);
   StopFed(restored.value());
   std::remove(path.c_str());
 }

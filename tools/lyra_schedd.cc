@@ -85,8 +85,6 @@ int main(int argc, char** argv) {
                   lyra::svc::JoinNames(lyra::svc::KnownSchedulerNames()));
   flags.AddString("reclaim", &options.engine.reclaim,
                   lyra::svc::JoinNames(lyra::svc::KnownReclaimNames()));
-  flags.AddString("policy-weights", &options.engine.policy_weights,
-                  "LYRAPOL weights file for --scheduler=learned (see lyra_train)");
   flags.AddString("restore", &restore_path, "warm-restart from this snapshot");
   flags.AddString("snapshot-on-exit", &snapshot_on_exit,
                   "write a snapshot here on SIGINT/SIGTERM");

@@ -36,7 +36,6 @@ void HandleSignal(int) { g_interrupted = 1; }
 int main(int argc, char** argv) {
   std::string scheduler_name = "lyra";
   std::string reclaim_name = "lyra";
-  std::string policy_weights;
   std::string trace_path;
   std::string series_csv;
   std::string decisions_csv;
@@ -60,8 +59,6 @@ int main(int argc, char** argv) {
                   lyra::svc::JoinNames(lyra::svc::KnownSchedulerNames()));
   flags.AddString("reclaim", &reclaim_name,
                   lyra::svc::JoinNames(lyra::svc::KnownReclaimNames()));
-  flags.AddString("policy-weights", &policy_weights,
-                  "LYRAPOL weights file for --scheduler=learned (see lyra_train)");
   flags.AddString("trace", &trace_path,
                   "CSV trace to replay (default: synthesize one)");
   flags.AddString("series-csv", &series_csv, "write 5-minute usage series here");
@@ -97,7 +94,7 @@ int main(int argc, char** argv) {
   }
 
   lyra::StatusOr<std::unique_ptr<lyra::JobScheduler>> made_scheduler =
-      lyra::svc::MakeScheduler(scheduler_name, info_agnostic, tuned, policy_weights);
+      lyra::svc::MakeScheduler(scheduler_name, info_agnostic, tuned);
   if (!made_scheduler.ok()) {
     std::fprintf(stderr, "%s\n%s", made_scheduler.status().message().c_str(),
                  flags.Usage().c_str());
