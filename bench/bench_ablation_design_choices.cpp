@@ -30,14 +30,14 @@ lyra::SimulationResult RunVariant(const lyra::ExperimentConfig& config,
   }
 
   lyra::SimulatorOptions options;
-  options.training_servers = config.training_servers();
+  options.training_servers = config.cluster().training_servers;
   options.enable_loaning = true;
   options.use_profiler = use_profiler;
   options.throughput = throughput;
   lyra::LyraScheduler scheduler(scheduler_options);
   lyra::LyraReclaimPolicy reclaim;
   lyra::Simulator sim(options, trace, &scheduler, &reclaim,
-                      lyra::MakeInferenceCluster(config.inference_servers(), trace.duration,
+                      lyra::MakeInferenceCluster(config.cluster().inference_servers, trace.duration,
                                                  config.seed, std::move(predictor)));
   return sim.Run();
 }

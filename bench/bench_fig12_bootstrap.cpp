@@ -2,36 +2,27 @@
 // resamples whole days (with replacement) from the full trace; Lyra's gains
 // in Basic and Ideal must be consistent across the resamples.
 #include <cstdio>
-#include <memory>
-#include <utility>
 
 #include "bench/harness.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
-#include "src/predict/predictor.h"
 #include "src/sim/simulator.h"
 #include "src/svc/registry.h"
 #include "src/workload/bootstrap.h"
+#include "src/workload/synthetic.h"
 
 namespace {
 
 lyra::SimulationResult RunTrace(const lyra::ExperimentConfig& config,
                                 const lyra::Trace& trace, bool use_lyra, bool ideal) {
+  const lyra::svc::EngineConfig engine{.scheduler = use_lyra ? "lyra" : "fifo",
+                                       .loaning = use_lyra, .scale = config.scale,
+                                       .seed = config.seed};
   lyra::SimulatorOptions options;
-  options.training_servers = config.training_servers();
-  options.enable_loaning = use_lyra;
   if (ideal) {
     options.throughput.heterogeneous_efficiency = 1.0;
   }
-  auto made = lyra::svc::MakeScheduler(use_lyra ? "lyra" : "fifo", /*info_agnostic=*/false,
-                                       /*tuned=*/false);
-  const std::unique_ptr<lyra::JobScheduler> scheduler = std::move(made.value());
-  lyra::LyraReclaimPolicy reclaim;
-  lyra::Simulator sim(options, trace, scheduler.get(), &reclaim,
-                      lyra::MakeInferenceCluster(
-                          config.inference_servers(), trace.duration, config.seed,
-                          std::make_unique<lyra::SeasonalNaivePredictor>()));
-  return sim.Run();
+  return lyra::svc::BuildEngine(engine, trace, options).value().sim->Run();
 }
 
 }  // namespace

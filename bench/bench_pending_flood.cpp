@@ -94,6 +94,11 @@ int main(int argc, char** argv) {
     std::fputs(flags.Usage().c_str(), stdout);
     return 0;
   }
+  const lyra::StatusOr<lyra::svc::PaperCluster> cluster = lyra::svc::PaperClusterAt(scale);
+  if (!cluster.ok()) {
+    std::fprintf(stderr, "%s\n", cluster.status().message().c_str());
+    return 1;
+  }
 
   std::printf("%10s %8s %12s %12s %12s %14s %16s\n", "pending", "ticks", "tick_p50_us",
               "tick_p90_us", "tick_mean_us", "first_tick_us", "pending_range");
@@ -119,9 +124,9 @@ int main(int argc, char** argv) {
       lyra::Trace empty;
       empty.duration = (run_minutes + 2) * lyra::kMinute;
       lyra::SimulatorOptions options;
-      options.training_servers = std::max(1, static_cast<int>(443 * scale));
+      options.training_servers = cluster.value().training_servers;
       lyra::Simulator sim(options, empty, &timer, reclaim.value().get(),
-                          lyra::MakeInferenceCluster(std::max(1, static_cast<int>(520 * scale)),
+                          lyra::MakeInferenceCluster(cluster.value().inference_servers,
                                                      empty.duration, 42,
                                                      lyra::svc::MakeUsagePredictor(false)));
       for (long i = 0; i < target; ++i) {

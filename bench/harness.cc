@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -56,14 +55,21 @@ void RecordPerf(const std::string& label, const JobScheduler& scheduler,
   PerfEntries().push_back(std::move(entry));
 }
 
-}  // namespace
-
-int ExperimentConfig::training_servers() const {
-  return std::max(1, static_cast<int>(std::lround(443 * scale)));
+// An unregistered component name or a refused scale is a bench bug: fail
+// loudly with the registry's message (it lists the known names).
+template <typename T>
+T Built(StatusOr<T> made, const char* what) {
+  if (!made.ok()) {
+    std::fprintf(stderr, "%s: %s\n", what, made.status().message().c_str());
+    std::abort();
+  }
+  return std::move(made.value());
 }
 
-int ExperimentConfig::inference_servers() const {
-  return std::max(1, static_cast<int>(std::lround(520 * scale)));
+}  // namespace
+
+svc::PaperCluster ExperimentConfig::cluster() const {
+  return Built(svc::PaperClusterAt(scale), "ExperimentConfig");
 }
 
 ExperimentConfig WithEnvOverrides(ExperimentConfig config) {
@@ -73,54 +79,20 @@ ExperimentConfig WithEnvOverrides(ExperimentConfig config) {
 }
 
 Trace MakeTrace(const ExperimentConfig& config) {
-  SyntheticTraceOptions options;
-  options.duration = config.days * kDay;
-  options.training_gpus = config.training_servers() * 8;
-  options.target_utilization = config.offered_load;
-  options.heterogeneous_job_fraction = config.heterogeneous_fraction;
-  options.checkpointing_fraction = config.checkpointing_fraction;
-  options.seed = config.seed;
-  Trace trace = SyntheticTraceGenerator(options).Generate();
-
-  Rng rng(config.seed ^ 0x5eed);
-  if (config.ideal) {
-    ApplyIdealScenario(trace);
-  }
-  if (config.clear_fungible) {
-    ClearFungibleFlags(trace);
-  }
-  if (config.elastic_job_population > 0.0) {
-    ApplyElasticFraction(trace, config.elastic_job_population, rng);
-  }
-  return trace;
+  return svc::MakeSyntheticTrace(config, config.cluster().training_servers);
 }
 
 namespace {
 
-// A spec naming an unregistered component is a bench bug: fail loudly with
-// the registry's message (it lists the known names).
-template <typename T>
-std::unique_ptr<T> Built(StatusOr<std::unique_ptr<T>> made) {
-  if (!made.ok()) {
-    std::fprintf(stderr, "RunSpec: %s\n", made.status().message().c_str());
-    std::abort();
-  }
-  return std::move(made.value());
-}
-
 SimulationResult RunOne(const ExperimentConfig& config, const RunSpec& spec,
                         const std::string& label) {
-  const Trace trace = MakeTrace(config);
-  const std::unique_ptr<JobScheduler> scheduler = Built(
-      svc::MakeScheduler(spec.scheduler, /*info_agnostic=*/false, spec.tuned));
-  const std::unique_ptr<ReclaimPolicy> reclaim = Built(svc::MakeReclaim(spec.reclaim));
-
+  const svc::EngineConfig engine_config{.scheduler = spec.scheduler, .reclaim = spec.reclaim,
+                                        .tuned = spec.tuned, .loaning = spec.loaning,
+                                        .scale = config.scale, .seed = config.seed};
   SimulatorOptions options;
-  options.training_servers = config.training_servers();
-  options.enable_loaning = spec.loaning;
+  options.checkpoint_interval = spec.checkpoint_interval;
   options.throughput = spec.throughput;
   options.misprediction_fraction = spec.misprediction_fraction;
-  options.checkpoint_interval = spec.checkpoint_interval;
   options.record_series = spec.record_series;
   options.faults = spec.faults;
   // LYRA_BENCH_TRACE=<prefix> streams every run's events into
@@ -136,12 +108,10 @@ SimulationResult RunOne(const ExperimentConfig& config, const RunSpec& spec,
     }
     options.trace_path = std::string(prefix) + name + ".trace.json";
   }
-  Simulator simulator(options, trace, scheduler.get(), reclaim.get(),
-                      MakeInferenceCluster(config.inference_servers(), trace.duration,
-                                           config.seed,
-                                           svc::MakeUsagePredictor(/*lstm=*/false)));
-  SimulationResult result = simulator.Run();
-  RecordPerf(label, *scheduler, *reclaim, result);
+  const svc::Engine engine =
+      Built(svc::BuildEngine(engine_config, MakeTrace(config), options), "RunSpec");
+  SimulationResult result = engine.sim->Run();
+  RecordPerf(label, *engine.scheduler, *engine.reclaim, result);
   return result;
 }
 
@@ -294,8 +264,8 @@ void PrintBanner(const std::string& experiment, const ExperimentConfig& config) 
   std::printf(
       "cluster: %d training + %d inference servers (scale %.2f), trace: %.1f days, "
       "offered load %.2f\n\n",
-      config.training_servers(), config.inference_servers(), config.scale, config.days,
-      config.offered_load);
+      config.cluster().training_servers, config.cluster().inference_servers,
+      config.scale, config.days, config.offered_load);
 }
 
 }  // namespace lyra

@@ -5,7 +5,9 @@
 // bench_svc_saturation do not link it.) The harness
 // provides the scenario vocabulary of §7.1 (trace scenarios; schedulers and
 // reclaiming schemes by component-registry name) and a single RunExperiment
-// entry point so benches stay declarative. Cluster scale and trace length
+// entry point so benches stay declarative. Every run's engine and trace come
+// from svc::BuildEngine and svc::MakeSyntheticTrace (src/svc/registry.h), as
+// lyra_sim's and the daemon's do. Cluster scale and trace length
 // default to the paper's values and can be reduced via LYRA_BENCH_SCALE /
 // LYRA_BENCH_DAYS for quick runs.
 //
@@ -21,38 +23,28 @@
 #define BENCH_HARNESS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/sim/simulator.h"
-#include "src/workload/synthetic.h"
+#include "src/svc/registry.h"
 
 namespace lyra {
 
-struct ExperimentConfig {
-  // Cluster scale multiplier: 1.0 = the paper's 443 training + 520 inference
-  // servers. The synthetic trace is calibrated to the scaled cluster.
+// The §7.1 trace recipe (svc::TraceRecipe) plus the cluster scale it runs
+// at: 1.0 = the paper's 443 training + 520 inference servers. The synthetic
+// trace is calibrated to the scaled cluster.
+struct ExperimentConfig : svc::TraceRecipe {
   double scale = 1.0;
-  double days = 15.0;
-  double offered_load = 0.95;
-  double heterogeneous_fraction = 0.0;
-  double checkpointing_fraction = 0.0;
-  // Grow the elastic share of the job population to this fraction (Figs
-  // 14-16); <= 0 leaves the trace as generated.
-  double elastic_job_population = 0.0;
-  bool ideal = false;           // Ideal scenario transform (§7.1)
-  bool clear_fungible = false;  // Heterogeneous scenario drops fungible load
-  std::uint64_t seed = 42;
-
-  int training_servers() const;
-  int inference_servers() const;
+  // svc::PaperClusterAt(scale); a scale it refuses aborts the bench.
+  svc::PaperCluster cluster() const;
 };
 
 // Applies environment overrides (LYRA_BENCH_SCALE, LYRA_BENCH_DAYS) on top of
 // the bench's defaults, so the full suite can be shrunk uniformly.
 ExperimentConfig WithEnvOverrides(ExperimentConfig config);
 
+// The config's synthetic trace: svc::MakeSyntheticTrace on its cluster.
 Trace MakeTrace(const ExperimentConfig& config);
 
 struct RunSpec {

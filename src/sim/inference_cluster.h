@@ -112,10 +112,11 @@ class InferenceCluster {
 // simulator's 7-day drain) and is seeded from the simulation seed with a
 // fixed salt. `predictor` may be null (purely reactive loaning).
 //
-// Server counts stay the caller's. The bench harness rounds `443 * scale` to
-// the nearest integer; BuildEngine and lyra_sim truncate, because persisted
-// EngineConfig snapshots and replayed daemon runs rebuild their engines that
-// way. At scale 0.25 that is 111 vs 110 training servers.
+// Server counts stay the caller's. Every paper-scale driver takes them from
+// svc::PaperClusterAt (src/svc/registry.h), which truncates toward zero with
+// at least one server: the one rounding rule, so a bench, lyra_sim and a
+// daemon at the same scale run the same cluster (110 training servers at
+// scale 0.25).
 std::unique_ptr<InferenceCluster> MakeInferenceCluster(
     int servers, TimeSec trace_duration, std::uint64_t seed,
     std::unique_ptr<UsagePredictor> predictor);

@@ -1,9 +1,10 @@
 #include "src/svc/registry.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdio>
 #include <utility>
 
+#include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/lyra/lyra_scheduler.h"
 #include "src/predict/lstm.h"
@@ -13,7 +14,7 @@
 #include "src/sched/opportunistic.h"
 #include "src/sched/pollux.h"
 #include "src/sim/inference_cluster.h"
-#include "src/workload/trace.h"
+#include "src/workload/synthetic.h"
 
 namespace lyra::svc {
 namespace {
@@ -122,13 +123,59 @@ std::unique_ptr<UsagePredictor> MakeUsagePredictor(bool lstm) {
   return std::make_unique<SeasonalNaivePredictor>();
 }
 
-StatusOr<Engine> BuildEngine(const EngineConfig& config,
-                             const std::string& trace_path) {
-  if (!(config.scale > 0.0) || !std::isfinite(config.scale)) {
-    return Status::InvalidArgument("scale must be positive");
+StatusOr<PaperCluster> PaperClusterAt(double scale) {
+  // 520 * scale is the larger count; `!(x < 2^31)` also refuses NaN and inf.
+  if (!(scale > 0.0) || !(520 * scale < 2147483648.0)) {
+    char message[96];
+    std::snprintf(message, sizeof(message),
+                  "scale must be positive with server counts that fit in an int (got %g)",
+                  scale);
+    return Status::InvalidArgument(message);
   }
-  if (!(config.horizon_days > 0.0) || !std::isfinite(config.horizon_days)) {
-    return Status::InvalidArgument("horizon_days must be positive");
+  return PaperCluster{.training_servers = std::max(1, static_cast<int>(443 * scale)),
+                      .inference_servers = std::max(1, static_cast<int>(520 * scale))};
+}
+
+void ApplyTraceRecipe(const TraceRecipe& recipe, Trace& trace) {
+  Rng rng(recipe.seed ^ 0x5eed);
+  if (recipe.ideal) {
+    ApplyIdealScenario(trace);
+  }
+  if (recipe.clear_fungible) {
+    ClearFungibleFlags(trace);
+  }
+  if (recipe.elastic_job_population > 0.0) {
+    ApplyElasticFraction(trace, recipe.elastic_job_population, rng);
+  }
+}
+
+Trace MakeSyntheticTrace(const TraceRecipe& recipe, int training_servers) {
+  Trace trace = SyntheticTraceGenerator(
+                    {.duration = recipe.days * kDay,
+                     .training_gpus = training_servers * 8,
+                     .target_utilization = recipe.offered_load,
+                     .heterogeneous_job_fraction = recipe.heterogeneous_fraction,
+                     .checkpointing_fraction = recipe.checkpointing_fraction,
+                     .seed = recipe.seed})
+                    .Generate();
+  ApplyTraceRecipe(recipe, trace);
+  return trace;
+}
+
+FaultOptions ChaosFaults(std::uint64_t seed) {
+  return {.enabled = true,
+          .seed = seed ^ 0xfa17,
+          .server_mtbf = 12 * kHour,
+          .worker_mtbf = 6 * kHour,
+          .storm_mtbf = 2 * kDay,
+          .straggler_mtbf = 8 * kHour};
+}
+
+StatusOr<Engine> BuildEngine(const EngineConfig& config, const Trace& trace,
+                             SimulatorOptions options) {
+  const StatusOr<PaperCluster> cluster = PaperClusterAt(config.scale);
+  if (!cluster.ok()) {
+    return cluster.status();
   }
   Engine engine;
   StatusOr<std::unique_ptr<JobScheduler>> scheduler =
@@ -143,36 +190,16 @@ StatusOr<Engine> BuildEngine(const EngineConfig& config,
   }
   engine.reclaim = std::move(reclaim.value());
 
-  // Truncating, unlike the bench harness: see MakeInferenceCluster.
-  const int training_servers = std::max(1, static_cast<int>(443 * config.scale));
-  const int inference_servers = std::max(1, static_cast<int>(520 * config.scale));
-
-  // Online serving starts from an empty trace: jobs arrive only through
-  // SubmitJob. The duration sets the usage-metering window and (plus the
-  // standard 7-day drain) the engine's max_time.
-  Trace trace;
-  trace.duration = config.horizon_days * kDay;
-
-  SimulatorOptions options;
-  options.training_servers = training_servers;
+  options.training_servers = cluster.value().training_servers;
   options.enable_loaning = config.loaning;
   options.seed = config.seed;
-  // The decision log is the service's replay-equality artifact (DESIGN.md
-  // §8); always record it.
-  options.record_decisions = true;
-  options.trace_path = trace_path;
   if (config.faults) {
-    options.faults.enabled = true;
-    options.faults.seed = config.seed ^ 0xfa17;
-    options.faults.server_mtbf = 12 * kHour;
-    options.faults.worker_mtbf = 6 * kHour;
-    options.faults.storm_mtbf = 2 * kDay;
-    options.faults.straggler_mtbf = 8 * kHour;
+    options.faults = ChaosFaults(config.seed);
   }
   engine.sim = std::make_unique<Simulator>(
       options, trace, engine.scheduler.get(), engine.reclaim.get(),
-      MakeInferenceCluster(inference_servers, trace.duration, config.seed,
-                           MakeUsagePredictor(config.lstm)));
+      MakeInferenceCluster(cluster.value().inference_servers, trace.duration,
+                           config.seed, MakeUsagePredictor(config.lstm)));
   return engine;
 }
 

@@ -1,8 +1,7 @@
-// The component table: the only name -> scheduler / reclaim policy / usage
-// predictor map in the repo, plus the online engine builder.
-//
-// Every driver builds its components here — lyra_sim, the daemon and the
-// in-process service, the bench harness and the examples — so the engine a
+// The component table and the one engine builder: the only name ->
+// scheduler / reclaim policy / usage predictor map in the repo, and the only
+// place a paper engine is wired. Every driver builds here — lyra_sim, the
+// daemon, the bench harness and the golden tests — so the engine a
 // `lyra_schedd` serves is the one `lyra_sim` simulates and the one a bench
 // table reports. It is its own library (lyra_registry, no sockets or
 // threads) so the harness can link it without the service layer.
@@ -23,7 +22,9 @@
 #include "src/lyra/reclaim.h"
 #include "src/predict/predictor.h"
 #include "src/sched/scheduler.h"
+#include "src/sim/faults.h"
 #include "src/sim/simulator.h"
+#include "src/workload/trace.h"
 
 namespace lyra::svc {
 
@@ -67,6 +68,39 @@ struct EngineConfig {
   friend bool operator==(const EngineConfig&, const EngineConfig&) = default;
 };
 
+// The paper's cluster at a scale: 1.0 is 443 training + 520 inference
+// servers, each count truncated toward zero, at least one. InvalidArgument
+// unless `scale` is positive and both counts fit in an int.
+struct PaperCluster {
+  int training_servers = 0;
+  int inference_servers = 0;
+};
+StatusOr<PaperCluster> PaperClusterAt(double scale);
+
+// One synthetic §7.1 workload, calibrated to a cluster's training GPUs.
+struct TraceRecipe {
+  double days = 15.0;
+  double offered_load = 0.95;
+  double heterogeneous_fraction = 0.0;
+  double checkpointing_fraction = 0.0;
+  // Grow the elastic share of the job population to this fraction (Figs
+  // 14-16); <= 0 leaves the trace as generated.
+  double elastic_job_population = 0.0;
+  bool ideal = false;           // Ideal scenario transform (§7.1)
+  bool clear_fungible = false;  // Heterogeneous scenario drops fungible load
+  std::uint64_t seed = 42;
+};
+
+// The recipe's transforms (Ideal, clear fungible, then the elastic fraction
+// drawn from `seed ^ 0x5eed`), also applied to lyra_sim's CSV traces.
+void ApplyTraceRecipe(const TraceRecipe& recipe, Trace& trace);
+// The generator over `training_servers * 8` GPUs, then ApplyTraceRecipe.
+Trace MakeSyntheticTrace(const TraceRecipe& recipe, int training_servers);
+
+// The chaos profile EngineConfig::faults turns on (fleet-wide MTBFs: server
+// 12 h, worker 6 h, revocation storm 2 days, straggler 8 h; `seed ^ 0xfa17`).
+FaultOptions ChaosFaults(std::uint64_t seed);
+
 // A fully wired engine: the simulator plus the policy objects it borrows
 // (Simulator keeps raw pointers, so they live here alongside it).
 struct Engine {
@@ -75,11 +109,14 @@ struct Engine {
   std::unique_ptr<Simulator> sim;
 };
 
-// Builds an empty-trace engine for online serving. `trace_path`, when
-// non-empty, enables the Perfetto trace stream (with the svc track).
-// InvalidArgument on unknown scheduler/reclaim names or a bad scale.
-StatusOr<Engine> BuildEngine(const EngineConfig& config,
-                             const std::string& trace_path = "");
+// The engine every driver runs over `trace`: the components by name, the
+// PaperClusterAt(config.scale) servers, MakeUsagePredictor(config.lstm),
+// loaning, the seed, and ChaosFaults when config.faults. The rest of
+// `options` is the driver's run-only choice (series, decisions, Perfetto
+// path, profiler, throughput, a bench's own faults, ...). InvalidArgument on
+// unknown names or a scale with no paper cluster.
+StatusOr<Engine> BuildEngine(const EngineConfig& config, const Trace& trace,
+                             SimulatorOptions options = {});
 
 }  // namespace lyra::svc
 

@@ -125,6 +125,27 @@ Status DecodeSpec(const JsonValue& request, JobSpec* out) {
   return Status::Ok();
 }
 
+// Builds and begins the daemon's engine: an empty trace `horizon_days` long
+// (jobs arrive by SubmitJob) and the decision log, the replay artifact, on.
+Status BeginServingEngine(const ServiceOptions& options, Engine& engine) {
+  const EngineConfig& config = options.engine;
+  if (!(config.horizon_days > 0.0) || !std::isfinite(config.horizon_days)) {
+    return Status::InvalidArgument("horizon_days must be positive");
+  }
+  Trace trace;
+  trace.duration = config.horizon_days * kDay;
+  SimulatorOptions run;
+  run.record_decisions = true;
+  run.trace_path = options.trace_path;
+  StatusOr<Engine> built = BuildEngine(config, trace, run);
+  if (!built.ok()) {
+    return built.status();
+  }
+  engine = std::move(built.value());
+  engine.sim->Begin();
+  return Status::Ok();
+}
+
 }  // namespace
 
 StatusOr<EngineCommand> DecodeEngineCommand(TelemetryCmd cmd,
@@ -189,12 +210,9 @@ SchedulerService::SchedulerService(ServiceOptions options,
 SchedulerService::~SchedulerService() { Stop(); }
 
 Status SchedulerService::Start() {
-  StatusOr<Engine> built = BuildEngine(options_.engine, options_.trace_path);
-  if (!built.ok()) {
-    return built.status();
+  if (Status begun = BeginServingEngine(options_, engine_); !begun.ok()) {
+    return begun;
   }
-  engine_ = std::move(built.value());
-  engine_.sim->Begin();
   Serve();
   return Status::Ok();
 }
@@ -233,12 +251,9 @@ Status SchedulerService::RestoreBytes(const std::string& image,
 
 Status SchedulerService::RestoreSnapshot(ServiceSnapshot snapshot) {
   options_.engine = snapshot.config;
-  StatusOr<Engine> built = BuildEngine(options_.engine, options_.trace_path);
-  if (!built.ok()) {
-    return built.status();
+  if (Status begun = BeginServingEngine(options_, engine_); !begun.ok()) {
+    return begun;
   }
-  engine_ = std::move(built.value());
-  engine_.sim->Begin();
   // Replay: the step-and-mutate live apply ran, minus its end-of-time
   // checks (logs written before they existed must replay as they ran).
   // Event sequencing is a pure function of this command list, so the

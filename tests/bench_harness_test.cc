@@ -200,11 +200,12 @@ SimulationResult RunLyraByHand(const ExperimentConfig& config,
   const Trace trace = MakeTrace(config);
   LyraScheduler scheduler(scheduler_options);
   LyraReclaimPolicy reclaim;
+  const svc::PaperCluster cluster = config.cluster();
   SimulatorOptions options;
-  options.training_servers = config.training_servers();
+  options.training_servers = cluster.training_servers;
   options.enable_loaning = true;
   Simulator simulator(options, trace, &scheduler, &reclaim,
-                      MakeInferenceCluster(config.inference_servers(), trace.duration,
+                      MakeInferenceCluster(cluster.inference_servers, trace.duration,
                                            config.seed,
                                            std::make_unique<SeasonalNaivePredictor>()));
   return simulator.Run();

@@ -3,6 +3,9 @@
 // names through src/svc/registry.h).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "src/common/flags.h"
 #include "src/svc/registry.h"
 
@@ -177,6 +180,35 @@ TEST(Registry, RetiredLearnedSchedulerIsUnknown) {
   EXPECT_EQ(made.status().message(),
             "unknown scheduler: \"" + name + "\" (known: " +
                 svc::JoinNames(svc::KnownSchedulerNames()) + ")");
+}
+
+// One rounding rule for the paper's cluster: truncate, at least one server.
+// Paper-bench defaults that once rounded to the nearest server now run one
+// training server fewer (0.25: 111 -> 110). A scale whose counts are not
+// positive ints is refused, never cast.
+TEST(Registry, PaperClusterTruncatesAndRefusesNonsenseScales) {
+  const struct {
+    double scale;
+    int training;
+    int inference;
+  } rows[] = {{1.0, 443, 520}, {0.5, 221, 260}, {0.3, 132, 156},
+              {0.25, 110, 130}, {0.2, 88, 104},  {0.1, 44, 52},
+              {0.05, 22, 26},   {1e-6, 1, 1}};
+  for (const auto& row : rows) {
+    const StatusOr<svc::PaperCluster> cluster = svc::PaperClusterAt(row.scale);
+    ASSERT_TRUE(cluster.ok()) << row.scale;
+    EXPECT_EQ(cluster.value().training_servers, row.training) << row.scale;
+    EXPECT_EQ(cluster.value().inference_servers, row.inference) << row.scale;
+  }
+  for (const double scale : {std::nan(""), -1.0, 0.0, 1e10,
+                             std::numeric_limits<double>::infinity()}) {
+    const StatusOr<svc::PaperCluster> cluster = svc::PaperClusterAt(scale);
+    ASSERT_FALSE(cluster.ok()) << scale;
+    EXPECT_EQ(cluster.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(cluster.status().message().find("scale must be positive"),
+              std::string::npos)
+        << cluster.status().message();
+  }
 }
 
 }  // namespace

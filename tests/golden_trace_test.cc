@@ -163,6 +163,36 @@ std::uint64_t DecisionDigest(const DecisionLog& log) {
   return digest.value();
 }
 
+constexpr std::uint64_t kSeed = 42;
+
+// The trace of `lyra_sim --scale=<scale> --days=<days> --load=<load>
+// --elastic=<elastic>` (seed 42).
+Trace LyraSimTrace(double scale, double days, double load, double elastic) {
+  svc::TraceRecipe recipe;
+  recipe.days = days;
+  recipe.offered_load = load;
+  recipe.elastic_job_population = elastic;
+  recipe.seed = kSeed;
+  return svc::MakeSyntheticTrace(recipe,
+                                 svc::PaperClusterAt(scale).value().training_servers);
+}
+
+// lyra_sim's engine at `scale` over `trace` (seed 42, loaning on) with its
+// decision log on and the run's own fault options.
+svc::Engine LyraSimEngine(const std::string& scheduler, const std::string& reclaim,
+                          double scale, const Trace& trace,
+                          const FaultOptions& faults = {}) {
+  svc::EngineConfig config;
+  config.scheduler = scheduler;
+  config.reclaim = reclaim;
+  config.scale = scale;
+  config.seed = kSeed;
+  SimulatorOptions options;
+  options.record_decisions = true;
+  options.faults = faults;
+  return std::move(svc::BuildEngine(config, trace, options).value());
+}
+
 // Pinned from the last full-queue implementation of the Lyra round; a
 // deliberate change of Lyra's decisions re-pins them from the failure
 // messages.
@@ -178,29 +208,9 @@ constexpr int kPinnedServersReturned = 1940;
 constexpr int kPinnedCollateralGpus = 447;
 
 TEST(GoldenTrace, LongQueueDecisionsMatchPin) {
-  constexpr double kScale = 0.1;
-  constexpr std::uint64_t kSeed = 42;
-  const int training_servers = static_cast<int>(443 * kScale);
-  const int inference_servers = static_cast<int>(520 * kScale);
-
-  SyntheticTraceOptions trace_options;
-  trace_options.duration = 5 * kDay;
-  trace_options.training_gpus = training_servers * 8;
-  trace_options.target_utilization = 6.0;
-  trace_options.seed = kSeed;
-  const Trace trace = SyntheticTraceGenerator(trace_options).Generate();
-
-  StatusOr<std::unique_ptr<JobScheduler>> scheduler = svc::MakeScheduler("lyra", false, false);
-  StatusOr<std::unique_ptr<ReclaimPolicy>> reclaim = svc::MakeReclaim("lyra");
-  ASSERT_TRUE(scheduler.ok());
-  ASSERT_TRUE(reclaim.ok());
-  SimulatorOptions options;
-  options.training_servers = training_servers;
-  options.record_decisions = true;
-  options.seed = kSeed;
-  Simulator simulator(options, trace, scheduler.value().get(), reclaim.value().get(),
-                      MakeInferenceCluster(inference_servers, trace.duration, kSeed,
-                                           svc::MakeUsagePredictor(false)));
+  const svc::Engine engine =
+      LyraSimEngine("lyra", "lyra", 0.1, LyraSimTrace(0.1, 5.0, 6.0, 0.0));
+  Simulator& simulator = *engine.sim;
   const SimulationResult result = simulator.Run();
 
   const std::uint64_t digest = DecisionDigest(simulator.decision_log());
@@ -250,41 +260,16 @@ constexpr SchedulerPin kSchedulerPins[] = {
 };
 
 TEST(GoldenTrace, EverySchedulerDecisionsMatchPin) {
-  constexpr double kScale = 0.05;
-  constexpr std::uint64_t kSeed = 42;
-  const int training_servers = static_cast<int>(443 * kScale);
-  const int inference_servers = static_cast<int>(520 * kScale);
-
-  SyntheticTraceOptions trace_options;
-  trace_options.duration = 2 * kDay;
-  trace_options.training_gpus = training_servers * 8;
-  trace_options.target_utilization = 1.5;
-  trace_options.seed = kSeed;
-  Trace trace = SyntheticTraceGenerator(trace_options).Generate();
-  Rng transform_rng(kSeed ^ 0x5eed);
-  ApplyElasticFraction(trace, 0.5, transform_rng);
-
+  const Trace trace = LyraSimTrace(0.05, 2.0, 1.5, 0.5);
   std::vector<std::string> pinned;
   for (const SchedulerPin& pin : kSchedulerPins) {
     pinned.push_back(pin.name);
     SCOPED_TRACE(pin.name);
-    StatusOr<std::unique_ptr<JobScheduler>> scheduler =
-        svc::MakeScheduler(pin.name, false, false);
-    StatusOr<std::unique_ptr<ReclaimPolicy>> reclaim = svc::MakeReclaim("lyra");
-    ASSERT_TRUE(scheduler.ok());
-    ASSERT_TRUE(reclaim.ok());
-    SimulatorOptions options;
-    options.training_servers = training_servers;
-    options.enable_loaning = true;
-    options.record_decisions = true;
-    options.seed = kSeed;
-    Simulator simulator(options, trace, scheduler.value().get(), reclaim.value().get(),
-                        MakeInferenceCluster(inference_servers, trace.duration, kSeed,
-                                             svc::MakeUsagePredictor(false)));
-    simulator.Run();
+    const svc::Engine engine = LyraSimEngine(pin.name, "lyra", 0.05, trace);
+    engine.sim->Run();
 
-    const std::uint64_t digest = DecisionDigest(simulator.decision_log());
-    EXPECT_EQ(simulator.decision_log().size(), pin.records);
+    const std::uint64_t digest = DecisionDigest(engine.sim->decision_log());
+    EXPECT_EQ(engine.sim->decision_log().size(), pin.records);
     EXPECT_EQ(digest, pin.digest) << "decision log digest 0x" << std::hex << digest;
   }
 
@@ -324,44 +309,20 @@ constexpr ReclaimPin kReclaimPins[] = {
 };
 
 TEST(GoldenTrace, EveryReclaimUnderStormsDecisionsMatchPin) {
-  constexpr double kScale = 0.05;
-  constexpr std::uint64_t kSeed = 42;
-  const int training_servers = static_cast<int>(443 * kScale);
-  const int inference_servers = static_cast<int>(520 * kScale);
-
-  SyntheticTraceOptions trace_options;
-  trace_options.duration = 2 * kDay;
-  trace_options.training_gpus = training_servers * 8;
-  trace_options.target_utilization = 1.5;
-  trace_options.seed = kSeed;
-  Trace trace = SyntheticTraceGenerator(trace_options).Generate();
-  Rng transform_rng(kSeed ^ 0x5eed);
-  ApplyElasticFraction(trace, 0.5, transform_rng);
-
+  const Trace trace = LyraSimTrace(0.05, 2.0, 1.5, 0.5);
+  FaultOptions storms;
+  storms.enabled = true;
+  storms.storm_mtbf = 2 * kHour;
   std::vector<std::string> pinned;
   for (const ReclaimPin& pin : kReclaimPins) {
     pinned.push_back(pin.name);
     SCOPED_TRACE(pin.name);
-    StatusOr<std::unique_ptr<JobScheduler>> scheduler =
-        svc::MakeScheduler("lyra", false, false);
-    StatusOr<std::unique_ptr<ReclaimPolicy>> reclaim = svc::MakeReclaim(pin.name);
-    ASSERT_TRUE(scheduler.ok());
-    ASSERT_TRUE(reclaim.ok());
-    SimulatorOptions options;
-    options.training_servers = training_servers;
-    options.enable_loaning = true;
-    options.record_decisions = true;
-    options.seed = kSeed;
-    options.faults.enabled = true;
-    options.faults.storm_mtbf = 2 * kHour;
-    Simulator simulator(options, trace, scheduler.value().get(), reclaim.value().get(),
-                        MakeInferenceCluster(inference_servers, trace.duration, kSeed,
-                                             svc::MakeUsagePredictor(false)));
-    const SimulationResult result = simulator.Run();
+    const svc::Engine engine = LyraSimEngine("lyra", pin.name, 0.05, trace, storms);
+    const SimulationResult result = engine.sim->Run();
 
-    const std::uint64_t digest = DecisionDigest(simulator.decision_log());
+    const std::uint64_t digest = DecisionDigest(engine.sim->decision_log());
     EXPECT_GT(result.faults.revocation_storms, 0);
-    EXPECT_EQ(simulator.decision_log().size(), pin.records);
+    EXPECT_EQ(engine.sim->decision_log().size(), pin.records);
     EXPECT_EQ(digest, pin.digest) << "decision log digest 0x" << std::hex << digest;
     EXPECT_EQ(result.fault_log_hash, pin.fault_log_hash)
         << "fault log hash 0x" << std::hex << result.fault_log_hash;
@@ -399,18 +360,8 @@ constexpr PredictorPin kPredictorPins[] = {
 
 TEST(GoldenTrace, EveryPredictorDecisionsMatchPin) {
   constexpr double kScale = 0.05;
-  constexpr std::uint64_t kSeed = 42;
-  const int training_servers = static_cast<int>(443 * kScale);
-  const int inference_servers = static_cast<int>(520 * kScale);
-
-  SyntheticTraceOptions trace_options;
-  trace_options.duration = 2 * kDay;
-  trace_options.training_gpus = training_servers * 8;
-  trace_options.target_utilization = 1.5;
-  trace_options.seed = kSeed;
-  Trace trace = SyntheticTraceGenerator(trace_options).Generate();
-  Rng transform_rng(kSeed ^ 0x5eed);
-  ApplyElasticFraction(trace, 0.5, transform_rng);
+  const svc::PaperCluster cluster = svc::PaperClusterAt(kScale).value();
+  const Trace trace = LyraSimTrace(kScale, 2.0, 1.5, 0.5);
 
   std::vector<std::string> pinned;
   for (const PredictorPin& pin : kPredictorPins) {
@@ -424,13 +375,13 @@ TEST(GoldenTrace, EveryPredictorDecisionsMatchPin) {
     ASSERT_TRUE(reclaim.ok());
     ASSERT_TRUE(predictor.ok());
     SimulatorOptions options;
-    options.training_servers = training_servers;
+    options.training_servers = cluster.training_servers;
     options.enable_loaning = true;
     options.record_decisions = true;
     options.seed = kSeed;
     Simulator simulator(options, trace, scheduler.value().get(), reclaim.value().get(),
-                        MakeInferenceCluster(inference_servers, trace.duration, kSeed,
-                                             std::move(predictor.value())));
+                        MakeInferenceCluster(cluster.inference_servers, trace.duration,
+                                             kSeed, std::move(predictor.value())));
     const SimulationResult result = simulator.Run();
 
     const std::uint64_t digest = DecisionDigest(simulator.decision_log());

@@ -3,8 +3,10 @@
 // and the batch/online stepping equivalence the service is built on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -26,6 +28,7 @@
 #include "src/svc/prom.h"
 #include "src/svc/replies.h"
 #include "src/svc/service.h"
+#include "src/svc/snapshot.h"
 #include "src/svc/state_snapshot.h"
 #include "src/svc/time_driver.h"
 #include "src/svc/wire.h"
@@ -836,6 +839,143 @@ TEST(Service, SteppingMatchesBatchRunBitExactly) {
   ASSERT_FALSE(batch.empty());
   EXPECT_TRUE(run(1) == batch) << "event-count chunking diverged";
   EXPECT_TRUE(run(2) == batch) << "horizon chunking diverged";
+}
+
+// --- The daemon against the batch run ---------------------------------------
+//
+// Lyra §7.2 checks its simulator against its testbed; this checks the daemon
+// against the simulator. A synthetic trace's jobs go to a one-engine daemon
+// (virtual time, no auto-advance, horizon = the trace's days) as submit
+// frames, each carrying every JobSpec field and "at" = its submit time, and
+// a final drain. The daemon's decision log must equal, record for record,
+// Simulator::Run's on the same trace through BuildEngine.
+
+std::string SubmitFrame(const JobSpec& spec) {
+  JsonValue request = Cmd("submit");
+  request.Set("at", JsonValue::MakeNumber(spec.submit_time));
+  request.Set("gpus_per_worker", JsonValue::MakeNumber(spec.gpus_per_worker));
+  request.Set("min_workers", JsonValue::MakeNumber(spec.min_workers));
+  request.Set("max_workers", JsonValue::MakeNumber(spec.max_workers));
+  request.Set("requested_workers", JsonValue::MakeNumber(spec.requested_workers));
+  request.Set("fungible", JsonValue::MakeBool(spec.fungible));
+  request.Set("heterogeneous", JsonValue::MakeBool(spec.heterogeneous));
+  request.Set("checkpointing", JsonValue::MakeBool(spec.checkpointing));
+  request.Set("model", JsonValue::MakeString(ModelFamilyName(spec.model)));
+  request.Set("total_work", JsonValue::MakeNumber(spec.total_work));
+  return request.Dump();
+}
+
+// `lyra_sim --scale=0.05 --days=2 --load=1.5 --elastic=0.5` with `engine`'s
+// switches, run both ways; the batch run writes `records` decisions.
+void ExpectDaemonMatchesBatchRun(const EngineConfig& engine, std::size_t records) {
+  TraceRecipe recipe;
+  recipe.days = 2.0;
+  recipe.offered_load = 1.5;
+  recipe.elastic_job_population = 0.5;
+  recipe.seed = engine.seed;
+  const Trace trace = MakeSyntheticTrace(
+      recipe, PaperClusterAt(engine.scale).value().training_servers);
+  ASSERT_GT(trace.jobs.size(), 500u);
+
+  SimulatorOptions batch_options;
+  batch_options.record_decisions = true;
+  StatusOr<Engine> batch = BuildEngine(engine, trace, batch_options);
+  ASSERT_TRUE(batch.ok()) << batch.status().message();
+  batch.value().sim->Run();
+  const std::vector<DecisionRecord>& want = batch.value().sim->decision_log().records();
+  ASSERT_EQ(want.size(), records);
+
+  ServiceOptions options;
+  options.engine = engine;
+  options.engine.horizon_days = recipe.days;
+  options.auto_advance = false;
+  StatusOr<FederationSet> daemon =
+      BuildFederation(options, SingleCluster(), [](int) -> std::unique_ptr<TimeDriver> {
+        return std::make_unique<VirtualTimeDriver>();
+      });
+  ASSERT_TRUE(daemon.ok()) << daemon.status().message();
+  FederationRouter& router = *daemon.value().router;
+  for (const JobSpec& spec : trace.jobs) {
+    StatusOr<JsonValue> frame =
+        JsonValue::Parse(SubmitFrame(spec), JsonParseLimits::Untrusted());
+    ASSERT_TRUE(frame.ok()) << frame.status().message();
+    const JsonValue reply = router.Execute(frame.value());
+    ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
+    ASSERT_EQ(reply.GetDouble("job", -1.0), static_cast<double>(spec.id.value));
+  }
+  ASSERT_TRUE(router.Execute(Cmd("drain")).GetBool("ok"));
+  daemon.value().services[0]->Stop();
+
+  const std::vector<DecisionRecord>& got =
+      daemon.value().services[0]->simulator().decision_log().records();
+  const std::size_t common = std::min(got.size(), want.size());
+  for (std::size_t i = 0; i < common; ++i) {
+    ASSERT_TRUE(got[i] == want[i])
+        << "record " << i << " of " << want.size() << ": daemon t=" << got[i].time
+        << " kind=" << static_cast<int>(got[i].kind) << " subject=" << got[i].subject
+        << " detail=" << got[i].detail << ", batch t=" << want[i].time
+        << " kind=" << static_cast<int>(want[i].kind) << " subject=" << want[i].subject
+        << " detail=" << want[i].detail;
+  }
+  EXPECT_EQ(got.size(), want.size());
+}
+
+TEST(Service, DaemonMatchesBatchRunLoaningOn) {
+  EngineConfig engine;
+  engine.scale = 0.05;
+  ExpectDaemonMatchesBatchRun(engine, 3957);
+}
+
+TEST(Service, DaemonMatchesBatchRunLoaningOff) {
+  EngineConfig engine;
+  engine.scale = 0.05;
+  engine.loaning = false;
+  ExpectDaemonMatchesBatchRun(engine, 2788);
+}
+
+TEST(Service, DaemonMatchesBatchRunFaultsOn) {
+  EngineConfig engine;
+  engine.scale = 0.05;
+  engine.faults = true;
+  ExpectDaemonMatchesBatchRun(engine, 3887);
+}
+
+// A scale with no paper cluster (NaN, negative, zero, or too large for an
+// int server count) is refused before any engine starts: by a daemon built
+// with it, and by a restore whose sealed LYRASNAP config carries it.
+TEST(Service, NonsenseScaleIsRefusedBeforeAnEngineStarts) {
+  const auto virtual_driver = [](int) -> std::unique_ptr<TimeDriver> {
+    return std::make_unique<VirtualTimeDriver>();
+  };
+  for (const double scale : {std::nan(""), -1.0, 0.0, 1e10}) {
+    ServiceOptions options;
+    options.engine.scale = scale;
+    options.auto_advance = false;
+    const StatusOr<FederationSet> built =
+        BuildFederation(options, SingleCluster(), virtual_driver);
+    ASSERT_FALSE(built.ok()) << scale;
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(built.status().message().find("scale must be positive"),
+              std::string::npos)
+        << built.status().message();
+  }
+
+  ServiceSnapshot sealed;
+  sealed.config.scale = 1e10;
+  sealed.commands = {{CommandKind::kAdvance, 600.0, {}, -1}};
+  sealed.horizon = 600.0;
+  const std::string path =
+      "/tmp/lyra_svc_test_" + std::to_string(::getpid()) + "_huge_scale";
+  ASSERT_TRUE(WriteFileAtomic(path, EncodeSnapshot(sealed)).ok());
+  ServiceOptions options;
+  options.auto_advance = false;
+  const StatusOr<FederationSet> restored =
+      RestoreFederation(options, path, virtual_driver);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(restored.status().message().find("got 1e+10"), std::string::npos)
+      << restored.status().message();
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -71,9 +71,6 @@ int main(int argc, char** argv) {
   double time_scale = 0.0;
   std::string federation_spec = "0x1";  // SingleCluster()
   int seed = 42;
-  double scale = 0.25;
-  double horizon_days = 30.0;
-  bool faults = false;
 
   lyra::FlagSet flags("lyra_schedd: serve the Lyra scheduler over a Unix socket");
   flags.AddString("socket", &loop_options.unix_path,
@@ -92,11 +89,11 @@ int main(int argc, char** argv) {
                   "stream a Perfetto trace (incl. the svc track) here");
   flags.AddDouble("time-scale", &time_scale,
                   "virtual seconds per wall second (0 = as fast as possible)");
-  flags.AddDouble("scale", &scale, "cluster scale (1.0 = 443+520 servers)");
-  flags.AddDouble("horizon-days", &horizon_days, "metering window in days");
+  flags.AddDouble("scale", &options.engine.scale, "cluster scale (1.0 = 443+520 servers)");
+  flags.AddDouble("horizon-days", &options.engine.horizon_days, "metering window in days");
   flags.AddInt("seed", &seed, "engine seed");
   flags.AddBool("loaning", &options.engine.loaning, "enable capacity loaning");
-  flags.AddBool("faults", &faults, "enable deterministic fault injection");
+  flags.AddBool("faults", &options.engine.faults, "enable deterministic fault injection");
   flags.AddBool("auto-advance", &options.auto_advance,
                 "virtual mode: free-run the engine between commands");
   flags.AddInt("queue-capacity", &options.queue_capacity,
@@ -130,9 +127,6 @@ int main(int argc, char** argv) {
   }
   lyra::SetLogLevel(level);
   options.engine.seed = static_cast<std::uint64_t>(seed);
-  options.engine.scale = scale;
-  options.engine.horizon_days = horizon_days;
-  options.engine.faults = faults;
 
   // The event loop already writes with MSG_NOSIGNAL, but belt-and-braces:
   // nothing in this process ever wants a SIGPIPE.
