@@ -30,7 +30,6 @@ ClusterState ClusterState::Clone() const {
   }
   copy.total_gpus_ = total_gpus_;
   copy.used_gpus_ = used_gpus_;
-  copy.free_gpus_by_type_ = free_gpus_by_type_;
   copy.flexible_gpus_ = flexible_gpus_;
   copy.pool_servers_ = pool_servers_;
   copy.free_slots_ = free_slots_;
@@ -86,7 +85,6 @@ void ClusterState::CountServer(const Server& srv, int sign) {
   const int free = srv.free_gpus();
   total_gpus_[pool] += sign * srv.num_gpus();
   used_gpus_[pool] += sign * srv.used_gpus();
-  free_gpus_by_type_[pool][TypeIndex(srv.gpu_type())] += sign * free;
   flexible_gpus_ += sign * srv.flexible_gpus();
   if (free == 0) {
     return;
@@ -277,29 +275,13 @@ int ClusterState::TrainingSideFreeGpus() const {
   return FreeGpus(ServerPool::kTraining) + FreeGpus(ServerPool::kOnLoan);
 }
 
-int ClusterState::TrainingSideTotalGpus() const {
-  return TotalGpus(ServerPool::kTraining) + TotalGpus(ServerPool::kOnLoan);
-}
-
 int ClusterState::TrainingSideUsedGpus() const {
   return UsedGpus(ServerPool::kTraining) + UsedGpus(ServerPool::kOnLoan);
-}
-
-double ClusterState::TrainingSideFreeNormalized() const {
-  double total = 0.0;
-  for (ServerPool pool : {ServerPool::kTraining, ServerPool::kOnLoan}) {
-    for (int type = 0; type < kNumGpuTypes; ++type) {
-      total += free_gpus_by_type_[PoolIndex(pool)][type] *
-               GpuComputeFactor(static_cast<GpuType>(type));
-    }
-  }
-  return total;
 }
 
 void ClusterState::AuditInvariants() const {
   std::array<int, kNumPools> total{};
   std::array<int, kNumPools> used{};
-  std::array<std::array<int, kNumGpuTypes>, kNumPools> free_by_type{};
   int flexible_gpus = 0;
   std::array<std::vector<ServerId>, kNumPools> members;
   std::array<FreeSlotGroup, kNumPools * kNumGpuTypes * kNumServerKinds> free_slots;
@@ -317,7 +299,6 @@ void ClusterState::AuditInvariants() const {
     const int pool = PoolIndex(srv.pool());
     total[pool] += srv.num_gpus();
     used[pool] += srv.used_gpus();
-    free_by_type[pool][TypeIndex(srv.gpu_type())] += srv.free_gpus();
     flexible_gpus += srv.flexible_gpus();
     members[pool].push_back(srv.id());
     if (srv.free_gpus() > 0) {
@@ -380,9 +361,6 @@ void ClusterState::AuditInvariants() const {
   for (int pool = 0; pool < kNumPools; ++pool) {
     LYRA_CHECK_EQ(total[pool], total_gpus_[pool]);
     LYRA_CHECK_EQ(used[pool], used_gpus_[pool]);
-    for (int type = 0; type < kNumGpuTypes; ++type) {
-      LYRA_CHECK_EQ(free_by_type[pool][type], free_gpus_by_type_[pool][type]);
-    }
     LYRA_CHECK(members[pool] == pool_servers_[pool]);
     LYRA_CHECK(std::is_sorted(pool_servers_[pool].begin(), pool_servers_[pool].end()));
   }

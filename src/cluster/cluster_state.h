@@ -214,12 +214,7 @@ class ClusterState {
 
   // Physical free GPUs on training-visible servers.
   int TrainingSideFreeGpus() const;
-  int TrainingSideTotalGpus() const;
   int TrainingSideUsedGpus() const;
-
-  // Free capacity on training-visible servers in training-GPU units: on-loan
-  // inference GPUs count at their normalization factor (§5.2).
-  double TrainingSideFreeNormalized() const;
 
   // --- Debug ----------------------------------------------------------------
 
@@ -287,7 +282,6 @@ class ClusterState {
   // Incremental accounting (see class comment).
   std::array<int, kNumPools> total_gpus_{};
   std::array<int, kNumPools> used_gpus_{};
-  std::array<std::array<int, kNumGpuTypes>, kNumPools> free_gpus_by_type_{};
   int flexible_gpus_ = 0;
   std::array<std::vector<ServerId>, kNumPools> pool_servers_;
   std::array<FreeSlotGroup, kNumPools * kNumGpuTypes * kNumServerKinds> free_slots_;

@@ -201,7 +201,7 @@ StatusOr<std::string_view> Open(const EnvelopeFormat& format,
                                 std::string_view file, std::string_view origin) {
   const std::string magic(format.magic);
   const std::string where = ": " + std::string(origin);
-  if (file.size() < kHeaderBytes || !HasMagic(format, file)) {
+  if (file.size() < kHeaderBytes || file.substr(0, kMagicBytes) != format.magic) {
     return Status::InvalidArgument("not a " + magic + " file" + where);
   }
   const auto version = LoadLittleEndian<std::uint32_t>(file.data() + kMagicBytes);
@@ -224,10 +224,6 @@ StatusOr<std::string_view> Open(const EnvelopeFormat& format,
     return Status::DataLoss(magic + " checksum mismatch" + where);
   }
   return payload;
-}
-
-bool HasMagic(const EnvelopeFormat& format, std::string_view file) {
-  return file.substr(0, kMagicBytes) == format.magic;
 }
 
 // --- Files -------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // The one byte codec behind every persisted format (DESIGN.md §8): FNV-1a,
 // little-endian field writer and bounds-checked reader, the checksummed
-// envelope that the two on-disk containers share (LYRASNAP, LYRAFED_), and
-// whole-file read / durable atomic write.
+// envelope, and whole-file read / durable atomic write. The envelope seals
+// the one snapshot file (LYRAFED_) and, nested inside it, each engine's
+// LYRASNAP image.
 //
 // Envelope layout (all integers little-endian):
 //   magic  8 bytes (identifies the format)
@@ -110,8 +111,6 @@ std::string Seal(const EnvelopeFormat& format, std::string_view payload);
 // InvalidArgument on a wrong magic or version, DataLoss otherwise.
 StatusOr<std::string_view> Open(const EnvelopeFormat& format,
                                 std::string_view file, std::string_view origin);
-
-bool HasMagic(const EnvelopeFormat& format, std::string_view file);
 
 // NotFound when `path` cannot be opened, DataLoss on a read error.
 StatusOr<std::string> ReadFile(const std::string& path);

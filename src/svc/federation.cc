@@ -24,20 +24,6 @@ std::string FormatTime(double t) {
   return buf;
 }
 
-bool ValidClusterName(const std::string& name) {
-  if (name.empty()) {
-    return false;
-  }
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '-';
-    if (!ok) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool ParseKindToken(const std::string& token, ClusterKind* kind) {
   if (token == "inference" || token == "inf") {
     *kind = ClusterKind::kInference;
@@ -102,10 +88,6 @@ JsonValue PoolJson(const PoolCounters& counters) {
 
 }  // namespace
 
-const char* ClusterKindName(ClusterKind kind) {
-  return kind == ClusterKind::kInference ? "inference" : "training";
-}
-
 StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
     const std::string& spec) {
   if (spec.empty()) {
@@ -121,17 +103,12 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
         !ParseUint(spec.substr(x + 1), &training)) {
       return Status::InvalidArgument("bad federation spec: \"" + spec + "\"");
     }
-    // Bound the fleet before building it. Each count is bounded alone first,
-    // so the total cannot overflow.
-    if (inference > 64 || training > 64 || inference + training > 64) {
+    // Each count is bounded before its clusters are built, so a huge count
+    // allocates nothing; ValidateClusters then checks the total.
+    constexpr long long kMax = static_cast<long long>(kMaxClusters);
+    if (inference > kMax || training > kMax) {
       return Status::InvalidArgument(
-          "federation engine count must be in [1, 64], got " +
-          (inference > 64 || training > 64
-               ? std::string("more than 64")
-               : std::to_string(inference + training)));
-    }
-    if (inference + training < 1) {
-      return Status::InvalidArgument("federation needs at least one cluster");
+          "federation engine count must be in [1, 64], got more than 64");
     }
     std::vector<ClusterSpec> clusters;
     for (long long i = 0; i < inference; ++i) {
@@ -139,6 +116,9 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
     }
     for (long long i = 0; i < training; ++i) {
       clusters.push_back({"train" + std::to_string(i), ClusterKind::kTraining});
+    }
+    if (Status valid = ValidateClusters(clusters); !valid.ok()) {
+      return valid;
     }
     return clusters;
   }
@@ -153,21 +133,14 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
     }
     ClusterSpec cluster;
     cluster.name = fields[0];
-    if (!ValidClusterName(cluster.name)) {
-      return Status::InvalidArgument("bad cluster name: \"" + fields[0] +
-                                     "\"");
-    }
     if (!ParseKindToken(fields[1], &cluster.kind)) {
       return Status::InvalidArgument("unknown cluster kind: \"" + fields[1] +
                                      "\"");
     }
-    for (const ClusterSpec& existing : clusters) {
-      if (existing.name == cluster.name) {
-        return Status::InvalidArgument("duplicate cluster name: \"" +
-                                       cluster.name + "\"");
-      }
-    }
     clusters.push_back(std::move(cluster));
+  }
+  if (Status valid = ValidateClusters(clusters); !valid.ok()) {
+    return valid;
   }
   return clusters;
 }
@@ -721,9 +694,6 @@ JsonValue FederationRouter::MergeFanout(
 
 std::string FederationRouter::EncodeFleetSnapshot(
     std::uint64_t submit_seq, std::vector<std::string>& images) const {
-  if (shard_count() == 1) {
-    return std::move(images.front());
-  }
   FedSnapshot fed;
   fed.submit_seq = submit_seq;
   for (int c = 0; c < shard_count(); ++c) {
@@ -1036,32 +1006,6 @@ std::string EnginePath(const std::string& path, int engine) {
 
 namespace {
 
-// Reads a fleet snapshot file as a LYRAFED container: a LYRAFED file as is,
-// and a LYRASNAP image as the one engine of SingleCluster() (routing
-// counter 0 is exact at one engine). The image's envelope is opened here, so
-// a retired version is refused before any engine is built; RestoreBytes
-// decodes the payload.
-StatusOr<FedSnapshot> LoadFleetSnapshot(const std::string& path) {
-  StatusOr<std::string> file = ReadFile(path);
-  if (!file.ok()) {
-    return file.status();
-  }
-  if (HasMagic(kFedSnapshotFormat, file.value())) {
-    return DecodeFedSnapshot(file.value(), path);
-  }
-  if (!HasMagic(kSnapshotFormat, file.value())) {
-    return Status::InvalidArgument("not a LYRAFED_ or LYRASNAP file: " + path);
-  }
-  if (const auto opened = Open(kSnapshotFormat, file.value(), path); !opened.ok()) {
-    return opened.status();
-  }
-  const ClusterSpec spec = SingleCluster()[0];
-  FedSnapshot fed;
-  fed.clusters.push_back({spec.name, static_cast<std::uint8_t>(spec.kind),
-                          std::move(file.value())});
-  return fed;
-}
-
 // Wraps the fleet's engines in a router over `clusters`.
 void AttachRouter(FederationSet& set, std::vector<ClusterSpec> clusters) {
   std::vector<SchedulerService*> pointers;
@@ -1078,27 +1022,10 @@ void AttachRouter(FederationSet& set, std::vector<ClusterSpec> clusters) {
 StatusOr<FederationSet> BuildFederation(
     const ServiceOptions& base, const std::vector<ClusterSpec>& clusters,
     const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver) {
-  if (clusters.empty()) {
-    return Status::InvalidArgument("federation needs at least one cluster");
-  }
-  if (clusters.size() > 64) {
-    return Status::InvalidArgument(
-        "federation engine count must be in [1, 64], got " +
-        std::to_string(clusters.size()));
+  if (Status valid = ValidateClusters(clusters); !valid.ok()) {
+    return valid;
   }
   const int total = static_cast<int>(clusters.size());
-  for (std::size_t c = 0; c < clusters.size(); ++c) {
-    if (!ValidClusterName(clusters[c].name)) {
-      return Status::InvalidArgument("bad cluster name: \"" +
-                                     clusters[c].name + "\"");
-    }
-    for (std::size_t other = 0; other < c; ++other) {
-      if (clusters[other].name == clusters[c].name) {
-        return Status::InvalidArgument("duplicate cluster name: \"" +
-                                       clusters[c].name + "\"");
-      }
-    }
-  }
 
   FederationSet set;
   for (int k = 0; k < total; ++k) {
@@ -1124,36 +1051,29 @@ StatusOr<FederationSet> BuildFederation(
 StatusOr<FederationSet> RestoreFederation(
     const ServiceOptions& base, const std::string& snapshot_path,
     const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver) {
-  StatusOr<FedSnapshot> loaded = LoadFleetSnapshot(snapshot_path);
+  StatusOr<LoadedFleet> loaded = LoadFleetSnapshot(snapshot_path);
   if (!loaded.ok()) {
     return loaded.status();
   }
-  const FedSnapshot& fed = loaded.value();
-  // Engine k restores cluster k's image. A one-engine fleet names errors
-  // after the file alone, as the plain service's restore does.
-  const auto total = static_cast<std::uint32_t>(fed.clusters.size());
-  std::vector<ClusterSpec> clusters;
+  LoadedFleet& fleet = loaded.value();
+  // Engine k restores cluster k's image.
+  const auto total = static_cast<std::uint32_t>(fleet.engines.size());
   FederationSet set;
   for (std::uint32_t k = 0; k < total; ++k) {
-    const FedClusterImage& cluster = fed.clusters[k];
     ServiceOptions options = base;
     options.trace_path = EnginePath(base.trace_path, static_cast<int>(k));
     auto service = std::make_unique<SchedulerService>(
         std::move(options), make_driver(static_cast<int>(k)),
         FleetIds{k, total});
-    const Status restored = service->RestoreBytes(
-        cluster.image, total == 1 ? snapshot_path
-                                  : snapshot_path + " (cluster " +
-                                        cluster.name + ")");
+    const Status restored = service->Restore(std::move(fleet.engines[k]));
     if (!restored.ok()) {
       return restored;
     }
     set.services.push_back(std::move(service));
-    clusters.push_back({cluster.name, static_cast<ClusterKind>(cluster.kind)});
   }
-  AttachRouter(set, std::move(clusters));
-  set.router->set_submit_seq(fed.submit_seq);
-  set.router->RestoreLedger(fed.ledger_hash);
+  AttachRouter(set, std::move(fleet.clusters));
+  set.router->set_submit_seq(fleet.submit_seq);
+  set.router->RestoreLedger(fleet.ledger_hash);
   return set;
 }
 

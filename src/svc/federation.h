@@ -14,11 +14,12 @@
 //     remaining work plus a checkpoint cost (cheap when the job
 //     checkpoints, expensive when it must recompute). Each completed move
 //     appends a line to the router's migration ledger.
-//   - `snapshot` writes one file: a plain LYRASNAP image at one engine, a
-//     LYRAFED container otherwise (per-cluster images, migration ledger hash
-//     and routing counter), so a warm restart rebuilds every engine
-//     byte-identically. The engines encode their images in memory; the
-//     router's barrier is the only snapshot writer.
+//   - `snapshot` writes one LYRAFED file at every fleet size (per-cluster
+//     names, kinds and LYRASNAP images, migration ledger hash and routing
+//     counter), so a warm restart rebuilds every engine byte-identically
+//     and every cluster under its own name and kind. The engines encode
+//     their images in memory; the router's barrier is the only snapshot
+//     writer.
 //
 // Capacity loaning (Lyra §4) happens inside each engine: its Orchestrator
 // moves real servers between the inference and training whitelists. The
@@ -45,21 +46,12 @@
 
 namespace lyra::svc {
 
-enum class ClusterKind : std::uint8_t { kInference = 0, kTraining = 1 };
-
-const char* ClusterKindName(ClusterKind kind);
-
-struct ClusterSpec {
-  std::string name;  // [A-Za-z0-9_.-]+, unique within the federation
-  ClusterKind kind = ClusterKind::kTraining;
-};
-
 // Parses a `--federation=` spec:
 //   "NxM"      N inference + M training clusters
 //   "name:kind,..."  explicit comma-separated list
 //             (kind: "inference"/"inf" or "training"/"train")
-// Default names are inf0..infN-1 / train0..trainM-1. A fleet holds at most
-// 64 clusters.
+// Default names are inf0..infN-1 / train0..trainM-1. The list must pass
+// ValidateClusters (snapshot.h).
 StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(const std::string& spec);
 
 // Checkpoint cost charged to a migrated job, in GPU-seconds of extra work:
@@ -227,8 +219,8 @@ class FederationRouter {
                         std::uint64_t snapshot_submit_seq,
                         std::vector<JsonValue>& replies,
                         std::vector<std::string>& images) const;
-  // The snapshot file's bytes, made from the engines' LYRASNAP images (moved
-  // from): the plain image at one engine, the LYRAFED container otherwise.
+  // The snapshot file's bytes: the LYRAFED container of the engines'
+  // LYRASNAP images (moved from), one cluster per engine.
   std::string EncodeFleetSnapshot(std::uint64_t submit_seq,
                                   std::vector<std::string>& images) const;
 
@@ -282,7 +274,8 @@ std::vector<ClusterSpec> SingleCluster();
 // "<path>.shard<k>", and an empty path (output off) stays empty.
 std::string EnginePath(const std::string& path, int engine);
 
-// Builds and Start()s one engine per cluster, engine k getting seed
+// Builds and Start()s one engine per cluster (a list ValidateClusters
+// accepts), engine k getting seed
 // base.engine.seed + k (so a one-engine fleet is the plain
 // service exactly) and trace path EnginePath(base.trace_path, k).
 StatusOr<FederationSet> BuildFederation(
@@ -291,9 +284,10 @@ StatusOr<FederationSet> BuildFederation(
 
 // Restores a fleet from a snapshot file: cluster layout, per-engine images,
 // routing counter, and migration ledger hash all come from the file; runtime
-// knobs come from `base`. A LYRAFED file restores as written, and a plain
-// LYRASNAP image as SingleCluster(). Any other file, a LYRAFED of another
-// version included, is refused (InvalidArgument) before an engine starts.
+// knobs come from `base`. The file is read whole by LoadFleetSnapshot
+// (snapshot.h) before an engine starts, so any file it refuses — a bare
+// LYRASNAP, a LYRAFED of another version, a bad cluster list or image —
+// builds no engine.
 StatusOr<FederationSet> RestoreFederation(
     const ServiceOptions& base, const std::string& snapshot_path,
     const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver);

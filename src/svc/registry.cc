@@ -50,12 +50,6 @@ const std::vector<std::string>& KnownReclaimNames() {
   return names;
 }
 
-const std::vector<std::string>& KnownPredictorNames() {
-  static const std::vector<std::string> names = {"last-value", "lstm",
-                                                 "seasonal-naive"};
-  return names;
-}
-
 StatusOr<std::unique_ptr<JobScheduler>> MakeScheduler(
     const std::string& name, bool info_agnostic, bool tuned) {
   if (name == "fifo") {
@@ -101,19 +95,6 @@ StatusOr<std::unique_ptr<ReclaimPolicy>> MakeReclaim(const std::string& name) {
     return std::unique_ptr<ReclaimPolicy>(std::make_unique<OptimalReclaimPolicy>());
   }
   return UnknownComponent("reclaim policy", name, KnownReclaimNames());
-}
-
-StatusOr<std::unique_ptr<UsagePredictor>> MakePredictor(const std::string& name) {
-  if (name == "seasonal-naive") {
-    return std::unique_ptr<UsagePredictor>(std::make_unique<SeasonalNaivePredictor>());
-  }
-  if (name == "lstm") {
-    return std::unique_ptr<UsagePredictor>(std::make_unique<LstmPredictor>());
-  }
-  if (name == "last-value") {
-    return std::unique_ptr<UsagePredictor>(std::make_unique<LastValuePredictor>());
-  }
-  return UnknownComponent("usage predictor", name, KnownPredictorNames());
 }
 
 std::unique_ptr<UsagePredictor> MakeUsagePredictor(bool lstm) {

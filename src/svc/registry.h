@@ -1,5 +1,5 @@
 // The component table and the one engine builder: the only name ->
-// scheduler / reclaim policy / usage predictor map in the repo, and the only
+// scheduler / reclaim policy map in the repo, and the only
 // place a paper engine is wired. Every driver builds here — lyra_sim, the
 // daemon, the bench harness and the golden tests — so the engine a
 // `lyra_schedd` serves is the one `lyra_sim` simulates and the one a bench
@@ -31,7 +31,6 @@ namespace lyra::svc {
 // Registered names, sorted, for error messages and --help text.
 const std::vector<std::string>& KnownSchedulerNames();
 const std::vector<std::string>& KnownReclaimNames();
-const std::vector<std::string>& KnownPredictorNames();
 
 // Registered names joined with ", ", for --help text.
 std::string JoinNames(const std::vector<std::string>& names);
@@ -43,7 +42,6 @@ std::string JoinNames(const std::vector<std::string>& names);
 StatusOr<std::unique_ptr<JobScheduler>> MakeScheduler(
     const std::string& name, bool info_agnostic, bool tuned);
 StatusOr<std::unique_ptr<ReclaimPolicy>> MakeReclaim(const std::string& name);
-StatusOr<std::unique_ptr<UsagePredictor>> MakePredictor(const std::string& name);
 
 // The engine's usage predictor: the LSTM when `lstm`, seasonal-naive
 // otherwise.

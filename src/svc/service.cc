@@ -233,23 +233,19 @@ void SchedulerService::Serve() {
 }
 
 Status SchedulerService::Restore(const std::string& snapshot_path) {
-  StatusOr<ServiceSnapshot> loaded = LoadSnapshot(snapshot_path);
+  StatusOr<LoadedFleet> loaded = LoadFleetSnapshot(snapshot_path);
   if (!loaded.ok()) {
     return loaded.status();
   }
-  return RestoreSnapshot(std::move(loaded).value());
-}
-
-Status SchedulerService::RestoreBytes(const std::string& image,
-                                      const std::string& origin) {
-  StatusOr<ServiceSnapshot> decoded = DecodeSnapshot(image, origin);
-  if (!decoded.ok()) {
-    return decoded.status();
+  if (loaded.value().engines.size() != 1) {
+    return Status::InvalidArgument(
+        "a lone engine restores one cluster, and " + snapshot_path +
+        " holds " + std::to_string(loaded.value().engines.size()));
   }
-  return RestoreSnapshot(std::move(decoded).value());
+  return Restore(std::move(loaded.value().engines.front()));
 }
 
-Status SchedulerService::RestoreSnapshot(ServiceSnapshot snapshot) {
+Status SchedulerService::Restore(ServiceSnapshot snapshot) {
   options_.engine = snapshot.config;
   if (Status begun = BeginServingEngine(options_, engine_); !begun.ok()) {
     return begun;

@@ -169,15 +169,14 @@ class SchedulerService {
   // unknown scheduler/reclaim names.
   Status Start();
 
-  // Builds the engine from `snapshot_path` (its EngineConfig overrides
+  // Builds the engine from `snapshot` (its EngineConfig overrides
   // options.engine) and replays the persisted command log before serving.
   // Call instead of Start().
-  Status Restore(const std::string& snapshot_path);
+  Status Restore(ServiceSnapshot snapshot);
 
-  // Same, from an in-memory LYRASNAP file image — the fleet restore path,
-  // where the container carries each cluster's image byte-for-byte.
-  // `origin` only flavors error messages.
-  Status RestoreBytes(const std::string& image, const std::string& origin);
+  // Same, from a snapshot file read by LoadFleetSnapshot (snapshot.h): a
+  // lone engine restores a file of exactly one cluster.
+  Status Restore(const std::string& snapshot_path);
 
   // Processes every queued command, stops the engine thread, and finalizes
   // the engine (flushing the trace file). Idempotent.
@@ -294,9 +293,7 @@ class SchedulerService {
   // command error.
   JsonValue EndedReply(const std::string& what);
 
-  // Shared tail of Restore/RestoreBytes: rebuild the engine and replay.
-  Status RestoreSnapshot(ServiceSnapshot snapshot);
-  // Shared tail of Start/RestoreSnapshot, once engine_ is built and stepped:
+  // Shared tail of Start/Restore, once engine_ is built and stepped:
   // publish the first snapshot, acquire the engine shard, start serving.
   void Serve();
 

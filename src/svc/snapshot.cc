@@ -11,8 +11,19 @@ constexpr std::size_t kMinCommandBytes = 1 + 8;  // kind + stamp
 // name length + kind + image length framing
 constexpr std::size_t kMinClusterBytes = 4 + 1 + 8;
 
-// A fleet has at most 64 clusters (BuildFederation), one engine each.
-constexpr std::uint32_t kMaxClusters = 64;
+bool ValidClusterName(const std::string& name) {
+  if (name.empty()) {
+    return false;
+  }
+  for (const char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '-';
+    if (!ok) {
+      return false;
+    }
+  }
+  return true;
+}
 
 void PutConfig(ByteWriter& out, const EngineConfig& config) {
   out.Str(config.scheduler);
@@ -105,6 +116,31 @@ LoggedCommand ReadCommand(ByteReader& in) {
 
 }  // namespace
 
+const char* ClusterKindName(ClusterKind kind) {
+  return kind == ClusterKind::kInference ? "inference" : "training";
+}
+
+Status ValidateClusters(const std::vector<ClusterSpec>& clusters) {
+  if (clusters.empty() || clusters.size() > kMaxClusters) {
+    return Status::InvalidArgument(
+        "federation engine count must be in [1, 64], got " +
+        std::to_string(clusters.size()));
+  }
+  for (std::size_t c = 0; c < clusters.size(); ++c) {
+    if (!ValidClusterName(clusters[c].name)) {
+      return Status::InvalidArgument("bad cluster name: \"" +
+                                     clusters[c].name + "\"");
+    }
+    for (std::size_t other = 0; other < c; ++other) {
+      if (clusters[other].name == clusters[c].name) {
+        return Status::InvalidArgument("duplicate cluster name: \"" +
+                                       clusters[c].name + "\"");
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 const char* CommandKindName(CommandKind kind) {
   switch (kind) {
     case CommandKind::kSubmit:
@@ -128,14 +164,6 @@ std::string EncodeSnapshot(const ServiceSnapshot& snapshot) {
   }
   payload.F64(snapshot.horizon);
   return Seal(kSnapshotFormat, payload.bytes());
-}
-
-StatusOr<ServiceSnapshot> LoadSnapshot(const std::string& path) {
-  StatusOr<std::string> file = ReadFile(path);
-  if (!file.ok()) {
-    return file.status();
-  }
-  return DecodeSnapshot(file.value(), path);
 }
 
 StatusOr<ServiceSnapshot> DecodeSnapshot(const std::string& image,
@@ -215,6 +243,33 @@ StatusOr<FedSnapshot> LoadFedSnapshot(const std::string& path) {
     return file.status();
   }
   return DecodeFedSnapshot(file.value(), path);
+}
+
+StatusOr<LoadedFleet> LoadFleetSnapshot(const std::string& path) {
+  StatusOr<FedSnapshot> file = LoadFedSnapshot(path);
+  if (!file.ok()) {
+    return file.status();
+  }
+  FedSnapshot& fed = file.value();
+  LoadedFleet fleet;
+  fleet.submit_seq = fed.submit_seq;
+  fleet.ledger_hash = fed.ledger_hash;
+  for (const FedClusterImage& cluster : fed.clusters) {
+    fleet.clusters.push_back({cluster.name, static_cast<ClusterKind>(cluster.kind)});
+  }
+  if (Status valid = ValidateClusters(fleet.clusters); !valid.ok()) {
+    return Status::InvalidArgument(valid.message() + " in " + path);
+  }
+  for (FedClusterImage& cluster : fed.clusters) {
+    StatusOr<ServiceSnapshot> engine = DecodeSnapshot(
+        cluster.image, path + " (cluster " + cluster.name + ")");
+    if (!engine.ok()) {
+      return engine.status();
+    }
+    std::string().swap(cluster.image);  // decoded: drop the bytes early
+    fleet.engines.push_back(std::move(engine).value());
+  }
+  return fleet;
 }
 
 }  // namespace lyra::svc

@@ -12,16 +12,17 @@
 // and fault-log hash are byte-identical to an uninterrupted run's
 // (ctest-enforced).
 //
-// File layout: the shared checksummed envelope (src/common/codec.h) with
-// magic "LYRASNAP"; the payload is the EngineConfig, the command count, the
-// commands, and the horizon.
-//
-// This file only encodes and decodes. An engine encodes its image in memory;
-// the router writes the one snapshot file, a plain LYRASNAP image at one
-// engine and a LYRAFED container otherwise (federation.h).
+// One snapshot file at every fleet size: the LYRAFED container below, with
+// one cluster per engine. An engine's LYRASNAP image (the shared checksummed
+// envelope of src/common/codec.h around the EngineConfig, the command count,
+// the commands, and the horizon) lives only inside it; a bare LYRASNAP file
+// is refused. An engine encodes its image in memory and the router writes
+// the file (federation.h); both restore entry points read it through
+// LoadFleetSnapshot, which checks the whole file before any engine starts.
 #ifndef SRC_SVC_SNAPSHOT_H_
 #define SRC_SVC_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,25 +68,37 @@ struct ServiceSnapshot {
   TimeSec horizon = 0.0;
 };
 
+// Codec for one engine's LYRASNAP image (magic + version + payload +
+// checksum), the bytes the fleet container carries per cluster. Decoding is
 // InvalidArgument on bad magic or an unsupported version, DataLoss on a
-// truncated file or checksum mismatch.
-StatusOr<ServiceSnapshot> LoadSnapshot(const std::string& path);
-
-// String-level codec for the exact LYRASNAP file image (magic + version +
-// payload + checksum); LoadSnapshot == file read + DecodeSnapshot. The fleet
-// container below carries each engine's image byte-for-byte, and tests
-// round-trip snapshots without touching the filesystem. `origin` only
-// flavors error messages (a path or a "shard k" tag).
+// truncated image or checksum mismatch. `origin` only flavors error
+// messages (a path and a cluster name).
 std::string EncodeSnapshot(const ServiceSnapshot& snapshot);
 StatusOr<ServiceSnapshot> DecodeSnapshot(const std::string& image,
                                          const std::string& origin);
 
-// Fleet snapshot container (DESIGN.md §10), written by every fleet of more
-// than one cluster. It holds each cluster's engine's complete LYRASNAP
-// image, stored byte-identically (the bytes that engine writes as a
-// one-engine snapshot), plus the front end's submit-routing sequence number
-// and the migration ledger's rolling hash, so a restart resumes routing and
-// the ledger's hash chain exactly where the killed process was.
+enum class ClusterKind : std::uint8_t { kInference = 0, kTraining = 1 };
+
+const char* ClusterKindName(ClusterKind kind);
+
+struct ClusterSpec {
+  std::string name;  // [A-Za-z0-9_.-]+, unique within the fleet
+  ClusterKind kind = ClusterKind::kTraining;
+};
+
+inline constexpr std::size_t kMaxClusters = 64;
+
+// The one rule for a fleet's cluster list, from a spec, a build or a
+// snapshot file: 1 to kMaxClusters clusters, each name matching
+// [A-Za-z0-9_.-]+, no name twice. InvalidArgument otherwise.
+Status ValidateClusters(const std::vector<ClusterSpec>& clusters);
+
+// The snapshot file (DESIGN.md §10), written by every fleet, one cluster
+// included. It holds each cluster's name, kind and engine's complete
+// LYRASNAP image, plus the front end's submit-routing sequence number and
+// the migration ledger's rolling hash, so a restart resumes every cluster's
+// identity, routing and the ledger's hash chain exactly where the killed
+// process was.
 //
 // File layout (version 4): the shared envelope with magic "LYRAFED_"; the
 // payload is u64 submit_seq, u64 ledger_hash, u32 cluster count (1..64),
@@ -97,7 +110,7 @@ inline constexpr EnvelopeFormat kFedSnapshotFormat{"LYRAFED_", 4};
 struct FedClusterImage {
   std::string name;
   std::uint8_t kind = 0;  // ClusterKind as a byte (0 inference, 1 training)
-  std::string image;      // the cluster's engine's LYRASNAP file image
+  std::string image;      // the cluster's engine's LYRASNAP image
 };
 
 struct FedSnapshot {
@@ -106,12 +119,30 @@ struct FedSnapshot {
   std::vector<FedClusterImage> clusters;
 };
 
-// InvalidArgument on bad magic or another version, DataLoss on a truncated
-// file, checksum mismatch or a payload that breaks the layout.
+// The container's grammar only: InvalidArgument on bad magic or another
+// version, DataLoss on a truncated file, checksum mismatch or a payload that
+// breaks the layout. The cluster images stay encoded.
 StatusOr<FedSnapshot> LoadFedSnapshot(const std::string& path);
 std::string EncodeFedSnapshot(const FedSnapshot& snapshot);
 StatusOr<FedSnapshot> DecodeFedSnapshot(const std::string& image,
                                         const std::string& origin);
+
+// A snapshot file as a restore reads it: cluster k's spec and the decoded
+// image engine k restores.
+struct LoadedFleet {
+  std::uint64_t submit_seq = 0;
+  std::uint64_t ledger_hash = 0;
+  std::vector<ClusterSpec> clusters;
+  std::vector<ServiceSnapshot> engines;
+};
+
+// The one snapshot loader, for RestoreFederation and
+// SchedulerService::Restore: reads the LYRAFED container, checks its
+// cluster list with ValidateClusters, then decodes every cluster's image,
+// so a bad file is refused whole before any engine is built. Errors are
+// those of LoadFedSnapshot, ValidateClusters and DecodeSnapshot; a bare
+// LYRASNAP file is InvalidArgument.
+StatusOr<LoadedFleet> LoadFleetSnapshot(const std::string& path);
 
 }  // namespace lyra::svc
 

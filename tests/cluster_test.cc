@@ -94,7 +94,6 @@ TEST_F(ClusterStateTest, PoolsAndCapacities) {
   EXPECT_EQ(cluster_.TotalGpus(ServerPool::kTraining), 32);
   EXPECT_EQ(cluster_.TotalGpus(ServerPool::kInference), 24);
   EXPECT_EQ(cluster_.TotalGpus(ServerPool::kOnLoan), 0);
-  EXPECT_EQ(cluster_.TrainingSideTotalGpus(), 32);
   EXPECT_EQ(cluster_.ServersInPool(ServerPool::kTraining).size(), 4u);
 }
 
@@ -171,12 +170,6 @@ TEST_F(ClusterStateTest, CannotReturnBusyServer) {
 TEST_F(ClusterStateTest, CannotReturnNonLoanedServer) {
   EXPECT_FALSE(cluster_.ReturnServer(inference_[0]).ok());
   EXPECT_FALSE(cluster_.ReturnServer(training_[0]).ok());
-}
-
-TEST_F(ClusterStateTest, NormalizedFreeCapacityWeighsT4) {
-  ASSERT_TRUE(cluster_.LoanServer(inference_[0]).ok());
-  // 32 free V100 + 8 T4 at 1/3.
-  EXPECT_NEAR(cluster_.TrainingSideFreeNormalized(), 32.0 + 8.0 / 3.0, 1e-9);
 }
 
 TEST_F(ClusterStateTest, CloneIsDeepAndIndependent) {

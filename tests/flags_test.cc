@@ -1,6 +1,6 @@
 // Tests for the command-line flag library and the component registry the
-// flag values feed into (every CLI resolves scheduler/reclaim/predictor
-// names through src/svc/registry.h).
+// flag values feed into (every CLI resolves scheduler and reclaim names
+// through src/svc/registry.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -138,14 +138,6 @@ TEST(Registry, UnknownNamesListRegisteredAlternatives) {
   for (const std::string& name : svc::KnownReclaimNames()) {
     EXPECT_NE(reclaim.status().message().find(name), std::string::npos);
   }
-
-  const auto predictor = svc::MakePredictor("bogus");
-  ASSERT_FALSE(predictor.ok());
-  EXPECT_NE(predictor.status().message().find("unknown usage predictor"),
-            std::string::npos);
-  for (const std::string& name : svc::KnownPredictorNames()) {
-    EXPECT_NE(predictor.status().message().find(name), std::string::npos);
-  }
 }
 
 TEST(Registry, EveryRegisteredNameConstructs) {
@@ -156,10 +148,6 @@ TEST(Registry, EveryRegisteredNameConstructs) {
   }
   for (const std::string& name : svc::KnownReclaimNames()) {
     const auto made = svc::MakeReclaim(name);
-    ASSERT_TRUE(made.ok()) << name << ": " << made.status().message();
-  }
-  for (const std::string& name : svc::KnownPredictorNames()) {
-    const auto made = svc::MakePredictor(name);
     ASSERT_TRUE(made.ok()) << name << ": " << made.status().message();
   }
 }

@@ -4,10 +4,13 @@
 // DecodeEngineCommand on whatever parses as an engine command, and the
 // scrape decoder (ParsePrometheus, then ExtractHistogram), which lyra_top
 // and lyra_loadgen feed with bytes off a socket, plus the HTTP sniff
-// (EventLoop's GET /metrics path), driven over TCP. They are
+// (EventLoop's GET /metrics path), driven over TCP, and the snapshot
+// restore (RestoreFederation) on re-sealed LYRAFED payloads. They are
 // self-contained: a fixed corpus of valid documents, a seeded mutator and a
 // fixed iteration budget, so every ctest leg (ASan/UBSan included) runs them
-// the same way. LYRA_FUZZ_ITERATIONS=<n> raises the budget for a long run.
+// the same way. LYRA_FUZZ_ITERATIONS=<n> raises the budget of the decoder
+// fuzzers for a long run; the restore fuzzer builds engines, so its budget
+// stays fixed.
 //
 // They assert only that the decoders fail cleanly: a rejected input is an
 // InvalidArgument Status, never a crash, a hang or an allocation past the
@@ -20,16 +23,20 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "src/common/codec.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
@@ -37,8 +44,10 @@
 #include "src/svc/federation.h"
 #include "src/svc/prom.h"
 #include "src/svc/service.h"
+#include "src/svc/snapshot.h"
 #include "src/svc/time_driver.h"
 #include "src/svc/wire.h"
+#include "tests/prom_lint.h"
 
 namespace lyra::svc {
 namespace {
@@ -488,6 +497,130 @@ TEST(Fuzz, HttpRequestFailsCleanly) {
   EXPECT_NE(reply.value().find("\"ok\":true"), std::string::npos) << reply.value();
   service.Stop();
   loop.Stop();
+}
+
+// Snapshot restore past the checksum. The LYRAFED payload of a 2x2 fleet's
+// snapshot is mutated and sealed again, so each mutant reaches the
+// container grammar, the cluster-list rule and the image decoder, not only
+// the envelope's checksum. Most edits land on the container's own bytes
+// (counters, name lengths and names, kinds, image framing), since a byte
+// inside an image only meets that image's checksum; written bytes favour
+// the ones that matter to a name (quote, newline, label syntax). Every
+// mutant is refused as InvalidArgument or DataLoss before any engine is
+// built, or restores to a fleet whose /metrics passes the exposition lint.
+TEST(Fuzz, FederationRestoreOfResealedSnapshotsIsWholeOrRefused) {
+  ServiceOptions options;
+  options.engine.scale = 0.05;
+  options.auto_advance = false;
+  const auto virtual_driver = [](int) -> std::unique_ptr<TimeDriver> {
+    return std::make_unique<VirtualTimeDriver>();
+  };
+  const std::string path =
+      testing::TempDir() + "/lyra_fuzz_fed_" + std::to_string(::getpid());
+  {
+    StatusOr<FederationSet> fleet =
+        BuildFederation(options, ParseFederationSpec("2x2").value(), virtual_driver);
+    ASSERT_TRUE(fleet.ok()) << fleet.status().message();
+    FederationRouter& router = *fleet.value().router;
+    for (const char* cluster : {"inf0", "inf1", "train0", "train1", "train1"}) {
+      JsonValue submit = JsonValue::MakeObject();
+      submit.Set("cmd", JsonValue::MakeString("submit"))
+          .Set("cluster", JsonValue::MakeString(cluster))
+          .Set("total_work", JsonValue::MakeNumber(7200.0));
+      ASSERT_TRUE(router.Execute(submit).GetBool("ok"));
+    }
+    JsonValue snap = JsonValue::MakeObject();
+    snap.Set("cmd", JsonValue::MakeString("snapshot"))
+        .Set("path", JsonValue::MakeString(path));
+    ASSERT_TRUE(router.Execute(snap).GetBool("ok"));
+    for (auto& service : fleet.value().services) {
+      service->Stop();
+    }
+  }
+  const std::string file = ReadFile(path).value();
+  StatusOr<std::string_view> opened = Open(kFedSnapshotFormat, file, path);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const std::string payload(opened.value());
+
+  // The container's own bytes: submit_seq, ledger_hash and the cluster
+  // count, then per cluster its name's length and bytes, its kind and its
+  // image's length.
+  std::vector<std::size_t> frame;
+  for (std::size_t i = 0; i < 20; ++i) {
+    frame.push_back(i);
+  }
+  std::size_t at = 20;
+  const FedSnapshot written = LoadFedSnapshot(path).value();
+  for (const FedClusterImage& cluster : written.clusters) {
+    const std::size_t own = 4 + cluster.name.size() + 1 + 8;
+    for (std::size_t i = 0; i < own; ++i) {
+      frame.push_back(at + i);
+    }
+    at += own + cluster.image.size();
+  }
+  ASSERT_EQ(at, payload.size());
+
+  static constexpr char kNameBytes[] = "\"\n\\{}=, #._-aZ09\x7f\x80\xff";
+  Rng rng(0xfed5);
+  int built = 0;
+  const auto counting_driver = [&built](int) -> std::unique_ptr<TimeDriver> {
+    ++built;
+    return std::make_unique<VirtualTimeDriver>();
+  };
+  constexpr int kIterations = 500;
+  int restored_count = 0;
+  int invalid_count = 0;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    std::string mutated = payload;
+    for (std::int64_t e = rng.UniformInt(1, 2); e > 0; --e) {
+      const std::size_t pos =
+          rng.NextBernoulli(0.75)
+              ? frame[static_cast<std::size_t>(rng.UniformInt(
+                    0, static_cast<std::int64_t>(frame.size()) - 1))]
+              : static_cast<std::size_t>(rng.UniformInt(
+                    0, static_cast<std::int64_t>(mutated.size()) - 1));
+      const char byte =
+          rng.NextBernoulli(0.5)
+              ? kNameBytes[rng.UniformInt(0, sizeof(kNameBytes) - 2)]
+              : static_cast<char>(rng.UniformInt(0, 255));
+      switch (rng.UniformInt(0, 7)) {
+        case 0:
+          mutated.erase(std::min(pos, mutated.size() - 1), 1);
+          break;
+        case 1:
+          mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(pos), byte);
+          break;
+        default:
+          mutated[std::min(pos, mutated.size() - 1)] = byte;
+          break;
+      }
+    }
+    ASSERT_TRUE(WriteFileAtomic(path, Seal(kFedSnapshotFormat, mutated)).ok());
+    built = 0;
+    StatusOr<FederationSet> restored = RestoreFederation(options, path, counting_driver);
+    if (!restored.ok()) {
+      const StatusCode code = restored.status().code();
+      EXPECT_TRUE(code == StatusCode::kInvalidArgument || code == StatusCode::kDataLoss)
+          << restored.status().message();
+      EXPECT_EQ(built, 0) << restored.status().message();
+      invalid_count += code == StatusCode::kInvalidArgument ? 1 : 0;
+      continue;
+    }
+    ++restored_count;
+    JsonValue prom = JsonValue::MakeObject();
+    prom.Set("cmd", JsonValue::MakeString("stats_prom"));
+    const JsonValue reply = restored.value().router->Execute(prom);
+    ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
+    ExpectLintClean(reply.GetString("text", ""), "restored mutant");
+    for (auto& service : restored.value().services) {
+      service->Stop();
+    }
+  }
+  // The budget reaches both outcomes and the cluster-list rule.
+  EXPECT_GT(restored_count, 0);
+  EXPECT_GT(invalid_count, 0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

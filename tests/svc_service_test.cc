@@ -942,7 +942,8 @@ TEST(Service, DaemonMatchesBatchRunFaultsOn) {
 
 // A scale with no paper cluster (NaN, negative, zero, or too large for an
 // int server count) is refused before any engine starts: by a daemon built
-// with it, and by a restore whose sealed LYRASNAP config carries it.
+// with it, and by a restore whose sealed LYRASNAP image carries it in its
+// config.
 TEST(Service, NonsenseScaleIsRefusedBeforeAnEngineStarts) {
   const auto virtual_driver = [](int) -> std::unique_ptr<TimeDriver> {
     return std::make_unique<VirtualTimeDriver>();
@@ -966,7 +967,9 @@ TEST(Service, NonsenseScaleIsRefusedBeforeAnEngineStarts) {
   sealed.horizon = 600.0;
   const std::string path =
       "/tmp/lyra_svc_test_" + std::to_string(::getpid()) + "_huge_scale";
-  ASSERT_TRUE(WriteFileAtomic(path, EncodeSnapshot(sealed)).ok());
+  FedSnapshot file;
+  file.clusters = {{"train0", 1, EncodeSnapshot(sealed)}};
+  ASSERT_TRUE(WriteFileAtomic(path, EncodeFedSnapshot(file)).ok());
   ServiceOptions options;
   options.auto_advance = false;
   const StatusOr<FederationSet> restored =

@@ -4,8 +4,8 @@
 // global↔local id arithmetic round-trips), merged reads (cluster_stats
 // across engines equals the sum of the per-engine snapshots, and the
 // exposition folds registry histograms bucketwise), wire job ids outside [0, 2^53]
-// rejected before any routing, the snapshot containers (LYRAFED at four
-// engines, holding each engine's own image, and plain LYRASNAP at one), a
+// rejected before any routing, the one snapshot file (LYRAFED at four
+// engines, holding each engine's own image, and at one), a
 // randomized kill-and-warm-restart at 0x4 that must reproduce every
 // engine's decision log byte-for-byte, and pipelined reply ordering over
 // the fleet's event loop.
@@ -536,8 +536,8 @@ TEST(Shard, WarmRestartReplaysEveryShardByteForByte) {
 
 // A fleet of four engines writes one LYRAFED container: the training
 // clusters train0..train3, each holding its engine's image, plus the
-// routing counter. Each image is, byte for byte, the engine's own
-// one-engine snapshot.
+// routing counter. Each image is, byte for byte, the one the engine writes
+// into its own one-cluster file.
 TEST(Shard, FourEngineSnapshotIsOneLyrafedContainer) {
   FederationSet fleet = BuildFleet(kShards);
   FederationRouter& router = *fleet.router;
@@ -557,7 +557,10 @@ TEST(Shard, FourEngineSnapshotIsOneLyrafedContainer) {
     const std::string part = TempPath(("own" + std::to_string(k)).c_str());
     snap.Replace("path", JsonValue::MakeString(part));
     ASSERT_TRUE(EngineExecute(fleet.services[k].get(), snap).GetBool("ok"));
-    own.push_back(ReadFile(part).value());
+    StatusOr<FedSnapshot> solo = LoadFedSnapshot(part);
+    ASSERT_TRUE(solo.ok()) << solo.status().message();
+    ASSERT_EQ(solo.value().clusters.size(), 1u);
+    own.push_back(solo.value().clusters[0].image);
     std::remove(part.c_str());
   }
   StopFleet(fleet);
@@ -576,9 +579,10 @@ TEST(Shard, FourEngineSnapshotIsOneLyrafedContainer) {
   std::remove(path.c_str());
 }
 
-// One engine still writes the plain LYRASNAP image, byte-identical with the
-// engine's own snapshot, and restores as a one-engine fleet.
-TEST(Shard, OneEngineStillWritesPlainLyrasnap) {
+// One engine writes the same LYRAFED container as a fleet, of one cluster
+// (train0, training) whose image is the engine's own, and restores as a
+// one-engine fleet under that cluster's name.
+TEST(Shard, OneEngineWritesAOneClusterLyrafed) {
   FederationSet fleet = BuildFleet(1);
   FederationRouter& router = *fleet.router;
   ASSERT_TRUE(router.Execute(Submit(0.0, 36000.0)).GetBool("ok"));
@@ -595,8 +599,18 @@ TEST(Shard, OneEngineStillWritesPlainLyrasnap) {
   StopFleet(fleet);
 
   const std::string bytes = ReadFile(routed).value();
-  EXPECT_EQ(bytes.substr(0, 8), "LYRASNAP");
-  EXPECT_EQ(bytes, ReadFile(direct).value());
+  EXPECT_EQ(bytes.substr(0, 8), "LYRAFED_");
+  EXPECT_EQ(bytes.substr(8, 4), std::string("\x04\0\0\0", 4)) << "version word";
+  StatusOr<FedSnapshot> file = LoadFedSnapshot(routed);
+  StatusOr<FedSnapshot> own = LoadFedSnapshot(direct);
+  ASSERT_TRUE(file.ok()) << file.status().message();
+  ASSERT_TRUE(own.ok()) << own.status().message();
+  ASSERT_EQ(file.value().clusters.size(), 1u);
+  EXPECT_EQ(file.value().clusters[0].name, "train0");
+  EXPECT_EQ(file.value().clusters[0].kind,
+            static_cast<std::uint8_t>(ClusterKind::kTraining));
+  EXPECT_EQ(file.value().clusters[0].image.substr(0, 8), "LYRASNAP");
+  EXPECT_TRUE(file.value().clusters[0].image == own.value().clusters[0].image);
   StatusOr<FederationSet> restored =
       RestoreFederation(FleetOptions(), routed, MakeVirtualDriver);
   ASSERT_TRUE(restored.ok()) << restored.status().message();

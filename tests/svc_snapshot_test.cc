@@ -222,13 +222,24 @@ TEST(Snapshot, ContainerRoundTripPreservesEverything) {
   snapshot.commands.push_back(drain);
   snapshot.horizon = 2e6;
 
+  FedSnapshot file;
+  file.submit_seq = 7;
+  file.ledger_hash = 0xfeed;
+  file.clusters = {{"edge", 0, EncodeSnapshot(snapshot)}};
   const std::string path = TempPath("roundtrip");
-  ASSERT_TRUE(WriteFileAtomic(path, EncodeSnapshot(snapshot)).ok());
-  StatusOr<ServiceSnapshot> loaded = LoadSnapshot(path);
+  ASSERT_TRUE(WriteFileAtomic(path, EncodeFedSnapshot(file)).ok());
+  StatusOr<LoadedFleet> loaded = LoadFleetSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  EXPECT_TRUE(loaded.value().config == snapshot.config);
-  EXPECT_TRUE(loaded.value().commands == snapshot.commands);
-  EXPECT_DOUBLE_EQ(loaded.value().horizon, snapshot.horizon);
+  EXPECT_EQ(loaded.value().submit_seq, 7u);
+  EXPECT_EQ(loaded.value().ledger_hash, 0xfeedu);
+  ASSERT_EQ(loaded.value().clusters.size(), 1u);
+  EXPECT_EQ(loaded.value().clusters[0].name, "edge");
+  EXPECT_EQ(loaded.value().clusters[0].kind, ClusterKind::kInference);
+  ASSERT_EQ(loaded.value().engines.size(), 1u);
+  const ServiceSnapshot& engine = loaded.value().engines[0];
+  EXPECT_TRUE(engine.config == snapshot.config);
+  EXPECT_TRUE(engine.commands == snapshot.commands);
+  EXPECT_DOUBLE_EQ(engine.horizon, snapshot.horizon);
   std::remove(path.c_str());
 }
 

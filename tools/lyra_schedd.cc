@@ -17,10 +17,11 @@
 // engine), and "name:kind,..." spells the clusters out. Submits route by
 // "cluster"/"kind", and `migrate` moves a training job between training
 // clusters; capacity loaning stays inside each engine.
-// One engine snapshots to a plain LYRASNAP file, more engines to one
-// LYRAFED container of their LYRASNAP images; --restore takes the topology
-// from the file, whatever the flags say, and refuses any other format or
-// version.
+// Every fleet, one engine included, snapshots to one LYRAFED container of
+// its clusters' names, kinds and LYRASNAP images; --restore takes the
+// topology from the file, whatever the flags say, and refuses any other
+// format or version (a bare LYRASNAP image included) before an engine
+// starts.
 //
 //   ./build/tools/lyra_schedd --socket=/tmp/lyra.sock
 //   ./build/tools/lyra_schedd --socket=/tmp/lyra.sock --tcp-port=7070
